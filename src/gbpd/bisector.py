@@ -14,6 +14,17 @@ components are arcs of the circular alpha domain delimited by singular
 parameters (an ellipse is one closed loop, a parabola one open arc, a
 hyperbola two branches); each line of a degenerate bisector is a component
 of its own.
+
+:func:`make_bisectors` is the one kernel: it builds the implicit
+coefficients, the pair frames and the rescaled implicit of all P pairs as
+array operations, classifies all of them with one stacked
+``np.linalg.eigh`` and parametrizes every curve in array form
+(``conic.classify_and_parametrize_batch``). Only the rare rank-deficient
+pairs (line bisectors) go through a per-pair loop. Every array step repeats
+the one-pair operation order, and steps that go through BLAS or LAPACK use
+the stacked form of the same call, so a pair gets the same floats whatever
+batch it is in; :func:`make_bisector` and :func:`bisector_implicit` are
+batches of one.
 """
 
 from __future__ import annotations
@@ -27,33 +38,59 @@ from .conic import (
     CURVE_CLASSES,
     ConicClass,
     ConicImplicit,
-    DegenerateConic,
     LineParam,
     ParametrizedConic,
     alpha_of_param,
-    classify_and_parametrize,
+    classify_and_parametrize_batch,
     param_of_alpha,
     real_quadratic_roots,
     wrap_angle,
 )
 from .errors import NoSolutionError, SingularParameterError
-from .geometry import Generator, SymMat2, as_point
+from .geometry import Generator, as_point, row_dot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 TWO_PI = 2.0 * math.pi
 
 
+def _generator_columns(gens) -> np.ndarray:
+    """Rows (px, py, m11, m12, m22, w), one per generator."""
+    return np.array(
+        [(g.p[0], g.p[1], g.M.m11, g.M.m12, g.M.m22, g.w) for g in gens], dtype=float
+    ).reshape(-1, 6)
+
+
+def _implicit_rows(gi: np.ndarray, gj: np.ndarray) -> np.ndarray:
+    """Implicit coefficient rows (a11, a12, a22, b11, b12, c) of P bisectors.
+
+    ``gi`` and ``gj`` are generator rows from :func:`_generator_columns`.
+    """
+    mi_pi = np.stack(
+        [gi[:, 2] * gi[:, 0] + gi[:, 3] * gi[:, 1], gi[:, 3] * gi[:, 0] + gi[:, 4] * gi[:, 1]],
+        axis=1,
+    )
+    mj_pj = np.stack(
+        [gj[:, 2] * gj[:, 0] + gj[:, 3] * gj[:, 1], gj[:, 3] * gj[:, 0] + gj[:, 4] * gj[:, 1]],
+        axis=1,
+    )
+    c = row_dot(gi[:, 0:2], mi_pi) - row_dot(gj[:, 0:2], mj_pj) - gi[:, 5] + gj[:, 5]
+    return np.stack(
+        [
+            gi[:, 2] - gj[:, 2],
+            gi[:, 3] - gj[:, 3],
+            gi[:, 4] - gj[:, 4],
+            -2.0 * (mi_pi[:, 0] - mj_pj[:, 0]),
+            -2.0 * (mi_pi[:, 1] - mj_pj[:, 1]),
+            c,
+        ],
+        axis=1,
+    )
+
+
 def bisector_implicit(gi: Generator, gj: Generator) -> ConicImplicit:
     """Implicit conic of the (i, j) bisector; coefficients are exact arithmetic."""
-    a11 = gi.M.m11 - gj.M.m11
-    a12 = gi.M.m12 - gj.M.m12
-    a22 = gi.M.m22 - gj.M.m22
-    mi_pi = gi.M.apply(gi.p)
-    mj_pj = gj.M.apply(gj.p)
-    b11 = -2.0 * (mi_pi[0] - mj_pj[0])
-    b12 = -2.0 * (mi_pi[1] - mj_pj[1])
-    c = float(gi.p @ mi_pi) - float(gj.p @ mj_pj) - gi.w + gj.w
-    return ConicImplicit(a11, a12, a22, b11, b12, c)
+    row = _implicit_rows(_generator_columns([gi]), _generator_columns([gj]))[0]
+    return ConicImplicit(*row.tolist())
 
 
 @dataclass(frozen=True)
@@ -134,42 +171,82 @@ class Bisector:
         return self.conic_class is ConicClass.WHOLE_PLANE
 
 
-def _pair_frame(gi: Generator, gj: Generator) -> tuple[np.ndarray, float]:
-    """Similarity frame local to a generator pair: center and scale.
+def _pair_frames(gi: np.ndarray, gj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Similarity frames local to P generator pairs: centers (P, 2) and scales (P,).
 
     The scale is a power of two so that rescaling generator data is exact;
     classifying the bisector in this frame keeps the conic matrix entries
     balanced regardless of where the scene sits in the plane.
     """
-    c = 0.5 * (gi.p + gj.p)
-    sep = max(
-        abs(float(gi.p[0] - c[0])),
-        abs(float(gi.p[1] - c[1])),
-        abs(float(gj.p[0] - c[0])),
-        abs(float(gj.p[1] - c[1])),
-        abs(float(c[0])) * 1e-8,
-        abs(float(c[1])) * 1e-8,
-    )
-    h = 2.0 ** math.ceil(math.log2(sep)) if sep > 1.0 else 1.0
+    c = 0.5 * (gi[:, 0:2] + gj[:, 0:2])
+    sep = np.abs(
+        np.stack([gi[:, 0] - c[:, 0], gi[:, 1] - c[:, 1], gj[:, 0] - c[:, 0], gj[:, 1] - c[:, 1]])
+    ).max(axis=0)
+    sep = np.maximum(sep, np.maximum(np.abs(c[:, 0]) * 1e-8, np.abs(c[:, 1]) * 1e-8))
+    h = np.ones_like(sep)
+    far = sep > 1.0
+    h[far] = 2.0 ** np.ceil(np.log2(sep[far]))
     return c, h
 
 
-def _rescaled_generator(g: Generator, c: np.ndarray, h: float) -> Generator:
-    m = SymMat2(h * h * g.M.m11, h * h * g.M.m12, h * h * g.M.m22)
-    return Generator(g.id, (g.p - c) / h, m, g.w)
+def _rescaled(g: np.ndarray, c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Generator rows in the pair frames: centers (p - c) / h, matrices h^2 M."""
+    hh = (h * h)[:, None]
+    return np.concatenate([(g[:, 0:2] - c) / h[:, None], hh * g[:, 2:5], g[:, 5:6]], axis=1)
 
 
-def _rep_to_global(rep, h: float, c: np.ndarray):
-    """Map a parametrization built in the pair frame back to scene coordinates."""
-    if isinstance(rep, ParametrizedConic):
-        xq = tuple(h * rep.xq[k] + c[0] * rep.uq[k] for k in range(3))
-        yq = tuple(h * rep.yq[k] + c[1] * rep.uq[k] for k in range(3))
-        return ParametrizedConic(xq, yq, rep.uq, rep.singular_params, rep.conic_class)
-    lines = tuple(
-        LineParam.from_implicit(ln.a, ln.b, h * ln.c - ln.a * c[0] - ln.b * c[1])
-        for ln in rep.lines
-    )
-    return DegenerateConic(rep.conic_class, lines)
+def make_bisectors(
+    gens_i,
+    gens_j,
+    tol: ToleranceSet = DEFAULT_TOLERANCES,
+) -> list[Bisector]:
+    """Bisectors of the pairs (gens_i[k], gens_j[k]), all at once.
+
+    The implicit forms are exact scene-coordinate arithmetic. Classification
+    and parametrization run in pair-local similarity frames (the distance
+    difference is frame-invariant when centers shift by c and matrices pick
+    up h^2), which keeps the result accurate far from the origin; the
+    representations are mapped back affinely.
+    """
+    pairs = []
+    for gi, gj in zip(gens_i, gens_j, strict=True):
+        if gi.id == gj.id:
+            raise ValueError("bisector requires distinct generator ids")
+        pairs.append((gi, gj) if gi.id < gj.id else (gj, gi))
+    if not pairs:
+        return []
+    ci = _generator_columns([gi for gi, _ in pairs])
+    cj = _generator_columns([gj for _, gj in pairs])
+    implicit = _implicit_rows(ci, cj)
+    c, h = _pair_frames(ci, cj)
+    # an identity frame keeps the scene implicit as is (p - c would turn -0.0 into +0.0)
+    moved = (h != 1.0) | (c[:, 0] != 0.0) | (c[:, 1] != 0.0)
+    hat =np.where(moved[:, None], _implicit_rows(_rescaled(ci, c, h), _rescaled(cj, c, h)), implicit)
+    reps = classify_and_parametrize_batch(hat, tol, 2.0, frame=(h, c))
+    out = []
+    for (gi, gj), coeffs, rep in zip(pairs, implicit.tolist(), reps):
+        if isinstance(rep, ParametrizedConic):
+            param, lines, components = rep, (), _curve_components(rep)
+        else:
+            param, lines = None, rep.lines
+            components = tuple(
+                BisectorComponent("line", -math.inf, math.inf, line_index=k)
+                for k in range(len(rep.lines))
+            )
+        out.append(
+            Bisector(
+                i=gi.id,
+                j=gj.id,
+                gi=gi,
+                gj=gj,
+                implicit=ConicImplicit(*coeffs),
+                conic_class=rep.conic_class,
+                param=param,
+                lines=lines,
+                components=components,
+            )
+        )
+    return out
 
 
 def make_bisector(
@@ -179,53 +256,9 @@ def make_bisector(
 ) -> Bisector:
     """Build the full bisector representation for a generator pair.
 
-    The implicit form is exact scene-coordinate arithmetic. Classification
-    and parametrization run in a pair-local similarity frame (the distance
-    difference is frame-invariant when centers shift by c and matrices pick
-    up h^2), which keeps the result accurate far from the origin; the
-    representation is mapped back affinely.
+    A batch of one of :func:`make_bisectors`.
     """
-    if gi.id == gj.id:
-        raise ValueError("bisector requires distinct generator ids")
-    if gi.id > gj.id:
-        gi, gj = gj, gi
-    implicit = bisector_implicit(gi, gj)
-    c, h = _pair_frame(gi, gj)
-    if h != 1.0 or c[0] != 0.0 or c[1] != 0.0:
-        hat = bisector_implicit(
-            _rescaled_generator(gi, c, h), _rescaled_generator(gj, c, h)
-        )
-    else:
-        hat = implicit
-    rep = _rep_to_global(classify_and_parametrize(hat, tol, 2.0), h, c)
-    if isinstance(rep, ParametrizedConic):
-        return Bisector(
-            i=gi.id,
-            j=gj.id,
-            gi=gi,
-            gj=gj,
-            implicit=implicit,
-            conic_class=rep.conic_class,
-            param=rep,
-            lines=(),
-            components=_curve_components(rep),
-        )
-    assert isinstance(rep, DegenerateConic)
-    comps = tuple(
-        BisectorComponent("line", -math.inf, math.inf, line_index=k)
-        for k in range(len(rep.lines))
-    )
-    return Bisector(
-        i=gi.id,
-        j=gj.id,
-        gi=gi,
-        gj=gj,
-        implicit=implicit,
-        conic_class=rep.conic_class,
-        param=None,
-        lines=rep.lines,
-        components=comps,
-    )
+    return make_bisectors([gi], [gj], tol)[0]
 
 
 def _project_param(p: ParametrizedConic, v, t: float, tol: ToleranceSet) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .conic import alpha_of_param, real_quadratic_roots
 from .diagram import DiagramGraph, EdgeSegment
-from .errors import NoSolutionError
+from .errors import NoSolutionError, SingularParameterError
 from .geometry import SceneArrays, Window
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -241,7 +241,7 @@ def clip_to_window(
                 a1 = e.alpha_a + off1
                 try:
                     mid = b.param.point_at_alpha(0.5 * (a0 + a1), tol)
-                except Exception:
+                except SingularParameterError:
                     continue
                 if not np.all(np.isfinite(mid)) or not window.contains(mid, margin=strict):
                     continue

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SingularParameterError
-from .geometry import SymMat2
+from .geometry import sym2_eigh
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 _HALF_PI = 0.5 * math.pi
@@ -100,13 +100,7 @@ class ConicImplicit:
 
     def matrix3(self) -> np.ndarray:
         """Homogeneous symmetric matrix with halved linear terms."""
-        return np.array(
-            [
-                [self.a11, self.a12, 0.5 * self.b11],
-                [self.a12, self.a22, 0.5 * self.b12],
-                [0.5 * self.b11, 0.5 * self.b12, self.c],
-            ]
-        )
+        return conic_matrices(np.array([self.coeffs()]))[0]
 
     @staticmethod
     def from_matrix3(d) -> "ConicImplicit":
@@ -129,6 +123,20 @@ class ConicImplicit:
     def quad_discriminant(self) -> float:
         """a12^2 - a11 a22: negative for ellipses, zero parabola, positive hyperbola."""
         return self.a12 * self.a12 - self.a11 * self.a22
+
+
+def conic_matrices(coeffs: np.ndarray) -> np.ndarray:
+    """Homogeneous matrices (P, 3, 3) of P conics given as rows (a11, a12, a22, b11, b12, c)."""
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 6)
+    a11, a12, a22, b11, b12, c = coeffs.T
+    d = np.empty((coeffs.shape[0], 3, 3))
+    d[:, 0, 0] = a11
+    d[:, 0, 1] = d[:, 1, 0] = a12
+    d[:, 1, 1] = a22
+    d[:, 0, 2] = d[:, 2, 0] = 0.5 * b11
+    d[:, 1, 2] = d[:, 2, 1] = 0.5 * b12
+    d[:, 2, 2] = c
+    return d
 
 
 def line_as_conic(a: float, b: float, c: float) -> ConicImplicit:
@@ -222,11 +230,14 @@ def real_quadratic_roots(a: float, b: float, c: float, rel: float = 1e-13):
 # (r10 s + r11) is the congruence R^T Q R.
 
 
-def _triple_congruence(triple, r: np.ndarray) -> tuple[float, float, float]:
-    c2, c1, c0 = triple
-    q = np.array([[c2, 0.5 * c1], [0.5 * c1, c0]])
-    qq = r.T @ q @ r
-    return (float(qq[0, 0]), float(qq[0, 1] + qq[1, 0]), float(qq[1, 1]))
+def _triple_congruences(triples: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows (c2, c1, c0) of (P, 3) pushed through the congruences r (P, 2, 2)."""
+    q = np.empty((triples.shape[0], 2, 2))
+    q[:, 0, 0] = triples[:, 0]
+    q[:, 0, 1] = q[:, 1, 0] = 0.5 * triples[:, 1]
+    q[:, 1, 1] = triples[:, 2]
+    qq = np.matmul(np.matmul(r.transpose(0, 2, 1), q), r)
+    return np.stack([qq[:, 0, 0], qq[:, 0, 1] + qq[:, 1, 0], qq[:, 1, 1]], axis=1)
 
 
 def _rotate_pi_triple(triple) -> tuple[float, float, float]:
@@ -411,74 +422,66 @@ def _classify_lines(lines: list[LineParam]) -> ConicClass:
     return ConicClass.TWO_INTERSECTING_LINES
 
 
-def _parametrize_rank3(
-    evals: np.ndarray, evecs: np.ndarray, tol: ToleranceSet
-) -> ParametrizedConic | DegenerateConic:
-    pos = int((evals > 0.0).sum())
-    if pos == 3 or pos == 0:
-        # imaginary ellipse: no real points
-        return DegenerateConic(ConicClass.EMPTY, ())
-    if pos == 1:
-        evals = -evals
-    order = list(np.argsort(-evals))  # two positives first, negative last
-    lam = evals[order]
-    t_mat = evecs[:, order]
+# _parametrize_rank3 class codes
+_EMPTY, _PARABOLA, _ELLIPSE, _HYPERBOLA = range(4)
+_RANK3_CLASS = {
+    _PARABOLA: ConicClass.PARABOLA,
+    _ELLIPSE: ConicClass.ELLIPSE,
+    _HYPERBOLA: ConicClass.HYPERBOLA,
+}
+
+
+def _parametrize_rank3(evals: np.ndarray, evecs: np.ndarray, tol: ToleranceSet):
+    """Parametrize R rank-3 conics from their eigen-decompositions (R, 3), (R, 3, 3).
+
+    Returns coefficient triples xq, yq, uq (each (R, 3)), a class code per
+    row and the singular parameter s of each hyperbola (+-s). Rows whose
+    eigenvalues share one sign are imaginary ellipses (code _EMPTY).
+    """
+    pos = (evals > 0.0).sum(axis=1)
+    code = np.full(evals.shape[0], _EMPTY)
+    evals = np.where((pos == 1)[:, None], -evals, evals)
+    order = np.argsort(-evals, axis=1)  # two positives first, negative last
+    lam = np.take_along_axis(evals, order, axis=1)
+    t_mat = np.take_along_axis(evecs, order[:, None, :], axis=2)
     mu = 1.0 / np.sqrt(np.abs(lam))
     # canonical triples for x~ = (1 - t^2) mu1, y~ = 2 t mu2, u~ = (1 + t^2) mu3
-    w = np.array(
-        [
-            [-mu[0], 0.0, mu[0]],
-            [0.0, 2.0 * mu[1], 0.0],
-            [mu[2], 0.0, mu[2]],
-        ]
-    )
-    triples = t_mat @ w  # rows X, Y, U; columns t^2, t, 1
-    uq = triples[2]
-    qu = SymMat2(uq[0], 0.5 * uq[1], uq[2])
-    eps, vecs = qu.eigh()
-    order2 = [0, 1] if abs(eps[0]) >= abs(eps[1]) else [1, 0]
-    eps1, eps2 = float(eps[order2[0]]), float(eps[order2[1]])
-    r = vecs[:, order2]
-    if np.linalg.det(r) < 0.0:
-        r = np.column_stack([r[:, 0], -r[:, 1]])
-    xq = _triple_congruence(triples[0], r)
-    yq = _triple_congruence(triples[1], r)
-    if abs(eps2) <= tol.class_rel * abs(eps1):
-        conic_class = ConicClass.PARABOLA
-        singular: tuple[float, ...] = (0.0,)
-        unique = (eps1, 0.0, 0.0)
-    elif eps1 * eps2 > 0.0:
-        conic_class = ConicClass.ELLIPSE
-        singular = ()
-        unique = (eps1, 0.0, eps2)
-    else:
-        s = math.sqrt(-eps2 / eps1)
-        conic_class = ConicClass.HYPERBOLA
-        singular = (-s, s)
-        unique = (eps1, 0.0, eps2)
-    return ParametrizedConic(xq=xq, yq=yq, uq=unique, singular_params=singular, conic_class=conic_class)
+    w = np.zeros((evals.shape[0], 3, 3))
+    w[:, 0, 0] = -mu[:, 0]
+    w[:, 0, 2] = mu[:, 0]
+    w[:, 1, 1] = 2.0 * mu[:, 1]
+    w[:, 2, 0] = w[:, 2, 2] = mu[:, 2]
+    triples = np.matmul(t_mat, w)  # rows X, Y, U; columns t^2, t, 1
+    uq = triples[:, 2]
+    eps, vecs = sym2_eigh(uq[:, 0], 0.5 * uq[:, 1], uq[:, 2])
+    swap = ~(np.abs(eps[:, 0]) >= np.abs(eps[:, 1]))
+    eps1 = np.where(swap, eps[:, 1], eps[:, 0])
+    eps2 = np.where(swap, eps[:, 0], eps[:, 1])
+    r = np.where(swap[:, None, None], vecs[:, :, ::-1], vecs)
+    flip = np.linalg.det(r) < 0.0
+    r[flip, :, 1] = -r[flip, :, 1]
+    xq = _triple_congruences(triples[:, 0], r)
+    yq = _triple_congruences(triples[:, 1], r)
+    parabola = np.abs(eps2) <= tol.class_rel * np.abs(eps1)
+    ellipse = ~parabola & (eps1 * eps2 > 0.0)
+    real = (pos == 1) | (pos == 2)
+    code[real & parabola] = _PARABOLA
+    code[real & ellipse] = _ELLIPSE
+    code[real & ~parabola & ~ellipse] = _HYPERBOLA
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(-eps2 / eps1)
+    zero = np.zeros_like(eps1)
+    unique = np.stack([eps1, zero, np.where(parabola, zero, eps2)], axis=1)
+    return xq, yq, unique, code, s
 
 
-def classify_and_parametrize(
-    conic: ConicImplicit,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-    length_scale: float = 1.0,
-) -> ParametrizedConic | DegenerateConic:
-    """Classify a conic and produce its parametric or line representation.
-
-    ``length_scale`` is a characteristic coordinate magnitude of the scene,
-    used only to decide whether a split line is the line at infinity.
-    """
-    d = conic.matrix3()
-    scale = float(np.abs(d).max())
-    if scale == 0.0:
-        return DegenerateConic(ConicClass.WHOLE_PLANE, ())
-    evals, evecs = np.linalg.eigh(d)
+def _classify_deficient(
+    evals: np.ndarray, evecs: np.ndarray, tol: ToleranceSet, length_scale: float
+) -> DegenerateConic:
+    """Line representation of a conic whose homogeneous matrix has rank < 3."""
     amax = float(np.abs(evals).max())
     keep = np.abs(evals) > tol.rank_rel * amax
     rank = int(keep.sum())
-    if rank == 3:
-        return _parametrize_rank3(evals, evecs, tol)
     if rank == 2:
         ev = np.where(keep, evals, 0.0)
         pair = _lines_from_rank2(ev, evecs)
@@ -495,3 +498,88 @@ def classify_and_parametrize(
             return DegenerateConic(ConicClass.EMPTY, ())
         return DegenerateConic(ConicClass.SINGLE_LINE, (line,))
     return DegenerateConic(ConicClass.WHOLE_PLANE, ())
+
+
+def classify_and_parametrize_batch(
+    coeffs: np.ndarray,
+    tol: ToleranceSet = DEFAULT_TOLERANCES,
+    length_scale: float = 1.0,
+    frame: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[ParametrizedConic | DegenerateConic]:
+    """Classify and represent P conics given as rows (a11, a12, a22, b11, b12, c).
+
+    One stacked ``np.linalg.eigh`` serves every conic, and the rank-3 ones
+    (every curve) are parametrized as array operations; only rank-deficient
+    conics (line pairs, single lines, nothing, everything) take a per-conic
+    path. Each step is the stacked form of the one-conic computation, so a
+    conic gets the same floats alone or in a batch.
+
+    ``frame = (h, c)`` ((P,) scales, (P, 2) centers) says that row k is
+    written in the coordinates (x - c_k) / h_k; the returned representations
+    are mapped back to x. ``length_scale`` is a characteristic coordinate
+    magnitude of the (framed) input, used only to decide whether a split
+    line is the line at infinity.
+    """
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 6)
+    d = conic_matrices(coeffs)
+    out: list[ParametrizedConic | DegenerateConic | None] = [None] * d.shape[0]
+    if not out:
+        return []
+    scale = np.abs(d).max(axis=(1, 2))
+    evals, evecs = np.linalg.eigh(d)
+    amax = np.abs(evals).max(axis=1)
+    rank3 = ((np.abs(evals) > tol.rank_rel * amax[:, None]).sum(axis=1) == 3) & (scale != 0.0)
+
+    rows = np.flatnonzero(rank3)
+    xq, yq, uq, code, s = _parametrize_rank3(evals[rows], evecs[rows], tol)
+    if frame is not None:
+        h, c = frame
+        hr = np.asarray(h, dtype=float)[rows, None]
+        cr = np.asarray(c, dtype=float)[rows]
+        xq = hr * xq + cr[:, 0:1] * uq
+        yq = hr * yq + cr[:, 1:2] * uq
+        # framed triples stay numpy scalars, as the one-conic affine map left them
+        xs, ys = [tuple(q) for q in xq], [tuple(q) for q in yq]
+    else:
+        xs, ys = [tuple(q) for q in xq.tolist()], [tuple(q) for q in yq.tolist()]
+    us, ss = uq.tolist(), s.tolist()
+    for k, row in enumerate(rows.tolist()):
+        kind = int(code[k])
+        if kind == _EMPTY:
+            # imaginary ellipse: no real points
+            out[row] = DegenerateConic(ConicClass.EMPTY, ())
+            continue
+        if kind == _PARABOLA:
+            singular: tuple[float, ...] = (0.0,)
+        elif kind == _ELLIPSE:
+            singular = ()
+        else:
+            singular = (-ss[k], ss[k])
+        out[row] = ParametrizedConic(xs[k], ys[k], tuple(us[k]), singular, _RANK3_CLASS[kind])
+
+    for row in np.flatnonzero(~rank3).tolist():
+        if scale[row] == 0.0:
+            rep = DegenerateConic(ConicClass.WHOLE_PLANE, ())
+        else:
+            rep = _classify_deficient(evals[row], evecs[row], tol, length_scale)
+        if frame is not None and rep.lines:
+            h, c = float(frame[0][row]), np.asarray(frame[1][row], dtype=float)
+            lines = tuple(
+                LineParam.from_implicit(ln.a, ln.b, h * ln.c - ln.a * c[0] - ln.b * c[1])
+                for ln in rep.lines
+            )
+            rep = DegenerateConic(rep.conic_class, lines)
+        out[row] = rep
+    return out  # type: ignore[return-value]
+
+
+def classify_and_parametrize(
+    conic: ConicImplicit,
+    tol: ToleranceSet = DEFAULT_TOLERANCES,
+    length_scale: float = 1.0,
+) -> ParametrizedConic | DegenerateConic:
+    """Classify a conic and produce its parametric or line representation.
+
+    A batch of one of :func:`classify_and_parametrize_batch`.
+    """
+    return classify_and_parametrize_batch(np.array([conic.coeffs()]), tol, length_scale)[0]

@@ -1,17 +1,29 @@
 """Full diagram construction: vertices, visible edge segments, topology.
 
-The construction follows six steps: build all pairwise bisectors; intersect
-the bisector pair (E_ij, E_ik) of every generator triple for candidate
-vertices; keep candidates whose triple distance is the global minimum over
-all generators; recover each vertex's parameter on each incident bisector;
-split every bisector component at its vertex parameters and keep the pieces
-whose representative point has the component's generator pair as its two
-nearest; assemble the edge/vertex graph with adjacency, per-cell edge lists
-and per-cell boundary components.
+The construction follows six steps:
+
+1. Build all pairwise bisectors in one batch (``make_bisectors``: one
+   stacked eigen-decomposition, array-level parametrization).
+2. Intersect the bisector pair (E_ij, E_ik) of every generator triple for
+   candidate vertices.
+3. Keep candidates whose triple distance is the global minimum over all
+   generators. The generators are scanned in blocks with a running minimum,
+   and a candidate leaves as soon as one block proves it is not minimal;
+   that drop is a decision the full scan would also make, so the kept set
+   is the full scan's (see ``_globally_minimal``).
+4. Recover each vertex's parameter on each incident bisector.
+5. Split every bisector component at its vertex parameters and keep the
+   pieces whose representative point has the component's generator pair as
+   its two nearest; all representatives of one bisector are decided by one
+   distance evaluation.
+6. Assemble the edge/vertex graph with adjacency, per-cell edge lists and
+   per-cell boundary components.
 
 The triple loop is the O(n^3) heart and runs through the vectorized pencil
 kernel in fixed-size chunks. Chunks are independent and merged in index
-order, so results are identical for any thread count.
+order, so results are identical for any thread count. Every batched step
+repeats the operation order of its one-input form, so the diagram does not
+depend on how the work is batched.
 
 Curve bookkeeping happens on the circular alpha domain (alpha = 2 atan t),
 where an ellipse is a plain circle, a hyperbola two arcs between its
@@ -28,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bisector import Bisector, make_bisector, param_of_point
-from .conic import ConicClass, alpha_of_param, param_of_alpha, wrap_angle
+from .bisector import Bisector, make_bisector, make_bisectors, param_of_point  # noqa: F401 (make_bisector re-exported)
+from .conic import ConicClass, alpha_of_param, conic_matrices, param_of_alpha, wrap_angle
 from .errors import NoSolutionError, SingularParameterError
 from .geometry import Generator, SceneArrays
 from .intersect import pencil_intersections_batch
@@ -37,7 +49,8 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 TWO_PI = 2.0 * math.pi
 _TRIPLE_CHUNK = 32768
-_POINT_CHUNK = 65536
+_POINT_CHUNK = 16384
+_GEN_BLOCK = 16
 
 
 @dataclass
@@ -122,9 +135,55 @@ def _dedup_generators(generators: list[Generator]) -> tuple[list[Generator], dic
 
 
 def _triple_arrays(n: int) -> np.ndarray:
+    """All index triples i < j < k < n, in lexicographic order, shape (C(n, 3), 3).
+
+    The pairs (j, k) of ``np.triu_indices`` are in lexicographic order, so
+    the pairs that follow a first index i are the suffix starting at the
+    first pair with j = i + 1.
+    """
     if n < 3:
         return np.zeros((0, 3), dtype=np.int64)
-    return np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
+    pj, pk = np.triu_indices(n, 1)
+    first = np.arange(n - 2)
+    counts = (n - 1 - first) * (n - 2 - first) // 2  # pairs (j, k) with j > i
+    suffix = np.cumsum(n - 1 - first)  # first pair with j = i + 1
+    block = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    rows = np.arange(int(counts.sum())) + np.repeat(suffix - block, counts)
+    return np.stack([np.repeat(first, counts), pj[rows], pk[rows]], axis=1).astype(np.int64)
+
+
+def _globally_minimal(
+    cand: np.ndarray, trip: np.ndarray, arr: SceneArrays, tol: ToleranceSet
+) -> np.ndarray:
+    """Keep mask of candidates whose triple distance is the global minimum.
+
+    A candidate is kept iff d_trip - d_min <= vert_rel (1 + |d_min|), with
+    d_trip its smallest distance to its three triple generators and d_min
+    the smallest distance to any generator. The generators are scanned in
+    blocks of _GEN_BLOCK columns with a running minimum m >= d_min, and a
+    candidate is dropped as soon as d_trip - m > 2 vert_rel (1 + |m|).
+    Lowering m by some delta raises the left side by delta and the right side
+    by at most 2 vert_rel delta, so such a candidate fails the final test too;
+    the factor 2 covers the rounding of both sides. Candidates that are
+    never dropped are decided with the full minimum, which is the same float
+    as a full scan gives.
+    """
+    d_trip = arr.dist(cand, trip).min(axis=1)
+    m = np.full(cand.shape[0], np.inf)
+    alive = np.arange(cand.shape[0])
+    for lo in range(0, arr.n, _GEN_BLOCK):
+        m_alive = np.minimum(
+            m[alive], arr.dist(cand[alive], np.arange(lo, min(lo + _GEN_BLOCK, arr.n))).min(axis=1)
+        )
+        m[alive] = m_alive
+        dropped = d_trip[alive] - m_alive > 2.0 * tol.vert_rel * (1.0 + np.abs(m_alive))
+        alive = alive[~dropped]
+        if alive.size == 0:
+            break
+    keep = np.zeros(cand.shape[0], dtype=bool)
+    d_min = m[alive]
+    keep[alive] = d_trip[alive] - d_min <= tol.vert_rel * (1.0 + np.abs(d_min))
+    return keep
 
 
 def _candidate_chunk(
@@ -150,18 +209,12 @@ def _candidate_chunk(
         return np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64)
     cand = pts[t_idx, slot]  # (K, 2)
     trip = chunk[t_idx]  # (K, 3)
-    keep_parts = []
-    for lo in range(0, cand.shape[0], _POINT_CHUNK):
-        hi = min(lo + _POINT_CHUNK, cand.shape[0])
-        d = arr.dist(cand[lo:hi])
-        rows = np.arange(hi - lo)
-        d_trip = np.minimum(
-            d[rows, trip[lo:hi, 0]],
-            np.minimum(d[rows, trip[lo:hi, 1]], d[rows, trip[lo:hi, 2]]),
-        )
-        d_min = d.min(axis=1)
-        keep_parts.append(d_trip - d_min <= tol.vert_rel * (1.0 + np.abs(d_min)))
-    keep = np.concatenate(keep_parts)
+    keep = np.concatenate(
+        [
+            _globally_minimal(cand[lo : lo + _POINT_CHUNK], trip[lo : lo + _POINT_CHUNK], arr, tol)
+            for lo in range(0, cand.shape[0], _POINT_CHUNK)
+        ]
+    )
     return cand[keep], trip[keep]
 
 
@@ -282,16 +335,17 @@ def _polish_vertices(
 # ------------------------------------------------------ visibility testing
 
 
-def _two_nearest(point: np.ndarray, idx_i: int, idx_j: int, arr: SceneArrays, tol: ToleranceSet) -> bool:
-    """True iff generators (idx_i, idx_j) attain the two smallest distances."""
-    d = arr.dist(point[None, :])[0]
-    di, dj = d[idx_i], d[idx_j]
+def _two_nearest(
+    points: np.ndarray, idx_i: int, idx_j: int, arr: SceneArrays, tol: ToleranceSet
+) -> np.ndarray:
+    """Per point (N, 2): True iff generators (idx_i, idx_j) attain the two smallest distances."""
     if arr.n <= 2:
-        return True
-    mask = np.ones(arr.n, bool)
-    mask[[idx_i, idx_j]] = False
-    d3 = float(d[mask].min())
-    return max(di, dj) <= d3 + tol.vert_rel * (1.0 + abs(d3))
+        return np.ones(points.shape[0], dtype=bool)
+    d = arr.dist(points)
+    di, dj = d[:, idx_i].copy(), d[:, idx_j].copy()
+    d[:, [idx_i, idx_j]] = np.inf
+    d3 = d.min(axis=1)
+    return np.where(dj > di, dj, di) <= d3 + tol.vert_rel * (1.0 + np.abs(d3))
 
 
 def _arc_representative(
@@ -345,7 +399,9 @@ def visible_segments(
         length_scale = arr.scale()
     idx_i = arr.id_to_index[b.i]
     idx_j = arr.id_to_index[b.j]
-    out: list[EdgeSegment] = []
+    # each candidate piece with its representative point; one distance call decides all
+    reps: list[np.ndarray] = []
+    pieces: list[EdgeSegment] = []
 
     for ci, comp in enumerate(b.components):
         entries = list(vertex_params.get(ci, ()))
@@ -353,10 +409,10 @@ def visible_segments(
             line = b.lines[comp.line_index]
             params = sorted(entries, key=lambda e: e[0])
             if not params:
-                if _two_nearest(line.point_at(0.0), idx_i, idx_j, arr, tol):
-                    out.append(
-                        EdgeSegment(-1, b.pair, "full_line", None, None, (None, None), ci, comp.line_index)
-                    )
+                reps.append(line.point_at(0.0))
+                pieces.append(
+                    EdgeSegment(-1, b.pair, "full_line", None, None, (None, None), ci, comp.line_index)
+                )
                 continue
             ts = [p[0] for p in params]
             vids = [p[1] for p in params]
@@ -372,12 +428,12 @@ def visible_segments(
                     rep_t = t0 + 1.0
                 else:
                     rep_t = 0.5 * (t0 + t1)
-                if _two_nearest(line.point_at(rep_t), idx_i, idx_j, arr, tol):
-                    out.append(
-                        EdgeSegment(
-                            -1, b.pair, "interval", t0, t1, (ends[k], ends[k + 1]), ci, comp.line_index
-                        )
+                reps.append(line.point_at(rep_t))
+                pieces.append(
+                    EdgeSegment(
+                        -1, b.pair, "interval", t0, t1, (ends[k], ends[k + 1]), ci, comp.line_index
                     )
+                )
             continue
 
         # curve component: work in alpha
@@ -385,11 +441,10 @@ def visible_segments(
         if not entries:
             rep_alpha = comp.midpoint()
             try:
-                rep = b.param.point_at_alpha(rep_alpha, tol)
+                reps.append(b.param.point_at_alpha(rep_alpha, tol))
+                pieces.append(_whole_component_segment(b, ci))
             except SingularParameterError:
-                rep = None
-            if rep is not None and _two_nearest(rep, idx_i, idx_j, arr, tol):
-                out.append(_whole_component_segment(b, ci))
+                pass
             continue
 
         # vertex alphas, positioned inside the component's (lo, hi) frame
@@ -411,11 +466,10 @@ def visible_segments(
         if not merged:
             rep_alpha = comp.midpoint()
             try:
-                rep = b.param.point_at_alpha(rep_alpha, tol)
+                reps.append(b.param.point_at_alpha(rep_alpha, tol))
+                pieces.append(_whole_component_segment(b, ci))
             except SingularParameterError:
-                rep = None
-            if rep is not None and _two_nearest(rep, idx_i, idx_j, arr, tol):
-                out.append(_whole_component_segment(b, ci))
+                pass
             continue
 
         if comp.closed:
@@ -452,9 +506,13 @@ def visible_segments(
             rep = _arc_representative(b, a0, a1, s_lo, s_hi, length_scale, tol)
             if rep is None:
                 continue
-            if _two_nearest(rep, idx_i, idx_j, arr, tol):
-                out.append(_curve_segment(b, ci, a0, a1, v0, v1))
-    return out
+            reps.append(rep)
+            pieces.append(_curve_segment(b, ci, a0, a1, v0, v1))
+
+    if not reps:
+        return []
+    visible = _two_nearest(np.array(reps), idx_i, idx_j, arr, tol)
+    return [seg for seg, ok in zip(pieces, visible.tolist()) if ok]
 
 
 def _whole_component_segment(b: Bisector, ci: int) -> EdgeSegment:
@@ -504,17 +562,13 @@ def build_diagram(
     )
     n = len(kept)
 
-    # all pairwise bisectors (classification included)
-    pair_list = list(itertools.combinations(range(n), 2))
-    bisectors: dict[tuple[int, int], Bisector] = {}
-    pair_mats = np.zeros((max(len(pair_list), 1), 3, 3))
+    # all pairwise bisectors (classification included), in one batch
+    pi, pj = np.triu_indices(n, 1)
+    pair_list = make_bisectors([kept[i] for i in pi], [kept[j] for j in pj], tol)
+    bisectors: dict[tuple[int, int], Bisector] = {b.pair: b for b in pair_list}
+    pair_mats = conic_matrices(np.array([b.implicit.coeffs() for b in pair_list]))
     pair_row = np.full((n, n), -1, dtype=np.int64)
-    for row, (i, j) in enumerate(pair_list):
-        b = make_bisector(kept[i], kept[j], tol)
-        bisectors[b.pair] = b
-        pair_mats[row] = b.implicit.matrix3()
-        pair_row[i, j] = row
-        pair_row[j, i] = row
+    pair_row[pi, pj] = pair_row[pj, pi] = np.arange(pi.size)
 
     vertices = _collect_vertices(
         kept, arr, pair_mats, pair_row, length_scale, center, tol, threads

@@ -101,26 +101,53 @@ class SymMat2:
         return SymMat2(m11, m12, m22)
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form spectral decomposition.
+        """Closed-form spectral decomposition; a batch of one of :func:`sym2_eigh`."""
+        evals, evecs = sym2_eigh(np.array([self.m11]), np.array([self.m12]), np.array([self.m22]))
+        return evals[0], evecs[0]
 
-        Returns eigenvalues ascending and the matrix whose columns are the
-        corresponding unit eigenvectors, mirroring ``numpy.linalg.eigh``.
-        Uses the trace/determinant formula; for (near-)equal eigenvalues the
-        basis is tied to the coordinate axes.
-        """
-        mean = 0.5 * (self.m11 + self.m22)
-        half_gap = math.hypot(0.5 * (self.m11 - self.m22), self.m12)
-        lo, hi = mean - half_gap, mean + half_gap
-        scale = max(abs(lo), abs(hi))
-        if half_gap <= _CIRCLE_TIE_REL * scale or scale == 0.0:
-            return np.array([lo, hi]), np.eye(2)
-        # eigenvector for hi from the better-conditioned of the two rows
-        cand1 = np.array([self.m12, hi - self.m11])
-        cand2 = np.array([hi - self.m22, self.m12])
-        v = cand1 if cand1 @ cand1 >= cand2 @ cand2 else cand2
-        v = v / math.hypot(v[0], v[1])
-        v_lo = np.array([-v[1], v[0]])
-        return np.array([lo, hi]), np.column_stack([v_lo, v])
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, k) arrays.
+
+    Goes through the same BLAS dot as ``a[r] @ b[r]`` on each row, so the
+    result matches the one-vector product bit for bit (a hand-written sum of
+    products rounds differently where BLAS fuses multiply and add).
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def sym2_eigh(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form spectral decomposition of N symmetric 2x2 matrices.
+
+    Returns eigenvalues ascending, shape (N, 2), and matrices whose columns
+    are the corresponding unit eigenvectors, shape (N, 2, 2), mirroring
+    ``numpy.linalg.eigh``. Uses the trace/determinant formula; for
+    (near-)equal eigenvalues the basis is tied to the coordinate axes.
+    ``math.hypot`` is kept per entry because ``np.hypot`` rounds differently.
+    """
+    m11, m12, m22 = (np.asarray(m, dtype=float) for m in (m11, m12, m22))
+    mean = 0.5 * (m11 + m22)
+    half_gap = np.array(
+        [math.hypot(a, b) for a, b in zip((0.5 * (m11 - m22)).tolist(), m12.tolist())]
+    ).reshape(m11.shape)
+    lo, hi = mean - half_gap, mean + half_gap
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    tie = (half_gap <= _CIRCLE_TIE_REL * scale) | (scale == 0.0)
+    # eigenvector for hi from the better-conditioned of the two rows
+    cand1 = np.stack([m12, hi - m11], axis=1)
+    cand2 = np.stack([hi - m22, m12], axis=1)
+    v = np.where((row_dot(cand1, cand1) >= row_dot(cand2, cand2))[:, None], cand1, cand2)
+    norm = np.array([math.hypot(x, y) for x, y in v.tolist()]).reshape(m11.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = v / norm[:, None]
+    evecs = np.empty((m11.shape[0], 2, 2))
+    evecs[:, 0, 0] = -v[:, 1]
+    evecs[:, 1, 0] = v[:, 0]
+    evecs[:, :, 1] = v
+    evecs[tie] = np.eye(2)
+    return np.stack([lo, hi], axis=1), evecs
 
 
 @dataclass(frozen=True)
@@ -286,17 +313,24 @@ class SceneArrays:
         self.n = n
         self.id_to_index = {g.id: k for k, g in enumerate(self.generators)}
 
-    def dist(self, points) -> np.ndarray:
-        """Distances from points (N, 2) to every generator; returns (N, n)."""
+    def dist(self, points, cols=None) -> np.ndarray:
+        """Distances from points (N, 2) to generators.
+
+        Returns (N, n) for every generator. ``cols`` restricts the
+        generators: a 1-D index array gives (N, len(cols)) with the same
+        columns for every point, a 2-D (N, c) array gives each point its own
+        c generators. Every entry is the same float whichever form asks.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dx = pts[:, 0:1] - self.px[None, :]
-        dy = pts[:, 1:2] - self.py[None, :]
-        return (
-            self.m11[None, :] * dx * dx
-            + 2.0 * self.m12[None, :] * dx * dy
-            + self.m22[None, :] * dy * dy
-            - self.w[None, :]
+        cols = np.arange(self.n) if cols is None else np.asarray(cols)
+        if cols.ndim == 1:
+            cols = cols[None, :]
+        px, py, m11, m12, m22, w = (
+            a[cols] for a in (self.px, self.py, self.m11, self.m12, self.m22, self.w)
         )
+        dx = pts[:, 0:1] - px
+        dy = pts[:, 1:2] - py
+        return m11 * dx * dx + 2.0 * m12 * dx * dy + m22 * dy * dy - w
 
     def scale(self) -> float:
         """Characteristic length: diagonal of the center bounding box (>= 1)."""

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .bisector import make_bisector
+from .bisector import make_bisector, make_bisectors  # noqa: F401 (make_bisector re-exported)
 from .conic import alpha_of_param
 from .diagram import DiagramGraph, EdgeSegment, Vertex
 from .errors import InputError
@@ -287,11 +287,13 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
         cell_edges.setdefault(g.id, [])
         cell_components.setdefault(g.id, [])
 
-    bisectors = {}
-    for i, j in sorted({e.pair for e in edges}):
+    pairs = sorted({e.pair for e in edges})
+    for i, j in pairs:
         if i not in by_id or j not in by_id:
             raise InputError(f"edge pair ({i}, {j}) references unknown generators")
-        bisectors[(i, j)] = make_bisector(by_id[i], by_id[j], tol)
+    bisectors = dict(
+        zip(pairs, make_bisectors([by_id[i] for i, _ in pairs], [by_id[j] for _, j in pairs], tol))
+    )
 
     kept = [g for g in generators if g.id not in aliases]
     length_scale = SceneArrays(kept).scale() if kept else 1.0

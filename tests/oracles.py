@@ -132,3 +132,145 @@ def radical_center(p1, w1, p2, w2, p3, w3):
     if abs(det) < 1e-12:
         return None
     return np.array([(b1 * a2[1] - b2 * a1[1]) / det, (a1[0] * b2 - a2[0] * b1) / det])
+
+
+# ------------------------------------------------- one-at-a-time references
+#
+# The builder evaluates bisectors, global minimality and the two-nearest
+# visibility test as array operations over many inputs at once. The loops
+# below are the one-input forms those kernels replaced, kept verbatim (same
+# operations in the same order) so tests can require bit-identical results.
+
+
+def _sym2_eigh_scalar(m11, m12, m22):
+    mean = 0.5 * (m11 + m22)
+    half_gap = math.hypot(0.5 * (m11 - m22), m12)
+    lo, hi = mean - half_gap, mean + half_gap
+    scale = max(abs(lo), abs(hi))
+    if half_gap <= 1e-12 * scale or scale == 0.0:
+        return np.array([lo, hi]), np.eye(2)
+    cand1 = np.array([m12, hi - m11])
+    cand2 = np.array([hi - m22, m12])
+    v = cand1 if cand1 @ cand1 >= cand2 @ cand2 else cand2
+    v = v / math.hypot(v[0], v[1])
+    v_lo = np.array([-v[1], v[0]])
+    return np.array([lo, hi]), np.column_stack([v_lo, v])
+
+
+def _triple_congruence_scalar(triple, r):
+    c2, c1, c0 = triple
+    q = np.array([[c2, 0.5 * c1], [0.5 * c1, c0]])
+    qq = r.T @ q @ r
+    return (float(qq[0, 0]), float(qq[0, 1] + qq[1, 0]), float(qq[1, 1]))
+
+
+def _parametrize_rank3_scalar(evals, evecs, tol):
+    """Rank-3 branch: (xq, yq, uq, singular, class name) or None when empty."""
+    pos = int((evals > 0.0).sum())
+    if pos == 3 or pos == 0:
+        return None
+    if pos == 1:
+        evals = -evals
+    order = list(np.argsort(-evals))
+    lam = evals[order]
+    t_mat = evecs[:, order]
+    mu = 1.0 / np.sqrt(np.abs(lam))
+    w = np.array([[-mu[0], 0.0, mu[0]], [0.0, 2.0 * mu[1], 0.0], [mu[2], 0.0, mu[2]]])
+    triples = t_mat @ w
+    uq = triples[2]
+    eps, vecs = _sym2_eigh_scalar(float(uq[0]), float(0.5 * uq[1]), float(uq[2]))
+    order2 = [0, 1] if abs(eps[0]) >= abs(eps[1]) else [1, 0]
+    eps1, eps2 = float(eps[order2[0]]), float(eps[order2[1]])
+    r = vecs[:, order2]
+    if np.linalg.det(r) < 0.0:
+        r = np.column_stack([r[:, 0], -r[:, 1]])
+    xq = _triple_congruence_scalar(triples[0], r)
+    yq = _triple_congruence_scalar(triples[1], r)
+    if abs(eps2) <= tol.class_rel * abs(eps1):
+        return xq, yq, (eps1, 0.0, 0.0), (0.0,), "Parabola"
+    if eps1 * eps2 > 0.0:
+        return xq, yq, (eps1, 0.0, eps2), (), "Ellipse"
+    s = math.sqrt(-eps2 / eps1)
+    return xq, yq, (eps1, 0.0, eps2), (-s, s), "Hyperbola"
+
+
+def bisector_frame_scalar(gi, gj, tol):
+    """Pair-frame parametrization of a curved bisector, one pair at a time.
+
+    Returns (scene-coordinate implicit coefficients, (xq, yq, uq, singular,
+    class name)) with the triples mapped back to scene coordinates, or None
+    in place of the second item when the bisector is not a rank-3 curve.
+    """
+    if gi.id > gj.id:
+        gi, gj = gj, gi
+
+    def implicit(pi, mi, wi, pj, mj, wj):
+        mi_pi = np.array([mi[0] * pi[0] + mi[1] * pi[1], mi[1] * pi[0] + mi[2] * pi[1]])
+        mj_pj = np.array([mj[0] * pj[0] + mj[1] * pj[1], mj[1] * pj[0] + mj[2] * pj[1]])
+        return (
+            mi[0] - mj[0],
+            mi[1] - mj[1],
+            mi[2] - mj[2],
+            -2.0 * (mi_pi[0] - mj_pj[0]),
+            -2.0 * (mi_pi[1] - mj_pj[1]),
+            float(pi @ mi_pi) - float(pj @ mj_pj) - wi + wj,
+        )
+
+    mi = (gi.M.m11, gi.M.m12, gi.M.m22)
+    mj = (gj.M.m11, gj.M.m12, gj.M.m22)
+    scene = implicit(gi.p, mi, gi.w, gj.p, mj, gj.w)
+    c = 0.5 * (gi.p + gj.p)
+    sep = max(
+        abs(float(gi.p[0] - c[0])),
+        abs(float(gi.p[1] - c[1])),
+        abs(float(gj.p[0] - c[0])),
+        abs(float(gj.p[1] - c[1])),
+        abs(float(c[0])) * 1e-8,
+        abs(float(c[1])) * 1e-8,
+    )
+    h = 2.0 ** math.ceil(math.log2(sep)) if sep > 1.0 else 1.0
+    if h != 1.0 or c[0] != 0.0 or c[1] != 0.0:
+        hat = implicit(
+            (gi.p - c) / h, tuple(h * h * m for m in mi), gi.w,
+            (gj.p - c) / h, tuple(h * h * m for m in mj), gj.w,
+        )
+    else:
+        hat = scene
+    a11, a12, a22, b11, b12, cc = hat
+    d = np.array([[a11, a12, 0.5 * b11], [a12, a22, 0.5 * b12], [0.5 * b11, 0.5 * b12, cc]])
+    if float(np.abs(d).max()) == 0.0:
+        return scene, None
+    evals, evecs = np.linalg.eigh(d)
+    amax = float(np.abs(evals).max())
+    if int((np.abs(evals) > tol.rank_rel * amax).sum()) != 3:
+        return scene, None
+    rep = _parametrize_rank3_scalar(evals, evecs, tol)
+    if rep is None:
+        return scene, None
+    xq, yq, uq, singular, name = rep
+    xq = tuple(h * xq[k] + c[0] * uq[k] for k in range(3))
+    yq = tuple(h * yq[k] + c[1] * uq[k] for k in range(3))
+    return scene, (xq, yq, uq, singular, name)
+
+
+def full_scan_minimal(cand, trip, arr, tol):
+    """Keep mask of the global-minimality filter by a full (K, n) distance scan."""
+    d = arr.dist(cand)
+    rows = np.arange(cand.shape[0])
+    d_trip = np.minimum(
+        d[rows, trip[:, 0]], np.minimum(d[rows, trip[:, 1]], d[rows, trip[:, 2]])
+    )
+    d_min = d.min(axis=1)
+    return d_trip - d_min <= tol.vert_rel * (1.0 + np.abs(d_min))
+
+
+def two_nearest_point(point, idx_i, idx_j, arr, tol):
+    """True iff generators (idx_i, idx_j) attain the two smallest distances at one point."""
+    d = arr.dist(point[None, :])[0]
+    di, dj = d[idx_i], d[idx_j]
+    if arr.n <= 2:
+        return True
+    mask = np.ones(arr.n, bool)
+    mask[[idx_i, idx_j]] = False
+    d3 = float(d[mask].min())
+    return max(di, dj) <= d3 + tol.vert_rel * (1.0 + abs(d3))
