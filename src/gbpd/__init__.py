@@ -12,6 +12,7 @@ from .errors import (
     NonRenderableContour,
     NoSolutionError,
     OverlappingConicsError,
+    QuadratureError,
     SingularParameterError,
     UnboundedCellError,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "NonRenderableContour",
     "NoSolutionError",
     "OverlappingConicsError",
+    "QuadratureError",
     "SceneArrays",
     "SingularParameterError",
     "SymMat2",

@@ -357,6 +357,41 @@ class ParametrizedConic:
         return np.array([(dx * u - x * du) * f, (dy * u - y * du) * f])
 
 
+def chart_coefficients(params) -> np.ndarray:
+    """Chart triples of P parametrized conics as one (P, 2, 3, 3) array.
+
+    Entry [k, chart, row] is the (c2, c1, c0) triple of x^, y^, u^ (rows
+    0, 1, 2) of conic k in chart 0 (s = tan(alpha/2)) or in chart 1 (the
+    t -> -1/t rotation, s = tan(alpha/2 - pi/2)).
+    """
+    return np.array(
+        [((p.xq, p.yq, p.uq), p._rot) for p in params], dtype=float
+    ).reshape(-1, 2, 3, 3)
+
+
+def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
+                     tol: ToleranceSet = DEFAULT_TOLERANCES):
+    """Points and d/dalpha velocities of many conics at many alphas.
+
+    The array form of ``point_at_alpha`` and ``velocity_at_alpha``: row k
+    of ``alpha`` (P, K) is evaluated on conic ``coef[k]`` (P, 2, 3, 3, from
+    ``chart_coefficients``) with denominator scale ``u_scale[k]``. Each
+    value is computed elementwise, so it does not depend on the other rows.
+    Returns (x, y, vx, vy), each (P, K).
+    """
+    a = np.remainder(alpha + math.pi, 2.0 * math.pi) - math.pi
+    far = np.abs(a) > _HALF_PI
+    s = np.tan(np.where(far, 0.5 * a - _HALF_PI, 0.5 * a))
+    c = np.where(far[:, :, None, None], coef[:, None, 1], coef[:, None, 0])
+    x, y, u = ((c[..., r, 0] * s + c[..., r, 1]) * s + c[..., r, 2] for r in range(3))
+    if np.any(np.abs(u) <= tol.den_rel * u_scale[:, None]):
+        raise SingularParameterError("an alpha of the batch lies on the line at infinity")
+    dx, dy, du = (2.0 * c[..., r, 0] * s + c[..., r, 1] for r in range(3))
+    # ds/dalpha = (1 + s^2)/2 in either chart
+    f = 0.5 * (1.0 + s * s) / (u * u)
+    return x / u, y / u, (dx * u - x * du) * f, (dy * u - y * du) * f
+
+
 def eval_param(p: ParametrizedConic, t: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
     """Cartesian point at parameter t; singular-parameter error if u^(t) ~ 0."""
     return p.point_at(t, tol)

@@ -53,3 +53,9 @@ class DimensionMismatchError(GbpdError):
     """Label images with different dimensions cannot be compared."""
 
     exit_code = 9
+
+
+class QuadratureError(GbpdError):
+    """An arc integral misses its error target at the subdivision limit."""
+
+    exit_code = 10

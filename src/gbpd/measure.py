@@ -1,10 +1,21 @@
 """Cell perimeters and areas from the analytic boundary description.
 
-Lengths come from adaptive quadrature of the parametric speed. Areas are
-the contour integral (1/2) oint (x dy - y dx) taken loop by loop: each
-boundary loop is traversed with the cell interior on its left, so outer
-loops contribute positive area and holes negative, and the per-piece terms
-reduce to the familiar vertex shoelace plus curved-bulge corrections.
+Areas are the contour integral (1/2) oint (x dy - y dx) taken loop by loop:
+each boundary loop is traversed with the cell interior on its left, so
+outer loops contribute positive area and holes negative, and the per-piece
+terms reduce to the familiar vertex shoelace plus curved-bulge corrections.
+Lengths are the integral of the parametric speed.
+
+Every curved piece is integrated once per call, in one batched kernel
+(`arc_measures`): all arcs are cut at the chart breaks, and each round
+evaluates the area and speed integrands of every open piece at the 15
+Gauss-Kronrod nodes in one array pass. The error of a piece is QUADPACK's
+embedded Kronrod-minus-Gauss estimate, floored at 50 eps times the
+integral of |f| for rounding. An arc is done when the summed estimates of
+its pieces meet max(quad_abs, 1e-12 |I|) for both integrals; until then
+its pieces with the largest estimates are halved. An arc that misses the
+target after 30 halvings of a piece, or past 200 pieces, raises
+QuadratureError instead of returning an unconverged value.
 
 Clipped diagrams already carry oriented loops. For a bare diagram graph the
 edges of each boundary component are chained by shared vertices here, and
@@ -18,12 +29,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+
+# Not called here: the traced benchmark run (perfbench/spans.py) wraps the
+# name `quad` in this module and fails if it is missing.
+from scipy.integrate import quad  # noqa: F401
 
 from .clip import ClippedDiagram
-from .conic import ParametrizedConic
+from .conic import chart_coefficients, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
-from .errors import NoSolutionError, NonFiniteSegmentError, UnboundedCellError
+from .errors import (NoSolutionError, NonFiniteSegmentError, QuadratureError,
+                     UnboundedCellError)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 _HALF_PI = 0.5 * math.pi
@@ -47,6 +62,32 @@ class CellMeasure:
 
 # ------------------------------------------------------------- quadrature
 
+# Gauss-Kronrod 7-15 pair of QUADPACK's qk15 on [-1, 1]: 15 Kronrod nodes
+# and weights, and the Gauss weights of the 7 nodes the two rules share
+# (zero at the other 8).
+_GK_XP = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+          0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+          0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+          0.207784955007898467600689403773245)
+_GK_WKP = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+           0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+           0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+           0.204432940075298892414161999234649)
+_GK_WK0 = 0.209482141084727828012999174891714
+_GK_WGP = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+           0.0, 0.381830050505118944950369775488975, 0.0)
+_GK_WG0 = 0.417959183673469387755102040816327
+_GK_X = np.array([-x for x in _GK_XP] + [0.0] + list(reversed(_GK_XP)))
+_GK_WK = (*_GK_WKP, _GK_WK0, *reversed(_GK_WKP))
+_GK_WG = (*_GK_WGP, _GK_WG0, *reversed(_GK_WGP))
+_EPS = np.finfo(float).eps
+
+# an arc that still misses its error target when one of its pieces has been
+# halved _MAX_DEPTH times, or when it has _MAX_PIECES pieces, raises
+# QuadratureError (200 is the subinterval limit the scalar quad calls had)
+_MAX_DEPTH = 30
+_MAX_PIECES = 200
+
 
 def _chart_breaks(a0: float, a1: float) -> list[float]:
     """Chart-switch angles (alpha = pi/2 mod pi) strictly inside (a0, a1)."""
@@ -61,32 +102,118 @@ def _chart_breaks(a0: float, a1: float) -> list[float]:
     return out
 
 
-def _quad(f, a0: float, a1: float, tol: ToleranceSet) -> float:
-    pts = _chart_breaks(a0, a1)
-    val, _ = quad(f, a0, a1, points=pts or None, limit=200,
-                  epsabs=tol.quad_abs, epsrel=1e-12)
-    return val
+def _node_sum(f: np.ndarray, w) -> np.ndarray:
+    # column by column, so each row's sum is the same whatever the batch
+    acc = w[0] * f[:, 0]
+    for k in range(1, 15):
+        acc = acc + w[k] * f[:, k]
+    return acc
 
 
-def _arc_length(param: ParametrizedConic, a0: float, a1: float,
-                tol: ToleranceSet) -> float:
-    def speed(a: float) -> float:
-        v = param.velocity_at_alpha(a, tol)
-        return math.hypot(v[0], v[1])
+def _gk15(coef, u_scale, origin, lo, hi, tol: ToleranceSet) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values (M, 2) and QUADPACK error estimates (M, 2) of the
+    area integrand about ``origin`` (M, 2) and of the speed, over the
+    intervals [lo, hi] of the M rows."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    scale = np.abs(half)
+    x, y, vx, vy = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * _GK_X, tol)
+    x = x - origin[:, 0:1]
+    y = y - origin[:, 1:2]
+    res = np.empty((lo.size, 2))
+    err = np.empty((lo.size, 2))
+    for j, f in enumerate((0.5 * (x * vy - y * vx), np.hypot(vx, vy))):
+        resk = _node_sum(f, _GK_WK)
+        resabs = _node_sum(np.abs(f), _GK_WK) * scale
+        resasc = _node_sum(np.abs(f - 0.5 * resk[:, None]), _GK_WK) * scale
+        e = np.abs(resk - _node_sum(f, _GK_WG)) * scale
+        nz = (resasc != 0.0) & (e != 0.0)
+        e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
+        res[:, j] = resk * half
+        err[:, j] = np.maximum(e, 50.0 * _EPS * resabs)
+    return res, err
 
-    return _quad(speed, a0, a1, tol)
 
+def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndarray]:
+    """Signed areas and lengths of many conic arcs, integrated together.
 
-def _arc_area(param: ParametrizedConic, a0: float, a1: float,
-              tol: ToleranceSet) -> float:
-    """Integral of (x y' - y x') / 2 along the arc, in increasing alpha."""
-
-    def f(a: float) -> float:
-        p = param.point_at_alpha(a, tol)
-        v = param.velocity_at_alpha(a, tol)
-        return 0.5 * (p[0] * v[1] - p[1] * v[0])
-
-    return _quad(f, a0, a1, tol)
+    Arc k runs along ``params[k]`` from alpha ``a0[k]`` to ``a1[k]``. Its
+    area term is the integral of (x y' - y x')/2. It is integrated about
+    the arc's mid-alpha point m, which keeps the integrand small where the
+    arc is far from the origin, and shifted back by m x (end - start) / 2.
+    Its length is the integral of the speed. Each arc is cut at the chart
+    breaks, and every round evaluates all new pieces in one array pass of
+    the Gauss-Kronrod 7-15 rule. An arc is done once the summed error
+    estimates of its pieces meet max(quad_abs, 1e-12 |I|) for both
+    integrals; until then its pieces whose estimate exceeds an equal share
+    of that target (and always its worst piece) are halved. Decisions and
+    sums are per arc, so an arc's result does not depend on the rest of
+    the batch. An arc that would need a piece halved more than _MAX_DEPTH
+    times, or more than _MAX_PIECES pieces, raises QuadratureError.
+    """
+    n = len(params)
+    out = np.zeros((n, 2))
+    if n == 0:
+        return out[:, 0], out[:, 1]
+    coef = chart_coefficients(params)
+    u_scale = np.array([p.u_scale for p in params])
+    ends = np.stack([np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)], axis=1)
+    # the area is integrated about the arc's mid-alpha point m; the shift
+    # back to the coordinate origin is m x (end - start) / 2
+    px, py, _, _ = eval_alpha_batch(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]), tol)
+    origin = np.stack([px[:, 2], py[:, 2]], axis=1)
+    shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
+    arc, lo, hi = [], [], []
+    for k in range(n):
+        cuts = [ends[k, 0], *_chart_breaks(ends[k, 0], ends[k, 1]), ends[k, 1]]
+        arc += [k] * (len(cuts) - 1)
+        lo += cuts[:-1]
+        hi += cuts[1:]
+    arc, lo, hi = np.array(arc), np.array(lo), np.array(hi)
+    depth = np.zeros(arc.size, dtype=int)
+    res, err = _gk15(coef[arc], u_scale[arc], origin[arc], lo, hi, tol)
+    while True:
+        # bincount adds each arc's pieces in array order, which is alpha order
+        tot = np.stack([np.bincount(arc, res[:, j], n) for j in (0, 1)], axis=1)
+        tot[:, 0] += shift
+        est = np.stack([np.bincount(arc, err[:, j], n) for j in (0, 1)], axis=1)
+        target = np.maximum(tol.quad_abs, 1e-12 * np.abs(tot))
+        short = est > target
+        live = np.unique(arc)
+        fin = live[~short[live].any(axis=1)]
+        out[fin] = tot[fin]
+        if fin.size == live.size:
+            return out[:, 0], out[:, 1]
+        keep = short[arc].any(axis=1)
+        arc, lo, hi, depth, res, err = (v[keep] for v in (arc, lo, hi, depth, res, err))
+        count = np.bincount(arc, None, n)
+        worst = np.zeros((n, 2))
+        np.maximum.at(worst, arc, err)
+        share = (target / np.maximum(count, 1)[:, None])[arc]
+        split = (short[arc] & ((err > share) | (err == worst[arc]))).any(axis=1)
+        pieces = count + np.bincount(arc, split, n)
+        over = split & ((depth >= _MAX_DEPTH) | (pieces[arc] > _MAX_PIECES))
+        if over.any():
+            k = int(arc[over][0])
+            raise QuadratureError(
+                f"arc {k} (alpha {float(ends[k, 0])!r} to {float(ends[k, 1])!r}) misses its error "
+                f"target: estimates {est[k].tolist()}, targets {target[k].tolist()}, "
+                f"depth {int(depth[arc == k].max())}, {int(pieces[k])} pieces"
+            )
+        # each split piece becomes its two halves, in place
+        rep = np.where(split, 2, 1)
+        arc, lo, hi, depth, res, err = (np.repeat(v, rep, axis=0)
+                                        for v in (arc, lo, hi, depth, res, err))
+        first = np.repeat(split, rep)
+        first[first] = np.tile([True, False], int(split.sum()))
+        second = np.roll(first, 1)
+        mid = 0.5 * (lo[first] + hi[first])
+        hi[first] = mid
+        lo[second] = mid
+        fresh = first | second
+        depth[fresh] += 1
+        res[fresh], err[fresh] = _gk15(coef[arc[fresh]], u_scale[arc[fresh]], origin[arc[fresh]],
+                                       lo[fresh], hi[fresh], tol)
 
 
 # -------------------------------------------------------------- edge length
@@ -102,7 +229,7 @@ def edge_arc_length(graph: DiagramGraph, e: EdgeSegment,
             raise NonFiniteSegmentError(
                 f"edge {e.id} runs into a singular parameter; clip it first"
             )
-        return _arc_length(b.param, e.alpha_a, e.alpha_b, tol)
+        return float(arc_measures([b.param], [e.alpha_a], [e.alpha_b], tol)[1][0])
     if (
         e.kind == "full_line"
         or e.t_a is None
@@ -154,14 +281,13 @@ def _chord_term(q0, q1) -> float:
     return 0.5 * (q0[0] * q1[1] - q0[1] * q1[0])
 
 
-def _clipped_loop_terms(cd: ClippedDiagram, loop, tol) -> tuple[float, float]:
+def _clipped_loop_terms(cd: ClippedDiagram, loop, table, tol) -> tuple[float, float]:
     acc = _LoopAccum()
     for pid, forward in loop:
         piece = cd.pieces[pid]
         if piece.kind == "arc":
             param = cd.graph.bisectors[piece.pair].param
-            a = _arc_area(param, piece.a0, piece.a1, tol)
-            s = _arc_length(param, piece.a0, piece.a1, tol)
+            a, s = table[pid]
             if piece.closed:
                 acc.area += a if forward else -a
                 acc.length += s
@@ -178,13 +304,12 @@ def _clipped_loop_terms(cd: ClippedDiagram, loop, tol) -> tuple[float, float]:
     return acc.close()
 
 
-def _graph_loop_terms(graph: DiagramGraph, loop, tol) -> tuple[float, float]:
+def _graph_loop_terms(graph: DiagramGraph, loop, table, tol) -> tuple[float, float]:
     acc = _LoopAccum()
     for e, forward in loop:
         b = graph.bisectors[e.pair]
         if e.is_curve():
-            a = _arc_area(b.param, e.alpha_a, e.alpha_b, tol)
-            s = _arc_length(b.param, e.alpha_a, e.alpha_b, tol)
+            a, s = table[e.id]
             if e.kind == "loop":
                 acc.area += a if forward else -a
                 acc.length += s
@@ -244,13 +369,14 @@ def _point_in_polygon(poly: np.ndarray, q) -> bool:
     return inside
 
 
-def _group_loops(vals, polys, *, strict: bool, cell: int) -> list[list[int]]:
+def _group_loops(vals, polygons, *, strict: bool, cell: int) -> list[list[int]]:
     """Group loop indices into connected components (outer loop + holes).
 
-    vals[k] = (signed area, length); polys[k] a flattened polygon of loop k.
-    Holes (negative loops) attach to the positive loop containing them. With
-    strict=True a hole without an enclosing positive loop means the region
-    extends to infinity.
+    vals[k] = (signed area, length) of loop k; polygons() returns a
+    flattened polygon per loop and is called only when there are both outer
+    and hole loops. Holes (negative loops) attach to the positive loop
+    containing them. With strict=True a hole without an enclosing positive
+    loop means the region extends to infinity.
     """
     outers = [k for k in range(len(vals)) if vals[k][0] >= 0.0]
     holes = [k for k in range(len(vals)) if vals[k][0] < 0.0]
@@ -261,6 +387,7 @@ def _group_loops(vals, polys, *, strict: bool, cell: int) -> list[list[int]]:
             )
         return [[k] for k in holes]
     groups = {k: [k] for k in outers}
+    polys = polygons() if holes else None
     for k in holes:
         probe = polys[k][0]
         host = None
@@ -287,19 +414,6 @@ def _assemble_measure(cell: int, vals, groups) -> CellMeasure:
         float(sum(c.perimeter for c in comps)),
         tuple(comps),
     )
-
-
-# ------------------------------------------------------------ clipped cells
-
-
-def _measure_clipped(cd: ClippedDiagram, cell: int, tol: ToleranceSet) -> CellMeasure:
-    loops = cd.cells.get(cell, [])
-    if not loops:
-        return CellMeasure(cell, 0.0, 0.0, ())
-    vals = [_clipped_loop_terms(cd, lp, tol) for lp in loops]
-    polys = [_flatten_clipped_loop(cd, lp, 8) for lp in loops]
-    groups = _group_loops(vals, polys, strict=False, cell=cell)
-    return _assemble_measure(cell, vals, groups)
 
 
 # -------------------------------------------------------------- graph cells
@@ -380,22 +494,63 @@ def _chain_component(graph: DiagramGraph, cell: int, edge_ids: list[int],
     return loop
 
 
-def _measure_graph(graph: DiagramGraph, cell: int, tol: ToleranceSet) -> CellMeasure:
-    if cell in graph.empty_cells or cell in graph.aliases:
-        return CellMeasure(cell, 0.0, 0.0, ())
-    comps_edges = graph.cell_components.get(cell, [])
+# ---------------------------------------------------------------- front end
+
+
+def _cell_loops(g: DiagramGraph | ClippedDiagram, cell: int, tol: ToleranceSet) -> list:
+    """Directed boundary loops of one cell, interior on the left.
+
+    Clipped loops hold (piece id, forward) pairs, graph loops (EdgeSegment,
+    forward) pairs. An empty list means the cell has no area.
+    """
+    if isinstance(g, ClippedDiagram):
+        return g.cells.get(cell, [])
+    if cell in g.empty_cells or cell in g.aliases:
+        return []
+    comps_edges = g.cell_components.get(cell, [])
     if not comps_edges:
         raise UnboundedCellError(
             f"cell {cell} has no boundary at all; clip to a window first"
         )
-    loops = [_chain_component(graph, cell, comp, tol) for comp in comps_edges]
-    vals = [_graph_loop_terms(graph, lp, tol) for lp in loops]
-    polys = [_flatten_graph_loop(graph, lp, 8) for lp in loops]
-    groups = _group_loops(vals, polys, strict=True, cell=cell)
+    return [_chain_component(g, cell, comp, tol) for comp in comps_edges]
+
+
+def _arc_table(g: DiagramGraph | ClippedDiagram, loops,
+               tol: ToleranceSet) -> dict[int, tuple[float, float]]:
+    """(signed area, length) of every curved piece (clipped) or curved edge
+    (graph) on the given loops, keyed by piece or edge id; each is
+    integrated once, in one call of the batched kernel."""
+    arcs = {}
+    for loop in loops:
+        if isinstance(g, ClippedDiagram):
+            for pid, _ in loop:
+                piece = g.pieces[pid]
+                if piece.kind == "arc":
+                    arcs[pid] = (g.graph.bisectors[piece.pair].param, piece.a0, piece.a1)
+        else:
+            for e, _ in loop:
+                if e.is_curve():
+                    arcs[e.id] = (g.bisectors[e.pair].param, e.alpha_a, e.alpha_b)
+    if not arcs:
+        return {}
+    params, a0, a1 = zip(*arcs.values())
+    areas, lengths = arc_measures(params, a0, a1, tol)
+    return {k: (float(a), float(s)) for k, a, s in zip(arcs, areas, lengths)}
+
+
+def _measure_loops(g: DiagramGraph | ClippedDiagram, cell: int, loops, table,
+                   tol: ToleranceSet) -> CellMeasure:
+    if not loops:
+        return CellMeasure(cell, 0.0, 0.0, ())
+    if isinstance(g, ClippedDiagram):
+        vals = [_clipped_loop_terms(g, lp, table, tol) for lp in loops]
+        groups = _group_loops(vals, lambda: [_flatten_clipped_loop(g, lp, 8) for lp in loops],
+                              strict=False, cell=cell)
+    else:
+        vals = [_graph_loop_terms(g, lp, table, tol) for lp in loops]
+        groups = _group_loops(vals, lambda: [_flatten_graph_loop(g, lp, 8) for lp in loops],
+                              strict=True, cell=cell)
     return _assemble_measure(cell, vals, groups)
-
-
-# ---------------------------------------------------------------- front end
 
 
 def cell_area(cell: int, g: DiagramGraph | ClippedDiagram,
@@ -405,9 +560,10 @@ def cell_area(cell: int, g: DiagramGraph | ClippedDiagram,
     Accepts a clipped diagram, or a bare graph when the cell happens to be
     bounded; unbounded graph cells raise UnboundedCellError.
     """
-    if isinstance(g, ClippedDiagram):
-        return _measure_clipped(g, cell, tol if tol is not None else g.graph.tol)
-    return _measure_graph(g, cell, tol if tol is not None else g.tol)
+    graph = g.graph if isinstance(g, ClippedDiagram) else g
+    tol = tol if tol is not None else graph.tol
+    loops = _cell_loops(g, cell, tol)
+    return _measure_loops(g, cell, loops, _arc_table(g, loops, tol), tol)
 
 
 def cell_perimeter(cell: int, g: DiagramGraph | ClippedDiagram,
@@ -417,6 +573,13 @@ def cell_perimeter(cell: int, g: DiagramGraph | ClippedDiagram,
 
 def measure_cells(g: DiagramGraph | ClippedDiagram,
                   tol: ToleranceSet | None = None) -> dict[int, CellMeasure]:
-    """CellMeasure for every generator id, keyed by id."""
+    """CellMeasure for every generator id, keyed by id.
+
+    Every arc is integrated once for the whole diagram, although it borders
+    two cells.
+    """
     graph = g.graph if isinstance(g, ClippedDiagram) else g
-    return {gen.id: cell_area(gen.id, g, tol) for gen in graph.generators}
+    tol = tol if tol is not None else graph.tol
+    loops = {gen.id: _cell_loops(g, gen.id, tol) for gen in graph.generators}
+    table = _arc_table(g, [lp for cell_loops in loops.values() for lp in cell_loops], tol)
+    return {gid: _measure_loops(g, gid, lps, table, tol) for gid, lps in loops.items()}

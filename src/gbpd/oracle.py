@@ -82,7 +82,7 @@ def rasterize(generators, window: Window, width: int, height: int) -> LabelImage
 # ------------------------------------------------- analytic rasterization
 
 
-def _flatten_piece(cd: ClippedDiagram, piece, ftol: float) -> list[np.ndarray]:
+def flatten_piece(cd: ClippedDiagram, piece, ftol: float) -> list[np.ndarray]:
     """Polyline along one piece (stored direction), last point omitted."""
     if piece.kind != "arc":
         return [piece.p0]
@@ -122,7 +122,7 @@ def _cell_polygons(cd: ClippedDiagram, gid: int, ftol: float) -> list[np.ndarray
         pts: list[np.ndarray] = []
         for pid, forward in loop:
             piece = cd.pieces[pid]
-            run = _flatten_piece(cd, piece, ftol)
+            run = flatten_piece(cd, piece, ftol)
             if not forward:
                 # stored direction ends one step short of node_b; rebuild the
                 # reversed run from the full per-piece polyline

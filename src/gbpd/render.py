@@ -14,7 +14,7 @@ from xml.sax.saxutils import escape
 from .clip import ClippedDiagram
 from .errors import NonRenderableContour
 from .geometry import generator_to_ellipse
-from .oracle import _flatten_piece
+from .oracle import flatten_piece
 
 EDGE_STYLE = 'fill="none" stroke="#1a1a1a" stroke-width="1.2"'
 BORDER_STYLE = 'fill="#fdfdfd" stroke="#555555" stroke-width="1"'
@@ -64,7 +64,7 @@ def render_svg(
     for piece in cd.pieces:
         if piece.kind == "boundary":
             continue  # the window rect already shows the border
-        run = _flatten_piece(cd, piece, ftol)
+        run = flatten_piece(cd, piece, ftol)
         # flattening omits the final point; close the polyline explicitly
         run = run + [cd.piece_point(piece, 1.0) if piece.kind == "arc" else piece.p1]
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(p) for p in run))

@@ -9,6 +9,7 @@ simple on purpose.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 
 def grid_conic_intersections(c1, c2, box, n=500, newton_iters=40):
@@ -274,3 +275,33 @@ def two_nearest_point(point, idx_i, idx_j, arr, tol):
     mask[[idx_i, idx_j]] = False
     d3 = float(d[mask].min())
     return max(di, dj) <= d3 + tol.vert_rel * (1.0 + abs(d3))
+
+
+def _quad_over_arc(f, a0, a1, tol):
+    """scipy quad on [a0, a1], told about the chart breaks alpha = pi/2 mod pi."""
+    k = math.ceil((a0 - 0.5 * math.pi) / math.pi)
+    breaks = [c for c in (0.5 * math.pi + (k + i) * math.pi for i in range(8)) if a0 < c < a1]
+    val, _ = quad(f, a0, a1, points=breaks or None, limit=200,
+                  epsabs=tol.quad_abs, epsrel=1e-12)
+    return val
+
+
+def quad_arc_length(param, a0, a1, tol):
+    """Arc length by scalar adaptive quadrature of the speed (reference)."""
+
+    def speed(a):
+        v = param.velocity_at_alpha(a, tol)
+        return math.hypot(v[0], v[1])
+
+    return _quad_over_arc(speed, a0, a1, tol)
+
+
+def quad_arc_area(param, a0, a1, tol):
+    """Integral of (x y' - y x') / 2 along the arc by scalar quadrature (reference)."""
+
+    def f(a):
+        p = param.point_at_alpha(a, tol)
+        v = param.velocity_at_alpha(a, tol)
+        return 0.5 * (p[0] * v[1] - p[1] * v[0])
+
+    return _quad_over_arc(f, a0, a1, tol)

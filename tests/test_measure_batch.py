@@ -1,0 +1,245 @@
+"""The batched arc-measure kernel against scalar quadrature and against itself.
+
+`arc_measures` integrates the area term and the length of many conic arcs
+in one Gauss-Kronrod pass per round. These tests check it against the
+scalar `scipy.integrate.quad` reference in `oracles.py`, check that a
+batch gives each arc the same bits as a batch of one, that the whole-
+diagram measure integrates every arc piece once and equals the per-cell
+measure bit for bit, and that an arc missing its error target raises
+QuadratureError.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gbpd import measure as gmeasure
+from gbpd.bisector import make_bisector
+from gbpd.cli import PRESETS, random_scene
+from gbpd.clip import clip_to_window
+from gbpd.conic import ConicClass
+from gbpd.diagram import build_diagram
+from gbpd.errors import GbpdError, NoSolutionError, QuadratureError
+from gbpd.geometry import Generator, SymMat2, Window
+from gbpd.measure import arc_measures, cell_area, measure_cells
+from gbpd.tolerances import DEFAULT_TOLERANCES as TOL
+
+from oracles import quad_arc_area, quad_arc_length
+
+WINDOW = Window(0.0, 0.0, 400.0, 400.0)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def arc_pieces(cd):
+    """(param, a0, a1) of every arc piece of a clipped diagram."""
+    return [(cd.graph.bisectors[p.pair].param, p.a0, p.a1) for p in cd.pieces if p.kind == "arc"]
+
+
+def assert_matches_quad(arcs, rounding=False):
+    """Kernel against the quad reference, per arc, within 1e-9 max(1, |I|).
+
+    rounding=True adds 64 eps R^2 to the area bound, R the largest distance
+    of the arc's ends and midpoint from the origin. An area term about the
+    origin of an arc R away is a sum of terms of size R |chord|; the kernel
+    integrates about a point of the arc and shifts the result back with the
+    end points, whose rounding (eps R each) that shift multiplies by R.
+    """
+    if not arcs:
+        return
+    areas, lengths = arc_measures(*zip(*arcs), TOL)
+    with warnings.catch_warnings():
+        # the reference may warn where it cannot meet its own target
+        warnings.simplefilter("ignore")
+        for (param, a0, a1), area, length in zip(arcs, areas, lengths):
+            ref_area = quad_arc_area(param, a0, a1, TOL)
+            ref_length = quad_arc_length(param, a0, a1, TOL)
+            floor = 0.0
+            if rounding:
+                r = max(np.hypot(*param.point_at_alpha(a)) for a in (a0, 0.5 * (a0 + a1), a1))
+                floor = 64.0 * np.finfo(float).eps * r * r
+            assert abs(area - ref_area) <= 1e-9 * max(1.0, abs(ref_area)) + floor, (a0, a1)
+            assert abs(length - ref_length) <= 1e-9 * max(1.0, abs(ref_length)), (a0, a1)
+
+
+def assert_batch_is_batch_of_one(arcs):
+    if not arcs:
+        return
+    areas, lengths = arc_measures(*zip(*arcs), TOL)
+    rev_areas, rev_lengths = arc_measures(*zip(*arcs[::-1]), TOL)
+    assert bits(rev_areas[::-1]) == bits(areas)
+    assert bits(rev_lengths[::-1]) == bits(lengths)
+    for (param, a0, a1), area, length in zip(arcs, areas, lengths):
+        one_area, one_length = arc_measures([param], [a0], [a1], TOL)
+        assert bits([one_area[0], one_length[0]]) == bits([area, length])
+
+
+# ------------------------------------------------------- benchmark scenes
+
+
+@pytest.fixture(scope="module")
+def small_batch():
+    """The 30 n=16 benchmark scenes, clipped; the known seed-1015 isotropic
+    clip failure is the only one left out."""
+    out = []
+    for preset in ("paper-random", "paper-weights", "isotropic"):
+        for seed in range(1010, 1020):
+            graph = build_diagram(random_scene(preset, 16, seed, WINDOW))
+            try:
+                out.append(clip_to_window(graph, WINDOW))
+            except NoSolutionError:
+                assert (preset, seed) == ("isotropic", 1015)
+    assert len(out) == 29
+    return out
+
+
+@pytest.fixture(scope="module")
+def reload_scene():
+    """The reload-query diagram (paper-weights n=64, seed 42) in a sub-window."""
+    graph = build_diagram(random_scene("paper-weights", 64, 42, WINDOW))
+    return clip_to_window(graph, Window(90.0, 100.0, 290.0, 300.0))
+
+
+def test_small_batch_measures_without_warning_or_error(small_batch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cd in small_batch:
+            measures = measure_cells(cd)
+            total = sum(m.area for m in measures.values())
+            assert abs(total - WINDOW.width * WINDOW.height) <= 1e-6 * WINDOW.width * WINDOW.height
+
+
+def test_every_benchmark_piece_matches_quad(small_batch, reload_scene):
+    for cd in [*small_batch, reload_scene]:
+        assert_matches_quad(arc_pieces(cd))
+
+
+def test_benchmark_batch_is_batch_of_one(small_batch, reload_scene):
+    arcs = [arc for cd in small_batch[::4] for arc in arc_pieces(cd)]
+    assert_batch_is_batch_of_one(arcs + arc_pieces(reload_scene))
+
+
+def test_measure_cells_equals_cell_area(small_batch, reload_scene):
+    for cd in [*small_batch[::3], reload_scene]:
+        whole = measure_cells(cd)
+        for gid, m in whole.items():
+            one = cell_area(gid, cd)
+            assert one.cell == m.cell
+            assert bits([one.area, one.perimeter]) == bits([m.area, m.perimeter])
+            assert [bits((c.area, c.perimeter)) for c in one.components] == [
+                bits((c.area, c.perimeter)) for c in m.components
+            ]
+
+
+def test_each_arc_piece_integrated_once(reload_scene, monkeypatch):
+    cd = reload_scene
+    calls = []
+    kernel = gmeasure.arc_measures
+
+    def counting(params, a0, a1, tol):
+        calls.append(sorted(zip(a0, a1)))
+        return kernel(params, a0, a1, tol)
+
+    monkeypatch.setattr(gmeasure, "arc_measures", counting)
+    measure_cells(cd)
+    uses = [pid for loops in cd.cells.values() for lp in loops for pid, _ in lp
+            if cd.pieces[pid].kind == "arc"]
+    assert len(uses) > len(set(uses))  # most arc pieces border two cells
+    assert len(calls) == 1
+    assert calls[0] == sorted((cd.pieces[pid].a0, cd.pieces[pid].a1) for pid in set(uses))
+
+
+@pytest.mark.parametrize("cap", ["_MAX_DEPTH", "_MAX_PIECES"])
+def test_unmet_error_target_raises(small_batch, monkeypatch, cap):
+    assert issubclass(QuadratureError, GbpdError)
+    assert QuadratureError.exit_code == 10
+    monkeypatch.setattr(gmeasure, cap, 0)
+    with pytest.raises(QuadratureError):
+        measure_cells(small_batch[0])
+
+
+# ------------------------------------------------------- hypothesis arcs
+
+
+@st.composite
+def arcs(draw):
+    """One arc on the bisector of two generators of a preset scene.
+
+    Kinds: a random sub-arc of a bisector component, an arc across a chart
+    break (alpha = pi/2 mod pi), a full 2 pi loop of an elliptic bisector,
+    and an arc ending close to a singular parameter of an open one.
+    """
+    preset = draw(st.sampled_from(PRESETS))
+    gens = random_scene(preset, 6, draw(st.integers(0, 10_000)), WINDOW)
+    i, j = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    gi, gj = (Generator(g.id, g.p + shift, g.M, g.w) for g in (gens[i], gens[j]))
+    b = make_bisector(gi, gj, TOL)
+    comps = [c for c in b.components if c.kind == "arc"]
+    if b.param is None or not comps:
+        return None
+    comp = draw(st.sampled_from(comps))
+    lo, hi = comp.lo, comp.hi
+    kind = draw(st.sampled_from(["sub", "cross", "full", "near-singular"]))
+    if comp.closed:
+        if kind == "full":
+            a0 = draw(st.floats(-math.pi, math.pi))
+            return b.param, a0, a0 + 2.0 * math.pi
+        margin = 0.0
+    else:
+        margin = draw(st.sampled_from([1e-3, 1e-2, 0.1])) * (hi - lo)
+        if kind == "near-singular":
+            a_in = lo + draw(st.floats(0.2, 0.8)) * (hi - lo)
+            return (b.param, lo + margin, a_in) if draw(st.booleans()) else (b.param, a_in, hi - margin)
+    lo, hi = lo + margin, hi - margin
+    if kind == "cross":
+        k0 = math.ceil((lo - 0.5 * math.pi) / math.pi)
+        breaks = [c for c in (0.5 * math.pi + (k0 + m) * math.pi for m in range(3)) if lo < c < hi]
+        if breaks:
+            c = draw(st.sampled_from(breaks))
+            a0 = lo + draw(st.floats(0.0, 1.0)) * (c - lo)
+            return b.param, a0, c + draw(st.floats(0.0, 1.0)) * (hi - c)
+    f0, f1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    return b.param, lo + f0 * (hi - lo), lo + f1 * (hi - lo)
+
+
+@given(st.lists(arcs(), min_size=1, max_size=4))
+@settings(max_examples=120, deadline=None)
+def test_hypothesis_arcs_match_quad_and_batch_of_one(drawn):
+    drawn = [arc for arc in drawn if arc is not None]
+    assert_matches_quad(drawn, rounding=True)
+    assert_batch_is_batch_of_one(drawn)
+
+
+def fixed_hard_arcs(shift):
+    """Full loops and chart-break crossings of an elliptic bisector, and
+    arcs of both hyperbola branches ending 1e-3 of their width from a
+    singular parameter, with the generators shifted by (shift, shift)."""
+    g0 = Generator(0, np.array([0.0, 0.0]) + shift, SymMat2(2.0, 0.3, 1.0), 1.0)
+    g1 = Generator(1, np.array([3.0, 1.0]) + shift, SymMat2(1.0, 0.1, 0.5), 0.0)
+    ellipse = make_bisector(g0, g1, TOL)
+    assert ellipse.conic_class is ConicClass.ELLIPSE
+    out = [(ellipse.param, a0, a0 + 2.0 * math.pi) for a0 in (-math.pi, -0.3, 2.0)]
+    out += [(ellipse.param, 0.5 * math.pi - 0.4, 0.5 * math.pi + 0.7),
+            (ellipse.param, -0.5 * math.pi - 1e-9, 2.5 * math.pi - 1e-3)]
+    gens = [Generator(g.id, g.p + shift, g.M, g.w) for g in random_scene("paper-random", 2, 3, WINDOW)]
+    hyperbola = make_bisector(gens[0], gens[1], TOL)
+    assert hyperbola.conic_class is ConicClass.HYPERBOLA
+    for c in hyperbola.components:
+        w = c.hi - c.lo
+        out += [(hyperbola.param, c.lo + 1e-3 * w, c.lo + 0.5 * w),
+                (hyperbola.param, c.lo + 0.5 * w, c.hi - 1e-3 * w)]
+    return out
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_fixed_hard_arcs_match_quad_and_batch_of_one(shift):
+    arcs = fixed_hard_arcs(shift)
+    assert_matches_quad(arcs, rounding=True)
+    assert_batch_is_batch_of_one(arcs)
