@@ -160,8 +160,7 @@ def cmd_measure(args) -> int:
         graph = build_diagram(loaded, tol, threads=args.threads)
     else:
         graph = loaded
-    target = graph if args.no_window else clip_to_window(graph, _window(args), tol)
-    measures = measure_cells(target, tol)
+    measures = measure_cells(clip_to_window(graph, _window(args), tol), tol)
     neighbor_count = {g.id: 0 for g in graph.generators}
     for i, j in graph.adjacency:
         neighbor_count[i] += 1
@@ -287,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="cell areas and perimeters as CSV")
     p.add_argument("--input", required=True, help="scene CSV or diagram JSON path")
     p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument(
-        "--no-window",
-        action="store_true",
-        help="measure unclipped cells (fails on unbounded cells)",
-    )
     _add_window(p)
     _add_common(p)
     p.set_defaults(func=cmd_measure)

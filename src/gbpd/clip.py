@@ -8,6 +8,10 @@ pieces are then chained into closed per-cell loops (cell interior on the
 left), which is exactly the form the area and perimeter integrators need:
 outer loops come out counterclockwise, holes clockwise.
 
+The same pieces carry a bounded cell of the bare graph: `bounded_cell_pieces`
+turns each of its edges into one whole-edge piece, with the side test and
+the chaining that clipping uses, so measurement has one loop representation.
+
 Crossing parameters come from the quadratic x(t) - X u(t) = 0 per window
 side (linear for straight edges), so no marching or sampling is involved.
 """
@@ -45,7 +49,8 @@ class ClipPiece:
     (piece of the window border). Stored direction is increasing parameter;
     ``left``/``right`` name the cells on each side in that direction
     (boundary pieces keep the window interior, hence their owner, on the
-    left). Closed pieces are full loops with no nodes.
+    left). Closed pieces are full loops with no nodes. Pieces made by
+    ``bounded_cell_pieces`` take edge ids as ids and vertex ids as nodes.
     """
 
     id: int
@@ -72,15 +77,16 @@ class ClippedDiagram:
     pieces: list[ClipPiece]
     cells: dict[int, list[list[tuple[int, bool]]]]
 
-    def piece_point(self, piece: ClipPiece, f: float) -> np.ndarray:
-        """Point at fraction f in [0, 1] along a piece's stored direction."""
-        if piece.kind == "boundary":
-            return piece.p0 + f * (piece.p1 - piece.p0)
-        a = piece.a0 + f * (piece.a1 - piece.a0)
-        b = self.graph.bisectors[piece.pair]
-        if piece.kind == "arc":
-            return b.param.point_at_alpha(a)
-        return b.lines[piece.line_index].point_at(a)
+
+def piece_point(graph: DiagramGraph, piece: ClipPiece, f: float) -> np.ndarray:
+    """Point at fraction f in [0, 1] along a piece's stored direction."""
+    if piece.kind == "boundary":
+        return piece.p0 + f * (piece.p1 - piece.p0)
+    a = piece.a0 + f * (piece.a1 - piece.a0)
+    b = graph.bisectors[piece.pair]
+    if piece.kind == "arc":
+        return b.param.point_at_alpha(a)
+    return b.lines[piece.line_index].point_at(a)
 
 
 def _boundary_s(window: Window, pos: np.ndarray, side: int) -> float:
@@ -319,79 +325,122 @@ def _assign_sides(pieces, graph: DiagramGraph, arr: SceneArrays, tol: ToleranceS
             owner = min(int(arr.ids[k]) for k in range(arr.n) if d[k] == dmin)
             piece.left = owner
             piece.right = None
-            continue
-        b = graph.bisectors[piece.pair]
-        a_mid = 0.5 * (piece.a0 + piece.a1)
-        if piece.kind == "arc":
-            q = b.param.point_at_alpha(a_mid, tol)
-            tangent = b.param.velocity_at_alpha(a_mid, tol)
         else:
-            line = b.lines[piece.line_index]
-            q = line.point_at(a_mid)
-            tangent = line.direction
-        g = b.implicit.gradient(q[0], q[1])
-        cross = tangent[0] * g[1] - tangent[1] * g[0]
-        i, j = piece.pair
-        if cross < 0.0:
-            piece.left, piece.right = i, j
-        else:
-            piece.left, piece.right = j, i
+            piece.left, piece.right = piece_sides(graph, piece, tol)
+
+
+def piece_sides(graph: DiagramGraph, piece: ClipPiece, tol: ToleranceSet) -> tuple[int, int]:
+    """(left, right) cell ids of a bisector piece in its stored direction.
+
+    The tangent at the piece's mid-parameter is crossed with the gradient
+    of the pair's distance difference, which points into the second cell.
+    """
+    b = graph.bisectors[piece.pair]
+    a_mid = 0.5 * (piece.a0 + piece.a1)
+    if piece.kind == "arc":
+        q = b.param.point_at_alpha(a_mid, tol)
+        tangent = b.param.velocity_at_alpha(a_mid, tol)
+    else:
+        line = b.lines[piece.line_index]
+        q = line.point_at(a_mid)
+        tangent = line.direction
+    g = b.implicit.gradient(q[0], q[1])
+    cross = tangent[0] * g[1] - tangent[1] * g[0]
+    i, j = piece.pair
+    return (i, j) if cross < 0.0 else (j, i)
 
 
 def _assemble_cells(
     graph: DiagramGraph, pieces: list[ClipPiece]
 ) -> dict[int, list[list[tuple[int, bool]]]]:
     """Chain directed pieces into closed loops per cell (interior on left)."""
-    cells: dict[int, list[list[tuple[int, bool]]]] = {g.id: [] for g in graph.generators}
     by_cell: dict[int, list[tuple[int, bool]]] = {g.id: [] for g in graph.generators}
     for piece in pieces:
         if piece.left is not None:
             by_cell[piece.left].append((piece.id, True))
         if piece.right is not None:
             by_cell[piece.right].append((piece.id, False))
+    return {gid: _chain_cell(gid, pieces, directed) for gid, directed in by_cell.items()}
 
-    for gid, directed in by_cell.items():
-        directed.sort()
-        start_map: dict[int, list[tuple[int, bool]]] = {}
-        loops: list[list[tuple[int, bool]]] = []
-        used: set[tuple[int, bool]] = set()
-        for pid, fwd in directed:
-            piece = pieces[pid]
-            if piece.closed:
-                loops.append([(pid, fwd)])
-                used.add((pid, fwd))
-                continue
-            start = piece.node_a if fwd else piece.node_b
-            start_map.setdefault(start, []).append((pid, fwd))
-        for entry in directed:
-            if entry in used or pieces[entry[0]].closed:
-                continue
-            loop = []
-            cur = entry
-            while cur not in used:
-                used.add(cur)
-                loop.append(cur)
-                piece = pieces[cur[0]]
-                end = piece.node_b if cur[1] else piece.node_a
-                nxt = None
-                for cand in start_map.get(end, ()):
-                    if cand not in used:
-                        nxt = cand
-                        break
-                if nxt is None:
+
+def _chain_cell(gid: int, pieces, directed: list[tuple[int, bool]]) -> list[list[tuple[int, bool]]]:
+    """Chain one cell's directed pieces (piece id, forward) into closed loops.
+
+    ``pieces`` maps piece id to piece. A loop follows the pieces end node to
+    start node; closed pieces are loops on their own.
+    """
+    directed = sorted(directed)
+    start_map: dict[int, list[tuple[int, bool]]] = {}
+    loops: list[list[tuple[int, bool]]] = []
+    used: set[tuple[int, bool]] = set()
+    for pid, fwd in directed:
+        piece = pieces[pid]
+        if piece.closed:
+            loops.append([(pid, fwd)])
+            used.add((pid, fwd))
+            continue
+        start = piece.node_a if fwd else piece.node_b
+        start_map.setdefault(start, []).append((pid, fwd))
+    for entry in directed:
+        if entry in used or pieces[entry[0]].closed:
+            continue
+        loop = []
+        cur = entry
+        while cur not in used:
+            used.add(cur)
+            loop.append(cur)
+            piece = pieces[cur[0]]
+            end = piece.node_b if cur[1] else piece.node_a
+            nxt = None
+            for cand in start_map.get(end, ()):
+                if cand not in used:
+                    nxt = cand
                     break
-                cur = nxt
-            # a loop must close back on its starting node
-            first = pieces[loop[0][0]]
-            start_node = first.node_a if loop[0][1] else first.node_b
-            last = pieces[loop[-1][0]]
-            end_node = last.node_b if loop[-1][1] else last.node_a
-            if start_node != end_node:
-                raise NoSolutionError(
-                    f"cell {gid}: boundary chain does not close (node {end_node} "
-                    f"has no continuation toward node {start_node})"
-                )
-            loops.append(loop)
-        loops.sort(key=lambda lp: lp[0])
-        cells[gid] = loops
-    return cells
+            if nxt is None:
+                break
+            cur = nxt
+        # a loop must close back on its starting node
+        first = pieces[loop[0][0]]
+        start_node = first.node_a if loop[0][1] else first.node_b
+        last = pieces[loop[-1][0]]
+        end_node = last.node_b if loop[-1][1] else last.node_a
+        if start_node != end_node:
+            raise NoSolutionError(
+                f"cell {gid}: boundary chain does not close (node {end_node} "
+                f"has no continuation toward node {start_node})"
+            )
+        loops.append(loop)
+    loops.sort(key=lambda lp: lp[0])
+    return loops
+
+
+def bounded_cell_pieces(
+    graph: DiagramGraph, cell: int, tol: ToleranceSet = DEFAULT_TOLERANCES
+) -> tuple[dict[int, ClipPiece], list[list[tuple[int, bool]]]]:
+    """Whole-edge pieces and closed loops of one graph cell with finite edges.
+
+    Each edge of the cell becomes one piece whose id is the edge id and
+    whose nodes are the edge's vertex ids; a loop edge becomes a closed
+    piece. Sides and chaining are those of ``clip_to_window``, so the loops
+    hold (piece id, forward) pairs with the cell interior on the left.
+    Returns the pieces keyed by id, and the loops.
+    """
+    pieces: dict[int, ClipPiece] = {}
+    for eid in sorted(graph.cell_edges.get(cell, [])):
+        e = graph.edges[eid]
+        b = graph.bisectors[e.pair]
+        if e.is_curve():
+            closed = e.kind == "loop"
+            p0 = None if closed else b.param.point_at_alpha(e.alpha_a, tol)
+            p1 = None if closed else b.param.point_at_alpha(e.alpha_b, tol)
+            piece = ClipPiece(eid, "arc", e.pair, eid, None, e.alpha_a, e.alpha_b,
+                              *e.endpoints, closed, None, None, p0, p1)
+        else:
+            line = b.lines[e.line_index]
+            piece = ClipPiece(eid, "segment", e.pair, eid, e.line_index, e.t_a, e.t_b,
+                              *e.endpoints, False, None, None,
+                              line.point_at(e.t_a), line.point_at(e.t_b))
+        piece.left, piece.right = piece_sides(graph, piece, tol)
+        pieces[eid] = piece
+    directed = [(eid, piece.left == cell) for eid, piece in pieces.items()]
+    return pieces, _chain_cell(cell, pieces, directed)

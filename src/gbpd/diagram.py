@@ -88,6 +88,13 @@ class EdgeSegment:
     def is_curve(self) -> bool:
         return self.alpha_a is not None
 
+    def is_finite(self) -> bool:
+        """True for a closed loop or a piece with two finite ends."""
+        if self.is_curve():
+            return self.kind == "loop" or None not in self.endpoints
+        return (self.kind != "full_line" and self.t_a is not None and self.t_b is not None
+                and math.isfinite(self.t_a) and math.isfinite(self.t_b))
+
 
 @dataclass
 class DiagramGraph:

@@ -17,10 +17,12 @@ its pieces with the largest estimates are halved. An arc that misses the
 target after 30 halvings of a piece, or past 200 pieces, raises
 QuadratureError instead of returning an unconverged value.
 
-Clipped diagrams already carry oriented loops. For a bare diagram graph the
-edges of each boundary component are chained by shared vertices here, and
-orientation is fixed by the side test against the pair's distance gradient;
-cells that reach infinity raise UnboundedCellError.
+Every cell is measured from one loop representation: directed loops of
+clip pieces (`clip.ClipPiece`). A clipped diagram carries them already. A
+bounded cell of a bare diagram graph is turned into whole-edge pieces by
+`clip.bounded_cell_pieces`; a graph cell with no boundary, with an edge
+that runs to infinity, or with hole loops only is unbounded and raises
+UnboundedCellError.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ import numpy as np
 # name `quad` in this module and fails if it is missing.
 from scipy.integrate import quad  # noqa: F401
 
-from .clip import ClippedDiagram
+from .clip import ClippedDiagram, bounded_cell_pieces, piece_point
 from .conic import chart_coefficients, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
-from .errors import (NoSolutionError, NonFiniteSegmentError, QuadratureError,
-                     UnboundedCellError)
+from .errors import NonFiniteSegmentError, QuadratureError, UnboundedCellError
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 _HALF_PI = 0.5 * math.pi
@@ -117,9 +118,12 @@ def _gk15(coef, u_scale, origin, lo, hi, tol: ToleranceSet) -> tuple[np.ndarray,
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     scale = np.abs(half)
+    # the chart rows x^ - o_x u^ and y^ - o_y u^ give the point relative to
+    # the origin directly; subtracting after the division would leave the
+    # velocity (dx u - x du) to cancel where x is far larger than x - o_x
+    coef = coef.copy()
+    coef[:, :, :2] -= origin[:, None, :, None] * coef[:, :, 2:3]
     x, y, vx, vy = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * _GK_X, tol)
-    x = x - origin[:, 0:1]
-    y = y - origin[:, 1:2]
     res = np.empty((lo.size, 2))
     err = np.empty((lo.size, 2))
     for j, f in enumerate((0.5 * (x * vy - y * vx), np.hypot(vx, vy))):
@@ -139,9 +143,10 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
 
     Arc k runs along ``params[k]`` from alpha ``a0[k]`` to ``a1[k]``. Its
     area term is the integral of (x y' - y x')/2. It is integrated about
-    the arc's mid-alpha point m, which keeps the integrand small where the
-    arc is far from the origin, and shifted back by m x (end - start) / 2.
-    Its length is the integral of the speed. Each arc is cut at the chart
+    the arc's mid-alpha point m, and shifted back by m x (end - start) / 2.
+    Its length is the integral of the speed. Both integrands are evaluated
+    from chart rows shifted to m, so neither loses digits to cancellation
+    where the arc is far from the origin. Each arc is cut at the chart
     breaks, and every round evaluates all new pieces in one array pass of
     the Gauss-Kronrod 7-15 rule. An arc is done once the summed error
     estimates of its pieces meet max(quad_abs, 1e-12 |I|) for both
@@ -223,34 +228,26 @@ def edge_arc_length(graph: DiagramGraph, e: EdgeSegment,
                     tol: ToleranceSet | None = None) -> float:
     """Length of one edge segment; finite intervals and closed loops only."""
     tol = tol if tol is not None else graph.tol
-    b = graph.bisectors[e.pair]
+    if not e.is_finite():
+        raise NonFiniteSegmentError(f"edge {e.id} runs to infinity; clip it first")
     if e.is_curve():
-        if e.kind != "loop" and (e.endpoints[0] is None or e.endpoints[1] is None):
-            raise NonFiniteSegmentError(
-                f"edge {e.id} runs into a singular parameter; clip it first"
-            )
-        return float(arc_measures([b.param], [e.alpha_a], [e.alpha_b], tol)[1][0])
-    if (
-        e.kind == "full_line"
-        or e.t_a is None
-        or e.t_b is None
-        or math.isinf(e.t_a)
-        or math.isinf(e.t_b)
-    ):
-        raise NonFiniteSegmentError(f"edge {e.id} is an unbounded line piece")
+        param = graph.bisectors[e.pair].param
+        return float(arc_measures([param], [e.alpha_a], [e.alpha_b], tol)[1][0])
     # line parameters are arc length already
     return e.t_b - e.t_a
 
 
 # ---------------------------------------------------------- loop traversal
 #
-# Both cell representations reduce to loops of directed primitives. Each
-# primitive reports its signed area term (the contour integral along it,
-# in traversal direction) and its length; a straight run from q0 to q1
-# contributes the shoelace term (x0 y1 - y0 x1) / 2. Endpoints of adjacent
-# primitives agree only to vertex-recovery precision, so tiny connector
-# chords are inserted between them: an exactly closed contour keeps the
-# signed total independent of the coordinate origin.
+# A cell is a list of loops of directed pieces, (piece id, forward) pairs
+# into a piece table: the clipped diagram's pieces, or a bounded graph
+# cell's whole-edge pieces. Each piece reports its signed area term (the
+# contour integral along it, in traversal direction) and its length; a
+# straight run from q0 to q1 contributes the shoelace term
+# (x0 y1 - y0 x1) / 2. Endpoints of adjacent pieces agree only to
+# vertex-recovery precision, so tiny connector chords are inserted between
+# them: an exactly closed contour keeps the signed total independent of
+# the coordinate origin.
 
 
 class _LoopAccum:
@@ -281,12 +278,12 @@ def _chord_term(q0, q1) -> float:
     return 0.5 * (q0[0] * q1[1] - q0[1] * q1[0])
 
 
-def _clipped_loop_terms(cd: ClippedDiagram, loop, table, tol) -> tuple[float, float]:
+def _loop_terms(graph: DiagramGraph, pieces, loop, table, tol) -> tuple[float, float]:
     acc = _LoopAccum()
     for pid, forward in loop:
-        piece = cd.pieces[pid]
+        piece = pieces[pid]
         if piece.kind == "arc":
-            param = cd.graph.bisectors[piece.pair].param
+            param = graph.bisectors[piece.pair].param
             a, s = table[pid]
             if piece.closed:
                 acc.area += a if forward else -a
@@ -304,54 +301,12 @@ def _clipped_loop_terms(cd: ClippedDiagram, loop, table, tol) -> tuple[float, fl
     return acc.close()
 
 
-def _graph_loop_terms(graph: DiagramGraph, loop, table, tol) -> tuple[float, float]:
-    acc = _LoopAccum()
-    for e, forward in loop:
-        b = graph.bisectors[e.pair]
-        if e.is_curve():
-            a, s = table[e.id]
-            if e.kind == "loop":
-                acc.area += a if forward else -a
-                acc.length += s
-                continue
-            q0 = b.param.point_at_alpha(e.alpha_a, tol)
-            q1 = b.param.point_at_alpha(e.alpha_b, tol)
-            if not forward:
-                q0, q1 = q1, q0
-            acc.add(q0, q1, a if forward else -a, s)
-        else:
-            line = b.lines[e.line_index]
-            q0, q1 = line.point_at(e.t_a), line.point_at(e.t_b)
-            if not forward:
-                q0, q1 = q1, q0
-            acc.add(q0, q1, _chord_term(q0, q1), e.t_b - e.t_a)
-    return acc.close()
-
-
-def _flatten_clipped_loop(cd: ClippedDiagram, loop, samples: int) -> np.ndarray:
+def _flatten_loop(graph: DiagramGraph, pieces, loop, samples: int) -> np.ndarray:
     pts = []
     for pid, forward in loop:
-        piece = cd.pieces[pid]
         for k in range(samples):
             f = k / samples
-            pts.append(cd.piece_point(piece, f if forward else 1.0 - f))
-    return np.array(pts)
-
-
-def _flatten_graph_loop(graph: DiagramGraph, loop, samples: int) -> np.ndarray:
-    pts = []
-    for e, forward in loop:
-        b = graph.bisectors[e.pair]
-        for k in range(samples):
-            f = k / samples
-            if not forward:
-                f = 1.0 - f
-            if e.is_curve():
-                a = e.alpha_a + f * (e.alpha_b - e.alpha_a)
-                pts.append(b.param.point_at_alpha(a, graph.tol))
-            else:
-                line = b.lines[e.line_index]
-                pts.append(line.point_at(e.t_a + f * (e.t_b - e.t_a)))
+            pts.append(piece_point(graph, pieces[pid], f if forward else 1.0 - f))
     return np.array(pts)
 
 
@@ -416,121 +371,40 @@ def _assemble_measure(cell: int, vals, groups) -> CellMeasure:
     )
 
 
-# -------------------------------------------------------------- graph cells
-
-
-def _directed_edge_side(graph: DiagramGraph, e: EdgeSegment, forward: bool,
-                        tol: ToleranceSet) -> int:
-    """Generator id on the left of edge e traversed in the given direction."""
-    b = graph.bisectors[e.pair]
-    if e.is_curve():
-        a_mid = 0.5 * (e.alpha_a + e.alpha_b)
-        point = b.param.point_at_alpha(a_mid, tol)
-        tangent = b.param.velocity_at_alpha(a_mid, tol)
-    else:
-        line = b.lines[e.line_index]
-        point = line.point_at(0.5 * (e.t_a + e.t_b))
-        tangent = line.direction
-    if not forward:
-        tangent = -tangent
-    g = b.implicit.gradient(point[0], point[1])
-    cross = tangent[0] * g[1] - tangent[1] * g[0]
-    return e.pair[0] if cross < 0.0 else e.pair[1]
-
-
-def _chain_component(graph: DiagramGraph, cell: int, edge_ids: list[int],
-                     tol: ToleranceSet) -> list[tuple[EdgeSegment, bool]]:
-    """Close one boundary component of a graph cell into a directed loop."""
-    edges = [graph.edges[eid] for eid in sorted(edge_ids)]
-    for e in edges:
-        if e.is_curve():
-            if e.kind != "loop" and (e.endpoints[0] is None or e.endpoints[1] is None):
-                raise UnboundedCellError(
-                    f"cell {cell} reaches a singular parameter on edge {e.id}"
-                )
-        elif (
-            e.kind == "full_line"
-            or e.t_a is None
-            or e.t_b is None
-            or math.isinf(e.t_a)
-            or math.isinf(e.t_b)
-        ):
-            raise UnboundedCellError(f"cell {cell} is open along edge {e.id}")
-
-    if len(edges) == 1 and edges[0].kind == "loop":
-        e = edges[0]
-        return [(e, _directed_edge_side(graph, e, True, tol) == cell)]
-
-    at_vertex: dict[int, list[int]] = {}
-    for k, e in enumerate(edges):
-        for v in e.endpoints:
-            at_vertex.setdefault(v, []).append(k)
-
-    used = [False] * len(edges)
-    loop: list[tuple[EdgeSegment, bool]] = []
-    k = 0
-    forward = True
-    while True:
-        e = edges[k]
-        used[k] = True
-        loop.append((e, forward))
-        end_v = e.endpoints[1] if forward else e.endpoints[0]
-        nxt = [m for m in at_vertex.get(end_v, []) if not used[m]]
-        if not nxt:
-            break
-        k = min(nxt)
-        forward = edges[k].endpoints[0] == end_v
-    if not all(used):
-        raise NoSolutionError(
-            f"boundary component of cell {cell} does not chain into one loop"
-        )
-    start_v = loop[0][0].endpoints[0] if loop[0][1] else loop[0][0].endpoints[1]
-    last_e, last_f = loop[-1]
-    end_v = last_e.endpoints[1] if last_f else last_e.endpoints[0]
-    if start_v != end_v:
-        raise NoSolutionError(f"boundary component of cell {cell} does not close")
-    if _directed_edge_side(graph, loop[0][0], loop[0][1], tol) != cell:
-        loop = [(e, not f) for e, f in reversed(loop)]
-    return loop
-
-
 # ---------------------------------------------------------------- front end
 
 
-def _cell_loops(g: DiagramGraph | ClippedDiagram, cell: int, tol: ToleranceSet) -> list:
-    """Directed boundary loops of one cell, interior on the left.
-
-    Clipped loops hold (piece id, forward) pairs, graph loops (EdgeSegment,
-    forward) pairs. An empty list means the cell has no area.
+def _cell_loops(g: DiagramGraph | ClippedDiagram, cell: int, tol: ToleranceSet) -> tuple:
+    """(pieces, loops) of one cell: the piece table, indexed by piece id,
+    and the directed boundary loops, interior on the left. No loops means
+    the cell has no area.
     """
     if isinstance(g, ClippedDiagram):
-        return g.cells.get(cell, [])
+        return g.pieces, g.cells.get(cell, [])
     if cell in g.empty_cells or cell in g.aliases:
-        return []
-    comps_edges = g.cell_components.get(cell, [])
-    if not comps_edges:
+        return {}, []
+    edge_ids = g.cell_edges.get(cell, [])
+    if not edge_ids:
         raise UnboundedCellError(
             f"cell {cell} has no boundary at all; clip to a window first"
         )
-    return [_chain_component(g, cell, comp, tol) for comp in comps_edges]
+    for eid in sorted(edge_ids):
+        if not g.edges[eid].is_finite():
+            raise UnboundedCellError(f"cell {cell} is open along edge {eid}")
+    return bounded_cell_pieces(g, cell, tol)
 
 
-def _arc_table(g: DiagramGraph | ClippedDiagram, loops,
-               tol: ToleranceSet) -> dict[int, tuple[float, float]]:
-    """(signed area, length) of every curved piece (clipped) or curved edge
-    (graph) on the given loops, keyed by piece or edge id; each is
-    integrated once, in one call of the batched kernel."""
+def _arc_table(graph: DiagramGraph, cells, tol: ToleranceSet) -> dict[int, tuple[float, float]]:
+    """(signed area, length) of every curved piece on the loops of the given
+    (pieces, loops) cells, keyed by piece id; each is integrated once, in
+    one call of the batched kernel."""
     arcs = {}
-    for loop in loops:
-        if isinstance(g, ClippedDiagram):
+    for pieces, loops in cells:
+        for loop in loops:
             for pid, _ in loop:
-                piece = g.pieces[pid]
+                piece = pieces[pid]
                 if piece.kind == "arc":
-                    arcs[pid] = (g.graph.bisectors[piece.pair].param, piece.a0, piece.a1)
-        else:
-            for e, _ in loop:
-                if e.is_curve():
-                    arcs[e.id] = (g.bisectors[e.pair].param, e.alpha_a, e.alpha_b)
+                    arcs[pid] = (graph.bisectors[piece.pair].param, piece.a0, piece.a1)
     if not arcs:
         return {}
     params, a0, a1 = zip(*arcs.values())
@@ -538,18 +412,15 @@ def _arc_table(g: DiagramGraph | ClippedDiagram, loops,
     return {k: (float(a), float(s)) for k, a, s in zip(arcs, areas, lengths)}
 
 
-def _measure_loops(g: DiagramGraph | ClippedDiagram, cell: int, loops, table,
-                   tol: ToleranceSet) -> CellMeasure:
+def _measure_loops(graph: DiagramGraph, cell: int, pieces, loops, table,
+                   tol: ToleranceSet, *, strict: bool) -> CellMeasure:
+    """Measure of one cell from its loops; strict (bare graph cells) makes
+    a cell with hole loops only raise UnboundedCellError."""
     if not loops:
         return CellMeasure(cell, 0.0, 0.0, ())
-    if isinstance(g, ClippedDiagram):
-        vals = [_clipped_loop_terms(g, lp, table, tol) for lp in loops]
-        groups = _group_loops(vals, lambda: [_flatten_clipped_loop(g, lp, 8) for lp in loops],
-                              strict=False, cell=cell)
-    else:
-        vals = [_graph_loop_terms(g, lp, table, tol) for lp in loops]
-        groups = _group_loops(vals, lambda: [_flatten_graph_loop(g, lp, 8) for lp in loops],
-                              strict=True, cell=cell)
+    vals = [_loop_terms(graph, pieces, lp, table, tol) for lp in loops]
+    groups = _group_loops(vals, lambda: [_flatten_loop(graph, pieces, lp, 8) for lp in loops],
+                          strict=strict, cell=cell)
     return _assemble_measure(cell, vals, groups)
 
 
@@ -562,8 +433,9 @@ def cell_area(cell: int, g: DiagramGraph | ClippedDiagram,
     """
     graph = g.graph if isinstance(g, ClippedDiagram) else g
     tol = tol if tol is not None else graph.tol
-    loops = _cell_loops(g, cell, tol)
-    return _measure_loops(g, cell, loops, _arc_table(g, loops, tol), tol)
+    pieces, loops = _cell_loops(g, cell, tol)
+    table = _arc_table(graph, [(pieces, loops)], tol)
+    return _measure_loops(graph, cell, pieces, loops, table, tol, strict=graph is g)
 
 
 def cell_perimeter(cell: int, g: DiagramGraph | ClippedDiagram,
@@ -580,6 +452,7 @@ def measure_cells(g: DiagramGraph | ClippedDiagram,
     """
     graph = g.graph if isinstance(g, ClippedDiagram) else g
     tol = tol if tol is not None else graph.tol
-    loops = {gen.id: _cell_loops(g, gen.id, tol) for gen in graph.generators}
-    table = _arc_table(g, [lp for cell_loops in loops.values() for lp in cell_loops], tol)
-    return {gid: _measure_loops(g, gid, lps, table, tol) for gid, lps in loops.items()}
+    cells = {gen.id: _cell_loops(g, gen.id, tol) for gen in graph.generators}
+    table = _arc_table(graph, cells.values(), tol)
+    return {gid: _measure_loops(graph, gid, pieces, loops, table, tol, strict=graph is g)
+            for gid, (pieces, loops) in cells.items()}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .clip import ClippedDiagram
+from .clip import ClippedDiagram, piece_point
 from .errors import DimensionMismatchError, InputError
 from .geometry import Generator, SceneArrays, Window
 
@@ -90,7 +90,7 @@ def flatten_piece(cd: ClippedDiagram, piece, ftol: float) -> list[np.ndarray]:
         knots = [0.0, 0.25, 0.5, 0.75, 1.0]
     else:
         knots = [0.0, 0.5, 1.0]
-    pts = [cd.piece_point(piece, f) for f in knots]
+    pts = [piece_point(cd.graph, piece, f) for f in knots]
     out: list[np.ndarray] = []
 
     def refine(f0, f1, p0, p1, depth):
@@ -98,7 +98,7 @@ def flatten_piece(cd: ClippedDiagram, piece, ftol: float) -> list[np.ndarray]:
         if depth >= 14:
             return
         fm = 0.5 * (f0 + f1)
-        pm = cd.piece_point(piece, fm)
+        pm = piece_point(cd.graph, piece, fm)
         chord = p1 - p0
         n = math.hypot(chord[0], chord[1])
         if n == 0.0:
@@ -126,7 +126,7 @@ def _cell_polygons(cd: ClippedDiagram, gid: int, ftol: float) -> list[np.ndarray
             if not forward:
                 # stored direction ends one step short of node_b; rebuild the
                 # reversed run from the full per-piece polyline
-                closing = [cd.piece_point(piece, 1.0)] if piece.kind == "arc" else [piece.p1]
+                closing = [piece_point(cd.graph, piece, 1.0)] if piece.kind == "arc" else [piece.p1]
                 run = list(reversed(run + closing))[:-1]
             pts.extend(run)
         if len(pts) >= 3:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
-from .clip import ClippedDiagram
+from .clip import ClippedDiagram, piece_point
 from .errors import NonRenderableContour
 from .geometry import generator_to_ellipse
 from .oracle import flatten_piece
@@ -66,7 +66,7 @@ def render_svg(
             continue  # the window rect already shows the border
         run = flatten_piece(cd, piece, ftol)
         # flattening omits the final point; close the polyline explicitly
-        run = run + [cd.piece_point(piece, 1.0) if piece.kind == "arc" else piece.p1]
+        run = run + [piece_point(cd.graph, piece, 1.0) if piece.kind == "arc" else piece.p1]
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(p) for p in run))
         out.append(f'<polyline points="{pts}" {EDGE_STYLE}/>')
 

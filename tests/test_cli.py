@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from gbpd.cli import main, random_scene
-from gbpd.errors import InputError
+from gbpd.diagram import build_diagram
+from gbpd.errors import InputError, UnboundedCellError
 from gbpd.geometry import Window, load_scene
+from gbpd.measure import cell_area, measure_cells
 from gbpd.oracle import read_pgm
 
 
@@ -143,7 +145,11 @@ def test_exit_codes_for_errors(tmp_path, capsys):
     scene.write_text(
         "id,px,py,m11,m12,m22,w\n0,0.0,0.0,1.0,0.0,1.0,0.0\n1,8.0,0.0,1.0,0.0,1.0,0.0\n"
     )
-    assert run("measure", "--input", scene, "--no-window") == 8
+    graph = build_diagram(load_scene(scene))
+    for measure in (measure_cells, lambda g: cell_area(0, g)):
+        with pytest.raises(UnboundedCellError) as info:
+            measure(graph)
+        assert info.value.exit_code == 8
 
 
 def test_tol_overrides_and_threads(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gbpd.cli import random_scene
 from gbpd.clip import clip_to_window
 from gbpd.diagram import build_diagram
 from gbpd.errors import NonFiniteSegmentError, UnboundedCellError
@@ -124,8 +125,11 @@ def test_arc_length_polyline_high_resolution():
 # ------------------------------------------------------- closed-form cells
 
 
-def test_disk_cell_graph_and_clipped():
-    gens = concentric_pair()
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_disk_cell_graph_and_clipped(shift):
+    # far from the origin the arc kernel must not lose the speed integrand
+    # to cancellation: the unit disk at (1e6, 1e6) is measured like at 0
+    gens = [Generator(g.id, g.p + shift, g.M, g.w) for g in concentric_pair()]
     graph = build_diagram(gens)
 
     cm = cell_area(0, graph)
@@ -136,7 +140,7 @@ def test_disk_cell_graph_and_clipped():
     with pytest.raises(UnboundedCellError):
         cell_area(1, graph)
 
-    window = Window(-3.0, -3.0, 3.0, 3.0)
+    window = Window(shift - 3.0, shift - 3.0, shift + 3.0, shift + 3.0)
     cd = clip_to_window(graph, window)
     cm0 = cell_area(0, cd)
     cm1 = cell_area(1, cd)
@@ -147,6 +151,48 @@ def test_disk_cell_graph_and_clipped():
     assert abs(cm1.perimeter - (24.0 + 2.0 * math.pi)) <= 1e-9
     assert len(cm1.components) == 1
     assert abs(cm0.area + cm1.area - window.area()) <= 1e-12 * window.area()
+
+
+@pytest.mark.parametrize("preset", ["paper-random", "paper-weights", "isotropic"])
+def test_graph_cells_match_clipped_cells(preset):
+    # a bounded graph cell measures like the same cell clipped to a window
+    # that holds it whole
+    checked = 0
+    for n in (8, 16):
+        for seed in (1010, 1011):
+            graph = build_diagram(random_scene(preset, n, seed, Window(0.0, 0.0, 400.0, 400.0)))
+            pos = np.array([v.pos for v in graph.vertices])
+            lo, hi = pos.min(axis=0), pos.max(axis=0)
+            pad = 100.0 + float((hi - lo).max())
+            cd = clip_to_window(graph, Window(lo[0] - pad, lo[1] - pad, hi[0] + pad, hi[1] + pad))
+            for gen in graph.generators:
+                if not all(graph.edges[eid].is_finite() for eid in graph.cell_edges[gen.id]):
+                    with pytest.raises(UnboundedCellError):
+                        cell_area(gen.id, graph)
+                    continue
+                try:
+                    cm = cell_area(gen.id, graph)
+                except UnboundedCellError:
+                    continue
+                loops = cd.cells[gen.id]
+                if any(cd.pieces[pid].kind == "boundary" for lp in loops for pid, _ in lp):
+                    continue
+                ref = cell_area(gen.id, cd)
+                assert abs(cm.area - ref.area) <= 1e-12 * max(1.0, abs(ref.area))
+                assert abs(cm.perimeter - ref.perimeter) <= 1e-12 * max(1.0, ref.perimeter)
+                assert len(cm.components) == len(ref.components)
+                checked += 1
+    assert checked >= 10
+
+
+def test_cell_with_ray_is_unbounded():
+    graph = build_diagram([iso(0, 0.0, 0.0), iso(1, 4.0, 0.0), iso(2, 1.0, 3.0)])
+    assert any(not e.is_curve() and not e.is_finite() for e in graph.edges)
+    for gid in range(3):
+        with pytest.raises(UnboundedCellError):
+            cell_area(gid, graph)
+    with pytest.raises(UnboundedCellError):
+        measure_cells(graph)
 
 
 def test_half_window_cells():
