@@ -25,6 +25,13 @@ the one-pair operation order, and steps that go through BLAS or LAPACK use
 the stacked form of the same call, so a pair gets the same floats whatever
 batch it is in; :func:`make_bisector` and :func:`bisector_implicit` are
 batches of one.
+
+:func:`params_of_points` recovers the curve parameters of many (curve,
+point) pairs at once: root solving, the acceptance tests, Gauss-Newton
+projection and duplicate merging all run as array operations, with
+``math`` functions per entry where numpy rounds differently, so every
+parameter is the float the one-point form gives. :func:`param_of_point` is
+a batch of one.
 """
 
 from __future__ import annotations
@@ -41,12 +48,16 @@ from .conic import (
     LineParam,
     ParametrizedConic,
     alpha_of_param,
+    alphas_of_params,
+    chart_coefficients,
     classify_and_parametrize_batch,
-    param_of_alpha,
-    real_quadratic_roots,
-    wrap_angle,
+    homogeneous_at_params,
+    params_of_alphas,
+    points_at_alphas,
+    real_quadratic_roots_batch,
+    wrap_angles,
 )
-from .errors import NoSolutionError, SingularParameterError
+from .errors import NoSolutionError
 from .geometry import Generator, as_point, row_dot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -261,42 +272,122 @@ def make_bisector(
     return make_bisectors([gi], [gj], tol)[0]
 
 
-def _project_param(p: ParametrizedConic, v, t: float, tol: ToleranceSet) -> float:
-    """Polish a near-hit parameter by projecting v onto the curve.
+def _project_params(coef, u_scale, v, t, tol: ToleranceSet) -> np.ndarray:
+    """Polish near-hit parameters t (N,) by projecting the points v (N, 2) onto their curves.
 
-    Gauss-Newton on the squared distance in alpha space; the raw quadratic
-    roots carry coordinate-scale roundoff, the projected parameter pins the
-    curve point to v at machine precision. The infinite parameter is kept
-    as is so wrap bookkeeping stays exact.
+    Three Gauss-Newton steps on the squared distance in alpha space; the raw
+    quadratic roots carry coordinate-scale roundoff, the projected parameter
+    pins the curve point to v at machine precision. A row keeps the best
+    iterate it reached and stops at a singular parameter or a vanishing
+    velocity. Infinite parameters are kept as they are, so wrap bookkeeping
+    stays exact.
     """
-    if not math.isfinite(t):
-        return t
-    alpha = alpha_of_param(t)
-    best_alpha, best_d2 = alpha, None
-    for _ in range(3):
-        try:
-            q = p.point_at_alpha(alpha, tol)
-            dv = p.velocity_at_alpha(alpha, tol)
-        except SingularParameterError:
-            break
-        rx, ry = v[0] - q[0], v[1] - q[1]
+    out = t.copy()
+    rows = np.flatnonzero(np.isfinite(t))
+    if rows.size == 0:
+        return out
+    coef, u_scale, vx, vy = coef[rows], u_scale[rows], v[rows, 0], v[rows, 1]
+    alpha = alphas_of_params(t[rows])
+    best_alpha, best_d2 = alpha.copy(), np.zeros(rows.size)
+    have = np.zeros(rows.size, dtype=bool)  # best_d2 holds a value
+    live = np.ones(rows.size, dtype=bool)
+    for step in range(4):
+        x, y, dvx, dvy, singular = points_at_alphas(coef, u_scale, alpha, tol)
+        live &= ~singular
+        rx, ry = vx - x, vy - y
         d2 = rx * rx + ry * ry
-        if best_d2 is None or d2 < best_d2:
-            best_alpha, best_d2 = alpha, d2
-        n2 = dv[0] * dv[0] + dv[1] * dv[1]
-        if n2 <= 0.0:
-            break
-        alpha = alpha + (rx * dv[0] + ry * dv[1]) / n2
-    else:
-        try:
-            q = p.point_at_alpha(alpha, tol)
-            rx, ry = v[0] - q[0], v[1] - q[1]
-            d2 = rx * rx + ry * ry
-            if best_d2 is None or d2 < best_d2:
-                best_alpha = alpha
-        except SingularParameterError:
-            pass
-    return param_of_alpha(best_alpha)
+        better = live & (~have | (d2 < best_d2))
+        best_alpha = np.where(better, alpha, best_alpha)
+        if step == 3:
+            break  # the point of the last step is only compared
+        best_d2 = np.where(better, d2, best_d2)
+        have |= better
+        n2 = dvx * dvx + dvy * dvy
+        live &= ~(n2 <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(live, alpha + (rx * dvx + ry * dvy) / n2, alpha)
+    out[rows] = params_of_alphas(best_alpha)
+    return out
+
+
+def _merge_params(ts, alphas, found, tol: ToleranceSet) -> np.ndarray:
+    """Drop near-duplicates from rows of parameters sorted by alpha.
+
+    Each found entry is compared with the last kept one of its row and
+    dropped when the two are within 10 param_merge in alpha or within
+    param_merge relative in t; then the row's last kept entry is dropped
+    when it comes within 10 param_merge of its first across the wrap.
+    """
+    keep = found.copy()
+    rows = np.flatnonzero(found.sum(axis=1) > 1)
+    if rows.size == 0:
+        return keep
+    ts, alphas, found = ts[rows], np.where(found[rows], alphas[rows], 0.0), found[rows]
+    near = tol.param_merge * 10.0
+    prev_t, prev_a = ts[:, 0], alphas[:, 0]
+    last = np.zeros(rows.size, dtype=np.int64)
+    for k in range(1, int(found.sum(axis=1).max())):
+        t = ts[:, k]
+        with np.errstate(invalid="ignore"):
+            close_t = np.abs(t - prev_t) <= tol.param_merge * (1.0 + np.abs(t) + np.abs(prev_t))
+        same_t = np.isfinite(t) & np.isfinite(prev_t) & close_t
+        kept = found[:, k] & ~((np.abs(wrap_angles(alphas[:, k] - prev_a)) <= near) | same_t)
+        keep[rows, k] = kept
+        prev_t = np.where(kept, t, prev_t)
+        prev_a = np.where(kept, alphas[:, k], prev_a)
+        last = np.where(kept, k, last)
+    # the rows are circular: the first and the last kept entry may coincide
+    wrap = (last > 0) & (np.abs(wrap_angles(alphas[:, 0] - prev_a)) <= near)
+    keep[rows[wrap], last[wrap]] = False
+    return keep
+
+
+def params_of_points(coef, u_scale, points, eps, tol: ToleranceSet = DEFAULT_TOLERANCES):
+    """Parameters t (inf allowed) of N (curve, point) pairs whose curve point lies within eps.
+
+    Row k pairs the curve with chart triples ``coef[k]`` (N, 2, 3, 3, from
+    ``conic.chart_coefficients``) and denominator scale ``u_scale[k]`` with
+    the point ``points[k]``. For every row at once: solve the two quadratics
+    x^(t) - v_x u^(t) = 0 and y^(t) - v_y u^(t) = 0, take the union of their
+    real roots (plus the infinite parameter when both leading coefficients
+    vanish), keep candidates whose curve point is within eps (scalar or
+    (N,)) of v, project them onto the curve and merge duplicates in alpha.
+
+    Returns (ts (N, 5), found (N, 5)): row k's parameters are
+    ``ts[k][found[k]]``, in alpha order. A row with no found entry is a miss:
+    its point lies on its curve within eps nowhere.
+    """
+    v = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = v.shape[0]
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
+    cand = np.empty((n, 5))
+    valid = np.zeros((n, 5), dtype=bool)
+    far_root = np.ones(n, dtype=bool)
+    for k in range(2):
+        q = coef[:, 0, k] - v[:, k, None] * coef[:, 0, 2]
+        roots, ok, inf_root, _ = real_quadratic_roots_batch(q[:, 0], q[:, 1], q[:, 2])
+        cand[:, 2 * k : 2 * k + 2] = roots
+        valid[:, 2 * k : 2 * k + 2] = ok
+        far_root &= inf_root
+    cand[:, 4] = math.inf
+    valid[:, 4] = far_root
+    x, y, u = homogeneous_at_params(coef, cand)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = valid & ~(np.abs(u) <= tol.den_rel * u_scale[:, None])
+        ex, ey = x / u - v[:, 0, None], y / u - v[:, 1, None]
+    r, c = np.nonzero(ok)
+    near = np.array([math.hypot(a, b) for a, b in zip(ex[r, c].tolist(), ey[r, c].tolist())])
+    hit = near <= eps[r]
+    r, c = r[hit], c[hit]
+    ts = np.full((n, 5), math.nan)
+    ts[r, c] = _project_params(coef[r], u_scale[r], v[r], cand[r, c], tol)
+    alphas = np.full((n, 5), math.inf)  # misses sort last
+    alphas[r, c] = alphas_of_params(ts[r, c])
+    order = np.argsort(alphas, axis=1, kind="stable")
+    found = np.zeros((n, 5), dtype=bool)
+    found[r, c] = True
+    ts, alphas, found = (np.take_along_axis(a, order, axis=1) for a in (ts, alphas, found))
+    return ts, _merge_params(ts, alphas, found, tol)
 
 
 def param_of_point(
@@ -307,52 +398,14 @@ def param_of_point(
 ) -> list[float]:
     """All parameters t (math.inf allowed) whose curve point lies within eps of v.
 
-    Solves the two quadratics x^(t) - v_x u^(t) = 0 and y^(t) - v_y u^(t) = 0,
-    takes the union of their real roots (plus the infinite parameter when both
-    leading coefficients vanish), and keeps candidates whose curve point is
-    within eps of v. Raises NoSolutionError when nothing qualifies.
+    A batch of one of :func:`params_of_points`. Raises NoSolutionError when
+    nothing qualifies.
     """
     v = as_point(v)
-    qx = tuple(p.xq[k] - v[0] * p.uq[k] for k in range(3))
-    qy = tuple(p.yq[k] - v[1] * p.uq[k] for k in range(3))
-    candidates: list[float] = []
-    inf_candidate = True
-    for q in (qx, qy):
-        roots, inf_root, everywhere = real_quadratic_roots(*q)
-        if not everywhere:
-            candidates.extend(roots)
-            inf_candidate = inf_candidate and inf_root
-    if inf_candidate:
-        candidates.append(math.inf)
-    accepted: list[float] = []
-    for t in candidates:
-        x, y, u = p.homogeneous_at(t)
-        if abs(u) <= tol.den_rel * p.u_scale:
-            continue
-        if math.hypot(x / u - v[0], y / u - v[1]) <= eps:
-            accepted.append(_project_param(p, v, t, tol))
-    if not accepted:
+    ts, found = params_of_points(chart_coefficients([p]), np.array([p.u_scale]), v[None], eps, tol)
+    if not found[0].any():
         raise NoSolutionError(f"point {tuple(v)} does not lie on the curve within {eps}")
-    # merge duplicates in alpha space (handles inf and near-equal finite t)
-    accepted.sort(key=alpha_of_param)
-    merged: list[float] = []
-    for t in accepted:
-        if merged:
-            prev = merged[-1]
-            da = abs(wrap_angle(alpha_of_param(t) - alpha_of_param(prev)))
-            if da <= tol.param_merge * 10.0 or (
-                math.isfinite(t)
-                and math.isfinite(prev)
-                and abs(t - prev) <= tol.param_merge * (1.0 + abs(t) + abs(prev))
-            ):
-                continue
-        merged.append(t)
-    # the list is circular: first and last may also coincide
-    if len(merged) > 1:
-        da = abs(wrap_angle(alpha_of_param(merged[0]) - alpha_of_param(merged[-1])))
-        if da <= tol.param_merge * 10.0:
-            merged.pop()
-    return merged
+    return ts[0][found[0]].tolist()
 
 
 def alphas_of_point(

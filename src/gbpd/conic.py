@@ -197,6 +197,29 @@ class DegenerateConic:
     lines: tuple[LineParam, ...]
 
 
+def real_quadratic_roots_batch(a, b, c, rel: float = 1e-13):
+    """:func:`real_quadratic_roots` of N quadratics (rows of a, b, c), as arrays.
+
+    Returns (roots (N, 2), root_valid (N, 2), inf_is_root (N,),
+    identically_zero (N,)). A row's roots are its valid entries, ascending;
+    a degree drop leaves one valid root in column 0. Every value is the
+    float the one-quadratic form gives.
+    """
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    everywhere = scale == 0.0
+    drop = ~everywhere & (np.abs(a) <= rel * scale)
+    linear = drop & ~(np.abs(b) <= rel * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - 4.0 * a * c
+        real = ~everywhere & ~drop & ~(disc < 0.0)
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), np.where(b != 0.0, b, 1.0)))
+        r1 = q / a
+        r2 = np.where(q != 0.0, c / q, r1)
+        lo = np.where(linear, -c / b, np.where(r2 < r1, r2, r1))
+    roots = np.stack([lo, np.where(r2 < r1, r1, r2)], axis=1)
+    return roots, np.stack([real | linear, real], axis=1), everywhere | drop, everywhere
+
+
 def real_quadratic_roots(a: float, b: float, c: float, rel: float = 1e-13):
     """Real roots of a t^2 + b t + c, projective-aware.
 
@@ -364,9 +387,9 @@ def chart_coefficients(params) -> np.ndarray:
     0, 1, 2) of conic k in chart 0 (s = tan(alpha/2)) or in chart 1 (the
     t -> -1/t rotation, s = tan(alpha/2 - pi/2)).
     """
-    return np.array(
-        [((p.xq, p.yq, p.uq), p._rot) for p in params], dtype=float
-    ).reshape(-1, 2, 3, 3)
+    base = np.array([(p.xq, p.yq, p.uq) for p in params], dtype=float).reshape(-1, 3, 3)
+    # the rotation (c2, c1, c0) -> (c0, -c1, c2) of _rotate_pi_triple, exact in floats
+    return np.stack([base, base[:, :, ::-1] * np.array([1.0, -1.0, 1.0])], axis=1)
 
 
 def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
@@ -383,13 +406,88 @@ def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
     far = np.abs(a) > _HALF_PI
     s = np.tan(np.where(far, 0.5 * a - _HALF_PI, 0.5 * a))
     c = np.where(far[:, :, None, None], coef[:, None, 1], coef[:, None, 0])
-    x, y, u = ((c[..., r, 0] * s + c[..., r, 1]) * s + c[..., r, 2] for r in range(3))
+    x, y, u, dx, dy, du = _chart_rows(c, s)
     if np.any(np.abs(u) <= tol.den_rel * u_scale[:, None]):
         raise SingularParameterError("an alpha of the batch lies on the line at infinity")
+    return _point_velocity(x, y, u, dx, dy, du, s)
+
+
+def _chart_rows(c: np.ndarray, s: np.ndarray):
+    """x^, y^, u^ and their s-derivatives from chart triples c (..., 3, 3) at s (...)."""
+    x, y, u = ((c[..., r, 0] * s + c[..., r, 1]) * s + c[..., r, 2] for r in range(3))
     dx, dy, du = (2.0 * c[..., r, 0] * s + c[..., r, 1] for r in range(3))
-    # ds/dalpha = (1 + s^2)/2 in either chart
+    return x, y, u, dx, dy, du
+
+
+def _point_velocity(x, y, u, dx, dy, du, s):
+    """Curve point and d/dalpha velocity from chart values; ds/dalpha = (1 + s^2)/2."""
     f = 0.5 * (1.0 + s * s) / (u * u)
     return x / u, y / u, (dx * u - x * du) * f, (dy * u - y * du) * f
+
+
+# The kernels below feed values that reach the diagram JSON, so they keep
+# the scalar code's floats: math.remainder, math.tan and math.atan run per
+# entry, because np.remainder is a floored modulo and np.tan and np.arctan
+# round differently from math.tan and math.atan on some inputs.
+
+
+def wrap_angles(alpha: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of each entry of a 1-D array.
+
+    math.remainder(a, 2 pi) is a itself for |a| <= pi (the quotient rounds
+    to 0, ties to even), so only the other entries go through it.
+    """
+    a = np.array(alpha, dtype=float)
+    out = np.flatnonzero(~(np.abs(a) <= math.pi))
+    a[out] = [math.remainder(v, 2.0 * math.pi) for v in a[out].tolist()]
+    return np.where(a <= -math.pi, a + 2.0 * math.pi, a)
+
+
+def alphas_of_params(t: np.ndarray) -> np.ndarray:
+    """:func:`alpha_of_param` of each entry of a 1-D array."""
+    atan = np.array([math.atan(v) for v in t.tolist()], dtype=float)
+    return np.where(np.isinf(t), math.pi, 2.0 * atan)
+
+
+def params_of_alphas(alpha: np.ndarray) -> np.ndarray:
+    """:func:`param_of_alpha` of each entry of a 1-D array."""
+    a = wrap_angles(alpha)
+    tan = np.array([math.tan(v) for v in (0.5 * a).tolist()], dtype=float)
+    return np.where(a == math.pi, math.inf, tan)
+
+
+def homogeneous_at_params(coef: np.ndarray, t: np.ndarray):
+    """``homogeneous_at`` of conic ``coef[k]`` (N, 2, 3, 3) at every t[k, j] of t (N, K).
+
+    Returns (X, Y, U), each (N, K); |t| > 1 goes through the t -> -1/t
+    chart and t = +-inf gives the leading coefficients.
+    """
+    inner = np.abs(t) <= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(inner, t, -1.0 / t)
+    c = np.where(inner[..., None, None], coef[:, None, 0], coef[:, None, 1])
+    x, y, u, _, _, _ = _chart_rows(c, s)
+    at_inf = np.isinf(t)
+    return tuple(np.where(at_inf, coef[:, None, 0, r, 0], val) for r, val in enumerate((x, y, u)))
+
+
+def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
+                     tol: ToleranceSet = DEFAULT_TOLERANCES):
+    """Points and velocities of N conics at one alpha each, as the scalar methods give them.
+
+    Row k is ``point_at_alpha`` and ``velocity_at_alpha`` of conic
+    ``coef[k]`` (N, 2, 3, 3, from ``chart_coefficients``) at ``alpha[k]``.
+    Returns (x, y, vx, vy, singular); where ``singular`` is set, the scalar
+    methods raise SingularParameterError and the row's values are not used.
+    """
+    a = wrap_angles(alpha)
+    far = ~(np.abs(a) <= _HALF_PI)
+    arg = np.where(far, 0.5 * a - _HALF_PI, 0.5 * a)
+    s = np.array([math.tan(v) for v in arg.tolist()], dtype=float)
+    x, y, u, dx, dy, du = _chart_rows(np.where(far[:, None, None], coef[:, 1], coef[:, 0]), s)
+    singular = np.abs(u) <= tol.den_rel * u_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (*_point_velocity(x, y, u, dx, dy, du, s), singular)
 
 
 def eval_param(p: ParametrizedConic, t: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:

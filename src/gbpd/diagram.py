@@ -11,11 +11,15 @@ The construction follows six steps:
    and a candidate leaves as soon as one block proves it is not minimal;
    that drop is a decision the full scan would also make, so the kept set
    is the full scan's (see ``_globally_minimal``).
-4. Recover each vertex's parameter on each incident bisector.
-5. Split every bisector component at its vertex parameters and keep the
-   pieces whose representative point has the component's generator pair as
-   its two nearest; all representatives of one bisector are decided by one
-   distance evaluation.
+4. Polish all vertices with Newton steps in one array pass, then recover
+   each vertex's parameters on its incident bisectors: one
+   ``params_of_points`` call covers every (vertex, curved bisector)
+   incidence, and one array pass every (vertex, line) pair.
+5. Split every bisector component at its vertex parameters (per-bisector
+   interval bookkeeping) and keep the pieces whose representative point has
+   the component's generator pair as its two nearest. The representatives
+   of all pieces of all bisectors are evaluated as arrays and decided
+   together, one distance evaluation per chunk of points.
 6. Assemble the edge/vertex graph with adjacency, per-cell edge lists and
    per-cell boundary components.
 
@@ -36,12 +40,28 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bisector import Bisector, make_bisector, make_bisectors, param_of_point  # noqa: F401 (make_bisector re-exported)
-from .conic import ConicClass, alpha_of_param, conic_matrices, param_of_alpha, wrap_angle
+# make_bisector and param_of_point are not called here; they stay bound because
+# the benchmark's span tracer patches them in this module by name
+from .bisector import (  # noqa: F401
+    Bisector,
+    make_bisector,
+    make_bisectors,
+    param_of_point,
+    params_of_points,
+)
+from .conic import (
+    ConicImplicit,
+    alpha_of_param,
+    chart_coefficients,
+    conic_matrices,
+    param_of_alpha,
+    points_at_alphas,
+    wrap_angle,
+)
 from .errors import NoSolutionError, SingularParameterError
 from .geometry import Generator, SceneArrays
 from .intersect import pencil_intersections_batch
@@ -60,7 +80,6 @@ class Vertex:
     id: int
     pos: np.ndarray
     gens: frozenset[int]
-    param_on: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
 @dataclass
@@ -300,59 +319,98 @@ def _polish_vertices(
 
     The eigen route used for pencil intersections leaves a relative error a
     few orders above machine precision; two or three Newton steps on a
-    transversal pair of implicit equations close that gap.
+    transversal pair of implicit equations close that gap. All vertices are
+    refined at once: the best pair of a vertex is the first pair of its
+    incident bisectors with the largest gradient sine.
     """
     max_step = tol.dedup_rel * length_scale
-    for v in vertices:
+    # one row per (vertex, incident bisector), one combo per pair of such rows
+    coeffs: list[tuple[float, ...]] = []
+    row_vertex: list[int] = []
+    combo_a: list[int] = []
+    combo_b: list[int] = []
+    for vi, v in enumerate(vertices):
         pairs = [p for p in itertools.combinations(sorted(v.gens), 2) if p in bisectors]
         if len(pairs) < 2:
             continue
-        x0, y0 = float(v.pos[0]), float(v.pos[1])
-        best = None
-        for pa, pb in itertools.combinations(pairs, 2):
-            g1 = bisectors[pa].implicit.gradient(x0, y0)
-            g2 = bisectors[pb].implicit.gradient(x0, y0)
-            n1 = math.hypot(g1[0], g1[1])
-            n2 = math.hypot(g2[0], g2[1])
-            if n1 == 0.0 or n2 == 0.0:
-                continue
-            sine = abs(g1[0] * g2[1] - g1[1] * g2[0]) / (n1 * n2)
-            if best is None or sine > best[0]:
-                best = (sine, pa, pb)
-        # near-parallel gradients mean a tangential contact; leave those alone
-        if best is None or best[0] < 1e-6:
-            continue
-        c1 = bisectors[best[1]].implicit
-        c2 = bisectors[best[2]].implicit
-        x, y = x0, y0
+        base = len(coeffs)
+        coeffs.extend(bisectors[p].implicit.coeffs() for p in pairs)
+        row_vertex.extend([vi] * len(pairs))
+        for ka, kb in itertools.combinations(range(base, base + len(pairs)), 2):
+            combo_a.append(ka)
+            combo_b.append(kb)
+    if not combo_a:
+        return
+    c = np.array(coeffs)
+    pos = np.array([vertices[vi].pos for vi in row_vertex], dtype=float)
+    # ConicImplicit with array fields evaluates one conic per entry
+    gx, gy = ConicImplicit(*c.T).gradient(pos[:, 0], pos[:, 1])
+    norm = np.array([math.hypot(a, b) for a, b in zip(gx.tolist(), gy.tolist())])
+    ka, kb = np.array(combo_a), np.array(combo_b)
+    usable = (norm[ka] != 0.0) & (norm[kb] != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sine = np.abs(gx[ka] * gy[kb] - gy[ka] * gx[kb]) / (norm[ka] * norm[kb])
+    # per vertex, the first combo of largest sine (ties keep the earlier one)
+    owner = np.array(row_vertex)[ka]
+    order = np.lexsort((np.arange(ka.size), -sine, ~usable, owner))
+    first = order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
+    # near-parallel gradients mean a tangential contact; leave those alone
+    first = first[usable[first] & ~(sine[first] < 1e-6)]
+    c1, c2 = ConicImplicit(*c[ka[first]].T), ConicImplicit(*c[kb[first]].T)
+    x0, y0 = pos[ka[first], 0], pos[ka[first], 1]
+    x, y = x0.copy(), y0.copy()
+    live = np.ones(first.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(3):
-            f1 = c1.evaluate(x, y)
-            f2 = c2.evaluate(x, y)
-            g1 = c1.gradient(x, y)
-            g2 = c2.gradient(x, y)
-            det = g1[0] * g2[1] - g1[1] * g2[0]
-            if det == 0.0:
-                break
-            x += (-f1 * g2[1] + f2 * g1[1]) / det
-            y += (f1 * g2[0] - f2 * g1[0]) / det
-        if math.isfinite(x) and math.isfinite(y) and math.hypot(x - x0, y - y0) <= max_step:
-            v.pos = np.array([x, y])
+            f1, f2 = c1.evaluate(x, y), c2.evaluate(x, y)
+            (g1x, g1y), (g2x, g2y) = c1.gradient(x, y), c2.gradient(x, y)
+            det = g1x * g2y - g1y * g2x
+            live &= det != 0.0
+            x = np.where(live, x + (-f1 * g2y + f2 * g1y) / det, x)
+            y = np.where(live, y + (f1 * g2x - f2 * g1x) / det, y)
+    moved = zip(owner[first].tolist(), x.tolist(), y.tolist(), (x - x0).tolist(), (y - y0).tolist())
+    for vi, xv, yv, dx, dy in moved:
+        if math.isfinite(xv) and math.isfinite(yv) and math.hypot(dx, dy) <= max_step:
+            vertices[vi].pos = np.array([xv, yv])
 
 
 # ------------------------------------------------------ visibility testing
 
 
 def _two_nearest(
-    points: np.ndarray, idx_i: int, idx_j: int, arr: SceneArrays, tol: ToleranceSet
+    points: np.ndarray, idx_i, idx_j, arr: SceneArrays, tol: ToleranceSet
 ) -> np.ndarray:
-    """Per point (N, 2): True iff generators (idx_i, idx_j) attain the two smallest distances."""
+    """Per point k of (N, 2): True iff idx_i[k], idx_j[k] attain the two smallest distances.
+
+    ``idx_i`` and ``idx_j`` are generator index arrays (N,), or one index
+    each for all points.
+    """
     if arr.n <= 2:
         return np.ones(points.shape[0], dtype=bool)
     d = arr.dist(points)
-    di, dj = d[:, idx_i].copy(), d[:, idx_j].copy()
-    d[:, [idx_i, idx_j]] = np.inf
+    rows = np.arange(points.shape[0])
+    di, dj = d[rows, idx_i], d[rows, idx_j]
+    d[rows, idx_i] = np.inf
+    d[rows, idx_j] = np.inf
     d3 = d.min(axis=1)
     return np.where(dj > di, dj, di) <= d3 + tol.vert_rel * (1.0 + np.abs(d3))
+
+
+def _probe_alphas(a_lo: float, a_hi: float, lo_singular: bool, hi_singular: bool):
+    """The alphas tried, in order, for a representative strictly inside (a_lo, a_hi).
+
+    The midpoint works unless an endpoint is a singular parameter and the
+    interval is lopsided; then the probes move geometrically closer to the
+    finite end.
+    """
+    mid = 0.5 * (a_lo + a_hi)
+    anchor = mid
+    if lo_singular and not hi_singular:
+        anchor = a_hi
+    elif hi_singular and not lo_singular:
+        anchor = a_lo
+    for k in range(60):
+        yield anchor + (mid - anchor) * (0.5**k) if anchor != mid else mid
 
 
 def _arc_representative(
@@ -361,20 +419,12 @@ def _arc_representative(
 ) -> np.ndarray | None:
     """Finite representative point strictly inside an alpha interval.
 
-    The midpoint works unless an endpoint is a singular parameter and the
-    interval is lopsided; then probe points geometrically closer to the
-    finite end until the denominator and the coordinates are sane.
+    Tries the probes of ``_probe_alphas`` until the denominator and the
+    coordinates are sane.
     """
     assert b.param is not None
-    mid = 0.5 * (a_lo + a_hi)
-    anchor = mid
-    if lo_singular and not hi_singular:
-        anchor = a_hi
-    elif hi_singular and not lo_singular:
-        anchor = a_lo
     limit = 1e6 * (1.0 + length_scale)
-    for k in range(60):
-        alpha = anchor + (mid - anchor) * (0.5**k) if anchor != mid else mid
+    for alpha in _probe_alphas(a_lo, a_hi, lo_singular, hi_singular):
         try:
             q = b.param.point_at_alpha(alpha, tol)
         except SingularParameterError:
@@ -386,30 +436,19 @@ def _arc_representative(
     return None
 
 
-def visible_segments(
-    b: Bisector,
-    vertex_params: dict[int, list[tuple[float, int | None]]],
-    scene,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-    length_scale: float | None = None,
-) -> list[EdgeSegment]:
-    """Visible pieces of a bisector, given vertex parameters per component.
+def _candidate_pieces(
+    b: Bisector, vertex_params: dict[int, list[tuple[float, int | None]]], tol: ToleranceSet
+) -> tuple[list[EdgeSegment], list]:
+    """Split each component of a bisector at its vertex parameters.
 
-    ``vertex_params`` maps component index -> list of (t, vertex id) with t
-    in parameter space (math.inf marks the curve's far point); line
-    components use the line's own linear parameter. Components without
-    entries are tested whole at one representative each. Returned segments
-    have id -1; the diagram assembly assigns canonical ids.
+    Returns the candidate pieces and, per piece, what locates its
+    representative: a point for a line piece, and for a curve piece the
+    tuple (alpha, a_lo, a_hi, lo_singular, hi_singular, whole) with the
+    alpha to try first. A whole component (``whole`` set) is represented by
+    its midpoint whenever that is not a singular parameter.
     """
-    arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
-    if length_scale is None:
-        length_scale = arr.scale()
-    idx_i = arr.id_to_index[b.i]
-    idx_j = arr.id_to_index[b.j]
-    # each candidate piece with its representative point; one distance call decides all
-    reps: list[np.ndarray] = []
     pieces: list[EdgeSegment] = []
-
+    reps: list = []
     for ci, comp in enumerate(b.components):
         entries = list(vertex_params.get(ci, ()))
         if comp.kind == "line":
@@ -444,14 +483,10 @@ def visible_segments(
             continue
 
         # curve component: work in alpha
-        assert b.param is not None
+        whole = (comp.midpoint(), comp.lo, comp.hi, False, False, True)
         if not entries:
-            rep_alpha = comp.midpoint()
-            try:
-                reps.append(b.param.point_at_alpha(rep_alpha, tol))
-                pieces.append(_whole_component_segment(b, ci))
-            except SingularParameterError:
-                pass
+            reps.append(whole)
+            pieces.append(_whole_component_segment(b, ci))
             continue
 
         # vertex alphas, positioned inside the component's (lo, hi) frame
@@ -471,12 +506,8 @@ def visible_segments(
                 continue
             merged.append((a, vid))
         if not merged:
-            rep_alpha = comp.midpoint()
-            try:
-                reps.append(b.param.point_at_alpha(rep_alpha, tol))
-                pieces.append(_whole_component_segment(b, ci))
-            except SingularParameterError:
-                pass
+            reps.append(whole)
+            pieces.append(_whole_component_segment(b, ci))
             continue
 
         if comp.closed:
@@ -510,16 +541,103 @@ def visible_segments(
             ]
 
         for (a0, a1, v0, v1), (s_lo, s_hi) in zip(intervals, singular_flags):
-            rep = _arc_representative(b, a0, a1, s_lo, s_hi, length_scale, tol)
-            if rep is None:
-                continue
-            reps.append(rep)
+            reps.append((next(_probe_alphas(a0, a1, s_lo, s_hi)), a0, a1, s_lo, s_hi, False))
             pieces.append(_curve_segment(b, ci, a0, a1, v0, v1))
+    return pieces, reps
 
-    if not reps:
-        return []
-    visible = _two_nearest(np.array(reps), idx_i, idx_j, arr, tol)
-    return [seg for seg, ok in zip(pieces, visible.tolist()) if ok]
+
+def _visible_pieces(
+    bisectors: list[Bisector],
+    vertex_params: list[dict[int, list[tuple[float, int | None]]]],
+    arr: SceneArrays,
+    tol: ToleranceSet,
+    length_scale: float,
+) -> tuple[list[EdgeSegment], np.ndarray]:
+    """Visible pieces of many bisectors, decided together.
+
+    ``vertex_params[k]`` holds the vertex parameters of ``bisectors[k]`` by
+    component. The curve representatives of all candidate pieces are
+    evaluated as arrays at their first probe; a lopsided piece whose first
+    probe fails falls back to the probe loop of ``_arc_representative``.
+    All representatives are then decided by one two-nearest test per
+    ``_POINT_CHUNK`` points.
+
+    Returns (visible pieces in bisector, component and piece order; the
+    mask over all candidate pieces of those without a representative). A
+    piece without a representative is dropped: a whole component whose
+    midpoint is a singular parameter, or an interval where no probe gives a
+    finite point within 1e6 (1 + length_scale) of the origin.
+    """
+    pieces: list[EdgeSegment] = []
+    owner: list[int] = []
+    reps: list = []
+    for k, (b, params) in enumerate(zip(bisectors, vertex_params)):
+        segs, b_reps = _candidate_pieces(b, params, tol)
+        pieces.extend(segs)
+        reps.extend(b_reps)
+        owner.extend([k] * len(segs))
+    points = np.full((len(pieces), 2), math.nan)
+    has_rep = np.array([not isinstance(rep, tuple) for rep in reps], dtype=bool)
+    for r in np.flatnonzero(has_rep).tolist():
+        points[r] = reps[r]
+    curve = np.flatnonzero(~has_rep)
+    if curve.size:
+        spec = [reps[r] for r in curve.tolist()]
+        params = [bisectors[owner[r]].param for r in curve.tolist()]
+        x, y, _, _, singular = points_at_alphas(
+            chart_coefficients(params), np.array([p.u_scale for p in params]),
+            np.array([sp[0] for sp in spec]), tol,
+        )
+        whole = np.array([sp[5] for sp in spec], dtype=bool)
+        limit = 1e6 * (1.0 + length_scale)
+        with np.errstate(invalid="ignore"):
+            sane = np.isfinite(x) & np.isfinite(y) & (np.maximum(np.abs(x), np.abs(y)) <= limit)
+        ok = ~singular & (whole | sane)
+        points[curve[ok]] = np.column_stack([x, y])[ok]
+        has_rep[curve[ok]] = True
+        # a lopsided interval at a singular end probes closer to its finite end
+        for c in np.flatnonzero(~ok & ~whole).tolist():
+            _, a0, a1, s_lo, s_hi, _ = spec[c]
+            if s_lo or s_hi:
+                b = bisectors[owner[curve[c]]]
+                q = _arc_representative(b, a0, a1, s_lo, s_hi, length_scale, tol)
+                if q is not None:
+                    points[curve[c]] = q
+                    has_rep[curve[c]] = True
+    decided = np.flatnonzero(has_rep)
+    pair_idx = np.array(
+        [(arr.id_to_index[b.i], arr.id_to_index[b.j]) for b in bisectors], dtype=np.int64
+    ).reshape(-1, 2)
+    idx = pair_idx[np.array(owner, dtype=np.int64)[decided]]
+    visible = np.zeros(len(pieces), dtype=bool)
+    for lo in range(0, decided.size, _POINT_CHUNK):
+        rows = decided[lo : lo + _POINT_CHUNK]
+        visible[rows] = _two_nearest(
+            points[rows], idx[lo : lo + _POINT_CHUNK, 0], idx[lo : lo + _POINT_CHUNK, 1], arr, tol
+        )
+    return [seg for seg, ok in zip(pieces, visible.tolist()) if ok], ~has_rep
+
+
+def visible_segments(
+    b: Bisector,
+    vertex_params: dict[int, list[tuple[float, int | None]]],
+    scene,
+    tol: ToleranceSet = DEFAULT_TOLERANCES,
+    length_scale: float | None = None,
+) -> list[EdgeSegment]:
+    """Visible pieces of a bisector, given vertex parameters per component.
+
+    ``vertex_params`` maps component index -> list of (t, vertex id) with t
+    in parameter space (math.inf marks the curve's far point); line
+    components use the line's own linear parameter. Components without
+    entries are tested whole at one representative each. Returned segments
+    have id -1; the diagram assembly assigns canonical ids. A batch of one
+    of the build's visibility decision.
+    """
+    arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
+    if length_scale is None:
+        length_scale = arr.scale()
+    return _visible_pieces([b], [vertex_params], arr, tol, length_scale)[0]
 
 
 def _whole_component_segment(b: Bisector, ci: int) -> EdgeSegment:
@@ -552,12 +670,89 @@ def _curve_segment(
 # ------------------------------------------------------------ full pipeline
 
 
+def _recover_params(
+    vertices: list[Vertex],
+    bisectors: dict[tuple[int, int], Bisector],
+    eps: float,
+    tol: ToleranceSet,
+) -> tuple[dict[tuple[int, int], dict[int, list[tuple[float, int | None]]]], np.ndarray]:
+    """Each vertex's parameters on its incident bisectors, by bisector component.
+
+    Curve parameters come from one ``params_of_points`` call over every
+    (vertex, curved bisector) incidence; line parameters from one array pass
+    over every (vertex, line) pair. Returns (params_by_pair, miss):
+    params_by_pair[pair][ci] lists (t, vertex id) in vertex order, and
+    ``miss`` masks the incidences (vertices in order, then their pairs in
+    order) that found no parameter: no point of the curve, or of any line of
+    the bisector, lies within eps of the vertex.
+    """
+    incidences = [
+        (v, b)
+        for v in vertices
+        for pair in itertools.combinations(sorted(v.gens), 2)
+        if (b := bisectors.get(pair)) is not None
+    ]
+    miss = np.ones(len(incidences), dtype=bool)
+    params_by_pair: dict[tuple[int, int], dict[int, list[tuple[float, int | None]]]] = {}
+
+    def add(k: int, ci: int, t_val: float) -> None:
+        v, b = incidences[k]
+        params_by_pair.setdefault(b.pair, {}).setdefault(ci, []).append((t_val, v.id))
+        miss[k] = False
+
+    curves = [k for k, (_, b) in enumerate(incidences) if b.param is not None]
+    if curves:
+        params = [incidences[k][1].param for k in curves]
+        ts, found = params_of_points(
+            chart_coefficients(params),
+            np.array([p.u_scale for p in params]),
+            np.array([incidences[k][0].pos for k in curves]),
+            eps,
+            tol,
+        )
+        for k, row, hit in zip(curves, ts.tolist(), found.tolist()):
+            components = incidences[k][1].components
+            for t_val in (t for t, f in zip(row, hit) if f):
+                a = alpha_of_param(t_val)
+                for ci, comp in enumerate(components):
+                    if comp.contains_alpha(a):
+                        add(k, ci, t_val)
+                        break
+    rows = [
+        (k, ci, b.lines[comp.line_index])
+        for k, (_, b) in enumerate(incidences)
+        if b.param is None
+        for ci, comp in enumerate(b.components)
+    ]
+    if rows:
+        la, lb, lc = (np.array([getattr(r[2], f) for r in rows]) for f in "abc")
+        pos = np.array([incidences[r[0]][0].pos for r in rows])
+        px, py = pos[:, 0], pos[:, 1]
+        on_line = np.abs(la * px + lb * py + lc) <= eps
+        t_line = (px + lc * la) * -lb + (py + lc * lb) * la
+        for (k, ci, _), hit, t_val in zip(rows, on_line.tolist(), t_line.tolist()):
+            if hit:
+                add(k, ci, t_val)
+    return params_by_pair, miss
+
+
+
+
 def build_diagram(
     generators: list[Generator],
     tol: ToleranceSet = DEFAULT_TOLERANCES,
     threads: int = 1,
 ) -> DiagramGraph:
-    """Construct the diagram graph for a scene."""
+    """Construct the diagram graph for a scene.
+
+    Two steps drop geometry they cannot place, and each reports it as a
+    mask that the build does not use: ``_recover_params`` returns ``miss``
+    over the (vertex, bisector) incidences that found no parameter, so the
+    vertex does not split that bisector; ``_visible_pieces`` returns the
+    mask of candidate pieces without a representative point (a whole
+    component whose midpoint is a singular parameter, or an interval with
+    no finite probe), which are left out of the edges.
+    """
     if not generators:
         raise NoSolutionError("a scene needs at least one generator")
     kept, aliases = _dedup_generators(list(generators))
@@ -585,39 +780,13 @@ def build_diagram(
     for vid, v in enumerate(vertices):
         v.id = vid
 
-    # recover each vertex's parameter on each incident bisector
-    eps_rec = 1e-7 * (1.0 + length_scale)
-    params_by_pair: dict[tuple[int, int], dict[int, list[tuple[float, int | None]]]] = {}
-    for v in vertices:
-        for gi, gj in itertools.combinations(sorted(v.gens), 2):
-            b = bisectors.get((gi, gj))
-            if b is None:
-                continue
-            by_comp = params_by_pair.setdefault((gi, gj), {})
-            if b.param is not None:
-                try:
-                    ts = param_of_point(b.param, v.pos, eps_rec, tol)
-                except NoSolutionError:
-                    continue
-                for t_val in ts:
-                    a = alpha_of_param(t_val)
-                    for ci, comp in enumerate(b.components):
-                        if comp.contains_alpha(a):
-                            by_comp.setdefault(ci, []).append((t_val, v.id))
-                            v.param_on[(gi, gj)] = t_val
-                            break
-            else:
-                for ci, comp in enumerate(b.components):
-                    line = b.lines[comp.line_index]
-                    if abs(line.signed_distance(v.pos)) <= eps_rec:
-                        t_val = line.param_of(v.pos)
-                        by_comp.setdefault(ci, []).append((t_val, v.id))
-                        v.param_on[(gi, gj)] = t_val
-
-    edges: list[EdgeSegment] = []
-    for (i, j), b in sorted(bisectors.items()):
-        segs = visible_segments(b, params_by_pair.get((i, j), {}), arr, tol, length_scale)
-        edges.extend(segs)
+    params_by_pair, _recovery_miss = _recover_params(
+        vertices, bisectors, 1e-7 * (1.0 + length_scale), tol
+    )
+    ordered = [bisectors[pair] for pair in sorted(bisectors)]
+    edges, _no_representative = _visible_pieces(
+        ordered, [params_by_pair.get(b.pair, {}) for b in ordered], arr, tol, length_scale
+    )
 
     # canonical ordering and id assignment
     def edge_key(e: EdgeSegment):

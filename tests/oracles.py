@@ -6,10 +6,14 @@ equations, arc lengths by dense polylines, areas by pixel counting. Slow and
 simple on purpose.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from gbpd.conic import alpha_of_param, param_of_alpha, real_quadratic_roots, wrap_angle
+from gbpd.errors import SingularParameterError
 
 
 def grid_conic_intersections(c1, c2, box, n=500, newton_iters=40):
@@ -137,10 +141,11 @@ def radical_center(p1, w1, p2, w2, p3, w3):
 
 # ------------------------------------------------- one-at-a-time references
 #
-# The builder evaluates bisectors, global minimality and the two-nearest
-# visibility test as array operations over many inputs at once. The loops
-# below are the one-input forms those kernels replaced, kept verbatim (same
-# operations in the same order) so tests can require bit-identical results.
+# The builder evaluates bisectors, global minimality, vertex parameters,
+# polish and the two-nearest visibility test as array operations over many
+# inputs at once. The loops below are the one-input forms those kernels
+# replaced, kept verbatim (same operations in the same order) so tests can
+# require bit-identical results.
 
 
 def _sym2_eigh_scalar(m11, m12, m22):
@@ -275,6 +280,126 @@ def two_nearest_point(point, idx_i, idx_j, arr, tol):
     mask[[idx_i, idx_j]] = False
     d3 = float(d[mask].min())
     return max(di, dj) <= d3 + tol.vert_rel * (1.0 + abs(d3))
+
+
+def polish_vertices_scalar(vertices, bisectors, length_scale, tol):
+    """Newton-refine each vertex on its two best-conditioned bisectors, one at a time."""
+    max_step = tol.dedup_rel * length_scale
+    for v in vertices:
+        pairs = [p for p in itertools.combinations(sorted(v.gens), 2) if p in bisectors]
+        if len(pairs) < 2:
+            continue
+        x0, y0 = float(v.pos[0]), float(v.pos[1])
+        best = None
+        for pa, pb in itertools.combinations(pairs, 2):
+            g1 = bisectors[pa].implicit.gradient(x0, y0)
+            g2 = bisectors[pb].implicit.gradient(x0, y0)
+            n1 = math.hypot(g1[0], g1[1])
+            n2 = math.hypot(g2[0], g2[1])
+            if n1 == 0.0 or n2 == 0.0:
+                continue
+            sine = abs(g1[0] * g2[1] - g1[1] * g2[0]) / (n1 * n2)
+            if best is None or sine > best[0]:
+                best = (sine, pa, pb)
+        if best is None or best[0] < 1e-6:
+            continue
+        c1 = bisectors[best[1]].implicit
+        c2 = bisectors[best[2]].implicit
+        x, y = x0, y0
+        for _ in range(3):
+            f1 = c1.evaluate(x, y)
+            f2 = c2.evaluate(x, y)
+            g1 = c1.gradient(x, y)
+            g2 = c2.gradient(x, y)
+            det = g1[0] * g2[1] - g1[1] * g2[0]
+            if det == 0.0:
+                break
+            x += (-f1 * g2[1] + f2 * g1[1]) / det
+            y += (f1 * g2[0] - f2 * g1[0]) / det
+        if math.isfinite(x) and math.isfinite(y) and math.hypot(x - x0, y - y0) <= max_step:
+            v.pos = np.array([x, y])
+
+
+def _project_param_scalar(p, v, t, tol):
+    """Gauss-Newton projection of v onto the curve near parameter t, one point."""
+    if not math.isfinite(t):
+        return t
+    alpha = alpha_of_param(t)
+    best_alpha, best_d2 = alpha, None
+    for _ in range(3):
+        try:
+            q = p.point_at_alpha(alpha, tol)
+            dv = p.velocity_at_alpha(alpha, tol)
+        except SingularParameterError:
+            break
+        rx, ry = v[0] - q[0], v[1] - q[1]
+        d2 = rx * rx + ry * ry
+        if best_d2 is None or d2 < best_d2:
+            best_alpha, best_d2 = alpha, d2
+        n2 = dv[0] * dv[0] + dv[1] * dv[1]
+        if n2 <= 0.0:
+            break
+        alpha = alpha + (rx * dv[0] + ry * dv[1]) / n2
+    else:
+        try:
+            q = p.point_at_alpha(alpha, tol)
+            rx, ry = v[0] - q[0], v[1] - q[1]
+            d2 = rx * rx + ry * ry
+            if best_d2 is None or d2 < best_d2:
+                best_alpha = alpha
+        except SingularParameterError:
+            pass
+    return param_of_alpha(best_alpha)
+
+
+def param_of_point_scalar(p, v, eps, tol):
+    """Parameters of one point on one curve; None where nothing lies within eps."""
+    v = np.asarray(v, dtype=float)
+    qx = tuple(p.xq[k] - v[0] * p.uq[k] for k in range(3))
+    qy = tuple(p.yq[k] - v[1] * p.uq[k] for k in range(3))
+    candidates = []
+    inf_candidate = True
+    for q in (qx, qy):
+        roots, inf_root, everywhere = real_quadratic_roots(*q)
+        if not everywhere:
+            candidates.extend(roots)
+            inf_candidate = inf_candidate and inf_root
+    if inf_candidate:
+        candidates.append(math.inf)
+    accepted = []
+    for t in candidates:
+        x, y, u = p.homogeneous_at(t)
+        if abs(u) <= tol.den_rel * p.u_scale:
+            continue
+        if math.hypot(x / u - v[0], y / u - v[1]) <= eps:
+            accepted.append(_project_param_scalar(p, v, t, tol))
+    if not accepted:
+        return None
+    return merge_params_scalar(accepted, tol)
+
+
+def merge_params_scalar(accepted, tol):
+    """Sort parameters by alpha and drop near-duplicates, circularly."""
+    # merge duplicates in alpha space (handles inf and near-equal finite t)
+    accepted = sorted(accepted, key=alpha_of_param)
+    merged = []
+    for t in accepted:
+        if merged:
+            prev = merged[-1]
+            da = abs(wrap_angle(alpha_of_param(t) - alpha_of_param(prev)))
+            if da <= tol.param_merge * 10.0 or (
+                math.isfinite(t)
+                and math.isfinite(prev)
+                and abs(t - prev) <= tol.param_merge * (1.0 + abs(t) + abs(prev))
+            ):
+                continue
+        merged.append(t)
+    # the list is circular: first and last may also coincide
+    if len(merged) > 1:
+        da = abs(wrap_angle(alpha_of_param(merged[0]) - alpha_of_param(merged[-1])))
+        if da <= tol.param_merge * 10.0:
+            merged.pop()
+    return merged
 
 
 def _quad_over_arc(f, a0, a1, tol):
