@@ -14,6 +14,9 @@ the chaining that clipping uses, so measurement has one loop representation.
 
 Crossing parameters come from the quadratic x(t) - X u(t) = 0 per window
 side (linear for straight edges), so no marching or sampling is involved.
+The side quadratics of all curved edges are solved in one batch and the
+straight edges' crossings in one array pass; the kept pieces' points and
+the side test of every piece are evaluated as arrays as well.
 """
 
 from __future__ import annotations
@@ -23,8 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import alpha_of_param, real_quadratic_roots
-from .diagram import DiagramGraph, EdgeSegment
+from .conic import (
+    alphas_of_params,
+    chart_coefficients,
+    homogeneous_at_params,
+    points_at_alphas,
+    real_quadratic_roots_batch,
+)
+from .diagram import DiagramGraph, EdgeSegment, merge_marks, ray_parameter, split_at_marks
 from .errors import NoSolutionError, SingularParameterError
 from .geometry import SceneArrays, Window
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -78,15 +87,53 @@ class ClippedDiagram:
     cells: dict[int, list[list[tuple[int, bool]]]]
 
 
-def piece_point(graph: DiagramGraph, piece: ClipPiece, f: float) -> np.ndarray:
-    """Point at fraction f in [0, 1] along a piece's stored direction."""
-    if piece.kind == "boundary":
-        return piece.p0 + f * (piece.p1 - piece.p0)
-    a = piece.a0 + f * (piece.a1 - piece.a0)
-    b = graph.bisectors[piece.pair]
-    if piece.kind == "arc":
-        return b.param.point_at_alpha(a)
-    return b.lines[piece.line_index].point_at(a)
+def piece_points(graph: DiagramGraph, pieces, f, tol: ToleranceSet) -> np.ndarray:
+    """Points (N, 2) at fraction f[k] in [0, 1] along pieces[k], in its stored direction.
+
+    ``f`` is one fraction per piece, or one for all. The arc points come
+    from one ``points_at_alphas`` call; one at a singular parameter raises
+    SingularParameterError.
+    """
+    f = np.broadcast_to(np.asarray(f, dtype=float), (len(pieces),))
+    out = np.empty((len(pieces), 2))
+    border = [k for k, p in enumerate(pieces) if p.kind == "boundary"]
+    if border:
+        p0 = np.array([pieces[k].p0 for k in border])
+        p1 = np.array([pieces[k].p1 for k in border])
+        out[border] = p0 + f[border, None] * (p1 - p0)
+    for kind in ("arc", "segment"):
+        rows = [k for k, p in enumerate(pieces) if p.kind == kind]
+        if not rows:
+            continue
+        a0 = np.array([pieces[k].a0 for k in rows])
+        a = a0 + f[rows] * (np.array([pieces[k].a1 for k in rows]) - a0)
+        sub = [pieces[k] for k in rows]
+        out[rows] = (_arc_points(graph, sub, a, tol)[:, :2] if kind == "arc"
+                     else _line_points(graph, sub, a))
+    return out
+
+
+def _arc_points(graph: DiagramGraph, pieces, alpha: np.ndarray, tol: ToleranceSet) -> np.ndarray:
+    """(x, y, vx, vy) rows of each arc piece's conic at alpha; a singular one raises."""
+    params = [graph.bisectors[p.pair].param for p in pieces]
+    x, y, vx, vy, singular = points_at_alphas(
+        chart_coefficients(params), np.array([p.u_scale for p in params]), alpha, tol
+    )
+    if singular.any():
+        raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
+    return np.column_stack([x, y, vx, vy])
+
+
+def _line_coefficients(graph: DiagramGraph, items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, c) arrays of the lines ax + by + c = 0 carrying straight edges or segment pieces."""
+    lines = [graph.bisectors[p.pair].lines[p.line_index] for p in items]
+    return tuple(np.array([getattr(ln, f) for ln in lines], dtype=float) for f in "abc")
+
+
+def _line_points(graph: DiagramGraph, pieces, t: np.ndarray) -> np.ndarray:
+    """Points of the segment pieces' lines at parameters t, as ``LineParam.point_at``."""
+    la, lb, lc = _line_coefficients(graph, pieces)
+    return np.column_stack([-lc * la - t * lb, -lc * lb + t * la])
 
 
 def _boundary_s(window: Window, pos: np.ndarray, side: int) -> float:
@@ -111,54 +158,73 @@ def _sides(window: Window):
     )
 
 
-def _curve_crossings(b, e: EdgeSegment, window: Window, snap: float, tol: ToleranceSet):
-    """Boundary crossings of a curved edge as (offset from alpha_a, pos, side)."""
-    p = b.param
-    span = e.alpha_b - e.alpha_a
-    out = []
-    for axis, value, lo, hi, side in _sides(window):
-        # axis == 0: vertical side x = value; axis == 1: horizontal y = value
-        main = p.xq if axis == 0 else p.yq
-        q = tuple(main[k] - value * p.uq[k] for k in range(3))
-        roots, inf_root, everywhere = real_quadratic_roots(*q)
-        if everywhere:
-            continue  # the curve lies on the boundary line; treat as no crossing
-        cand = list(roots) + ([math.inf] if inf_root else [])
-        for t in cand:
-            x, y, u = p.homogeneous_at(t)
-            if abs(u) <= tol.den_rel * p.u_scale:
-                continue
-            pos = np.array([x / u, y / u])
-            other = pos[1] if axis == 0 else pos[0]
-            if not (lo - snap <= other <= hi + snap):
-                continue
-            a = alpha_of_param(t)
-            off = (a - e.alpha_a) % TWO_PI
-            if e.kind == "loop":
-                out.append((off % TWO_PI, pos, side))
-            elif -1e-12 <= off <= span + 1e-12:
-                out.append((min(max(off, 0.0), span), pos, side))
+def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float, tol: ToleranceSet):
+    """Window crossings of curved edges: per edge, a list of (offset from alpha_a, (pos, side)).
+
+    The four side quadratics x^(t) - X u^(t) (y^ for horizontal sides) of
+    every edge are solved in one batch. An edge's crossings come in
+    candidate order: sides 0-3, roots ascending, then t = inf.
+    """
+    if not edges:
+        return []
+    params = [graph.bisectors[e.pair].param for e in edges]
+    coef = chart_coefficients(params)
+    axis, value, lo, hi, _ = (np.array(col) for col in zip(*_sides(window)))
+    # (edge, side, candidate) arrays; a vertical side (axis 0) meets x^, a horizontal one y^
+    q = coef[:, 0][:, axis] - value[:, None] * coef[:, None, 0, 2]
+    roots, valid, inf_root, everywhere = real_quadratic_roots_batch(q[..., 0], q[..., 1], q[..., 2])
+    # a curve lying on the side's line counts as no crossing
+    ok = np.concatenate([valid, inf_root[..., None]], axis=-1) & ~everywhere[..., None]
+    far = np.full(roots.shape[:2] + (1,), math.inf)
+    t = np.where(ok, np.concatenate([roots, far], axis=-1), 0.0)
+    x, y, u = (v.reshape(t.shape) for v in homogeneous_at_params(coef, t.reshape(len(edges), -1)))
+    ok &= ~(np.abs(u) <= tol.den_rel * np.array([p.u_scale for p in params])[:, None, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        px, py = x / u, y / u
+    other = np.where((axis == 0)[:, None], py, px)
+    ok &= ((lo - snap)[:, None] <= other) & (other <= (hi + snap)[:, None])
+
+    idx = np.flatnonzero(ok)
+    edge, side = np.unravel_index(idx, ok.shape)[:2]
+    alpha_a = np.array([e.alpha_a for e in edges])[edge]
+    span = np.array([e.alpha_b - e.alpha_a for e in edges])[edge]
+    loop = np.array([e.kind == "loop" for e in edges])[edge]
+    off = np.remainder(alphas_of_params(t.ravel()[idx]) - alpha_a, TWO_PI)
+    keep = loop | ((-1e-12 <= off) & (off <= span + 1e-12))
+    off = np.where(loop, np.remainder(off, TWO_PI), np.minimum(off, span))
+    pos = np.column_stack([px.ravel()[idx], py.ravel()[idx]])
+    out: list[list] = [[] for _ in edges]
+    for k in np.flatnonzero(keep).tolist():
+        out[edge[k]].append((float(off[k]), (pos[k], int(side[k]))))
     return out
 
 
-def _line_crossings(line, t_lo: float, t_hi: float, window: Window, snap: float):
-    """Boundary crossings of a straight edge as (t, pos, side)."""
-    out = []
-    d = line.direction
-    q0 = line.anchor
+def _line_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
+    """Window crossings of straight edges: per edge, a list of (t, (pos, side)) in side order."""
+    out: list[list] = [[] for _ in edges]
+    if not edges:
+        return out
+    la, lb, lc = _line_coefficients(graph, edges)
+    q0 = np.column_stack([-lc * la, -lc * lb])
+    d = np.column_stack([-lb, la])
+    t_lo, t_hi = np.array([_line_range(e) for e in edges]).T
     for axis, value, lo, hi, side in _sides(window):
-        dv = d[axis]
-        if abs(dv) < 1e-15:
-            continue
-        t = (value - q0[axis]) / dv
-        if not (t_lo - 1e-12 <= t <= t_hi + 1e-12):
-            continue
-        pos = q0 + t * d
-        other = pos[1] if axis == 0 else pos[0]
-        if not (lo - snap <= other <= hi + snap):
-            continue
-        out.append((float(t), pos, side))
+        dv = d[:, axis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (value - q0[:, axis]) / dv
+            pos = q0 + t[:, None] * d
+        other = pos[:, 1 - axis]
+        ok = ~(np.abs(dv) < 1e-15) & (t_lo - 1e-12 <= t) & (t <= t_hi + 1e-12)
+        ok &= (lo - snap <= other) & (other <= hi + snap)
+        for k in np.flatnonzero(ok).tolist():
+            out[k].append((float(t[k]), (pos[k], side)))
     return out
+
+
+def _line_range(e: EdgeSegment) -> tuple[float, float]:
+    if e.kind == "full_line":
+        return -math.inf, math.inf
+    return (e.t_a if e.t_a is not None else -math.inf, e.t_b if e.t_b is not None else math.inf)
 
 
 def clip_to_window(
@@ -170,7 +236,7 @@ def clip_to_window(
     # itself separates nothing inside the window (ownership ties on the
     # border resolve to the smaller id, matching the rasterizer)
     strict = 1e-12 * window.diagonal
-    arr = SceneArrays(graph.generators)
+    arc_gap = 2.0 * tol.param_merge
     nodes: list[ClipNode] = []
 
     for k, (cx, cy) in enumerate(window.corners()):
@@ -185,10 +251,8 @@ def clip_to_window(
 
     def crossing_node(pos: np.ndarray, side: int) -> int:
         for nd in nodes:
-            if nd.kind != "vertex" and math.hypot(*(nd.pos - pos)) <= snap:
-                return nd.id
-            if nd.kind == "vertex" and math.hypot(*(nd.pos - pos)) <= snap:
-                # vertex sitting on the border: reuse it as a boundary node
+            if math.hypot(*(nd.pos - pos)) <= snap:
+                # a vertex sitting on the border is reused as a boundary node
                 if nd.boundary_s is None:
                     nd.boundary_s = _boundary_s(window, nd.pos, side)
                 return nd.id
@@ -196,110 +260,57 @@ def clip_to_window(
         nodes.append(ClipNode(nid, pos, "crossing", _boundary_s(window, pos, side)))
         return nid
 
-    pieces: list[ClipPiece] = []
+    curved = [e for e in graph.edges if e.is_curve()]
+    straight = [e for e in graph.edges if not e.is_curve()]
+    crossings = dict(zip((e.id for e in curved), _curve_crossings(graph, curved, window, snap, tol)))
+    crossings.update(zip((e.id for e in straight), _line_crossings(graph, straight, window, snap)))
 
-    def add_piece(kind, pair, edge_id, line_index, a0, a1, na, nb, closed, p0, p1):
-        pieces.append(
-            ClipPiece(
-                len(pieces), kind, pair, edge_id, line_index, a0, a1, na, nb,
-                closed, None, None, p0, p1,
-            )
-        )
+    # candidate pieces in edge order: a kept segment as its piece, an arc
+    # as (piece, alpha of its containment test, margin of that test)
+    candidates: list[tuple[ClipPiece, float | None, float]] = []
+
+    def candidate(kind, e, a0, a1, na, nb, closed, p0=None, p1=None, test=None, margin=strict):
+        piece = ClipPiece(-1, kind, e.pair, e.id, e.line_index, a0, a1, na, nb, closed,
+                          None, None, p0, p1)
+        candidates.append((piece, test, margin))
 
     for e in graph.edges:
-        b = graph.bisectors[e.pair]
+        found = crossings[e.id]
+        ends = tuple(vertex_node.get(v) if v is not None else None for v in e.endpoints)
         if e.is_curve():
             span = e.alpha_b - e.alpha_a
-            raw = _curve_crossings(b, e, window, snap, tol)
-            raw.sort(key=lambda r: r[0])
-            marks: list[tuple[float, int]] = []
-            for off, pos, side in raw:
-                if marks and off - marks[-1][0] <= 2.0 * tol.param_merge:
-                    continue
-                marks.append((off, crossing_node(pos, side)))
-            if e.kind == "loop":
-                if not marks:
-                    q = b.param.point_at_alpha(e.alpha_a + 0.5 * span)
-                    if window.contains(q):
-                        add_piece("arc", e.pair, e.id, None, e.alpha_a, e.alpha_b,
-                                  None, None, True, None, None)
-                    continue
-                if len(marks) > 1 and (marks[0][0] + TWO_PI) - marks[-1][0] <= 2.0 * tol.param_merge:
-                    marks.pop()
-                cuts = []
-                for k in range(len(marks)):
-                    off0, n0 = marks[k]
-                    off1, n1 = marks[(k + 1) % len(marks)]
-                    if k + 1 == len(marks):
-                        off1 += TWO_PI
-                    cuts.append((off0, off1, n0, n1))
-            else:
-                end_a = vertex_node.get(e.endpoints[0]) if e.endpoints[0] is not None else None
-                end_b = vertex_node.get(e.endpoints[1]) if e.endpoints[1] is not None else None
-                bounds = [(0.0, end_a)] + marks + [(span, end_b)]
-                cuts = [
-                    (bounds[k][0], bounds[k + 1][0], bounds[k][1], bounds[k + 1][1])
-                    for k in range(len(bounds) - 1)
-                    if bounds[k + 1][0] - bounds[k][0] > 2.0 * tol.param_merge
-                ]
+            marks = [(off, crossing_node(*at)) for off, at in merge_marks(found, arc_gap)]
+            if e.kind == "loop" and not marks:
+                candidate("arc", e, e.alpha_a, e.alpha_b, None, None, True,
+                          test=e.alpha_a + 0.5 * span, margin=0.0)
+                continue
+            cuts = split_at_marks(marks, 0.0, span, arc_gap, e.kind == "loop", ends)
             for off0, off1, n0, n1 in cuts:
                 a0 = e.alpha_a + off0
                 a1 = e.alpha_a + off1
-                try:
-                    mid = b.param.point_at_alpha(0.5 * (a0 + a1), tol)
-                except SingularParameterError:
-                    continue
-                if not np.all(np.isfinite(mid)) or not window.contains(mid, margin=strict):
-                    continue
-                p0 = b.param.point_at_alpha(a0, tol) if n0 is not None else None
-                p1 = b.param.point_at_alpha(a1, tol) if n1 is not None else None
-                add_piece("arc", e.pair, e.id, None, a0, a1, n0, n1, False, p0, p1)
-        else:
-            line = b.lines[e.line_index]
-            t_lo = e.t_a if e.t_a is not None else -math.inf
-            t_hi = e.t_b if e.t_b is not None else math.inf
-            if e.kind == "full_line":
-                t_lo, t_hi = -math.inf, math.inf
-            raw = _line_crossings(line, t_lo, t_hi, window, snap)
-            raw.sort(key=lambda r: r[0])
-            marks = []
-            merge_t = tol.dedup_rel * window.diagonal
-            for t, pos, side in raw:
-                if marks and t - marks[-1][0] <= merge_t:
-                    continue
-                marks.append((t, crossing_node(pos, side)))
-            end_a = vertex_node.get(e.endpoints[0]) if e.endpoints[0] is not None else None
-            end_b = vertex_node.get(e.endpoints[1]) if e.endpoints[1] is not None else None
-            bounds = [(t_lo, end_a)] + marks + [(t_hi, end_b)]
-            for k in range(len(bounds) - 1):
-                t0, n0 = bounds[k]
-                t1, n1 = bounds[k + 1]
-                if not t1 - t0 > merge_t:
-                    continue
-                if math.isinf(t0) and math.isinf(t1):
-                    rep_t = 0.0
-                elif math.isinf(t0):
-                    rep_t = t1 - 1.0
-                elif math.isinf(t1):
-                    rep_t = t0 + 1.0
-                else:
-                    rep_t = 0.5 * (t0 + t1)
-                if not window.contains(line.point_at(rep_t), margin=strict):
-                    continue
-                if math.isinf(t0) or math.isinf(t1):
-                    # a kept piece must be finite; infinite tails are outside
-                    # any bounded window except for pathological tangencies
-                    continue
-                add_piece(
-                    "segment", e.pair, e.id, e.line_index, t0, t1, n0, n1, False,
-                    line.point_at(t0), line.point_at(t1),
-                )
+                candidate("arc", e, a0, a1, n0, n1, False, test=0.5 * (a0 + a1))
+            continue
+        # line parameters are lengths: crossings merge within the snap radius
+        line = graph.bisectors[e.pair].lines[e.line_index]
+        marks = [(t, crossing_node(*at)) for t, at in merge_marks(found, snap)]
+        t_lo, t_hi = _line_range(e)
+        for t0, t1, n0, n1 in split_at_marks(marks, t_lo, t_hi, snap, False, ends):
+            if not window.contains(line.point_at(ray_parameter(t0, t1)), margin=strict):
+                continue
+            if math.isinf(t0) or math.isinf(t1):
+                # a kept piece must be finite; infinite tails are outside
+                # any bounded window except for pathological tangencies
+                continue
+            candidate("segment", e, t0, t1, n0, n1, False,
+                      line.point_at(t0), line.point_at(t1))
 
-    # window border arcs between consecutive boundary nodes
+    pieces = _kept_pieces(graph, candidates, window, tol)
+    # window border pieces between consecutive boundary nodes
     boundary_nodes = [nd for nd in nodes if nd.boundary_s is not None]
     boundary_nodes.sort(key=lambda nd: nd.boundary_s)
     perimeter = 2.0 * (window.width + window.height)
     m = len(boundary_nodes)
+    border: list[ClipPiece] = []
     for k in range(m):
         nd0 = boundary_nodes[k]
         nd1 = boundary_nodes[(k + 1) % m]
@@ -307,47 +318,87 @@ def clip_to_window(
         s1 = nd1.boundary_s if k + 1 < m else nd1.boundary_s + perimeter
         if s1 - s0 <= 1e-12 * perimeter:
             continue
-        add_piece("boundary", None, None, None, None, None, nd0.id, nd1.id, False,
-                  nd0.pos, nd1.pos)
-
-    _assign_sides(pieces, graph, arr, tol)
+        border.append(ClipPiece(len(pieces) + len(border), "boundary", None, None, None, None, None,
+                                nd0.id, nd1.id, False, None, None, nd0.pos, nd1.pos))
+    if border:
+        # each border piece belongs to the generator nearest its midpoint,
+        # ties to the smallest id, and keeps it on the left
+        arr = SceneArrays(graph.generators)
+        d = arr.dist(np.array([0.5 * (p.p0 + p.p1) for p in border]))
+        owner = np.where(d == d.min(axis=1, keepdims=True), arr.ids, arr.ids.max() + 1).min(axis=1)
+        for piece, gid in zip(border, owner.tolist()):
+            piece.left = gid
+    _assign_sides(graph, pieces, tol)
+    pieces += border
     cells = _assemble_cells(graph, pieces)
     return ClippedDiagram(window, graph, nodes, pieces, cells)
 
 
-def _assign_sides(pieces, graph: DiagramGraph, arr: SceneArrays, tol: ToleranceSet) -> None:
-    """Fill left/right cell ids for every piece."""
-    for piece in pieces:
-        if piece.kind == "boundary":
-            mid = 0.5 * (piece.p0 + piece.p1)
-            d = arr.dist(mid[None])[0]
-            dmin = d.min()
-            owner = min(int(arr.ids[k]) for k in range(arr.n) if d[k] == dmin)
-            piece.left = owner
-            piece.right = None
-        else:
-            piece.left, piece.right = piece_sides(graph, piece, tol)
+def _kept_pieces(graph: DiagramGraph, candidates, window: Window,
+                 tol: ToleranceSet) -> list[ClipPiece]:
+    """The candidate pieces that lie inside the window, numbered in order.
 
-
-def piece_sides(graph: DiagramGraph, piece: ClipPiece, tol: ToleranceSet) -> tuple[int, int]:
-    """(left, right) cell ids of a bisector piece in its stored direction.
-
-    The tangent at the piece's mid-parameter is crossed with the gradient
-    of the pair's distance difference, which points into the second cell.
+    An arc is kept when the point at its test alpha is regular and inside
+    the window by its margin; a kept arc then gets the points of its node
+    ends (one at a singular parameter raises SingularParameterError). The
+    test points of all arcs come from one ``points_at_alphas`` call, the
+    end points from another.
     """
-    b = graph.bisectors[piece.pair]
-    a_mid = 0.5 * (piece.a0 + piece.a1)
-    if piece.kind == "arc":
-        q = b.param.point_at_alpha(a_mid, tol)
-        tangent = b.param.velocity_at_alpha(a_mid, tol)
-    else:
-        line = b.lines[piece.line_index]
-        q = line.point_at(a_mid)
-        tangent = line.direction
-    g = b.implicit.gradient(q[0], q[1])
-    cross = tangent[0] * g[1] - tangent[1] * g[0]
-    i, j = piece.pair
-    return (i, j) if cross < 0.0 else (j, i)
+    arcs = [(piece, test, margin) for piece, test, margin in candidates if piece.kind == "arc"]
+    inside = iter(())
+    if arcs:
+        params = [graph.bisectors[piece.pair].param for piece, _, _ in arcs]
+        x, y, _, _, singular = points_at_alphas(
+            chart_coefficients(params), np.array([p.u_scale for p in params]),
+            np.array([test for _, test, _ in arcs]), tol,
+        )
+        m = np.array([margin for _, _, margin in arcs])
+        inside = iter((~singular & (window.xmin + m <= x) & (x <= window.xmax - m)
+                       & (window.ymin + m <= y) & (y <= window.ymax - m)).tolist())
+    pieces = [piece for piece, _, _ in candidates if piece.kind != "arc" or next(inside)]
+    ends = [(p, "p0", p.a0) for p in pieces if p.kind == "arc" and p.node_a is not None]
+    ends += [(p, "p1", p.a1) for p in pieces if p.kind == "arc" and p.node_b is not None]
+    if ends:
+        points = _arc_points(graph, [p for p, _, _ in ends], np.array([a for _, _, a in ends]), tol)
+        for (piece, field, _), q in zip(ends, points):
+            setattr(piece, field, q[:2])
+    for k, piece in enumerate(pieces):
+        piece.id = k
+    return pieces
+
+
+def _assign_sides(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
+    """Fill the (left, right) cell ids of bisector pieces in their stored direction.
+
+    The tangent at a piece's mid-parameter is crossed with the gradient of
+    the pair's distance difference, which points into the second cell. All
+    arc points and tangents come from one ``points_at_alphas`` call.
+    """
+    if not pieces:
+        return
+    a_mid = np.array([0.5 * (p.a0 + p.a1) for p in pieces])
+    q = np.empty((len(pieces), 2))
+    tangent = np.empty((len(pieces), 2))
+    arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
+    segments = [k for k, p in enumerate(pieces) if p.kind != "arc"]
+    if arcs:
+        rows = _arc_points(graph, [pieces[k] for k in arcs], a_mid[arcs], tol)
+        q[arcs], tangent[arcs] = rows[:, :2], rows[:, 2:]
+    if segments:
+        sub = [pieces[k] for k in segments]
+        q[segments] = _line_points(graph, sub, a_mid[segments])
+        la, lb, _ = _line_coefficients(graph, sub)
+        tangent[segments] = np.column_stack([-lb, la])
+    a11, a12, a22, b11, b12 = (
+        np.array([getattr(graph.bisectors[p.pair].implicit, f) for p in pieces], dtype=float)
+        for f in ("a11", "a12", "a22", "b11", "b12")
+    )
+    gx = 2.0 * a11 * q[:, 0] + 2.0 * a12 * q[:, 1] + b11
+    gy = 2.0 * a12 * q[:, 0] + 2.0 * a22 * q[:, 1] + b12
+    ahead = (tangent[:, 0] * gy - tangent[:, 1] * gx < 0.0).tolist()
+    for piece, keep_order in zip(pieces, ahead):
+        i, j = piece.pair
+        piece.left, piece.right = (i, j) if keep_order else (j, i)
 
 
 def _assemble_cells(
@@ -428,19 +479,19 @@ def bounded_cell_pieces(
     pieces: dict[int, ClipPiece] = {}
     for eid in sorted(graph.cell_edges.get(cell, [])):
         e = graph.edges[eid]
-        b = graph.bisectors[e.pair]
         if e.is_curve():
-            closed = e.kind == "loop"
-            p0 = None if closed else b.param.point_at_alpha(e.alpha_a, tol)
-            p1 = None if closed else b.param.point_at_alpha(e.alpha_b, tol)
-            piece = ClipPiece(eid, "arc", e.pair, eid, None, e.alpha_a, e.alpha_b,
-                              *e.endpoints, closed, None, None, p0, p1)
+            pieces[eid] = ClipPiece(eid, "arc", e.pair, eid, None, e.alpha_a, e.alpha_b,
+                                    *e.endpoints, e.kind == "loop", None, None, None, None)
         else:
-            line = b.lines[e.line_index]
-            piece = ClipPiece(eid, "segment", e.pair, eid, e.line_index, e.t_a, e.t_b,
-                              *e.endpoints, False, None, None,
-                              line.point_at(e.t_a), line.point_at(e.t_b))
-        piece.left, piece.right = piece_sides(graph, piece, tol)
-        pieces[eid] = piece
+            line = graph.bisectors[e.pair].lines[e.line_index]
+            pieces[eid] = ClipPiece(eid, "segment", e.pair, eid, e.line_index, e.t_a, e.t_b,
+                                    *e.endpoints, False, None, None,
+                                    line.point_at(e.t_a), line.point_at(e.t_b))
+    arcs = [p for p in pieces.values() if p.kind == "arc" and not p.closed]
+    if arcs:
+        ends = _arc_points(graph, arcs + arcs, np.array([p.a0 for p in arcs] + [p.a1 for p in arcs]), tol)
+        for k, piece in enumerate(arcs):
+            piece.p0, piece.p1 = ends[k, :2], ends[len(arcs) + k, :2]
+    _assign_sides(graph, list(pieces.values()), tol)
     directed = [(eid, piece.left == cell) for eid, piece in pieces.items()]
     return pieces, _chain_cell(cell, pieces, directed)

@@ -198,12 +198,14 @@ class DegenerateConic:
 
 
 def real_quadratic_roots_batch(a, b, c, rel: float = 1e-13):
-    """:func:`real_quadratic_roots` of N quadratics (rows of a, b, c), as arrays.
+    """Real roots of the quadratics a t^2 + b t + c (entries of a, b, c), projective-aware.
 
-    Returns (roots (N, 2), root_valid (N, 2), inf_is_root (N,),
-    identically_zero (N,)). A row's roots are its valid entries, ascending;
-    a degree drop leaves one valid root in column 0. Every value is the
-    float the one-quadratic form gives.
+    For inputs of shape S, returns (roots S + (2,), root_valid S + (2,),
+    inf_is_root S, identically_zero S). A quadratic's roots are its valid
+    entries, ascending. A leading coefficient that vanishes relative to the
+    largest coefficient makes t = inf a root of the homogenized quadratic
+    (a degree drop) and leaves at most one valid root, in entry 0. Each
+    quadratic is solved elementwise, independent of the others.
     """
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
     everywhere = scale == 0.0
@@ -216,33 +218,8 @@ def real_quadratic_roots_batch(a, b, c, rel: float = 1e-13):
         r1 = q / a
         r2 = np.where(q != 0.0, c / q, r1)
         lo = np.where(linear, -c / b, np.where(r2 < r1, r2, r1))
-    roots = np.stack([lo, np.where(r2 < r1, r1, r2)], axis=1)
-    return roots, np.stack([real | linear, real], axis=1), everywhere | drop, everywhere
-
-
-def real_quadratic_roots(a: float, b: float, c: float, rel: float = 1e-13):
-    """Real roots of a t^2 + b t + c, projective-aware.
-
-    Returns (roots, inf_is_root, identically_zero). A vanishing leading
-    coefficient (relative to the largest coefficient) marks t = inf as a
-    root of the homogenized quadratic.
-    """
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0:
-        return [], True, True
-    if abs(a) <= rel * scale:
-        # degree drop: the homogenized form vanishes at (t : 1) = (1 : 0)
-        if abs(b) <= rel * scale:
-            return [], True, False
-        return [-c / b], True, False
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return [], False, False
-    sq = math.sqrt(disc)
-    q = -0.5 * (b + math.copysign(sq, b if b != 0.0 else 1.0))
-    r1 = q / a
-    r2 = c / q if q != 0.0 else r1
-    return sorted((r1, r2)), False, False
+    roots = np.stack([lo, np.where(r2 < r1, r1, r2)], axis=-1)
+    return roots, np.stack([real | linear, real], axis=-1), everywhere | drop, everywhere
 
 
 # ------------------------------------------------------- parameter algebra
@@ -261,20 +238,6 @@ def _triple_congruences(triples: np.ndarray, r: np.ndarray) -> np.ndarray:
     q[:, 1, 1] = triples[:, 2]
     qq = np.matmul(np.matmul(r.transpose(0, 2, 1), q), r)
     return np.stack([qq[:, 0, 0], qq[:, 0, 1] + qq[:, 1, 0], qq[:, 1, 1]], axis=1)
-
-
-def _rotate_pi_triple(triple) -> tuple[float, float, float]:
-    # substitution t = -1/s: (c2, c1, c0) -> (c0, -c1, c2)
-    c2, c1, c0 = triple
-    return (c0, -c1, c2)
-
-
-def _eval_triple(triple, t: float) -> float:
-    return (triple[0] * t + triple[1]) * t + triple[2]
-
-
-def _derivative_triple(triple, t: float) -> float:
-    return 2.0 * triple[0] * t + triple[1]
 
 
 def wrap_angle(alpha: float) -> float:
@@ -317,7 +280,6 @@ class ParametrizedConic:
     conic_class: ConicClass
 
     def __post_init__(self):
-        object.__setattr__(self, "_rot", tuple(_rotate_pi_triple(q) for q in (self.xq, self.yq, self.uq)))
         object.__setattr__(self, "_u_scale", sum(abs(v) for v in self.uq))
 
     @property
@@ -328,56 +290,28 @@ class ParametrizedConic:
     def singular_alphas(self) -> tuple[float, ...]:
         return tuple(alpha_of_param(t) for t in self.singular_params)
 
-    def _chart_of_alpha(self, alpha: float) -> tuple[int, float]:
-        a = wrap_angle(alpha)
-        if abs(a) <= _HALF_PI:
-            return 0, math.tan(0.5 * a)
-        return 1, math.tan(0.5 * a - _HALF_PI)
-
-    def _triples(self, chart: int):
-        return (self.xq, self.yq, self.uq) if chart == 0 else self._rot
-
-    def homogeneous_at(self, t: float) -> tuple[float, float, float]:
-        """(X, Y, U) with the curve point (X/U, Y/U), chart chosen by |t|."""
-        if math.isinf(t):
-            return (self.xq[0], self.yq[0], self.uq[0])
-        if abs(t) <= 1.0:
-            tx, ty, tu = self.xq, self.yq, self.uq
-            s = t
-        else:
-            tx, ty, tu = self._rot
-            s = -1.0 / t
-        return (_eval_triple(tx, s), _eval_triple(ty, s), _eval_triple(tu, s))
-
     def point_at(self, t: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
-        x, y, u = self.homogeneous_at(t)
+        """Curve point at parameter t; a batch of one of ``homogeneous_at_params``."""
+        x, y, u = (v[0, 0] for v in homogeneous_at_params(chart_coefficients([self]),
+                                                          np.array([[float(t)]])))
         if abs(u) <= tol.den_rel * self._u_scale:
             raise SingularParameterError(f"parameter t={t} lies on the line at infinity")
         return np.array([x / u, y / u])
 
-    def point_at_alpha(self, alpha: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
-        chart, s = self._chart_of_alpha(alpha)
-        tx, ty, tu = self._triples(chart)
-        u = _eval_triple(tu, s)
-        if abs(u) <= tol.den_rel * self._u_scale:
+    def _at_alpha(self, alpha: float, tol: ToleranceSet):
+        x, y, vx, vy, singular = points_at_alphas(
+            chart_coefficients([self]), np.array([self._u_scale]), np.array([float(alpha)]), tol)
+        if singular[0]:
             raise SingularParameterError(f"alpha={alpha} lies on the line at infinity")
-        return np.array([_eval_triple(tx, s) / u, _eval_triple(ty, s) / u])
+        return x[0], y[0], vx[0], vy[0]
 
-    def u_at_alpha(self, alpha: float) -> float:
-        chart, s = self._chart_of_alpha(alpha)
-        return _eval_triple(self._triples(chart)[2], s)
+    def point_at_alpha(self, alpha: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Curve point at alpha; a batch of one of ``points_at_alphas``."""
+        return np.array(self._at_alpha(alpha, tol)[:2])
 
     def velocity_at_alpha(self, alpha: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
-        """d(x, y)/d alpha; smooth across the chart switch."""
-        chart, s = self._chart_of_alpha(alpha)
-        tx, ty, tu = self._triples(chart)
-        x, y, u = _eval_triple(tx, s), _eval_triple(ty, s), _eval_triple(tu, s)
-        if abs(u) <= tol.den_rel * self._u_scale:
-            raise SingularParameterError(f"alpha={alpha} lies on the line at infinity")
-        dx, dy, du = _derivative_triple(tx, s), _derivative_triple(ty, s), _derivative_triple(tu, s)
-        # ds/dalpha = (1 + s^2)/2 in either chart
-        f = 0.5 * (1.0 + s * s) / (u * u)
-        return np.array([(dx * u - x * du) * f, (dy * u - y * du) * f])
+        """d(x, y)/d alpha, smooth across the chart switch; a batch of one."""
+        return np.array(self._at_alpha(alpha, tol)[2:])
 
 
 def chart_coefficients(params) -> np.ndarray:
@@ -388,7 +322,7 @@ def chart_coefficients(params) -> np.ndarray:
     t -> -1/t rotation, s = tan(alpha/2 - pi/2)).
     """
     base = np.array([(p.xq, p.yq, p.uq) for p in params], dtype=float).reshape(-1, 3, 3)
-    # the rotation (c2, c1, c0) -> (c0, -c1, c2) of _rotate_pi_triple, exact in floats
+    # the substitution t = -1/s maps (c2, c1, c0) to (c0, -c1, c2), exact in floats
     return np.stack([base, base[:, :, ::-1] * np.array([1.0, -1.0, 1.0])], axis=1)
 
 
@@ -426,9 +360,11 @@ def _point_velocity(x, y, u, dx, dy, du, s):
 
 
 # The kernels below feed values that reach the diagram JSON, so they keep
-# the scalar code's floats: math.remainder, math.tan and math.atan run per
-# entry, because np.remainder is a floored modulo and np.tan and np.arctan
-# round differently from math.tan and math.atan on some inputs.
+# the floats of the one-value forms above and of the scalar chart-triple
+# evaluation (kept as a test reference in tests/oracles.py): math.remainder,
+# math.tan and math.atan run per entry, because np.remainder is a floored
+# modulo and np.tan and np.arctan round differently from math.tan and
+# math.atan on some inputs.
 
 
 def wrap_angles(alpha: np.ndarray) -> np.ndarray:
@@ -457,10 +393,11 @@ def params_of_alphas(alpha: np.ndarray) -> np.ndarray:
 
 
 def homogeneous_at_params(coef: np.ndarray, t: np.ndarray):
-    """``homogeneous_at`` of conic ``coef[k]`` (N, 2, 3, 3) at every t[k, j] of t (N, K).
+    """Homogeneous points (X, Y, U) of conic ``coef[k]`` (N, 2, 3, 3) at every t[k, j] of t (N, K).
 
-    Returns (X, Y, U), each (N, K); |t| > 1 goes through the t -> -1/t
-    chart and t = +-inf gives the leading coefficients.
+    The curve point is (X/U, Y/U). Returns (X, Y, U), each (N, K); |t| <= 1
+    evaluates chart 0 at t, |t| > 1 chart 1 at -1/t, and t = +-inf gives
+    the leading coefficients.
     """
     inner = np.abs(t) <= 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -473,12 +410,14 @@ def homogeneous_at_params(coef: np.ndarray, t: np.ndarray):
 
 def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
                      tol: ToleranceSet = DEFAULT_TOLERANCES):
-    """Points and velocities of N conics at one alpha each, as the scalar methods give them.
+    """Points and d/dalpha velocities of N conics at one alpha each.
 
-    Row k is ``point_at_alpha`` and ``velocity_at_alpha`` of conic
-    ``coef[k]`` (N, 2, 3, 3, from ``chart_coefficients``) at ``alpha[k]``.
-    Returns (x, y, vx, vy, singular); where ``singular`` is set, the scalar
-    methods raise SingularParameterError and the row's values are not used.
+    Row k evaluates conic ``coef[k]`` (N, 2, 3, 3, from
+    ``chart_coefficients``) at ``alpha[k]``: chart 0 at s = tan(alpha/2)
+    for |alpha| <= pi/2 after wrapping, chart 1 at s = tan(alpha/2 - pi/2)
+    otherwise. Returns (x, y, vx, vy, singular); ``singular`` marks rows
+    whose denominator is within den_rel u_scale of zero, whose values are
+    not to be used (``point_at_alpha`` raises SingularParameterError there).
     """
     a = wrap_angles(alpha)
     far = ~(np.abs(a) <= _HALF_PI)
@@ -488,11 +427,6 @@ def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
     singular = np.abs(u) <= tol.den_rel * u_scale
     with np.errstate(divide="ignore", invalid="ignore"):
         return (*_point_velocity(x, y, u, dx, dy, du, s), singular)
-
-
-def eval_param(p: ParametrizedConic, t: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Cartesian point at parameter t; singular-parameter error if u^(t) ~ 0."""
-    return p.point_at(t, tol)
 
 
 def residual_polynomial(conic: ConicImplicit, p: ParametrizedConic) -> np.ndarray:

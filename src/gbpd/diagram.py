@@ -436,113 +436,95 @@ def _arc_representative(
     return None
 
 
+def merge_marks(marks: list[tuple], gap: float) -> list[tuple]:
+    """Marks (position, payload) sorted by position, each dropped that lies
+    within ``gap`` of the last one kept."""
+    merged: list[tuple] = []
+    for mark in sorted(marks, key=lambda m: m[0]):
+        if merged and mark[0] - merged[-1][0] <= gap:
+            continue
+        merged.append(mark)
+    return merged
+
+
+def split_at_marks(marks: list[tuple], lo: float, hi: float, gap: float, closed: bool,
+                   ends: tuple = (None, None)) -> list[tuple]:
+    """Pieces (x0, x1, payload0, payload1) between sorted marks (position, payload).
+
+    ``closed`` pairs the marks circularly on the alpha circle: a last mark
+    within ``gap`` of the first one a turn later is dropped as its
+    duplicate, and the last piece runs on to the first mark plus 2 pi.
+    Otherwise the pieces run from ``lo`` through the marks to ``hi``, with
+    ``ends`` as the payloads of ``lo`` and ``hi``, and pieces no longer than
+    ``gap`` are dropped.
+    """
+    if closed:
+        if len(marks) > 1 and (marks[0][0] + TWO_PI) - marks[-1][0] <= gap:
+            marks = marks[:-1]
+        return [
+            (x0, x1 + TWO_PI if k + 1 == len(marks) else x1, p0, p1)
+            for k, ((x0, p0), (x1, p1)) in enumerate(zip(marks, marks[1:] + marks[:1]))
+        ]
+    bounds = [(lo, ends[0]), *marks, (hi, ends[1])]
+    return [(x0, x1, p0, p1) for (x0, p0), (x1, p1) in zip(bounds, bounds[1:]) if x1 - x0 > gap]
+
+
+def ray_parameter(t0: float, t1: float) -> float:
+    """Line parameter representing the piece (t0, t1): its midpoint, a unit
+    step in from the finite end of a ray, or 0 for the whole line."""
+    if math.isinf(t0) and math.isinf(t1):
+        return 0.0
+    if math.isinf(t0):
+        return t1 - 1.0
+    if math.isinf(t1):
+        return t0 + 1.0
+    return 0.5 * (t0 + t1)
+
+
 def _candidate_pieces(
     b: Bisector, vertex_params: dict[int, list[tuple[float, int | None]]], tol: ToleranceSet
-) -> tuple[list[EdgeSegment], list]:
+) -> tuple[list[tuple], list]:
     """Split each component of a bisector at its vertex parameters.
 
-    Returns the candidate pieces and, per piece, what locates its
-    representative: a point for a line piece, and for a curve piece the
-    tuple (alpha, a_lo, a_hi, lo_singular, hi_singular, whole) with the
-    alpha to try first. A whole component (``whole`` set) is represented by
-    its midpoint whenever that is not a singular parameter.
+    Returns the candidate pieces as (component, x0, x1, v0, v1, whole) and,
+    per piece, what locates its representative: a point for a line piece,
+    and for a curve piece the tuple (alpha, a_lo, a_hi, lo_singular,
+    hi_singular, whole) with the alpha to try first. A whole curve
+    component (``whole`` set) is represented by its midpoint whenever that
+    is not a singular parameter. ``_piece_segment`` turns a piece into its
+    EdgeSegment.
     """
-    pieces: list[EdgeSegment] = []
+    pieces: list[tuple] = []
     reps: list = []
     for ci, comp in enumerate(b.components):
         entries = list(vertex_params.get(ci, ()))
         if comp.kind == "line":
             line = b.lines[comp.line_index]
-            params = sorted(entries, key=lambda e: e[0])
-            if not params:
-                reps.append(line.point_at(0.0))
-                pieces.append(
-                    EdgeSegment(-1, b.pair, "full_line", None, None, (None, None), ci, comp.line_index)
-                )
-                continue
-            ts = [p[0] for p in params]
-            vids = [p[1] for p in params]
-            bounds = [-math.inf] + ts + [math.inf]
-            ends: list[int | None] = [None] + vids + [None]
-            for k in range(len(bounds) - 1):
-                t0, t1 = bounds[k], bounds[k + 1]
-                if t1 - t0 <= tol.param_merge:
-                    continue
-                if math.isinf(t0):
-                    rep_t = t1 - 1.0
-                elif math.isinf(t1):
-                    rep_t = t0 + 1.0
-                else:
-                    rep_t = 0.5 * (t0 + t1)
-                reps.append(line.point_at(rep_t))
-                pieces.append(
-                    EdgeSegment(
-                        -1, b.pair, "interval", t0, t1, (ends[k], ends[k + 1]), ci, comp.line_index
-                    )
-                )
+            marks = sorted(entries, key=lambda m: m[0])
+            for t0, t1, v0, v1 in split_at_marks(marks, -math.inf, math.inf, tol.param_merge, False):
+                reps.append(line.point_at(ray_parameter(t0, t1)))
+                pieces.append((ci, t0, t1, v0, v1, False))
             continue
 
-        # curve component: work in alpha
-        whole = (comp.midpoint(), comp.lo, comp.hi, False, False, True)
-        if not entries:
-            reps.append(whole)
-            pieces.append(_whole_component_segment(b, ci))
-            continue
-
-        # vertex alphas, positioned inside the component's (lo, hi) frame
+        # curve component: work in alpha, vertex alphas positioned inside
+        # the component's (lo, hi) frame
         span = comp.hi - comp.lo
         marks: list[tuple[float, int | None]] = []
         for t_val, vid in entries:
-            a = alpha_of_param(t_val)
-            off = (a - comp.lo) % TWO_PI
-            if comp.closed:
+            off = (alpha_of_param(t_val) - comp.lo) % TWO_PI
+            if comp.closed or 0.0 < off < span:
                 marks.append((comp.lo + off, vid))
-            elif 0.0 < off < span:
-                marks.append((comp.lo + off, vid))
-        marks.sort(key=lambda m: m[0])
-        merged: list[tuple[float, int | None]] = []
-        for a, vid in marks:
-            if merged and a - merged[-1][0] <= 2.0 * tol.param_merge:
-                continue
-            merged.append((a, vid))
-        if not merged:
-            reps.append(whole)
-            pieces.append(_whole_component_segment(b, ci))
+        if not marks:
+            reps.append((comp.midpoint(), comp.lo, comp.hi, False, False, True))
+            pieces.append((ci, comp.lo, comp.hi, None, None, True))
             continue
-
-        if comp.closed:
-            # circular splitting: segment k runs from mark k to mark k+1
-            if len(merged) > 1:
-                first_a, last_a = merged[0][0], merged[-1][0]
-                if (first_a + TWO_PI) - last_a <= 2.0 * tol.param_merge:
-                    merged.pop()
-            intervals = []
-            for k in range(len(merged)):
-                a0, v0 = merged[k]
-                if len(merged) == 1:
-                    intervals.append((a0, a0 + TWO_PI, v0, v0))
-                    break
-                a1, v1 = merged[(k + 1) % len(merged)]
-                if k + 1 == len(merged):
-                    a1 += TWO_PI
-                intervals.append((a0, a1, v0, v1))
-            singular_flags = [(False, False)] * len(intervals)
-        else:
-            bounds_a = [comp.lo] + [m[0] for m in merged] + [comp.hi]
-            bound_v: list[int | None] = [None] + [m[1] for m in merged] + [None]
-            intervals = [
-                (bounds_a[k], bounds_a[k + 1], bound_v[k], bound_v[k + 1])
-                for k in range(len(bounds_a) - 1)
-                if bounds_a[k + 1] - bounds_a[k] > 2.0 * tol.param_merge
-            ]
-            singular_flags = [
-                (abs(a0 - comp.lo) <= 1e-15, abs(a1 - comp.hi) <= 1e-15)
-                for (a0, a1, _, _) in intervals
-            ]
-
-        for (a0, a1, v0, v1), (s_lo, s_hi) in zip(intervals, singular_flags):
+        gap = 2.0 * tol.param_merge
+        for a0, a1, v0, v1 in split_at_marks(merge_marks(marks, gap), comp.lo, comp.hi, gap,
+                                             comp.closed):
+            s_lo = not comp.closed and abs(a0 - comp.lo) <= 1e-15
+            s_hi = not comp.closed and abs(a1 - comp.hi) <= 1e-15
             reps.append((next(_probe_alphas(a0, a1, s_lo, s_hi)), a0, a1, s_lo, s_hi, False))
-            pieces.append(_curve_segment(b, ci, a0, a1, v0, v1))
+            pieces.append((ci, a0, a1, v0, v1, False))
     return pieces, reps
 
 
@@ -562,20 +544,21 @@ def _visible_pieces(
     All representatives are then decided by one two-nearest test per
     ``_POINT_CHUNK`` points.
 
-    Returns (visible pieces in bisector, component and piece order; the
-    mask over all candidate pieces of those without a representative). A
+    Returns (visible pieces in bisector, component and piece order, the
+    only ones made into EdgeSegments; the mask over all candidate pieces of
+    those without a representative). A
     piece without a representative is dropped: a whole component whose
     midpoint is a singular parameter, or an interval where no probe gives a
     finite point within 1e6 (1 + length_scale) of the origin.
     """
-    pieces: list[EdgeSegment] = []
+    pieces: list[tuple] = []
     owner: list[int] = []
     reps: list = []
     for k, (b, params) in enumerate(zip(bisectors, vertex_params)):
-        segs, b_reps = _candidate_pieces(b, params, tol)
-        pieces.extend(segs)
+        b_pieces, b_reps = _candidate_pieces(b, params, tol)
+        pieces.extend(b_pieces)
         reps.extend(b_reps)
-        owner.extend([k] * len(segs))
+        owner.extend([k] * len(b_pieces))
     points = np.full((len(pieces), 2), math.nan)
     has_rep = np.array([not isinstance(rep, tuple) for rep in reps], dtype=bool)
     for r in np.flatnonzero(has_rep).tolist():
@@ -615,7 +598,10 @@ def _visible_pieces(
         visible[rows] = _two_nearest(
             points[rows], idx[lo : lo + _POINT_CHUNK, 0], idx[lo : lo + _POINT_CHUNK, 1], arr, tol
         )
-    return [seg for seg, ok in zip(pieces, visible.tolist()) if ok], ~has_rep
+    segments = [
+        _piece_segment(bisectors[owner[r]], *pieces[r]) for r in np.flatnonzero(visible).tolist()
+    ]
+    return segments, ~has_rep
 
 
 def visible_segments(
@@ -640,11 +626,18 @@ def visible_segments(
     return _visible_pieces([b], [vertex_params], arr, tol, length_scale)[0]
 
 
-def _whole_component_segment(b: Bisector, ci: int) -> EdgeSegment:
+def _piece_segment(
+    b: Bisector, ci: int, x0: float, x1: float, v0: int | None, v1: int | None, whole: bool
+) -> EdgeSegment:
+    """EdgeSegment of a candidate piece of ``_candidate_pieces``."""
     comp = b.components[ci]
-    if comp.closed:
+    if comp.kind == "line":
+        if math.isinf(x0) and math.isinf(x1):
+            return EdgeSegment(-1, b.pair, "full_line", None, None, (None, None), ci, comp.line_index)
+        return EdgeSegment(-1, b.pair, "interval", x0, x1, (v0, v1), ci, comp.line_index)
+    if whole and comp.closed:
         return EdgeSegment(-1, b.pair, "loop", None, None, (None, None), ci, None, -math.pi, math.pi)
-    return _curve_segment(b, ci, comp.lo, comp.hi, None, None)
+    return _curve_segment(b, ci, x0, x1, v0, v1)
 
 
 def _curve_segment(

@@ -36,7 +36,7 @@ import numpy as np
 # name `quad` in this module and fails if it is missing.
 from scipy.integrate import quad  # noqa: F401
 
-from .clip import ClippedDiagram, bounded_cell_pieces, piece_point
+from .clip import ClippedDiagram, bounded_cell_pieces, piece_points
 from .conic import chart_coefficients, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
 from .errors import NonFiniteSegmentError, QuadratureError, UnboundedCellError
@@ -301,13 +301,14 @@ def _loop_terms(graph: DiagramGraph, pieces, loop, table, tol) -> tuple[float, f
     return acc.close()
 
 
-def _flatten_loop(graph: DiagramGraph, pieces, loop, samples: int) -> np.ndarray:
-    pts = []
-    for pid, forward in loop:
-        for k in range(samples):
-            f = k / samples
-            pts.append(piece_point(graph, pieces[pid], f if forward else 1.0 - f))
-    return np.array(pts)
+def _flatten_loops(graph: DiagramGraph, pieces, loops, samples: int,
+                   tol: ToleranceSet) -> list[np.ndarray]:
+    """Polygon per loop: ``samples`` points per piece, all from one ``piece_points`` call."""
+    fs = [k / samples for k in range(samples)]
+    rows = [(pieces[pid], f if forward else 1.0 - f)
+            for lp in loops for pid, forward in lp for f in fs]
+    pts = piece_points(graph, [r[0] for r in rows], np.array([r[1] for r in rows]), tol)
+    return np.split(pts, np.cumsum([samples * len(lp) for lp in loops])[:-1])
 
 
 def _point_in_polygon(poly: np.ndarray, q) -> bool:
@@ -419,7 +420,7 @@ def _measure_loops(graph: DiagramGraph, cell: int, pieces, loops, table,
     if not loops:
         return CellMeasure(cell, 0.0, 0.0, ())
     vals = [_loop_terms(graph, pieces, lp, table, tol) for lp in loops]
-    groups = _group_loops(vals, lambda: [_flatten_loop(graph, pieces, lp, 8) for lp in loops],
+    groups = _group_loops(vals, lambda: _flatten_loops(graph, pieces, loops, 8, tol),
                           strict=strict, cell=cell)
     return _assemble_measure(cell, vals, groups)
 

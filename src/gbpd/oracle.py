@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .clip import ClippedDiagram, piece_point
+from .clip import ClippedDiagram, piece_points
 from .errors import DimensionMismatchError, InputError
 from .geometry import Generator, SceneArrays, Window
 
@@ -82,55 +82,71 @@ def rasterize(generators, window: Window, width: int, height: int) -> LabelImage
 # ------------------------------------------------- analytic rasterization
 
 
-def flatten_piece(cd: ClippedDiagram, piece, ftol: float) -> list[np.ndarray]:
-    """Polyline along one piece (stored direction), last point omitted."""
-    if piece.kind != "arc":
-        return [piece.p0]
-    if piece.closed:
-        knots = [0.0, 0.25, 0.5, 0.75, 1.0]
-    else:
-        knots = [0.0, 0.5, 1.0]
-    pts = [piece_point(cd.graph, piece, f) for f in knots]
-    out: list[np.ndarray] = []
-
-    def refine(f0, f1, p0, p1, depth):
-        out.append(p0)
-        if depth >= 14:
-            return
-        fm = 0.5 * (f0 + f1)
-        pm = piece_point(cd.graph, piece, fm)
-        chord = p1 - p0
-        n = math.hypot(chord[0], chord[1])
-        if n == 0.0:
-            dev = math.hypot(*(pm - p0))
-        else:
-            dev = abs(chord[0] * (pm[1] - p0[1]) - chord[1] * (pm[0] - p0[0])) / n
-        if dev <= ftol:
-            return
-        out.pop()
-        refine(f0, fm, p0, pm, depth + 1)
-        refine(fm, f1, pm, p1, depth + 1)
-
-    for k in range(len(knots) - 1):
-        refine(knots[k], knots[k + 1], pts[k], pts[k + 1], 0)
-    return out
+_FLATTEN_DEPTH = 14
 
 
-def _cell_polygons(cd: ClippedDiagram, gid: int, ftol: float) -> list[np.ndarray]:
+def flatten_pieces(cd: ClippedDiagram, pieces, ftol: float) -> list[np.ndarray]:
+    """Polylines (M, 2) along pieces in their stored direction, end points included.
+
+    A border or straight piece is its chord. An arc starts from its knots
+    (fractions 0, 1/2 and 1; quarters for a closed arc), and each span is
+    split at its midpoint until the midpoint lies within ftol of the chord,
+    to depth 14. The refinement runs level by level, and each level
+    evaluates the midpoints of the open spans of all pieces in one
+    ``piece_points`` call. A span's fate depends only on its own points,
+    so a piece gets the same polyline whatever it is flattened with.
+    """
+    graph, tol = cd.graph, cd.graph.tol
+    lines: list = [None if p.kind == "arc" else np.array([p.p0, p.p1]) for p in pieces]
+    arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
+    knots = {k: [0.0, 0.25, 0.5, 0.75, 1.0] if pieces[k].closed else [0.0, 0.5, 1.0] for k in arcs}
+    rows = [(k, f) for k in arcs for f in knots[k]]
+    at = piece_points(graph, [pieces[k] for k, _ in rows], np.array([f for _, f in rows]), tol)
+    ends = {k: at[r] for r, (k, f) in enumerate(rows) if f == 1.0}
+    # open spans (piece, f0, f1, p0, p1) of the current depth
+    spans = [
+        (k, f0, f1, p0, p1)
+        for (k, f0), (k1, f1), p0, p1 in zip(rows, rows[1:], at, at[1:])
+        if k == k1
+    ]
+    done: dict[int, list] = {k: [] for k in arcs}
+    for _ in range(_FLATTEN_DEPTH):
+        if not spans:
+            break
+        fm = np.array([0.5 * (f0 + f1) for _, f0, f1, _, _ in spans])
+        pm = piece_points(graph, [pieces[k] for k, *_ in spans], fm, tol)
+        p0 = np.array([sp[3] for sp in spans])
+        chord = np.array([sp[4] for sp in spans]) - p0
+        n = np.array([math.hypot(cx, cy) for cx, cy in chord.tolist()])
+        near = np.array([math.hypot(dx, dy) for dx, dy in (pm - p0).tolist()])
+        cross = chord[:, 0] * (pm[:, 1] - p0[:, 1]) - chord[:, 1] * (pm[:, 0] - p0[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = np.abs(cross) / n
+        flat = np.where(n == 0.0, near, dev) <= ftol
+        split = []
+        for (k, f0, f1, q0, q1), ok, fmid, qm in zip(spans, flat.tolist(), fm.tolist(), pm):
+            if ok:
+                done[k].append((f0, q0))
+            else:
+                split += [(k, f0, fmid, q0, qm), (k, fmid, f1, qm, q1)]
+        spans = split
+    for k, f0, _, q0, _ in spans:  # spans at the depth cap stay as they are
+        done[k].append((f0, q0))
+    for k in arcs:
+        done[k].sort(key=lambda leaf: leaf[0])
+        lines[k] = np.array([q for _, q in done[k]] + [ends[k]])
+    return lines
+
+
+def _cell_polygons(cd: ClippedDiagram, gid: int, lines) -> list[np.ndarray]:
+    """Closed polygons of a cell's loops from the pieces' polylines (indexed by piece id)."""
     polys = []
     for loop in cd.cells.get(gid, []):
-        pts: list[np.ndarray] = []
-        for pid, forward in loop:
-            piece = cd.pieces[pid]
-            run = flatten_piece(cd, piece, ftol)
-            if not forward:
-                # stored direction ends one step short of node_b; rebuild the
-                # reversed run from the full per-piece polyline
-                closing = [piece_point(cd.graph, piece, 1.0)] if piece.kind == "arc" else [piece.p1]
-                run = list(reversed(run + closing))[:-1]
-            pts.extend(run)
+        # each piece contributes its polyline up to, not including, its end
+        pts = np.concatenate([lines[pid][:-1] if forward else lines[pid][:0:-1]
+                              for pid, forward in loop])
         if len(pts) >= 3:
-            polys.append(np.array(pts))
+            polys.append(pts)
     return polys
 
 
@@ -149,9 +165,11 @@ def rasterize_cells(cd: ClippedDiagram, width: int, height: int,
     ids = tuple(sorted(g.id for g in cd.graph.generators))
     labels = np.full((height, width), -1, dtype=np.int32)
     xs = origin[0] + (np.arange(width) + 0.5) * px
+    # every piece is flattened once, for both cells it borders
+    lines = flatten_pieces(cd, cd.pieces, ftol)
 
     for gid in ids:
-        polys = _cell_polygons(cd, gid, ftol)
+        polys = _cell_polygons(cd, gid, lines)
         if not polys:
             continue
         edges_a = np.concatenate([p for p in polys])

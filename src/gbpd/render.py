@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
-from .clip import ClippedDiagram, piece_point
+from .clip import ClippedDiagram
 from .errors import NonRenderableContour
 from .geometry import generator_to_ellipse
-from .oracle import flatten_piece
+from .oracle import flatten_pieces
 
 EDGE_STYLE = 'fill="none" stroke="#1a1a1a" stroke-width="1.2"'
 BORDER_STYLE = 'fill="#fdfdfd" stroke="#555555" stroke-width="1"'
@@ -60,13 +60,9 @@ def render_svg(
         f'<rect x="0" y="0" width="{width_px}" height="{height_px}" {BORDER_STYLE}/>'
     )
 
-    ftol = chord_tol_px / scale
-    for piece in cd.pieces:
-        if piece.kind == "boundary":
-            continue  # the window rect already shows the border
-        run = flatten_piece(cd, piece, ftol)
-        # flattening omits the final point; close the polyline explicitly
-        run = run + [piece_point(cd.graph, piece, 1.0) if piece.kind == "arc" else piece.p1]
+    # the window rect already shows the border
+    edges = [piece for piece in cd.pieces if piece.kind != "boundary"]
+    for run in flatten_pieces(cd, edges, chord_tol_px / scale):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(p) for p in run))
         out.append(f'<polyline points="{pts}" {EDGE_STYLE}/>')
 

@@ -12,8 +12,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from gbpd.conic import alpha_of_param, param_of_alpha, real_quadratic_roots, wrap_angle
+from gbpd.conic import alpha_of_param, param_of_alpha, wrap_angle
 from gbpd.errors import SingularParameterError
+from gbpd.tolerances import DEFAULT_TOLERANCES
 
 
 def grid_conic_intersections(c1, c2, box, n=500, newton_iters=40):
@@ -328,8 +329,8 @@ def _project_param_scalar(p, v, t, tol):
     best_alpha, best_d2 = alpha, None
     for _ in range(3):
         try:
-            q = p.point_at_alpha(alpha, tol)
-            dv = p.velocity_at_alpha(alpha, tol)
+            q = point_at_alpha_scalar(p, alpha, tol)
+            dv = velocity_at_alpha_scalar(p, alpha, tol)
         except SingularParameterError:
             break
         rx, ry = v[0] - q[0], v[1] - q[1]
@@ -342,7 +343,7 @@ def _project_param_scalar(p, v, t, tol):
         alpha = alpha + (rx * dv[0] + ry * dv[1]) / n2
     else:
         try:
-            q = p.point_at_alpha(alpha, tol)
+            q = point_at_alpha_scalar(p, alpha, tol)
             rx, ry = v[0] - q[0], v[1] - q[1]
             d2 = rx * rx + ry * ry
             if best_d2 is None or d2 < best_d2:
@@ -360,7 +361,7 @@ def param_of_point_scalar(p, v, eps, tol):
     candidates = []
     inf_candidate = True
     for q in (qx, qy):
-        roots, inf_root, everywhere = real_quadratic_roots(*q)
+        roots, inf_root, everywhere = real_quadratic_roots_scalar(*q)
         if not everywhere:
             candidates.extend(roots)
             inf_candidate = inf_candidate and inf_root
@@ -368,7 +369,7 @@ def param_of_point_scalar(p, v, eps, tol):
         candidates.append(math.inf)
     accepted = []
     for t in candidates:
-        x, y, u = p.homogeneous_at(t)
+        x, y, u = homogeneous_at_scalar(p, t)
         if abs(u) <= tol.den_rel * p.u_scale:
             continue
         if math.hypot(x / u - v[0], y / u - v[1]) <= eps:
@@ -415,7 +416,7 @@ def quad_arc_length(param, a0, a1, tol):
     """Arc length by scalar adaptive quadrature of the speed (reference)."""
 
     def speed(a):
-        v = param.velocity_at_alpha(a, tol)
+        v = velocity_at_alpha_scalar(param, a, tol)
         return math.hypot(v[0], v[1])
 
     return _quad_over_arc(speed, a0, a1, tol)
@@ -425,8 +426,189 @@ def quad_arc_area(param, a0, a1, tol):
     """Integral of (x y' - y x') / 2 along the arc by scalar quadrature (reference)."""
 
     def f(a):
-        p = param.point_at_alpha(a, tol)
-        v = param.velocity_at_alpha(a, tol)
+        p = point_at_alpha_scalar(param, a, tol)
+        v = velocity_at_alpha_scalar(param, a, tol)
         return 0.5 * (p[0] * v[1] - p[1] * v[0])
 
     return _quad_over_arc(f, a0, a1, tol)
+
+
+# ------------------------------------------- scalar conic evaluation (reference)
+#
+# The package evaluates conics in batches only (gbpd.conic's
+# real_quadratic_roots_batch, homogeneous_at_params and points_at_alphas).
+# These one-value forms are what the batches must equal bit for bit: a
+# quadratic coefficient triple (c2, c1, c0) is evaluated by Horner's rule in
+# chart 0 for |t| <= 1 (|alpha| <= pi/2) and in the t -> -1/t chart
+# otherwise, whose triple is (c0, -c1, c2).
+
+
+def real_quadratic_roots_scalar(a, b, c, rel=1e-13):
+    """Real roots of a t^2 + b t + c as (roots, inf_is_root, identically_zero)."""
+    scale = max(abs(a), abs(b), abs(c))
+    if scale == 0.0:
+        return [], True, True
+    if abs(a) <= rel * scale:
+        # degree drop: the homogenized form vanishes at (t : 1) = (1 : 0)
+        if abs(b) <= rel * scale:
+            return [], True, False
+        return [-c / b], True, False
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return [], False, False
+    sq = math.sqrt(disc)
+    q = -0.5 * (b + math.copysign(sq, b if b != 0.0 else 1.0))
+    r1 = q / a
+    r2 = c / q if q != 0.0 else r1
+    return sorted((r1, r2)), False, False
+
+
+def _eval_triple(triple, s):
+    return (triple[0] * s + triple[1]) * s + triple[2]
+
+
+def _derivative_triple(triple, s):
+    return 2.0 * triple[0] * s + triple[1]
+
+
+def _chart_triples(p, chart):
+    if chart == 0:
+        return p.xq, p.yq, p.uq
+    return tuple((q[2], -q[1], q[0]) for q in (p.xq, p.yq, p.uq))
+
+
+def homogeneous_at_scalar(p, t):
+    """(X, Y, U) of a parametrized conic at parameter t, chart chosen by |t|."""
+    if math.isinf(t):
+        return (p.xq[0], p.yq[0], p.uq[0])
+    if abs(t) <= 1.0:
+        return tuple(_eval_triple(q, t) for q in _chart_triples(p, 0))
+    return tuple(_eval_triple(q, -1.0 / t) for q in _chart_triples(p, 1))
+
+
+def _chart_of_alpha(alpha):
+    a = wrap_angle(alpha)
+    if abs(a) <= 0.5 * math.pi:
+        return 0, math.tan(0.5 * a)
+    return 1, math.tan(0.5 * a - 0.5 * math.pi)
+
+
+def point_at_alpha_scalar(p, alpha, tol=DEFAULT_TOLERANCES):
+    chart, s = _chart_of_alpha(alpha)
+    tx, ty, tu = _chart_triples(p, chart)
+    u = _eval_triple(tu, s)
+    if abs(u) <= tol.den_rel * p.u_scale:
+        raise SingularParameterError(f"alpha={alpha} lies on the line at infinity")
+    return np.array([_eval_triple(tx, s) / u, _eval_triple(ty, s) / u])
+
+
+def velocity_at_alpha_scalar(p, alpha, tol=DEFAULT_TOLERANCES):
+    """d(x, y)/d alpha; ds/dalpha = (1 + s^2)/2 in either chart."""
+    chart, s = _chart_of_alpha(alpha)
+    tx, ty, tu = _chart_triples(p, chart)
+    x, y, u = _eval_triple(tx, s), _eval_triple(ty, s), _eval_triple(tu, s)
+    if abs(u) <= tol.den_rel * p.u_scale:
+        raise SingularParameterError(f"alpha={alpha} lies on the line at infinity")
+    dx, dy, du = (_derivative_triple(q, s) for q in (tx, ty, tu))
+    f = 0.5 * (1.0 + s * s) / (u * u)
+    return np.array([(dx * u - x * du) * f, (dy * u - y * du) * f])
+
+
+def _window_sides(window):
+    # (axis, value, other_lo, other_hi, side): bottom, right, top, left
+    return (
+        (1, window.ymin, window.xmin, window.xmax, 0),
+        (0, window.xmax, window.ymin, window.ymax, 1),
+        (1, window.ymax, window.xmin, window.xmax, 2),
+        (0, window.xmin, window.ymin, window.ymax, 3),
+    )
+
+
+def curve_crossings_scalar(b, e, window, snap, tol):
+    """Window crossings of one curved edge as (offset from alpha_a, pos, side), in
+    candidate order: sides 0-3, roots ascending, then t = inf."""
+    p = b.param
+    span = e.alpha_b - e.alpha_a
+    out = []
+    for axis, value, lo, hi, side in _window_sides(window):
+        main = p.xq if axis == 0 else p.yq
+        q = tuple(main[k] - value * p.uq[k] for k in range(3))
+        roots, inf_root, everywhere = real_quadratic_roots_scalar(*q)
+        if everywhere:
+            continue
+        for t in list(roots) + ([math.inf] if inf_root else []):
+            x, y, u = homogeneous_at_scalar(p, t)
+            if abs(u) <= tol.den_rel * p.u_scale:
+                continue
+            pos = np.array([x / u, y / u])
+            other = pos[1] if axis == 0 else pos[0]
+            if not (lo - snap <= other <= hi + snap):
+                continue
+            off = (alpha_of_param(t) - e.alpha_a) % (2.0 * math.pi)
+            if e.kind == "loop":
+                out.append((off % (2.0 * math.pi), pos, side))
+            elif -1e-12 <= off <= span + 1e-12:
+                out.append((min(max(off, 0.0), span), pos, side))
+    return out
+
+
+def line_crossings_scalar(line, t_lo, t_hi, window, snap):
+    """Window crossings of one straight edge as (t, pos, side), in side order."""
+    out = []
+    d = line.direction
+    q0 = line.anchor
+    for axis, value, lo, hi, side in _window_sides(window):
+        dv = d[axis]
+        if abs(dv) < 1e-15:
+            continue
+        t = (value - q0[axis]) / dv
+        if not (t_lo - 1e-12 <= t <= t_hi + 1e-12):
+            continue
+        pos = q0 + t * d
+        other = pos[1] if axis == 0 else pos[0]
+        if not (lo - snap <= other <= hi + snap):
+            continue
+        out.append((float(t), pos, side))
+    return out
+
+
+def piece_point_scalar(graph, piece, f, tol=DEFAULT_TOLERANCES):
+    """Point at fraction f along a clip piece's stored direction."""
+    if piece.kind == "boundary":
+        return piece.p0 + f * (piece.p1 - piece.p0)
+    a = piece.a0 + f * (piece.a1 - piece.a0)
+    b = graph.bisectors[piece.pair]
+    if piece.kind == "arc":
+        return point_at_alpha_scalar(b.param, a, tol)
+    return b.lines[piece.line_index].point_at(a)
+
+
+def flatten_piece_scalar(graph, piece, ftol, tol=DEFAULT_TOLERANCES):
+    """Recursive chord-deviation flattening of one piece, end point included."""
+    if piece.kind != "arc":
+        return [piece.p0, piece.p1]
+    knots = [0.0, 0.25, 0.5, 0.75, 1.0] if piece.closed else [0.0, 0.5, 1.0]
+    pts = [piece_point_scalar(graph, piece, f, tol) for f in knots]
+    out = []
+
+    def refine(f0, f1, p0, p1, depth):
+        out.append(p0)
+        if depth >= 14:
+            return
+        fm = 0.5 * (f0 + f1)
+        pm = piece_point_scalar(graph, piece, fm, tol)
+        chord = p1 - p0
+        n = math.hypot(chord[0], chord[1])
+        if n == 0.0:
+            dev = math.hypot(*(pm - p0))
+        else:
+            dev = abs(chord[0] * (pm[1] - p0[1]) - chord[1] * (pm[0] - p0[0])) / n
+        if dev <= ftol:
+            return
+        out.pop()
+        refine(f0, fm, p0, pm, depth + 1)
+        refine(fm, f1, pm, p1, depth + 1)
+
+    for k in range(len(knots) - 1):
+        refine(knots[k], knots[k + 1], pts[k], pts[k + 1], 0)
+    return out + [pts[-1]]

@@ -33,7 +33,6 @@ from gbpd.conic import (
     param_of_alpha,
     params_of_alphas,
     points_at_alphas,
-    real_quadratic_roots,
     real_quadratic_roots_batch,
     wrap_angle,
     wrap_angles,
@@ -57,8 +56,11 @@ from oracles import (
     full_scan_minimal,
     merge_params_scalar,
     param_of_point_scalar,
+    point_at_alpha_scalar,
     polish_vertices_scalar,
+    real_quadratic_roots_scalar,
     two_nearest_point,
+    velocity_at_alpha_scalar,
 )
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
@@ -240,7 +242,7 @@ def test_batched_quadratic_roots_match_scalar():
     a, b, c = np.array(rows).T
     roots, ok, inf_root, everywhere = real_quadratic_roots_batch(a, b, c)
     for k, row in enumerate(rows):
-        ref_roots, ref_inf, ref_everywhere = real_quadratic_roots(*row)
+        ref_roots, ref_inf, ref_everywhere = real_quadratic_roots_scalar(*row)
         assert [float(r).hex() for r in roots[k][ok[k]]] == [float(r).hex() for r in ref_roots]
         assert (bool(inf_root[k]), bool(everywhere[k])) == (ref_inf, ref_everywhere)
 
@@ -266,7 +268,7 @@ def test_batched_angle_maps_match_scalar():
     assert singular[-2:].all()
     for k, a in enumerate(probe.tolist()):
         try:
-            q, v = p.point_at_alpha(a, TOL), p.velocity_at_alpha(a, TOL)
+            q, v = point_at_alpha_scalar(p, a, TOL), velocity_at_alpha_scalar(p, a, TOL)
         except SingularParameterError:
             assert singular[k]
             continue

@@ -20,7 +20,6 @@ from gbpd.conic import (
     DegenerateConic,
     ParametrizedConic,
     classify_and_parametrize,
-    eval_param,
     param_of_alpha,
     residual_polynomial,
 )
@@ -201,7 +200,7 @@ def test_circle_canonical_start_point():
     # t=0 point lies on the circle at an axis point
     rep = classify_and_parametrize(ConicImplicit(1.0, 0.0, 1.0, 0.0, 0.0, -1.0))
     assert isinstance(rep, ParametrizedConic)
-    q = eval_param(rep, 0.0)
+    q = rep.point_at(0.0)
     assert math.hypot(q[0], q[1]) == pytest.approx(1.0, abs=1e-12)
     assert min(abs(q[0]), abs(q[1])) == pytest.approx(0.0, abs=1e-9)
 
@@ -210,7 +209,7 @@ def test_eval_at_singular_parameter_raises():
     rep = classify_and_parametrize(ConicImplicit(1.0, 0.0, -1.0, 0.0, 0.0, -1.0))
     assert isinstance(rep, ParametrizedConic)
     with pytest.raises(SingularParameterError):
-        eval_param(rep, rep.singular_params[0])
+        rep.point_at(rep.singular_params[0])
 
 
 def test_eval_random_conics_residual():

@@ -1,0 +1,170 @@
+"""Batched clip crossings, piece points and flattening against their scalar
+references, bit for bit.
+
+The clip solves the window-side quadratics of all curved edges in one batch
+and the straight edges' crossings in one array pass; flattening refines all
+pieces level by level, one ``piece_points`` call per level. These
+properties require the batched results to equal, float bit for float bit,
+what the one-at-a-time references in ``oracles.py`` give.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from gbpd import Generator, SymMat2, Window
+from gbpd import clip as gclip
+from gbpd import oracle as goracle
+from gbpd.cli import PRESETS, random_scene
+from gbpd.clip import clip_to_window, piece_points
+from gbpd.diagram import build_diagram, merge_marks, ray_parameter, split_at_marks
+from gbpd.oracle import flatten_pieces, rasterize_cells
+from gbpd.tolerances import DEFAULT_TOLERANCES as TOL
+
+from oracles import (
+    curve_crossings_scalar,
+    flatten_piece_scalar,
+    line_crossings_scalar,
+    piece_point_scalar,
+)
+
+WINDOW = Window(0.0, 0.0, 400.0, 400.0)
+SHIFT = (1e5, -1e5)
+I = SymMat2.identity()
+
+
+def bits(values):
+    return [float(v).hex() for v in np.ravel(np.asarray(values, dtype=float))]
+
+
+def iso(gid, x, y, w=0.0):
+    return Generator(gid, (x, y), I, w)
+
+
+def _case(name):
+    """(generators, window) of a named test case."""
+    preset, _, shifted = name.partition("+shift")
+    if preset in PRESETS:
+        gens = random_scene(preset, 12, 3, WINDOW)
+        if not shifted:
+            return gens, WINDOW
+        moved = [Generator(g.id, g.p + np.array(SHIFT), g.M, g.w) for g in gens]
+        return moved, Window(SHIFT[0], SHIFT[1], SHIFT[0] + 400.0, SHIFT[1] + 400.0)
+    if name == "loop-across-border":
+        disk = Generator(0, (0, 0), SymMat2.isotropic(2.0), 1.0)
+        return [disk, iso(1, 0, 0)], Window(0, -2, 2, 2)
+    if name == "line-through-corners":
+        return [iso(0, 0, 0), iso(1, 10, 0)], Window(0, -5, 5, 5)
+    assert name == "no-edge-inside"
+    return [iso(0, 0, 0), iso(1, 100, 0)], Window(-1, -1, 1, 1)
+
+
+CASES = [*PRESETS, *(p + "+shift" for p in PRESETS),
+         "loop-across-border", "line-through-corners", "no-edge-inside"]
+
+
+def test_shared_splitting_rule():
+    two_pi = 2.0 * math.pi
+    gap = 1e-9
+    marks = merge_marks([(2.0, "c"), (1.0, "a"), (1.0 + 0.5 * gap, "b"), (3.0, "d")], gap)
+    assert marks == [(1.0, "a"), (2.0, "c"), (3.0, "d")]
+    # open: lo -> marks -> hi with the end payloads; pieces up to gap long drop out
+    assert split_at_marks(marks, 0.0, 3.0 + 0.5 * gap, gap, False, ("lo", "hi")) == [
+        (0.0, 1.0, "lo", "a"), (1.0, 2.0, "a", "c"), (2.0, 3.0, "c", "d"),
+    ]
+    # closed: pairs run circularly, the last one a turn on
+    assert split_at_marks(marks, None, None, gap, True) == [
+        (1.0, 2.0, "a", "c"), (2.0, 3.0, "c", "d"), (3.0, 1.0 + two_pi, "d", "a"),
+    ]
+    # a last mark within gap of the first one a turn later is its duplicate
+    wrapped = marks + [(1.0 + two_pi - 0.5 * gap, "e")]
+    closed = split_at_marks(marks, None, None, gap, True)
+    assert split_at_marks(wrapped, None, None, gap, True) == closed
+    assert split_at_marks([(0.5, "a")], None, None, gap, True) == [(0.5, 0.5 + two_pi, "a", "a")]
+    # the line-ray representative: a unit step in from a ray's finite end
+    rays = ((-math.inf, math.inf), (-math.inf, 2.0), (2.0, math.inf), (1.0, 2.0))
+    assert [ray_parameter(*t) for t in rays] == [0.0, 1.0, 3.0, 1.5]
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return {name: (build_diagram(_case(name)[0]), _case(name)[1]) for name in CASES}
+
+
+def crossing_bits(found):
+    return [(bits([x]), bits(pos), side) for x, pos, side in found]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_batched_crossings_match_scalar(graphs, name):
+    graph, window = graphs[name]
+    snap = TOL.dedup_rel * window.diagonal
+    curved = [e for e in graph.edges if e.is_curve()]
+    straight = [e for e in graph.edges if not e.is_curve()]
+    got_curved = gclip._curve_crossings(graph, curved, window, snap, TOL)
+    got_straight = gclip._line_crossings(graph, straight, window, snap)
+    total = 0
+    for e, found in zip(curved, got_curved):
+        ref = curve_crossings_scalar(graph.bisectors[e.pair], e, window, snap, TOL)
+        assert crossing_bits((x, *at) for x, at in found) == crossing_bits(ref)
+        total += len(ref)
+    for e, found in zip(straight, got_straight):
+        line = graph.bisectors[e.pair].lines[e.line_index]
+        ref = line_crossings_scalar(line, *gclip._line_range(e), window, snap)
+        assert crossing_bits((x, *at) for x, at in found) == crossing_bits(ref)
+        total += len(ref)
+    assert (total == 0) == (name == "no-edge-inside")
+    # an edge's crossings do not depend on the other edges of the batch
+    alone = [gclip._curve_crossings(graph, [e], window, snap, TOL)[0] for e in curved[::-1]][::-1]
+    assert [crossing_bits((x, *at) for x, at in f) for f in alone] == [
+        crossing_bits((x, *at) for x, at in f) for f in got_curved
+    ]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_batched_flattening_matches_scalar(graphs, name):
+    graph, window = graphs[name]
+    cd = clip_to_window(graph, window)
+    arcs = [p for p in cd.pieces if p.kind == "arc"]
+    # the isotropic preset shares one matrix: its bisectors are lines
+    assert arcs or name.startswith(("isotropic", "line-through-corners", "no-edge-inside"))
+    ftols = [window.width / 10.0, window.width / 400.0 / 20.0, window.width / 800.0 * 0.1]
+    if name == "loop-across-border":
+        ftols.append(0.0)  # every span refines to the depth cap
+    for ftol in ftols:
+        lines = flatten_pieces(cd, cd.pieces, ftol)
+        for piece, line in zip(cd.pieces, lines):
+            assert bits(line) == bits(flatten_piece_scalar(cd.graph, piece, ftol, TOL))
+        alone = [flatten_pieces(cd, [p], ftol)[0] for p in cd.pieces[::-1]][::-1]
+        assert [bits(line) for line in alone] == [bits(line) for line in lines]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_batched_piece_points_match_scalar(graphs, name):
+    graph, window = graphs[name]
+    cd = clip_to_window(graph, window)
+    rng = np.random.default_rng(3)
+    rows = [(p, f) for p in cd.pieces for f in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3))]
+    got = piece_points(cd.graph, [p for p, _ in rows], np.array([f for _, f in rows]), TOL)
+    ref = [piece_point_scalar(cd.graph, p, f, TOL) for p, f in rows]
+    assert bits(got) == bits(ref)
+
+
+def test_each_piece_flattened_once_per_raster(monkeypatch):
+    graph = build_diagram(random_scene("paper-weights", 24, 42, WINDOW))
+    cd = clip_to_window(graph, Window(90.0, 100.0, 290.0, 300.0))
+    calls = []
+    kernel = goracle.flatten_pieces
+
+    def counting(cd_, pieces, ftol):
+        calls.append([p.id for p in pieces])
+        return kernel(cd_, pieces, ftol)
+
+    monkeypatch.setattr(goracle, "flatten_pieces", counting)
+    rasterize_cells(cd, 100, 100)
+    uses = [pid for loops in cd.cells.values() for lp in loops for pid, _ in lp]
+    assert len(uses) > len(set(uses))  # most pieces border two cells
+    assert len(calls) == 1
+    assert sorted(calls[0]) == sorted(set(calls[0]))
+    assert set(uses) <= set(calls[0])

@@ -12,7 +12,7 @@ from gbpd.errors import NonFiniteSegmentError, UnboundedCellError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
 from gbpd.measure import cell_area, cell_perimeter, edge_arc_length, measure_cells
 
-from oracles import marching_squares_length, polyline_arc_length
+from oracles import marching_squares_length, point_at_alpha_scalar, polyline_arc_length
 
 I = SymMat2(1.0, 0.0, 1.0)
 
@@ -94,7 +94,7 @@ def test_arc_length_against_polyline_oracle():
             continue
         b = graph.bisectors[e.pair]
         ref = polyline_arc_length(
-            lambda a: b.param.point_at_alpha(a), e.alpha_a, e.alpha_b, samples=40_001
+            lambda a: point_at_alpha_scalar(b.param, a), e.alpha_a, e.alpha_b, samples=40_001
         )
         val = edge_arc_length(graph, e)
         assert abs(val - ref) <= 1e-6 * ref
@@ -116,7 +116,7 @@ def test_arc_length_polyline_high_resolution():
     assert best is not None
     b = graph.bisectors[best.pair]
     ref = polyline_arc_length(
-        lambda a: b.param.point_at_alpha(a), best.alpha_a, best.alpha_b, samples=1_000_001
+        lambda a: point_at_alpha_scalar(b.param, a), best.alpha_a, best.alpha_b, samples=1_000_001
     )
     val = edge_arc_length(graph, best)
     assert abs(val - ref) <= 1e-7 * ref
