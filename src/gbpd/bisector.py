@@ -175,12 +175,6 @@ class Bisector:
         assert self.param is not None
         return self.param.point_at_alpha(alpha, tol)
 
-    def is_empty(self) -> bool:
-        return self.conic_class is ConicClass.EMPTY
-
-    def is_whole_plane(self) -> bool:
-        return self.conic_class is ConicClass.WHOLE_PLANE
-
 
 def _pair_frames(gi: np.ndarray, gj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Similarity frames local to P generator pairs: centers (P, 2) and scales (P,).

@@ -11,6 +11,8 @@ outer loops come out counterclockwise, holes clockwise.
 The same pieces carry a bounded cell of the bare graph: `bounded_cell_pieces`
 turns each of its edges into one whole-edge piece, with the side test and
 the chaining that clipping uses, so measurement has one loop representation.
+`flatten_pieces` is the one flattening of pieces into polylines, for the
+analytic raster, the SVG and the hole test of measure.
 
 Crossing parameters come from the quadratic x(t) - X u(t) = 0 per window
 side (linear for straight edges), so no marching or sampling is involved.
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conic import (
+    ConicImplicit,
     alphas_of_params,
     chart_coefficients,
     homogeneous_at_params,
@@ -39,6 +42,7 @@ from .geometry import SceneArrays, Window
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 TWO_PI = 2.0 * math.pi
+_FLATTEN_DEPTH = 14
 
 
 @dataclass
@@ -111,6 +115,68 @@ def piece_points(graph: DiagramGraph, pieces, f, tol: ToleranceSet) -> np.ndarra
         out[rows] = (_arc_points(graph, sub, a, tol)[:, :2] if kind == "arc"
                      else _line_points(graph, sub, a))
     return out
+
+
+def flatten_pieces(graph: DiagramGraph, pieces, ftol: float,
+                   tol: ToleranceSet) -> list[np.ndarray]:
+    """Polylines (M, 2) along pieces in their stored direction, end points included.
+
+    A border or straight piece is its chord. An arc starts from its knots
+    (fractions 0, 1/2 and 1; quarters for a closed arc), and each span is
+    split at its midpoint until the midpoint lies within ftol of the chord,
+    to depth 14. The refinement runs level by level, and each level
+    evaluates the midpoints of the open spans of all pieces in one
+    ``piece_points`` call. A span's fate depends only on its own points,
+    so a piece gets the same polyline whatever it is flattened with.
+    """
+    lines: list = [None if p.kind == "arc" else np.array([p.p0, p.p1]) for p in pieces]
+    arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
+    knots = {k: [0.0, 0.25, 0.5, 0.75, 1.0] if pieces[k].closed else [0.0, 0.5, 1.0] for k in arcs}
+    rows = [(k, f) for k in arcs for f in knots[k]]
+    at = piece_points(graph, [pieces[k] for k, _ in rows], np.array([f for _, f in rows]), tol)
+    ends = {k: at[r] for r, (k, f) in enumerate(rows) if f == 1.0}
+    # open spans (piece, f0, f1, p0, p1) of the current depth
+    spans = [
+        (k, f0, f1, p0, p1)
+        for (k, f0), (k1, f1), p0, p1 in zip(rows, rows[1:], at, at[1:])
+        if k == k1
+    ]
+    done: dict[int, list] = {k: [] for k in arcs}
+    for _ in range(_FLATTEN_DEPTH):
+        if not spans:
+            break
+        fm = np.array([0.5 * (f0 + f1) for _, f0, f1, _, _ in spans])
+        pm = piece_points(graph, [pieces[k] for k, *_ in spans], fm, tol)
+        p0 = np.array([sp[3] for sp in spans])
+        chord = np.array([sp[4] for sp in spans]) - p0
+        n = np.array([math.hypot(cx, cy) for cx, cy in chord.tolist()])
+        near = np.array([math.hypot(dx, dy) for dx, dy in (pm - p0).tolist()])
+        cross = chord[:, 0] * (pm[:, 1] - p0[:, 1]) - chord[:, 1] * (pm[:, 0] - p0[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = np.abs(cross) / n
+        flat = np.where(n == 0.0, near, dev) <= ftol
+        split = []
+        for (k, f0, f1, q0, q1), ok, fmid, qm in zip(spans, flat.tolist(), fm.tolist(), pm):
+            if ok:
+                done[k].append((f0, q0))
+            else:
+                split += [(k, f0, fmid, q0, qm), (k, fmid, f1, qm, q1)]
+        spans = split
+    for k, f0, _, q0, _ in spans:  # spans at the depth cap stay as they are
+        done[k].append((f0, q0))
+    for k in arcs:
+        done[k].sort(key=lambda leaf: leaf[0])
+        lines[k] = np.array([q for _, q in done[k]] + [ends[k]])
+    return lines
+
+
+def loop_polygons(lines, loops) -> list[np.ndarray]:
+    """Closed polygon of each loop of (piece id, forward) pairs, from ``lines``
+    (piece id -> polyline): each piece up to, not including, its end."""
+    return [
+        np.concatenate([lines[pid][:-1] if forward else lines[pid][:0:-1] for pid, forward in lp])
+        for lp in loops
+    ]
 
 
 def _arc_points(graph: DiagramGraph, pieces, alpha: np.ndarray, tol: ToleranceSet) -> np.ndarray:
@@ -356,15 +422,20 @@ def _kept_pieces(graph: DiagramGraph, candidates, window: Window,
         inside = iter((~singular & (window.xmin + m <= x) & (x <= window.xmax - m)
                        & (window.ymin + m <= y) & (y <= window.ymax - m)).tolist())
     pieces = [piece for piece, _, _ in candidates if piece.kind != "arc" or next(inside)]
+    _set_arc_ends(graph, pieces, tol)
+    for k, piece in enumerate(pieces):
+        piece.id = k
+    return pieces
+
+
+def _set_arc_ends(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
+    """Set p0 (p1) of the arc pieces with a start (end) node, from one ``_arc_points`` call."""
     ends = [(p, "p0", p.a0) for p in pieces if p.kind == "arc" and p.node_a is not None]
     ends += [(p, "p1", p.a1) for p in pieces if p.kind == "arc" and p.node_b is not None]
     if ends:
         points = _arc_points(graph, [p for p, _, _ in ends], np.array([a for _, _, a in ends]), tol)
         for (piece, field, _), q in zip(ends, points):
             setattr(piece, field, q[:2])
-    for k, piece in enumerate(pieces):
-        piece.id = k
-    return pieces
 
 
 def _assign_sides(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
@@ -389,12 +460,9 @@ def _assign_sides(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
         q[segments] = _line_points(graph, sub, a_mid[segments])
         la, lb, _ = _line_coefficients(graph, sub)
         tangent[segments] = np.column_stack([-lb, la])
-    a11, a12, a22, b11, b12 = (
-        np.array([getattr(graph.bisectors[p.pair].implicit, f) for p in pieces], dtype=float)
-        for f in ("a11", "a12", "a22", "b11", "b12")
-    )
-    gx = 2.0 * a11 * q[:, 0] + 2.0 * a12 * q[:, 1] + b11
-    gy = 2.0 * a12 * q[:, 0] + 2.0 * a22 * q[:, 1] + b12
+    # ConicImplicit with array fields evaluates one conic per entry
+    coeffs = np.array([graph.bisectors[p.pair].implicit.coeffs() for p in pieces], dtype=float)
+    gx, gy = ConicImplicit(*coeffs.T).gradient(q[:, 0], q[:, 1])
     ahead = (tangent[:, 0] * gy - tangent[:, 1] * gx < 0.0).tolist()
     for piece, keep_order in zip(pieces, ahead):
         i, j = piece.pair
@@ -487,11 +555,7 @@ def bounded_cell_pieces(
             pieces[eid] = ClipPiece(eid, "segment", e.pair, eid, e.line_index, e.t_a, e.t_b,
                                     *e.endpoints, False, None, None,
                                     line.point_at(e.t_a), line.point_at(e.t_b))
-    arcs = [p for p in pieces.values() if p.kind == "arc" and not p.closed]
-    if arcs:
-        ends = _arc_points(graph, arcs + arcs, np.array([p.a0 for p in arcs] + [p.a1 for p in arcs]), tol)
-        for k, piece in enumerate(arcs):
-            piece.p0, piece.p1 = ends[k, :2], ends[len(arcs) + k, :2]
+    _set_arc_ends(graph, list(pieces.values()), tol)
     _assign_sides(graph, list(pieces.values()), tol)
     directed = [(eid, piece.left == cell) for eid, piece in pieces.items()]
     return pieces, _chain_cell(cell, pieces, directed)

@@ -10,7 +10,7 @@ The construction follows six steps:
    generators. The generators are scanned in blocks with a running minimum,
    and a candidate leaves as soon as one block proves it is not minimal;
    that drop is a decision the full scan would also make, so the kept set
-   is the full scan's (see ``_globally_minimal``).
+   is the full scan's (see ``intersect.globally_minimal``).
 4. Polish all vertices with Newton steps in one array pass, then recover
    each vertex's parameters on its incident bisectors: one
    ``params_of_points`` call covers every (vertex, curved bisector)
@@ -18,10 +18,13 @@ The construction follows six steps:
 5. Split every bisector component at its vertex parameters (per-bisector
    interval bookkeeping) and keep the pieces whose representative point has
    the component's generator pair as its two nearest. The representatives
-   of all pieces of all bisectors are evaluated as arrays and decided
-   together, one distance evaluation per chunk of points.
-6. Assemble the edge/vertex graph with adjacency, per-cell edge lists and
-   per-cell boundary components.
+   of all curve pieces of all bisectors come from one level loop (each
+   level one array evaluation of the pieces still unresolved; only a
+   lopsided piece at a singular end goes past the first), and all pieces
+   are decided together, one distance evaluation per chunk of points.
+6. Assemble the edge/vertex graph: ``assemble_graph`` derives adjacency,
+   per-cell edge lists and per-cell boundary components from the edges,
+   for the build and for the JSON reader alike.
 
 The triple loop is the O(n^3) heart and runs through the vectorized pencil
 kernel in fixed-size chunks. Chunks are independent and merged in index
@@ -62,15 +65,14 @@ from .conic import (
     points_at_alphas,
     wrap_angle,
 )
-from .errors import NoSolutionError, SingularParameterError
+from .errors import NoSolutionError
 from .geometry import Generator, SceneArrays
-from .intersect import pencil_intersections_batch
+from .intersect import globally_minimal, pencil_intersections_batch
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 TWO_PI = 2.0 * math.pi
 _TRIPLE_CHUNK = 32768
 _POINT_CHUNK = 16384
-_GEN_BLOCK = 16
 
 
 @dataclass
@@ -178,40 +180,6 @@ def _triple_arrays(n: int) -> np.ndarray:
     return np.stack([np.repeat(first, counts), pj[rows], pk[rows]], axis=1).astype(np.int64)
 
 
-def _globally_minimal(
-    cand: np.ndarray, trip: np.ndarray, arr: SceneArrays, tol: ToleranceSet
-) -> np.ndarray:
-    """Keep mask of candidates whose triple distance is the global minimum.
-
-    A candidate is kept iff d_trip - d_min <= vert_rel (1 + |d_min|), with
-    d_trip its smallest distance to its three triple generators and d_min
-    the smallest distance to any generator. The generators are scanned in
-    blocks of _GEN_BLOCK columns with a running minimum m >= d_min, and a
-    candidate is dropped as soon as d_trip - m > 2 vert_rel (1 + |m|).
-    Lowering m by some delta raises the left side by delta and the right side
-    by at most 2 vert_rel delta, so such a candidate fails the final test too;
-    the factor 2 covers the rounding of both sides. Candidates that are
-    never dropped are decided with the full minimum, which is the same float
-    as a full scan gives.
-    """
-    d_trip = arr.dist(cand, trip).min(axis=1)
-    m = np.full(cand.shape[0], np.inf)
-    alive = np.arange(cand.shape[0])
-    for lo in range(0, arr.n, _GEN_BLOCK):
-        m_alive = np.minimum(
-            m[alive], arr.dist(cand[alive], np.arange(lo, min(lo + _GEN_BLOCK, arr.n))).min(axis=1)
-        )
-        m[alive] = m_alive
-        dropped = d_trip[alive] - m_alive > 2.0 * tol.vert_rel * (1.0 + np.abs(m_alive))
-        alive = alive[~dropped]
-        if alive.size == 0:
-            break
-    keep = np.zeros(cand.shape[0], dtype=bool)
-    d_min = m[alive]
-    keep[alive] = d_trip[alive] - d_min <= tol.vert_rel * (1.0 + np.abs(d_min))
-    return keep
-
-
 def _candidate_chunk(
     chunk: np.ndarray,
     pair_mats: np.ndarray,
@@ -237,7 +205,7 @@ def _candidate_chunk(
     trip = chunk[t_idx]  # (K, 3)
     keep = np.concatenate(
         [
-            _globally_minimal(cand[lo : lo + _POINT_CHUNK], trip[lo : lo + _POINT_CHUNK], arr, tol)
+            globally_minimal(cand[lo : lo + _POINT_CHUNK], trip[lo : lo + _POINT_CHUNK], arr, tol)
             for lo in range(0, cand.shape[0], _POINT_CHUNK)
         ]
     )
@@ -396,44 +364,37 @@ def _two_nearest(
     return np.where(dj > di, dj, di) <= d3 + tol.vert_rel * (1.0 + np.abs(d3))
 
 
-def _probe_alphas(a_lo: float, a_hi: float, lo_singular: bool, hi_singular: bool):
-    """The alphas tried, in order, for a representative strictly inside (a_lo, a_hi).
-
-    The midpoint works unless an endpoint is a singular parameter and the
-    interval is lopsided; then the probes move geometrically closer to the
-    finite end.
-    """
-    mid = 0.5 * (a_lo + a_hi)
-    anchor = mid
-    if lo_singular and not hi_singular:
-        anchor = a_hi
-    elif hi_singular and not lo_singular:
-        anchor = a_lo
-    for k in range(60):
-        yield anchor + (mid - anchor) * (0.5**k) if anchor != mid else mid
-
-
-def _arc_representative(
-    b: Bisector, a_lo: float, a_hi: float, lo_singular: bool, hi_singular: bool,
+def _curve_representatives(
+    params, mid: np.ndarray, anchor: np.ndarray, whole: np.ndarray,
     length_scale: float, tol: ToleranceSet,
-) -> np.ndarray | None:
-    """Finite representative point strictly inside an alpha interval.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Representative points (N, 2) of curve pieces on ``params``, and the mask of those found.
 
-    Tries the probes of ``_probe_alphas`` until the denominator and the
-    coordinates are sane.
+    Level j evaluates the unresolved pieces in one ``points_at_alphas`` call
+    at anchor + (mid - anchor) 0.5^j, or at mid where anchor == mid. A
+    regular point resolves a ``whole`` piece; other pieces need it finite
+    and within 1e6 (1 + length_scale) of the origin. Only pieces with
+    anchor != mid go on to the next level, for at most 60 levels.
     """
-    assert b.param is not None
+    points = np.full((len(params), 2), math.nan)
+    has_rep = np.zeros(len(params), dtype=bool)
+    coef = chart_coefficients(params)
+    u_scale = np.array([p.u_scale for p in params])
     limit = 1e6 * (1.0 + length_scale)
-    for alpha in _probe_alphas(a_lo, a_hi, lo_singular, hi_singular):
-        try:
-            q = b.param.point_at_alpha(alpha, tol)
-        except SingularParameterError:
-            continue
-        if np.all(np.isfinite(q)) and max(abs(q[0]), abs(q[1])) <= limit:
-            return q
-        if not (lo_singular or hi_singular):
-            return None
-    return None
+    open_ = np.arange(len(params))
+    for level in range(60):
+        if open_.size == 0:
+            break
+        m, a = mid[open_], anchor[open_]
+        alpha = np.where(a != m, a + (m - a) * 0.5**level, m)
+        x, y, _, _, singular = points_at_alphas(coef[open_], u_scale[open_], alpha, tol)
+        with np.errstate(invalid="ignore"):
+            sane = np.isfinite(x) & np.isfinite(y) & (np.maximum(np.abs(x), np.abs(y)) <= limit)
+        ok = ~singular & (whole[open_] | sane)
+        points[open_[ok]] = np.column_stack([x, y])[ok]
+        has_rep[open_[ok]] = True
+        open_ = open_[~ok & (a != m)]
+    return points, has_rep
 
 
 def merge_marks(marks: list[tuple], gap: float) -> list[tuple]:
@@ -483,26 +444,26 @@ def ray_parameter(t0: float, t1: float) -> float:
 
 def _candidate_pieces(
     b: Bisector, vertex_params: dict[int, list[tuple[float, int | None]]], tol: ToleranceSet
-) -> tuple[list[tuple], list]:
+) -> tuple[list[tuple], list[tuple[float, float]]]:
     """Split each component of a bisector at its vertex parameters.
 
     Returns the candidate pieces as (component, x0, x1, v0, v1, whole) and,
-    per piece, what locates its representative: a point for a line piece,
-    and for a curve piece the tuple (alpha, a_lo, a_hi, lo_singular,
-    hi_singular, whole) with the alpha to try first. A whole curve
-    component (``whole`` set) is represented by its midpoint whenever that
-    is not a singular parameter. ``_piece_segment`` turns a piece into its
-    EdgeSegment.
+    per piece, its probe (mid, anchor). A line piece is represented at the
+    line parameter mid (its ``ray_parameter``). A curve piece probes from
+    its alpha midpoint toward anchor: its other end if exactly one end is
+    a singular parameter, else the midpoint; a whole curve component
+    (``whole`` set) probes its ``midpoint()``. ``_piece_segment`` turns a
+    piece into its EdgeSegment.
     """
     pieces: list[tuple] = []
-    reps: list = []
+    probes: list[tuple[float, float]] = []
     for ci, comp in enumerate(b.components):
         entries = list(vertex_params.get(ci, ()))
         if comp.kind == "line":
-            line = b.lines[comp.line_index]
             marks = sorted(entries, key=lambda m: m[0])
             for t0, t1, v0, v1 in split_at_marks(marks, -math.inf, math.inf, tol.param_merge, False):
-                reps.append(line.point_at(ray_parameter(t0, t1)))
+                t = ray_parameter(t0, t1)
+                probes.append((t, t))
                 pieces.append((ci, t0, t1, v0, v1, False))
             continue
 
@@ -515,7 +476,7 @@ def _candidate_pieces(
             if comp.closed or 0.0 < off < span:
                 marks.append((comp.lo + off, vid))
         if not marks:
-            reps.append((comp.midpoint(), comp.lo, comp.hi, False, False, True))
+            probes.append((comp.midpoint(), comp.midpoint()))
             pieces.append((ci, comp.lo, comp.hi, None, None, True))
             continue
         gap = 2.0 * tol.param_merge
@@ -523,9 +484,10 @@ def _candidate_pieces(
                                              comp.closed):
             s_lo = not comp.closed and abs(a0 - comp.lo) <= 1e-15
             s_hi = not comp.closed and abs(a1 - comp.hi) <= 1e-15
-            reps.append((next(_probe_alphas(a0, a1, s_lo, s_hi)), a0, a1, s_lo, s_hi, False))
+            mid = 0.5 * (a0 + a1)
+            probes.append((mid, a1 if s_lo and not s_hi else a0 if s_hi and not s_lo else mid))
             pieces.append((ci, a0, a1, v0, v1, False))
-    return pieces, reps
+    return pieces, probes
 
 
 def _visible_pieces(
@@ -538,55 +500,42 @@ def _visible_pieces(
     """Visible pieces of many bisectors, decided together.
 
     ``vertex_params[k]`` holds the vertex parameters of ``bisectors[k]`` by
-    component. The curve representatives of all candidate pieces are
-    evaluated as arrays at their first probe; a lopsided piece whose first
-    probe fails falls back to the probe loop of ``_arc_representative``.
-    All representatives are then decided by one two-nearest test per
-    ``_POINT_CHUNK`` points.
+    component. The curve representatives of all candidate pieces come from
+    one level loop (``_curve_representatives``), and all representatives
+    are decided by one two-nearest test per ``_POINT_CHUNK`` points.
 
     Returns (visible pieces in bisector, component and piece order, the
     only ones made into EdgeSegments; the mask over all candidate pieces of
-    those without a representative). A
-    piece without a representative is dropped: a whole component whose
-    midpoint is a singular parameter, or an interval where no probe gives a
-    finite point within 1e6 (1 + length_scale) of the origin.
+    those without a representative). A piece without a representative is
+    dropped: a whole component whose midpoint is a singular parameter, or
+    an interval where no probe gives a finite point within
+    1e6 (1 + length_scale) of the origin.
     """
     pieces: list[tuple] = []
     owner: list[int] = []
-    reps: list = []
+    probes: list[tuple[float, float]] = []
     for k, (b, params) in enumerate(zip(bisectors, vertex_params)):
-        b_pieces, b_reps = _candidate_pieces(b, params, tol)
+        b_pieces, b_probes = _candidate_pieces(b, params, tol)
         pieces.extend(b_pieces)
-        reps.extend(b_reps)
+        probes.extend(b_probes)
         owner.extend([k] * len(b_pieces))
     points = np.full((len(pieces), 2), math.nan)
-    has_rep = np.array([not isinstance(rep, tuple) for rep in reps], dtype=bool)
-    for r in np.flatnonzero(has_rep).tolist():
-        points[r] = reps[r]
-    curve = np.flatnonzero(~has_rep)
-    if curve.size:
-        spec = [reps[r] for r in curve.tolist()]
-        params = [bisectors[owner[r]].param for r in curve.tolist()]
-        x, y, _, _, singular = points_at_alphas(
-            chart_coefficients(params), np.array([p.u_scale for p in params]),
-            np.array([sp[0] for sp in spec]), tol,
+    has_rep = np.zeros(len(pieces), dtype=bool)
+    curve = []
+    for r, (piece, (mid, _)) in enumerate(zip(pieces, probes)):
+        b = bisectors[owner[r]]
+        comp = b.components[piece[0]]
+        if comp.kind == "line":
+            points[r] = b.lines[comp.line_index].point_at(mid)
+            has_rep[r] = True
+        else:
+            curve.append(r)
+    if curve:
+        mid, anchor = np.array([probes[r] for r in curve]).T
+        points[curve], has_rep[curve] = _curve_representatives(
+            [bisectors[owner[r]].param for r in curve], mid, anchor,
+            np.array([pieces[r][5] for r in curve], dtype=bool), length_scale, tol,
         )
-        whole = np.array([sp[5] for sp in spec], dtype=bool)
-        limit = 1e6 * (1.0 + length_scale)
-        with np.errstate(invalid="ignore"):
-            sane = np.isfinite(x) & np.isfinite(y) & (np.maximum(np.abs(x), np.abs(y)) <= limit)
-        ok = ~singular & (whole | sane)
-        points[curve[ok]] = np.column_stack([x, y])[ok]
-        has_rep[curve[ok]] = True
-        # a lopsided interval at a singular end probes closer to its finite end
-        for c in np.flatnonzero(~ok & ~whole).tolist():
-            _, a0, a1, s_lo, s_hi, _ = spec[c]
-            if s_lo or s_hi:
-                b = bisectors[owner[curve[c]]]
-                q = _arc_representative(b, a0, a1, s_lo, s_hi, length_scale, tol)
-                if q is not None:
-                    points[curve[c]] = q
-                    has_rep[curve[c]] = True
     decided = np.flatnonzero(has_rep)
     pair_idx = np.array(
         [(arr.id_to_index[b.i], arr.id_to_index[b.j]) for b in bisectors], dtype=np.int64
@@ -729,8 +678,6 @@ def _recover_params(
     return params_by_pair, miss
 
 
-
-
 def build_diagram(
     generators: list[Generator],
     tol: ToleranceSet = DEFAULT_TOLERANCES,
@@ -748,7 +695,7 @@ def build_diagram(
     """
     if not generators:
         raise NoSolutionError("a scene needs at least one generator")
-    kept, aliases = _dedup_generators(list(generators))
+    kept, _ = _dedup_generators(list(generators))
     arr = SceneArrays(kept)
     length_scale = arr.scale()
     center = (
@@ -791,16 +738,25 @@ def build_diagram(
     edges.sort(key=edge_key)
     for eid, e in enumerate(edges):
         e.id = eid
+    return assemble_graph(generators, vertices, edges, bisectors, tol)
 
+
+def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: list[EdgeSegment],
+                   bisectors: dict[tuple[int, int], Bisector], tol: ToleranceSet) -> DiagramGraph:
+    """Diagram graph of edges whose ids are their positions in ``edges``.
+
+    Derives the aliases, the length scale and the cell structure (adjacency,
+    cell edge lists, boundary components, empty cells); the build and the
+    JSON reader both assemble their graphs here.
+    """
+    kept, aliases = _dedup_generators(list(generators))
     adjacency = {e.pair for e in edges}
     cell_edges: dict[int, list[int]] = {g.id: [] for g in generators}
     for e in edges:
         cell_edges[e.pair[0]].append(e.id)
         cell_edges[e.pair[1]].append(e.id)
-
-    cell_components = {
-        gid: _boundary_components(eids, edges) for gid, eids in cell_edges.items()
-    }
+    ends = [e.endpoints for e in edges]
+    cell_components = {gid: _boundary_components(eids, ends) for gid, eids in cell_edges.items()}
     empty = frozenset(
         gid for gid, eids in cell_edges.items() if not eids and len(generators) >= 2
     )
@@ -814,37 +770,36 @@ def build_diagram(
         cell_components=cell_components,
         empty_cells=empty,
         aliases=aliases,
-        length_scale=length_scale,
+        length_scale=SceneArrays(kept).scale(),
         tol=tol,
     )
 
 
-def _boundary_components(edge_ids: list[int], edges: list[EdgeSegment]) -> list[list[int]]:
-    """Group a cell's edges into connected components via shared vertices."""
-    if not edge_ids:
-        return []
-    parent = {eid: eid for eid in edge_ids}
+def _boundary_components(edge_ids: list[int], ends: list[tuple]) -> list[list[int]]:
+    """Group a cell's edges into connected components via shared vertices.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    ``ends[e]`` holds the endpoint vertex ids of edge e. Components come in
+    the order of their smallest edge id, each sorted.
+    """
     by_vertex: dict[int, list[int]] = {}
     for eid in edge_ids:
-        for vid in edges[eid].endpoints:
+        for vid in ends[eid]:
             if vid is not None:
                 by_vertex.setdefault(vid, []).append(eid)
-    for eids in by_vertex.values():
-        for other in eids[1:]:
-            union(eids[0], other)
-    groups: dict[int, list[int]] = {}
-    for eid in edge_ids:
-        groups.setdefault(find(eid), []).append(eid)
-    return [sorted(groups[root]) for root in sorted(groups)]
+    seen: set[int] = set()
+    groups = []
+    for eid in sorted(edge_ids):
+        if eid in seen:
+            continue
+        seen.add(eid)
+        group, stack = [], [eid]
+        while stack:
+            cur = stack.pop()
+            group.append(cur)
+            for vid in ends[cur]:
+                for other in by_vertex.get(vid, ()):
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+        groups.append(sorted(group))
+    return groups

@@ -82,10 +82,6 @@ class SymMat2:
         vx, vy = float(v[0]), float(v[1])
         return self.m11 * vx * vx + 2.0 * self.m12 * vx * vy + self.m22 * vy * vy
 
-    def apply(self, v) -> np.ndarray:
-        vx, vy = float(v[0]), float(v[1])
-        return np.array([self.m11 * vx + self.m12 * vy, self.m12 * vx + self.m22 * vy])
-
     def inverse(self) -> "SymMat2":
         d = self.det()
         if d == 0.0:

@@ -37,6 +37,8 @@ _DET_REL = 1e-10
 # relative discriminant clamp: slightly negative discriminants from roundoff
 # are treated as tangencies instead of missed intersections
 _DISC_CLAMP = 1e-10
+# generator columns per block of the global-minimality scan
+_GEN_BLOCK = 16
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
@@ -276,9 +278,14 @@ def pencil_intersections_batch(
         # Newton polish on the 2x2 implicit system, then residual filter
         x = pts[:, :, 0]
         y = pts[:, :, 1]
+        # each pair's conics as ConicImplicit fields (T, 1), broadcast over the slots
+        c1, c2 = (ConicImplicit(d[:, None, 0, 0], d[:, None, 0, 1], d[:, None, 1, 1],
+                                2.0 * d[:, None, 0, 2], 2.0 * d[:, None, 1, 2], d[:, None, 2, 2])
+                  for d in (a1, a2))
         for _ in range(3):
-            f1 = _implicit_eval(a1, x, y)
-            f2 = _implicit_eval(a2, x, y)
+            f1 = c1.evaluate(x, y)
+            f2 = c2.evaluate(x, y)
+            # 2 (a00 x + a01 y + a02) rounds differently from ConicImplicit.gradient
             f1x = 2.0 * (a1[:, None, 0, 0] * x + a1[:, None, 0, 1] * y + a1[:, None, 0, 2])
             f1y = 2.0 * (a1[:, None, 0, 1] * x + a1[:, None, 1, 1] * y + a1[:, None, 1, 2])
             f2x = 2.0 * (a2[:, None, 0, 0] * x + a2[:, None, 0, 1] * y + a2[:, None, 0, 2])
@@ -294,10 +301,10 @@ def pencil_intersections_batch(
         pts[:, :, 0] = x
         pts[:, :, 1] = y
 
-        f1 = _implicit_eval(a1, x, y)
-        f2 = _implicit_eval(a2, x, y)
-        r1s = _residual_scale(a1, x, y)
-        r2s = _residual_scale(a2, x, y)
+        f1 = c1.evaluate(x, y)
+        f2 = c2.evaluate(x, y)
+        r1s = c1.residual_scale(x, y)
+        r2s = c2.residual_scale(x, y)
         with np.errstate(invalid="ignore"):
             valid &= np.isfinite(x) & np.isfinite(y)
             valid &= (np.abs(f1) <= tol.res_rel * r1s) & (np.abs(f2) <= tol.res_rel * r2s)
@@ -317,30 +324,6 @@ def pencil_intersections_batch(
         pts[:, :, 1] = h * y + cy
 
     return pts, valid
-
-
-def _implicit_eval(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate homogeneous conic matrices (T,3,3) at point slots (T,S)."""
-    return (
-        d[:, None, 0, 0] * x * x
-        + 2.0 * d[:, None, 0, 1] * x * y
-        + d[:, None, 1, 1] * y * y
-        + 2.0 * d[:, None, 0, 2] * x
-        + 2.0 * d[:, None, 1, 2] * y
-        + d[:, None, 2, 2]
-    )
-
-
-def _residual_scale(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (
-        1.0
-        + np.abs(d[:, None, 0, 0] * x * x)
-        + np.abs(2.0 * d[:, None, 0, 1] * x * y)
-        + np.abs(d[:, None, 1, 1] * y * y)
-        + np.abs(2.0 * d[:, None, 0, 2] * x)
-        + np.abs(2.0 * d[:, None, 1, 2] * y)
-        + np.abs(d[:, None, 2, 2])
-    )
 
 
 def conic_conic_intersections(
@@ -373,6 +356,40 @@ def conic_conic_intersections(
     return found
 
 
+def globally_minimal(
+    cand: np.ndarray, trip: np.ndarray, arr: SceneArrays, tol: ToleranceSet
+) -> np.ndarray:
+    """Keep mask of candidates whose triple distance is the global minimum.
+
+    A candidate is kept iff d_trip - d_min <= vert_rel (1 + |d_min|), with
+    d_trip its smallest distance to its triple generators (the indices in
+    its row of ``trip``) and d_min the smallest distance to any generator.
+    The generators are scanned in blocks of _GEN_BLOCK columns with a
+    running minimum m >= d_min, and a candidate is dropped as soon as
+    d_trip - m > 2 vert_rel (1 + |m|). Lowering m by some delta raises the
+    left side by delta and the right side by at most 2 vert_rel delta, so
+    such a candidate fails the final test too; the factor 2 covers the
+    rounding of both sides. Candidates that are never dropped are decided
+    with the full minimum, which is the same float as a full scan gives.
+    """
+    d_trip = arr.dist(cand, trip).min(axis=1)
+    m = np.full(cand.shape[0], np.inf)
+    alive = np.arange(cand.shape[0])
+    for lo in range(0, arr.n, _GEN_BLOCK):
+        m_alive = np.minimum(
+            m[alive], arr.dist(cand[alive], np.arange(lo, min(lo + _GEN_BLOCK, arr.n))).min(axis=1)
+        )
+        m[alive] = m_alive
+        dropped = d_trip[alive] - m_alive > 2.0 * tol.vert_rel * (1.0 + np.abs(m_alive))
+        alive = alive[~dropped]
+        if alive.size == 0:
+            break
+    keep = np.zeros(cand.shape[0], dtype=bool)
+    d_min = m[alive]
+    keep[alive] = d_trip[alive] - d_min <= tol.vert_rel * (1.0 + np.abs(d_min))
+    return keep
+
+
 def is_gbpd_vertex(
     v,
     triple,
@@ -382,11 +399,9 @@ def is_gbpd_vertex(
     """True iff the triple's shared distance at v is the global minimum.
 
     ``triple`` holds generator ids; ``scene`` is a SceneArrays or a sequence
-    of Generators. Tolerance scales with (1 + |min distance|).
+    of Generators. Tolerance scales with (1 + |min distance|). A batch of
+    one of :func:`globally_minimal`.
     """
     arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
-    q = as_point(v)
-    d = arr.dist(q[None, :])[0]
-    d_ref = min(float(d[arr.id_to_index[g]]) for g in triple)
-    d_min = float(d.min())
-    return d_ref - d_min <= tol.vert_rel * (1.0 + abs(d_min))
+    cols = np.array([[arr.id_to_index[g] for g in triple]], dtype=np.int64)
+    return bool(globally_minimal(as_point(v)[None, :], cols, arr, tol)[0])

@@ -22,7 +22,8 @@ clip pieces (`clip.ClipPiece`). A clipped diagram carries them already. A
 bounded cell of a bare diagram graph is turned into whole-edge pieces by
 `clip.bounded_cell_pieces`; a graph cell with no boundary, with an edge
 that runs to infinity, or with hole loops only is unbounded and raises
-UnboundedCellError.
+UnboundedCellError. A hole loop joins the outer loop that contains it, as
+tested on `clip.flatten_pieces` polygons at the build's snap radius.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 # name `quad` in this module and fails if it is missing.
 from scipy.integrate import quad  # noqa: F401
 
-from .clip import ClippedDiagram, bounded_cell_pieces, piece_points
+from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_polygons
 from .conic import chart_coefficients, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
 from .errors import NonFiniteSegmentError, QuadratureError, UnboundedCellError
@@ -301,28 +302,14 @@ def _loop_terms(graph: DiagramGraph, pieces, loop, table, tol) -> tuple[float, f
     return acc.close()
 
 
-def _flatten_loops(graph: DiagramGraph, pieces, loops, samples: int,
-                   tol: ToleranceSet) -> list[np.ndarray]:
-    """Polygon per loop: ``samples`` points per piece, all from one ``piece_points`` call."""
-    fs = [k / samples for k in range(samples)]
-    rows = [(pieces[pid], f if forward else 1.0 - f)
-            for lp in loops for pid, forward in lp for f in fs]
-    pts = piece_points(graph, [r[0] for r in rows], np.array([r[1] for r in rows]), tol)
-    return np.split(pts, np.cumsum([samples * len(lp) for lp in loops])[:-1])
-
-
 def _point_in_polygon(poly: np.ndarray, q) -> bool:
+    """Even-odd test of q against the closed polygon (M, 2), all edges in one pass."""
     x, y = float(q[0]), float(q[1])
-    inside = False
-    n = len(poly)
-    for k in range(n):
-        x0, y0 = poly[k]
-        x1, y1 = poly[(k + 1) % n]
-        if (y0 > y) != (y1 > y):
-            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if xc > x:
-                inside = not inside
-    return inside
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(poly, -1, axis=0).T
+    hit = (y0 > y) != (y1 > y)
+    xc = x0[hit] + (y - y0[hit]) * (x1[hit] - x0[hit]) / (y1[hit] - y0[hit])
+    return bool(np.count_nonzero(xc > x) % 2)
 
 
 def _group_loops(vals, polygons, *, strict: bool, cell: int) -> list[list[int]]:
@@ -413,6 +400,14 @@ def _arc_table(graph: DiagramGraph, cells, tol: ToleranceSet) -> dict[int, tuple
     return {k: (float(a), float(s)) for k, a, s in zip(arcs, areas, lengths)}
 
 
+def _loop_polygons(graph: DiagramGraph, pieces, loops, tol: ToleranceSet) -> list[np.ndarray]:
+    """Polygon per loop, its pieces flattened to the build's snap radius."""
+    ids = sorted({pid for lp in loops for pid, _ in lp})
+    ftol = tol.dedup_rel * graph.length_scale
+    return loop_polygons(dict(zip(ids, flatten_pieces(graph, [pieces[k] for k in ids], ftol, tol))),
+                         loops)
+
+
 def _measure_loops(graph: DiagramGraph, cell: int, pieces, loops, table,
                    tol: ToleranceSet, *, strict: bool) -> CellMeasure:
     """Measure of one cell from its loops; strict (bare graph cells) makes
@@ -420,7 +415,7 @@ def _measure_loops(graph: DiagramGraph, cell: int, pieces, loops, table,
     if not loops:
         return CellMeasure(cell, 0.0, 0.0, ())
     vals = [_loop_terms(graph, pieces, lp, table, tol) for lp in loops]
-    groups = _group_loops(vals, lambda: _flatten_loops(graph, pieces, loops, 8, tol),
+    groups = _group_loops(vals, lambda: _loop_polygons(graph, pieces, loops, tol),
                           strict=strict, cell=cell)
     return _assemble_measure(cell, vals, groups)
 

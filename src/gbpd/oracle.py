@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .clip import ClippedDiagram, piece_points
+from .clip import ClippedDiagram, flatten_pieces, loop_polygons
 from .errors import DimensionMismatchError, InputError
 from .geometry import Generator, SceneArrays, Window
 
@@ -82,74 +82,6 @@ def rasterize(generators, window: Window, width: int, height: int) -> LabelImage
 # ------------------------------------------------- analytic rasterization
 
 
-_FLATTEN_DEPTH = 14
-
-
-def flatten_pieces(cd: ClippedDiagram, pieces, ftol: float) -> list[np.ndarray]:
-    """Polylines (M, 2) along pieces in their stored direction, end points included.
-
-    A border or straight piece is its chord. An arc starts from its knots
-    (fractions 0, 1/2 and 1; quarters for a closed arc), and each span is
-    split at its midpoint until the midpoint lies within ftol of the chord,
-    to depth 14. The refinement runs level by level, and each level
-    evaluates the midpoints of the open spans of all pieces in one
-    ``piece_points`` call. A span's fate depends only on its own points,
-    so a piece gets the same polyline whatever it is flattened with.
-    """
-    graph, tol = cd.graph, cd.graph.tol
-    lines: list = [None if p.kind == "arc" else np.array([p.p0, p.p1]) for p in pieces]
-    arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
-    knots = {k: [0.0, 0.25, 0.5, 0.75, 1.0] if pieces[k].closed else [0.0, 0.5, 1.0] for k in arcs}
-    rows = [(k, f) for k in arcs for f in knots[k]]
-    at = piece_points(graph, [pieces[k] for k, _ in rows], np.array([f for _, f in rows]), tol)
-    ends = {k: at[r] for r, (k, f) in enumerate(rows) if f == 1.0}
-    # open spans (piece, f0, f1, p0, p1) of the current depth
-    spans = [
-        (k, f0, f1, p0, p1)
-        for (k, f0), (k1, f1), p0, p1 in zip(rows, rows[1:], at, at[1:])
-        if k == k1
-    ]
-    done: dict[int, list] = {k: [] for k in arcs}
-    for _ in range(_FLATTEN_DEPTH):
-        if not spans:
-            break
-        fm = np.array([0.5 * (f0 + f1) for _, f0, f1, _, _ in spans])
-        pm = piece_points(graph, [pieces[k] for k, *_ in spans], fm, tol)
-        p0 = np.array([sp[3] for sp in spans])
-        chord = np.array([sp[4] for sp in spans]) - p0
-        n = np.array([math.hypot(cx, cy) for cx, cy in chord.tolist()])
-        near = np.array([math.hypot(dx, dy) for dx, dy in (pm - p0).tolist()])
-        cross = chord[:, 0] * (pm[:, 1] - p0[:, 1]) - chord[:, 1] * (pm[:, 0] - p0[:, 0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dev = np.abs(cross) / n
-        flat = np.where(n == 0.0, near, dev) <= ftol
-        split = []
-        for (k, f0, f1, q0, q1), ok, fmid, qm in zip(spans, flat.tolist(), fm.tolist(), pm):
-            if ok:
-                done[k].append((f0, q0))
-            else:
-                split += [(k, f0, fmid, q0, qm), (k, fmid, f1, qm, q1)]
-        spans = split
-    for k, f0, _, q0, _ in spans:  # spans at the depth cap stay as they are
-        done[k].append((f0, q0))
-    for k in arcs:
-        done[k].sort(key=lambda leaf: leaf[0])
-        lines[k] = np.array([q for _, q in done[k]] + [ends[k]])
-    return lines
-
-
-def _cell_polygons(cd: ClippedDiagram, gid: int, lines) -> list[np.ndarray]:
-    """Closed polygons of a cell's loops from the pieces' polylines (indexed by piece id)."""
-    polys = []
-    for loop in cd.cells.get(gid, []):
-        # each piece contributes its polyline up to, not including, its end
-        pts = np.concatenate([lines[pid][:-1] if forward else lines[pid][:0:-1]
-                              for pid, forward in loop])
-        if len(pts) >= 3:
-            polys.append(pts)
-    return polys
-
-
 def rasterize_cells(cd: ClippedDiagram, width: int, height: int,
                     ftol: float | None = None) -> LabelImage:
     """Label image painted from the analytic cell boundaries.
@@ -166,10 +98,10 @@ def rasterize_cells(cd: ClippedDiagram, width: int, height: int,
     labels = np.full((height, width), -1, dtype=np.int32)
     xs = origin[0] + (np.arange(width) + 0.5) * px
     # every piece is flattened once, for both cells it borders
-    lines = flatten_pieces(cd, cd.pieces, ftol)
+    lines = flatten_pieces(cd.graph, cd.pieces, ftol, cd.graph.tol)
 
     for gid in ids:
-        polys = _cell_polygons(cd, gid, lines)
+        polys = [p for p in loop_polygons(lines, cd.cells.get(gid, [])) if len(p) >= 3]
         if not polys:
             continue
         edges_a = np.concatenate([p for p in polys])

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
-from .clip import ClippedDiagram
+from .clip import ClippedDiagram, flatten_pieces
 from .errors import NonRenderableContour
 from .geometry import generator_to_ellipse
-from .oracle import flatten_pieces
 
 EDGE_STYLE = 'fill="none" stroke="#1a1a1a" stroke-width="1.2"'
 BORDER_STYLE = 'fill="#fdfdfd" stroke="#555555" stroke-width="1"'
@@ -62,7 +61,7 @@ def render_svg(
 
     # the window rect already shows the border
     edges = [piece for piece in cd.pieces if piece.kind != "boundary"]
-    for run in flatten_pieces(cd, edges, chord_tol_px / scale):
+    for run in flatten_pieces(cd.graph, edges, chord_tol_px / scale, cd.graph.tol):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(p) for p in run))
         out.append(f'<polyline points="{pts}" {EDGE_STYLE}/>')
 

@@ -10,7 +10,10 @@ document and writing it again reproduces the bytes exactly.
 The reader rebuilds a full :class:`DiagramGraph`: bisector objects are
 reconstructed from the generator pairs (the construction is deterministic),
 so a loaded graph supports clipping and measurement like a freshly built
-one. Only pairs that own visible edges are rebuilt.
+one. Only pairs that own visible edges are rebuilt. The cell structure is
+derived from the edges by ``assemble_graph``, as the build derives it, and
+a document whose ``adjacency`` or ``cells`` rows differ from the rows the
+writer would emit for that structure raises InputError.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ import numpy as np
 
 from .bisector import make_bisector, make_bisectors  # noqa: F401 (make_bisector re-exported)
 from .conic import alpha_of_param
-from .diagram import DiagramGraph, EdgeSegment, Vertex
+from .diagram import DiagramGraph, EdgeSegment, Vertex, assemble_graph
 from .errors import InputError
-from .geometry import Generator, SceneArrays, SymMat2
+from .geometry import Generator, SymMat2
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 SCHEMA_KEYS = ("generators", "vertices", "edges", "adjacency", "cells")
+GENERATOR_FIELDS = ("px", "py", "m11", "m12", "m22", "w")
+EDGE_FIELDS = ("id", "pair", "kind", "t_a", "t_b", "endpoints")
 
 
 # ------------------------------------------------------------------ writing
@@ -107,20 +112,7 @@ def diagram_to_document(graph: DiagramGraph) -> dict:
                 "line": e.line_index,
             }
         )
-    adjacency = [[int(i), int(j)] for i, j in sorted(graph.adjacency)]
-    cells = []
-    for gid in sorted(graph.cell_edges):
-        cells.append(
-            {
-                "id": int(gid),
-                "edges": [int(k) for k in graph.cell_edges[gid]],
-                "components": [
-                    [int(k) for k in comp] for comp in graph.cell_components.get(gid, [])
-                ],
-                "empty": gid in graph.empty_cells,
-                "alias": graph.aliases.get(gid),
-            }
-        )
+    adjacency, cells = _structure_rows(graph)
     return {
         "generators": gens,
         "vertices": verts,
@@ -128,6 +120,22 @@ def diagram_to_document(graph: DiagramGraph) -> dict:
         "adjacency": adjacency,
         "cells": cells,
     }
+
+
+def _structure_rows(graph: DiagramGraph) -> tuple[list, list]:
+    """The ``adjacency`` and ``cells`` rows of a graph's document."""
+    adjacency = [list(pair) for pair in sorted(graph.adjacency)]
+    cells = [
+        {
+            "id": gid,
+            "edges": list(graph.cell_edges[gid]),
+            "components": [list(comp) for comp in graph.cell_components.get(gid, [])],
+            "empty": gid in graph.empty_cells,
+            "alias": graph.aliases.get(gid),
+        }
+        for gid in sorted(graph.cell_edges)
+    ]
+    return adjacency, cells
 
 
 def diagram_to_json(graph: DiagramGraph) -> str:
@@ -156,9 +164,20 @@ def write_diagram(path, graph: DiagramGraph) -> None:
 # ------------------------------------------------------------------ reading
 
 
-def _as_float(v, where: str):
-    if v is None:
-        return None
+def _fields(row, keys: tuple[str, ...], where: str) -> list:
+    """The values of ``keys`` in a document row; a missing one raises InputError."""
+    try:
+        return [row[key] for key in keys]
+    except KeyError as exc:
+        raise InputError(f"{where}: missing field {exc.args[0]!r}") from None
+    except TypeError:
+        raise InputError(f"{where}: a row must be an object") from None
+
+
+def _number(v, where: str):
+    """A document number as a float; null stays None, "inf" and "-inf" are infinities."""
+    if type(v) is float or v is None:
+        return v
     if isinstance(v, str):
         if v == "inf":
             return math.inf
@@ -168,12 +187,6 @@ def _as_float(v, where: str):
     if isinstance(v, bool):
         raise InputError(f"{where}: boolean where a number belongs")
     return float(v)
-
-
-def _need(row: dict, key: str, where: str):
-    if key not in row:
-        raise InputError(f"{where}: missing field {key!r}")
-    return row[key]
 
 
 def _edge_alphas(kind: str, t_a, t_b, line_index):
@@ -195,59 +208,38 @@ def _edge_alphas(kind: str, t_a, t_b, line_index):
 
 
 def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> DiagramGraph:
-    for key in SCHEMA_KEYS:
-        if key not in doc:
-            raise InputError(f"diagram JSON: missing array {key!r}")
-
+    generator_rows, vertex_rows, edge_rows, *structure = _fields(doc, SCHEMA_KEYS, "diagram JSON")
     generators: list[Generator] = []
-    for k, row in enumerate(doc["generators"]):
+    for k, row in enumerate(generator_rows):
         where = f"generators[{k}]"
-        generators.append(
-            Generator(
-                id=int(_need(row, "id", where)),
-                p=np.array(
-                    [_as_float(_need(row, "px", where), where),
-                     _as_float(_need(row, "py", where), where)]
-                ),
-                M=SymMat2(
-                    _as_float(_need(row, "m11", where), where),
-                    _as_float(_need(row, "m12", where), where),
-                    _as_float(_need(row, "m22", where), where),
-                ),
-                w=_as_float(_need(row, "w", where), where),
-            )
-        )
+        gid, *values = _fields(row, ("id", *GENERATOR_FIELDS), where)
+        px, py, m11, m12, m22, w = (_number(v, where) for v in values)
+        generators.append(Generator(int(gid), np.array([px, py]), SymMat2(m11, m12, m22), w))
     by_id = {g.id: g for g in generators}
 
     vertices: list[Vertex] = []
-    for k, row in enumerate(doc["vertices"]):
+    for k, row in enumerate(vertex_rows):
         where = f"vertices[{k}]"
-        vertices.append(
-            Vertex(
-                id=int(_need(row, "id", where)),
-                pos=np.array(
-                    [_as_float(_need(row, "x", where), where),
-                     _as_float(_need(row, "y", where), where)]
-                ),
-                gens=frozenset(int(g) for g in _need(row, "gens", where)),
-            )
-        )
+        vid, x, y, gens = _fields(row, ("id", "x", "y", "gens"), where)
+        pos = np.array([_number(x, where), _number(y, where)])
+        vertices.append(Vertex(int(vid), pos, frozenset(map(int, gens))))
 
     edges: list[EdgeSegment] = []
-    for k, row in enumerate(doc["edges"]):
+    for k, row in enumerate(edge_rows):
         where = f"edges[{k}]"
-        pair = tuple(int(v) for v in _need(row, "pair", where))
+        eid, pair, kind, t_a, t_b, ends = _fields(row, EDGE_FIELDS, where)
+        if int(eid) != k:
+            raise InputError(f"{where}: edge id must be its position {k}")
+        pair = tuple(map(int, pair))
         if len(pair) != 2:
             raise InputError(f"{where}: pair must hold two generator ids")
-        kind = str(_need(row, "kind", where))
-        t_a = _as_float(_need(row, "t_a", where), where)
-        t_b = _as_float(_need(row, "t_b", where), where)
-        ends = _need(row, "endpoints", where)
+        kind = str(kind)
+        t_a, t_b = _number(t_a, where), _number(t_b, where)
         line_index = row.get("line")
         alpha_a, alpha_b = _edge_alphas(kind, t_a, t_b, line_index)
         edges.append(
             EdgeSegment(
-                id=int(_need(row, "id", where)),
+                id=k,
                 pair=pair,  # type: ignore[arg-type]
                 kind=kind,
                 t_a=t_a,
@@ -263,30 +255,6 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
             )
         )
 
-    adjacency = {tuple(int(v) for v in pair) for pair in doc["adjacency"]}
-
-    cell_edges: dict[int, list[int]] = {}
-    cell_components: dict[int, list[list[int]]] = {}
-    empty: set[int] = set()
-    aliases: dict[int, int] = {}
-    for k, row in enumerate(doc["cells"]):
-        where = f"cells[{k}]"
-        gid = int(_need(row, "id", where))
-        if gid not in by_id:
-            raise InputError(f"{where}: cell id {gid} has no generator")
-        cell_edges[gid] = [int(v) for v in _need(row, "edges", where)]
-        cell_components[gid] = [
-            [int(v) for v in comp] for comp in _need(row, "components", where)
-        ]
-        if bool(_need(row, "empty", where)):
-            empty.add(gid)
-        alias = row.get("alias")
-        if alias is not None:
-            aliases[gid] = int(alias)
-    for g in generators:
-        cell_edges.setdefault(g.id, [])
-        cell_components.setdefault(g.id, [])
-
     pairs = sorted({e.pair for e in edges})
     for i, j in pairs:
         if i not in by_id or j not in by_id:
@@ -294,22 +262,16 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
     bisectors = dict(
         zip(pairs, make_bisectors([by_id[i] for i, _ in pairs], [by_id[j] for _, j in pairs], tol))
     )
-
-    kept = [g for g in generators if g.id not in aliases]
-    length_scale = SceneArrays(kept).scale() if kept else 1.0
-    return DiagramGraph(
-        generators=generators,
-        vertices=vertices,
-        edges=edges,
-        bisectors=bisectors,
-        cell_edges=cell_edges,
-        adjacency=adjacency,  # type: ignore[arg-type]
-        cell_components=cell_components,
-        empty_cells=frozenset(empty),
-        aliases=aliases,
-        length_scale=length_scale,
-        tol=tol,
-    )
+    graph = assemble_graph(generators, vertices, edges, bisectors, tol)
+    for key, rows, derived in zip(SCHEMA_KEYS[3:], structure, _structure_rows(graph)):
+        if not isinstance(rows, list):
+            raise InputError(f"diagram JSON: {key!r} must be an array")
+        if rows != derived:
+            k = next((k for k, (got, want) in enumerate(zip(rows, derived)) if got != want),
+                     min(len(rows), len(derived)))
+            raise InputError(f"diagram JSON: {key}[{k}] is {rows[k : k + 1]}, "
+                             f"but the edges give {derived[k : k + 1]}")
+    return graph
 
 
 def diagram_from_json(text: str, tol: ToleranceSet = DEFAULT_TOLERANCES) -> DiagramGraph:

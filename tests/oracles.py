@@ -612,3 +612,93 @@ def flatten_piece_scalar(graph, piece, ftol, tol=DEFAULT_TOLERANCES):
     for k in range(len(knots) - 1):
         refine(knots[k], knots[k + 1], pts[k], pts[k + 1], 0)
     return out + [pts[-1]]
+
+
+# ------------------------------------------------ curve representatives
+#
+# The build finds the representative point of every curve piece with one
+# level loop over all pieces. This is the per-piece probe sequence it
+# replaced: the midpoint, or, for a lopsided interval with one singular
+# end, probes moving geometrically toward the finite end.
+
+
+def probe_alphas_scalar(a_lo, a_hi, lo_singular, hi_singular):
+    """The alphas tried, in order, for a representative strictly inside (a_lo, a_hi)."""
+    mid = 0.5 * (a_lo + a_hi)
+    anchor = mid
+    if lo_singular and not hi_singular:
+        anchor = a_hi
+    elif hi_singular and not lo_singular:
+        anchor = a_lo
+    for k in range(60):
+        yield anchor + (mid - anchor) * (0.5**k) if anchor != mid else mid
+
+
+def arc_representative_scalar(p, a_lo, a_hi, lo_singular, hi_singular, length_scale,
+                              tol=DEFAULT_TOLERANCES):
+    """First probe point of a curve piece that is regular, finite and within
+    1e6 (1 + length_scale) of the origin, or None."""
+    limit = 1e6 * (1.0 + length_scale)
+    for alpha in probe_alphas_scalar(a_lo, a_hi, lo_singular, hi_singular):
+        try:
+            q = point_at_alpha_scalar(p, alpha, tol)
+        except SingularParameterError:
+            continue
+        if np.all(np.isfinite(q)) and max(abs(q[0]), abs(q[1])) <= limit:
+            return q
+        if not (lo_singular or hi_singular):
+            return None
+    return None
+
+
+# ---------------------------------------------- graph assembly and hole test
+#
+# The loop forms of the cell-component grouping and of the even-odd hole
+# test, which the package now runs as a vertex-keyed search and as one
+# array pass.
+
+
+def boundary_components_union_find(edge_ids, edges):
+    """Group a cell's edges into connected components via shared vertices (union-find)."""
+    if not edge_ids:
+        return []
+    parent = {eid: eid for eid in edge_ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    by_vertex = {}
+    for eid in edge_ids:
+        for vid in edges[eid].endpoints:
+            if vid is not None:
+                by_vertex.setdefault(vid, []).append(eid)
+    for eids in by_vertex.values():
+        for other in eids[1:]:
+            union(eids[0], other)
+    groups = {}
+    for eid in edge_ids:
+        groups.setdefault(find(eid), []).append(eid)
+    return [sorted(groups[root]) for root in sorted(groups)]
+
+
+def point_in_polygon_scalar(poly, q):
+    """Even-odd test of q against the closed polygon poly, one edge at a time."""
+    x, y = float(q[0]), float(q[1])
+    inside = False
+    n = len(poly)
+    for k in range(n):
+        x0, y0 = poly[k]
+        x1, y1 = poly[(k + 1) % n]
+        if (y0 > y) != (y1 > y):
+            xc = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            if xc > x:
+                inside = not inside
+    return inside

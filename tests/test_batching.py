@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gbpd import diagram
@@ -38,7 +38,8 @@ from gbpd.conic import (
     wrap_angles,
 )
 from gbpd.diagram import (
-    _globally_minimal,
+    _candidate_pieces,
+    _curve_representatives,
     _polish_vertices,
     _recover_params,
     _triple_arrays,
@@ -49,14 +50,19 @@ from gbpd.diagram import (
 )
 from gbpd.errors import NoSolutionError, SingularParameterError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
+from gbpd.intersect import globally_minimal
+from gbpd.measure import _point_in_polygon
 from gbpd.tolerances import DEFAULT_TOLERANCES as TOL
 
 from oracles import (
+    arc_representative_scalar,
     bisector_frame_scalar,
+    boundary_components_union_find,
     full_scan_minimal,
     merge_params_scalar,
     param_of_point_scalar,
     point_at_alpha_scalar,
+    point_in_polygon_scalar,
     polish_vertices_scalar,
     real_quadratic_roots_scalar,
     two_nearest_point,
@@ -185,7 +191,7 @@ def candidate_sets(draw):
 @settings(max_examples=80, deadline=None)
 def test_early_exit_filter_matches_full_scan(case):
     cand, trip, arr = case
-    keep = _globally_minimal(cand, trip, arr, TOL)
+    keep = globally_minimal(cand, trip, arr, TOL)
     assert keep.tolist() == full_scan_minimal(cand, trip, arr, TOL).tolist()
     # the three nearest generators always pass
     half = (cand.shape[0] - 1) // 2
@@ -452,10 +458,14 @@ def test_cross_bisector_visibility_matches_per_bisector(gens):
     assert sorted(each) == sorted(edge_fields(e) for e in graph.edges)
 
 
-def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
-    # a hyperbola branch split by a vertex mark just past its singular start:
-    # the piece's midpoint lies beyond the 1e6 (1 + length_scale) limit, and
-    # a probe closer to the mark gives its representative
+def lopsided_case():
+    """A hyperbola branch split by a vertex mark just past its singular start.
+
+    The piece's midpoint lies beyond the 1e6 (1 + length_scale) limit, and
+    a probe closer to the mark gives its representative. Returns the
+    generators, their bisector, the vertex parameters and the mark offset
+    ``far`` from the singular start.
+    """
     gens = [
         Generator(0, (0, 0), SymMat2(2.0, 0.0, 0.5), 0.0),
         Generator(1, (3, 0), SymMat2.identity(), 0.0),
@@ -473,9 +483,82 @@ def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
         mid = math.sqrt(near * far)
         near, far = (mid, far) if reach(mid) > 1.5 * limit else (near, mid)
     assert reach(far) > limit > reach(1.75 * far)
-    segs = visible_segments(b, {0: [(param_of_alpha(lo_alpha + 2.0 * far), None)]}, gens, TOL, 1.0)
+    return gens, b, {0: [(param_of_alpha(lo_alpha + 2.0 * far), None)]}
+
+
+def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
+    gens, b, vparams = lopsided_case()
+    segs = visible_segments(b, vparams, gens, TOL, 1.0)
     assert [s.component for s in segs] == [0, 0, 1]
-    assert segs[0].alpha_a == lo_alpha and segs[0].endpoints == (None, None)
+    assert segs[0].alpha_a == b.components[0].lo and segs[0].endpoints == (None, None)
+
+
+def assert_probe_levels_match_scalar(b, vparams, length_scale):
+    """The level loop's representatives of a curve bisector's pieces equal
+    the scalar probe sequence's, bit for bit (a whole component's: its
+    midpoint's). Returns the number of lopsided pieces (one singular end)."""
+    pieces, probes = _candidate_pieces(b, vparams, TOL)
+    mid, anchor = np.array(probes).T
+    whole = np.array([p[5] for p in pieces], dtype=bool)
+    points, has_rep = _curve_representatives(
+        [b.param] * len(pieces), mid, anchor, whole, length_scale, TOL
+    )
+    lopsided = 0
+    for (ci, a0, a1, _, _, is_whole), q, found in zip(pieces, points, has_rep.tolist()):
+        comp = b.components[ci]
+        s_lo = not comp.closed and abs(a0 - comp.lo) <= 1e-15
+        s_hi = not comp.closed and abs(a1 - comp.hi) <= 1e-15
+        if is_whole:
+            try:
+                ref = point_at_alpha_scalar(b.param, comp.midpoint(), TOL)
+            except SingularParameterError:
+                ref = None
+        else:
+            ref = arc_representative_scalar(b.param, a0, a1, s_lo, s_hi, length_scale, TOL)
+        assert found == (ref is not None)
+        if found:
+            assert bits(q) == bits(ref)
+        lopsided += s_lo != s_hi
+    return lopsided
+
+
+def test_probe_levels_match_scalar_on_a_lopsided_piece():
+    _, b, vparams = lopsided_case()
+    # the branch splits into two lopsided pieces; the other branch is whole
+    assert assert_probe_levels_match_scalar(b, vparams, 1.0) == 2
+
+
+@st.composite
+def hyperbola_marks(draw):
+    """Two generators with a hyperbolic bisector, and vertex marks near both
+    singular ends of each branch, unshifted or shifted by 1e5."""
+    a, b = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    theta = draw(st.floats(0.0, math.pi))
+    mi = SymMat2(a, 0.0, b).rotated(theta)
+    mj = SymMat2(a * draw(st.floats(0.1, 0.9)), 0.0, b * draw(st.floats(1.1, 10.0)))
+    shift = draw(st.sampled_from([0.0, 1e5]))
+    centers = [np.array([draw(st.floats(-50.0, 50.0)) + shift, draw(st.floats(-50.0, 50.0))])
+               for _ in range(2)]
+    gens = [Generator(k, c, m, draw(st.floats(-5.0, 5.0)))
+            for k, (c, m) in enumerate(zip(centers, (mi, mj)))]
+    bis = make_bisector(*gens, TOL)
+    assume(bis.conic_class is ConicClass.HYPERBOLA)
+    vparams = {}
+    for ci, comp in enumerate(bis.components):
+        # offsets above the 2e-9 merge gap, so no end piece is dropped
+        d_lo, d_hi = (draw(st.floats(1.0, 9.9)) * 10.0 ** -draw(st.integers(1, 8))
+                      for _ in range(2))
+        vparams[ci] = [(param_of_alpha(comp.lo + d_lo), None),
+                       (param_of_alpha(comp.hi - d_hi), None)]
+    return gens, bis, vparams
+
+
+@given(hyperbola_marks())
+@settings(max_examples=40, deadline=None)
+def test_probe_levels_match_scalar_near_singular_ends(case):
+    gens, b, vparams = case
+    # each branch: two lopsided end pieces and the piece between the marks
+    assert assert_probe_levels_match_scalar(b, vparams, SceneArrays(gens).scale()) == 4
 
 
 def test_visibility_is_the_same_in_small_point_chunks(monkeypatch):
@@ -484,6 +567,30 @@ def test_visibility_is_the_same_in_small_point_chunks(monkeypatch):
     monkeypatch.setattr(diagram, "_POINT_CHUNK", 7)
     again = build_diagram(gens)
     assert [edge_fields(e) for e in again.edges] == [edge_fields(e) for e in graph.edges]
+
+
+# -------------------------------------------- graph assembly and hole test
+
+
+@given(scenes())
+@settings(max_examples=15, deadline=None)
+def test_cell_components_match_union_find(gens):
+    graph = build_diagram(gens)
+    for gid, eids in graph.cell_edges.items():
+        assert graph.cell_components[gid] == boundary_components_union_find(eids, graph.edges)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    st.floats(0.1, 3.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_array_hole_test_matches_loop(corners, probe, scale):
+    # integer corners and probes at half steps hit horizontal edges and ties
+    poly = np.array(corners, dtype=float) * scale
+    q = np.array(probe, dtype=float) * 0.5 * scale
+    assert _point_in_polygon(poly, q) == point_in_polygon_scalar(poly, q)
 
 
 # ------------------------------------------------- nothing dropped silently

@@ -17,9 +17,9 @@ from gbpd import Generator, SymMat2, Window
 from gbpd import clip as gclip
 from gbpd import oracle as goracle
 from gbpd.cli import PRESETS, random_scene
-from gbpd.clip import clip_to_window, piece_points
+from gbpd.clip import clip_to_window, flatten_pieces, piece_points
 from gbpd.diagram import build_diagram, merge_marks, ray_parameter, split_at_marks
-from gbpd.oracle import flatten_pieces, rasterize_cells
+from gbpd.oracle import rasterize_cells
 from gbpd.tolerances import DEFAULT_TOLERANCES as TOL
 
 from oracles import (
@@ -133,10 +133,10 @@ def test_batched_flattening_matches_scalar(graphs, name):
     if name == "loop-across-border":
         ftols.append(0.0)  # every span refines to the depth cap
     for ftol in ftols:
-        lines = flatten_pieces(cd, cd.pieces, ftol)
+        lines = flatten_pieces(cd.graph, cd.pieces, ftol, TOL)
         for piece, line in zip(cd.pieces, lines):
             assert bits(line) == bits(flatten_piece_scalar(cd.graph, piece, ftol, TOL))
-        alone = [flatten_pieces(cd, [p], ftol)[0] for p in cd.pieces[::-1]][::-1]
+        alone = [flatten_pieces(cd.graph, [p], ftol, TOL)[0] for p in cd.pieces[::-1]][::-1]
         assert [bits(line) for line in alone] == [bits(line) for line in lines]
 
 
@@ -157,9 +157,9 @@ def test_each_piece_flattened_once_per_raster(monkeypatch):
     calls = []
     kernel = goracle.flatten_pieces
 
-    def counting(cd_, pieces, ftol):
+    def counting(graph_, pieces, ftol, tol):
         calls.append([p.id for p in pieces])
-        return kernel(cd_, pieces, ftol)
+        return kernel(graph_, pieces, ftol, tol)
 
     monkeypatch.setattr(goracle, "flatten_pieces", counting)
     rasterize_cells(cd, 100, 100)

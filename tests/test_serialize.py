@@ -1,5 +1,6 @@
 """Diagram JSON round-trips."""
 
+import json
 import math
 
 import numpy as np
@@ -132,6 +133,22 @@ def test_malformed_documents_raise_input_error():
     text = diagram_to_json(graph).replace('"t_a": null', '"t_a": "oops"')
     with pytest.raises(InputError):
         diagram_from_json(text)
+    # a cell structure that disagrees with the edges: one edge id dropped
+    # from a cell's edges, or one adjacency row dropped
+    doc = json.loads(diagram_to_json(build_diagram(mixed_scene(seed=3, n=5))))
+    cell = next(c for c in doc["cells"] if c["edges"])
+    cell["edges"] = cell["edges"][1:]
+    with pytest.raises(InputError, match=r"cells\[\d+\]"):
+        diagram_from_json(json.dumps(doc))
+    doc = json.loads(diagram_to_json(build_diagram(mixed_scene(seed=3, n=5))))
+    doc["adjacency"] = doc["adjacency"][1:]
+    with pytest.raises(InputError, match="adjacency"):
+        diagram_from_json(json.dumps(doc))
+    # the cell structure refers to edges by position
+    doc = json.loads(diagram_to_json(build_diagram(mixed_scene(seed=3, n=5))))
+    doc["edges"][0]["id"] = len(doc["edges"])
+    with pytest.raises(InputError, match=r"edges\[0\]"):
+        diagram_from_json(json.dumps(doc))
 
 
 def test_nonfinite_vertex_rejected_on_write():
