@@ -18,10 +18,14 @@ its result are skipped.
 The scenes: the three presets at n=16 with seeds 1010-1019 (the
 small-batch scenes), the dense paper-random n=72 scene, the paper-weights
 n=64 scene read back from its JSON and queried in nine 200x200 windows,
-and the presets at n=12, seeds 1010-1012, shifted by (1e5, -1e5).
+the presets at n=12, seeds 1010-1012, shifted by (1e5, -1e5), and two
+raster cases: a 4x4 unit lattice at 8 px, whose vertices and edges run
+through pixel centers, and the anisotropic n=10 scenes of seeds 3, 17 and
+29 in a 100x100 window at 400 px, which have cells with holes.
 """
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -32,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gbpd.cli import PRESETS, random_scene
 from gbpd.clip import clip_to_window
 from gbpd.diagram import build_diagram
-from gbpd.geometry import Generator, Window
+from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.measure import cell_area, measure_cells
 from gbpd.oracle import rasterize_cells
 from gbpd.render import render_svg
@@ -40,6 +44,23 @@ from gbpd.serialize import diagram_from_json, diagram_to_json
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
 SHIFT = np.array([1e5, -1e5])
+
+
+def aniso_scene(seed: int, n: int = 10) -> list[Generator]:
+    """Every odd generator anisotropic (axes 3-10 and 1-3), all weighted 0-5,
+    in a 100x100 square; the scene of tests/test_measure.py::aniso_scene."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for k in range(n):
+        p = rng.uniform(0.0, 100.0, size=2)
+        if k % 2 == 1:
+            a1 = rng.uniform(3.0, 10.0) ** 2
+            a2 = rng.uniform(1.0, 3.0) ** 2
+            m = SymMat2(1.0 / a1, 0.0, 1.0 / a2).rotated(rng.uniform(0.0, math.pi))
+        else:
+            m = SymMat2.identity()
+        gens.append(Generator(k, p, m, rng.uniform(0.0, 5.0)))
+    return gens
 
 
 def hexes(values) -> str:
@@ -133,6 +154,12 @@ def main() -> int:
             gens = [Generator(g.id, g.p + SHIFT, g.M, g.w)
                     for g in random_scene(preset, 12, seed, WINDOW)]
             scene_outputs(f"{preset}-12-{seed}-shifted", gens, shifted, 100)
+
+    lattice = [Generator(4 * i + j, np.array([float(i), float(j)]), SymMat2.identity(), 0.0)
+               for i in range(4) for j in range(4)]
+    scene_outputs("lattice-4x4", lattice, Window(-0.25, -0.25, 3.75, 3.75), 8)
+    for seed in (3, 17, 29):
+        scene_outputs(f"aniso-10-{seed}", aniso_scene(seed), Window(0.0, 0.0, 100.0, 100.0), 400)
     return 0
 
 

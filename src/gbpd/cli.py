@@ -122,7 +122,7 @@ def cmd_compute(args) -> int:
         f"{len(graph.adjacency)} adjacent pairs -> {args.out}"
     )
     if args.svg:
-        cd = clip_to_window(graph, _window(args), tol)
+        cd = clip_to_window(graph, _window(args))
         write_svg(args.svg, cd, args.svg_width, vertex_markers=args.vertex_markers)
         print(f"rendered {args.svg}")
     return 0
@@ -140,7 +140,7 @@ def cmd_raster(args) -> int:
             graph = build_diagram(loaded, tol, threads=args.threads)
         else:
             graph = loaded
-        img = rasterize_cells(clip_to_window(graph, window, tol), args.width, args.height)
+        img = rasterize_cells(clip_to_window(graph, window), args.width, args.height)
     else:
         generators = loaded if isinstance(loaded, list) else loaded.generators
         img = rasterize(generators, window, args.width, args.height)
@@ -160,7 +160,7 @@ def cmd_measure(args) -> int:
         graph = build_diagram(loaded, tol, threads=args.threads)
     else:
         graph = loaded
-    measures = measure_cells(clip_to_window(graph, _window(args), tol), tol)
+    measures = measure_cells(clip_to_window(graph, _window(args)))
     neighbor_count = {g.id: 0 for g in graph.generators}
     for i, j in graph.adjacency:
         neighbor_count[i] += 1

@@ -36,10 +36,10 @@ from .conic import (
     points_at_alphas,
     real_quadratic_roots_batch,
 )
-from .diagram import DiagramGraph, EdgeSegment, merge_marks, ray_parameter, split_at_marks
+from .diagram import DiagramGraph, EdgeSegment, merge_marks, split_at_marks
 from .errors import NoSolutionError, SingularParameterError
 from .geometry import SceneArrays, Window
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import ToleranceSet
 
 TWO_PI = 2.0 * math.pi
 _FLATTEN_DEPTH = 14
@@ -293,10 +293,10 @@ def _line_range(e: EdgeSegment) -> tuple[float, float]:
     return (e.t_a if e.t_a is not None else -math.inf, e.t_b if e.t_b is not None else math.inf)
 
 
-def clip_to_window(
-    graph: DiagramGraph, window: Window, tol: ToleranceSet = DEFAULT_TOLERANCES
-) -> ClippedDiagram:
-    """Cut the diagram against a window and assemble closed cell loops."""
+def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
+    """Cut the diagram against a window and assemble closed cell loops,
+    with the tolerances the graph was built with."""
+    tol = graph.tol
     snap = tol.dedup_rel * window.diagonal
     # pieces must be strictly interior: a bisector running along the border
     # itself separates nothing inside the window (ownership ties on the
@@ -331,13 +331,13 @@ def clip_to_window(
     crossings = dict(zip((e.id for e in curved), _curve_crossings(graph, curved, window, snap, tol)))
     crossings.update(zip((e.id for e in straight), _line_crossings(graph, straight, window, snap)))
 
-    # candidate pieces in edge order: a kept segment as its piece, an arc
-    # as (piece, alpha of its containment test, margin of that test)
-    candidates: list[tuple[ClipPiece, float | None, float]] = []
+    # candidate pieces in edge order, as (piece, parameter of its
+    # containment test, margin of that test)
+    candidates: list[tuple[ClipPiece, float, float]] = []
 
-    def candidate(kind, e, a0, a1, na, nb, closed, p0=None, p1=None, test=None, margin=strict):
+    def candidate(kind, e, a0, a1, na, nb, closed, test, margin=strict):
         piece = ClipPiece(-1, kind, e.pair, e.id, e.line_index, a0, a1, na, nb, closed,
-                          None, None, p0, p1)
+                          None, None, None, None)
         candidates.append((piece, test, margin))
 
     for e in graph.edges:
@@ -357,18 +357,13 @@ def clip_to_window(
                 candidate("arc", e, a0, a1, n0, n1, False, test=0.5 * (a0 + a1))
             continue
         # line parameters are lengths: crossings merge within the snap radius
-        line = graph.bisectors[e.pair].lines[e.line_index]
         marks = [(t, crossing_node(*at)) for t, at in merge_marks(found, snap)]
         t_lo, t_hi = _line_range(e)
         for t0, t1, n0, n1 in split_at_marks(marks, t_lo, t_hi, snap, False, ends):
-            if not window.contains(line.point_at(ray_parameter(t0, t1)), margin=strict):
-                continue
-            if math.isinf(t0) or math.isinf(t1):
-                # a kept piece must be finite; infinite tails are outside
-                # any bounded window except for pathological tangencies
-                continue
-            candidate("segment", e, t0, t1, n0, n1, False,
-                      line.point_at(t0), line.point_at(t1))
+            # a kept piece must be finite; infinite tails are outside any
+            # bounded window except for pathological tangencies
+            if not (math.isinf(t0) or math.isinf(t1)):
+                candidate("segment", e, t0, t1, n0, n1, False, 0.5 * (t0 + t1))
 
     pieces = _kept_pieces(graph, candidates, window, tol)
     # window border pieces between consecutive boundary nodes
@@ -404,38 +399,47 @@ def _kept_pieces(graph: DiagramGraph, candidates, window: Window,
                  tol: ToleranceSet) -> list[ClipPiece]:
     """The candidate pieces that lie inside the window, numbered in order.
 
-    An arc is kept when the point at its test alpha is regular and inside
-    the window by its margin; a kept arc then gets the points of its node
-    ends (one at a singular parameter raises SingularParameterError). The
-    test points of all arcs come from one ``points_at_alphas`` call, the
-    end points from another.
+    A piece is kept when the point at its test parameter is regular and
+    inside the window by its margin; a kept piece then gets its end points
+    (``_set_ends``). The test points of all arcs come from one
+    ``points_at_alphas`` call, those of all segments from one array pass.
     """
-    arcs = [(piece, test, margin) for piece, test, margin in candidates if piece.kind == "arc"]
-    inside = iter(())
+    x, y = np.empty(len(candidates)), np.empty(len(candidates))
+    regular = np.ones(len(candidates), dtype=bool)
+    arcs = [k for k, (piece, _, _) in enumerate(candidates) if piece.kind == "arc"]
+    segments = [k for k, (piece, _, _) in enumerate(candidates) if piece.kind != "arc"]
+    test = np.array([t for _, t, _ in candidates])
     if arcs:
-        params = [graph.bisectors[piece.pair].param for piece, _, _ in arcs]
-        x, y, _, _, singular = points_at_alphas(
-            chart_coefficients(params), np.array([p.u_scale for p in params]),
-            np.array([test for _, test, _ in arcs]), tol,
-        )
-        m = np.array([margin for _, _, margin in arcs])
-        inside = iter((~singular & (window.xmin + m <= x) & (x <= window.xmax - m)
-                       & (window.ymin + m <= y) & (y <= window.ymax - m)).tolist())
-    pieces = [piece for piece, _, _ in candidates if piece.kind != "arc" or next(inside)]
-    _set_arc_ends(graph, pieces, tol)
+        params = [graph.bisectors[candidates[k][0].pair].param for k in arcs]
+        x[arcs], y[arcs], _, _, singular = points_at_alphas(
+            chart_coefficients(params), np.array([p.u_scale for p in params]), test[arcs], tol)
+        regular[arcs] = ~singular
+    x[segments], y[segments] = _line_points(graph, [candidates[k][0] for k in segments],
+                                            test[segments]).T
+    m = np.array([margin for _, _, margin in candidates])
+    inside = (regular & (window.xmin + m <= x) & (x <= window.xmax - m)
+              & (window.ymin + m <= y) & (y <= window.ymax - m)).tolist()
+    pieces = [piece for (piece, _, _), keep in zip(candidates, inside) if keep]
+    _set_ends(graph, pieces, tol)
     for k, piece in enumerate(pieces):
         piece.id = k
     return pieces
 
 
-def _set_arc_ends(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
-    """Set p0 (p1) of the arc pieces with a start (end) node, from one ``_arc_points`` call."""
+def _set_ends(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
+    """Set p0 and p1 of the segment pieces, and p0 (p1) of the arc pieces with
+    a start (end) node; the arc points come from one ``_arc_points`` call."""
     ends = [(p, "p0", p.a0) for p in pieces if p.kind == "arc" and p.node_a is not None]
     ends += [(p, "p1", p.a1) for p in pieces if p.kind == "arc" and p.node_b is not None]
     if ends:
         points = _arc_points(graph, [p for p, _, _ in ends], np.array([a for _, _, a in ends]), tol)
         for (piece, field, _), q in zip(ends, points):
             setattr(piece, field, q[:2])
+    segments = [p for p in pieces if p.kind == "segment"]
+    p0 = _line_points(graph, segments, np.array([p.a0 for p in segments]))
+    p1 = _line_points(graph, segments, np.array([p.a1 for p in segments]))
+    for piece, q0, q1 in zip(segments, p0, p1):
+        piece.p0, piece.p1 = q0, q1
 
 
 def _assign_sides(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
@@ -534,7 +538,7 @@ def _chain_cell(gid: int, pieces, directed: list[tuple[int, bool]]) -> list[list
 
 
 def bounded_cell_pieces(
-    graph: DiagramGraph, cell: int, tol: ToleranceSet = DEFAULT_TOLERANCES
+    graph: DiagramGraph, cell: int
 ) -> tuple[dict[int, ClipPiece], list[list[tuple[int, bool]]]]:
     """Whole-edge pieces and closed loops of one graph cell with finite edges.
 
@@ -551,11 +555,9 @@ def bounded_cell_pieces(
             pieces[eid] = ClipPiece(eid, "arc", e.pair, eid, None, e.alpha_a, e.alpha_b,
                                     *e.endpoints, e.kind == "loop", None, None, None, None)
         else:
-            line = graph.bisectors[e.pair].lines[e.line_index]
             pieces[eid] = ClipPiece(eid, "segment", e.pair, eid, e.line_index, e.t_a, e.t_b,
-                                    *e.endpoints, False, None, None,
-                                    line.point_at(e.t_a), line.point_at(e.t_b))
-    _set_arc_ends(graph, list(pieces.values()), tol)
-    _assign_sides(graph, list(pieces.values()), tol)
+                                    *e.endpoints, False, None, None, None, None)
+    _set_ends(graph, list(pieces.values()), graph.tol)
+    _assign_sides(graph, list(pieces.values()), graph.tol)
     directed = [(eid, piece.left == cell) for eid, piece in pieces.items()]
     return pieces, _chain_cell(cell, pieces, directed)

@@ -23,7 +23,9 @@ bounded cell of a bare diagram graph is turned into whole-edge pieces by
 `clip.bounded_cell_pieces`; a graph cell with no boundary, with an edge
 that runs to infinity, or with hole loops only is unbounded and raises
 UnboundedCellError. A hole loop joins the outer loop that contains it, as
-tested on `clip.flatten_pieces` polygons at the build's snap radius.
+tested on `clip.flatten_pieces` polygons at the build's snap radius when
+the cell has more than one outer loop. Tolerances are the graph's own
+(`graph.tol`).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_poly
 from .conic import chart_coefficients, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
 from .errors import NonFiniteSegmentError, QuadratureError, UnboundedCellError
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import ToleranceSet
 
 _HALF_PI = 0.5 * math.pi
 
@@ -225,15 +227,13 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
 # -------------------------------------------------------------- edge length
 
 
-def edge_arc_length(graph: DiagramGraph, e: EdgeSegment,
-                    tol: ToleranceSet | None = None) -> float:
+def edge_arc_length(graph: DiagramGraph, e: EdgeSegment) -> float:
     """Length of one edge segment; finite intervals and closed loops only."""
-    tol = tol if tol is not None else graph.tol
     if not e.is_finite():
         raise NonFiniteSegmentError(f"edge {e.id} runs to infinity; clip it first")
     if e.is_curve():
         param = graph.bisectors[e.pair].param
-        return float(arc_measures([param], [e.alpha_a], [e.alpha_b], tol)[1][0])
+        return float(arc_measures([param], [e.alpha_a], [e.alpha_b], graph.tol)[1][0])
     # line parameters are arc length already
     return e.t_b - e.t_a
 
@@ -279,24 +279,19 @@ def _chord_term(q0, q1) -> float:
     return 0.5 * (q0[0] * q1[1] - q0[1] * q1[0])
 
 
-def _loop_terms(graph: DiagramGraph, pieces, loop, table, tol) -> tuple[float, float]:
+def _loop_terms(pieces, loop, table) -> tuple[float, float]:
     acc = _LoopAccum()
     for pid, forward in loop:
         piece = pieces[pid]
+        q0, q1 = (piece.p0, piece.p1) if forward else (piece.p1, piece.p0)
         if piece.kind == "arc":
-            param = graph.bisectors[piece.pair].param
             a, s = table[pid]
             if piece.closed:
                 acc.area += a if forward else -a
                 acc.length += s
                 continue
-            q0 = piece.p0 if piece.p0 is not None else param.point_at_alpha(piece.a0, tol)
-            q1 = piece.p1 if piece.p1 is not None else param.point_at_alpha(piece.a1, tol)
-            if not forward:
-                q0, q1 = q1, q0
             acc.add(q0, q1, a if forward else -a, s)
         else:
-            q0, q1 = (piece.p0, piece.p1) if forward else (piece.p1, piece.p0)
             acc.add(q0, q1, _chord_term(q0, q1),
                     math.hypot(q1[0] - q0[0], q1[1] - q0[1]))
     return acc.close()
@@ -316,10 +311,11 @@ def _group_loops(vals, polygons, *, strict: bool, cell: int) -> list[list[int]]:
     """Group loop indices into connected components (outer loop + holes).
 
     vals[k] = (signed area, length) of loop k; polygons() returns a
-    flattened polygon per loop and is called only when there are both outer
-    and hole loops. Holes (negative loops) attach to the positive loop
-    containing them. With strict=True a hole without an enclosing positive
-    loop means the region extends to infinity.
+    flattened polygon per loop and is called only when there are hole loops
+    and more than one outer loop. Holes (negative loops) attach to the
+    positive loop containing them, or to the largest one if none does, so
+    a single outer loop takes every hole. With strict=True a hole without
+    an enclosing positive loop means the region extends to infinity.
     """
     outers = [k for k in range(len(vals)) if vals[k][0] >= 0.0]
     holes = [k for k in range(len(vals)) if vals[k][0] < 0.0]
@@ -329,6 +325,8 @@ def _group_loops(vals, polygons, *, strict: bool, cell: int) -> list[list[int]]:
                 f"cell {cell} has only hole loops; it is unbounded"
             )
         return [[k] for k in holes]
+    if len(outers) == 1:
+        return [outers + holes]
     groups = {k: [k] for k in outers}
     polys = polygons() if holes else None
     for k in holes:
@@ -362,7 +360,7 @@ def _assemble_measure(cell: int, vals, groups) -> CellMeasure:
 # ---------------------------------------------------------------- front end
 
 
-def _cell_loops(g: DiagramGraph | ClippedDiagram, cell: int, tol: ToleranceSet) -> tuple:
+def _cell_loops(g: DiagramGraph | ClippedDiagram, cell: int) -> tuple:
     """(pieces, loops) of one cell: the piece table, indexed by piece id,
     and the directed boundary loops, interior on the left. No loops means
     the cell has no area.
@@ -379,10 +377,10 @@ def _cell_loops(g: DiagramGraph | ClippedDiagram, cell: int, tol: ToleranceSet) 
     for eid in sorted(edge_ids):
         if not g.edges[eid].is_finite():
             raise UnboundedCellError(f"cell {cell} is open along edge {eid}")
-    return bounded_cell_pieces(g, cell, tol)
+    return bounded_cell_pieces(g, cell)
 
 
-def _arc_table(graph: DiagramGraph, cells, tol: ToleranceSet) -> dict[int, tuple[float, float]]:
+def _arc_table(graph: DiagramGraph, cells) -> dict[int, tuple[float, float]]:
     """(signed area, length) of every curved piece on the loops of the given
     (pieces, loops) cells, keyed by piece id; each is integrated once, in
     one call of the batched kernel."""
@@ -396,59 +394,54 @@ def _arc_table(graph: DiagramGraph, cells, tol: ToleranceSet) -> dict[int, tuple
     if not arcs:
         return {}
     params, a0, a1 = zip(*arcs.values())
-    areas, lengths = arc_measures(params, a0, a1, tol)
+    areas, lengths = arc_measures(params, a0, a1, graph.tol)
     return {k: (float(a), float(s)) for k, a, s in zip(arcs, areas, lengths)}
 
 
-def _loop_polygons(graph: DiagramGraph, pieces, loops, tol: ToleranceSet) -> list[np.ndarray]:
+def _loop_polygons(graph: DiagramGraph, pieces, loops) -> list[np.ndarray]:
     """Polygon per loop, its pieces flattened to the build's snap radius."""
     ids = sorted({pid for lp in loops for pid, _ in lp})
-    ftol = tol.dedup_rel * graph.length_scale
-    return loop_polygons(dict(zip(ids, flatten_pieces(graph, [pieces[k] for k in ids], ftol, tol))),
-                         loops)
+    ftol = graph.tol.dedup_rel * graph.length_scale
+    lines = flatten_pieces(graph, [pieces[k] for k in ids], ftol, graph.tol)
+    return loop_polygons(dict(zip(ids, lines)), loops)
 
 
 def _measure_loops(graph: DiagramGraph, cell: int, pieces, loops, table,
-                   tol: ToleranceSet, *, strict: bool) -> CellMeasure:
+                   *, strict: bool) -> CellMeasure:
     """Measure of one cell from its loops; strict (bare graph cells) makes
     a cell with hole loops only raise UnboundedCellError."""
     if not loops:
         return CellMeasure(cell, 0.0, 0.0, ())
-    vals = [_loop_terms(graph, pieces, lp, table, tol) for lp in loops]
-    groups = _group_loops(vals, lambda: _loop_polygons(graph, pieces, loops, tol),
+    vals = [_loop_terms(pieces, lp, table) for lp in loops]
+    groups = _group_loops(vals, lambda: _loop_polygons(graph, pieces, loops),
                           strict=strict, cell=cell)
     return _assemble_measure(cell, vals, groups)
 
 
-def cell_area(cell: int, g: DiagramGraph | ClippedDiagram,
-              tol: ToleranceSet | None = None) -> CellMeasure:
+def cell_area(cell: int, g: DiagramGraph | ClippedDiagram) -> CellMeasure:
     """Full measure (area, perimeter, per-component breakdown) of one cell.
 
     Accepts a clipped diagram, or a bare graph when the cell happens to be
     bounded; unbounded graph cells raise UnboundedCellError.
     """
     graph = g.graph if isinstance(g, ClippedDiagram) else g
-    tol = tol if tol is not None else graph.tol
-    pieces, loops = _cell_loops(g, cell, tol)
-    table = _arc_table(graph, [(pieces, loops)], tol)
-    return _measure_loops(graph, cell, pieces, loops, table, tol, strict=graph is g)
+    pieces, loops = _cell_loops(g, cell)
+    table = _arc_table(graph, [(pieces, loops)])
+    return _measure_loops(graph, cell, pieces, loops, table, strict=graph is g)
 
 
-def cell_perimeter(cell: int, g: DiagramGraph | ClippedDiagram,
-                   tol: ToleranceSet | None = None) -> float:
-    return cell_area(cell, g, tol).perimeter
+def cell_perimeter(cell: int, g: DiagramGraph | ClippedDiagram) -> float:
+    return cell_area(cell, g).perimeter
 
 
-def measure_cells(g: DiagramGraph | ClippedDiagram,
-                  tol: ToleranceSet | None = None) -> dict[int, CellMeasure]:
+def measure_cells(g: DiagramGraph | ClippedDiagram) -> dict[int, CellMeasure]:
     """CellMeasure for every generator id, keyed by id.
 
     Every arc is integrated once for the whole diagram, although it borders
     two cells.
     """
     graph = g.graph if isinstance(g, ClippedDiagram) else g
-    tol = tol if tol is not None else graph.tol
-    cells = {gen.id: _cell_loops(g, gen.id, tol) for gen in graph.generators}
-    table = _arc_table(graph, cells.values(), tol)
-    return {gid: _measure_loops(graph, gid, pieces, loops, table, tol, strict=graph is g)
+    cells = {gen.id: _cell_loops(g, gen.id) for gen in graph.generators}
+    table = _arc_table(graph, cells.values())
+    return {gid: _measure_loops(graph, gid, pieces, loops, table, strict=graph is g)
             for gid, (pieces, loops) in cells.items()}

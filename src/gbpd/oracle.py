@@ -4,8 +4,10 @@ The rasterizer assigns every pixel center to the generator with the
 smallest distance value, ties to the smallest id. It is deliberately
 independent of the analytic pipeline so the two can be compared:
 rasterize_cells() paints the same picture from the clipped analytic
-boundaries instead, and compare_labels() reports where they disagree and
-how far the disagreements sit from the analytic edges.
+boundaries instead, in one scanline pass over the flattened clip pieces,
+whose left and right cells say which cell lies past each crossing; and
+compare_labels() reports where the two disagree and how far the
+disagreements sit from the analytic edges.
 
 Label images use mathematical row order: row iy holds the pixels at
 y = origin_y + (iy + 0.5) * pixel_size, so row 0 is the bottom of the
@@ -14,13 +16,12 @@ window. PGM files store rows in that same order for exact round-trips.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .clip import ClippedDiagram, flatten_pieces, loop_polygons
+from .clip import ClippedDiagram, flatten_pieces
 from .errors import DimensionMismatchError, InputError
 from .geometry import Generator, SceneArrays, Window
 
@@ -82,52 +83,43 @@ def rasterize(generators, window: Window, width: int, height: int) -> LabelImage
 # ------------------------------------------------- analytic rasterization
 
 
-def rasterize_cells(cd: ClippedDiagram, width: int, height: int,
-                    ftol: float | None = None) -> LabelImage:
-    """Label image painted from the analytic cell boundaries.
+def rasterize_cells(cd: ClippedDiagram, width: int, height: int) -> LabelImage:
+    """Label image painted from the analytic cell boundaries in one scanline pass.
 
-    Loops are flattened to ftol (default pixel_size / 20) and filled by
-    even-odd scanline over pixel centers; holes vanish automatically.
-    Contested border pixels go to the smallest id, pixels missed by the
-    flattening jitter are filled from their nearest labeled neighbor.
+    Every piece is flattened once, to pixel_size / 20, and cut into
+    segments. A segment crosses the pixel rows whose center y satisfies
+    min(ya, yb) <= y < max(ya, yb), and the cell east of it (on its +x
+    side) is the piece's right cell where it runs upward, its left cell
+    otherwise. A pixel takes the east cell of the last crossing of its row
+    strictly left of its center. The left window border crosses every row
+    at x = xmin with the window's cell to its east, so every pixel gets a
+    label; -1 would mark a pixel with no crossing to its left.
     """
     origin, px = _image_frame(cd.window, width, height)
-    if ftol is None:
-        ftol = px / 20.0
     ids = tuple(sorted(g.id for g in cd.graph.generators))
-    labels = np.full((height, width), -1, dtype=np.int32)
     xs = origin[0] + (np.arange(width) + 0.5) * px
-    # every piece is flattened once, for both cells it borders
-    lines = flatten_pieces(cd.graph, cd.pieces, ftol, cd.graph.tol)
-
-    for gid in ids:
-        polys = [p for p in loop_polygons(lines, cd.cells.get(gid, [])) if len(p) >= 3]
-        if not polys:
-            continue
-        edges_a = np.concatenate([p for p in polys])
-        edges_b = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
-        ymin = min(float(p[:, 1].min()) for p in polys)
-        ymax = max(float(p[:, 1].max()) for p in polys)
-        iy0 = max(0, int(math.floor((ymin - origin[1]) / px - 0.5)))
-        iy1 = min(height - 1, int(math.ceil((ymax - origin[1]) / px - 0.5)))
-        ya, yb = edges_a[:, 1], edges_b[:, 1]
-        for iy in range(iy0, iy1 + 1):
-            y = origin[1] + (iy + 0.5) * px
-            hit = (ya > y) != (yb > y)
-            if not hit.any():
-                continue
-            a, b = edges_a[hit], edges_b[hit]
-            xc = a[:, 0] + (y - a[:, 1]) * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
-            xc.sort()
-            inside = (np.searchsorted(xc, xs) % 2) == 1
-            row = labels[iy]
-            sel = inside & (row == -1)
-            row[sel] = gid
-
-    missing = labels < 0
-    if missing.any() and not missing.all():
-        _, (ii, jj) = ndimage.distance_transform_edt(missing, return_indices=True)
-        labels = labels[ii, jj]
+    ys = origin[1] + (np.arange(height) + 0.5) * px
+    lines = flatten_pieces(cd.graph, cd.pieces, px / 20.0, cd.graph.tol)
+    a = np.concatenate([ln[:-1] for ln in lines])
+    b = np.concatenate([ln[1:] for ln in lines])
+    # (left, right) cells of each segment's piece; no cell lies right of the border
+    sides = np.repeat([(p.left, -1 if p.right is None else p.right) for p in cd.pieces],
+                      [len(ln) - 1 for ln in lines], axis=0)
+    east = np.where(b[:, 1] > a[:, 1], sides[:, 1], sides[:, 0])
+    # segment k crosses the rows r0[k] <= iy < r1[k]: one crossing per (segment, row)
+    r0 = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]))
+    r1 = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1]))
+    seg = np.repeat(np.arange(len(a)), r1 - r0)
+    row = np.arange(seg.size) - np.repeat(np.cumsum(r1 - r0) - r1, r1 - r0)
+    y, sa, sb = ys[row], a[seg], b[seg]
+    xc = sa[:, 0] + (y - sa[:, 1]) * (sb[:, 0] - sa[:, 0]) / (sb[:, 1] - sa[:, 1])
+    order = np.lexsort((xc, row))
+    xc, east, row = xc[order], east[seg[order]], row[order]
+    bounds = np.searchsorted(row, np.arange(height + 1))
+    labels = np.empty((height, width), dtype=np.int32)
+    for iy in range(height):
+        k = bounds[iy] + np.searchsorted(xc[bounds[iy]:bounds[iy + 1]], xs)
+        labels[iy] = np.where(k > bounds[iy], east[k - 1], -1)
     return LabelImage(width, height, origin, px, labels, ids)
 
 

@@ -13,7 +13,9 @@ so a loaded graph supports clipping and measurement like a freshly built
 one. Only pairs that own visible edges are rebuilt. The cell structure is
 derived from the edges by ``assemble_graph``, as the build derives it, and
 a document whose ``adjacency`` or ``cells`` rows differ from the rows the
-writer would emit for that structure raises InputError.
+writer would emit for that structure raises InputError. Vertex and edge
+ids must equal their positions, and every edge endpoint must name a vertex
+row; that the vertices lie on their edges is not checked.
 """
 
 from __future__ import annotations
@@ -221,6 +223,8 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
     for k, row in enumerate(vertex_rows):
         where = f"vertices[{k}]"
         vid, x, y, gens = _fields(row, ("id", "x", "y", "gens"), where)
+        if int(vid) != k:
+            raise InputError(f"{where}: vertex id must be its position {k}")
         pos = np.array([_number(x, where), _number(y, where)])
         vertices.append(Vertex(int(vid), pos, frozenset(map(int, gens))))
 
@@ -255,6 +259,10 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
             )
         )
 
+    known = {None, *range(len(vertices))}
+    stray = next((e for e in edges if not known.issuperset(e.endpoints)), None)
+    if stray is not None:
+        raise InputError(f"edges[{stray.id}]: endpoints {list(stray.endpoints)} name no vertex row")
     pairs = sorted({e.pair for e in edges})
     for i, j in pairs:
         if i not in by_id or j not in by_id:

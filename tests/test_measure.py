@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gbpd import measure as gmeasure
 from gbpd.cli import random_scene
 from gbpd.clip import clip_to_window
 from gbpd.diagram import build_diagram
@@ -234,6 +235,26 @@ def test_clipped_areas_sum_to_window(seed):
         assert cm.perimeter >= 0.0
         for comp in cm.components:
             assert comp.area >= -1e-9
+
+
+def test_single_outer_loop_takes_its_holes_unflattened(monkeypatch):
+    # seed 3: cell 3 has one outer loop and two holes, cell 9 two outer
+    # loops and one hole; only the second needs the hole-test polygons
+    gens = aniso_scene(np.random.default_rng(3), 10)
+    cd = clip_to_window(build_diagram(gens), Window(0.0, 0.0, 100.0, 100.0))
+    calls = []
+    kernel = gmeasure.flatten_pieces
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(gmeasure, "flatten_pieces", counting)
+    cm = cell_area(3, cd)
+    assert len(cd.cells[3]) == 3 and len(cm.components) == 1
+    assert calls == []
+    assert len(cell_area(9, cd).components) == 2
+    assert len(calls) == 1
 
 
 def test_laguerre_area_equals_vertex_shoelace():

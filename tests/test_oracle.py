@@ -20,6 +20,8 @@ from gbpd.oracle import (
     write_pgm,
 )
 
+from oracles import radical_center, rasterize_cells_per_cell
+
 I = SymMat2(1.0, 0.0, 1.0)
 
 
@@ -100,8 +102,6 @@ def test_junctions_cluster_at_circumcenter():
     stats = raster_cell_stats(img)
     assert len(stats.junctions) >= 1
     # circumcenter of the equilateral-ish triangle
-    from oracles import radical_center
-
     cc = radical_center(gens[0].p, 0.0, gens[1].p, 0.0, gens[2].p, 0.0)
     d = np.hypot(stats.junctions[:, 0] - cc[0], stats.junctions[:, 1] - cc[1])
     assert (d <= 1.5 * img.pixel_size).all()
@@ -172,3 +172,32 @@ def test_analytic_raster_matches_brute_force_aniso():
         n_px = counts.get(gid, 0)
         if n_px >= 10000:
             assert abs(cm.area - n_px * px_area) <= 0.005 * cm.area
+
+
+def _raster_case(name):
+    if name == "lattice":
+        # 4x4 unit lattice at 0.5 px: every vertex and edge runs through pixel centers
+        gens = [iso(4 * i + j, float(i), float(j)) for i in range(4) for j in range(4)]
+        return gens, Window(-0.25, -0.25, 3.75, 3.75), 8
+    seed, shift = {"aniso-3": (3, 0.0), "aniso-17": (17, 0.0), "aniso-29": (29, 0.0),
+                   "aniso-29-shifted": (29, 1e5)}[name]
+    gens = [Generator(g.id, g.p + [shift, -shift], g.M, g.w)
+            for g in aniso_scene(np.random.default_rng(seed), 10)]
+    return gens, Window(shift, -shift, shift + 100.0, 100.0 - shift), 400
+
+
+@pytest.mark.parametrize("name", ["lattice", "aniso-3", "aniso-17", "aniso-29",
+                                  "aniso-29-shifted"])
+def test_scanline_raster_matches_per_cell_fill(name):
+    # seeds 3, 17 and 29 have cells with hole loops
+    gens, win, res = _raster_case(name)
+    cd = clip_to_window(build_diagram(gens), win)
+    got = rasterize_cells(cd, res, res)
+    counts = {}
+    ref = rasterize_cells_per_cell(cd, res, res, counts)
+    assert got.ids == ref.ids and got.pixel_size == ref.pixel_size
+    assert np.array_equal(got.origin, ref.origin)
+    assert got.labels.dtype == ref.labels.dtype
+    assert np.array_equal(got.labels, ref.labels)
+    assert (got.labels >= 0).all()
+    assert counts == {"contested": 0, "repaired": 0}

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gbpd.cli import random_scene
 from gbpd.diagram import build_diagram
 from gbpd.clip import clip_to_window
 from gbpd.errors import InputError
@@ -148,6 +149,19 @@ def test_malformed_documents_raise_input_error():
     doc = json.loads(diagram_to_json(build_diagram(mixed_scene(seed=3, n=5))))
     doc["edges"][0]["id"] = len(doc["edges"])
     with pytest.raises(InputError, match=r"edges\[0\]"):
+        diagram_from_json(json.dumps(doc))
+    # vertex rows: a row deleted (the first shifts the ids after it, the
+    # last leaves an edge endpoint naming no row), a vertex id off its position
+    scene = random_scene("paper-weights", 16, 1010, Window(0.0, 0.0, 400.0, 400.0))
+    text = diagram_to_json(build_diagram(scene))
+    for k, match in ((0, r"vertices\[0\]"), (-1, "endpoints")):
+        doc = json.loads(text)
+        del doc["vertices"][k]
+        with pytest.raises(InputError, match=match):
+            diagram_from_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["vertices"][2]["id"] = 7
+    with pytest.raises(InputError, match=r"vertices\[2\]"):
         diagram_from_json(json.dumps(doc))
 
 
