@@ -16,7 +16,8 @@ digests its exception type and message, and the steps after it that need
 its result are skipped.
 
 The scenes: the three presets at n=16 with seeds 1010-1019 (the
-small-batch scenes), the dense paper-random n=72 scene, the paper-weights
+small-batch scenes), the dense paper-random n=72 scene, the diagram JSON
+alone of the paper's paper-random n=148 scene (seed 42), the paper-weights
 n=64 scene read back from its JSON and queried in nine 200x200 windows,
 the presets at n=12, seeds 1010-1012, shifted by (1e5, -1e5), and two
 raster cases: a 4x4 unit lattice at 8 px, whose vertices and edges run
@@ -138,6 +139,9 @@ def main() -> int:
             gens = random_scene(preset, 16, seed, WINDOW)
             scene_outputs(f"{preset}-16-{seed}", gens, WINDOW, 100)
     scene_outputs("dense-72-42", random_scene("paper-random", 72, 42, WINDOW), WINDOW, 400)
+    # the paper's reference scene: 529,396 triples, so the sweep runs in 17 chunks
+    emit("paper-148-42", "json", lambda: (None, diagram_to_json(
+        build_diagram(random_scene("paper-random", 148, 42, WINDOW)))))
 
     text = diagram_to_json(build_diagram(random_scene("paper-weights", 64, 42, WINDOW)))
     graph = emit("reload-64-42", "json",

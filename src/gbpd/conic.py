@@ -320,7 +320,10 @@ def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
     of ``alpha`` (P, K) is evaluated on conic ``coef[k]`` (P, 2, 3, 3, from
     ``chart_coefficients``) with denominator scale ``u_scale[k]``. Each
     value is computed elementwise, so it does not depend on the other rows.
-    Returns (x, y, vx, vy), each (P, K).
+    Returns (x, y, vx, vy, cond), each (P, K). ``cond`` is the condition
+    number of the denominator u^ at s, the sum of its terms' magnitudes
+    over |u^|: where it is large, u^ cancels, and the rounding of its
+    chart rows' values grows by that factor relative to those values.
     """
     a = np.remainder(alpha + math.pi, 2.0 * math.pi) - math.pi
     far = np.abs(a) > _HALF_PI
@@ -329,7 +332,8 @@ def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
     x, y, u, dx, dy, du = _chart_rows(c, s)
     if np.any(np.abs(u) <= tol.den_rel * u_scale[:, None]):
         raise SingularParameterError("an alpha of the batch lies on the line at infinity")
-    return _point_velocity(x, y, u, dx, dy, du, s)
+    u_terms = (np.abs(c[..., 2, 0] * s) + np.abs(c[..., 2, 1])) * np.abs(s) + np.abs(c[..., 2, 2])
+    return (*_point_velocity(x, y, u, dx, dy, du, s), u_terms / np.abs(u))
 
 
 def _chart_rows(c: np.ndarray, s: np.ndarray):

@@ -5,7 +5,9 @@ The construction follows six steps:
 1. Build all pairwise bisectors in one batch (``make_bisectors``: one
    stacked eigen-decomposition, array-level parametrization).
 2. Intersect the bisector pair (E_ij, E_ik) of every generator triple for
-   candidate vertices.
+   candidate vertices. Each bisector's conic is framed, scaled and given
+   its determinant and adjugate once (``intersect.prepare_pairs``); a
+   triple only gathers the rows of its two bisectors.
 3. Keep candidates whose triple distance is the global minimum over all
    generators. The generators are scanned in blocks with a running minimum,
    and a candidate leaves as soon as one block proves it is not minimal;
@@ -27,7 +29,9 @@ The construction follows six steps:
    for the build and for the JSON reader alike.
 
 The triple loop is the O(n^3) heart and runs through the vectorized pencil
-kernel in fixed-size chunks. Chunks are independent and merged in index
+kernel in the fewest chunks of at most _TRIPLE_CHUNK triples, cut to equal
+sizes so that the pool's threads get equal shares. The chunk count depends
+on the triple count only. Chunks are independent and merged in index
 order, so results are identical for any thread count. Every batched step
 repeats the operation order of its one-input form, so the diagram does not
 depend on how the work is batched.
@@ -67,7 +71,7 @@ from .conic import (
 )
 from .errors import NoSolutionError
 from .geometry import Generator, SceneArrays
-from .intersect import globally_minimal, pencil_intersections_batch
+from .intersect import PreparedPairs, globally_minimal, pencil_intersections_batch, prepare_pairs
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 TWO_PI = 2.0 * math.pi
@@ -182,11 +186,9 @@ def _triple_arrays(n: int) -> np.ndarray:
 
 def _candidate_chunk(
     chunk: np.ndarray,
-    pair_mats: np.ndarray,
+    prep: PreparedPairs,
     pair_row: np.ndarray,
     arr: SceneArrays,
-    length_scale: float,
-    center: tuple[float, float],
     tol: ToleranceSet,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertex candidates for one chunk of index triples.
@@ -195,9 +197,8 @@ def _candidate_chunk(
     equidistant to their triple and globally minimal.
     """
     ti, tj, tk = chunk[:, 0], chunk[:, 1], chunk[:, 2]
-    d1 = pair_mats[pair_row[ti, tj]]
-    d2 = pair_mats[pair_row[ti, tk]]
-    pts, valid = pencil_intersections_batch(d1, d2, length_scale, tol, center)
+    pts, valid = pencil_intersections_batch(pair_row[ti, tj], pair_row[ti, tk], tol=tol,
+                                            prepared=prep)
     t_idx, slot = np.nonzero(valid)
     if t_idx.size == 0:
         return np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64)
@@ -215,46 +216,28 @@ def _candidate_chunk(
 def _collect_vertices(
     kept: list[Generator],
     arr: SceneArrays,
-    pair_mats: np.ndarray,
+    prep: PreparedPairs,
     pair_row: np.ndarray,
-    length_scale: float,
-    center: tuple[float, float],
     tol: ToleranceSet,
     threads: int,
 ) -> list[Vertex]:
-    n = len(kept)
-    triples = _triple_arrays(n)
-    chunks = [
-        triples[lo : lo + _TRIPLE_CHUNK] for lo in range(0, triples.shape[0], _TRIPLE_CHUNK)
-    ]
-    if not chunks:
-        results = []
-    elif threads <= 1 or len(chunks) == 1:
-        results = [
-            _candidate_chunk(c, pair_mats, pair_row, arr, length_scale, center, tol)
-            for c in chunks
-        ]
+    triples = _triple_arrays(len(kept))
+    # chunk sizes differ by one triple at most
+    count = -(-triples.shape[0] // _TRIPLE_CHUNK)
+    chunks = np.array_split(triples, count) if count else []
+    if threads <= 1 or len(chunks) <= 1:
+        results = [_candidate_chunk(c, prep, pair_row, arr, tol) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda c: _candidate_chunk(
-                        c, pair_mats, pair_row, arr, length_scale, center, tol
-                    ),
-                    chunks,
-                )
-            )
-    cand_list = [r[0] for r in results if r[0].shape[0]]
-    trip_list = [r[1] for r in results if r[1].shape[0]]
-    if not cand_list:
-        return []
-    cand = np.concatenate(cand_list)
-    trip = np.concatenate(trip_list)
+            results = list(pool.map(lambda c: _candidate_chunk(c, prep, pair_row, arr, tol),
+                                    chunks))
+    cand = np.concatenate([np.zeros((0, 2))] + [r[0] for r in results])
+    trip = np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [r[1] for r in results])
     # canonical order, then cluster within the dedup radius
     order = np.lexsort((cand[:, 1], cand[:, 0]))
     cand = cand[order]
     trip = trip[order]
-    radius = tol.dedup_rel * length_scale
+    radius = tol.dedup_rel * prep.length_scale
     vertices: list[Vertex] = []
     open_clusters: list[tuple[np.ndarray, set[int]]] = []  # (pos, gen ids)
     for pos, (i, j, k) in zip(cand, trip):
@@ -431,14 +414,19 @@ def split_at_marks(marks: list[tuple], lo: float, hi: float, gap: float, closed:
 
 
 def ray_parameter(t0: float, t1: float) -> float:
-    """Line parameter representing the piece (t0, t1): its midpoint, a unit
-    step in from the finite end of a ray, or 0 for the whole line."""
+    """Line parameter representing the piece (t0, t1): its midpoint, a step
+    of max(1, |t|) in from the finite end t of a ray, or 0 for the whole line.
+
+    A unit step from a vertex far out changes the distances there by less
+    than the two-nearest slack vert_rel (1 + |d|), so both halves of the
+    line would pass; the step grows with the ray's start.
+    """
     if math.isinf(t0) and math.isinf(t1):
         return 0.0
     if math.isinf(t0):
-        return t1 - 1.0
+        return t1 - max(1.0, abs(t1))
     if math.isinf(t1):
-        return t0 + 1.0
+        return t0 + max(1.0, abs(t0))
     return 0.5 * (t0 + t1)
 
 
@@ -708,13 +696,12 @@ def build_diagram(
     pi, pj = np.triu_indices(n, 1)
     pair_list = make_bisectors([kept[i] for i in pi], [kept[j] for j in pj], tol)
     bisectors: dict[tuple[int, int], Bisector] = {b.pair: b for b in pair_list}
-    pair_mats = conic_matrices(np.array([b.implicit.coeffs() for b in pair_list]))
+    prep = prepare_pairs(conic_matrices(np.array([b.implicit.coeffs() for b in pair_list])),
+                         length_scale, center)
     pair_row = np.full((n, n), -1, dtype=np.int64)
     pair_row[pi, pj] = pair_row[pj, pi] = np.arange(pi.size)
 
-    vertices = _collect_vertices(
-        kept, arr, pair_mats, pair_row, length_scale, center, tol, threads
-    )
+    vertices = _collect_vertices(kept, arr, prep, pair_row, tol, threads)
     _polish_vertices(vertices, bisectors, length_scale, tol)
     vertices.sort(key=lambda v: (v.pos[0], v.pos[1]))
     for vid, v in enumerate(vertices):

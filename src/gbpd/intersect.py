@@ -14,15 +14,17 @@ weight of the lines' common point). A member whose pivot is positive is a
 complex line pair through one real point, which is then the only possible
 real intersection and is emitted directly.
 
-Everything is written over a batch axis: the diagram construction calls this
-for every generator triple, so the batch of pairs (E_ij, E_ik) runs through
-one vectorized pass instead of half a million Python-level solves. The
-scalar entry point wraps a batch of size one.
+Everything is written over a batch axis. ``prepare_pairs`` does the work of
+one conic (frame, scaling, determinant, adjugate), so the diagram build does
+it once per bisector; ``pencil_intersections_batch`` gathers two prepared
+rows per pair (E_ij, E_ik) of every generator triple and does the rest. The
+scalar entry point is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +43,6 @@ _DISC_CLAMP = 1e-10
 _GEN_BLOCK = 16
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-
-
 def _adj3(m: np.ndarray) -> np.ndarray:
     """Adjugate (transposed cofactors), batched; adj(M) M = det(M) I."""
     out = np.empty_like(m)
@@ -62,6 +56,12 @@ def _adj3(m: np.ndarray) -> np.ndarray:
     out[..., 2, 1] = -(m[..., 0, 0] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 0])
     out[..., 2, 2] = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     return out
+
+
+def _adj3_diagonal(m: np.ndarray) -> np.ndarray:
+    """Diagonal of :func:`_adj3`, batched: (..., 3, 3) -> (..., 3)."""
+    return np.stack([m[..., j, j] * m[..., k, k] - m[..., j, k] * m[..., k, j]
+                     for j, k in ((1, 2), (0, 2), (0, 1))], axis=-1)
 
 
 def _skew(p: np.ndarray) -> np.ndarray:
@@ -121,20 +121,24 @@ def _real_cubic_roots(c3, c2, c1, c0):
     return x
 
 
-def pencil_intersections_batch(
-    d1: np.ndarray,
-    d2: np.ndarray,
-    length_scale: float = 1.0,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-    center: tuple[float, float] = (0.0, 0.0),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Intersection candidates for T conic pairs given as 3x3 matrices.
+class PreparedPairs(NamedTuple):
+    """Row r: conic r in the frame x = length_scale * xh + center, scaled to
+    max-abs entry 1 (``a``), whether it was nonzero, and det and adj of a."""
 
-    Returns (points, valid) with shapes (T, 4, 2) and (T, 4). Valid points
-    satisfy both implicit equations within the scaled residual tolerance and
-    are deduplicated within tol.dedup_rel * length_scale per pair. Pairs with
-    coincident zero sets produce no valid points (their intersection is not a
-    finite set).
+    a: np.ndarray
+    nonzero: np.ndarray
+    det: np.ndarray
+    adj: np.ndarray
+    length_scale: float
+    center: tuple[float, float]
+
+
+def prepare_pairs(
+    pair_mats: np.ndarray,
+    length_scale: float = 1.0,
+    center: tuple[float, float] = (0.0, 0.0),
+) -> PreparedPairs:
+    """The per-conic work of the pencil kernel, for P conics given as 3x3 matrices.
 
     ``length_scale`` and ``center`` define a similarity frame for the scene.
     Conic coefficients of bisectors are internally unbalanced (the constant
@@ -143,36 +147,58 @@ def pencil_intersections_batch(
     x = length_scale * xh + center, where quadratic, linear and constant
     parts are comparable, and maps the results back.
     """
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    t_count = d1.shape[0]
-    if t_count == 0:
-        return np.zeros((0, 4, 2)), np.zeros((0, 4), bool)
-
     h = float(length_scale)
     cx, cy = float(center[0]), float(center[1])
     if h <= 0.0:
         raise ValueError("length_scale must be positive")
     frame = np.array([[h, 0.0, cx], [0.0, h, cy], [0.0, 0.0, 1.0]])
-    d1 = np.einsum("ba,tbc,cd->tad", frame, d1, frame)
-    d2 = np.einsum("ba,tbc,cd->tad", frame, d2, frame)
+    d = np.einsum("ba,tbc,cd->tad", frame, np.asarray(pair_mats, dtype=float), frame)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.abs(d).reshape(-1, 9).max(axis=1)
+        a = d / np.where(s > 0.0, s, 1.0)[:, None, None]
+        adj = _adj3(a)
+        # the cofactor expansion along the first row
+        det = a[:, 0, 0] * adj[:, 0, 0] + a[:, 0, 1] * adj[:, 1, 0] + a[:, 0, 2] * adj[:, 2, 0]
+        return PreparedPairs(a, s > 0.0, det, adj, h, (cx, cy))
+
+
+def pencil_intersections_batch(
+    d1: np.ndarray,
+    d2: np.ndarray,
+    length_scale: float = 1.0,
+    tol: ToleranceSet = DEFAULT_TOLERANCES,
+    center: tuple[float, float] = (0.0, 0.0),
+    prepared: PreparedPairs | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection candidates for T conic pairs given as 3x3 matrices.
+
+    Returns (points, valid) with shapes (T, 4, 2) and (T, 4). Valid points
+    satisfy both implicit equations within the scaled residual tolerance and
+    are deduplicated within tol.dedup_rel * length_scale per pair. Pairs with
+    coincident zero sets produce no valid points (their intersection is not a
+    finite set). The frame (length_scale, center) is that of
+    :func:`prepare_pairs`. With ``prepared``, d1 and d2 are (T,) row indices
+    into it instead, and the frame is the prepared one.
+    """
+    if prepared is None:
+        d1 = np.asarray(d1, dtype=float)
+        prepared = prepare_pairs(np.concatenate([d1, np.asarray(d2, dtype=float)]),
+                                 length_scale, center)
+        d1, d2 = np.arange(d1.shape[0]), np.arange(d1.shape[0], 2 * d1.shape[0])
+    t_count = len(d1)
+    h = prepared.length_scale
+    cx, cy = prepared.center
+    a1, a2 = prepared.a[d1], prepared.a[d2]
+    adj1, adj2 = prepared.adj[d1], prepared.adj[d2]
+    det1, det2 = prepared.det[d1], prepared.det[d2]
+    nonzero = prepared.nonzero[d1] & prepared.nonzero[d2]
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = np.abs(d1).reshape(t_count, 9).max(axis=1)
-        s2 = np.abs(d2).reshape(t_count, 9).max(axis=1)
-        a1 = d1 / np.where(s1 > 0.0, s1, 1.0)[:, None, None]
-        a2 = d2 / np.where(s2 > 0.0, s2, 1.0)[:, None, None]
-        nonzero = (s1 > 0.0) & (s2 > 0.0)
-
-        det1 = _det3(a1)
-        det2 = _det3(a2)
         deg1 = np.abs(det1) <= _DET_REL
         deg2 = np.abs(det2) <= _DET_REL
         use_pencil = ~deg1 & ~deg2
 
         # determinant cubic det(a1 + lam a2) and its best degenerate member
-        adj1 = _adj3(a1)
-        adj2 = _adj3(a2)
         cubic = (
             det2,
             np.einsum("tij,tji->t", adj2, a1),
@@ -182,7 +208,7 @@ def pencil_intersections_batch(
         safe = np.where(use_pencil, cubic[0], 1.0)
         roots = _real_cubic_roots(safe, cubic[1], cubic[2], cubic[3])
         members = a1[:, None] + roots[:, :, None, None] * a2[:, None]  # (T, 3, 3, 3)
-        diag = np.diagonal(_adj3(members), axis1=2, axis2=3)  # (T, 3, 3)
+        diag = _adj3_diagonal(members)  # (T, 3, 3)
         piv3 = np.abs(diag).argmax(axis=2)
         bpp3 = np.take_along_axis(diag, piv3[:, :, None], axis=2)[:, :, 0]
         best = np.argmax(-bpp3, axis=1)
@@ -338,7 +364,7 @@ def conic_conic_intersections(
     Raises OverlappingConicsError when the zero sets coincide (proportional
     coefficient matrices, or a whole-plane conic): the intersection is then
     not a finite point set. For conics living far from the origin pass the
-    scene frame (length_scale, center); see pencil_intersections_batch.
+    scene frame (length_scale, center); see prepare_pairs.
     """
     d1 = c1.matrix3()
     d2 = c2.matrix3()

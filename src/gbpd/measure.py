@@ -12,10 +12,11 @@ evaluates the area and speed integrands of every open piece at the 15
 Gauss-Kronrod nodes in one array pass. The error of a piece is QUADPACK's
 embedded Kronrod-minus-Gauss estimate, floored at 50 eps times the
 integral of |f| for rounding. An arc is done when the summed estimates of
-its pieces meet max(quad_abs, 1e-12 |I|) for both integrals; until then
-its pieces with the largest estimates are halved. An arc that misses the
-target after 30 halvings of a piece, or past 200 pieces, raises
-QuadratureError instead of returning an unconverged value.
+its pieces meet max(quad_abs, 1e-12 |I|) for both integrals, or for the
+area the rounding floor of its integrand where that is larger (see
+`_gk15`); until then its pieces with the largest estimates are halved. An
+arc that misses the target after 30 halvings of a piece, or past 200
+pieces, raises QuadratureError instead of returning an unconverged value.
 
 Every cell is measured from one loop representation: directed loops of
 clip pieces (`clip.ClipPiece`). A clipped diagram carries them already. A
@@ -114,10 +115,21 @@ def _node_sum(f: np.ndarray, w) -> np.ndarray:
     return acc
 
 
-def _gk15(coef, u_scale, origin, lo, hi, tol: ToleranceSet) -> tuple[np.ndarray, np.ndarray]:
+def _gk15(coef, u_scale, origin, lo, hi,
+          tol: ToleranceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kronrod values (M, 2) and QUADPACK error estimates (M, 2) of the
     area integrand about ``origin`` (M, 2) and of the speed, over the
-    intervals [lo, hi] of the M rows."""
+    intervals [lo, hi] of the M rows, and the rounding floor (M,) of the
+    area integral.
+
+    The chart rows shifted to the origin o are x^ - o_x u^ and y^ - o_y u^,
+    whose values near the arc cancel terms of about |o| times those of u^.
+    Their rounding, over u^, puts eps |o| cond on x and y (cond from
+    ``eval_alpha_batch``), so the area integrand (x y' - y x') / 2 carries
+    eps cond (|o_x y'| + |o_y x'|) / 2 of noise that no halving removes.
+    The floor is 50 times its integral, as QUADPACK floors an estimate at
+    50 eps times the integral of |f|.
+    """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     scale = np.abs(half)
@@ -126,9 +138,12 @@ def _gk15(coef, u_scale, origin, lo, hi, tol: ToleranceSet) -> tuple[np.ndarray,
     # velocity (dx u - x du) to cancel where x is far larger than x - o_x
     coef = coef.copy()
     coef[:, :, :2] -= origin[:, None, :, None] * coef[:, :, 2:3]
-    x, y, vx, vy = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * _GK_X, tol)
+    x, y, vx, vy, cond = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * _GK_X,
+                                          tol)
     res = np.empty((lo.size, 2))
     err = np.empty((lo.size, 2))
+    shifted = 0.5 * cond * (np.abs(origin[:, 0:1] * vy) + np.abs(origin[:, 1:2] * vx))
+    floor = 50.0 * _EPS * _node_sum(shifted, _GK_WK) * scale
     for j, f in enumerate((0.5 * (x * vy - y * vx), np.hypot(vx, vy))):
         resk = _node_sum(f, _GK_WK)
         resabs = _node_sum(np.abs(f), _GK_WK) * scale
@@ -138,7 +153,7 @@ def _gk15(coef, u_scale, origin, lo, hi, tol: ToleranceSet) -> tuple[np.ndarray,
         e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
         res[:, j] = resk * half
         err[:, j] = np.maximum(e, 50.0 * _EPS * resabs)
-    return res, err
+    return res, err, floor
 
 
 def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +168,11 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
     breaks, and every round evaluates all new pieces in one array pass of
     the Gauss-Kronrod 7-15 rule. An arc is done once the summed error
     estimates of its pieces meet max(quad_abs, 1e-12 |I|) for both
-    integrals; until then its pieces whose estimate exceeds an equal share
-    of that target (and always its worst piece) are halved. Decisions and
+    integrals, the area's target raised to the summed rounding floor of its
+    pieces where that is larger (far out, with a chord pointing nearly at
+    the origin, the area about m is below the rounding of its integrand);
+    until then its pieces whose estimate exceeds an equal share of that
+    target (and always its worst piece) are halved. Decisions and
     sums are per arc, so an arc's result does not depend on the rest of
     the batch. An arc that would need a piece halved more than _MAX_DEPTH
     times, or more than _MAX_PIECES pieces, raises QuadratureError.
@@ -168,7 +186,7 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
     ends = np.stack([np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)], axis=1)
     # the area is integrated about the arc's mid-alpha point m; the shift
     # back to the coordinate origin is m x (end - start) / 2
-    px, py, _, _ = eval_alpha_batch(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]), tol)
+    px, py, *_ = eval_alpha_batch(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]), tol)
     origin = np.stack([px[:, 2], py[:, 2]], axis=1)
     shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
     arc, lo, hi = [], [], []
@@ -179,13 +197,15 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
         hi += cuts[1:]
     arc, lo, hi = np.array(arc), np.array(lo), np.array(hi)
     depth = np.zeros(arc.size, dtype=int)
-    res, err = _gk15(coef[arc], u_scale[arc], origin[arc], lo, hi, tol)
+    res, err, rnd = _gk15(coef[arc], u_scale[arc], origin[arc], lo, hi, tol)
     while True:
         # bincount adds each arc's pieces in array order, which is alpha order
         tot = np.stack([np.bincount(arc, res[:, j], n) for j in (0, 1)], axis=1)
         tot[:, 0] += shift
         est = np.stack([np.bincount(arc, err[:, j], n) for j in (0, 1)], axis=1)
         target = np.maximum(tol.quad_abs, 1e-12 * np.abs(tot))
+        # no halving lowers an area estimate below the rounding of its integrand
+        target[:, 0] = np.maximum(target[:, 0], np.bincount(arc, rnd, n))
         short = est > target
         live = np.unique(arc)
         fin = live[~short[live].any(axis=1)]
@@ -193,7 +213,7 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
         if fin.size == live.size:
             return out[:, 0], out[:, 1]
         keep = short[arc].any(axis=1)
-        arc, lo, hi, depth, res, err = (v[keep] for v in (arc, lo, hi, depth, res, err))
+        arc, lo, hi, depth, res, err, rnd = (v[keep] for v in (arc, lo, hi, depth, res, err, rnd))
         count = np.bincount(arc, None, n)
         worst = np.zeros((n, 2))
         np.maximum.at(worst, arc, err)
@@ -210,8 +230,8 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
             )
         # each split piece becomes its two halves, in place
         rep = np.where(split, 2, 1)
-        arc, lo, hi, depth, res, err = (np.repeat(v, rep, axis=0)
-                                        for v in (arc, lo, hi, depth, res, err))
+        arc, lo, hi, depth, res, err, rnd = (np.repeat(v, rep, axis=0)
+                                             for v in (arc, lo, hi, depth, res, err, rnd))
         first = np.repeat(split, rep)
         first[first] = np.tile([True, False], int(split.sum()))
         second = np.roll(first, 1)
@@ -220,8 +240,8 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
         lo[second] = mid
         fresh = first | second
         depth[fresh] += 1
-        res[fresh], err[fresh] = _gk15(coef[arc[fresh]], u_scale[arc[fresh]], origin[arc[fresh]],
-                                       lo[fresh], hi[fresh], tol)
+        res[fresh], err[fresh], rnd[fresh] = _gk15(coef[arc[fresh]], u_scale[arc[fresh]],
+                                                   origin[arc[fresh]], lo[fresh], hi[fresh], tol)
 
 
 # -------------------------------------------------------------- edge length

@@ -14,12 +14,15 @@ one. Only pairs that own visible edges are rebuilt. The cell structure is
 derived from the edges by ``assemble_graph``, as the build derives it, and
 a document whose ``adjacency`` or ``cells`` rows differ from the rows the
 writer would emit for that structure raises InputError. Vertex and edge
-ids must equal their positions, and every edge endpoint must name a vertex
-row; that the vertices lie on their edges is not checked.
+ids must equal their positions, every edge endpoint must name a vertex
+row, and every vertex row must be equidistant to its generators (see
+``_check_vertex_rows``); that the vertices lie on their edges is not
+checked further.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -29,7 +32,7 @@ from .bisector import make_bisector, make_bisectors  # noqa: F401 (make_bisector
 from .conic import alpha_of_param
 from .diagram import DiagramGraph, EdgeSegment, Vertex, assemble_graph
 from .errors import InputError
-from .geometry import Generator, SymMat2
+from .geometry import Generator, SceneArrays, SymMat2
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 SCHEMA_KEYS = ("generators", "vertices", "edges", "adjacency", "cells")
@@ -209,6 +212,41 @@ def _edge_alphas(kind: str, t_a, t_b, line_index):
     return a0, a1
 
 
+def _check_vertex_rows(generators: list[Generator], vertices: list[Vertex],
+                       tol: ToleranceSet) -> None:
+    """Raise InputError unless each vertex is equidistant to its generators.
+
+    A vertex x passes when its distances to its generators spread by at
+    most vert_rel (1 + max |d(x)| + m (|x|^2 + max |p|^2)), m the largest
+    matrix norm: the build's (1 + |d|) slack, widened by a bound on the
+    terms of the bisectors d_i - d_j in scene coordinates, so that a scene
+    far from the origin reads back.
+    """
+    if not vertices:
+        return
+    arr = SceneArrays(generators)
+    count = np.array([len(v.gens) for v in vertices])
+    ids = itertools.chain.from_iterable(v.gens for v in vertices)
+    cols = np.fromiter(map(arr.id_to_index.get, ids, itertools.repeat(-1)), int, count.sum())
+    unnamed = count < 3
+    unnamed[np.repeat(np.arange(count.size), count)[cols < 0]] = True
+    if unnamed.any():
+        raise InputError(f"vertices[{np.argmax(unnamed)}]: gens must name three or more "
+                         "generators")
+    starts = np.r_[0, np.cumsum(count)[:-1]]
+    pos = np.array([v.pos for v in vertices])
+    d = arr.dist(np.repeat(pos, count, axis=0), cols[:, None])[:, 0]
+    spread = np.maximum.reduceat(d, starts) - np.minimum.reduceat(d, starts)
+    m = (np.abs(arr.m11) + 2.0 * np.abs(arr.m12) + np.abs(arr.m22)).max()
+    terms = m * ((pos * pos).sum(axis=1) + (arr.px * arr.px + arr.py * arr.py).max())
+    slack = tol.vert_rel * (1.0 + np.maximum.reduceat(np.abs(d), starts) + terms)
+    bad = np.flatnonzero(~(spread <= slack))
+    if bad.size:
+        k = int(bad[0])
+        raise InputError(f"vertices[{k}]: distances to gens {sorted(vertices[k].gens)} spread "
+                         f"by {spread[k]:.3g}, more than {slack[k]:.3g}")
+
+
 def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> DiagramGraph:
     generator_rows, vertex_rows, edge_rows, *structure = _fields(doc, SCHEMA_KEYS, "diagram JSON")
     generators: list[Generator] = []
@@ -227,6 +265,7 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
             raise InputError(f"{where}: vertex id must be its position {k}")
         pos = np.array([_number(x, where), _number(y, where)])
         vertices.append(Vertex(int(vid), pos, frozenset(map(int, gens))))
+    _check_vertex_rows(generators, vertices, tol)
 
     edges: list[EdgeSegment] = []
     for k, row in enumerate(edge_rows):

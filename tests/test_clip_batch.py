@@ -82,9 +82,10 @@ def test_shared_splitting_rule():
     closed = split_at_marks(marks, None, None, gap, True)
     assert split_at_marks(wrapped, None, None, gap, True) == closed
     assert split_at_marks([(0.5, "a")], None, None, gap, True) == [(0.5, 0.5 + two_pi, "a", "a")]
-    # the line-ray representative: a unit step in from a ray's finite end
-    rays = ((-math.inf, math.inf), (-math.inf, 2.0), (2.0, math.inf), (1.0, 2.0))
-    assert [ray_parameter(*t) for t in rays] == [0.0, 1.0, 3.0, 1.5]
+    # the line-ray representative: a step of max(1, |t|) in from a ray's finite end t
+    rays = ((-math.inf, math.inf), (-math.inf, 2.0), (2.0, math.inf), (1.0, 2.0),
+            (-math.inf, 0.5), (-3.0, math.inf))
+    assert [ray_parameter(*t) for t in rays] == [0.0, 0.0, 4.0, 1.5, -0.5, 0.0]
 
 
 @pytest.fixture(scope="module")

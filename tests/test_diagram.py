@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from gbpd import DEFAULT_TOLERANCES, Generator, SymMat2
+from gbpd import diagram as gdiagram
+from gbpd.cli import random_scene as preset_scene
+from gbpd.clip import clip_to_window
 from gbpd.conic import ConicClass, alpha_of_param
 from gbpd.diagram import build_diagram, visible_segments
-from gbpd.geometry import SceneArrays, dist_g
+from gbpd.geometry import SceneArrays, Window, dist_g
+from gbpd.measure import measure_cells
+from gbpd.serialize import diagram_to_json
 
 from oracles import radical_center
 
@@ -262,6 +267,33 @@ def test_determinism_across_threads_and_runs():
     s3 = snapshot(build_diagram(gens, threads=1))
     assert s1 == s2  # bitwise identical across thread counts
     assert s1 == s3
+
+
+@pytest.mark.parametrize("chunk", [1000, 7919])
+def test_triple_chunking_does_not_change_the_diagram(monkeypatch, chunk):
+    # the dense benchmark scene (59,640 triples): 60 and 8 chunks instead of 2
+    gens = preset_scene("paper-random", 72, 42, Window(0.0, 0.0, 400.0, 400.0))
+    reference = diagram_to_json(build_diagram(gens, threads=2))
+    monkeypatch.setattr(gdiagram, "_TRIPLE_CHUNK", chunk)
+    for threads in (1, 2):
+        assert diagram_to_json(build_diagram(gens, threads=threads)) == reference
+
+
+def test_far_ray_representative_keeps_vertex_degree_three():
+    # vertex 0 of this scene lies about 12,480 out, where three nearly
+    # parallel radical axes meet; a unit step along a ray from there left
+    # both halves of one line visible, and the vertex got four edges
+    window = Window(0.0, 0.0, 400.0, 400.0)
+    d = build_diagram(preset_scene("isotropic", 16, 1015, window))
+    assert np.abs(d.vertices[0].pos).max() > 1e4
+    degree = {v.id: 0 for v in d.vertices}
+    for e in d.edges:
+        for vid in e.endpoints:
+            if vid is not None:
+                degree[vid] += 1
+    assert all(degree[v.id] == 3 for v in d.vertices if len(v.gens) == 3)
+    total = sum(m.area for m in measure_cells(clip_to_window(d, window)).values())
+    assert abs(total - window.width * window.height) <= 1e-6 * window.width * window.height
 
 
 def test_visible_segments_direct_call():

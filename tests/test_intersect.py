@@ -2,13 +2,22 @@
 
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbpd import Generator, OverlappingConicsError, SymMat2
 from gbpd.bisector import bisector_implicit
 from gbpd.conic import ConicImplicit, line_as_conic
-from gbpd.intersect import conic_conic_intersections, is_gbpd_vertex, pencil_intersections_batch
+from gbpd.intersect import (
+    conic_conic_intersections,
+    is_gbpd_vertex,
+    pencil_intersections_batch,
+    prepare_pairs,
+)
 
 from oracles import grid_conic_intersections, radical_center
 
@@ -189,6 +198,50 @@ def test_batch_matches_scalar():
         assert match_point_sets(
             [(p[0], p[1]) for p in got], [(p[0], p[1]) for p in expected], tol=1e-9
         )
+
+
+@st.composite
+def pencil_scenes(draw):
+    """Generators whose bisectors include lines (a shared isotropic matrix,
+    so the input conic is degenerate), line pairs (concentric generators
+    with different matrices) and curves, moved far from the origin, with
+    a frame centered on the scene or off it."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    shift = draw(st.sampled_from([0.0, 1e4, -3e6]))
+    gens = []
+    for gid in range(draw(st.integers(3, 6))):
+        kind = draw(st.sampled_from(["iso", "aniso", "concentric"]))
+        p = rng.uniform(0.0, 100.0, 2) + shift
+        if kind == "concentric" and gens:
+            p = gens[-1].p.copy()
+        m12 = float(rng.uniform(-1.0, 1.0))
+        m = SymMat2.identity() if kind == "iso" else SymMat2(
+            abs(m12) + float(rng.uniform(0.1, 2.5)), m12, abs(m12) + float(rng.uniform(0.1, 2.5)))
+        gens.append(Generator(gid, p, m, float(rng.uniform(-4.0, 4.0))))
+    center = (50.0 + shift, 50.0 + shift) if draw(st.booleans()) else (0.0, 0.0)
+    return gens, draw(st.sampled_from([1.0, 141.4, 1e3])), center
+
+
+@given(pencil_scenes())
+@settings(max_examples=60, deadline=None)
+def test_prepared_rows_match_matrix_batch_bit_for_bit(scene):
+    # the build prepares each bisector once and gathers rows per triple;
+    # stacking the triples' matrices instead must give the same bits
+    gens, length_scale, center = scene
+    n = len(gens)
+    pair_row = np.full((n, n), -1)
+    mats = []
+    for r, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        mats.append(bisector_implicit(gens[i], gens[j]).matrix3())
+        pair_row[i, j] = pair_row[j, i] = r
+    trip = np.array(list(itertools.combinations(range(n), 3)))
+    rows1, rows2 = pair_row[trip[:, 0], trip[:, 1]], pair_row[trip[:, 0], trip[:, 2]]
+    mats = np.array(mats)
+    prep = prepare_pairs(mats, length_scale, center)
+    got = pencil_intersections_batch(rows1, rows2, prepared=prep)
+    want = pencil_intersections_batch(mats[rows1], mats[rows2], length_scale, center=center)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
 
 
 # ----------------------------------------------------------------- vertices

@@ -163,6 +163,15 @@ def test_malformed_documents_raise_input_error():
     doc["vertices"][2]["id"] = 7
     with pytest.raises(InputError, match=r"vertices\[2\]"):
         diagram_from_json(json.dumps(doc))
+    # a vertex moved off the point its generators share; gens naming no generator
+    doc = json.loads(text)
+    doc["vertices"][3]["x"] += 50.0
+    with pytest.raises(InputError, match=r"vertices\[3\]: distances"):
+        diagram_from_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["vertices"][3]["gens"][0] = 99
+    with pytest.raises(InputError, match=r"vertices\[3\]: gens"):
+        diagram_from_json(json.dumps(doc))
 
 
 def test_nonfinite_vertex_rejected_on_write():
