@@ -52,12 +52,14 @@ from .conic import (
     chart_coefficients,
     classify_and_parametrize_batch,
     homogeneous_at_params,
+    line_points,
+    line_rows,
     params_of_alphas,
     points_at_alphas,
     real_quadratic_roots_batch,
     wrap_angles,
 )
-from .errors import NoSolutionError
+from .errors import NoSolutionError, SingularParameterError
 from .geometry import Generator, as_point, row_dot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -170,10 +172,6 @@ class Bisector:
     @property
     def pair(self) -> tuple[int, int]:
         return (self.i, self.j)
-
-    def point_at_alpha(self, alpha: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
-        assert self.param is not None
-        return self.param.point_at_alpha(alpha, tol)
 
 
 def _pair_frames(gi: np.ndarray, gj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +334,7 @@ def _merge_params(ts, alphas, found, tol: ToleranceSet) -> np.ndarray:
     return keep
 
 
-def params_of_points(coef, u_scale, points, eps, tol: ToleranceSet = DEFAULT_TOLERANCES):
+def params_of_points(coef, u_scale, points, eps, tol: ToleranceSet):
     """Parameters t (inf allowed) of N (curve, point) pairs whose curve point lies within eps.
 
     Row k pairs the curve with chart triples ``coef[k]`` (N, 2, 3, 3, from
@@ -423,8 +421,9 @@ def sample_points(
     """Evenly spread points over every component of a bisector.
 
     Curve components are sampled in alpha with a margin away from singular
-    parameters; line components over t in [-line_span, line_span]. Empty and
-    whole-plane bisectors yield no points.
+    parameters; line components over t in [-line_span, line_span], each
+    component in one batch. A sample at a singular parameter raises
+    SingularParameterError. Empty and whole-plane bisectors yield no points.
     """
     if not bisector_has_points(b):
         return []
@@ -432,13 +431,15 @@ def sample_points(
     per = max(1, count // max(1, len(b.components)))
     for comp in b.components:
         if comp.kind == "line":
-            line = b.lines[comp.line_index]
-            for t in np.linspace(-line_span, line_span, per):
-                pts.append(line.point_at(float(t)))
-        else:
-            span = comp.hi - comp.lo
-            margin = 0.0 if comp.closed else 0.02 * span
-            alphas = np.linspace(comp.lo + margin, comp.hi - margin, per, endpoint=not comp.closed)
-            for a in alphas:
-                pts.append(b.point_at_alpha(float(a), tol))
+            t = np.linspace(-line_span, line_span, per)
+            pts.extend(line_points(line_rows([b.lines[comp.line_index]] * per), t))
+            continue
+        span = comp.hi - comp.lo
+        margin = 0.0 if comp.closed else 0.02 * span
+        alpha = np.linspace(comp.lo + margin, comp.hi - margin, per, endpoint=not comp.closed)
+        x, y, _, _, singular = points_at_alphas(chart_coefficients([b.param] * per),
+                                                np.full(per, b.param.u_scale), alpha, tol)
+        if singular.any():
+            raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
+        pts.extend(np.column_stack([x, y]))
     return pts

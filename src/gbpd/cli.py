@@ -66,6 +66,12 @@ def _load_any(path: str, tol: ToleranceSet):
     return load_scene(path)
 
 
+def _load_graph(args, tol: ToleranceSet):
+    """Diagram graph of ``--input``: built from a CSV scene, or read from diagram JSON."""
+    loaded = _load_any(args.input, tol)
+    return build_diagram(loaded, tol, threads=args.threads) if isinstance(loaded, list) else loaded
+
+
 # ------------------------------------------------------------------- gen
 
 
@@ -134,14 +140,11 @@ def cmd_compute(args) -> int:
 def cmd_raster(args) -> int:
     tol = _tolerances(args)
     window = _window(args)
-    loaded = _load_any(args.input, tol)
     if args.analytic:
-        if isinstance(loaded, list):
-            graph = build_diagram(loaded, tol, threads=args.threads)
-        else:
-            graph = loaded
-        img = rasterize_cells(clip_to_window(graph, window), args.width, args.height)
+        cd = clip_to_window(_load_graph(args, tol), window)
+        img = rasterize_cells(cd, args.width, args.height)
     else:
+        loaded = _load_any(args.input, tol)
         generators = loaded if isinstance(loaded, list) else loaded.generators
         img = rasterize(generators, window, args.width, args.height)
     write_pgm(img, args.out)
@@ -154,12 +157,7 @@ def cmd_raster(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    tol = _tolerances(args)
-    loaded = _load_any(args.input, tol)
-    if isinstance(loaded, list):
-        graph = build_diagram(loaded, tol, threads=args.threads)
-    else:
-        graph = loaded
+    graph = _load_graph(args, _tolerances(args))
     measures = measure_cells(clip_to_window(graph, _window(args)))
     neighbor_count = {g.id: 0 for g in graph.generators}
     for i, j in graph.adjacency:

@@ -17,8 +17,8 @@ analytic raster, the SVG and the hole test of measure.
 Crossing parameters come from the quadratic x(t) - X u(t) = 0 per window
 side (linear for straight edges), so no marching or sampling is involved.
 The side quadratics of all curved edges are solved in one batch and the
-straight edges' crossings in one array pass; the kept pieces' points and
-the side test of every piece are evaluated as arrays as well.
+straight edges' crossings in one array pass; every point and tangent of a
+piece comes from one evaluator of arcs and segments (``_piece_rows``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .conic import (
     alphas_of_params,
     chart_coefficients,
     homogeneous_at_params,
+    line_points,
+    line_rows,
     points_at_alphas,
     real_quadratic_roots_batch,
 )
@@ -94,9 +96,9 @@ class ClippedDiagram:
 def piece_points(graph: DiagramGraph, pieces, f, tol: ToleranceSet) -> np.ndarray:
     """Points (N, 2) at fraction f[k] in [0, 1] along pieces[k], in its stored direction.
 
-    ``f`` is one fraction per piece, or one for all. The arc points come
-    from one ``points_at_alphas`` call; one at a singular parameter raises
-    SingularParameterError.
+    ``f`` is one fraction per piece, or one for all. The arc and segment
+    points come from one ``_piece_rows`` call; an arc point at a singular
+    parameter raises SingularParameterError.
     """
     f = np.broadcast_to(np.asarray(f, dtype=float), (len(pieces),))
     out = np.empty((len(pieces), 2))
@@ -105,15 +107,10 @@ def piece_points(graph: DiagramGraph, pieces, f, tol: ToleranceSet) -> np.ndarra
         p0 = np.array([pieces[k].p0 for k in border])
         p1 = np.array([pieces[k].p1 for k in border])
         out[border] = p0 + f[border, None] * (p1 - p0)
-    for kind in ("arc", "segment"):
-        rows = [k for k, p in enumerate(pieces) if p.kind == kind]
-        if not rows:
-            continue
-        a0 = np.array([pieces[k].a0 for k in rows])
-        a = a0 + f[rows] * (np.array([pieces[k].a1 for k in rows]) - a0)
-        sub = [pieces[k] for k in rows]
-        out[rows] = (_arc_points(graph, sub, a, tol)[:, :2] if kind == "arc"
-                     else _line_points(graph, sub, a))
+    rows = [k for k, p in enumerate(pieces) if p.kind != "boundary"]
+    a0 = np.array([pieces[k].a0 for k in rows])
+    a = a0 + f[rows] * (np.array([pieces[k].a1 for k in rows]) - a0)
+    out[rows] = _regular_rows(graph, [pieces[k] for k in rows], a, tol)[:, :2]
     return out
 
 
@@ -179,27 +176,39 @@ def loop_polygons(lines, loops) -> list[np.ndarray]:
     ]
 
 
-def _arc_points(graph: DiagramGraph, pieces, alpha: np.ndarray, tol: ToleranceSet) -> np.ndarray:
-    """(x, y, vx, vy) rows of each arc piece's conic at alpha; a singular one raises."""
-    params = [graph.bisectors[p.pair].param for p in pieces]
-    x, y, vx, vy, singular = points_at_alphas(
-        chart_coefficients(params), np.array([p.u_scale for p in params]), alpha, tol
-    )
+def _piece_rows(graph: DiagramGraph, pieces, param: np.ndarray,
+                tol: ToleranceSet) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y, vx, vy) rows (N, 4) of arc and segment pieces at ``param`` (alpha
+    for an arc, t for a segment, whose velocity is its line's direction), and
+    the mask of rows at a singular parameter; one ``points_at_alphas`` call
+    evaluates the arcs and one ``line_points`` call the segments."""
+    out = np.empty((len(pieces), 4))
+    singular = np.zeros(len(pieces), dtype=bool)
+    arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
+    segments = [k for k, p in enumerate(pieces) if p.kind != "arc"]
+    if arcs:
+        params = [graph.bisectors[pieces[k].pair].param for k in arcs]
+        *xyv, singular[arcs] = points_at_alphas(
+            chart_coefficients(params), np.array([p.u_scale for p in params]), param[arcs], tol)
+        out[arcs] = np.column_stack(xyv)
+    if segments:
+        rows = _line_rows(graph, [pieces[k] for k in segments])
+        out[segments, :2] = line_points(rows, param[segments])
+        out[segments, 2], out[segments, 3] = -rows[:, 1], rows[:, 0]
+    return out, singular
+
+
+def _regular_rows(graph: DiagramGraph, pieces, param: np.ndarray, tol: ToleranceSet) -> np.ndarray:
+    """``_piece_rows`` of pieces that must not meet a singular parameter; one that does raises."""
+    rows, singular = _piece_rows(graph, pieces, param, tol)
     if singular.any():
-        raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
-    return np.column_stack([x, y, vx, vy])
+        raise SingularParameterError(f"alpha={param[singular][0]} lies on the line at infinity")
+    return rows
 
 
-def _line_coefficients(graph: DiagramGraph, items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, c) arrays of the lines ax + by + c = 0 carrying straight edges or segment pieces."""
-    lines = [graph.bisectors[p.pair].lines[p.line_index] for p in items]
-    return tuple(np.array([getattr(ln, f) for ln in lines], dtype=float) for f in "abc")
-
-
-def _line_points(graph: DiagramGraph, pieces, t: np.ndarray) -> np.ndarray:
-    """Points of the segment pieces' lines at parameters t, as ``LineParam.point_at``."""
-    la, lb, lc = _line_coefficients(graph, pieces)
-    return np.column_stack([-lc * la - t * lb, -lc * lb + t * la])
+def _line_rows(graph: DiagramGraph, items) -> np.ndarray:
+    """``line_rows`` of the lines carrying straight edges or segment pieces."""
+    return line_rows([graph.bisectors[p.pair].lines[p.line_index] for p in items])
 
 
 def _boundary_s(window: Window, pos: np.ndarray, side: int) -> float:
@@ -270,15 +279,16 @@ def _line_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
     out: list[list] = [[] for _ in edges]
     if not edges:
         return out
-    la, lb, lc = _line_coefficients(graph, edges)
-    q0 = np.column_stack([-lc * la, -lc * lb])
-    d = np.column_stack([-lb, la])
+    rows = _line_rows(graph, edges)
+    la, lb, lc = rows.T
+    q0 = (-lc * la, -lc * lb)
+    d = (-lb, la)
     t_lo, t_hi = np.array([_line_range(e) for e in edges]).T
     for axis, value, lo, hi, side in _sides(window):
-        dv = d[:, axis]
+        dv = d[axis]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (value - q0[:, axis]) / dv
-            pos = q0 + t[:, None] * d
+            t = (value - q0[axis]) / dv
+            pos = line_points(rows, t)
         other = pos[:, 1 - axis]
         ok = ~(np.abs(dv) < 1e-15) & (t_lo - 1e-12 <= t) & (t <= t_hi + 1e-12)
         ok &= (lo - snap <= other) & (other <= hi + snap)
@@ -401,23 +411,13 @@ def _kept_pieces(graph: DiagramGraph, candidates, window: Window,
 
     A piece is kept when the point at its test parameter is regular and
     inside the window by its margin; a kept piece then gets its end points
-    (``_set_ends``). The test points of all arcs come from one
-    ``points_at_alphas`` call, those of all segments from one array pass.
+    (``_set_ends``). All test points come from one ``_piece_rows`` call.
     """
-    x, y = np.empty(len(candidates)), np.empty(len(candidates))
-    regular = np.ones(len(candidates), dtype=bool)
-    arcs = [k for k, (piece, _, _) in enumerate(candidates) if piece.kind == "arc"]
-    segments = [k for k, (piece, _, _) in enumerate(candidates) if piece.kind != "arc"]
-    test = np.array([t for _, t, _ in candidates])
-    if arcs:
-        params = [graph.bisectors[candidates[k][0].pair].param for k in arcs]
-        x[arcs], y[arcs], _, _, singular = points_at_alphas(
-            chart_coefficients(params), np.array([p.u_scale for p in params]), test[arcs], tol)
-        regular[arcs] = ~singular
-    x[segments], y[segments] = _line_points(graph, [candidates[k][0] for k in segments],
-                                            test[segments]).T
+    rows, singular = _piece_rows(graph, [piece for piece, _, _ in candidates],
+                                 np.array([t for _, t, _ in candidates]), tol)
+    x, y = rows[:, 0], rows[:, 1]
     m = np.array([margin for _, _, margin in candidates])
-    inside = (regular & (window.xmin + m <= x) & (x <= window.xmax - m)
+    inside = (~singular & (window.xmin + m <= x) & (x <= window.xmax - m)
               & (window.ymin + m <= y) & (y <= window.ymax - m)).tolist()
     pieces = [piece for (piece, _, _), keep in zip(candidates, inside) if keep]
     _set_ends(graph, pieces, tol)
@@ -428,18 +428,12 @@ def _kept_pieces(graph: DiagramGraph, candidates, window: Window,
 
 def _set_ends(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
     """Set p0 and p1 of the segment pieces, and p0 (p1) of the arc pieces with
-    a start (end) node; the arc points come from one ``_arc_points`` call."""
-    ends = [(p, "p0", p.a0) for p in pieces if p.kind == "arc" and p.node_a is not None]
-    ends += [(p, "p1", p.a1) for p in pieces if p.kind == "arc" and p.node_b is not None]
-    if ends:
-        points = _arc_points(graph, [p for p, _, _ in ends], np.array([a for _, _, a in ends]), tol)
-        for (piece, field, _), q in zip(ends, points):
-            setattr(piece, field, q[:2])
-    segments = [p for p in pieces if p.kind == "segment"]
-    p0 = _line_points(graph, segments, np.array([p.a0 for p in segments]))
-    p1 = _line_points(graph, segments, np.array([p.a1 for p in segments]))
-    for piece, q0, q1 in zip(segments, p0, p1):
-        piece.p0, piece.p1 = q0, q1
+    a start (end) node; all the points come from one ``_piece_rows`` call."""
+    ends = [(p, "p0", p.a0) for p in pieces if p.kind == "segment" or p.node_a is not None]
+    ends += [(p, "p1", p.a1) for p in pieces if p.kind == "segment" or p.node_b is not None]
+    rows = _regular_rows(graph, [p for p, _, _ in ends], np.array([a for _, _, a in ends]), tol)
+    for (piece, field, _), q in zip(ends, rows):
+        setattr(piece, field, q[:2])
 
 
 def _assign_sides(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
@@ -447,27 +441,16 @@ def _assign_sides(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
 
     The tangent at a piece's mid-parameter is crossed with the gradient of
     the pair's distance difference, which points into the second cell. All
-    arc points and tangents come from one ``points_at_alphas`` call.
+    points and tangents come from one ``_piece_rows`` call.
     """
     if not pieces:
         return
-    a_mid = np.array([0.5 * (p.a0 + p.a1) for p in pieces])
-    q = np.empty((len(pieces), 2))
-    tangent = np.empty((len(pieces), 2))
-    arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
-    segments = [k for k, p in enumerate(pieces) if p.kind != "arc"]
-    if arcs:
-        rows = _arc_points(graph, [pieces[k] for k in arcs], a_mid[arcs], tol)
-        q[arcs], tangent[arcs] = rows[:, :2], rows[:, 2:]
-    if segments:
-        sub = [pieces[k] for k in segments]
-        q[segments] = _line_points(graph, sub, a_mid[segments])
-        la, lb, _ = _line_coefficients(graph, sub)
-        tangent[segments] = np.column_stack([-lb, la])
+    x, y, vx, vy = _regular_rows(graph, pieces, np.array([0.5 * (p.a0 + p.a1) for p in pieces]),
+                                 tol).T
     # ConicImplicit with array fields evaluates one conic per entry
     coeffs = np.array([graph.bisectors[p.pair].implicit.coeffs() for p in pieces], dtype=float)
-    gx, gy = ConicImplicit(*coeffs.T).gradient(q[:, 0], q[:, 1])
-    ahead = (tangent[:, 0] * gy - tangent[:, 1] * gx < 0.0).tolist()
+    gx, gy = ConicImplicit(*coeffs.T).gradient(x, y)
+    ahead = (vx * gy - vy * gx < 0.0).tolist()
     for piece, keep_order in zip(pieces, ahead):
         i, j = piece.pair
         piece.left, piece.right = (i, j) if keep_order else (j, i)

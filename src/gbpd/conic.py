@@ -37,6 +37,8 @@ from .geometry import sym2_eigh
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 _HALF_PI = 0.5 * math.pi
+# a leading coefficient at most this far below the largest one drops the degree
+_ROOT_REL = 1e-13
 
 
 class ConicClass(enum.Enum):
@@ -154,17 +156,9 @@ class LineParam:
             a, b, c = -a, -b, -c
         return LineParam(a, b, c)
 
-    @property
-    def anchor(self) -> np.ndarray:
-        """Point on the line closest to the origin."""
-        return np.array([-self.c * self.a, -self.c * self.b])
-
-    @property
-    def direction(self) -> np.ndarray:
-        return np.array([-self.b, self.a])
-
     def point_at(self, t: float) -> np.ndarray:
-        return np.array([-self.c * self.a - t * self.b, -self.c * self.b + t * self.a])
+        """Point at parameter t; a batch of one of :func:`line_points`."""
+        return line_points(line_rows([self]), np.array([float(t)]))[0]
 
     def signed_distance(self, v) -> float:
         return float(self.a * v[0] + self.b * v[1] + self.c)
@@ -178,7 +172,18 @@ class DegenerateConic:
     lines: tuple[LineParam, ...]
 
 
-def real_quadratic_roots_batch(a, b, c, rel: float = 1e-13):
+def line_rows(lines) -> np.ndarray:
+    """Coefficient rows (a, b, c), shape (N, 3), of N LineParams."""
+    return np.array([(ln.a, ln.b, ln.c) for ln in lines], dtype=float).reshape(-1, 3)
+
+
+def line_points(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Points (N, 2) q + t d of the lines ``rows`` (N, 3, from ``line_rows``) at t (N,)."""
+    a, b, c = rows.T
+    return np.column_stack([-c * a - t * b, -c * b + t * a])
+
+
+def real_quadratic_roots_batch(a, b, c):
     """Real roots of the quadratics a t^2 + b t + c (entries of a, b, c), projective-aware.
 
     For inputs of shape S, returns (roots S + (2,), root_valid S + (2,),
@@ -190,8 +195,8 @@ def real_quadratic_roots_batch(a, b, c, rel: float = 1e-13):
     """
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
     everywhere = scale == 0.0
-    drop = ~everywhere & (np.abs(a) <= rel * scale)
-    linear = drop & ~(np.abs(b) <= rel * scale)
+    drop = ~everywhere & (np.abs(a) <= _ROOT_REL * scale)
+    linear = drop & ~(np.abs(b) <= _ROOT_REL * scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = b * b - 4.0 * a * c
         real = ~everywhere & ~drop & ~(disc < 0.0)
@@ -312,8 +317,7 @@ def chart_coefficients(params) -> np.ndarray:
 # measure_cells 31% slower (0.224 s to 0.294 s over the 39 benchmark clip
 # windows, 2-vCPU machine) and moved 736 of its 2,224 areas and perimeters,
 # by up to 1.6e-11 relative.
-def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
-                     tol: ToleranceSet = DEFAULT_TOLERANCES):
+def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray, tol: ToleranceSet):
     """Points and d/dalpha velocities of many conics at many alphas.
 
     The array form of ``point_at_alpha`` and ``velocity_at_alpha``: row k
@@ -354,7 +358,8 @@ def _point_velocity(x, y, u, dx, dy, du, s):
 # evaluation (kept as a test reference in tests/oracles.py): math.remainder,
 # math.tan and math.atan run per entry, because np.remainder is a floored
 # modulo and np.tan and np.arctan round differently from math.tan and
-# math.atan on some inputs.
+# math.atan on some inputs. The angle maps are the scalar maps per entry;
+# wrap_angles keeps an array path, since every points_at_alphas call runs it.
 
 
 def wrap_angles(alpha: np.ndarray) -> np.ndarray:
@@ -371,15 +376,12 @@ def wrap_angles(alpha: np.ndarray) -> np.ndarray:
 
 def alphas_of_params(t: np.ndarray) -> np.ndarray:
     """:func:`alpha_of_param` of each entry of a 1-D array."""
-    atan = np.array([math.atan(v) for v in t.tolist()], dtype=float)
-    return np.where(np.isinf(t), math.pi, 2.0 * atan)
+    return np.array([alpha_of_param(v) for v in t.tolist()], dtype=float)
 
 
 def params_of_alphas(alpha: np.ndarray) -> np.ndarray:
     """:func:`param_of_alpha` of each entry of a 1-D array."""
-    a = wrap_angles(alpha)
-    tan = np.array([math.tan(v) for v in (0.5 * a).tolist()], dtype=float)
-    return np.where(a == math.pi, math.inf, tan)
+    return np.array([param_of_alpha(v) for v in alpha.tolist()], dtype=float)
 
 
 def homogeneous_at_params(coef: np.ndarray, t: np.ndarray):
@@ -398,8 +400,7 @@ def homogeneous_at_params(coef: np.ndarray, t: np.ndarray):
     return tuple(np.where(at_inf, coef[:, None, 0, r, 0], val) for r, val in enumerate((x, y, u)))
 
 
-def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray,
-                     tol: ToleranceSet = DEFAULT_TOLERANCES):
+def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray, tol: ToleranceSet):
     """Points and d/dalpha velocities of N conics at one alpha each.
 
     Row k evaluates conic ``coef[k]`` (N, 2, 3, 3, from

@@ -65,6 +65,8 @@ from .conic import (
     alpha_of_param,
     chart_coefficients,
     conic_matrices,
+    line_points,
+    line_rows,
     param_of_alpha,
     points_at_alphas,
     wrap_angle,
@@ -197,8 +199,7 @@ def _candidate_chunk(
     equidistant to their triple and globally minimal.
     """
     ti, tj, tk = chunk[:, 0], chunk[:, 1], chunk[:, 2]
-    pts, valid = pencil_intersections_batch(pair_row[ti, tj], pair_row[ti, tk], tol=tol,
-                                            prepared=prep)
+    pts, valid = pencil_intersections_batch(pair_row[ti, tj], pair_row[ti, tk], prep, tol)
     t_idx, slot = np.nonzero(valid)
     if t_idx.size == 0:
         return np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64)
@@ -489,8 +490,9 @@ def _visible_pieces(
 
     ``vertex_params[k]`` holds the vertex parameters of ``bisectors[k]`` by
     component. The curve representatives of all candidate pieces come from
-    one level loop (``_curve_representatives``), and all representatives
-    are decided by one two-nearest test per ``_POINT_CHUNK`` points.
+    one level loop (``_curve_representatives``), the line representatives
+    from one ``line_points`` call, and all representatives are decided by
+    one two-nearest test per ``_POINT_CHUNK`` points.
 
     Returns (visible pieces in bisector, component and piece order, the
     only ones made into EdgeSegments; the mask over all candidate pieces of
@@ -509,15 +511,12 @@ def _visible_pieces(
         owner.extend([k] * len(b_pieces))
     points = np.full((len(pieces), 2), math.nan)
     has_rep = np.zeros(len(pieces), dtype=bool)
-    curve = []
-    for r, (piece, (mid, _)) in enumerate(zip(pieces, probes)):
-        b = bisectors[owner[r]]
-        comp = b.components[piece[0]]
-        if comp.kind == "line":
-            points[r] = b.lines[comp.line_index].point_at(mid)
-            has_rep[r] = True
-        else:
-            curve.append(r)
+    comps = [bisectors[k].components[piece[0]] for k, piece in zip(owner, pieces)]
+    line = [r for r, comp in enumerate(comps) if comp.kind == "line"]
+    curve = [r for r, comp in enumerate(comps) if comp.kind != "line"]
+    rows = line_rows([bisectors[owner[r]].lines[comps[r].line_index] for r in line])
+    points[line] = line_points(rows, np.array([probes[r][0] for r in line]))
+    has_rep[line] = True
     if curve:
         mid, anchor = np.array([probes[r] for r in curve]).T
         points[curve], has_rep[curve] = _curve_representatives(
@@ -655,7 +654,7 @@ def _recover_params(
         for ci, comp in enumerate(b.components)
     ]
     if rows:
-        la, lb, lc = (np.array([getattr(r[2], f) for r in rows]) for f in "abc")
+        la, lb, lc = line_rows([r[2] for r in rows]).T
         pos = np.array([incidences[r[0]][0].pos for r in rows])
         px, py = pos[:, 0], pos[:, 1]
         on_line = np.abs(la * px + lb * py + lc) <= eps

@@ -16,9 +16,10 @@ real intersection and is emitted directly.
 
 Everything is written over a batch axis. ``prepare_pairs`` does the work of
 one conic (frame, scaling, determinant, adjugate), so the diagram build does
-it once per bisector; ``pencil_intersections_batch`` gathers two prepared
-rows per pair (E_ij, E_ik) of every generator triple and does the rest. The
-scalar entry point is a batch of one.
+it once per bisector; ``pencil_intersections_batch`` takes only row indices
+into prepared conics, gathers two rows per pair (E_ij, E_ik) of every
+generator triple and does the rest. ``conic_conic_intersections`` prepares
+its two conics and is a batch of one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .conic import ConicImplicit
 from .errors import OverlappingConicsError
-from .geometry import Generator, SceneArrays, as_point
+from .geometry import SceneArrays, as_point
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 # determinant magnitude (after max-abs normalization) below which an input
@@ -135,8 +136,8 @@ class PreparedPairs(NamedTuple):
 
 def prepare_pairs(
     pair_mats: np.ndarray,
-    length_scale: float = 1.0,
-    center: tuple[float, float] = (0.0, 0.0),
+    length_scale: float,
+    center: tuple[float, float],
 ) -> PreparedPairs:
     """The per-conic work of the pencil kernel, for P conics given as 3x3 matrices.
 
@@ -165,26 +166,17 @@ def prepare_pairs(
 def pencil_intersections_batch(
     d1: np.ndarray,
     d2: np.ndarray,
-    length_scale: float = 1.0,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-    center: tuple[float, float] = (0.0, 0.0),
-    prepared: PreparedPairs | None = None,
+    prepared: PreparedPairs,
+    tol: ToleranceSet,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Intersection candidates for T conic pairs given as 3x3 matrices.
+    """Intersection candidates for T conic pairs, rows (d1[t], d2[t]) of ``prepared``.
 
     Returns (points, valid) with shapes (T, 4, 2) and (T, 4). Valid points
     satisfy both implicit equations within the scaled residual tolerance and
-    are deduplicated within tol.dedup_rel * length_scale per pair. Pairs with
-    coincident zero sets produce no valid points (their intersection is not a
-    finite set). The frame (length_scale, center) is that of
-    :func:`prepare_pairs`. With ``prepared``, d1 and d2 are (T,) row indices
-    into it instead, and the frame is the prepared one.
+    are deduplicated within tol.dedup_rel * length_scale per pair, in the
+    prepared frame. Pairs with coincident zero sets produce no valid points
+    (their intersection is not a finite set).
     """
-    if prepared is None:
-        d1 = np.asarray(d1, dtype=float)
-        prepared = prepare_pairs(np.concatenate([d1, np.asarray(d2, dtype=float)]),
-                                 length_scale, center)
-        d1, d2 = np.arange(d1.shape[0]), np.arange(d1.shape[0], 2 * d1.shape[0])
     t_count = len(d1)
     h = prepared.length_scale
     cx, cy = prepared.center
@@ -376,7 +368,8 @@ def conic_conic_intersections(
     n2 = d2 / s2
     if min(np.abs(n1 - n2).max(), np.abs(n1 + n2).max()) <= 1e-12:
         raise OverlappingConicsError("conics share their zero set")
-    pts, valid = pencil_intersections_batch(d1[None], d2[None], length_scale, tol, center)
+    prep = prepare_pairs(np.stack([d1, d2]), length_scale, center)
+    pts, valid = pencil_intersections_batch(np.array([0]), np.array([1]), prep, tol)
     found = [np.array(pts[0, k]) for k in range(4) if valid[0, k]]
     found.sort(key=lambda q: (q[0], q[1]))
     return found

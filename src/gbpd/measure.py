@@ -23,9 +23,10 @@ clip pieces (`clip.ClipPiece`). A clipped diagram carries them already. A
 bounded cell of a bare diagram graph is turned into whole-edge pieces by
 `clip.bounded_cell_pieces`; a graph cell with no boundary, with an edge
 that runs to infinity, or with hole loops only is unbounded and raises
-UnboundedCellError. A hole loop joins the outer loop that contains it, as
-tested on `clip.flatten_pieces` polygons at the build's snap radius when
-the cell has more than one outer loop. Tolerances are the graph's own
+UnboundedCellError. When the cell has more than one outer loop, a hole
+loop joins the outer loop that contains its start point, as tested on
+`clip.flatten_pieces` polygons of the outer loops at the build's snap
+radius; hole loops are not flattened. Tolerances are the graph's own
 (`graph.tol`).
 """
 
@@ -40,7 +41,7 @@ import numpy as np
 # name `quad` in this module and fails if it is missing.
 from scipy.integrate import quad  # noqa: F401
 
-from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_polygons
+from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_polygons, piece_points
 from .conic import chart_coefficients, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
 from .errors import NonFiniteSegmentError, QuadratureError, UnboundedCellError
@@ -271,50 +272,35 @@ def edge_arc_length(graph: DiagramGraph, e: EdgeSegment) -> float:
 # the coordinate origin.
 
 
-class _LoopAccum:
-    def __init__(self):
-        self.area = 0.0
-        self.length = 0.0
-        self._first = None
-        self._prev = None
-
-    def add(self, q0, q1, area_term: float, length_term: float) -> None:
-        if self._prev is not None:
-            self.area += 0.5 * (self._prev[0] * q0[1] - self._prev[1] * q0[0])
-        else:
-            self._first = q0
-        self.area += area_term
-        self.length += length_term
-        self._prev = q1
-
-    def close(self) -> tuple[float, float]:
-        if self._prev is not None and self._first is not None:
-            self.area += 0.5 * (
-                self._prev[0] * self._first[1] - self._prev[1] * self._first[0]
-            )
-        return self.area, self.length
-
-
 def _chord_term(q0, q1) -> float:
     return 0.5 * (q0[0] * q1[1] - q0[1] * q1[0])
 
 
 def _loop_terms(pieces, loop, table) -> tuple[float, float]:
-    acc = _LoopAccum()
+    area = length = 0.0
+    first = prev = None
     for pid, forward in loop:
         piece = pieces[pid]
         q0, q1 = (piece.p0, piece.p1) if forward else (piece.p1, piece.p0)
         if piece.kind == "arc":
             a, s = table[pid]
+            a = a if forward else -a
             if piece.closed:
-                acc.area += a if forward else -a
-                acc.length += s
+                area += a
+                length += s
                 continue
-            acc.add(q0, q1, a if forward else -a, s)
         else:
-            acc.add(q0, q1, _chord_term(q0, q1),
-                    math.hypot(q1[0] - q0[0], q1[1] - q0[1]))
-    return acc.close()
+            a, s = _chord_term(q0, q1), math.hypot(q1[0] - q0[0], q1[1] - q0[1])
+        if prev is not None:
+            area += _chord_term(prev, q0)  # connector from the last piece's end
+        else:
+            first = q0
+        area += a
+        length += s
+        prev = q1
+    if prev is not None and first is not None:
+        area += _chord_term(prev, first)
+    return area, length
 
 
 def _point_in_polygon(poly: np.ndarray, q) -> bool:
@@ -327,15 +313,16 @@ def _point_in_polygon(poly: np.ndarray, q) -> bool:
     return bool(np.count_nonzero(xc > x) % 2)
 
 
-def _group_loops(vals, polygons, *, strict: bool, cell: int) -> list[list[int]]:
+def _group_loops(vals, hole_test, *, strict: bool, cell: int) -> list[list[int]]:
     """Group loop indices into connected components (outer loop + holes).
 
-    vals[k] = (signed area, length) of loop k; polygons() returns a
-    flattened polygon per loop and is called only when there are hole loops
-    and more than one outer loop. Holes (negative loops) attach to the
-    positive loop containing them, or to the largest one if none does, so
-    a single outer loop takes every hole. With strict=True a hole without
-    an enclosing positive loop means the region extends to infinity.
+    vals[k] = (signed area, length) of loop k; hole_test(outers, holes)
+    returns a flattened polygon per outer loop and a probe point per hole
+    loop, and is called only when there are hole loops and more than one
+    outer loop. Holes (negative loops) attach to the first positive loop
+    containing their probe, or to the largest one if none does, so a single
+    outer loop takes every hole. With strict=True a hole without an
+    enclosing positive loop means the region extends to infinity.
     """
     outers = [k for k in range(len(vals)) if vals[k][0] >= 0.0]
     holes = [k for k in range(len(vals)) if vals[k][0] < 0.0]
@@ -348,14 +335,9 @@ def _group_loops(vals, polygons, *, strict: bool, cell: int) -> list[list[int]]:
     if len(outers) == 1:
         return [outers + holes]
     groups = {k: [k] for k in outers}
-    polys = polygons() if holes else None
-    for k in holes:
-        probe = polys[k][0]
-        host = None
-        for o in outers:
-            if _point_in_polygon(polys[o], probe):
-                host = o
-                break
+    polys, probes = hole_test(outers, holes) if holes else ([], [])
+    for k, probe in zip(holes, probes):
+        host = next((o for o, poly in zip(outers, polys) if _point_in_polygon(poly, probe)), None)
         if host is None:
             host = max(outers, key=lambda o: vals[o][0])
         groups[host].append(k)
@@ -418,12 +400,21 @@ def _arc_table(graph: DiagramGraph, cells) -> dict[int, tuple[float, float]]:
     return {k: (float(a), float(s)) for k, a, s in zip(arcs, areas, lengths)}
 
 
-def _loop_polygons(graph: DiagramGraph, pieces, loops) -> list[np.ndarray]:
-    """Polygon per loop, its pieces flattened to the build's snap radius."""
-    ids = sorted({pid for lp in loops for pid, _ in lp})
+def _hole_test(graph: DiagramGraph, pieces, loops, outers, holes) -> tuple[list, list]:
+    """Polygons of the ``outers`` loops, their pieces flattened to the build's
+    snap radius, and per ``holes`` loop the point its polygon would start
+    with, unflattened: the start of its first piece in traversal direction,
+    for an arc ``piece_points`` at fraction 0 (forward) or 1 (backward), as
+    ``flatten_pieces`` begins and ends it."""
+    ids = sorted({pid for k in outers for pid, _ in loops[k]})
     ftol = graph.tol.dedup_rel * graph.length_scale
     lines = flatten_pieces(graph, [pieces[k] for k in ids], ftol, graph.tol)
-    return loop_polygons(dict(zip(ids, lines)), loops)
+    heads = [(pieces[loops[k][0][0]], loops[k][0][1]) for k in holes]
+    arcs = [(p, fw) for p, fw in heads if p.kind == "arc"]
+    at = iter(piece_points(graph, [p for p, _ in arcs], [0.0 if fw else 1.0 for _, fw in arcs],
+                           graph.tol))
+    return (loop_polygons(dict(zip(ids, lines)), [loops[k] for k in outers]),
+            [next(at) if p.kind == "arc" else p.p0 if fw else p.p1 for p, fw in heads])
 
 
 def _measure_loops(graph: DiagramGraph, cell: int, pieces, loops, table,
@@ -433,7 +424,7 @@ def _measure_loops(graph: DiagramGraph, cell: int, pieces, loops, table,
     if not loops:
         return CellMeasure(cell, 0.0, 0.0, ())
     vals = [_loop_terms(pieces, lp, table) for lp in loops]
-    groups = _group_loops(vals, lambda: _loop_polygons(graph, pieces, loops),
+    groups = _group_loops(vals, lambda o, h: _hole_test(graph, pieces, loops, o, h),
                           strict=strict, cell=cell)
     return _assemble_measure(cell, vals, groups)
 

@@ -23,7 +23,7 @@ from scipy import ndimage
 
 from .clip import ClippedDiagram, flatten_pieces
 from .errors import DimensionMismatchError, InputError
-from .geometry import Generator, SceneArrays, Window
+from .geometry import SceneArrays, Window
 
 _PIXEL_CHUNK = 262144
 

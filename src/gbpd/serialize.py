@@ -9,15 +9,18 @@ document and writing it again reproduces the bytes exactly.
 
 The reader rebuilds a full :class:`DiagramGraph`: bisector objects are
 reconstructed from the generator pairs (the construction is deterministic),
-so a loaded graph supports clipping and measurement like a freshly built
-one. Only pairs that own visible edges are rebuilt. The cell structure is
-derived from the edges by ``assemble_graph``, as the build derives it, and
-a document whose ``adjacency`` or ``cells`` rows differ from the rows the
-writer would emit for that structure raises InputError. Vertex and edge
-ids must equal their positions, every edge endpoint must name a vertex
-row, and every vertex row must be equidistant to its generators (see
-``_check_vertex_rows``); that the vertices lie on their edges is not
-checked further.
+so a loaded graph supports clipping and measurement. Only pairs that own
+visible edges are rebuilt. Curve alphas are recomputed from the t labels,
+so one can come back one ulp off the build's (37 of 2,698 curve edges of
+the 30 n=16 preset scenes, seeds 1010-1019), and a clip or measure can then
+differ in its last bits (one of their 480 cell measures, by 5.7e-14). The
+cell structure is derived from the edges by ``assemble_graph``, as the
+build derives it, and a document whose ``adjacency`` or ``cells`` rows
+differ from the rows the writer would emit for that structure raises
+InputError. Vertex and edge ids must equal their positions, every edge
+endpoint must name a vertex row, and every vertex row must be equidistant
+to its generators (see ``_check_vertex_rows``); that the vertices lie on
+their edges is not checked further.
 """
 
 from __future__ import annotations

@@ -489,6 +489,11 @@ def homogeneous_at_scalar(p, t):
     return tuple(_eval_triple(q, -1.0 / t) for q in _chart_triples(p, 1))
 
 
+def line_point_scalar(line, t):
+    """Point q + t d of a LineParam, q = -c (a, b) and d = (-b, a)."""
+    return np.array([-line.c * line.a - t * line.b, -line.c * line.b + t * line.a])
+
+
 def _chart_of_alpha(alpha):
     a = wrap_angle(alpha)
     if abs(a) <= 0.5 * math.pi:
@@ -558,8 +563,8 @@ def curve_crossings_scalar(b, e, window, snap, tol):
 def line_crossings_scalar(line, t_lo, t_hi, window, snap):
     """Window crossings of one straight edge as (t, pos, side), in side order."""
     out = []
-    d = line.direction
-    q0 = line.anchor
+    d = np.array([-line.b, line.a])
+    q0 = np.array([-line.c * line.a, -line.c * line.b])
     for axis, value, lo, hi, side in _window_sides(window):
         dv = d[axis]
         if abs(dv) < 1e-15:
@@ -583,7 +588,7 @@ def piece_point_scalar(graph, piece, f, tol=DEFAULT_TOLERANCES):
     b = graph.bisectors[piece.pair]
     if piece.kind == "arc":
         return point_at_alpha_scalar(b.param, a, tol)
-    return b.lines[piece.line_index].point_at(a)
+    return line_point_scalar(b.lines[piece.line_index], a)
 
 
 def flatten_piece_scalar(graph, piece, ftol, tol=DEFAULT_TOLERANCES):

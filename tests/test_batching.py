@@ -27,9 +27,12 @@ from gbpd.bisector import (
 from gbpd.cli import PRESETS, random_scene
 from gbpd.conic import (
     ConicClass,
+    LineParam,
     alpha_of_param,
     alphas_of_params,
     chart_coefficients,
+    line_points,
+    line_rows,
     param_of_alpha,
     params_of_alphas,
     points_at_alphas,
@@ -59,6 +62,7 @@ from oracles import (
     bisector_frame_scalar,
     boundary_components_union_find,
     full_scan_minimal,
+    line_point_scalar,
     merge_params_scalar,
     param_of_point_scalar,
     point_at_alpha_scalar,
@@ -280,6 +284,19 @@ def test_batched_angle_maps_match_scalar():
             continue
         assert not singular[k]
         assert bits((x[k], y[k], vx[k], vy[k])) == bits((*q, *v))
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-1e6, 1e6),
+                          st.floats(-1e15, 1e15)), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_line_points_match_scalar(rows):
+    lines = [LineParam.from_implicit(math.cos(th), math.sin(th), c) for th, c, _ in rows]
+    t = np.array([r[2] for r in rows])
+    got = line_points(line_rows(lines), t)
+    for k, (line, tk) in enumerate(zip(lines, t.tolist())):
+        want = line_point_scalar(line, tk)
+        assert bits(got[k]) == bits(want)
+        assert bits(line.point_at(tk)) == bits(want)
 
 
 def recovery_probes(b, rng):

@@ -325,7 +325,7 @@ def test_components_cover_curve_classes():
     for comp in hyp.components:
         alpha = comp.midpoint()
         assert comp.contains_alpha(alpha)
-        q = hyp.point_at_alpha(alpha)
+        q = hyp.param.point_at_alpha(alpha)
         assert_on_bisector(q, hyp.gi, hyp.gj)
 
 
@@ -352,6 +352,6 @@ def test_alphas_of_point_on_hyperbola_branch():
     assert hyp.param is not None
     comp = hyp.components[1]
     alpha = comp.midpoint()
-    q = hyp.point_at_alpha(alpha)
+    q = hyp.param.point_at_alpha(alpha)
     found = alphas_of_point(hyp, q, eps=1e-6)
     assert any(abs(math.remainder(a - alpha, 2 * math.pi)) < 1e-7 for a in found)

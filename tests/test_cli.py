@@ -110,6 +110,31 @@ def test_measure_csv_partitions_window(tmp_path):
     assert all(int(r["n_neighbors"]) >= 1 for r in rows)
 
 
+def test_graph_commands_take_scene_or_diagram(tmp_path):
+    # raster --analytic and measure build the graph from a CSV scene or read
+    # it from diagram JSON; a reloaded graph may differ from the built one in
+    # the last bit of a curve's end alpha, so measures agree to roundoff
+    scene = tmp_path / "scene.csv"
+    dj = tmp_path / "diagram.json"
+    run("gen", "-n", 8, "--seed", 17, "--out", scene)
+    assert run("compute", "--input", scene, "--out", dj) == 0
+    labels, rows = {}, {}
+    for src in (scene, dj):
+        pgm, csv_out = tmp_path / f"{src.suffix[1:]}.pgm", tmp_path / f"{src.suffix[1:]}.m.csv"
+        assert run("raster", "--input", src, "--analytic", "--width", 64, "--height", 64,
+                   "--out", pgm) == 0
+        assert run("measure", "--input", src, "--out", csv_out) == 0
+        labels[src.suffix] = read_pgm(pgm).labels
+        rows[src.suffix] = list(csv.DictReader(csv_out.open()))
+    assert np.array_equal(labels[".csv"], labels[".json"])
+    assert len(rows[".csv"]) == len(rows[".json"]) == 8
+    for a, b in zip(rows[".csv"], rows[".json"]):
+        assert (a["cell_id"], a["n_components"], a["n_neighbors"]) == (
+            b["cell_id"], b["n_components"], b["n_neighbors"])
+        for key in ("area", "perimeter"):
+            assert float(a[key]) == pytest.approx(float(b[key]), rel=1e-12, abs=1e-9)
+
+
 def test_measure_stdout(tmp_path, capsys):
     scene = tmp_path / "scene.csv"
     run("gen", "--preset", "isotropic", "-n", 4, "--seed", 2, "--out", scene)

@@ -62,7 +62,7 @@ def test_concentric_pair_closed_loop_edge():
     assert e.kind == "loop"
     b = d.edge_bisector(e)
     assert b.conic_class is ConicClass.ELLIPSE
-    q = b.point_at_alpha(0.7)
+    q = b.param.point_at_alpha(0.7)
     assert math.hypot(q[0], q[1]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -223,7 +223,7 @@ def test_edge_midpoints_are_two_nearest():
         if e.alpha_a is not None:
             span = e.alpha_b - e.alpha_a
             try:
-                q = b.point_at_alpha(e.alpha_a + 0.37 * span)
+                q = b.param.point_at_alpha(e.alpha_a + 0.37 * span)
             except Exception:
                 continue
             if not np.all(np.isfinite(q)) or np.abs(q).max() > 1e7:

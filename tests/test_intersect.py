@@ -18,6 +18,7 @@ from gbpd.intersect import (
     pencil_intersections_batch,
     prepare_pairs,
 )
+from gbpd.tolerances import DEFAULT_TOLERANCES as TOL
 
 from oracles import grid_conic_intersections, radical_center
 
@@ -192,7 +193,9 @@ def test_batch_matches_scalar():
         mats1.append(c1.matrix3())
         mats2.append(c2.matrix3())
         scalars.append(conic_conic_intersections(c1, c2, length_scale=20.0))
-    pts, valid = pencil_intersections_batch(np.array(mats1), np.array(mats2), 20.0)
+    prep = prepare_pairs(np.array(mats1 + mats2), 20.0, (0.0, 0.0))
+    rows = np.arange(len(mats1))
+    pts, valid = pencil_intersections_batch(rows, rows + len(mats1), prep, TOL)
     for k, expected in enumerate(scalars):
         got = [pts[k, s] for s in range(4) if valid[k, s]]
         assert match_point_sets(
@@ -224,9 +227,9 @@ def pencil_scenes(draw):
 
 @given(pencil_scenes())
 @settings(max_examples=60, deadline=None)
-def test_prepared_rows_match_matrix_batch_bit_for_bit(scene):
-    # the build prepares each bisector once and gathers rows per triple;
-    # stacking the triples' matrices instead must give the same bits
+def test_prepared_rows_match_pairs_prepared_alone_bit_for_bit(scene):
+    # the build prepares every bisector in one call and gathers rows per
+    # triple; preparing only the triple's two conics must give the same bits
     gens, length_scale, center = scene
     n = len(gens)
     pair_row = np.full((n, n), -1)
@@ -237,11 +240,12 @@ def test_prepared_rows_match_matrix_batch_bit_for_bit(scene):
     trip = np.array(list(itertools.combinations(range(n), 3)))
     rows1, rows2 = pair_row[trip[:, 0], trip[:, 1]], pair_row[trip[:, 0], trip[:, 2]]
     mats = np.array(mats)
-    prep = prepare_pairs(mats, length_scale, center)
-    got = pencil_intersections_batch(rows1, rows2, prepared=prep)
-    want = pencil_intersections_batch(mats[rows1], mats[rows2], length_scale, center=center)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert np.array_equal(got[1], want[1])
+    got = pencil_intersections_batch(rows1, rows2, prepare_pairs(mats, length_scale, center), TOL)
+    for k, (r1, r2) in enumerate(zip(rows1, rows2)):
+        alone = prepare_pairs(mats[[r1, r2]], length_scale, center)
+        want = pencil_intersections_batch(np.array([0]), np.array([1]), alone, TOL)
+        assert got[0][k].tobytes() == want[0][0].tobytes()
+        assert np.array_equal(got[1][k], want[1][0])
 
 
 # ----------------------------------------------------------------- vertices

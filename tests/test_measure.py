@@ -7,7 +7,7 @@ import pytest
 
 from gbpd import measure as gmeasure
 from gbpd.cli import random_scene
-from gbpd.clip import clip_to_window
+from gbpd.clip import clip_to_window, loop_polygons
 from gbpd.diagram import build_diagram
 from gbpd.errors import NonFiniteSegmentError, UnboundedCellError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
@@ -237,16 +237,22 @@ def test_clipped_areas_sum_to_window(seed):
             assert comp.area >= -1e-9
 
 
+def polygon_area(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
 def test_single_outer_loop_takes_its_holes_unflattened(monkeypatch):
     # seed 3: cell 3 has one outer loop and two holes, cell 9 two outer
-    # loops and one hole; only the second needs the hole-test polygons
+    # loops and one hole; only the second needs the hole-test polygons, and
+    # only those of its outer loops
     gens = aniso_scene(np.random.default_rng(3), 10)
     cd = clip_to_window(build_diagram(gens), Window(0.0, 0.0, 100.0, 100.0))
     calls = []
     kernel = gmeasure.flatten_pieces
 
     def counting(*args):
-        calls.append(len(args[1]))
+        calls.append(sorted(p.id for p in args[1]))
         return kernel(*args)
 
     monkeypatch.setattr(gmeasure, "flatten_pieces", counting)
@@ -254,7 +260,10 @@ def test_single_outer_loop_takes_its_holes_unflattened(monkeypatch):
     assert len(cd.cells[3]) == 3 and len(cm.components) == 1
     assert calls == []
     assert len(cell_area(9, cd).components) == 2
-    assert len(calls) == 1
+    lines = kernel(cd.graph, cd.pieces, 1e-3, cd.graph.tol)
+    outer = [lp for lp in cd.cells[9] if polygon_area(loop_polygons(lines, [lp])[0]) > 0.0]
+    assert len(cd.cells[9]) == 3 and len(outer) == 2
+    assert calls == [sorted({pid for lp in outer for pid, _ in lp})]
 
 
 def test_laguerre_area_equals_vertex_shoelace():
