@@ -38,7 +38,7 @@ from .conic import (
     points_at_alphas,
     real_quadratic_roots_batch,
 )
-from .diagram import DiagramGraph, EdgeSegment, merge_marks, split_at_marks
+from .diagram import DiagramGraph, merge_marks, split_at_marks
 from .errors import NoSolutionError, SingularParameterError
 from .geometry import SceneArrays, Window
 from .tolerances import ToleranceSet
@@ -234,7 +234,7 @@ def _sides(window: Window):
 
 
 def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float, tol: ToleranceSet):
-    """Window crossings of curved edges: per edge, a list of (offset from alpha_a, (pos, side)).
+    """Window crossings of curved edges: per edge, a list of (offset from a0, (pos, side)).
 
     The four side quadratics x^(t) - X u^(t) (y^ for horizontal sides) of
     every edge are solved in one batch. An edge's crossings come in
@@ -261,10 +261,10 @@ def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float, to
 
     idx = np.flatnonzero(ok)
     edge, side = np.unravel_index(idx, ok.shape)[:2]
-    alpha_a = np.array([e.alpha_a for e in edges])[edge]
-    span = np.array([e.alpha_b - e.alpha_a for e in edges])[edge]
-    loop = np.array([e.kind == "loop" for e in edges])[edge]
-    off = np.remainder(alphas_of_params(t.ravel()[idx]) - alpha_a, TWO_PI)
+    a0 = np.array([e.a0 for e in edges])[edge]
+    span = np.array([e.a1 - e.a0 for e in edges])[edge]
+    loop = np.array([e.is_loop() for e in edges])[edge]
+    off = np.remainder(alphas_of_params(t.ravel()[idx]) - a0, TWO_PI)
     keep = loop | ((-1e-12 <= off) & (off <= span + 1e-12))
     off = np.where(loop, np.remainder(off, TWO_PI), np.minimum(off, span))
     pos = np.column_stack([px.ravel()[idx], py.ravel()[idx]])
@@ -283,7 +283,7 @@ def _line_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
     la, lb, lc = rows.T
     q0 = (-lc * la, -lc * lb)
     d = (-lb, la)
-    t_lo, t_hi = np.array([_line_range(e) for e in edges]).T
+    t_lo, t_hi = np.array([(e.a0, e.a1) for e in edges]).T
     for axis, value, lo, hi, side in _sides(window):
         dv = d[axis]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -295,12 +295,6 @@ def _line_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
         for k in np.flatnonzero(ok).tolist():
             out[k].append((float(t[k]), (pos[k], side)))
     return out
-
-
-def _line_range(e: EdgeSegment) -> tuple[float, float]:
-    if e.kind == "full_line":
-        return -math.inf, math.inf
-    return (e.t_a if e.t_a is not None else -math.inf, e.t_b if e.t_b is not None else math.inf)
 
 
 def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
@@ -354,22 +348,21 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
         found = crossings[e.id]
         ends = tuple(vertex_node.get(v) if v is not None else None for v in e.endpoints)
         if e.is_curve():
-            span = e.alpha_b - e.alpha_a
+            span = e.a1 - e.a0
             marks = [(off, crossing_node(*at)) for off, at in merge_marks(found, arc_gap)]
-            if e.kind == "loop" and not marks:
-                candidate("arc", e, e.alpha_a, e.alpha_b, None, None, True,
-                          test=e.alpha_a + 0.5 * span, margin=0.0)
+            if e.is_loop() and not marks:
+                candidate("arc", e, e.a0, e.a1, None, None, True,
+                          test=e.a0 + 0.5 * span, margin=0.0)
                 continue
-            cuts = split_at_marks(marks, 0.0, span, arc_gap, e.kind == "loop", ends)
+            cuts = split_at_marks(marks, 0.0, span, arc_gap, e.is_loop(), ends)
             for off0, off1, n0, n1 in cuts:
-                a0 = e.alpha_a + off0
-                a1 = e.alpha_a + off1
+                a0 = e.a0 + off0
+                a1 = e.a0 + off1
                 candidate("arc", e, a0, a1, n0, n1, False, test=0.5 * (a0 + a1))
             continue
         # line parameters are lengths: crossings merge within the snap radius
         marks = [(t, crossing_node(*at)) for t, at in merge_marks(found, snap)]
-        t_lo, t_hi = _line_range(e)
-        for t0, t1, n0, n1 in split_at_marks(marks, t_lo, t_hi, snap, False, ends):
+        for t0, t1, n0, n1 in split_at_marks(marks, e.a0, e.a1, snap, False, ends):
             # a kept piece must be finite; infinite tails are outside any
             # bounded window except for pathological tangencies
             if not (math.isinf(t0) or math.isinf(t1)):
@@ -534,12 +527,9 @@ def bounded_cell_pieces(
     pieces: dict[int, ClipPiece] = {}
     for eid in sorted(graph.cell_edges.get(cell, [])):
         e = graph.edges[eid]
-        if e.is_curve():
-            pieces[eid] = ClipPiece(eid, "arc", e.pair, eid, None, e.alpha_a, e.alpha_b,
-                                    *e.endpoints, e.kind == "loop", None, None, None, None)
-        else:
-            pieces[eid] = ClipPiece(eid, "segment", e.pair, eid, e.line_index, e.t_a, e.t_b,
-                                    *e.endpoints, False, None, None, None, None)
+        pieces[eid] = ClipPiece(eid, "arc" if e.is_curve() else "segment", e.pair, eid,
+                                e.line_index, e.a0, e.a1, *e.endpoints, e.is_loop(),
+                                None, None, None, None)
     _set_ends(graph, list(pieces.values()), graph.tol)
     _assign_sides(graph, list(pieces.values()), graph.tol)
     directed = [(eid, piece.left == cell) for eid, piece in pieces.items()]

@@ -39,7 +39,9 @@ depend on how the work is batched.
 Curve bookkeeping happens on the circular alpha domain (alpha = 2 atan t),
 where an ellipse is a plain circle, a hyperbola two arcs between its
 singular parameters, and the point at t = +-inf is an ordinary interior
-point. Only the published EdgeSegment labels convert back to t values.
+point. An EdgeSegment is published as labels in t, and its interval is
+decoded from those labels, so a graph read back from its JSON carries the
+same bits as the graph that wrote it (see ``_edge_interval``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,7 +73,7 @@ from .conic import (
     points_at_alphas,
     wrap_angle,
 )
-from .errors import NoSolutionError
+from .errors import InputError, NoSolutionError
 from .geometry import Generator, SceneArrays
 from .intersect import PreparedPairs, globally_minimal, pencil_intersections_batch, prepare_pairs
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -94,11 +96,14 @@ class Vertex:
 class EdgeSegment:
     """Visible piece of one bisector component.
 
-    Kinds: "interval" (t_a < t_b, infinities allowed on line rays),
-    "wrap" (through the t = inf point, so t_b <= t_a), "loop" (entire
-    ellipse) and "full_line". Endpoints are vertex ids, or None for
-    unbounded ends and closed pieces. Curve pieces also carry their alpha
-    interval (alpha_b = alpha_a + span, span <= 2 pi).
+    An edge is published as its labels: kind plus t values. Kinds:
+    "interval" (t_a < t_b, infinities allowed on line rays), "wrap" (through
+    the t = inf point, so t_b <= t_a), "loop" (entire ellipse) and
+    "full_line". Endpoints are vertex ids, or None for unbounded ends and
+    closed pieces. ``a0`` < ``a1`` is the edge's parameter interval, decoded
+    from the labels (``_edge_interval``): alphas of a curve piece (a1 = a0 +
+    span, span <= 2 pi) or line parameters of a line piece, with infinite
+    ends on rays.
     """
 
     id: int
@@ -109,18 +114,71 @@ class EdgeSegment:
     endpoints: tuple[int | None, int | None]
     component: int
     line_index: int | None = None
-    alpha_a: float | None = None
-    alpha_b: float | None = None
+    a0: float = field(init=False)
+    a1: float = field(init=False)
+
+    def __post_init__(self):
+        self.a0, self.a1 = _edge_interval(self.kind, self.t_a, self.t_b, self.line_index)
 
     def is_curve(self) -> bool:
-        return self.alpha_a is not None
+        return self.line_index is None
+
+    def is_loop(self) -> bool:
+        return self.kind == "loop"
 
     def is_finite(self) -> bool:
         """True for a closed loop or a piece with two finite ends."""
         if self.is_curve():
-            return self.kind == "loop" or None not in self.endpoints
-        return (self.kind != "full_line" and self.t_a is not None and self.t_b is not None
-                and math.isfinite(self.t_a) and math.isfinite(self.t_b))
+            return self.is_loop() or None not in self.endpoints
+        return math.isfinite(self.a0) and math.isfinite(self.a1)
+
+
+# ------------------------------------------------------------- edge labels
+#
+# The edge label format, (kind, t_a, t_b) with the line index, is known to
+# this module alone: ``_curve_labels`` encodes a curve piece's alpha
+# interval, and ``_edge_interval`` decodes the labels of any edge, built or
+# read back from JSON, into its parameter interval. The far point t = inf
+# sits at alpha = pi; an interval entering from it is labelled t_a = -inf
+# and decodes to alpha -pi.
+
+
+def _curve_labels(a0: float, a1: float, ends: tuple) -> tuple[str, float | None, float | None]:
+    """(kind, t_a, t_b) of the curve piece on the alpha interval (a0, a1 = a0 + span)."""
+    lo = wrap_angle(a0)
+    hi = lo + (a1 - a0)
+    if hi - lo >= TWO_PI - 1e-15 and ends == (None, None):
+        return "loop", None, None
+    t_a = -math.inf if lo == math.pi else param_of_alpha(lo)
+    return "wrap" if lo < math.pi < hi else "interval", t_a, param_of_alpha(hi)
+
+
+def _edge_interval(kind: str, t_a, t_b, line: int | None) -> tuple[float, float]:
+    """The parameter interval (a0, a1) of an edge with these labels.
+
+    A curve interval spans alpha_of_param(t_a) to alpha_of_param(t_b),
+    lifted by one turn when it wraps through pi; a loop spans (-pi, pi). A
+    line interval is (t_a, t_b), a full line (-inf, inf). Labels that name
+    no edge raise InputError.
+    """
+    numbers = isinstance(t_a, (int, float)) and isinstance(t_b, (int, float))
+    a0 = a1 = math.nan
+    if line is not None:
+        if kind == "full_line" and t_a is None and t_b is None:
+            a0, a1 = -math.inf, math.inf
+        elif kind == "interval" and numbers:
+            a0, a1 = t_a, t_b
+    elif kind == "loop" and t_a is None and t_b is None:
+        a0, a1 = -math.pi, math.pi
+    elif kind in ("interval", "wrap") and numbers:
+        a0 = -math.pi if t_a == -math.inf else alpha_of_param(t_a)
+        a1 = alpha_of_param(t_b)
+        if kind == "wrap" or a1 < a0:
+            a1 += TWO_PI
+    if not a0 < a1:
+        shape = "curve" if line is None else f"line {line}"
+        raise InputError(f"kind {kind!r} with t_a {t_a!r}, t_b {t_b!r} names no {shape} edge")
+    return a0, a1
 
 
 @dataclass
@@ -494,12 +552,12 @@ def _visible_pieces(
     from one ``line_points`` call, and all representatives are decided by
     one two-nearest test per ``_POINT_CHUNK`` points.
 
-    Returns (visible pieces in bisector, component and piece order, the
-    only ones made into EdgeSegments; the mask over all candidate pieces of
-    those without a representative). A piece without a representative is
-    dropped: a whole component whose midpoint is a singular parameter, or
-    an interval where no probe gives a finite point within
-    1e6 (1 + length_scale) of the origin.
+    Returns (visible pieces in bisector and component order, a component's
+    by their starts, the only ones made into EdgeSegments; the mask over all
+    candidate pieces of those without a representative). A piece without a
+    representative is dropped: a whole component whose midpoint is a
+    singular parameter, or an interval where no probe gives a finite point
+    within 1e6 (1 + length_scale) of the origin.
     """
     pieces: list[tuple] = []
     owner: list[int] = []
@@ -534,9 +592,12 @@ def _visible_pieces(
         visible[rows] = _two_nearest(
             points[rows], idx[lo : lo + _POINT_CHUNK, 0], idx[lo : lo + _POINT_CHUNK, 1], arr, tol
         )
-    segments = [
-        _piece_segment(bisectors[owner[r]], *pieces[r]) for r in np.flatnonzero(visible).tolist()
-    ]
+    # a component's edges in the order of their starts: the line parameter,
+    # or the alpha of a curve piece wrapped to (-pi, pi], the far point at pi
+    shown = sorted(np.flatnonzero(visible).tolist(), key=lambda r: (
+        owner[r], pieces[r][0],
+        pieces[r][1] if comps[r].kind == "line" else wrap_angle(pieces[r][1])))
+    segments = [_piece_segment(bisectors[owner[r]], *pieces[r][:5]) for r in shown]
     return segments, ~has_rep
 
 
@@ -563,37 +624,16 @@ def visible_segments(
 
 
 def _piece_segment(
-    b: Bisector, ci: int, x0: float, x1: float, v0: int | None, v1: int | None, whole: bool
+    b: Bisector, ci: int, x0: float, x1: float, v0: int | None, v1: int | None
 ) -> EdgeSegment:
     """EdgeSegment of a candidate piece of ``_candidate_pieces``."""
     comp = b.components[ci]
-    if comp.kind == "line":
-        if math.isinf(x0) and math.isinf(x1):
-            return EdgeSegment(-1, b.pair, "full_line", None, None, (None, None), ci, comp.line_index)
-        return EdgeSegment(-1, b.pair, "interval", x0, x1, (v0, v1), ci, comp.line_index)
-    if whole and comp.closed:
-        return EdgeSegment(-1, b.pair, "loop", None, None, (None, None), ci, None, -math.pi, math.pi)
-    return _curve_segment(b, ci, x0, x1, v0, v1)
-
-
-def _curve_segment(
-    b: Bisector, ci: int, a0: float, a1: float, v0: int | None, v1: int | None
-) -> EdgeSegment:
-    """Build a curve EdgeSegment from an alpha interval (a1 = a0 + span)."""
-    lo = wrap_angle(a0)
-    hi = lo + (a1 - a0)
-    if hi - lo >= TWO_PI - 1e-15 and v0 is None and v1 is None:
-        return EdgeSegment(-1, b.pair, "loop", None, None, (None, None), ci, None, lo, hi)
-    wraps = lo < math.pi < hi
-    t_a = param_of_alpha(lo)
-    t_b = param_of_alpha(hi)
-    if wraps:
-        kind = "wrap"
-    else:
-        kind = "interval"
-        if math.isinf(t_a) and lo >= math.pi:
-            t_a = -math.inf  # interval starting at the far point, entering from below
-    return EdgeSegment(-1, b.pair, kind, t_a, t_b, (v0, v1), ci, None, lo, hi)
+    if comp.kind != "line":
+        kind, t_a, t_b = _curve_labels(x0, x1, (v0, v1))
+        return EdgeSegment(-1, b.pair, kind, t_a, t_b, (v0, v1), ci)
+    if math.isinf(x0) and math.isinf(x1):
+        return EdgeSegment(-1, b.pair, "full_line", None, None, (None, None), ci, comp.line_index)
+    return EdgeSegment(-1, b.pair, "interval", x0, x1, (v0, v1), ci, comp.line_index)
 
 
 # ------------------------------------------------------------ full pipeline
@@ -713,15 +753,6 @@ def build_diagram(
     edges, _no_representative = _visible_pieces(
         ordered, [params_by_pair.get(b.pair, {}) for b in ordered], arr, tol, length_scale
     )
-
-    # canonical ordering and id assignment
-    def edge_key(e: EdgeSegment):
-        a = e.alpha_a if e.alpha_a is not None else (e.t_a if e.t_a is not None else 0.0)
-        if not math.isfinite(a):
-            a = -1e300 if a < 0 else 1e300
-        return (e.pair, e.component, a)
-
-    edges.sort(key=edge_key)
     for eid, e in enumerate(edges):
         e.id = eid
     return assemble_graph(generators, vertices, edges, bisectors, tol)

@@ -254,9 +254,9 @@ def edge_arc_length(graph: DiagramGraph, e: EdgeSegment) -> float:
         raise NonFiniteSegmentError(f"edge {e.id} runs to infinity; clip it first")
     if e.is_curve():
         param = graph.bisectors[e.pair].param
-        return float(arc_measures([param], [e.alpha_a], [e.alpha_b], graph.tol)[1][0])
+        return float(arc_measures([param], [e.a0], [e.a1], graph.tol)[1][0])
     # line parameters are arc length already
-    return e.t_b - e.t_a
+    return e.a1 - e.a0
 
 
 # ---------------------------------------------------------- loop traversal

@@ -226,6 +226,7 @@ def write_pgm(img: LabelImage, path: str) -> None:
 
 
 def read_pgm(path: str) -> LabelImage:
+    """Label image of a P2 file as ``write_pgm`` writes it; a malformed one raises InputError."""
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != "P2":
@@ -233,17 +234,22 @@ def read_pgm(path: str) -> LabelImage:
         origin = np.zeros(2)
         pixel = 1.0
         ids: tuple[int, ...] = ()
-        line = fh.readline()
-        while line.startswith("#"):
-            parts = line[1:].split()
-            if parts[:1] == ["gbpd"]:
-                origin = np.array([float(parts[2]), float(parts[3])])
-                pixel = float(parts[5])
-                ids = tuple(int(s) for s in parts[7].split(","))
+        try:
             line = fh.readline()
-        width, height = (int(s) for s in line.split())
-        maxval = int(fh.readline())
-        data = np.array(fh.read().split(), dtype=np.int32).reshape(height, width)
+            while line.startswith("#"):
+                parts = line[1:].split()
+                if parts[:1] == ["gbpd"]:
+                    origin = np.array([float(parts[2]), float(parts[3])])
+                    pixel = float(parts[5])
+                    ids = tuple(int(s) for s in parts[7].split(","))
+                line = fh.readline()
+            width, height = (int(s) for s in line.split())
+            maxval = int(fh.readline())
+            data = np.array(fh.read().split(), dtype=np.int32).reshape(height, width)
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise InputError(f"{path}: malformed P2 file: {exc}") from None
+    if width <= 0 or height <= 0 or (data < 0).any():
+        raise InputError(f"{path}: malformed P2 file: sizes must be positive, pixels not negative")
     if not ids:
         ids = tuple(range(maxval))
     back = np.array(list(ids) + [-1], dtype=np.int32)

@@ -10,17 +10,19 @@ document and writing it again reproduces the bytes exactly.
 The reader rebuilds a full :class:`DiagramGraph`: bisector objects are
 reconstructed from the generator pairs (the construction is deterministic),
 so a loaded graph supports clipping and measurement. Only pairs that own
-visible edges are rebuilt. Curve alphas are recomputed from the t labels,
-so one can come back one ulp off the build's (37 of 2,698 curve edges of
-the 30 n=16 preset scenes, seeds 1010-1019), and a clip or measure can then
-differ in its last bits (one of their 480 cell measures, by 5.7e-14). The
+visible edges are rebuilt. An edge's interval is decoded from its labels
+by ``EdgeSegment`` itself, as in the build, so a graph read back from its
+JSON clips and measures bit for bit like the graph that wrote it. The
 cell structure is derived from the edges by ``assemble_graph``, as the
 build derives it, and a document whose ``adjacency`` or ``cells`` rows
 differ from the rows the writer would emit for that structure raises
-InputError. Vertex and edge ids must equal their positions, every edge
-endpoint must name a vertex row, and every vertex row must be equidistant
-to its generators (see ``_check_vertex_rows``); that the vertices lie on
-their edges is not checked further.
+InputError. So does a document without generators, a row whose fields
+have the wrong type or shape, and an edge whose labels name no edge or
+whose component and line name no component of its bisector. Vertex and
+edge ids must equal their positions, every edge endpoint must name a
+vertex row, and every vertex row must be equidistant to its generators
+(see ``_check_vertex_rows``); that the vertices lie on their edges is not
+checked further.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import math
 import numpy as np
 
 from .bisector import make_bisector, make_bisectors  # noqa: F401 (make_bisector re-exported)
-from .conic import alpha_of_param
 from .diagram import DiagramGraph, EdgeSegment, Vertex, assemble_graph
 from .errors import InputError
 from .geometry import Generator, SceneArrays, SymMat2
@@ -182,37 +183,33 @@ def _fields(row, keys: tuple[str, ...], where: str) -> list:
         raise InputError(f"{where}: a row must be an object") from None
 
 
-def _number(v, where: str):
-    """A document number as a float; null stays None, "inf" and "-inf" are infinities."""
-    if type(v) is float or v is None:
+def _number(v, where: str) -> float:
+    """A document number as a float; "inf" and "-inf" are infinities."""
+    if type(v) is float:
         return v
-    if isinstance(v, str):
-        if v == "inf":
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise InputError(f"{where}: unexpected string {v!r} where a number belongs")
-    if isinstance(v, bool):
-        raise InputError(f"{where}: boolean where a number belongs")
-    return float(v)
+    if type(v) is int:
+        return float(v)
+    if v in ("inf", "-inf"):
+        return float(v)
+    raise InputError(f"{where}: {v!r} where a number belongs")
 
 
-def _edge_alphas(kind: str, t_a, t_b, line_index):
-    """Recover the angular interval of a curve edge from its parameters.
+def _int(v, where: str, name: str, null: bool = False):
+    """A document integer; null reads as None where ``null`` allows it."""
+    if type(v) is int or (null and v is None):
+        return v
+    raise InputError(f"{where}: {name} must be an integer{' or null' * null}, not {v!r}")
 
-    The far point t = inf sits at alpha = pi; intervals entering from it are
-    stored with t_a = -inf and start at -pi. Wrapping segments continue past
-    pi, so their upper angle is lifted by one turn.
-    """
-    if line_index is not None or kind == "full_line":
-        return None, None
-    if kind == "loop":
-        return -math.pi, math.pi
-    a0 = -math.pi if t_a == -math.inf else alpha_of_param(t_a)
-    a1 = alpha_of_param(t_b)
-    if kind == "wrap" or a1 < a0:
-        a1 += 2.0 * math.pi
-    return a0, a1
+
+def _ints(v, where: str, name: str, count: int | None = None, null: bool = False) -> list:
+    """A document array of integers, or nulls where ``null`` allows them, of
+    ``count`` entries where given."""
+    if type(v) is list and count in (None, len(v)) and set(map(type, v)) <= (
+            {int, type(None)} if null else {int}):
+        return v
+    size = "" if count is None else f"{count} "
+    raise InputError(f"{where}: {name} must be an array of {size}integers{' or nulls' * null}, "
+                     f"not {v!r}")
 
 
 def _check_vertex_rows(generators: list[Generator], vertices: list[Vertex],
@@ -251,55 +248,50 @@ def _check_vertex_rows(generators: list[Generator], vertices: list[Vertex],
 
 
 def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> DiagramGraph:
-    generator_rows, vertex_rows, edge_rows, *structure = _fields(doc, SCHEMA_KEYS, "diagram JSON")
+    parts = _fields(doc, SCHEMA_KEYS, "diagram JSON")
+    for key, rows in zip(SCHEMA_KEYS, parts):
+        if not isinstance(rows, list):
+            raise InputError(f"diagram JSON: {key!r} must be an array")
+    generator_rows, vertex_rows, edge_rows, *structure = parts
     generators: list[Generator] = []
     for k, row in enumerate(generator_rows):
         where = f"generators[{k}]"
         gid, *values = _fields(row, ("id", *GENERATOR_FIELDS), where)
         px, py, m11, m12, m22, w = (_number(v, where) for v in values)
-        generators.append(Generator(int(gid), np.array([px, py]), SymMat2(m11, m12, m22), w))
+        generators.append(Generator(_int(gid, where, "id"), np.array([px, py]),
+                                    SymMat2(m11, m12, m22), w))
+    if not generators:
+        raise InputError("diagram JSON: a diagram needs at least one generator")
     by_id = {g.id: g for g in generators}
 
     vertices: list[Vertex] = []
     for k, row in enumerate(vertex_rows):
         where = f"vertices[{k}]"
         vid, x, y, gens = _fields(row, ("id", "x", "y", "gens"), where)
-        if int(vid) != k:
+        if _int(vid, where, "id") != k:
             raise InputError(f"{where}: vertex id must be its position {k}")
         pos = np.array([_number(x, where), _number(y, where)])
-        vertices.append(Vertex(int(vid), pos, frozenset(map(int, gens))))
+        vertices.append(Vertex(k, pos, frozenset(_ints(gens, where, "gens"))))
     _check_vertex_rows(generators, vertices, tol)
 
     edges: list[EdgeSegment] = []
     for k, row in enumerate(edge_rows):
         where = f"edges[{k}]"
         eid, pair, kind, t_a, t_b, ends = _fields(row, EDGE_FIELDS, where)
-        if int(eid) != k:
+        if _int(eid, where, "id") != k:
             raise InputError(f"{where}: edge id must be its position {k}")
-        pair = tuple(map(int, pair))
-        if len(pair) != 2:
-            raise InputError(f"{where}: pair must hold two generator ids")
-        kind = str(kind)
-        t_a, t_b = _number(t_a, where), _number(t_b, where)
-        line_index = row.get("line")
-        alpha_a, alpha_b = _edge_alphas(kind, t_a, t_b, line_index)
-        edges.append(
-            EdgeSegment(
-                id=k,
-                pair=pair,  # type: ignore[arg-type]
-                kind=kind,
-                t_a=t_a,
-                t_b=t_b,
-                endpoints=(
-                    None if ends[0] is None else int(ends[0]),
-                    None if ends[1] is None else int(ends[1]),
-                ),
-                component=int(row.get("component", 0)),
-                line_index=None if line_index is None else int(line_index),
-                alpha_a=alpha_a,
-                alpha_b=alpha_b,
-            )
-        )
+        pair = tuple(_ints(pair, where, "pair", 2))
+        if pair[0] >= pair[1]:
+            raise InputError(f"{where}: pair must hold two generator ids in increasing order")
+        t_a = None if t_a is None else _number(t_a, where)
+        t_b = None if t_b is None else _number(t_b, where)
+        ends = tuple(_ints(ends, where, "endpoints", 2, null=True))
+        component = _int(row.get("component", 0), where, "component")
+        line = _int(row.get("line"), where, "line", null=True)
+        try:
+            edges.append(EdgeSegment(k, pair, kind, t_a, t_b, ends, component, line))
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
 
     known = {None, *range(len(vertices))}
     stray = next((e for e in edges if not known.issuperset(e.endpoints)), None)
@@ -312,10 +304,13 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
     bisectors = dict(
         zip(pairs, make_bisectors([by_id[i] for i, _ in pairs], [by_id[j] for _, j in pairs], tol))
     )
+    for e in edges:
+        comps = bisectors[e.pair].components
+        if not (0 <= e.component < len(comps) and comps[e.component].line_index == e.line_index):
+            raise InputError(f"edges[{e.id}]: bisector {e.pair} has no component {e.component} "
+                             f"on line {e.line_index}")
     graph = assemble_graph(generators, vertices, edges, bisectors, tol)
     for key, rows, derived in zip(SCHEMA_KEYS[3:], structure, _structure_rows(graph)):
-        if not isinstance(rows, list):
-            raise InputError(f"diagram JSON: {key!r} must be an array")
         if rows != derived:
             k = next((k for k, (got, want) in enumerate(zip(rows, derived)) if got != want),
                      min(len(rows), len(derived)))

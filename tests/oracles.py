@@ -533,10 +533,10 @@ def _window_sides(window):
 
 
 def curve_crossings_scalar(b, e, window, snap, tol):
-    """Window crossings of one curved edge as (offset from alpha_a, pos, side), in
+    """Window crossings of one curved edge as (offset from a0, pos, side), in
     candidate order: sides 0-3, roots ascending, then t = inf."""
     p = b.param
-    span = e.alpha_b - e.alpha_a
+    span = e.a1 - e.a0
     out = []
     for axis, value, lo, hi, side in _window_sides(window):
         main = p.xq if axis == 0 else p.yq
@@ -552,7 +552,7 @@ def curve_crossings_scalar(b, e, window, snap, tol):
             other = pos[1] if axis == 0 else pos[0]
             if not (lo - snap <= other <= hi + snap):
                 continue
-            off = (alpha_of_param(t) - e.alpha_a) % (2.0 * math.pi)
+            off = (alpha_of_param(t) - e.a0) % (2.0 * math.pi)
             if e.kind == "loop":
                 out.append((off % (2.0 * math.pi), pos, side))
             elif -1e-12 <= off <= span + 1e-12:

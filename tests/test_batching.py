@@ -451,9 +451,8 @@ def test_batched_polish_handles_many_generator_vertices(turn):
 
 
 def edge_fields(e):
-    alphas = None if e.alpha_a is None else bits([e.alpha_a, e.alpha_b])
     return (e.pair, e.kind, bits([e.t_a or 0.0, e.t_b or 0.0]), e.t_a is None, e.t_b is None,
-            e.endpoints, e.component, e.line_index, alphas)
+            e.endpoints, e.component, e.line_index, bits([e.a0, e.a1]))
 
 
 @given(scenes())
@@ -507,7 +506,7 @@ def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
     gens, b, vparams = lopsided_case()
     segs = visible_segments(b, vparams, gens, TOL, 1.0)
     assert [s.component for s in segs] == [0, 0, 1]
-    assert segs[0].alpha_a == b.components[0].lo and segs[0].endpoints == (None, None)
+    assert segs[0].a0 == b.components[0].lo and segs[0].endpoints == (None, None)
 
 
 def assert_probe_levels_match_scalar(b, vparams, length_scale):

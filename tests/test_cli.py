@@ -112,8 +112,7 @@ def test_measure_csv_partitions_window(tmp_path):
 
 def test_graph_commands_take_scene_or_diagram(tmp_path):
     # raster --analytic and measure build the graph from a CSV scene or read
-    # it from diagram JSON; a reloaded graph may differ from the built one in
-    # the last bit of a curve's end alpha, so measures agree to roundoff
+    # it from diagram JSON, and both give the same labels and measures
     scene = tmp_path / "scene.csv"
     dj = tmp_path / "diagram.json"
     run("gen", "-n", 8, "--seed", 17, "--out", scene)
@@ -131,8 +130,7 @@ def test_graph_commands_take_scene_or_diagram(tmp_path):
     for a, b in zip(rows[".csv"], rows[".json"]):
         assert (a["cell_id"], a["n_components"], a["n_neighbors"]) == (
             b["cell_id"], b["n_components"], b["n_neighbors"])
-        for key in ("area", "perimeter"):
-            assert float(a[key]) == pytest.approx(float(b[key]), rel=1e-12, abs=1e-9)
+        assert (a["area"], a["perimeter"]) == (b["area"], b["perimeter"])
 
 
 def test_measure_stdout(tmp_path, capsys):
@@ -199,3 +197,28 @@ def test_raster_pgm_round_trip(tmp_path):
     img = read_pgm(pgm)
     assert img.width == 50 and img.height == 40
     assert set(np.unique(img.labels)).issubset(set(range(5)))
+
+
+def test_diagram_without_generators_exits_2(tmp_path, capsys):
+    dj = tmp_path / "empty.json"
+    dj.write_text('{"generators": [], "vertices": [], "edges": [], "adjacency": [], "cells": []}')
+    assert run("measure", "--input", dj) == 2
+    pgm = tmp_path / "empty.pgm"
+    assert run("raster", "--input", dj, "--analytic", "--width", 8, "--height", 8,
+               "--out", pgm) == 2
+    assert "at least one generator" in capsys.readouterr().err
+
+
+def test_malformed_pgm_exits_2(tmp_path):
+    good = tmp_path / "good.pgm"
+    good.write_text("P2\n# gbpd origin 0 0 pixel 1 ids 0,1\n2 2\n2\n0 1\n1 0\n")
+    assert read_pgm(good).labels.tolist() == [[0, 1], [1, 0]]
+    text = good.read_text()
+    for name, bad in (("short", text[:-4]), ("pixel", text.replace("1 0\n", "1 x\n")),
+                      ("size", text.replace("2 2\n", "2\n"))):
+        path = tmp_path / f"{name}.pgm"
+        path.write_text(bad)
+        with pytest.raises(InputError, match="malformed P2"):
+            read_pgm(path)
+        assert run("compare", good, path) == 2
+        assert run("fit", "--input", path, "--out", tmp_path / f"{name}.csv") == 2

@@ -112,7 +112,7 @@ def test_batched_crossings_match_scalar(graphs, name):
         total += len(ref)
     for e, found in zip(straight, got_straight):
         line = graph.bisectors[e.pair].lines[e.line_index]
-        ref = line_crossings_scalar(line, *gclip._line_range(e), window, snap)
+        ref = line_crossings_scalar(line, e.a0, e.a1, window, snap)
         assert crossing_bits((x, *at) for x, at in found) == crossing_bits(ref)
         total += len(ref)
     assert (total == 0) == (name == "no-edge-inside")

@@ -149,10 +149,10 @@ def test_hyperbola_branch_visibility():
         t = param_of_point(bb.param, point, 1e-6)[0]
         a = alpha_of_param(t)
         for e in diagram.edges:
-            if e.pair != (0, 1) or e.alpha_a is None:
+            if e.pair != (0, 1) or not e.is_curve():
                 continue
-            off = (a - e.alpha_a) % (2 * math.pi)
-            if off <= e.alpha_b - e.alpha_a:
+            off = (a - e.a0) % (2 * math.pi)
+            if off <= e.a1 - e.a0:
                 return True
         return False
 
@@ -220,10 +220,10 @@ def test_edge_midpoints_are_two_nearest():
     checked = 0
     for e in d.edges:
         b = d.edge_bisector(e)
-        if e.alpha_a is not None:
-            span = e.alpha_b - e.alpha_a
+        if e.is_curve():
+            span = e.a1 - e.a0
             try:
-                q = b.param.point_at_alpha(e.alpha_a + 0.37 * span)
+                q = b.param.point_at_alpha(e.a0 + 0.37 * span)
             except Exception:
                 continue
             if not np.all(np.isfinite(q)) or np.abs(q).max() > 1e7:
@@ -256,7 +256,7 @@ def test_determinism_across_threads_and_runs():
         return (
             [(v.pos[0], v.pos[1], tuple(sorted(v.gens))) for v in d.vertices],
             [
-                (e.pair, e.kind, e.t_a, e.t_b, e.endpoints, e.alpha_a, e.alpha_b)
+                (e.pair, e.kind, e.t_a, e.t_b, e.endpoints, e.a0, e.a1)
                 for e in d.edges
             ],
             sorted(d.adjacency),

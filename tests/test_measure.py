@@ -91,11 +91,11 @@ def test_arc_length_against_polyline_oracle():
     for e in graph.edges:
         if not e.is_curve() or e.kind == "loop" or None in e.endpoints:
             continue
-        if e.alpha_b - e.alpha_a < 0.05:
+        if e.a1 - e.a0 < 0.05:
             continue
         b = graph.bisectors[e.pair]
         ref = polyline_arc_length(
-            lambda a: point_at_alpha_scalar(b.param, a), e.alpha_a, e.alpha_b, samples=40_001
+            lambda a: point_at_alpha_scalar(b.param, a), e.a0, e.a1, samples=40_001
         )
         val = edge_arc_length(graph, e)
         assert abs(val - ref) <= 1e-6 * ref
@@ -111,13 +111,13 @@ def test_arc_length_polyline_high_resolution():
     best = None
     for e in graph.edges:
         if e.is_curve() and e.kind != "loop" and None not in e.endpoints:
-            span = e.alpha_b - e.alpha_a
-            if 0.2 <= span <= 2.0 and (best is None or span < best.alpha_b - best.alpha_a):
+            span = e.a1 - e.a0
+            if 0.2 <= span <= 2.0 and (best is None or span < best.a1 - best.a0):
                 best = e
     assert best is not None
     b = graph.bisectors[best.pair]
     ref = polyline_arc_length(
-        lambda a: point_at_alpha_scalar(b.param, a), best.alpha_a, best.alpha_b, samples=1_000_001
+        lambda a: point_at_alpha_scalar(b.param, a), best.a0, best.a1, samples=1_000_001
     )
     val = edge_arc_length(graph, best)
     assert abs(val - ref) <= 1e-7 * ref

@@ -1,12 +1,13 @@
 """Diagram JSON round-trips."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gbpd.cli import random_scene
+from gbpd.cli import PRESETS, random_scene
 from gbpd.diagram import build_diagram
 from gbpd.clip import clip_to_window
 from gbpd.errors import InputError
@@ -18,6 +19,9 @@ from gbpd.serialize import (
     read_diagram,
     write_diagram,
 )
+
+
+WINDOW = Window(0.0, 0.0, 400.0, 400.0)
 
 
 def iso(gid, x, y, w=0.0):
@@ -65,31 +69,40 @@ def test_round_trip_preserves_structure():
 
 
 def test_edge_alpha_intervals_survive():
-    # alpha spans are reconstructed from t and kind; 2 pi shifts are fine
+    # built and read edges decode their intervals from the same labels
     graph = build_diagram(mixed_scene(seed=19, n=11))
     loaded = diagram_from_json(diagram_to_json(graph))
-    two_pi = 2.0 * math.pi
-    for e, e2 in zip(graph.edges, loaded.edges):
-        assert (e.alpha_a is None) == (e2.alpha_a is None)
-        if e.alpha_a is None:
-            continue
-        span = e.alpha_b - e.alpha_a
-        span2 = e2.alpha_b - e2.alpha_a
-        assert span2 == pytest.approx(span, abs=1e-12)
-        shift = (e.alpha_a - e2.alpha_a) / two_pi
-        assert abs(shift - round(shift)) < 1e-12
+    assert [(e.a0, e.a1) for e in loaded.edges] == [(e.a0, e.a1) for e in graph.edges]
+
+
+def bits(obj):
+    """obj with every float, also inside arrays and dataclasses, as its exact hex form."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, np.ndarray):
+        return bits(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [bits(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return [bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    return obj
 
 
 def test_loaded_graph_measures_identically():
-    graph = build_diagram(mixed_scene())
-    loaded = diagram_from_json(diagram_to_json(graph))
-    win = Window(0.0, 0.0, 100.0, 100.0)
-    m1 = measure_cells(clip_to_window(graph, win))
-    m2 = measure_cells(clip_to_window(loaded, win))
-    assert set(m1) == set(m2)
-    for gid in m1:
-        assert m1[gid].area == pytest.approx(m2[gid].area, rel=0.0, abs=0.0)
-        assert m1[gid].perimeter == m2[gid].perimeter
+    # a graph read back from its JSON clips and measures bit for bit like the
+    # built one: a mixed scene, the n=16 scenes of the three presets with
+    # seeds 1010-1019, and the paper-random n=72 scene
+    scenes = [(mixed_scene(), Window(0.0, 0.0, 100.0, 100.0))]
+    scenes += [(random_scene(preset, 16, seed, WINDOW), WINDOW)
+               for seed in range(1010, 1020) for preset in PRESETS]
+    scenes.append((random_scene("paper-random", 72, 42, WINDOW), WINDOW))
+    for gens, win in scenes:
+        graph = build_diagram(gens)
+        loaded = diagram_from_json(diagram_to_json(graph))
+        built, read = (clip_to_window(g, win) for g in (graph, loaded))
+        assert bits((built.nodes, built.pieces)) == bits((read.nodes, read.pieces))
+        assert built.cells == read.cells
+        assert bits(measure_cells(built)) == bits(measure_cells(read))
 
 
 def test_infinite_parameters_written_as_strings():
@@ -152,7 +165,7 @@ def test_malformed_documents_raise_input_error():
         diagram_from_json(json.dumps(doc))
     # vertex rows: a row deleted (the first shifts the ids after it, the
     # last leaves an edge endpoint naming no row), a vertex id off its position
-    scene = random_scene("paper-weights", 16, 1010, Window(0.0, 0.0, 400.0, 400.0))
+    scene = random_scene("paper-weights", 16, 1010, WINDOW)
     text = diagram_to_json(build_diagram(scene))
     for k, match in ((0, r"vertices\[0\]"), (-1, "endpoints")):
         doc = json.loads(text)
@@ -172,6 +185,30 @@ def test_malformed_documents_raise_input_error():
     doc["vertices"][3]["gens"][0] = 99
     with pytest.raises(InputError, match=r"vertices\[3\]: gens"):
         diagram_from_json(json.dumps(doc))
+    # rows of the wrong shape or type, and edge labels that name no edge
+    # of their bisector
+    text = diagram_to_json(build_diagram(random_scene("paper-weights", 8, 1010, WINDOW)))
+    assert json.loads(text)["edges"][0]["kind"] == "interval"
+    for key, field, value in (
+        ("vertices", "id", "a"),
+        ("edges", "pair", 5),
+        ("edges", "pair", [0, 0]),
+        ("edges", "endpoints", [None]),
+        ("vertices", "gens", 3),
+        ("generators", "id", None),
+        ("edges", "t_a", None),
+        ("edges", "kind", "bogus"),
+        ("edges", "component", 7),
+        ("edges", "line", 3),
+    ):
+        doc = json.loads(text)
+        doc[key][0][field] = value
+        with pytest.raises(InputError, match=rf"{key}\[0\]"):
+            diagram_from_json(json.dumps(doc))
+    # a diagram needs a generator
+    with pytest.raises(InputError, match="at least one generator"):
+        diagram_from_json('{"generators": [], "vertices": [], "edges": [], "adjacency": [], '
+                          '"cells": []}')
 
 
 def test_nonfinite_vertex_rejected_on_write():
