@@ -15,16 +15,19 @@ parameters (an ellipse is one closed loop, a parabola one open arc, a
 hyperbola two branches); each line of a degenerate bisector is a component
 of its own.
 
-:func:`make_bisectors` is the one kernel: it builds the implicit
+:func:`bisector_table` is the one kernel: it builds the implicit
 coefficients, the pair frames and the rescaled implicit of all P pairs as
 array operations, classifies all of them with one stacked
-``np.linalg.eigh`` and parametrizes every curve in array form
-(``conic.classify_and_parametrize_batch``). Only the rare rank-deficient
-pairs (line bisectors) go through a per-pair loop. Every array step repeats
-the one-pair operation order, and steps that go through BLAS or LAPACK use
-the stacked form of the same call, so a pair gets the same floats whatever
-batch it is in; :func:`make_bisector` and :func:`bisector_implicit` are
-batches of one.
+``np.linalg.eigh``, and parametrizes every curve and splits every line
+bisector in array form (``conic.classify_rows``). The result is a
+:class:`BisectorTable`, one array row per pair; the diagram build reads
+it and makes objects only for the pairs it needs. Every array step repeats
+the one-pair operation order, with ``math`` functions per entry where
+numpy rounds differently, and steps that go through BLAS or LAPACK use the
+stacked form of the same call, so a pair gets the same floats whatever
+batch it is in. :func:`make_bisectors` builds the objects of a table of its
+pairs; :func:`make_bisector` and :func:`bisector_implicit` are batches of
+one.
 
 :func:`params_of_points` recovers the curve parameters of many (curve,
 point) pairs at once: root solving, the acceptance tests, Gauss-Newton
@@ -43,14 +46,20 @@ import numpy as np
 
 from .conic import (
     CURVE_CLASSES,
+    ELLIPSE_CODE,
+    HYPERBOLA_CODE,
+    PARABOLA_CODE,
     ConicClass,
     ConicImplicit,
+    ConicRows,
     LineParam,
     ParametrizedConic,
     alpha_of_param,
     alphas_of_params,
     chart_coefficients,
-    classify_and_parametrize_batch,
+    charts_of_triples,
+    classify_rows,
+    conic_representations,
     homogeneous_at_params,
     line_points,
     line_rows,
@@ -140,21 +149,6 @@ class BisectorComponent:
         return 0.0 <= off <= span
 
 
-def _curve_components(param: ParametrizedConic) -> tuple[BisectorComponent, ...]:
-    cls = param.conic_class
-    if cls is ConicClass.ELLIPSE:
-        return (BisectorComponent("arc", -math.pi, math.pi, closed=True),)
-    if cls is ConicClass.PARABOLA:
-        a0 = param.singular_alphas[0]
-        return (BisectorComponent("arc", a0, a0 + TWO_PI),)
-    # hyperbola: branches split by the two singular parameters +-s
-    a1, a2 = sorted(param.singular_alphas)
-    return (
-        BisectorComponent("arc", a1, a2),
-        BisectorComponent("arc", a2, a1 + TWO_PI),
-    )
-
-
 @dataclass(frozen=True)
 class Bisector:
     """Bisector of the generator pair (i, j) with i < j."""
@@ -198,6 +192,121 @@ def _rescaled(g: np.ndarray, c: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.concatenate([(g[:, 0:2] - c) / h[:, None], hh * g[:, 2:5], g[:, 5:6]], axis=1)
 
 
+@dataclass(frozen=True)
+class BisectorTable:
+    """The bisectors of P generator pairs as arrays, one row per pair.
+
+    Row k is the bisector of ``generators[first[k]]`` and
+    ``generators[second[k]]``, whose ids increase. ``implicit`` (P, 6) holds
+    the implicit rows in scene coordinates and ``code`` (P,) the class codes
+    (indices into ``conic.CLASSES``). A curve's row of ``chart`` (P, 2, 3,
+    3, as ``conic.chart_coefficients`` lays it out) holds its chart triples,
+    ``u_scale`` their denominator scale and ``singular`` the s of its
+    singular parameters (+-s for a hyperbola, 0 for a parabola). A line
+    bisector's first ``line_count`` rows of ``lines`` (P, 2, 3) are its
+    lines (a, b, c). Unused entries are zero.
+    """
+
+    generators: list[Generator]
+    first: np.ndarray
+    second: np.ndarray
+    implicit: np.ndarray
+    code: np.ndarray
+    chart: np.ndarray
+    u_scale: np.ndarray
+    singular: np.ndarray
+    lines: np.ndarray
+    line_count: np.ndarray
+
+    def components(self, rows: np.ndarray):
+        """The components of the bisectors ``rows`` (R,), as arrays.
+
+        Returns (count (R,), lo (R, 2), hi (R, 2), closed (R,)): component c
+        < count[r] of row r spans (lo[r, c], hi[r, c]). An ellipse is one
+        closed loop (-pi, pi); a parabola one arc from its singular alpha 0
+        round to 2 pi; a hyperbola two branches between its singular alphas
+        a1 < a2, (a1, a2) and (a2, a1 + 2 pi); each line is a component
+        (-inf, inf).
+        """
+        code = self.code[rows]
+        closed, parabola, hyperbola = (code == ELLIPSE_CODE, code == PARABOLA_CODE,
+                                       code == HYPERBOLA_CODE)
+        count = self.line_count[rows] + closed + parabola + 2 * hyperbola
+        lo = np.full((rows.size, 2), -math.inf)
+        hi = np.full((rows.size, 2), math.inf)
+        lo[closed, 0], hi[closed, 0] = -math.pi, math.pi
+        lo[parabola, 0], hi[parabola, 0] = 0.0, 0.0 + TWO_PI
+        hyp = np.flatnonzero(hyperbola)
+        s = self.singular[rows[hyp]]
+        ends = np.stack([alphas_of_params(-s), alphas_of_params(s)], axis=1)
+        a1, a2 = ends.min(axis=1, initial=math.inf), ends.max(axis=1, initial=-math.inf)
+        lo[hyp] = np.stack([a1, a2], axis=1)
+        hi[hyp] = np.stack([a2, a1 + TWO_PI], axis=1)
+        return count, lo, hi, closed
+
+    def bisectors(self, rows) -> list[Bisector]:
+        """:class:`Bisector` objects of the rows ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        reps = conic_representations(ConicRows(self.code, self.chart[:, 0], self.singular,
+                                               self.lines, self.line_count), rows)
+        out = []
+        for rep, first, second, implicit, count, lo, hi, closed in zip(
+            reps, self.first[rows].tolist(), self.second[rows].tolist(),
+            self.implicit[rows].tolist(), *(a.tolist() for a in self.components(rows)),
+        ):
+            gi, gj = self.generators[first], self.generators[second]
+            if isinstance(rep, ParametrizedConic):
+                param, lines = rep, ()
+                components = tuple(BisectorComponent("arc", lo[c], hi[c], closed=closed)
+                                   for c in range(count))
+            else:
+                param, lines = None, rep.lines
+                components = tuple(BisectorComponent("line", -math.inf, math.inf, line_index=c)
+                                   for c in range(count))
+            out.append(Bisector(gi.id, gj.id, gi, gj, ConicImplicit(*implicit), rep.conic_class,
+                                param, lines, components))
+        return out
+
+
+def bisector_table(
+    generators,
+    tol: ToleranceSet = DEFAULT_TOLERANCES,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> BisectorTable:
+    """The bisectors of generator pairs, all at once, as a :class:`BisectorTable`.
+
+    ``pairs`` holds two index arrays into ``generators``, default every pair
+    i < j in ``np.triu_indices`` order; each pair is ordered by id. The
+    implicit forms are exact scene-coordinate arithmetic. Classification
+    and parametrization run once per pair, in pair-local similarity frames
+    (the distance difference is frame-invariant when centers shift by c and
+    matrices pick up h^2), which keeps the result accurate far from the
+    origin; the representations are mapped back affinely.
+    """
+    generators = list(generators)
+    if pairs is None:
+        pairs = np.triu_indices(len(generators), 1)
+    ids = np.array([g.id for g in generators], dtype=np.int64)
+    first, second = (np.asarray(p, dtype=np.int64).reshape(-1) for p in pairs)
+    if np.any(ids[first] == ids[second]):
+        raise ValueError("bisector requires distinct generator ids")
+    swap = ids[first] > ids[second]
+    first, second = np.where(swap, second, first), np.where(swap, first, second)
+    cols = _generator_columns(generators)
+    ci, cj = cols[first], cols[second]
+    implicit = _implicit_rows(ci, cj)
+    c, h = _pair_frames(ci, cj)
+    # an identity frame keeps the scene implicit as is (p - c would turn -0.0 into +0.0)
+    moved = (h != 1.0) | (c[:, 0] != 0.0) | (c[:, 1] != 0.0)
+    hat = np.where(moved[:, None], _implicit_rows(_rescaled(ci, c, h), _rescaled(cj, c, h)),
+                   implicit)
+    rows = classify_rows(hat, tol, 2.0, frame=(h, c))
+    chart = charts_of_triples(rows.triples)
+    u = np.abs(rows.triples[:, 2])
+    return BisectorTable(generators, first, second, implicit, rows.code, chart,
+                         u[:, 0] + u[:, 1] + u[:, 2], rows.singular, rows.lines, rows.line_count)
+
+
 def make_bisectors(
     gens_i,
     gens_j,
@@ -205,51 +314,14 @@ def make_bisectors(
 ) -> list[Bisector]:
     """Bisectors of the pairs (gens_i[k], gens_j[k]), all at once.
 
-    The implicit forms are exact scene-coordinate arithmetic. Classification
-    and parametrization run in pair-local similarity frames (the distance
-    difference is frame-invariant when centers shift by c and matrices pick
-    up h^2), which keeps the result accurate far from the origin; the
-    representations are mapped back affinely.
+    The objects of a :class:`BisectorTable` of these pairs.
     """
-    pairs = []
-    for gi, gj in zip(gens_i, gens_j, strict=True):
-        if gi.id == gj.id:
-            raise ValueError("bisector requires distinct generator ids")
-        pairs.append((gi, gj) if gi.id < gj.id else (gj, gi))
-    if not pairs:
-        return []
-    ci = _generator_columns([gi for gi, _ in pairs])
-    cj = _generator_columns([gj for _, gj in pairs])
-    implicit = _implicit_rows(ci, cj)
-    c, h = _pair_frames(ci, cj)
-    # an identity frame keeps the scene implicit as is (p - c would turn -0.0 into +0.0)
-    moved = (h != 1.0) | (c[:, 0] != 0.0) | (c[:, 1] != 0.0)
-    hat =np.where(moved[:, None], _implicit_rows(_rescaled(ci, c, h), _rescaled(cj, c, h)), implicit)
-    reps = classify_and_parametrize_batch(hat, tol, 2.0, frame=(h, c))
-    out = []
-    for (gi, gj), coeffs, rep in zip(pairs, implicit.tolist(), reps):
-        if isinstance(rep, ParametrizedConic):
-            param, lines, components = rep, (), _curve_components(rep)
-        else:
-            param, lines = None, rep.lines
-            components = tuple(
-                BisectorComponent("line", -math.inf, math.inf, line_index=k)
-                for k in range(len(rep.lines))
-            )
-        out.append(
-            Bisector(
-                i=gi.id,
-                j=gj.id,
-                gi=gi,
-                gj=gj,
-                implicit=ConicImplicit(*coeffs),
-                conic_class=rep.conic_class,
-                param=param,
-                lines=lines,
-                components=components,
-            )
-        )
-    return out
+    gens_i, gens_j = list(gens_i), list(gens_j)
+    if len(gens_i) != len(gens_j):
+        raise ValueError("make_bisectors needs one second generator per first one")
+    p = len(gens_i)
+    table = bisector_table(gens_i + gens_j, tol, (np.arange(p), p + np.arange(p)))
+    return table.bisectors(np.arange(p))
 
 
 def make_bisector(

@@ -29,11 +29,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, SingularParameterError
-from .geometry import sym2_eigh
+from .geometry import hypots, sym2_eigh
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 _HALF_PI = 0.5 * math.pi
@@ -307,7 +308,12 @@ def chart_coefficients(params) -> np.ndarray:
     0, 1, 2) of conic k in chart 0 (s = tan(alpha/2)) or in chart 1 (the
     t -> -1/t rotation, s = tan(alpha/2 - pi/2)).
     """
-    base = np.array([(p.xq, p.yq, p.uq) for p in params], dtype=float).reshape(-1, 3, 3)
+    return charts_of_triples(np.array([(p.xq, p.yq, p.uq) for p in params], dtype=float))
+
+
+def charts_of_triples(triples: np.ndarray) -> np.ndarray:
+    """Chart triples (P, 2, 3, 3) of P conics given by their xq, yq, uq rows (P, 3, 3)."""
+    base = np.asarray(triples, dtype=float).reshape(-1, 3, 3)
     # the substitution t = -1/s maps (c2, c1, c0) to (c0, -c1, c2), exact in floats
     return np.stack([base, base[:, :, ::-1] * np.array([1.0, -1.0, 1.0])], axis=1)
 
@@ -376,7 +382,8 @@ def wrap_angles(alpha: np.ndarray) -> np.ndarray:
 
 def alphas_of_params(t: np.ndarray) -> np.ndarray:
     """:func:`alpha_of_param` of each entry of a 1-D array."""
-    return np.array([alpha_of_param(v) for v in t.tolist()], dtype=float)
+    alpha = 2.0 * np.array([math.atan(v) for v in t.tolist()], dtype=float)
+    return np.where(np.isinf(t), math.pi, alpha)
 
 
 def params_of_alphas(alpha: np.ndarray) -> np.ndarray:
@@ -439,54 +446,28 @@ def residual_polynomial(conic: ConicImplicit, p: ParametrizedConic) -> np.ndarra
 
 # ---------------------------------------------------------- classification
 
+# class codes: a conic of class CLASSES[k] has code k
+CLASSES = tuple(ConicClass)
+_CODE = {cls: k for k, cls in enumerate(CLASSES)}
+ELLIPSE_CODE, PARABOLA_CODE, HYPERBOLA_CODE = (
+    _CODE[cls] for cls in (ConicClass.ELLIPSE, ConicClass.PARABOLA, ConicClass.HYPERBOLA))
 
-def _lines_from_rank2(evals: np.ndarray, evecs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Split a rank-2 homogeneous conic sum(lam_k v_k v_k^T) into two lines.
 
-    With lam_pos > 0 > lam_neg the matrix equals u u^T - w w^T for
-    u = sqrt(lam_pos) v_pos, w = sqrt(-lam_neg) v_neg, which factors as the
-    symmetric product of the line covectors u + w and u - w. Same-sign
-    eigenvalues mean the zero set is a single point (or empty): no real lines.
+class ConicRows(NamedTuple):
+    """P classified conics as arrays (see :func:`classify_rows`).
+
+    ``code`` (P,) holds class codes (indices into CLASSES). A curve's row of
+    ``triples`` (P, 3, 3) holds its coefficient triples xq, yq, uq; a
+    hyperbola's singular parameters are -``singular`` and +``singular``, a
+    parabola's is 0. A line conic's first ``line_count`` rows of ``lines``
+    (P, 2, 3) are its normalized lines (a, b, c). Unused entries are zero.
     """
-    i_pos = int(np.argmax(evals))
-    i_neg = int(np.argmin(evals))
-    if evals[i_pos] <= 0.0 or evals[i_neg] >= 0.0:
-        return None
-    u = math.sqrt(evals[i_pos]) * evecs[:, i_pos]
-    w = math.sqrt(-evals[i_neg]) * evecs[:, i_neg]
-    return u + w, u - w
 
-
-def _affine_line(coeffs: np.ndarray, length_scale: float, tol: ToleranceSet) -> LineParam | None:
-    """Build a LineParam, or None for the line at infinity ((a, b) ~ 0)."""
-    a, b, c = float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
-    if math.hypot(a, b) * length_scale <= tol.den_rel * abs(c):
-        return None
-    return LineParam.from_implicit(a, b, c)
-
-
-def _classify_lines(lines: list[LineParam]) -> ConicClass:
-    if len(lines) == 0:
-        return ConicClass.EMPTY
-    if len(lines) == 1:
-        return ConicClass.SINGLE_LINE
-    l1, l2 = lines
-    cross = abs(l1.a * l2.b - l1.b * l2.a)
-    if cross <= 1e-12:
-        # same normal direction: either genuinely parallel or the same line twice
-        if abs(l1.c - l2.c) <= 1e-12 * (1.0 + abs(l1.c) + abs(l2.c)):
-            return ConicClass.SINGLE_LINE
-        return ConicClass.TWO_PARALLEL_LINES
-    return ConicClass.TWO_INTERSECTING_LINES
-
-
-# _parametrize_rank3 class codes
-_EMPTY, _PARABOLA, _ELLIPSE, _HYPERBOLA = range(4)
-_RANK3_CLASS = {
-    _PARABOLA: ConicClass.PARABOLA,
-    _ELLIPSE: ConicClass.ELLIPSE,
-    _HYPERBOLA: ConicClass.HYPERBOLA,
-}
+    code: np.ndarray
+    triples: np.ndarray
+    singular: np.ndarray
+    lines: np.ndarray
+    line_count: np.ndarray
 
 
 def _parametrize_rank3(evals: np.ndarray, evecs: np.ndarray, tol: ToleranceSet):
@@ -494,10 +475,10 @@ def _parametrize_rank3(evals: np.ndarray, evecs: np.ndarray, tol: ToleranceSet):
 
     Returns coefficient triples xq, yq, uq (each (R, 3)), a class code per
     row and the singular parameter s of each hyperbola (+-s). Rows whose
-    eigenvalues share one sign are imaginary ellipses (code _EMPTY).
+    eigenvalues share one sign are imaginary ellipses (class EMPTY).
     """
     pos = (evals > 0.0).sum(axis=1)
-    code = np.full(evals.shape[0], _EMPTY)
+    code = np.full(evals.shape[0], _CODE[ConicClass.EMPTY])
     evals = np.where((pos == 1)[:, None], -evals, evals)
     order = np.argsort(-evals, axis=1)  # two positives first, negative last
     lam = np.take_along_axis(evals, order, axis=1)
@@ -523,53 +504,90 @@ def _parametrize_rank3(evals: np.ndarray, evecs: np.ndarray, tol: ToleranceSet):
     parabola = np.abs(eps2) <= tol.class_rel * np.abs(eps1)
     ellipse = ~parabola & (eps1 * eps2 > 0.0)
     real = (pos == 1) | (pos == 2)
-    code[real & parabola] = _PARABOLA
-    code[real & ellipse] = _ELLIPSE
-    code[real & ~parabola & ~ellipse] = _HYPERBOLA
+    hyperbola = real & ~parabola & ~ellipse
+    code[real & parabola] = PARABOLA_CODE
+    code[real & ellipse] = ELLIPSE_CODE
+    code[hyperbola] = HYPERBOLA_CODE
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt(-eps2 / eps1)
+        s = np.where(hyperbola, np.sqrt(-eps2 / eps1), 0.0)
     zero = np.zeros_like(eps1)
     unique = np.stack([eps1, zero, np.where(parabola, zero, eps2)], axis=1)
     return xq, yq, unique, code, s
 
 
-def _classify_deficient(
-    evals: np.ndarray, evecs: np.ndarray, tol: ToleranceSet, length_scale: float
-) -> DegenerateConic:
-    """Line representation of a conic whose homogeneous matrix has rank < 3."""
-    amax = float(np.abs(evals).max())
-    keep = np.abs(evals) > tol.rank_rel * amax
-    rank = int(keep.sum())
-    if rank == 2:
-        ev = np.where(keep, evals, 0.0)
-        pair = _lines_from_rank2(ev, evecs)
-        if pair is None:
-            # complex line pair: zero set is a single real point (or empty)
-            return DegenerateConic(ConicClass.EMPTY, ())
-        lines = [ln for ln in (_affine_line(v, length_scale, tol) for v in pair) if ln is not None]
-        return DegenerateConic(_classify_lines(lines), tuple(lines))
-    if rank == 1:
-        idx = int(np.argmax(np.abs(evals)))
-        line = _affine_line(evecs[:, idx], length_scale, tol)
-        if line is None:
-            # (line at infinity)^2 = 0: no affine points
-            return DegenerateConic(ConicClass.EMPTY, ())
-        return DegenerateConic(ConicClass.SINGLE_LINE, (line,))
-    return DegenerateConic(ConicClass.WHOLE_PLANE, ())
+def _normalized_lines(lines: np.ndarray, usable: np.ndarray):
+    """Lines (..., 3) scaled to a^2 + b^2 = 1 with a leading-sign canonical
+    normal, as ``LineParam.from_implicit`` scales one line; entries outside
+    ``usable`` come back as they are."""
+    a, b, c = lines[..., 0], lines[..., 1], lines[..., 2]
+    n = np.where(usable, hypots(a, b), 1.0)
+    a, b, c = a / n, b / n, c / n
+    flip = usable & ((a < 0.0) | ((a == 0.0) & (b < 0.0)))
+    return np.where(flip[..., None], -np.stack([a, b, c], axis=-1), np.stack([a, b, c], axis=-1))
 
 
-def classify_and_parametrize_batch(
+def _deficient_rows(evals, evecs, scale, tol: ToleranceSet, length_scale: float):
+    """Class codes (R,), lines (R, 2, 3) and line counts (R,) of R conics of rank < 3.
+
+    With lam_pos > 0 > lam_neg a rank-2 matrix equals u u^T - w w^T for u =
+    sqrt(lam_pos) v_pos, w = sqrt(-lam_neg) v_neg, the symmetric product of
+    the line covectors u + w and u - w; same-sign eigenvalues leave a single
+    real point or nothing. A rank-1 matrix is the square of the line of its
+    eigenvector. A line whose (a, b) vanishes against c is the line at
+    infinity and is dropped; a zero matrix is the whole plane.
+    """
+    amax = np.abs(evals).max(axis=1)
+    keep = np.abs(evals) > tol.rank_rel * amax[:, None]
+    rank = np.where(scale == 0.0, 0, keep.sum(axis=1))
+    ev = np.where(keep, evals, 0.0)
+
+    def column(k):
+        return np.take_along_axis(evecs, k[:, None, None], axis=2)[:, :, 0]
+
+    i_pos, i_neg = ev.argmax(axis=1), ev.argmin(axis=1)
+    lam_pos = np.take_along_axis(ev, i_pos[:, None], axis=1)[:, 0]
+    lam_neg = np.take_along_axis(ev, i_neg[:, None], axis=1)[:, 0]
+    split = (rank == 2) & ~(lam_pos <= 0.0) & ~(lam_neg >= 0.0)
+    with np.errstate(invalid="ignore"):
+        u = np.sqrt(np.where(split, lam_pos, 0.0))[:, None] * column(i_pos)
+        w = np.sqrt(np.where(split, -lam_neg, 0.0))[:, None] * column(i_neg)
+    single = column(np.abs(evals).argmax(axis=1))
+    lines = np.where(split[:, None, None], np.stack([u + w, u - w], axis=1),
+                     np.stack([single, single], axis=1))
+    usable = np.stack([split | (rank == 1), split], axis=1)
+    affine = usable & ~(hypots(lines[..., 0], lines[..., 1]) * length_scale
+                        <= tol.den_rel * np.abs(lines[..., 2]))
+    lines = _normalized_lines(lines, affine)
+    # the affine lines first
+    second_only = ~affine[:, 0] & affine[:, 1]
+    lines[second_only, 0] = lines[second_only, 1]
+    count = affine.sum(axis=1)
+    (a1, b1, c1), (a2, b2, c2) = lines[:, 0].T, lines[:, 1].T
+    parallel = np.abs(a1 * b2 - b1 * a2) <= 1e-12
+    same = np.abs(c1 - c2) <= 1e-12 * (1.0 + np.abs(c1) + np.abs(c2))
+    code = np.select(
+        [rank == 0, count == 0, count == 1, parallel & same, parallel],
+        [_CODE[cls] for cls in (ConicClass.WHOLE_PLANE, ConicClass.EMPTY,
+                                ConicClass.SINGLE_LINE, ConicClass.SINGLE_LINE,
+                                ConicClass.TWO_PARALLEL_LINES)],
+        _CODE[ConicClass.TWO_INTERSECTING_LINES],
+    )
+    return code, lines, count
+
+
+def classify_rows(
     coeffs: np.ndarray,
     tol: ToleranceSet = DEFAULT_TOLERANCES,
     length_scale: float = 1.0,
     frame: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[ParametrizedConic | DegenerateConic]:
+) -> ConicRows:
     """Classify and represent P conics given as rows (a11, a12, a22, b11, b12, c).
 
-    One stacked ``np.linalg.eigh`` serves every conic, and the rank-3 ones
-    (every curve) are parametrized as array operations; only rank-deficient
-    conics (line pairs, single lines, nothing, everything) take a per-conic
-    path. Each step is the stacked form of the one-conic computation, so a
+    One stacked ``np.linalg.eigh`` serves every conic. The rank-3 ones
+    (every curve) are parametrized, and the rank-deficient ones (line
+    pairs, single lines, nothing, everything) split into lines, as array
+    operations; each step is the stacked form of the one-conic computation,
+    with ``math`` functions per entry where numpy rounds differently, so a
     conic gets the same floats alone or in a batch.
 
     ``frame = (h, c)`` ((P,) scales, (P, 2) centers) says that row k is
@@ -580,55 +598,58 @@ def classify_and_parametrize_batch(
     """
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 6)
     d = conic_matrices(coeffs)
-    out: list[ParametrizedConic | DegenerateConic | None] = [None] * d.shape[0]
-    if not out:
-        return []
-    scale = np.abs(d).max(axis=(1, 2))
+    p = d.shape[0]
+    code = np.empty(p, dtype=np.int64)
+    triples = np.zeros((p, 3, 3))
+    singular = np.zeros(p)
+    lines = np.zeros((p, 2, 3))
+    count = np.zeros(p, dtype=np.int64)
+    scale = np.abs(d).max(axis=(1, 2), initial=0.0)
     evals, evecs = np.linalg.eigh(d)
-    amax = np.abs(evals).max(axis=1)
+    amax = np.abs(evals).max(axis=1, initial=0.0)
     rank3 = ((np.abs(evals) > tol.rank_rel * amax[:, None]).sum(axis=1) == 3) & (scale != 0.0)
 
-    rows = np.flatnonzero(rank3)
-    xq, yq, uq, code, s = _parametrize_rank3(evals[rows], evecs[rows], tol)
     if frame is not None:
-        h, c = frame
-        hr = np.asarray(h, dtype=float)[rows, None]
-        cr = np.asarray(c, dtype=float)[rows]
-        xq = hr * xq + cr[:, 0:1] * uq
-        yq = hr * yq + cr[:, 1:2] * uq
-        # framed triples stay numpy scalars, as the one-conic affine map left them
-        xs, ys = [tuple(q) for q in xq], [tuple(q) for q in yq]
-    else:
-        xs, ys = [tuple(q) for q in xq.tolist()], [tuple(q) for q in yq.tolist()]
-    us, ss = uq.tolist(), s.tolist()
-    for k, row in enumerate(rows.tolist()):
-        kind = int(code[k])
-        if kind == _EMPTY:
-            # imaginary ellipse: no real points
-            out[row] = DegenerateConic(ConicClass.EMPTY, ())
-            continue
-        if kind == _PARABOLA:
-            singular: tuple[float, ...] = (0.0,)
-        elif kind == _ELLIPSE:
-            singular = ()
-        else:
-            singular = (-ss[k], ss[k])
-        out[row] = ParametrizedConic(xs[k], ys[k], tuple(us[k]), singular, _RANK3_CLASS[kind])
+        frame = np.asarray(frame[0], dtype=float), np.asarray(frame[1], dtype=float)
 
-    for row in np.flatnonzero(~rank3).tolist():
-        if scale[row] == 0.0:
-            rep = DegenerateConic(ConicClass.WHOLE_PLANE, ())
+    rows = np.flatnonzero(rank3)
+    if rows.size:
+        xq, yq, uq, code[rows], singular[rows] = _parametrize_rank3(evals[rows], evecs[rows], tol)
+        if frame is not None:
+            h, c = frame[0][rows], frame[1][rows]
+            xq = h[:, None] * xq + c[:, 0:1] * uq
+            yq = h[:, None] * yq + c[:, 1:2] * uq
+        triples[rows] = np.stack([xq, yq, uq], axis=1)
+
+    rows = np.flatnonzero(~rank3)
+    if rows.size:
+        code[rows], found, count[rows] = _deficient_rows(evals[rows], evecs[rows], scale[rows],
+                                                         tol, length_scale)
+        if frame is not None:
+            h, c = frame[0][rows], frame[1][rows]
+            a, b = found[..., 0], found[..., 1]
+            moved = h[:, None] * found[..., 2] - a * c[:, 0:1] - b * c[:, 1:2]
+            found = _normalized_lines(np.stack([a, b, moved], axis=-1),
+                                      np.arange(2) < count[rows, None])
+        lines[rows] = np.where((np.arange(2) < count[rows, None])[..., None], found, 0.0)
+    return ConicRows(code, triples, singular, lines, count)
+
+
+def conic_representations(rows: ConicRows, ks) -> list[ParametrizedConic | DegenerateConic]:
+    """The object forms of the conics ``ks`` of ``rows``, in that order."""
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    out: list[ParametrizedConic | DegenerateConic] = []
+    for code, (xq, yq, uq), s, lines, count in zip(
+        rows.code[ks].tolist(), rows.triples[ks].tolist(), rows.singular[ks].tolist(),
+        rows.lines[ks].tolist(), rows.line_count[ks].tolist(),
+    ):
+        if code == ELLIPSE_CODE or code == PARABOLA_CODE or code == HYPERBOLA_CODE:
+            singular = () if code == ELLIPSE_CODE else (0.0,) if code == PARABOLA_CODE else (-s, s)
+            out.append(ParametrizedConic(tuple(xq), tuple(yq), tuple(uq), singular, CLASSES[code]))
         else:
-            rep = _classify_deficient(evals[row], evecs[row], tol, length_scale)
-        if frame is not None and rep.lines:
-            h, c = float(frame[0][row]), np.asarray(frame[1][row], dtype=float)
-            lines = tuple(
-                LineParam.from_implicit(ln.a, ln.b, h * ln.c - ln.a * c[0] - ln.b * c[1])
-                for ln in rep.lines
-            )
-            rep = DegenerateConic(rep.conic_class, lines)
-        out[row] = rep
-    return out  # type: ignore[return-value]
+            out.append(DegenerateConic(CLASSES[code],
+                                       tuple(LineParam(*ln) for ln in lines[:count])))
+    return out
 
 
 def classify_and_parametrize(
@@ -638,6 +659,7 @@ def classify_and_parametrize(
 ) -> ParametrizedConic | DegenerateConic:
     """Classify a conic and produce its parametric or line representation.
 
-    A batch of one of :func:`classify_and_parametrize_batch`.
+    A batch of one of :func:`classify_rows`.
     """
-    return classify_and_parametrize_batch(np.array([conic.coeffs()]), tol, length_scale)[0]
+    return conic_representations(classify_rows(np.array([conic.coeffs()]), tol, length_scale),
+                                 [0])[0]

@@ -2,28 +2,35 @@
 
 The construction follows six steps:
 
-1. Build all pairwise bisectors in one batch (``make_bisectors``: one
-   stacked eigen-decomposition, array-level parametrization).
+1. Classify every pairwise bisector once, as one row of a bisector table
+   (``bisector.bisector_table``: one stacked eigen-decomposition, curves
+   parametrized and line pairs split in array form). No bisector object
+   exists yet.
 2. Intersect the bisector pair (E_ij, E_ik) of every generator triple for
    candidate vertices. Each bisector's conic is framed, scaled and given
-   its determinant and adjugate once (``intersect.prepare_pairs``); a
-   triple only gathers the rows of its two bisectors.
+   its determinant and adjugate once, from the table's implicit rows
+   (``intersect.prepare_pairs``); a triple only gathers the rows of its two
+   bisectors.
 3. Keep candidates whose triple distance is the global minimum over all
    generators. The generators are scanned in blocks with a running minimum,
    and a candidate leaves as soon as one block proves it is not minimal;
    that drop is a decision the full scan would also make, so the kept set
    is the full scan's (see ``intersect.globally_minimal``).
-4. Polish all vertices with Newton steps in one array pass, then recover
-   each vertex's parameters on its incident bisectors: one
+4. Build bisector objects from the table rows of the pairs that meet at a
+   vertex. Polish all vertices with Newton steps in one array pass, then
+   recover each vertex's parameters on its incident bisectors: one
    ``params_of_points`` call covers every (vertex, curved bisector)
    incidence, and one array pass every (vertex, line) pair.
-5. Split every bisector component at its vertex parameters (per-bisector
-   interval bookkeeping) and keep the pieces whose representative point has
-   the component's generator pair as its two nearest. The representatives
-   of all curve pieces of all bisectors come from one level loop (each
-   level one array evaluation of the pieces still unresolved; only a
-   lopsided piece at a singular end goes past the first), and all pieces
-   are decided together, one distance evaluation per chunk of points.
+5. Split each vertex-incident bisector's components at its vertex
+   parameters (per-bisector interval bookkeeping) and keep the pieces whose
+   representative point has the component's generator pair as its two
+   nearest. The representatives of all these pieces come from one level
+   loop (each level one array evaluation of the pieces still unresolved;
+   only a lopsided piece at a singular end goes past the first). Every
+   other pair meets no vertex, so each of its components is one whole
+   piece: one array pass over the table rows probes them all, with the
+   same probes and the same two-nearest test. Objects are built for the
+   pairs that own an edge only, and the graph keeps just those.
 6. Assemble the edge/vertex graph: ``assemble_graph`` derives adjacency,
    per-cell edge lists and per-cell boundary components from the edges,
    for the build and for the JSON reader alike.
@@ -57,8 +64,9 @@ import numpy as np
 # the benchmark's span tracer patches them in this module by name
 from .bisector import (  # noqa: F401
     Bisector,
+    BisectorTable,
+    bisector_table,
     make_bisector,
-    make_bisectors,
     param_of_point,
     params_of_points,
 )
@@ -393,24 +401,32 @@ def _two_nearest(
     """Per point k of (N, 2): True iff idx_i[k], idx_j[k] attain the two smallest distances.
 
     ``idx_i`` and ``idx_j`` are generator index arrays (N,), or one index
-    each for all points.
+    each for all points. A point passes when max(d_i, d_j) <= d3 + vert_rel
+    (1 + |d3|), d3 its smallest distance to the other generators; the scan
+    for d3 (``SceneArrays.screened_min``) drops a point as soon as a block
+    of generators proves it fails.
     """
     if arr.n <= 2:
         return np.ones(points.shape[0], dtype=bool)
-    d = arr.dist(points)
-    rows = np.arange(points.shape[0])
-    di, dj = d[rows, idx_i], d[rows, idx_j]
-    d[rows, idx_i] = np.inf
-    d[rows, idx_j] = np.inf
-    d3 = d.min(axis=1)
-    return np.where(dj > di, dj, di) <= d3 + tol.vert_rel * (1.0 + np.abs(d3))
+    n = points.shape[0]
+    pair = np.stack([np.broadcast_to(idx_i, (n,)), np.broadcast_to(idx_j, (n,))], axis=1)
+    d = arr.dist(points, pair)
+    di, dj = d[:, 0], d[:, 1]
+    far = np.where(dj > di, dj, di)
+    alive, d3 = arr.screened_min(points, far, tol.vert_rel, skip=pair)
+    visible = np.zeros(n, dtype=bool)
+    visible[alive] = far[alive] <= d3 + tol.vert_rel * (1.0 + np.abs(d3))
+    return visible
 
 
 def _curve_representatives(
-    params, mid: np.ndarray, anchor: np.ndarray, whole: np.ndarray,
-    length_scale: float, tol: ToleranceSet,
+    coef: np.ndarray, u_scale: np.ndarray, mid: np.ndarray, anchor: np.ndarray,
+    whole: np.ndarray, length_scale: float, tol: ToleranceSet,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Representative points (N, 2) of curve pieces on ``params``, and the mask of those found.
+    """Representative points (N, 2) of curve pieces, and the mask of those found.
+
+    Piece k lies on the curve with chart triples ``coef[k]`` (from
+    ``conic.chart_coefficients``) and denominator scale ``u_scale[k]``.
 
     Level j evaluates the unresolved pieces in one ``points_at_alphas`` call
     at anchor + (mid - anchor) 0.5^j, or at mid where anchor == mid. A
@@ -418,12 +434,10 @@ def _curve_representatives(
     and within 1e6 (1 + length_scale) of the origin. Only pieces with
     anchor != mid go on to the next level, for at most 60 levels.
     """
-    points = np.full((len(params), 2), math.nan)
-    has_rep = np.zeros(len(params), dtype=bool)
-    coef = chart_coefficients(params)
-    u_scale = np.array([p.u_scale for p in params])
+    points = np.full((mid.size, 2), math.nan)
+    has_rep = np.zeros(mid.size, dtype=bool)
     limit = 1e6 * (1.0 + length_scale)
-    open_ = np.arange(len(params))
+    open_ = np.arange(mid.size)
     for level in range(60):
         if open_.size == 0:
             break
@@ -537,6 +551,20 @@ def _candidate_pieces(
     return pieces, probes
 
 
+def _two_nearest_rows(
+    points: np.ndarray, has_rep: np.ndarray, idx: np.ndarray, arr: SceneArrays, tol: ToleranceSet
+) -> np.ndarray:
+    """Mask of the rows k of points (N, 2) with a representative (``has_rep``)
+    whose generator pair idx[k] (N, 2) attains the two smallest distances; one
+    ``_two_nearest`` test per ``_POINT_CHUNK`` such rows."""
+    decided = np.flatnonzero(has_rep)
+    visible = np.zeros(points.shape[0], dtype=bool)
+    for lo in range(0, decided.size, _POINT_CHUNK):
+        rows = decided[lo : lo + _POINT_CHUNK]
+        visible[rows] = _two_nearest(points[rows], idx[rows, 0], idx[rows, 1], arr, tol)
+    return visible
+
+
 def _visible_pieces(
     bisectors: list[Bisector],
     vertex_params: list[dict[int, list[tuple[float, int | None]]]],
@@ -576,29 +604,67 @@ def _visible_pieces(
     points[line] = line_points(rows, np.array([probes[r][0] for r in line]))
     has_rep[line] = True
     if curve:
+        params = [bisectors[owner[r]].param for r in curve]
         mid, anchor = np.array([probes[r] for r in curve]).T
         points[curve], has_rep[curve] = _curve_representatives(
-            [bisectors[owner[r]].param for r in curve], mid, anchor,
+            chart_coefficients(params), np.array([p.u_scale for p in params]), mid, anchor,
             np.array([pieces[r][5] for r in curve], dtype=bool), length_scale, tol,
         )
-    decided = np.flatnonzero(has_rep)
     pair_idx = np.array(
         [(arr.id_to_index[b.i], arr.id_to_index[b.j]) for b in bisectors], dtype=np.int64
     ).reshape(-1, 2)
-    idx = pair_idx[np.array(owner, dtype=np.int64)[decided]]
-    visible = np.zeros(len(pieces), dtype=bool)
-    for lo in range(0, decided.size, _POINT_CHUNK):
-        rows = decided[lo : lo + _POINT_CHUNK]
-        visible[rows] = _two_nearest(
-            points[rows], idx[lo : lo + _POINT_CHUNK, 0], idx[lo : lo + _POINT_CHUNK, 1], arr, tol
-        )
+    visible = _two_nearest_rows(points, has_rep, pair_idx[np.array(owner, dtype=np.int64)], arr,
+                                tol)
     # a component's edges in the order of their starts: the line parameter,
     # or the alpha of a curve piece wrapped to (-pi, pi], the far point at pi
     shown = sorted(np.flatnonzero(visible).tolist(), key=lambda r: (
         owner[r], pieces[r][0],
         pieces[r][1] if comps[r].kind == "line" else wrap_angle(pieces[r][1])))
-    segments = [_piece_segment(bisectors[owner[r]], *pieces[r][:5]) for r in shown]
+    segments = [_piece_segment(bisectors[owner[r]].pair, comps[r].line_index, *pieces[r][:5])
+                for r in shown]
     return segments, ~has_rep
+
+
+def _whole_components(
+    table: BisectorTable, rows: np.ndarray, arr: SceneArrays, tol: ToleranceSet,
+    length_scale: float,
+) -> tuple[list[EdgeSegment], np.ndarray, np.ndarray]:
+    """Visible components of the bisectors ``rows`` of ``table``, which meet no vertex.
+
+    Each component is one whole piece, probed as ``_candidate_pieces``
+    probes a component without vertex marks: a line at t = 0, a closed
+    curve at alpha 0, an open one at the middle of its alpha span. All
+    pieces are decided in one array pass, with the object path's
+    ``_curve_representatives`` and ``_two_nearest`` calls. ``arr`` holds
+    ``table.generators`` in order.
+
+    Returns (the visible components as EdgeSegments, in row and component
+    order; the table row of each; the mask over all components of those
+    without a representative).
+    """
+    count, lo, hi, closed = table.components(rows)
+    owner = np.repeat(np.arange(rows.size), count)
+    ci = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    row = rows[owner]
+    lo, hi, closed = lo[owner, ci], hi[owner, ci], closed[owner]
+    line = table.line_count[row] > 0
+    points = np.full((owner.size, 2), math.nan)
+    has_rep = line.copy()
+    points[line] = line_points(table.lines[row[line], ci[line]], np.zeros(int(line.sum())))
+    curve = np.flatnonzero(~line)
+    mid = np.where(closed[curve], 0.0, 0.5 * (lo[curve] + hi[curve]))
+    points[curve], has_rep[curve] = _curve_representatives(
+        table.chart[row[curve]], table.u_scale[row[curve]], mid, mid,
+        np.ones(curve.size, dtype=bool), length_scale, tol)
+    shown = np.flatnonzero(_two_nearest_rows(
+        points, has_rep, np.stack([table.first[row], table.second[row]], axis=1), arr, tol))
+    segments = [
+        _piece_segment((i, j), c if is_line else None, c, x0, x1, None, None)
+        for i, j, c, is_line, x0, x1 in zip(
+            arr.ids[table.first[row[shown]]].tolist(), arr.ids[table.second[row[shown]]].tolist(),
+            ci[shown].tolist(), line[shown].tolist(), lo[shown].tolist(), hi[shown].tolist())
+    ]
+    return segments, row[shown], ~has_rep
 
 
 def visible_segments(
@@ -624,16 +690,17 @@ def visible_segments(
 
 
 def _piece_segment(
-    b: Bisector, ci: int, x0: float, x1: float, v0: int | None, v1: int | None
+    pair: tuple[int, int], line: int | None, ci: int, x0: float, x1: float,
+    v0: int | None, v1: int | None,
 ) -> EdgeSegment:
-    """EdgeSegment of a candidate piece of ``_candidate_pieces``."""
-    comp = b.components[ci]
-    if comp.kind != "line":
+    """EdgeSegment of the piece (x0, x1) of component ``ci`` of the bisector
+    of ``pair``, a component on line ``line`` or, with None, a curve."""
+    if line is None:
         kind, t_a, t_b = _curve_labels(x0, x1, (v0, v1))
-        return EdgeSegment(-1, b.pair, kind, t_a, t_b, (v0, v1), ci)
+        return EdgeSegment(-1, pair, kind, t_a, t_b, (v0, v1), ci)
     if math.isinf(x0) and math.isinf(x1):
-        return EdgeSegment(-1, b.pair, "full_line", None, None, (None, None), ci, comp.line_index)
-    return EdgeSegment(-1, b.pair, "interval", x0, x1, (v0, v1), ci, comp.line_index)
+        return EdgeSegment(-1, pair, "full_line", None, None, (None, None), ci, line)
+    return EdgeSegment(-1, pair, "interval", x0, x1, (v0, v1), ci, line)
 
 
 # ------------------------------------------------------------ full pipeline
@@ -715,10 +782,12 @@ def build_diagram(
     Two steps drop geometry they cannot place, and each reports it as a
     mask that the build does not use: ``_recover_params`` returns ``miss``
     over the (vertex, bisector) incidences that found no parameter, so the
-    vertex does not split that bisector; ``_visible_pieces`` returns the
-    mask of candidate pieces without a representative point (a whole
-    component whose midpoint is a singular parameter, or an interval with
-    no finite probe), which are left out of the edges.
+    vertex does not split that bisector; ``_visible_pieces`` and
+    ``_whole_components`` return the masks of candidate pieces without a
+    representative point (a whole component whose midpoint is a singular
+    parameter, or an interval with no finite probe), which are left out of
+    the edges. The graph holds the bisector objects of the pairs that own
+    an edge.
     """
     if not generators:
         raise NoSolutionError("a scene needs at least one generator")
@@ -731,31 +800,43 @@ def build_diagram(
     )
     n = len(kept)
 
-    # all pairwise bisectors (classification included), in one batch
-    pi, pj = np.triu_indices(n, 1)
-    pair_list = make_bisectors([kept[i] for i in pi], [kept[j] for j in pj], tol)
-    bisectors: dict[tuple[int, int], Bisector] = {b.pair: b for b in pair_list}
-    prep = prepare_pairs(conic_matrices(np.array([b.implicit.coeffs() for b in pair_list])),
-                         length_scale, center)
+    # every pairwise bisector as one table row, classified once
+    table = bisector_table(kept, tol)
+    prep = prepare_pairs(conic_matrices(table.implicit), length_scale, center)
     pair_row = np.full((n, n), -1, dtype=np.int64)
-    pair_row[pi, pj] = pair_row[pj, pi] = np.arange(pi.size)
+    pair_row[table.first, table.second] = pair_row[table.second, table.first] = np.arange(
+        table.first.size)
 
     vertices = _collect_vertices(kept, arr, prep, pair_row, tol, threads)
-    _polish_vertices(vertices, bisectors, length_scale, tol)
+    # bisector objects for the pairs that meet at a vertex, in pair order
+    index = arr.id_to_index
+    near = np.unique(np.array([pair_row[index[a], index[b]] for v in vertices
+                               for a, b in itertools.combinations(sorted(v.gens), 2)],
+                              dtype=np.int64))
+    incident = {b.pair: b for b in table.bisectors(near)}
+    _polish_vertices(vertices, incident, length_scale, tol)
     vertices.sort(key=lambda v: (v.pos[0], v.pos[1]))
     for vid, v in enumerate(vertices):
         v.id = vid
 
     params_by_pair, _recovery_miss = _recover_params(
-        vertices, bisectors, 1e-7 * (1.0 + length_scale), tol
+        vertices, incident, 1e-7 * (1.0 + length_scale), tol
     )
-    ordered = [bisectors[pair] for pair in sorted(bisectors)]
-    edges, _no_representative = _visible_pieces(
-        ordered, [params_by_pair.get(b.pair, {}) for b in ordered], arr, tol, length_scale
+    split, no_rep = _visible_pieces(
+        list(incident.values()), [params_by_pair.get(p, {}) for p in incident], arr, tol,
+        length_scale,
     )
+    whole, whole_rows, whole_no_rep = _whole_components(
+        table, np.setdiff1d(np.arange(table.first.size), near), arr, tol, length_scale
+    )
+    _no_representative = np.concatenate([no_rep, whole_no_rep])
+    # every pair's edges come from one of the two passes
+    edges = sorted(split + whole, key=lambda e: e.pair)
     for eid, e in enumerate(edges):
         e.id = eid
-    return assemble_graph(generators, vertices, edges, bisectors, tol)
+    made = {**incident, **{b.pair: b for b in table.bisectors(np.unique(whole_rows))}}
+    owned = {pair: made[pair] for pair in sorted({e.pair for e in edges})}
+    return assemble_graph(generators, vertices, edges, owned, tol)
 
 
 def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: list[EdgeSegment],

@@ -25,6 +25,8 @@ Point = np.ndarray
 
 # relative eigenvalue gap below which an ellipse counts as a circle (angle tied to 0)
 _CIRCLE_TIE_REL = 1e-12
+# generator columns per block of SceneArrays.screened_min
+_GEN_BLOCK = 16
 
 
 def as_point(x) -> Point:
@@ -112,6 +114,17 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def hypots(x, y) -> np.ndarray:
+    """``math.hypot`` of each entry pair of two arrays of one shape.
+
+    ``np.hypot`` rounds differently on some inputs, so the scalar function
+    runs per entry.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.array([math.hypot(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())],
+                    dtype=float).reshape(x.shape)
 
 
 def sym2_eigh(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,6 +340,34 @@ class SceneArrays:
         dx = pts[:, 0:1] - px
         dy = pts[:, 1:2] - py
         return m11 * dx * dx + 2.0 * m12 * dx * dy + m22 * dy * dy - w
+
+    def screened_min(self, points, bound, rel: float, skip=None):
+        """Smallest distance d from each point (N, 2) to the generators, where it matters.
+
+        A caller keeps point k only if bound[k] - d <= rel (1 + |d|), in
+        either rounding (as that difference or as bound[k] <= d + rel (1 +
+        |d|)), with d over the generators other than the columns ``skip[k]``
+        (``skip`` (N, s), or None for all). The generators are scanned in
+        blocks of _GEN_BLOCK columns with a running minimum m >= d, and a
+        point is dropped as soon as bound[k] - m > 2 rel (1 + |m|). Lowering
+        m by some delta raises the left side by delta and the right side by
+        at most rel delta, so such a point fails the test too; the factor 2
+        covers the rounding of both sides. Returns (the indices of the points
+        never dropped, their d), each d the same float as a full scan gives.
+        """
+        m = np.full(points.shape[0], np.inf)
+        alive = np.arange(points.shape[0])
+        for lo in range(0, self.n, _GEN_BLOCK):
+            cols = np.arange(lo, min(lo + _GEN_BLOCK, self.n))
+            d = self.dist(points[alive], cols)
+            if skip is not None:
+                d[(cols[None, :, None] == skip[alive][:, None, :]).any(axis=2)] = np.inf
+            m_alive = np.minimum(m[alive], d.min(axis=1))
+            m[alive] = m_alive
+            alive = alive[~(bound[alive] - m_alive > 2.0 * rel * (1.0 + np.abs(m_alive)))]
+            if alive.size == 0:
+                break
+        return alive, m[alive]
 
     def scale(self) -> float:
         """Characteristic length: diagonal of the center bounding box (>= 1)."""

@@ -40,8 +40,6 @@ _DET_REL = 1e-10
 # relative discriminant clamp: slightly negative discriminants from roundoff
 # are treated as tangencies instead of missed intersections
 _DISC_CLAMP = 1e-10
-# generator columns per block of the global-minimality scan
-_GEN_BLOCK = 16
 
 
 def _adj3(m: np.ndarray) -> np.ndarray:
@@ -382,29 +380,14 @@ def globally_minimal(
 
     A candidate is kept iff d_trip - d_min <= vert_rel (1 + |d_min|), with
     d_trip its smallest distance to its triple generators (the indices in
-    its row of ``trip``) and d_min the smallest distance to any generator.
-    The generators are scanned in blocks of _GEN_BLOCK columns with a
-    running minimum m >= d_min, and a candidate is dropped as soon as
-    d_trip - m > 2 vert_rel (1 + |m|). Lowering m by some delta raises the
-    left side by delta and the right side by at most 2 vert_rel delta, so
-    such a candidate fails the final test too; the factor 2 covers the
-    rounding of both sides. Candidates that are never dropped are decided
-    with the full minimum, which is the same float as a full scan gives.
+    its row of ``trip``) and d_min the smallest distance to any generator,
+    found by ``SceneArrays.screened_min``: a candidate leaves the scan as
+    soon as a block of generators proves it fails, and the others are
+    decided with the full minimum.
     """
     d_trip = arr.dist(cand, trip).min(axis=1)
-    m = np.full(cand.shape[0], np.inf)
-    alive = np.arange(cand.shape[0])
-    for lo in range(0, arr.n, _GEN_BLOCK):
-        m_alive = np.minimum(
-            m[alive], arr.dist(cand[alive], np.arange(lo, min(lo + _GEN_BLOCK, arr.n))).min(axis=1)
-        )
-        m[alive] = m_alive
-        dropped = d_trip[alive] - m_alive > 2.0 * tol.vert_rel * (1.0 + np.abs(m_alive))
-        alive = alive[~dropped]
-        if alive.size == 0:
-            break
+    alive, d_min = arr.screened_min(cand, d_trip, tol.vert_rel)
     keep = np.zeros(cand.shape[0], dtype=bool)
-    d_min = m[alive]
     keep[alive] = d_trip[alive] - d_min <= tol.vert_rel * (1.0 + np.abs(d_min))
     return keep
 

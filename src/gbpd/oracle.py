@@ -25,7 +25,8 @@ from .clip import ClippedDiagram, flatten_pieces
 from .errors import DimensionMismatchError, InputError
 from .geometry import SceneArrays, Window
 
-_PIXEL_CHUNK = 262144
+# distance entries (pixels x generators) per block of rasterize
+_DIST_CHUNK = 1 << 19
 
 
 @dataclass
@@ -68,7 +69,7 @@ def rasterize(generators, window: Window, width: int, height: int) -> LabelImage
     xs = origin[0] + (np.arange(width) + 0.5) * px
     ys = origin[1] + (np.arange(height) + 0.5) * px
     labels = np.empty((height, width), dtype=np.int32)
-    rows_per_chunk = max(1, _PIXEL_CHUNK // width)
+    rows_per_chunk = max(1, _DIST_CHUNK // (max(1, arr.n) * width))
     for y0 in range(0, height, rows_per_chunk):
         y1 = min(height, y0 + rows_per_chunk)
         gx, gy = np.meshgrid(xs, ys[y0:y1], indexing="xy")

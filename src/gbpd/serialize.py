@@ -10,19 +10,19 @@ document and writing it again reproduces the bytes exactly.
 The reader rebuilds a full :class:`DiagramGraph`: bisector objects are
 reconstructed from the generator pairs (the construction is deterministic),
 so a loaded graph supports clipping and measurement. Only pairs that own
-visible edges are rebuilt. An edge's interval is decoded from its labels
-by ``EdgeSegment`` itself, as in the build, so a graph read back from its
-JSON clips and measures bit for bit like the graph that wrote it. The
-cell structure is derived from the edges by ``assemble_graph``, as the
-build derives it, and a document whose ``adjacency`` or ``cells`` rows
-differ from the rows the writer would emit for that structure raises
-InputError. So does a document without generators, a row whose fields
-have the wrong type or shape, and an edge whose labels name no edge or
-whose component and line name no component of its bisector. Vertex and
-edge ids must equal their positions, every edge endpoint must name a
-vertex row, and every vertex row must be equidistant to its generators
-(see ``_check_vertex_rows``); that the vertices lie on their edges is not
-checked further.
+visible edges are rebuilt, the pairs whose objects a built graph keeps.
+An edge's interval is decoded from its labels by ``EdgeSegment`` itself,
+as in the build, so a graph read back from its JSON clips and measures bit
+for bit like the graph that wrote it. The cell structure is derived from
+the edges by ``assemble_graph``, as the build derives it, and a document
+whose ``adjacency`` or ``cells`` rows differ from the rows the writer
+would emit for that structure raises InputError. So does a document
+without generators, a row whose fields have the wrong type or shape, and
+an edge whose labels name no edge or whose component and line name no
+component of its bisector. Vertex and edge ids must equal their
+positions, every edge endpoint must name a vertex row, and every vertex
+row must be equidistant to its generators (see ``_check_vertex_rows``);
+that the vertices lie on their edges is not checked further.
 """
 
 from __future__ import annotations

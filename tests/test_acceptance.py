@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from gbpd.bisector import make_bisector, sample_points
+from gbpd.bisector import bisector_table, make_bisector, sample_points
 from gbpd.cli import random_scene
 from gbpd.clip import clip_to_window
-from gbpd.conic import ConicClass
+from gbpd.conic import CLASSES, ConicClass
 from gbpd.diagram import build_diagram
 from gbpd.errors import OverlappingConicsError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window, dist_g
@@ -217,8 +217,11 @@ def test_laguerre_degeneration():
             w = rng.uniform(0.0, 50.0)
             gens.append(Generator(i, np.array([px, py]), SymMat2(1.0, 0.0, 1.0), w))
         graph = build_diagram(gens)
-        for b in graph.bisectors.values():
-            assert b.conic_class is ConicClass.SINGLE_LINE
+        # every pair's class code, not only the edge pairs' objects
+        table = bisector_table(gens)
+        assert table.code.size == 190
+        assert all(CLASSES[c] is ConicClass.SINGLE_LINE for c in table.code.tolist())
+        assert all(b.conic_class is ConicClass.SINGLE_LINE for b in graph.bisectors.values())
         by_id = {g.id: g for g in gens}
         for v in graph.vertices:
             ga, gb, gc = (by_id[i] for i in sorted(v.gens)[:3])

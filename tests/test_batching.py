@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from gbpd import diagram
 from gbpd.bisector import (
     _merge_params,
+    bisector_table,
     make_bisector,
     make_bisectors,
     param_of_point,
@@ -26,6 +27,8 @@ from gbpd.bisector import (
 )
 from gbpd.cli import PRESETS, random_scene
 from gbpd.conic import (
+    CLASSES,
+    CURVE_CLASSES,
     ConicClass,
     LineParam,
     alpha_of_param,
@@ -43,11 +46,13 @@ from gbpd.conic import (
 from gbpd.diagram import (
     _candidate_pieces,
     _curve_representatives,
+    _dedup_generators,
     _polish_vertices,
     _recover_params,
     _triple_arrays,
     _two_nearest,
     _visible_pieces,
+    _whole_components,
     build_diagram,
     visible_segments,
 )
@@ -142,9 +147,64 @@ def test_batched_bisectors_match_one_pair_at_a_time(gens, rnd):
             assert b.conic_class.value == name
 
 
+def table_row_fields(table, k, count, lo, hi, closed):
+    """The fields of row k of a bisector table, as ``one_pair_fields`` lays them out."""
+    cls = CLASSES[table.code[k]]
+    gi, gj = table.generators[table.first[k]], table.generators[table.second[k]]
+    curve = table.line_count[k] == 0
+    kind = "arc" if curve else "line"
+    return (
+        (gi.id, gj.id),
+        cls,
+        bits(table.implicit[k]),
+        bits(table.chart[k].ravel()) if cls in CURVE_CLASSES else None,
+        float(table.u_scale[k]).hex() if cls in CURVE_CLASSES else None,
+        bits([-table.singular[k], table.singular[k]]) if cls is ConicClass.HYPERBOLA else None,
+        [bits(ln) for ln in table.lines[k, : table.line_count[k]]],
+        [(kind, bits((lo[c], hi[c])), bool(closed) and curve, None if curve else c)
+         for c in range(count)],
+    )
+
+
+def one_pair_fields(b):
+    """The same fields of a bisector object."""
+    p = b.param
+    return (
+        b.pair,
+        b.conic_class,
+        bits(b.implicit.coeffs()),
+        None if p is None else bits(chart_coefficients([p]).ravel()),
+        None if p is None else float(p.u_scale).hex(),
+        bits(p.singular_params) if b.conic_class is ConicClass.HYPERBOLA else None,
+        [bits((ln.a, ln.b, ln.c)) for ln in b.lines],
+        [(c.kind, bits((c.lo, c.hi)), c.closed, c.line_index) for c in b.components],
+    )
+
+
+@given(scenes(), st.sampled_from([0.0, 1e6]), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_table_rows_match_one_pair_bisectors(gens, shift, rnd):
+    # the scene (concentric and equal-matrix generators, shifts up to 3.5e6)
+    # plus an isotropic scene of line pairs, moved by 0 or 1e6, in shuffled
+    # order: the table orders each pair by id
+    iso = random_scene("isotropic", 4, rnd.randrange(10_000), WINDOW)
+    gens = gens + [Generator(100 + g.id, g.p + shift, g.M, g.w) for g in iso]
+    rnd.shuffle(gens)
+    table = bisector_table(gens, TOL)
+    rows = np.arange(table.first.size)
+    assert rows.size == len(gens) * (len(gens) - 1) // 2
+    components = table.components(rows)
+    for k in rows.tolist():
+        one = make_bisector(gens[table.first[k]], gens[table.second[k]], TOL)
+        assert table_row_fields(table, k, *(a[k] for a in components)) == one_pair_fields(one)
+        assert bisector_fields(table.bisectors([k])[0]) == bisector_fields(one)
+    lines = table.line_count > 0
+    assert lines.sum() >= 6  # the isotropic pairs at least
+
+
 def test_batched_bisectors_cover_rank_deficient_pairs():
     # equal matrices give straight bisectors, an equal center and matrix an
-    # empty one: both take the per-pair fallback inside a batch
+    # empty one: both go through the array line split inside a batch
     gens = random_scene("isotropic", 6, 3, WINDOW)
     gens.append(Generator(6, gens[0].p.copy(), gens[0].M, gens[0].w + 1.0))
     firsts, seconds = gens[:5] + [gens[6]], gens[1:6] + [gens[0]]
@@ -202,20 +262,38 @@ def test_early_exit_filter_matches_full_scan(case):
     assert keep[half : 2 * half].all()
 
 
-@given(st.sampled_from(PRESETS), st.integers(2, 12), st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_batched_two_nearest_matches_per_point(preset, n, seed):
+@given(
+    st.sampled_from(PRESETS),
+    st.integers(2, 40),
+    st.integers(0, 10_000),
+    st.sampled_from([None, 0.5, 0.999, 1.0, 1.001, 2.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_two_nearest_matches_per_point(preset, n, seed, factor):
+    # past 16 generators the scan runs in several blocks, so a pair's own
+    # columns (skipped) and a point's drop can fall in a later block
     gens = random_scene(preset, n, seed, WINDOW)
-    arr = SceneArrays(gens)
     rng = np.random.default_rng(seed)
+    pairs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False)) for _ in range(3)]
+    # points on the (i, j) bisector are where the decision is close
+    curves = [
+        np.array(sample_points(make_bisector(gens[i], gens[j], TOL), count=32, tol=TOL))
+        .reshape(-1, 2) for i, j in pairs
+    ]
+    if factor is not None and curves[0].size:
+        # a copy of generator i that is delta nearer everywhere: at the first
+        # point on the (i, j) bisector, delta is factor times the vert_rel
+        # threshold, so that point and its neighbours sit right around it
+        i, j = pairs[0]
+        d = float(SceneArrays(gens).dist(curves[0][:1])[0, i])
+        delta = factor * TOL.vert_rel * (1.0 + abs(d))
+        gens.append(Generator(n, gens[i].p.copy(), gens[i].M, gens[i].w + delta))
+        pairs += [pairs[0], (n, j)]
+        curves += [curves[0][:1], curves[0]]
+    arr = SceneArrays(gens)
     pts, idx_i, idx_j = [], [], []
-    for _ in range(3):
-        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-        # points on the (i, j) bisector are where the decision is close
-        on_curve = sample_points(make_bisector(gens[i], gens[j], TOL), count=32, tol=TOL)
-        rows = np.concatenate(
-            [rng.uniform(-50.0, 450.0, size=(10, 2)), np.array(on_curve).reshape(-1, 2)]
-        )
+    for (i, j), on_curve in zip(pairs, curves):
+        rows = np.concatenate([rng.uniform(-50.0, 450.0, size=(10, 2)), on_curve])
         pts.append(rows)
         idx_i += [i] * rows.shape[0]
         idx_j += [j] * rows.shape[0]
@@ -455,14 +533,33 @@ def edge_fields(e):
             e.endpoints, e.component, e.line_index, bits([e.a0, e.a1]))
 
 
+def all_pairs(graph):
+    """The bisector table of a graph's generators (aliases dropped, as the
+    build drops them), and the objects of all its rows in pair order."""
+    table = bisector_table(_dedup_generators(list(graph.generators))[0], TOL)
+    ordered = sorted(table.bisectors(np.arange(table.first.size)), key=lambda b: b.pair)
+    return table, ordered
+
+
+def vertex_free_rows(table, graph):
+    """The rows of ``table`` whose pair meets no vertex of ``graph``."""
+    near = {p for v in graph.vertices for p in itertools.combinations(sorted(v.gens), 2)}
+    ids = [g.id for g in table.generators]
+    return np.array([k for k, (a, b) in enumerate(zip(table.first.tolist(),
+                                                      table.second.tolist()))
+                     if (ids[a], ids[b]) not in near], dtype=np.int64)
+
+
 @given(scenes())
 @settings(max_examples=25, deadline=None)
 def test_cross_bisector_visibility_matches_per_bisector(gens):
+    # every pair, as the per-bisector reference sees it: the build decides
+    # the vertex-free pairs in the table pass (_whole_components)
     graph = build_diagram(gens)
-    arr = SceneArrays([g for g in graph.generators if g.id not in graph.aliases])
+    table, ordered = all_pairs(graph)
+    arr = SceneArrays(table.generators)
     eps = 1e-7 * (1.0 + graph.length_scale)
-    params, _ = _recover_params(graph.vertices, graph.bisectors, eps, TOL)
-    ordered = [graph.bisectors[p] for p in sorted(graph.bisectors)]
+    params, _ = _recover_params(graph.vertices, {b.pair: b for b in ordered}, eps, TOL)
     vparams = [params.get(b.pair, {}) for b in ordered]
     each = [
         edge_fields(e)
@@ -472,6 +569,18 @@ def test_cross_bisector_visibility_matches_per_bisector(gens):
     together, _ = _visible_pieces(ordered, vparams, arr, TOL, graph.length_scale)
     assert [edge_fields(e) for e in together] == each
     assert sorted(each) == sorted(edge_fields(e) for e in graph.edges)
+    # the graph keeps the objects of the pairs that own an edge
+    owners = {e.pair for e in graph.edges}
+    assert sorted(graph.bisectors) == sorted(owners)
+    assert [bisector_fields(graph.bisectors[b.pair]) for b in ordered if b.pair in owners] == [
+        bisector_fields(b) for b in ordered if b.pair in owners]
+    # the table pass over the vertex-free pairs against the object path
+    free = vertex_free_rows(table, graph)
+    whole, rows, no_rep = _whole_components(table, free, arr, TOL, graph.length_scale)
+    free_pairs = {ordered[k].pair for k in free.tolist()}
+    assert sorted(edge_fields(e) for e in whole) == sorted(
+        edge_fields(e) for e in together if e.pair in free_pairs)
+    assert no_rep.size == sum(len(ordered[k].components) for k in free.tolist())
 
 
 def lopsided_case():
@@ -517,7 +626,8 @@ def assert_probe_levels_match_scalar(b, vparams, length_scale):
     mid, anchor = np.array(probes).T
     whole = np.array([p[5] for p in pieces], dtype=bool)
     points, has_rep = _curve_representatives(
-        [b.param] * len(pieces), mid, anchor, whole, length_scale, TOL
+        chart_coefficients([b.param] * len(pieces)), np.full(len(pieces), b.param.u_scale),
+        mid, anchor, whole, length_scale, TOL,
     )
     lopsided = 0
     for (ci, a0, a1, _, _, is_whole), q, found in zip(pieces, points, has_rep.tolist()):
@@ -624,14 +734,19 @@ def benchmark_scenes():
 def test_no_recovery_miss_or_missing_representative_on_benchmark_scenes():
     for gens in benchmark_scenes():
         graph = build_diagram(gens)
-        arr = SceneArrays(gens)
+        table, ordered = all_pairs(graph)
+        arr = SceneArrays(table.generators)
         eps = 1e-7 * (1.0 + graph.length_scale)
-        params, miss = _recover_params(graph.vertices, graph.bisectors, eps, TOL)
+        params, miss = _recover_params(graph.vertices, {b.pair: b for b in ordered}, eps, TOL)
         assert not miss.any()
         # one parameter per incidence
         assert sum(len(e) for by_comp in params.values() for e in by_comp.values()) == miss.size
-        ordered = [graph.bisectors[p] for p in sorted(graph.bisectors)]
+        # every pair through the object path
         vparams = [params.get(b.pair, {}) for b in ordered]
         edges, no_rep = _visible_pieces(ordered, vparams, arr, TOL, graph.length_scale)
         assert not no_rep.any()
         assert len(edges) == len(graph.edges)
+        # and the vertex-free pairs through the table pass the build uses
+        free = vertex_free_rows(table, graph)
+        _, _, whole_no_rep = _whole_components(table, free, arr, TOL, graph.length_scale)
+        assert not whole_no_rep.any()

@@ -9,7 +9,8 @@ from gbpd import DEFAULT_TOLERANCES, Generator, SymMat2
 from gbpd import diagram as gdiagram
 from gbpd.cli import random_scene as preset_scene
 from gbpd.clip import clip_to_window
-from gbpd.conic import ConicClass, alpha_of_param
+from gbpd.bisector import bisector_table
+from gbpd.conic import CLASSES, ConicClass, alpha_of_param
 from gbpd.diagram import build_diagram, visible_segments
 from gbpd.geometry import SceneArrays, Window, dist_g
 from gbpd.measure import measure_cells
@@ -186,8 +187,11 @@ def test_laguerre_vertices_are_radical_centers():
     ws = rng.uniform(0, 30, 10)
     gens = [Generator(k, pts[k], I, ws[k]) for k in range(10)]
     d = build_diagram(gens)
-    for b in d.bisectors.values():
-        assert b.conic_class is ConicClass.SINGLE_LINE
+    # all 45 pairs by class code; the graph keeps the edge pairs' objects
+    table = bisector_table(gens)
+    assert table.code.size == 45
+    assert all(CLASSES[c] is ConicClass.SINGLE_LINE for c in table.code.tolist())
+    assert all(b.conic_class is ConicClass.SINGLE_LINE for b in d.bisectors.values())
     assert d.vertices, "expected at least one vertex in a 10-site scene"
     for v in d.vertices:
         ids = sorted(v.gens)[:3]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gbpd import oracle
 from gbpd.clip import clip_to_window
 from gbpd.diagram import build_diagram
 from gbpd.errors import DimensionMismatchError
@@ -66,6 +67,25 @@ def test_symmetric_halves_and_tie_column():
     )
     counts = raster_cell_stats(big).counts
     assert counts == {0: 80000, 1: 80000}
+
+
+@pytest.mark.parametrize("entries", [1, 7 * 11 * 60 + 7, 1 << 40])
+def test_labels_do_not_depend_on_block_size(monkeypatch, entries):
+    # one-row blocks, blocks of seven rows with a short last one, and one block;
+    # the scene has exact ties: generators 0 and 1 mirror each other about the
+    # pixel-center column x = 30.5, and generator 10 repeats generator 5
+    rng = np.random.default_rng(11)
+    gens = [iso(0, 20.5, 25.0, 400.0), iso(1, 40.5, 25.0, 400.0)] + aniso_scene(rng, 8)[2:]
+    gens = [Generator(k, g.p, g.M, g.w) for k, g in enumerate(gens)]
+    gens.append(Generator(10, gens[5].p.copy(), gens[5].M, gens[5].w))
+    win = Window(0.0, 0.0, 60.0, 50.0)
+    reference = rasterize(gens, win, 60, 50).labels
+    monkeypatch.setattr(oracle, "_DIST_CHUNK", entries)
+    labels = rasterize(gens, win, 60, 50).labels
+    assert labels.tobytes() == reference.tobytes()
+    assert 5 in labels and 10 not in labels
+    tie = labels[:, 30][np.abs(np.arange(50) + 0.5 - 25.0) < 3.0]
+    assert (tie == 0).all()
 
 
 def test_weight_shift_leaves_labels():

@@ -89,9 +89,10 @@ def bits(obj):
 
 
 def test_loaded_graph_measures_identically():
-    # a graph read back from its JSON clips and measures bit for bit like the
-    # built one: a mixed scene, the n=16 scenes of the three presets with
-    # seeds 1010-1019, and the paper-random n=72 scene
+    # a graph read back from its JSON holds the built one's bisectors, those
+    # of the pairs that own an edge, field for field, and clips and measures
+    # bit for bit like it: a mixed scene, the n=16 scenes of the three presets
+    # with seeds 1010-1019, and the paper-random n=72 scene
     scenes = [(mixed_scene(), Window(0.0, 0.0, 100.0, 100.0))]
     scenes += [(random_scene(preset, 16, seed, WINDOW), WINDOW)
                for seed in range(1010, 1020) for preset in PRESETS]
@@ -99,6 +100,9 @@ def test_loaded_graph_measures_identically():
     for gens, win in scenes:
         graph = build_diagram(gens)
         loaded = diagram_from_json(diagram_to_json(graph))
+        assert list(graph.bisectors) == list(loaded.bisectors) == sorted(graph.adjacency)
+        assert [bits(b) for b in graph.bisectors.values()] == [
+            bits(b) for b in loaded.bisectors.values()]
         built, read = (clip_to_window(g, win) for g in (graph, loaded))
         assert bits((built.nodes, built.pieces)) == bits((read.nodes, read.pieces))
         assert built.cells == read.cells
