@@ -244,6 +244,13 @@ class BisectorTable:
         hi[hyp] = np.stack([a2, a1 + TWO_PI], axis=1)
         return count, lo, hi, closed
 
+    def pair_rows(self) -> np.ndarray:
+        """(n, n) matrix of the row of each pair of generator indices, -1 where none."""
+        n = len(self.generators)
+        out = np.full((n, n), -1, dtype=np.int64)
+        out[self.first, self.second] = out[self.second, self.first] = np.arange(self.first.size)
+        return out
+
     def bisectors(self, rows) -> list[Bisector]:
         """:class:`Bisector` objects of the rows ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)

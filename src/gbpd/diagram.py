@@ -16,21 +16,22 @@ The construction follows six steps:
    and a candidate leaves as soon as one block proves it is not minimal;
    that drop is a decision the full scan would also make, so the kept set
    is the full scan's (see ``intersect.globally_minimal``).
-4. Build bisector objects from the table rows of the pairs that meet at a
-   vertex. Polish all vertices with Newton steps in one array pass, then
-   recover each vertex's parameters on its incident bisectors: one
-   ``params_of_points`` call covers every (vertex, curved bisector)
-   incidence, and one array pass every (vertex, line) pair.
-5. Split each vertex-incident bisector's components at its vertex
-   parameters (per-bisector interval bookkeeping) and keep the pieces whose
-   representative point has the component's generator pair as its two
-   nearest. The representatives of all these pieces come from one level
-   loop (each level one array evaluation of the pieces still unresolved;
-   only a lopsided piece at a singular end goes past the first). Every
-   other pair meets no vertex, so each of its components is one whole
-   piece: one array pass over the table rows probes them all, with the
-   same probes and the same two-nearest test. Objects are built for the
-   pairs that own an edge only, and the graph keeps just those.
+4. Polish all vertices with Newton steps in one array pass over the
+   implicit rows of their incident pairs (every pair of a vertex's
+   generators, found through the table's pair rows), then recover each
+   vertex's parameters on those rows: one ``params_of_points`` call covers
+   every (vertex, curved bisector) incidence, and one array pass every
+   (vertex, line) pair. The result is a set of vertex marks by table row
+   and component.
+5. Decide visibility in one pass over all table rows. Every component is
+   one whole piece in array form; only a component that keeps a mark
+   inside it is split at its marks (per-component interval bookkeeping).
+   A piece is kept when its representative point has the component's
+   generator pair as its two nearest. The representatives of all pieces
+   come from one level loop (each level one array evaluation of the
+   pieces still unresolved; only a lopsided piece at a singular end goes
+   past the first). Bisector objects are built once, for the pairs that
+   own an edge, and the graph keeps just those.
 6. Assemble the edge/vertex graph: ``assemble_graph`` derives adjacency,
    per-cell edge lists and per-cell boundary components from the edges,
    for the build and for the JSON reader alike.
@@ -60,8 +61,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# make_bisector and param_of_point are not called here; they stay bound because
-# the benchmark's span tracer patches them in this module by name
+# make_bisector and param_of_point are not called here, and the build does not
+# call visible_segments; they stay bound because the benchmark's span tracer
+# patches them in this module by name
 from .bisector import (  # noqa: F401
     Bisector,
     BisectorTable,
@@ -73,16 +75,15 @@ from .bisector import (  # noqa: F401
 from .conic import (
     ConicImplicit,
     alpha_of_param,
-    chart_coefficients,
     conic_matrices,
     line_points,
-    line_rows,
     param_of_alpha,
     points_at_alphas,
     wrap_angle,
+    wrap_angles,
 )
 from .errors import InputError, NoSolutionError
-from .geometry import Generator, SceneArrays
+from .geometry import Generator, SceneArrays, hypots
 from .intersect import PreparedPairs, globally_minimal, pencil_intersections_batch, prepare_pairs
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -327,9 +328,22 @@ def _collect_vertices(
     return vertices
 
 
+def _incidences(vertices: list[Vertex], table: BisectorTable,
+                pair_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex index, table row) of every pair of each vertex's generators,
+    vertices in order and each vertex's pairs in order; ``pair_row`` is
+    ``table.pair_rows()``."""
+    index = {g.id: k for k, g in enumerate(table.generators)}
+    found = np.array([(vi, pair_row[index[a], index[b]]) for vi, v in enumerate(vertices)
+                      for a, b in itertools.combinations(sorted(v.gens), 2)],
+                     dtype=np.int64).reshape(-1, 2)
+    return found[:, 0], found[:, 1]
+
+
 def _polish_vertices(
     vertices: list[Vertex],
-    bisectors: dict[tuple[int, int], Bisector],
+    table: BisectorTable,
+    pair_row: np.ndarray,
     length_scale: float,
     tol: ToleranceSet,
 ) -> None:
@@ -338,38 +352,29 @@ def _polish_vertices(
     The eigen route used for pencil intersections leaves a relative error a
     few orders above machine precision; two or three Newton steps on a
     transversal pair of implicit equations close that gap. All vertices are
-    refined at once: the best pair of a vertex is the first pair of its
-    incident bisectors with the largest gradient sine.
+    refined at once, on the implicit rows of their incident table rows: the
+    best pair of a vertex is the first pair of its incident bisectors with
+    the largest gradient sine.
     """
     max_step = tol.dedup_rel * length_scale
     # one row per (vertex, incident bisector), one combo per pair of such rows
-    coeffs: list[tuple[float, ...]] = []
-    row_vertex: list[int] = []
-    combo_a: list[int] = []
-    combo_b: list[int] = []
-    for vi, v in enumerate(vertices):
-        pairs = [p for p in itertools.combinations(sorted(v.gens), 2) if p in bisectors]
-        if len(pairs) < 2:
-            continue
-        base = len(coeffs)
-        coeffs.extend(bisectors[p].implicit.coeffs() for p in pairs)
-        row_vertex.extend([vi] * len(pairs))
-        for ka, kb in itertools.combinations(range(base, base + len(pairs)), 2):
-            combo_a.append(ka)
-            combo_b.append(kb)
-    if not combo_a:
+    row_vertex, rows = _incidences(vertices, table, pair_row)
+    starts = np.flatnonzero(np.r_[True, row_vertex[1:] != row_vertex[:-1], True])
+    combos = [k for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
+              for k in itertools.combinations(range(lo, hi), 2)]
+    if not combos:
         return
-    c = np.array(coeffs)
-    pos = np.array([vertices[vi].pos for vi in row_vertex], dtype=float)
+    c = table.implicit[rows]
+    pos = np.array([v.pos for v in vertices], dtype=float)[row_vertex]
     # ConicImplicit with array fields evaluates one conic per entry
     gx, gy = ConicImplicit(*c.T).gradient(pos[:, 0], pos[:, 1])
-    norm = np.array([math.hypot(a, b) for a, b in zip(gx.tolist(), gy.tolist())])
-    ka, kb = np.array(combo_a), np.array(combo_b)
+    norm = hypots(gx, gy)
+    ka, kb = np.array(combos).T
     usable = (norm[ka] != 0.0) & (norm[kb] != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         sine = np.abs(gx[ka] * gy[kb] - gy[ka] * gx[kb]) / (norm[ka] * norm[kb])
     # per vertex, the first combo of largest sine (ties keep the earlier one)
-    owner = np.array(row_vertex)[ka]
+    owner = row_vertex[ka]
     order = np.lexsort((np.arange(ka.size), -sine, ~usable, owner))
     first = order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
     # near-parallel gradients mean a tangential contact; leave those alone
@@ -503,52 +508,42 @@ def ray_parameter(t0: float, t1: float) -> float:
     return 0.5 * (t0 + t1)
 
 
-def _candidate_pieces(
-    b: Bisector, vertex_params: dict[int, list[tuple[float, int | None]]], tol: ToleranceSet
-) -> tuple[list[tuple], list[tuple[float, float]]]:
-    """Split each component of a bisector at its vertex parameters.
+def _split_component(
+    entries: list[tuple[float, int | None]], lo: float, hi: float, closed: bool, line: bool,
+    tol: ToleranceSet,
+) -> list[tuple]:
+    """Pieces (x0, x1, v0, v1, mid, anchor) of one component between its
+    vertex marks ``entries`` (t, vertex id, in vertex order), or [] when no
+    mark lies inside the component.
 
-    Returns the candidate pieces as (component, x0, x1, v0, v1, whole) and,
-    per piece, its probe (mid, anchor). A line piece is represented at the
-    line parameter mid (its ``ray_parameter``). A curve piece probes from
-    its alpha midpoint toward anchor: its other end if exactly one end is
-    a singular parameter, else the midpoint; a whole curve component
-    (``whole`` set) probes its ``midpoint()``. ``_piece_segment`` turns a
-    piece into its EdgeSegment.
+    A line component splits at its marks' line parameters, and a piece is
+    probed at its ``ray_parameter``. A curve component (lo, hi) splits in
+    alpha at the marks strictly inside it (any mark, on a closed loop); a
+    piece probes from its alpha midpoint toward anchor: its other end if
+    exactly one end is a singular parameter, else the midpoint.
     """
-    pieces: list[tuple] = []
-    probes: list[tuple[float, float]] = []
-    for ci, comp in enumerate(b.components):
-        entries = list(vertex_params.get(ci, ()))
-        if comp.kind == "line":
-            marks = sorted(entries, key=lambda m: m[0])
-            for t0, t1, v0, v1 in split_at_marks(marks, -math.inf, math.inf, tol.param_merge, False):
-                t = ray_parameter(t0, t1)
-                probes.append((t, t))
-                pieces.append((ci, t0, t1, v0, v1, False))
-            continue
-
-        # curve component: work in alpha, vertex alphas positioned inside
-        # the component's (lo, hi) frame
-        span = comp.hi - comp.lo
-        marks: list[tuple[float, int | None]] = []
-        for t_val, vid in entries:
-            off = (alpha_of_param(t_val) - comp.lo) % TWO_PI
-            if comp.closed or 0.0 < off < span:
-                marks.append((comp.lo + off, vid))
-        if not marks:
-            probes.append((comp.midpoint(), comp.midpoint()))
-            pieces.append((ci, comp.lo, comp.hi, None, None, True))
-            continue
-        gap = 2.0 * tol.param_merge
-        for a0, a1, v0, v1 in split_at_marks(merge_marks(marks, gap), comp.lo, comp.hi, gap,
-                                             comp.closed):
-            s_lo = not comp.closed and abs(a0 - comp.lo) <= 1e-15
-            s_hi = not comp.closed and abs(a1 - comp.hi) <= 1e-15
-            mid = 0.5 * (a0 + a1)
-            probes.append((mid, a1 if s_lo and not s_hi else a0 if s_hi and not s_lo else mid))
-            pieces.append((ci, a0, a1, v0, v1, False))
-    return pieces, probes
+    if line:
+        marks = sorted(entries, key=lambda m: m[0])
+        pieces = split_at_marks(marks, -math.inf, math.inf, tol.param_merge, False) if marks else []
+        return [(t0, t1, v0, v1, t, t) for t0, t1, v0, v1 in pieces
+                for t in (ray_parameter(t0, t1),)]
+    span = hi - lo
+    marks = []
+    for t_val, vid in entries:
+        off = (alpha_of_param(t_val) - lo) % TWO_PI
+        if closed or 0.0 < off < span:
+            marks.append((lo + off, vid))
+    if not marks:
+        return []
+    gap = 2.0 * tol.param_merge
+    out = []
+    for a0, a1, v0, v1 in split_at_marks(merge_marks(marks, gap), lo, hi, gap, closed):
+        s_lo = not closed and abs(a0 - lo) <= 1e-15
+        s_hi = not closed and abs(a1 - hi) <= 1e-15
+        mid = 0.5 * (a0 + a1)
+        out.append((a0, a1, v0, v1, mid,
+                    a1 if s_lo and not s_hi else a0 if s_hi and not s_lo else mid))
+    return out
 
 
 def _two_nearest_rows(
@@ -566,105 +561,85 @@ def _two_nearest_rows(
 
 
 def _visible_pieces(
-    bisectors: list[Bisector],
-    vertex_params: list[dict[int, list[tuple[float, int | None]]]],
+    table: BisectorTable,
+    rows: np.ndarray,
+    marks: dict[int, dict[int, list[tuple[float, int | None]]]],
     arr: SceneArrays,
     tol: ToleranceSet,
     length_scale: float,
 ) -> tuple[list[EdgeSegment], np.ndarray]:
-    """Visible pieces of many bisectors, decided together.
+    """Visible pieces of the bisectors ``rows`` of ``table``, decided together.
 
-    ``vertex_params[k]`` holds the vertex parameters of ``bisectors[k]`` by
-    component. The curve representatives of all candidate pieces come from
-    one level loop (``_curve_representatives``), the line representatives
-    from one ``line_points`` call, and all representatives are decided by
-    one two-nearest test per ``_POINT_CHUNK`` points.
+    ``marks[row][c]`` lists the vertex marks (t, vertex id) of component c
+    of a row, in vertex order. Every component is one whole piece, in array
+    form: a line probed at t = 0, a closed curve at alpha 0, an open one at
+    the middle of its alpha span. Only a component that keeps a mark after
+    the in-span filter is split, by ``_split_component``. The curve
+    representatives of all pieces come from one level loop
+    (``_curve_representatives``), the line representatives from one
+    ``line_points`` call, and all are decided by one two-nearest test per
+    ``_POINT_CHUNK`` points. ``arr`` holds every generator of ``table``.
 
-    Returns (visible pieces in bisector and component order, a component's
-    by their starts, the only ones made into EdgeSegments; the mask over all
-    candidate pieces of those without a representative). A piece without a
-    representative is dropped: a whole component whose midpoint is a
-    singular parameter, or an interval where no probe gives a finite point
-    within 1e6 (1 + length_scale) of the origin.
-    """
-    pieces: list[tuple] = []
-    owner: list[int] = []
-    probes: list[tuple[float, float]] = []
-    for k, (b, params) in enumerate(zip(bisectors, vertex_params)):
-        b_pieces, b_probes = _candidate_pieces(b, params, tol)
-        pieces.extend(b_pieces)
-        probes.extend(b_probes)
-        owner.extend([k] * len(b_pieces))
-    points = np.full((len(pieces), 2), math.nan)
-    has_rep = np.zeros(len(pieces), dtype=bool)
-    comps = [bisectors[k].components[piece[0]] for k, piece in zip(owner, pieces)]
-    line = [r for r, comp in enumerate(comps) if comp.kind == "line"]
-    curve = [r for r, comp in enumerate(comps) if comp.kind != "line"]
-    rows = line_rows([bisectors[owner[r]].lines[comps[r].line_index] for r in line])
-    points[line] = line_points(rows, np.array([probes[r][0] for r in line]))
-    has_rep[line] = True
-    if curve:
-        params = [bisectors[owner[r]].param for r in curve]
-        mid, anchor = np.array([probes[r] for r in curve]).T
-        points[curve], has_rep[curve] = _curve_representatives(
-            chart_coefficients(params), np.array([p.u_scale for p in params]), mid, anchor,
-            np.array([pieces[r][5] for r in curve], dtype=bool), length_scale, tol,
-        )
-    pair_idx = np.array(
-        [(arr.id_to_index[b.i], arr.id_to_index[b.j]) for b in bisectors], dtype=np.int64
-    ).reshape(-1, 2)
-    visible = _two_nearest_rows(points, has_rep, pair_idx[np.array(owner, dtype=np.int64)], arr,
-                                tol)
-    # a component's edges in the order of their starts: the line parameter,
-    # or the alpha of a curve piece wrapped to (-pi, pi], the far point at pi
-    shown = sorted(np.flatnonzero(visible).tolist(), key=lambda r: (
-        owner[r], pieces[r][0],
-        pieces[r][1] if comps[r].kind == "line" else wrap_angle(pieces[r][1])))
-    segments = [_piece_segment(bisectors[owner[r]].pair, comps[r].line_index, *pieces[r][:5])
-                for r in shown]
-    return segments, ~has_rep
-
-
-def _whole_components(
-    table: BisectorTable, rows: np.ndarray, arr: SceneArrays, tol: ToleranceSet,
-    length_scale: float,
-) -> tuple[list[EdgeSegment], np.ndarray, np.ndarray]:
-    """Visible components of the bisectors ``rows`` of ``table``, which meet no vertex.
-
-    Each component is one whole piece, probed as ``_candidate_pieces``
-    probes a component without vertex marks: a line at t = 0, a closed
-    curve at alpha 0, an open one at the middle of its alpha span. All
-    pieces are decided in one array pass, with the object path's
-    ``_curve_representatives`` and ``_two_nearest`` calls. ``arr`` holds
-    ``table.generators`` in order.
-
-    Returns (the visible components as EdgeSegments, in row and component
-    order; the table row of each; the mask over all components of those
-    without a representative).
+    Returns (the visible pieces as EdgeSegments, by row, component and
+    start; the mask over all candidate pieces of those without a
+    representative). A piece without a representative is dropped: a whole
+    component whose midpoint is a singular parameter, or an interval where
+    no probe gives a finite point within 1e6 (1 + length_scale) of the
+    origin.
     """
     count, lo, hi, closed = table.components(rows)
     owner = np.repeat(np.arange(rows.size), count)
-    ci = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    row = rows[owner]
-    lo, hi, closed = lo[owner, ci], hi[owner, ci], closed[owner]
+    start = np.cumsum(count) - count
+    ci = np.arange(owner.size) - np.repeat(start, count)
+    row, lo, hi, closed = rows[owner], lo[owner, ci], hi[owner, ci], closed[owner]
     line = table.line_count[row] > 0
-    points = np.full((owner.size, 2), math.nan)
+    mid = np.zeros(owner.size)
+    arc = ~(line | closed)
+    mid[arc] = 0.5 * (lo[arc] + hi[arc])
+    # split the marked components; marks name rows of ``rows`` only
+    offset = np.full(table.first.size, -1, dtype=np.int64)
+    offset[rows] = start
+    whole = np.ones(owner.size, dtype=bool)
+    split: list[tuple] = []  # (x0, x1, v0, v1, mid, anchor) of _split_component
+    split_comp: list[int] = []
+    for r, by_comp in marks.items():
+        for c, entries in by_comp.items():
+            k = int(offset[r]) + c
+            pieces = _split_component(entries, lo[k].item(), hi[k].item(), bool(closed[k]),
+                                      bool(line[k]), tol)
+            whole[k] = not pieces
+            split += pieces
+            split_comp += [k] * len(pieces)
+    keep = np.flatnonzero(whole)
+    comp = np.concatenate([keep, np.array(split_comp, dtype=np.int64)])
+    cut = np.array([(x0, x1, m, a) for x0, x1, _, _, m, a in split], dtype=float).reshape(-1, 4)
+    x0, x1, probe, anchor = (np.concatenate([whole_form[keep], split_form])
+                             for whole_form, split_form in zip((lo, hi, mid, mid), cut.T))
+    ends = [(None, None)] * keep.size + [(v0, v1) for _, _, v0, v1, _, _ in split]
+    row, ci, line = row[comp], ci[comp], line[comp]
+
+    points = np.full((comp.size, 2), math.nan)
     has_rep = line.copy()
-    points[line] = line_points(table.lines[row[line], ci[line]], np.zeros(int(line.sum())))
+    points[line] = line_points(table.lines[row[line], ci[line]], probe[line])
     curve = np.flatnonzero(~line)
-    mid = np.where(closed[curve], 0.0, 0.5 * (lo[curve] + hi[curve]))
     points[curve], has_rep[curve] = _curve_representatives(
-        table.chart[row[curve]], table.u_scale[row[curve]], mid, mid,
-        np.ones(curve.size, dtype=bool), length_scale, tol)
-    shown = np.flatnonzero(_two_nearest_rows(
-        points, has_rep, np.stack([table.first[row], table.second[row]], axis=1), arr, tol))
+        table.chart[row[curve]], table.u_scale[row[curve]], probe[curve], anchor[curve],
+        curve < keep.size, length_scale, tol)
+    gen = np.array([arr.id_to_index[g.id] for g in table.generators], dtype=np.int64)
+    idx = np.stack([gen[table.first[row]], gen[table.second[row]]], axis=1)
+    shown = np.flatnonzero(_two_nearest_rows(points, has_rep, idx, arr, tol))
+    # a component's edges in the order of their starts: the line parameter,
+    # or the alpha of a curve piece wrapped to (-pi, pi], the far point at pi
+    begin = x0[shown]
+    begin[~line[shown]] = wrap_angles(begin[~line[shown]])
+    shown = shown[np.lexsort((begin, ci[shown], row[shown]))]
     segments = [
-        _piece_segment((i, j), c if is_line else None, c, x0, x1, None, None)
-        for i, j, c, is_line, x0, x1 in zip(
-            arr.ids[table.first[row[shown]]].tolist(), arr.ids[table.second[row[shown]]].tolist(),
-            ci[shown].tolist(), line[shown].tolist(), lo[shown].tolist(), hi[shown].tolist())
+        _piece_segment((i, j), c if is_line else None, c, a0, a1, *ends[k])
+        for k, (i, j), c, is_line, a0, a1 in zip(
+            shown.tolist(), arr.ids[idx[shown]].tolist(), ci[shown].tolist(),
+            line[shown].tolist(), x0[shown].tolist(), x1[shown].tolist())
     ]
-    return segments, row[shown], ~has_rep
+    return segments, ~has_rep
 
 
 def visible_segments(
@@ -681,12 +656,15 @@ def visible_segments(
     components use the line's own linear parameter. Components without
     entries are tested whole at one representative each. Returned segments
     have id -1; the diagram assembly assigns canonical ids. A batch of one
-    of the build's visibility decision.
+    of the build's visibility pass, over a one-row table of the bisector's
+    generator pair.
     """
     arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
     if length_scale is None:
         length_scale = arr.scale()
-    return _visible_pieces([b], [vertex_params], arr, tol, length_scale)[0]
+    table = bisector_table([b.gi, b.gj], tol)
+    return _visible_pieces(table, np.zeros(1, dtype=np.int64), {0: vertex_params}, arr, tol,
+                           length_scale)[0]
 
 
 def _piece_segment(
@@ -708,68 +686,59 @@ def _piece_segment(
 
 def _recover_params(
     vertices: list[Vertex],
-    bisectors: dict[tuple[int, int], Bisector],
+    table: BisectorTable,
+    pair_row: np.ndarray,
     eps: float,
     tol: ToleranceSet,
-) -> tuple[dict[tuple[int, int], dict[int, list[tuple[float, int | None]]]], np.ndarray]:
-    """Each vertex's parameters on its incident bisectors, by bisector component.
+) -> tuple[dict[int, dict[int, list[tuple[float, int | None]]]], np.ndarray]:
+    """Each vertex's parameters on its incident bisectors, by table row and component.
 
-    Curve parameters come from one ``params_of_points`` call over every
-    (vertex, curved bisector) incidence; line parameters from one array pass
-    over every (vertex, line) pair. Returns (params_by_pair, miss):
-    params_by_pair[pair][ci] lists (t, vertex id) in vertex order, and
-    ``miss`` masks the incidences (vertices in order, then their pairs in
-    order) that found no parameter: no point of the curve, or of any line of
-    the bisector, lies within eps of the vertex.
+    The incidences are the pairs of each vertex's generators
+    (``_incidences``). Curve parameters come from one ``params_of_points``
+    call over every (vertex, curved bisector) incidence; line parameters
+    from one array pass over every (vertex, line) pair. Returns (marks,
+    miss): marks[row][c] lists (t, vertex id) in vertex order, and ``miss``
+    masks the incidences (vertices in order, then their pairs in order) that
+    found no parameter: no point of the curve, or of any line of the
+    bisector, lies within eps of the vertex.
     """
-    incidences = [
-        (v, b)
-        for v in vertices
-        for pair in itertools.combinations(sorted(v.gens), 2)
-        if (b := bisectors.get(pair)) is not None
-    ]
-    miss = np.ones(len(incidences), dtype=bool)
-    params_by_pair: dict[tuple[int, int], dict[int, list[tuple[float, int | None]]]] = {}
+    owner, rows = _incidences(vertices, table, pair_row)
+    pos = np.array([v.pos for v in vertices], dtype=float).reshape(-1, 2)[owner]
+    ids = [vertices[vi].id for vi in owner.tolist()]
+    count, lo, hi, closed = table.components(rows)
+    lines = table.line_count[rows]
+    # a curve's components are its arcs, a line bisector's its lines
+    curves = np.flatnonzero(count > lines)
+    count, lo, hi, closed = (a.tolist() for a in (count, lo, hi, closed))
+    miss = np.ones(rows.size, dtype=bool)
+    marks: dict[int, dict[int, list[tuple[float, int | None]]]] = {}
 
-    def add(k: int, ci: int, t_val: float) -> None:
-        v, b = incidences[k]
-        params_by_pair.setdefault(b.pair, {}).setdefault(ci, []).append((t_val, v.id))
+    def add(k: int, c: int, t_val: float) -> None:
+        marks.setdefault(int(rows[k]), {}).setdefault(c, []).append((t_val, ids[k]))
         miss[k] = False
 
-    curves = [k for k, (_, b) in enumerate(incidences) if b.param is not None]
-    if curves:
-        params = [incidences[k][1].param for k in curves]
-        ts, found = params_of_points(
-            chart_coefficients(params),
-            np.array([p.u_scale for p in params]),
-            np.array([incidences[k][0].pos for k in curves]),
-            eps,
-            tol,
-        )
-        for k, row, hit in zip(curves, ts.tolist(), found.tolist()):
-            components = incidences[k][1].components
-            for t_val in (t for t, f in zip(row, hit) if f):
+    if curves.size:
+        ts, found = params_of_points(table.chart[rows[curves]], table.u_scale[rows[curves]],
+                                     pos[curves], eps, tol)
+        for k, t_row, hit in zip(curves.tolist(), ts.tolist(), found.tolist()):
+            for t_val in (t for t, f in zip(t_row, hit) if f):
                 a = alpha_of_param(t_val)
-                for ci, comp in enumerate(components):
-                    if comp.contains_alpha(a):
-                        add(k, ci, t_val)
+                # the first component that holds alpha
+                for c in range(count[k]):
+                    if closed[k] or 0.0 <= (a - lo[k][c]) % TWO_PI <= hi[k][c] - lo[k][c]:
+                        add(k, c, t_val)
                         break
-    rows = [
-        (k, ci, b.lines[comp.line_index])
-        for k, (_, b) in enumerate(incidences)
-        if b.param is None
-        for ci, comp in enumerate(b.components)
-    ]
-    if rows:
-        la, lb, lc = line_rows([r[2] for r in rows]).T
-        pos = np.array([incidences[r[0]][0].pos for r in rows])
-        px, py = pos[:, 0], pos[:, 1]
-        on_line = np.abs(la * px + lb * py + lc) <= eps
-        t_line = (px + lc * la) * -lb + (py + lc * lb) * la
-        for (k, ci, _), hit, t_val in zip(rows, on_line.tolist(), t_line.tolist()):
-            if hit:
-                add(k, ci, t_val)
-    return params_by_pair, miss
+    # one entry per (incidence, line)
+    lk = np.repeat(np.arange(rows.size), lines)
+    lc = np.arange(lk.size) - np.repeat(np.cumsum(lines) - lines, lines)
+    la, lb, l0 = table.lines[rows[lk], lc].T
+    px, py = pos[lk, 0], pos[lk, 1]
+    on_line = np.abs(la * px + lb * py + l0) <= eps
+    t_line = (px + l0 * la) * -lb + (py + l0 * lb) * la
+    for k, c, hit, t_val in zip(lk.tolist(), lc.tolist(), on_line.tolist(), t_line.tolist()):
+        if hit:
+            add(k, c, t_val)
+    return marks, miss
 
 
 def build_diagram(
@@ -782,12 +751,12 @@ def build_diagram(
     Two steps drop geometry they cannot place, and each reports it as a
     mask that the build does not use: ``_recover_params`` returns ``miss``
     over the (vertex, bisector) incidences that found no parameter, so the
-    vertex does not split that bisector; ``_visible_pieces`` and
-    ``_whole_components`` return the masks of candidate pieces without a
-    representative point (a whole component whose midpoint is a singular
-    parameter, or an interval with no finite probe), which are left out of
-    the edges. The graph holds the bisector objects of the pairs that own
-    an edge.
+    vertex does not split that bisector; ``_visible_pieces`` returns the
+    mask of candidate pieces without a representative point (a whole
+    component whose midpoint is a singular parameter, or an interval with
+    no finite probe), which are left out of the edges. The graph holds the
+    bisector objects of the pairs that own an edge, the only objects the
+    build makes.
     """
     if not generators:
         raise NoSolutionError("a scene needs at least one generator")
@@ -798,45 +767,31 @@ def build_diagram(
         0.5 * (float(arr.px.min()) + float(arr.px.max())),
         0.5 * (float(arr.py.min()) + float(arr.py.max())),
     )
-    n = len(kept)
 
-    # every pairwise bisector as one table row, classified once
+    # every pairwise bisector as one table row, classified once; the kept
+    # generators are in id order, so the rows are in pair order
     table = bisector_table(kept, tol)
     prep = prepare_pairs(conic_matrices(table.implicit), length_scale, center)
-    pair_row = np.full((n, n), -1, dtype=np.int64)
-    pair_row[table.first, table.second] = pair_row[table.second, table.first] = np.arange(
-        table.first.size)
+    pair_row = table.pair_rows()
 
     vertices = _collect_vertices(kept, arr, prep, pair_row, tol, threads)
-    # bisector objects for the pairs that meet at a vertex, in pair order
-    index = arr.id_to_index
-    near = np.unique(np.array([pair_row[index[a], index[b]] for v in vertices
-                               for a, b in itertools.combinations(sorted(v.gens), 2)],
-                              dtype=np.int64))
-    incident = {b.pair: b for b in table.bisectors(near)}
-    _polish_vertices(vertices, incident, length_scale, tol)
+    _polish_vertices(vertices, table, pair_row, length_scale, tol)
     vertices.sort(key=lambda v: (v.pos[0], v.pos[1]))
     for vid, v in enumerate(vertices):
         v.id = vid
 
-    params_by_pair, _recovery_miss = _recover_params(
-        vertices, incident, 1e-7 * (1.0 + length_scale), tol
+    marks, _recovery_miss = _recover_params(
+        vertices, table, pair_row, 1e-7 * (1.0 + length_scale), tol
     )
-    split, no_rep = _visible_pieces(
-        list(incident.values()), [params_by_pair.get(p, {}) for p in incident], arr, tol,
-        length_scale,
+    edges, _no_representative = _visible_pieces(
+        table, np.arange(table.first.size), marks, arr, tol, length_scale
     )
-    whole, whole_rows, whole_no_rep = _whole_components(
-        table, np.setdiff1d(np.arange(table.first.size), near), arr, tol, length_scale
-    )
-    _no_representative = np.concatenate([no_rep, whole_no_rep])
-    # every pair's edges come from one of the two passes
-    edges = sorted(split + whole, key=lambda e: e.pair)
     for eid, e in enumerate(edges):
         e.id = eid
-    made = {**incident, **{b.pair: b for b in table.bisectors(np.unique(whole_rows))}}
-    owned = {pair: made[pair] for pair in sorted({e.pair for e in edges})}
-    return assemble_graph(generators, vertices, edges, owned, tol)
+    index = arr.id_to_index
+    owners = np.unique([pair_row[index[a], index[b]] for a, b in {e.pair for e in edges}])
+    return assemble_graph(generators, vertices, edges,
+                          {b.pair: b for b in table.bisectors(owners)}, tol)
 
 
 def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: list[EdgeSegment],

@@ -44,15 +44,15 @@ from gbpd.conic import (
     wrap_angles,
 )
 from gbpd.diagram import (
-    _candidate_pieces,
     _curve_representatives,
     _dedup_generators,
+    _incidences,
     _polish_vertices,
     _recover_params,
+    _split_component,
     _triple_arrays,
     _two_nearest,
     _visible_pieces,
-    _whole_components,
     build_diagram,
     visible_segments,
 )
@@ -485,6 +485,30 @@ def test_param_recovery_far_from_origin_and_at_the_far_point():
 # ------------------------------------------------------------------ polish
 
 
+def all_pairs(gens):
+    """The bisector table of a scene's generators (aliases dropped, as the
+    build drops them) and its pair rows."""
+    table = bisector_table(_dedup_generators(list(gens))[0], TOL)
+    return table, table.pair_rows()
+
+
+def incident_objects(table, pair_row, vertices):
+    """The objects of the table rows of every pair of each vertex's
+    generators, by pair: the pairs the build polishes on."""
+    _, rows = _incidences(vertices, table, pair_row)
+    return {b.pair: b for b in table.bisectors(np.unique(rows))}
+
+
+def assert_polish_matches_scalar(gens, vertices, length_scale):
+    """The batched polish of ``vertices`` on the table rows equals the scalar
+    polish on the objects of the same pairs, bit for bit."""
+    table, pair_row = all_pairs(gens)
+    batch, scalar = copy.deepcopy(vertices), copy.deepcopy(vertices)
+    _polish_vertices(batch, table, pair_row, length_scale, TOL)
+    polish_vertices_scalar(scalar, incident_objects(table, pair_row, vertices), length_scale, TOL)
+    assert [bits(v.pos) for v in batch] == [bits(v.pos) for v in scalar]
+
+
 @given(scenes(), st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_batched_polish_matches_scalar(gens, seed):
@@ -498,10 +522,7 @@ def test_batched_polish_matches_scalar(gens, seed):
         w = copy.copy(v)
         w.pos = v.pos + rng.normal(size=2) * scale * graph.length_scale
         moved.append(w)
-    batch, scalar = copy.deepcopy(moved), copy.deepcopy(moved)
-    _polish_vertices(batch, graph.bisectors, graph.length_scale, TOL)
-    polish_vertices_scalar(scalar, graph.bisectors, graph.length_scale, TOL)
-    assert [bits(v.pos) for v in batch] == [bits(v.pos) for v in scalar]
+    assert_polish_matches_scalar(gens, moved, graph.length_scale)
 
 
 @pytest.mark.parametrize("turn", [0.0, 0.3, 0.7])
@@ -515,14 +536,15 @@ def test_batched_polish_handles_many_generator_vertices(turn):
     gens = [Generator(k, p, SymMat2.identity(), 0.0) for k, p in enumerate(corners)]
     gens.append(Generator(4, center + np.array([30.0, 4.0]), SymMat2.identity(), 0.0))
     graph = build_diagram(gens)
-    assert max(len(v.gens) for v in graph.vertices) == 4
+    four = max(graph.vertices, key=lambda v: len(v.gens))
+    assert len(four.gens) == 4
+    table, pair_row = all_pairs(gens)
+    pairs = incident_objects(table, pair_row, [four])
+    assert sorted(pairs) == list(itertools.combinations(range(4), 2))
     moved = copy.deepcopy(graph.vertices)
     for v in moved:
         v.pos = v.pos + np.array([1e-7, -2e-7])
-    batch, scalar = copy.deepcopy(moved), copy.deepcopy(moved)
-    _polish_vertices(batch, graph.bisectors, graph.length_scale, TOL)
-    polish_vertices_scalar(scalar, graph.bisectors, graph.length_scale, TOL)
-    assert [bits(v.pos) for v in batch] == [bits(v.pos) for v in scalar]
+    assert_polish_matches_scalar(gens, moved, graph.length_scale)
 
 
 # -------------------------------------------------------------- visibility
@@ -533,54 +555,31 @@ def edge_fields(e):
             e.endpoints, e.component, e.line_index, bits([e.a0, e.a1]))
 
 
-def all_pairs(graph):
-    """The bisector table of a graph's generators (aliases dropped, as the
-    build drops them), and the objects of all its rows in pair order."""
-    table = bisector_table(_dedup_generators(list(graph.generators))[0], TOL)
-    ordered = sorted(table.bisectors(np.arange(table.first.size)), key=lambda b: b.pair)
-    return table, ordered
-
-
-def vertex_free_rows(table, graph):
-    """The rows of ``table`` whose pair meets no vertex of ``graph``."""
-    near = {p for v in graph.vertices for p in itertools.combinations(sorted(v.gens), 2)}
-    ids = [g.id for g in table.generators]
-    return np.array([k for k, (a, b) in enumerate(zip(table.first.tolist(),
-                                                      table.second.tolist()))
-                     if (ids[a], ids[b]) not in near], dtype=np.int64)
-
-
 @given(scenes())
 @settings(max_examples=25, deadline=None)
 def test_cross_bisector_visibility_matches_per_bisector(gens):
-    # every pair, as the per-bisector reference sees it: the build decides
-    # the vertex-free pairs in the table pass (_whole_components)
+    # the one pass over every table row against per-pair batches of one,
+    # and against the build
     graph = build_diagram(gens)
-    table, ordered = all_pairs(graph)
+    table, pair_row = all_pairs(gens)
     arr = SceneArrays(table.generators)
     eps = 1e-7 * (1.0 + graph.length_scale)
-    params, _ = _recover_params(graph.vertices, {b.pair: b for b in ordered}, eps, TOL)
-    vparams = [params.get(b.pair, {}) for b in ordered]
+    marks, _ = _recover_params(graph.vertices, table, pair_row, eps, TOL)
+    ordered = table.bisectors(np.arange(table.first.size))
     each = [
         edge_fields(e)
-        for b, vp in zip(ordered, vparams)
-        for e in visible_segments(b, vp, arr, TOL, graph.length_scale)
+        for row, b in enumerate(ordered)
+        for e in visible_segments(b, marks.get(row, {}), arr, TOL, graph.length_scale)
     ]
-    together, _ = _visible_pieces(ordered, vparams, arr, TOL, graph.length_scale)
+    together, _ = _visible_pieces(table, np.arange(table.first.size), marks, arr, TOL,
+                                  graph.length_scale)
     assert [edge_fields(e) for e in together] == each
-    assert sorted(each) == sorted(edge_fields(e) for e in graph.edges)
+    assert [edge_fields(e) for e in graph.edges] == each
     # the graph keeps the objects of the pairs that own an edge
     owners = {e.pair for e in graph.edges}
     assert sorted(graph.bisectors) == sorted(owners)
     assert [bisector_fields(graph.bisectors[b.pair]) for b in ordered if b.pair in owners] == [
         bisector_fields(b) for b in ordered if b.pair in owners]
-    # the table pass over the vertex-free pairs against the object path
-    free = vertex_free_rows(table, graph)
-    whole, rows, no_rep = _whole_components(table, free, arr, TOL, graph.length_scale)
-    free_pairs = {ordered[k].pair for k in free.tolist()}
-    assert sorted(edge_fields(e) for e in whole) == sorted(
-        edge_fields(e) for e in together if e.pair in free_pairs)
-    assert no_rep.size == sum(len(ordered[k].components) for k in free.tolist())
 
 
 def lopsided_case():
@@ -616,15 +615,31 @@ def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
     segs = visible_segments(b, vparams, gens, TOL, 1.0)
     assert [s.component for s in segs] == [0, 0, 1]
     assert segs[0].a0 == b.components[0].lo and segs[0].endpoints == (None, None)
+    # a mark exactly at the branch's singular start: recovery puts it on the
+    # branch (contains_alpha holds at an end), and the split's strict
+    # in-span filter drops it, so the branch is the unmarked whole component
+    comp = b.components[0]
+    end = next(t for t in b.param.singular_params if alpha_of_param(t) == comp.lo)
+    assert comp.contains_alpha(alpha_of_param(end))
+    at_end = {0: [(end, None)]}
+    assert _split_component(at_end[0], comp.lo, comp.hi, False, False, TOL) == []
+    plain = [edge_fields(e) for e in visible_segments(b, {}, gens, TOL, 1.0)]
+    assert [edge_fields(e) for e in visible_segments(b, at_end, gens, TOL, 1.0)] == plain
+    assert [s[6] for s in plain] == [0, 1]
+    # one piece, probed at its midpoint
+    assert assert_probe_levels_match_scalar(b, at_end, 1.0) == 0
 
 
 def assert_probe_levels_match_scalar(b, vparams, length_scale):
     """The level loop's representatives of a curve bisector's pieces equal
     the scalar probe sequence's, bit for bit (a whole component's: its
     midpoint's). Returns the number of lopsided pieces (one singular end)."""
-    pieces, probes = _candidate_pieces(b, vparams, TOL)
-    mid, anchor = np.array(probes).T
-    whole = np.array([p[5] for p in pieces], dtype=bool)
+    pieces = []  # (component, x0, x1, mid, anchor, whole)
+    for ci, comp in enumerate(b.components):
+        split = _split_component(vparams.get(ci, []), comp.lo, comp.hi, comp.closed, False, TOL)
+        pieces += [(ci, p[0], p[1], p[4], p[5], False) for p in split] or [
+            (ci, comp.lo, comp.hi, comp.midpoint(), comp.midpoint(), True)]
+    _, _, _, mid, anchor, whole = (np.array(col) for col in zip(*pieces))
     points, has_rep = _curve_representatives(
         chart_coefficients([b.param] * len(pieces)), np.full(len(pieces), b.param.u_scale),
         mid, anchor, whole, length_scale, TOL,
@@ -734,19 +749,16 @@ def benchmark_scenes():
 def test_no_recovery_miss_or_missing_representative_on_benchmark_scenes():
     for gens in benchmark_scenes():
         graph = build_diagram(gens)
-        table, ordered = all_pairs(graph)
+        table, pair_row = all_pairs(gens)
         arr = SceneArrays(table.generators)
         eps = 1e-7 * (1.0 + graph.length_scale)
-        params, miss = _recover_params(graph.vertices, {b.pair: b for b in ordered}, eps, TOL)
+        marks, miss = _recover_params(graph.vertices, table, pair_row, eps, TOL)
         assert not miss.any()
-        # one parameter per incidence
-        assert sum(len(e) for by_comp in params.values() for e in by_comp.values()) == miss.size
-        # every pair through the object path
-        vparams = [params.get(b.pair, {}) for b in ordered]
-        edges, no_rep = _visible_pieces(ordered, vparams, arr, TOL, graph.length_scale)
+        # one parameter per incidence, one incidence per pair of a vertex's generators
+        assert miss.size == sum(math.comb(len(v.gens), 2) for v in graph.vertices)
+        assert sum(len(e) for by_comp in marks.values() for e in by_comp.values()) == miss.size
+        # every row through the one visibility pass
+        edges, no_rep = _visible_pieces(table, np.arange(table.first.size), marks, arr, TOL,
+                                        graph.length_scale)
         assert not no_rep.any()
         assert len(edges) == len(graph.edges)
-        # and the vertex-free pairs through the table pass the build uses
-        free = vertex_free_rows(table, graph)
-        _, _, whole_no_rep = _whole_components(table, free, arr, TOL, graph.length_scale)
-        assert not whole_no_rep.any()
