@@ -3,13 +3,16 @@
 
 Generates a random anisotropic scene, builds the analytic diagram, rasterizes
 it both analytically and by brute-force nearest-generator labeling, and
-reports timing plus mismatch statistics. The defaults reproduce the
-148-generator, 400x400 reference run.
+reports timing plus mismatch statistics. The build line also gives the
+triple count of the sweep and the process's peak RSS so far. The defaults
+reproduce the 148-generator, 400x400 reference run.
 
     python scripts/random_scene_experiment.py --n 148 --seed 42 --res 400
 """
 
 import argparse
+import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -42,8 +45,13 @@ def main() -> int:
     t0 = time.perf_counter()
     graph = build_diagram(gens, threads=args.threads)
     t_build = time.perf_counter() - t0
+    # the sweep runs over the triples of the generators left after merging
+    # exact duplicates; ru_maxrss is in KiB on Linux
+    triples = math.comb(len(graph.generators) - len(graph.aliases), 3)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(
-        f"build: {t_build:.2f}s, {len(graph.vertices)} vertices, "
+        f"build: {t_build:.2f}s, {triples} triples, peak RSS {peak_mb:.1f} MB, "
+        f"{len(graph.vertices)} vertices, "
         f"{len(graph.edges)} edges, {len(graph.adjacency)} adjacent pairs, "
         f"{len(graph.empty_cells)} empty cells"
     )

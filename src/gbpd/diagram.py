@@ -38,11 +38,15 @@ The construction follows six steps:
 
 The triple loop is the O(n^3) heart and runs through the vectorized pencil
 kernel in the fewest chunks of at most _TRIPLE_CHUNK triples, cut to equal
-sizes so that the pool's threads get equal shares. The chunk count depends
-on the triple count only. Chunks are independent and merged in index
-order, so results are identical for any thread count. Every batched step
-repeats the operation order of its one-input form, so the diagram does not
-depend on how the work is batched.
+sizes so that the pool's threads get equal shares. A chunk is a range of
+ranks in the lexicographic triple order and builds its own triples from
+the O(n^2) pair arrays; no array over all C(n, 3) triples exists. Each
+triple's pencil temporaries take about 2 KB, so the sweep holds about
+threads x _TRIPLE_CHUNK x 2 KB, however many triples there are. The chunk
+count depends on the triple count only. Chunks are independent and merged
+in rank order, so results are identical for any thread count. Every
+batched step repeats the operation order of its one-input form, so the
+diagram does not depend on how the work is batched.
 
 Curve bookkeeping happens on the circular alpha domain (alpha = 2 atan t),
 where an ellipse is a plain circle, a hyperbola two arcs between its
@@ -88,7 +92,7 @@ from .intersect import PreparedPairs, globally_minimal, pencil_intersections_bat
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 TWO_PI = 2.0 * math.pi
-_TRIPLE_CHUNK = 32768
+_TRIPLE_CHUNK = 8192
 _POINT_CHUNK = 16384
 
 
@@ -235,22 +239,40 @@ def _dedup_generators(generators: list[Generator]) -> tuple[list[Generator], dic
     return kept, aliases
 
 
-def _triple_arrays(n: int) -> np.ndarray:
-    """All index triples i < j < k < n, in lexicographic order, shape (C(n, 3), 3).
+class _TripleOrder:
+    """The index triples i < j < k < n in lexicographic order, built by rank range.
 
     The pairs (j, k) of ``np.triu_indices`` are in lexicographic order, so
     the pairs that follow a first index i are the suffix starting at the
-    first pair with j = i + 1.
+    first pair with j = i + 1. ``start[i]`` is the rank of the first triple
+    with first index i. Only the O(n^2) pair arrays are held; the rows of a
+    range are built when asked for.
     """
-    if n < 3:
-        return np.zeros((0, 3), dtype=np.int64)
-    pj, pk = np.triu_indices(n, 1)
-    first = np.arange(n - 2)
-    counts = (n - 1 - first) * (n - 2 - first) // 2  # pairs (j, k) with j > i
-    suffix = np.cumsum(n - 1 - first)  # first pair with j = i + 1
-    block = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    rows = np.arange(int(counts.sum())) + np.repeat(suffix - block, counts)
-    return np.stack([np.repeat(first, counts), pj[rows], pk[rows]], axis=1).astype(np.int64)
+
+    def __init__(self, n: int):
+        self.pj, self.pk = np.triu_indices(n, 1)
+        first = np.arange(max(n - 2, 0))
+        counts = (n - 1 - first) * (n - 2 - first) // 2  # pairs (j, k) with j > i
+        self.start = np.concatenate([[0], np.cumsum(counts)])
+        self.suffix = np.cumsum(n - 1 - first)  # first pair with j = i + 1
+        self.count = int(self.start[-1])
+
+    def ranges(self, parts: int) -> list[tuple[int, int]]:
+        """``parts`` rank ranges [lo, hi) that cover the order, as
+        ``np.array_split`` cuts it: sizes differ by one at most, the longer
+        ranges first."""
+        if parts == 0:
+            return []
+        size, extra = divmod(self.count, parts)
+        bounds = np.cumsum([0] + [size + 1] * extra + [size] * (parts - extra))
+        return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The triples of ranks lo to hi - 1, shape (hi - lo, 3), int64."""
+        rank = np.arange(lo, hi)
+        i = np.searchsorted(self.start, rank, side="right") - 1
+        pair = rank - self.start[i] + self.suffix[i]
+        return np.stack([i, self.pj[pair], self.pk[pair]], axis=1).astype(np.int64, copy=False)
 
 
 def _candidate_chunk(
@@ -289,16 +311,18 @@ def _collect_vertices(
     tol: ToleranceSet,
     threads: int,
 ) -> list[Vertex]:
-    triples = _triple_arrays(len(kept))
-    # chunk sizes differ by one triple at most
-    count = -(-triples.shape[0] // _TRIPLE_CHUNK)
-    chunks = np.array_split(triples, count) if count else []
-    if threads <= 1 or len(chunks) <= 1:
-        results = [_candidate_chunk(c, prep, pair_row, arr, tol) for c in chunks]
+    order = _TripleOrder(len(kept))
+    # chunk sizes differ by one triple at most; a chunk builds its own triples
+    ranges = order.ranges(-(-order.count // _TRIPLE_CHUNK))
+
+    def run(r: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        return _candidate_chunk(order.rows(*r), prep, pair_row, arr, tol)
+
+    if threads <= 1 or len(ranges) <= 1:
+        results = [run(r) for r in ranges]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _candidate_chunk(c, prep, pair_row, arr, tol),
-                                    chunks))
+            results = list(pool.map(run, ranges))
     cand = np.concatenate([np.zeros((0, 2))] + [r[0] for r in results])
     trip = np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [r[1] for r in results])
     # canonical order, then cluster within the dedup radius

@@ -248,9 +248,16 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
 # -------------------------------------------------------------- edge length
 
 
+def _bounded(graph: DiagramGraph, e: EdgeSegment) -> bool:
+    """True for an edge of finite length. A parabola component with no
+    vertex is labelled a loop, as an ellipse is, but it runs through its
+    singular parameter to infinity."""
+    return e.is_finite() and not (e.is_loop() and graph.bisectors[e.pair].param.singular_params)
+
+
 def edge_arc_length(graph: DiagramGraph, e: EdgeSegment) -> float:
     """Length of one edge segment; finite intervals and closed loops only."""
-    if not e.is_finite():
+    if not _bounded(graph, e):
         raise NonFiniteSegmentError(f"edge {e.id} runs to infinity; clip it first")
     if e.is_curve():
         param = graph.bisectors[e.pair].param
@@ -377,7 +384,7 @@ def _cell_loops(g: DiagramGraph | ClippedDiagram, cell: int) -> tuple:
             f"cell {cell} has no boundary at all; clip to a window first"
         )
     for eid in sorted(edge_ids):
-        if not g.edges[eid].is_finite():
+        if not _bounded(g, g.edges[eid]):
             raise UnboundedCellError(f"cell {cell} is open along edge {eid}")
     return bounded_cell_pieces(g, cell)
 

@@ -50,7 +50,7 @@ from gbpd.diagram import (
     _polish_vertices,
     _recover_params,
     _split_component,
-    _triple_arrays,
+    _TripleOrder,
     _two_nearest,
     _visible_pieces,
     build_diagram,
@@ -309,11 +309,23 @@ def test_batched_two_nearest_matches_per_point(preset, n, seed, factor):
 
 @pytest.mark.parametrize("n", range(13))
 def test_triple_arrays_match_combinations(n):
-    got = _triple_arrays(n)
+    # the rank ranges of any chunk count, each built on its own, concatenate
+    # to all triples in lexicographic order, cut as np.array_split cuts them
     ref = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
-    assert got.dtype == np.int64
-    assert got.shape == ref.shape
-    assert (got == ref).all()
+    order = _TripleOrder(n)
+    assert order.count == ref.shape[0]
+    for parts in sorted({1, 2, 7, order.count} - {0}):
+        ranges = order.ranges(parts)
+        assert len(ranges) == parts
+        chunks = [order.rows(lo, hi) for lo, hi in ranges]
+        assert all(c.dtype == np.int64 and c.shape == (hi - lo, 3)
+                   for c, (lo, hi) in zip(chunks, ranges))
+        got = np.concatenate(chunks)
+        assert (got == ref).all()
+        sizes = [hi - lo for lo, hi in ranges]
+        assert max(sizes) - min(sizes) <= 1
+        assert sizes == [len(c) for c in np.array_split(ref, parts)]
+    assert order.ranges(0) == []
 
 
 # ------------------------------------------------------- parameter recovery

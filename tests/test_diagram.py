@@ -1,6 +1,8 @@
 """Diagram construction: vertices, visibility, topology, determinism."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,14 +275,47 @@ def test_determinism_across_threads_and_runs():
     assert s1 == s3
 
 
-@pytest.mark.parametrize("chunk", [1000, 7919])
+@pytest.mark.parametrize("chunk", [1000, 7919, 32768])
 def test_triple_chunking_does_not_change_the_diagram(monkeypatch, chunk):
-    # the dense benchmark scene (59,640 triples): 60 and 8 chunks instead of 2
+    # the dense benchmark scene (59,640 triples) in 60, 8 and 2 chunks; the
+    # default cuts the same 8 as 7919, so that case varies the threads alone
     gens = preset_scene("paper-random", 72, 42, Window(0.0, 0.0, 400.0, 400.0))
     reference = diagram_to_json(build_diagram(gens, threads=2))
     monkeypatch.setattr(gdiagram, "_TRIPLE_CHUNK", chunk)
     for threads in (1, 2):
         assert diagram_to_json(build_diagram(gens, threads=threads)) == reference
+
+
+def test_triple_sweep_memory_does_not_grow_with_the_triple_count(monkeypatch):
+    # paper-random n=100 has 161,700 triples, 3.9 MB as one int64 array of
+    # indices; in 1,024-triple chunks the whole sweep must peak below that
+    window = Window(0.0, 0.0, 400.0, 400.0)
+    monkeypatch.setattr(gdiagram, "_TRIPLE_CHUNK", 1024)
+    # tracemalloc looks up the line of every allocation, and CPython 3.11
+    # scans a function's line table for it unless the code object keeps a
+    # line array, which it gets when entered under a profiler: one small
+    # profiled build keeps the traced sweep below 3 s
+    sys.setprofile(lambda *args: None)
+    try:
+        build_diagram(preset_scene("paper-random", 8, 42, window))
+    finally:
+        sys.setprofile(None)
+    peaks = []
+    collect = gdiagram._collect_vertices
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            out = collect(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(gdiagram, "_collect_vertices", traced)
+    build_diagram(preset_scene("paper-random", 100, 42, window))
+    assert len(peaks) == 1
+    assert peaks[0] < 161_700 * 3 * 8
 
 
 def test_far_ray_representative_keeps_vertex_degree_three():

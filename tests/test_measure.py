@@ -196,6 +196,23 @@ def test_cell_with_ray_is_unbounded():
         measure_cells(graph)
 
 
+def test_parabola_loop_is_unbounded():
+    # a whole parabola component is labelled "loop", as an ellipse is, but
+    # it runs through its singular parameter (alpha 0) to infinity
+    gens = [iso(0, 0.0, 0.0), Generator(1, (3.0, 0.0), SymMat2(1.0, 0.0, 2.0), 0.0)]
+    graph = build_diagram(gens)
+    assert [e.kind for e in graph.edges] == ["loop"]
+    assert graph.bisectors[(0, 1)].param.singular_params == (0.0,)
+    with pytest.raises(NonFiniteSegmentError):
+        edge_arc_length(graph, graph.edges[0])
+    for gid in (0, 1):
+        with pytest.raises(UnboundedCellError):
+            cell_area(gid, graph)
+    window = Window(-10.0, -10.0, 10.0, 10.0)
+    total = sum(m.area for m in measure_cells(clip_to_window(graph, window)).values())
+    assert abs(total - window.area()) <= 1e-9 * window.area()
+
+
 def test_half_window_cells():
     gens = [iso(0, 150.0, 200.0), iso(1, 250.0, 200.0)]
     cd = clip_to_window(build_diagram(gens), Window(0.0, 0.0, 400.0, 400.0))
