@@ -29,12 +29,10 @@ from .geometry import (
     special_distances,
 )
 from .serialize import diagram_from_json, diagram_to_json, read_diagram, write_diagram
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOLERANCES",
     "DimensionMismatchError",
     "EllipseGeom",
     "GbpdError",
@@ -48,7 +46,6 @@ __all__ = [
     "SceneArrays",
     "SingularParameterError",
     "SymMat2",
-    "ToleranceSet",
     "UnboundedCellError",
     "Window",
     "diagram_from_json",

@@ -70,7 +70,7 @@ from .conic import (
 )
 from .errors import NoSolutionError, SingularParameterError
 from .geometry import Generator, as_point, row_dot
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import DEN_REL, PARAM_MERGE
 
 TWO_PI = 2.0 * math.pi
 
@@ -277,7 +277,6 @@ class BisectorTable:
 
 def bisector_table(
     generators,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BisectorTable:
     """The bisectors of generator pairs, all at once, as a :class:`BisectorTable`.
@@ -307,18 +306,14 @@ def bisector_table(
     moved = (h != 1.0) | (c[:, 0] != 0.0) | (c[:, 1] != 0.0)
     hat = np.where(moved[:, None], _implicit_rows(_rescaled(ci, c, h), _rescaled(cj, c, h)),
                    implicit)
-    rows = classify_rows(hat, tol, 2.0, frame=(h, c))
+    rows = classify_rows(hat, 2.0, frame=(h, c))
     chart = charts_of_triples(rows.triples)
     u = np.abs(rows.triples[:, 2])
     return BisectorTable(generators, first, second, implicit, rows.code, chart,
                          u[:, 0] + u[:, 1] + u[:, 2], rows.singular, rows.lines, rows.line_count)
 
 
-def make_bisectors(
-    gens_i,
-    gens_j,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-) -> list[Bisector]:
+def make_bisectors(gens_i, gens_j) -> list[Bisector]:
     """Bisectors of the pairs (gens_i[k], gens_j[k]), all at once.
 
     The objects of a :class:`BisectorTable` of these pairs.
@@ -327,23 +322,19 @@ def make_bisectors(
     if len(gens_i) != len(gens_j):
         raise ValueError("make_bisectors needs one second generator per first one")
     p = len(gens_i)
-    table = bisector_table(gens_i + gens_j, tol, (np.arange(p), p + np.arange(p)))
+    table = bisector_table(gens_i + gens_j, (np.arange(p), p + np.arange(p)))
     return table.bisectors(np.arange(p))
 
 
-def make_bisector(
-    gi: Generator,
-    gj: Generator,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-) -> Bisector:
+def make_bisector(gi: Generator, gj: Generator) -> Bisector:
     """Build the full bisector representation for a generator pair.
 
     A batch of one of :func:`make_bisectors`.
     """
-    return make_bisectors([gi], [gj], tol)[0]
+    return make_bisectors([gi], [gj])[0]
 
 
-def _project_params(coef, u_scale, v, t, tol: ToleranceSet) -> np.ndarray:
+def _project_params(coef, u_scale, v, t) -> np.ndarray:
     """Polish near-hit parameters t (N,) by projecting the points v (N, 2) onto their curves.
 
     Three Gauss-Newton steps on the squared distance in alpha space; the raw
@@ -363,7 +354,7 @@ def _project_params(coef, u_scale, v, t, tol: ToleranceSet) -> np.ndarray:
     have = np.zeros(rows.size, dtype=bool)  # best_d2 holds a value
     live = np.ones(rows.size, dtype=bool)
     for step in range(4):
-        x, y, dvx, dvy, singular = points_at_alphas(coef, u_scale, alpha, tol)
+        x, y, dvx, dvy, singular = points_at_alphas(coef, u_scale, alpha)
         live &= ~singular
         rx, ry = vx - x, vy - y
         d2 = rx * rx + ry * ry
@@ -381,26 +372,26 @@ def _project_params(coef, u_scale, v, t, tol: ToleranceSet) -> np.ndarray:
     return out
 
 
-def _merge_params(ts, alphas, found, tol: ToleranceSet) -> np.ndarray:
+def _merge_params(ts, alphas, found) -> np.ndarray:
     """Drop near-duplicates from rows of parameters sorted by alpha.
 
     Each found entry is compared with the last kept one of its row and
-    dropped when the two are within 10 param_merge in alpha or within
-    param_merge relative in t; then the row's last kept entry is dropped
-    when it comes within 10 param_merge of its first across the wrap.
+    dropped when the two are within 10 PARAM_MERGE in alpha or within
+    PARAM_MERGE relative in t; then the row's last kept entry is dropped
+    when it comes within 10 PARAM_MERGE of its first across the wrap.
     """
     keep = found.copy()
     rows = np.flatnonzero(found.sum(axis=1) > 1)
     if rows.size == 0:
         return keep
     ts, alphas, found = ts[rows], np.where(found[rows], alphas[rows], 0.0), found[rows]
-    near = tol.param_merge * 10.0
+    near = PARAM_MERGE * 10.0
     prev_t, prev_a = ts[:, 0], alphas[:, 0]
     last = np.zeros(rows.size, dtype=np.int64)
     for k in range(1, int(found.sum(axis=1).max())):
         t = ts[:, k]
         with np.errstate(invalid="ignore"):
-            close_t = np.abs(t - prev_t) <= tol.param_merge * (1.0 + np.abs(t) + np.abs(prev_t))
+            close_t = np.abs(t - prev_t) <= PARAM_MERGE * (1.0 + np.abs(t) + np.abs(prev_t))
         same_t = np.isfinite(t) & np.isfinite(prev_t) & close_t
         kept = found[:, k] & ~((np.abs(wrap_angles(alphas[:, k] - prev_a)) <= near) | same_t)
         keep[rows, k] = kept
@@ -413,7 +404,7 @@ def _merge_params(ts, alphas, found, tol: ToleranceSet) -> np.ndarray:
     return keep
 
 
-def params_of_points(coef, u_scale, points, eps, tol: ToleranceSet):
+def params_of_points(coef, u_scale, points, eps):
     """Parameters t (inf allowed) of N (curve, point) pairs whose curve point lies within eps.
 
     Row k pairs the curve with chart triples ``coef[k]`` (N, 2, 3, 3, from
@@ -444,47 +435,40 @@ def params_of_points(coef, u_scale, points, eps, tol: ToleranceSet):
     valid[:, 4] = far_root
     x, y, u = homogeneous_at_params(coef, cand)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ok = valid & ~(np.abs(u) <= tol.den_rel * u_scale[:, None])
+        ok = valid & ~(np.abs(u) <= DEN_REL * u_scale[:, None])
         ex, ey = x / u - v[:, 0, None], y / u - v[:, 1, None]
     r, c = np.nonzero(ok)
     near = np.array([math.hypot(a, b) for a, b in zip(ex[r, c].tolist(), ey[r, c].tolist())])
     hit = near <= eps[r]
     r, c = r[hit], c[hit]
     ts = np.full((n, 5), math.nan)
-    ts[r, c] = _project_params(coef[r], u_scale[r], v[r], cand[r, c], tol)
+    ts[r, c] = _project_params(coef[r], u_scale[r], v[r], cand[r, c])
     alphas = np.full((n, 5), math.inf)  # misses sort last
     alphas[r, c] = alphas_of_params(ts[r, c])
     order = np.argsort(alphas, axis=1, kind="stable")
     found = np.zeros((n, 5), dtype=bool)
     found[r, c] = True
     ts, alphas, found = (np.take_along_axis(a, order, axis=1) for a in (ts, alphas, found))
-    return ts, _merge_params(ts, alphas, found, tol)
+    return ts, _merge_params(ts, alphas, found)
 
 
-def param_of_point(
-    p: ParametrizedConic,
-    v,
-    eps: float,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-) -> list[float]:
+def param_of_point(p: ParametrizedConic, v, eps: float) -> list[float]:
     """All parameters t (math.inf allowed) whose curve point lies within eps of v.
 
     A batch of one of :func:`params_of_points`. Raises NoSolutionError when
     nothing qualifies.
     """
     v = as_point(v)
-    ts, found = params_of_points(chart_coefficients([p]), np.array([p.u_scale]), v[None], eps, tol)
+    ts, found = params_of_points(chart_coefficients([p]), np.array([p.u_scale]), v[None], eps)
     if not found[0].any():
         raise NoSolutionError(f"point {tuple(v)} does not lie on the curve within {eps}")
     return ts[0][found[0]].tolist()
 
 
-def alphas_of_point(
-    b: Bisector, v, eps: float, tol: ToleranceSet = DEFAULT_TOLERANCES
-) -> list[float]:
+def alphas_of_point(b: Bisector, v, eps: float) -> list[float]:
     """Parameters of a point on a curved bisector, in alpha space."""
     assert b.param is not None
-    return [alpha_of_param(t) for t in param_of_point(b.param, v, eps, tol)]
+    return [alpha_of_param(t) for t in param_of_point(b.param, v, eps)]
 
 
 def bisector_has_points(b: Bisector) -> bool:
@@ -495,7 +479,6 @@ def sample_points(
     b: Bisector,
     count: int = 64,
     line_span: float = 100.0,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
 ) -> list[np.ndarray]:
     """Evenly spread points over every component of a bisector.
 
@@ -517,7 +500,7 @@ def sample_points(
         margin = 0.0 if comp.closed else 0.02 * span
         alpha = np.linspace(comp.lo + margin, comp.hi - margin, per, endpoint=not comp.closed)
         x, y, _, _, singular = points_at_alphas(chart_coefficients([b.param] * per),
-                                                np.full(per, b.param.u_scale), alpha, tol)
+                                                np.full(per, b.param.u_scale), alpha)
         if singular.any():
             raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
         pts.extend(np.column_stack([x, y]))

@@ -25,7 +25,6 @@ from .measure import measure_cells
 from .oracle import compare_labels, rasterize, rasterize_cells, read_pgm, write_pgm
 from .render import write_svg
 from .serialize import read_diagram, write_diagram
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 DEFAULT_WINDOW = (0.0, 0.0, 400.0, 400.0)
 
@@ -40,36 +39,17 @@ def _window(args) -> Window:
     return Window(x0, y0, x1, y1)
 
 
-def _tolerances(args) -> ToleranceSet:
-    tol = DEFAULT_TOLERANCES
-    overrides = {}
-    for item in args.tol or ():
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise InputError(f"--tol expects name=value, got {item!r}")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            raise InputError(f"--tol {name}: {value!r} is not a number") from None
-    if overrides:
-        try:
-            tol = tol.with_overrides(**overrides)
-        except TypeError as exc:
-            raise InputError(f"--tol: {exc}") from None
-    return tol
-
-
-def _load_any(path: str, tol: ToleranceSet):
+def _load_any(path: str):
     """Scene generators from a CSV scene or a diagram JSON file."""
     if path.endswith(".json"):
-        return read_diagram(path, tol)
+        return read_diagram(path)
     return load_scene(path)
 
 
-def _load_graph(args, tol: ToleranceSet):
+def _load_graph(args):
     """Diagram graph of ``--input``: built from a CSV scene, or read from diagram JSON."""
-    loaded = _load_any(args.input, tol)
-    return build_diagram(loaded, tol, threads=args.threads) if isinstance(loaded, list) else loaded
+    loaded = _load_any(args.input)
+    return build_diagram(loaded, threads=args.threads) if isinstance(loaded, list) else loaded
 
 
 # ------------------------------------------------------------------- gen
@@ -119,9 +99,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    tol = _tolerances(args)
     generators = load_scene(args.input)
-    graph = build_diagram(generators, tol, threads=args.threads)
+    graph = build_diagram(generators, threads=args.threads)
     write_diagram(args.out, graph)
     print(
         f"{len(graph.vertices)} vertices, {len(graph.edges)} edges, "
@@ -138,13 +117,12 @@ def cmd_compute(args) -> int:
 
 
 def cmd_raster(args) -> int:
-    tol = _tolerances(args)
     window = _window(args)
     if args.analytic:
-        cd = clip_to_window(_load_graph(args, tol), window)
+        cd = clip_to_window(_load_graph(args), window)
         img = rasterize_cells(cd, args.width, args.height)
     else:
-        loaded = _load_any(args.input, tol)
+        loaded = _load_any(args.input)
         generators = loaded if isinstance(loaded, list) else loaded.generators
         img = rasterize(generators, window, args.width, args.height)
     write_pgm(img, args.out)
@@ -157,7 +135,7 @@ def cmd_raster(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    graph = _load_graph(args, _tolerances(args))
+    graph = _load_graph(args)
     measures = measure_cells(clip_to_window(graph, _window(args)))
     neighbor_count = {g.id: 0 for g in graph.generators}
     for i, j in graph.adjacency:
@@ -231,15 +209,8 @@ def _add_window(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> None:
-    p.add_argument(
-        "--tol",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a tolerance field (repeatable)",
-    )
-    if threads:
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg-width", type=int, default=800, help="SVG width in px")
     p.add_argument("--vertex-markers", action="store_true", help="mark vertices in the SVG")
     _add_window(p)
-    _add_common(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("raster", help="rasterize a scene or diagram to a PGM label image")
@@ -278,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output PGM path")
     _add_window(p)
-    _add_common(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_raster)
 
     p = sub.add_parser("measure", help="cell areas and perimeters as CSV")
     p.add_argument("--input", required=True, help="scene CSV or diagram JSON path")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     _add_window(p)
-    _add_common(p)
+    _add_threads(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("compare", help="mismatch statistics between two label images")

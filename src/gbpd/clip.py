@@ -41,7 +41,7 @@ from .conic import (
 from .diagram import DiagramGraph, merge_marks, split_at_marks
 from .errors import NoSolutionError, SingularParameterError
 from .geometry import SceneArrays, Window
-from .tolerances import ToleranceSet
+from .tolerances import DEDUP_REL, DEN_REL, PARAM_MERGE
 
 TWO_PI = 2.0 * math.pi
 _FLATTEN_DEPTH = 14
@@ -93,7 +93,7 @@ class ClippedDiagram:
     cells: dict[int, list[list[tuple[int, bool]]]]
 
 
-def piece_points(graph: DiagramGraph, pieces, f, tol: ToleranceSet) -> np.ndarray:
+def piece_points(graph: DiagramGraph, pieces, f) -> np.ndarray:
     """Points (N, 2) at fraction f[k] in [0, 1] along pieces[k], in its stored direction.
 
     ``f`` is one fraction per piece, or one for all. The arc and segment
@@ -110,12 +110,11 @@ def piece_points(graph: DiagramGraph, pieces, f, tol: ToleranceSet) -> np.ndarra
     rows = [k for k, p in enumerate(pieces) if p.kind != "boundary"]
     a0 = np.array([pieces[k].a0 for k in rows])
     a = a0 + f[rows] * (np.array([pieces[k].a1 for k in rows]) - a0)
-    out[rows] = _regular_rows(graph, [pieces[k] for k in rows], a, tol)[:, :2]
+    out[rows] = _regular_rows(graph, [pieces[k] for k in rows], a)[:, :2]
     return out
 
 
-def flatten_pieces(graph: DiagramGraph, pieces, ftol: float,
-                   tol: ToleranceSet) -> list[np.ndarray]:
+def flatten_pieces(graph: DiagramGraph, pieces, ftol: float) -> list[np.ndarray]:
     """Polylines (M, 2) along pieces in their stored direction, end points included.
 
     A border or straight piece is its chord. An arc starts from its knots
@@ -130,7 +129,7 @@ def flatten_pieces(graph: DiagramGraph, pieces, ftol: float,
     arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
     knots = {k: [0.0, 0.25, 0.5, 0.75, 1.0] if pieces[k].closed else [0.0, 0.5, 1.0] for k in arcs}
     rows = [(k, f) for k in arcs for f in knots[k]]
-    at = piece_points(graph, [pieces[k] for k, _ in rows], np.array([f for _, f in rows]), tol)
+    at = piece_points(graph, [pieces[k] for k, _ in rows], np.array([f for _, f in rows]))
     ends = {k: at[r] for r, (k, f) in enumerate(rows) if f == 1.0}
     # open spans (piece, f0, f1, p0, p1) of the current depth
     spans = [
@@ -143,7 +142,7 @@ def flatten_pieces(graph: DiagramGraph, pieces, ftol: float,
         if not spans:
             break
         fm = np.array([0.5 * (f0 + f1) for _, f0, f1, _, _ in spans])
-        pm = piece_points(graph, [pieces[k] for k, *_ in spans], fm, tol)
+        pm = piece_points(graph, [pieces[k] for k, *_ in spans], fm)
         p0 = np.array([sp[3] for sp in spans])
         chord = np.array([sp[4] for sp in spans]) - p0
         n = np.array([math.hypot(cx, cy) for cx, cy in chord.tolist()])
@@ -176,8 +175,7 @@ def loop_polygons(lines, loops) -> list[np.ndarray]:
     ]
 
 
-def _piece_rows(graph: DiagramGraph, pieces, param: np.ndarray,
-                tol: ToleranceSet) -> tuple[np.ndarray, np.ndarray]:
+def _piece_rows(graph: DiagramGraph, pieces, param: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, y, vx, vy) rows (N, 4) of arc and segment pieces at ``param`` (alpha
     for an arc, t for a segment, whose velocity is its line's direction), and
     the mask of rows at a singular parameter; one ``points_at_alphas`` call
@@ -189,7 +187,7 @@ def _piece_rows(graph: DiagramGraph, pieces, param: np.ndarray,
     if arcs:
         params = [graph.bisectors[pieces[k].pair].param for k in arcs]
         *xyv, singular[arcs] = points_at_alphas(
-            chart_coefficients(params), np.array([p.u_scale for p in params]), param[arcs], tol)
+            chart_coefficients(params), np.array([p.u_scale for p in params]), param[arcs])
         out[arcs] = np.column_stack(xyv)
     if segments:
         rows = _line_rows(graph, [pieces[k] for k in segments])
@@ -198,9 +196,9 @@ def _piece_rows(graph: DiagramGraph, pieces, param: np.ndarray,
     return out, singular
 
 
-def _regular_rows(graph: DiagramGraph, pieces, param: np.ndarray, tol: ToleranceSet) -> np.ndarray:
+def _regular_rows(graph: DiagramGraph, pieces, param: np.ndarray) -> np.ndarray:
     """``_piece_rows`` of pieces that must not meet a singular parameter; one that does raises."""
-    rows, singular = _piece_rows(graph, pieces, param, tol)
+    rows, singular = _piece_rows(graph, pieces, param)
     if singular.any():
         raise SingularParameterError(f"alpha={param[singular][0]} lies on the line at infinity")
     return rows
@@ -233,7 +231,7 @@ def _sides(window: Window):
     )
 
 
-def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float, tol: ToleranceSet):
+def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
     """Window crossings of curved edges: per edge, a list of (offset from a0, (pos, side)).
 
     The four side quadratics x^(t) - X u^(t) (y^ for horizontal sides) of
@@ -253,7 +251,7 @@ def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float, to
     far = np.full(roots.shape[:2] + (1,), math.inf)
     t = np.where(ok, np.concatenate([roots, far], axis=-1), 0.0)
     x, y, u = (v.reshape(t.shape) for v in homogeneous_at_params(coef, t.reshape(len(edges), -1)))
-    ok &= ~(np.abs(u) <= tol.den_rel * np.array([p.u_scale for p in params])[:, None, None])
+    ok &= ~(np.abs(u) <= DEN_REL * np.array([p.u_scale for p in params])[:, None, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         px, py = x / u, y / u
     other = np.where((axis == 0)[:, None], py, px)
@@ -298,15 +296,13 @@ def _line_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
 
 
 def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
-    """Cut the diagram against a window and assemble closed cell loops,
-    with the tolerances the graph was built with."""
-    tol = graph.tol
-    snap = tol.dedup_rel * window.diagonal
+    """Cut the diagram against a window and assemble closed cell loops."""
+    snap = DEDUP_REL * window.diagonal
     # pieces must be strictly interior: a bisector running along the border
     # itself separates nothing inside the window (ownership ties on the
     # border resolve to the smaller id, matching the rasterizer)
     strict = 1e-12 * window.diagonal
-    arc_gap = 2.0 * tol.param_merge
+    arc_gap = 2.0 * PARAM_MERGE
     nodes: list[ClipNode] = []
 
     for k, (cx, cy) in enumerate(window.corners()):
@@ -332,7 +328,7 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
 
     curved = [e for e in graph.edges if e.is_curve()]
     straight = [e for e in graph.edges if not e.is_curve()]
-    crossings = dict(zip((e.id for e in curved), _curve_crossings(graph, curved, window, snap, tol)))
+    crossings = dict(zip((e.id for e in curved), _curve_crossings(graph, curved, window, snap)))
     crossings.update(zip((e.id for e in straight), _line_crossings(graph, straight, window, snap)))
 
     # candidate pieces in edge order, as (piece, parameter of its
@@ -368,7 +364,7 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
             if not (math.isinf(t0) or math.isinf(t1)):
                 candidate("segment", e, t0, t1, n0, n1, False, 0.5 * (t0 + t1))
 
-    pieces = _kept_pieces(graph, candidates, window, tol)
+    pieces = _kept_pieces(graph, candidates, window)
     # window border pieces between consecutive boundary nodes
     boundary_nodes = [nd for nd in nodes if nd.boundary_s is not None]
     boundary_nodes.sort(key=lambda nd: nd.boundary_s)
@@ -392,14 +388,13 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
         owner = np.where(d == d.min(axis=1, keepdims=True), arr.ids, arr.ids.max() + 1).min(axis=1)
         for piece, gid in zip(border, owner.tolist()):
             piece.left = gid
-    _assign_sides(graph, pieces, tol)
+    _assign_sides(graph, pieces)
     pieces += border
     cells = _assemble_cells(graph, pieces)
     return ClippedDiagram(window, graph, nodes, pieces, cells)
 
 
-def _kept_pieces(graph: DiagramGraph, candidates, window: Window,
-                 tol: ToleranceSet) -> list[ClipPiece]:
+def _kept_pieces(graph: DiagramGraph, candidates, window: Window) -> list[ClipPiece]:
     """The candidate pieces that lie inside the window, numbered in order.
 
     A piece is kept when the point at its test parameter is regular and
@@ -407,29 +402,29 @@ def _kept_pieces(graph: DiagramGraph, candidates, window: Window,
     (``_set_ends``). All test points come from one ``_piece_rows`` call.
     """
     rows, singular = _piece_rows(graph, [piece for piece, _, _ in candidates],
-                                 np.array([t for _, t, _ in candidates]), tol)
+                                 np.array([t for _, t, _ in candidates]))
     x, y = rows[:, 0], rows[:, 1]
     m = np.array([margin for _, _, margin in candidates])
     inside = (~singular & (window.xmin + m <= x) & (x <= window.xmax - m)
               & (window.ymin + m <= y) & (y <= window.ymax - m)).tolist()
     pieces = [piece for (piece, _, _), keep in zip(candidates, inside) if keep]
-    _set_ends(graph, pieces, tol)
+    _set_ends(graph, pieces)
     for k, piece in enumerate(pieces):
         piece.id = k
     return pieces
 
 
-def _set_ends(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
+def _set_ends(graph: DiagramGraph, pieces) -> None:
     """Set p0 and p1 of the segment pieces, and p0 (p1) of the arc pieces with
     a start (end) node; all the points come from one ``_piece_rows`` call."""
     ends = [(p, "p0", p.a0) for p in pieces if p.kind == "segment" or p.node_a is not None]
     ends += [(p, "p1", p.a1) for p in pieces if p.kind == "segment" or p.node_b is not None]
-    rows = _regular_rows(graph, [p for p, _, _ in ends], np.array([a for _, _, a in ends]), tol)
+    rows = _regular_rows(graph, [p for p, _, _ in ends], np.array([a for _, _, a in ends]))
     for (piece, field, _), q in zip(ends, rows):
         setattr(piece, field, q[:2])
 
 
-def _assign_sides(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
+def _assign_sides(graph: DiagramGraph, pieces) -> None:
     """Fill the (left, right) cell ids of bisector pieces in their stored direction.
 
     The tangent at a piece's mid-parameter is crossed with the gradient of
@@ -438,8 +433,7 @@ def _assign_sides(graph: DiagramGraph, pieces, tol: ToleranceSet) -> None:
     """
     if not pieces:
         return
-    x, y, vx, vy = _regular_rows(graph, pieces, np.array([0.5 * (p.a0 + p.a1) for p in pieces]),
-                                 tol).T
+    x, y, vx, vy = _regular_rows(graph, pieces, np.array([0.5 * (p.a0 + p.a1) for p in pieces])).T
     # ConicImplicit with array fields evaluates one conic per entry
     coeffs = np.array([graph.bisectors[p.pair].implicit.coeffs() for p in pieces], dtype=float)
     gx, gy = ConicImplicit(*coeffs.T).gradient(x, y)
@@ -530,7 +524,7 @@ def bounded_cell_pieces(
         pieces[eid] = ClipPiece(eid, "arc" if e.is_curve() else "segment", e.pair, eid,
                                 e.line_index, e.a0, e.a1, *e.endpoints, e.is_loop(),
                                 None, None, None, None)
-    _set_ends(graph, list(pieces.values()), graph.tol)
-    _assign_sides(graph, list(pieces.values()), graph.tol)
+    _set_ends(graph, list(pieces.values()))
+    _assign_sides(graph, list(pieces.values()))
     directed = [(eid, piece.left == cell) for eid, piece in pieces.items()]
     return pieces, _chain_cell(cell, pieces, directed)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InputError, SingularParameterError
 from .geometry import hypots, sym2_eigh
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import CLASS_REL, DEN_REL, RANK_REL
 
 _HALF_PI = 0.5 * math.pi
 # a leading coefficient at most this far below the largest one drops the degree
@@ -277,28 +277,28 @@ class ParametrizedConic:
     def singular_alphas(self) -> tuple[float, ...]:
         return tuple(alpha_of_param(t) for t in self.singular_params)
 
-    def point_at(self, t: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
+    def point_at(self, t: float) -> np.ndarray:
         """Curve point at parameter t; a batch of one of ``homogeneous_at_params``."""
         x, y, u = (v[0, 0] for v in homogeneous_at_params(chart_coefficients([self]),
                                                           np.array([[float(t)]])))
-        if abs(u) <= tol.den_rel * self._u_scale:
+        if abs(u) <= DEN_REL * self._u_scale:
             raise SingularParameterError(f"parameter t={t} lies on the line at infinity")
         return np.array([x / u, y / u])
 
-    def _at_alpha(self, alpha: float, tol: ToleranceSet):
+    def _at_alpha(self, alpha: float):
         x, y, vx, vy, singular = points_at_alphas(
-            chart_coefficients([self]), np.array([self._u_scale]), np.array([float(alpha)]), tol)
+            chart_coefficients([self]), np.array([self._u_scale]), np.array([float(alpha)]))
         if singular[0]:
             raise SingularParameterError(f"alpha={alpha} lies on the line at infinity")
         return x[0], y[0], vx[0], vy[0]
 
-    def point_at_alpha(self, alpha: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
+    def point_at_alpha(self, alpha: float) -> np.ndarray:
         """Curve point at alpha; a batch of one of ``points_at_alphas``."""
-        return np.array(self._at_alpha(alpha, tol)[:2])
+        return np.array(self._at_alpha(alpha)[:2])
 
-    def velocity_at_alpha(self, alpha: float, tol: ToleranceSet = DEFAULT_TOLERANCES) -> np.ndarray:
+    def velocity_at_alpha(self, alpha: float) -> np.ndarray:
         """d(x, y)/d alpha, smooth across the chart switch; a batch of one."""
-        return np.array(self._at_alpha(alpha, tol)[2:])
+        return np.array(self._at_alpha(alpha)[2:])
 
 
 def chart_coefficients(params) -> np.ndarray:
@@ -323,7 +323,7 @@ def charts_of_triples(triples: np.ndarray) -> np.ndarray:
 # measure_cells 31% slower (0.224 s to 0.294 s over the 39 benchmark clip
 # windows, 2-vCPU machine) and moved 736 of its 2,224 areas and perimeters,
 # by up to 1.6e-11 relative.
-def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray, tol: ToleranceSet):
+def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray):
     """Points and d/dalpha velocities of many conics at many alphas.
 
     The array form of ``point_at_alpha`` and ``velocity_at_alpha``: row k
@@ -340,7 +340,7 @@ def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray, t
     s = np.tan(np.where(far, 0.5 * a - _HALF_PI, 0.5 * a))
     c = np.where(far[:, :, None, None], coef[:, None, 1], coef[:, None, 0])
     x, y, u, dx, dy, du = _chart_rows(c, s)
-    if np.any(np.abs(u) <= tol.den_rel * u_scale[:, None]):
+    if np.any(np.abs(u) <= DEN_REL * u_scale[:, None]):
         raise SingularParameterError("an alpha of the batch lies on the line at infinity")
     u_terms = (np.abs(c[..., 2, 0] * s) + np.abs(c[..., 2, 1])) * np.abs(s) + np.abs(c[..., 2, 2])
     return (*_point_velocity(x, y, u, dx, dy, du, s), u_terms / np.abs(u))
@@ -407,14 +407,14 @@ def homogeneous_at_params(coef: np.ndarray, t: np.ndarray):
     return tuple(np.where(at_inf, coef[:, None, 0, r, 0], val) for r, val in enumerate((x, y, u)))
 
 
-def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray, tol: ToleranceSet):
+def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray):
     """Points and d/dalpha velocities of N conics at one alpha each.
 
     Row k evaluates conic ``coef[k]`` (N, 2, 3, 3, from
     ``chart_coefficients``) at ``alpha[k]``: chart 0 at s = tan(alpha/2)
     for |alpha| <= pi/2 after wrapping, chart 1 at s = tan(alpha/2 - pi/2)
     otherwise. Returns (x, y, vx, vy, singular); ``singular`` marks rows
-    whose denominator is within den_rel u_scale of zero, whose values are
+    whose denominator is within DEN_REL u_scale of zero, whose values are
     not to be used (``point_at_alpha`` raises SingularParameterError there).
     """
     a = wrap_angles(alpha)
@@ -422,7 +422,7 @@ def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray, t
     arg = np.where(far, 0.5 * a - _HALF_PI, 0.5 * a)
     s = np.array([math.tan(v) for v in arg.tolist()], dtype=float)
     x, y, u, dx, dy, du = _chart_rows(np.where(far[:, None, None], coef[:, 1], coef[:, 0]), s)
-    singular = np.abs(u) <= tol.den_rel * u_scale
+    singular = np.abs(u) <= DEN_REL * u_scale
     with np.errstate(divide="ignore", invalid="ignore"):
         return (*_point_velocity(x, y, u, dx, dy, du, s), singular)
 
@@ -470,7 +470,7 @@ class ConicRows(NamedTuple):
     line_count: np.ndarray
 
 
-def _parametrize_rank3(evals: np.ndarray, evecs: np.ndarray, tol: ToleranceSet):
+def _parametrize_rank3(evals: np.ndarray, evecs: np.ndarray):
     """Parametrize R rank-3 conics from their eigen-decompositions (R, 3), (R, 3, 3).
 
     Returns coefficient triples xq, yq, uq (each (R, 3)), a class code per
@@ -501,7 +501,7 @@ def _parametrize_rank3(evals: np.ndarray, evecs: np.ndarray, tol: ToleranceSet):
     r[flip, :, 1] = -r[flip, :, 1]
     xq = _triple_congruences(triples[:, 0], r)
     yq = _triple_congruences(triples[:, 1], r)
-    parabola = np.abs(eps2) <= tol.class_rel * np.abs(eps1)
+    parabola = np.abs(eps2) <= CLASS_REL * np.abs(eps1)
     ellipse = ~parabola & (eps1 * eps2 > 0.0)
     real = (pos == 1) | (pos == 2)
     hyperbola = real & ~parabola & ~ellipse
@@ -526,7 +526,7 @@ def _normalized_lines(lines: np.ndarray, usable: np.ndarray):
     return np.where(flip[..., None], -np.stack([a, b, c], axis=-1), np.stack([a, b, c], axis=-1))
 
 
-def _deficient_rows(evals, evecs, scale, tol: ToleranceSet, length_scale: float):
+def _deficient_rows(evals, evecs, scale, length_scale: float):
     """Class codes (R,), lines (R, 2, 3) and line counts (R,) of R conics of rank < 3.
 
     With lam_pos > 0 > lam_neg a rank-2 matrix equals u u^T - w w^T for u =
@@ -537,7 +537,7 @@ def _deficient_rows(evals, evecs, scale, tol: ToleranceSet, length_scale: float)
     infinity and is dropped; a zero matrix is the whole plane.
     """
     amax = np.abs(evals).max(axis=1)
-    keep = np.abs(evals) > tol.rank_rel * amax[:, None]
+    keep = np.abs(evals) > RANK_REL * amax[:, None]
     rank = np.where(scale == 0.0, 0, keep.sum(axis=1))
     ev = np.where(keep, evals, 0.0)
 
@@ -556,7 +556,7 @@ def _deficient_rows(evals, evecs, scale, tol: ToleranceSet, length_scale: float)
                      np.stack([single, single], axis=1))
     usable = np.stack([split | (rank == 1), split], axis=1)
     affine = usable & ~(hypots(lines[..., 0], lines[..., 1]) * length_scale
-                        <= tol.den_rel * np.abs(lines[..., 2]))
+                        <= DEN_REL * np.abs(lines[..., 2]))
     lines = _normalized_lines(lines, affine)
     # the affine lines first
     second_only = ~affine[:, 0] & affine[:, 1]
@@ -577,7 +577,6 @@ def _deficient_rows(evals, evecs, scale, tol: ToleranceSet, length_scale: float)
 
 def classify_rows(
     coeffs: np.ndarray,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
     length_scale: float = 1.0,
     frame: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ConicRows:
@@ -607,14 +606,14 @@ def classify_rows(
     scale = np.abs(d).max(axis=(1, 2), initial=0.0)
     evals, evecs = np.linalg.eigh(d)
     amax = np.abs(evals).max(axis=1, initial=0.0)
-    rank3 = ((np.abs(evals) > tol.rank_rel * amax[:, None]).sum(axis=1) == 3) & (scale != 0.0)
+    rank3 = ((np.abs(evals) > RANK_REL * amax[:, None]).sum(axis=1) == 3) & (scale != 0.0)
 
     if frame is not None:
         frame = np.asarray(frame[0], dtype=float), np.asarray(frame[1], dtype=float)
 
     rows = np.flatnonzero(rank3)
     if rows.size:
-        xq, yq, uq, code[rows], singular[rows] = _parametrize_rank3(evals[rows], evecs[rows], tol)
+        xq, yq, uq, code[rows], singular[rows] = _parametrize_rank3(evals[rows], evecs[rows])
         if frame is not None:
             h, c = frame[0][rows], frame[1][rows]
             xq = h[:, None] * xq + c[:, 0:1] * uq
@@ -624,7 +623,7 @@ def classify_rows(
     rows = np.flatnonzero(~rank3)
     if rows.size:
         code[rows], found, count[rows] = _deficient_rows(evals[rows], evecs[rows], scale[rows],
-                                                         tol, length_scale)
+                                                         length_scale)
         if frame is not None:
             h, c = frame[0][rows], frame[1][rows]
             a, b = found[..., 0], found[..., 1]
@@ -654,12 +653,11 @@ def conic_representations(rows: ConicRows, ks) -> list[ParametrizedConic | Degen
 
 def classify_and_parametrize(
     conic: ConicImplicit,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
     length_scale: float = 1.0,
 ) -> ParametrizedConic | DegenerateConic:
     """Classify a conic and produce its parametric or line representation.
 
     A batch of one of :func:`classify_rows`.
     """
-    return conic_representations(classify_rows(np.array([conic.coeffs()]), tol, length_scale),
+    return conic_representations(classify_rows(np.array([conic.coeffs()]), length_scale),
                                  [0])[0]

@@ -89,7 +89,7 @@ from .conic import (
 from .errors import InputError, NoSolutionError
 from .geometry import Generator, SceneArrays, hypots
 from .intersect import PreparedPairs, globally_minimal, pencil_intersections_batch, prepare_pairs
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import DEDUP_REL, PARAM_MERGE, VERT_REL
 
 TWO_PI = 2.0 * math.pi
 _TRIPLE_CHUNK = 8192
@@ -206,7 +206,6 @@ class DiagramGraph:
     empty_cells: frozenset[int]
     aliases: dict[int, int]
     length_scale: float
-    tol: ToleranceSet
 
     def edge_bisector(self, e: EdgeSegment) -> Bisector:
         return self.bisectors[e.pair]
@@ -280,7 +279,6 @@ def _candidate_chunk(
     prep: PreparedPairs,
     pair_row: np.ndarray,
     arr: SceneArrays,
-    tol: ToleranceSet,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertex candidates for one chunk of index triples.
 
@@ -288,7 +286,7 @@ def _candidate_chunk(
     equidistant to their triple and globally minimal.
     """
     ti, tj, tk = chunk[:, 0], chunk[:, 1], chunk[:, 2]
-    pts, valid = pencil_intersections_batch(pair_row[ti, tj], pair_row[ti, tk], prep, tol)
+    pts, valid = pencil_intersections_batch(pair_row[ti, tj], pair_row[ti, tk], prep)
     t_idx, slot = np.nonzero(valid)
     if t_idx.size == 0:
         return np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64)
@@ -296,7 +294,7 @@ def _candidate_chunk(
     trip = chunk[t_idx]  # (K, 3)
     keep = np.concatenate(
         [
-            globally_minimal(cand[lo : lo + _POINT_CHUNK], trip[lo : lo + _POINT_CHUNK], arr, tol)
+            globally_minimal(cand[lo : lo + _POINT_CHUNK], trip[lo : lo + _POINT_CHUNK], arr)
             for lo in range(0, cand.shape[0], _POINT_CHUNK)
         ]
     )
@@ -308,7 +306,6 @@ def _collect_vertices(
     arr: SceneArrays,
     prep: PreparedPairs,
     pair_row: np.ndarray,
-    tol: ToleranceSet,
     threads: int,
 ) -> list[Vertex]:
     order = _TripleOrder(len(kept))
@@ -316,7 +313,7 @@ def _collect_vertices(
     ranges = order.ranges(-(-order.count // _TRIPLE_CHUNK))
 
     def run(r: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        return _candidate_chunk(order.rows(*r), prep, pair_row, arr, tol)
+        return _candidate_chunk(order.rows(*r), prep, pair_row, arr)
 
     if threads <= 1 or len(ranges) <= 1:
         results = [run(r) for r in ranges]
@@ -329,7 +326,7 @@ def _collect_vertices(
     order = np.lexsort((cand[:, 1], cand[:, 0]))
     cand = cand[order]
     trip = trip[order]
-    radius = tol.dedup_rel * prep.length_scale
+    radius = DEDUP_REL * prep.length_scale
     vertices: list[Vertex] = []
     open_clusters: list[tuple[np.ndarray, set[int]]] = []  # (pos, gen ids)
     for pos, (i, j, k) in zip(cand, trip):
@@ -369,7 +366,6 @@ def _polish_vertices(
     table: BisectorTable,
     pair_row: np.ndarray,
     length_scale: float,
-    tol: ToleranceSet,
 ) -> None:
     """Newton-refine each vertex on its two best-conditioned bisectors.
 
@@ -380,7 +376,7 @@ def _polish_vertices(
     best pair of a vertex is the first pair of its incident bisectors with
     the largest gradient sine.
     """
-    max_step = tol.dedup_rel * length_scale
+    max_step = DEDUP_REL * length_scale
     # one row per (vertex, incident bisector), one combo per pair of such rows
     row_vertex, rows = _incidences(vertices, table, pair_row)
     starts = np.flatnonzero(np.r_[True, row_vertex[1:] != row_vertex[:-1], True])
@@ -424,13 +420,11 @@ def _polish_vertices(
 # ------------------------------------------------------ visibility testing
 
 
-def _two_nearest(
-    points: np.ndarray, idx_i, idx_j, arr: SceneArrays, tol: ToleranceSet
-) -> np.ndarray:
+def _two_nearest(points: np.ndarray, idx_i, idx_j, arr: SceneArrays) -> np.ndarray:
     """Per point k of (N, 2): True iff idx_i[k], idx_j[k] attain the two smallest distances.
 
     ``idx_i`` and ``idx_j`` are generator index arrays (N,), or one index
-    each for all points. A point passes when max(d_i, d_j) <= d3 + vert_rel
+    each for all points. A point passes when max(d_i, d_j) <= d3 + VERT_REL
     (1 + |d3|), d3 its smallest distance to the other generators; the scan
     for d3 (``SceneArrays.screened_min``) drops a point as soon as a block
     of generators proves it fails.
@@ -442,15 +436,15 @@ def _two_nearest(
     d = arr.dist(points, pair)
     di, dj = d[:, 0], d[:, 1]
     far = np.where(dj > di, dj, di)
-    alive, d3 = arr.screened_min(points, far, tol.vert_rel, skip=pair)
+    alive, d3 = arr.screened_min(points, far, VERT_REL, skip=pair)
     visible = np.zeros(n, dtype=bool)
-    visible[alive] = far[alive] <= d3 + tol.vert_rel * (1.0 + np.abs(d3))
+    visible[alive] = far[alive] <= d3 + VERT_REL * (1.0 + np.abs(d3))
     return visible
 
 
 def _curve_representatives(
     coef: np.ndarray, u_scale: np.ndarray, mid: np.ndarray, anchor: np.ndarray,
-    whole: np.ndarray, length_scale: float, tol: ToleranceSet,
+    whole: np.ndarray, length_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Representative points (N, 2) of curve pieces, and the mask of those found.
 
@@ -472,7 +466,7 @@ def _curve_representatives(
             break
         m, a = mid[open_], anchor[open_]
         alpha = np.where(a != m, a + (m - a) * 0.5**level, m)
-        x, y, _, _, singular = points_at_alphas(coef[open_], u_scale[open_], alpha, tol)
+        x, y, _, _, singular = points_at_alphas(coef[open_], u_scale[open_], alpha)
         with np.errstate(invalid="ignore"):
             sane = np.isfinite(x) & np.isfinite(y) & (np.maximum(np.abs(x), np.abs(y)) <= limit)
         ok = ~singular & (whole[open_] | sane)
@@ -520,7 +514,7 @@ def ray_parameter(t0: float, t1: float) -> float:
     of max(1, |t|) in from the finite end t of a ray, or 0 for the whole line.
 
     A unit step from a vertex far out changes the distances there by less
-    than the two-nearest slack vert_rel (1 + |d|), so both halves of the
+    than the two-nearest slack VERT_REL (1 + |d|), so both halves of the
     line would pass; the step grows with the ray's start.
     """
     if math.isinf(t0) and math.isinf(t1):
@@ -534,7 +528,6 @@ def ray_parameter(t0: float, t1: float) -> float:
 
 def _split_component(
     entries: list[tuple[float, int | None]], lo: float, hi: float, closed: bool, line: bool,
-    tol: ToleranceSet,
 ) -> list[tuple]:
     """Pieces (x0, x1, v0, v1, mid, anchor) of one component between its
     vertex marks ``entries`` (t, vertex id, in vertex order), or [] when no
@@ -548,7 +541,7 @@ def _split_component(
     """
     if line:
         marks = sorted(entries, key=lambda m: m[0])
-        pieces = split_at_marks(marks, -math.inf, math.inf, tol.param_merge, False) if marks else []
+        pieces = split_at_marks(marks, -math.inf, math.inf, PARAM_MERGE, False) if marks else []
         return [(t0, t1, v0, v1, t, t) for t0, t1, v0, v1 in pieces
                 for t in (ray_parameter(t0, t1),)]
     span = hi - lo
@@ -559,7 +552,7 @@ def _split_component(
             marks.append((lo + off, vid))
     if not marks:
         return []
-    gap = 2.0 * tol.param_merge
+    gap = 2.0 * PARAM_MERGE
     out = []
     for a0, a1, v0, v1 in split_at_marks(merge_marks(marks, gap), lo, hi, gap, closed):
         s_lo = not closed and abs(a0 - lo) <= 1e-15
@@ -571,7 +564,7 @@ def _split_component(
 
 
 def _two_nearest_rows(
-    points: np.ndarray, has_rep: np.ndarray, idx: np.ndarray, arr: SceneArrays, tol: ToleranceSet
+    points: np.ndarray, has_rep: np.ndarray, idx: np.ndarray, arr: SceneArrays
 ) -> np.ndarray:
     """Mask of the rows k of points (N, 2) with a representative (``has_rep``)
     whose generator pair idx[k] (N, 2) attains the two smallest distances; one
@@ -580,7 +573,7 @@ def _two_nearest_rows(
     visible = np.zeros(points.shape[0], dtype=bool)
     for lo in range(0, decided.size, _POINT_CHUNK):
         rows = decided[lo : lo + _POINT_CHUNK]
-        visible[rows] = _two_nearest(points[rows], idx[rows, 0], idx[rows, 1], arr, tol)
+        visible[rows] = _two_nearest(points[rows], idx[rows, 0], idx[rows, 1], arr)
     return visible
 
 
@@ -589,7 +582,6 @@ def _visible_pieces(
     rows: np.ndarray,
     marks: dict[int, dict[int, list[tuple[float, int | None]]]],
     arr: SceneArrays,
-    tol: ToleranceSet,
     length_scale: float,
 ) -> tuple[list[EdgeSegment], np.ndarray]:
     """Visible pieces of the bisectors ``rows`` of ``table``, decided together.
@@ -630,7 +622,7 @@ def _visible_pieces(
         for c, entries in by_comp.items():
             k = int(offset[r]) + c
             pieces = _split_component(entries, lo[k].item(), hi[k].item(), bool(closed[k]),
-                                      bool(line[k]), tol)
+                                      bool(line[k]))
             whole[k] = not pieces
             split += pieces
             split_comp += [k] * len(pieces)
@@ -648,10 +640,10 @@ def _visible_pieces(
     curve = np.flatnonzero(~line)
     points[curve], has_rep[curve] = _curve_representatives(
         table.chart[row[curve]], table.u_scale[row[curve]], probe[curve], anchor[curve],
-        curve < keep.size, length_scale, tol)
+        curve < keep.size, length_scale)
     gen = np.array([arr.id_to_index[g.id] for g in table.generators], dtype=np.int64)
     idx = np.stack([gen[table.first[row]], gen[table.second[row]]], axis=1)
-    shown = np.flatnonzero(_two_nearest_rows(points, has_rep, idx, arr, tol))
+    shown = np.flatnonzero(_two_nearest_rows(points, has_rep, idx, arr))
     # a component's edges in the order of their starts: the line parameter,
     # or the alpha of a curve piece wrapped to (-pi, pi], the far point at pi
     begin = x0[shown]
@@ -670,7 +662,6 @@ def visible_segments(
     b: Bisector,
     vertex_params: dict[int, list[tuple[float, int | None]]],
     scene,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
     length_scale: float | None = None,
 ) -> list[EdgeSegment]:
     """Visible pieces of a bisector, given vertex parameters per component.
@@ -686,8 +677,8 @@ def visible_segments(
     arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
     if length_scale is None:
         length_scale = arr.scale()
-    table = bisector_table([b.gi, b.gj], tol)
-    return _visible_pieces(table, np.zeros(1, dtype=np.int64), {0: vertex_params}, arr, tol,
+    table = bisector_table([b.gi, b.gj])
+    return _visible_pieces(table, np.zeros(1, dtype=np.int64), {0: vertex_params}, arr,
                            length_scale)[0]
 
 
@@ -713,7 +704,6 @@ def _recover_params(
     table: BisectorTable,
     pair_row: np.ndarray,
     eps: float,
-    tol: ToleranceSet,
 ) -> tuple[dict[int, dict[int, list[tuple[float, int | None]]]], np.ndarray]:
     """Each vertex's parameters on its incident bisectors, by table row and component.
 
@@ -743,7 +733,7 @@ def _recover_params(
 
     if curves.size:
         ts, found = params_of_points(table.chart[rows[curves]], table.u_scale[rows[curves]],
-                                     pos[curves], eps, tol)
+                                     pos[curves], eps)
         for k, t_row, hit in zip(curves.tolist(), ts.tolist(), found.tolist()):
             for t_val in (t for t, f in zip(t_row, hit) if f):
                 a = alpha_of_param(t_val)
@@ -765,11 +755,7 @@ def _recover_params(
     return marks, miss
 
 
-def build_diagram(
-    generators: list[Generator],
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-    threads: int = 1,
-) -> DiagramGraph:
+def build_diagram(generators: list[Generator], threads: int = 1) -> DiagramGraph:
     """Construct the diagram graph for a scene.
 
     Two steps drop geometry they cannot place, and each reports it as a
@@ -794,32 +780,29 @@ def build_diagram(
 
     # every pairwise bisector as one table row, classified once; the kept
     # generators are in id order, so the rows are in pair order
-    table = bisector_table(kept, tol)
+    table = bisector_table(kept)
     prep = prepare_pairs(conic_matrices(table.implicit), length_scale, center)
     pair_row = table.pair_rows()
 
-    vertices = _collect_vertices(kept, arr, prep, pair_row, tol, threads)
-    _polish_vertices(vertices, table, pair_row, length_scale, tol)
+    vertices = _collect_vertices(kept, arr, prep, pair_row, threads)
+    _polish_vertices(vertices, table, pair_row, length_scale)
     vertices.sort(key=lambda v: (v.pos[0], v.pos[1]))
     for vid, v in enumerate(vertices):
         v.id = vid
 
-    marks, _recovery_miss = _recover_params(
-        vertices, table, pair_row, 1e-7 * (1.0 + length_scale), tol
-    )
+    marks, _recovery_miss = _recover_params(vertices, table, pair_row, 1e-7 * (1.0 + length_scale))
     edges, _no_representative = _visible_pieces(
-        table, np.arange(table.first.size), marks, arr, tol, length_scale
+        table, np.arange(table.first.size), marks, arr, length_scale
     )
     for eid, e in enumerate(edges):
         e.id = eid
     index = arr.id_to_index
     owners = np.unique([pair_row[index[a], index[b]] for a, b in {e.pair for e in edges}])
-    return assemble_graph(generators, vertices, edges,
-                          {b.pair: b for b in table.bisectors(owners)}, tol)
+    return assemble_graph(generators, vertices, edges, {b.pair: b for b in table.bisectors(owners)})
 
 
 def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: list[EdgeSegment],
-                   bisectors: dict[tuple[int, int], Bisector], tol: ToleranceSet) -> DiagramGraph:
+                   bisectors: dict[tuple[int, int], Bisector]) -> DiagramGraph:
     """Diagram graph of edges whose ids are their positions in ``edges``.
 
     Derives the aliases, the length scale and the cell structure (adjacency,
@@ -848,7 +831,6 @@ def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: l
         empty_cells=empty,
         aliases=aliases,
         length_scale=SceneArrays(kept).scale(),
-        tol=tol,
     )
 
 

@@ -169,6 +169,9 @@ class Generator:
     w: float
 
     def __post_init__(self):
+        # label images mark the background with -1
+        if self.id < 0:
+            raise InputError(f"generator {self.id}: id must not be negative")
         object.__setattr__(self, "p", as_point(self.p))
         if not np.all(np.isfinite(self.p)):
             raise InputError(f"generator {self.id}: center is not finite")

@@ -32,7 +32,7 @@ import numpy as np
 from .conic import ConicImplicit
 from .errors import OverlappingConicsError
 from .geometry import SceneArrays, as_point
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import DEDUP_REL, RES_REL, VERT_REL
 
 # determinant magnitude (after max-abs normalization) below which an input
 # conic counts as already degenerate and is used as the pencil member itself
@@ -165,13 +165,12 @@ def pencil_intersections_batch(
     d1: np.ndarray,
     d2: np.ndarray,
     prepared: PreparedPairs,
-    tol: ToleranceSet,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Intersection candidates for T conic pairs, rows (d1[t], d2[t]) of ``prepared``.
 
     Returns (points, valid) with shapes (T, 4, 2) and (T, 4). Valid points
     satisfy both implicit equations within the scaled residual tolerance and
-    are deduplicated within tol.dedup_rel * length_scale per pair, in the
+    are deduplicated within DEDUP_REL * length_scale per pair, in the
     prepared frame. Pairs with coincident zero sets produce no valid points
     (their intersection is not a finite set).
     """
@@ -323,10 +322,10 @@ def pencil_intersections_batch(
         r2s = c2.residual_scale(x, y)
         with np.errstate(invalid="ignore"):
             valid &= np.isfinite(x) & np.isfinite(y)
-            valid &= (np.abs(f1) <= tol.res_rel * r1s) & (np.abs(f2) <= tol.res_rel * r2s)
+            valid &= (np.abs(f1) <= RES_REL * r1s) & (np.abs(f2) <= RES_REL * r2s)
 
-        # per-pair dedup (unit frame, so the radius is just dedup_rel)
-        radius = tol.dedup_rel
+        # per-pair dedup (unit frame, so the radius is just DEDUP_REL)
+        radius = DEDUP_REL
         for hi in range(1, 4):
             for lo in range(hi):
                 both = valid[:, hi] & valid[:, lo]
@@ -345,7 +344,6 @@ def pencil_intersections_batch(
 def conic_conic_intersections(
     c1: ConicImplicit,
     c2: ConicImplicit,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
     length_scale: float = 1.0,
     center: tuple[float, float] = (0.0, 0.0),
 ) -> list[np.ndarray]:
@@ -367,18 +365,16 @@ def conic_conic_intersections(
     if min(np.abs(n1 - n2).max(), np.abs(n1 + n2).max()) <= 1e-12:
         raise OverlappingConicsError("conics share their zero set")
     prep = prepare_pairs(np.stack([d1, d2]), length_scale, center)
-    pts, valid = pencil_intersections_batch(np.array([0]), np.array([1]), prep, tol)
+    pts, valid = pencil_intersections_batch(np.array([0]), np.array([1]), prep)
     found = [np.array(pts[0, k]) for k in range(4) if valid[0, k]]
     found.sort(key=lambda q: (q[0], q[1]))
     return found
 
 
-def globally_minimal(
-    cand: np.ndarray, trip: np.ndarray, arr: SceneArrays, tol: ToleranceSet
-) -> np.ndarray:
+def globally_minimal(cand: np.ndarray, trip: np.ndarray, arr: SceneArrays) -> np.ndarray:
     """Keep mask of candidates whose triple distance is the global minimum.
 
-    A candidate is kept iff d_trip - d_min <= vert_rel (1 + |d_min|), with
+    A candidate is kept iff d_trip - d_min <= VERT_REL (1 + |d_min|), with
     d_trip its smallest distance to its triple generators (the indices in
     its row of ``trip``) and d_min the smallest distance to any generator,
     found by ``SceneArrays.screened_min``: a candidate leaves the scan as
@@ -386,18 +382,13 @@ def globally_minimal(
     decided with the full minimum.
     """
     d_trip = arr.dist(cand, trip).min(axis=1)
-    alive, d_min = arr.screened_min(cand, d_trip, tol.vert_rel)
+    alive, d_min = arr.screened_min(cand, d_trip, VERT_REL)
     keep = np.zeros(cand.shape[0], dtype=bool)
-    keep[alive] = d_trip[alive] - d_min <= tol.vert_rel * (1.0 + np.abs(d_min))
+    keep[alive] = d_trip[alive] - d_min <= VERT_REL * (1.0 + np.abs(d_min))
     return keep
 
 
-def is_gbpd_vertex(
-    v,
-    triple,
-    scene,
-    tol: ToleranceSet = DEFAULT_TOLERANCES,
-) -> bool:
+def is_gbpd_vertex(v, triple, scene) -> bool:
     """True iff the triple's shared distance at v is the global minimum.
 
     ``triple`` holds generator ids; ``scene`` is a SceneArrays or a sequence
@@ -406,4 +397,4 @@ def is_gbpd_vertex(
     """
     arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
     cols = np.array([[arr.id_to_index[g] for g in triple]], dtype=np.int64)
-    return bool(globally_minimal(as_point(v)[None, :], cols, arr, tol)[0])
+    return bool(globally_minimal(as_point(v)[None, :], cols, arr)[0])

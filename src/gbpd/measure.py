@@ -12,7 +12,7 @@ evaluates the area and speed integrands of every open piece at the 15
 Gauss-Kronrod nodes in one array pass. The error of a piece is QUADPACK's
 embedded Kronrod-minus-Gauss estimate, floored at 50 eps times the
 integral of |f| for rounding. An arc is done when the summed estimates of
-its pieces meet max(quad_abs, 1e-12 |I|) for both integrals, or for the
+its pieces meet max(QUAD_ABS, 1e-12 |I|) for both integrals, or for the
 area the rounding floor of its integrand where that is larger (see
 `_gk15`); until then its pieces with the largest estimates are halved. An
 arc that misses the target after 30 halvings of a piece, or past 200
@@ -26,8 +26,7 @@ that runs to infinity, or with hole loops only is unbounded and raises
 UnboundedCellError. When the cell has more than one outer loop, a hole
 loop joins the outer loop that contains its start point, as tested on
 `clip.flatten_pieces` polygons of the outer loops at the build's snap
-radius; hole loops are not flattened. Tolerances are the graph's own
-(`graph.tol`).
+radius; hole loops are not flattened.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_poly
 from .conic import chart_coefficients, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
 from .errors import NonFiniteSegmentError, QuadratureError, UnboundedCellError
-from .tolerances import ToleranceSet
+from .tolerances import DEDUP_REL, QUAD_ABS
 
 _HALF_PI = 0.5 * math.pi
 
@@ -116,8 +115,7 @@ def _node_sum(f: np.ndarray, w) -> np.ndarray:
     return acc
 
 
-def _gk15(coef, u_scale, origin, lo, hi,
-          tol: ToleranceSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gk15(coef, u_scale, origin, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kronrod values (M, 2) and QUADPACK error estimates (M, 2) of the
     area integrand about ``origin`` (M, 2) and of the speed, over the
     intervals [lo, hi] of the M rows, and the rounding floor (M,) of the
@@ -139,8 +137,7 @@ def _gk15(coef, u_scale, origin, lo, hi,
     # velocity (dx u - x du) to cancel where x is far larger than x - o_x
     coef = coef.copy()
     coef[:, :, :2] -= origin[:, None, :, None] * coef[:, :, 2:3]
-    x, y, vx, vy, cond = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * _GK_X,
-                                          tol)
+    x, y, vx, vy, cond = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * _GK_X)
     res = np.empty((lo.size, 2))
     err = np.empty((lo.size, 2))
     shifted = 0.5 * cond * (np.abs(origin[:, 0:1] * vy) + np.abs(origin[:, 1:2] * vx))
@@ -157,7 +154,7 @@ def _gk15(coef, u_scale, origin, lo, hi,
     return res, err, floor
 
 
-def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndarray]:
+def arc_measures(params, a0, a1) -> tuple[np.ndarray, np.ndarray]:
     """Signed areas and lengths of many conic arcs, integrated together.
 
     Arc k runs along ``params[k]`` from alpha ``a0[k]`` to ``a1[k]``. Its
@@ -168,7 +165,7 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
     where the arc is far from the origin. Each arc is cut at the chart
     breaks, and every round evaluates all new pieces in one array pass of
     the Gauss-Kronrod 7-15 rule. An arc is done once the summed error
-    estimates of its pieces meet max(quad_abs, 1e-12 |I|) for both
+    estimates of its pieces meet max(QUAD_ABS, 1e-12 |I|) for both
     integrals, the area's target raised to the summed rounding floor of its
     pieces where that is larger (far out, with a chord pointing nearly at
     the origin, the area about m is below the rounding of its integrand);
@@ -187,7 +184,7 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
     ends = np.stack([np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)], axis=1)
     # the area is integrated about the arc's mid-alpha point m; the shift
     # back to the coordinate origin is m x (end - start) / 2
-    px, py, *_ = eval_alpha_batch(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]), tol)
+    px, py, *_ = eval_alpha_batch(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
     origin = np.stack([px[:, 2], py[:, 2]], axis=1)
     shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
     arc, lo, hi = [], [], []
@@ -198,13 +195,13 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
         hi += cuts[1:]
     arc, lo, hi = np.array(arc), np.array(lo), np.array(hi)
     depth = np.zeros(arc.size, dtype=int)
-    res, err, rnd = _gk15(coef[arc], u_scale[arc], origin[arc], lo, hi, tol)
+    res, err, rnd = _gk15(coef[arc], u_scale[arc], origin[arc], lo, hi)
     while True:
         # bincount adds each arc's pieces in array order, which is alpha order
         tot = np.stack([np.bincount(arc, res[:, j], n) for j in (0, 1)], axis=1)
         tot[:, 0] += shift
         est = np.stack([np.bincount(arc, err[:, j], n) for j in (0, 1)], axis=1)
-        target = np.maximum(tol.quad_abs, 1e-12 * np.abs(tot))
+        target = np.maximum(QUAD_ABS, 1e-12 * np.abs(tot))
         # no halving lowers an area estimate below the rounding of its integrand
         target[:, 0] = np.maximum(target[:, 0], np.bincount(arc, rnd, n))
         short = est > target
@@ -242,7 +239,7 @@ def arc_measures(params, a0, a1, tol: ToleranceSet) -> tuple[np.ndarray, np.ndar
         fresh = first | second
         depth[fresh] += 1
         res[fresh], err[fresh], rnd[fresh] = _gk15(coef[arc[fresh]], u_scale[arc[fresh]],
-                                                   origin[arc[fresh]], lo[fresh], hi[fresh], tol)
+                                                   origin[arc[fresh]], lo[fresh], hi[fresh])
 
 
 # -------------------------------------------------------------- edge length
@@ -261,7 +258,7 @@ def edge_arc_length(graph: DiagramGraph, e: EdgeSegment) -> float:
         raise NonFiniteSegmentError(f"edge {e.id} runs to infinity; clip it first")
     if e.is_curve():
         param = graph.bisectors[e.pair].param
-        return float(arc_measures([param], [e.a0], [e.a1], graph.tol)[1][0])
+        return float(arc_measures([param], [e.a0], [e.a1])[1][0])
     # line parameters are arc length already
     return e.a1 - e.a0
 
@@ -403,7 +400,7 @@ def _arc_table(graph: DiagramGraph, cells) -> dict[int, tuple[float, float]]:
     if not arcs:
         return {}
     params, a0, a1 = zip(*arcs.values())
-    areas, lengths = arc_measures(params, a0, a1, graph.tol)
+    areas, lengths = arc_measures(params, a0, a1)
     return {k: (float(a), float(s)) for k, a, s in zip(arcs, areas, lengths)}
 
 
@@ -414,12 +411,10 @@ def _hole_test(graph: DiagramGraph, pieces, loops, outers, holes) -> tuple[list,
     for an arc ``piece_points`` at fraction 0 (forward) or 1 (backward), as
     ``flatten_pieces`` begins and ends it."""
     ids = sorted({pid for k in outers for pid, _ in loops[k]})
-    ftol = graph.tol.dedup_rel * graph.length_scale
-    lines = flatten_pieces(graph, [pieces[k] for k in ids], ftol, graph.tol)
+    lines = flatten_pieces(graph, [pieces[k] for k in ids], DEDUP_REL * graph.length_scale)
     heads = [(pieces[loops[k][0][0]], loops[k][0][1]) for k in holes]
     arcs = [(p, fw) for p, fw in heads if p.kind == "arc"]
-    at = iter(piece_points(graph, [p for p, _ in arcs], [0.0 if fw else 1.0 for _, fw in arcs],
-                           graph.tol))
+    at = iter(piece_points(graph, [p for p, _ in arcs], [0.0 if fw else 1.0 for _, fw in arcs]))
     return (loop_polygons(dict(zip(ids, lines)), [loops[k] for k in outers]),
             [next(at) if p.kind == "arc" else p.p0 if fw else p.p1 for p, fw in heads])
 

@@ -100,7 +100,7 @@ def rasterize_cells(cd: ClippedDiagram, width: int, height: int) -> LabelImage:
     ids = tuple(sorted(g.id for g in cd.graph.generators))
     xs = origin[0] + (np.arange(width) + 0.5) * px
     ys = origin[1] + (np.arange(height) + 0.5) * px
-    lines = flatten_pieces(cd.graph, cd.pieces, px / 20.0, cd.graph.tol)
+    lines = flatten_pieces(cd.graph, cd.pieces, px / 20.0)
     a = np.concatenate([ln[:-1] for ln in lines])
     b = np.concatenate([ln[1:] for ln in lines])
     # (left, right) cells of each segment's piece; no cell lies right of the border

@@ -61,7 +61,7 @@ def render_svg(
 
     # the window rect already shows the border
     edges = [piece for piece in cd.pieces if piece.kind != "boundary"]
-    for run in flatten_pieces(cd.graph, edges, chord_tol_px / scale, cd.graph.tol):
+    for run in flatten_pieces(cd.graph, edges, chord_tol_px / scale):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(p) for p in run))
         out.append(f'<polyline points="{pts}" {EDGE_STYLE}/>')
 

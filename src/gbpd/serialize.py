@@ -17,9 +17,11 @@ for bit like the graph that wrote it. The cell structure is derived from
 the edges by ``assemble_graph``, as the build derives it, and a document
 whose ``adjacency`` or ``cells`` rows differ from the rows the writer
 would emit for that structure raises InputError. So does a document
-without generators, a row whose fields have the wrong type or shape, and
-an edge whose labels name no edge or whose component and line name no
-component of its bisector. Vertex and edge ids must equal their
+without generators, a row whose fields have the wrong type or shape, an
+edge whose labels name no edge or whose component and line name no
+component of its bisector, and a loop edge with an endpoint or on a
+component that does not span a full turn (only an ellipse's closed loop
+and a parabola's one arc do). Vertex and edge ids must equal their
 positions, every edge endpoint must name a vertex row, and every vertex
 row must be equidistant to its generators (see ``_check_vertex_rows``);
 that the vertices lie on their edges is not checked further.
@@ -37,7 +39,7 @@ from .bisector import make_bisector, make_bisectors  # noqa: F401 (make_bisector
 from .diagram import DiagramGraph, EdgeSegment, Vertex, assemble_graph
 from .errors import InputError
 from .geometry import Generator, SceneArrays, SymMat2
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import VERT_REL
 
 SCHEMA_KEYS = ("generators", "vertices", "edges", "adjacency", "cells")
 GENERATOR_FIELDS = ("px", "py", "m11", "m12", "m22", "w")
@@ -212,12 +214,11 @@ def _ints(v, where: str, name: str, count: int | None = None, null: bool = False
                      f"not {v!r}")
 
 
-def _check_vertex_rows(generators: list[Generator], vertices: list[Vertex],
-                       tol: ToleranceSet) -> None:
+def _check_vertex_rows(generators: list[Generator], vertices: list[Vertex]) -> None:
     """Raise InputError unless each vertex is equidistant to its generators.
 
     A vertex x passes when its distances to its generators spread by at
-    most vert_rel (1 + max |d(x)| + m (|x|^2 + max |p|^2)), m the largest
+    most VERT_REL (1 + max |d(x)| + m (|x|^2 + max |p|^2)), m the largest
     matrix norm: the build's (1 + |d|) slack, widened by a bound on the
     terms of the bisectors d_i - d_j in scene coordinates, so that a scene
     far from the origin reads back.
@@ -239,7 +240,7 @@ def _check_vertex_rows(generators: list[Generator], vertices: list[Vertex],
     spread = np.maximum.reduceat(d, starts) - np.minimum.reduceat(d, starts)
     m = (np.abs(arr.m11) + 2.0 * np.abs(arr.m12) + np.abs(arr.m22)).max()
     terms = m * ((pos * pos).sum(axis=1) + (arr.px * arr.px + arr.py * arr.py).max())
-    slack = tol.vert_rel * (1.0 + np.maximum.reduceat(np.abs(d), starts) + terms)
+    slack = VERT_REL * (1.0 + np.maximum.reduceat(np.abs(d), starts) + terms)
     bad = np.flatnonzero(~(spread <= slack))
     if bad.size:
         k = int(bad[0])
@@ -247,7 +248,7 @@ def _check_vertex_rows(generators: list[Generator], vertices: list[Vertex],
                          f"by {spread[k]:.3g}, more than {slack[k]:.3g}")
 
 
-def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> DiagramGraph:
+def document_to_diagram(doc: dict) -> DiagramGraph:
     parts = _fields(doc, SCHEMA_KEYS, "diagram JSON")
     for key, rows in zip(SCHEMA_KEYS, parts):
         if not isinstance(rows, list):
@@ -258,8 +259,11 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
         where = f"generators[{k}]"
         gid, *values = _fields(row, ("id", *GENERATOR_FIELDS), where)
         px, py, m11, m12, m22, w = (_number(v, where) for v in values)
-        generators.append(Generator(_int(gid, where, "id"), np.array([px, py]),
-                                    SymMat2(m11, m12, m22), w))
+        try:
+            generators.append(Generator(_int(gid, where, "id"), np.array([px, py]),
+                                        SymMat2(m11, m12, m22), w))
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
     if not generators:
         raise InputError("diagram JSON: a diagram needs at least one generator")
     by_id = {g.id: g for g in generators}
@@ -272,7 +276,7 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
             raise InputError(f"{where}: vertex id must be its position {k}")
         pos = np.array([_number(x, where), _number(y, where)])
         vertices.append(Vertex(k, pos, frozenset(_ints(gens, where, "gens"))))
-    _check_vertex_rows(generators, vertices, tol)
+    _check_vertex_rows(generators, vertices)
 
     edges: list[EdgeSegment] = []
     for k, row in enumerate(edge_rows):
@@ -302,14 +306,19 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
         if i not in by_id or j not in by_id:
             raise InputError(f"edge pair ({i}, {j}) references unknown generators")
     bisectors = dict(
-        zip(pairs, make_bisectors([by_id[i] for i, _ in pairs], [by_id[j] for _, j in pairs], tol))
+        zip(pairs, make_bisectors([by_id[i] for i, _ in pairs], [by_id[j] for _, j in pairs]))
     )
     for e in edges:
         comps = bisectors[e.pair].components
         if not (0 <= e.component < len(comps) and comps[e.component].line_index == e.line_index):
             raise InputError(f"edges[{e.id}]: bisector {e.pair} has no component {e.component} "
                              f"on line {e.line_index}")
-    graph = assemble_graph(generators, vertices, edges, bisectors, tol)
+        # an ellipse's closed loop or a parabola's one arc
+        full_turn = comps[e.component].hi - comps[e.component].lo >= 2.0 * math.pi
+        if e.is_loop() and not (e.endpoints == (None, None) and full_turn):
+            raise InputError(f"edges[{e.id}]: a loop needs null endpoints and a component "
+                             "that spans a full turn")
+    graph = assemble_graph(generators, vertices, edges, bisectors)
     for key, rows, derived in zip(SCHEMA_KEYS[3:], structure, _structure_rows(graph)):
         if rows != derived:
             k = next((k for k, (got, want) in enumerate(zip(rows, derived)) if got != want),
@@ -319,16 +328,16 @@ def document_to_diagram(doc: dict, tol: ToleranceSet = DEFAULT_TOLERANCES) -> Di
     return graph
 
 
-def diagram_from_json(text: str, tol: ToleranceSet = DEFAULT_TOLERANCES) -> DiagramGraph:
+def diagram_from_json(text: str) -> DiagramGraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"diagram JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("diagram JSON: top level must be an object")
-    return document_to_diagram(doc, tol)
+    return document_to_diagram(doc)
 
 
-def read_diagram(path, tol: ToleranceSet = DEFAULT_TOLERANCES) -> DiagramGraph:
+def read_diagram(path) -> DiagramGraph:
     with open(path, encoding="utf-8") as fh:
-        return diagram_from_json(fh.read(), tol)
+        return diagram_from_json(fh.read())

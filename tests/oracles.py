@@ -17,7 +17,7 @@ from gbpd.clip import flatten_pieces, loop_polygons
 from gbpd.conic import alpha_of_param, param_of_alpha, wrap_angle
 from gbpd.errors import SingularParameterError
 from gbpd.oracle import LabelImage
-from gbpd.tolerances import DEFAULT_TOLERANCES
+from gbpd.tolerances import CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_ABS, RANK_REL, VERT_REL
 
 
 def grid_conic_intersections(c1, c2, box, n=500, newton_iters=40):
@@ -174,7 +174,7 @@ def _triple_congruence_scalar(triple, r):
     return (float(qq[0, 0]), float(qq[0, 1] + qq[1, 0]), float(qq[1, 1]))
 
 
-def _parametrize_rank3_scalar(evals, evecs, tol):
+def _parametrize_rank3_scalar(evals, evecs):
     """Rank-3 branch: (xq, yq, uq, singular, class name) or None when empty."""
     pos = int((evals > 0.0).sum())
     if pos == 3 or pos == 0:
@@ -196,7 +196,7 @@ def _parametrize_rank3_scalar(evals, evecs, tol):
         r = np.column_stack([r[:, 0], -r[:, 1]])
     xq = _triple_congruence_scalar(triples[0], r)
     yq = _triple_congruence_scalar(triples[1], r)
-    if abs(eps2) <= tol.class_rel * abs(eps1):
+    if abs(eps2) <= CLASS_REL * abs(eps1):
         return xq, yq, (eps1, 0.0, 0.0), (0.0,), "Parabola"
     if eps1 * eps2 > 0.0:
         return xq, yq, (eps1, 0.0, eps2), (), "Ellipse"
@@ -204,7 +204,7 @@ def _parametrize_rank3_scalar(evals, evecs, tol):
     return xq, yq, (eps1, 0.0, eps2), (-s, s), "Hyperbola"
 
 
-def bisector_frame_scalar(gi, gj, tol):
+def bisector_frame_scalar(gi, gj):
     """Pair-frame parametrization of a curved bisector, one pair at a time.
 
     Returns (scene-coordinate implicit coefficients, (xq, yq, uq, singular,
@@ -252,9 +252,9 @@ def bisector_frame_scalar(gi, gj, tol):
         return scene, None
     evals, evecs = np.linalg.eigh(d)
     amax = float(np.abs(evals).max())
-    if int((np.abs(evals) > tol.rank_rel * amax).sum()) != 3:
+    if int((np.abs(evals) > RANK_REL * amax).sum()) != 3:
         return scene, None
-    rep = _parametrize_rank3_scalar(evals, evecs, tol)
+    rep = _parametrize_rank3_scalar(evals, evecs)
     if rep is None:
         return scene, None
     xq, yq, uq, singular, name = rep
@@ -263,7 +263,7 @@ def bisector_frame_scalar(gi, gj, tol):
     return scene, (xq, yq, uq, singular, name)
 
 
-def full_scan_minimal(cand, trip, arr, tol):
+def full_scan_minimal(cand, trip, arr):
     """Keep mask of the global-minimality filter by a full (K, n) distance scan."""
     d = arr.dist(cand)
     rows = np.arange(cand.shape[0])
@@ -271,10 +271,10 @@ def full_scan_minimal(cand, trip, arr, tol):
         d[rows, trip[:, 0]], np.minimum(d[rows, trip[:, 1]], d[rows, trip[:, 2]])
     )
     d_min = d.min(axis=1)
-    return d_trip - d_min <= tol.vert_rel * (1.0 + np.abs(d_min))
+    return d_trip - d_min <= VERT_REL * (1.0 + np.abs(d_min))
 
 
-def two_nearest_point(point, idx_i, idx_j, arr, tol):
+def two_nearest_point(point, idx_i, idx_j, arr):
     """True iff generators (idx_i, idx_j) attain the two smallest distances at one point."""
     d = arr.dist(point[None, :])[0]
     di, dj = d[idx_i], d[idx_j]
@@ -283,12 +283,12 @@ def two_nearest_point(point, idx_i, idx_j, arr, tol):
     mask = np.ones(arr.n, bool)
     mask[[idx_i, idx_j]] = False
     d3 = float(d[mask].min())
-    return max(di, dj) <= d3 + tol.vert_rel * (1.0 + abs(d3))
+    return max(di, dj) <= d3 + VERT_REL * (1.0 + abs(d3))
 
 
-def polish_vertices_scalar(vertices, bisectors, length_scale, tol):
+def polish_vertices_scalar(vertices, bisectors, length_scale):
     """Newton-refine each vertex on its two best-conditioned bisectors, one at a time."""
-    max_step = tol.dedup_rel * length_scale
+    max_step = DEDUP_REL * length_scale
     for v in vertices:
         pairs = [p for p in itertools.combinations(sorted(v.gens), 2) if p in bisectors]
         if len(pairs) < 2:
@@ -324,7 +324,7 @@ def polish_vertices_scalar(vertices, bisectors, length_scale, tol):
             v.pos = np.array([x, y])
 
 
-def _project_param_scalar(p, v, t, tol):
+def _project_param_scalar(p, v, t):
     """Gauss-Newton projection of v onto the curve near parameter t, one point."""
     if not math.isfinite(t):
         return t
@@ -332,8 +332,8 @@ def _project_param_scalar(p, v, t, tol):
     best_alpha, best_d2 = alpha, None
     for _ in range(3):
         try:
-            q = point_at_alpha_scalar(p, alpha, tol)
-            dv = velocity_at_alpha_scalar(p, alpha, tol)
+            q = point_at_alpha_scalar(p, alpha)
+            dv = velocity_at_alpha_scalar(p, alpha)
         except SingularParameterError:
             break
         rx, ry = v[0] - q[0], v[1] - q[1]
@@ -346,7 +346,7 @@ def _project_param_scalar(p, v, t, tol):
         alpha = alpha + (rx * dv[0] + ry * dv[1]) / n2
     else:
         try:
-            q = point_at_alpha_scalar(p, alpha, tol)
+            q = point_at_alpha_scalar(p, alpha)
             rx, ry = v[0] - q[0], v[1] - q[1]
             d2 = rx * rx + ry * ry
             if best_d2 is None or d2 < best_d2:
@@ -356,7 +356,7 @@ def _project_param_scalar(p, v, t, tol):
     return param_of_alpha(best_alpha)
 
 
-def param_of_point_scalar(p, v, eps, tol):
+def param_of_point_scalar(p, v, eps):
     """Parameters of one point on one curve; None where nothing lies within eps."""
     v = np.asarray(v, dtype=float)
     qx = tuple(p.xq[k] - v[0] * p.uq[k] for k in range(3))
@@ -373,16 +373,16 @@ def param_of_point_scalar(p, v, eps, tol):
     accepted = []
     for t in candidates:
         x, y, u = homogeneous_at_scalar(p, t)
-        if abs(u) <= tol.den_rel * p.u_scale:
+        if abs(u) <= DEN_REL * p.u_scale:
             continue
         if math.hypot(x / u - v[0], y / u - v[1]) <= eps:
-            accepted.append(_project_param_scalar(p, v, t, tol))
+            accepted.append(_project_param_scalar(p, v, t))
     if not accepted:
         return None
-    return merge_params_scalar(accepted, tol)
+    return merge_params_scalar(accepted)
 
 
-def merge_params_scalar(accepted, tol):
+def merge_params_scalar(accepted):
     """Sort parameters by alpha and drop near-duplicates, circularly."""
     # merge duplicates in alpha space (handles inf and near-equal finite t)
     accepted = sorted(accepted, key=alpha_of_param)
@@ -391,49 +391,49 @@ def merge_params_scalar(accepted, tol):
         if merged:
             prev = merged[-1]
             da = abs(wrap_angle(alpha_of_param(t) - alpha_of_param(prev)))
-            if da <= tol.param_merge * 10.0 or (
+            if da <= PARAM_MERGE * 10.0 or (
                 math.isfinite(t)
                 and math.isfinite(prev)
-                and abs(t - prev) <= tol.param_merge * (1.0 + abs(t) + abs(prev))
+                and abs(t - prev) <= PARAM_MERGE * (1.0 + abs(t) + abs(prev))
             ):
                 continue
         merged.append(t)
     # the list is circular: first and last may also coincide
     if len(merged) > 1:
         da = abs(wrap_angle(alpha_of_param(merged[0]) - alpha_of_param(merged[-1])))
-        if da <= tol.param_merge * 10.0:
+        if da <= PARAM_MERGE * 10.0:
             merged.pop()
     return merged
 
 
-def _quad_over_arc(f, a0, a1, tol):
+def _quad_over_arc(f, a0, a1):
     """scipy quad on [a0, a1], told about the chart breaks alpha = pi/2 mod pi."""
     k = math.ceil((a0 - 0.5 * math.pi) / math.pi)
     breaks = [c for c in (0.5 * math.pi + (k + i) * math.pi for i in range(8)) if a0 < c < a1]
     val, _ = quad(f, a0, a1, points=breaks or None, limit=200,
-                  epsabs=tol.quad_abs, epsrel=1e-12)
+                  epsabs=QUAD_ABS, epsrel=1e-12)
     return val
 
 
-def quad_arc_length(param, a0, a1, tol):
+def quad_arc_length(param, a0, a1):
     """Arc length by scalar adaptive quadrature of the speed (reference)."""
 
     def speed(a):
-        v = velocity_at_alpha_scalar(param, a, tol)
+        v = velocity_at_alpha_scalar(param, a)
         return math.hypot(v[0], v[1])
 
-    return _quad_over_arc(speed, a0, a1, tol)
+    return _quad_over_arc(speed, a0, a1)
 
 
-def quad_arc_area(param, a0, a1, tol):
+def quad_arc_area(param, a0, a1):
     """Integral of (x y' - y x') / 2 along the arc by scalar quadrature (reference)."""
 
     def f(a):
-        p = point_at_alpha_scalar(param, a, tol)
-        v = velocity_at_alpha_scalar(param, a, tol)
+        p = point_at_alpha_scalar(param, a)
+        v = velocity_at_alpha_scalar(param, a)
         return 0.5 * (p[0] * v[1] - p[1] * v[0])
 
-    return _quad_over_arc(f, a0, a1, tol)
+    return _quad_over_arc(f, a0, a1)
 
 
 # ------------------------------------------- scalar conic evaluation (reference)
@@ -501,21 +501,21 @@ def _chart_of_alpha(alpha):
     return 1, math.tan(0.5 * a - 0.5 * math.pi)
 
 
-def point_at_alpha_scalar(p, alpha, tol=DEFAULT_TOLERANCES):
+def point_at_alpha_scalar(p, alpha):
     chart, s = _chart_of_alpha(alpha)
     tx, ty, tu = _chart_triples(p, chart)
     u = _eval_triple(tu, s)
-    if abs(u) <= tol.den_rel * p.u_scale:
+    if abs(u) <= DEN_REL * p.u_scale:
         raise SingularParameterError(f"alpha={alpha} lies on the line at infinity")
     return np.array([_eval_triple(tx, s) / u, _eval_triple(ty, s) / u])
 
 
-def velocity_at_alpha_scalar(p, alpha, tol=DEFAULT_TOLERANCES):
+def velocity_at_alpha_scalar(p, alpha):
     """d(x, y)/d alpha; ds/dalpha = (1 + s^2)/2 in either chart."""
     chart, s = _chart_of_alpha(alpha)
     tx, ty, tu = _chart_triples(p, chart)
     x, y, u = _eval_triple(tx, s), _eval_triple(ty, s), _eval_triple(tu, s)
-    if abs(u) <= tol.den_rel * p.u_scale:
+    if abs(u) <= DEN_REL * p.u_scale:
         raise SingularParameterError(f"alpha={alpha} lies on the line at infinity")
     dx, dy, du = (_derivative_triple(q, s) for q in (tx, ty, tu))
     f = 0.5 * (1.0 + s * s) / (u * u)
@@ -532,7 +532,7 @@ def _window_sides(window):
     )
 
 
-def curve_crossings_scalar(b, e, window, snap, tol):
+def curve_crossings_scalar(b, e, window, snap):
     """Window crossings of one curved edge as (offset from a0, pos, side), in
     candidate order: sides 0-3, roots ascending, then t = inf."""
     p = b.param
@@ -546,7 +546,7 @@ def curve_crossings_scalar(b, e, window, snap, tol):
             continue
         for t in list(roots) + ([math.inf] if inf_root else []):
             x, y, u = homogeneous_at_scalar(p, t)
-            if abs(u) <= tol.den_rel * p.u_scale:
+            if abs(u) <= DEN_REL * p.u_scale:
                 continue
             pos = np.array([x / u, y / u])
             other = pos[1] if axis == 0 else pos[0]
@@ -580,23 +580,23 @@ def line_crossings_scalar(line, t_lo, t_hi, window, snap):
     return out
 
 
-def piece_point_scalar(graph, piece, f, tol=DEFAULT_TOLERANCES):
+def piece_point_scalar(graph, piece, f):
     """Point at fraction f along a clip piece's stored direction."""
     if piece.kind == "boundary":
         return piece.p0 + f * (piece.p1 - piece.p0)
     a = piece.a0 + f * (piece.a1 - piece.a0)
     b = graph.bisectors[piece.pair]
     if piece.kind == "arc":
-        return point_at_alpha_scalar(b.param, a, tol)
+        return point_at_alpha_scalar(b.param, a)
     return line_point_scalar(b.lines[piece.line_index], a)
 
 
-def flatten_piece_scalar(graph, piece, ftol, tol=DEFAULT_TOLERANCES):
+def flatten_piece_scalar(graph, piece, ftol):
     """Recursive chord-deviation flattening of one piece, end point included."""
     if piece.kind != "arc":
         return [piece.p0, piece.p1]
     knots = [0.0, 0.25, 0.5, 0.75, 1.0] if piece.closed else [0.0, 0.5, 1.0]
-    pts = [piece_point_scalar(graph, piece, f, tol) for f in knots]
+    pts = [piece_point_scalar(graph, piece, f) for f in knots]
     out = []
 
     def refine(f0, f1, p0, p1, depth):
@@ -604,7 +604,7 @@ def flatten_piece_scalar(graph, piece, ftol, tol=DEFAULT_TOLERANCES):
         if depth >= 14:
             return
         fm = 0.5 * (f0 + f1)
-        pm = piece_point_scalar(graph, piece, fm, tol)
+        pm = piece_point_scalar(graph, piece, fm)
         chord = p1 - p0
         n = math.hypot(chord[0], chord[1])
         if n == 0.0:
@@ -642,14 +642,13 @@ def probe_alphas_scalar(a_lo, a_hi, lo_singular, hi_singular):
         yield anchor + (mid - anchor) * (0.5**k) if anchor != mid else mid
 
 
-def arc_representative_scalar(p, a_lo, a_hi, lo_singular, hi_singular, length_scale,
-                              tol=DEFAULT_TOLERANCES):
+def arc_representative_scalar(p, a_lo, a_hi, lo_singular, hi_singular, length_scale):
     """First probe point of a curve piece that is regular, finite and within
     1e6 (1 + length_scale) of the origin, or None."""
     limit = 1e6 * (1.0 + length_scale)
     for alpha in probe_alphas_scalar(a_lo, a_hi, lo_singular, hi_singular):
         try:
-            q = point_at_alpha_scalar(p, alpha, tol)
+            q = point_at_alpha_scalar(p, alpha)
         except SingularParameterError:
             continue
         if np.all(np.isfinite(q)) and max(abs(q[0]), abs(q[1])) <= limit:
@@ -733,7 +732,7 @@ def rasterize_cells_per_cell(cd, width, height, counts=None):
     labels = np.full((height, width), -1, dtype=np.int32)
     covered = np.zeros((height, width), dtype=np.int32)
     xs = origin[0] + (np.arange(width) + 0.5) * px
-    lines = flatten_pieces(cd.graph, cd.pieces, px / 20.0, cd.graph.tol)
+    lines = flatten_pieces(cd.graph, cd.pieces, px / 20.0)
     for gid in ids:
         polys = [p for p in loop_polygons(lines, cd.cells.get(gid, [])) if len(p) >= 3]
         if not polys:

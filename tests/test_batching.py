@@ -60,7 +60,7 @@ from gbpd.errors import NoSolutionError, SingularParameterError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
 from gbpd.intersect import globally_minimal
 from gbpd.measure import _point_in_polygon
-from gbpd.tolerances import DEFAULT_TOLERANCES as TOL
+from gbpd.tolerances import VERT_REL
 
 from oracles import (
     arc_representative_scalar,
@@ -129,12 +129,12 @@ def test_batched_bisectors_match_one_pair_at_a_time(gens, rnd):
     rnd.shuffle(pairs)
     # either order inside a pair: the kernel sorts each pair by id
     pairs = [(gj, gi) if rnd.random() < 0.5 else (gi, gj) for gi, gj in pairs]
-    batch = make_bisectors([p[0] for p in pairs], [p[1] for p in pairs], TOL)
+    batch = make_bisectors([p[0] for p in pairs], [p[1] for p in pairs])
     assert len(batch) == len(pairs)
     for (gi, gj), b in zip(pairs, batch):
-        assert bisector_fields(b) == bisector_fields(make_bisector(gi, gj, TOL))
+        assert bisector_fields(b) == bisector_fields(make_bisector(gi, gj))
         # and the one-pair formulas the kernel vectorizes, for every curve
-        implicit, ref = bisector_frame_scalar(gi, gj, TOL)
+        implicit, ref = bisector_frame_scalar(gi, gj)
         assert bits(b.implicit.coeffs()) == bits(implicit)
         if ref is None:
             assert b.param is None
@@ -190,12 +190,12 @@ def test_table_rows_match_one_pair_bisectors(gens, shift, rnd):
     iso = random_scene("isotropic", 4, rnd.randrange(10_000), WINDOW)
     gens = gens + [Generator(100 + g.id, g.p + shift, g.M, g.w) for g in iso]
     rnd.shuffle(gens)
-    table = bisector_table(gens, TOL)
+    table = bisector_table(gens)
     rows = np.arange(table.first.size)
     assert rows.size == len(gens) * (len(gens) - 1) // 2
     components = table.components(rows)
     for k in rows.tolist():
-        one = make_bisector(gens[table.first[k]], gens[table.second[k]], TOL)
+        one = make_bisector(gens[table.first[k]], gens[table.second[k]])
         assert table_row_fields(table, k, *(a[k] for a in components)) == one_pair_fields(one)
         assert bisector_fields(table.bisectors([k])[0]) == bisector_fields(one)
     lines = table.line_count > 0
@@ -208,12 +208,12 @@ def test_batched_bisectors_cover_rank_deficient_pairs():
     gens = random_scene("isotropic", 6, 3, WINDOW)
     gens.append(Generator(6, gens[0].p.copy(), gens[0].M, gens[0].w + 1.0))
     firsts, seconds = gens[:5] + [gens[6]], gens[1:6] + [gens[0]]
-    batch = make_bisectors(firsts, seconds, TOL)
+    batch = make_bisectors(firsts, seconds)
     assert all(b.param is None for b in batch)
     assert [bool(b.lines) for b in batch] == [True] * 5 + [False]
     for gi, gj, b in zip(firsts, seconds, batch):
-        assert bisector_fields(b) == bisector_fields(make_bisector(gi, gj, TOL))
-    assert make_bisectors([], [], TOL) == []
+        assert bisector_fields(b) == bisector_fields(make_bisector(gi, gj))
+    assert make_bisectors([], []) == []
 
 
 @st.composite
@@ -238,7 +238,7 @@ def candidate_sets(draw):
     x0 = int(rng.integers(pts.shape[0]))
     k0 = int(nearest[x0, 0])
     factor = draw(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 2.001, 3.0]))
-    delta = factor * TOL.vert_rel * (1.0 + abs(float(d[x0, k0])))
+    delta = factor * VERT_REL * (1.0 + abs(float(d[x0, k0])))
     g = gens[k0]
     gens.append(Generator(n, g.p.copy(), g.M, g.w - delta))
     arr = SceneArrays(gens)
@@ -255,8 +255,8 @@ def candidate_sets(draw):
 @settings(max_examples=80, deadline=None)
 def test_early_exit_filter_matches_full_scan(case):
     cand, trip, arr = case
-    keep = globally_minimal(cand, trip, arr, TOL)
-    assert keep.tolist() == full_scan_minimal(cand, trip, arr, TOL).tolist()
+    keep = globally_minimal(cand, trip, arr)
+    assert keep.tolist() == full_scan_minimal(cand, trip, arr).tolist()
     # the three nearest generators always pass
     half = (cand.shape[0] - 1) // 2
     assert keep[half : 2 * half].all()
@@ -277,7 +277,7 @@ def test_batched_two_nearest_matches_per_point(preset, n, seed, factor):
     pairs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False)) for _ in range(3)]
     # points on the (i, j) bisector are where the decision is close
     curves = [
-        np.array(sample_points(make_bisector(gens[i], gens[j], TOL), count=32, tol=TOL))
+        np.array(sample_points(make_bisector(gens[i], gens[j]), count=32))
         .reshape(-1, 2) for i, j in pairs
     ]
     if factor is not None and curves[0].size:
@@ -286,7 +286,7 @@ def test_batched_two_nearest_matches_per_point(preset, n, seed, factor):
         # threshold, so that point and its neighbours sit right around it
         i, j = pairs[0]
         d = float(SceneArrays(gens).dist(curves[0][:1])[0, i])
-        delta = factor * TOL.vert_rel * (1.0 + abs(d))
+        delta = factor * VERT_REL * (1.0 + abs(d))
         gens.append(Generator(n, gens[i].p.copy(), gens[i].M, gens[i].w + delta))
         pairs += [pairs[0], (n, j)]
         curves += [curves[0][:1], curves[0]]
@@ -298,12 +298,12 @@ def test_batched_two_nearest_matches_per_point(preset, n, seed, factor):
         idx_i += [i] * rows.shape[0]
         idx_j += [j] * rows.shape[0]
     pts = np.concatenate(pts)
-    got = _two_nearest(pts, np.array(idx_i), np.array(idx_j), arr, TOL)
-    ref = [bool(two_nearest_point(p, i, j, arr, TOL)) for p, i, j in zip(pts, idx_i, idx_j)]
+    got = _two_nearest(pts, np.array(idx_i), np.array(idx_j), arr)
+    ref = [bool(two_nearest_point(p, i, j, arr)) for p, i, j in zip(pts, idx_i, idx_j)]
     assert got.tolist() == ref
     # one pair for every point
-    assert _two_nearest(pts, idx_i[0], idx_j[0], arr, TOL).tolist() == [
-        bool(two_nearest_point(p, idx_i[0], idx_j[0], arr, TOL)) for p in pts
+    assert _two_nearest(pts, idx_i[0], idx_j[0], arr).tolist() == [
+        bool(two_nearest_point(p, idx_i[0], idx_j[0], arr)) for p in pts
     ]
 
 
@@ -358,17 +358,17 @@ def test_batched_angle_maps_match_scalar():
     t = np.concatenate([[math.inf, -math.inf, 0.0, 1.0, -1.0], np.tan(alpha)])
     assert bits(alphas_of_params(t)) == bits(alpha_of_param(v) for v in t.tolist())
     # points and velocities of a hyperbola, singular parameters included
-    hyp = make_bisector(*random_scene("paper-random", 2, 3, WINDOW), TOL)
+    hyp = make_bisector(*random_scene("paper-random", 2, 3, WINDOW))
     assert hyp.conic_class is ConicClass.HYPERBOLA
     probe = np.concatenate([alpha, np.array(hyp.param.singular_alphas)])
     p = hyp.param
     x, y, vx, vy, singular = points_at_alphas(
-        chart_coefficients([p] * probe.size), np.full(probe.size, p.u_scale), probe, TOL
+        chart_coefficients([p] * probe.size), np.full(probe.size, p.u_scale), probe
     )
     assert singular[-2:].all()
     for k, a in enumerate(probe.tolist()):
         try:
-            q, v = point_at_alpha_scalar(p, a, TOL), velocity_at_alpha_scalar(p, a, TOL)
+            q, v = point_at_alpha_scalar(p, a), velocity_at_alpha_scalar(p, a)
         except SingularParameterError:
             assert singular[k]
             continue
@@ -393,12 +393,12 @@ def recovery_probes(b, rng):
     """Points to recover on a curved bisector: samples, its far point, points
     near singular parameters, and points pushed off the curve."""
     p = b.param
-    pts = list(sample_points(b, count=24, tol=TOL))
-    pts.append(p.point_at(math.inf, TOL))
+    pts = list(sample_points(b, count=24))
+    pts.append(p.point_at(math.inf))
     for a in p.singular_alphas:
         for d in (1e-2, -1e-2, 1e-3, -1e-3, 1e-4, -1e-4):
             try:
-                pts.append(p.point_at_alpha(a + d, TOL))
+                pts.append(p.point_at_alpha(a + d))
             except SingularParameterError:
                 pass
     off = []
@@ -433,7 +433,7 @@ def test_batched_param_recovery_matches_scalar(gens, seed):
     # every pair with the first generator (concentric and equal-matrix ones
     # included) and every consecutive pair
     firsts, seconds = [gens[0]] * (len(gens) - 1) + gens[1:-1], gens[1:] + gens[2:]
-    curves = [b for b in make_bisectors(firsts, seconds, TOL) if b.param is not None]
+    curves = [b for b in make_bisectors(firsts, seconds) if b.param is not None]
     params, points, must_miss = [], [], []
     for b in curves:
         on, off = recovery_probes(b, rng)
@@ -444,20 +444,20 @@ def test_batched_param_recovery_matches_scalar(gens, seed):
         return
     points = np.array(points)
     coef, u_scale = chart_coefficients(params), np.array([p.u_scale for p in params])
-    got = as_bits(*params_of_points(coef, u_scale, points, eps, TOL))
+    got = as_bits(*params_of_points(coef, u_scale, points, eps))
     ref = []
     for p, q in zip(params, points):
-        r = param_of_point_scalar(p, q, eps, TOL)
+        r = param_of_point_scalar(p, q, eps)
         ref.append(None if r is None else bits(r))
     assert got == ref
     assert all(g is None for g, m in zip(got, must_miss) if m)
     assert any(g is not None for g in got)
     # the batch reversed, and batches of one
-    backwards = params_of_points(coef[::-1], u_scale[::-1], points[::-1], eps, TOL)
+    backwards = params_of_points(coef[::-1], u_scale[::-1], points[::-1], eps)
     assert as_bits(*backwards) == got[::-1]
     for p, q, g in zip(params, points, got):
         try:
-            one = bits(param_of_point(p, q, eps, TOL))
+            one = bits(param_of_point(p, q, eps))
         except NoSolutionError:
             one = None
         assert one == g
@@ -476,8 +476,8 @@ def test_batched_merge_matches_scalar(accepted):
     ts[0, : len(order)] = [accepted[k] for k in order]
     alphas[0, : len(order)] = [alpha_of_param(accepted[k]) for k in order]
     found = np.arange(5)[None, :] < len(order)
-    keep = _merge_params(ts, alphas, found, TOL)
-    assert bits(ts[0][keep[0]]) == bits(merge_params_scalar(accepted, TOL))
+    keep = _merge_params(ts, alphas, found)
+    assert bits(ts[0][keep[0]]) == bits(merge_params_scalar(accepted))
 
 
 def test_param_recovery_far_from_origin_and_at_the_far_point():
@@ -486,11 +486,11 @@ def test_param_recovery_far_from_origin_and_at_the_far_point():
         scene = random_scene("paper-weights", 6, 4, WINDOW)
         gens = [Generator(g.id, g.p + shift, g.M, g.w) for g in scene]
         eps = 1e-7 * (1.0 + SceneArrays(gens).scale())
-        for b in make_bisectors(gens[:-1], gens[1:], TOL):
-            far = b.param.point_at(math.inf, TOL)
+        for b in make_bisectors(gens[:-1], gens[1:]):
+            far = b.param.point_at(math.inf)
             coef, u_scale = chart_coefficients([b.param]), np.array([b.param.u_scale])
-            ts, found = params_of_points(coef, u_scale, far[None], eps, TOL)
-            assert as_bits(ts, found) == [bits(param_of_point_scalar(b.param, far, eps, TOL))]
+            ts, found = params_of_points(coef, u_scale, far[None], eps)
+            assert as_bits(ts, found) == [bits(param_of_point_scalar(b.param, far, eps))]
             assert math.inf in ts[0][found[0]].tolist()
 
 
@@ -500,7 +500,7 @@ def test_param_recovery_far_from_origin_and_at_the_far_point():
 def all_pairs(gens):
     """The bisector table of a scene's generators (aliases dropped, as the
     build drops them) and its pair rows."""
-    table = bisector_table(_dedup_generators(list(gens))[0], TOL)
+    table = bisector_table(_dedup_generators(list(gens))[0])
     return table, table.pair_rows()
 
 
@@ -516,8 +516,8 @@ def assert_polish_matches_scalar(gens, vertices, length_scale):
     polish on the objects of the same pairs, bit for bit."""
     table, pair_row = all_pairs(gens)
     batch, scalar = copy.deepcopy(vertices), copy.deepcopy(vertices)
-    _polish_vertices(batch, table, pair_row, length_scale, TOL)
-    polish_vertices_scalar(scalar, incident_objects(table, pair_row, vertices), length_scale, TOL)
+    _polish_vertices(batch, table, pair_row, length_scale)
+    polish_vertices_scalar(scalar, incident_objects(table, pair_row, vertices), length_scale)
     assert [bits(v.pos) for v in batch] == [bits(v.pos) for v in scalar]
 
 
@@ -576,14 +576,14 @@ def test_cross_bisector_visibility_matches_per_bisector(gens):
     table, pair_row = all_pairs(gens)
     arr = SceneArrays(table.generators)
     eps = 1e-7 * (1.0 + graph.length_scale)
-    marks, _ = _recover_params(graph.vertices, table, pair_row, eps, TOL)
+    marks, _ = _recover_params(graph.vertices, table, pair_row, eps)
     ordered = table.bisectors(np.arange(table.first.size))
     each = [
         edge_fields(e)
         for row, b in enumerate(ordered)
-        for e in visible_segments(b, marks.get(row, {}), arr, TOL, graph.length_scale)
+        for e in visible_segments(b, marks.get(row, {}), arr, graph.length_scale)
     ]
-    together, _ = _visible_pieces(table, np.arange(table.first.size), marks, arr, TOL,
+    together, _ = _visible_pieces(table, np.arange(table.first.size), marks, arr,
                                   graph.length_scale)
     assert [edge_fields(e) for e in together] == each
     assert [edge_fields(e) for e in graph.edges] == each
@@ -606,12 +606,12 @@ def lopsided_case():
         Generator(0, (0, 0), SymMat2(2.0, 0.0, 0.5), 0.0),
         Generator(1, (3, 0), SymMat2.identity(), 0.0),
     ]
-    b = make_bisector(*gens, TOL)
+    b = make_bisector(*gens)
     lo_alpha = b.components[0].lo
     limit = 2e6  # length_scale 1
 
     def reach(d):
-        q = b.param.point_at_alpha(lo_alpha + d, TOL)
+        q = b.param.point_at_alpha(lo_alpha + d)
         return max(abs(q[0]), abs(q[1]))
 
     near, far = 1e-12, 1e-1
@@ -624,7 +624,7 @@ def lopsided_case():
 
 def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
     gens, b, vparams = lopsided_case()
-    segs = visible_segments(b, vparams, gens, TOL, 1.0)
+    segs = visible_segments(b, vparams, gens, 1.0)
     assert [s.component for s in segs] == [0, 0, 1]
     assert segs[0].a0 == b.components[0].lo and segs[0].endpoints == (None, None)
     # a mark exactly at the branch's singular start: recovery puts it on the
@@ -634,9 +634,9 @@ def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
     end = next(t for t in b.param.singular_params if alpha_of_param(t) == comp.lo)
     assert comp.contains_alpha(alpha_of_param(end))
     at_end = {0: [(end, None)]}
-    assert _split_component(at_end[0], comp.lo, comp.hi, False, False, TOL) == []
-    plain = [edge_fields(e) for e in visible_segments(b, {}, gens, TOL, 1.0)]
-    assert [edge_fields(e) for e in visible_segments(b, at_end, gens, TOL, 1.0)] == plain
+    assert _split_component(at_end[0], comp.lo, comp.hi, False, False) == []
+    plain = [edge_fields(e) for e in visible_segments(b, {}, gens, 1.0)]
+    assert [edge_fields(e) for e in visible_segments(b, at_end, gens, 1.0)] == plain
     assert [s[6] for s in plain] == [0, 1]
     # one piece, probed at its midpoint
     assert assert_probe_levels_match_scalar(b, at_end, 1.0) == 0
@@ -648,13 +648,13 @@ def assert_probe_levels_match_scalar(b, vparams, length_scale):
     midpoint's). Returns the number of lopsided pieces (one singular end)."""
     pieces = []  # (component, x0, x1, mid, anchor, whole)
     for ci, comp in enumerate(b.components):
-        split = _split_component(vparams.get(ci, []), comp.lo, comp.hi, comp.closed, False, TOL)
+        split = _split_component(vparams.get(ci, []), comp.lo, comp.hi, comp.closed, False)
         pieces += [(ci, p[0], p[1], p[4], p[5], False) for p in split] or [
             (ci, comp.lo, comp.hi, comp.midpoint(), comp.midpoint(), True)]
     _, _, _, mid, anchor, whole = (np.array(col) for col in zip(*pieces))
     points, has_rep = _curve_representatives(
         chart_coefficients([b.param] * len(pieces)), np.full(len(pieces), b.param.u_scale),
-        mid, anchor, whole, length_scale, TOL,
+        mid, anchor, whole, length_scale,
     )
     lopsided = 0
     for (ci, a0, a1, _, _, is_whole), q, found in zip(pieces, points, has_rep.tolist()):
@@ -663,11 +663,11 @@ def assert_probe_levels_match_scalar(b, vparams, length_scale):
         s_hi = not comp.closed and abs(a1 - comp.hi) <= 1e-15
         if is_whole:
             try:
-                ref = point_at_alpha_scalar(b.param, comp.midpoint(), TOL)
+                ref = point_at_alpha_scalar(b.param, comp.midpoint())
             except SingularParameterError:
                 ref = None
         else:
-            ref = arc_representative_scalar(b.param, a0, a1, s_lo, s_hi, length_scale, TOL)
+            ref = arc_representative_scalar(b.param, a0, a1, s_lo, s_hi, length_scale)
         assert found == (ref is not None)
         if found:
             assert bits(q) == bits(ref)
@@ -694,7 +694,7 @@ def hyperbola_marks(draw):
                for _ in range(2)]
     gens = [Generator(k, c, m, draw(st.floats(-5.0, 5.0)))
             for k, (c, m) in enumerate(zip(centers, (mi, mj)))]
-    bis = make_bisector(*gens, TOL)
+    bis = make_bisector(*gens)
     assume(bis.conic_class is ConicClass.HYPERBOLA)
     vparams = {}
     for ci, comp in enumerate(bis.components):
@@ -764,13 +764,13 @@ def test_no_recovery_miss_or_missing_representative_on_benchmark_scenes():
         table, pair_row = all_pairs(gens)
         arr = SceneArrays(table.generators)
         eps = 1e-7 * (1.0 + graph.length_scale)
-        marks, miss = _recover_params(graph.vertices, table, pair_row, eps, TOL)
+        marks, miss = _recover_params(graph.vertices, table, pair_row, eps)
         assert not miss.any()
         # one parameter per incidence, one incidence per pair of a vertex's generators
         assert miss.size == sum(math.comb(len(v.gens), 2) for v in graph.vertices)
         assert sum(len(e) for by_comp in marks.values() for e in by_comp.values()) == miss.size
         # every row through the one visibility pass
-        edges, no_rep = _visible_pieces(table, np.arange(table.first.size), marks, arr, TOL,
+        edges, no_rep = _visible_pieces(table, np.arange(table.first.size), marks, arr,
                                         graph.length_scale)
         assert not no_rep.any()
         assert len(edges) == len(graph.edges)

@@ -20,7 +20,7 @@ from gbpd.cli import PRESETS, random_scene
 from gbpd.clip import clip_to_window, flatten_pieces, piece_points
 from gbpd.diagram import build_diagram, merge_marks, ray_parameter, split_at_marks
 from gbpd.oracle import rasterize_cells
-from gbpd.tolerances import DEFAULT_TOLERANCES as TOL
+from gbpd.tolerances import DEDUP_REL
 
 from oracles import (
     curve_crossings_scalar,
@@ -100,14 +100,14 @@ def crossing_bits(found):
 @pytest.mark.parametrize("name", CASES)
 def test_batched_crossings_match_scalar(graphs, name):
     graph, window = graphs[name]
-    snap = TOL.dedup_rel * window.diagonal
+    snap = DEDUP_REL * window.diagonal
     curved = [e for e in graph.edges if e.is_curve()]
     straight = [e for e in graph.edges if not e.is_curve()]
-    got_curved = gclip._curve_crossings(graph, curved, window, snap, TOL)
+    got_curved = gclip._curve_crossings(graph, curved, window, snap)
     got_straight = gclip._line_crossings(graph, straight, window, snap)
     total = 0
     for e, found in zip(curved, got_curved):
-        ref = curve_crossings_scalar(graph.bisectors[e.pair], e, window, snap, TOL)
+        ref = curve_crossings_scalar(graph.bisectors[e.pair], e, window, snap)
         assert crossing_bits((x, *at) for x, at in found) == crossing_bits(ref)
         total += len(ref)
     for e, found in zip(straight, got_straight):
@@ -117,7 +117,7 @@ def test_batched_crossings_match_scalar(graphs, name):
         total += len(ref)
     assert (total == 0) == (name == "no-edge-inside")
     # an edge's crossings do not depend on the other edges of the batch
-    alone = [gclip._curve_crossings(graph, [e], window, snap, TOL)[0] for e in curved[::-1]][::-1]
+    alone = [gclip._curve_crossings(graph, [e], window, snap)[0] for e in curved[::-1]][::-1]
     assert [crossing_bits((x, *at) for x, at in f) for f in alone] == [
         crossing_bits((x, *at) for x, at in f) for f in got_curved
     ]
@@ -134,10 +134,10 @@ def test_batched_flattening_matches_scalar(graphs, name):
     if name == "loop-across-border":
         ftols.append(0.0)  # every span refines to the depth cap
     for ftol in ftols:
-        lines = flatten_pieces(cd.graph, cd.pieces, ftol, TOL)
+        lines = flatten_pieces(cd.graph, cd.pieces, ftol)
         for piece, line in zip(cd.pieces, lines):
-            assert bits(line) == bits(flatten_piece_scalar(cd.graph, piece, ftol, TOL))
-        alone = [flatten_pieces(cd.graph, [p], ftol, TOL)[0] for p in cd.pieces[::-1]][::-1]
+            assert bits(line) == bits(flatten_piece_scalar(cd.graph, piece, ftol))
+        alone = [flatten_pieces(cd.graph, [p], ftol)[0] for p in cd.pieces[::-1]][::-1]
         assert [bits(line) for line in alone] == [bits(line) for line in lines]
 
 
@@ -147,8 +147,8 @@ def test_batched_piece_points_match_scalar(graphs, name):
     cd = clip_to_window(graph, window)
     rng = np.random.default_rng(3)
     rows = [(p, f) for p in cd.pieces for f in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3))]
-    got = piece_points(cd.graph, [p for p, _ in rows], np.array([f for _, f in rows]), TOL)
-    ref = [piece_point_scalar(cd.graph, p, f, TOL) for p, f in rows]
+    got = piece_points(cd.graph, [p for p, _ in rows], np.array([f for _, f in rows]))
+    ref = [piece_point_scalar(cd.graph, p, f) for p, f in rows]
     assert bits(got) == bits(ref)
 
 
@@ -158,9 +158,9 @@ def test_each_piece_flattened_once_per_raster(monkeypatch):
     calls = []
     kernel = goracle.flatten_pieces
 
-    def counting(graph_, pieces, ftol, tol):
+    def counting(graph_, pieces, ftol):
         calls.append([p.id for p in pieces])
-        return kernel(graph_, pieces, ftol, tol)
+        return kernel(graph_, pieces, ftol)
 
     monkeypatch.setattr(goracle, "flatten_pieces", counting)
     rasterize_cells(cd, 100, 100)

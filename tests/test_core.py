@@ -106,6 +106,12 @@ def test_positive_definite_rejected():
         gen(0, (0.0, 0.0), -1.0, 0.0, 2.0)
 
 
+def test_negative_generator_id_rejected():
+    # -1 is the background label of label images
+    with pytest.raises(InputError, match="id"):
+        gen(-1, (0.0, 0.0), 1.0, 0.0, 1.0)
+
+
 def test_eigh_matches_numpy_on_random_matrices():
     rng = np.random.default_rng(7)
     for _ in range(200):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gbpd import DEFAULT_TOLERANCES, Generator, SymMat2
+from gbpd import Generator, SymMat2
 from gbpd import diagram as gdiagram
 from gbpd.cli import random_scene as preset_scene
 from gbpd.clip import clip_to_window

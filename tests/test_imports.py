@@ -73,3 +73,28 @@ def test_patched_names_are_still_bound():
     for module, name in sorted(PATCHED_BY_NAME):
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
         assert name in _imported_names(tree), f"{module}: {name}"
+
+
+def test_tolerances_are_constants_not_parameters():
+    # one value of each tolerance is in use, so each is a float constant of
+    # tolerances.py, imported by name: no module imports anything else from
+    # it (a set of tolerances to pass around), and no function takes `tol`
+    _, *body = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8")).body
+    constants = set()
+    for node in body:  # after the docstring, NAME = float only
+        assert isinstance(node, ast.Assign) and type(getattr(node.value, "value", None)) is float
+        (target,) = node.targets
+        assert target.id.isupper()
+        constants.add(target.id)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                found += [f"{path.name}: {getattr(node, 'name', 'lambda')} takes tol"
+                          for p in params if p is not None and p.arg == "tol"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "tolerances":
+                found += [f"{path.name}: imports {alias.name} from tolerances"
+                          for alias in node.names if alias.name not in constants]
+    assert found == []

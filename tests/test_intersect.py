@@ -18,7 +18,6 @@ from gbpd.intersect import (
     pencil_intersections_batch,
     prepare_pairs,
 )
-from gbpd.tolerances import DEFAULT_TOLERANCES as TOL
 
 from oracles import grid_conic_intersections, radical_center
 
@@ -195,7 +194,7 @@ def test_batch_matches_scalar():
         scalars.append(conic_conic_intersections(c1, c2, length_scale=20.0))
     prep = prepare_pairs(np.array(mats1 + mats2), 20.0, (0.0, 0.0))
     rows = np.arange(len(mats1))
-    pts, valid = pencil_intersections_batch(rows, rows + len(mats1), prep, TOL)
+    pts, valid = pencil_intersections_batch(rows, rows + len(mats1), prep)
     for k, expected in enumerate(scalars):
         got = [pts[k, s] for s in range(4) if valid[k, s]]
         assert match_point_sets(
@@ -240,10 +239,10 @@ def test_prepared_rows_match_pairs_prepared_alone_bit_for_bit(scene):
     trip = np.array(list(itertools.combinations(range(n), 3)))
     rows1, rows2 = pair_row[trip[:, 0], trip[:, 1]], pair_row[trip[:, 0], trip[:, 2]]
     mats = np.array(mats)
-    got = pencil_intersections_batch(rows1, rows2, prepare_pairs(mats, length_scale, center), TOL)
+    got = pencil_intersections_batch(rows1, rows2, prepare_pairs(mats, length_scale, center))
     for k, (r1, r2) in enumerate(zip(rows1, rows2)):
         alone = prepare_pairs(mats[[r1, r2]], length_scale, center)
-        want = pencil_intersections_batch(np.array([0]), np.array([1]), alone, TOL)
+        want = pencil_intersections_batch(np.array([0]), np.array([1]), alone)
         assert got[0][k].tobytes() == want[0][0].tobytes()
         assert np.array_equal(got[1][k], want[1][0])
 

@@ -12,6 +12,7 @@ from gbpd.diagram import build_diagram
 from gbpd.errors import NonFiniteSegmentError, UnboundedCellError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
 from gbpd.measure import cell_area, cell_perimeter, edge_arc_length, measure_cells
+from gbpd.serialize import diagram_from_json, diagram_to_json
 
 from oracles import marching_squares_length, point_at_alpha_scalar, polyline_arc_length
 
@@ -200,17 +201,21 @@ def test_parabola_loop_is_unbounded():
     # a whole parabola component is labelled "loop", as an ellipse is, but
     # it runs through its singular parameter (alpha 0) to infinity
     gens = [iso(0, 0.0, 0.0), Generator(1, (3.0, 0.0), SymMat2(1.0, 0.0, 2.0), 0.0)]
-    graph = build_diagram(gens)
-    assert [e.kind for e in graph.edges] == ["loop"]
-    assert graph.bisectors[(0, 1)].param.singular_params == (0.0,)
-    with pytest.raises(NonFiniteSegmentError):
-        edge_arc_length(graph, graph.edges[0])
-    for gid in (0, 1):
-        with pytest.raises(UnboundedCellError):
-            cell_area(gid, graph)
-    window = Window(-10.0, -10.0, 10.0, 10.0)
-    total = sum(m.area for m in measure_cells(clip_to_window(graph, window)).values())
-    assert abs(total - window.area()) <= 1e-9 * window.area()
+    built = build_diagram(gens)
+    text = diagram_to_json(built)
+    # the reader takes the loop, whose one arc spans a full turn, as built
+    for graph in (built, diagram_from_json(text)):
+        assert [e.kind for e in graph.edges] == ["loop"]
+        assert graph.bisectors[(0, 1)].param.singular_params == (0.0,)
+        with pytest.raises(NonFiniteSegmentError):
+            edge_arc_length(graph, graph.edges[0])
+        for gid in (0, 1):
+            with pytest.raises(UnboundedCellError):
+                cell_area(gid, graph)
+        window = Window(-10.0, -10.0, 10.0, 10.0)
+        total = sum(m.area for m in measure_cells(clip_to_window(graph, window)).values())
+        assert abs(total - window.area()) <= 1e-9 * window.area()
+        assert diagram_to_json(graph) == text
 
 
 def test_half_window_cells():
@@ -277,7 +282,7 @@ def test_single_outer_loop_takes_its_holes_unflattened(monkeypatch):
     assert len(cd.cells[3]) == 3 and len(cm.components) == 1
     assert calls == []
     assert len(cell_area(9, cd).components) == 2
-    lines = kernel(cd.graph, cd.pieces, 1e-3, cd.graph.tol)
+    lines = kernel(cd.graph, cd.pieces, 1e-3)
     outer = [lp for lp in cd.cells[9] if polygon_area(loop_polygons(lines, [lp])[0]) > 0.0]
     assert len(cd.cells[9]) == 3 and len(outer) == 2
     assert calls == [sorted({pid for lp in outer for pid, _ in lp})]

@@ -26,7 +26,6 @@ from gbpd.diagram import build_diagram
 from gbpd.errors import GbpdError, QuadratureError
 from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.measure import arc_measures, cell_area, measure_cells
-from gbpd.tolerances import DEFAULT_TOLERANCES as TOL
 
 from oracles import quad_arc_area, quad_arc_length
 
@@ -53,13 +52,13 @@ def assert_matches_quad(arcs, rounding=False):
     """
     if not arcs:
         return
-    areas, lengths = arc_measures(*zip(*arcs), TOL)
+    areas, lengths = arc_measures(*zip(*arcs))
     with warnings.catch_warnings():
         # the reference may warn where it cannot meet its own target
         warnings.simplefilter("ignore")
         for (param, a0, a1), area, length in zip(arcs, areas, lengths):
-            ref_area = quad_arc_area(param, a0, a1, TOL)
-            ref_length = quad_arc_length(param, a0, a1, TOL)
+            ref_area = quad_arc_area(param, a0, a1)
+            ref_length = quad_arc_length(param, a0, a1)
             floor = 0.0
             if rounding:
                 r = max(np.hypot(*param.point_at_alpha(a)) for a in (a0, 0.5 * (a0 + a1), a1))
@@ -71,12 +70,12 @@ def assert_matches_quad(arcs, rounding=False):
 def assert_batch_is_batch_of_one(arcs):
     if not arcs:
         return
-    areas, lengths = arc_measures(*zip(*arcs), TOL)
-    rev_areas, rev_lengths = arc_measures(*zip(*arcs[::-1]), TOL)
+    areas, lengths = arc_measures(*zip(*arcs))
+    rev_areas, rev_lengths = arc_measures(*zip(*arcs[::-1]))
     assert bits(rev_areas[::-1]) == bits(areas)
     assert bits(rev_lengths[::-1]) == bits(lengths)
     for (param, a0, a1), area, length in zip(arcs, areas, lengths):
-        one_area, one_length = arc_measures([param], [a0], [a1], TOL)
+        one_area, one_length = arc_measures([param], [a0], [a1])
         assert bits([one_area[0], one_length[0]]) == bits([area, length])
 
 
@@ -136,9 +135,9 @@ def test_each_arc_piece_integrated_once(reload_scene, monkeypatch):
     calls = []
     kernel = gmeasure.arc_measures
 
-    def counting(params, a0, a1, tol):
+    def counting(params, a0, a1):
         calls.append(sorted(zip(a0, a1)))
-        return kernel(params, a0, a1, tol)
+        return kernel(params, a0, a1)
 
     monkeypatch.setattr(gmeasure, "arc_measures", counting)
     measure_cells(cd)
@@ -174,7 +173,7 @@ def arcs(draw):
     i, j = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
     shift = draw(st.sampled_from([0.0, 1e6]))
     gi, gj = (Generator(g.id, g.p + shift, g.M, g.w) for g in (gens[i], gens[j]))
-    b = make_bisector(gi, gj, TOL)
+    b = make_bisector(gi, gj)
     comps = [c for c in b.components if c.kind == "arc"]
     if b.param is None or not comps:
         return None
@@ -237,13 +236,13 @@ def fixed_hard_arcs(shift):
     singular parameter, with the generators shifted by (shift, shift)."""
     g0 = Generator(0, np.array([0.0, 0.0]) + shift, SymMat2(2.0, 0.3, 1.0), 1.0)
     g1 = Generator(1, np.array([3.0, 1.0]) + shift, SymMat2(1.0, 0.1, 0.5), 0.0)
-    ellipse = make_bisector(g0, g1, TOL)
+    ellipse = make_bisector(g0, g1)
     assert ellipse.conic_class is ConicClass.ELLIPSE
     out = [(ellipse.param, a0, a0 + 2.0 * math.pi) for a0 in (-math.pi, -0.3, 2.0)]
     out += [(ellipse.param, 0.5 * math.pi - 0.4, 0.5 * math.pi + 0.7),
             (ellipse.param, -0.5 * math.pi - 1e-9, 2.5 * math.pi - 1e-3)]
     gens = [Generator(g.id, g.p + shift, g.M, g.w) for g in random_scene("paper-random", 2, 3, WINDOW)]
-    hyperbola = make_bisector(gens[0], gens[1], TOL)
+    hyperbola = make_bisector(gens[0], gens[1])
     assert hyperbola.conic_class is ConicClass.HYPERBOLA
     for c in hyperbola.components:
         w = c.hi - c.lo

@@ -200,6 +200,7 @@ def test_malformed_documents_raise_input_error():
         ("edges", "endpoints", [None]),
         ("vertices", "gens", 3),
         ("generators", "id", None),
+        ("generators", "id", -1),
         ("edges", "t_a", None),
         ("edges", "kind", "bogus"),
         ("edges", "component", 7),
@@ -209,6 +210,20 @@ def test_malformed_documents_raise_input_error():
         doc[key][0][field] = value
         with pytest.raises(InputError, match=rf"{key}\[0\]"):
             diagram_from_json(json.dumps(doc))
+    # a "loop" on a hyperbola branch, with the edge's endpoints or with none:
+    # only an ellipse's closed loop and a parabola's one arc span a full turn
+    assert json.loads(text)["edges"][0]["endpoints"] == [None, 1]
+    for ends in ([None, 1], [None, None]):
+        doc = json.loads(text)
+        doc["edges"][0].update(kind="loop", t_a=None, t_b=None, endpoints=ends)
+        with pytest.raises(InputError, match=r"edges\[0\]: a loop"):
+            diagram_from_json(json.dumps(doc))
+    # an ellipse's closed loop given a vertex at both ends
+    doc = json.loads(diagram_to_json(build_diagram(random_scene("paper-weights", 8, 1018, WINDOW))))
+    loop = next(e for e in doc["edges"] if e["kind"] == "loop")
+    loop["endpoints"] = [0, 0]
+    with pytest.raises(InputError, match=rf"edges\[{loop['id']}\]: a loop"):
+        diagram_from_json(json.dumps(doc))
     # a diagram needs a generator
     with pytest.raises(InputError, match="at least one generator"):
         diagram_from_json('{"generators": [], "vertices": [], "edges": [], "adjacency": [], '
