@@ -4,8 +4,11 @@
 Generates a random anisotropic scene, builds the analytic diagram, rasterizes
 it both analytically and by brute-force nearest-generator labeling, and
 reports timing plus mismatch statistics. The build line also gives the
-triple count of the sweep and the process's peak RSS so far. The defaults
-reproduce the 148-generator, 400x400 reference run.
+triple count of the sweep and the process's peak RSS so far. The reload
+line times writing the diagram JSON, reading it back, and clipping and
+measuring the read-back graph, and says whether those measures equal the
+built graph's bit for bit. The defaults reproduce the 148-generator,
+400x400 reference run.
 
     python scripts/random_scene_experiment.py --n 148 --seed 42 --res 400
 """
@@ -26,6 +29,14 @@ from gbpd.geometry import Window
 from gbpd.measure import measure_cells
 from gbpd.oracle import compare_labels, rasterize, rasterize_cells, write_pgm
 from gbpd.render import write_svg
+from gbpd.serialize import diagram_from_json, diagram_to_json
+
+
+def measure_bits(measures) -> list:
+    """Every float of a ``measure_cells`` result as its exact hex form."""
+    return [(gid, m.area.hex(), m.perimeter.hex(),
+             [(c.area.hex(), c.perimeter.hex()) for c in m.components])
+            for gid, m in sorted(measures.items())]
 
 
 def main() -> int:
@@ -82,6 +93,21 @@ def main() -> int:
     print(
         f"measure: {t_meas:.2f}s, area sum {total:.6f} "
         f"(window {window.area():.0f}), {multi} disconnected cells"
+    )
+
+    t0 = time.perf_counter()
+    text = diagram_to_json(graph)
+    t_write = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    loaded = diagram_from_json(text)
+    t_read = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    reread = measure_cells(clip_to_window(loaded, window))
+    t_query = time.perf_counter() - t0
+    same = measure_bits(reread) == measure_bits(measures)
+    print(
+        f"reload: to_json {t_write:.3f}s ({len(text)} bytes), from_json {t_read:.3f}s, "
+        f"clip+measure {t_query:.3f}s, measures {'bit-identical' if same else 'DIFFER'}"
     )
 
     if args.outdir:

@@ -20,14 +20,14 @@ coefficients, the pair frames and the rescaled implicit of all P pairs as
 array operations, classifies all of them with one stacked
 ``np.linalg.eigh``, and parametrizes every curve and splits every line
 bisector in array form (``conic.classify_rows``). The result is a
-:class:`BisectorTable`, one array row per pair; the diagram build reads
-it and makes objects only for the pairs it needs. Every array step repeats
-the one-pair operation order, with ``math`` functions per entry where
-numpy rounds differently, and steps that go through BLAS or LAPACK use the
+:class:`BisectorTable`, one array row per pair; the diagram build reads it,
+and a diagram graph keeps the rows of its edges (``BisectorTable.take``),
+so no pipeline stage builds a bisector object. Every array step repeats the
+one-pair operation order, with ``math`` functions per entry where numpy
+rounds differently, and steps that go through BLAS or LAPACK use the
 stacked form of the same call, so a pair gets the same floats whatever
-batch it is in. :func:`make_bisectors` builds the objects of a table of its
-pairs; :func:`make_bisector` and :func:`bisector_implicit` are batches of
-one.
+batch it is in. ``BisectorTable.bisectors`` gives the object view of rows;
+:func:`make_bisector` and :func:`bisector_implicit` are batches of one.
 
 :func:`params_of_points` recovers the curve parameters of many (curve,
 point) pairs at once: root solving, the acceptance tests, Gauss-Newton
@@ -244,6 +244,13 @@ class BisectorTable:
         hi[hyp] = np.stack([a2, a1 + TWO_PI], axis=1)
         return count, lo, hi, closed
 
+    def take(self, rows) -> BisectorTable:
+        """The table whose row k is row ``rows[k]`` of this one."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        return BisectorTable(self.generators, *(a[rows] for a in (
+            self.first, self.second, self.implicit, self.code, self.chart, self.u_scale,
+            self.singular, self.lines, self.line_count)))
+
     def pair_rows(self) -> np.ndarray:
         """(n, n) matrix of the row of each pair of generator indices, -1 where none."""
         n = len(self.generators)
@@ -313,25 +320,12 @@ def bisector_table(
                          u[:, 0] + u[:, 1] + u[:, 2], rows.singular, rows.lines, rows.line_count)
 
 
-def make_bisectors(gens_i, gens_j) -> list[Bisector]:
-    """Bisectors of the pairs (gens_i[k], gens_j[k]), all at once.
-
-    The objects of a :class:`BisectorTable` of these pairs.
-    """
-    gens_i, gens_j = list(gens_i), list(gens_j)
-    if len(gens_i) != len(gens_j):
-        raise ValueError("make_bisectors needs one second generator per first one")
-    p = len(gens_i)
-    table = bisector_table(gens_i + gens_j, (np.arange(p), p + np.arange(p)))
-    return table.bisectors(np.arange(p))
-
-
 def make_bisector(gi: Generator, gj: Generator) -> Bisector:
     """Build the full bisector representation for a generator pair.
 
-    A batch of one of :func:`make_bisectors`.
+    The object of a one-row :func:`bisector_table`.
     """
-    return make_bisectors([gi], [gj])[0]
+    return bisector_table([gi, gj]).bisectors([0])[0]
 
 
 def _project_params(coef, u_scale, v, t) -> np.ndarray:

@@ -18,7 +18,8 @@ Crossing parameters come from the quadratic x(t) - X u(t) = 0 per window
 side (linear for straight edges), so no marching or sampling is involved.
 The side quadratics of all curved edges are solved in one batch and the
 straight edges' crossings in one array pass; every point and tangent of a
-piece comes from one evaluator of arcs and segments (``_piece_rows``).
+piece comes from one evaluator of arcs and segments (``_piece_rows``). All
+read an edge's bisector as its row of the graph's table, by edge id.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ import numpy as np
 from .conic import (
     ConicImplicit,
     alphas_of_params,
-    chart_coefficients,
     homogeneous_at_params,
     line_points,
-    line_rows,
     points_at_alphas,
     real_quadratic_roots_batch,
 )
@@ -184,13 +183,15 @@ def _piece_rows(graph: DiagramGraph, pieces, param: np.ndarray) -> tuple[np.ndar
     singular = np.zeros(len(pieces), dtype=bool)
     arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
     segments = [k for k, p in enumerate(pieces) if p.kind != "arc"]
+    table = graph.table
     if arcs:
-        params = [graph.bisectors[pieces[k].pair].param for k in arcs]
-        *xyv, singular[arcs] = points_at_alphas(
-            chart_coefficients(params), np.array([p.u_scale for p in params]), param[arcs])
+        rows = [pieces[k].edge_id for k in arcs]
+        *xyv, singular[arcs] = points_at_alphas(table.chart[rows], table.u_scale[rows],
+                                                param[arcs])
         out[arcs] = np.column_stack(xyv)
     if segments:
-        rows = _line_rows(graph, [pieces[k] for k in segments])
+        rows = table.lines[[pieces[k].edge_id for k in segments],
+                           [pieces[k].line_index for k in segments]]
         out[segments, :2] = line_points(rows, param[segments])
         out[segments, 2], out[segments, 3] = -rows[:, 1], rows[:, 0]
     return out, singular
@@ -202,11 +203,6 @@ def _regular_rows(graph: DiagramGraph, pieces, param: np.ndarray) -> np.ndarray:
     if singular.any():
         raise SingularParameterError(f"alpha={param[singular][0]} lies on the line at infinity")
     return rows
-
-
-def _line_rows(graph: DiagramGraph, items) -> np.ndarray:
-    """``line_rows`` of the lines carrying straight edges or segment pieces."""
-    return line_rows([graph.bisectors[p.pair].lines[p.line_index] for p in items])
 
 
 def _boundary_s(window: Window, pos: np.ndarray, side: int) -> float:
@@ -240,8 +236,8 @@ def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
     """
     if not edges:
         return []
-    params = [graph.bisectors[e.pair].param for e in edges]
-    coef = chart_coefficients(params)
+    ids = [e.id for e in edges]
+    coef = graph.table.chart[ids]
     axis, value, lo, hi, _ = (np.array(col) for col in zip(*_sides(window)))
     # (edge, side, candidate) arrays; a vertical side (axis 0) meets x^, a horizontal one y^
     q = coef[:, 0][:, axis] - value[:, None] * coef[:, None, 0, 2]
@@ -251,7 +247,7 @@ def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
     far = np.full(roots.shape[:2] + (1,), math.inf)
     t = np.where(ok, np.concatenate([roots, far], axis=-1), 0.0)
     x, y, u = (v.reshape(t.shape) for v in homogeneous_at_params(coef, t.reshape(len(edges), -1)))
-    ok &= ~(np.abs(u) <= DEN_REL * np.array([p.u_scale for p in params])[:, None, None])
+    ok &= ~(np.abs(u) <= DEN_REL * graph.table.u_scale[ids][:, None, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         px, py = x / u, y / u
     other = np.where((axis == 0)[:, None], py, px)
@@ -277,7 +273,7 @@ def _line_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
     out: list[list] = [[] for _ in edges]
     if not edges:
         return out
-    rows = _line_rows(graph, edges)
+    rows = graph.table.lines[[e.id for e in edges], [e.line_index for e in edges]]
     la, lb, lc = rows.T
     q0 = (-lc * la, -lc * lb)
     d = (-lb, la)
@@ -435,7 +431,7 @@ def _assign_sides(graph: DiagramGraph, pieces) -> None:
         return
     x, y, vx, vy = _regular_rows(graph, pieces, np.array([0.5 * (p.a0 + p.a1) for p in pieces])).T
     # ConicImplicit with array fields evaluates one conic per entry
-    coeffs = np.array([graph.bisectors[p.pair].implicit.coeffs() for p in pieces], dtype=float)
+    coeffs = graph.table.implicit[[p.edge_id for p in pieces]]
     gx, gy = ConicImplicit(*coeffs.T).gradient(x, y)
     ahead = (vx * gy - vy * gx < 0.0).tolist()
     for piece, keep_order in zip(pieces, ahead):

@@ -30,8 +30,8 @@ The construction follows six steps:
    generator pair as its two nearest. The representatives of all pieces
    come from one level loop (each level one array evaluation of the
    pieces still unresolved; only a lopsided piece at a singular end goes
-   past the first). Bisector objects are built once, for the pairs that
-   own an edge, and the graph keeps just those.
+   past the first). The graph keeps the table row of each edge (row k for
+   edge k, ``BisectorTable.take``); no bisector object is built.
 6. Assemble the edge/vertex graph: ``assemble_graph`` derives adjacency,
    per-cell edge lists and per-cell boundary components from the edges,
    for the build and for the JSON reader alike.
@@ -87,7 +87,7 @@ from .conic import (
     wrap_angles,
 )
 from .errors import InputError, NoSolutionError
-from .geometry import Generator, SceneArrays, hypots
+from .geometry import Generator, SceneArrays, generator_index, hypots
 from .intersect import PreparedPairs, globally_minimal, pencil_intersections_batch, prepare_pairs
 from .tolerances import DEDUP_REL, PARAM_MERGE, VERT_REL
 
@@ -196,19 +196,18 @@ def _edge_interval(kind: str, t_a, t_b, line: int | None) -> tuple[float, float]
 
 @dataclass
 class DiagramGraph:
+    """A diagram: its edges, and row k of ``table`` is the bisector of edge k."""
+
     generators: list[Generator]
     vertices: list[Vertex]
     edges: list[EdgeSegment]
-    bisectors: dict[tuple[int, int], Bisector]
+    table: BisectorTable
     cell_edges: dict[int, list[int]]
     adjacency: set[tuple[int, int]]
     cell_components: dict[int, list[list[int]]]
     empty_cells: frozenset[int]
     aliases: dict[int, int]
     length_scale: float
-
-    def edge_bisector(self, e: EdgeSegment) -> Bisector:
-        return self.bisectors[e.pair]
 
     def neighbors(self, gid: int) -> set[int]:
         out = set()
@@ -764,12 +763,13 @@ def build_diagram(generators: list[Generator], threads: int = 1) -> DiagramGraph
     vertex does not split that bisector; ``_visible_pieces`` returns the
     mask of candidate pieces without a representative point (a whole
     component whose midpoint is a singular parameter, or an interval with
-    no finite probe), which are left out of the edges. The graph holds the
-    bisector objects of the pairs that own an edge, the only objects the
-    build makes.
+    no finite probe), which are left out of the edges. The graph holds each
+    edge's row of the all-pairs table. A repeated generator id raises
+    InputError before any other work.
     """
     if not generators:
         raise NoSolutionError("a scene needs at least one generator")
+    generator_index(generators)
     kept, _ = _dedup_generators(list(generators))
     arr = SceneArrays(kept)
     length_scale = arr.scale()
@@ -797,13 +797,13 @@ def build_diagram(generators: list[Generator], threads: int = 1) -> DiagramGraph
     for eid, e in enumerate(edges):
         e.id = eid
     index = arr.id_to_index
-    owners = np.unique([pair_row[index[a], index[b]] for a, b in {e.pair for e in edges}])
-    return assemble_graph(generators, vertices, edges, {b.pair: b for b in table.bisectors(owners)})
+    rows = [pair_row[index[a], index[b]] for a, b in (e.pair for e in edges)]
+    return assemble_graph(generators, vertices, edges, table.take(rows))
 
 
 def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: list[EdgeSegment],
-                   bisectors: dict[tuple[int, int], Bisector]) -> DiagramGraph:
-    """Diagram graph of edges whose ids are their positions in ``edges``.
+                   table: BisectorTable) -> DiagramGraph:
+    """Diagram graph of ``edges``, ids their positions, and ``table``, row k for edge k.
 
     Derives the aliases, the length scale and the cell structure (adjacency,
     cell edge lists, boundary components, empty cells); the build and the
@@ -824,7 +824,7 @@ def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: l
         generators=list(generators),
         vertices=vertices,
         edges=edges,
-        bisectors=bisectors,
+        table=table,
         cell_edges=cell_edges,
         adjacency=adjacency,
         cell_components=cell_components,

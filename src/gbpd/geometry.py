@@ -186,6 +186,16 @@ class Generator:
         return Generator(self.id, self.p.copy(), self.M, w)
 
 
+def generator_index(generators: Sequence[Generator]) -> dict[int, int]:
+    """Position of each generator id; an id given twice raises InputError."""
+    index: dict[int, int] = {}
+    for k, g in enumerate(generators):
+        if index.setdefault(g.id, k) != k:
+            raise InputError(f"generators[{k}]: duplicate generator id {g.id}, first at "
+                             f"generators[{index[g.id]}]")
+    return index
+
+
 def dist_g(x, g: Generator) -> float:
     """Generator distance (x - p)^T M (x - p) - w. May be negative."""
     d = as_point(x) - g.p
@@ -273,8 +283,8 @@ class Window:
     ymax: float
 
     def __post_init__(self):
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
-            raise InputError("window must satisfy xmin < xmax and ymin < ymax")
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise InputError("window must satisfy xmin < xmax and ymin < ymax at a finite size")
 
     @property
     def width(self) -> float:

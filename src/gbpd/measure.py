@@ -7,16 +7,17 @@ terms reduce to the familiar vertex shoelace plus curved-bulge corrections.
 Lengths are the integral of the parametric speed.
 
 Every curved piece is integrated once per call, in one batched kernel
-(`arc_measures`): all arcs are cut at the chart breaks, and each round
-evaluates the area and speed integrands of every open piece at the 15
-Gauss-Kronrod nodes in one array pass. The error of a piece is QUADPACK's
-embedded Kronrod-minus-Gauss estimate, floored at 50 eps times the
-integral of |f| for rounding. An arc is done when the summed estimates of
-its pieces meet max(QUAD_ABS, 1e-12 |I|) for both integrals, or for the
-area the rounding floor of its integrand where that is larger (see
-`_gk15`); until then its pieces with the largest estimates are halved. An
-arc that misses the target after 30 halvings of a piece, or past 200
-pieces, raises QuadratureError instead of returning an unconverged value.
+(`arc_measures`), on the chart rows of its edge in the graph's bisector
+table: all arcs are cut at the chart breaks, and each round evaluates the
+area and speed integrands of every open piece at the 15 Gauss-Kronrod nodes
+in one array pass. The error of a piece is QUADPACK's embedded
+Kronrod-minus-Gauss estimate, floored at 50 eps times the integral of |f|
+for rounding. An arc is done when the summed estimates of its pieces meet
+max(QUAD_ABS, 1e-12 |I|) for both integrals, or for the area the rounding
+floor of its integrand where that is larger (see `_gk15`); until then its
+pieces with the largest estimates are halved. An arc that misses the target
+after 30 halvings of a piece, or past 200 pieces, raises QuadratureError
+instead of returning an unconverged value.
 
 Every cell is measured from one loop representation: directed loops of
 clip pieces (`clip.ClipPiece`). A clipped diagram carries them already. A
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401
 
 from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_polygons, piece_points
-from .conic import chart_coefficients, eval_alpha_batch
+from .conic import ELLIPSE_CODE, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
 from .errors import NonFiniteSegmentError, QuadratureError, UnboundedCellError
 from .tolerances import DEDUP_REL, QUAD_ABS
@@ -154,33 +155,33 @@ def _gk15(coef, u_scale, origin, lo, hi) -> tuple[np.ndarray, np.ndarray, np.nda
     return res, err, floor
 
 
-def arc_measures(params, a0, a1) -> tuple[np.ndarray, np.ndarray]:
+def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
     """Signed areas and lengths of many conic arcs, integrated together.
 
-    Arc k runs along ``params[k]`` from alpha ``a0[k]`` to ``a1[k]``. Its
-    area term is the integral of (x y' - y x')/2. It is integrated about
-    the arc's mid-alpha point m, and shifted back by m x (end - start) / 2.
-    Its length is the integral of the speed. Both integrands are evaluated
-    from chart rows shifted to m, so neither loses digits to cancellation
-    where the arc is far from the origin. Each arc is cut at the chart
-    breaks, and every round evaluates all new pieces in one array pass of
-    the Gauss-Kronrod 7-15 rule. An arc is done once the summed error
-    estimates of its pieces meet max(QUAD_ABS, 1e-12 |I|) for both
-    integrals, the area's target raised to the summed rounding floor of its
-    pieces where that is larger (far out, with a chord pointing nearly at
-    the origin, the area about m is below the rounding of its integrand);
-    until then its pieces whose estimate exceeds an equal share of that
-    target (and always its worst piece) are halved. Decisions and
-    sums are per arc, so an arc's result does not depend on the rest of
+    Arc k runs from alpha ``a0[k]`` to ``a1[k]`` along the curve with chart
+    triples ``coef[k]`` ((N, 2, 3, 3), as a bisector table's ``chart`` rows)
+    and denominator scale ``u_scale[k]``. Its area term is the integral of
+    (x y' - y x')/2. It is integrated about the arc's mid-alpha point m, and
+    shifted back by m x (end - start) / 2. Its length is the integral of the
+    speed. Both integrands are evaluated from chart rows shifted to m, so
+    neither loses digits to cancellation where the arc is far from the
+    origin. Each arc is cut at the chart breaks, and every round evaluates
+    all new pieces in one array pass of the Gauss-Kronrod 7-15 rule. An arc
+    is done once the summed error estimates of its pieces meet max(QUAD_ABS,
+    1e-12 |I|) for both integrals, the area's target raised to the summed
+    rounding floor of its pieces where that is larger (far out, with a chord
+    pointing nearly at the origin, the area about m is below the rounding of
+    its integrand); until then its pieces whose estimate exceeds an equal
+    share of that target (and always its worst piece) are halved. Decisions
+    and sums are per arc, so an arc's result does not depend on the rest of
     the batch. An arc that would need a piece halved more than _MAX_DEPTH
     times, or more than _MAX_PIECES pieces, raises QuadratureError.
     """
-    n = len(params)
+    coef, u_scale = np.asarray(coef, dtype=float), np.asarray(u_scale, dtype=float)
+    n = u_scale.size
     out = np.zeros((n, 2))
     if n == 0:
         return out[:, 0], out[:, 1]
-    coef = chart_coefficients(params)
-    u_scale = np.array([p.u_scale for p in params])
     ends = np.stack([np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)], axis=1)
     # the area is integrated about the arc's mid-alpha point m; the shift
     # back to the coordinate origin is m x (end - start) / 2
@@ -249,7 +250,7 @@ def _bounded(graph: DiagramGraph, e: EdgeSegment) -> bool:
     """True for an edge of finite length. A parabola component with no
     vertex is labelled a loop, as an ellipse is, but it runs through its
     singular parameter to infinity."""
-    return e.is_finite() and not (e.is_loop() and graph.bisectors[e.pair].param.singular_params)
+    return e.is_finite() and not (e.is_loop() and graph.table.code[e.id] != ELLIPSE_CODE)
 
 
 def edge_arc_length(graph: DiagramGraph, e: EdgeSegment) -> float:
@@ -257,8 +258,8 @@ def edge_arc_length(graph: DiagramGraph, e: EdgeSegment) -> float:
     if not _bounded(graph, e):
         raise NonFiniteSegmentError(f"edge {e.id} runs to infinity; clip it first")
     if e.is_curve():
-        param = graph.bisectors[e.pair].param
-        return float(arc_measures([param], [e.a0], [e.a1])[1][0])
+        t = graph.table
+        return float(arc_measures(t.chart[[e.id]], t.u_scale[[e.id]], [e.a0], [e.a1])[1][0])
     # line parameters are arc length already
     return e.a1 - e.a0
 
@@ -396,11 +397,11 @@ def _arc_table(graph: DiagramGraph, cells) -> dict[int, tuple[float, float]]:
             for pid, _ in loop:
                 piece = pieces[pid]
                 if piece.kind == "arc":
-                    arcs[pid] = (graph.bisectors[piece.pair].param, piece.a0, piece.a1)
+                    arcs[pid] = (piece.edge_id, piece.a0, piece.a1)
     if not arcs:
         return {}
-    params, a0, a1 = zip(*arcs.values())
-    areas, lengths = arc_measures(params, a0, a1)
+    rows, a0, a1 = (list(col) for col in zip(*arcs.values()))
+    areas, lengths = arc_measures(graph.table.chart[rows], graph.table.u_scale[rows], a0, a1)
     return {k: (float(a), float(s)) for k, a, s in zip(arcs, areas, lengths)}
 
 

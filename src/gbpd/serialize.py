@@ -7,24 +7,25 @@ to the original; infinite edge parameters are written as the strings
 ``"inf"`` and ``"-inf"`` since JSON has no literal for them. Reading a
 document and writing it again reproduces the bytes exactly.
 
-The reader rebuilds a full :class:`DiagramGraph`: bisector objects are
-reconstructed from the generator pairs (the construction is deterministic),
-so a loaded graph supports clipping and measurement. Only pairs that own
-visible edges are rebuilt, the pairs whose objects a built graph keeps.
-An edge's interval is decoded from its labels by ``EdgeSegment`` itself,
-as in the build, so a graph read back from its JSON clips and measures bit
-for bit like the graph that wrote it. The cell structure is derived from
-the edges by ``assemble_graph``, as the build derives it, and a document
-whose ``adjacency`` or ``cells`` rows differ from the rows the writer
-would emit for that structure raises InputError. So does a document
-without generators, a row whose fields have the wrong type or shape, an
-edge whose labels name no edge or whose component and line name no
-component of its bisector, and a loop edge with an endpoint or on a
-component that does not span a full turn (only an ellipse's closed loop
-and a parabola's one arc do). Vertex and edge ids must equal their
-positions, every edge endpoint must name a vertex row, and every vertex
-row must be equidistant to its generators (see ``_check_vertex_rows``);
-that the vertices lie on their edges is not checked further.
+The reader rebuilds a full :class:`DiagramGraph`: the generator pairs of the
+edges are classified once, into one bisector table (the construction is
+deterministic and a pair gets the same floats in any batch), and the graph
+keeps one table row per edge, as a built graph does, so a loaded graph
+supports clipping and measurement. An edge's interval is decoded from its
+labels by ``EdgeSegment`` itself, as in the build, so a graph read back from
+its JSON clips and measures bit for bit like the graph that wrote it. The
+cell structure is derived from the edges by ``assemble_graph``, as the build
+derives it, and a document whose ``adjacency`` or ``cells`` rows differ from
+the rows the writer would emit for that structure raises InputError. So does
+a document without generators or with a generator id given twice, a row
+whose fields have the wrong type or shape, an edge whose labels name no edge
+or whose component and line name no component of its bisector, and a loop
+edge with an endpoint or on a component that does not span a full turn (only
+an ellipse's closed loop and a parabola's one arc do). Vertex and edge ids
+must equal their positions, every edge endpoint must name a vertex row, and
+every vertex row must be equidistant to its generators (see
+``_check_vertex_rows``); that the vertices lie on their edges is not checked
+further.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ import math
 
 import numpy as np
 
-from .bisector import make_bisector, make_bisectors  # noqa: F401 (make_bisector re-exported)
+from .bisector import bisector_table, make_bisector  # noqa: F401 (for the span tracer)
 from .diagram import DiagramGraph, EdgeSegment, Vertex, assemble_graph
 from .errors import InputError
-from .geometry import Generator, SceneArrays, SymMat2
+from .geometry import Generator, SceneArrays, SymMat2, generator_index
 from .tolerances import VERT_REL
 
 SCHEMA_KEYS = ("generators", "vertices", "edges", "adjacency", "cells")
 GENERATOR_FIELDS = ("px", "py", "m11", "m12", "m22", "w")
+IMPLICIT_FIELDS = ("a11", "a12", "a22", "b11", "b12", "c")
 EDGE_FIELDS = ("id", "pair", "kind", "t_a", "t_b", "endpoints")
 
 
@@ -103,18 +105,12 @@ def diagram_to_document(graph: DiagramGraph) -> dict:
         for v in graph.vertices
     ]
     edges = []
-    for e in graph.edges:
-        imp = graph.bisectors[e.pair].implicit
+    for e, implicit in zip(graph.edges, graph.table.implicit.tolist()):
         edges.append(
             {
                 "id": int(e.id),
                 "pair": [int(e.pair[0]), int(e.pair[1])],
-                "a11": imp.a11,
-                "a12": imp.a12,
-                "a22": imp.a22,
-                "b11": imp.b11,
-                "b12": imp.b12,
-                "c": imp.c,
+                **dict(zip(IMPLICIT_FIELDS, implicit)),
                 "kind": e.kind,
                 "t_a": e.t_a,
                 "t_b": e.t_b,
@@ -266,7 +262,7 @@ def document_to_diagram(doc: dict) -> DiagramGraph:
             raise InputError(f"{where}: {exc}") from None
     if not generators:
         raise InputError("diagram JSON: a diagram needs at least one generator")
-    by_id = {g.id: g for g in generators}
+    index = generator_index(generators)
 
     vertices: list[Vertex] = []
     for k, row in enumerate(vertex_rows):
@@ -303,22 +299,24 @@ def document_to_diagram(doc: dict) -> DiagramGraph:
         raise InputError(f"edges[{stray.id}]: endpoints {list(stray.endpoints)} name no vertex row")
     pairs = sorted({e.pair for e in edges})
     for i, j in pairs:
-        if i not in by_id or j not in by_id:
+        if i not in index or j not in index:
             raise InputError(f"edge pair ({i}, {j}) references unknown generators")
-    bisectors = dict(
-        zip(pairs, make_bisectors([by_id[i] for i, _ in pairs], [by_id[j] for _, j in pairs]))
-    )
-    for e in edges:
-        comps = bisectors[e.pair].components
-        if not (0 <= e.component < len(comps) and comps[e.component].line_index == e.line_index):
-            raise InputError(f"edges[{e.id}]: bisector {e.pair} has no component {e.component} "
+    # each pair classified once; row k of the graph's table is edge k's pair
+    row = {pair: k for k, pair in enumerate(pairs)}
+    table = bisector_table(generators, ([index[i] for i, _ in pairs], [index[j] for _, j in pairs]))
+    table = table.take([row[e.pair] for e in edges])
+    count, lo, hi, _ = (a.tolist() for a in table.components(np.arange(len(edges))))
+    for e, n, lo_e, hi_e, lines in zip(edges, count, lo, hi, table.line_count.tolist()):
+        c = e.component  # a line bisector's components are its lines, a curve's its arcs
+        if not (0 <= c < n and e.line_index == (c if lines else None)):
+            raise InputError(f"edges[{e.id}]: bisector {e.pair} has no component {c} "
                              f"on line {e.line_index}")
         # an ellipse's closed loop or a parabola's one arc
-        full_turn = comps[e.component].hi - comps[e.component].lo >= 2.0 * math.pi
+        full_turn = hi_e[c] - lo_e[c] >= 2.0 * math.pi
         if e.is_loop() and not (e.endpoints == (None, None) and full_turn):
             raise InputError(f"edges[{e.id}]: a loop needs null endpoints and a component "
                              "that spans a full turn")
-    graph = assemble_graph(generators, vertices, edges, bisectors)
+    graph = assemble_graph(generators, vertices, edges, table)
     for key, rows, derived in zip(SCHEMA_KEYS[3:], structure, _structure_rows(graph)):
         if rows != derived:
             k = next((k for k, (got, want) in enumerate(zip(rows, derived)) if got != want),

@@ -580,12 +580,17 @@ def line_crossings_scalar(line, t_lo, t_hi, window, snap):
     return out
 
 
+def edge_bisector(graph, edge_id):
+    """The bisector object of a graph edge: the object view of its table row."""
+    return graph.table.bisectors([edge_id])[0]
+
+
 def piece_point_scalar(graph, piece, f):
     """Point at fraction f along a clip piece's stored direction."""
     if piece.kind == "boundary":
         return piece.p0 + f * (piece.p1 - piece.p0)
     a = piece.a0 + f * (piece.a1 - piece.a0)
-    b = graph.bisectors[piece.pair]
+    b = edge_bisector(graph, piece.edge_id)
     if piece.kind == "arc":
         return point_at_alpha_scalar(b.param, a)
     return line_point_scalar(b.lines[piece.line_index], a)

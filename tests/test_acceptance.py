@@ -25,7 +25,7 @@ from gbpd.measure import cell_area, measure_cells
 from gbpd.oracle import compare_labels, raster_cell_stats, rasterize, rasterize_cells
 from gbpd.serialize import diagram_to_json
 
-from oracles import grid_conic_intersections, radical_center
+from oracles import edge_bisector, grid_conic_intersections, radical_center
 
 WIN400 = Window(0.0, 0.0, 400.0, 400.0)
 
@@ -217,11 +217,12 @@ def test_laguerre_degeneration():
             w = rng.uniform(0.0, 50.0)
             gens.append(Generator(i, np.array([px, py]), SymMat2(1.0, 0.0, 1.0), w))
         graph = build_diagram(gens)
-        # every pair's class code, not only the edge pairs' objects
+        # every pair's class code, and the bisector of every edge
         table = bisector_table(gens)
         assert table.code.size == 190
         assert all(CLASSES[c] is ConicClass.SINGLE_LINE for c in table.code.tolist())
-        assert all(b.conic_class is ConicClass.SINGLE_LINE for b in graph.bisectors.values())
+        assert all(edge_bisector(graph, e.id).conic_class is ConicClass.SINGLE_LINE
+                   for e in graph.edges)
         by_id = {g.id: g for g in gens}
         for v in graph.vertices:
             ga, gb, gc = (by_id[i] for i in sorted(v.gens)[:3])

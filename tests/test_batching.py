@@ -20,7 +20,6 @@ from gbpd.bisector import (
     _merge_params,
     bisector_table,
     make_bisector,
-    make_bisectors,
     param_of_point,
     params_of_points,
     sample_points,
@@ -85,6 +84,13 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def pair_bisectors(gens_i, gens_j):
+    """The bisector objects of the pairs (gens_i[k], gens_j[k]), from one table."""
+    p = len(gens_i)
+    table = bisector_table(list(gens_i) + list(gens_j), (np.arange(p), p + np.arange(p)))
+    return table.bisectors(np.arange(p))
+
+
 def bisector_fields(b):
     """Every field of a bisector, floats as their exact hex form."""
     param = None
@@ -129,7 +135,7 @@ def test_batched_bisectors_match_one_pair_at_a_time(gens, rnd):
     rnd.shuffle(pairs)
     # either order inside a pair: the kernel sorts each pair by id
     pairs = [(gj, gi) if rnd.random() < 0.5 else (gi, gj) for gi, gj in pairs]
-    batch = make_bisectors([p[0] for p in pairs], [p[1] for p in pairs])
+    batch = pair_bisectors([p[0] for p in pairs], [p[1] for p in pairs])
     assert len(batch) == len(pairs)
     for (gi, gj), b in zip(pairs, batch):
         assert bisector_fields(b) == bisector_fields(make_bisector(gi, gj))
@@ -208,12 +214,12 @@ def test_batched_bisectors_cover_rank_deficient_pairs():
     gens = random_scene("isotropic", 6, 3, WINDOW)
     gens.append(Generator(6, gens[0].p.copy(), gens[0].M, gens[0].w + 1.0))
     firsts, seconds = gens[:5] + [gens[6]], gens[1:6] + [gens[0]]
-    batch = make_bisectors(firsts, seconds)
+    batch = pair_bisectors(firsts, seconds)
     assert all(b.param is None for b in batch)
     assert [bool(b.lines) for b in batch] == [True] * 5 + [False]
     for gi, gj, b in zip(firsts, seconds, batch):
         assert bisector_fields(b) == bisector_fields(make_bisector(gi, gj))
-    assert make_bisectors([], []) == []
+    assert pair_bisectors([], []) == []
 
 
 @st.composite
@@ -433,7 +439,7 @@ def test_batched_param_recovery_matches_scalar(gens, seed):
     # every pair with the first generator (concentric and equal-matrix ones
     # included) and every consecutive pair
     firsts, seconds = [gens[0]] * (len(gens) - 1) + gens[1:-1], gens[1:] + gens[2:]
-    curves = [b for b in make_bisectors(firsts, seconds) if b.param is not None]
+    curves = [b for b in pair_bisectors(firsts, seconds) if b.param is not None]
     params, points, must_miss = [], [], []
     for b in curves:
         on, off = recovery_probes(b, rng)
@@ -486,7 +492,7 @@ def test_param_recovery_far_from_origin_and_at_the_far_point():
         scene = random_scene("paper-weights", 6, 4, WINDOW)
         gens = [Generator(g.id, g.p + shift, g.M, g.w) for g in scene]
         eps = 1e-7 * (1.0 + SceneArrays(gens).scale())
-        for b in make_bisectors(gens[:-1], gens[1:]):
+        for b in pair_bisectors(gens[:-1], gens[1:]):
             far = b.param.point_at(math.inf)
             coef, u_scale = chart_coefficients([b.param]), np.array([b.param.u_scale])
             ts, found = params_of_points(coef, u_scale, far[None], eps)
@@ -587,11 +593,12 @@ def test_cross_bisector_visibility_matches_per_bisector(gens):
                                   graph.length_scale)
     assert [edge_fields(e) for e in together] == each
     assert [edge_fields(e) for e in graph.edges] == each
-    # the graph keeps the objects of the pairs that own an edge
-    owners = {e.pair for e in graph.edges}
-    assert sorted(graph.bisectors) == sorted(owners)
-    assert [bisector_fields(graph.bisectors[b.pair]) for b in ordered if b.pair in owners] == [
-        bisector_fields(b) for b in ordered if b.pair in owners]
+    # row k of the graph's table is the full table's row of edge k's pair
+    rows = np.array([pair_row[arr.id_to_index[i], arr.id_to_index[j]]
+                     for i, j in (e.pair for e in graph.edges)], dtype=np.int64)
+    mine, full = graph.table.components(np.arange(rows.size)), table.components(rows)
+    assert [table_row_fields(graph.table, k, *(a[k] for a in mine)) for k in range(rows.size)] == [
+        table_row_fields(table, r, *(a[k] for a in full)) for k, r in enumerate(rows.tolist())]
 
 
 def lopsided_case():

@@ -177,6 +177,13 @@ def test_exit_codes_for_errors(tmp_path, capsys):
         with pytest.raises(UnboundedCellError) as info:
             measure(graph)
         assert info.value.exit_code == 8
+    # a window bound that is not finite
+    window = "--window", 0, 0, "inf", 400
+    assert run("measure", "--input", scene, *window) == 2
+    assert run("raster", "--input", scene, *window, "--width", 8, "--height", 8,
+               "--out", tmp_path / "l.pgm") == 2
+    assert "at a finite size" in capsys.readouterr().err
+    assert not (tmp_path / "l.pgm").exists()
 
 
 def test_compute_threads(tmp_path):

@@ -9,6 +9,8 @@ from gbpd import Generator, SymMat2, Window
 from gbpd.clip import clip_to_window
 from gbpd.diagram import build_diagram
 
+from oracles import edge_bisector
+
 I = SymMat2.identity()
 
 
@@ -89,7 +91,7 @@ def test_concentric_hole_loops():
     pid, fwd = cd.cells[0][0][0]
     piece = cd.pieces[pid]
     a = piece.a0 + 0.25 * (piece.a1 - piece.a0)
-    b = d.bisectors[piece.pair]
+    b = edge_bisector(d, piece.edge_id)
     q = b.param.point_at_alpha(a)
     v = b.param.velocity_at_alpha(a)
     if not fwd:

@@ -238,6 +238,11 @@ def test_window_basics():
     assert win.corners().shape == (4, 2)
     with pytest.raises(InputError):
         Window(1.0, 0.0, 1.0, 5.0)
+    # a bound that is not finite
+    for bounds in ((0.0, 0.0, math.inf, 400.0), (-math.inf, 0.0, 1.0, 1.0),
+                   (0.0, math.nan, 1.0, 1.0)):
+        with pytest.raises(InputError, match="window"):
+            Window(*bounds)
 
 
 # ---------------------------------------------------------------- scene I/O

@@ -18,7 +18,7 @@ from gbpd.geometry import SceneArrays, Window, dist_g
 from gbpd.measure import measure_cells
 from gbpd.serialize import diagram_to_json
 
-from oracles import radical_center
+from oracles import edge_bisector, radical_center
 
 I = SymMat2.identity()
 
@@ -63,7 +63,7 @@ def test_concentric_pair_closed_loop_edge():
     assert len(d.edges) == 1
     e = d.edges[0]
     assert e.kind == "loop"
-    b = d.edge_bisector(e)
+    b = edge_bisector(d, e.id)
     assert b.conic_class is ConicClass.ELLIPSE
     q = b.param.point_at_alpha(0.7)
     assert math.hypot(q[0], q[1]) == pytest.approx(1.0, abs=1e-12)
@@ -138,7 +138,7 @@ def test_hyperbola_branch_visibility():
     g0 = Generator(0, (0, 0), SymMat2(2.0, 0.0, 0.5), 0.0)
     g1 = Generator(1, (3, 0), I, 0.0)
     d2 = build_diagram([g0, g1])
-    b = d2.bisectors[(0, 1)]
+    b = edge_bisector(d2, 0)
     assert b.conic_class is ConicClass.HYPERBOLA
     assert len(d2.edges) == 2  # both branches visible with two generators
     # left apex of the hyperbola (x + 3)^2 - y^2 / 2 = 18
@@ -146,7 +146,7 @@ def test_hyperbola_branch_visibility():
     assert abs(b.implicit.evaluate(apex[0], apex[1])) < 1e-9
 
     def covers(diagram, point):
-        bb = diagram.bisectors[(0, 1)]
+        bb = edge_bisector(diagram, next(e.id for e in diagram.edges if e.pair == (0, 1)))
         from gbpd.bisector import param_of_point
 
         t = param_of_point(bb.param, point, 1e-6)[0]
@@ -189,11 +189,11 @@ def test_laguerre_vertices_are_radical_centers():
     ws = rng.uniform(0, 30, 10)
     gens = [Generator(k, pts[k], I, ws[k]) for k in range(10)]
     d = build_diagram(gens)
-    # all 45 pairs by class code; the graph keeps the edge pairs' objects
+    # all 45 pairs by class code, and the bisector of every edge
     table = bisector_table(gens)
     assert table.code.size == 45
     assert all(CLASSES[c] is ConicClass.SINGLE_LINE for c in table.code.tolist())
-    assert all(b.conic_class is ConicClass.SINGLE_LINE for b in d.bisectors.values())
+    assert all(edge_bisector(d, e.id).conic_class is ConicClass.SINGLE_LINE for e in d.edges)
     assert d.vertices, "expected at least one vertex in a 10-site scene"
     for v in d.vertices:
         ids = sorted(v.gens)[:3]
@@ -225,7 +225,7 @@ def test_edge_midpoints_are_two_nearest():
     arr = SceneArrays(gens)
     checked = 0
     for e in d.edges:
-        b = d.edge_bisector(e)
+        b = edge_bisector(d, e.id)
         if e.is_curve():
             span = e.a1 - e.a0
             try:
@@ -338,7 +338,7 @@ def test_far_ray_representative_keeps_vertex_degree_three():
 def test_visible_segments_direct_call():
     gens = [iso(0, 0, 0), iso(1, 2, 0)]
     d = build_diagram(gens)
-    b = d.bisectors[(0, 1)]
+    b = edge_bisector(d, 0)
     segs = visible_segments(b, {0: [(0.0, None)]}, gens)
     assert len(segs) == 2
     kinds = sorted((s.t_a, s.t_b) for s in segs)

@@ -14,7 +14,12 @@ from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
 from gbpd.measure import cell_area, cell_perimeter, edge_arc_length, measure_cells
 from gbpd.serialize import diagram_from_json, diagram_to_json
 
-from oracles import marching_squares_length, point_at_alpha_scalar, polyline_arc_length
+from oracles import (
+    edge_bisector,
+    marching_squares_length,
+    point_at_alpha_scalar,
+    polyline_arc_length,
+)
 
 I = SymMat2(1.0, 0.0, 1.0)
 
@@ -94,7 +99,7 @@ def test_arc_length_against_polyline_oracle():
             continue
         if e.a1 - e.a0 < 0.05:
             continue
-        b = graph.bisectors[e.pair]
+        b = edge_bisector(graph, e.id)
         ref = polyline_arc_length(
             lambda a: point_at_alpha_scalar(b.param, a), e.a0, e.a1, samples=40_001
         )
@@ -116,7 +121,7 @@ def test_arc_length_polyline_high_resolution():
             if 0.2 <= span <= 2.0 and (best is None or span < best.a1 - best.a0):
                 best = e
     assert best is not None
-    b = graph.bisectors[best.pair]
+    b = edge_bisector(graph, best.id)
     ref = polyline_arc_length(
         lambda a: point_at_alpha_scalar(b.param, a), best.a0, best.a1, samples=1_000_001
     )
@@ -206,7 +211,7 @@ def test_parabola_loop_is_unbounded():
     # the reader takes the loop, whose one arc spans a full turn, as built
     for graph in (built, diagram_from_json(text)):
         assert [e.kind for e in graph.edges] == ["loop"]
-        assert graph.bisectors[(0, 1)].param.singular_params == (0.0,)
+        assert edge_bisector(graph, 0).param.singular_params == (0.0,)
         with pytest.raises(NonFiniteSegmentError):
             edge_arc_length(graph, graph.edges[0])
         for gid in (0, 1):

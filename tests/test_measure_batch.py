@@ -21,13 +21,13 @@ from gbpd import measure as gmeasure
 from gbpd.bisector import make_bisector
 from gbpd.cli import PRESETS, random_scene
 from gbpd.clip import clip_to_window
-from gbpd.conic import ConicClass, ParametrizedConic
+from gbpd.conic import ConicClass, ParametrizedConic, chart_coefficients
 from gbpd.diagram import build_diagram
 from gbpd.errors import GbpdError, QuadratureError
 from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.measure import arc_measures, cell_area, measure_cells
 
-from oracles import quad_arc_area, quad_arc_length
+from oracles import edge_bisector, quad_arc_area, quad_arc_length
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
 
@@ -38,7 +38,13 @@ def bits(values):
 
 def arc_pieces(cd):
     """(param, a0, a1) of every arc piece of a clipped diagram."""
-    return [(cd.graph.bisectors[p.pair].param, p.a0, p.a1) for p in cd.pieces if p.kind == "arc"]
+    return [(edge_bisector(cd.graph, p.edge_id).param, p.a0, p.a1)
+            for p in cd.pieces if p.kind == "arc"]
+
+
+def kernel(params, a0, a1):
+    """``arc_measures`` of the arcs along ``params`` from ``a0`` to ``a1``."""
+    return arc_measures(chart_coefficients(params), [p.u_scale for p in params], a0, a1)
 
 
 def assert_matches_quad(arcs, rounding=False):
@@ -52,7 +58,7 @@ def assert_matches_quad(arcs, rounding=False):
     """
     if not arcs:
         return
-    areas, lengths = arc_measures(*zip(*arcs))
+    areas, lengths = kernel(*zip(*arcs))
     with warnings.catch_warnings():
         # the reference may warn where it cannot meet its own target
         warnings.simplefilter("ignore")
@@ -70,12 +76,12 @@ def assert_matches_quad(arcs, rounding=False):
 def assert_batch_is_batch_of_one(arcs):
     if not arcs:
         return
-    areas, lengths = arc_measures(*zip(*arcs))
-    rev_areas, rev_lengths = arc_measures(*zip(*arcs[::-1]))
+    areas, lengths = kernel(*zip(*arcs))
+    rev_areas, rev_lengths = kernel(*zip(*arcs[::-1]))
     assert bits(rev_areas[::-1]) == bits(areas)
     assert bits(rev_lengths[::-1]) == bits(lengths)
     for (param, a0, a1), area, length in zip(arcs, areas, lengths):
-        one_area, one_length = arc_measures([param], [a0], [a1])
+        one_area, one_length = kernel([param], [a0], [a1])
         assert bits([one_area[0], one_length[0]]) == bits([area, length])
 
 
@@ -133,11 +139,11 @@ def test_measure_cells_equals_cell_area(small_batch, reload_scene):
 def test_each_arc_piece_integrated_once(reload_scene, monkeypatch):
     cd = reload_scene
     calls = []
-    kernel = gmeasure.arc_measures
+    batched = gmeasure.arc_measures
 
-    def counting(params, a0, a1):
+    def counting(coef, u_scale, a0, a1):
         calls.append(sorted(zip(a0, a1)))
-        return kernel(params, a0, a1)
+        return batched(coef, u_scale, a0, a1)
 
     monkeypatch.setattr(gmeasure, "arc_measures", counting)
     measure_cells(cd)

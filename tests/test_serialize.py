@@ -7,12 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from gbpd.bisector import BisectorTable
 from gbpd.cli import PRESETS, random_scene
 from gbpd.diagram import build_diagram
 from gbpd.clip import clip_to_window
-from gbpd.errors import InputError
+from gbpd.errors import InputError, UnboundedCellError
 from gbpd.geometry import Generator, SymMat2, Window
-from gbpd.measure import measure_cells
+from gbpd.measure import cell_area, measure_cells
+from gbpd.oracle import rasterize_cells
+from gbpd.render import render_svg
 from gbpd.serialize import (
     diagram_from_json,
     diagram_to_json,
@@ -89,10 +92,10 @@ def bits(obj):
 
 
 def test_loaded_graph_measures_identically():
-    # a graph read back from its JSON holds the built one's bisectors, those
-    # of the pairs that own an edge, field for field, and clips and measures
-    # bit for bit like it: a mixed scene, the n=16 scenes of the three presets
-    # with seeds 1010-1019, and the paper-random n=72 scene
+    # a graph read back from its JSON holds the built one's bisector table,
+    # one row per edge, field for field, and clips and measures bit for bit
+    # like it: a mixed scene, the n=16 scenes of the three presets with seeds
+    # 1010-1019, and the paper-random n=72 scene
     scenes = [(mixed_scene(), Window(0.0, 0.0, 100.0, 100.0))]
     scenes += [(random_scene(preset, 16, seed, WINDOW), WINDOW)
                for seed in range(1010, 1020) for preset in PRESETS]
@@ -100,13 +103,66 @@ def test_loaded_graph_measures_identically():
     for gens, win in scenes:
         graph = build_diagram(gens)
         loaded = diagram_from_json(diagram_to_json(graph))
-        assert list(graph.bisectors) == list(loaded.bisectors) == sorted(graph.adjacency)
-        assert [bits(b) for b in graph.bisectors.values()] == [
-            bits(b) for b in loaded.bisectors.values()]
+        for g in (graph, loaded):
+            t = g.table
+            pairs = [(t.generators[i].id, t.generators[j].id)
+                     for i, j in zip(t.first.tolist(), t.second.tolist())]
+            assert pairs == [e.pair for e in g.edges]
+        for name in ("implicit", "code", "chart", "u_scale", "singular", "lines", "line_count"):
+            want, got = getattr(graph.table, name), getattr(loaded.table, name)
+            assert (want.dtype, want.shape) == (got.dtype, got.shape)
+            assert want.tobytes() == got.tobytes(), name
         built, read = (clip_to_window(g, win) for g in (graph, loaded))
         assert bits((built.nodes, built.pieces)) == bits((read.nodes, read.pieces))
         assert built.cells == read.cells
         assert bits(measure_cells(built)) == bits(measure_cells(read))
+
+
+def test_pipeline_builds_no_bisector_objects(monkeypatch):
+    # every stage reads the graph's bisector table by edge id: build, clip,
+    # measure (clipped and bare-graph cells), raster, SVG, JSON, read-back,
+    # and clip and measure of the read-back graph; a mixed scene of curves
+    # and lines, and an isotropic one of lines only
+    def no_objects(self, rows):
+        raise AssertionError("a pipeline stage built bisector objects")
+
+    monkeypatch.setattr(BisectorTable, "bisectors", no_objects)
+    scenes = [(mixed_scene(), Window(0.0, 0.0, 100.0, 100.0)),
+              (random_scene("isotropic", 12, 1011, WINDOW), WINDOW)]
+    for gens, win in scenes:
+        graph = build_diagram(gens)
+        cd = clip_to_window(graph, win)
+        measures = measure_cells(cd)
+        rasterize_cells(cd, 64, 64)
+        render_svg(cd)
+        loaded = diagram_from_json(diagram_to_json(graph))
+        assert bits(measure_cells(clip_to_window(loaded, win))) == bits(measures)
+        for g in (graph, loaded):
+            for gen in gens:
+                try:
+                    cell_area(gen.id, g)
+                except UnboundedCellError:
+                    pass
+
+
+def test_repeated_generator_id_raises_input_error():
+    # one check on both paths, before any other work, whether the repeated
+    # id comes with other data or with the same data
+    two = [iso(0, 0.0, 0.0), iso(1, 4.0, 0.0)]
+    for extra in (iso(1, 9.0, 3.0), iso(1, 4.0, 0.0)):
+        with pytest.raises(InputError, match="duplicate generator id 1"):
+            build_diagram(two + [extra])
+    # the reader: a one-edge document, where no vertex row names generator
+    # 1, and a document whose vertex rows name it
+    texts = [diagram_to_json(build_diagram(two)),
+             diagram_to_json(build_diagram(random_scene("paper-weights", 8, 1010, WINDOW)))]
+    for text in texts:
+        doc = json.loads(text)
+        row = next(g for g in doc["generators"] if g["id"] == 1)
+        for extra in (dict(row, px=row["px"] + 5.0), dict(row)):
+            doc["generators"] = json.loads(text)["generators"] + [extra]
+            with pytest.raises(InputError, match="duplicate generator id 1"):
+                diagram_from_json(json.dumps(doc))
 
 
 def test_infinite_parameters_written_as_strings():
