@@ -16,6 +16,7 @@ from .errors import (
     SingularParameterError,
     UnboundedCellError,
 )
+from .bisector import bisector_implicit
 from .geometry import (
     EllipseGeom,
     Generator,
@@ -23,11 +24,14 @@ from .geometry import (
     SymMat2,
     Window,
     dist_g,
+    ellipse_to_matrix,
     generator_to_ellipse,
     load_scene,
     save_scene,
     special_distances,
 )
+from .intersect import conic_conic_intersections
+from .measure import cell_perimeter, edge_arc_length
 from .serialize import diagram_from_json, diagram_to_json, read_diagram, write_diagram
 
 __version__ = "0.1.0"
@@ -48,9 +52,14 @@ __all__ = [
     "SymMat2",
     "UnboundedCellError",
     "Window",
+    "bisector_implicit",
+    "cell_perimeter",
+    "conic_conic_intersections",
     "diagram_from_json",
     "diagram_to_json",
     "dist_g",
+    "edge_arc_length",
+    "ellipse_to_matrix",
     "generator_to_ellipse",
     "load_scene",
     "read_diagram",

@@ -1,4 +1,4 @@
-"""Bisector conics between generator pairs.
+"""Bisector conics between generator pairs, as the rows of one table.
 
 The locus of points equidistant to generators i and j,
 
@@ -9,25 +9,25 @@ B = -2 (M_i p_i - M_j p_j) and constant p_i^T M_i p_i - p_j^T M_j p_j -
 w_i + w_j. Equal matrices give the straight power-diagram bisector; unequal
 matrices give ellipses, parabolas, hyperbolas, or degenerate line pairs.
 
-A bisector also carries its connected components in parameter space. Curve
-components are arcs of the circular alpha domain delimited by singular
-parameters (an ellipse is one closed loop, a parabola one open arc, a
-hyperbola two branches); each line of a degenerate bisector is a component
-of its own.
-
 :func:`bisector_table` is the one kernel: it builds the implicit
 coefficients, the pair frames and the rescaled implicit of all P pairs as
 array operations, classifies all of them with one stacked
 ``np.linalg.eigh``, and parametrizes every curve and splits every line
 bisector in array form (``conic.classify_rows``). The result is a
-:class:`BisectorTable`, one array row per pair; the diagram build reads it,
-and a diagram graph keeps the rows of its edges (``BisectorTable.take``),
-so no pipeline stage builds a bisector object. Every array step repeats the
+:class:`BisectorTable`, one array row per pair, and it is the only form a
+bisector takes: the diagram build reads it, and a diagram graph keeps the
+rows of its edges (``BisectorTable.take``). Every array step repeats the
 one-pair operation order, with ``math`` functions per entry where numpy
 rounds differently, and steps that go through BLAS or LAPACK use the
 stacked form of the same call, so a pair gets the same floats whatever
-batch it is in. ``BisectorTable.bisectors`` gives the object view of rows;
-:func:`make_bisector` and :func:`bisector_implicit` are batches of one.
+batch it is in. :func:`make_bisector` is a one-row table and
+:func:`bisector_implicit` the implicit conic of one pair.
+
+A row's connected components are arrays too (``BisectorTable.components``):
+curve components are arcs of the circular alpha domain delimited by
+singular parameters (an ellipse is one closed loop, a parabola one open
+arc, a hyperbola two branches), and each line of a degenerate bisector is
+a component of its own.
 
 :func:`params_of_points` recovers the curve parameters of many (curve,
 point) pairs at once: root solving, the acceptance tests, Gauss-Newton
@@ -35,6 +35,10 @@ projection and duplicate merging all run as array operations, with
 ``math`` functions per entry where numpy rounds differently, so every
 parameter is the float the one-point form gives. :func:`param_of_point` is
 a batch of one.
+
+Nothing in the package calls :func:`make_bisector` or :func:`param_of_point`
+(nor ``diagram.visible_segments``): the benchmark's span tracer patches them
+by name, so they stay, each a batch of one of its kernel.
 """
 
 from __future__ import annotations
@@ -45,30 +49,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conic import (
-    CURVE_CLASSES,
     ELLIPSE_CODE,
     HYPERBOLA_CODE,
     PARABOLA_CODE,
-    ConicClass,
     ConicImplicit,
-    ConicRows,
-    LineParam,
-    ParametrizedConic,
-    alpha_of_param,
     alphas_of_params,
-    chart_coefficients,
     charts_of_triples,
     classify_rows,
-    conic_representations,
     homogeneous_at_params,
-    line_points,
-    line_rows,
     params_of_alphas,
     points_at_alphas,
     real_quadratic_roots_batch,
     wrap_angles,
 )
-from .errors import NoSolutionError, SingularParameterError
+from .errors import InputError, NoSolutionError
 from .geometry import Generator, as_point, row_dot
 from .tolerances import DEN_REL, PARAM_MERGE
 
@@ -115,59 +109,6 @@ def bisector_implicit(gi: Generator, gj: Generator) -> ConicImplicit:
     return ConicImplicit(*row.tolist())
 
 
-@dataclass(frozen=True)
-class BisectorComponent:
-    """One connected piece of a bisector's point set.
-
-    Curve pieces ("arc") live on the circular alpha domain: the piece covers
-    alpha in (lo, hi) with hi - lo <= 2 pi, wrapping through pi as needed;
-    ``closed`` marks the full loop of an ellipse. Line pieces ("line") cover
-    all of R on the line with the stored index.
-    """
-
-    kind: str  # "arc" or "line"
-    lo: float
-    hi: float
-    closed: bool = False
-    line_index: int | None = None
-
-    def midpoint(self) -> float:
-        """Representative parameter: alpha for arcs, t for lines."""
-        if self.kind == "line":
-            return 0.0
-        if self.closed:
-            return 0.0
-        return 0.5 * (self.lo + self.hi)
-
-    def contains_alpha(self, alpha: float) -> bool:
-        if self.kind != "arc":
-            return False
-        if self.closed:
-            return True
-        span = self.hi - self.lo
-        off = (alpha - self.lo) % TWO_PI
-        return 0.0 <= off <= span
-
-
-@dataclass(frozen=True)
-class Bisector:
-    """Bisector of the generator pair (i, j) with i < j."""
-
-    i: int
-    j: int
-    gi: Generator
-    gj: Generator
-    implicit: ConicImplicit
-    conic_class: ConicClass
-    param: ParametrizedConic | None
-    lines: tuple[LineParam, ...]
-    components: tuple[BisectorComponent, ...]
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.i, self.j)
-
-
 def _pair_frames(gi: np.ndarray, gj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Similarity frames local to P generator pairs: centers (P, 2) and scales (P,).
 
@@ -200,7 +141,7 @@ class BisectorTable:
     ``generators[second[k]]``, whose ids increase. ``implicit`` (P, 6) holds
     the implicit rows in scene coordinates and ``code`` (P,) the class codes
     (indices into ``conic.CLASSES``). A curve's row of ``chart`` (P, 2, 3,
-    3, as ``conic.chart_coefficients`` lays it out) holds its chart triples,
+    3, as ``conic.charts_of_triples`` lays it out) holds its chart triples,
     ``u_scale`` their denominator scale and ``singular`` the s of its
     singular parameters (+-s for a hyperbola, 0 for a parabola). A line
     bisector's first ``line_count`` rows of ``lines`` (P, 2, 3) are its
@@ -258,29 +199,6 @@ class BisectorTable:
         out[self.first, self.second] = out[self.second, self.first] = np.arange(self.first.size)
         return out
 
-    def bisectors(self, rows) -> list[Bisector]:
-        """:class:`Bisector` objects of the rows ``rows``, in that order."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        reps = conic_representations(ConicRows(self.code, self.chart[:, 0], self.singular,
-                                               self.lines, self.line_count), rows)
-        out = []
-        for rep, first, second, implicit, count, lo, hi, closed in zip(
-            reps, self.first[rows].tolist(), self.second[rows].tolist(),
-            self.implicit[rows].tolist(), *(a.tolist() for a in self.components(rows)),
-        ):
-            gi, gj = self.generators[first], self.generators[second]
-            if isinstance(rep, ParametrizedConic):
-                param, lines = rep, ()
-                components = tuple(BisectorComponent("arc", lo[c], hi[c], closed=closed)
-                                   for c in range(count))
-            else:
-                param, lines = None, rep.lines
-                components = tuple(BisectorComponent("line", -math.inf, math.inf, line_index=c)
-                                   for c in range(count))
-            out.append(Bisector(gi.id, gj.id, gi, gj, ConicImplicit(*implicit), rep.conic_class,
-                                param, lines, components))
-        return out
-
 
 def bisector_table(
     generators,
@@ -301,8 +219,10 @@ def bisector_table(
         pairs = np.triu_indices(len(generators), 1)
     ids = np.array([g.id for g in generators], dtype=np.int64)
     first, second = (np.asarray(p, dtype=np.int64).reshape(-1) for p in pairs)
-    if np.any(ids[first] == ids[second]):
-        raise ValueError("bisector requires distinct generator ids")
+    same = np.flatnonzero(ids[first] == ids[second])
+    if same.size:
+        raise InputError(f"pair {same[0]}: both generators have id {ids[first[same[0]]]}; a "
+                         "bisector needs two distinct ids")
     swap = ids[first] > ids[second]
     first, second = np.where(swap, second, first), np.where(swap, first, second)
     cols = _generator_columns(generators)
@@ -320,12 +240,9 @@ def bisector_table(
                          u[:, 0] + u[:, 1] + u[:, 2], rows.singular, rows.lines, rows.line_count)
 
 
-def make_bisector(gi: Generator, gj: Generator) -> Bisector:
-    """Build the full bisector representation for a generator pair.
-
-    The object of a one-row :func:`bisector_table`.
-    """
-    return bisector_table([gi, gj]).bisectors([0])[0]
+def make_bisector(gi: Generator, gj: Generator) -> BisectorTable:
+    """The bisector of one generator pair: a one-row :func:`bisector_table`."""
+    return bisector_table([gi, gj])
 
 
 def _project_params(coef, u_scale, v, t) -> np.ndarray:
@@ -401,8 +318,8 @@ def _merge_params(ts, alphas, found) -> np.ndarray:
 def params_of_points(coef, u_scale, points, eps):
     """Parameters t (inf allowed) of N (curve, point) pairs whose curve point lies within eps.
 
-    Row k pairs the curve with chart triples ``coef[k]`` (N, 2, 3, 3, from
-    ``conic.chart_coefficients``) and denominator scale ``u_scale[k]`` with
+    Row k pairs the curve with chart triples ``coef[k]`` (N, 2, 3, 3, rows
+    of ``BisectorTable.chart``) and denominator scale ``u_scale[k]`` with
     the point ``points[k]``. For every row at once: solve the two quadratics
     x^(t) - v_x u^(t) = 0 and y^(t) - v_y u^(t) = 0, take the union of their
     real roots (plus the infinite parameter when both leading coefficients
@@ -446,56 +363,16 @@ def params_of_points(coef, u_scale, points, eps):
     return ts, _merge_params(ts, alphas, found)
 
 
-def param_of_point(p: ParametrizedConic, v, eps: float) -> list[float]:
-    """All parameters t (math.inf allowed) whose curve point lies within eps of v.
+def param_of_point(table: BisectorTable, row: int, v, eps: float) -> list[float]:
+    """All parameters t (math.inf allowed) of curve row ``row`` of ``table``
+    whose curve point lies within eps of v.
 
     A batch of one of :func:`params_of_points`. Raises NoSolutionError when
     nothing qualifies.
     """
     v = as_point(v)
-    ts, found = params_of_points(chart_coefficients([p]), np.array([p.u_scale]), v[None], eps)
+    rows = [row]
+    ts, found = params_of_points(table.chart[rows], table.u_scale[rows], v[None], eps)
     if not found[0].any():
         raise NoSolutionError(f"point {tuple(v)} does not lie on the curve within {eps}")
     return ts[0][found[0]].tolist()
-
-
-def alphas_of_point(b: Bisector, v, eps: float) -> list[float]:
-    """Parameters of a point on a curved bisector, in alpha space."""
-    assert b.param is not None
-    return [alpha_of_param(t) for t in param_of_point(b.param, v, eps)]
-
-
-def bisector_has_points(b: Bisector) -> bool:
-    return b.conic_class in CURVE_CLASSES or len(b.lines) > 0
-
-
-def sample_points(
-    b: Bisector,
-    count: int = 64,
-    line_span: float = 100.0,
-) -> list[np.ndarray]:
-    """Evenly spread points over every component of a bisector.
-
-    Curve components are sampled in alpha with a margin away from singular
-    parameters; line components over t in [-line_span, line_span], each
-    component in one batch. A sample at a singular parameter raises
-    SingularParameterError. Empty and whole-plane bisectors yield no points.
-    """
-    if not bisector_has_points(b):
-        return []
-    pts: list[np.ndarray] = []
-    per = max(1, count // max(1, len(b.components)))
-    for comp in b.components:
-        if comp.kind == "line":
-            t = np.linspace(-line_span, line_span, per)
-            pts.extend(line_points(line_rows([b.lines[comp.line_index]] * per), t))
-            continue
-        span = comp.hi - comp.lo
-        margin = 0.0 if comp.closed else 0.02 * span
-        alpha = np.linspace(comp.lo + margin, comp.hi - margin, per, endpoint=not comp.closed)
-        x, y, _, _, singular = points_at_alphas(chart_coefficients([b.param] * per),
-                                                np.full(per, b.param.u_scale), alpha)
-        if singular.any():
-            raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
-        pts.extend(np.column_stack([x, y]))
-    return pts

@@ -22,6 +22,14 @@ linear term. Singular parameters (roots of u^, where the curve reaches the
 line at infinity) then sit symmetrically: none for an ellipse, a double root
 at t = 0 for a parabola, a pair +-s with s <= 1 for a hyperbola. In
 particular t = inf is never singular.
+
+Conics are classified and represented as arrays only: ``classify_rows``
+gives the class codes, coefficient triples, singular parameters and lines
+of P conics at once (``ConicRows``), and every evaluation (quadratic roots,
+homogeneous points at parameters, points and velocities at alphas, line
+points) is a kernel over rows. The one-value forms of these evaluations,
+which the kernels must equal bit for bit, are test references
+(tests/oracles.py); only the scalar angle maps stay here.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, SingularParameterError
+from .errors import SingularParameterError
 from .geometry import hypots, sym2_eigh
 from .tolerances import CLASS_REL, DEN_REL, RANK_REL
 
@@ -51,9 +59,6 @@ class ConicClass(enum.Enum):
     TWO_INTERSECTING_LINES = "TwoIntersectingLines"
     EMPTY = "Empty"
     WHOLE_PLANE = "WholePlane"
-
-
-CURVE_CLASSES = frozenset({ConicClass.ELLIPSE, ConicClass.HYPERBOLA, ConicClass.PARABOLA})
 
 
 @dataclass(frozen=True)
@@ -102,17 +107,8 @@ class ConicImplicit:
         """Homogeneous symmetric matrix with halved linear terms."""
         return conic_matrices(np.array([self.coeffs()]))[0]
 
-    def coeff_scale(self) -> float:
-        return max(
-            abs(self.a11), abs(self.a12), abs(self.a22), abs(self.b11), abs(self.b12), abs(self.c)
-        )
-
     def coeffs(self) -> tuple[float, float, float, float, float, float]:
         return (self.a11, self.a12, self.a22, self.b11, self.b12, self.c)
-
-    def quad_discriminant(self) -> float:
-        """a12^2 - a11 a22: negative for ellipses, zero parabola, positive hyperbola."""
-        return self.a12 * self.a12 - self.a11 * self.a22
 
 
 def conic_matrices(coeffs: np.ndarray) -> np.ndarray:
@@ -129,57 +125,13 @@ def conic_matrices(coeffs: np.ndarray) -> np.ndarray:
     return d
 
 
-def line_as_conic(a: float, b: float, c: float) -> ConicImplicit:
-    """The line ax + by + c = 0 as a (rank <= 2) conic."""
-    return ConicImplicit(0.0, 0.0, 0.0, a, b, c)
-
-
-@dataclass(frozen=True)
-class LineParam:
-    """Line ax + by + c = 0 with unit normal and a linear parametrization.
-
-    Coefficients are normalized (a^2 + b^2 = 1, leading-sign canonical) so
-    equal lines compare equal up to roundoff. Points are q + t d with d the
-    unit direction (-b, a); the parameter of a point is its projection.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    @staticmethod
-    def from_implicit(a: float, b: float, c: float) -> "LineParam":
-        n = math.hypot(a, b)
-        if n == 0.0:
-            raise InputError("line coefficients (a, b) must not both vanish")
-        a, b, c = a / n, b / n, c / n
-        if a < 0.0 or (a == 0.0 and b < 0.0):
-            a, b, c = -a, -b, -c
-        return LineParam(a, b, c)
-
-    def point_at(self, t: float) -> np.ndarray:
-        """Point at parameter t; a batch of one of :func:`line_points`."""
-        return line_points(line_rows([self]), np.array([float(t)]))[0]
-
-    def signed_distance(self, v) -> float:
-        return float(self.a * v[0] + self.b * v[1] + self.c)
-
-
-@dataclass(frozen=True)
-class DegenerateConic:
-    """Rank-deficient conic: up to two real lines, or nothing, or everything."""
-
-    conic_class: ConicClass
-    lines: tuple[LineParam, ...]
-
-
-def line_rows(lines) -> np.ndarray:
-    """Coefficient rows (a, b, c), shape (N, 3), of N LineParams."""
-    return np.array([(ln.a, ln.b, ln.c) for ln in lines], dtype=float).reshape(-1, 3)
-
-
 def line_points(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Points (N, 2) q + t d of the lines ``rows`` (N, 3, from ``line_rows``) at t (N,)."""
+    """Points (N, 2) q + t d of the lines ``rows`` (N, 3) at t (N,).
+
+    A row (a, b, c) is a normalized line ax + by + c = 0 (a^2 + b^2 = 1):
+    q = -c (a, b) is its point nearest the origin and d = (-b, a) its unit
+    direction, so t is the line's arc length parameter.
+    """
     a, b, c = rows.T
     return np.column_stack([-c * a - t * b, -c * b + t * a])
 
@@ -249,68 +201,6 @@ def param_of_alpha(alpha: float) -> float:
     return math.tan(0.5 * a)
 
 
-@dataclass(frozen=True)
-class ParametrizedConic:
-    """Rational parametrization of a rank-3 conic.
-
-    ``xq, yq, uq`` are coefficient triples of x^(t), y^(t), u^(t); the curve
-    point is (x^/u^, y^/u^). ``singular_params`` are the real roots of u^(t)
-    (one entry for a parabola's double root). By construction uq has no
-    linear term, so singular parameters come in symmetric pairs inside
-    [-1, 1] and t = inf is always a regular point.
-    """
-
-    xq: tuple[float, float, float]
-    yq: tuple[float, float, float]
-    uq: tuple[float, float, float]
-    singular_params: tuple[float, ...]
-    conic_class: ConicClass
-
-    def __post_init__(self):
-        object.__setattr__(self, "_u_scale", sum(abs(v) for v in self.uq))
-
-    @property
-    def u_scale(self) -> float:
-        return self._u_scale
-
-    @property
-    def singular_alphas(self) -> tuple[float, ...]:
-        return tuple(alpha_of_param(t) for t in self.singular_params)
-
-    def point_at(self, t: float) -> np.ndarray:
-        """Curve point at parameter t; a batch of one of ``homogeneous_at_params``."""
-        x, y, u = (v[0, 0] for v in homogeneous_at_params(chart_coefficients([self]),
-                                                          np.array([[float(t)]])))
-        if abs(u) <= DEN_REL * self._u_scale:
-            raise SingularParameterError(f"parameter t={t} lies on the line at infinity")
-        return np.array([x / u, y / u])
-
-    def _at_alpha(self, alpha: float):
-        x, y, vx, vy, singular = points_at_alphas(
-            chart_coefficients([self]), np.array([self._u_scale]), np.array([float(alpha)]))
-        if singular[0]:
-            raise SingularParameterError(f"alpha={alpha} lies on the line at infinity")
-        return x[0], y[0], vx[0], vy[0]
-
-    def point_at_alpha(self, alpha: float) -> np.ndarray:
-        """Curve point at alpha; a batch of one of ``points_at_alphas``."""
-        return np.array(self._at_alpha(alpha)[:2])
-
-    def velocity_at_alpha(self, alpha: float) -> np.ndarray:
-        """d(x, y)/d alpha, smooth across the chart switch; a batch of one."""
-        return np.array(self._at_alpha(alpha)[2:])
-
-
-def chart_coefficients(params) -> np.ndarray:
-    """Chart triples of P parametrized conics as one (P, 2, 3, 3) array.
-
-    Entry [k, chart, row] is the (c2, c1, c0) triple of x^, y^, u^ (rows
-    0, 1, 2) of conic k in chart 0 (s = tan(alpha/2)) or in chart 1 (the
-    t -> -1/t rotation, s = tan(alpha/2 - pi/2)).
-    """
-    return charts_of_triples(np.array([(p.xq, p.yq, p.uq) for p in params], dtype=float))
-
-
 def charts_of_triples(triples: np.ndarray) -> np.ndarray:
     """Chart triples (P, 2, 3, 3) of P conics given by their xq, yq, uq rows (P, 3, 3)."""
     base = np.asarray(triples, dtype=float).reshape(-1, 3, 3)
@@ -326,10 +216,11 @@ def charts_of_triples(triples: np.ndarray) -> np.ndarray:
 def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray):
     """Points and d/dalpha velocities of many conics at many alphas.
 
-    The array form of ``point_at_alpha`` and ``velocity_at_alpha``: row k
-    of ``alpha`` (P, K) is evaluated on conic ``coef[k]`` (P, 2, 3, 3, from
-    ``chart_coefficients``) with denominator scale ``u_scale[k]``. Each
-    value is computed elementwise, so it does not depend on the other rows.
+    Row k of ``alpha`` (P, K) is evaluated on conic ``coef[k]`` (P, 2, 3,
+    3, chart triples as ``charts_of_triples`` lays them out) with
+    denominator scale ``u_scale[k]``. Each value is computed elementwise, so
+    it does not depend on the other rows. An alpha on the line at infinity
+    raises SingularParameterError.
     Returns (x, y, vx, vy, cond), each (P, K). ``cond`` is the condition
     number of the denominator u^ at s, the sum of its terms' magnitudes
     over |u^|: where it is large, u^ cancels, and the rounding of its
@@ -411,11 +302,11 @@ def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray):
     """Points and d/dalpha velocities of N conics at one alpha each.
 
     Row k evaluates conic ``coef[k]`` (N, 2, 3, 3, from
-    ``chart_coefficients``) at ``alpha[k]``: chart 0 at s = tan(alpha/2)
+    ``charts_of_triples``) at ``alpha[k]``: chart 0 at s = tan(alpha/2)
     for |alpha| <= pi/2 after wrapping, chart 1 at s = tan(alpha/2 - pi/2)
     otherwise. Returns (x, y, vx, vy, singular); ``singular`` marks rows
     whose denominator is within DEN_REL u_scale of zero, whose values are
-    not to be used (``point_at_alpha`` raises SingularParameterError there).
+    not to be used.
     """
     a = wrap_angles(alpha)
     far = ~(np.abs(a) <= _HALF_PI)
@@ -425,23 +316,6 @@ def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray):
     singular = np.abs(u) <= DEN_REL * u_scale
     with np.errstate(divide="ignore", invalid="ignore"):
         return (*_point_velocity(x, y, u, dx, dy, du, s), singular)
-
-
-def residual_polynomial(conic: ConicImplicit, p: ParametrizedConic) -> np.ndarray:
-    """Coefficients (degree 4 down to 0) of F(x^, y^) pulled back through u^.
-
-    Substituting the parametrization into the implicit form and clearing the
-    denominator gives a quartic polynomial in t that must vanish identically;
-    its five coefficients are returned for symbolic (coefficient-level) checks.
-    """
-    xq, yq, uq = np.array(p.xq), np.array(p.yq), np.array(p.uq)
-    out = conic.a11 * np.convolve(xq, xq)
-    out = out + 2.0 * conic.a12 * np.convolve(xq, yq)
-    out = out + conic.a22 * np.convolve(yq, yq)
-    out = out + conic.b11 * np.convolve(xq, uq)
-    out = out + conic.b12 * np.convolve(yq, uq)
-    out = out + conic.c * np.convolve(uq, uq)
-    return out
 
 
 # ---------------------------------------------------------- classification
@@ -517,8 +391,8 @@ def _parametrize_rank3(evals: np.ndarray, evecs: np.ndarray):
 
 def _normalized_lines(lines: np.ndarray, usable: np.ndarray):
     """Lines (..., 3) scaled to a^2 + b^2 = 1 with a leading-sign canonical
-    normal, as ``LineParam.from_implicit`` scales one line; entries outside
-    ``usable`` come back as they are."""
+    normal, so that equal lines compare equal up to roundoff; entries
+    outside ``usable`` come back as they are."""
     a, b, c = lines[..., 0], lines[..., 1], lines[..., 2]
     n = np.where(usable, hypots(a, b), 1.0)
     a, b, c = a / n, b / n, c / n
@@ -633,31 +507,3 @@ def classify_rows(
         lines[rows] = np.where((np.arange(2) < count[rows, None])[..., None], found, 0.0)
     return ConicRows(code, triples, singular, lines, count)
 
-
-def conic_representations(rows: ConicRows, ks) -> list[ParametrizedConic | DegenerateConic]:
-    """The object forms of the conics ``ks`` of ``rows``, in that order."""
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-    out: list[ParametrizedConic | DegenerateConic] = []
-    for code, (xq, yq, uq), s, lines, count in zip(
-        rows.code[ks].tolist(), rows.triples[ks].tolist(), rows.singular[ks].tolist(),
-        rows.lines[ks].tolist(), rows.line_count[ks].tolist(),
-    ):
-        if code == ELLIPSE_CODE or code == PARABOLA_CODE or code == HYPERBOLA_CODE:
-            singular = () if code == ELLIPSE_CODE else (0.0,) if code == PARABOLA_CODE else (-s, s)
-            out.append(ParametrizedConic(tuple(xq), tuple(yq), tuple(uq), singular, CLASSES[code]))
-        else:
-            out.append(DegenerateConic(CLASSES[code],
-                                       tuple(LineParam(*ln) for ln in lines[:count])))
-    return out
-
-
-def classify_and_parametrize(
-    conic: ConicImplicit,
-    length_scale: float = 1.0,
-) -> ParametrizedConic | DegenerateConic:
-    """Classify a conic and produce its parametric or line representation.
-
-    A batch of one of :func:`classify_rows`.
-    """
-    return conic_representations(classify_rows(np.array([conic.coeffs()]), length_scale),
-                                 [0])[0]

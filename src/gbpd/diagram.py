@@ -65,11 +65,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# make_bisector and param_of_point are not called here, and the build does not
-# call visible_segments; they stay bound because the benchmark's span tracer
-# patches them in this module by name
+# the benchmark's span tracer patches make_bisector and param_of_point in this
+# module by name, so they stay imported though nothing here calls them
 from .bisector import (  # noqa: F401
-    Bisector,
     BisectorTable,
     bisector_table,
     make_bisector,
@@ -447,8 +445,8 @@ def _curve_representatives(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Representative points (N, 2) of curve pieces, and the mask of those found.
 
-    Piece k lies on the curve with chart triples ``coef[k]`` (from
-    ``conic.chart_coefficients``) and denominator scale ``u_scale[k]``.
+    Piece k lies on the curve with chart triples ``coef[k]`` (rows of
+    ``BisectorTable.chart``) and denominator scale ``u_scale[k]``.
 
     Level j evaluates the unresolved pieces in one ``points_at_alphas`` call
     at anchor + (mid - anchor) 0.5^j, or at mid where anchor == mid. A
@@ -658,12 +656,13 @@ def _visible_pieces(
 
 
 def visible_segments(
-    b: Bisector,
+    gi: Generator,
+    gj: Generator,
     vertex_params: dict[int, list[tuple[float, int | None]]],
     scene,
     length_scale: float | None = None,
 ) -> list[EdgeSegment]:
-    """Visible pieces of a bisector, given vertex parameters per component.
+    """Visible pieces of the bisector of gi and gj, given vertex parameters per component.
 
     ``vertex_params`` maps component index -> list of (t, vertex id) with t
     in parameter space (math.inf marks the curve's far point); line
@@ -671,12 +670,13 @@ def visible_segments(
     entries are tested whole at one representative each. Returned segments
     have id -1; the diagram assembly assigns canonical ids. A batch of one
     of the build's visibility pass, over a one-row table of the bisector's
-    generator pair.
+    generator pair; the build does not call it, and it stays because the
+    benchmark's span tracer patches it by name.
     """
     arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
     if length_scale is None:
         length_scale = arr.scale()
-    table = bisector_table([b.gi, b.gj])
+    table = bisector_table([gi, gj])
     return _visible_pieces(table, np.zeros(1, dtype=np.int64), {0: vertex_params}, arr,
                            length_scale)[0]
 

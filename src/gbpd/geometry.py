@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -169,6 +170,11 @@ class Generator:
     w: float
 
     def __post_init__(self):
+        # ids index label images and key the diagram's maps; numpy integers
+        # are stored as int
+        if isinstance(self.id, bool) or not isinstance(self.id, numbers.Integral):
+            raise InputError(f"generator {self.id!r}: id must be an integer")
+        object.__setattr__(self, "id", int(self.id))
         # label images mark the background with -1
         if self.id < 0:
             raise InputError(f"generator {self.id}: id must not be negative")

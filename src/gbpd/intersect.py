@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .conic import ConicImplicit
-from .errors import OverlappingConicsError
-from .geometry import SceneArrays, as_point
+from .errors import InputError, OverlappingConicsError
+from .geometry import SceneArrays
 from .tolerances import DEDUP_REL, RES_REL, VERT_REL
 
 # determinant magnitude (after max-abs normalization) below which an input
@@ -144,12 +144,16 @@ def prepare_pairs(
     term carries two powers of the coordinate magnitude), which starves the
     determinant cubic of precision; the kernel therefore works in the frame
     x = length_scale * xh + center, where quadratic, linear and constant
-    parts are comparable, and maps the results back.
+    parts are comparable, and maps the results back. A length scale that is
+    not positive and finite, or a center that is not finite, names no frame
+    and raises InputError.
     """
     h = float(length_scale)
     cx, cy = float(center[0]), float(center[1])
-    if h <= 0.0:
-        raise ValueError("length_scale must be positive")
+    if not 0.0 < h < math.inf:
+        raise InputError(f"length_scale must be positive and finite, not {h!r}")
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise InputError(f"center must be finite, not {(cx, cy)!r}")
     frame = np.array([[h, 0.0, cx], [0.0, h, cy], [0.0, 0.0, 1.0]])
     d = np.einsum("ba,tbc,cd->tad", frame, np.asarray(pair_mats, dtype=float), frame)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -387,14 +391,3 @@ def globally_minimal(cand: np.ndarray, trip: np.ndarray, arr: SceneArrays) -> np
     keep[alive] = d_trip[alive] - d_min <= VERT_REL * (1.0 + np.abs(d_min))
     return keep
 
-
-def is_gbpd_vertex(v, triple, scene) -> bool:
-    """True iff the triple's shared distance at v is the global minimum.
-
-    ``triple`` holds generator ids; ``scene`` is a SceneArrays or a sequence
-    of Generators. Tolerance scales with (1 + |min distance|). A batch of
-    one of :func:`globally_minimal`.
-    """
-    arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
-    cols = np.array([[arr.id_to_index[g] for g in triple]], dtype=np.int64)
-    return bool(globally_minimal(as_point(v)[None, :], cols, arr)[0])

@@ -173,30 +173,6 @@ def compare_labels(a: LabelImage, b: LabelImage) -> MismatchStats:
     )
 
 
-@dataclass(frozen=True)
-class RasterStats:
-    counts: dict[int, int]
-    junctions: np.ndarray  # (k, 2) window coordinates of 2x2 corners with >= 3 labels
-
-
-def raster_cell_stats(img: LabelImage) -> RasterStats:
-    lab = img.labels
-    vals, cnt = np.unique(lab, return_counts=True)
-    counts = {int(v): int(c) for v, c in zip(vals, cnt) if v >= 0}
-    stack = np.stack([lab[:-1, :-1], lab[:-1, 1:], lab[1:, :-1], lab[1:, 1:]])
-    stack = np.sort(stack, axis=0)
-    distinct = 1 + (stack[1:] != stack[:-1]).sum(axis=0)
-    jy, jx = np.nonzero(distinct >= 3)
-    pts = np.stack(
-        [
-            img.origin[0] + (jx + 1.0) * img.pixel_size,
-            img.origin[1] + (jy + 1.0) * img.pixel_size,
-        ],
-        axis=1,
-    )
-    return RasterStats(counts, pts)
-
-
 # ------------------------------------------------------------------- PGM
 
 

@@ -8,13 +8,15 @@ simple on purpose.
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
 from scipy.integrate import quad
 
 from gbpd.clip import flatten_pieces, loop_polygons
-from gbpd.conic import alpha_of_param, param_of_alpha, wrap_angle
+from gbpd.conic import alpha_of_param, line_points, param_of_alpha, points_at_alphas, wrap_angle
 from gbpd.errors import SingularParameterError
 from gbpd.oracle import LabelImage
 from gbpd.tolerances import CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_ABS, RANK_REL, VERT_REL
@@ -286,18 +288,21 @@ def two_nearest_point(point, idx_i, idx_j, arr):
     return max(di, dj) <= d3 + VERT_REL * (1.0 + abs(d3))
 
 
-def polish_vertices_scalar(vertices, bisectors, length_scale):
-    """Newton-refine each vertex on its two best-conditioned bisectors, one at a time."""
+def polish_vertices_scalar(vertices, implicits, length_scale):
+    """Newton-refine each vertex on its two best-conditioned bisectors, one at a time.
+
+    ``implicits`` maps a generator id pair to its bisector's ConicImplicit.
+    """
     max_step = DEDUP_REL * length_scale
     for v in vertices:
-        pairs = [p for p in itertools.combinations(sorted(v.gens), 2) if p in bisectors]
+        pairs = [p for p in itertools.combinations(sorted(v.gens), 2) if p in implicits]
         if len(pairs) < 2:
             continue
         x0, y0 = float(v.pos[0]), float(v.pos[1])
         best = None
         for pa, pb in itertools.combinations(pairs, 2):
-            g1 = bisectors[pa].implicit.gradient(x0, y0)
-            g2 = bisectors[pb].implicit.gradient(x0, y0)
+            g1 = implicits[pa].gradient(x0, y0)
+            g2 = implicits[pb].gradient(x0, y0)
             n1 = math.hypot(g1[0], g1[1])
             n2 = math.hypot(g2[0], g2[1])
             if n1 == 0.0 or n2 == 0.0:
@@ -307,8 +312,8 @@ def polish_vertices_scalar(vertices, bisectors, length_scale):
                 best = (sine, pa, pb)
         if best is None or best[0] < 1e-6:
             continue
-        c1 = bisectors[best[1]].implicit
-        c2 = bisectors[best[2]].implicit
+        c1 = implicits[best[1]]
+        c2 = implicits[best[2]]
         x, y = x0, y0
         for _ in range(3):
             f1 = c1.evaluate(x, y)
@@ -439,11 +444,38 @@ def quad_arc_area(param, a0, a1):
 # ------------------------------------------- scalar conic evaluation (reference)
 #
 # The package evaluates conics in batches only (gbpd.conic's
-# real_quadratic_roots_batch, homogeneous_at_params and points_at_alphas).
-# These one-value forms are what the batches must equal bit for bit: a
-# quadratic coefficient triple (c2, c1, c0) is evaluated by Horner's rule in
-# chart 0 for |t| <= 1 (|alpha| <= pi/2) and in the t -> -1/t chart
-# otherwise, whose triple is (c0, -c1, c2).
+# real_quadratic_roots_batch, homogeneous_at_params and points_at_alphas),
+# over the rows of a bisector table. These one-value forms are what the
+# batches must equal bit for bit: a quadratic coefficient triple (c2, c1, c0)
+# is evaluated by Horner's rule in chart 0 for |t| <= 1 (|alpha| <= pi/2) and
+# in the t -> -1/t chart otherwise, whose triple is (c0, -c1, c2). They read
+# a curve as its chart-0 triples xq, yq, uq and denominator scale u_scale,
+# and a line as its coefficients a, b, c: ``row_curve`` and ``row_line`` hand
+# them those numbers of one table row, unchanged.
+
+
+class RowCurve(NamedTuple):
+    xq: tuple
+    yq: tuple
+    uq: tuple
+    u_scale: float
+
+
+class RowLine(NamedTuple):
+    a: float
+    b: float
+    c: float
+
+
+def row_curve(table, row):
+    """The curve of row ``row`` of a bisector table, as the references read it."""
+    xq, yq, uq = (tuple(q) for q in table.chart[row, 0].tolist())
+    return RowCurve(xq, yq, uq, float(table.u_scale[row]))
+
+
+def row_line(table, row, c):
+    """Line c of row ``row`` of a bisector table."""
+    return RowLine(*table.lines[row, c].tolist())
 
 
 def real_quadratic_roots_scalar(a, b, c, rel=1e-13):
@@ -490,7 +522,7 @@ def homogeneous_at_scalar(p, t):
 
 
 def line_point_scalar(line, t):
-    """Point q + t d of a LineParam, q = -c (a, b) and d = (-b, a)."""
+    """Point q + t d of a normalized line, q = -c (a, b) and d = (-b, a)."""
     return np.array([-line.c * line.a - t * line.b, -line.c * line.b + t * line.a])
 
 
@@ -532,10 +564,9 @@ def _window_sides(window):
     )
 
 
-def curve_crossings_scalar(b, e, window, snap):
-    """Window crossings of one curved edge as (offset from a0, pos, side), in
-    candidate order: sides 0-3, roots ascending, then t = inf."""
-    p = b.param
+def curve_crossings_scalar(p, e, window, snap):
+    """Window crossings of one curved edge on the curve p as (offset from a0,
+    pos, side), in candidate order: sides 0-3, roots ascending, then t = inf."""
     span = e.a1 - e.a0
     out = []
     for axis, value, lo, hi, side in _window_sides(window):
@@ -580,20 +611,14 @@ def line_crossings_scalar(line, t_lo, t_hi, window, snap):
     return out
 
 
-def edge_bisector(graph, edge_id):
-    """The bisector object of a graph edge: the object view of its table row."""
-    return graph.table.bisectors([edge_id])[0]
-
-
 def piece_point_scalar(graph, piece, f):
     """Point at fraction f along a clip piece's stored direction."""
     if piece.kind == "boundary":
         return piece.p0 + f * (piece.p1 - piece.p0)
     a = piece.a0 + f * (piece.a1 - piece.a0)
-    b = edge_bisector(graph, piece.edge_id)
     if piece.kind == "arc":
-        return point_at_alpha_scalar(b.param, a)
-    return line_point_scalar(b.lines[piece.line_index], a)
+        return point_at_alpha_scalar(row_curve(graph.table, piece.edge_id), a)
+    return line_point_scalar(row_line(graph.table, piece.edge_id, piece.line_index), a)
 
 
 def flatten_piece_scalar(graph, piece, ftol):
@@ -769,3 +794,61 @@ def rasterize_cells_per_cell(cd, width, height, counts=None):
         _, (ii, jj) = ndimage.distance_transform_edt(missing, return_indices=True)
         labels = labels[ii, jj]
     return LabelImage(width, height, origin, px, labels, ids)
+
+
+# ------------------------------------------------------- bisector samples
+
+
+def sample_points(table, row, count=64, line_span=100.0):
+    """Evenly spread points over every component of bisector row ``row``.
+
+    Each component gets count // (number of components) points: a curve
+    component in alpha, kept 2% of its span away from singular ends, a line
+    component over t in [-line_span, line_span]. A sample at a singular
+    parameter raises SingularParameterError. Empty and whole-plane rows give
+    no points.
+    """
+    rows = np.array([row])
+    n, lo, hi, closed = (a[0].tolist() for a in table.components(rows))
+    pts = []
+    per = max(1, count // max(1, n))
+    for c in range(n):
+        if table.line_count[row] > 0:
+            t = np.linspace(-line_span, line_span, per)
+            pts.extend(line_points(np.repeat(table.lines[row, c][None], per, axis=0), t))
+            continue
+        margin = 0.0 if closed else 0.02 * (hi[c] - lo[c])
+        alpha = np.linspace(lo[c] + margin, hi[c] - margin, per, endpoint=not closed)
+        x, y, _, _, singular = points_at_alphas(np.repeat(table.chart[rows], per, axis=0),
+                                                np.full(per, table.u_scale[row]), alpha)
+        if singular.any():
+            raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
+        pts.extend(np.column_stack([x, y]))
+    return pts
+
+
+# ---------------------------------------------------------- raster counts
+
+
+@dataclass(frozen=True)
+class RasterStats:
+    counts: dict[int, int]
+    junctions: np.ndarray  # (k, 2) window coordinates of 2x2 corners with >= 3 labels
+
+
+def raster_cell_stats(img: LabelImage) -> RasterStats:
+    lab = img.labels
+    vals, cnt = np.unique(lab, return_counts=True)
+    counts = {int(v): int(c) for v, c in zip(vals, cnt) if v >= 0}
+    stack = np.stack([lab[:-1, :-1], lab[:-1, 1:], lab[1:, :-1], lab[1:, 1:]])
+    stack = np.sort(stack, axis=0)
+    distinct = 1 + (stack[1:] != stack[:-1]).sum(axis=0)
+    jy, jx = np.nonzero(distinct >= 3)
+    pts = np.stack(
+        [
+            img.origin[0] + (jx + 1.0) * img.pixel_size,
+            img.origin[1] + (jy + 1.0) * img.pixel_size,
+        ],
+        axis=1,
+    )
+    return RasterStats(counts, pts)

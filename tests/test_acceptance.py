@@ -13,19 +13,19 @@ import time
 import numpy as np
 import pytest
 
-from gbpd.bisector import bisector_table, make_bisector, sample_points
+from gbpd.bisector import bisector_implicit, bisector_table, make_bisector
 from gbpd.cli import random_scene
 from gbpd.clip import clip_to_window
 from gbpd.conic import CLASSES, ConicClass
 from gbpd.diagram import build_diagram
 from gbpd.errors import OverlappingConicsError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window, dist_g
-from gbpd.intersect import conic_conic_intersections, is_gbpd_vertex
+from gbpd.intersect import conic_conic_intersections, globally_minimal
 from gbpd.measure import cell_area, measure_cells
-from gbpd.oracle import compare_labels, raster_cell_stats, rasterize, rasterize_cells
+from gbpd.oracle import compare_labels, rasterize, rasterize_cells
 from gbpd.serialize import diagram_to_json
 
-from oracles import edge_bisector, grid_conic_intersections, radical_center
+from oracles import grid_conic_intersections, radical_center, raster_cell_stats, sample_points
 
 WIN400 = Window(0.0, 0.0, 400.0, 400.0)
 
@@ -107,10 +107,10 @@ def test_bisector_residuals():
     n_points = 0
     for seed in range(1, 1001):
         g0, g1 = _pair_for_seed(seed)
-        b = make_bisector(g0, g1)
-        for q in sample_points(b, 64, line_span=100.0):
+        b, c = make_bisector(g0, g1), bisector_implicit(g0, g1)
+        for q in sample_points(b, 0, 64, line_span=100.0):
             x, y = float(q[0]), float(q[1])
-            imp = abs(b.implicit.evaluate(x, y)) / b.implicit.residual_scale(x, y)
+            imp = abs(c.evaluate(x, y)) / c.residual_scale(x, y)
             d0 = dist_g(q, g0)
             d1 = dist_g(q, g1)
             gap = abs(d0 - d1) / (1.0 + max(abs(d0), abs(d1)))
@@ -170,7 +170,8 @@ def test_vertex_suite():
             d = arr.dist(v.pos[None, :])[0][ids]
             scale = 1.0 + float(np.abs(d).max())
             worst_eq = max(worst_eq, float(d.max() - d.min()) / scale)
-            assert is_gbpd_vertex(v.pos, ids, arr)
+            cols = np.array([[arr.id_to_index[i] for i in ids]])
+            assert globally_minimal(v.pos[None, :], cols, arr)[0]
             n_vert += 1
             x, y = float(v.pos[0]), float(v.pos[1])
             if not (0.0 <= x <= 400.0 and 0.0 <= y <= 400.0):
@@ -221,8 +222,7 @@ def test_laguerre_degeneration():
         table = bisector_table(gens)
         assert table.code.size == 190
         assert all(CLASSES[c] is ConicClass.SINGLE_LINE for c in table.code.tolist())
-        assert all(edge_bisector(graph, e.id).conic_class is ConicClass.SINGLE_LINE
-                   for e in graph.edges)
+        assert all(CLASSES[c] is ConicClass.SINGLE_LINE for c in graph.table.code.tolist())
         by_id = {g.id: g for g in gens}
         for v in graph.vertices:
             ga, gb, gc = (by_id[i] for i in sorted(v.gens)[:3])
@@ -384,17 +384,14 @@ def test_conic_intersection_oracle():
     max_count = 0
     for k in range(100):
         gens = random_scene("paper-random", 4, 3000 + k, win)
-        b1 = make_bisector(gens[0], gens[1])
-        b2 = make_bisector(gens[2], gens[3])
+        c1, c2 = bisector_implicit(gens[0], gens[1]), bisector_implicit(gens[2], gens[3])
         try:
-            ana = conic_conic_intersections(
-                b1.implicit, b2.implicit, length_scale=100.0, center=(50.0, 50.0)
-            )
+            ana = conic_conic_intersections(c1, c2, length_scale=100.0, center=(50.0, 50.0))
         except OverlappingConicsError:
             continue
         assert len(ana) <= 4
         max_count = max(max_count, len(ana))
-        grid = grid_conic_intersections(b1.implicit, b2.implicit, box)
+        grid = grid_conic_intersections(c1, c2, box)
         # compare inside the grid's reach; a 1-unit margin keeps points the
         # grid cannot bracket off the books
         for p in ana:

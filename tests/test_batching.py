@@ -22,19 +22,19 @@ from gbpd.bisector import (
     make_bisector,
     param_of_point,
     params_of_points,
-    sample_points,
 )
 from gbpd.cli import PRESETS, random_scene
 from gbpd.conic import (
     CLASSES,
-    CURVE_CLASSES,
+    ELLIPSE_CODE,
+    HYPERBOLA_CODE,
+    PARABOLA_CODE,
     ConicClass,
-    LineParam,
+    ConicImplicit,
     alpha_of_param,
     alphas_of_params,
-    chart_coefficients,
+    homogeneous_at_params,
     line_points,
-    line_rows,
     param_of_alpha,
     params_of_alphas,
     points_at_alphas,
@@ -73,39 +73,49 @@ from oracles import (
     point_in_polygon_scalar,
     polish_vertices_scalar,
     real_quadratic_roots_scalar,
+    RowLine,
+    row_curve,
+    sample_points,
     two_nearest_point,
     velocity_at_alpha_scalar,
 )
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
+CURVE_CODES = (ELLIPSE_CODE, HYPERBOLA_CODE, PARABOLA_CODE)
 
 
 def bits(values):
     return [float(v).hex() for v in values]
 
 
-def pair_bisectors(gens_i, gens_j):
-    """The bisector objects of the pairs (gens_i[k], gens_j[k]), from one table."""
+def pair_table(gens_i, gens_j):
+    """One table whose row k is the bisector of (gens_i[k], gens_j[k])."""
     p = len(gens_i)
-    table = bisector_table(list(gens_i) + list(gens_j), (np.arange(p), p + np.arange(p)))
-    return table.bisectors(np.arange(p))
+    return bisector_table(list(gens_i) + list(gens_j), (np.arange(p), p + np.arange(p)))
 
 
-def bisector_fields(b):
-    """Every field of a bisector, floats as their exact hex form."""
-    param = None
-    if b.param is not None:
-        p = b.param
-        param = (bits(p.xq), bits(p.yq), bits(p.uq), bits(p.singular_params), p.conic_class)
+def table_row_fields(table, k, count, lo, hi, closed):
+    """Every field of row k of a bisector table with its components (count,
+    lo, hi, closed), floats as their exact hex form."""
+    gi, gj = table.generators[table.first[k]], table.generators[table.second[k]]
     return (
-        b.i,
-        b.j,
-        bits(b.implicit.coeffs()),
-        b.conic_class,
-        param,
-        [bits((ln.a, ln.b, ln.c)) for ln in b.lines],
-        [(c.kind, bits((c.lo, c.hi)), c.closed, c.line_index) for c in b.components],
+        (gi.id, gj.id),
+        CLASSES[table.code[k]],
+        bits(table.implicit[k]),
+        bits(table.chart[k].ravel()),
+        float(table.u_scale[k]).hex(),
+        float(table.singular[k]).hex(),
+        [bits(ln) for ln in table.lines[k, : table.line_count[k]]],
+        [bits((lo[c], hi[c])) for c in range(count)],
+        bool(closed),
     )
+
+
+def row_fields(table):
+    """``table_row_fields`` of every row of a table, its components found in one batch."""
+    rows = np.arange(table.first.size)
+    components = table.components(rows)
+    return [table_row_fields(table, k, *(a[k] for a in components)) for k in rows.tolist()]
 
 
 @st.composite
@@ -135,56 +145,22 @@ def test_batched_bisectors_match_one_pair_at_a_time(gens, rnd):
     rnd.shuffle(pairs)
     # either order inside a pair: the kernel sorts each pair by id
     pairs = [(gj, gi) if rnd.random() < 0.5 else (gi, gj) for gi, gj in pairs]
-    batch = pair_bisectors([p[0] for p in pairs], [p[1] for p in pairs])
-    assert len(batch) == len(pairs)
-    for (gi, gj), b in zip(pairs, batch):
-        assert bisector_fields(b) == bisector_fields(make_bisector(gi, gj))
+    batch = pair_table([p[0] for p in pairs], [p[1] for p in pairs])
+    fields = row_fields(batch)
+    assert len(fields) == len(pairs)
+    for k, (gi, gj) in enumerate(pairs):
+        assert fields[k] == row_fields(make_bisector(gi, gj))[0]
         # and the one-pair formulas the kernel vectorizes, for every curve
         implicit, ref = bisector_frame_scalar(gi, gj)
-        assert bits(b.implicit.coeffs()) == bits(implicit)
+        assert bits(batch.implicit[k]) == bits(implicit)
         if ref is None:
-            assert b.param is None
+            assert batch.code[k] not in CURVE_CODES
         else:
             xq, yq, uq, singular, name = ref
-            assert (bits(b.param.xq), bits(b.param.yq), bits(b.param.uq)) == (
-                bits(xq), bits(yq), bits(uq)
-            )
-            assert bits(b.param.singular_params) == bits(singular)
-            assert b.conic_class.value == name
-
-
-def table_row_fields(table, k, count, lo, hi, closed):
-    """The fields of row k of a bisector table, as ``one_pair_fields`` lays them out."""
-    cls = CLASSES[table.code[k]]
-    gi, gj = table.generators[table.first[k]], table.generators[table.second[k]]
-    curve = table.line_count[k] == 0
-    kind = "arc" if curve else "line"
-    return (
-        (gi.id, gj.id),
-        cls,
-        bits(table.implicit[k]),
-        bits(table.chart[k].ravel()) if cls in CURVE_CLASSES else None,
-        float(table.u_scale[k]).hex() if cls in CURVE_CLASSES else None,
-        bits([-table.singular[k], table.singular[k]]) if cls is ConicClass.HYPERBOLA else None,
-        [bits(ln) for ln in table.lines[k, : table.line_count[k]]],
-        [(kind, bits((lo[c], hi[c])), bool(closed) and curve, None if curve else c)
-         for c in range(count)],
-    )
-
-
-def one_pair_fields(b):
-    """The same fields of a bisector object."""
-    p = b.param
-    return (
-        b.pair,
-        b.conic_class,
-        bits(b.implicit.coeffs()),
-        None if p is None else bits(chart_coefficients([p]).ravel()),
-        None if p is None else float(p.u_scale).hex(),
-        bits(p.singular_params) if b.conic_class is ConicClass.HYPERBOLA else None,
-        [bits((ln.a, ln.b, ln.c)) for ln in b.lines],
-        [(c.kind, bits((c.lo, c.hi)), c.closed, c.line_index) for c in b.components],
-    )
+            assert bits(batch.chart[k, 0].ravel()) == bits((*xq, *yq, *uq))
+            # the table keeps s of a hyperbola's (-s, s) and 0 of a parabola's (0,)
+            assert float(batch.singular[k]).hex() == float(singular[-1] if singular else 0.0).hex()
+            assert CLASSES[batch.code[k]].value == name
 
 
 @given(scenes(), st.sampled_from([0.0, 1e6]), st.randoms(use_true_random=False))
@@ -199,11 +175,8 @@ def test_table_rows_match_one_pair_bisectors(gens, shift, rnd):
     table = bisector_table(gens)
     rows = np.arange(table.first.size)
     assert rows.size == len(gens) * (len(gens) - 1) // 2
-    components = table.components(rows)
-    for k in rows.tolist():
-        one = make_bisector(gens[table.first[k]], gens[table.second[k]])
-        assert table_row_fields(table, k, *(a[k] for a in components)) == one_pair_fields(one)
-        assert bisector_fields(table.bisectors([k])[0]) == bisector_fields(one)
+    for k, fields in enumerate(row_fields(table)):
+        assert fields == row_fields(make_bisector(gens[table.first[k]], gens[table.second[k]]))[0]
     lines = table.line_count > 0
     assert lines.sum() >= 6  # the isotropic pairs at least
 
@@ -214,12 +187,12 @@ def test_batched_bisectors_cover_rank_deficient_pairs():
     gens = random_scene("isotropic", 6, 3, WINDOW)
     gens.append(Generator(6, gens[0].p.copy(), gens[0].M, gens[0].w + 1.0))
     firsts, seconds = gens[:5] + [gens[6]], gens[1:6] + [gens[0]]
-    batch = pair_bisectors(firsts, seconds)
-    assert all(b.param is None for b in batch)
-    assert [bool(b.lines) for b in batch] == [True] * 5 + [False]
-    for gi, gj, b in zip(firsts, seconds, batch):
-        assert bisector_fields(b) == bisector_fields(make_bisector(gi, gj))
-    assert pair_bisectors([], []) == []
+    batch = pair_table(firsts, seconds)
+    assert not np.isin(batch.code, CURVE_CODES).any()
+    assert (batch.line_count > 0).tolist() == [True] * 5 + [False]
+    for gi, gj, fields in zip(firsts, seconds, row_fields(batch)):
+        assert fields == row_fields(make_bisector(gi, gj))[0]
+    assert row_fields(pair_table([], [])) == []
 
 
 @st.composite
@@ -283,7 +256,7 @@ def test_batched_two_nearest_matches_per_point(preset, n, seed, factor):
     pairs = [tuple(int(v) for v in rng.choice(n, size=2, replace=False)) for _ in range(3)]
     # points on the (i, j) bisector are where the decision is close
     curves = [
-        np.array(sample_points(make_bisector(gens[i], gens[j]), count=32))
+        np.array(sample_points(make_bisector(gens[i], gens[j]), 0, count=32))
         .reshape(-1, 2) for i, j in pairs
     ]
     if factor is not None and curves[0].size:
@@ -365,11 +338,12 @@ def test_batched_angle_maps_match_scalar():
     assert bits(alphas_of_params(t)) == bits(alpha_of_param(v) for v in t.tolist())
     # points and velocities of a hyperbola, singular parameters included
     hyp = make_bisector(*random_scene("paper-random", 2, 3, WINDOW))
-    assert hyp.conic_class is ConicClass.HYPERBOLA
-    probe = np.concatenate([alpha, np.array(hyp.param.singular_alphas)])
-    p = hyp.param
+    assert CLASSES[hyp.code[0]] is ConicClass.HYPERBOLA
+    s = float(hyp.singular[0])
+    probe = np.concatenate([alpha, [alpha_of_param(-s), alpha_of_param(s)]])
+    p = row_curve(hyp, 0)
     x, y, vx, vy, singular = points_at_alphas(
-        chart_coefficients([p] * probe.size), np.full(probe.size, p.u_scale), probe
+        np.repeat(hyp.chart, probe.size, axis=0), np.full(probe.size, p.u_scale), probe
     )
     assert singular[-2:].all()
     for k, a in enumerate(probe.tolist()):
@@ -386,41 +360,45 @@ def test_batched_angle_maps_match_scalar():
                           st.floats(-1e15, 1e15)), min_size=1, max_size=20))
 @settings(max_examples=100, deadline=None)
 def test_line_points_match_scalar(rows):
-    lines = [LineParam.from_implicit(math.cos(th), math.sin(th), c) for th, c, _ in rows]
+    lines = np.array([(math.cos(th), math.sin(th), c) for th, c, _ in rows])
     t = np.array([r[2] for r in rows])
-    got = line_points(line_rows(lines), t)
-    for k, (line, tk) in enumerate(zip(lines, t.tolist())):
-        want = line_point_scalar(line, tk)
-        assert bits(got[k]) == bits(want)
-        assert bits(line.point_at(tk)) == bits(want)
+    got = line_points(lines, t)
+    for k, tk in enumerate(t.tolist()):
+        assert bits(got[k]) == bits(line_point_scalar(RowLine(*lines[k].tolist()), tk))
 
 
-def recovery_probes(b, rng):
-    """Points to recover on a curved bisector: samples, its far point, points
-    near singular parameters, and points pushed off the curve."""
-    p = b.param
-    pts = list(sample_points(b, count=24))
-    pts.append(p.point_at(math.inf))
-    for a in p.singular_alphas:
-        for d in (1e-2, -1e-2, 1e-3, -1e-3, 1e-4, -1e-4):
-            try:
-                pts.append(p.point_at_alpha(a + d))
-            except SingularParameterError:
-                pass
+def far_point(table, k):
+    """The point at t = inf of curve row k (never singular)."""
+    x, y, u = (v[0, 0] for v in homogeneous_at_params(table.chart[[k]], np.array([[math.inf]])))
+    return np.array([x / u, y / u])
+
+
+def recovery_probes(table, k, rng):
+    """Points to recover on curve row k: samples, its far point, points near
+    singular parameters (the ends of its open components), and points pushed
+    off the curve."""
+    pts = list(sample_points(table, k, count=24))
+    pts.append(far_point(table, k))
+    count, lo, _, closed = (a[0] for a in table.components(np.array([k])))
+    ends = [] if closed else lo[:count].tolist()
+    alpha = np.array([a + d for a in ends for d in (1e-2, -1e-2, 1e-3, -1e-3, 1e-4, -1e-4)])
+    x, y, _, _, singular = points_at_alphas(np.repeat(table.chart[[k]], alpha.size, axis=0),
+                                            np.full(alpha.size, table.u_scale[k]), alpha)
+    pts += list(np.column_stack([x, y])[~singular])
+    c = ConicImplicit(*table.implicit[k])
     off = []
     for q in pts[:6]:
-        g = b.implicit.gradient(q[0], q[1])
+        g = c.gradient(q[0], q[1])
         off.append(q + 5.0 * g / math.hypot(g[0], g[1]) + rng.normal(scale=0.1, size=2))
     return pts, off
 
 
-def certainly_off(b, q, eps):
-    """True when no point of the conic lies within eps of q.
+def certainly_off(c, q, eps):
+    """True when no point of the conic c lies within eps of q.
 
     |F| changes by at most eps (|grad F(q)| + 2 |A| eps) over an eps-disk,
     with |A| a bound on the quadratic part's norm; a factor 2 covers rounding.
     """
-    c = b.implicit
     g = c.gradient(q[0], q[1])
     quad_norm = abs(c.a11) + 2.0 * abs(c.a12) + abs(c.a22)
     bound = 2.0 * eps * (math.hypot(g[0], g[1]) + 2.0 * quad_norm * eps)
@@ -439,21 +417,22 @@ def test_batched_param_recovery_matches_scalar(gens, seed):
     # every pair with the first generator (concentric and equal-matrix ones
     # included) and every consecutive pair
     firsts, seconds = [gens[0]] * (len(gens) - 1) + gens[1:-1], gens[1:] + gens[2:]
-    curves = [b for b in pair_bisectors(firsts, seconds) if b.param is not None]
-    params, points, must_miss = [], [], []
-    for b in curves:
-        on, off = recovery_probes(b, rng)
-        params += [b.param] * (len(on) + len(off))
+    table = pair_table(firsts, seconds)
+    rows, points, must_miss = [], [], []
+    for k in np.flatnonzero(np.isin(table.code, CURVE_CODES)).tolist():
+        on, off = recovery_probes(table, k, rng)
+        rows += [k] * (len(on) + len(off))
         points += on + off
-        must_miss += [False] * len(on) + [certainly_off(b, q, eps) for q in off]
+        c = ConicImplicit(*table.implicit[k])
+        must_miss += [False] * len(on) + [certainly_off(c, q, eps) for q in off]
     if not points:
         return
     points = np.array(points)
-    coef, u_scale = chart_coefficients(params), np.array([p.u_scale for p in params])
+    coef, u_scale = table.chart[rows], table.u_scale[rows]
     got = as_bits(*params_of_points(coef, u_scale, points, eps))
     ref = []
-    for p, q in zip(params, points):
-        r = param_of_point_scalar(p, q, eps)
+    for k, q in zip(rows, points):
+        r = param_of_point_scalar(row_curve(table, k), q, eps)
         ref.append(None if r is None else bits(r))
     assert got == ref
     assert all(g is None for g, m in zip(got, must_miss) if m)
@@ -461,9 +440,9 @@ def test_batched_param_recovery_matches_scalar(gens, seed):
     # the batch reversed, and batches of one
     backwards = params_of_points(coef[::-1], u_scale[::-1], points[::-1], eps)
     assert as_bits(*backwards) == got[::-1]
-    for p, q, g in zip(params, points, got):
+    for k, q, g in zip(rows, points, got):
         try:
-            one = bits(param_of_point(p, q, eps))
+            one = bits(param_of_point(table, k, q, eps))
         except NoSolutionError:
             one = None
         assert one == g
@@ -492,11 +471,13 @@ def test_param_recovery_far_from_origin_and_at_the_far_point():
         scene = random_scene("paper-weights", 6, 4, WINDOW)
         gens = [Generator(g.id, g.p + shift, g.M, g.w) for g in scene]
         eps = 1e-7 * (1.0 + SceneArrays(gens).scale())
-        for b in pair_bisectors(gens[:-1], gens[1:]):
-            far = b.param.point_at(math.inf)
-            coef, u_scale = chart_coefficients([b.param]), np.array([b.param.u_scale])
-            ts, found = params_of_points(coef, u_scale, far[None], eps)
-            assert as_bits(ts, found) == [bits(param_of_point_scalar(b.param, far, eps))]
+        table = pair_table(gens[:-1], gens[1:])
+        assert np.isin(table.code, CURVE_CODES).all()
+        for k in range(table.first.size):
+            far = far_point(table, k)
+            ts, found = params_of_points(table.chart[[k]], table.u_scale[[k]], far[None], eps)
+            ref = param_of_point_scalar(row_curve(table, k), far, eps)
+            assert as_bits(ts, found) == [bits(ref)]
             assert math.inf in ts[0][found[0]].tolist()
 
 
@@ -510,20 +491,22 @@ def all_pairs(gens):
     return table, table.pair_rows()
 
 
-def incident_objects(table, pair_row, vertices):
-    """The objects of the table rows of every pair of each vertex's
-    generators, by pair: the pairs the build polishes on."""
+def incident_implicits(table, pair_row, vertices):
+    """The implicit conics of the table rows of every pair of each vertex's
+    generators, by generator id pair: the pairs the build polishes on."""
     _, rows = _incidences(vertices, table, pair_row)
-    return {b.pair: b for b in table.bisectors(np.unique(rows))}
+    ids = [g.id for g in table.generators]
+    return {(ids[table.first[r]], ids[table.second[r]]): ConicImplicit(*table.implicit[r])
+            for r in np.unique(rows).tolist()}
 
 
 def assert_polish_matches_scalar(gens, vertices, length_scale):
     """The batched polish of ``vertices`` on the table rows equals the scalar
-    polish on the objects of the same pairs, bit for bit."""
+    polish on the implicit conics of the same pairs, bit for bit."""
     table, pair_row = all_pairs(gens)
     batch, scalar = copy.deepcopy(vertices), copy.deepcopy(vertices)
     _polish_vertices(batch, table, pair_row, length_scale)
-    polish_vertices_scalar(scalar, incident_objects(table, pair_row, vertices), length_scale)
+    polish_vertices_scalar(scalar, incident_implicits(table, pair_row, vertices), length_scale)
     assert [bits(v.pos) for v in batch] == [bits(v.pos) for v in scalar]
 
 
@@ -557,7 +540,7 @@ def test_batched_polish_handles_many_generator_vertices(turn):
     four = max(graph.vertices, key=lambda v: len(v.gens))
     assert len(four.gens) == 4
     table, pair_row = all_pairs(gens)
-    pairs = incident_objects(table, pair_row, [four])
+    pairs = incident_implicits(table, pair_row, [four])
     assert sorted(pairs) == list(itertools.combinations(range(4), 2))
     moved = copy.deepcopy(graph.vertices)
     for v in moved:
@@ -583,11 +566,11 @@ def test_cross_bisector_visibility_matches_per_bisector(gens):
     arr = SceneArrays(table.generators)
     eps = 1e-7 * (1.0 + graph.length_scale)
     marks, _ = _recover_params(graph.vertices, table, pair_row, eps)
-    ordered = table.bisectors(np.arange(table.first.size))
     each = [
         edge_fields(e)
-        for row, b in enumerate(ordered)
-        for e in visible_segments(b, marks.get(row, {}), arr, graph.length_scale)
+        for row, (i, j) in enumerate(zip(table.first.tolist(), table.second.tolist()))
+        for e in visible_segments(table.generators[i], table.generators[j], marks.get(row, {}),
+                                  arr, graph.length_scale)
     ]
     together, _ = _visible_pieces(table, np.arange(table.first.size), marks, arr,
                                   graph.length_scale)
@@ -601,25 +584,69 @@ def test_cross_bisector_visibility_matches_per_bisector(gens):
         table_row_fields(table, r, *(a[k] for a in full)) for k, r in enumerate(rows.tolist())]
 
 
+def test_tracer_bound_wrappers_match_their_kernels():
+    # make_bisector, param_of_point and visible_segments stay for the span
+    # tracer; each is a batch of one of its kernel, bit for bit
+    gens = random_scene("paper-weights", 7, 4, WINDOW)
+    graph = build_diagram(gens)
+    table, pair_row = all_pairs(gens)
+    arr = SceneArrays(table.generators)
+    full = row_fields(table)
+    for k, (i, j) in enumerate(zip(table.first.tolist(), table.second.tolist())):
+        gi, gj = table.generators[i], table.generators[j]
+        assert row_fields(make_bisector(gj, gi)) == row_fields(bisector_table([gi, gj]))
+        assert row_fields(make_bisector(gi, gj)) == [full[k]]
+    # recovery of every vertex on its curved bisectors, and of points off them
+    eps = 1e-7 * (1.0 + graph.length_scale)
+    owner, rows = _incidences(graph.vertices, table, pair_row)
+    curve = np.isin(table.code[rows], CURVE_CODES)
+    points = np.array([v.pos for v in graph.vertices])[owner[curve]]
+    points = np.concatenate([points, points + 1.0])
+    rows = np.concatenate([rows[curve], rows[curve]])
+    ts, found = params_of_points(table.chart[rows], table.u_scale[rows], points, eps)
+    hit = found.any(axis=1)
+    assert curve.sum() > 0 and hit[: curve.sum()].all() and not hit[curve.sum() :].any()
+    for k, q, t, f in zip(rows.tolist(), points, ts, found):
+        if f.any():
+            assert bits(param_of_point(table, k, q, eps)) == bits(t[f])
+        else:
+            with pytest.raises(NoSolutionError):
+                param_of_point(table, k, q, eps)
+    # visibility of every pair with its vertex marks, and the default length scale
+    marks, _ = _recover_params(graph.vertices, table, pair_row, eps)
+    for k, (i, j) in enumerate(zip(table.first.tolist(), table.second.tolist())):
+        one = make_bisector(table.generators[i], table.generators[j])
+        kernel, _ = _visible_pieces(one, np.zeros(1, dtype=np.int64), {0: marks.get(k, {})}, arr,
+                                    arr.scale())
+        wrapped = visible_segments(table.generators[i], table.generators[j], marks.get(k, {}),
+                                   table.generators)
+        assert [edge_fields(e) for e in wrapped] == [edge_fields(e) for e in kernel]
+
+
+def components_of(b):
+    """(count, lo (2,), hi (2,), closed) of the one row of a one-row table."""
+    return tuple(a[0] for a in b.components(np.zeros(1, dtype=np.int64)))
+
+
 def lopsided_case():
     """A hyperbola branch split by a vertex mark just past its singular start.
 
     The piece's midpoint lies beyond the 1e6 (1 + length_scale) limit, and
     a probe closer to the mark gives its representative. Returns the
-    generators, their bisector, the vertex parameters and the mark offset
-    ``far`` from the singular start.
+    generators, their one-row bisector table and the vertex parameters.
     """
     gens = [
         Generator(0, (0, 0), SymMat2(2.0, 0.0, 0.5), 0.0),
         Generator(1, (3, 0), SymMat2.identity(), 0.0),
     ]
     b = make_bisector(*gens)
-    lo_alpha = b.components[0].lo
+    lo_alpha = float(components_of(b)[1][0])
     limit = 2e6  # length_scale 1
 
     def reach(d):
-        q = b.param.point_at_alpha(lo_alpha + d)
-        return max(abs(q[0]), abs(q[1]))
+        x, y, _, _, singular = points_at_alphas(b.chart, b.u_scale, np.array([lo_alpha + d]))
+        assert not singular[0]
+        return max(abs(x[0]), abs(y[0]))
 
     near, far = 1e-12, 1e-1
     for _ in range(100):  # reach(d) falls as d grows; aim at 1.5 limit
@@ -631,50 +658,54 @@ def lopsided_case():
 
 def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
     gens, b, vparams = lopsided_case()
-    segs = visible_segments(b, vparams, gens, 1.0)
+    segs = visible_segments(*gens, vparams, gens, 1.0)
     assert [s.component for s in segs] == [0, 0, 1]
-    assert segs[0].a0 == b.components[0].lo and segs[0].endpoints == (None, None)
+    _, lo, hi, _ = (np.asarray(a).tolist() for a in components_of(b))
+    assert segs[0].a0 == lo[0] and segs[0].endpoints == (None, None)
     # a mark exactly at the branch's singular start: recovery puts it on the
-    # branch (contains_alpha holds at an end), and the split's strict
+    # branch (its in-span test holds at an end), and the split's strict
     # in-span filter drops it, so the branch is the unmarked whole component
-    comp = b.components[0]
-    end = next(t for t in b.param.singular_params if alpha_of_param(t) == comp.lo)
-    assert comp.contains_alpha(alpha_of_param(end))
+    s = float(b.singular[0])
+    end = next(t for t in (-s, s) if alpha_of_param(t) == lo[0])
+    assert 0.0 <= (alpha_of_param(end) - lo[0]) % (2.0 * math.pi) <= hi[0] - lo[0]
     at_end = {0: [(end, None)]}
-    assert _split_component(at_end[0], comp.lo, comp.hi, False, False) == []
-    plain = [edge_fields(e) for e in visible_segments(b, {}, gens, 1.0)]
-    assert [edge_fields(e) for e in visible_segments(b, at_end, gens, 1.0)] == plain
+    assert _split_component(at_end[0], lo[0], hi[0], False, False) == []
+    plain = [edge_fields(e) for e in visible_segments(*gens, {}, gens, 1.0)]
+    assert [edge_fields(e) for e in visible_segments(*gens, at_end, gens, 1.0)] == plain
     assert [s[6] for s in plain] == [0, 1]
     # one piece, probed at its midpoint
     assert assert_probe_levels_match_scalar(b, at_end, 1.0) == 0
 
 
 def assert_probe_levels_match_scalar(b, vparams, length_scale):
-    """The level loop's representatives of a curve bisector's pieces equal
-    the scalar probe sequence's, bit for bit (a whole component's: its
-    midpoint's). Returns the number of lopsided pieces (one singular end)."""
+    """The level loop's representatives of the pieces of a one-row curve
+    table equal the scalar probe sequence's, bit for bit (a whole
+    component's: its midpoint's, alpha 0 on a closed loop). Returns the
+    number of lopsided pieces (one singular end)."""
+    count, lo, hi, closed = (np.asarray(a).tolist() for a in components_of(b))
     pieces = []  # (component, x0, x1, mid, anchor, whole)
-    for ci, comp in enumerate(b.components):
-        split = _split_component(vparams.get(ci, []), comp.lo, comp.hi, comp.closed, False)
+    for ci in range(count):
+        split = _split_component(vparams.get(ci, []), lo[ci], hi[ci], closed, False)
+        mid = 0.0 if closed else 0.5 * (lo[ci] + hi[ci])
         pieces += [(ci, p[0], p[1], p[4], p[5], False) for p in split] or [
-            (ci, comp.lo, comp.hi, comp.midpoint(), comp.midpoint(), True)]
+            (ci, lo[ci], hi[ci], mid, mid, True)]
     _, _, _, mid, anchor, whole = (np.array(col) for col in zip(*pieces))
     points, has_rep = _curve_representatives(
-        chart_coefficients([b.param] * len(pieces)), np.full(len(pieces), b.param.u_scale),
+        np.repeat(b.chart, len(pieces), axis=0), np.repeat(b.u_scale, len(pieces)),
         mid, anchor, whole, length_scale,
     )
+    p = row_curve(b, 0)
     lopsided = 0
-    for (ci, a0, a1, _, _, is_whole), q, found in zip(pieces, points, has_rep.tolist()):
-        comp = b.components[ci]
-        s_lo = not comp.closed and abs(a0 - comp.lo) <= 1e-15
-        s_hi = not comp.closed and abs(a1 - comp.hi) <= 1e-15
+    for (ci, a0, a1, m, _, is_whole), q, found in zip(pieces, points, has_rep.tolist()):
+        s_lo = not closed and abs(a0 - lo[ci]) <= 1e-15
+        s_hi = not closed and abs(a1 - hi[ci]) <= 1e-15
         if is_whole:
             try:
-                ref = point_at_alpha_scalar(b.param, comp.midpoint())
+                ref = point_at_alpha_scalar(p, m)
             except SingularParameterError:
                 ref = None
         else:
-            ref = arc_representative_scalar(b.param, a0, a1, s_lo, s_hi, length_scale)
+            ref = arc_representative_scalar(p, a0, a1, s_lo, s_hi, length_scale)
         assert found == (ref is not None)
         if found:
             assert bits(q) == bits(ref)
@@ -702,14 +733,15 @@ def hyperbola_marks(draw):
     gens = [Generator(k, c, m, draw(st.floats(-5.0, 5.0)))
             for k, (c, m) in enumerate(zip(centers, (mi, mj)))]
     bis = make_bisector(*gens)
-    assume(bis.conic_class is ConicClass.HYPERBOLA)
+    assume(bis.code[0] == HYPERBOLA_CODE)
+    count, lo, hi, _ = (np.asarray(a).tolist() for a in components_of(bis))
     vparams = {}
-    for ci, comp in enumerate(bis.components):
+    for ci in range(count):
         # offsets above the 2e-9 merge gap, so no end piece is dropped
         d_lo, d_hi = (draw(st.floats(1.0, 9.9)) * 10.0 ** -draw(st.integers(1, 8))
                       for _ in range(2))
-        vparams[ci] = [(param_of_alpha(comp.lo + d_lo), None),
-                       (param_of_alpha(comp.hi - d_hi), None)]
+        vparams[ci] = [(param_of_alpha(lo[ci] + d_lo), None),
+                       (param_of_alpha(hi[ci] - d_hi), None)]
     return gens, bis, vparams
 
 

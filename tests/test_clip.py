@@ -7,9 +7,8 @@ import numpy as np
 
 from gbpd import Generator, SymMat2, Window
 from gbpd.clip import clip_to_window
+from gbpd.conic import points_at_alphas
 from gbpd.diagram import build_diagram
-
-from oracles import edge_bisector
 
 I = SymMat2.identity()
 
@@ -91,9 +90,11 @@ def test_concentric_hole_loops():
     pid, fwd = cd.cells[0][0][0]
     piece = cd.pieces[pid]
     a = piece.a0 + 0.25 * (piece.a1 - piece.a0)
-    b = edge_bisector(d, piece.edge_id)
-    q = b.param.point_at_alpha(a)
-    v = b.param.velocity_at_alpha(a)
+    rows = [piece.edge_id]
+    x, y, vx, vy, singular = points_at_alphas(d.table.chart[rows], d.table.u_scale[rows],
+                                              np.array([a]))
+    assert not singular[0]
+    q, v = (x[0], y[0]), np.array([vx[0], vy[0]])
     if not fwd:
         v = -v
     # CCW around the origin: position x velocity > 0

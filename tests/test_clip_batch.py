@@ -24,10 +24,11 @@ from gbpd.tolerances import DEDUP_REL
 
 from oracles import (
     curve_crossings_scalar,
-    edge_bisector,
     flatten_piece_scalar,
     line_crossings_scalar,
     piece_point_scalar,
+    row_curve,
+    row_line,
 )
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
@@ -108,11 +109,11 @@ def test_batched_crossings_match_scalar(graphs, name):
     got_straight = gclip._line_crossings(graph, straight, window, snap)
     total = 0
     for e, found in zip(curved, got_curved):
-        ref = curve_crossings_scalar(edge_bisector(graph, e.id), e, window, snap)
+        ref = curve_crossings_scalar(row_curve(graph.table, e.id), e, window, snap)
         assert crossing_bits((x, *at) for x, at in found) == crossing_bits(ref)
         total += len(ref)
     for e, found in zip(straight, got_straight):
-        line = edge_bisector(graph, e.id).lines[e.line_index]
+        line = row_line(graph.table, e.id, e.line_index)
         ref = line_crossings_scalar(line, e.a0, e.a1, window, snap)
         assert crossing_bits((x, *at) for x, at in found) == crossing_bits(ref)
         total += len(ref)

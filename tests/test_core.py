@@ -15,12 +15,14 @@ from gbpd import (
     SymMat2,
     Window,
     dist_g,
+    ellipse_to_matrix,
     generator_to_ellipse,
     load_scene,
     save_scene,
     special_distances,
 )
-from gbpd.geometry import ellipse_to_matrix
+from gbpd.bisector import bisector_table
+from gbpd.diagram import build_diagram
 
 
 def gen(gid, p, m11, m12, m22, w=0.0):
@@ -110,6 +112,20 @@ def test_negative_generator_id_rejected():
     # -1 is the background label of label images
     with pytest.raises(InputError, match="id"):
         gen(-1, (0.0, 0.0), 1.0, 0.0, 1.0)
+    # ids are integers: a float or a bool id is rejected, a numpy integer is stored as int
+    for bad in (0.5, 2.0, True, False, np.float64(3.0), "1", None):
+        with pytest.raises(InputError, match="id must be an integer"):
+            gen(bad, (0.0, 0.0), 1.0, 0.0, 1.0)
+    g = gen(np.int64(7), (0.0, 0.0), 1.0, 0.0, 1.0)
+    assert type(g.id) is int and g.id == 7
+    assert type(gen(np.uint8(3), (0.0, 0.0), 1.0, 0.0, 1.0).id) is int
+    # the scenes that ended in an untyped error of the build before the check
+    for ids in ((0.5, 2, 3), (0.5, 0.7)):
+        with pytest.raises(InputError, match="id must be an integer"):
+            build_diagram([gen(gid, (float(k), 0.0), 1.0, 0.0, 1.0) for k, gid in enumerate(ids)])
+    # a pair of one id has no bisector
+    with pytest.raises(InputError, match="distinct ids"):
+        bisector_table([gen(4, (0.0, 0.0), 1.0, 0.0, 1.0), gen(4, (1.0, 0.0), 1.0, 0.0, 1.0)])
 
 
 def test_eigh_matches_numpy_on_random_matrices():

@@ -11,14 +11,14 @@ from gbpd import Generator, SymMat2
 from gbpd import diagram as gdiagram
 from gbpd.cli import random_scene as preset_scene
 from gbpd.clip import clip_to_window
-from gbpd.bisector import bisector_table
-from gbpd.conic import CLASSES, ConicClass, alpha_of_param
+from gbpd.bisector import bisector_implicit, bisector_table, param_of_point
+from gbpd.conic import CLASSES, ConicClass, alpha_of_param, line_points, points_at_alphas
 from gbpd.diagram import build_diagram, visible_segments
 from gbpd.geometry import SceneArrays, Window, dist_g
 from gbpd.measure import measure_cells
 from gbpd.serialize import diagram_to_json
 
-from oracles import edge_bisector, radical_center
+from oracles import radical_center
 
 I = SymMat2.identity()
 
@@ -63,10 +63,11 @@ def test_concentric_pair_closed_loop_edge():
     assert len(d.edges) == 1
     e = d.edges[0]
     assert e.kind == "loop"
-    b = edge_bisector(d, e.id)
-    assert b.conic_class is ConicClass.ELLIPSE
-    q = b.param.point_at_alpha(0.7)
-    assert math.hypot(q[0], q[1]) == pytest.approx(1.0, abs=1e-12)
+    assert CLASSES[d.table.code[e.id]] is ConicClass.ELLIPSE
+    x, y, _, _, singular = points_at_alphas(d.table.chart[[e.id]], d.table.u_scale[[e.id]],
+                                            np.array([0.7]))
+    assert not singular[0]
+    assert math.hypot(x[0], y[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_one_neighbor_cell():
@@ -138,18 +139,15 @@ def test_hyperbola_branch_visibility():
     g0 = Generator(0, (0, 0), SymMat2(2.0, 0.0, 0.5), 0.0)
     g1 = Generator(1, (3, 0), I, 0.0)
     d2 = build_diagram([g0, g1])
-    b = edge_bisector(d2, 0)
-    assert b.conic_class is ConicClass.HYPERBOLA
+    assert CLASSES[d2.table.code[0]] is ConicClass.HYPERBOLA
     assert len(d2.edges) == 2  # both branches visible with two generators
     # left apex of the hyperbola (x + 3)^2 - y^2 / 2 = 18
     apex = np.array([-3.0 - math.sqrt(18.0), 0.0])
-    assert abs(b.implicit.evaluate(apex[0], apex[1])) < 1e-9
+    assert abs(bisector_implicit(g0, g1).evaluate(apex[0], apex[1])) < 1e-9
 
     def covers(diagram, point):
-        bb = edge_bisector(diagram, next(e.id for e in diagram.edges if e.pair == (0, 1)))
-        from gbpd.bisector import param_of_point
-
-        t = param_of_point(bb.param, point, 1e-6)[0]
+        row = next(e.id for e in diagram.edges if e.pair == (0, 1))
+        t = param_of_point(diagram.table, row, point, 1e-6)[0]
         a = alpha_of_param(t)
         for e in diagram.edges:
             if e.pair != (0, 1) or not e.is_curve():
@@ -193,7 +191,7 @@ def test_laguerre_vertices_are_radical_centers():
     table = bisector_table(gens)
     assert table.code.size == 45
     assert all(CLASSES[c] is ConicClass.SINGLE_LINE for c in table.code.tolist())
-    assert all(edge_bisector(d, e.id).conic_class is ConicClass.SINGLE_LINE for e in d.edges)
+    assert all(CLASSES[c] is ConicClass.SINGLE_LINE for c in d.table.code.tolist())
     assert d.vertices, "expected at least one vertex in a 10-site scene"
     for v in d.vertices:
         ids = sorted(v.gens)[:3]
@@ -225,26 +223,24 @@ def test_edge_midpoints_are_two_nearest():
     arr = SceneArrays(gens)
     checked = 0
     for e in d.edges:
-        b = edge_bisector(d, e.id)
+        rows = [e.id]
         if e.is_curve():
             span = e.a1 - e.a0
-            try:
-                q = b.param.point_at_alpha(e.a0 + 0.37 * span)
-            except Exception:
+            x, y, _, _, singular = points_at_alphas(d.table.chart[rows], d.table.u_scale[rows],
+                                                    np.array([e.a0 + 0.37 * span]))
+            q = np.array([x[0], y[0]])
+            if singular[0] or not np.all(np.isfinite(q)) or np.abs(q).max() > 1e7:
                 continue
-            if not np.all(np.isfinite(q)) or np.abs(q).max() > 1e7:
-                continue
-        elif e.kind == "full_line":
-            q = b.lines[e.line_index].point_at(0.0)
         else:
-            t0, t1 = e.t_a, e.t_b
-            if math.isinf(t0):
-                t = t1 - 1.0
-            elif math.isinf(t1):
-                t = t0 + 1.0
+            if e.kind == "full_line":
+                t = 0.0
+            elif math.isinf(e.t_a):
+                t = e.t_b - 1.0
+            elif math.isinf(e.t_b):
+                t = e.t_a + 1.0
             else:
-                t = 0.5 * (t0 + t1)
-            q = b.lines[e.line_index].point_at(t)
+                t = 0.5 * (e.t_a + e.t_b)
+            q = line_points(d.table.lines[rows, e.line_index], np.array([t]))[0]
         dists = arr.dist(q[None])[0]
         ii, jj = arr.id_to_index[e.pair[0]], arr.id_to_index[e.pair[1]]
         others = np.delete(dists, [ii, jj])
@@ -337,9 +333,7 @@ def test_far_ray_representative_keeps_vertex_degree_three():
 
 def test_visible_segments_direct_call():
     gens = [iso(0, 0, 0), iso(1, 2, 0)]
-    d = build_diagram(gens)
-    b = edge_bisector(d, 0)
-    segs = visible_segments(b, {0: [(0.0, None)]}, gens)
+    segs = visible_segments(*gens, {0: [(0.0, None)]}, gens)
     assert len(segs) == 2
     kinds = sorted((s.t_a, s.t_b) for s in segs)
     assert kinds[0][0] == -math.inf and kinds[1][1] == math.inf

@@ -26,6 +26,13 @@ PATCHED_BY_NAME = {
     ("serialize.py", "make_bisector"),
     ("measure.py", "quad"),
 }
+# Definitions that no module calls, kept for the same tracer: each is a
+# batch of one of a pipeline kernel over bisector table rows.
+TRACER_BOUND = {
+    ("bisector.py", "make_bisector"),
+    ("bisector.py", "param_of_point"),
+    ("diagram.py", "visible_segments"),
+}
 
 
 def _imported_names(tree: ast.Module) -> list[str]:
@@ -98,3 +105,29 @@ def test_tolerances_are_constants_not_parameters():
                 found += [f"{path.name}: imports {alias.name} from tolerances"
                           for alias in node.names if alias.name not in constants]
     assert found == []
+
+
+def test_every_public_definition_is_used_or_exported():
+    # src/ holds what the pipeline runs: a public module-level function or
+    # class is referenced in src/ outside its own definition (an import is
+    # not a reference), exported in gbpd.__all__, or tracer-bound above
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    users: dict[str, set] = {}  # name -> the top-level nodes that refer to it
+    for tree in trees.values():
+        for top in tree.body:
+            for n in ast.walk(top):
+                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    users.setdefault(name, set()).add(id(top))
+    exported = _exported(trees["__init__.py"])
+    found, defined = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add((module, node.name))
+                if not users.get(node.name, set()) - {id(node)} and node.name not in exported \
+                        and (module, node.name) not in TRACER_BOUND:
+                    found.append(f"{module}: {node.name} is neither used in src/ nor exported")
+    assert found == []
+    assert TRACER_BOUND <= defined

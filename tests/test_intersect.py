@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbpd import Generator, OverlappingConicsError, SymMat2
+from gbpd import Generator, InputError, OverlappingConicsError, SceneArrays, SymMat2
 from gbpd.bisector import bisector_implicit
-from gbpd.conic import ConicImplicit, line_as_conic
+from gbpd.conic import ConicImplicit
 from gbpd.intersect import (
     conic_conic_intersections,
-    is_gbpd_vertex,
+    globally_minimal,
     pencil_intersections_batch,
     prepare_pairs,
 )
@@ -67,7 +67,7 @@ def match_point_sets(a, b, tol=1e-6):
 
 
 def test_circle_against_vertical_line():
-    pts = conic_conic_intersections(UNIT_CIRCLE, line_as_conic(1.0, 0.0, -0.5))
+    pts = conic_conic_intersections(UNIT_CIRCLE, ConicImplicit(0.0, 0.0, 0.0, 1.0, 0.0, -0.5))
     want = [(0.5, -math.sqrt(0.75)), (0.5, math.sqrt(0.75))]
     assert match_point_sets(as_sorted_tuples(pts), sorted(want), tol=1e-9)
 
@@ -86,7 +86,8 @@ def test_two_unit_circles():
 
 
 def test_line_line_single_point():
-    pts = conic_conic_intersections(line_as_conic(1.0, 0.0, 0.0), line_as_conic(0.0, 1.0, 0.0))
+    x_axis, y_axis = ConicImplicit(0, 0, 0, 1.0, 0.0, 0.0), ConicImplicit(0, 0, 0, 0.0, 1.0, 0.0)
+    pts = conic_conic_intersections(x_axis, y_axis)
     assert match_point_sets(as_sorted_tuples(pts), [(0.0, 0.0)], tol=1e-12)
 
 
@@ -111,6 +112,21 @@ def test_overlapping_conics_raise():
         conic_conic_intersections(UNIT_CIRCLE, scaled)
     with pytest.raises(OverlappingConicsError):
         conic_conic_intersections(UNIT_CIRCLE, ConicImplicit(0, 0, 0, 0, 0, 0))
+
+
+def test_frame_must_be_positive_and_finite():
+    # x^2 + y^2 = 1 against (x - 1)^2 + y^2 = 2 meet at (0, -1) and (0, 1)
+    other = ConicImplicit(1.0, 0.0, 1.0, -2.0, 0.0, -1.0)
+    pts = conic_conic_intersections(UNIT_CIRCLE, other)
+    assert match_point_sets(as_sorted_tuples(pts), [(0.0, -1.0), (0.0, 1.0)], tol=1e-9)
+    for length_scale in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0):
+        with pytest.raises(InputError, match="length_scale"):
+            conic_conic_intersections(UNIT_CIRCLE, other, length_scale=length_scale)
+    for center in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(InputError, match="center"):
+            conic_conic_intersections(UNIT_CIRCLE, other, center=center)
+    with pytest.raises(InputError):
+        prepare_pairs(np.zeros((0, 3, 3)), math.nan, (0.0, 0.0))
 
 
 def test_internal_tangency_single_point():
@@ -262,7 +278,7 @@ def equilateral_scene():
 def test_equilateral_circumcenter_is_vertex():
     scene = equilateral_scene()
     center = np.array([2.0, 2.0 * math.sqrt(3.0) / 3.0])
-    assert is_gbpd_vertex(center, (0, 1, 2), scene)
+    assert globally_minimal(center[None], np.array([[0, 1, 2]]), SceneArrays(scene))[0]
     # and the pencil construction actually finds it
     c1 = bisector_implicit(scene[0], scene[1])
     c2 = bisector_implicit(scene[0], scene[2])
@@ -276,7 +292,7 @@ def test_dominating_fourth_generator_defeats_vertex():
     scene = equilateral_scene()
     center = np.array([2.0, 2.0 * math.sqrt(3.0) / 3.0])
     scene.append(gen(3, tuple(center), 1.0, 0.0, 1.0, w=100.0))
-    assert not is_gbpd_vertex(center, (0, 1, 2), scene)
+    assert not globally_minimal(center[None], np.array([[0, 1, 2]]), SceneArrays(scene))[0]
 
 
 def test_vertex_test_weight_shift_invariant():
@@ -290,10 +306,11 @@ def test_vertex_test_weight_shift_invariant():
         except OverlappingConicsError:
             continue
         shifted = [g.with_weight(g.w + 17.0) for g in scene]
-        for p in pts:
-            a = is_gbpd_vertex(p, (0, 1, 2), scene)
-            b = is_gbpd_vertex(p, (0, 1, 2), shifted)
-            assert a == b
+        cand = np.array(pts).reshape(-1, 2)
+        trip = np.tile([0, 1, 2], (cand.shape[0], 1))
+        a = globally_minimal(cand, trip, SceneArrays(scene))
+        b = globally_minimal(cand, trip, SceneArrays(shifted))
+        assert a.tolist() == b.tolist()
 
 
 def test_laguerre_radical_center():

@@ -8,6 +8,7 @@ import pytest
 from gbpd import measure as gmeasure
 from gbpd.cli import random_scene
 from gbpd.clip import clip_to_window, loop_polygons
+from gbpd.conic import CLASSES, ConicClass
 from gbpd.diagram import build_diagram
 from gbpd.errors import NonFiniteSegmentError, UnboundedCellError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
@@ -15,10 +16,10 @@ from gbpd.measure import cell_area, cell_perimeter, edge_arc_length, measure_cel
 from gbpd.serialize import diagram_from_json, diagram_to_json
 
 from oracles import (
-    edge_bisector,
     marching_squares_length,
     point_at_alpha_scalar,
     polyline_arc_length,
+    row_curve,
 )
 
 I = SymMat2(1.0, 0.0, 1.0)
@@ -99,9 +100,9 @@ def test_arc_length_against_polyline_oracle():
             continue
         if e.a1 - e.a0 < 0.05:
             continue
-        b = edge_bisector(graph, e.id)
+        curve = row_curve(graph.table, e.id)
         ref = polyline_arc_length(
-            lambda a: point_at_alpha_scalar(b.param, a), e.a0, e.a1, samples=40_001
+            lambda a: point_at_alpha_scalar(curve, a), e.a0, e.a1, samples=40_001
         )
         val = edge_arc_length(graph, e)
         assert abs(val - ref) <= 1e-6 * ref
@@ -121,9 +122,9 @@ def test_arc_length_polyline_high_resolution():
             if 0.2 <= span <= 2.0 and (best is None or span < best.a1 - best.a0):
                 best = e
     assert best is not None
-    b = edge_bisector(graph, best.id)
+    curve = row_curve(graph.table, best.id)
     ref = polyline_arc_length(
-        lambda a: point_at_alpha_scalar(b.param, a), best.a0, best.a1, samples=1_000_001
+        lambda a: point_at_alpha_scalar(curve, a), best.a0, best.a1, samples=1_000_001
     )
     val = edge_arc_length(graph, best)
     assert abs(val - ref) <= 1e-7 * ref
@@ -211,7 +212,7 @@ def test_parabola_loop_is_unbounded():
     # the reader takes the loop, whose one arc spans a full turn, as built
     for graph in (built, diagram_from_json(text)):
         assert [e.kind for e in graph.edges] == ["loop"]
-        assert edge_bisector(graph, 0).param.singular_params == (0.0,)
+        assert CLASSES[graph.table.code[0]] is ConicClass.PARABOLA
         with pytest.raises(NonFiniteSegmentError):
             edge_arc_length(graph, graph.edges[0])
         for gid in (0, 1):

@@ -21,15 +21,23 @@ from gbpd import measure as gmeasure
 from gbpd.bisector import make_bisector
 from gbpd.cli import PRESETS, random_scene
 from gbpd.clip import clip_to_window
-from gbpd.conic import ConicClass, ParametrizedConic, chart_coefficients
+from gbpd.conic import (
+    CLASSES,
+    ELLIPSE_CODE,
+    HYPERBOLA_CODE,
+    PARABOLA_CODE,
+    ConicClass,
+    charts_of_triples,
+)
 from gbpd.diagram import build_diagram
 from gbpd.errors import GbpdError, QuadratureError
 from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.measure import arc_measures, cell_area, measure_cells
 
-from oracles import edge_bisector, quad_arc_area, quad_arc_length
+from oracles import RowCurve, point_at_alpha_scalar, quad_arc_area, quad_arc_length, row_curve
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
+CURVE_CODES = (ELLIPSE_CODE, HYPERBOLA_CODE, PARABOLA_CODE)
 
 
 def bits(values):
@@ -37,14 +45,15 @@ def bits(values):
 
 
 def arc_pieces(cd):
-    """(param, a0, a1) of every arc piece of a clipped diagram."""
-    return [(edge_bisector(cd.graph, p.edge_id).param, p.a0, p.a1)
+    """(curve, a0, a1) of every arc piece of a clipped diagram, the curve its edge's table row."""
+    return [(row_curve(cd.graph.table, p.edge_id), p.a0, p.a1)
             for p in cd.pieces if p.kind == "arc"]
 
 
-def kernel(params, a0, a1):
-    """``arc_measures`` of the arcs along ``params`` from ``a0`` to ``a1``."""
-    return arc_measures(chart_coefficients(params), [p.u_scale for p in params], a0, a1)
+def kernel(curves, a0, a1):
+    """``arc_measures`` of the arcs along ``curves`` (RowCurves) from ``a0`` to ``a1``."""
+    triples = [(c.xq, c.yq, c.uq) for c in curves]
+    return arc_measures(charts_of_triples(triples), [c.u_scale for c in curves], a0, a1)
 
 
 def assert_matches_quad(arcs, rounding=False):
@@ -67,7 +76,8 @@ def assert_matches_quad(arcs, rounding=False):
             ref_length = quad_arc_length(param, a0, a1)
             floor = 0.0
             if rounding:
-                r = max(np.hypot(*param.point_at_alpha(a)) for a in (a0, 0.5 * (a0 + a1), a1))
+                r = max(np.hypot(*point_at_alpha_scalar(param, a))
+                        for a in (a0, 0.5 * (a0 + a1), a1))
                 floor = 64.0 * np.finfo(float).eps * r * r
             assert abs(area - ref_area) <= 1e-9 * max(1.0, abs(ref_area)) + floor, (a0, a1)
             assert abs(length - ref_length) <= 1e-9 * max(1.0, abs(ref_length)), (a0, a1)
@@ -180,22 +190,22 @@ def arcs(draw):
     shift = draw(st.sampled_from([0.0, 1e6]))
     gi, gj = (Generator(g.id, g.p + shift, g.M, g.w) for g in (gens[i], gens[j]))
     b = make_bisector(gi, gj)
-    comps = [c for c in b.components if c.kind == "arc"]
-    if b.param is None or not comps:
+    if b.code[0] not in CURVE_CODES:
         return None
-    comp = draw(st.sampled_from(comps))
-    lo, hi = comp.lo, comp.hi
+    count, lo, hi, closed = (np.asarray(a[0]).tolist() for a in b.components(np.zeros(1, int)))
+    c = draw(st.sampled_from(range(count)))
+    lo, hi, curve = lo[c], hi[c], row_curve(b, 0)
     kind = draw(st.sampled_from(["sub", "cross", "full", "near-singular"]))
-    if comp.closed:
+    if closed:
         if kind == "full":
             a0 = draw(st.floats(-math.pi, math.pi))
-            return b.param, a0, a0 + 2.0 * math.pi
+            return curve, a0, a0 + 2.0 * math.pi
         margin = 0.0
     else:
         margin = draw(st.sampled_from([1e-3, 1e-2, 0.1])) * (hi - lo)
         if kind == "near-singular":
             a_in = lo + draw(st.floats(0.2, 0.8)) * (hi - lo)
-            return (b.param, lo + margin, a_in) if draw(st.booleans()) else (b.param, a_in, hi - margin)
+            return (curve, lo + margin, a_in) if draw(st.booleans()) else (curve, a_in, hi - margin)
     lo, hi = lo + margin, hi - margin
     if kind == "cross":
         k0 = math.ceil((lo - 0.5 * math.pi) / math.pi)
@@ -203,9 +213,9 @@ def arcs(draw):
         if breaks:
             c = draw(st.sampled_from(breaks))
             a0 = lo + draw(st.floats(0.0, 1.0)) * (c - lo)
-            return b.param, a0, c + draw(st.floats(0.0, 1.0)) * (hi - c)
+            return curve, a0, c + draw(st.floats(0.0, 1.0)) * (hi - c)
     f0, f1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
-    return b.param, lo + f0 * (hi - lo), lo + f1 * (hi - lo)
+    return curve, lo + f0 * (hi - lo), lo + f1 * (hi - lo)
 
 
 # arcs 7.5e4 and 1.3e5 from the origin whose chords point nearly at it, near
@@ -213,15 +223,15 @@ def arcs(draw):
 # rounding noise there, which no halving lowers, and the kernel once raised
 # QuadratureError on both
 FAR_RADIAL_ARCS = [
-    (ParametrizedConic((32.455192975470375, -28.162800436874797, -18.01987956294702),
-                       (21.608359206704108, -2.837653242775731, 2.0544444939627056),
-                       (0.11848823179603522, 0.0, -0.055928721202221574),
-                       (-0.6870365397300588, 0.6870365397300588), ConicClass.HYPERBOLA),
+    (RowCurve((32.455192975470375, -28.162800436874797, -18.01987956294702),
+              (21.608359206704108, -2.837653242775731, 2.0544444939627056),
+              (0.11848823179603522, 0.0, -0.055928721202221574),
+              0.11848823179603522 + 0.055928721202221574),
      -1.2015372449630817, -1.2015369584942788),
-    (ParametrizedConic((31.60179583752606, 8.29446114992176, -16.471058136253763),
-                       (28.55619519353972, -14.407496452586187, -4.626535787164412),
-                       (0.14710498058615762, 0.0, -0.026396397812076443),
-                       (-0.4236026261799692, 0.4236026261799692), ConicClass.HYPERBOLA),
+    (RowCurve((31.60179583752606, 8.29446114992176, -16.471058136253763),
+              (28.55619519353972, -14.407496452586187, -4.626535787164412),
+              (0.14710498058615762, 0.0, -0.026396397812076443),
+              0.14710498058615762 + 0.026396397812076443),
      -0.7997701823809498, -0.7996725541848584),
 ]
 
@@ -243,17 +253,20 @@ def fixed_hard_arcs(shift):
     g0 = Generator(0, np.array([0.0, 0.0]) + shift, SymMat2(2.0, 0.3, 1.0), 1.0)
     g1 = Generator(1, np.array([3.0, 1.0]) + shift, SymMat2(1.0, 0.1, 0.5), 0.0)
     ellipse = make_bisector(g0, g1)
-    assert ellipse.conic_class is ConicClass.ELLIPSE
-    out = [(ellipse.param, a0, a0 + 2.0 * math.pi) for a0 in (-math.pi, -0.3, 2.0)]
-    out += [(ellipse.param, 0.5 * math.pi - 0.4, 0.5 * math.pi + 0.7),
-            (ellipse.param, -0.5 * math.pi - 1e-9, 2.5 * math.pi - 1e-3)]
+    assert CLASSES[ellipse.code[0]] is ConicClass.ELLIPSE
+    curve = row_curve(ellipse, 0)
+    out = [(curve, a0, a0 + 2.0 * math.pi) for a0 in (-math.pi, -0.3, 2.0)]
+    out += [(curve, 0.5 * math.pi - 0.4, 0.5 * math.pi + 0.7),
+            (curve, -0.5 * math.pi - 1e-9, 2.5 * math.pi - 1e-3)]
     gens = [Generator(g.id, g.p + shift, g.M, g.w) for g in random_scene("paper-random", 2, 3, WINDOW)]
     hyperbola = make_bisector(gens[0], gens[1])
-    assert hyperbola.conic_class is ConicClass.HYPERBOLA
-    for c in hyperbola.components:
-        w = c.hi - c.lo
-        out += [(hyperbola.param, c.lo + 1e-3 * w, c.lo + 0.5 * w),
-                (hyperbola.param, c.lo + 0.5 * w, c.hi - 1e-3 * w)]
+    assert CLASSES[hyperbola.code[0]] is ConicClass.HYPERBOLA
+    curve = row_curve(hyperbola, 0)
+    count, lo, hi, _ = (np.asarray(a[0]).tolist() for a in hyperbola.components(np.zeros(1, int)))
+    for c in range(count):
+        w = hi[c] - lo[c]
+        out += [(curve, lo[c] + 1e-3 * w, lo[c] + 0.5 * w),
+                (curve, lo[c] + 0.5 * w, hi[c] - 1e-3 * w)]
     return out
 
 

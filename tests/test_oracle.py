@@ -14,14 +14,13 @@ from gbpd.measure import measure_cells
 from gbpd.oracle import (
     LabelImage,
     compare_labels,
-    raster_cell_stats,
     rasterize,
     rasterize_cells,
     read_pgm,
     write_pgm,
 )
 
-from oracles import radical_center, rasterize_cells_per_cell
+from oracles import radical_center, raster_cell_stats, rasterize_cells_per_cell
 
 I = SymMat2(1.0, 0.0, 1.0)
 

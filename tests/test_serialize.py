@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from gbpd.bisector import BisectorTable
 from gbpd.cli import PRESETS, random_scene
 from gbpd.diagram import build_diagram
 from gbpd.clip import clip_to_window
@@ -118,15 +117,11 @@ def test_loaded_graph_measures_identically():
         assert bits(measure_cells(built)) == bits(measure_cells(read))
 
 
-def test_pipeline_builds_no_bisector_objects(monkeypatch):
-    # every stage reads the graph's bisector table by edge id: build, clip,
-    # measure (clipped and bare-graph cells), raster, SVG, JSON, read-back,
-    # and clip and measure of the read-back graph; a mixed scene of curves
-    # and lines, and an isotropic one of lines only
-    def no_objects(self, rows):
-        raise AssertionError("a pipeline stage built bisector objects")
-
-    monkeypatch.setattr(BisectorTable, "bisectors", no_objects)
+def test_every_stage_runs_on_built_and_read_back_graphs():
+    # build, clip, measure (clipped and bare-graph cells), raster, SVG, JSON,
+    # read-back, and clip and measure of the read-back graph, bit-equal to
+    # the built graph's; a mixed scene of curves and lines, and an isotropic
+    # one of lines only
     scenes = [(mixed_scene(), Window(0.0, 0.0, 100.0, 100.0)),
               (random_scene("isotropic", 12, 1011, WINDOW), WINDOW)]
     for gens, win in scenes:
