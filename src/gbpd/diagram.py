@@ -40,9 +40,10 @@ The triple loop is the O(n^3) heart and runs through the vectorized pencil
 kernel in the fewest chunks of at most _TRIPLE_CHUNK triples, cut to equal
 sizes so that the pool's threads get equal shares. A chunk is a range of
 ranks in the lexicographic triple order and builds its own triples from
-the O(n^2) pair arrays; no array over all C(n, 3) triples exists. Each
-triple's pencil temporaries take about 2 KB, so the sweep holds about
-threads x _TRIPLE_CHUNK x 2 KB, however many triples there are. The chunk
+the O(n^2) pair arrays; no array over all C(n, 3) triples exists. A
+chunk's pencil and minimality temporaries peak at about 0.86 KB per triple
+(tracemalloc, paper-random n=100), so the sweep holds about threads x
+_TRIPLE_CHUNK x 0.86 KB, however many triples there are. The chunk
 count depends on the triple count only. Chunks are independent and merged
 in rank order, so results are identical for any thread count. Every
 batched step repeats the operation order of its one-input form, so the
@@ -91,7 +92,9 @@ from .tolerances import DEDUP_REL, PARAM_MERGE, VERT_REL
 
 TWO_PI = 2.0 * math.pi
 _TRIPLE_CHUNK = 8192
-_POINT_CHUNK = 16384
+# points per distance scan: its (16, 4,096) blocks are 512 KB, small enough
+# for the allocator to reuse freed memory instead of faulting in fresh pages
+_POINT_CHUNK = 4096
 
 
 @dataclass

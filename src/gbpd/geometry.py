@@ -28,6 +28,8 @@ Point = np.ndarray
 _CIRCLE_TIE_REL = 1e-12
 # generator columns per block of SceneArrays.screened_min
 _GEN_BLOCK = 16
+# label images store generator ids as int32
+_MAX_ID = 2**31 - 1
 
 
 def as_point(x) -> Point:
@@ -176,8 +178,8 @@ class Generator:
             raise InputError(f"generator {self.id!r}: id must be an integer")
         object.__setattr__(self, "id", int(self.id))
         # label images mark the background with -1
-        if self.id < 0:
-            raise InputError(f"generator {self.id}: id must not be negative")
+        if not 0 <= self.id <= _MAX_ID:
+            raise InputError(f"generator {self.id}: id must be in 0..{_MAX_ID}")
         object.__setattr__(self, "p", as_point(self.p))
         if not np.all(np.isfinite(self.p)):
             raise InputError(f"generator {self.id}: center is not finite")
@@ -353,11 +355,18 @@ class SceneArrays:
         cols = np.arange(self.n) if cols is None else np.asarray(cols)
         if cols.ndim == 1:
             cols = cols[None, :]
+        return self.lane_dist(pts[:, 0:1], pts[:, 1:2], cols)
+
+    def lane_dist(self, x, y, cols) -> np.ndarray:
+        """Distances from points (x, y) to the generators ``cols``, the three
+        broadcast together: x, y (N,) and cols (c, 1) or (c, N) give (c, N),
+        the point axis last. ``dist`` is this with the point axis first, so
+        every entry is the same float either way."""
         px, py, m11, m12, m22, w = (
             a[cols] for a in (self.px, self.py, self.m11, self.m12, self.m22, self.w)
         )
-        dx = pts[:, 0:1] - px
-        dy = pts[:, 1:2] - py
+        dx = x - px
+        dy = y - py
         return m11 * dx * dx + 2.0 * m12 * dx * dy + m22 * dy * dy - w
 
     def screened_min(self, points, bound, rel: float, skip=None):
@@ -373,20 +382,28 @@ class SceneArrays:
         at most rel delta, so such a point fails the test too; the factor 2
         covers the rounding of both sides. Returns (the indices of the points
         never dropped, their d), each d the same float as a full scan gives.
+
+        A block is evaluated as (c, N) distances and reduced over the
+        generator axis; the arrays of the points still alive are compacted
+        after each block that drops some.
         """
-        m = np.full(points.shape[0], np.inf)
         alive = np.arange(points.shape[0])
+        x, y = np.ascontiguousarray(points.T)
+        skip = None if skip is None else skip.T
+        m = np.full(alive.size, np.inf)
         for lo in range(0, self.n, _GEN_BLOCK):
-            cols = np.arange(lo, min(lo + _GEN_BLOCK, self.n))
-            d = self.dist(points[alive], cols)
+            cols = np.arange(lo, min(lo + _GEN_BLOCK, self.n))[:, None]
+            d = self.lane_dist(x, y, cols)
             if skip is not None:
-                d[(cols[None, :, None] == skip[alive][:, None, :]).any(axis=2)] = np.inf
-            m_alive = np.minimum(m[alive], d.min(axis=1))
-            m[alive] = m_alive
-            alive = alive[~(bound[alive] - m_alive > 2.0 * rel * (1.0 + np.abs(m_alive)))]
-            if alive.size == 0:
-                break
-        return alive, m[alive]
+                d[(cols[:, None] == skip).any(axis=1)] = np.inf
+            m = np.minimum(m, d.min(axis=0))
+            keep = ~(bound - m > 2.0 * rel * (1.0 + np.abs(m)))
+            if not keep.all():
+                alive, x, y, bound, m = alive[keep], x[keep], y[keep], bound[keep], m[keep]
+                skip = None if skip is None else skip[:, keep]
+                if alive.size == 0:
+                    break
+        return alive, m
 
     def scale(self) -> float:
         """Characteristic length: diagonal of the center bounding box (>= 1)."""

@@ -14,12 +14,15 @@ weight of the lines' common point). A member whose pivot is positive is a
 complex line pair through one real point, which is then the only possible
 real intersection and is emitted directly.
 
-Everything is written over a batch axis. ``prepare_pairs`` does the work of
-one conic (frame, scaling, determinant, adjugate), so the diagram build does
-it once per bisector; ``pencil_intersections_batch`` takes only row indices
-into prepared conics, gathers two rows per pair (E_ij, E_ik) of every
-generator triple and does the rest. ``conic_conic_intersections`` prepares
-its two conics and is a batch of one.
+Everything is written over a batch axis, and the batch axis comes last
+(lane-major), so every array operation runs along contiguous lanes.
+``prepare_pairs`` does the work of one conic (frame, scaling, determinant,
+adjugate), so the diagram build does it once per bisector, and stores each
+matrix as a column of 9 rows (entry (i, j) in row 3 i + j, shape (9, P)).
+``pencil_intersections_batch`` takes only column indices into the prepared
+conics, gathers two (9, T) blocks for the pairs (E_ij, E_ik) of T generator
+triples, and works on (3, T) roots and (4, T) candidate slots from there.
+``conic_conic_intersections`` prepares its two conics and is a batch of one.
 """
 
 from __future__ import annotations
@@ -43,45 +46,44 @@ _DISC_CLAMP = 1e-10
 
 
 def _adj3(m: np.ndarray) -> np.ndarray:
-    """Adjugate (transposed cofactors), batched; adj(M) M = det(M) I."""
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1]
-    out[..., 0, 1] = -(m[..., 0, 1] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 1])
-    out[..., 0, 2] = m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]
-    out[..., 1, 0] = -(m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-    out[..., 1, 1] = m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0]
-    out[..., 1, 2] = -(m[..., 0, 0] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 0])
-    out[..., 2, 0] = m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]
-    out[..., 2, 1] = -(m[..., 0, 0] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 0])
-    out[..., 2, 2] = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return out
+    """Adjugate (transposed cofactors) of matrices given as rows m[3 i + j],
+    (9, ...) -> (9, ...); adj(M) M = det(M) I."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+    return np.stack([
+        m11 * m22 - m12 * m21, -(m01 * m22 - m02 * m21), m01 * m12 - m02 * m11,
+        -(m10 * m22 - m12 * m20), m00 * m22 - m02 * m20, -(m00 * m12 - m02 * m10),
+        m10 * m21 - m11 * m20, -(m00 * m21 - m01 * m20), m00 * m11 - m01 * m10,
+    ])
 
 
 def _adj3_diagonal(m: np.ndarray) -> np.ndarray:
-    """Diagonal of :func:`_adj3`, batched: (..., 3, 3) -> (..., 3)."""
-    return np.stack([m[..., j, j] * m[..., k, k] - m[..., j, k] * m[..., k, j]
-                     for j, k in ((1, 2), (0, 2), (0, 1))], axis=-1)
+    """Diagonal of :func:`_adj3`, (9, ...) -> (3, ...)."""
+    return np.stack([m[3 * j + j] * m[3 * k + k] - m[3 * j + k] * m[3 * k + j]
+                     for j, k in ((1, 2), (0, 2), (0, 1))])
 
 
 def _skew(p: np.ndarray) -> np.ndarray:
-    """Cross-product matrices of homogeneous points, batched (..., 3)."""
-    out = np.zeros(p.shape + (3,))
-    out[..., 0, 1] = -p[..., 2]
-    out[..., 0, 2] = p[..., 1]
-    out[..., 1, 0] = p[..., 2]
-    out[..., 1, 2] = -p[..., 0]
-    out[..., 2, 0] = -p[..., 1]
-    out[..., 2, 1] = p[..., 0]
-    return out
+    """Cross-product matrices of homogeneous points, (3, ...) -> rows (9, ...)."""
+    zero = np.zeros_like(p[0])
+    return np.stack([zero, -p[2], p[1], p[2], zero, -p[0], -p[1], p[0], zero])
+
+
+def _trace_of_product(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """trace(b a) of matrices given as rows (9, ...): each row of b summed
+    from 0.0, then the rows in order, which is how np.einsum("tij,tji->t")
+    sums the point-major form, so the two give the same bits."""
+    rows = [0.0 + b[3 * i] * a[i] + b[3 * i + 1] * a[3 + i] + b[3 * i + 2] * a[6 + i]
+            for i in range(3)]
+    return rows[0] + rows[1] + rows[2]
 
 
 def _real_cubic_roots(c3, c2, c1, c0):
-    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0, batched.
+    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0, batched: (T,) -> (3, T).
 
-    Returns (T, 3) with single-real-root cases padded by repetition. The
-    leading coefficient must be bounded away from zero (the caller only
-    evaluates the result where both pencil ends are nondegenerate). Two
-    Newton sweeps polish the closed-form roots.
+    Single-real-root cases are padded by repetition. The leading
+    coefficient must be bounded away from zero (the caller only evaluates
+    the result where both pencil ends are nondegenerate). Two Newton sweeps
+    polish the closed-form roots.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         a = c2 / c3
@@ -103,26 +105,26 @@ def _real_cubic_roots(c3, c2, c1, c0):
         arg = np.clip(1.5 * q / (p * pm_safe), -1.0, 1.0)
         arg = np.where(pm > 0.0, arg, 0.0)
         theta = np.arccos(arg) / 3.0
-        ks = np.array([0.0, 1.0, 2.0])
-        y_triple = 2.0 * pm[:, None] * np.cos(theta[:, None] - 2.0 * math.pi * ks[None, :] / 3.0)
+        ks = np.array([0.0, 1.0, 2.0])[:, None]
+        y_triple = 2.0 * pm * np.cos(theta - 2.0 * math.pi * ks / 3.0)
 
-        single = (delta > 0.0)[:, None]
-        y = np.where(single, y_single[:, None], y_triple)
-        x = y - (a / 3.0)[:, None]
+        y = np.where(delta > 0.0, y_single, y_triple)
+        x = y - a / 3.0
 
         # Newton polish on the original cubic
-        c3e, c2e, c1e, c0e = (arr[:, None] for arr in (c3, c2, c1, c0))
         for _ in range(2):
-            f = ((c3e * x + c2e) * x + c1e) * x + c0e
-            df = (3.0 * c3e * x + 2.0 * c2e) * x + c1e
+            f = ((c3 * x + c2) * x + c1) * x + c0
+            df = (3.0 * c3 * x + 2.0 * c2) * x + c1
             step = np.where(np.abs(df) > 0.0, f / np.where(df == 0.0, 1.0, df), 0.0)
             x = x - step
     return x
 
 
 class PreparedPairs(NamedTuple):
-    """Row r: conic r in the frame x = length_scale * xh + center, scaled to
-    max-abs entry 1 (``a``), whether it was nonzero, and det and adj of a."""
+    """Conic r in the frame x = length_scale * xh + center, scaled to max-abs
+    entry 1, as column r of ``a`` (9, P): its entries in row-major order
+    (a[3 i + j] is entry (i, j)); whether it was nonzero, det(a) and the
+    adjugate ``adj`` in the same (9, P) layout."""
 
     a: np.ndarray
     nonzero: np.ndarray
@@ -156,13 +158,141 @@ def prepare_pairs(
         raise InputError(f"center must be finite, not {(cx, cy)!r}")
     frame = np.array([[h, 0.0, cx], [0.0, h, cy], [0.0, 0.0, 1.0]])
     d = np.einsum("ba,tbc,cd->tad", frame, np.asarray(pair_mats, dtype=float), frame)
+    d = d.reshape(-1, 9)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.abs(d).reshape(-1, 9).max(axis=1)
-        a = d / np.where(s > 0.0, s, 1.0)[:, None, None]
+        s = np.abs(d).max(axis=1)
+        a = np.ascontiguousarray((d / np.where(s > 0.0, s, 1.0)[:, None]).T)
         adj = _adj3(a)
         # the cofactor expansion along the first row
-        det = a[:, 0, 0] * adj[:, 0, 0] + a[:, 0, 1] * adj[:, 1, 0] + a[:, 0, 2] * adj[:, 2, 0]
+        det = a[0] * adj[0] + a[1] * adj[3] + a[2] * adj[6]
         return PreparedPairs(a, s > 0.0, det, adj, h, (cx, cy))
+
+
+def _pencil_member(a1, a2, d1, d2, prepared):
+    """The degenerate member of each pencil a1 + lam a2 (rows (9, T)) whose
+    adjugate has the largest negative pivot, a degenerate input being its
+    own member. Returns (member, other), the conic its lines are cut with."""
+    adj1, adj2 = prepared.adj[:, d1], prepared.adj[:, d2]
+    det1, det2 = prepared.det[d1], prepared.det[d2]
+    deg1 = np.abs(det1) <= _DET_REL
+    deg2 = np.abs(det2) <= _DET_REL
+    # determinant cubic det(a1 + lam a2), solved where both ends are nondegenerate
+    safe = np.where(~deg1 & ~deg2, det2, 1.0)
+    roots = _real_cubic_roots(safe, _trace_of_product(adj2, a1), _trace_of_product(adj1, a2), det1)
+    diag = np.stack([_adj3_diagonal(a1 + lam * a2) for lam in roots], axis=1)  # (3, 3 roots, T)
+    piv3 = np.abs(diag).argmax(axis=0)
+    bpp3 = np.take_along_axis(diag, piv3[None], axis=0)[0]
+    best = np.argmax(-bpp3, axis=0)
+    member = a1 + np.take_along_axis(roots, best[None], axis=0) * a2
+    return np.where(deg1, a1, np.where(deg2, a2, member)), np.where(deg1, a2, a1)
+
+
+def _member_lines(member):
+    """Split each degenerate member (rows (9, T)) into two lines.
+
+    Returns (lines, real_split, p_raw): the coefficients (a, b, c) of the
+    two lines, (3, 2, T); whether the member is a real line pair; and the
+    pivot column of its adjugate, (3, T), the homogeneous common point.
+    """
+    badj = _adj3(member)
+    diag = badj[::4]  # rows 0, 4, 8
+    piv = np.abs(diag).argmax(axis=0)
+    bpp = np.take_along_axis(diag, piv[None], axis=0)[0]
+    b_scale = np.abs(member).max(axis=0) ** 2
+    p_raw = np.take_along_axis(badj.reshape(3, 3, -1), piv[None, None], axis=1)[:, 0]
+    beta = np.sqrt(np.maximum(-bpp, 0.0))
+    cmat = member + _skew(p_raw / np.where(beta > 0.0, beta, 1.0))
+    ij = np.abs(cmat).argmax(axis=0)
+    cmat = cmat.reshape(3, 3, -1)
+    l_line = np.take_along_axis(cmat, (ij // 3)[None, None], axis=0)[0]
+    m_line = np.take_along_axis(cmat, (ij % 3)[None, None], axis=1)[:, 0]
+    return np.stack([l_line, m_line], axis=1), bpp <= 1e-12 * b_scale, p_raw
+
+
+def _cut_lines(lines, other, usable):
+    """Cut both lines (3, 2, T) of each pair with the conic ``other`` (rows
+    (9, T)), where ``usable``. Returns (x, y, valid), (4, T) each: slot
+    2 line + root."""
+    la, lb, lc = lines
+    a00, a01, a11, cc = other[0], other[1], other[4], other[8]
+    bx = 2.0 * other[2]
+    by = 2.0 * other[5]
+    n = np.hypot(la, lb)
+    line_ok = usable & (n > 1e-12 * np.abs(lc)) & (n > 0.0)
+    n_safe = np.where(n > 0.0, n, 1.0)
+    an, bn, cn = la / n_safe, lb / n_safe, lc / n_safe
+    q0x, q0y = -cn * an, -cn * bn
+    dx, dy = -bn, an
+    qa = a00 * dx * dx + 2.0 * a01 * dx * dy + a11 * dy * dy
+    qb = (
+        2.0 * (a00 * q0x * dx + a01 * (q0x * dy + q0y * dx) + a11 * q0y * dy)
+        + bx * dx
+        + by * dy
+    )
+    qc = (
+        a00 * q0x * q0x
+        + 2.0 * a01 * q0x * q0y
+        + a11 * q0y * q0y
+        + bx * q0x
+        + by * q0y
+        + cc
+    )
+    qs = np.abs(qa) + np.abs(qb) + np.abs(qc)
+    disc = qb * qb - 4.0 * qa * qc
+    dscale = qb * qb + np.abs(4.0 * qa * qc)
+    disc = np.where((disc < 0.0) & (disc >= -_DISC_CLAMP * dscale), 0.0, disc)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    quad = np.abs(qa) > 1e-14 * qs
+    lin = ~quad & (np.abs(qb) > 1e-14 * qs)
+    qq = -0.5 * (qb + np.where(qb >= 0.0, sq, -sq))
+    r1 = np.where(quad, qq / np.where(quad, qa, 1.0), np.nan)
+    qq_ok = quad & (np.abs(qq) > 0.0)
+    r2 = np.where(qq_ok, qc / np.where(qq_ok, qq, 1.0), r1)
+    r1 = np.where(lin, -qc / np.where(lin, qb, 1.0), r1)
+    r2 = np.where(quad, r2, np.nan)
+    r = np.stack([r1, r2], axis=1)  # (2 lines, 2 roots, T)
+    ok = (line_ok & (disc >= 0.0))[:, None] & np.isfinite(r)
+    x = np.where(ok, q0x[:, None] + r * dx[:, None], np.nan)
+    y = np.where(ok, q0y[:, None] + r * dy[:, None], np.nan)
+    return x.reshape(4, -1), y.reshape(4, -1), ok.reshape(4, -1)
+
+
+def _polish_slots(a1, a2, x, y, valid):
+    """Newton polish of the slots (4, T) on the 2x2 implicit system of each
+    pair's conics (rows (9, T)), then the residual filter and the per-pair
+    dedup. Returns (x, y, valid)."""
+    # each pair's conics as ConicImplicit fields (T,), broadcast over the slots
+    c1, c2 = (ConicImplicit(d[0], d[1], d[4], 2.0 * d[2], 2.0 * d[5], d[8]) for d in (a1, a2))
+    for _ in range(3):
+        f1 = c1.evaluate(x, y)
+        f2 = c2.evaluate(x, y)
+        # 2 (a00 x + a01 y + a02) rounds differently from ConicImplicit.gradient
+        f1x = 2.0 * (a1[0] * x + a1[1] * y + a1[2])
+        f1y = 2.0 * (a1[1] * x + a1[4] * y + a1[5])
+        f2x = 2.0 * (a2[0] * x + a2[1] * y + a2[2])
+        f2y = 2.0 * (a2[1] * x + a2[4] * y + a2[5])
+        det = f1x * f2y - f1y * f2x
+        det_scale = np.abs(f1x * f2y) + np.abs(f1y * f2x)
+        ok = valid & (np.abs(det) > 1e-12 * det_scale) & np.isfinite(det)
+        det_safe = np.where(ok, det, 1.0)
+        step_x = (f1 * f2y - f2 * f1y) / det_safe
+        step_y = (f1x * f2 - f2x * f1) / det_safe
+        x = np.where(ok, x - step_x, x)
+        y = np.where(ok, y - step_y, y)
+
+    f1 = c1.evaluate(x, y)
+    f2 = c2.evaluate(x, y)
+    r1s = c1.residual_scale(x, y)
+    r2s = c2.residual_scale(x, y)
+    valid &= np.isfinite(x) & np.isfinite(y)
+    valid &= (np.abs(f1) <= RES_REL * r1s) & (np.abs(f2) <= RES_REL * r2s)
+
+    # per-pair dedup (unit frame, so the radius is just DEDUP_REL)
+    for hi in range(1, 4):
+        for lo in range(hi):
+            close = valid[hi] & valid[lo] & (np.hypot(x[hi] - x[lo], y[hi] - y[lo]) <= DEDUP_REL)
+            valid[hi] &= ~close
+    return x, y, valid
 
 
 def pencil_intersections_batch(
@@ -170,179 +300,45 @@ def pencil_intersections_batch(
     d2: np.ndarray,
     prepared: PreparedPairs,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Intersection candidates for T conic pairs, rows (d1[t], d2[t]) of ``prepared``.
+    """Intersection candidates for T conic pairs, columns (d1[t], d2[t]) of ``prepared``.
 
     Returns (points, valid) with shapes (T, 4, 2) and (T, 4). Valid points
     satisfy both implicit equations within the scaled residual tolerance and
     are deduplicated within DEDUP_REL * length_scale per pair, in the
     prepared frame. Pairs with coincident zero sets produce no valid points
     (their intersection is not a finite set).
+
+    The work runs lane-major, with the pair axis last: a matrix is 9 rows
+    of T lanes, the four candidate slots are 4 rows. Each stage is its own
+    function, so that its temporaries are freed when it returns.
     """
-    t_count = len(d1)
     h = prepared.length_scale
     cx, cy = prepared.center
-    a1, a2 = prepared.a[d1], prepared.a[d2]
-    adj1, adj2 = prepared.adj[d1], prepared.adj[d2]
-    det1, det2 = prepared.det[d1], prepared.det[d2]
+    a1, a2 = prepared.a[:, d1], prepared.a[:, d2]
     nonzero = prepared.nonzero[d1] & prepared.nonzero[d2]
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        deg1 = np.abs(det1) <= _DET_REL
-        deg2 = np.abs(det2) <= _DET_REL
-        use_pencil = ~deg1 & ~deg2
-
-        # determinant cubic det(a1 + lam a2) and its best degenerate member
-        cubic = (
-            det2,
-            np.einsum("tij,tji->t", adj2, a1),
-            np.einsum("tij,tji->t", adj1, a2),
-            det1,
-        )
-        safe = np.where(use_pencil, cubic[0], 1.0)
-        roots = _real_cubic_roots(safe, cubic[1], cubic[2], cubic[3])
-        members = a1[:, None] + roots[:, :, None, None] * a2[:, None]  # (T, 3, 3, 3)
-        diag = _adj3_diagonal(members)  # (T, 3, 3)
-        piv3 = np.abs(diag).argmax(axis=2)
-        bpp3 = np.take_along_axis(diag, piv3[:, :, None], axis=2)[:, :, 0]
-        best = np.argmax(-bpp3, axis=1)
-        member = members[np.arange(t_count), best]
-
-        # degenerate inputs are their own degenerate member
-        member = np.where(deg1[:, None, None], a1, np.where(deg2[:, None, None], a2, member))
-        other = np.where(deg1[:, None, None], a2, a1)
-
-        badj = _adj3(member)
-        diag = np.diagonal(badj, axis1=1, axis2=2)  # (T, 3)
-        piv = np.abs(diag).argmax(axis=1)
-        bpp = np.take_along_axis(diag, piv[:, None], axis=1)[:, 0]
-        b_scale = np.abs(member).reshape(t_count, 9).max(axis=1) ** 2
-        p_raw = np.take_along_axis(badj, piv[:, None, None], axis=2)[:, :, 0]  # (T, 3)
-
-        real_split = bpp <= 1e-12 * b_scale
-        beta = np.sqrt(np.maximum(-bpp, 0.0))
-        p_vec = p_raw / np.where(beta > 0.0, beta, 1.0)[:, None]
-        cmat = member + _skew(p_vec)
-        flat = np.abs(cmat).reshape(t_count, 9)
-        ij = flat.argmax(axis=1)
-        i_star, j_star = ij // 3, ij % 3
-        l_line = np.take_along_axis(cmat, i_star[:, None, None], axis=1)[:, 0, :]
-        m_line = np.take_along_axis(cmat, j_star[:, None, None], axis=2)[:, :, 0]
-        lines = np.stack([l_line, m_line], axis=1)  # (T, 2, 3)
-
-        # cut each line with the other conic
-        a00 = other[:, 0, 0]
-        a01 = other[:, 0, 1]
-        a11 = other[:, 1, 1]
-        bx = 2.0 * other[:, 0, 2]
-        by = 2.0 * other[:, 1, 2]
-        cc = other[:, 2, 2]
-
-        pts = np.full((t_count, 4, 2), np.nan)
-        valid = np.zeros((t_count, 4), bool)
-        for li in range(2):
-            la = lines[:, li, 0]
-            lb = lines[:, li, 1]
-            lc = lines[:, li, 2]
-            n = np.hypot(la, lb)
-            line_ok = nonzero & real_split & (n > 1e-12 * np.abs(lc)) & (n > 0.0)
-            n_safe = np.where(n > 0.0, n, 1.0)
-            an, bn, cn = la / n_safe, lb / n_safe, lc / n_safe
-            q0x, q0y = -cn * an, -cn * bn
-            dx, dy = -bn, an
-            qa = a00 * dx * dx + 2.0 * a01 * dx * dy + a11 * dy * dy
-            qb = (
-                2.0 * (a00 * q0x * dx + a01 * (q0x * dy + q0y * dx) + a11 * q0y * dy)
-                + bx * dx
-                + by * dy
-            )
-            qc = (
-                a00 * q0x * q0x
-                + 2.0 * a01 * q0x * q0y
-                + a11 * q0y * q0y
-                + bx * q0x
-                + by * q0y
-                + cc
-            )
-            qs = np.abs(qa) + np.abs(qb) + np.abs(qc)
-            disc = qb * qb - 4.0 * qa * qc
-            dscale = qb * qb + np.abs(4.0 * qa * qc)
-            disc = np.where((disc < 0.0) & (disc >= -_DISC_CLAMP * dscale), 0.0, disc)
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            quad = np.abs(qa) > 1e-14 * qs
-            lin = ~quad & (np.abs(qb) > 1e-14 * qs)
-            qq = -0.5 * (qb + np.where(qb >= 0.0, sq, -sq))
-            r1 = np.where(quad, qq / np.where(quad, qa, 1.0), np.nan)
-            qq_ok = quad & (np.abs(qq) > 0.0)
-            r2 = np.where(qq_ok, qc / np.where(qq_ok, qq, 1.0), r1)
-            r1 = np.where(lin, -qc / np.where(lin, qb, 1.0), r1)
-            r2 = np.where(quad, r2, np.nan)
-            root_ok = line_ok & (disc >= 0.0)
-            for ri, roots_li in enumerate((r1, r2)):
-                slot = 2 * li + ri
-                ok = root_ok & np.isfinite(roots_li)
-                pts[:, slot, 0] = np.where(ok, q0x + roots_li * dx, np.nan)
-                pts[:, slot, 1] = np.where(ok, q0y + roots_li * dy, np.nan)
-                valid[:, slot] = ok
+        member, other = _pencil_member(a1, a2, d1, d2, prepared)
+        lines, real_split, p_raw = _member_lines(member)
+        x, y, valid = _cut_lines(lines, other, nonzero & real_split)
+        # the polish below sets the chunk's peak memory; the members go first
+        del member, other, lines
 
         # complex line pair: its single real point is the only candidate
         fb = nonzero & ~real_split
-        hpt = p_raw
-        hn = np.abs(hpt).max(axis=1)
-        fb_ok = fb & (np.abs(hpt[:, 2]) > 1e-12 * np.where(hn > 0.0, hn, 1.0))
-        h2 = np.where(fb_ok, hpt[:, 2], 1.0)
-        pts[:, 0, 0] = np.where(fb_ok, hpt[:, 0] / h2, pts[:, 0, 0])
-        pts[:, 0, 1] = np.where(fb_ok, hpt[:, 1] / h2, pts[:, 0, 1])
-        valid[:, 0] = valid[:, 0] | fb_ok
+        hn = np.abs(p_raw).max(axis=0)
+        fb_ok = fb & (np.abs(p_raw[2]) > 1e-12 * np.where(hn > 0.0, hn, 1.0))
+        h2 = np.where(fb_ok, p_raw[2], 1.0)
+        x[0] = np.where(fb_ok, p_raw[0] / h2, x[0])
+        y[0] = np.where(fb_ok, p_raw[1] / h2, y[0])
+        valid[0] |= fb_ok
 
-        # Newton polish on the 2x2 implicit system, then residual filter
-        x = pts[:, :, 0]
-        y = pts[:, :, 1]
-        # each pair's conics as ConicImplicit fields (T, 1), broadcast over the slots
-        c1, c2 = (ConicImplicit(d[:, None, 0, 0], d[:, None, 0, 1], d[:, None, 1, 1],
-                                2.0 * d[:, None, 0, 2], 2.0 * d[:, None, 1, 2], d[:, None, 2, 2])
-                  for d in (a1, a2))
-        for _ in range(3):
-            f1 = c1.evaluate(x, y)
-            f2 = c2.evaluate(x, y)
-            # 2 (a00 x + a01 y + a02) rounds differently from ConicImplicit.gradient
-            f1x = 2.0 * (a1[:, None, 0, 0] * x + a1[:, None, 0, 1] * y + a1[:, None, 0, 2])
-            f1y = 2.0 * (a1[:, None, 0, 1] * x + a1[:, None, 1, 1] * y + a1[:, None, 1, 2])
-            f2x = 2.0 * (a2[:, None, 0, 0] * x + a2[:, None, 0, 1] * y + a2[:, None, 0, 2])
-            f2y = 2.0 * (a2[:, None, 0, 1] * x + a2[:, None, 1, 1] * y + a2[:, None, 1, 2])
-            det = f1x * f2y - f1y * f2x
-            det_scale = np.abs(f1x * f2y) + np.abs(f1y * f2x)
-            ok = valid & (np.abs(det) > 1e-12 * det_scale) & np.isfinite(det)
-            det_safe = np.where(ok, det, 1.0)
-            step_x = (f1 * f2y - f2 * f1y) / det_safe
-            step_y = (f1x * f2 - f2x * f1) / det_safe
-            x = np.where(ok, x - step_x, x)
-            y = np.where(ok, y - step_y, y)
-        pts[:, :, 0] = x
-        pts[:, :, 1] = y
+        x, y, valid = _polish_slots(a1, a2, x, y, valid)
 
-        f1 = c1.evaluate(x, y)
-        f2 = c2.evaluate(x, y)
-        r1s = c1.residual_scale(x, y)
-        r2s = c2.residual_scale(x, y)
-        with np.errstate(invalid="ignore"):
-            valid &= np.isfinite(x) & np.isfinite(y)
-            valid &= (np.abs(f1) <= RES_REL * r1s) & (np.abs(f2) <= RES_REL * r2s)
-
-        # per-pair dedup (unit frame, so the radius is just DEDUP_REL)
-        radius = DEDUP_REL
-        for hi in range(1, 4):
-            for lo in range(hi):
-                both = valid[:, hi] & valid[:, lo]
-                close = both & (
-                    np.hypot(x[:, hi] - x[:, lo], y[:, hi] - y[:, lo]) <= radius
-                )
-                valid[:, hi] = valid[:, hi] & ~close
-
-        # back to scene coordinates
-        pts[:, :, 0] = h * x + cx
-        pts[:, :, 1] = h * y + cy
-
-    return pts, valid
+    # back to scene coordinates
+    pts = np.empty((len(d1), 4, 2))
+    pts[:, :, 0] = (h * x + cx).T
+    pts[:, :, 1] = (h * y + cy).T
+    return pts, np.ascontiguousarray(valid.T)
 
 
 def conic_conic_intersections(
@@ -385,7 +381,7 @@ def globally_minimal(cand: np.ndarray, trip: np.ndarray, arr: SceneArrays) -> np
     soon as a block of generators proves it fails, and the others are
     decided with the full minimum.
     """
-    d_trip = arr.dist(cand, trip).min(axis=1)
+    d_trip = arr.lane_dist(cand[:, 0], cand[:, 1], trip.T).min(axis=0)
     alive, d_min = arr.screened_min(cand, d_trip, VERT_REL)
     keep = np.zeros(cand.shape[0], dtype=bool)
     keep[alive] = d_trip[alive] - d_min <= VERT_REL * (1.0 + np.abs(d_min))

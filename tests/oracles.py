@@ -16,10 +16,14 @@ from scipy import ndimage
 from scipy.integrate import quad
 
 from gbpd.clip import flatten_pieces, loop_polygons
-from gbpd.conic import alpha_of_param, line_points, param_of_alpha, points_at_alphas, wrap_angle
+from gbpd.conic import (ConicImplicit, alpha_of_param, line_points, param_of_alpha,
+                        points_at_alphas, wrap_angle)
 from gbpd.errors import SingularParameterError
+from gbpd.geometry import _GEN_BLOCK as GEN_BLOCK
+from gbpd.intersect import _DET_REL as DET_REL, _DISC_CLAMP as DISC_CLAMP
 from gbpd.oracle import LabelImage
-from gbpd.tolerances import CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_ABS, RANK_REL, VERT_REL
+from gbpd.tolerances import (CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_ABS, RANK_REL,
+                             RES_REL, VERT_REL)
 
 
 def grid_conic_intersections(c1, c2, box, n=500, newton_iters=40):
@@ -274,6 +278,243 @@ def full_scan_minimal(cand, trip, arr):
     )
     d_min = d.min(axis=1)
     return d_trip - d_min <= VERT_REL * (1.0 + np.abs(d_min))
+
+
+# The point-major forms of the two triple-sweep kernels, as they stood before
+# the kernels went lane-major (batch axis last); the kernels must equal them
+# bit for bit.
+
+
+def _adj3_point_major(m):
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1]
+    out[..., 0, 1] = -(m[..., 0, 1] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 1])
+    out[..., 0, 2] = m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]
+    out[..., 1, 0] = -(m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+    out[..., 1, 1] = m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0]
+    out[..., 1, 2] = -(m[..., 0, 0] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 0])
+    out[..., 2, 0] = m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]
+    out[..., 2, 1] = -(m[..., 0, 0] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 0])
+    out[..., 2, 2] = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return out
+
+
+def _adj3_diagonal_point_major(m):
+    return np.stack([m[..., j, j] * m[..., k, k] - m[..., j, k] * m[..., k, j]
+                     for j, k in ((1, 2), (0, 2), (0, 1))], axis=-1)
+
+
+def _skew_point_major(p):
+    out = np.zeros(p.shape + (3,))
+    out[..., 0, 1] = -p[..., 2]
+    out[..., 0, 2] = p[..., 1]
+    out[..., 1, 0] = p[..., 2]
+    out[..., 1, 2] = -p[..., 0]
+    out[..., 2, 0] = -p[..., 1]
+    out[..., 2, 1] = p[..., 0]
+    return out
+
+
+def _real_cubic_roots_point_major(c3, c2, c1, c0):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = c2 / c3
+        b = c1 / c3
+        c = c0 / c3
+        p = b - a * a / 3.0
+        q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+        delta = 0.25 * q * q + p**3 / 27.0
+        sq = np.sqrt(np.maximum(delta, 0.0))
+        u = np.cbrt(-0.5 * q + sq)
+        v = np.cbrt(-0.5 * q - sq)
+        y_single = u + v
+        pm = np.sqrt(np.maximum(-p / 3.0, 0.0))
+        pm_safe = np.where(pm > 0.0, pm, 1.0)
+        arg = np.clip(1.5 * q / (p * pm_safe), -1.0, 1.0)
+        arg = np.where(pm > 0.0, arg, 0.0)
+        theta = np.arccos(arg) / 3.0
+        ks = np.array([0.0, 1.0, 2.0])
+        y_triple = 2.0 * pm[:, None] * np.cos(theta[:, None] - 2.0 * math.pi * ks[None, :] / 3.0)
+        single = (delta > 0.0)[:, None]
+        y = np.where(single, y_single[:, None], y_triple)
+        x = y - (a / 3.0)[:, None]
+        c3e, c2e, c1e, c0e = (arr[:, None] for arr in (c3, c2, c1, c0))
+        for _ in range(2):
+            f = ((c3e * x + c2e) * x + c1e) * x + c0e
+            df = (3.0 * c3e * x + 2.0 * c2e) * x + c1e
+            step = np.where(np.abs(df) > 0.0, f / np.where(df == 0.0, 1.0, df), 0.0)
+            x = x - step
+    return x
+
+
+def pencil_intersections_point_major(d1, d2, prepared):
+    """``intersect.pencil_intersections_batch`` on (T, 3, 3) matrices and (T, 4) slots."""
+    t_count = len(d1)
+    h = prepared.length_scale
+    cx, cy = prepared.center
+    a1, a2 = (prepared.a[:, d].T.reshape(-1, 3, 3) for d in (d1, d2))
+    adj1, adj2 = (prepared.adj[:, d].T.reshape(-1, 3, 3) for d in (d1, d2))
+    det1, det2 = prepared.det[d1], prepared.det[d2]
+    nonzero = prepared.nonzero[d1] & prepared.nonzero[d2]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deg1 = np.abs(det1) <= DET_REL
+        deg2 = np.abs(det2) <= DET_REL
+        use_pencil = ~deg1 & ~deg2
+        cubic = (
+            det2,
+            np.einsum("tij,tji->t", adj2, a1),
+            np.einsum("tij,tji->t", adj1, a2),
+            det1,
+        )
+        safe = np.where(use_pencil, cubic[0], 1.0)
+        roots = _real_cubic_roots_point_major(safe, cubic[1], cubic[2], cubic[3])
+        members = a1[:, None] + roots[:, :, None, None] * a2[:, None]
+        diag = _adj3_diagonal_point_major(members)
+        piv3 = np.abs(diag).argmax(axis=2)
+        bpp3 = np.take_along_axis(diag, piv3[:, :, None], axis=2)[:, :, 0]
+        best = np.argmax(-bpp3, axis=1)
+        member = members[np.arange(t_count), best]
+        member = np.where(deg1[:, None, None], a1, np.where(deg2[:, None, None], a2, member))
+        other = np.where(deg1[:, None, None], a2, a1)
+
+        badj = _adj3_point_major(member)
+        diag = np.diagonal(badj, axis1=1, axis2=2)
+        piv = np.abs(diag).argmax(axis=1)
+        bpp = np.take_along_axis(diag, piv[:, None], axis=1)[:, 0]
+        b_scale = np.abs(member).reshape(t_count, 9).max(axis=1) ** 2
+        p_raw = np.take_along_axis(badj, piv[:, None, None], axis=2)[:, :, 0]
+
+        real_split = bpp <= 1e-12 * b_scale
+        beta = np.sqrt(np.maximum(-bpp, 0.0))
+        p_vec = p_raw / np.where(beta > 0.0, beta, 1.0)[:, None]
+        cmat = member + _skew_point_major(p_vec)
+        flat = np.abs(cmat).reshape(t_count, 9)
+        ij = flat.argmax(axis=1)
+        i_star, j_star = ij // 3, ij % 3
+        l_line = np.take_along_axis(cmat, i_star[:, None, None], axis=1)[:, 0, :]
+        m_line = np.take_along_axis(cmat, j_star[:, None, None], axis=2)[:, :, 0]
+        lines = np.stack([l_line, m_line], axis=1)
+
+        a00 = other[:, 0, 0]
+        a01 = other[:, 0, 1]
+        a11 = other[:, 1, 1]
+        bx = 2.0 * other[:, 0, 2]
+        by = 2.0 * other[:, 1, 2]
+        cc = other[:, 2, 2]
+
+        pts = np.full((t_count, 4, 2), np.nan)
+        valid = np.zeros((t_count, 4), bool)
+        for li in range(2):
+            la = lines[:, li, 0]
+            lb = lines[:, li, 1]
+            lc = lines[:, li, 2]
+            n = np.hypot(la, lb)
+            line_ok = nonzero & real_split & (n > 1e-12 * np.abs(lc)) & (n > 0.0)
+            n_safe = np.where(n > 0.0, n, 1.0)
+            an, bn, cn = la / n_safe, lb / n_safe, lc / n_safe
+            q0x, q0y = -cn * an, -cn * bn
+            dx, dy = -bn, an
+            qa = a00 * dx * dx + 2.0 * a01 * dx * dy + a11 * dy * dy
+            qb = (
+                2.0 * (a00 * q0x * dx + a01 * (q0x * dy + q0y * dx) + a11 * q0y * dy)
+                + bx * dx
+                + by * dy
+            )
+            qc = (
+                a00 * q0x * q0x
+                + 2.0 * a01 * q0x * q0y
+                + a11 * q0y * q0y
+                + bx * q0x
+                + by * q0y
+                + cc
+            )
+            qs = np.abs(qa) + np.abs(qb) + np.abs(qc)
+            disc = qb * qb - 4.0 * qa * qc
+            dscale = qb * qb + np.abs(4.0 * qa * qc)
+            disc = np.where((disc < 0.0) & (disc >= -DISC_CLAMP * dscale), 0.0, disc)
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            quad_ = np.abs(qa) > 1e-14 * qs
+            lin = ~quad_ & (np.abs(qb) > 1e-14 * qs)
+            qq = -0.5 * (qb + np.where(qb >= 0.0, sq, -sq))
+            r1 = np.where(quad_, qq / np.where(quad_, qa, 1.0), np.nan)
+            qq_ok = quad_ & (np.abs(qq) > 0.0)
+            r2 = np.where(qq_ok, qc / np.where(qq_ok, qq, 1.0), r1)
+            r1 = np.where(lin, -qc / np.where(lin, qb, 1.0), r1)
+            r2 = np.where(quad_, r2, np.nan)
+            root_ok = line_ok & (disc >= 0.0)
+            for ri, roots_li in enumerate((r1, r2)):
+                slot = 2 * li + ri
+                ok = root_ok & np.isfinite(roots_li)
+                pts[:, slot, 0] = np.where(ok, q0x + roots_li * dx, np.nan)
+                pts[:, slot, 1] = np.where(ok, q0y + roots_li * dy, np.nan)
+                valid[:, slot] = ok
+
+        fb = nonzero & ~real_split
+        hpt = p_raw
+        hn = np.abs(hpt).max(axis=1)
+        fb_ok = fb & (np.abs(hpt[:, 2]) > 1e-12 * np.where(hn > 0.0, hn, 1.0))
+        h2 = np.where(fb_ok, hpt[:, 2], 1.0)
+        pts[:, 0, 0] = np.where(fb_ok, hpt[:, 0] / h2, pts[:, 0, 0])
+        pts[:, 0, 1] = np.where(fb_ok, hpt[:, 1] / h2, pts[:, 0, 1])
+        valid[:, 0] = valid[:, 0] | fb_ok
+
+        x = pts[:, :, 0]
+        y = pts[:, :, 1]
+        c1, c2 = (ConicImplicit(d[:, None, 0, 0], d[:, None, 0, 1], d[:, None, 1, 1],
+                                2.0 * d[:, None, 0, 2], 2.0 * d[:, None, 1, 2], d[:, None, 2, 2])
+                  for d in (a1, a2))
+        for _ in range(3):
+            f1 = c1.evaluate(x, y)
+            f2 = c2.evaluate(x, y)
+            f1x = 2.0 * (a1[:, None, 0, 0] * x + a1[:, None, 0, 1] * y + a1[:, None, 0, 2])
+            f1y = 2.0 * (a1[:, None, 0, 1] * x + a1[:, None, 1, 1] * y + a1[:, None, 1, 2])
+            f2x = 2.0 * (a2[:, None, 0, 0] * x + a2[:, None, 0, 1] * y + a2[:, None, 0, 2])
+            f2y = 2.0 * (a2[:, None, 0, 1] * x + a2[:, None, 1, 1] * y + a2[:, None, 1, 2])
+            det = f1x * f2y - f1y * f2x
+            det_scale = np.abs(f1x * f2y) + np.abs(f1y * f2x)
+            ok = valid & (np.abs(det) > 1e-12 * det_scale) & np.isfinite(det)
+            det_safe = np.where(ok, det, 1.0)
+            step_x = (f1 * f2y - f2 * f1y) / det_safe
+            step_y = (f1x * f2 - f2x * f1) / det_safe
+            x = np.where(ok, x - step_x, x)
+            y = np.where(ok, y - step_y, y)
+        pts[:, :, 0] = x
+        pts[:, :, 1] = y
+
+        f1 = c1.evaluate(x, y)
+        f2 = c2.evaluate(x, y)
+        r1s = c1.residual_scale(x, y)
+        r2s = c2.residual_scale(x, y)
+        valid &= np.isfinite(x) & np.isfinite(y)
+        valid &= (np.abs(f1) <= RES_REL * r1s) & (np.abs(f2) <= RES_REL * r2s)
+
+        for hi in range(1, 4):
+            for lo in range(hi):
+                both = valid[:, hi] & valid[:, lo]
+                close = both & (np.hypot(x[:, hi] - x[:, lo], y[:, hi] - y[:, lo]) <= DEDUP_REL)
+                valid[:, hi] = valid[:, hi] & ~close
+
+        pts[:, :, 0] = h * x + cx
+        pts[:, :, 1] = h * y + cy
+    return pts, valid
+
+
+def screened_min_point_major(arr, points, bound, rel, skip=None):
+    """``SceneArrays.screened_min`` on (N, c) distance blocks, gathering the
+    points still alive from the full arrays at every block."""
+    m = np.full(points.shape[0], np.inf)
+    alive = np.arange(points.shape[0])
+    for lo in range(0, arr.n, GEN_BLOCK):
+        cols = np.arange(lo, min(lo + GEN_BLOCK, arr.n))
+        d = arr.dist(points[alive], cols)
+        if skip is not None:
+            d[(cols[None, :, None] == skip[alive][:, None, :]).any(axis=2)] = np.inf
+        m_alive = np.minimum(m[alive], d.min(axis=1))
+        m[alive] = m_alive
+        alive = alive[~(bound[alive] - m_alive > 2.0 * rel * (1.0 + np.abs(m_alive)))]
+        if alive.size == 0:
+            break
+    return alive, m[alive]
 
 
 def two_nearest_point(point, idx_i, idx_j, arr):

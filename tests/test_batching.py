@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from gbpd import diagram
 from gbpd.bisector import (
     _merge_params,
+    bisector_implicit,
     bisector_table,
     make_bisector,
     param_of_point,
@@ -33,6 +34,7 @@ from gbpd.conic import (
     ConicImplicit,
     alpha_of_param,
     alphas_of_params,
+    conic_matrices,
     homogeneous_at_params,
     line_points,
     param_of_alpha,
@@ -57,9 +59,11 @@ from gbpd.diagram import (
 )
 from gbpd.errors import NoSolutionError, SingularParameterError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
-from gbpd.intersect import globally_minimal
+from gbpd.intersect import globally_minimal, pencil_intersections_batch, prepare_pairs
 from gbpd.measure import _point_in_polygon
 from gbpd.tolerances import VERT_REL
+
+from test_intersect import pencil_scenes
 
 from oracles import (
     arc_representative_scalar,
@@ -69,6 +73,7 @@ from oracles import (
     line_point_scalar,
     merge_params_scalar,
     param_of_point_scalar,
+    pencil_intersections_point_major,
     point_at_alpha_scalar,
     point_in_polygon_scalar,
     polish_vertices_scalar,
@@ -76,6 +81,7 @@ from oracles import (
     RowLine,
     row_curve,
     sample_points,
+    screened_min_point_major,
     two_nearest_point,
     velocity_at_alpha_scalar,
 )
@@ -239,6 +245,69 @@ def test_early_exit_filter_matches_full_scan(case):
     # the three nearest generators always pass
     half = (cand.shape[0] - 1) // 2
     assert keep[half : 2 * half].all()
+
+
+def assert_same_pencil(d1, d2, prep):
+    got = pencil_intersections_batch(d1, d2, prep)
+    want = pencil_intersections_point_major(d1, d2, prep)
+    assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+
+
+@given(pencil_scenes())
+@settings(max_examples=60, deadline=None)
+def test_lane_major_pencil_matches_point_major(scene):
+    # line, concentric line-pair and curve bisectors, far from the origin,
+    # each conic paired with every other one in both orders
+    gens, length_scale, center = scene
+    mats = [bisector_implicit(gi, gj).matrix3() for gi, gj in itertools.combinations(gens, 2)]
+    prep = prepare_pairs(np.array(mats), length_scale, center)
+    d1, d2 = np.array([(r1, r2) for r1 in range(len(mats)) for r2 in range(len(mats))
+                       if r1 != r2]).T
+    assert_same_pencil(d1, d2, prep)
+
+
+def test_lane_major_pencil_matches_point_major_on_the_dense_scene():
+    # the first chunk of the benchmark's dense build (paper-random n=72, seed 42)
+    kept, _ = _dedup_generators(random_scene("paper-random", 72, 42, WINDOW))
+    arr = SceneArrays(kept)
+    center = (0.5 * (arr.px.min() + arr.px.max()), 0.5 * (arr.py.min() + arr.py.max()))
+    table = bisector_table(kept)
+    prep = prepare_pairs(conic_matrices(table.implicit), arr.scale(), center)
+    trip = _TripleOrder(len(kept)).rows(0, 8192)
+    pair_row = table.pair_rows()
+    assert_same_pencil(pair_row[trip[:, 0], trip[:, 1]], pair_row[trip[:, 0], trip[:, 2]], prep)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 40])
+@pytest.mark.parametrize("skipping", [False, True])
+def test_screened_min_matches_point_major(n, skipping):
+    # one generator block, a block and one column, and a few blocks; each
+    # point with bounds at its minimum, on the drop threshold of the full
+    # minimum, one ulp either side of it, and well past it
+    rng = np.random.default_rng(n)
+    arr = SceneArrays(random_scene("paper-weights", n, 1000 + n, WINDOW))
+    pts = rng.uniform(0.0, 400.0, size=(60, 2))
+    d = arr.dist(pts)
+    skip = np.sort(rng.integers(n, size=(60, 2)), axis=1) if skipping else None
+    if skipping:
+        d[np.arange(60)[:, None], skip] = np.inf
+    d_min = d.min(axis=1)
+    edge = d_min + 2.0 * VERT_REL * (1.0 + np.abs(d_min))
+    bound = np.concatenate([d_min, edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf),
+                            d_min + 1.0])
+    pts, d_min = np.tile(pts, (5, 1)), np.tile(d_min, 5)
+    skip = None if skip is None else np.tile(skip, (5, 1))
+    # n = 1 with a skip leaves no generator: d and the bounds are inf
+    with np.errstate(invalid="ignore"):
+        alive, m = arr.screened_min(pts, bound, VERT_REL, skip)
+        want_alive, want_m = screened_min_point_major(arr, pts, bound, VERT_REL, skip)
+    assert alive.tolist() == want_alive.tolist()
+    assert m.tobytes() == want_m.tobytes()
+    # the survivors carry the full minimum, and at least every point bounded by it survives
+    assert m.tobytes() == d_min[alive].tobytes()
+    assert set(range(60)) <= set(alive.tolist())
 
 
 @given(

@@ -1,5 +1,6 @@
 """Generator distances, matrix decomposition, ellipse geometry, scene I/O."""
 
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from gbpd import (
 )
 from gbpd.bisector import bisector_table
 from gbpd.diagram import build_diagram
+from gbpd.serialize import diagram_from_json, diagram_to_json
 
 
 def gen(gid, p, m11, m12, m22, w=0.0):
@@ -126,6 +128,26 @@ def test_negative_generator_id_rejected():
     # a pair of one id has no bisector
     with pytest.raises(InputError, match="distinct ids"):
         bisector_table([gen(4, (0.0, 0.0), 1.0, 0.0, 1.0), gen(4, (1.0, 0.0), 1.0, 0.0, 1.0)])
+
+
+def test_generator_ids_fit_label_images(tmp_path):
+    # label images store ids as int32: 2**32 read as 0 there, and 2**63 ended
+    # the build in an untyped OverflowError
+    top = 2**31 - 1
+    assert gen(top, (0.0, 0.0), 1.0, 0.0, 1.0).id == top
+    text = diagram_to_json(build_diagram([gen(0, (100.0, 200.0), 1.0, 0.0, 1.0),
+                                          gen(1, (300.0, 200.0), 1.0, 0.0, 1.0)]))
+    for bad in (2**31, 2**32, 2**63):
+        with pytest.raises(InputError, match=f"generator {bad}: id must be in 0..{top}"):
+            gen(bad, (0.0, 0.0), 1.0, 0.0, 1.0)
+        scene = tmp_path / "s.csv"
+        scene.write_text(f"id,px,py,m11,m12,m22,w\n0,0,0,1,0,1,0\n{bad},5,5,1,0,1,0\n")
+        with pytest.raises(InputError, match="line 3: .*id must be in"):
+            load_scene(scene)
+        doc = json.loads(text)
+        doc["generators"][1]["id"] = bad
+        with pytest.raises(InputError, match=r"generators\[1\]: .*id must be in"):
+            diagram_from_json(json.dumps(doc))
 
 
 def test_eigh_matches_numpy_on_random_matrices():

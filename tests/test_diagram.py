@@ -1,8 +1,10 @@
 """Diagram construction: vertices, visibility, topology, determinism."""
 
 import math
+import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +288,7 @@ def test_triple_sweep_memory_does_not_grow_with_the_triple_count(monkeypatch):
     # paper-random n=100 has 161,700 triples, 3.9 MB as one int64 array of
     # indices; in 1,024-triple chunks the whole sweep must peak below that
     window = Window(0.0, 0.0, 400.0, 400.0)
+    chunk_size = gdiagram._TRIPLE_CHUNK
     monkeypatch.setattr(gdiagram, "_TRIPLE_CHUNK", 1024)
     # tracemalloc looks up the line of every allocation, and CPython 3.11
     # scans a function's line table for it unless the code object keeps a
@@ -296,8 +299,8 @@ def test_triple_sweep_memory_does_not_grow_with_the_triple_count(monkeypatch):
         build_diagram(preset_scene("paper-random", 8, 42, window))
     finally:
         sys.setprofile(None)
-    peaks = []
-    collect = gdiagram._collect_vertices
+    peaks, per_triple = [], []
+    collect, candidates = gdiagram._collect_vertices, gdiagram._candidate_chunk
 
     def traced(*args):
         tracemalloc.start()
@@ -308,10 +311,31 @@ def test_triple_sweep_memory_does_not_grow_with_the_triple_count(monkeypatch):
             tracemalloc.stop()
         return out
 
+    def chunk_peak(chunk, *args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = candidates(chunk, *args)
+        per_triple.append((tracemalloc.get_traced_memory()[1] - before) / len(chunk))
+        return out
+
     monkeypatch.setattr(gdiagram, "_collect_vertices", traced)
     build_diagram(preset_scene("paper-random", 100, 42, window))
     assert len(peaks) == 1
     assert peaks[0] < 161_700 * 3 * 8
+
+    # at the build's own chunk size (the dense n=72 scene makes 8 chunks),
+    # every chunk's temporaries peak within 10% of the per-triple figure
+    # that the module docstring and README give
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    figures = {float(k) for text in (gdiagram.__doc__, readme)
+               for k in re.findall(r"about ([\d.]+) KB per triple", " ".join(text.split()))}
+    assert len(figures) == 1
+    documented = 1000.0 * figures.pop()
+    monkeypatch.setattr(gdiagram, "_TRIPLE_CHUNK", chunk_size)
+    monkeypatch.setattr(gdiagram, "_candidate_chunk", chunk_peak)
+    build_diagram(preset_scene("paper-random", 72, 42, window))
+    assert len(per_triple) == 8
+    assert 0.9 * documented <= min(per_triple) and max(per_triple) <= 1.1 * documented
 
 
 def test_far_ray_representative_keeps_vertex_degree_three():
