@@ -3,12 +3,12 @@
 
 Generates a random anisotropic scene, builds the analytic diagram, rasterizes
 it both analytically and by brute-force nearest-generator labeling, and
-reports timing plus mismatch statistics. The build line also gives the
-triple count of the sweep and the process's peak RSS so far. The reload
-line times writing the diagram JSON, reading it back, and clipping and
-measuring the read-back graph, and says whether those measures equal the
-built graph's bit for bit. The defaults reproduce the 148-generator,
-400x400 reference run.
+reports timing plus mismatch statistics; clip, raster and measure times are
+in milliseconds. The build line also gives the triple count of the sweep
+and the process's peak RSS so far. The reload line times writing the
+diagram JSON, reading it back, and clipping and measuring the read-back
+graph, and says whether those measures equal the built graph's bit for
+bit. The defaults reproduce the 148-generator, 400x400 reference run.
 
     python scripts/random_scene_experiment.py --n 148 --seed 42 --res 400
 """
@@ -70,7 +70,7 @@ def main() -> int:
     t0 = time.perf_counter()
     cd = clip_to_window(graph, window)
     t_clip = time.perf_counter() - t0
-    print(f"clip: {t_clip:.2f}s, {len(cd.pieces)} pieces")
+    print(f"clip: {1e3 * t_clip:.1f} ms, {len(cd.pieces)} pieces")
 
     t0 = time.perf_counter()
     analytic = rasterize_cells(cd, args.res, args.res)
@@ -79,7 +79,8 @@ def main() -> int:
     brute = rasterize(gens, window, args.res, args.res)
     t_brute = time.perf_counter() - t0
     stats = compare_labels(analytic, brute)
-    print(f"raster: analytic {t_ana:.2f}s, brute {t_brute:.2f}s at {args.res}x{args.res}")
+    print(f"raster: analytic {1e3 * t_ana:.1f} ms, brute {1e3 * t_brute:.1f} ms "
+          f"at {args.res}x{args.res}")
     print(
         f"mismatch: {stats.mismatched}/{stats.pixels} ({stats.fraction:.5f}), "
         f"near-edge share {stats.near_edge_fraction:.5f}"
@@ -91,7 +92,7 @@ def main() -> int:
     total = sum(m.area for m in measures.values())
     multi = sum(1 for m in measures.values() if len(m.components) > 1)
     print(
-        f"measure: {t_meas:.2f}s, area sum {total:.6f} "
+        f"measure: {1e3 * t_meas:.1f} ms, area sum {total:.6f} "
         f"(window {window.area():.0f}), {multi} disconnected cells"
     )
 

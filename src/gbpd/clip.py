@@ -6,7 +6,10 @@ boundary itself is chopped at the crossing points and the four corners, and
 each boundary arc is assigned to the generator owning its midpoint. The
 pieces are then chained into closed per-cell loops (cell interior on the
 left), which is exactly the form the area and perimeter integrators need:
-outer loops come out counterclockwise, holes clockwise.
+outer loops come out counterclockwise, holes clockwise. A crossing within
+snap (DEDUP_REL times the window diagonal) of an earlier node is that node,
+found through a grid index of cell side 2 snap; a vertex within snap of a
+corner is the corner, so its pieces meet the border there.
 
 The same pieces carry a bounded cell of the bare graph: `bounded_cell_pieces`
 turns each of its edges into one whole-edge piece, with the side test and
@@ -17,9 +20,9 @@ analytic raster, the SVG and the hole test of measure.
 Crossing parameters come from the quadratic x(t) - X u(t) = 0 per window
 side (linear for straight edges), so no marching or sampling is involved.
 The side quadratics of all curved edges are solved in one batch and the
-straight edges' crossings in one array pass; every point and tangent of a
-piece comes from one evaluator of arcs and segments (``_piece_rows``). All
-read an edge's bisector as its row of the graph's table, by edge id.
+straight edges' crossings in one array pass. Piece points and tangents come
+from one evaluator (``_piece_rows``), whose arc kernel flattening calls on
+its span arrays; all read an edge's bisector as its table row, by edge id.
 """
 
 from __future__ import annotations
@@ -119,49 +122,57 @@ def flatten_pieces(graph: DiagramGraph, pieces, ftol: float) -> list[np.ndarray]
     A border or straight piece is its chord. An arc starts from its knots
     (fractions 0, 1/2 and 1; quarters for a closed arc), and each span is
     split at its midpoint until the midpoint lies within ftol of the chord,
-    to depth 14. The refinement runs level by level, and each level
-    evaluates the midpoints of the open spans of all pieces in one
-    ``piece_points`` call. A span's fate depends only on its own points,
-    so a piece gets the same polyline whatever it is flattened with.
+    to depth 14. The open spans of all arcs are arrays (arc, f0, f1, end
+    points), and each level evaluates their midpoints in one call. A span's
+    fate depends only on its own points, so a piece gets the same polyline
+    whatever it is flattened with.
     """
     lines: list = [None if p.kind == "arc" else np.array([p.p0, p.p1]) for p in pieces]
     arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
-    knots = {k: [0.0, 0.25, 0.5, 0.75, 1.0] if pieces[k].closed else [0.0, 0.5, 1.0] for k in arcs}
-    rows = [(k, f) for k in arcs for f in knots[k]]
-    at = piece_points(graph, [pieces[k] for k, _ in rows], np.array([f for _, f in rows]))
-    ends = {k: at[r] for r, (k, f) in enumerate(rows) if f == 1.0}
-    # open spans (piece, f0, f1, p0, p1) of the current depth
-    spans = [
-        (k, f0, f1, p0, p1)
-        for (k, f0), (k1, f1), p0, p1 in zip(rows, rows[1:], at, at[1:])
-        if k == k1
-    ]
-    done: dict[int, list] = {k: [] for k in arcs}
+    if not arcs:
+        return lines
+    a0, a1 = np.array([(pieces[k].a0, pieces[k].a1) for k in arcs]).T
+    rows = [pieces[k].edge_id for k in arcs]
+    chart, u_scale = graph.table.chart[rows], graph.table.u_scale[rows]
+
+    def points(arc, f):
+        alpha = a0[arc] + f * (a1[arc] - a0[arc])  # as piece_points
+        x, y, _, _, singular = points_at_alphas(chart[arc], u_scale[arc], alpha)
+        if singular.any():
+            raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
+        return np.column_stack([x, y])
+
+    knots = [[0.0, 0.25, 0.5, 0.75, 1.0] if pieces[k].closed else [0.0, 0.5, 1.0] for k in arcs]
+    arc = np.repeat(np.arange(len(arcs)), [len(kn) for kn in knots])
+    f = np.concatenate(knots)
+    at = points(arc, f)
+    # leaves (arc, f0, start point), with every arc's end point as the leaf at f0 = 1
+    leaves = [(arc[f == 1.0], f[f == 1.0], at[f == 1.0])]
+    # open spans of the current depth, between consecutive knots of one arc
+    inner = np.flatnonzero(arc[1:] == arc[:-1])
+    arc, f0, f1, p0, p1 = arc[inner], f[inner], f[inner + 1], at[inner], at[inner + 1]
     for _ in range(_FLATTEN_DEPTH):
-        if not spans:
+        if not arc.size:
             break
-        fm = np.array([0.5 * (f0 + f1) for _, f0, f1, _, _ in spans])
-        pm = piece_points(graph, [pieces[k] for k, *_ in spans], fm)
-        p0 = np.array([sp[3] for sp in spans])
-        chord = np.array([sp[4] for sp in spans]) - p0
+        fm = 0.5 * (f0 + f1)
+        pm = points(arc, fm)
+        chord = p1 - p0
         n = np.array([math.hypot(cx, cy) for cx, cy in chord.tolist()])
         near = np.array([math.hypot(dx, dy) for dx, dy in (pm - p0).tolist()])
         cross = chord[:, 0] * (pm[:, 1] - p0[:, 1]) - chord[:, 1] * (pm[:, 0] - p0[:, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.abs(cross) / n
         flat = np.where(n == 0.0, near, dev) <= ftol
-        split = []
-        for (k, f0, f1, q0, q1), ok, fmid, qm in zip(spans, flat.tolist(), fm.tolist(), pm):
-            if ok:
-                done[k].append((f0, q0))
-            else:
-                split += [(k, f0, fmid, q0, qm), (k, fmid, f1, qm, q1)]
-        spans = split
-    for k, f0, _, q0, _ in spans:  # spans at the depth cap stay as they are
-        done[k].append((f0, q0))
-    for k in arcs:
-        done[k].sort(key=lambda leaf: leaf[0])
-        lines[k] = np.array([q for _, q in done[k]] + [ends[k]])
+        leaves.append((arc[flat], f0[flat], p0[flat]))
+        s = ~flat  # split spans: their first halves, then their second halves
+        arc, f0, f1, p0, p1 = (np.concatenate(h) for h in ((arc[s], arc[s]), (f0[s], fm[s]),
+                               (fm[s], f1[s]), (p0[s], pm[s]), (pm[s], p1[s])))
+    # spans at the depth cap stay as they are
+    leaf_arc, leaf_f, leaf_p = (np.concatenate(c) for c in zip(*leaves, (arc, f0, p0)))
+    order = np.lexsort((leaf_f, leaf_arc))  # by arc, then f0
+    cuts = np.cumsum(np.bincount(leaf_arc, minlength=len(arcs)))[:-1]
+    for k, line in zip(arcs, np.split(leaf_p[order], cuts)):
+        lines[k] = line
     return lines
 
 
@@ -225,6 +236,30 @@ def _sides(window: Window):
         (1, window.ymax, window.xmin, window.xmax, 2),
         (0, window.xmin, window.ymin, window.ymax, 3),
     )
+
+
+class _NodeIndex:
+    """Clip nodes by grid cell of side 2 snap: a node within snap of pos by the clip's hypot
+    test, rounding included, is in the 3 x 3 cells around pos's; ``near`` gives the least id."""
+
+    def __init__(self, snap: float, nodes=()):
+        self.snap = snap
+        self.cells: dict[tuple[int, int], list[ClipNode]] = {}
+        for nd in nodes:
+            self.add(nd)
+
+    def _cell(self, pos) -> tuple[int, int]:
+        return math.floor(pos[0] / (2.0 * self.snap)), math.floor(pos[1] / (2.0 * self.snap))
+
+    def add(self, node: ClipNode) -> None:
+        self.cells.setdefault(self._cell(node.pos), []).append(node)
+
+    def near(self, pos: np.ndarray) -> ClipNode | None:
+        i, j = self._cell(pos)
+        hits = [nd for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                for nd in self.cells.get((i + di, j + dj), ())
+                if math.hypot(*(nd.pos - pos)) <= self.snap]
+        return min(hits, key=lambda nd: nd.id, default=None)
 
 
 def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
@@ -304,23 +339,28 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     for k, (cx, cy) in enumerate(window.corners()):
         pos = np.array([cx, cy])
         nodes.append(ClipNode(k, pos, "corner", _boundary_s(window, pos, k)))
+    corners = _NodeIndex(snap, nodes)
     vertex_node: dict[int, int] = {}
     for v in graph.vertices:
         if window.contains(v.pos):
-            nid = len(nodes)
-            nodes.append(ClipNode(nid, np.array(v.pos), "vertex"))
-            vertex_node[v.id] = nid
+            # a vertex within snap of a corner is that corner, as are the crossings beside it
+            nd = corners.near(np.array(v.pos))
+            if nd is None:
+                nd = ClipNode(len(nodes), np.array(v.pos), "vertex")
+                nodes.append(nd)
+            vertex_node[v.id] = nd.id
+    index = _NodeIndex(snap, nodes)
 
     def crossing_node(pos: np.ndarray, side: int) -> int:
-        for nd in nodes:
-            if math.hypot(*(nd.pos - pos)) <= snap:
-                # a vertex sitting on the border is reused as a boundary node
-                if nd.boundary_s is None:
-                    nd.boundary_s = _boundary_s(window, nd.pos, side)
-                return nd.id
-        nid = len(nodes)
-        nodes.append(ClipNode(nid, pos, "crossing", _boundary_s(window, pos, side)))
-        return nid
+        nd = index.near(pos)
+        if nd is None:
+            nd = ClipNode(len(nodes), pos, "crossing", _boundary_s(window, pos, side))
+            nodes.append(nd)
+            index.add(nd)
+        elif nd.boundary_s is None:
+            # a vertex sitting on the border is reused as a boundary node
+            nd.boundary_s = _boundary_s(window, nd.pos, side)
+        return nd.id
 
     curved = [e for e in graph.edges if e.is_curve()]
     straight = [e for e in graph.edges if not e.is_curve()]

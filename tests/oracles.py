@@ -852,6 +852,25 @@ def line_crossings_scalar(line, t_lo, t_hi, window, snap):
     return out
 
 
+class NodeScan:
+    """The clip's node snap as a scan of every node, in the interface of
+    ``gbpd.clip._NodeIndex``: ``near(pos)`` is the first node in id order
+    within snap of pos, by the clip's test."""
+
+    def __init__(self, snap, nodes=()):
+        self.snap = snap
+        self.nodes = list(nodes)
+
+    def add(self, node):
+        self.nodes.append(node)
+
+    def near(self, pos):
+        for nd in sorted(self.nodes, key=lambda nd: nd.id):
+            if math.hypot(*(nd.pos - pos)) <= self.snap:
+                return nd
+        return None
+
+
 def piece_point_scalar(graph, piece, f):
     """Point at fraction f along a clip piece's stored direction."""
     if piece.kind == "boundary":

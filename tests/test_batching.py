@@ -809,6 +809,8 @@ def hyperbola_marks(draw):
         # offsets above the 2e-9 merge gap, so no end piece is dropped
         d_lo, d_hi = (draw(st.floats(1.0, 9.9)) * 10.0 ** -draw(st.integers(1, 8))
                       for _ in range(2))
+        # both marks inside the branch, in order; a mark past the far end marks nothing
+        assume(d_lo + d_hi < hi[ci] - lo[ci])
         vparams[ci] = [(param_of_alpha(lo[ci] + d_lo), None),
                        (param_of_alpha(hi[ci] - d_hi), None)]
     return gens, bis, vparams

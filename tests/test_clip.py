@@ -9,6 +9,7 @@ from gbpd import Generator, SymMat2, Window
 from gbpd.clip import clip_to_window
 from gbpd.conic import points_at_alphas
 from gbpd.diagram import build_diagram
+from gbpd.measure import measure_cells
 
 I = SymMat2.identity()
 
@@ -172,3 +173,21 @@ def test_node_snap_through_corner():
     # crossings coincide with corners: no separate crossing nodes
     assert all(n.kind != "crossing" for n in cd.nodes)
     check_well_formed(cd)
+
+
+def test_vertex_within_snap_of_a_corner_takes_the_corner():
+    # three unit-distance generators put their vertex at the origin; a corner
+    # 1.4e-9 away is within the snap radius, and the crossings beside the
+    # vertex snap to that corner, so the vertex must be the corner too
+    for angles in ((30, 150, 270), (10, 100, 230), (60, 170, 300)):
+        gens = [iso(k, math.cos(math.radians(a)), math.sin(math.radians(a)))
+                for k, a in enumerate(angles)]
+        d = build_diagram(gens)
+        (vertex,) = d.vertices
+        assert math.hypot(*vertex.pos) < 1e-15
+        for window in (Window(-1e-9, -1e-9, 5, 5), Window(1e-12, 1e-12, 5, 5)):
+            cd = clip_to_window(d, window)
+            assert all(n.kind != "vertex" for n in cd.nodes)
+            check_well_formed(cd)
+            total = sum(m.area for m in measure_cells(cd).values())
+            assert abs(total - window.area()) <= 1e-12 * window.area()

@@ -1,28 +1,32 @@
-"""Batched clip crossings, piece points and flattening against their scalar
-references, bit for bit.
+"""Batched clip crossings, piece points and flattening, and the indexed node
+snap, against their references, bit for bit.
 
 The clip solves the window-side quadratics of all curved edges in one batch
-and the straight edges' crossings in one array pass; flattening refines all
-pieces level by level, one ``piece_points`` call per level. These
-properties require the batched results to equal, float bit for float bit,
-what the one-at-a-time references in ``oracles.py`` give.
+and the straight edges' crossings in one array pass, and finds the node a
+crossing snaps to through a grid index; flattening refines all pieces level
+by level, one evaluation of all open spans per level. These properties
+require the results to equal, float bit for float bit, what the
+one-at-a-time references and the node scan in ``oracles.py`` give.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbpd import Generator, SymMat2, Window
 from gbpd import clip as gclip
 from gbpd import oracle as goracle
 from gbpd.cli import PRESETS, random_scene
-from gbpd.clip import clip_to_window, flatten_pieces, piece_points
+from gbpd.clip import ClipNode, clip_to_window, flatten_pieces, piece_points
 from gbpd.diagram import build_diagram, merge_marks, ray_parameter, split_at_marks
 from gbpd.oracle import rasterize_cells
 from gbpd.tolerances import DEDUP_REL
 
 from oracles import (
+    NodeScan,
     curve_crossings_scalar,
     flatten_piece_scalar,
     line_crossings_scalar,
@@ -58,12 +62,17 @@ def _case(name):
         return [disk, iso(1, 0, 0)], Window(0, -2, 2, 2)
     if name == "line-through-corners":
         return [iso(0, 0, 0), iso(1, 10, 0)], Window(0, -5, 5, 5)
+    if name == "vertex-on-border":
+        # the three bisectors meet at (0, 0.25), on the window's left side; one runs inside
+        return [iso(0, 0.75, 1.25), iso(1, 0.75, -0.75), iso(2, -1.25, 0.25)], Window(0, -5, 5, 5)
+    if name == "dense":
+        return random_scene("paper-random", 72, 42, WINDOW), WINDOW
     assert name == "no-edge-inside"
     return [iso(0, 0, 0), iso(1, 100, 0)], Window(-1, -1, 1, 1)
 
 
-CASES = [*PRESETS, *(p + "+shift" for p in PRESETS),
-         "loop-across-border", "line-through-corners", "no-edge-inside"]
+CASES = [*PRESETS, *(p + "+shift" for p in PRESETS), "loop-across-border",
+         "line-through-corners", "vertex-on-border", "no-edge-inside", "dense"]
 
 
 def test_shared_splitting_rule():
@@ -131,8 +140,11 @@ def test_batched_flattening_matches_scalar(graphs, name):
     cd = clip_to_window(graph, window)
     arcs = [p for p in cd.pieces if p.kind == "arc"]
     # the isotropic preset shares one matrix: its bisectors are lines
-    assert arcs or name.startswith(("isotropic", "line-through-corners", "no-edge-inside"))
-    ftols = [window.width / 10.0, window.width / 400.0 / 20.0, window.width / 800.0 * 0.1]
+    assert arcs or name.startswith(("isotropic", "line-through-corners", "vertex-on-border",
+                                    "no-edge-inside"))
+    # the raster's px / 20 at 400 px is the second; measure's hole test uses the last
+    ftols = [window.width / 10.0, window.width / 400.0 / 20.0, window.width / 800.0 * 0.1,
+             DEDUP_REL * graph.length_scale]
     if name == "loop-across-border":
         ftols.append(0.0)  # every span refines to the depth cap
     for ftol in ftols:
@@ -141,6 +153,66 @@ def test_batched_flattening_matches_scalar(graphs, name):
             assert bits(line) == bits(flatten_piece_scalar(cd.graph, piece, ftol))
         alone = [flatten_pieces(cd.graph, [p], ftol)[0] for p in cd.pieces[::-1]][::-1]
         assert [bits(line) for line in alone] == [bits(line) for line in lines]
+
+
+@st.composite
+def snap_point_sets(draw):
+    """(snap, points): clusters of points around centres on the index's cell
+    borders, at exactly snap from the centre, one ulp either side, or
+    anywhere within 2 snap, in a drawn order."""
+    snap = draw(st.sampled_from([DEDUP_REL * WINDOW.diagonal, 2.0 ** -20, 0.1]))
+    shift = draw(st.sampled_from([0.0, -1e5]))
+    radii = (st.sampled_from([snap, math.nextafter(snap, 0.0), math.nextafter(snap, math.inf)])
+             | st.floats(0.0, 2.0 * snap))
+    directions = (st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8)])
+                  | st.floats(0.0, 2.0 * math.pi).map(lambda a: (math.cos(a), math.sin(a))))
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        centre = shift + 2.0 * snap * np.array(draw(st.tuples(st.integers(-3, 3),
+                                                              st.integers(-3, 3))), dtype=float)
+        points.append(centre)
+        for _ in range(draw(st.integers(0, 6))):
+            points.append(centre + draw(radii) * np.array(draw(directions)))
+    return snap, draw(st.permutations(points))
+
+
+@given(snap_point_sets())
+@settings(max_examples=150, deadline=None)
+def test_node_index_matches_scan(case):
+    snap, points = case
+    index, scan = gclip._NodeIndex(snap), NodeScan(snap)
+    got, ref = [], []
+    for pos in points:
+        found, expected = index.near(pos), scan.near(pos)
+        got.append(None if found is None else found.id)
+        ref.append(None if expected is None else expected.id)
+        if expected is None:  # a new node, as the clip adds a crossing
+            node = ClipNode(len(scan.nodes), pos, "crossing")
+            index.add(node)
+            scan.add(node)
+    assert got == ref
+
+
+def node_bits(cd):
+    return [(nd.id, nd.kind, bits(nd.pos), None if nd.boundary_s is None else bits([nd.boundary_s]))
+            for nd in cd.nodes]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_clip_nodes_match_scan(graphs, name, monkeypatch):
+    graph, window = graphs[name]
+    cd = clip_to_window(graph, window)
+    monkeypatch.setattr(gclip, "_NodeIndex", NodeScan)
+    ref = clip_to_window(graph, window)
+    assert node_bits(cd) == node_bits(ref)
+    assert [(p.node_a, p.node_b) for p in cd.pieces] == [(p.node_a, p.node_b) for p in ref.pieces]
+    if name == "vertex-on-border":
+        # the left side's crossings snap to the vertex, which becomes a boundary
+        # node at its place on the border: 2 w + h, then down from the top
+        (vertex,) = [nd for nd in cd.nodes if nd.kind == "vertex"]
+        assert vertex.boundary_s == 2 * 5 + 10 + (5 - 0.25)
+        snap = DEDUP_REL * window.diagonal
+        assert all(math.hypot(*(nd.pos - vertex.pos)) > snap for nd in cd.nodes if nd is not vertex)
 
 
 @pytest.mark.parametrize("name", CASES)
