@@ -4,11 +4,13 @@
 Generates a random anisotropic scene, builds the analytic diagram, rasterizes
 it both analytically and by brute-force nearest-generator labeling, and
 reports timing plus mismatch statistics; clip, raster and measure times are
-in milliseconds. The build line also gives the triple count of the sweep
-and the process's peak RSS so far. The reload line times writing the
-diagram JSON, reading it back, and clipping and measuring the read-back
-graph, and says whether those measures equal the built graph's bit for
-bit. The defaults reproduce the 148-generator, 400x400 reference run.
+in milliseconds. The build line also gives the build's process CPU time
+(all threads; above the wall time when the threads overlap) and minor page
+faults, the triple count of the sweep and the process's peak RSS so far.
+The reload line times writing the diagram JSON, reading it back, and
+clipping and measuring the read-back graph, and says whether those
+measures equal the built graph's bit for bit. The defaults reproduce the
+148-generator, 400x400 reference run.
 
     python scripts/random_scene_experiment.py --n 148 --seed 42 --res 400
 """
@@ -53,15 +55,20 @@ def main() -> int:
     gens = random_scene(args.preset, args.n, args.seed, window)
     print(f"scene: {args.n} generators, preset {args.preset}, seed {args.seed}")
 
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cpu0 = time.process_time()
     t0 = time.perf_counter()
     graph = build_diagram(gens, threads=args.threads)
     t_build = time.perf_counter() - t0
+    cpu_build = time.process_time() - cpu0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
     # the sweep runs over the triples of the generators left after merging
     # exact duplicates; ru_maxrss is in KiB on Linux
     triples = math.comb(len(graph.generators) - len(graph.aliases), 3)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(
-        f"build: {t_build:.2f}s, {triples} triples, peak RSS {peak_mb:.1f} MB, "
+        f"build: {t_build:.2f}s, CPU {cpu_build:.2f}s, {faults} minor faults, "
+        f"{triples} triples, peak RSS {peak_mb:.1f} MB, "
         f"{len(graph.vertices)} vertices, "
         f"{len(graph.edges)} edges, {len(graph.adjacency)} adjacent pairs, "
         f"{len(graph.empty_cells)} empty cells"

@@ -3,13 +3,15 @@
 Every visible edge segment is cut at its window-boundary crossings and only
 the sub-pieces whose interior lies inside the window are kept. The window
 boundary itself is chopped at the crossing points and the four corners, and
-each boundary arc is assigned to the generator owning its midpoint. The
-pieces are then chained into closed per-cell loops (cell interior on the
-left), which is exactly the form the area and perimeter integrators need:
-outer loops come out counterclockwise, holes clockwise. A crossing within
-snap (DEDUP_REL times the window diagonal) of an earlier node is that node,
-found through a grid index of cell side 2 snap; a vertex within snap of a
-corner is the corner, so its pieces meet the border there.
+each boundary arc is assigned to the generator owning its midpoint (on a
+tie, from a bisector along the side, the one whose distance falls fastest
+into the window). The pieces are then chained into closed per-cell loops
+(cell interior on the left), which is exactly the form the area and
+perimeter integrators need: outer loops come out counterclockwise, holes
+clockwise. A crossing within snap (DEDUP_REL times the window diagonal) of
+an earlier node is that node, found through a grid index of cell side 2
+snap; a vertex within snap of a corner is the corner, so its pieces meet
+the border there.
 
 The same pieces carry a bounded cell of the bare graph: `bounded_cell_pieces`
 turns each of its edges into one whole-edge piece, with the side test and
@@ -417,11 +419,19 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
         border.append(ClipPiece(len(pieces) + len(border), "boundary", None, None, None, None, None,
                                 nd0.id, nd1.id, False, None, None, nd0.pos, nd1.pos))
     if border:
-        # each border piece belongs to the generator nearest its midpoint,
-        # ties to the smallest id, and keeps it on the left
+        # each border piece keeps the generator nearest its midpoint on the
+        # left; a tie (a bisector along the side) goes to the one whose distance
+        # falls fastest along the inward normal (left of p0 -> p1), then by id
         arr = SceneArrays(graph.generators)
         d = arr.dist(np.array([0.5 * (p.p0 + p.p1) for p in border]))
-        owner = np.where(d == d.min(axis=1, keepdims=True), arr.ids, arr.ids.max() + 1).min(axis=1)
+        best = d == d.min(axis=1, keepdims=True)
+        for k in np.flatnonzero(best.sum(axis=1) > 1):
+            (x0, y0), (x1, y1) = border[k].p0, border[k].p1
+            px, py, m11, m12, m22, _ = arr.coef[:, best[k]]
+            dx, dy = 0.5 * (x0 + x1) - px, 0.5 * (y0 + y1) - py
+            slope = (m11 * dx + m12 * dy) * (y0 - y1) + (m12 * dx + m22 * dy) * (x1 - x0)
+            best[k, best[k]] = ~(slope > slope.min())
+        owner = np.where(best, arr.ids, arr.ids.max() + 1).min(axis=1)
         for piece, gid in zip(border, owner.tolist()):
             piece.left = gid
     _assign_sides(graph, pieces)

@@ -12,10 +12,10 @@ The construction follows six steps:
    (``intersect.prepare_pairs``); a triple only gathers the rows of its two
    bisectors.
 3. Keep candidates whose triple distance is the global minimum over all
-   generators. The generators are scanned in blocks with a running minimum,
-   and a candidate leaves as soon as one block proves it is not minimal;
-   that drop is a decision the full scan would also make, so the kept set
-   is the full scan's (see ``intersect.globally_minimal``).
+   generators. A candidate leaves as soon as its likely winner (from a grid
+   made once per build) or a block of generators proves it is not minimal,
+   a decision the full scan would also make, so the kept set is the full
+   scan's (see ``intersect.globally_minimal``).
 4. Polish all vertices with Newton steps in one array pass over the
    implicit rows of their incident pairs (every pair of a vertex's
    generators, found through the table's pair rows), then recover each
@@ -40,14 +40,16 @@ The triple loop is the O(n^3) heart and runs through the vectorized pencil
 kernel in the fewest chunks of at most _TRIPLE_CHUNK triples, cut to equal
 sizes so that the pool's threads get equal shares. A chunk is a range of
 ranks in the lexicographic triple order and builds its own triples from
-the O(n^2) pair arrays; no array over all C(n, 3) triples exists. A
-chunk's pencil and minimality temporaries peak at about 0.86 KB per triple
-(tracemalloc, paper-random n=100), so the sweep holds about threads x
-_TRIPLE_CHUNK x 0.86 KB, however many triples there are. The chunk
-count depends on the triple count only. Chunks are independent and merged
-in rank order, so results are identical for any thread count. Every
-batched step repeats the operation order of its one-input form, so the
-diagram does not depend on how the work is batched.
+the O(n^2) pair arrays; no array over all C(n, 3) triples exists. The
+minimality screen takes a chunk's candidates in one pass of long array
+calls, which the pool's threads overlap. A chunk's pencil and minimality
+temporaries peak at about 0.86 KB per triple (tracemalloc, paper-random
+n=100), so the sweep holds about threads x _TRIPLE_CHUNK x 0.86 KB,
+however many triples there are. The chunk count depends on the triple
+count only. Chunks are independent and merged in rank order, so results
+are identical for any thread count. Every batched step repeats the
+operation order of its one-input form, so the diagram does not depend on
+how the work is batched.
 
 Curve bookkeeping happens on the circular alpha domain (alpha = 2 atan t),
 where an ellipse is a plain circle, a hyperbola two arcs between its
@@ -92,7 +94,7 @@ from .tolerances import DEDUP_REL, PARAM_MERGE, VERT_REL
 
 TWO_PI = 2.0 * math.pi
 _TRIPLE_CHUNK = 8192
-# points per distance scan: its (16, 4,096) blocks are 512 KB, small enough
+# points per visibility test: its (16, 4,096) blocks are 512 KB, small enough
 # for the allocator to reuse freed memory instead of faulting in fresh pages
 _POINT_CHUNK = 4096
 
@@ -287,17 +289,12 @@ def _candidate_chunk(
     """
     ti, tj, tk = chunk[:, 0], chunk[:, 1], chunk[:, 2]
     pts, valid = pencil_intersections_batch(pair_row[ti, tj], pair_row[ti, tk], prep)
-    t_idx, slot = np.nonzero(valid)
-    if t_idx.size == 0:
+    slot = np.flatnonzero(valid)  # triple t, slot s at 4 t + s
+    if slot.size == 0:
         return np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64)
-    cand = pts[t_idx, slot]  # (K, 2)
-    trip = chunk[t_idx]  # (K, 3)
-    keep = np.concatenate(
-        [
-            globally_minimal(cand[lo : lo + _POINT_CHUNK], trip[lo : lo + _POINT_CHUNK], arr)
-            for lo in range(0, cand.shape[0], _POINT_CHUNK)
-        ]
-    )
+    cand = np.take(pts.reshape(-1, 2), slot, axis=0)  # (K, 2)
+    trip = np.take(chunk, slot // 4, axis=0)  # (K, 3)
+    keep = globally_minimal(cand, trip, arr)
     return cand[keep], trip[keep]
 
 
@@ -311,6 +308,7 @@ def _collect_vertices(
     order = _TripleOrder(len(kept))
     # chunk sizes differ by one triple at most; a chunk builds its own triples
     ranges = order.ranges(-(-order.count // _TRIPLE_CHUNK))
+    arr.winner_grid  # read-only state of the minimality screen, made before the pool starts
 
     def run(r: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         return _candidate_chunk(order.rows(*r), prep, pair_row, arr)

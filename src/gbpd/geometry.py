@@ -13,6 +13,7 @@ as its three independent entries, so symmetry holds by construction.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ Point = np.ndarray
 _CIRCLE_TIE_REL = 1e-12
 # generator columns per block of SceneArrays.screened_min
 _GEN_BLOCK = 16
+# nodes per axis of SceneArrays.winner_grid
+_GRID_NODES = 24
 # label images store generator ids as int32
 _MAX_ID = 2**31 - 1
 
@@ -334,12 +337,9 @@ class SceneArrays:
         self.generators = list(generators)
         n = len(self.generators)
         self.ids = np.array([g.id for g in self.generators], dtype=int)
-        self.px = np.array([g.p[0] for g in self.generators])
-        self.py = np.array([g.p[1] for g in self.generators])
-        self.m11 = np.array([g.M.m11 for g in self.generators])
-        self.m12 = np.array([g.M.m12 for g in self.generators])
-        self.m22 = np.array([g.M.m22 for g in self.generators])
-        self.w = np.array([g.w for g in self.generators])
+        self.coef = np.array([[g.p[0], g.p[1], g.M.m11, g.M.m12, g.M.m22, g.w]
+                              for g in self.generators]).reshape(n, 6).T.copy()
+        self.px, self.py, self.m11, self.m12, self.m22, self.w = self.coef
         self.n = n
         self.id_to_index = {g.id: k for k, g in enumerate(self.generators)}
 
@@ -362,14 +362,31 @@ class SceneArrays:
         broadcast together: x, y (N,) and cols (c, 1) or (c, N) give (c, N),
         the point axis last. ``dist`` is this with the point axis first, so
         every entry is the same float either way."""
-        px, py, m11, m12, m22, w = (
-            a[cols] for a in (self.px, self.py, self.m11, self.m12, self.m22, self.w)
-        )
+        px, py, m11, m12, m22, w = np.take(self.coef, cols, axis=1)
         dx = x - px
         dy = y - py
         return m11 * dx * dx + 2.0 * m12 * dx * dy + m22 * dy * dy - w
 
-    def screened_min(self, points, bound, rel: float, skip=None):
+    @functools.cached_property
+    def winner_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, step, winner): nodes lo + (ix, iy) step over the centers' box,
+        and at each a generator of smallest distance, winner[iy, ix] (one
+        ``lane_dist`` pass); the build makes it before its pool starts."""
+        lo = self.coef[:2].min(axis=1)
+        span = self.coef[:2].max(axis=1) - lo
+        step = np.where(span > 0.0, span / (_GRID_NODES - 1), 1.0)
+        gx, gy = np.meshgrid(*(lo[:, None] + np.arange(_GRID_NODES) * step[:, None]))
+        d = self.lane_dist(gx.ravel(), gy.ravel(), np.arange(self.n)[:, None])
+        return lo, step, d.argmin(axis=0).reshape(gx.shape)
+
+    def likely_winners(self, x, y) -> np.ndarray:
+        """The ``winner_grid`` generator at the node nearest each point of x, y (N,)."""
+        lo, step, winner = self.winner_grid
+        ix, iy = (np.fmin(np.fmax(np.rint((v - lo[a]) / step[a]), 0.0), _GRID_NODES - 1)
+                  .astype(np.intp) for a, v in enumerate((x, y)))
+        return winner[iy, ix]
+
+    def screened_min(self, points, bound, rel: float, skip=None, first=None):
         """Smallest distance d from each point (N, 2) to the generators, where it matters.
 
         A caller keeps point k only if bound[k] - d <= rel (1 + |d|), in
@@ -380,8 +397,10 @@ class SceneArrays:
         point is dropped as soon as bound[k] - m > 2 rel (1 + |m|). Lowering
         m by some delta raises the left side by delta and the right side by
         at most rel delta, so such a point fails the test too; the factor 2
-        covers the rounding of both sides. Returns (the indices of the points
-        never dropped, their d), each d the same float as a full scan gives.
+        covers the rounding of both sides; ``first`` (N,), one column per
+        point, is a block before the others. Returns (the indices of the
+        points never dropped, their d), each d the value a full scan gives (a
+        float minimum is exact in any order).
 
         A block is evaluated as (c, N) distances and reduced over the
         generator axis; the arrays of the points still alive are compacted
@@ -391,8 +410,10 @@ class SceneArrays:
         x, y = np.ascontiguousarray(points.T)
         skip = None if skip is None else skip.T
         m = np.full(alive.size, np.inf)
-        for lo in range(0, self.n, _GEN_BLOCK):
-            cols = np.arange(lo, min(lo + _GEN_BLOCK, self.n))[:, None]
+        blocks = [] if first is None else [np.asarray(first)[None]]  # before any compaction
+        blocks += [np.arange(lo, min(lo + _GEN_BLOCK, self.n))[:, None]
+                   for lo in range(0, self.n, _GEN_BLOCK)]
+        for cols in blocks:
             d = self.lane_dist(x, y, cols)
             if skip is not None:
                 d[(cols[:, None] == skip).any(axis=1)] = np.inf

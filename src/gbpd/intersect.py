@@ -77,6 +77,15 @@ def _trace_of_product(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return rows[0] + rows[1] + rows[2]
 
 
+def _argmax0(a: np.ndarray) -> np.ndarray:
+    """``a.argmax(axis=0)``, ties and nans alike, in passes over a short first axis."""
+    hit = (a == np.maximum.reduce(a)) | np.isnan(a)
+    idx = np.full(a.shape[1:], a.shape[0] - 1)
+    for k in range(a.shape[0] - 2, -1, -1):
+        idx = np.where(hit[k], k, idx)
+    return idx
+
+
 def _real_cubic_roots(c3, c2, c1, c0):
     """Real roots of c3 x^3 + c2 x^2 + c1 x + c0, batched: (T,) -> (3, T).
 
@@ -172,7 +181,7 @@ def _pencil_member(a1, a2, d1, d2, prepared):
     """The degenerate member of each pencil a1 + lam a2 (rows (9, T)) whose
     adjugate has the largest negative pivot, a degenerate input being its
     own member. Returns (member, other), the conic its lines are cut with."""
-    adj1, adj2 = prepared.adj[:, d1], prepared.adj[:, d2]
+    adj1, adj2 = np.take(prepared.adj, d1, axis=1), np.take(prepared.adj, d2, axis=1)
     det1, det2 = prepared.det[d1], prepared.det[d2]
     deg1 = np.abs(det1) <= _DET_REL
     deg2 = np.abs(det2) <= _DET_REL
@@ -180,9 +189,9 @@ def _pencil_member(a1, a2, d1, d2, prepared):
     safe = np.where(~deg1 & ~deg2, det2, 1.0)
     roots = _real_cubic_roots(safe, _trace_of_product(adj2, a1), _trace_of_product(adj1, a2), det1)
     diag = np.stack([_adj3_diagonal(a1 + lam * a2) for lam in roots], axis=1)  # (3, 3 roots, T)
-    piv3 = np.abs(diag).argmax(axis=0)
+    piv3 = _argmax0(np.abs(diag))
     bpp3 = np.take_along_axis(diag, piv3[None], axis=0)[0]
-    best = np.argmax(-bpp3, axis=0)
+    best = _argmax0(-bpp3)
     member = a1 + np.take_along_axis(roots, best[None], axis=0) * a2
     return np.where(deg1, a1, np.where(deg2, a2, member)), np.where(deg1, a2, a1)
 
@@ -196,13 +205,13 @@ def _member_lines(member):
     """
     badj = _adj3(member)
     diag = badj[::4]  # rows 0, 4, 8
-    piv = np.abs(diag).argmax(axis=0)
+    piv = _argmax0(np.abs(diag))
     bpp = np.take_along_axis(diag, piv[None], axis=0)[0]
     b_scale = np.abs(member).max(axis=0) ** 2
     p_raw = np.take_along_axis(badj.reshape(3, 3, -1), piv[None, None], axis=1)[:, 0]
     beta = np.sqrt(np.maximum(-bpp, 0.0))
     cmat = member + _skew(p_raw / np.where(beta > 0.0, beta, 1.0))
-    ij = np.abs(cmat).argmax(axis=0)
+    ij = _argmax0(np.abs(cmat))
     cmat = cmat.reshape(3, 3, -1)
     l_line = np.take_along_axis(cmat, (ij // 3)[None, None], axis=0)[0]
     m_line = np.take_along_axis(cmat, (ij % 3)[None, None], axis=1)[:, 0]
@@ -314,7 +323,7 @@ def pencil_intersections_batch(
     """
     h = prepared.length_scale
     cx, cy = prepared.center
-    a1, a2 = prepared.a[:, d1], prepared.a[:, d2]
+    a1, a2 = np.take(prepared.a, d1, axis=1), np.take(prepared.a, d2, axis=1)
     nonzero = prepared.nonzero[d1] & prepared.nonzero[d2]
     with np.errstate(divide="ignore", invalid="ignore"):
         member, other = _pencil_member(a1, a2, d1, d2, prepared)
@@ -377,13 +386,15 @@ def globally_minimal(cand: np.ndarray, trip: np.ndarray, arr: SceneArrays) -> np
     A candidate is kept iff d_trip - d_min <= VERT_REL (1 + |d_min|), with
     d_trip its smallest distance to its triple generators (the indices in
     its row of ``trip``) and d_min the smallest distance to any generator,
-    found by ``SceneArrays.screened_min``: a candidate leaves the scan as
-    soon as a block of generators proves it fails, and the others are
-    decided with the full minimum.
+    found by ``SceneArrays.screened_min`` after a first test against the
+    likely winner on ``SceneArrays.winner_grid``. d_trip is a running
+    minimum of three (K,) columns, the bits of their ``min``.
     """
-    d_trip = arr.lane_dist(cand[:, 0], cand[:, 1], trip.T).min(axis=0)
-    alive, d_min = arr.screened_min(cand, d_trip, VERT_REL)
+    x, y = np.ascontiguousarray(cand.T)
+    d_trip = arr.lane_dist(x, y, trip[:, 0])
+    for c in (1, 2):
+        d_trip = np.minimum(d_trip, arr.lane_dist(x, y, trip[:, c]))
+    alive, d_min = arr.screened_min(cand, d_trip, VERT_REL, first=arr.likely_winners(x, y))
     keep = np.zeros(cand.shape[0], dtype=bool)
     keep[alive] = d_trip[alive] - d_min <= VERT_REL * (1.0 + np.abs(d_min))
     return keep
-

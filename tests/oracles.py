@@ -499,16 +499,22 @@ def pencil_intersections_point_major(d1, d2, prepared):
     return pts, valid
 
 
-def screened_min_point_major(arr, points, bound, rel, skip=None):
+def screened_min_point_major(arr, points, bound, rel, skip=None, first=None):
     """``SceneArrays.screened_min`` on (N, c) distance blocks, gathering the
-    points still alive from the full arrays at every block."""
+    points still alive from the full arrays at every block; the ``first``
+    column of each point is a block of its own, (N, 1), before the others."""
     m = np.full(points.shape[0], np.inf)
     alive = np.arange(points.shape[0])
-    for lo in range(0, arr.n, GEN_BLOCK):
-        cols = np.arange(lo, min(lo + GEN_BLOCK, arr.n))
+    # each block as (N, c) columns, one row per point
+    blocks = [np.tile(np.arange(lo, min(lo + GEN_BLOCK, arr.n)), (points.shape[0], 1))
+              for lo in range(0, arr.n, GEN_BLOCK)]
+    if first is not None:
+        blocks.insert(0, np.asarray(first)[:, None])
+    for cols in blocks:
+        cols = cols[alive]
         d = arr.dist(points[alive], cols)
         if skip is not None:
-            d[(cols[None, :, None] == skip[alive][:, None, :]).any(axis=2)] = np.inf
+            d[(cols[:, :, None] == skip[alive][:, None, :]).any(axis=2)] = np.inf
         m_alive = np.minimum(m[alive], d.min(axis=1))
         m[alive] = m_alive
         alive = alive[~(bound[alive] - m_alive > 2.0 * rel * (1.0 + np.abs(m_alive)))]

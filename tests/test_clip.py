@@ -4,8 +4,10 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from gbpd import Generator, SymMat2, Window
+from gbpd.cli import random_scene
 from gbpd.clip import clip_to_window
 from gbpd.conic import points_at_alphas
 from gbpd.diagram import build_diagram
@@ -191,3 +193,47 @@ def test_vertex_within_snap_of_a_corner_takes_the_corner():
             check_well_formed(cd)
             total = sum(m.area for m in measure_cells(cd).values())
             assert abs(total - window.area()) <= 1e-12 * window.area()
+
+
+def test_bisector_along_a_window_side_gives_the_side_to_the_inside_cell():
+    # the bisector of generators 0 and 1 is x = 0: on the side x = 0 both
+    # are nearest, and the side belongs to the one whose cell lies inside
+    d = build_diagram([iso(0, -1, 1), iso(1, 1, 1), iso(2, 0, -1)])
+    total = 0.0
+    for window, inside in ((Window(0, -5, 5, 5), 1), (Window(-5, -5, 0, 5), 0)):
+        cd = clip_to_window(d, window)
+        check_well_formed(cd)
+        side = [p for p in cd.pieces if p.kind == "boundary"
+                and p.p0[0] == p.p1[0] == (window.xmin if inside else window.xmax)]
+        assert side and {p.left for p in side} <= {inside, 2}
+        areas = {gid: m.area for gid, m in measure_cells(cd).items()}
+        assert areas[1 - inside] == 0.0
+        total += sum(areas.values())
+    assert abs(total - 100.0) <= 1e-12 * 100.0
+
+
+def euler_terms(cd):
+    """(V - E + F, C) of a clip: V its nodes in use and one per closed piece,
+    E its pieces, F its cell components and C the connected components of
+    its pieces."""
+    parent = {}
+
+    def find(a):
+        while parent.setdefault(a, a) != a:
+            a = parent[a]
+        return a
+
+    for p in cd.pieces:
+        ends = (("closed", p.id),) * 2 if p.closed else (p.node_a, p.node_b)
+        parent[find(ends[0])] = find(ends[1])
+    faces = sum(len(m.components) for m in measure_cells(cd).values())
+    return len(parent) - len(cd.pieces) + faces, len({find(a) for a in parent})
+
+
+@pytest.mark.parametrize("preset, n", [("paper-random", 72), ("paper-weights", 64),
+                                       ("isotropic", 32)])
+def test_euler_relation_holds_on_the_clip(preset, n):
+    window = Window(0.0, 0.0, 400.0, 400.0)
+    cd = clip_to_window(build_diagram(random_scene(preset, n, 42, window)), window)
+    euler, components = euler_terms(cd)
+    assert euler == components
