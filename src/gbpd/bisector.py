@@ -63,23 +63,17 @@ from .conic import (
     wrap_angles,
 )
 from .errors import InputError, NoSolutionError
-from .geometry import Generator, as_point, row_dot
+from .geometry import Generator, SceneArrays, as_point, row_dot
 from .tolerances import DEN_REL, PARAM_MERGE
 
 TWO_PI = 2.0 * math.pi
 
 
-def _generator_columns(gens) -> np.ndarray:
-    """Rows (px, py, m11, m12, m22, w), one per generator."""
-    return np.array(
-        [(g.p[0], g.p[1], g.M.m11, g.M.m12, g.M.m22, g.w) for g in gens], dtype=float
-    ).reshape(-1, 6)
-
-
 def _implicit_rows(gi: np.ndarray, gj: np.ndarray) -> np.ndarray:
     """Implicit coefficient rows (a11, a12, a22, b11, b12, c) of P bisectors.
 
-    ``gi`` and ``gj`` are generator rows from :func:`_generator_columns`.
+    ``gi`` and ``gj`` are generator rows (px, py, m11, m12, m22, w), as
+    ``SceneArrays(...).coef.T`` holds them.
     """
     mi_pi = np.stack(
         [gi[:, 2] * gi[:, 0] + gi[:, 3] * gi[:, 1], gi[:, 3] * gi[:, 0] + gi[:, 4] * gi[:, 1]],
@@ -105,7 +99,8 @@ def _implicit_rows(gi: np.ndarray, gj: np.ndarray) -> np.ndarray:
 
 def bisector_implicit(gi: Generator, gj: Generator) -> ConicImplicit:
     """Implicit conic of the (i, j) bisector; coefficients are exact arithmetic."""
-    row = _implicit_rows(_generator_columns([gi]), _generator_columns([gj]))[0]
+    cols = SceneArrays([gi, gj]).coef.T
+    row = _implicit_rows(cols[:1], cols[1:])[0]
     return ConicImplicit(*row.tolist())
 
 
@@ -214,10 +209,10 @@ def bisector_table(
     matrices pick up h^2), which keeps the result accurate far from the
     origin; the representations are mapped back affinely.
     """
-    generators = list(generators)
+    arr = SceneArrays(generators)
     if pairs is None:
-        pairs = np.triu_indices(len(generators), 1)
-    ids = np.array([g.id for g in generators], dtype=np.int64)
+        pairs = np.triu_indices(arr.n, 1)
+    ids = arr.ids
     first, second = (np.asarray(p, dtype=np.int64).reshape(-1) for p in pairs)
     same = np.flatnonzero(ids[first] == ids[second])
     if same.size:
@@ -225,8 +220,7 @@ def bisector_table(
                          "bisector needs two distinct ids")
     swap = ids[first] > ids[second]
     first, second = np.where(swap, second, first), np.where(swap, first, second)
-    cols = _generator_columns(generators)
-    ci, cj = cols[first], cols[second]
+    ci, cj = arr.coef.T[first], arr.coef.T[second]
     implicit = _implicit_rows(ci, cj)
     c, h = _pair_frames(ci, cj)
     # an identity frame keeps the scene implicit as is (p - c would turn -0.0 into +0.0)
@@ -236,7 +230,7 @@ def bisector_table(
     rows = classify_rows(hat, 2.0, frame=(h, c))
     chart = charts_of_triples(rows.triples)
     u = np.abs(rows.triples[:, 2])
-    return BisectorTable(generators, first, second, implicit, rows.code, chart,
+    return BisectorTable(arr.generators, first, second, implicit, rows.code, chart,
                          u[:, 0] + u[:, 1] + u[:, 2], rows.singular, rows.lines, rows.line_count)
 
 

@@ -9,8 +9,8 @@ into the window). The pieces are then chained into closed per-cell loops
 (cell interior on the left), which is exactly the form the area and
 perimeter integrators need: outer loops come out counterclockwise, holes
 clockwise. A crossing within snap (DEDUP_REL times the window diagonal) of
-an earlier node is that node, found through a grid index of cell side 2
-snap; a vertex within snap of a corner is the corner, so its pieces meet
+an earlier node is that node, found through a ``geometry.PointIndex`` of
+cell side 2 snap; a vertex within snap of a corner is the corner, so its pieces meet
 the border there.
 
 The same pieces carry a bounded cell of the bare graph: `bounded_cell_pieces`
@@ -44,7 +44,7 @@ from .conic import (
 )
 from .diagram import DiagramGraph, merge_marks, split_at_marks
 from .errors import NoSolutionError, SingularParameterError
-from .geometry import SceneArrays, Window
+from .geometry import PointIndex, SceneArrays, Window
 from .tolerances import DEDUP_REL, DEN_REL, PARAM_MERGE
 
 TWO_PI = 2.0 * math.pi
@@ -240,30 +240,6 @@ def _sides(window: Window):
     )
 
 
-class _NodeIndex:
-    """Clip nodes by grid cell of side 2 snap: a node within snap of pos by the clip's hypot
-    test, rounding included, is in the 3 x 3 cells around pos's; ``near`` gives the least id."""
-
-    def __init__(self, snap: float, nodes=()):
-        self.snap = snap
-        self.cells: dict[tuple[int, int], list[ClipNode]] = {}
-        for nd in nodes:
-            self.add(nd)
-
-    def _cell(self, pos) -> tuple[int, int]:
-        return math.floor(pos[0] / (2.0 * self.snap)), math.floor(pos[1] / (2.0 * self.snap))
-
-    def add(self, node: ClipNode) -> None:
-        self.cells.setdefault(self._cell(node.pos), []).append(node)
-
-    def near(self, pos: np.ndarray) -> ClipNode | None:
-        i, j = self._cell(pos)
-        hits = [nd for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                for nd in self.cells.get((i + di, j + dj), ())
-                if math.hypot(*(nd.pos - pos)) <= self.snap]
-        return min(hits, key=lambda nd: nd.id, default=None)
-
-
 def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
     """Window crossings of curved edges: per edge, a list of (offset from a0, (pos, side)).
 
@@ -341,7 +317,7 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     for k, (cx, cy) in enumerate(window.corners()):
         pos = np.array([cx, cy])
         nodes.append(ClipNode(k, pos, "corner", _boundary_s(window, pos, k)))
-    corners = _NodeIndex(snap, nodes)
+    corners = PointIndex(snap, nodes)
     vertex_node: dict[int, int] = {}
     for v in graph.vertices:
         if window.contains(v.pos):
@@ -351,7 +327,7 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
                 nd = ClipNode(len(nodes), np.array(v.pos), "vertex")
                 nodes.append(nd)
             vertex_node[v.id] = nd.id
-    index = _NodeIndex(snap, nodes)
+    index = PointIndex(snap, nodes)
 
     def crossing_node(pos: np.ndarray, side: int) -> int:
         nd = index.near(pos)

@@ -12,10 +12,12 @@ The construction follows six steps:
    (``intersect.prepare_pairs``); a triple only gathers the rows of its two
    bisectors.
 3. Keep candidates whose triple distance is the global minimum over all
-   generators. A candidate leaves as soon as its likely winner (from a grid
-   made once per build) or a block of generators proves it is not minimal,
-   a decision the full scan would also make, so the kept set is the full
-   scan's (see ``intersect.globally_minimal``).
+   generators (``intersect.globally_minimal``). A candidate leaves as soon
+   as its likely winner (from a grid made once per build) or a block of
+   generators proves it is not minimal, a decision the full scan would also
+   make, so the kept set is the full scan's (``SceneArrays.screened_min``).
+   The survivors cluster through a ``geometry.PointIndex``: a candidate
+   joins the cluster of least id within the dedup radius, else starts one.
 4. Polish all vertices with Newton steps in one array pass over the
    implicit rows of their incident pairs (every pair of a vertex's
    generators, found through the table's pair rows), then recover each
@@ -27,14 +29,16 @@ The construction follows six steps:
    one whole piece in array form; only a component that keeps a mark
    inside it is split at its marks (per-component interval bookkeeping).
    A piece is kept when its representative point has the component's
-   generator pair as its two nearest. The representatives of all pieces
-   come from one level loop (each level one array evaluation of the
-   pieces still unresolved; only a lopsided piece at a singular end goes
-   past the first). The graph keeps the table row of each edge (row k for
-   edge k, ``BisectorTable.take``); no bisector object is built.
+   generator pair as its two nearest (``intersect.two_nearest``: the
+   screen of step 3, likely winner first, with the pair's columns
+   skipped). The representatives of all pieces come from one level loop
+   (each level one array evaluation of the pieces still unresolved; only a
+   lopsided piece at a singular end goes past the first). The graph keeps
+   the table row of each edge (row k for edge k, ``BisectorTable.take``);
+   no bisector object is built.
 6. Assemble the edge/vertex graph: ``assemble_graph`` derives adjacency,
-   per-cell edge lists and per-cell boundary components from the edges,
-   for the build and for the JSON reader alike.
+   per-cell edge lists, per-cell boundary components and the empty cells
+   from the edges, for the build and for the JSON reader alike.
 
 The triple loop is the O(n^3) heart and runs through the vectorized pencil
 kernel in the fewest chunks of at most _TRIPLE_CHUNK triples, cut to equal
@@ -88,15 +92,18 @@ from .conic import (
     wrap_angles,
 )
 from .errors import InputError, NoSolutionError
-from .geometry import Generator, SceneArrays, generator_index, hypots
-from .intersect import PreparedPairs, globally_minimal, pencil_intersections_batch, prepare_pairs
-from .tolerances import DEDUP_REL, PARAM_MERGE, VERT_REL
+from .geometry import Generator, PointIndex, SceneArrays, generator_index, hypots
+from .intersect import (
+    PreparedPairs,
+    globally_minimal,
+    pencil_intersections_batch,
+    prepare_pairs,
+    two_nearest,
+)
+from .tolerances import DEDUP_REL, PARAM_MERGE
 
 TWO_PI = 2.0 * math.pi
 _TRIPLE_CHUNK = 8192
-# points per visibility test: its (16, 4,096) blocks are 512 KB, small enough
-# for the allocator to reuse freed memory instead of faulting in fresh pages
-_POINT_CHUNK = 4096
 
 
 @dataclass
@@ -320,30 +327,17 @@ def _collect_vertices(
             results = list(pool.map(run, ranges))
     cand = np.concatenate([np.zeros((0, 2))] + [r[0] for r in results])
     trip = np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [r[1] for r in results])
-    # canonical order, then cluster within the dedup radius
+    # canonical order, then cluster within the dedup radius (see step 3)
     order = np.lexsort((cand[:, 1], cand[:, 0]))
-    cand = cand[order]
-    trip = trip[order]
-    radius = DEDUP_REL * prep.length_scale
     vertices: list[Vertex] = []
-    open_clusters: list[tuple[np.ndarray, set[int]]] = []  # (pos, gen ids)
-    for pos, (i, j, k) in zip(cand, trip):
-        ids = {kept[i].id, kept[j].id, kept[k].id}
-        matched = False
-        still_open = []
-        for cpos, cgens in open_clusters:
-            if pos[0] - cpos[0] > radius:
-                vertices.append(Vertex(-1, cpos, frozenset(cgens)))
-                continue
-            still_open.append((cpos, cgens))
-            if not matched and math.hypot(pos[0] - cpos[0], pos[1] - cpos[1]) <= radius:
-                cgens.update(ids)
-                matched = True
-        open_clusters = still_open
-        if not matched:
-            open_clusters.append((pos, ids))
-    for cpos, cgens in open_clusters:
-        vertices.append(Vertex(-1, cpos, frozenset(cgens)))
+    index = PointIndex(DEDUP_REL * prep.length_scale)
+    for pos, (i, j, k) in zip(cand[order], trip[order]):
+        v = index.near(pos)
+        if v is None:
+            v = Vertex(len(vertices), pos, frozenset())
+            vertices.append(v)
+            index.add(v)
+        v.gens |= {kept[i].id, kept[j].id, kept[k].id}
     return vertices
 
 
@@ -416,28 +410,6 @@ def _polish_vertices(
 
 
 # ------------------------------------------------------ visibility testing
-
-
-def _two_nearest(points: np.ndarray, idx_i, idx_j, arr: SceneArrays) -> np.ndarray:
-    """Per point k of (N, 2): True iff idx_i[k], idx_j[k] attain the two smallest distances.
-
-    ``idx_i`` and ``idx_j`` are generator index arrays (N,), or one index
-    each for all points. A point passes when max(d_i, d_j) <= d3 + VERT_REL
-    (1 + |d3|), d3 its smallest distance to the other generators; the scan
-    for d3 (``SceneArrays.screened_min``) drops a point as soon as a block
-    of generators proves it fails.
-    """
-    if arr.n <= 2:
-        return np.ones(points.shape[0], dtype=bool)
-    n = points.shape[0]
-    pair = np.stack([np.broadcast_to(idx_i, (n,)), np.broadcast_to(idx_j, (n,))], axis=1)
-    d = arr.dist(points, pair)
-    di, dj = d[:, 0], d[:, 1]
-    far = np.where(dj > di, dj, di)
-    alive, d3 = arr.screened_min(points, far, VERT_REL, skip=pair)
-    visible = np.zeros(n, dtype=bool)
-    visible[alive] = far[alive] <= d3 + VERT_REL * (1.0 + np.abs(d3))
-    return visible
 
 
 def _curve_representatives(
@@ -561,20 +533,6 @@ def _split_component(
     return out
 
 
-def _two_nearest_rows(
-    points: np.ndarray, has_rep: np.ndarray, idx: np.ndarray, arr: SceneArrays
-) -> np.ndarray:
-    """Mask of the rows k of points (N, 2) with a representative (``has_rep``)
-    whose generator pair idx[k] (N, 2) attains the two smallest distances; one
-    ``_two_nearest`` test per ``_POINT_CHUNK`` such rows."""
-    decided = np.flatnonzero(has_rep)
-    visible = np.zeros(points.shape[0], dtype=bool)
-    for lo in range(0, decided.size, _POINT_CHUNK):
-        rows = decided[lo : lo + _POINT_CHUNK]
-        visible[rows] = _two_nearest(points[rows], idx[rows, 0], idx[rows, 1], arr)
-    return visible
-
-
 def _visible_pieces(
     table: BisectorTable,
     rows: np.ndarray,
@@ -591,8 +549,8 @@ def _visible_pieces(
     the in-span filter is split, by ``_split_component``. The curve
     representatives of all pieces come from one level loop
     (``_curve_representatives``), the line representatives from one
-    ``line_points`` call, and all are decided by one two-nearest test per
-    ``_POINT_CHUNK`` points. ``arr`` holds every generator of ``table``.
+    ``line_points`` call, and all are decided by one
+    ``intersect.two_nearest`` call. ``arr`` holds every generator of ``table``.
 
     Returns (the visible pieces as EdgeSegments, by row, component and
     start; the mask over all candidate pieces of those without a
@@ -641,7 +599,8 @@ def _visible_pieces(
         curve < keep.size, length_scale)
     gen = np.array([arr.id_to_index[g.id] for g in table.generators], dtype=np.int64)
     idx = np.stack([gen[table.first[row]], gen[table.second[row]]], axis=1)
-    shown = np.flatnonzero(_two_nearest_rows(points, has_rep, idx, arr))
+    decided = np.flatnonzero(has_rep)
+    shown = decided[two_nearest(points[decided], idx[decided], arr)]
     # a component's edges in the order of their starts: the line parameter,
     # or the alpha of a curve piece wrapped to (-pi, pi], the far point at pi
     begin = x0[shown]
@@ -808,9 +767,13 @@ def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: l
 
     Derives the aliases, the length scale and the cell structure (adjacency,
     cell edge lists, boundary components, empty cells); the build and the
-    JSON reader both assemble their graphs here.
+    JSON reader both assemble their graphs here. A cell without edges is
+    empty, except where there is no edge at all: then the kept generator
+    nearest a point away from the centres (the smallest id on a tie, as in
+    ``oracle.rasterize``) owns the plane.
     """
     kept, aliases = _dedup_generators(list(generators))
+    arr = SceneArrays(kept)
     adjacency = {e.pair for e in edges}
     cell_edges: dict[int, list[int]] = {g.id: [] for g in generators}
     for e in edges:
@@ -818,9 +781,9 @@ def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: l
         cell_edges[e.pair[1]].append(e.id)
     ends = [e.endpoints for e in edges]
     cell_components = {gid: _boundary_components(eids, ends) for gid, eids in cell_edges.items()}
-    empty = frozenset(
-        gid for gid, eids in cell_edges.items() if not eids and len(generators) >= 2
-    )
+    empty = {gid for gid, eids in cell_edges.items() if not eids}
+    if not edges:
+        empty.discard(int(arr.ids[arr.dist(arr.coef[:2].max(axis=1) + arr.scale()).argmin()]))
     return DiagramGraph(
         generators=list(generators),
         vertices=vertices,
@@ -829,9 +792,9 @@ def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: l
         cell_edges=cell_edges,
         adjacency=adjacency,
         cell_components=cell_components,
-        empty_cells=empty,
+        empty_cells=frozenset(empty),
         aliases=aliases,
-        length_scale=SceneArrays(kept).scale(),
+        length_scale=arr.scale(),
     )
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import InputError, NonRenderableContour
+from .tolerances import VERT_REL
 
 Point = np.ndarray
 
@@ -78,9 +79,6 @@ class SymMat2:
 
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m12
-
-    def trace(self) -> float:
-        return self.m11 + self.m22
 
     def is_positive_definite(self) -> bool:
         return self.m11 > 0.0 and self.det() > 0.0
@@ -379,28 +377,23 @@ class SceneArrays:
         d = self.lane_dist(gx.ravel(), gy.ravel(), np.arange(self.n)[:, None])
         return lo, step, d.argmin(axis=0).reshape(gx.shape)
 
-    def likely_winners(self, x, y) -> np.ndarray:
-        """The ``winner_grid`` generator at the node nearest each point of x, y (N,)."""
-        lo, step, winner = self.winner_grid
-        ix, iy = (np.fmin(np.fmax(np.rint((v - lo[a]) / step[a]), 0.0), _GRID_NODES - 1)
-                  .astype(np.intp) for a, v in enumerate((x, y)))
-        return winner[iy, ix]
-
-    def screened_min(self, points, bound, rel: float, skip=None, first=None):
+    def screened_min(self, points, bound, skip=None):
         """Smallest distance d from each point (N, 2) to the generators, where it matters.
 
-        A caller keeps point k only if bound[k] - d <= rel (1 + |d|), in
-        either rounding (as that difference or as bound[k] <= d + rel (1 +
-        |d|)), with d over the generators other than the columns ``skip[k]``
-        (``skip`` (N, s), or None for all). The generators are scanned in
-        blocks of _GEN_BLOCK columns with a running minimum m >= d, and a
-        point is dropped as soon as bound[k] - m > 2 rel (1 + |m|). Lowering
-        m by some delta raises the left side by delta and the right side by
-        at most rel delta, so such a point fails the test too; the factor 2
-        covers the rounding of both sides; ``first`` (N,), one column per
-        point, is a block before the others. Returns (the indices of the
-        points never dropped, their d), each d the value a full scan gives (a
-        float minimum is exact in any order).
+        A caller keeps point k only if bound[k] - d <= VERT_REL (1 + |d|), in
+        either rounding (as that difference or as bound[k] <= d + VERT_REL (1
+        + |d|)), with d over the generators other than the columns
+        ``skip[k]`` (``skip`` (N, s), or None for all). Each point's likely
+        winner, the ``winner_grid`` generator at its nearest node, is a first
+        block of one column; then the generators are scanned in blocks of
+        _GEN_BLOCK columns. A running minimum m >= d drops a point as soon
+        as bound[k] - m > 2 VERT_REL (1 + |m|). Lowering m by some delta
+        raises the left side by delta and the right side by at most VERT_REL
+        delta, so such a point fails the test too; the factor 2 covers the
+        rounding of both sides. ``skip`` masks the likely winner where it is
+        one of the point's own columns. Returns (the indices of the points
+        never dropped, their d), each d the value a full scan gives (a float
+        minimum is exact in any order).
 
         A block is evaluated as (c, N) distances and reduced over the
         generator axis; the arrays of the points still alive are compacted
@@ -410,7 +403,10 @@ class SceneArrays:
         x, y = np.ascontiguousarray(points.T)
         skip = None if skip is None else skip.T
         m = np.full(alive.size, np.inf)
-        blocks = [] if first is None else [np.asarray(first)[None]]  # before any compaction
+        grid_lo, step, winner = self.winner_grid
+        ix, iy = (np.fmin(np.fmax(np.rint((v - grid_lo[a]) / step[a]), 0.0), _GRID_NODES - 1)
+                  .astype(np.intp) for a, v in enumerate((x, y)))
+        blocks = [winner[iy, ix][None]]  # made before any compaction
         blocks += [np.arange(lo, min(lo + _GEN_BLOCK, self.n))[:, None]
                    for lo in range(0, self.n, _GEN_BLOCK)]
         for cols in blocks:
@@ -418,7 +414,7 @@ class SceneArrays:
             if skip is not None:
                 d[(cols[:, None] == skip).any(axis=1)] = np.inf
             m = np.minimum(m, d.min(axis=0))
-            keep = ~(bound - m > 2.0 * rel * (1.0 + np.abs(m)))
+            keep = ~(bound - m > 2.0 * VERT_REL * (1.0 + np.abs(m)))
             if not keep.all():
                 alive, x, y, bound, m = alive[keep], x[keep], y[keep], bound[keep], m[keep]
                 skip = None if skip is None else skip[:, keep]
@@ -433,6 +429,31 @@ class SceneArrays:
         dx = float(self.px.max() - self.px.min())
         dy = float(self.py.max() - self.py.min())
         return max(math.hypot(dx, dy), 1.0)
+
+
+class PointIndex:
+    """Items with an ``id`` and a ``pos`` by grid cell of side 2 radius: an item within
+    radius of pos by a hypot test, rounding included, is in the 3 x 3 cells around
+    pos's; ``near`` gives the one of least id."""
+
+    def __init__(self, radius: float, items=()):
+        self.radius = radius
+        self.cells: dict[tuple[int, int], list] = {}
+        for item in items:
+            self.add(item)
+
+    def _cell(self, pos) -> tuple[int, int]:
+        return math.floor(pos[0] / (2.0 * self.radius)), math.floor(pos[1] / (2.0 * self.radius))
+
+    def add(self, item) -> None:
+        self.cells.setdefault(self._cell(item.pos), []).append(item)
+
+    def near(self, pos):
+        i, j = self._cell(pos)
+        hits = [item for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                for item in self.cells.get((i + di, j + dj), ())
+                if math.hypot(*(item.pos - pos)) <= self.radius]
+        return min(hits, key=lambda item: item.id, default=None)
 
 
 SCENE_CSV_HEADER = ["id", "px", "py", "m11", "m12", "m22", "w"]

@@ -1,4 +1,4 @@
-"""Conic-conic intersection via pencil degeneration, and the vertex test.
+"""Conic-conic intersection via pencil degeneration, and the two ownership tests.
 
 Two conics C1, C2 (homogeneous symmetric 3x3 matrices) span the pencil
 C1 + lam C2. Every member passes through all intersection points, and the
@@ -23,6 +23,13 @@ matrix as a column of 9 rows (entry (i, j) in row 3 i + j, shape (9, P)).
 conics, gathers two (9, T) blocks for the pairs (E_ij, E_ik) of T generator
 triples, and works on (3, T) roots and (4, T) candidate slots from there.
 ``conic_conic_intersections`` prepares its two conics and is a batch of one.
+
+Both keep rules of the diagram build live here, and both ask whether some
+generators are the nearest, through one screen (``SceneArrays.screened_min``:
+each point's likely winner first, then blocks of generators).
+``globally_minimal`` keeps a candidate vertex whose three generators are the
+nearest, and ``two_nearest`` an edge piece whose two generators are the two
+nearest; each allows the slack VERT_REL (1 + |d|).
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ _DET_REL = 1e-10
 # relative discriminant clamp: slightly negative discriminants from roundoff
 # are treated as tangencies instead of missed intersections
 _DISC_CLAMP = 1e-10
+# points per visibility test: its (16, 4,096) blocks are 512 KB, small enough
+# for the allocator to reuse freed memory instead of faulting in fresh pages
+_POINT_CHUNK = 4096
 
 
 def _adj3(m: np.ndarray) -> np.ndarray:
@@ -386,15 +396,37 @@ def globally_minimal(cand: np.ndarray, trip: np.ndarray, arr: SceneArrays) -> np
     A candidate is kept iff d_trip - d_min <= VERT_REL (1 + |d_min|), with
     d_trip its smallest distance to its triple generators (the indices in
     its row of ``trip``) and d_min the smallest distance to any generator,
-    found by ``SceneArrays.screened_min`` after a first test against the
-    likely winner on ``SceneArrays.winner_grid``. d_trip is a running
-    minimum of three (K,) columns, the bits of their ``min``.
+    found by ``SceneArrays.screened_min``. d_trip is a running minimum of
+    three (K,) columns, the bits of their ``min``.
     """
     x, y = np.ascontiguousarray(cand.T)
     d_trip = arr.lane_dist(x, y, trip[:, 0])
     for c in (1, 2):
         d_trip = np.minimum(d_trip, arr.lane_dist(x, y, trip[:, c]))
-    alive, d_min = arr.screened_min(cand, d_trip, VERT_REL, first=arr.likely_winners(x, y))
+    alive, d_min = arr.screened_min(cand, d_trip)
     keep = np.zeros(cand.shape[0], dtype=bool)
     keep[alive] = d_trip[alive] - d_min <= VERT_REL * (1.0 + np.abs(d_min))
     return keep
+
+
+def two_nearest(points: np.ndarray, pair: np.ndarray, arr: SceneArrays) -> np.ndarray:
+    """Mask of the points k of (N, 2) where the generators pair[k] (N, 2) attain
+    the two smallest distances.
+
+    A point passes when max(d_i, d_j) <= d3 + VERT_REL (1 + |d3|), d3 its
+    smallest distance to the other generators, found by
+    ``SceneArrays.screened_min`` with the pair's columns skipped. The points
+    go in chunks of _POINT_CHUNK.
+    """
+    visible = np.ones(points.shape[0], dtype=bool)
+    if arr.n <= 2:
+        return visible
+    for lo in range(0, points.shape[0], _POINT_CHUNK):
+        pts, cols = points[lo : lo + _POINT_CHUNK], pair[lo : lo + _POINT_CHUNK]
+        d = arr.dist(pts, cols)
+        far = np.where(d[:, 1] > d[:, 0], d[:, 1], d[:, 0])
+        alive, d3 = arr.screened_min(pts, far, skip=cols)
+        ok = np.zeros(pts.shape[0], dtype=bool)
+        ok[alive] = far[alive] <= d3 + VERT_REL * (1.0 + np.abs(d3))
+        visible[lo : lo + _POINT_CHUNK] = ok
+    return visible

@@ -28,6 +28,10 @@ UnboundedCellError. When the cell has more than one outer loop, a hole
 loop joins the outer loop that contains its start point, as tested on
 `clip.flatten_pieces` polygons of the outer loops at the build's snap
 radius; hole loops are not flattened.
+
+`cell_area` and `measure_cells` are one path (`_measure`): the loops of
+the cells asked for, one arc table for all of them, then one function per
+cell (`_cell_measure`) that groups its loops into components and sums them.
 """
 
 from __future__ import annotations
@@ -318,52 +322,6 @@ def _point_in_polygon(poly: np.ndarray, q) -> bool:
     return bool(np.count_nonzero(xc > x) % 2)
 
 
-def _group_loops(vals, hole_test, *, strict: bool, cell: int) -> list[list[int]]:
-    """Group loop indices into connected components (outer loop + holes).
-
-    vals[k] = (signed area, length) of loop k; hole_test(outers, holes)
-    returns a flattened polygon per outer loop and a probe point per hole
-    loop, and is called only when there are hole loops and more than one
-    outer loop. Holes (negative loops) attach to the first positive loop
-    containing their probe, or to the largest one if none does, so a single
-    outer loop takes every hole. With strict=True a hole without an
-    enclosing positive loop means the region extends to infinity.
-    """
-    outers = [k for k in range(len(vals)) if vals[k][0] >= 0.0]
-    holes = [k for k in range(len(vals)) if vals[k][0] < 0.0]
-    if not outers:
-        if strict and holes:
-            raise UnboundedCellError(
-                f"cell {cell} has only hole loops; it is unbounded"
-            )
-        return [[k] for k in holes]
-    if len(outers) == 1:
-        return [outers + holes]
-    groups = {k: [k] for k in outers}
-    polys, probes = hole_test(outers, holes) if holes else ([], [])
-    for k, probe in zip(holes, probes):
-        host = next((o for o, poly in zip(outers, polys) if _point_in_polygon(poly, probe)), None)
-        if host is None:
-            host = max(outers, key=lambda o: vals[o][0])
-        groups[host].append(k)
-    return [groups[o] for o in outers]
-
-
-def _assemble_measure(cell: int, vals, groups) -> CellMeasure:
-    comps = []
-    for grp in groups:
-        a = float(sum(vals[k][0] for k in grp))
-        ln = float(sum(vals[k][1] for k in grp))
-        comps.append(ComponentMeasure(a, ln))
-    comps.sort(key=lambda c: (-c.area, c.perimeter))
-    return CellMeasure(
-        cell,
-        float(sum(c.area for c in comps)),
-        float(sum(c.perimeter for c in comps)),
-        tuple(comps),
-    )
-
-
 # ---------------------------------------------------------------- front end
 
 
@@ -420,16 +378,47 @@ def _hole_test(graph: DiagramGraph, pieces, loops, outers, holes) -> tuple[list,
             [next(at) if p.kind == "arc" else p.p0 if fw else p.p1 for p, fw in heads])
 
 
-def _measure_loops(graph: DiagramGraph, cell: int, pieces, loops, table,
-                   *, strict: bool) -> CellMeasure:
-    """Measure of one cell from its loops; strict (bare graph cells) makes
-    a cell with hole loops only raise UnboundedCellError."""
-    if not loops:
-        return CellMeasure(cell, 0.0, 0.0, ())
+def _cell_measure(graph: DiagramGraph, cell: int, pieces, loops, table,
+                  *, strict: bool) -> CellMeasure:
+    """Measure of one cell from its loops, by component: an outer loop
+    (positive signed area) and its holes (negative).
+
+    A hole joins the first outer loop whose ``_hole_test`` polygon contains
+    its probe, or the largest one if none does; a single outer loop takes
+    every hole, and only more than one outer loop flattens. Without outer
+    loops each hole is a component of its own, or, with strict (bare graph
+    cells), the cell is unbounded and raises UnboundedCellError. No loops
+    means no area.
+    """
     vals = [_loop_terms(pieces, lp, table) for lp in loops]
-    groups = _group_loops(vals, lambda o, h: _hole_test(graph, pieces, loops, o, h),
-                          strict=strict, cell=cell)
-    return _assemble_measure(cell, vals, groups)
+    outers = [k for k in range(len(vals)) if vals[k][0] >= 0.0]
+    holes = [k for k in range(len(vals)) if vals[k][0] < 0.0]
+    if strict and holes and not outers:
+        raise UnboundedCellError(f"cell {cell} has only hole loops; it is unbounded")
+    groups = {k: [k] for k in outers or holes}
+    if len(outers) == 1:
+        groups[outers[0]] += holes
+    elif outers and holes:
+        polys, probes = _hole_test(graph, pieces, loops, outers, holes)
+        largest = max(outers, key=lambda o: vals[o][0])
+        for k, probe in zip(holes, probes):
+            groups[next((o for o, poly in zip(outers, polys) if _point_in_polygon(poly, probe)),
+                        largest)].append(k)
+    comps = sorted((ComponentMeasure(float(sum(vals[k][0] for k in grp)),
+                                     float(sum(vals[k][1] for k in grp)))
+                    for grp in groups.values()), key=lambda c: (-c.area, c.perimeter))
+    return CellMeasure(cell, float(sum(c.area for c in comps)),
+                       float(sum(c.perimeter for c in comps)), tuple(comps))
+
+
+def _measure(g: DiagramGraph | ClippedDiagram, cells) -> dict[int, CellMeasure]:
+    """CellMeasure of each cell id in ``cells``, keyed by id; every arc on
+    their loops is integrated once, although it borders two cells."""
+    graph = g.graph if isinstance(g, ClippedDiagram) else g
+    loops = {cell: _cell_loops(g, cell) for cell in cells}
+    table = _arc_table(graph, loops.values())
+    return {cell: _cell_measure(graph, cell, *loops[cell], table, strict=graph is g)
+            for cell in loops}
 
 
 def cell_area(cell: int, g: DiagramGraph | ClippedDiagram) -> CellMeasure:
@@ -438,10 +427,7 @@ def cell_area(cell: int, g: DiagramGraph | ClippedDiagram) -> CellMeasure:
     Accepts a clipped diagram, or a bare graph when the cell happens to be
     bounded; unbounded graph cells raise UnboundedCellError.
     """
-    graph = g.graph if isinstance(g, ClippedDiagram) else g
-    pieces, loops = _cell_loops(g, cell)
-    table = _arc_table(graph, [(pieces, loops)])
-    return _measure_loops(graph, cell, pieces, loops, table, strict=graph is g)
+    return _measure(g, [cell])[cell]
 
 
 def cell_perimeter(cell: int, g: DiagramGraph | ClippedDiagram) -> float:
@@ -449,13 +435,6 @@ def cell_perimeter(cell: int, g: DiagramGraph | ClippedDiagram) -> float:
 
 
 def measure_cells(g: DiagramGraph | ClippedDiagram) -> dict[int, CellMeasure]:
-    """CellMeasure for every generator id, keyed by id.
-
-    Every arc is integrated once for the whole diagram, although it borders
-    two cells.
-    """
+    """CellMeasure for every generator id, keyed by id."""
     graph = g.graph if isinstance(g, ClippedDiagram) else g
-    cells = {gen.id: _cell_loops(g, gen.id) for gen in graph.generators}
-    table = _arc_table(graph, cells.values())
-    return {gid: _measure_loops(graph, gid, pieces, loops, table, strict=graph is g)
-            for gid, (pieces, loops) in cells.items()}
+    return _measure(g, [gen.id for gen in graph.generators])

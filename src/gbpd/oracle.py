@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .clip import ClippedDiagram, flatten_pieces
-from .errors import DimensionMismatchError, InputError
+from .errors import DimensionMismatchError, InputError, NoSolutionError
 from .geometry import SceneArrays, Window
 
 # distance entries (pixels x generators) per block of rasterize
@@ -64,6 +64,8 @@ def rasterize(generators, window: Window, width: int, height: int) -> LabelImage
     """Distance-argmin label image at pixel centers; ties to smallest id."""
     origin, px = _image_frame(window, width, height)
     gens = sorted(generators, key=lambda g: g.id)
+    if not gens:
+        raise NoSolutionError("a scene needs at least one generator")
     arr = SceneArrays(gens)
     ids = arr.ids.astype(np.int32)
     xs = origin[0] + (np.arange(width) + 0.5) * px

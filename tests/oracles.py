@@ -499,17 +499,26 @@ def pencil_intersections_point_major(d1, d2, prepared):
     return pts, valid
 
 
-def screened_min_point_major(arr, points, bound, rel, skip=None, first=None):
+def likely_winner_scalar(arr, point):
+    """The ``arr.winner_grid`` generator at the grid node nearest one point,
+    each coordinate rounded to its node half to even and clamped to the grid."""
+    lo, step, winner = arr.winner_grid
+    last = winner.shape[0] - 1
+    ix, iy = (min(max(round((float(point[a]) - lo[a]) / step[a]), 0), last) for a in (0, 1))
+    return int(winner[iy, ix])
+
+
+def screened_min_point_major(arr, points, bound, skip=None):
     """``SceneArrays.screened_min`` on (N, c) distance blocks, gathering the
-    points still alive from the full arrays at every block; the ``first``
-    column of each point is a block of its own, (N, 1), before the others."""
+    points still alive from the full arrays at every block; each point's
+    likely winner (``likely_winner_scalar``) is a block of its own, (N, 1),
+    before the others."""
     m = np.full(points.shape[0], np.inf)
     alive = np.arange(points.shape[0])
     # each block as (N, c) columns, one row per point
-    blocks = [np.tile(np.arange(lo, min(lo + GEN_BLOCK, arr.n)), (points.shape[0], 1))
-              for lo in range(0, arr.n, GEN_BLOCK)]
-    if first is not None:
-        blocks.insert(0, np.asarray(first)[:, None])
+    blocks = [np.array([[likely_winner_scalar(arr, q)] for q in points]).reshape(-1, 1)]
+    blocks += [np.tile(np.arange(lo, min(lo + GEN_BLOCK, arr.n)), (points.shape[0], 1))
+               for lo in range(0, arr.n, GEN_BLOCK)]
     for cols in blocks:
         cols = cols[alive]
         d = arr.dist(points[alive], cols)
@@ -517,7 +526,7 @@ def screened_min_point_major(arr, points, bound, rel, skip=None, first=None):
             d[(cols[:, :, None] == skip[alive][:, None, :]).any(axis=2)] = np.inf
         m_alive = np.minimum(m[alive], d.min(axis=1))
         m[alive] = m_alive
-        alive = alive[~(bound[alive] - m_alive > 2.0 * rel * (1.0 + np.abs(m_alive)))]
+        alive = alive[~(bound[alive] - m_alive > 2.0 * VERT_REL * (1.0 + np.abs(m_alive)))]
         if alive.size == 0:
             break
     return alive, m[alive]
@@ -533,6 +542,33 @@ def two_nearest_point(point, idx_i, idx_j, arr):
     mask[[idx_i, idx_j]] = False
     d3 = float(d[mask].min())
     return max(di, dj) <= d3 + VERT_REL * (1.0 + abs(d3))
+
+
+def cluster_sweep(cand, trip, ids, radius):
+    """Vertex clusters (position, generator ids) of the candidates (K, 2) of
+    triples ``trip`` (K, 3) (indices into ``ids``) by an open-cluster sweep,
+    as the build clustered before it went through a point index: in
+    lexicographic order, a candidate joins the first open cluster within
+    radius by hypot, and a cluster closes once a candidate lies more than
+    radius past it in x. Clusters come in the order they were opened."""
+    order = np.lexsort((cand[:, 1], cand[:, 0]))
+    closed, open_clusters = [], []  # (pos, gen ids)
+    for pos, (i, j, k) in zip(cand[order], trip[order]):
+        members = {ids[i], ids[j], ids[k]}
+        matched = False
+        still_open = []
+        for cpos, cgens in open_clusters:
+            if pos[0] - cpos[0] > radius:
+                closed.append((cpos, cgens))
+                continue
+            still_open.append((cpos, cgens))
+            if not matched and math.hypot(pos[0] - cpos[0], pos[1] - cpos[1]) <= radius:
+                cgens.update(members)
+                matched = True
+        open_clusters = still_open
+        if not matched:
+            open_clusters.append((pos, members))
+    return closed + open_clusters
 
 
 def polish_vertices_scalar(vertices, implicits, length_scale):
@@ -860,7 +896,7 @@ def line_crossings_scalar(line, t_lo, t_hi, window, snap):
 
 class NodeScan:
     """The clip's node snap as a scan of every node, in the interface of
-    ``gbpd.clip._NodeIndex``: ``near(pos)`` is the first node in id order
+    ``gbpd.geometry.PointIndex``: ``near(pos)`` is the first node in id order
     within snap of pos, by the clip's test."""
 
     def __init__(self, snap, nodes=()):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gbpd import diagram
+from gbpd import diagram, intersect
 from gbpd.bisector import (
     _merge_params,
     bisector_implicit,
@@ -52,16 +52,21 @@ from gbpd.diagram import (
     _recover_params,
     _split_component,
     _TripleOrder,
-    _two_nearest,
     _visible_pieces,
     build_diagram,
     visible_segments,
 )
 from gbpd.errors import NoSolutionError, SingularParameterError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
-from gbpd.intersect import _argmax0, globally_minimal, pencil_intersections_batch, prepare_pairs
+from gbpd.intersect import (
+    _argmax0,
+    globally_minimal,
+    pencil_intersections_batch,
+    prepare_pairs,
+    two_nearest,
+)
 from gbpd.measure import _point_in_polygon
-from gbpd.tolerances import VERT_REL
+from gbpd.tolerances import DEDUP_REL, VERT_REL
 
 from test_intersect import pencil_scenes
 
@@ -69,6 +74,7 @@ from oracles import (
     arc_representative_scalar,
     bisector_frame_scalar,
     boundary_components_union_find,
+    cluster_sweep,
     full_scan_minimal,
     line_point_scalar,
     merge_params_scalar,
@@ -290,6 +296,76 @@ def test_minimality_screen_evaluates_few_distances_per_candidate(monkeypatch):
     assert counts["distances"] <= 7 * counts["candidates"]
 
 
+def test_visibility_screen_evaluates_few_distances_per_point(monkeypatch):
+    # the benchmark's dense scene (paper-random n=72, seed 42): every
+    # distance the visibility pass evaluates, over the points it screens;
+    # without the likely winner first the block scan took 28.3 per point
+    counts = {"distances": 0, "points": 0}
+    screening = False
+    lane_dist, visible_pieces, nearest = SceneArrays.lane_dist, diagram._visible_pieces, two_nearest
+
+    def counted(self, x, y, cols):
+        out = lane_dist(self, x, y, cols)
+        counts["distances"] += out.size if screening else 0
+        return out
+
+    def visible(*args):
+        nonlocal screening
+        screening = True
+        try:
+            return visible_pieces(*args)
+        finally:
+            screening = False
+
+    def screen(points, pair, arr):
+        counts["points"] += points.shape[0]
+        return nearest(points, pair, arr)
+
+    monkeypatch.setattr(SceneArrays, "lane_dist", counted)
+    monkeypatch.setattr(diagram, "_visible_pieces", visible)
+    monkeypatch.setattr(diagram, "two_nearest", screen)
+    build_diagram(random_scene("paper-random", 72, 42, WINDOW))
+    assert counts["points"] > 0
+    assert counts["distances"] <= 16 * counts["points"]
+
+
+@pytest.mark.parametrize("scene", ["merging", "dense"])
+def test_vertex_clusters_match_the_open_cluster_sweep(scene, monkeypatch):
+    # merging: the four centres on one circle give four candidates at its
+    # centre, which are one vertex of degree 4; dense: the benchmark's n=72
+    # scene, whose candidates are all apart
+    if scene == "merging":
+        centres = [(0, 0), (4, 0), (4, 4), (0, 4), (9, 1), (-3, 6)]
+        gens = [Generator(k, c, SymMat2.identity(), 0.0) for k, c in enumerate(centres)]
+    else:
+        gens = random_scene("paper-random", 72, 42, WINDOW)
+    chunks, clusters = [], []
+    candidate_chunk, collect = diagram._candidate_chunk, diagram._collect_vertices
+
+    def recorded(*args):
+        chunks.append(candidate_chunk(*args))
+        return chunks[-1]
+
+    def clustered(kept, arr, prep, pair_row, threads):
+        out = collect(kept, arr, prep, pair_row, threads)
+        # the polish replaces positions afterwards; keep the clustered ones
+        clusters.append(([g.id for g in kept], prep.length_scale,
+                         [(bits(v.pos), sorted(v.gens)) for v in out]))
+        return out
+
+    monkeypatch.setattr(diagram, "_candidate_chunk", recorded)
+    monkeypatch.setattr(diagram, "_collect_vertices", clustered)
+    build_diagram(gens)
+    ((ids, length_scale, got),) = clusters
+    cand, trip = (np.concatenate([c[k] for c in chunks]) for k in (0, 1))
+    want = cluster_sweep(cand, trip, ids, DEDUP_REL * length_scale)
+    assert got == [(bits(pos), sorted(members)) for pos, members in want]
+    if scene == "merging":
+        assert (len(cand), sorted(len(m) for _, m in got)) == (7, [3, 3, 3, 4])
+    else:
+        assert len(got) == len(cand)
+
+
 @given(st.integers(1, 9), st.integers(1, 3), st.data())
 @settings(max_examples=100, deadline=None)
 def test_lane_argmax_matches_numpy(rows, lanes, data):
@@ -338,15 +414,16 @@ def test_lane_major_pencil_matches_point_major_on_the_dense_scene():
 def test_screened_min_matches_point_major(n, skipping):
     # one generator block, a block and one column, and a few blocks; each
     # point with bounds at its minimum, on the drop threshold of the full
-    # minimum, one ulp either side of it, and well past it; with no first
-    # column, a random one (at times a skipped one) and the grid's likely
-    # winner
+    # minimum, one ulp either side of it, and well past it; with the grid's
+    # own likely winners, a random generator at each node (at times a
+    # skipped one) and the farthest one
     rng = np.random.default_rng(n)
     arr = SceneArrays(random_scene("paper-weights", n, 1000 + n, WINDOW))
     pts = rng.uniform(0.0, 400.0, size=(60, 2))
     d = arr.dist(pts)
     skip = np.sort(rng.integers(n, size=(60, 2)), axis=1) if skipping else None
-    firsts = [None, rng.integers(n, size=60), arr.likely_winners(pts[:, 0], pts[:, 1])]
+    lo, step, winner = arr.winner_grid
+    grids = [arr.winner_grid, (lo, step, rng.integers(n, size=winner.shape)), farthest_grid(arr)]
     if skipping:
         d[np.arange(60)[:, None], skip] = np.inf
     d_min = d.min(axis=1)
@@ -355,12 +432,12 @@ def test_screened_min_matches_point_major(n, skipping):
                             d_min + 1.0])
     pts, d_min = np.tile(pts, (5, 1)), np.tile(d_min, 5)
     skip = None if skip is None else np.tile(skip, (5, 1))
-    for first in firsts:
-        first = None if first is None else np.tile(first, 5)
+    for grid in grids:
+        arr.winner_grid = grid
         # n = 1 with a skip leaves no generator: d and the bounds are inf
         with np.errstate(invalid="ignore"):
-            alive, m = arr.screened_min(pts, bound, VERT_REL, skip, first)
-            want_alive, want_m = screened_min_point_major(arr, pts, bound, VERT_REL, skip, first)
+            alive, m = arr.screened_min(pts, bound, skip)
+            want_alive, want_m = screened_min_point_major(arr, pts, bound, skip)
         assert alive.tolist() == want_alive.tolist()
         assert m.tobytes() == want_m.tobytes()
         # the survivors carry the full minimum, and at least every point
@@ -405,11 +482,11 @@ def test_batched_two_nearest_matches_per_point(preset, n, seed, factor):
         idx_i += [i] * rows.shape[0]
         idx_j += [j] * rows.shape[0]
     pts = np.concatenate(pts)
-    got = _two_nearest(pts, np.array(idx_i), np.array(idx_j), arr)
+    got = two_nearest(pts, np.column_stack([idx_i, idx_j]), arr)
     ref = [bool(two_nearest_point(p, i, j, arr)) for p, i, j in zip(pts, idx_i, idx_j)]
     assert got.tolist() == ref
     # one pair for every point
-    assert _two_nearest(pts, idx_i[0], idx_j[0], arr).tolist() == [
+    assert two_nearest(pts, np.tile([idx_i[0], idx_j[0]], (len(pts), 1)), arr).tolist() == [
         bool(two_nearest_point(p, idx_i[0], idx_j[0], arr)) for p in pts
     ]
 
@@ -886,7 +963,7 @@ def test_probe_levels_match_scalar_near_singular_ends(case):
 def test_visibility_is_the_same_in_small_point_chunks(monkeypatch):
     gens = random_scene("paper-weights", 12, 8, WINDOW)
     graph = build_diagram(gens)
-    monkeypatch.setattr(diagram, "_POINT_CHUNK", 7)
+    monkeypatch.setattr(intersect, "_POINT_CHUNK", 7)
     again = build_diagram(gens)
     assert [edge_fields(e) for e in again.edges] == [edge_fields(e) for e in graph.edges]
 

@@ -184,6 +184,14 @@ def test_exit_codes_for_errors(tmp_path, capsys):
                "--out", tmp_path / "l.pgm") == 2
     assert "at a finite size" in capsys.readouterr().err
     assert not (tmp_path / "l.pgm").exists()
+    # a header-only scene -> NoSolutionError = 5, for the build and the brute raster alike
+    empty = tmp_path / "empty.csv"
+    empty.write_text("id,px,py,m11,m12,m22,w\n")
+    assert run("compute", "--input", empty, "--out", tmp_path / "x.json") == 5
+    assert run("raster", "--input", empty, "--width", 8, "--height", 8,
+               "--out", tmp_path / "l.pgm") == 5
+    assert capsys.readouterr().err.count("a scene needs at least one generator") == 2
+    assert not (tmp_path / "l.pgm").exists()
 
 
 def test_compute_threads(tmp_path):

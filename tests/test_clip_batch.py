@@ -22,6 +22,7 @@ from gbpd import oracle as goracle
 from gbpd.cli import PRESETS, random_scene
 from gbpd.clip import ClipNode, clip_to_window, flatten_pieces, piece_points
 from gbpd.diagram import build_diagram, merge_marks, ray_parameter, split_at_marks
+from gbpd.geometry import PointIndex
 from gbpd.oracle import rasterize_cells
 from gbpd.tolerances import DEDUP_REL
 
@@ -180,7 +181,7 @@ def snap_point_sets(draw):
 @settings(max_examples=150, deadline=None)
 def test_node_index_matches_scan(case):
     snap, points = case
-    index, scan = gclip._NodeIndex(snap), NodeScan(snap)
+    index, scan = PointIndex(snap), NodeScan(snap)
     got, ref = [], []
     for pos in points:
         found, expected = index.near(pos), scan.near(pos)
@@ -202,7 +203,7 @@ def node_bits(cd):
 def test_clip_nodes_match_scan(graphs, name, monkeypatch):
     graph, window = graphs[name]
     cd = clip_to_window(graph, window)
-    monkeypatch.setattr(gclip, "_NodeIndex", NodeScan)
+    monkeypatch.setattr(gclip, "PointIndex", NodeScan)
     ref = clip_to_window(graph, window)
     assert node_bits(cd) == node_bits(ref)
     assert [(p.node_a, p.node_b) for p in cd.pieces] == [(p.node_a, p.node_b) for p in ref.pieces]

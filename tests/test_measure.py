@@ -245,6 +245,20 @@ def test_empty_cell_measures_zero():
     assert abs(cell_area(1, cd).area - 16.0) <= 1e-9
 
 
+@pytest.mark.parametrize("m1", [SymMat2(2.0, 0.0, 2.0), I], ids=["nested", "identical"])
+def test_cell_owning_the_whole_plane_is_not_empty(m1):
+    # no bisector is visible, so one cell is the plane: generator 0 is
+    # nearer everywhere but at the shared centre, or generator 1 is its alias
+    graph = build_diagram([Generator(0, np.zeros(2), I, 0.0), Generator(1, np.zeros(2), m1, 0.0)])
+    assert graph.edges == [] and graph.empty_cells == {1}
+    with pytest.raises(UnboundedCellError):
+        cell_area(0, graph)
+    measures = measure_cells(clip_to_window(graph, Window(-5.0, -5.0, 5.0, 5.0)))
+    assert [measures[k].area for k in (0, 1)] == [100.0, 0.0]
+    text = diagram_to_json(graph)
+    assert diagram_to_json(diagram_from_json(text)) == text
+
+
 # ------------------------------------------------------------- invariants
 
 

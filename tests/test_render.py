@@ -98,3 +98,16 @@ def test_labels_and_marker_toggles():
     assert "<text" not in plain
     assert full.count("<text") == 4
     assert full.count("<circle") > plain.count("<circle")
+
+
+def test_generator_without_contour_is_skipped():
+    # generator 1 has 1 + w <= 0, so it has no contour to draw; the others do
+    gens = scene(n=4)
+    gens[1] = gens[1].with_weight(-2.0)
+    svg = render_svg(clip_to_window(build_diagram(gens), WIN), 500)
+    centres = re.findall(r'<ellipse [^>]*translate\(([-\d.]+) ([-\d.]+)\)', svg)
+    scale = 500 / WIN.width  # y points down
+    want = [(g.p[0] * scale, (WIN.ymax - g.p[1]) * scale) for g in gens if g.id != 1]
+    assert len(centres) == len(want)
+    for (x, y), (wx, wy) in zip(centres, want):
+        assert abs(float(x) - wx) <= 1e-3 and abs(float(y) - wy) <= 1e-3
