@@ -6,17 +6,10 @@ The construction follows six steps:
    (``bisector.bisector_table``: one stacked eigen-decomposition, curves
    parametrized and line pairs split in array form). No bisector object
    exists yet.
-2. Intersect the bisector pair (E_ij, E_ik) of every generator triple for
-   candidate vertices. Each bisector's conic is framed, scaled and given
-   its determinant and adjugate once, from the table's implicit rows
-   (``intersect.prepare_pairs``); a triple only gathers the rows of its two
-   bisectors.
-3. Keep candidates whose triple distance is the global minimum over all
-   generators (``intersect.globally_minimal``). A candidate leaves as soon
-   as its likely winner (from a grid made once per build) or a block of
-   generators proves it is not minimal, a decision the full scan would also
-   make, so the kept set is the full scan's (``SceneArrays.screened_min``).
-   The survivors cluster through a ``geometry.PointIndex``: a candidate
+2. Find the candidate vertices, the globally minimal pencil intersections
+   of the bisector pairs (E_ij, E_ik) of all generator triples, sorted by x,
+   then y (``intersect.vertex_candidates``, which holds the triple sweep).
+3. Cluster the candidates through a ``geometry.PointIndex``: a candidate
    joins the cluster of least id within the dedup radius, else starts one.
 4. Polish all vertices with Newton steps in one array pass over the
    implicit rows of their incident pairs (every pair of a vertex's
@@ -30,30 +23,18 @@ The construction follows six steps:
    inside it is split at its marks (per-component interval bookkeeping).
    A piece is kept when its representative point has the component's
    generator pair as its two nearest (``intersect.two_nearest``: the
-   screen of step 3, likely winner first, with the pair's columns
-   skipped). The representatives of all pieces come from one level loop
-   (each level one array evaluation of the pieces still unresolved; only a
-   lopsided piece at a singular end goes past the first). The graph keeps
-   the table row of each edge (row k for edge k, ``BisectorTable.take``);
-   no bisector object is built.
+   minimality screen of step 2, likely winner first, with the pair's
+   columns skipped). The representatives of all pieces come from one level
+   loop (each level one array evaluation of the pieces still unresolved;
+   only a lopsided piece at a singular end goes past the first). The graph
+   keeps the table row of each edge (row k for edge k,
+   ``BisectorTable.take``); no bisector object is built.
 6. Assemble the edge/vertex graph: ``assemble_graph`` derives adjacency,
    per-cell edge lists, per-cell boundary components and the empty cells
    from the edges, for the build and for the JSON reader alike.
 
-The triple loop is the O(n^3) heart and runs through the vectorized pencil
-kernel in the fewest chunks of at most _TRIPLE_CHUNK triples, cut to equal
-sizes so that the pool's threads get equal shares. A chunk is a range of
-ranks in the lexicographic triple order and builds its own triples from
-the O(n^2) pair arrays; no array over all C(n, 3) triples exists. The
-minimality screen takes a chunk's candidates in one pass of long array
-calls, which the pool's threads overlap. A chunk's pencil and minimality
-temporaries peak at about 0.86 KB per triple (tracemalloc, paper-random
-n=100), so the sweep holds about threads x _TRIPLE_CHUNK x 0.86 KB,
-however many triples there are. The chunk count depends on the triple
-count only. Chunks are independent and merged in rank order, so results
-are identical for any thread count. Every batched step repeats the
-operation order of its one-input form, so the diagram does not depend on
-how the work is batched.
+Every batched step repeats the operation order of its one-input form, so
+the diagram does not depend on how the work is batched.
 
 Curve bookkeeping happens on the circular alpha domain (alpha = 2 atan t),
 where an ellipse is a plain circle, a hyperbola two arcs between its
@@ -67,13 +48,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# the benchmark's span tracer patches make_bisector and param_of_point in this
-# module by name, so they stay imported though nothing here calls them
+# the benchmark's span tracer patches make_bisector, param_of_point and
+# pencil_intersections_batch here by name; nothing here calls them
 from .bisector import (  # noqa: F401
     BisectorTable,
     bisector_table,
@@ -84,7 +64,6 @@ from .bisector import (  # noqa: F401
 from .conic import (
     ConicImplicit,
     alpha_of_param,
-    conic_matrices,
     line_points,
     param_of_alpha,
     points_at_alphas,
@@ -93,17 +72,10 @@ from .conic import (
 )
 from .errors import InputError, NoSolutionError
 from .geometry import Generator, PointIndex, SceneArrays, generator_index, hypots
-from .intersect import (
-    PreparedPairs,
-    globally_minimal,
-    pencil_intersections_batch,
-    prepare_pairs,
-    two_nearest,
-)
+from .intersect import pencil_intersections_batch, two_nearest, vertex_candidates  # noqa: F401
 from .tolerances import DEDUP_REL, PARAM_MERGE
 
 TWO_PI = 2.0 * math.pi
-_TRIPLE_CHUNK = 8192
 
 
 @dataclass
@@ -247,91 +219,13 @@ def _dedup_generators(generators: list[Generator]) -> tuple[list[Generator], dic
     return kept, aliases
 
 
-class _TripleOrder:
-    """The index triples i < j < k < n in lexicographic order, built by rank range.
-
-    The pairs (j, k) of ``np.triu_indices`` are in lexicographic order, so
-    the pairs that follow a first index i are the suffix starting at the
-    first pair with j = i + 1. ``start[i]`` is the rank of the first triple
-    with first index i. Only the O(n^2) pair arrays are held; the rows of a
-    range are built when asked for.
-    """
-
-    def __init__(self, n: int):
-        self.pj, self.pk = np.triu_indices(n, 1)
-        first = np.arange(max(n - 2, 0))
-        counts = (n - 1 - first) * (n - 2 - first) // 2  # pairs (j, k) with j > i
-        self.start = np.concatenate([[0], np.cumsum(counts)])
-        self.suffix = np.cumsum(n - 1 - first)  # first pair with j = i + 1
-        self.count = int(self.start[-1])
-
-    def ranges(self, parts: int) -> list[tuple[int, int]]:
-        """``parts`` rank ranges [lo, hi) that cover the order, as
-        ``np.array_split`` cuts it: sizes differ by one at most, the longer
-        ranges first."""
-        if parts == 0:
-            return []
-        size, extra = divmod(self.count, parts)
-        bounds = np.cumsum([0] + [size + 1] * extra + [size] * (parts - extra))
-        return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """The triples of ranks lo to hi - 1, shape (hi - lo, 3), int64."""
-        rank = np.arange(lo, hi)
-        i = np.searchsorted(self.start, rank, side="right") - 1
-        pair = rank - self.start[i] + self.suffix[i]
-        return np.stack([i, self.pj[pair], self.pk[pair]], axis=1).astype(np.int64, copy=False)
-
-
-def _candidate_chunk(
-    chunk: np.ndarray,
-    prep: PreparedPairs,
-    pair_row: np.ndarray,
-    arr: SceneArrays,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex candidates for one chunk of index triples.
-
-    Returns (points (K, 2), triple indices (K, 3)) for candidates that are
-    equidistant to their triple and globally minimal.
-    """
-    ti, tj, tk = chunk[:, 0], chunk[:, 1], chunk[:, 2]
-    pts, valid = pencil_intersections_batch(pair_row[ti, tj], pair_row[ti, tk], prep)
-    slot = np.flatnonzero(valid)  # triple t, slot s at 4 t + s
-    if slot.size == 0:
-        return np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64)
-    cand = np.take(pts.reshape(-1, 2), slot, axis=0)  # (K, 2)
-    trip = np.take(chunk, slot // 4, axis=0)  # (K, 3)
-    keep = globally_minimal(cand, trip, arr)
-    return cand[keep], trip[keep]
-
-
-def _collect_vertices(
-    kept: list[Generator],
-    arr: SceneArrays,
-    prep: PreparedPairs,
-    pair_row: np.ndarray,
-    threads: int,
-) -> list[Vertex]:
-    order = _TripleOrder(len(kept))
-    # chunk sizes differ by one triple at most; a chunk builds its own triples
-    ranges = order.ranges(-(-order.count // _TRIPLE_CHUNK))
-    arr.winner_grid  # read-only state of the minimality screen, made before the pool starts
-
-    def run(r: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        return _candidate_chunk(order.rows(*r), prep, pair_row, arr)
-
-    if threads <= 1 or len(ranges) <= 1:
-        results = [run(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, ranges))
-    cand = np.concatenate([np.zeros((0, 2))] + [r[0] for r in results])
-    trip = np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [r[1] for r in results])
-    # canonical order, then cluster within the dedup radius (see step 3)
-    order = np.lexsort((cand[:, 1], cand[:, 0]))
+def _cluster_vertices(kept: list[Generator], cand: np.ndarray, trip: np.ndarray,
+                      length_scale: float) -> list[Vertex]:
+    """Vertices of the candidates (K, 2) of triples ``trip`` (K, 3) into ``kept``, in
+    order: each joins the vertex of least id within the dedup radius, else starts one."""
     vertices: list[Vertex] = []
-    index = PointIndex(DEDUP_REL * prep.length_scale)
-    for pos, (i, j, k) in zip(cand[order], trip[order]):
+    index = PointIndex(DEDUP_REL * length_scale)
+    for pos, (i, j, k) in zip(cand, trip):
         v = index.near(pos)
         if v is None:
             v = Vertex(len(vertices), pos, frozenset())
@@ -733,18 +627,14 @@ def build_diagram(generators: list[Generator], threads: int = 1) -> DiagramGraph
     kept, _ = _dedup_generators(list(generators))
     arr = SceneArrays(kept)
     length_scale = arr.scale()
-    center = (
-        0.5 * (float(arr.px.min()) + float(arr.px.max())),
-        0.5 * (float(arr.py.min()) + float(arr.py.max())),
-    )
 
     # every pairwise bisector as one table row, classified once; the kept
     # generators are in id order, so the rows are in pair order
     table = bisector_table(kept)
-    prep = prepare_pairs(conic_matrices(table.implicit), length_scale, center)
     pair_row = table.pair_rows()
 
-    vertices = _collect_vertices(kept, arr, prep, pair_row, threads)
+    cand, trip = vertex_candidates(arr, table.implicit, pair_row, threads)
+    vertices = _cluster_vertices(kept, cand, trip, length_scale)
     _polish_vertices(vertices, table, pair_row, length_scale)
     vertices.sort(key=lambda v: (v.pos[0], v.pos[1]))
     for vid, v in enumerate(vertices):

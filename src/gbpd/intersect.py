@@ -1,4 +1,4 @@
-"""Conic-conic intersection via pencil degeneration, and the two ownership tests.
+"""Conic-conic intersection by pencil degeneration, ownership tests, vertex search.
 
 Two conics C1, C2 (homogeneous symmetric 3x3 matrices) span the pencil
 C1 + lam C2. Every member passes through all intersection points, and the
@@ -26,20 +26,38 @@ triples, and works on (3, T) roots and (4, T) candidate slots from there.
 
 Both keep rules of the diagram build live here, and both ask whether some
 generators are the nearest, through one screen (``SceneArrays.screened_min``:
-each point's likely winner first, then blocks of generators).
-``globally_minimal`` keeps a candidate vertex whose three generators are the
-nearest, and ``two_nearest`` an edge piece whose two generators are the two
-nearest; each allows the slack VERT_REL (1 + |d|).
+each point's likely winner first, then blocks of generators), which drops a
+point only where the full scan would. ``globally_minimal`` keeps a candidate
+vertex whose three generators are the nearest, and ``two_nearest`` an edge
+piece whose two generators are the two nearest; each allows the slack
+VERT_REL (1 + |d|).
+
+The vertex search (``vertex_candidates``) runs the pencil on the pairs
+(E_ij, E_ik) of every generator triple i < j < k, in the frame of the
+generators' bounding-box center and ``SceneArrays.scale``, and keeps what
+``globally_minimal`` keeps. It is the O(n^3) heart of the build and runs in
+the fewest chunks of at most _TRIPLE_CHUNK triples, cut to equal sizes so
+that the pool's threads get equal shares. A chunk is a range of ranks in
+the lexicographic triple order and builds its own triples from the O(n^2)
+pair arrays; no array over all C(n, 3) triples exists. The minimality
+screen takes a chunk's candidates in one pass of long array calls, which
+the pool's threads overlap. A chunk's pencil and minimality temporaries
+peak at about 0.86 KB per triple (tracemalloc, paper-random n=100), so the
+sweep holds about threads x _TRIPLE_CHUNK x 0.86 KB, however many triples
+there are. The chunk count depends on the triple count only. Chunks are
+independent and merged in rank order, then sorted by x and y, so the result
+is identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
-from .conic import ConicImplicit
+from .conic import ConicImplicit, conic_matrices
 from .errors import InputError, OverlappingConicsError
 from .geometry import SceneArrays
 from .tolerances import DEDUP_REL, RES_REL, VERT_REL
@@ -53,6 +71,7 @@ _DISC_CLAMP = 1e-10
 # points per visibility test: its (16, 4,096) blocks are 512 KB, small enough
 # for the allocator to reuse freed memory instead of faulting in fresh pages
 _POINT_CHUNK = 4096
+_TRIPLE_CHUNK = 8192
 
 
 def _adj3(m: np.ndarray) -> np.ndarray:
@@ -430,3 +449,86 @@ def two_nearest(points: np.ndarray, pair: np.ndarray, arr: SceneArrays) -> np.nd
         ok[alive] = far[alive] <= d3 + VERT_REL * (1.0 + np.abs(d3))
         visible[lo : lo + _POINT_CHUNK] = ok
     return visible
+
+
+class _TripleOrder:
+    """The index triples i < j < k < n in lexicographic order, built by rank range.
+
+    The pairs (j, k) of ``np.triu_indices`` are in lexicographic order, so
+    the pairs that follow a first index i are the suffix starting at the
+    first pair with j = i + 1. ``start[i]`` is the rank of the first triple
+    with first index i. Only the O(n^2) pair arrays are held; the rows of a
+    range are built when asked for.
+    """
+
+    def __init__(self, n: int):
+        self.pj, self.pk = np.triu_indices(n, 1)
+        first = np.arange(max(n - 2, 0))
+        counts = (n - 1 - first) * (n - 2 - first) // 2  # pairs (j, k) with j > i
+        self.start = np.concatenate([[0], np.cumsum(counts)])
+        self.suffix = np.cumsum(n - 1 - first)  # first pair with j = i + 1
+        self.count = int(self.start[-1])
+
+    def ranges(self, parts: int) -> list[tuple[int, int]]:
+        """``parts`` rank ranges [lo, hi) that cover the order, as
+        ``np.array_split`` cuts it: sizes differ by one at most, the longer
+        ranges first."""
+        if parts == 0:
+            return []
+        size, extra = divmod(self.count, parts)
+        bounds = np.cumsum([0] + [size + 1] * extra + [size] * (parts - extra))
+        return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The triples of ranks lo to hi - 1, shape (hi - lo, 3), int64."""
+        rank = np.arange(lo, hi)
+        i = np.searchsorted(self.start, rank, side="right") - 1
+        pair = rank - self.start[i] + self.suffix[i]
+        return np.stack([i, self.pj[pair], self.pk[pair]], axis=1).astype(np.int64, copy=False)
+
+
+def _candidate_chunk(chunk: np.ndarray, prep: PreparedPairs, pair_row: np.ndarray,
+                     arr: SceneArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex candidates (points (K, 2), triples (K, 3)) of a chunk of index
+    triples (T, 3): equidistant to their triple and globally minimal."""
+    ti, tj, tk = chunk[:, 0], chunk[:, 1], chunk[:, 2]
+    pts, valid = pencil_intersections_batch(pair_row[ti, tj], pair_row[ti, tk], prep)
+    slot = np.flatnonzero(valid)  # triple t, slot s at 4 t + s
+    if slot.size == 0:
+        return np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64)
+    cand = np.take(pts.reshape(-1, 2), slot, axis=0)  # (K, 2)
+    trip = np.take(chunk, slot // 4, axis=0)  # (K, 3)
+    keep = globally_minimal(cand, trip, arr)
+    return cand[keep], trip[keep]
+
+
+def vertex_candidates(arr: SceneArrays, implicit: np.ndarray, pair_row: np.ndarray,
+                      threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kept vertex candidates of a scene, (points (K, 2), triples (K, 3)),
+    sorted by x, then y.
+
+    ``arr`` holds the generators, ``implicit`` the implicit rows of their
+    pairwise bisectors and ``pair_row[i, j]`` the row of the bisector of
+    generators i < j (``BisectorTable.pair_rows``); a triple row holds its
+    i < j < k. A pool of ``threads`` threads gives the same bits as one.
+    """
+    center = (0.5 * (float(arr.px.min()) + float(arr.px.max())),
+              0.5 * (float(arr.py.min()) + float(arr.py.max())))
+    prep = prepare_pairs(conic_matrices(implicit), arr.scale(), center)
+    order = _TripleOrder(arr.n)
+    # chunk sizes differ by one triple at most; a chunk builds its own triples
+    ranges = order.ranges(-(-order.count // _TRIPLE_CHUNK))
+    arr.winner_grid  # read-only state of the minimality screen, made before the pool starts
+
+    def run(r: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        return _candidate_chunk(order.rows(*r), prep, pair_row, arr)
+
+    if threads <= 1 or len(ranges) <= 1:
+        results = [run(r) for r in ranges]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, ranges))
+    cand = np.concatenate([np.zeros((0, 2))] + [r[0] for r in results])
+    trip = np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [r[1] for r in results])
+    by_xy = np.lexsort((cand[:, 1], cand[:, 0]))
+    return cand[by_xy], trip[by_xy]

@@ -48,7 +48,7 @@ from scipy.integrate import quad  # noqa: F401
 from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_polygons, piece_points
 from .conic import ELLIPSE_CODE, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
-from .errors import NonFiniteSegmentError, QuadratureError, UnboundedCellError
+from .errors import InputError, NonFiniteSegmentError, QuadratureError, UnboundedCellError
 from .tolerances import DEDUP_REL, QUAD_ABS
 
 _HALF_PI = 0.5 * math.pi
@@ -415,6 +415,9 @@ def _measure(g: DiagramGraph | ClippedDiagram, cells) -> dict[int, CellMeasure]:
     """CellMeasure of each cell id in ``cells``, keyed by id; every arc on
     their loops is integrated once, although it borders two cells."""
     graph = g.graph if isinstance(g, ClippedDiagram) else g
+    stray = [cell for cell in cells if cell not in graph.cell_edges]
+    if stray:
+        raise InputError(f"cell {stray[0]} names no generator")
     loops = {cell: _cell_loops(g, cell) for cell in cells}
     table = _arc_table(graph, loops.values())
     return {cell: _cell_measure(graph, cell, *loops[cell], table, strict=graph is g)
@@ -424,8 +427,8 @@ def _measure(g: DiagramGraph | ClippedDiagram, cells) -> dict[int, CellMeasure]:
 def cell_area(cell: int, g: DiagramGraph | ClippedDiagram) -> CellMeasure:
     """Full measure (area, perimeter, per-component breakdown) of one cell.
 
-    Accepts a clipped diagram, or a bare graph when the cell happens to be
-    bounded; unbounded graph cells raise UnboundedCellError.
+    Accepts a clipped diagram, or a bare graph when the cell is bounded;
+    unbounded graph cells raise UnboundedCellError, unknown ids InputError.
     """
     return _measure(g, [cell])[cell]
 

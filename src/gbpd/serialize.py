@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 
@@ -328,7 +329,10 @@ def document_to_diagram(doc: dict) -> DiagramGraph:
 
 def diagram_from_json(text: str) -> DiagramGraph:
     try:
-        doc = json.loads(text)
+        # "-0", the writer's -0.0, reads as the int 0 without the hook; the hook
+        # costs a call per integer, so it is set only where such a token is
+        neg_zero = re.search(r"-0(?![\d.eE])", text)
+        doc = json.loads(text, parse_int=neg_zero and (lambda s: -0.0 if s == "-0" else int(s)))
     except json.JSONDecodeError as exc:
         raise InputError(f"diagram JSON: {exc}") from None
     if not isinstance(doc, dict):

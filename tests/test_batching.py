@@ -51,7 +51,6 @@ from gbpd.diagram import (
     _polish_vertices,
     _recover_params,
     _split_component,
-    _TripleOrder,
     _visible_pieces,
     build_diagram,
     visible_segments,
@@ -60,6 +59,7 @@ from gbpd.errors import NoSolutionError, SingularParameterError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
 from gbpd.intersect import (
     _argmax0,
+    _TripleOrder,
     globally_minimal,
     pencil_intersections_batch,
     prepare_pairs,
@@ -290,7 +290,7 @@ def test_minimality_screen_evaluates_few_distances_per_candidate(monkeypatch):
             screening = False
 
     monkeypatch.setattr(SceneArrays, "lane_dist", counted)
-    monkeypatch.setattr(diagram, "globally_minimal", screen)
+    monkeypatch.setattr(intersect, "globally_minimal", screen)
     build_diagram(random_scene("paper-random", 72, 42, WINDOW))
     assert counts["candidates"] == 181_748
     assert counts["distances"] <= 7 * counts["candidates"]
@@ -340,21 +340,21 @@ def test_vertex_clusters_match_the_open_cluster_sweep(scene, monkeypatch):
     else:
         gens = random_scene("paper-random", 72, 42, WINDOW)
     chunks, clusters = [], []
-    candidate_chunk, collect = diagram._candidate_chunk, diagram._collect_vertices
+    candidate_chunk, cluster = intersect._candidate_chunk, diagram._cluster_vertices
 
     def recorded(*args):
         chunks.append(candidate_chunk(*args))
         return chunks[-1]
 
-    def clustered(kept, arr, prep, pair_row, threads):
-        out = collect(kept, arr, prep, pair_row, threads)
+    def clustered(kept, cand, trip, length_scale):
+        out = cluster(kept, cand, trip, length_scale)
         # the polish replaces positions afterwards; keep the clustered ones
-        clusters.append(([g.id for g in kept], prep.length_scale,
+        clusters.append(([g.id for g in kept], length_scale,
                          [(bits(v.pos), sorted(v.gens)) for v in out]))
         return out
 
-    monkeypatch.setattr(diagram, "_candidate_chunk", recorded)
-    monkeypatch.setattr(diagram, "_collect_vertices", clustered)
+    monkeypatch.setattr(intersect, "_candidate_chunk", recorded)
+    monkeypatch.setattr(diagram, "_cluster_vertices", clustered)
     build_diagram(gens)
     ((ids, length_scale, got),) = clusters
     cand, trip = (np.concatenate([c[k] for c in chunks]) for k in (0, 1))

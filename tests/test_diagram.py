@@ -11,6 +11,7 @@ import pytest
 
 from gbpd import Generator, SymMat2
 from gbpd import diagram as gdiagram
+from gbpd import intersect as gintersect
 from gbpd.cli import random_scene as preset_scene
 from gbpd.clip import clip_to_window
 from gbpd.bisector import bisector_implicit, bisector_table, param_of_point
@@ -279,7 +280,7 @@ def test_triple_chunking_does_not_change_the_diagram(monkeypatch, chunk):
     # default cuts the same 8 as 7919, so that case varies the threads alone
     gens = preset_scene("paper-random", 72, 42, Window(0.0, 0.0, 400.0, 400.0))
     reference = diagram_to_json(build_diagram(gens, threads=2))
-    monkeypatch.setattr(gdiagram, "_TRIPLE_CHUNK", chunk)
+    monkeypatch.setattr(gintersect, "_TRIPLE_CHUNK", chunk)
     for threads in (1, 2):
         assert diagram_to_json(build_diagram(gens, threads=threads)) == reference
 
@@ -288,8 +289,8 @@ def test_triple_sweep_memory_does_not_grow_with_the_triple_count(monkeypatch):
     # paper-random n=100 has 161,700 triples, 3.9 MB as one int64 array of
     # indices; in 1,024-triple chunks the whole sweep must peak below that
     window = Window(0.0, 0.0, 400.0, 400.0)
-    chunk_size = gdiagram._TRIPLE_CHUNK
-    monkeypatch.setattr(gdiagram, "_TRIPLE_CHUNK", 1024)
+    chunk_size = gintersect._TRIPLE_CHUNK
+    monkeypatch.setattr(gintersect, "_TRIPLE_CHUNK", 1024)
     # tracemalloc looks up the line of every allocation, and CPython 3.11
     # scans a function's line table for it unless the code object keeps a
     # line array, which it gets when entered under a profiler: one small
@@ -300,12 +301,12 @@ def test_triple_sweep_memory_does_not_grow_with_the_triple_count(monkeypatch):
     finally:
         sys.setprofile(None)
     peaks, per_triple = [], []
-    collect, candidates = gdiagram._collect_vertices, gdiagram._candidate_chunk
+    search, candidates = gintersect.vertex_candidates, gintersect._candidate_chunk
 
     def traced(*args):
         tracemalloc.start()
         try:
-            out = collect(*args)
+            out = search(*args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -318,21 +319,21 @@ def test_triple_sweep_memory_does_not_grow_with_the_triple_count(monkeypatch):
         per_triple.append((tracemalloc.get_traced_memory()[1] - before) / len(chunk))
         return out
 
-    monkeypatch.setattr(gdiagram, "_collect_vertices", traced)
+    monkeypatch.setattr(gdiagram, "vertex_candidates", traced)
     build_diagram(preset_scene("paper-random", 100, 42, window))
     assert len(peaks) == 1
     assert peaks[0] < 161_700 * 3 * 8
 
     # at the build's own chunk size (the dense n=72 scene makes 8 chunks),
     # every chunk's temporaries peak within 10% of the per-triple figure
-    # that the module docstring and README give
+    # that the docstring of the sweep's module and README give
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    figures = {float(k) for text in (gdiagram.__doc__, readme)
+    figures = {float(k) for text in (gintersect.__doc__, readme)
                for k in re.findall(r"about ([\d.]+) KB per triple", " ".join(text.split()))}
     assert len(figures) == 1
     documented = 1000.0 * figures.pop()
-    monkeypatch.setattr(gdiagram, "_TRIPLE_CHUNK", chunk_size)
-    monkeypatch.setattr(gdiagram, "_candidate_chunk", chunk_peak)
+    monkeypatch.setattr(gintersect, "_TRIPLE_CHUNK", chunk_size)
+    monkeypatch.setattr(gintersect, "_candidate_chunk", chunk_peak)
     build_diagram(preset_scene("paper-random", 72, 42, window))
     assert len(per_triple) == 8
     assert 0.9 * documented <= min(per_triple) and max(per_triple) <= 1.1 * documented

@@ -1,9 +1,21 @@
 """Module boundaries inside the package."""
 
 import ast
+import importlib.util
+import itertools
+import math
 from pathlib import Path
 
+import numpy as np
+
+from gbpd import diagram, intersect
+from gbpd.bisector import bisector_table
+from gbpd.cli import random_scene
+from gbpd.conic import conic_matrices
+from gbpd.geometry import SceneArrays, Window
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "gbpd"
+SPANS = SRC.parent.parent / "perfbench" / "spans.py"
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -23,6 +35,7 @@ def test_no_module_imports_another_modules_private_names():
 PATCHED_BY_NAME = {
     ("diagram.py", "make_bisector"),
     ("diagram.py", "param_of_point"),
+    ("diagram.py", "pencil_intersections_batch"),
     ("serialize.py", "make_bisector"),
     ("measure.py", "quad"),
 }
@@ -80,6 +93,39 @@ def test_patched_names_are_still_bound():
     for module, name in sorted(PATCHED_BY_NAME):
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
         assert name in _imported_names(tree), f"{module}: {name}"
+
+
+def test_span_tracer_sees_the_pooled_vertex_search(monkeypatch):
+    # perfbench/spans.py wraps library functions by module attribute; the
+    # vertex search calls the pencil through its module's global, so the
+    # wrapper counts every chunk, also on the pool's threads (four chunks
+    # of at most 64 triples here, on two threads)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, targets, attr, _ in spans.PATCHES:
+        for target in targets:
+            assert attr in vars(spans._resolve(target)), f"{target}: {attr}"
+    gens = random_scene("paper-random", 12, 42, Window(0.0, 0.0, 400.0, 400.0))
+    monkeypatch.setattr(intersect, "_TRIPLE_CHUNK", 64)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        diagram.build_diagram(gens, threads=2)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans)
+    # the kernel's valid slots over all triples, counted directly
+    arr, table = SceneArrays(gens), bisector_table(gens)
+    center = (0.5 * (arr.px.min() + arr.px.max()), 0.5 * (arr.py.min() + arr.py.max()))
+    prep = intersect.prepare_pairs(conic_matrices(table.implicit), arr.scale(), center)
+    trip = np.array(list(itertools.combinations(range(12), 3)))
+    pair_row = table.pair_rows()
+    _, valid = intersect.pencil_intersections_batch(
+        pair_row[trip[:, 0], trip[:, 1]], pair_row[trip[:, 0], trip[:, 2]], prep)
+    assert metrics["intersect.pencil.calls"] == 4
+    assert metrics["intersect.pencil.pairs"] == math.comb(12, 3)
+    assert metrics["intersect.pencil.candidates"] == int(valid.sum()) > 0
 
 
 def test_tolerances_are_constants_not_parameters():

@@ -10,7 +10,7 @@ from gbpd.cli import random_scene
 from gbpd.clip import clip_to_window, loop_polygons
 from gbpd.conic import CLASSES, ConicClass
 from gbpd.diagram import build_diagram
-from gbpd.errors import NonFiniteSegmentError, UnboundedCellError
+from gbpd.errors import InputError, NonFiniteSegmentError, UnboundedCellError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
 from gbpd.measure import cell_area, cell_perimeter, edge_arc_length, measure_cells
 from gbpd.serialize import diagram_from_json, diagram_to_json
@@ -191,6 +191,17 @@ def test_graph_cells_match_clipped_cells(preset):
                 assert len(cm.components) == len(ref.components)
                 checked += 1
     assert checked >= 10
+
+
+def test_cell_id_that_names_no_generator_raises_input_error():
+    # a bare graph said "no boundary at all", a clip gave a zero measure
+    graph = build_diagram([iso(0, 0.0, 0.0), iso(1, 4.0, 0.0), iso(2, 1.0, 3.0)])
+    clipped = clip_to_window(graph, Window(-10.0, -10.0, 10.0, 10.0))
+    for g in (graph, clipped):
+        with pytest.raises(InputError, match="cell 999 names no generator"):
+            cell_area(999, g)
+        with pytest.raises(InputError):
+            cell_perimeter(-1, g)
 
 
 def test_cell_with_ray_is_unbounded():

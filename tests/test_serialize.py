@@ -170,6 +170,17 @@ def test_infinite_parameters_written_as_strings():
     assert diagram_to_json(loaded) == text
 
 
+def test_negative_zero_survives_the_round_trip():
+    # -0.0 is written "-0", which json reads as the int 0 unless told otherwise
+    gens = [iso(0, -0.0, 1.0), iso(1, 2.0, 1.0),
+            Generator(2, np.array([1.0, 3.0]), SymMat2(1.0, 0.0, 2.0), 0.0)]
+    text = diagram_to_json(build_diagram(gens))
+    assert '"px": -0,' in text
+    loaded = diagram_from_json(text)
+    assert math.copysign(1.0, loaded.generators[0].p[0]) == -1.0
+    assert diagram_to_json(loaded) == text
+
+
 def test_file_round_trip(tmp_path):
     graph = build_diagram(mixed_scene(seed=3, n=5))
     path = tmp_path / "diagram.json"
