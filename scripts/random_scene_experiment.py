@@ -9,8 +9,12 @@ in milliseconds. The build line also gives the build's process CPU time
 faults, the triple count of the sweep and the process's peak RSS so far.
 The reload line times writing the diagram JSON, reading it back, and
 clipping and measuring the read-back graph, and says whether those
-measures equal the built graph's bit for bit. The defaults reproduce the
-148-generator, 400x400 reference run.
+measures equal the built graph's bit for bit. The query line times one
+window query on the read-back graph, as `gbpd measure` and `gbpd raster
+--analytic` run it: clip to the central 200x200 sub-window, measure its
+cells and rasterize it analytically at 200x200, each stage the best of 5
+runs in milliseconds. The defaults reproduce the 148-generator, 400x400
+reference run.
 
     python scripts/random_scene_experiment.py --n 148 --seed 42 --res 400
 """
@@ -117,6 +121,22 @@ def main() -> int:
         f"reload: to_json {t_write:.3f}s ({len(text)} bytes), from_json {t_read:.3f}s, "
         f"clip+measure {t_query:.3f}s, measures {'bit-identical' if same else 'DIFFER'}"
     )
+
+    sub = Window(100.0, 100.0, 300.0, 300.0)
+    best = {}
+    for _ in range(5):
+        t0 = time.perf_counter()
+        sub_cd = clip_to_window(loaded, sub)
+        t1 = time.perf_counter()
+        measure_cells(sub_cd)
+        t2 = time.perf_counter()
+        rasterize_cells(sub_cd, 200, 200)
+        t3 = time.perf_counter()
+        for stage, t in (("clip", t1 - t0), ("measure", t2 - t1), ("raster", t3 - t2)):
+            best[stage] = min(best.get(stage, t), t)
+    print(f"query: 200x200 sub-window, clip {1e3 * best['clip']:.2f} ms, "
+          f"measure {1e3 * best['measure']:.2f} ms, analytic raster {1e3 * best['raster']:.2f} ms "
+          f"at 200x200, {len(sub_cd.pieces)} pieces")
 
     if args.outdir:
         out = Path(args.outdir)

@@ -187,35 +187,48 @@ def loop_polygons(lines, loops) -> list[np.ndarray]:
     ]
 
 
-def _piece_rows(graph: DiagramGraph, pieces, param: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y, vx, vy) rows (N, 4) of arc and segment pieces at ``param`` (alpha
-    for an arc, t for a segment, whose velocity is its line's direction), and
-    the mask of rows at a singular parameter; one ``points_at_alphas`` call
-    evaluates the arcs and one ``line_points`` call the segments."""
-    out = np.empty((len(pieces), 4))
-    singular = np.zeros(len(pieces), dtype=bool)
-    arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
-    segments = [k for k, p in enumerate(pieces) if p.kind != "arc"]
+def _piece_rows(graph: DiagramGraph, rows: np.ndarray, lines: np.ndarray,
+                param: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y, vx, vy) rows (N, 4) at ``param`` of pieces on the bisector table
+    rows ``rows`` (edge ids), and the mask of rows at a singular parameter.
+    Piece k is an arc where ``lines[k]`` is -1 (``param`` an alpha), else a
+    segment on line ``lines[k]`` of its row (``param`` a line parameter, the
+    velocity the line's direction). One ``points_at_alphas`` call evaluates
+    the arcs and one ``line_points`` call the segments."""
+    out = np.empty((len(rows), 4))
+    singular = np.zeros(len(rows), dtype=bool)
+    arcs, segments = np.flatnonzero(lines < 0), np.flatnonzero(lines >= 0)
     table = graph.table
-    if arcs:
-        rows = [pieces[k].edge_id for k in arcs]
-        *xyv, singular[arcs] = points_at_alphas(table.chart[rows], table.u_scale[rows],
-                                                param[arcs])
+    if arcs.size:
+        at = rows[arcs]
+        *xyv, singular[arcs] = points_at_alphas(table.chart[at], table.u_scale[at], param[arcs])
         out[arcs] = np.column_stack(xyv)
-    if segments:
-        rows = table.lines[[pieces[k].edge_id for k in segments],
-                           [pieces[k].line_index for k in segments]]
-        out[segments, :2] = line_points(rows, param[segments])
-        out[segments, 2], out[segments, 3] = -rows[:, 1], rows[:, 0]
+    if segments.size:
+        coef = table.lines[rows[segments], lines[segments]]
+        out[segments, :2] = line_points(coef, param[segments])
+        out[segments, 2], out[segments, 3] = -coef[:, 1], coef[:, 0]
     return out, singular
+
+
+def _table_rows(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_piece_rows`` table rows and line indices of arc and segment pieces."""
+    return (np.array([p.edge_id for p in pieces], dtype=np.intp),
+            np.array([-1 if p.kind == "arc" else p.line_index for p in pieces], dtype=np.intp))
 
 
 def _regular_rows(graph: DiagramGraph, pieces, param: np.ndarray) -> np.ndarray:
     """``_piece_rows`` of pieces that must not meet a singular parameter; one that does raises."""
-    rows, singular = _piece_rows(graph, pieces, param)
+    rows, singular = _piece_rows(graph, *_table_rows(pieces), param)
     if singular.any():
         raise SingularParameterError(f"alpha={param[singular][0]} lies on the line at infinity")
     return rows
+
+
+def _inside(graph: DiagramGraph, rows, lines, param, margin, window: Window) -> np.ndarray:
+    """Mask of the pieces (as ``_piece_rows`` takes them) whose point at
+    ``param`` is regular and inside the window by ``margin``."""
+    xy, singular = _piece_rows(graph, rows, lines, param)
+    return ~singular & window.contains(xy[:, :2], margin)
 
 
 def _boundary_s(window: Window, pos: np.ndarray, side: int) -> float:
@@ -305,7 +318,14 @@ def _line_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
 
 
 def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
-    """Cut the diagram against a window and assemble closed cell loops."""
+    """Cut the diagram against a window and assemble closed cell loops.
+
+    The vertices inside the window are found in one ``Window.contains``
+    test. An edge without a window crossing yields at most one candidate
+    piece; the candidates of all such edges are tested against the window
+    in one batch (``_edges_to_cut``), and only the edges whose candidate
+    may lie inside, and the edges with crossings, are cut one by one.
+    """
     snap = DEDUP_REL * window.diagonal
     # pieces must be strictly interior: a bisector running along the border
     # itself separates nothing inside the window (ownership ties on the
@@ -319,14 +339,15 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
         nodes.append(ClipNode(k, pos, "corner", _boundary_s(window, pos, k)))
     corners = PointIndex(snap, nodes)
     vertex_node: dict[int, int] = {}
-    for v in graph.vertices:
-        if window.contains(v.pos):
-            # a vertex within snap of a corner is that corner, as are the crossings beside it
-            nd = corners.near(np.array(v.pos))
-            if nd is None:
-                nd = ClipNode(len(nodes), np.array(v.pos), "vertex")
-                nodes.append(nd)
-            vertex_node[v.id] = nd.id
+    inside = window.contains(np.reshape([v.pos for v in graph.vertices], (-1, 2)))
+    for k in np.flatnonzero(inside).tolist():
+        v = graph.vertices[k]
+        # a vertex within snap of a corner is that corner, as are the crossings beside it
+        nd = corners.near(np.array(v.pos))
+        if nd is None:
+            nd = ClipNode(len(nodes), np.array(v.pos), "vertex")
+            nodes.append(nd)
+        vertex_node[v.id] = nd.id
     index = PointIndex(snap, nodes)
 
     def crossing_node(pos: np.ndarray, side: int) -> int:
@@ -354,7 +375,7 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
                           None, None, None, None)
         candidates.append((piece, test, margin))
 
-    for e in graph.edges:
+    for e in _edges_to_cut(graph, crossings, window, snap, strict, arc_gap):
         found = crossings[e.id]
         ends = tuple(vertex_node.get(v) if v is not None else None for v in e.endpoints)
         if e.is_curve():
@@ -416,19 +437,49 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     return ClippedDiagram(window, graph, nodes, pieces, cells)
 
 
+def _edges_to_cut(graph: DiagramGraph, crossings, window: Window, snap: float, strict: float,
+                  arc_gap: float) -> list:
+    """The edges, in order, that may keep a piece in the window.
+
+    An edge with a window crossing may. An edge without one has at most one
+    candidate piece, the one ``clip_to_window`` would make from it: a closed
+    loop tested at its mid-alpha with margin 0, or its whole interval, if
+    longer than the merge gap and finite, tested at its middle with margin
+    ``strict``. All of those candidates are tested in one ``_inside`` call,
+    and an edge whose candidate is outside, or that has none, is left out.
+    """
+    edges = graph.edges
+    free = [e for e in edges if not crossings[e.id]]
+    a0, a1 = np.array([(e.a0, e.a1) for e in free], dtype=float).reshape(-1, 2).T
+    lines = np.array([-1 if e.line_index is None else e.line_index for e in free], dtype=np.intp)
+    loop = np.array([e.is_loop() for e in free], dtype=bool)
+    # the arithmetic of the per-edge candidates: an open arc runs from
+    # a0 + 0 to a0 + span, a segment from a0 to a1 (infinite on a ray)
+    with np.errstate(invalid="ignore"):
+        span = a1 - a0
+        lo = np.where(lines < 0, a0 + 0.0, a0)
+        hi = np.where(lines < 0, a0 + span, a1)
+        test = np.where(loop, a0 + 0.5 * span, 0.5 * (lo + hi))
+    exists = loop | np.where(lines < 0, span > arc_gap,
+                             (span > snap) & np.isfinite(a0) & np.isfinite(a1))
+    probe = np.flatnonzero(exists)
+    inside = np.zeros(len(free), dtype=bool)
+    inside[probe] = _inside(graph, np.array([free[k].id for k in probe], dtype=np.intp),
+                            lines[probe], test[probe], np.where(loop, 0.0, strict)[probe], window)
+    dropped = {e.id for e, keep in zip(free, inside.tolist()) if not keep}
+    return [e for e in edges if e.id not in dropped]
+
+
 def _kept_pieces(graph: DiagramGraph, candidates, window: Window) -> list[ClipPiece]:
     """The candidate pieces that lie inside the window, numbered in order.
 
     A piece is kept when the point at its test parameter is regular and
-    inside the window by its margin; a kept piece then gets its end points
-    (``_set_ends``). All test points come from one ``_piece_rows`` call.
+    inside the window by its margin (``_inside``, one call for all
+    candidates); a kept piece then gets its end points (``_set_ends``).
     """
-    rows, singular = _piece_rows(graph, [piece for piece, _, _ in candidates],
-                                 np.array([t for _, t, _ in candidates]))
-    x, y = rows[:, 0], rows[:, 1]
-    m = np.array([margin for _, _, margin in candidates])
-    inside = (~singular & (window.xmin + m <= x) & (x <= window.xmax - m)
-              & (window.ymin + m <= y) & (y <= window.ymax - m)).tolist()
+    inside = _inside(graph, *_table_rows([piece for piece, _, _ in candidates]),
+                     np.array([t for _, t, _ in candidates]),
+                     np.array([margin for _, _, margin in candidates]), window).tolist()
     pieces = [piece for (piece, _, _), keep in zip(candidates, inside) if keep]
     _set_ends(graph, pieces)
     for k, piece in enumerate(pieces):

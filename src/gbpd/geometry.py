@@ -310,11 +310,12 @@ class Window:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, q, margin: float = 0.0) -> bool:
-        return (
-            self.xmin + margin <= q[0] <= self.xmax - margin
-            and self.ymin + margin <= q[1] <= self.ymax - margin
-        )
+    def contains(self, q, margin=0.0):
+        """Whether the point q (x, y) lies inside the window by ``margin``;
+        for points (..., 2) and margins broadcasting to (...), a mask."""
+        x, y = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+        return ((self.xmin + margin <= x) & (x <= self.xmax - margin)
+                & (self.ymin + margin <= y) & (y <= self.ymax - margin))
 
     def corners(self) -> np.ndarray:
         """Counterclockwise corner list starting at (xmin, ymin)."""

@@ -90,6 +90,9 @@ _GK_WG0 = 0.417959183673469387755102040816327
 _GK_X = np.array([-x for x in _GK_XP] + [0.0] + list(reversed(_GK_XP)))
 _GK_WK = (*_GK_WKP, _GK_WK0, *reversed(_GK_WKP))
 _GK_WG = (*_GK_WGP, _GK_WG0, *reversed(_GK_WGP))
+# weights of the stacked node sums of `_gk15`: the floor term, then the
+# Kronrod and |f| sums of both integrands, then their Gauss sums
+_GK_W7 = np.array([_GK_WK] * 5 + [_GK_WG] * 2)
 _EPS = np.finfo(float).eps
 
 # an arc that still misses its error target when one of its pieces has been
@@ -99,64 +102,48 @@ _MAX_DEPTH = 30
 _MAX_PIECES = 200
 
 
-def _chart_breaks(a0: float, a1: float) -> list[float]:
-    """Chart-switch angles (alpha = pi/2 mod pi) strictly inside (a0, a1)."""
-    out = []
-    k = math.ceil((a0 - _HALF_PI) / math.pi)
-    c = _HALF_PI + k * math.pi
-    while c < a1:
-        if c > a0:
-            out.append(c)
-        k += 1
-        c = _HALF_PI + k * math.pi
-    return out
+def _gk15(coef, u_scale, origin, lo, hi) -> np.ndarray:
+    """Kronrod values, QUADPACK error estimates and rounding floor of the M
+    intervals [lo, hi], as rows (M, 5): area and speed values, their
+    estimates, and the floor of the area integral. The area integrand is
+    taken about ``origin`` (M, 2), and ``coef`` holds the chart rows already
+    shifted to it (x^ - o_x u^ and y^ - o_y u^).
 
+    The shifted chart rows' rounding, over u^, puts eps |o| cond on x and y
+    (cond from ``eval_alpha_batch``), so the area integrand (x y' - y x') / 2
+    carries eps cond (|o_x y'| + |o_y x'|) / 2 of noise that no halving
+    removes. The floor is 50 times its integral, as QUADPACK floors an
+    estimate at 50 eps times the integral of |f|.
 
-def _node_sum(f: np.ndarray, w) -> np.ndarray:
-    # column by column, so each row's sum is the same whatever the batch
-    acc = w[0] * f[:, 0]
-    for k in range(1, 15):
-        acc = acc + w[k] * f[:, k]
-    return acc
-
-
-def _gk15(coef, u_scale, origin, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kronrod values (M, 2) and QUADPACK error estimates (M, 2) of the
-    area integrand about ``origin`` (M, 2) and of the speed, over the
-    intervals [lo, hi] of the M rows, and the rounding floor (M,) of the
-    area integral.
-
-    The chart rows shifted to the origin o are x^ - o_x u^ and y^ - o_y u^,
-    whose values near the arc cancel terms of about |o| times those of u^.
-    Their rounding, over u^, puts eps |o| cond on x and y (cond from
-    ``eval_alpha_batch``), so the area integrand (x y' - y x') / 2 carries
-    eps cond (|o_x y'| + |o_y x'|) / 2 of noise that no halving removes.
-    The floor is 50 times its integral, as QUADPACK floors an estimate at
-    50 eps times the integral of |f|.
+    The seven node sums that need only the integrands (the floor term, and
+    the Kronrod, |f| and Gauss sums of both integrands) are one
+    ``_column_sums`` pass over a stacked (7, M, 15) array, and the two
+    residual sums that need the Kronrod values a second (2, M, 15) pass.
     """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     scale = np.abs(half)
-    # the chart rows x^ - o_x u^ and y^ - o_y u^ give the point relative to
-    # the origin directly; subtracting after the division would leave the
-    # velocity (dx u - x du) to cancel where x is far larger than x - o_x
-    coef = coef.copy()
-    coef[:, :, :2] -= origin[:, None, :, None] * coef[:, :, 2:3]
     x, y, vx, vy, cond = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * _GK_X)
-    res = np.empty((lo.size, 2))
-    err = np.empty((lo.size, 2))
+    f = np.stack([0.5 * (x * vy - y * vx), np.hypot(vx, vy)])
     shifted = 0.5 * cond * (np.abs(origin[:, 0:1] * vy) + np.abs(origin[:, 1:2] * vx))
-    floor = 50.0 * _EPS * _node_sum(shifted, _GK_WK) * scale
-    for j, f in enumerate((0.5 * (x * vy - y * vx), np.hypot(vx, vy))):
-        resk = _node_sum(f, _GK_WK)
-        resabs = _node_sum(np.abs(f), _GK_WK) * scale
-        resasc = _node_sum(np.abs(f - 0.5 * resk[:, None]), _GK_WK) * scale
-        e = np.abs(resk - _node_sum(f, _GK_WG)) * scale
-        nz = (resasc != 0.0) & (e != 0.0)
-        e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
-        res[:, j] = resk * half
-        err[:, j] = np.maximum(e, 50.0 * _EPS * resabs)
-    return res, err, floor
+    sums = _column_sums(np.stack([shifted, *f, *np.abs(f), *f]), _GK_W7)
+    rnd, resk, resabs, resg = sums[0], sums[1:3], sums[3:5], sums[5:]
+    resasc = _column_sums(np.abs(f - 0.5 * resk[:, :, None]), _GK_W7[1:3]) * scale
+    resabs *= scale
+    e = np.abs(resk - resg) * scale
+    nz = (resasc != 0.0) & (e != 0.0)
+    e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
+    return np.column_stack([*(resk * half), *np.maximum(e, 50.0 * _EPS * resabs),
+                            50.0 * _EPS * rnd * scale])
+
+
+def _column_sums(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sums (S, M) of the node values f (S, M, 15) with the weights w (S, 15),
+    column by column, so each row's sum is the same whatever the batch."""
+    acc = w[:, 0, None] * f[:, :, 0]
+    for k in range(1, 15):
+        acc = acc + w[:, k, None] * f[:, :, k]
+    return acc
 
 
 def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
@@ -169,59 +156,85 @@ def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
     shifted back by m x (end - start) / 2. Its length is the integral of the
     speed. Both integrands are evaluated from chart rows shifted to m, so
     neither loses digits to cancellation where the arc is far from the
-    origin. Each arc is cut at the chart breaks, and every round evaluates
-    all new pieces in one array pass of the Gauss-Kronrod 7-15 rule. An arc
-    is done once the summed error estimates of its pieces meet max(QUAD_ABS,
-    1e-12 |I|) for both integrals, the area's target raised to the summed
-    rounding floor of its pieces where that is larger (far out, with a chord
-    pointing nearly at the origin, the area about m is below the rounding of
-    its integrand); until then its pieces whose estimate exceeds an equal
-    share of that target (and always its worst piece) are halved. Decisions
-    and sums are per arc, so an arc's result does not depend on the rest of
-    the batch. An arc that would need a piece halved more than _MAX_DEPTH
-    times, or more than _MAX_PIECES pieces, raises QuadratureError.
+    origin. An arc is done once the summed error estimates of its pieces
+    meet max(QUAD_ABS, 1e-12 |I|) for both integrals, the area's target
+    raised to the summed rounding floor of its pieces where that is larger
+    (far out, with a chord pointing nearly at the origin, the area about m
+    is below the rounding of its integrand); until then its pieces whose
+    estimate exceeds an equal share of that target (and always its worst
+    piece) are halved. Decisions and sums are per arc, so an arc's result
+    does not depend on the rest of the batch. An arc that would need a
+    piece halved more than _MAX_DEPTH times, or more than _MAX_PIECES
+    pieces, raises QuadratureError.
+
+    The arcs are cut at their chart breaks (alpha = pi/2 + k pi strictly
+    inside (a0, a1)) in one array pass. The open pieces are one float table
+    (lo, hi, two values, two estimates, floor) and one int table (arc,
+    depth), grouped by arc in alpha order. A round evaluates the pieces just
+    made in one pass of the Gauss-Kronrod 7-15 rule, sums them per arc, then
+    drops the pieces of finished arcs in one filter and halves the pieces to
+    split in one repeat.
     """
     coef, u_scale = np.asarray(coef, dtype=float), np.asarray(u_scale, dtype=float)
     n = u_scale.size
     out = np.zeros((n, 2))
     if n == 0:
         return out[:, 0], out[:, 1]
-    ends = np.stack([np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)], axis=1)
+    a0, a1 = np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
+    ends = np.stack([a0, a1], axis=1)
     # the area is integrated about the arc's mid-alpha point m; the shift
     # back to the coordinate origin is m x (end - start) / 2
     px, py, *_ = eval_alpha_batch(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
     origin = np.stack([px[:, 2], py[:, 2]], axis=1)
     shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
-    arc, lo, hi = [], [], []
-    for k in range(n):
-        cuts = [ends[k, 0], *_chart_breaks(ends[k, 0], ends[k, 1]), ends[k, 1]]
-        arc += [k] * (len(cuts) - 1)
-        lo += cuts[:-1]
-        hi += cuts[1:]
-    arc, lo, hi = np.array(arc), np.array(lo), np.array(hi)
-    depth = np.zeros(arc.size, dtype=int)
-    res, err, rnd = _gk15(coef[arc], u_scale[arc], origin[arc], lo, hi)
+    # chart rows relative to m: x^ - m_x u^ and y^ - m_y u^ give the point
+    # relative to m directly; subtracting after the division would leave the
+    # velocity (dx u - x du) to cancel where x is far larger than x - m_x
+    coef = coef.copy()
+    coef[:, :, :2] -= origin[:, None, :, None] * coef[:, :, 2:3]
+    # try j of arc k is pi/2 + (k0 + j) pi, k0 = ceil((a0 - pi/2) / pi);
+    # floor(span / pi) + 2 tries reach every break before a1
+    k0 = np.ceil((a0 - _HALF_PI) / np.pi)
+    tries = np.maximum(np.floor((a1 - a0) / np.pi) + 2, 0).astype(np.intp)
+    of = np.repeat(np.arange(n), tries)
+    j = np.arange(of.size) - np.repeat(np.cumsum(tries) - tries, tries)
+    cut = _HALF_PI + (k0[of] + j) * np.pi
+    inner = (cut > a0[of]) & (cut < a1[of])
+    # arc k's pieces run from a0 through its breaks to a1
+    per_arc = np.bincount(of[inner], None, n) + 1
+    start = np.cumsum(per_arc) - per_arc
+    arc = np.repeat(np.arange(n), per_arc)
+    joint = np.flatnonzero(arc[1:] == arc[:-1])  # pieces that end on a break
+    table = np.empty((arc.size, 7))  # lo, hi, area, length, area est, length est, floor
+    table[start, 0] = a0
+    table[start + per_arc - 1, 1] = a1
+    table[joint, 1] = table[joint + 1, 0] = cut[inner]
+    ints = np.column_stack([arc, np.zeros_like(arc)])  # arc, depth
+    table[:, 2:] = _gk15(coef[arc], u_scale[arc], origin[arc], table[:, 0], table[:, 1])
     while True:
+        arc = ints[:, 0]
         # bincount adds each arc's pieces in array order, which is alpha order
-        tot = np.stack([np.bincount(arc, res[:, j], n) for j in (0, 1)], axis=1)
+        sums = np.stack([np.bincount(arc, table[:, j], n) for j in range(2, 7)], axis=1)
+        tot, est = sums[:, :2], sums[:, 2:4]
         tot[:, 0] += shift
-        est = np.stack([np.bincount(arc, err[:, j], n) for j in (0, 1)], axis=1)
         target = np.maximum(QUAD_ABS, 1e-12 * np.abs(tot))
         # no halving lowers an area estimate below the rounding of its integrand
-        target[:, 0] = np.maximum(target[:, 0], np.bincount(arc, rnd, n))
+        target[:, 0] = np.maximum(target[:, 0], sums[:, 4])
         short = est > target
-        live = np.unique(arc)
+        live = np.flatnonzero(np.bincount(arc, None, n) > 0)
         fin = live[~short[live].any(axis=1)]
         out[fin] = tot[fin]
         if fin.size == live.size:
             return out[:, 0], out[:, 1]
         keep = short[arc].any(axis=1)
-        arc, lo, hi, depth, res, err, rnd = (v[keep] for v in (arc, lo, hi, depth, res, err, rnd))
+        table, ints = table[keep], ints[keep]
+        arc, depth, err = ints[:, 0], ints[:, 1], table[:, 4:6]
         count = np.bincount(arc, None, n)
-        worst = np.zeros((n, 2))
-        np.maximum.at(worst, arc, err)
+        # the worst estimates of each arc, over its run of pieces
+        runs = count[count > 0]
+        worst = np.repeat(np.maximum.reduceat(err, np.cumsum(runs) - runs, axis=0), runs, axis=0)
         share = (target / np.maximum(count, 1)[:, None])[arc]
-        split = (short[arc] & ((err > share) | (err == worst[arc]))).any(axis=1)
+        split = (short[arc] & ((err > share) | (err == worst))).any(axis=1)
         pieces = count + np.bincount(arc, split, n)
         over = split & ((depth >= _MAX_DEPTH) | (pieces[arc] > _MAX_PIECES))
         if over.any():
@@ -233,18 +246,16 @@ def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
             )
         # each split piece becomes its two halves, in place
         rep = np.where(split, 2, 1)
-        arc, lo, hi, depth, res, err, rnd = (np.repeat(v, rep, axis=0)
-                                             for v in (arc, lo, hi, depth, res, err, rnd))
-        first = np.repeat(split, rep)
-        first[first] = np.tile([True, False], int(split.sum()))
-        second = np.roll(first, 1)
-        mid = 0.5 * (lo[first] + hi[first])
-        hi[first] = mid
-        lo[second] = mid
-        fresh = first | second
-        depth[fresh] += 1
-        res[fresh], err[fresh], rnd[fresh] = _gk15(coef[arc[fresh]], u_scale[arc[fresh]],
-                                                   origin[arc[fresh]], lo[fresh], hi[fresh])
+        table, ints = np.repeat(table, rep, axis=0), np.repeat(ints, rep, axis=0)
+        first = np.flatnonzero(split) + np.arange(int(split.sum()))
+        mid = 0.5 * (table[first, 0] + table[first, 1])
+        table[first, 1] = mid
+        table[first + 1, 0] = mid
+        fresh = np.concatenate([first, first + 1])
+        ints[fresh, 1] += 1
+        of = ints[fresh, 0]
+        table[fresh, 2:] = _gk15(coef[of], u_scale[of], origin[of], table[fresh, 0],
+                                 table[fresh, 1])
 
 
 # -------------------------------------------------------------- edge length

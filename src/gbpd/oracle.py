@@ -27,6 +27,8 @@ from .geometry import SceneArrays, Window
 
 # distance entries (pixels x generators) per block of rasterize
 _DIST_CHUNK = 1 << 19
+# pixels per block of rasterize_cells' event image
+_FILL_CHUNK = 1 << 18
 
 
 @dataclass
@@ -97,6 +99,13 @@ def rasterize_cells(cd: ClippedDiagram, width: int, height: int) -> LabelImage:
     strictly left of its center. The left window border crosses every row
     at x = xmin with the window's cell to its east, so every pixel gets a
     label; -1 would mark a pixel with no crossing to its left.
+
+    The crossings are sorted by row, then x. Each one marks the first pixel
+    center strictly right of it; the last crossing to mark a pixel writes
+    its rank there in an event image, and a running maximum along each row
+    carries the latest rank to every pixel until the next mark. The event
+    image is filled in blocks of rows, at most _FILL_CHUNK pixels each, so
+    the memory it adds stays bounded at any raster size.
     """
     origin, px = _image_frame(cd.window, width, height)
     ids = tuple(sorted(g.id for g in cd.graph.generators))
@@ -117,12 +126,24 @@ def rasterize_cells(cd: ClippedDiagram, width: int, height: int) -> LabelImage:
     y, sa, sb = ys[row], a[seg], b[seg]
     xc = sa[:, 0] + (y - sa[:, 1]) * (sb[:, 0] - sa[:, 0]) / (sb[:, 1] - sa[:, 1])
     order = np.lexsort((xc, row))
-    xc, east, row = xc[order], east[seg[order]], row[order]
-    bounds = np.searchsorted(row, np.arange(height + 1))
+    xc, row = xc[order], row[order]
+    # rank k + 1 names crossing k in sorted order, 0 no crossing
+    lookup = np.concatenate([[-1], east[seg[order]]]).astype(np.int32)
+    # the first pixel center strictly right of each crossing; of the crossings
+    # that mark one pixel, the last in sorted order marks it
+    col = np.searchsorted(xs, xc, side="right")
+    mark = np.append((row[1:] != row[:-1]) | (col[1:] != col[:-1]), True) & (col < width)
+    rank = np.flatnonzero(mark)
+    row, col = row[rank], col[rank]
     labels = np.empty((height, width), dtype=np.int32)
-    for iy in range(height):
-        k = bounds[iy] + np.searchsorted(xc[bounds[iy]:bounds[iy + 1]], xs)
-        labels[iy] = np.where(k > bounds[iy], east[k - 1], -1)
+    step = max(1, _FILL_CHUNK // width)
+    starts = np.arange(0, height, step)
+    bounds = np.searchsorted(row, np.append(starts, height))
+    for y0, k0, k1 in zip(starts.tolist(), bounds[:-1], bounds[1:]):
+        event = np.zeros((min(step, height - y0), width), dtype=np.int32)
+        event[row[k0:k1] - y0, col[k0:k1]] = rank[k0:k1] + 1
+        np.maximum.accumulate(event, axis=1, out=event)
+        labels[y0:y0 + step] = lookup[event]
     return LabelImage(width, height, origin, px, labels, ids)
 
 

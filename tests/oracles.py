@@ -15,13 +15,17 @@ import numpy as np
 from scipy import ndimage
 from scipy.integrate import quad
 
-from gbpd.clip import flatten_pieces, loop_polygons
-from gbpd.conic import (ConicImplicit, alpha_of_param, line_points, param_of_alpha,
-                        points_at_alphas, wrap_angle)
-from gbpd.errors import SingularParameterError
+from gbpd import clip as gclip
+from gbpd import measure as gmeasure
+from gbpd.clip import ClipNode, ClipPiece, ClippedDiagram, flatten_pieces, loop_polygons
+from gbpd.conic import (ConicImplicit, alpha_of_param, eval_alpha_batch, line_points,
+                        param_of_alpha, points_at_alphas, wrap_angle)
+from gbpd.diagram import merge_marks, split_at_marks
+from gbpd.errors import QuadratureError, SingularParameterError
 from gbpd.geometry import _GEN_BLOCK as GEN_BLOCK
+from gbpd.geometry import PointIndex, SceneArrays
 from gbpd.intersect import _DET_REL as DET_REL, _DISC_CLAMP as DISC_CLAMP
-from gbpd.oracle import LabelImage
+from gbpd.oracle import LabelImage, _image_frame
 from gbpd.tolerances import (CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_ABS, RANK_REL,
                              RES_REL, VERT_REL)
 
@@ -1096,6 +1100,265 @@ def rasterize_cells_per_cell(cd, width, height, counts=None):
         _, (ii, jj) = ndimage.distance_transform_edt(missing, return_indices=True)
         labels = labels[ii, jj]
     return LabelImage(width, height, origin, px, labels, ids)
+
+
+# ------------------------------------------------- per-row scanline raster
+#
+# The analytic raster fills every row in one accumulate pass over an event
+# image. This is the per-row form it replaced, which must give the same
+# labels: one searchsorted of the pixel centres into each row's sorted
+# crossings.
+
+
+def rasterize_cells_per_row(cd, width, height):
+    """Label image of the clipped diagram cd, one row at a time: a pixel takes
+    the east cell of the last crossing of its row strictly left of its centre."""
+    origin, px = _image_frame(cd.window, width, height)
+    ids = tuple(sorted(g.id for g in cd.graph.generators))
+    xs = origin[0] + (np.arange(width) + 0.5) * px
+    ys = origin[1] + (np.arange(height) + 0.5) * px
+    lines = flatten_pieces(cd.graph, cd.pieces, px / 20.0)
+    a = np.concatenate([ln[:-1] for ln in lines])
+    b = np.concatenate([ln[1:] for ln in lines])
+    sides = np.repeat([(p.left, -1 if p.right is None else p.right) for p in cd.pieces],
+                      [len(ln) - 1 for ln in lines], axis=0)
+    east = np.where(b[:, 1] > a[:, 1], sides[:, 1], sides[:, 0])
+    r0 = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]))
+    r1 = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1]))
+    seg = np.repeat(np.arange(len(a)), r1 - r0)
+    row = np.arange(seg.size) - np.repeat(np.cumsum(r1 - r0) - r1, r1 - r0)
+    y, sa, sb = ys[row], a[seg], b[seg]
+    xc = sa[:, 0] + (y - sa[:, 1]) * (sb[:, 0] - sa[:, 0]) / (sb[:, 1] - sa[:, 1])
+    order = np.lexsort((xc, row))
+    xc, east, row = xc[order], east[seg[order]], row[order]
+    bounds = np.searchsorted(row, np.arange(height + 1))
+    labels = np.empty((height, width), dtype=np.int32)
+    for iy in range(height):
+        k = bounds[iy] + np.searchsorted(xc[bounds[iy]:bounds[iy + 1]], xs)
+        labels[iy] = np.where(k > bounds[iy], east[k - 1], -1)
+    return LabelImage(width, height, origin, px, labels, ids)
+
+
+# ------------------------------------------------- quadrature rounds
+#
+# The arc-measure kernel keeps its open pieces as one packed table and takes
+# the node sums of a round in stacked passes. This is the round loop it
+# replaced, which must give the same bits and the same QuadratureError: the
+# arcs cut at their chart breaks one by one, seven filtered and repeated
+# piece arrays, and one column pass per node sum. The caps are read from
+# gbpd.measure when the loop runs, so a test that patches them patches both.
+
+
+def _chart_breaks(a0, a1):
+    out = []
+    k = math.ceil((a0 - 0.5 * math.pi) / math.pi)
+    c = 0.5 * math.pi + k * math.pi
+    while c < a1:
+        if c > a0:
+            out.append(c)
+        k += 1
+        c = 0.5 * math.pi + k * math.pi
+    return out
+
+
+def _node_sum(f, w):
+    acc = w[0] * f[:, 0]
+    for k in range(1, 15):
+        acc = acc + w[k] * f[:, k]
+    return acc
+
+
+def _gk15_columns(coef, u_scale, origin, lo, hi):
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    scale = np.abs(half)
+    coef = coef.copy()
+    coef[:, :, :2] -= origin[:, None, :, None] * coef[:, :, 2:3]
+    x, y, vx, vy, cond = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * gmeasure._GK_X)
+    res = np.empty((lo.size, 2))
+    err = np.empty((lo.size, 2))
+    eps = np.finfo(float).eps
+    wk, wg = gmeasure._GK_WK, gmeasure._GK_WG
+    shifted = 0.5 * cond * (np.abs(origin[:, 0:1] * vy) + np.abs(origin[:, 1:2] * vx))
+    floor = 50.0 * eps * _node_sum(shifted, wk) * scale
+    for j, f in enumerate((0.5 * (x * vy - y * vx), np.hypot(vx, vy))):
+        resk = _node_sum(f, wk)
+        resabs = _node_sum(np.abs(f), wk) * scale
+        resasc = _node_sum(np.abs(f - 0.5 * resk[:, None]), wk) * scale
+        e = np.abs(resk - _node_sum(f, wg)) * scale
+        nz = (resasc != 0.0) & (e != 0.0)
+        e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
+        res[:, j] = resk * half
+        err[:, j] = np.maximum(e, 50.0 * eps * resabs)
+    return res, err, floor
+
+
+def arc_measures_rounds(coef, u_scale, a0, a1):
+    """``gbpd.measure.arc_measures`` as a loop of per-array rounds (reference)."""
+    coef, u_scale = np.asarray(coef, dtype=float), np.asarray(u_scale, dtype=float)
+    n = u_scale.size
+    out = np.zeros((n, 2))
+    if n == 0:
+        return out[:, 0], out[:, 1]
+    ends = np.stack([np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)], axis=1)
+    px, py, *_ = eval_alpha_batch(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
+    origin = np.stack([px[:, 2], py[:, 2]], axis=1)
+    shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
+    arc, lo, hi = [], [], []
+    for k in range(n):
+        cuts = [ends[k, 0], *_chart_breaks(ends[k, 0], ends[k, 1]), ends[k, 1]]
+        arc += [k] * (len(cuts) - 1)
+        lo += cuts[:-1]
+        hi += cuts[1:]
+    arc, lo, hi = np.array(arc), np.array(lo), np.array(hi)
+    depth = np.zeros(arc.size, dtype=int)
+    res, err, rnd = _gk15_columns(coef[arc], u_scale[arc], origin[arc], lo, hi)
+    while True:
+        tot = np.stack([np.bincount(arc, res[:, j], n) for j in (0, 1)], axis=1)
+        tot[:, 0] += shift
+        est = np.stack([np.bincount(arc, err[:, j], n) for j in (0, 1)], axis=1)
+        target = np.maximum(QUAD_ABS, 1e-12 * np.abs(tot))
+        target[:, 0] = np.maximum(target[:, 0], np.bincount(arc, rnd, n))
+        short = est > target
+        live = np.unique(arc)
+        fin = live[~short[live].any(axis=1)]
+        out[fin] = tot[fin]
+        if fin.size == live.size:
+            return out[:, 0], out[:, 1]
+        keep = short[arc].any(axis=1)
+        arc, lo, hi, depth, res, err, rnd = (v[keep] for v in (arc, lo, hi, depth, res, err, rnd))
+        count = np.bincount(arc, None, n)
+        worst = np.zeros((n, 2))
+        np.maximum.at(worst, arc, err)
+        share = (target / np.maximum(count, 1)[:, None])[arc]
+        split = (short[arc] & ((err > share) | (err == worst[arc]))).any(axis=1)
+        pieces = count + np.bincount(arc, split, n)
+        over = split & ((depth >= gmeasure._MAX_DEPTH) | (pieces[arc] > gmeasure._MAX_PIECES))
+        if over.any():
+            k = int(arc[over][0])
+            raise QuadratureError(
+                f"arc {k} (alpha {float(ends[k, 0])!r} to {float(ends[k, 1])!r}) misses its error "
+                f"target: estimates {est[k].tolist()}, targets {target[k].tolist()}, "
+                f"depth {int(depth[arc == k].max())}, {int(pieces[k])} pieces"
+            )
+        rep = np.where(split, 2, 1)
+        arc, lo, hi, depth, res, err, rnd = (np.repeat(v, rep, axis=0)
+                                             for v in (arc, lo, hi, depth, res, err, rnd))
+        first = np.repeat(split, rep)
+        first[first] = np.tile([True, False], int(split.sum()))
+        second = np.roll(first, 1)
+        mid = 0.5 * (lo[first] + hi[first])
+        hi[first] = mid
+        lo[second] = mid
+        fresh = first | second
+        depth[fresh] += 1
+        res[fresh], err[fresh], rnd[fresh] = _gk15_columns(
+            coef[arc[fresh]], u_scale[arc[fresh]], origin[arc[fresh]], lo[fresh], hi[fresh])
+
+
+# ------------------------------------------------- per-edge clip
+#
+# The clip probes the candidate piece of every edge without a window
+# crossing in one batch, and only the edges that may keep a piece run the
+# per-edge loop. This is the form it replaced, which must give the same
+# nodes, pieces and cells: every edge through the loop.
+
+
+def clip_to_window_per_edge(graph, window):
+    """``gbpd.clip.clip_to_window`` with every edge through the per-edge loop (reference)."""
+    snap = DEDUP_REL * window.diagonal
+    strict = 1e-12 * window.diagonal
+    arc_gap = 2.0 * PARAM_MERGE
+    nodes = []
+    for k, (cx, cy) in enumerate(window.corners()):
+        pos = np.array([cx, cy])
+        nodes.append(ClipNode(k, pos, "corner", gclip._boundary_s(window, pos, k)))
+    corners = PointIndex(snap, nodes)
+    vertex_node = {}
+    for v in graph.vertices:
+        if window.contains(v.pos):
+            nd = corners.near(np.array(v.pos))
+            if nd is None:
+                nd = ClipNode(len(nodes), np.array(v.pos), "vertex")
+                nodes.append(nd)
+            vertex_node[v.id] = nd.id
+    index = PointIndex(snap, nodes)
+
+    def crossing_node(pos, side):
+        nd = index.near(pos)
+        if nd is None:
+            nd = ClipNode(len(nodes), pos, "crossing", gclip._boundary_s(window, pos, side))
+            nodes.append(nd)
+            index.add(nd)
+        elif nd.boundary_s is None:
+            nd.boundary_s = gclip._boundary_s(window, nd.pos, side)
+        return nd.id
+
+    curved = [e for e in graph.edges if e.is_curve()]
+    straight = [e for e in graph.edges if not e.is_curve()]
+    crossings = dict(zip((e.id for e in curved),
+                         gclip._curve_crossings(graph, curved, window, snap)))
+    crossings.update(zip((e.id for e in straight),
+                         gclip._line_crossings(graph, straight, window, snap)))
+    candidates = []
+
+    def candidate(kind, e, a0, a1, na, nb, closed, test, margin=strict):
+        piece = ClipPiece(-1, kind, e.pair, e.id, e.line_index, a0, a1, na, nb, closed,
+                          None, None, None, None)
+        candidates.append((piece, test, margin))
+
+    for e in graph.edges:
+        found = crossings[e.id]
+        ends = tuple(vertex_node.get(v) if v is not None else None for v in e.endpoints)
+        if e.is_curve():
+            span = e.a1 - e.a0
+            marks = [(off, crossing_node(*at)) for off, at in merge_marks(found, arc_gap)]
+            if e.is_loop() and not marks:
+                candidate("arc", e, e.a0, e.a1, None, None, True,
+                          test=e.a0 + 0.5 * span, margin=0.0)
+                continue
+            for off0, off1, n0, n1 in split_at_marks(marks, 0.0, span, arc_gap, e.is_loop(), ends):
+                a0 = e.a0 + off0
+                a1 = e.a0 + off1
+                candidate("arc", e, a0, a1, n0, n1, False, test=0.5 * (a0 + a1))
+            continue
+        marks = [(t, crossing_node(*at)) for t, at in merge_marks(found, snap)]
+        for t0, t1, n0, n1 in split_at_marks(marks, e.a0, e.a1, snap, False, ends):
+            if not (math.isinf(t0) or math.isinf(t1)):
+                candidate("segment", e, t0, t1, n0, n1, False, 0.5 * (t0 + t1))
+
+    pieces = gclip._kept_pieces(graph, candidates, window)
+    boundary_nodes = sorted((nd for nd in nodes if nd.boundary_s is not None),
+                            key=lambda nd: nd.boundary_s)
+    perimeter = 2.0 * (window.width + window.height)
+    m = len(boundary_nodes)
+    border = []
+    for k in range(m):
+        nd0 = boundary_nodes[k]
+        nd1 = boundary_nodes[(k + 1) % m]
+        s0 = nd0.boundary_s
+        s1 = nd1.boundary_s if k + 1 < m else nd1.boundary_s + perimeter
+        if s1 - s0 <= 1e-12 * perimeter:
+            continue
+        border.append(ClipPiece(len(pieces) + len(border), "boundary", None, None, None, None,
+                                None, nd0.id, nd1.id, False, None, None, nd0.pos, nd1.pos))
+    if border:
+        arr = SceneArrays(graph.generators)
+        d = arr.dist(np.array([0.5 * (p.p0 + p.p1) for p in border]))
+        best = d == d.min(axis=1, keepdims=True)
+        for k in np.flatnonzero(best.sum(axis=1) > 1):
+            (x0, y0), (x1, y1) = border[k].p0, border[k].p1
+            px, py, m11, m12, m22, _ = arr.coef[:, best[k]]
+            dx, dy = 0.5 * (x0 + x1) - px, 0.5 * (y0 + y1) - py
+            slope = (m11 * dx + m12 * dy) * (y0 - y1) + (m12 * dx + m22 * dy) * (x1 - x0)
+            best[k, best[k]] = ~(slope > slope.min())
+        owner = np.where(best, arr.ids, arr.ids.max() + 1).min(axis=1)
+        for piece, gid in zip(border, owner.tolist()):
+            piece.left = gid
+    gclip._assign_sides(graph, pieces)
+    pieces += border
+    cells = gclip._assemble_cells(graph, pieces)
+    return ClippedDiagram(window, graph, nodes, pieces, cells)
 
 
 # ------------------------------------------------------- bisector samples

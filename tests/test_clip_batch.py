@@ -28,6 +28,7 @@ from gbpd.tolerances import DEDUP_REL
 
 from oracles import (
     NodeScan,
+    clip_to_window_per_edge,
     curve_crossings_scalar,
     flatten_piece_scalar,
     line_crossings_scalar,
@@ -68,12 +69,22 @@ def _case(name):
         return [iso(0, 0.75, 1.25), iso(1, 0.75, -0.75), iso(2, -1.25, 0.25)], Window(0, -5, 5, 5)
     if name == "dense":
         return random_scene("paper-random", 72, 42, WINDOW), WINDOW
+    if name == "loop-inside":
+        disk = Generator(0, (0, 0), SymMat2.isotropic(2.0), 1.0)
+        return [disk, iso(1, 0, 0)], Window(-2, -2, 2, 2)
+    if name.startswith("border-tie"):
+        # the bisector x = 0 of generators 0 and 1 runs along the window's left or right side
+        window = Window(0, -5, 5, 5) if name == "border-tie-left" else Window(-5, -5, 0, 5)
+        return [iso(0, -1, 1), iso(1, 1, 1), iso(2, 0, -1)], window
     assert name == "no-edge-inside"
     return [iso(0, 0, 0), iso(1, 100, 0)], Window(-1, -1, 1, 1)
 
 
 CASES = [*PRESETS, *(p + "+shift" for p in PRESETS), "loop-across-border",
          "line-through-corners", "vertex-on-border", "no-edge-inside", "dense"]
+# more windows for the clip against its per-edge reference: a whole ellipse
+# loop inside the window, and a bisector along a window side
+CLIP_CASES = [*CASES, "loop-inside", "border-tie-left", "border-tie-right"]
 
 
 def test_shared_splitting_rule():
@@ -102,7 +113,7 @@ def test_shared_splitting_rule():
 
 @pytest.fixture(scope="module")
 def graphs():
-    return {name: (build_diagram(_case(name)[0]), _case(name)[1]) for name in CASES}
+    return {name: (build_diagram(_case(name)[0]), _case(name)[1]) for name in CLIP_CASES}
 
 
 def crossing_bits(found):
@@ -244,3 +255,32 @@ def test_each_piece_flattened_once_per_raster(monkeypatch):
     assert len(calls) == 1
     assert sorted(calls[0]) == sorted(set(calls[0]))
     assert set(uses) <= set(calls[0])
+
+
+def clip_bits(cd):
+    """Nodes, pieces and cells of a clipped diagram, every float as its hex form."""
+    def opt(v):
+        return None if v is None else bits(v)
+    pieces = [(p.id, p.kind, p.pair, p.edge_id, p.line_index, opt(p.a0), opt(p.a1), p.node_a,
+               p.node_b, p.closed, p.left, p.right, opt(p.p0), opt(p.p1)) for p in cd.pieces]
+    return node_bits(cd), pieces, cd.cells
+
+
+@pytest.mark.parametrize("name", CLIP_CASES)
+def test_clip_matches_per_edge_reference(graphs, name):
+    # the batched probe of crossing-free edges leaves out only edges whose one
+    # candidate piece the per-edge loop would drop
+    graph, window = graphs[name]
+    cd = clip_to_window(graph, window)
+    assert clip_bits(cd) == clip_bits(clip_to_window_per_edge(graph, window))
+    if name == "loop-inside":
+        assert [p.closed for p in cd.pieces if p.kind == "arc"] == [True]
+    if name == "no-edge-inside":
+        assert all(p.kind == "boundary" for p in cd.pieces)
+
+
+def test_clip_matches_per_edge_reference_on_reload_queries(reload_query):
+    graph, windows = reload_query
+    for window in windows:
+        cd = clip_to_window(graph, window)
+        assert clip_bits(cd) == clip_bits(clip_to_window_per_edge(graph, window))

@@ -2,8 +2,9 @@
 
 `arc_measures` integrates the area term and the length of many conic arcs
 in one Gauss-Kronrod pass per round. These tests check it against the
-scalar `scipy.integrate.quad` reference in `oracles.py`, check that a
-batch gives each arc the same bits as a batch of one, that the whole-
+scalar `scipy.integrate.quad` reference in `oracles.py` and, bit for bit,
+against the per-array round loop it replaced, check that a batch gives
+each arc the same bits as a batch of one, that the whole-
 diagram measure integrates every arc piece once and equals the per-cell
 measure bit for bit, and that an arc missing its error target raises
 QuadratureError.
@@ -34,7 +35,8 @@ from gbpd.errors import GbpdError, QuadratureError
 from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.measure import arc_measures, cell_area, measure_cells
 
-from oracles import RowCurve, point_at_alpha_scalar, quad_arc_area, quad_arc_length, row_curve
+from oracles import (RowCurve, arc_measures_rounds, point_at_alpha_scalar, quad_arc_area,
+                     quad_arc_length, row_curve)
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
 CURVE_CODES = (ELLIPSE_CODE, HYPERBOLA_CODE, PARABOLA_CODE)
@@ -50,10 +52,11 @@ def arc_pieces(cd):
             for p in cd.pieces if p.kind == "arc"]
 
 
-def kernel(curves, a0, a1):
-    """``arc_measures`` of the arcs along ``curves`` (RowCurves) from ``a0`` to ``a1``."""
+def kernel(curves, a0, a1, measures=arc_measures):
+    """``arc_measures`` (or ``measures``, a function of its arguments) of the
+    arcs along ``curves`` (RowCurves) from ``a0`` to ``a1``."""
     triples = [(c.xq, c.yq, c.uq) for c in curves]
-    return arc_measures(charts_of_triples(triples), [c.u_scale for c in curves], a0, a1)
+    return measures(charts_of_triples(triples), [c.u_scale for c in curves], a0, a1)
 
 
 def assert_matches_quad(arcs, rounding=False):
@@ -81,6 +84,14 @@ def assert_matches_quad(arcs, rounding=False):
                 floor = 64.0 * np.finfo(float).eps * r * r
             assert abs(area - ref_area) <= 1e-9 * max(1.0, abs(ref_area)) + floor, (a0, a1)
             assert abs(length - ref_length) <= 1e-9 * max(1.0, abs(ref_length)), (a0, a1)
+
+
+def assert_matches_round_loop(arcs):
+    """Kernel against the per-array round loop it replaced, bit for bit."""
+    if not arcs:
+        return
+    got, ref = kernel(*zip(*arcs)), kernel(*zip(*arcs), measures=arc_measures_rounds)
+    assert [bits(v) for v in got] == [bits(v) for v in ref]
 
 
 def assert_batch_is_batch_of_one(arcs):
@@ -164,6 +175,13 @@ def test_each_arc_piece_integrated_once(reload_scene, monkeypatch):
     assert calls[0] == sorted((cd.pieces[pid].a0, cd.pieces[pid].a1) for pid in set(uses))
 
 
+def test_benchmark_pieces_match_round_loop(small_batch, reload_query):
+    dense = clip_to_window(build_diagram(random_scene("paper-random", 72, 42, WINDOW)), WINDOW)
+    graph, windows = reload_query
+    for cd in [*small_batch, dense, *(clip_to_window(graph, w) for w in windows)]:
+        assert_matches_round_loop(arc_pieces(cd))
+
+
 @pytest.mark.parametrize("cap", ["_MAX_DEPTH", "_MAX_PIECES"])
 def test_unmet_error_target_raises(small_batch, monkeypatch, cap):
     assert issubclass(QuadratureError, GbpdError)
@@ -171,6 +189,13 @@ def test_unmet_error_target_raises(small_batch, monkeypatch, cap):
     monkeypatch.setattr(gmeasure, cap, 0)
     with pytest.raises(QuadratureError):
         measure_cells(small_batch[0])
+    # with the message of the round loop it replaced
+    arcs = list(zip(*arc_pieces(small_batch[0])))
+    with pytest.raises(QuadratureError) as got:
+        kernel(*arcs)
+    with pytest.raises(QuadratureError) as ref:
+        kernel(*arcs, measures=arc_measures_rounds)
+    assert str(got.value) == str(ref.value)
 
 
 # ------------------------------------------------------- hypothesis arcs
@@ -275,3 +300,44 @@ def test_fixed_hard_arcs_match_quad_and_batch_of_one(shift):
     arcs = fixed_hard_arcs(shift)
     assert_matches_quad(arcs, rounding=True)
     assert_batch_is_batch_of_one(arcs)
+    assert_matches_round_loop(arcs)
+
+
+@st.composite
+def break_arcs(draw):
+    """An arc across 0 to 3 chart breaks (alpha = pi/2 mod pi), or a full
+    turn, on an elliptic bisector. Its generators share a drawn anisotropic
+    matrix, one of them scaled by 1.5 to 4, so their bisector is an ellipse
+    or empty; an empty one is replaced by the ellipse of ``fixed_hard_arcs``.
+    The arc starts exactly on a break or anywhere in [-2 pi, 2 pi]."""
+    floats = st.floats(0.0, 1.0)
+    m = SymMat2(1.0 / (1.0 + 9.0 * draw(floats)) ** 2, 0.0,
+                1.0 / (1.0 + 9.0 * draw(floats)) ** 2).rotated(math.pi * draw(floats))
+    f = 1.5 + 2.5 * draw(floats)
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    p0, p1 = (shift + 10.0 * np.array([draw(floats), draw(floats)]) for _ in range(2))
+    b = make_bisector(Generator(0, p0, SymMat2(f * m.m11, f * m.m12, f * m.m22), 5.0 * draw(floats)),
+                      Generator(1, p1, m, 5.0 * draw(floats)))
+    if b.code[0] != ELLIPSE_CODE:
+        b = make_bisector(Generator(0, np.array([0.0, 0.0]) + shift, SymMat2(2.0, 0.3, 1.0), 1.0),
+                          Generator(1, np.array([3.0, 1.0]) + shift, SymMat2(1.0, 0.1, 0.5), 0.0))
+    curve = row_curve(b, 0)
+    if draw(st.booleans()):
+        a0 = 0.5 * math.pi + draw(st.integers(-3, 2)) * math.pi
+    else:
+        a0 = draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
+    if draw(st.booleans()):
+        return curve, a0, a0 + 2.0 * math.pi
+    # the first break past a0, then `crossed` more, and a fraction of the
+    # span to the next
+    k = math.floor((a0 - 0.5 * math.pi) / math.pi) + 1
+    crossed = draw(st.integers(0, 3))
+    lo = a0 if crossed == 0 else 0.5 * math.pi + (k + crossed - 1) * math.pi
+    hi = 0.5 * math.pi + (k + crossed) * math.pi
+    return curve, a0, lo + draw(st.floats(0.0, 1.0, exclude_max=True)) * (hi - lo)
+
+
+@given(st.lists(break_arcs(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_hypothesis_break_arcs_match_round_loop(drawn):
+    assert_matches_round_loop(drawn)

@@ -20,7 +20,8 @@ from gbpd.oracle import (
     write_pgm,
 )
 
-from oracles import radical_center, raster_cell_stats, rasterize_cells_per_cell
+from oracles import (radical_center, raster_cell_stats, rasterize_cells_per_cell,
+                     rasterize_cells_per_row)
 
 I = SymMat2(1.0, 0.0, 1.0)
 
@@ -220,3 +221,44 @@ def test_scanline_raster_matches_per_cell_fill(name):
     assert np.array_equal(got.labels, ref.labels)
     assert (got.labels >= 0).all()
     assert counts == {"contested": 0, "repaired": 0}
+
+
+def _scanline_cases():
+    """(name, generators, window, width, height) of the per-row reference cases."""
+    out = []
+    for name in ("lattice", "aniso-3", "aniso-17", "aniso-29", "aniso-29-shifted"):
+        gens, win, res = _raster_case(name)
+        out.append((name, gens, win, res, res))
+    gens = aniso_scene(np.random.default_rng(17), 10)
+    # pixels of 100 / 211 square, so the window keeps the raster's aspect
+    out += [("37x211", gens, Window(0.0, 0.0, 100.0 * 37 / 211, 100.0), 37, 211),
+            ("211x37", gens, Window(0.0, 0.0, 100.0, 100.0 * 37 / 211), 211, 37),
+            ("1x400", gens, Window(40.0, 0.0, 40.25, 100.0), 1, 400)]
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7 * 211])
+@pytest.mark.parametrize("case", _scanline_cases(), ids=lambda case: case[0])
+def test_scanline_raster_matches_per_row_fill(case, chunk, monkeypatch):
+    # one accumulate pass per block of rows gives the labels of one
+    # searchsorted per row: in one block, in one-row blocks, and in blocks
+    # of several rows with a short last one
+    _, gens, win, width, height = case
+    cd = clip_to_window(build_diagram(gens), win)
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_FILL_CHUNK", chunk)
+    got = rasterize_cells(cd, width, height)
+    ref = rasterize_cells_per_row(cd, width, height)
+    assert got.labels.dtype == ref.labels.dtype
+    assert got.labels.shape == (height, width)
+    assert np.array_equal(got.labels, ref.labels)
+
+
+def test_scanline_raster_matches_per_row_fill_on_reload_queries(reload_query):
+    graph, windows = reload_query
+    for win in windows:
+        cd = clip_to_window(graph, win)
+        got = rasterize_cells(cd, 200, 200)
+        ref = rasterize_cells_per_row(cd, 200, 200)
+        assert got.labels.dtype == ref.labels.dtype
+        assert np.array_equal(got.labels, ref.labels)
