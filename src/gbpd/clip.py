@@ -22,8 +22,10 @@ analytic raster, the SVG and the hole test of measure.
 Crossing parameters come from the quadratic x(t) - X u(t) = 0 per window
 side (linear for straight edges), so no marching or sampling is involved.
 The side quadratics of all curved edges are solved in one batch and the
-straight edges' crossings in one array pass. Piece points and tangents come
-from one evaluator (``_piece_rows``), whose arc kernel flattening calls on
+straight edges' crossings in one array pass. Each candidate piece is made
+once, as a row, and evaluated once: its point and tangent at its
+mid-parameter serve the inside test and the side test. Piece points and
+tangents come from one evaluator (``_piece_rows``), which flattening calls on
 its span arrays; all read an edge's bisector as its table row, by edge id.
 """
 
@@ -44,7 +46,7 @@ from .conic import (
 )
 from .diagram import DiagramGraph, merge_marks, split_at_marks
 from .errors import NoSolutionError, SingularParameterError
-from .geometry import PointIndex, SceneArrays, Window
+from .geometry import PointIndex, SceneArrays, Window, hypots
 from .tolerances import DEDUP_REL, DEN_REL, PARAM_MERGE
 
 TWO_PI = 2.0 * math.pi
@@ -114,7 +116,7 @@ def piece_points(graph: DiagramGraph, pieces, f) -> np.ndarray:
     rows = [k for k, p in enumerate(pieces) if p.kind != "boundary"]
     a0 = np.array([pieces[k].a0 for k in rows])
     a = a0 + f[rows] * (np.array([pieces[k].a1 for k in rows]) - a0)
-    out[rows] = _regular_rows(graph, [pieces[k] for k in rows], a)[:, :2]
+    out[rows] = _regular_rows(graph, *_table_rows([pieces[k] for k in rows]), a)[:, :2]
     return out
 
 
@@ -134,20 +136,12 @@ def flatten_pieces(graph: DiagramGraph, pieces, ftol: float) -> list[np.ndarray]
     if not arcs:
         return lines
     a0, a1 = np.array([(pieces[k].a0, pieces[k].a1) for k in arcs]).T
-    rows = [pieces[k].edge_id for k in arcs]
-    chart, u_scale = graph.table.chart[rows], graph.table.u_scale[rows]
-
-    def points(arc, f):
-        alpha = a0[arc] + f * (a1[arc] - a0[arc])  # as piece_points
-        x, y, _, _, singular = points_at_alphas(chart[arc], u_scale[arc], alpha)
-        if singular.any():
-            raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
-        return np.column_stack([x, y])
-
+    span = a1 - a0
+    rows, row_lines = _table_rows([pieces[k] for k in arcs])
     knots = [[0.0, 0.25, 0.5, 0.75, 1.0] if pieces[k].closed else [0.0, 0.5, 1.0] for k in arcs]
     arc = np.repeat(np.arange(len(arcs)), [len(kn) for kn in knots])
     f = np.concatenate(knots)
-    at = points(arc, f)
+    at = _regular_rows(graph, rows[arc], row_lines[arc], a0[arc] + f * span[arc])[:, :2]
     # leaves (arc, f0, start point), with every arc's end point as the leaf at f0 = 1
     leaves = [(arc[f == 1.0], f[f == 1.0], at[f == 1.0])]
     # open spans of the current depth, between consecutive knots of one arc
@@ -157,10 +151,10 @@ def flatten_pieces(graph: DiagramGraph, pieces, ftol: float) -> list[np.ndarray]
         if not arc.size:
             break
         fm = 0.5 * (f0 + f1)
-        pm = points(arc, fm)
+        pm = _regular_rows(graph, rows[arc], row_lines[arc], a0[arc] + fm * span[arc])[:, :2]
         chord = p1 - p0
-        n = np.array([math.hypot(cx, cy) for cx, cy in chord.tolist()])
-        near = np.array([math.hypot(dx, dy) for dx, dy in (pm - p0).tolist()])
+        n = hypots(chord[:, 0], chord[:, 1])
+        near = hypots(pm[:, 0] - p0[:, 0], pm[:, 1] - p0[:, 1])
         cross = chord[:, 0] * (pm[:, 1] - p0[:, 1]) - chord[:, 1] * (pm[:, 0] - p0[:, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.abs(cross) / n
@@ -216,19 +210,15 @@ def _table_rows(pieces) -> tuple[np.ndarray, np.ndarray]:
             np.array([-1 if p.kind == "arc" else p.line_index for p in pieces], dtype=np.intp))
 
 
-def _regular_rows(graph: DiagramGraph, pieces, param: np.ndarray) -> np.ndarray:
-    """``_piece_rows`` of pieces that must not meet a singular parameter; one that does raises."""
-    rows, singular = _piece_rows(graph, *_table_rows(pieces), param)
+def _regular_rows(graph: DiagramGraph, rows: np.ndarray, lines: np.ndarray,
+                  param: np.ndarray) -> np.ndarray:
+    """``_piece_rows`` (x, y, vx, vy) of pieces, as that takes them, that must
+    not meet a singular parameter; one that does raises SingularParameterError.
+    Callers holding pieces pass ``*_table_rows(pieces)``."""
+    out, singular = _piece_rows(graph, rows, lines, param)
     if singular.any():
         raise SingularParameterError(f"alpha={param[singular][0]} lies on the line at infinity")
-    return rows
-
-
-def _inside(graph: DiagramGraph, rows, lines, param, margin, window: Window) -> np.ndarray:
-    """Mask of the pieces (as ``_piece_rows`` takes them) whose point at
-    ``param`` is regular and inside the window by ``margin``."""
-    xy, singular = _piece_rows(graph, rows, lines, param)
-    return ~singular & window.contains(xy[:, :2], margin)
+    return out
 
 
 def _boundary_s(window: Window, pos: np.ndarray, side: int) -> float:
@@ -321,10 +311,11 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     """Cut the diagram against a window and assemble closed cell loops.
 
     The vertices inside the window are found in one ``Window.contains``
-    test. An edge without a window crossing yields at most one candidate
-    piece; the candidates of all such edges are tested against the window
-    in one batch (``_edges_to_cut``), and only the edges whose candidate
-    may lie inside, and the edges with crossings, are cut one by one.
+    test. Candidate pieces are rows (edge, line, a0, a1, node a, node b,
+    closed, test parameter, margin): an edge without a window crossing gives
+    at most one, its whole interval (``_whole_edge_rows``, one array pass);
+    only an edge with crossings is cut one by one. The rows are put in edge
+    order and tested in one batch (``_kept_pieces``).
     """
     snap = DEDUP_REL * window.diagonal
     # pieces must be strictly interior: a bisector running along the border
@@ -366,30 +357,18 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     crossings = dict(zip((e.id for e in curved), _curve_crossings(graph, curved, window, snap)))
     crossings.update(zip((e.id for e in straight), _line_crossings(graph, straight, window, snap)))
 
-    # candidate pieces in edge order, as (piece, parameter of its
-    # containment test, margin of that test)
-    candidates: list[tuple[ClipPiece, float, float]] = []
-
-    def candidate(kind, e, a0, a1, na, nb, closed, test, margin=strict):
-        piece = ClipPiece(-1, kind, e.pair, e.id, e.line_index, a0, a1, na, nb, closed,
-                          None, None, None, None)
-        candidates.append((piece, test, margin))
-
-    for e in _edges_to_cut(graph, crossings, window, snap, strict, arc_gap):
+    rows = _whole_edge_rows([e for e in graph.edges if not crossings[e.id]], vertex_node, snap,
+                            strict, arc_gap)
+    for e in (e for e in graph.edges if crossings[e.id]):
         found = crossings[e.id]
-        ends = tuple(vertex_node.get(v) if v is not None else None for v in e.endpoints)
+        ends = tuple(map(vertex_node.get, e.endpoints))
         if e.is_curve():
-            span = e.a1 - e.a0
             marks = [(off, crossing_node(*at)) for off, at in merge_marks(found, arc_gap)]
-            if e.is_loop() and not marks:
-                candidate("arc", e, e.a0, e.a1, None, None, True,
-                          test=e.a0 + 0.5 * span, margin=0.0)
-                continue
-            cuts = split_at_marks(marks, 0.0, span, arc_gap, e.is_loop(), ends)
-            for off0, off1, n0, n1 in cuts:
+            for off0, off1, n0, n1 in split_at_marks(marks, 0.0, e.a1 - e.a0, arc_gap,
+                                                     e.is_loop(), ends):
                 a0 = e.a0 + off0
                 a1 = e.a0 + off1
-                candidate("arc", e, a0, a1, n0, n1, False, test=0.5 * (a0 + a1))
+                rows.append((e.id, -1, a0, a1, n0, n1, False, 0.5 * (a0 + a1), strict))
             continue
         # line parameters are lengths: crossings merge within the snap radius
         marks = [(t, crossing_node(*at)) for t, at in merge_marks(found, snap)]
@@ -397,9 +376,10 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
             # a kept piece must be finite; infinite tails are outside any
             # bounded window except for pathological tangencies
             if not (math.isinf(t0) or math.isinf(t1)):
-                candidate("segment", e, t0, t1, n0, n1, False, 0.5 * (t0 + t1))
+                rows.append((e.id, e.line_index, t0, t1, n0, n1, False, 0.5 * (t0 + t1), strict))
+    rows.sort(key=lambda row: row[0])  # stable: piece ids stay in edge order
 
-    pieces = _kept_pieces(graph, candidates, window)
+    pieces, mid = _kept_pieces(graph, rows, window)
     # window border pieces between consecutive boundary nodes
     boundary_nodes = [nd for nd in nodes if nd.boundary_s is not None]
     boundary_nodes.sort(key=lambda nd: nd.boundary_s)
@@ -431,30 +411,22 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
         owner = np.where(best, arr.ids, arr.ids.max() + 1).min(axis=1)
         for piece, gid in zip(border, owner.tolist()):
             piece.left = gid
-    _assign_sides(graph, pieces)
+    _assign_sides(graph, pieces, mid)
     pieces += border
     cells = _assemble_cells(graph, pieces)
     return ClippedDiagram(window, graph, nodes, pieces, cells)
 
 
-def _edges_to_cut(graph: DiagramGraph, crossings, window: Window, snap: float, strict: float,
-                  arc_gap: float) -> list:
-    """The edges, in order, that may keep a piece in the window.
-
-    An edge with a window crossing may. An edge without one has at most one
-    candidate piece, the one ``clip_to_window`` would make from it: a closed
-    loop tested at its mid-alpha with margin 0, or its whole interval, if
-    longer than the merge gap and finite, tested at its middle with margin
-    ``strict``. All of those candidates are tested in one ``_inside`` call,
-    and an edge whose candidate is outside, or that has none, is left out.
-    """
-    edges = graph.edges
-    free = [e for e in edges if not crossings[e.id]]
+def _whole_edge_rows(free, vertex_node: dict[int, int], snap: float, strict: float,
+                     arc_gap: float) -> list[tuple]:
+    """Candidate rows of the edges ``free``, which have no window crossing:
+    at most one per edge, its whole interval. A closed loop (-pi, pi) is
+    tested at a0 + span / 2, exactly its mid-parameter 0, with margin 0; an
+    open arc from a0 + 0 to a0 + span, if longer than the merge gap, and a
+    segment, if finite and longer than snap, at their middle, margin ``strict``."""
     a0, a1 = np.array([(e.a0, e.a1) for e in free], dtype=float).reshape(-1, 2).T
     lines = np.array([-1 if e.line_index is None else e.line_index for e in free], dtype=np.intp)
     loop = np.array([e.is_loop() for e in free], dtype=bool)
-    # the arithmetic of the per-edge candidates: an open arc runs from
-    # a0 + 0 to a0 + span, a segment from a0 to a1 (infinite on a ray)
     with np.errstate(invalid="ignore"):
         span = a1 - a0
         lo = np.where(lines < 0, a0 + 0.0, a0)
@@ -462,29 +434,29 @@ def _edges_to_cut(graph: DiagramGraph, crossings, window: Window, snap: float, s
         test = np.where(loop, a0 + 0.5 * span, 0.5 * (lo + hi))
     exists = loop | np.where(lines < 0, span > arc_gap,
                              (span > snap) & np.isfinite(a0) & np.isfinite(a1))
-    probe = np.flatnonzero(exists)
-    inside = np.zeros(len(free), dtype=bool)
-    inside[probe] = _inside(graph, np.array([free[k].id for k in probe], dtype=np.intp),
-                            lines[probe], test[probe], np.where(loop, 0.0, strict)[probe], window)
-    dropped = {e.id for e, keep in zip(free, inside.tolist()) if not keep}
-    return [e for e in edges if e.id not in dropped]
+    keep = np.flatnonzero(exists).tolist()
+    ends = [free[k].endpoints for k in keep]
+    return list(zip([free[k].id for k in keep], *(c[keep].tolist() for c in (lines, lo, hi)),
+                    [vertex_node.get(a) for a, _ in ends], [vertex_node.get(b) for _, b in ends],
+                    *(c[keep].tolist() for c in (loop, test, np.where(loop, 0.0, strict)))))
 
 
-def _kept_pieces(graph: DiagramGraph, candidates, window: Window) -> list[ClipPiece]:
-    """The candidate pieces that lie inside the window, numbered in order.
-
-    A piece is kept when the point at its test parameter is regular and
-    inside the window by its margin (``_inside``, one call for all
-    candidates); a kept piece then gets its end points (``_set_ends``).
-    """
-    inside = _inside(graph, *_table_rows([piece for piece, _, _ in candidates]),
-                     np.array([t for _, t, _ in candidates]),
-                     np.array([margin for _, _, margin in candidates]), window).tolist()
-    pieces = [piece for (piece, _, _), keep in zip(candidates, inside) if keep]
+def _kept_pieces(graph: DiagramGraph, rows, window: Window) -> tuple[list[ClipPiece], np.ndarray]:
+    """The candidate rows inside the window, as pieces numbered in order
+    with their end points (``_set_ends``), and their (x, y, vx, vy) at the
+    test parameter. A row is kept when that point is regular and inside the
+    window by its margin: one ``_piece_rows`` and one ``Window.contains``
+    call for all rows. A kept row's test parameter is its mid-parameter."""
+    edge, lines, _, _, _, _, _, test, margin = zip(*rows) if rows else [()] * 9
+    at, singular = _piece_rows(graph, np.array(edge, dtype=np.intp), np.array(lines, dtype=np.intp),
+                               np.array(test, dtype=float))
+    keep = np.flatnonzero(~singular & window.contains(at[:, :2], np.array(margin, dtype=float)))
+    kept = [rows[j] for j in keep.tolist()]
+    pieces = [ClipPiece(k, "arc" if line < 0 else "segment", graph.edges[eid].pair, eid,
+                        None if line < 0 else line, a0, a1, na, nb, closed, None, None, None, None)
+              for k, (eid, line, a0, a1, na, nb, closed, _, _) in enumerate(kept)]
     _set_ends(graph, pieces)
-    for k, piece in enumerate(pieces):
-        piece.id = k
-    return pieces
+    return pieces, at[keep]
 
 
 def _set_ends(graph: DiagramGraph, pieces) -> None:
@@ -492,21 +464,23 @@ def _set_ends(graph: DiagramGraph, pieces) -> None:
     a start (end) node; all the points come from one ``_piece_rows`` call."""
     ends = [(p, "p0", p.a0) for p in pieces if p.kind == "segment" or p.node_a is not None]
     ends += [(p, "p1", p.a1) for p in pieces if p.kind == "segment" or p.node_b is not None]
-    rows = _regular_rows(graph, [p for p, _, _ in ends], np.array([a for _, _, a in ends]))
-    for (piece, field, _), q in zip(ends, rows):
+    at = _regular_rows(graph, *_table_rows([p for p, _, _ in ends]),
+                       np.array([a for _, _, a in ends]))
+    for (piece, field, _), q in zip(ends, at):
         setattr(piece, field, q[:2])
 
 
-def _assign_sides(graph: DiagramGraph, pieces) -> None:
+def _assign_sides(graph: DiagramGraph, pieces, mid: np.ndarray) -> None:
     """Fill the (left, right) cell ids of bisector pieces in their stored direction.
 
-    The tangent at a piece's mid-parameter is crossed with the gradient of
-    the pair's distance difference, which points into the second cell. All
-    points and tangents come from one ``_piece_rows`` call.
+    ``mid`` holds each piece's (x, y, vx, vy) at its mid-parameter, as
+    ``_piece_rows`` gives them: the tangent there is crossed with the
+    gradient of the pair's distance difference, which points into the
+    second cell.
     """
     if not pieces:
         return
-    x, y, vx, vy = _regular_rows(graph, pieces, np.array([0.5 * (p.a0 + p.a1) for p in pieces])).T
+    x, y, vx, vy = mid.T
     # ConicImplicit with array fields evaluates one conic per entry
     coeffs = graph.table.implicit[[p.edge_id for p in pieces]]
     gx, gy = ConicImplicit(*coeffs.T).gradient(x, y)
@@ -597,7 +571,9 @@ def bounded_cell_pieces(
         pieces[eid] = ClipPiece(eid, "arc" if e.is_curve() else "segment", e.pair, eid,
                                 e.line_index, e.a0, e.a1, *e.endpoints, e.is_loop(),
                                 None, None, None, None)
-    _set_ends(graph, list(pieces.values()))
-    _assign_sides(graph, list(pieces.values()))
+    whole = list(pieces.values())
+    _set_ends(graph, whole)
+    mid = np.array([0.5 * (p.a0 + p.a1) for p in whole])
+    _assign_sides(graph, whole, _regular_rows(graph, *_table_rows(whole), mid))
     directed = [(eid, piece.left == cell) for eid, piece in pieces.items()]
     return pieces, _chain_cell(cell, pieces, directed)

@@ -127,8 +127,8 @@ def hypots(x, y) -> np.ndarray:
     runs per entry.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return np.array([math.hypot(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())],
-                    dtype=float).reshape(x.shape)
+    return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()), dtype=float,
+                       count=x.size).reshape(x.shape)
 
 
 def sym2_eigh(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

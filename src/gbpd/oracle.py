@@ -248,10 +248,10 @@ def read_pgm(path: str) -> LabelImage:
             data = np.array(fh.read().split(), dtype=np.int32).reshape(height, width)
         except (ValueError, IndexError, OverflowError) as exc:
             raise InputError(f"{path}: malformed P2 file: {exc}") from None
-    if width <= 0 or height <= 0 or (data < 0).any():
-        raise InputError(f"{path}: malformed P2 file: sizes must be positive, pixels not negative")
-    if not ids:
-        ids = tuple(range(maxval))
-    back = np.array(list(ids) + [-1], dtype=np.int32)
-    labels = back[np.minimum(data, len(ids))]
+    if width <= 0 or height <= 0 or (data < 0).any() or (data > maxval).any():
+        raise InputError(f"{path}: malformed P2 file: sizes must be positive, pixels 0 to maxval")
+    if ids and len(ids) != maxval:
+        raise InputError(f"{path}: malformed P2 file: {len(ids)} ids for maxval {maxval}")
+    ids = ids or tuple(range(maxval))
+    labels = np.array(list(ids) + [-1], dtype=np.int32)[data]
     return LabelImage(width, height, origin, pixel, labels, ids)

@@ -1258,10 +1258,12 @@ def arc_measures_rounds(coef, u_scale, a0, a1):
 
 # ------------------------------------------------- per-edge clip
 #
-# The clip probes the candidate piece of every edge without a window
-# crossing in one batch, and only the edges that may keep a piece run the
-# per-edge loop. This is the form it replaced, which must give the same
-# nodes, pieces and cells: every edge through the loop.
+# The clip makes the one candidate piece of every edge without a window
+# crossing in one array pass, cuts only the edges with crossings one by one,
+# and evaluates each candidate once. This is the form it replaced, which must
+# give the same nodes, pieces and cells: every edge through the per-edge
+# loop, candidates as pieces, and the sides from a second evaluation of the
+# kept pieces at their mid-parameters.
 
 
 def clip_to_window_per_edge(graph, window):
@@ -1327,7 +1329,15 @@ def clip_to_window_per_edge(graph, window):
             if not (math.isinf(t0) or math.isinf(t1)):
                 candidate("segment", e, t0, t1, n0, n1, False, 0.5 * (t0 + t1))
 
-    pieces = gclip._kept_pieces(graph, candidates, window)
+    # the inside test as it was: one evaluation of all candidates at their
+    # test parameters, then ids in order and end points for the kept ones
+    xy, singular = gclip._piece_rows(graph, *gclip._table_rows([p for p, _, _ in candidates]),
+                                     np.array([t for _, t, _ in candidates]))
+    inside = ~singular & window.contains(xy[:, :2], np.array([m for _, _, m in candidates]))
+    pieces = [piece for (piece, _, _), keep in zip(candidates, inside.tolist()) if keep]
+    gclip._set_ends(graph, pieces)
+    for k, piece in enumerate(pieces):
+        piece.id = k
     boundary_nodes = sorted((nd for nd in nodes if nd.boundary_s is not None),
                             key=lambda nd: nd.boundary_s)
     perimeter = 2.0 * (window.width + window.height)
@@ -1355,7 +1365,17 @@ def clip_to_window_per_edge(graph, window):
         owner = np.where(best, arr.ids, arr.ids.max() + 1).min(axis=1)
         for piece, gid in zip(border, owner.tolist()):
             piece.left = gid
-    gclip._assign_sides(graph, pieces)
+    if pieces:
+        # sides from a second evaluation, at each kept piece's mid-parameter
+        mid = np.array([0.5 * (p.a0 + p.a1) for p in pieces])
+        xy, singular = gclip._piece_rows(graph, *gclip._table_rows(pieces), mid)
+        if singular.any():
+            raise SingularParameterError(f"alpha={mid[singular][0]} lies on the line at infinity")
+        x, y, vx, vy = xy.T
+        gx, gy = ConicImplicit(*graph.table.implicit[[p.edge_id for p in pieces]].T).gradient(x, y)
+        for piece, keep_order in zip(pieces, (vx * gy - vy * gx < 0.0).tolist()):
+            i, j = piece.pair
+            piece.left, piece.right = (i, j) if keep_order else (j, i)
     pieces += border
     cells = gclip._assemble_cells(graph, pieces)
     return ClippedDiagram(window, graph, nodes, pieces, cells)

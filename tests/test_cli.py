@@ -228,8 +228,12 @@ def test_malformed_pgm_exits_2(tmp_path):
     good.write_text("P2\n# gbpd origin 0 0 pixel 1 ids 0,1\n2 2\n2\n0 1\n1 0\n")
     assert read_pgm(good).labels.tolist() == [[0, 1], [1, 0]]
     text = good.read_text()
+    # a pixel above maxval, and an id list longer than maxval whose last id
+    # the background value 2 would otherwise name
     for name, bad in (("short", text[:-4]), ("pixel", text.replace("1 0\n", "1 x\n")),
-                      ("size", text.replace("2 2\n", "2\n"))):
+                      ("size", text.replace("2 2\n", "2\n")),
+                      ("above", text.replace("1 0\n", "5 9\n")),
+                      ("ids", text.replace("ids 0,1", "ids 3,7,9").replace("1 0\n", "2 0\n"))):
         path = tmp_path / f"{name}.pgm"
         path.write_text(bad)
         with pytest.raises(InputError, match="malformed P2"):

@@ -284,3 +284,30 @@ def test_clip_matches_per_edge_reference_on_reload_queries(reload_query):
     for window in windows:
         cd = clip_to_window(graph, window)
         assert clip_bits(cd) == clip_bits(clip_to_window_per_edge(graph, window))
+
+
+@pytest.mark.parametrize("seed", range(1010, 1020))
+def test_clip_matches_per_edge_reference_on_small_batch(seed):
+    for preset in ("paper-random", "paper-weights", "isotropic"):
+        graph = build_diagram(random_scene(preset, 16, seed, WINDOW))
+        cd = clip_to_window(graph, WINDOW)
+        assert clip_bits(cd) == clip_bits(clip_to_window_per_edge(graph, WINDOW))
+
+
+def test_clip_evaluates_each_piece_once(graphs, reload_query, monkeypatch):
+    # one evaluation of all candidate pieces (inside test and sides), one of
+    # the kept pieces' end points
+    calls = []
+    kernel = gclip._piece_rows
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(gclip, "_piece_rows", counting)
+    reload, windows = reload_query
+    for graph, window in [*((reload, w) for w in windows), graphs["dense"]]:
+        calls.clear()
+        cd = clip_to_window(graph, window)
+        assert len(calls) == 2
+        assert calls[0] >= sum(p.kind != "boundary" for p in cd.pieces) > 0
