@@ -35,7 +35,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gbpd.cli import PRESETS, random_scene
-from gbpd.clip import clip_to_window
+from gbpd.clip import NODE_KINDS, clip_to_window
 from gbpd.diagram import build_diagram
 from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.measure import cell_area, measure_cells
@@ -71,13 +71,25 @@ def hexes(values) -> str:
 
 
 def clip_text(cd) -> str:
-    rows = [f"node {nd.id} {nd.kind} {hexes(nd.pos)} {hexes(nd.boundary_s)}" for nd in cd.nodes]
-    rows += [
-        f"piece {p.id} {p.kind} {p.pair} {p.edge_id} {p.line_index} {hexes(p.a0)} {hexes(p.a1)} "
-        f"{p.node_a} {p.node_b} {p.closed} {p.left} {p.right} {hexes(p.p0)} {hexes(p.p1)}"
-        for p in cd.pieces
-    ]
-    rows += [f"cell {gid} {loops}" for gid, loops in sorted(cd.cells.items())]
+    """The clip record as text: Python ints and bools, None where a column
+    says none (-1 or NaN), floats as hex."""
+    def opt(v):
+        return None if v < 0 else v
+
+    def floats(v):
+        return hexes(None if np.isnan(v).any() else v)
+
+    rows = [f"node {k} {NODE_KINDS[kind]} {hexes(pos)} {floats(s)}"
+            for k, (pos, kind, s) in enumerate(cd.nodes.tolist())]
+    for k, (edge, line, a0, a1, na, nb, closed, left, right, p0, p1) in enumerate(cd.pieces.tolist()):
+        kind = "boundary" if edge < 0 else "arc" if line < 0 else "segment"
+        pair = None if edge < 0 else cd.graph.edges[edge].pair
+        rows.append(f"piece {k} {kind} {pair} {opt(edge)} {opt(line)} {floats(a0)} {floats(a1)} "
+                    f"{opt(na)} {opt(nb)} {closed} {opt(left)} {opt(right)} {floats(p0)} "
+                    f"{floats(p1)}")
+    cells = cd.loops.cells.tolist()
+    rows += [f"cell {gid} {[lp.tolist() for lp in cd.loops.runs(c)]}"
+             for gid, c in sorted(zip(cells, range(len(cells))))]
     return "\n".join(rows)
 
 

@@ -81,7 +81,8 @@ def main() -> int:
     t0 = time.perf_counter()
     cd = clip_to_window(graph, window)
     t_clip = time.perf_counter() - t0
-    print(f"clip: {1e3 * t_clip:.1f} ms, {len(cd.pieces)} pieces")
+    print(f"clip: {1e3 * t_clip:.1f} ms, {len(cd.pieces)} pieces, "
+          f"{len(cd.loops.loop_start) - 1} loops")
 
     t0 = time.perf_counter()
     analytic = rasterize_cells(cd, args.res, args.res)

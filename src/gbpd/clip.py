@@ -13,11 +13,18 @@ an earlier node is that node, found through a ``geometry.PointIndex`` of
 cell side 2 snap; a vertex within snap of a corner is the corner, so its pieces meet
 the border there.
 
-The same pieces carry a bounded cell of the bare graph: `bounded_cell_pieces`
-turns each of its edges into one whole-edge piece, with the side test and
-the chaining that clipping uses, so measurement has one loop representation.
-`flatten_pieces` is the one flattening of pieces into polylines, for the
-analytic raster, the SVG and the hole test of measure.
+The clip is one array record, in the manner of a doubly-connected edge
+list, which this module alone lays out: NODE rows (position, kind,
+``boundary_s``, the place along the window border), PIECE rows (edge row,
+line, a0 < a1, start and end node, closed, left and right cell in the
+stored direction, end points; -1 or NaN where a column says none: the edge
+of a border piece, the line of an arc) and the cells' loops as runs of
+directed half-pieces (CellLoops). A border piece keeps the window interior,
+hence its owner, on the left. The same record carries bounded cells of the
+bare graph (`bounded_cell_pieces`: one whole-edge piece per edge, vertex
+ids as nodes, the clip's side test and chaining), so measurement has one
+loop representation. `flatten_pieces` is the one flattening of pieces into
+polylines, for the analytic raster, the SVG and the hole test of measure.
 
 Crossing parameters come from the quadratic x(t) - X u(t) = 0 per window
 side (linear for straight edges), so no marching or sampling is involved.
@@ -52,55 +59,60 @@ from .tolerances import DEDUP_REL, DEN_REL, PARAM_MERGE
 TWO_PI = 2.0 * math.pi
 _FLATTEN_DEPTH = 14
 
+NODE_KINDS = ("corner", "vertex", "crossing")
+NODE = np.dtype([("pos", float, 2), ("kind", np.int8), ("boundary_s", float)])
+PIECE = np.dtype([("edge", np.intp), ("line", np.intp), ("a0", float), ("a1", float),
+                  ("node_a", np.intp), ("node_b", np.intp), ("closed", bool),
+                  ("left", np.intp), ("right", np.intp), ("p0", float, 2), ("p1", float, 2)])
+HALF = np.dtype([("piece", np.intp), ("forward", bool)])
+# a candidate piece: the PIECE columns up to closed, its test parameter and its margin
+_CANDIDATE = np.dtype(PIECE.descr[:7] + [("test", float), ("margin", float)])
+
+
+def _offsets(counts) -> np.ndarray:
+    """Run offsets (K + 1,) of K runs of the given lengths."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])
+
 
 @dataclass
-class ClipNode:
-    id: int
-    pos: np.ndarray
-    kind: str  # "corner" | "vertex" | "crossing"
-    boundary_s: float | None = None  # arc position along the window border
+class CellLoops:
+    """Closed boundary loops of cells, interior on the left, as runs of
+    directed half-pieces (HALF rows): loop k is
+    ``half[loop_start[k]:loop_start[k + 1]]``, and cell ``cells[c]`` owns the
+    loops ``cell_start[c]`` to ``cell_start[c + 1]``, in the order of their
+    first half-pieces."""
 
+    cells: np.ndarray
+    half: np.ndarray
+    loop_start: np.ndarray
+    cell_start: np.ndarray
 
-@dataclass
-class ClipPiece:
-    """One boundary piece of a clipped cell.
+    def runs(self, c: int) -> list[np.ndarray]:
+        """The loops of the cell at position c, each a HALF array."""
+        ls = self.loop_start
+        return [self.half[ls[k]:ls[k + 1]] for k in range(self.cell_start[c], self.cell_start[c + 1])]
 
-    Kinds: "arc" (curved bisector piece, params are alphas), "segment"
-    (straight bisector piece, params are line parameters) and "boundary"
-    (piece of the window border). Stored direction is increasing parameter;
-    ``left``/``right`` name the cells on each side in that direction
-    (boundary pieces keep the window interior, hence their owner, on the
-    left). Closed pieces are full loops with no nodes. Pieces made by
-    ``bounded_cell_pieces`` take edge ids as ids and vertex ids as nodes.
-    """
-
-    id: int
-    kind: str
-    pair: tuple[int, int] | None
-    edge_id: int | None
-    line_index: int | None
-    a0: float | None
-    a1: float | None
-    node_a: int | None
-    node_b: int | None
-    closed: bool
-    left: int | None
-    right: int | None
-    p0: np.ndarray | None
-    p1: np.ndarray | None
+    def subset(self, cells) -> CellLoops:
+        """The loops of the cell ids ``cells``, the cells in this record's order."""
+        want = set(cells)
+        keep = np.array([gid in want for gid in self.cells.tolist()], dtype=bool)
+        per_cell, per_loop = np.diff(self.cell_start), np.diff(self.loop_start)
+        loops = np.repeat(keep, per_cell)
+        return CellLoops(self.cells[keep], self.half[np.repeat(loops, per_loop)],
+                         _offsets(per_loop[loops]), _offsets(per_cell[keep]))
 
 
 @dataclass
 class ClippedDiagram:
     window: Window
     graph: DiagramGraph
-    nodes: list[ClipNode]
-    pieces: list[ClipPiece]
-    cells: dict[int, list[list[tuple[int, bool]]]]
+    nodes: np.ndarray  # NODE rows
+    pieces: np.ndarray  # PIECE rows
+    loops: CellLoops  # of every generator, in graph order
 
 
-def piece_points(graph: DiagramGraph, pieces, f) -> np.ndarray:
-    """Points (N, 2) at fraction f[k] in [0, 1] along pieces[k], in its stored direction.
+def piece_points(graph: DiagramGraph, pieces: np.ndarray, f) -> np.ndarray:
+    """Points (N, 2) at fraction f[k] in [0, 1] along pieces[k] (PIECE rows), in its stored direction.
 
     ``f`` is one fraction per piece, or one for all. The arc and segment
     points come from one ``_piece_rows`` call; an arc point at a singular
@@ -108,20 +120,17 @@ def piece_points(graph: DiagramGraph, pieces, f) -> np.ndarray:
     """
     f = np.broadcast_to(np.asarray(f, dtype=float), (len(pieces),))
     out = np.empty((len(pieces), 2))
-    border = [k for k, p in enumerate(pieces) if p.kind == "boundary"]
-    if border:
-        p0 = np.array([pieces[k].p0 for k in border])
-        p1 = np.array([pieces[k].p1 for k in border])
-        out[border] = p0 + f[border, None] * (p1 - p0)
-    rows = [k for k, p in enumerate(pieces) if p.kind != "boundary"]
-    a0 = np.array([pieces[k].a0 for k in rows])
-    a = a0 + f[rows] * (np.array([pieces[k].a1 for k in rows]) - a0)
-    out[rows] = _regular_rows(graph, *_table_rows([pieces[k] for k in rows]), a)[:, :2]
+    border = pieces["edge"] < 0
+    p0, p1 = pieces["p0"][border], pieces["p1"][border]
+    out[border] = p0 + f[border, None] * (p1 - p0)
+    rows = pieces[~border]
+    a = rows["a0"] + f[~border] * (rows["a1"] - rows["a0"])
+    out[~border] = _regular_rows(graph, rows["edge"], rows["line"], a)[:, :2]
     return out
 
 
-def flatten_pieces(graph: DiagramGraph, pieces, ftol: float) -> list[np.ndarray]:
-    """Polylines (M, 2) along pieces in their stored direction, end points included.
+def flatten_pieces(graph: DiagramGraph, pieces: np.ndarray, ftol: float) -> list[np.ndarray]:
+    """Polylines (M, 2) along pieces (PIECE rows) in their stored direction, end points included.
 
     A border or straight piece is its chord. An arc starts from its knots
     (fractions 0, 1/2 and 1; quarters for a closed arc), and each span is
@@ -131,16 +140,16 @@ def flatten_pieces(graph: DiagramGraph, pieces, ftol: float) -> list[np.ndarray]
     fate depends only on its own points, so a piece gets the same polyline
     whatever it is flattened with.
     """
-    lines: list = [None if p.kind == "arc" else np.array([p.p0, p.p1]) for p in pieces]
-    arcs = [k for k, p in enumerate(pieces) if p.kind == "arc"]
-    if not arcs:
+    lines = list(np.stack([pieces["p0"], pieces["p1"]], axis=1))
+    arcs = np.flatnonzero((pieces["edge"] >= 0) & (pieces["line"] < 0))
+    if not arcs.size:
         return lines
-    a0, a1 = np.array([(pieces[k].a0, pieces[k].a1) for k in arcs]).T
-    span = a1 - a0
-    rows, row_lines = _table_rows([pieces[k] for k in arcs])
-    knots = [[0.0, 0.25, 0.5, 0.75, 1.0] if pieces[k].closed else [0.0, 0.5, 1.0] for k in arcs]
-    arc = np.repeat(np.arange(len(arcs)), [len(kn) for kn in knots])
-    f = np.concatenate(knots)
+    sel = pieces[arcs]
+    rows, row_lines, a0 = sel["edge"], sel["line"], sel["a0"]
+    span = sel["a1"] - a0
+    knots = np.where(sel["closed"], 5, 3)
+    arc = np.repeat(np.arange(arcs.size), knots)
+    f = (np.arange(arc.size) - np.repeat(_offsets(knots)[:-1], knots)) / (knots - 1)[arc]
     at = _regular_rows(graph, rows[arc], row_lines[arc], a0[arc] + f * span[arc])[:, :2]
     # leaves (arc, f0, start point), with every arc's end point as the leaf at f0 = 1
     leaves = [(arc[f == 1.0], f[f == 1.0], at[f == 1.0])]
@@ -166,19 +175,17 @@ def flatten_pieces(graph: DiagramGraph, pieces, ftol: float) -> list[np.ndarray]
     # spans at the depth cap stay as they are
     leaf_arc, leaf_f, leaf_p = (np.concatenate(c) for c in zip(*leaves, (arc, f0, p0)))
     order = np.lexsort((leaf_f, leaf_arc))  # by arc, then f0
-    cuts = np.cumsum(np.bincount(leaf_arc, minlength=len(arcs)))[:-1]
-    for k, line in zip(arcs, np.split(leaf_p[order], cuts)):
+    cuts = np.cumsum(np.bincount(leaf_arc, minlength=arcs.size))[:-1]
+    for k, line in zip(arcs.tolist(), np.split(leaf_p[order], cuts)):
         lines[k] = line
     return lines
 
 
 def loop_polygons(lines, loops) -> list[np.ndarray]:
-    """Closed polygon of each loop of (piece id, forward) pairs, from ``lines``
-    (piece id -> polyline): each piece up to, not including, its end."""
-    return [
-        np.concatenate([lines[pid][:-1] if forward else lines[pid][:0:-1] for pid, forward in lp])
-        for lp in loops
-    ]
+    """Closed polygon of each loop (a HALF array), from ``lines`` (piece ->
+    polyline): each piece up to, not including, its end."""
+    return [np.concatenate([lines[p][:-1] if forward else lines[p][:0:-1]
+                            for p, forward in lp.tolist()]) for lp in loops]
 
 
 def _piece_rows(graph: DiagramGraph, rows: np.ndarray, lines: np.ndarray,
@@ -204,17 +211,11 @@ def _piece_rows(graph: DiagramGraph, rows: np.ndarray, lines: np.ndarray,
     return out, singular
 
 
-def _table_rows(pieces) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_piece_rows`` table rows and line indices of arc and segment pieces."""
-    return (np.array([p.edge_id for p in pieces], dtype=np.intp),
-            np.array([-1 if p.kind == "arc" else p.line_index for p in pieces], dtype=np.intp))
-
-
 def _regular_rows(graph: DiagramGraph, rows: np.ndarray, lines: np.ndarray,
                   param: np.ndarray) -> np.ndarray:
     """``_piece_rows`` (x, y, vx, vy) of pieces, as that takes them, that must
     not meet a singular parameter; one that does raises SingularParameterError.
-    Callers holding pieces pass ``*_table_rows(pieces)``."""
+    Callers holding pieces pass their edge and line columns."""
     out, singular = _piece_rows(graph, rows, lines, param)
     if singular.any():
         raise SingularParameterError(f"alpha={param[singular][0]} lies on the line at infinity")
@@ -323,12 +324,9 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     # border resolve to the smaller id, matching the rasterizer)
     strict = 1e-12 * window.diagonal
     arc_gap = 2.0 * PARAM_MERGE
-    nodes: list[ClipNode] = []
-
-    for k, (cx, cy) in enumerate(window.corners()):
-        pos = np.array([cx, cy])
-        nodes.append(ClipNode(k, pos, "corner", _boundary_s(window, pos, k)))
-    corners = PointIndex(snap, nodes)
+    # NODE rows (position, kind, boundary_s), kinds indexing NODE_KINDS
+    nodes = [(pos, 0, _boundary_s(window, pos, k)) for k, pos in enumerate(window.corners())]
+    corners = PointIndex(snap, ((k, nd[0]) for k, nd in enumerate(nodes)))
     vertex_node: dict[int, int] = {}
     inside = window.contains(np.reshape([v.pos for v in graph.vertices], (-1, 2)))
     for k in np.flatnonzero(inside).tolist():
@@ -336,21 +334,21 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
         # a vertex within snap of a corner is that corner, as are the crossings beside it
         nd = corners.near(np.array(v.pos))
         if nd is None:
-            nd = ClipNode(len(nodes), np.array(v.pos), "vertex")
-            nodes.append(nd)
-        vertex_node[v.id] = nd.id
-    index = PointIndex(snap, nodes)
+            nd = len(nodes)
+            nodes.append((np.array(v.pos), 1, math.nan))
+        vertex_node[v.id] = nd
+    index = PointIndex(snap, ((k, nd[0]) for k, nd in enumerate(nodes)))
 
     def crossing_node(pos: np.ndarray, side: int) -> int:
         nd = index.near(pos)
         if nd is None:
-            nd = ClipNode(len(nodes), pos, "crossing", _boundary_s(window, pos, side))
-            nodes.append(nd)
-            index.add(nd)
-        elif nd.boundary_s is None:
+            nd = len(nodes)
+            nodes.append((pos, 2, _boundary_s(window, pos, side)))
+            index.add(nd, pos)
+        elif math.isnan(nodes[nd][2]):
             # a vertex sitting on the border is reused as a boundary node
-            nd.boundary_s = _boundary_s(window, nd.pos, side)
-        return nd.id
+            nodes[nd] = (*nodes[nd][:2], _boundary_s(window, nodes[nd][0], side))
+        return nd
 
     curved = [e for e in graph.edges if e.is_curve()]
     straight = [e for e in graph.edges if not e.is_curve()]
@@ -361,7 +359,7 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
                             strict, arc_gap)
     for e in (e for e in graph.edges if crossings[e.id]):
         found = crossings[e.id]
-        ends = tuple(map(vertex_node.get, e.endpoints))
+        ends = tuple(vertex_node.get(v, -1) for v in e.endpoints)
         if e.is_curve():
             marks = [(off, crossing_node(*at)) for off, at in merge_marks(found, arc_gap)]
             for off0, off1, n0, n1 in split_at_marks(marks, 0.0, e.a1 - e.a0, arc_gap,
@@ -377,44 +375,40 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
             # bounded window except for pathological tangencies
             if not (math.isinf(t0) or math.isinf(t1)):
                 rows.append((e.id, e.line_index, t0, t1, n0, n1, False, 0.5 * (t0 + t1), strict))
-    rows.sort(key=lambda row: row[0])  # stable: piece ids stay in edge order
+    rows.sort(key=lambda row: row[0])  # stable: pieces stay in edge order
 
-    pieces, mid = _kept_pieces(graph, rows, window)
+    nodes = np.array(nodes, dtype=NODE)
     # window border pieces between consecutive boundary nodes
-    boundary_nodes = [nd for nd in nodes if nd.boundary_s is not None]
-    boundary_nodes.sort(key=lambda nd: nd.boundary_s)
+    s = nodes["boundary_s"]
+    on = np.flatnonzero(~np.isnan(s))
+    on = on[np.argsort(s[on], kind="stable")]
     perimeter = 2.0 * (window.width + window.height)
-    m = len(boundary_nodes)
-    border: list[ClipPiece] = []
-    for k in range(m):
-        nd0 = boundary_nodes[k]
-        nd1 = boundary_nodes[(k + 1) % m]
-        s0 = nd0.boundary_s
-        s1 = nd1.boundary_s if k + 1 < m else nd1.boundary_s + perimeter
-        if s1 - s0 <= 1e-12 * perimeter:
-            continue
-        border.append(ClipPiece(len(pieces) + len(border), "boundary", None, None, None, None, None,
-                                nd0.id, nd1.id, False, None, None, nd0.pos, nd1.pos))
-    if border:
-        # each border piece keeps the generator nearest its midpoint on the
-        # left; a tie (a bisector along the side) goes to the one whose distance
-        # falls fastest along the inward normal (left of p0 -> p1), then by id
-        arr = SceneArrays(graph.generators)
-        d = arr.dist(np.array([0.5 * (p.p0 + p.p1) for p in border]))
-        best = d == d.min(axis=1, keepdims=True)
-        for k in np.flatnonzero(best.sum(axis=1) > 1):
-            (x0, y0), (x1, y1) = border[k].p0, border[k].p1
-            px, py, m11, m12, m22, _ = arr.coef[:, best[k]]
-            dx, dy = 0.5 * (x0 + x1) - px, 0.5 * (y0 + y1) - py
-            slope = (m11 * dx + m12 * dy) * (y0 - y1) + (m12 * dx + m22 * dy) * (x1 - x0)
-            best[k, best[k]] = ~(slope > slope.min())
-        owner = np.where(best, arr.ids, arr.ids.max() + 1).min(axis=1)
-        for piece, gid in zip(border, owner.tolist()):
-            piece.left = gid
-    _assign_sides(graph, pieces, mid)
-    pieces += border
-    cells = _assemble_cells(graph, pieces)
-    return ClippedDiagram(window, graph, nodes, pieces, cells)
+    s0 = s[on]
+    s1 = np.append(s0[1:], s0[0] + perimeter)
+    keep = ~(s1 - s0 <= 1e-12 * perimeter)
+    # the bisector pieces, then the border's rows
+    pieces, mid = _kept_pieces(graph, rows, window, int(keep.sum()))
+    _assign_sides(graph, pieces[:len(mid)], mid)
+    border = pieces[len(mid):]
+    border["edge"] = border["line"] = border["right"] = -1
+    border["a0"] = border["a1"] = np.nan
+    border["node_a"], border["node_b"] = on[keep], np.concatenate([on[1:], on[:1]])[keep]
+    p0 = border["p0"] = nodes["pos"][border["node_a"]]
+    p1 = border["p1"] = nodes["pos"][border["node_b"]]
+    # each border piece keeps the generator nearest its midpoint on the
+    # left; a tie (a bisector along the side) goes to the one whose distance
+    # falls fastest along the inward normal (left of p0 -> p1), then by id
+    arr = SceneArrays(graph.generators)
+    d = arr.dist(0.5 * (p0 + p1))
+    best = d == d.min(axis=1, keepdims=True)
+    for k in np.flatnonzero(best.sum(axis=1) > 1):
+        (x0, y0), (x1, y1) = p0[k], p1[k]
+        px, py, m11, m12, m22, _ = arr.coef[:, best[k]]
+        dx, dy = 0.5 * (x0 + x1) - px, 0.5 * (y0 + y1) - py
+        slope = (m11 * dx + m12 * dy) * (y0 - y1) + (m12 * dx + m22 * dy) * (x1 - x0)
+        best[k, best[k]] = ~(slope > slope.min())
+    border["left"] = np.where(best, arr.ids, arr.ids.max() + 1).min(axis=1)
+    return ClippedDiagram(window, graph, nodes, pieces, _chain([g.id for g in graph.generators], pieces))
 
 
 def _whole_edge_rows(free, vertex_node: dict[int, int], snap: float, strict: float,
@@ -437,143 +431,148 @@ def _whole_edge_rows(free, vertex_node: dict[int, int], snap: float, strict: flo
     keep = np.flatnonzero(exists).tolist()
     ends = [free[k].endpoints for k in keep]
     return list(zip([free[k].id for k in keep], *(c[keep].tolist() for c in (lines, lo, hi)),
-                    [vertex_node.get(a) for a, _ in ends], [vertex_node.get(b) for _, b in ends],
+                    [vertex_node.get(a, -1) for a, _ in ends],
+                    [vertex_node.get(b, -1) for _, b in ends],
                     *(c[keep].tolist() for c in (loop, test, np.where(loop, 0.0, strict)))))
 
 
-def _kept_pieces(graph: DiagramGraph, rows, window: Window) -> tuple[list[ClipPiece], np.ndarray]:
-    """The candidate rows inside the window, as pieces numbered in order
-    with their end points (``_set_ends``), and their (x, y, vx, vy) at the
-    test parameter. A row is kept when that point is regular and inside the
-    window by its margin: one ``_piece_rows`` and one ``Window.contains``
-    call for all rows. A kept row's test parameter is its mid-parameter."""
-    edge, lines, _, _, _, _, _, test, margin = zip(*rows) if rows else [()] * 9
-    at, singular = _piece_rows(graph, np.array(edge, dtype=np.intp), np.array(lines, dtype=np.intp),
-                               np.array(test, dtype=float))
-    keep = np.flatnonzero(~singular & window.contains(at[:, :2], np.array(margin, dtype=float)))
-    kept = [rows[j] for j in keep.tolist()]
-    pieces = [ClipPiece(k, "arc" if line < 0 else "segment", graph.edges[eid].pair, eid,
-                        None if line < 0 else line, a0, a1, na, nb, closed, None, None, None, None)
-              for k, (eid, line, a0, a1, na, nb, closed, _, _) in enumerate(kept)]
-    _set_ends(graph, pieces)
+def _kept_pieces(graph: DiagramGraph, rows, window: Window,
+                 extra: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate rows inside the window, as PIECE rows in order with
+    their end points (``_end_points``) and no sides yet, then ``extra``
+    zeroed rows; and the kept rows' (x, y, vx, vy) at the test parameter. A
+    row is kept when that point is regular and inside the window by its
+    margin: one ``_piece_rows`` and one ``Window.contains`` call for all
+    rows. A kept row's test parameter is its mid-parameter."""
+    cand = np.array(rows, dtype=_CANDIDATE)
+    at, singular = _piece_rows(graph, cand["edge"], cand["line"], cand["test"])
+    keep = np.flatnonzero(~singular & window.contains(at[:, :2], cand["margin"]))
+    pieces = np.zeros(keep.size + extra, PIECE)
+    for name in _CANDIDATE.names[:7]:
+        pieces[name][:keep.size] = cand[name][keep]
+    _end_points(graph, pieces[:keep.size])
     return pieces, at[keep]
 
 
-def _set_ends(graph: DiagramGraph, pieces) -> None:
-    """Set p0 and p1 of the segment pieces, and p0 (p1) of the arc pieces with
-    a start (end) node; all the points come from one ``_piece_rows`` call."""
-    ends = [(p, "p0", p.a0) for p in pieces if p.kind == "segment" or p.node_a is not None]
-    ends += [(p, "p1", p.a1) for p in pieces if p.kind == "segment" or p.node_b is not None]
-    at = _regular_rows(graph, *_table_rows([p for p, _, _ in ends]),
-                       np.array([a for _, _, a in ends]))
-    for (piece, field, _), q in zip(ends, at):
-        setattr(piece, field, q[:2])
+def _end_points(graph: DiagramGraph, pieces: np.ndarray) -> None:
+    """Fill p0 and p1 of the segment pieces, and p0 (p1) of the arc pieces
+    with a start (end) node, from one ``_piece_rows`` call; the others stay
+    NaN."""
+    segment = pieces["line"] >= 0
+    start = np.flatnonzero(segment | (pieces["node_a"] >= 0))
+    end = np.flatnonzero(segment | (pieces["node_b"] >= 0))
+    ends = np.concatenate([start, end])
+    at = _regular_rows(graph, pieces["edge"][ends], pieces["line"][ends],
+                       np.concatenate([pieces["a0"][start], pieces["a1"][end]]))[:, :2]
+    pieces["p0"] = pieces["p1"] = np.nan
+    pieces["p0"][start], pieces["p1"][end] = at[:start.size], at[start.size:]
 
 
-def _assign_sides(graph: DiagramGraph, pieces, mid: np.ndarray) -> None:
-    """Fill the (left, right) cell ids of bisector pieces in their stored direction.
+def _assign_sides(graph: DiagramGraph, pieces: np.ndarray, mid: np.ndarray) -> None:
+    """Fill the left and right cells of bisector pieces in their stored direction.
 
     ``mid`` holds each piece's (x, y, vx, vy) at its mid-parameter, as
     ``_piece_rows`` gives them: the tangent there is crossed with the
     gradient of the pair's distance difference, which points into the
-    second cell.
+    second cell of the pair (the table's ``first`` and ``second``).
     """
-    if not pieces:
-        return
     x, y, vx, vy = mid.T
+    rows, table = pieces["edge"], graph.table
     # ConicImplicit with array fields evaluates one conic per entry
-    coeffs = graph.table.implicit[[p.edge_id for p in pieces]]
-    gx, gy = ConicImplicit(*coeffs.T).gradient(x, y)
-    ahead = (vx * gy - vy * gx < 0.0).tolist()
-    for piece, keep_order in zip(pieces, ahead):
-        i, j = piece.pair
-        piece.left, piece.right = (i, j) if keep_order else (j, i)
+    gx, gy = ConicImplicit(*table.implicit[rows].T).gradient(x, y)
+    ahead = vx * gy - vy * gx < 0.0
+    ids = np.array([g.id for g in table.generators], dtype=np.intp)
+    i, j = ids[table.first[rows]], ids[table.second[rows]]
+    pieces["left"], pieces["right"] = np.where(ahead, i, j), np.where(ahead, j, i)
 
 
-def _assemble_cells(
-    graph: DiagramGraph, pieces: list[ClipPiece]
-) -> dict[int, list[list[tuple[int, bool]]]]:
-    """Chain directed pieces into closed loops per cell (interior on left)."""
-    by_cell: dict[int, list[tuple[int, bool]]] = {g.id: [] for g in graph.generators}
-    for piece in pieces:
-        if piece.left is not None:
-            by_cell[piece.left].append((piece.id, True))
-        if piece.right is not None:
-            by_cell[piece.right].append((piece.id, False))
-    return {gid: _chain_cell(gid, pieces, directed) for gid, directed in by_cell.items()}
+def _chain(cells, pieces: np.ndarray) -> CellLoops:
+    """Chain the directed half-pieces of the cell ids ``cells`` into closed
+    loops, interior on the left.
 
-
-def _chain_cell(gid: int, pieces, directed: list[tuple[int, bool]]) -> list[list[tuple[int, bool]]]:
-    """Chain one cell's directed pieces (piece id, forward) into closed loops.
-
-    ``pieces`` maps piece id to piece. A loop follows the pieces end node to
-    start node; closed pieces are loops on their own.
+    A piece runs forward in its left cell and backward in its right one.
+    One sort puts the half-pieces in (cell, piece, forward) order, and a
+    second groups the open ones by (cell, start node). A closed piece is a
+    loop on its own. Any other loop starts at the first half-piece not yet
+    used, and each half-piece's end node leads to the first unused one of its
+    cell that leaves that node, in sorted order, until none is left. A loop
+    that does not end on its start node raises NoSolutionError.
     """
-    directed = sorted(directed)
-    start_map: dict[int, list[tuple[int, bool]]] = {}
-    loops: list[list[tuple[int, bool]]] = []
-    used: set[tuple[int, bool]] = set()
-    for pid, fwd in directed:
-        piece = pieces[pid]
-        if piece.closed:
-            loops.append([(pid, fwd)])
-            used.add((pid, fwd))
+    cells = np.asarray(cells, dtype=np.intp)
+    n = len(pieces)
+    side = np.concatenate([pieces["left"], pieces["right"]])
+    sorter = np.argsort(cells, kind="stable")
+    at = sorter[np.minimum(np.searchsorted(cells, side, sorter=sorter), cells.size - 1)]
+    h = np.flatnonzero(cells[at] == side)
+    piece, forward, cell = np.tile(np.arange(n), 2)[h], h < n, at[h]
+    order = np.lexsort((forward, piece, cell))
+    piece, forward, cell = piece[order], forward[order], cell[order]
+    a, b = pieces["node_a"][piece], pieces["node_b"][piece]
+    start, end = np.where(forward, a, b), np.where(forward, b, a)
+    closed = pieces["closed"][piece]
+    # open half-pieces keyed by (cell, start node): cell * width + node is one
+    # key per pair for the nodes -1 (none) to width - 2
+    width = int(max(a.max(initial=-1), b.max(initial=-1))) + 2
+    key = cell * width + start
+    cand = np.flatnonzero(~closed)
+    cand = cand[np.argsort(key[cand], kind="stable")]
+    # the group of each half-piece's end node: candidates lo to hi - 1
+    lo, hi = (np.searchsorted(key[cand], cell * width + end, side).tolist()
+              for side in ("left", "right"))
+    cand, closed_l, start_l, end_l = cand.tolist(), closed.tolist(), start.tolist(), end.tolist()
+    used = [False] * len(piece)
+    # per group of candidates, by its first index: the next one to try
+    taken = list(range(len(cand) + 1))
+    walk: list[int] = []
+    loop_start = [0]
+    for first in range(len(piece)):
+        if used[first]:
             continue
-        start = piece.node_a if fwd else piece.node_b
-        start_map.setdefault(start, []).append((pid, fwd))
-    for entry in directed:
-        if entry in used or pieces[entry[0]].closed:
-            continue
-        loop = []
-        cur = entry
-        while cur not in used:
-            used.add(cur)
-            loop.append(cur)
-            piece = pieces[cur[0]]
-            end = piece.node_b if cur[1] else piece.node_a
-            nxt = None
-            for cand in start_map.get(end, ()):
-                if cand not in used:
-                    nxt = cand
-                    break
-            if nxt is None:
-                break
-            cur = nxt
-        # a loop must close back on its starting node
-        first = pieces[loop[0][0]]
-        start_node = first.node_a if loop[0][1] else first.node_b
-        last = pieces[loop[-1][0]]
-        end_node = last.node_b if loop[-1][1] else last.node_a
-        if start_node != end_node:
+        cur = first
+        while not used[cur]:
+            used[cur] = True
+            walk.append(cur)
+            k, stop = taken[lo[cur]], hi[cur]
+            while k < stop and used[cand[k]]:
+                k += 1
+            taken[lo[cur]] = k
+            if k < stop and not closed_l[cur]:
+                cur = cand[k]
+        if start_l[first] != end_l[cur]:
+            node = [None if nd < 0 else nd for nd in (end_l[cur], start_l[first])]
             raise NoSolutionError(
-                f"cell {gid}: boundary chain does not close (node {end_node} "
-                f"has no continuation toward node {start_node})"
+                f"cell {cells[cell[first]]}: boundary chain does not close (node {node[0]} "
+                f"has no continuation toward node {node[1]})"
             )
-        loops.append(loop)
-    loops.sort(key=lambda lp: lp[0])
-    return loops
+        loop_start.append(len(walk))
+    walk = np.array(walk, dtype=np.intp)
+    loop_start = np.array(loop_start, dtype=np.intp)
+    half = np.zeros(walk.size, HALF)
+    half["piece"], half["forward"] = piece[walk], forward[walk]
+    per_cell = np.bincount(cell[walk[loop_start[:-1]]], minlength=cells.size)
+    return CellLoops(cells, half, loop_start, _offsets(per_cell))
 
 
-def bounded_cell_pieces(
-    graph: DiagramGraph, cell: int
-) -> tuple[dict[int, ClipPiece], list[list[tuple[int, bool]]]]:
-    """Whole-edge pieces and closed loops of one graph cell with finite edges.
+def bounded_cell_pieces(graph: DiagramGraph, cells) -> tuple[np.ndarray, CellLoops]:
+    """Whole-edge pieces and closed loops of the graph cells ``cells`` (ids),
+    whose edges are finite.
 
-    Each edge of the cell becomes one piece whose id is the edge id and
-    whose nodes are the edge's vertex ids; a loop edge becomes a closed
-    piece. Sides and chaining are those of ``clip_to_window``, so the loops
-    hold (piece id, forward) pairs with the cell interior on the left.
-    Returns the pieces keyed by id, and the loops.
+    Each of their edges, in id order, becomes one piece whose nodes are the
+    edge's vertex ids; a loop edge becomes a closed piece. Sides and
+    chaining are those of ``clip_to_window``, so the loops hold (piece,
+    forward) pairs with the cell interior on the left. Returns the PIECE
+    rows and the loops.
     """
-    pieces: dict[int, ClipPiece] = {}
-    for eid in sorted(graph.cell_edges.get(cell, [])):
-        e = graph.edges[eid]
-        pieces[eid] = ClipPiece(eid, "arc" if e.is_curve() else "segment", e.pair, eid,
-                                e.line_index, e.a0, e.a1, *e.endpoints, e.is_loop(),
-                                None, None, None, None)
-    whole = list(pieces.values())
-    _set_ends(graph, whole)
-    mid = np.array([0.5 * (p.a0 + p.a1) for p in whole])
-    _assign_sides(graph, whole, _regular_rows(graph, *_table_rows(whole), mid))
-    directed = [(eid, piece.left == cell) for eid, piece in pieces.items()]
-    return pieces, _chain_cell(cell, pieces, directed)
+    edges = [graph.edges[eid]
+             for eid in sorted({eid for cell in cells for eid in graph.cell_edges.get(cell, [])})]
+    pieces = np.zeros(len(edges), PIECE)
+    pieces["edge"] = [e.id for e in edges]
+    pieces["line"] = [-1 if e.is_curve() else e.line_index for e in edges]
+    pieces["a0"], pieces["a1"] = [e.a0 for e in edges], [e.a1 for e in edges]
+    ends = np.array([[-1 if v is None else v for v in e.endpoints] for e in edges], dtype=np.intp)
+    pieces["node_a"], pieces["node_b"] = ends.reshape(-1, 2).T
+    pieces["closed"] = [e.is_loop() for e in edges]
+    _end_points(graph, pieces)
+    mid = 0.5 * (pieces["a0"] + pieces["a1"])
+    _assign_sides(graph, pieces, _regular_rows(graph, pieces["edge"], pieces["line"], mid))
+    return pieces, _chain(cells, pieces)

@@ -226,12 +226,12 @@ def _cluster_vertices(kept: list[Generator], cand: np.ndarray, trip: np.ndarray,
     vertices: list[Vertex] = []
     index = PointIndex(DEDUP_REL * length_scale)
     for pos, (i, j, k) in zip(cand, trip):
-        v = index.near(pos)
-        if v is None:
-            v = Vertex(len(vertices), pos, frozenset())
-            vertices.append(v)
-            index.add(v)
-        v.gens |= {kept[i].id, kept[j].id, kept[k].id}
+        found = index.near(pos)
+        if found is None:
+            found = len(vertices)
+            vertices.append(Vertex(found, pos, frozenset()))
+            index.add(found, pos)
+        vertices[found].gens |= {kept[i].id, kept[j].id, kept[k].id}
     return vertices
 
 

@@ -433,28 +433,27 @@ class SceneArrays:
 
 
 class PointIndex:
-    """Items with an ``id`` and a ``pos`` by grid cell of side 2 radius: an item within
-    radius of pos by a hypot test, rounding included, is in the 3 x 3 cells around
-    pos's; ``near`` gives the one of least id."""
+    """Keys by the grid cell of side 2 radius of their points: a point within
+    radius of pos by a hypot test, rounding included, is in the 3 x 3 cells
+    around pos's; ``near`` gives the least key among them."""
 
-    def __init__(self, radius: float, items=()):
+    def __init__(self, radius: float, points=()):
         self.radius = radius
         self.cells: dict[tuple[int, int], list] = {}
-        for item in items:
-            self.add(item)
+        for key, pos in points:
+            self.add(key, pos)
 
     def _cell(self, pos) -> tuple[int, int]:
         return math.floor(pos[0] / (2.0 * self.radius)), math.floor(pos[1] / (2.0 * self.radius))
 
-    def add(self, item) -> None:
-        self.cells.setdefault(self._cell(item.pos), []).append(item)
+    def add(self, key, pos) -> None:
+        self.cells.setdefault(self._cell(pos), []).append((key, pos))
 
     def near(self, pos):
         i, j = self._cell(pos)
-        hits = [item for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                for item in self.cells.get((i + di, j + dj), ())
-                if math.hypot(*(item.pos - pos)) <= self.radius]
-        return min(hits, key=lambda item: item.id, default=None)
+        return min((key for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                    for key, at in self.cells.get((i + di, j + dj), ())
+                    if math.hypot(*(at - pos)) <= self.radius), default=None)
 
 
 SCENE_CSV_HEADER = ["id", "px", "py", "m11", "m12", "m22", "w"]

@@ -19,9 +19,10 @@ pieces with the largest estimates are halved. An arc that misses the target
 after 30 halvings of a piece, or past 200 pieces, raises QuadratureError
 instead of returning an unconverged value.
 
-Every cell is measured from one loop representation: directed loops of
-clip pieces (`clip.ClipPiece`). A clipped diagram carries them already. A
-bounded cell of a bare diagram graph is turned into whole-edge pieces by
+Every cell is measured from one loop representation, the clip record of
+`clip.py`: PIECE rows, and per cell its loops as runs of directed
+half-pieces. A clipped diagram carries them already. The bounded cells of a
+bare diagram graph become whole-edge records through
 `clip.bounded_cell_pieces`; a graph cell with no boundary, with an edge
 that runs to infinity, or with hole loops only is unbounded and raises
 UnboundedCellError. When the cell has more than one outer loop, a hole
@@ -30,8 +31,11 @@ loop joins the outer loop that contains its start point, as tested on
 radius; hole loops are not flattened.
 
 `cell_area` and `measure_cells` are one path (`_measure`): the loops of
-the cells asked for, one arc table for all of them, then one function per
-cell (`_cell_measure`) that groups its loops into components and sums them.
+the cells asked for, the sums of all of them in one array pass
+(`_loop_sums`, every arc on them integrated in one call of the batched
+kernel), then one function per cell with loops (`_cell_measure`) that
+groups its loops into components and adds them up. A cell with no loop
+measures zero and costs no call.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_poly
 from .conic import ELLIPSE_CODE, eval_alpha_batch
 from .diagram import DiagramGraph, EdgeSegment
 from .errors import InputError, NonFiniteSegmentError, QuadratureError, UnboundedCellError
+from .geometry import hypots
 from .tolerances import DEDUP_REL, QUAD_ABS
 
 _HALF_PI = 0.5 * math.pi
@@ -279,48 +284,56 @@ def edge_arc_length(graph: DiagramGraph, e: EdgeSegment) -> float:
     return e.a1 - e.a0
 
 
-# ---------------------------------------------------------- loop traversal
-#
-# A cell is a list of loops of directed pieces, (piece id, forward) pairs
-# into a piece table: the clipped diagram's pieces, or a bounded graph
-# cell's whole-edge pieces. Each piece reports its signed area term (the
-# contour integral along it, in traversal direction) and its length; a
-# straight run from q0 to q1 contributes the shoelace term
-# (x0 y1 - y0 x1) / 2. Endpoints of adjacent pieces agree only to
-# vertex-recovery precision, so tiny connector chords are inserted between
-# them: an exactly closed contour keeps the signed total independent of
-# the coordinate origin.
+# ---------------------------------------------------------------- loop sums
 
 
-def _chord_term(q0, q1) -> float:
-    return 0.5 * (q0[0] * q1[1] - q0[1] * q1[0])
+def _loop_sums(graph: DiagramGraph, pieces: np.ndarray, loops) -> tuple[np.ndarray, np.ndarray]:
+    """Signed area and length of every loop of ``loops`` (a CellLoops over
+    the PIECE rows ``pieces``).
 
-
-def _loop_terms(pieces, loop, table) -> tuple[float, float]:
-    area = length = 0.0
-    first = prev = None
-    for pid, forward in loop:
-        piece = pieces[pid]
-        q0, q1 = (piece.p0, piece.p1) if forward else (piece.p1, piece.p0)
-        if piece.kind == "arc":
-            a, s = table[pid]
-            a = a if forward else -a
-            if piece.closed:
-                area += a
-                length += s
-                continue
-        else:
-            a, s = _chord_term(q0, q1), math.hypot(q1[0] - q0[0], q1[1] - q0[1])
-        if prev is not None:
-            area += _chord_term(prev, q0)  # connector from the last piece's end
-        else:
-            first = q0
-        area += a
-        length += s
-        prev = q1
-    if prev is not None and first is not None:
-        area += _chord_term(prev, first)
-    return area, length
+    A half-piece's area term is the contour integral along it: an arc's
+    from ``arc_measures`` (each arc integrated once, in one call), a straight
+    run's from q0 to q1 the shoelace term (x0 y1 - y0 x1) / 2. Adjacent
+    pieces' ends agree only to vertex-recovery precision, so a connector
+    chord joins each piece's end to the next one's start: an exactly closed
+    contour keeps the signed total independent of the coordinate origin. A
+    loop's area is summed strictly left to right from 0.0 (first piece term,
+    then connector and piece term in turn, then the connector back to its
+    start; none for a closed arc), its length over its pieces. Each loop is a
+    row of one zero-padded array, which ``np.cumsum`` adds in that order.
+    """
+    half = loops.half
+    p = pieces[half["piece"]]
+    forward = half["forward"][:, None]
+    q0, q1 = np.where(forward, p["p0"], p["p1"]), np.where(forward, p["p1"], p["p0"])
+    area = 0.5 * (q0[:, 0] * q1[:, 1] - q0[:, 1] * q1[:, 0])
+    length = np.zeros(len(half))
+    arc = (p["edge"] >= 0) & (p["line"] < 0)
+    run = ~arc
+    length[run] = hypots(q1[run, 0] - q0[run, 0], q1[run, 1] - q0[run, 1])
+    if arc.any():
+        ids, inv = np.unique(half["piece"][arc], return_inverse=True)
+        one = pieces[ids]
+        a, s = arc_measures(graph.table.chart[one["edge"]], graph.table.u_scale[one["edge"]],
+                            one["a0"], one["a1"])
+        area[arc] = np.where(forward[arc, 0], a[inv], -a[inv])
+        length[arc] = s[inv]
+    # the connector into each half-piece from the end of the one before it in its loop
+    count = np.diff(loops.loop_start)
+    at = np.arange(len(half)) - np.repeat(loops.loop_start[:-1], count)
+    prev = np.arange(len(half)) - 1
+    prev[loops.loop_start[:-1]] += count
+    link = 0.5 * (q1[prev, 0] * q0[:, 1] - q1[prev, 1] * q0[:, 0])
+    link[p["closed"]] = 0.0
+    # columns: 0.0, then piece term j at 2 j + 1 and the connector into it at
+    # 2 j, the first piece's connector last, at 2 count
+    loop = np.repeat(np.arange(count.size), count)
+    terms = np.zeros((2, count.size, 2 * count.max(initial=0) + 1))
+    terms[0, loop, 2 * at + 1] = area
+    terms[0, loop, np.where(at == 0, 2 * count[loop], 2 * at)] = link
+    terms[1, loop, 2 * at + 1] = length
+    sums = np.cumsum(terms, axis=2)[:, :, -1]
+    return sums[0], sums[1]
 
 
 def _point_in_polygon(poly: np.ndarray, q) -> bool:
@@ -336,87 +349,62 @@ def _point_in_polygon(poly: np.ndarray, q) -> bool:
 # ---------------------------------------------------------------- front end
 
 
-def _cell_loops(g: DiagramGraph | ClippedDiagram, cell: int) -> tuple:
-    """(pieces, loops) of one cell: the piece table, indexed by piece id,
-    and the directed boundary loops, interior on the left. No loops means
-    the cell has no area.
-    """
-    if isinstance(g, ClippedDiagram):
-        return g.pieces, g.cells.get(cell, [])
-    if cell in g.empty_cells or cell in g.aliases:
-        return {}, []
-    edge_ids = g.cell_edges.get(cell, [])
+def _check_bounded(graph: DiagramGraph, cell: int) -> None:
+    """Raise UnboundedCellError for a bare-graph cell, neither empty nor an
+    alias, with no boundary or with an edge that runs to infinity."""
+    if cell in graph.empty_cells or cell in graph.aliases:
+        return
+    edge_ids = graph.cell_edges.get(cell, [])
     if not edge_ids:
-        raise UnboundedCellError(
-            f"cell {cell} has no boundary at all; clip to a window first"
-        )
+        raise UnboundedCellError(f"cell {cell} has no boundary at all; clip to a window first")
     for eid in sorted(edge_ids):
-        if not _bounded(g, g.edges[eid]):
+        if not _bounded(graph, graph.edges[eid]):
             raise UnboundedCellError(f"cell {cell} is open along edge {eid}")
-    return bounded_cell_pieces(g, cell)
 
 
-def _arc_table(graph: DiagramGraph, cells) -> dict[int, tuple[float, float]]:
-    """(signed area, length) of every curved piece on the loops of the given
-    (pieces, loops) cells, keyed by piece id; each is integrated once, in
-    one call of the batched kernel."""
-    arcs = {}
-    for pieces, loops in cells:
-        for loop in loops:
-            for pid, _ in loop:
-                piece = pieces[pid]
-                if piece.kind == "arc":
-                    arcs[pid] = (piece.edge_id, piece.a0, piece.a1)
-    if not arcs:
-        return {}
-    rows, a0, a1 = (list(col) for col in zip(*arcs.values()))
-    areas, lengths = arc_measures(graph.table.chart[rows], graph.table.u_scale[rows], a0, a1)
-    return {k: (float(a), float(s)) for k, a, s in zip(arcs, areas, lengths)}
+def _hole_test(graph: DiagramGraph, pieces, runs, outers, holes) -> tuple[list, np.ndarray]:
+    """Polygons of the ``outers`` loops of ``runs``, their pieces flattened to
+    the build's snap radius, and per ``holes`` loop the point its polygon
+    would start with, unflattened: the start of its first piece in traversal
+    direction, for an arc ``piece_points`` at fraction 0 (forward) or 1
+    (backward), as ``flatten_pieces`` begins and ends it."""
+    ids = np.unique(np.concatenate([runs[k]["piece"] for k in outers]))
+    lines = dict(zip(ids.tolist(), flatten_pieces(graph, pieces[ids], DEDUP_REL * graph.length_scale)))
+    head = np.concatenate([runs[k][:1] for k in holes])
+    first, forward = pieces[head["piece"]], head["forward"]
+    probes = np.where(forward[:, None], first["p0"], first["p1"])
+    arc = (first["edge"] >= 0) & (first["line"] < 0)
+    probes[arc] = piece_points(graph, first[arc], np.where(forward[arc], 0.0, 1.0))
+    return loop_polygons(lines, [runs[k] for k in outers]), probes
 
 
-def _hole_test(graph: DiagramGraph, pieces, loops, outers, holes) -> tuple[list, list]:
-    """Polygons of the ``outers`` loops, their pieces flattened to the build's
-    snap radius, and per ``holes`` loop the point its polygon would start
-    with, unflattened: the start of its first piece in traversal direction,
-    for an arc ``piece_points`` at fraction 0 (forward) or 1 (backward), as
-    ``flatten_pieces`` begins and ends it."""
-    ids = sorted({pid for k in outers for pid, _ in loops[k]})
-    lines = flatten_pieces(graph, [pieces[k] for k in ids], DEDUP_REL * graph.length_scale)
-    heads = [(pieces[loops[k][0][0]], loops[k][0][1]) for k in holes]
-    arcs = [(p, fw) for p, fw in heads if p.kind == "arc"]
-    at = iter(piece_points(graph, [p for p, _ in arcs], [0.0 if fw else 1.0 for _, fw in arcs]))
-    return (loop_polygons(dict(zip(ids, lines)), [loops[k] for k in outers]),
-            [next(at) if p.kind == "arc" else p.p0 if fw else p.p1 for p, fw in heads])
-
-
-def _cell_measure(graph: DiagramGraph, cell: int, pieces, loops, table,
+def _cell_measure(graph: DiagramGraph, cell: int, pieces, runs, area, length,
                   *, strict: bool) -> CellMeasure:
-    """Measure of one cell from its loops, by component: an outer loop
-    (positive signed area) and its holes (negative).
+    """Measure of one cell from the sums ``area`` and ``length`` of its loops,
+    by component: an outer loop (positive signed area) and its holes
+    (negative). ``runs()`` gives the loops, as HALF arrays.
 
     A hole joins the first outer loop whose ``_hole_test`` polygon contains
     its probe, or the largest one if none does; a single outer loop takes
     every hole, and only more than one outer loop flattens. Without outer
     loops each hole is a component of its own, or, with strict (bare graph
-    cells), the cell is unbounded and raises UnboundedCellError. No loops
-    means no area.
+    cells), the cell is unbounded and raises UnboundedCellError.
     """
-    vals = [_loop_terms(pieces, lp, table) for lp in loops]
-    outers = [k for k in range(len(vals)) if vals[k][0] >= 0.0]
-    holes = [k for k in range(len(vals)) if vals[k][0] < 0.0]
+    outers = [k for k in range(len(area)) if area[k] >= 0.0]
+    holes = [k for k in range(len(area)) if area[k] < 0.0]
     if strict and holes and not outers:
         raise UnboundedCellError(f"cell {cell} has only hole loops; it is unbounded")
     groups = {k: [k] for k in outers or holes}
     if len(outers) == 1:
         groups[outers[0]] += holes
     elif outers and holes:
-        polys, probes = _hole_test(graph, pieces, loops, outers, holes)
-        largest = max(outers, key=lambda o: vals[o][0])
+        polys, probes = _hole_test(graph, pieces, runs(), outers, holes)
+        largest = max(outers, key=lambda o: area[o])
         for k, probe in zip(holes, probes):
             groups[next((o for o, poly in zip(outers, polys) if _point_in_polygon(poly, probe)),
                         largest)].append(k)
-    comps = sorted((ComponentMeasure(float(sum(vals[k][0] for k in grp)),
-                                     float(sum(vals[k][1] for k in grp)))
+    comps = sorted((ComponentMeasure(float(sum(area[k] for k in grp)),
+                                     float(sum(length[k] for k in grp)))
                     for grp in groups.values()), key=lambda c: (-c.area, c.perimeter))
     return CellMeasure(cell, float(sum(c.area for c in comps)),
                        float(sum(c.perimeter for c in comps)), tuple(comps))
@@ -424,15 +412,26 @@ def _cell_measure(graph: DiagramGraph, cell: int, pieces, loops, table,
 
 def _measure(g: DiagramGraph | ClippedDiagram, cells) -> dict[int, CellMeasure]:
     """CellMeasure of each cell id in ``cells``, keyed by id; every arc on
-    their loops is integrated once, although it borders two cells."""
+    their loops is integrated once, although it borders two cells. A cell
+    with no loop has no area."""
     graph = g.graph if isinstance(g, ClippedDiagram) else g
     stray = [cell for cell in cells if cell not in graph.cell_edges]
     if stray:
         raise InputError(f"cell {stray[0]} names no generator")
-    loops = {cell: _cell_loops(g, cell) for cell in cells}
-    table = _arc_table(graph, loops.values())
-    return {cell: _cell_measure(graph, cell, *loops[cell], table, strict=graph is g)
-            for cell in loops}
+    if isinstance(g, ClippedDiagram):
+        pieces, loops = g.pieces, g.loops.subset(cells)
+    else:
+        for cell in cells:
+            _check_bounded(g, cell)
+        pieces, loops = bounded_cell_pieces(g, cells)
+    # numpy scalars, which Python's sum adds in order
+    area, length = (list(v) for v in _loop_sums(graph, pieces, loops))
+    cs = loops.cell_start.tolist()
+    out = {cell: _cell_measure(graph, cell, pieces, lambda c=c: loops.runs(c),
+                               area[cs[c]:cs[c + 1]], length[cs[c]:cs[c + 1]], strict=graph is g)
+           if cs[c] < cs[c + 1] else CellMeasure(cell, 0.0, 0.0, ())
+           for c, cell in enumerate(loops.cells.tolist())}
+    return {cell: out[cell] for cell in cells}
 
 
 def cell_area(cell: int, g: DiagramGraph | ClippedDiagram) -> CellMeasure:

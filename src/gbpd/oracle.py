@@ -114,8 +114,8 @@ def rasterize_cells(cd: ClippedDiagram, width: int, height: int) -> LabelImage:
     lines = flatten_pieces(cd.graph, cd.pieces, px / 20.0)
     a = np.concatenate([ln[:-1] for ln in lines])
     b = np.concatenate([ln[1:] for ln in lines])
-    # (left, right) cells of each segment's piece; no cell lies right of the border
-    sides = np.repeat([(p.left, -1 if p.right is None else p.right) for p in cd.pieces],
+    # (left, right) cells of each segment's piece; no cell (-1) lies right of the border
+    sides = np.repeat(np.column_stack([cd.pieces["left"], cd.pieces["right"]]),
                       [len(ln) - 1 for ln in lines], axis=0)
     east = np.where(b[:, 1] > a[:, 1], sides[:, 1], sides[:, 0])
     # segment k crosses the rows r0[k] <= iy < r1[k]: one crossing per (segment, row)

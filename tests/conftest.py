@@ -3,13 +3,62 @@
 import numpy as np
 import pytest
 
-from gbpd.cli import random_scene
+from gbpd.cli import PRESETS, random_scene
 from gbpd.diagram import build_diagram
-from gbpd.geometry import Window
+from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.serialize import diagram_from_json, diagram_to_json
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
 QUERY_SIDE = 200
+SHIFT = (1e5, -1e5)
+I = SymMat2.identity()
+
+
+def iso(gid, x, y, w=0.0):
+    return Generator(gid, (x, y), I, w)
+
+
+def _case(name):
+    """(generators, window) of a named test case."""
+    preset, _, shifted = name.partition("+shift")
+    if preset in PRESETS:
+        gens = random_scene(preset, 12, 3, WINDOW)
+        if not shifted:
+            return gens, WINDOW
+        moved = [Generator(g.id, g.p + np.array(SHIFT), g.M, g.w) for g in gens]
+        return moved, Window(SHIFT[0], SHIFT[1], SHIFT[0] + 400.0, SHIFT[1] + 400.0)
+    if name == "loop-across-border":
+        disk = Generator(0, (0, 0), SymMat2.isotropic(2.0), 1.0)
+        return [disk, iso(1, 0, 0)], Window(0, -2, 2, 2)
+    if name == "line-through-corners":
+        return [iso(0, 0, 0), iso(1, 10, 0)], Window(0, -5, 5, 5)
+    if name == "vertex-on-border":
+        # the three bisectors meet at (0, 0.25), on the window's left side; one runs inside
+        return [iso(0, 0.75, 1.25), iso(1, 0.75, -0.75), iso(2, -1.25, 0.25)], Window(0, -5, 5, 5)
+    if name == "dense":
+        return random_scene("paper-random", 72, 42, WINDOW), WINDOW
+    if name == "loop-inside":
+        disk = Generator(0, (0, 0), SymMat2.isotropic(2.0), 1.0)
+        return [disk, iso(1, 0, 0)], Window(-2, -2, 2, 2)
+    if name.startswith("border-tie"):
+        # the bisector x = 0 of generators 0 and 1 runs along the window's left or right side
+        window = Window(0, -5, 5, 5) if name == "border-tie-left" else Window(-5, -5, 0, 5)
+        return [iso(0, -1, 1), iso(1, 1, 1), iso(2, 0, -1)], window
+    assert name == "no-edge-inside"
+    return [iso(0, 0, 0), iso(1, 100, 0)], Window(-1, -1, 1, 1)
+
+
+CASES = [*PRESETS, *(p + "+shift" for p in PRESETS), "loop-across-border",
+         "line-through-corners", "vertex-on-border", "no-edge-inside", "dense"]
+# more windows for the clip against its per-edge reference: a whole ellipse
+# loop inside the window, and a bisector along a window side
+CLIP_CASES = [*CASES, "loop-inside", "border-tie-left", "border-tie-right"]
+
+
+@pytest.fixture(scope="session")
+def graphs():
+    """The diagram and window of every CLIP_CASES case, by name."""
+    return {name: (build_diagram(_case(name)[0]), _case(name)[1]) for name in CLIP_CASES}
 
 
 @pytest.fixture(scope="session")

@@ -17,14 +17,15 @@ from scipy.integrate import quad
 
 from gbpd import clip as gclip
 from gbpd import measure as gmeasure
-from gbpd.clip import ClipNode, ClipPiece, ClippedDiagram, flatten_pieces, loop_polygons
+from gbpd.clip import flatten_pieces, loop_polygons
 from gbpd.conic import (ConicImplicit, alpha_of_param, eval_alpha_batch, line_points,
                         param_of_alpha, points_at_alphas, wrap_angle)
 from gbpd.diagram import merge_marks, split_at_marks
-from gbpd.errors import QuadratureError, SingularParameterError
+from gbpd.errors import NoSolutionError, QuadratureError, SingularParameterError
 from gbpd.geometry import _GEN_BLOCK as GEN_BLOCK
 from gbpd.geometry import PointIndex, SceneArrays
 from gbpd.intersect import _DET_REL as DET_REL, _DISC_CLAMP as DISC_CLAMP
+from gbpd.measure import CellMeasure, ComponentMeasure
 from gbpd.oracle import LabelImage, _image_frame
 from gbpd.tolerances import (CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_ABS, RANK_REL,
                              RES_REL, VERT_REL)
@@ -899,21 +900,21 @@ def line_crossings_scalar(line, t_lo, t_hi, window, snap):
 
 
 class NodeScan:
-    """The clip's node snap as a scan of every node, in the interface of
-    ``gbpd.geometry.PointIndex``: ``near(pos)`` is the first node in id order
-    within snap of pos, by the clip's test."""
+    """The clip's node snap as a scan of every point, in the interface of
+    ``gbpd.geometry.PointIndex``: ``near(pos)`` is the least key whose point
+    lies within snap of pos, by the clip's test."""
 
-    def __init__(self, snap, nodes=()):
+    def __init__(self, snap, points=()):
         self.snap = snap
-        self.nodes = list(nodes)
+        self.points = list(points)
 
-    def add(self, node):
-        self.nodes.append(node)
+    def add(self, key, pos):
+        self.points.append((key, pos))
 
     def near(self, pos):
-        for nd in sorted(self.nodes, key=lambda nd: nd.id):
-            if math.hypot(*(nd.pos - pos)) <= self.snap:
-                return nd
+        for key, at in sorted(self.points, key=lambda kp: kp[0]):
+            if math.hypot(*(at - pos)) <= self.snap:
+                return key
         return None
 
 
@@ -1069,8 +1070,9 @@ def rasterize_cells_per_cell(cd, width, height, counts=None):
     covered = np.zeros((height, width), dtype=np.int32)
     xs = origin[0] + (np.arange(width) + 0.5) * px
     lines = flatten_pieces(cd.graph, cd.pieces, px / 20.0)
+    position = {gid: c for c, gid in enumerate(cd.loops.cells.tolist())}
     for gid in ids:
-        polys = [p for p in loop_polygons(lines, cd.cells.get(gid, [])) if len(p) >= 3]
+        polys = [p for p in loop_polygons(lines, cd.loops.runs(position[gid])) if len(p) >= 3]
         if not polys:
             continue
         edges_a = np.concatenate(polys)
@@ -1120,7 +1122,7 @@ def rasterize_cells_per_row(cd, width, height):
     lines = flatten_pieces(cd.graph, cd.pieces, px / 20.0)
     a = np.concatenate([ln[:-1] for ln in lines])
     b = np.concatenate([ln[1:] for ln in lines])
-    sides = np.repeat([(p.left, -1 if p.right is None else p.right) for p in cd.pieces],
+    sides = np.repeat(np.column_stack([cd.pieces["left"], cd.pieces["right"]]),
                       [len(ln) - 1 for ln in lines], axis=0)
     east = np.where(b[:, 1] > a[:, 1], sides[:, 1], sides[:, 0])
     r0 = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]))
@@ -1256,18 +1258,181 @@ def arc_measures_rounds(coef, u_scale, a0, a1):
             coef[arc[fresh]], u_scale[arc[fresh]], origin[arc[fresh]], lo[fresh], hi[fresh])
 
 
-# ------------------------------------------------- per-edge clip
+# ---------------------------------------------------------- object clip
 #
-# The clip makes the one candidate piece of every edge without a window
-# crossing in one array pass, cuts only the edges with crossings one by one,
-# and evaluates each candidate once. This is the form it replaced, which must
-# give the same nodes, pieces and cells: every edge through the per-edge
-# loop, candidates as pieces, and the sides from a second evaluation of the
-# kept pieces at their mid-parameters.
+# The clip is one array record: pieces as columns, cell loops as runs of
+# half-pieces. These are the objects it replaced, which must give the same
+# text (``clip_text_objects`` prints the form of ``clip_text`` in
+# ``scripts/output_digests.py``) and the same measures bit for bit: nodes
+# and pieces as dataclasses, the per-cell dict walk that chained them, and
+# the loop sums taken piece by piece. ``clip_to_window_per_edge`` is the
+# object clip with every edge through the per-edge loop, candidates as
+# pieces, and the sides from a second evaluation of the kept pieces.
+
+
+@dataclass
+class ClipNode:
+    id: int
+    pos: np.ndarray
+    kind: str  # "corner" | "vertex" | "crossing"
+    boundary_s: float | None = None  # arc position along the window border
+
+
+@dataclass
+class ClipPiece:
+    """One boundary piece of a clipped cell: kind "arc" (params are alphas),
+    "segment" (line parameters) or "boundary" (window border), None where a
+    field does not apply; stored direction is increasing parameter."""
+
+    id: int
+    kind: str
+    pair: tuple[int, int] | None
+    edge_id: int | None
+    line_index: int | None
+    a0: float | None
+    a1: float | None
+    node_a: int | None
+    node_b: int | None
+    closed: bool
+    left: int | None
+    right: int | None
+    p0: np.ndarray | None
+    p1: np.ndarray | None
+
+
+@dataclass
+class ClipObjects:
+    window: object
+    graph: object
+    nodes: list
+    pieces: list
+    cells: dict  # cell id -> loops, each a list of (piece id, forward)
+
+
+def piece_kinds(pieces):
+    """Kind of each PIECE row: "boundary", "arc" or "segment"."""
+    kinds = np.where(pieces["line"] < 0, "arc", "segment")
+    return np.where(pieces["edge"] < 0, "boundary", kinds).tolist()
+
+
+def loop_lists(loops):
+    """Each cell id's loops (a CellLoops) as lists of (piece, forward) pairs."""
+    return {gid: [lp.tolist() for lp in loops.runs(c)] for c, gid in enumerate(loops.cells.tolist())}
+
+
+def piece_objects(pieces, edges=None):
+    """ClipPieces of PIECE rows, numbered in order; the pairs come from ``edges``."""
+    out = []
+    for k, (kind, row) in enumerate(zip(piece_kinds(pieces), pieces.tolist())):
+        edge, line, a0, a1, na, nb, closed, left, right, p0, p1 = row
+        bisector = edge >= 0
+        out.append(ClipPiece(
+            k, kind, edges[edge].pair if bisector and edges is not None else None,
+            edge if bisector else None, None if line < 0 else line,
+            a0 if bisector else None, a1 if bisector else None,
+            None if na < 0 else na, None if nb < 0 else nb, closed,
+            None if left < 0 else left, None if right < 0 else right,
+            None if np.isnan(p0).any() else p0, None if np.isnan(p1).any() else p1))
+    return out
+
+
+def _hexes(values):
+    if values is None:
+        return "-"
+    return ",".join(float(v).hex() for v in np.ravel(np.asarray(values, dtype=float)))
+
+
+def clip_text_objects(ref):
+    """The text form of an object clip, as ``clip_text`` prints a record."""
+    rows = [f"node {nd.id} {nd.kind} {_hexes(nd.pos)} {_hexes(nd.boundary_s)}" for nd in ref.nodes]
+    rows += [
+        f"piece {p.id} {p.kind} {p.pair} {p.edge_id} {p.line_index} {_hexes(p.a0)} {_hexes(p.a1)} "
+        f"{p.node_a} {p.node_b} {p.closed} {p.left} {p.right} {_hexes(p.p0)} {_hexes(p.p1)}"
+        for p in ref.pieces
+    ]
+    rows += [f"cell {gid} {loops}" for gid, loops in sorted(ref.cells.items())]
+    return "\n".join(rows)
+
+
+def _table_rows(pieces):
+    """The table rows and line indices of arc and segment pieces."""
+    return (np.array([p.edge_id for p in pieces], dtype=np.intp),
+            np.array([-1 if p.kind == "arc" else p.line_index for p in pieces], dtype=np.intp))
+
+
+def _set_ends(graph, pieces):
+    """Set p0 and p1 of the segment pieces, and p0 (p1) of the arc pieces with
+    a start (end) node, from one evaluation."""
+    ends = [(p, "p0", p.a0) for p in pieces if p.kind == "segment" or p.node_a is not None]
+    ends += [(p, "p1", p.a1) for p in pieces if p.kind == "segment" or p.node_b is not None]
+    at = gclip._regular_rows(graph, *_table_rows([p for p, _, _ in ends]),
+                             np.array([a for _, _, a in ends], dtype=float))
+    for (piece, field, _), q in zip(ends, at):
+        setattr(piece, field, q[:2])
+
+
+def chain_cell(gid, pieces, directed):
+    """Chain one cell's directed pieces (piece id, forward) into closed loops:
+    a loop follows the pieces end node to start node, taking at each node the
+    first unused piece in sorted order; closed pieces are loops on their own."""
+    directed = sorted(directed)
+    start_map = {}
+    loops = []
+    used = set()
+    for pid, fwd in directed:
+        piece = pieces[pid]
+        if piece.closed:
+            loops.append([(pid, fwd)])
+            used.add((pid, fwd))
+            continue
+        start = piece.node_a if fwd else piece.node_b
+        start_map.setdefault(start, []).append((pid, fwd))
+    for entry in directed:
+        if entry in used or pieces[entry[0]].closed:
+            continue
+        loop = []
+        cur = entry
+        while cur not in used:
+            used.add(cur)
+            loop.append(cur)
+            piece = pieces[cur[0]]
+            end = piece.node_b if cur[1] else piece.node_a
+            nxt = None
+            for cand in start_map.get(end, ()):
+                if cand not in used:
+                    nxt = cand
+                    break
+            if nxt is None:
+                break
+            cur = nxt
+        first = pieces[loop[0][0]]
+        start_node = first.node_a if loop[0][1] else first.node_b
+        last = pieces[loop[-1][0]]
+        end_node = last.node_b if loop[-1][1] else last.node_a
+        if start_node != end_node:
+            raise NoSolutionError(
+                f"cell {gid}: boundary chain does not close (node {end_node} "
+                f"has no continuation toward node {start_node})"
+            )
+        loops.append(loop)
+    loops.sort(key=lambda lp: lp[0])
+    return loops
+
+
+def assemble_cells(cells, pieces):
+    """Loops of each cell id of ``cells``: every piece forward in its left
+    cell and backward in its right one, chained cell by cell."""
+    by_cell = {gid: [] for gid in cells}
+    for piece in pieces:
+        if piece.left in by_cell:
+            by_cell[piece.left].append((piece.id, True))
+        if piece.right in by_cell:
+            by_cell[piece.right].append((piece.id, False))
+    return {gid: chain_cell(gid, pieces, directed) for gid, directed in by_cell.items()}
 
 
 def clip_to_window_per_edge(graph, window):
-    """``gbpd.clip.clip_to_window`` with every edge through the per-edge loop (reference)."""
+    """``gbpd.clip.clip_to_window`` as objects, with every edge through the per-edge loop (reference)."""
     snap = DEDUP_REL * window.diagonal
     strict = 1e-12 * window.diagonal
     arc_gap = 2.0 * PARAM_MERGE
@@ -1275,26 +1440,26 @@ def clip_to_window_per_edge(graph, window):
     for k, (cx, cy) in enumerate(window.corners()):
         pos = np.array([cx, cy])
         nodes.append(ClipNode(k, pos, "corner", gclip._boundary_s(window, pos, k)))
-    corners = PointIndex(snap, nodes)
+    corners = PointIndex(snap, ((nd.id, nd.pos) for nd in nodes))
     vertex_node = {}
     for v in graph.vertices:
         if window.contains(v.pos):
             nd = corners.near(np.array(v.pos))
             if nd is None:
-                nd = ClipNode(len(nodes), np.array(v.pos), "vertex")
-                nodes.append(nd)
-            vertex_node[v.id] = nd.id
-    index = PointIndex(snap, nodes)
+                nd = len(nodes)
+                nodes.append(ClipNode(nd, np.array(v.pos), "vertex"))
+            vertex_node[v.id] = nd
+    index = PointIndex(snap, ((nd.id, nd.pos) for nd in nodes))
 
     def crossing_node(pos, side):
         nd = index.near(pos)
         if nd is None:
-            nd = ClipNode(len(nodes), pos, "crossing", gclip._boundary_s(window, pos, side))
-            nodes.append(nd)
-            index.add(nd)
-        elif nd.boundary_s is None:
-            nd.boundary_s = gclip._boundary_s(window, nd.pos, side)
-        return nd.id
+            nd = len(nodes)
+            nodes.append(ClipNode(nd, pos, "crossing", gclip._boundary_s(window, pos, side)))
+            index.add(nd, pos)
+        elif nodes[nd].boundary_s is None:
+            nodes[nd].boundary_s = gclip._boundary_s(window, nodes[nd].pos, side)
+        return nd
 
     curved = [e for e in graph.edges if e.is_curve()]
     straight = [e for e in graph.edges if not e.is_curve()]
@@ -1331,11 +1496,11 @@ def clip_to_window_per_edge(graph, window):
 
     # the inside test as it was: one evaluation of all candidates at their
     # test parameters, then ids in order and end points for the kept ones
-    xy, singular = gclip._piece_rows(graph, *gclip._table_rows([p for p, _, _ in candidates]),
+    xy, singular = gclip._piece_rows(graph, *_table_rows([p for p, _, _ in candidates]),
                                      np.array([t for _, t, _ in candidates]))
     inside = ~singular & window.contains(xy[:, :2], np.array([m for _, _, m in candidates]))
     pieces = [piece for (piece, _, _), keep in zip(candidates, inside.tolist()) if keep]
-    gclip._set_ends(graph, pieces)
+    _set_ends(graph, pieces)
     for k, piece in enumerate(pieces):
         piece.id = k
     boundary_nodes = sorted((nd for nd in nodes if nd.boundary_s is not None),
@@ -1368,7 +1533,7 @@ def clip_to_window_per_edge(graph, window):
     if pieces:
         # sides from a second evaluation, at each kept piece's mid-parameter
         mid = np.array([0.5 * (p.a0 + p.a1) for p in pieces])
-        xy, singular = gclip._piece_rows(graph, *gclip._table_rows(pieces), mid)
+        xy, singular = gclip._piece_rows(graph, *_table_rows(pieces), mid)
         if singular.any():
             raise SingularParameterError(f"alpha={mid[singular][0]} lies on the line at infinity")
         x, y, vx, vy = xy.T
@@ -1377,8 +1542,92 @@ def clip_to_window_per_edge(graph, window):
             i, j = piece.pair
             piece.left, piece.right = (i, j) if keep_order else (j, i)
     pieces += border
-    cells = gclip._assemble_cells(graph, pieces)
-    return ClippedDiagram(window, graph, nodes, pieces, cells)
+    cells = assemble_cells([g.id for g in graph.generators], pieces)
+    return ClipObjects(window, graph, nodes, pieces, cells)
+
+
+# The measure sums every loop of the record in one array pass. This is the
+# per-cell form it replaced: each loop summed piece by piece from 0.0, one
+# connector chord between consecutive pieces and one back to the start, and
+# the loops grouped per cell, with the scalar flattening, piece points and
+# even-odd test in the hole test.
+
+
+def _chord_term(q0, q1):
+    return 0.5 * (q0[0] * q1[1] - q0[1] * q1[0])
+
+
+def loop_terms(pieces, loop, table):
+    """(signed area, length) of one loop of (piece id, forward), the arcs' terms from ``table``."""
+    area = length = 0.0
+    first = prev = None
+    for pid, forward in loop:
+        piece = pieces[pid]
+        q0, q1 = (piece.p0, piece.p1) if forward else (piece.p1, piece.p0)
+        if piece.kind == "arc":
+            a, s = table[pid]
+            a = a if forward else -a
+            if piece.closed:
+                area += a
+                length += s
+                continue
+        else:
+            a, s = _chord_term(q0, q1), math.hypot(q1[0] - q0[0], q1[1] - q0[1])
+        if prev is not None:
+            area += _chord_term(prev, q0)  # connector from the last piece's end
+        else:
+            first = q0
+        area += a
+        length += s
+        prev = q1
+    if prev is not None and first is not None:
+        area += _chord_term(prev, first)
+    return area, length
+
+
+def measure_cells_per_piece(ref):
+    """``measure_cells`` of an object clip, loop by loop and piece by piece;
+    every arc on the loops integrated once, in one ``arc_measures`` call."""
+    graph, pieces = ref.graph, ref.pieces
+    arcs = {pid: (pieces[pid].edge_id, pieces[pid].a0, pieces[pid].a1)
+            for loops in ref.cells.values() for lp in loops for pid, _ in lp
+            if pieces[pid].kind == "arc"}
+    table = {}
+    if arcs:
+        rows, a0, a1 = (list(col) for col in zip(*arcs.values()))
+        areas, lengths = gmeasure.arc_measures(graph.table.chart[rows], graph.table.u_scale[rows],
+                                               a0, a1)
+        table = {k: (float(a), float(s)) for k, a, s in zip(arcs, areas, lengths)}
+    out = {}
+    for gid, loops in ref.cells.items():
+        vals = [loop_terms(pieces, lp, table) for lp in loops]
+        outers = [k for k in range(len(vals)) if vals[k][0] >= 0.0]
+        holes = [k for k in range(len(vals)) if vals[k][0] < 0.0]
+        groups = {k: [k] for k in outers or holes}
+        if len(outers) == 1:
+            groups[outers[0]] += holes
+        elif outers and holes:
+            ftol = DEDUP_REL * graph.length_scale
+            lines = {pid: np.array(flatten_piece_scalar(graph, pieces[pid], ftol))
+                     for k in outers for pid, _ in loops[k]}
+            polys = [np.concatenate([lines[pid][:-1] if fw else lines[pid][:0:-1]
+                                     for pid, fw in loops[k]]) for k in outers]
+            largest = max(outers, key=lambda o: vals[o][0])
+            for k in holes:
+                pid, fw = loops[k][0]
+                piece = pieces[pid]
+                if piece.kind == "arc":
+                    probe = piece_point_scalar(graph, piece, 0.0 if fw else 1.0)
+                else:
+                    probe = piece.p0 if fw else piece.p1
+                groups[next((o for o, poly in zip(outers, polys)
+                             if point_in_polygon_scalar(poly, probe)), largest)].append(k)
+        comps = sorted((ComponentMeasure(float(sum(vals[k][0] for k in grp)),
+                                         float(sum(vals[k][1] for k in grp)))
+                        for grp in groups.values()), key=lambda c: (-c.area, c.perimeter))
+        out[gid] = CellMeasure(gid, float(sum(c.area for c in comps)),
+                               float(sum(c.perimeter for c in comps)), tuple(comps))
+    return out
 
 
 # ------------------------------------------------------- bisector samples

@@ -10,81 +10,50 @@ one-at-a-time references and the node scan in ``oracles.py`` give.
 """
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbpd import Generator, SymMat2, Window
+from gbpd import Window
 from gbpd import clip as gclip
 from gbpd import oracle as goracle
-from gbpd.cli import PRESETS, random_scene
-from gbpd.clip import ClipNode, clip_to_window, flatten_pieces, piece_points
+from gbpd.cli import random_scene
+from gbpd.clip import NODE_KINDS, clip_to_window, flatten_pieces, piece_points
 from gbpd.diagram import build_diagram, merge_marks, ray_parameter, split_at_marks
 from gbpd.geometry import PointIndex
+from gbpd.measure import measure_cells
 from gbpd.oracle import rasterize_cells
 from gbpd.tolerances import DEDUP_REL
 
+from conftest import CASES, CLIP_CASES
 from oracles import (
     NodeScan,
+    clip_text_objects,
     clip_to_window_per_edge,
     curve_crossings_scalar,
     flatten_piece_scalar,
     line_crossings_scalar,
+    measure_cells_per_piece,
+    piece_kinds,
+    piece_objects,
     piece_point_scalar,
     row_curve,
     row_line,
 )
 
+# the text form of the clip record that the output digests print
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from output_digests import clip_text  # noqa: E402
+
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
-SHIFT = (1e5, -1e5)
-I = SymMat2.identity()
 
 
 def bits(values):
     return [float(v).hex() for v in np.ravel(np.asarray(values, dtype=float))]
-
-
-def iso(gid, x, y, w=0.0):
-    return Generator(gid, (x, y), I, w)
-
-
-def _case(name):
-    """(generators, window) of a named test case."""
-    preset, _, shifted = name.partition("+shift")
-    if preset in PRESETS:
-        gens = random_scene(preset, 12, 3, WINDOW)
-        if not shifted:
-            return gens, WINDOW
-        moved = [Generator(g.id, g.p + np.array(SHIFT), g.M, g.w) for g in gens]
-        return moved, Window(SHIFT[0], SHIFT[1], SHIFT[0] + 400.0, SHIFT[1] + 400.0)
-    if name == "loop-across-border":
-        disk = Generator(0, (0, 0), SymMat2.isotropic(2.0), 1.0)
-        return [disk, iso(1, 0, 0)], Window(0, -2, 2, 2)
-    if name == "line-through-corners":
-        return [iso(0, 0, 0), iso(1, 10, 0)], Window(0, -5, 5, 5)
-    if name == "vertex-on-border":
-        # the three bisectors meet at (0, 0.25), on the window's left side; one runs inside
-        return [iso(0, 0.75, 1.25), iso(1, 0.75, -0.75), iso(2, -1.25, 0.25)], Window(0, -5, 5, 5)
-    if name == "dense":
-        return random_scene("paper-random", 72, 42, WINDOW), WINDOW
-    if name == "loop-inside":
-        disk = Generator(0, (0, 0), SymMat2.isotropic(2.0), 1.0)
-        return [disk, iso(1, 0, 0)], Window(-2, -2, 2, 2)
-    if name.startswith("border-tie"):
-        # the bisector x = 0 of generators 0 and 1 runs along the window's left or right side
-        window = Window(0, -5, 5, 5) if name == "border-tie-left" else Window(-5, -5, 0, 5)
-        return [iso(0, -1, 1), iso(1, 1, 1), iso(2, 0, -1)], window
-    assert name == "no-edge-inside"
-    return [iso(0, 0, 0), iso(1, 100, 0)], Window(-1, -1, 1, 1)
-
-
-CASES = [*PRESETS, *(p + "+shift" for p in PRESETS), "loop-across-border",
-         "line-through-corners", "vertex-on-border", "no-edge-inside", "dense"]
-# more windows for the clip against its per-edge reference: a whole ellipse
-# loop inside the window, and a bisector along a window side
-CLIP_CASES = [*CASES, "loop-inside", "border-tie-left", "border-tie-right"]
 
 
 def test_shared_splitting_rule():
@@ -109,11 +78,6 @@ def test_shared_splitting_rule():
     rays = ((-math.inf, math.inf), (-math.inf, 2.0), (2.0, math.inf), (1.0, 2.0),
             (-math.inf, 0.5), (-3.0, math.inf))
     assert [ray_parameter(*t) for t in rays] == [0.0, 0.0, 4.0, 1.5, -0.5, 0.0]
-
-
-@pytest.fixture(scope="module")
-def graphs():
-    return {name: (build_diagram(_case(name)[0]), _case(name)[1]) for name in CLIP_CASES}
 
 
 def crossing_bits(found):
@@ -150,20 +114,21 @@ def test_batched_crossings_match_scalar(graphs, name):
 def test_batched_flattening_matches_scalar(graphs, name):
     graph, window = graphs[name]
     cd = clip_to_window(graph, window)
-    arcs = [p for p in cd.pieces if p.kind == "arc"]
     # the isotropic preset shares one matrix: its bisectors are lines
-    assert arcs or name.startswith(("isotropic", "line-through-corners", "vertex-on-border",
-                                    "no-edge-inside"))
+    assert "arc" in piece_kinds(cd.pieces) or name.startswith((
+        "isotropic", "line-through-corners", "vertex-on-border", "no-edge-inside"))
     # the raster's px / 20 at 400 px is the second; measure's hole test uses the last
     ftols = [window.width / 10.0, window.width / 400.0 / 20.0, window.width / 800.0 * 0.1,
              DEDUP_REL * graph.length_scale]
     if name == "loop-across-border":
         ftols.append(0.0)  # every span refines to the depth cap
+    objects = piece_objects(cd.pieces, graph.edges)
     for ftol in ftols:
         lines = flatten_pieces(cd.graph, cd.pieces, ftol)
-        for piece, line in zip(cd.pieces, lines):
+        for piece, line in zip(objects, lines):
             assert bits(line) == bits(flatten_piece_scalar(cd.graph, piece, ftol))
-        alone = [flatten_pieces(cd.graph, [p], ftol)[0] for p in cd.pieces[::-1]][::-1]
+        alone = [flatten_pieces(cd.graph, cd.pieces[k:k + 1], ftol)[0]
+                 for k in reversed(range(len(cd.pieces)))][::-1]
         assert [bits(line) for line in alone] == [bits(line) for line in lines]
 
 
@@ -195,19 +160,17 @@ def test_node_index_matches_scan(case):
     index, scan = PointIndex(snap), NodeScan(snap)
     got, ref = [], []
     for pos in points:
-        found, expected = index.near(pos), scan.near(pos)
-        got.append(None if found is None else found.id)
-        ref.append(None if expected is None else expected.id)
-        if expected is None:  # a new node, as the clip adds a crossing
-            node = ClipNode(len(scan.nodes), pos, "crossing")
-            index.add(node)
-            scan.add(node)
+        got.append(index.near(pos))
+        ref.append(scan.near(pos))
+        if ref[-1] is None:  # a new node, as the clip adds a crossing
+            index.add(len(scan.points), pos)
+            scan.add(len(scan.points), pos)
     assert got == ref
 
 
 def node_bits(cd):
-    return [(nd.id, nd.kind, bits(nd.pos), None if nd.boundary_s is None else bits([nd.boundary_s]))
-            for nd in cd.nodes]
+    return [(k, NODE_KINDS[kind], bits(pos), bits([s]))
+            for k, (pos, kind, s) in enumerate(cd.nodes.tolist())]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -217,14 +180,15 @@ def test_clip_nodes_match_scan(graphs, name, monkeypatch):
     monkeypatch.setattr(gclip, "PointIndex", NodeScan)
     ref = clip_to_window(graph, window)
     assert node_bits(cd) == node_bits(ref)
-    assert [(p.node_a, p.node_b) for p in cd.pieces] == [(p.node_a, p.node_b) for p in ref.pieces]
+    assert cd.pieces[["node_a", "node_b"]].tolist() == ref.pieces[["node_a", "node_b"]].tolist()
     if name == "vertex-on-border":
         # the left side's crossings snap to the vertex, which becomes a boundary
         # node at its place on the border: 2 w + h, then down from the top
-        (vertex,) = [nd for nd in cd.nodes if nd.kind == "vertex"]
-        assert vertex.boundary_s == 2 * 5 + 10 + (5 - 0.25)
+        (k,) = np.flatnonzero(cd.nodes["kind"] == NODE_KINDS.index("vertex"))
+        assert cd.nodes["boundary_s"][k] == 2 * 5 + 10 + (5 - 0.25)
         snap = DEDUP_REL * window.diagonal
-        assert all(math.hypot(*(nd.pos - vertex.pos)) > snap for nd in cd.nodes if nd is not vertex)
+        gap = np.hypot(*(np.delete(cd.nodes["pos"], k, axis=0) - cd.nodes["pos"][k]).T)
+        assert (gap > snap).all()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -232,9 +196,10 @@ def test_batched_piece_points_match_scalar(graphs, name):
     graph, window = graphs[name]
     cd = clip_to_window(graph, window)
     rng = np.random.default_rng(3)
-    rows = [(p, f) for p in cd.pieces for f in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3))]
-    got = piece_points(cd.graph, [p for p, _ in rows], np.array([f for _, f in rows]))
-    ref = [piece_point_scalar(cd.graph, p, f) for p, f in rows]
+    objects = piece_objects(cd.pieces, graph.edges)
+    rows = [(k, f) for k in range(len(cd.pieces)) for f in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3))]
+    got = piece_points(cd.graph, cd.pieces[[k for k, _ in rows]], np.array([f for _, f in rows]))
+    ref = [piece_point_scalar(cd.graph, objects[k], f) for k, f in rows]
     assert bits(got) == bits(ref)
 
 
@@ -245,45 +210,37 @@ def test_each_piece_flattened_once_per_raster(monkeypatch):
     kernel = goracle.flatten_pieces
 
     def counting(graph_, pieces, ftol):
-        calls.append([p.id for p in pieces])
+        calls.append(pieces)
         return kernel(graph_, pieces, ftol)
 
     monkeypatch.setattr(goracle, "flatten_pieces", counting)
     rasterize_cells(cd, 100, 100)
-    uses = [pid for loops in cd.cells.values() for lp in loops for pid, _ in lp]
+    uses = cd.loops.half["piece"].tolist()
     assert len(uses) > len(set(uses))  # most pieces border two cells
+    # one call, with every piece of the record once
     assert len(calls) == 1
-    assert sorted(calls[0]) == sorted(set(calls[0]))
-    assert set(uses) <= set(calls[0])
-
-
-def clip_bits(cd):
-    """Nodes, pieces and cells of a clipped diagram, every float as its hex form."""
-    def opt(v):
-        return None if v is None else bits(v)
-    pieces = [(p.id, p.kind, p.pair, p.edge_id, p.line_index, opt(p.a0), opt(p.a1), p.node_a,
-               p.node_b, p.closed, p.left, p.right, opt(p.p0), opt(p.p1)) for p in cd.pieces]
-    return node_bits(cd), pieces, cd.cells
+    assert calls[0].tobytes() == cd.pieces.tobytes()
 
 
 @pytest.mark.parametrize("name", CLIP_CASES)
 def test_clip_matches_per_edge_reference(graphs, name):
-    # the batched probe of crossing-free edges leaves out only edges whose one
-    # candidate piece the per-edge loop would drop
+    # the record and the object clip print the same text: nodes, pieces and
+    # loops, every float as its hex form
     graph, window = graphs[name]
     cd = clip_to_window(graph, window)
-    assert clip_bits(cd) == clip_bits(clip_to_window_per_edge(graph, window))
+    assert clip_text(cd) == clip_text_objects(clip_to_window_per_edge(graph, window))
+    arcs = np.array(piece_kinds(cd.pieces)) == "arc"
     if name == "loop-inside":
-        assert [p.closed for p in cd.pieces if p.kind == "arc"] == [True]
+        assert cd.pieces["closed"][arcs].tolist() == [True]
     if name == "no-edge-inside":
-        assert all(p.kind == "boundary" for p in cd.pieces)
+        assert (cd.pieces["edge"] < 0).all()
 
 
 def test_clip_matches_per_edge_reference_on_reload_queries(reload_query):
     graph, windows = reload_query
     for window in windows:
         cd = clip_to_window(graph, window)
-        assert clip_bits(cd) == clip_bits(clip_to_window_per_edge(graph, window))
+        assert clip_text(cd) == clip_text_objects(clip_to_window_per_edge(graph, window))
 
 
 @pytest.mark.parametrize("seed", range(1010, 1020))
@@ -291,7 +248,28 @@ def test_clip_matches_per_edge_reference_on_small_batch(seed):
     for preset in ("paper-random", "paper-weights", "isotropic"):
         graph = build_diagram(random_scene(preset, 16, seed, WINDOW))
         cd = clip_to_window(graph, WINDOW)
-        assert clip_bits(cd) == clip_bits(clip_to_window_per_edge(graph, WINDOW))
+        assert clip_text(cd) == clip_text_objects(clip_to_window_per_edge(graph, WINDOW))
+
+
+def measure_bits(measures):
+    return [(gid, bits([m.area, m.perimeter]), [bits([c.area, c.perimeter]) for c in m.components])
+            for gid, m in measures.items()]
+
+
+@pytest.mark.parametrize("name", CLIP_CASES)
+def test_measures_match_per_piece_reference(graphs, name):
+    # the loop sums of the record, in one array pass, against the object
+    # clip's loops summed piece by piece, bit for bit
+    graph, window = graphs[name]
+    ref = measure_cells_per_piece(clip_to_window_per_edge(graph, window))
+    assert measure_bits(measure_cells(clip_to_window(graph, window))) == measure_bits(ref)
+
+
+def test_measures_match_per_piece_reference_on_reload_queries(reload_query):
+    graph, windows = reload_query
+    for window in windows:
+        ref = measure_cells_per_piece(clip_to_window_per_edge(graph, window))
+        assert measure_bits(measure_cells(clip_to_window(graph, window))) == measure_bits(ref)
 
 
 def test_clip_evaluates_each_piece_once(graphs, reload_query, monkeypatch):
@@ -310,4 +288,4 @@ def test_clip_evaluates_each_piece_once(graphs, reload_query, monkeypatch):
         calls.clear()
         cd = clip_to_window(graph, window)
         assert len(calls) == 2
-        assert calls[0] >= sum(p.kind != "boundary" for p in cd.pieces) > 0
+        assert calls[0] >= (cd.pieces["edge"] >= 0).sum() > 0

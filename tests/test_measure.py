@@ -10,13 +10,17 @@ from gbpd.cli import random_scene
 from gbpd.clip import clip_to_window, loop_polygons
 from gbpd.conic import CLASSES, ConicClass
 from gbpd.diagram import build_diagram
-from gbpd.errors import InputError, NonFiniteSegmentError, UnboundedCellError
+from gbpd.errors import InputError, NonFiniteSegmentError, NoSolutionError, UnboundedCellError
 from gbpd.geometry import Generator, SceneArrays, SymMat2, Window
 from gbpd.measure import cell_area, cell_perimeter, edge_arc_length, measure_cells
 from gbpd.serialize import diagram_from_json, diagram_to_json
 
 from oracles import (
+    clip_to_window_per_edge,
+    loop_lists,
     marching_squares_length,
+    measure_cells_per_piece,
+    piece_kinds,
     point_at_alpha_scalar,
     polyline_arc_length,
     row_curve,
@@ -173,23 +177,28 @@ def test_graph_cells_match_clipped_cells(preset):
             lo, hi = pos.min(axis=0), pos.max(axis=0)
             pad = 100.0 + float((hi - lo).max())
             cd = clip_to_window(graph, Window(lo[0] - pad, lo[1] - pad, hi[0] + pad, hi[1] + pad))
+            cells = loop_lists(cd.loops)
+            bounded = {}
             for gen in graph.generators:
                 if not all(graph.edges[eid].is_finite() for eid in graph.cell_edges[gen.id]):
                     with pytest.raises(UnboundedCellError):
                         cell_area(gen.id, graph)
                     continue
                 try:
-                    cm = cell_area(gen.id, graph)
+                    cm = bounded[gen.id] = cell_area(gen.id, graph)
                 except UnboundedCellError:
                     continue
-                loops = cd.cells[gen.id]
-                if any(cd.pieces[pid].kind == "boundary" for lp in loops for pid, _ in lp):
+                if any(cd.pieces["edge"][pid] < 0 for lp in cells[gen.id] for pid, _ in lp):
                     continue
                 ref = cell_area(gen.id, cd)
                 assert abs(cm.area - ref.area) <= 1e-12 * max(1.0, abs(ref.area))
                 assert abs(cm.perimeter - ref.perimeter) <= 1e-12 * max(1.0, ref.perimeter)
                 assert len(cm.components) == len(ref.components)
                 checked += 1
+            # the bounded cells measured together, on one record whose pieces
+            # they share, give each cell its own measure
+            if bounded:
+                assert gmeasure._measure(graph, list(bounded)) == bounded
     assert checked >= 10
 
 
@@ -273,6 +282,45 @@ def test_cell_owning_the_whole_plane_is_not_empty(m1):
 # ------------------------------------------------------------- invariants
 
 
+def shifted_scene(seed, shift):
+    """The n=10 scene of ``seed`` and the 100x100 window, moved by (shift, -shift)."""
+    move = np.array([shift, -shift])
+    gens = [Generator(g.id, g.p + move, g.M, g.w)
+            for g in aniso_scene(np.random.default_rng(seed), 10)]
+    return gens, Window(shift, -shift, shift + 100.0, -shift + 100.0)
+
+
+@pytest.mark.parametrize("shift", [
+    1e5,
+    # far out the clip's crossings and vertices no longer meet, and a cell's
+    # boundary chain does not close
+    pytest.param(1e6, marks=pytest.mark.xfail(strict=True, raises=NoSolutionError,
+                                              reason="chains far from the origin do not close")),
+])
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_shifted_clipped_areas_sum_to_window(seed, shift):
+    gens, window = shifted_scene(seed, shift)
+    measures = measure_cells(clip_to_window(build_diagram(gens), window))
+    total = sum(cm.area for cm in measures.values())
+    assert abs(total - window.area()) <= 1e-6 * window.area()
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_measures_with_holes_match_per_piece_reference(seed):
+    # cells with holes, and seed 3's cell 9 with two outer loops and a hole:
+    # the record's loop sums and hole test against the object clip's, bit for bit
+    graph = build_diagram(aniso_scene(np.random.default_rng(seed), 10))
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    got = measure_cells(clip_to_window(graph, window))
+    ref = measure_cells_per_piece(clip_to_window_per_edge(graph, window))
+    assert got.keys() == ref.keys()
+    for gid, m in got.items():
+        assert [v.hex() for v in (m.area, m.perimeter)] == [
+            v.hex() for v in (ref[gid].area, ref[gid].perimeter)]
+        assert [(c.area.hex(), c.perimeter.hex()) for c in m.components] == [
+            (c.area.hex(), c.perimeter.hex()) for c in ref[gid].components]
+
+
 @pytest.mark.parametrize("seed", [3, 17, 29])
 def test_clipped_areas_sum_to_window(seed):
     rng = np.random.default_rng(seed)
@@ -305,18 +353,22 @@ def test_single_outer_loop_takes_its_holes_unflattened(monkeypatch):
     kernel = gmeasure.flatten_pieces
 
     def counting(*args):
-        calls.append(sorted(p.id for p in args[1]))
+        calls.append(args[1])
         return kernel(*args)
 
     monkeypatch.setattr(gmeasure, "flatten_pieces", counting)
     cm = cell_area(3, cd)
-    assert len(cd.cells[3]) == 3 and len(cm.components) == 1
+    position = cd.loops.cells.tolist()
+    assert len(cd.loops.runs(position.index(3))) == 3 and len(cm.components) == 1
     assert calls == []
     assert len(cell_area(9, cd).components) == 2
     lines = kernel(cd.graph, cd.pieces, 1e-3)
-    outer = [lp for lp in cd.cells[9] if polygon_area(loop_polygons(lines, [lp])[0]) > 0.0]
-    assert len(cd.cells[9]) == 3 and len(outer) == 2
-    assert calls == [sorted({pid for lp in outer for pid, _ in lp})]
+    loops = cd.loops.runs(position.index(9))
+    outer = [lp for lp in loops if polygon_area(loop_polygons(lines, [lp])[0]) > 0.0]
+    assert len(loops) == 3 and len(outer) == 2
+    # one call, with the pieces of the outer loops, each once, in piece order
+    assert len(calls) == 1
+    assert calls[0].tobytes() == cd.pieces[np.unique(np.concatenate(outer)["piece"])].tobytes()
 
 
 def test_laguerre_area_equals_vertex_shoelace():
@@ -326,15 +378,15 @@ def test_laguerre_area_equals_vertex_shoelace():
         for k in range(8)
     ]
     cd = clip_to_window(build_diagram(gens), Window(0.0, 0.0, 100.0, 100.0))
-    assert all(p.kind != "arc" for p in cd.pieces)
-    for gid, loops in cd.cells.items():
+    assert "arc" not in piece_kinds(cd.pieces)
+    for gid, loops in loop_lists(cd.loops).items():
         if not loops:
             continue
         shoelace = 0.0
         for loop in loops:
             for pid, forward in loop:
-                piece = cd.pieces[pid]
-                q0, q1 = (piece.p0, piece.p1) if forward else (piece.p1, piece.p0)
+                p0, p1 = cd.pieces["p0"][pid], cd.pieces["p1"][pid]
+                q0, q1 = (p0, p1) if forward else (p1, p0)
                 shoelace += 0.5 * (q0[0] * q1[1] - q0[1] * q1[0])
         cm = cell_area(gid, cd)
         assert abs(cm.area - shoelace) <= 1e-9 * max(1.0, shoelace)
@@ -397,10 +449,10 @@ def test_perimeter_against_contour_oracle():
     dists = arr.dist(grid)
 
     checked = 0
-    for gid, loops in cd.cells.items():
+    for gid, loops in loop_lists(cd.loops).items():
         if not loops:
             continue
-        if any(cd.pieces[pid].kind == "boundary" for lp in loops for pid, _ in lp):
+        if any(cd.pieces["edge"][pid] < 0 for lp in loops for pid, _ in lp):
             continue
         cm = cell_area(gid, cd)
         if cm.area < 20.0:

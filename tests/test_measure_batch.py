@@ -46,10 +46,16 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def arc_mask(cd, pieces):
+    """Whether each of the piece ids ``pieces`` of a clipped diagram is an arc."""
+    return (cd.pieces["edge"][pieces] >= 0) & (cd.pieces["line"][pieces] < 0)
+
+
 def arc_pieces(cd):
     """(curve, a0, a1) of every arc piece of a clipped diagram, the curve its edge's table row."""
-    return [(row_curve(cd.graph.table, p.edge_id), p.a0, p.a1)
-            for p in cd.pieces if p.kind == "arc"]
+    arcs = cd.pieces[arc_mask(cd, slice(None))]
+    return [(row_curve(cd.graph.table, e), a0, a1)
+            for e, a0, a1 in zip(arcs["edge"].tolist(), arcs["a0"].tolist(), arcs["a1"].tolist())]
 
 
 def kernel(curves, a0, a1, measures=arc_measures):
@@ -168,11 +174,11 @@ def test_each_arc_piece_integrated_once(reload_scene, monkeypatch):
 
     monkeypatch.setattr(gmeasure, "arc_measures", counting)
     measure_cells(cd)
-    uses = [pid for loops in cd.cells.values() for lp in loops for pid, _ in lp
-            if cd.pieces[pid].kind == "arc"]
+    uses = cd.loops.half["piece"]
+    uses = uses[arc_mask(cd, uses)].tolist()
     assert len(uses) > len(set(uses))  # most arc pieces border two cells
     assert len(calls) == 1
-    assert calls[0] == sorted((cd.pieces[pid].a0, cd.pieces[pid].a1) for pid in set(uses))
+    assert calls[0] == sorted((cd.pieces["a0"][pid], cd.pieces["a1"][pid]) for pid in set(uses))
 
 
 def test_benchmark_pieces_match_round_loop(small_batch, reload_query):

@@ -29,7 +29,7 @@ def test_svg_structure_and_determinism():
     svg = render_svg(cd, 500, vertex_markers=True)
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
-    assert svg.count("<polyline") == sum(1 for p in cd.pieces if p.kind != "boundary")
+    assert svg.count("<polyline") == (cd.pieces["edge"] >= 0).sum()
     assert svg.count("<ellipse") == len(cd.graph.generators)
     assert svg == render_svg(cd, 500, vertex_markers=True)
 
@@ -56,11 +56,11 @@ def test_polyline_points_lie_on_bisectors():
     s = width / WIN.width
     svg = render_svg(cd, width, ellipses=False)
     drawn = re.findall(r'points="([^"]+)"', svg)
-    pieces = [p for p in cd.pieces if p.kind != "boundary"]
-    assert len(drawn) == len(pieces)
+    edges = cd.pieces["edge"][cd.pieces["edge"] >= 0].tolist()
+    assert len(drawn) == len(edges)
     checked = 0
-    for piece, pts in zip(pieces, drawn):
-        gi, gj = by_id[piece.pair[0]], by_id[piece.pair[1]]
+    for edge, pts in zip(edges, drawn):
+        gi, gj = (by_id[gid] for gid in cd.graph.edges[edge].pair)
         for pair in pts.split():
             xs, ys = map(float, pair.split(","))
             x = WIN.xmin + xs / s
