@@ -81,9 +81,10 @@ def clip_text(cd) -> str:
 
     rows = [f"node {k} {NODE_KINDS[kind]} {hexes(pos)} {floats(s)}"
             for k, (pos, kind, s) in enumerate(cd.nodes.tolist())]
+    pairs = [tuple(pair) for pair in cd.graph.edges["pair"].tolist()]
     for k, (edge, line, a0, a1, na, nb, closed, left, right, p0, p1) in enumerate(cd.pieces.tolist()):
         kind = "boundary" if edge < 0 else "arc" if line < 0 else "segment"
-        pair = None if edge < 0 else cd.graph.edges[edge].pair
+        pair = None if edge < 0 else pairs[edge]
         rows.append(f"piece {k} {kind} {pair} {opt(edge)} {opt(line)} {floats(a0)} {floats(a1)} "
                     f"{opt(na)} {opt(nb)} {closed} {opt(left)} {opt(right)} {floats(p0)} "
                     f"{floats(p1)}")

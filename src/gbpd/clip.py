@@ -51,7 +51,7 @@ from .conic import (
     points_at_alphas,
     real_quadratic_roots_batch,
 )
-from .diagram import DiagramGraph, merge_marks, split_at_marks
+from .diagram import LOOP, DiagramGraph, merge_marks, split_at_marks
 from .errors import NoSolutionError, SingularParameterError
 from .geometry import PointIndex, SceneArrays, Window, hypots
 from .tolerances import DEDUP_REL, DEN_REL, PARAM_MERGE
@@ -244,16 +244,16 @@ def _sides(window: Window):
     )
 
 
-def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
-    """Window crossings of curved edges: per edge, a list of (offset from a0, (pos, side)).
+def _curve_crossings(graph: DiagramGraph, ids: np.ndarray, window: Window, snap: float):
+    """Window crossings of the curved edges ``ids``: a list of (offset from
+    a0, (pos, side)) per edge id that has any.
 
     The four side quadratics x^(t) - X u^(t) (y^ for horizontal sides) of
     every edge are solved in one batch. An edge's crossings come in
     candidate order: sides 0-3, roots ascending, then t = inf.
     """
-    if not edges:
-        return []
-    ids = [e.id for e in edges]
+    if not ids.size:
+        return {}
     coef = graph.table.chart[ids]
     axis, value, lo, hi, _ = (np.array(col) for col in zip(*_sides(window)))
     # (edge, side, candidate) arrays; a vertical side (axis 0) meets x^, a horizontal one y^
@@ -263,7 +263,7 @@ def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
     ok = np.concatenate([valid, inf_root[..., None]], axis=-1) & ~everywhere[..., None]
     far = np.full(roots.shape[:2] + (1,), math.inf)
     t = np.where(ok, np.concatenate([roots, far], axis=-1), 0.0)
-    x, y, u = (v.reshape(t.shape) for v in homogeneous_at_params(coef, t.reshape(len(edges), -1)))
+    x, y, u = (v.reshape(t.shape) for v in homogeneous_at_params(coef, t.reshape(ids.size, -1)))
     ok &= ~(np.abs(u) <= DEN_REL * graph.table.u_scale[ids][:, None, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         px, py = x / u, y / u
@@ -272,29 +272,28 @@ def _curve_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
 
     idx = np.flatnonzero(ok)
     edge, side = np.unravel_index(idx, ok.shape)[:2]
-    a0 = np.array([e.a0 for e in edges])[edge]
-    span = np.array([e.a1 - e.a0 for e in edges])[edge]
-    loop = np.array([e.is_loop() for e in edges])[edge]
+    rows = graph.edges[ids[edge]]
+    a0, span, loop = rows["a0"], rows["a1"] - rows["a0"], rows["kind"] == LOOP
     off = np.remainder(alphas_of_params(t.ravel()[idx]) - a0, TWO_PI)
     keep = loop | ((-1e-12 <= off) & (off <= span + 1e-12))
     off = np.where(loop, np.remainder(off, TWO_PI), np.minimum(off, span))
     pos = np.column_stack([px.ravel()[idx], py.ravel()[idx]])
-    out: list[list] = [[] for _ in edges]
-    for k in np.flatnonzero(keep).tolist():
-        out[edge[k]].append((float(off[k]), (pos[k], int(side[k]))))
+    out: dict[int, list] = {}
+    for k, eid in zip(np.flatnonzero(keep).tolist(), ids[edge[keep]].tolist()):
+        out.setdefault(eid, []).append((float(off[k]), (pos[k], int(side[k]))))
     return out
 
 
-def _line_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
-    """Window crossings of straight edges: per edge, a list of (t, (pos, side)) in side order."""
-    out: list[list] = [[] for _ in edges]
-    if not edges:
-        return out
-    rows = graph.table.lines[[e.id for e in edges], [e.line_index for e in edges]]
+def _line_crossings(graph: DiagramGraph, ids: np.ndarray, window: Window, snap: float):
+    """Window crossings of the straight edges ``ids``: a list of (t, (pos,
+    side)) in side order per edge id that has any."""
+    out: dict[int, list] = {}
+    edges = graph.edges[ids]
+    rows = graph.table.lines[ids, edges["line"]]
     la, lb, lc = rows.T
     q0 = (-lc * la, -lc * lb)
     d = (-lb, la)
-    t_lo, t_hi = np.array([(e.a0, e.a1) for e in edges]).T
+    t_lo, t_hi = edges["a0"], edges["a1"]
     for axis, value, lo, hi, side in _sides(window):
         dv = d[axis]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -303,8 +302,8 @@ def _line_crossings(graph: DiagramGraph, edges, window: Window, snap: float):
         other = pos[:, 1 - axis]
         ok = ~(np.abs(dv) < 1e-15) & (t_lo - 1e-12 <= t) & (t <= t_hi + 1e-12)
         ok &= (lo - snap <= other) & (other <= hi + snap)
-        for k in np.flatnonzero(ok).tolist():
-            out[k].append((float(t[k]), (pos[k], side)))
+        for k, eid in zip(np.flatnonzero(ok).tolist(), ids[ok].tolist()):
+            out.setdefault(eid, []).append((float(t[k]), (pos[k], side)))
     return out
 
 
@@ -327,7 +326,8 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     # NODE rows (position, kind, boundary_s), kinds indexing NODE_KINDS
     nodes = [(pos, 0, _boundary_s(window, pos, k)) for k, pos in enumerate(window.corners())]
     corners = PointIndex(snap, ((k, nd[0]) for k, nd in enumerate(nodes)))
-    vertex_node: dict[int, int] = {}
+    # the node of each vertex id, -1 outside the window and at index -1 (no vertex)
+    vertex_node = np.full(len(graph.vertices) + 1, -1, dtype=np.intp)
     inside = window.contains(np.reshape([v.pos for v in graph.vertices], (-1, 2)))
     for k in np.flatnonzero(inside).tolist():
         v = graph.vertices[k]
@@ -350,31 +350,30 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
             nodes[nd] = (*nodes[nd][:2], _boundary_s(window, nodes[nd][0], side))
         return nd
 
-    curved = [e for e in graph.edges if e.is_curve()]
-    straight = [e for e in graph.edges if not e.is_curve()]
-    crossings = dict(zip((e.id for e in curved), _curve_crossings(graph, curved, window, snap)))
-    crossings.update(zip((e.id for e in straight), _line_crossings(graph, straight, window, snap)))
-
-    rows = _whole_edge_rows([e for e in graph.edges if not crossings[e.id]], vertex_node, snap,
+    edges = graph.edges
+    crossings = {**_curve_crossings(graph, np.flatnonzero(edges["line"] < 0), window, snap),
+                 **_line_crossings(graph, np.flatnonzero(edges["line"] >= 0), window, snap)}
+    cut = np.array(sorted(crossings), dtype=np.intp)
+    rows = _whole_edge_rows(edges, np.setdiff1d(np.arange(len(edges)), cut), vertex_node, snap,
                             strict, arc_gap)
-    for e in (e for e in graph.edges if crossings[e.id]):
-        found = crossings[e.id]
-        ends = tuple(vertex_node.get(v, -1) for v in e.endpoints)
-        if e.is_curve():
+    for eid, line, a0, a1, loop, n0, n1 in zip(
+            cut.tolist(), *(edges[name][cut].tolist() for name in ("line", "a0", "a1")),
+            (edges["kind"][cut] == LOOP).tolist(),
+            *(vertex_node[edges[name][cut]].tolist() for name in ("node_a", "node_b"))):
+        found = crossings[eid]
+        if line < 0:
             marks = [(off, crossing_node(*at)) for off, at in merge_marks(found, arc_gap)]
-            for off0, off1, n0, n1 in split_at_marks(marks, 0.0, e.a1 - e.a0, arc_gap,
-                                                     e.is_loop(), ends):
-                a0 = e.a0 + off0
-                a1 = e.a0 + off1
-                rows.append((e.id, -1, a0, a1, n0, n1, False, 0.5 * (a0 + a1), strict))
+            for off0, off1, m0, m1 in split_at_marks(marks, 0.0, a1 - a0, arc_gap, loop, (n0, n1)):
+                lo, hi = a0 + off0, a0 + off1
+                rows.append((eid, -1, lo, hi, m0, m1, False, 0.5 * (lo + hi), strict))
             continue
         # line parameters are lengths: crossings merge within the snap radius
         marks = [(t, crossing_node(*at)) for t, at in merge_marks(found, snap)]
-        for t0, t1, n0, n1 in split_at_marks(marks, e.a0, e.a1, snap, False, ends):
+        for t0, t1, m0, m1 in split_at_marks(marks, a0, a1, snap, False, (n0, n1)):
             # a kept piece must be finite; infinite tails are outside any
             # bounded window except for pathological tangencies
             if not (math.isinf(t0) or math.isinf(t1)):
-                rows.append((e.id, e.line_index, t0, t1, n0, n1, False, 0.5 * (t0 + t1), strict))
+                rows.append((eid, line, t0, t1, m0, m1, False, 0.5 * (t0 + t1), strict))
     rows.sort(key=lambda row: row[0])  # stable: pieces stay in edge order
 
     nodes = np.array(nodes, dtype=NODE)
@@ -411,16 +410,16 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     return ClippedDiagram(window, graph, nodes, pieces, _chain([g.id for g in graph.generators], pieces))
 
 
-def _whole_edge_rows(free, vertex_node: dict[int, int], snap: float, strict: float,
-                     arc_gap: float) -> list[tuple]:
-    """Candidate rows of the edges ``free``, which have no window crossing:
-    at most one per edge, its whole interval. A closed loop (-pi, pi) is
+def _whole_edge_rows(edges: np.ndarray, ids: np.ndarray, vertex_node: np.ndarray, snap: float,
+                     strict: float, arc_gap: float) -> list[tuple]:
+    """Candidate rows of the edges ``ids`` of ``edges``, which have no window
+    crossing, their ends the nodes ``vertex_node`` gives their vertices: at
+    most one per edge, its whole interval. A closed loop (-pi, pi) is
     tested at a0 + span / 2, exactly its mid-parameter 0, with margin 0; an
     open arc from a0 + 0 to a0 + span, if longer than the merge gap, and a
     segment, if finite and longer than snap, at their middle, margin ``strict``."""
-    a0, a1 = np.array([(e.a0, e.a1) for e in free], dtype=float).reshape(-1, 2).T
-    lines = np.array([-1 if e.line_index is None else e.line_index for e in free], dtype=np.intp)
-    loop = np.array([e.is_loop() for e in free], dtype=bool)
+    free = edges[ids]
+    a0, a1, lines, loop = free["a0"], free["a1"], free["line"], free["kind"] == LOOP
     with np.errstate(invalid="ignore"):
         span = a1 - a0
         lo = np.where(lines < 0, a0 + 0.0, a0)
@@ -428,12 +427,10 @@ def _whole_edge_rows(free, vertex_node: dict[int, int], snap: float, strict: flo
         test = np.where(loop, a0 + 0.5 * span, 0.5 * (lo + hi))
     exists = loop | np.where(lines < 0, span > arc_gap,
                              (span > snap) & np.isfinite(a0) & np.isfinite(a1))
-    keep = np.flatnonzero(exists).tolist()
-    ends = [free[k].endpoints for k in keep]
-    return list(zip([free[k].id for k in keep], *(c[keep].tolist() for c in (lines, lo, hi)),
-                    [vertex_node.get(a, -1) for a, _ in ends],
-                    [vertex_node.get(b, -1) for _, b in ends],
-                    *(c[keep].tolist() for c in (loop, test, np.where(loop, 0.0, strict)))))
+    keep = np.flatnonzero(exists)
+    return list(zip(*(c[keep].tolist() for c in (
+        ids, lines, lo, hi, vertex_node[free["node_a"]], vertex_node[free["node_b"]], loop, test,
+        np.where(loop, 0.0, strict)))))
 
 
 def _kept_pieces(graph: DiagramGraph, rows, window: Window,
@@ -563,15 +560,12 @@ def bounded_cell_pieces(graph: DiagramGraph, cells) -> tuple[np.ndarray, CellLoo
     forward) pairs with the cell interior on the left. Returns the PIECE
     rows and the loops.
     """
-    edges = [graph.edges[eid]
-             for eid in sorted({eid for cell in cells for eid in graph.cell_edges.get(cell, [])})]
-    pieces = np.zeros(len(edges), PIECE)
-    pieces["edge"] = [e.id for e in edges]
-    pieces["line"] = [-1 if e.is_curve() else e.line_index for e in edges]
-    pieces["a0"], pieces["a1"] = [e.a0 for e in edges], [e.a1 for e in edges]
-    ends = np.array([[-1 if v is None else v for v in e.endpoints] for e in edges], dtype=np.intp)
-    pieces["node_a"], pieces["node_b"] = ends.reshape(-1, 2).T
-    pieces["closed"] = [e.is_loop() for e in edges]
+    ids = sorted({eid for cell in cells for eid in graph.cell_edges.get(cell, [])})
+    edges = graph.edges[ids]
+    pieces = np.zeros(len(ids), PIECE)
+    pieces["edge"], pieces["closed"] = ids, edges["kind"] == LOOP
+    for name in ("line", "a0", "a1", "node_a", "node_b"):
+        pieces[name] = edges[name]
     _end_points(graph, pieces)
     mid = 0.5 * (pieces["a0"] + pieces["a1"])
     _assign_sides(graph, pieces, _regular_rows(graph, pieces["edge"], pieces["line"], mid))

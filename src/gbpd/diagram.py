@@ -26,12 +26,15 @@ The construction follows six steps:
    minimality screen of step 2, likely winner first, with the pair's
    columns skipped). The representatives of all pieces come from one level
    loop (each level one array evaluation of the pieces still unresolved;
-   only a lopsided piece at a singular end goes past the first). The graph
-   keeps the table row of each edge (row k for edge k,
-   ``BisectorTable.take``); no bisector object is built.
+   only a lopsided piece at a singular end goes past the first). The
+   visible pieces become the graph's edges, one EDGE row each, their labels
+   encoded in one array pass; the pass also returns each edge's table row,
+   and the graph keeps those rows (row k for edge k, ``BisectorTable.take``).
+   No bisector or edge object is built.
 6. Assemble the edge/vertex graph: ``assemble_graph`` derives adjacency,
-   per-cell edge lists, per-cell boundary components and the empty cells
-   from the edges, for the build and for the JSON reader alike.
+   per-cell edge lists, per-cell boundary components (one
+   ``connected_components`` pass) and the empty cells from the EDGE
+   columns, for the build and for the JSON reader alike.
 
 Every batched step repeats the operation order of its one-input form, so
 the diagram does not depend on how the work is batched.
@@ -39,18 +42,21 @@ the diagram does not depend on how the work is batched.
 Curve bookkeeping happens on the circular alpha domain (alpha = 2 atan t),
 where an ellipse is a plain circle, a hyperbola two arcs between its
 singular parameters, and the point at t = +-inf is an ordinary interior
-point. An EdgeSegment is published as labels in t, and its interval is
-decoded from those labels, so a graph read back from its JSON carries the
-same bits as the graph that wrote it (see ``_edge_interval``).
+point. An edge is published as labels in t, and its interval is decoded
+from those labels, by the same array pass for a built graph and for one
+read back from its JSON, so the two carry the same bits (see
+``edge_intervals``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 # the benchmark's span tracer patches make_bisector, param_of_point and
 # pencil_intersections_batch here by name; nothing here calls them
@@ -64,13 +70,13 @@ from .bisector import (  # noqa: F401
 from .conic import (
     ConicImplicit,
     alpha_of_param,
+    alphas_of_params,
     line_points,
-    param_of_alpha,
+    params_of_alphas,
     points_at_alphas,
-    wrap_angle,
     wrap_angles,
 )
-from .errors import InputError, NoSolutionError
+from .errors import NoSolutionError
 from .geometry import Generator, PointIndex, SceneArrays, generator_index, hypots
 from .intersect import pencil_intersections_batch, two_nearest, vertex_candidates  # noqa: F401
 from .tolerances import DEDUP_REL, PARAM_MERGE
@@ -87,102 +93,79 @@ class Vertex:
     gens: frozenset[int]
 
 
-@dataclass
-class EdgeSegment:
-    """Visible piece of one bisector component.
-
-    An edge is published as its labels: kind plus t values. Kinds:
-    "interval" (t_a < t_b, infinities allowed on line rays), "wrap" (through
-    the t = inf point, so t_b <= t_a), "loop" (entire ellipse) and
-    "full_line". Endpoints are vertex ids, or None for unbounded ends and
-    closed pieces. ``a0`` < ``a1`` is the edge's parameter interval, decoded
-    from the labels (``_edge_interval``): alphas of a curve piece (a1 = a0 +
-    span, span <= 2 pi) or line parameters of a line piece, with infinite
-    ends on rays.
-    """
-
-    id: int
-    pair: tuple[int, int]
-    kind: str
-    t_a: float | None
-    t_b: float | None
-    endpoints: tuple[int | None, int | None]
-    component: int
-    line_index: int | None = None
-    a0: float = field(init=False)
-    a1: float = field(init=False)
-
-    def __post_init__(self):
-        self.a0, self.a1 = _edge_interval(self.kind, self.t_a, self.t_b, self.line_index)
-
-    def is_curve(self) -> bool:
-        return self.line_index is None
-
-    def is_loop(self) -> bool:
-        return self.kind == "loop"
-
-    def is_finite(self) -> bool:
-        """True for a closed loop or a piece with two finite ends."""
-        if self.is_curve():
-            return self.is_loop() or None not in self.endpoints
-        return math.isfinite(self.a0) and math.isfinite(self.a1)
+# An EDGE row is one edge of the graph, row k edge k: its generator pair (i
+# < j), its labels (kind, an index into EDGE_KINDS, and t_a, t_b, NaN where
+# a label is null), its end vertices (-1 for none), its component and line
+# (-1 on a curve) on the pair's bisector, and its parameter interval a0 < a1
+# as in clip.PIECE: alphas of a curve piece (a1 = a0 + span, span <= 2 pi) or
+# line parameters of a line piece, infinite at the open end of a ray.
+EDGE_KINDS = ("interval", "wrap", "loop", "full_line")
+INTERVAL, WRAP, LOOP, FULL_LINE = range(len(EDGE_KINDS))
+EDGE = np.dtype([("pair", np.intp, 2), ("kind", np.int8), ("t_a", float), ("t_b", float),
+                 ("node_a", np.intp), ("node_b", np.intp), ("component", np.intp),
+                 ("line", np.intp), ("a0", float), ("a1", float)])
 
 
 # ------------------------------------------------------------- edge labels
 #
-# The edge label format, (kind, t_a, t_b) with the line index, is known to
-# this module alone: ``_curve_labels`` encodes a curve piece's alpha
-# interval, and ``_edge_interval`` decodes the labels of any edge, built or
-# read back from JSON, into its parameter interval. The far point t = inf
-# sits at alpha = pi; an interval entering from it is labelled t_a = -inf
-# and decodes to alpha -pi.
+# ``_curve_labels`` encodes curve pieces' alpha intervals as labels, and
+# ``edge_intervals`` decodes the labels of any edges, built or read back
+# from JSON, into their parameter intervals; both run the scalar math calls
+# per entry, so the bits do not depend on the batch. "interval" is t_a < t_b
+# (infinities allowed on line rays), "wrap" runs through the t = inf point
+# (t_b <= t_a), "loop" is an entire ellipse or parabola component and
+# "full_line" a whole line. The far point t = inf sits at alpha = pi; an
+# interval entering from it is labelled t_a = -inf and decodes to alpha -pi.
 
 
-def _curve_labels(a0: float, a1: float, ends: tuple) -> tuple[str, float | None, float | None]:
-    """(kind, t_a, t_b) of the curve piece on the alpha interval (a0, a1 = a0 + span)."""
-    lo = wrap_angle(a0)
+def _curve_labels(a0: np.ndarray, a1: np.ndarray,
+                  ended: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kind, t_a, t_b) of the curve pieces on the alpha intervals (a0, a1 =
+    a0 + span); a full turn is a loop unless ``ended`` marks a vertex at an end."""
+    lo = wrap_angles(a0)
     hi = lo + (a1 - a0)
-    if hi - lo >= TWO_PI - 1e-15 and ends == (None, None):
-        return "loop", None, None
-    t_a = -math.inf if lo == math.pi else param_of_alpha(lo)
-    return "wrap" if lo < math.pi < hi else "interval", t_a, param_of_alpha(hi)
+    loop = (hi - lo >= TWO_PI - 1e-15) & ~ended
+    kind = np.where(loop, LOOP, np.where((lo < math.pi) & (math.pi < hi), WRAP, INTERVAL))
+    t_a = np.where(lo == math.pi, -math.inf, params_of_alphas(lo))
+    t_b = params_of_alphas(hi)
+    t_a[loop] = t_b[loop] = math.nan
+    return kind, t_a, t_b
 
 
-def _edge_interval(kind: str, t_a, t_b, line: int | None) -> tuple[float, float]:
-    """The parameter interval (a0, a1) of an edge with these labels.
+def edge_intervals(kind: np.ndarray, t_a: np.ndarray, t_b: np.ndarray, curve: np.ndarray,
+                   null: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The parameter intervals (a0, a1) of edges with these labels, NaN
+    where the labels name no edge.
 
-    A curve interval spans alpha_of_param(t_a) to alpha_of_param(t_b),
-    lifted by one turn when it wraps through pi; a loop spans (-pi, pi). A
-    line interval is (t_a, t_b), a full line (-inf, inf). Labels that name
-    no edge raise InputError.
+    ``curve`` masks the edges on curves, the others lie on lines; ``null``
+    masks the null t_a and t_b labels (by default the NaN ones). A curve
+    interval spans alpha_of_param(t_a) to alpha_of_param(t_b), lifted by one
+    turn when it wraps through pi; a loop spans (-pi, pi). A line interval
+    is (t_a, t_b), a full line (-inf, inf).
     """
-    numbers = isinstance(t_a, (int, float)) and isinstance(t_b, (int, float))
-    a0 = a1 = math.nan
-    if line is not None:
-        if kind == "full_line" and t_a is None and t_b is None:
-            a0, a1 = -math.inf, math.inf
-        elif kind == "interval" and numbers:
-            a0, a1 = t_a, t_b
-    elif kind == "loop" and t_a is None and t_b is None:
-        a0, a1 = -math.pi, math.pi
-    elif kind in ("interval", "wrap") and numbers:
-        a0 = -math.pi if t_a == -math.inf else alpha_of_param(t_a)
-        a1 = alpha_of_param(t_b)
-        if kind == "wrap" or a1 < a0:
-            a1 += TWO_PI
-    if not a0 < a1:
-        shape = "curve" if line is None else f"line {line}"
-        raise InputError(f"kind {kind!r} with t_a {t_a!r}, t_b {t_b!r} names no {shape} edge")
+    null_a, null_b = (np.isnan(t_a), np.isnan(t_b)) if null is None else null
+    numbers, nulls = ~null_a & ~null_b, null_a & null_b
+    a0, a1 = np.full(kind.size, math.nan), np.full(kind.size, math.nan)
+    full = ~curve & (kind == FULL_LINE) & nulls
+    a0[full], a1[full] = -math.inf, math.inf
+    seg = ~curve & (kind == INTERVAL) & numbers
+    a0[seg], a1[seg] = t_a[seg], t_b[seg]
+    loop = curve & (kind == LOOP) & nulls
+    a0[loop], a1[loop] = -math.pi, math.pi
+    arc = np.flatnonzero(curve & ((kind == INTERVAL) | (kind == WRAP)) & numbers)
+    lo = np.where(t_a[arc] == -math.inf, -math.pi, alphas_of_params(t_a[arc]))
+    hi = alphas_of_params(t_b[arc])
+    a0[arc], a1[arc] = lo, np.where((kind[arc] == WRAP) | (hi < lo), hi + TWO_PI, hi)
     return a0, a1
 
 
 @dataclass
 class DiagramGraph:
-    """A diagram: its edges, and row k of ``table`` is the bisector of edge k."""
+    """A diagram: its edges as EDGE rows, and row k of ``table`` is the bisector of edge k."""
 
     generators: list[Generator]
     vertices: list[Vertex]
-    edges: list[EdgeSegment]
+    edges: np.ndarray
     table: BisectorTable
     cell_edges: dict[int, list[int]]
     adjacency: set[tuple[int, int]]
@@ -192,13 +175,8 @@ class DiagramGraph:
     length_scale: float
 
     def neighbors(self, gid: int) -> set[int]:
-        out = set()
-        for a, b in self.adjacency:
-            if a == gid:
-                out.add(b)
-            elif b == gid:
-                out.add(a)
-        return out
+        pair = self.edges["pair"]
+        return set(pair[pair[:, 0] == gid, 1].tolist()) | set(pair[pair[:, 1] == gid, 0].tolist())
 
 
 # ------------------------------------------------------- candidate vertices
@@ -433,7 +411,7 @@ def _visible_pieces(
     marks: dict[int, dict[int, list[tuple[float, int | None]]]],
     arr: SceneArrays,
     length_scale: float,
-) -> tuple[list[EdgeSegment], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visible pieces of the bisectors ``rows`` of ``table``, decided together.
 
     ``marks[row][c]`` lists the vertex marks (t, vertex id) of component c
@@ -446,12 +424,12 @@ def _visible_pieces(
     ``line_points`` call, and all are decided by one
     ``intersect.two_nearest`` call. ``arr`` holds every generator of ``table``.
 
-    Returns (the visible pieces as EdgeSegments, by row, component and
-    start; the mask over all candidate pieces of those without a
-    representative). A piece without a representative is dropped: a whole
-    component whose midpoint is a singular parameter, or an interval where
-    no probe gives a finite point within 1e6 (1 + length_scale) of the
-    origin.
+    Returns (the visible pieces as EDGE rows, by row, component and start;
+    their rows of ``table``; the mask over all candidate pieces of those
+    without a representative). A piece without a representative is
+    dropped: a whole component whose midpoint is a singular parameter, or
+    an interval where no probe gives a finite point within 1e6 (1 +
+    length_scale) of the origin.
     """
     count, lo, hi, closed = table.components(rows)
     owner = np.repeat(np.arange(rows.size), count)
@@ -481,7 +459,9 @@ def _visible_pieces(
     cut = np.array([(x0, x1, m, a) for x0, x1, _, _, m, a in split], dtype=float).reshape(-1, 4)
     x0, x1, probe, anchor = (np.concatenate([whole_form[keep], split_form])
                              for whole_form, split_form in zip((lo, hi, mid, mid), cut.T))
-    ends = [(None, None)] * keep.size + [(v0, v1) for _, _, v0, v1, _, _ in split]
+    ends = np.array([(-1, -1)] * keep.size + [(-1 if v0 is None else v0, -1 if v1 is None else v1)
+                                              for _, _, v0, v1, _, _ in split],
+                    dtype=np.intp).reshape(-1, 2)
     row, ci, line = row[comp], ci[comp], line[comp]
 
     points = np.full((comp.size, 2), math.nan)
@@ -500,13 +480,20 @@ def _visible_pieces(
     begin = x0[shown]
     begin[~line[shown]] = wrap_angles(begin[~line[shown]])
     shown = shown[np.lexsort((begin, ci[shown], row[shown]))]
-    segments = [
-        _piece_segment((i, j), c if is_line else None, c, a0, a1, *ends[k])
-        for k, (i, j), c, is_line, a0, a1 in zip(
-            shown.tolist(), arr.ids[idx[shown]].tolist(), ci[shown].tolist(),
-            line[shown].tolist(), x0[shown].tolist(), x1[shown].tolist())
-    ]
-    return segments, ~has_rep
+    x0, x1, ends, curve = x0[shown], x1[shown], ends[shown], ~line[shown]
+    # a curve piece's labels encode its alphas; a line piece's are its line
+    # parameters, and a whole line's are null, as are its end vertices
+    kind, t_a, t_b = np.full(shown.size, INTERVAL), x0.copy(), x1.copy()
+    kind[curve], t_a[curve], t_b[curve] = _curve_labels(x0[curve], x1[curve],
+                                                        (ends[curve] >= 0).any(axis=1))
+    full = ~curve & np.isinf(x0) & np.isinf(x1)
+    kind[full], t_a[full], t_b[full], ends[full] = FULL_LINE, math.nan, math.nan, -1
+    edges = np.zeros(shown.size, EDGE)
+    edges["pair"], edges["kind"], edges["t_a"], edges["t_b"] = arr.ids[idx[shown]], kind, t_a, t_b
+    edges["node_a"], edges["node_b"] = ends.T
+    edges["component"], edges["line"] = ci[shown], np.where(curve, -1, ci[shown])
+    edges["a0"], edges["a1"] = edge_intervals(kind, t_a, t_b, curve)
+    return edges, row[shown], ~has_rep
 
 
 def visible_segments(
@@ -515,17 +502,16 @@ def visible_segments(
     vertex_params: dict[int, list[tuple[float, int | None]]],
     scene,
     length_scale: float | None = None,
-) -> list[EdgeSegment]:
+) -> np.ndarray:
     """Visible pieces of the bisector of gi and gj, given vertex parameters per component.
 
     ``vertex_params`` maps component index -> list of (t, vertex id) with t
     in parameter space (math.inf marks the curve's far point); line
     components use the line's own linear parameter. Components without
-    entries are tested whole at one representative each. Returned segments
-    have id -1; the diagram assembly assigns canonical ids. A batch of one
-    of the build's visibility pass, over a one-row table of the bisector's
-    generator pair; the build does not call it, and it stays because the
-    benchmark's span tracer patches it by name.
+    entries are tested whole at one representative each. Returns EDGE rows.
+    A batch of one of the build's visibility pass, over a one-row table of
+    the bisector's generator pair; the build does not call it, and it stays
+    because the benchmark's span tracer patches it by name.
     """
     arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
     if length_scale is None:
@@ -533,20 +519,6 @@ def visible_segments(
     table = bisector_table([gi, gj])
     return _visible_pieces(table, np.zeros(1, dtype=np.int64), {0: vertex_params}, arr,
                            length_scale)[0]
-
-
-def _piece_segment(
-    pair: tuple[int, int], line: int | None, ci: int, x0: float, x1: float,
-    v0: int | None, v1: int | None,
-) -> EdgeSegment:
-    """EdgeSegment of the piece (x0, x1) of component ``ci`` of the bisector
-    of ``pair``, a component on line ``line`` or, with None, a curve."""
-    if line is None:
-        kind, t_a, t_b = _curve_labels(x0, x1, (v0, v1))
-        return EdgeSegment(-1, pair, kind, t_a, t_b, (v0, v1), ci)
-    if math.isinf(x0) and math.isinf(x1):
-        return EdgeSegment(-1, pair, "full_line", None, None, (None, None), ci, line)
-    return EdgeSegment(-1, pair, "interval", x0, x1, (v0, v1), ci, line)
 
 
 # ------------------------------------------------------------ full pipeline
@@ -641,38 +613,56 @@ def build_diagram(generators: list[Generator], threads: int = 1) -> DiagramGraph
         v.id = vid
 
     marks, _recovery_miss = _recover_params(vertices, table, pair_row, 1e-7 * (1.0 + length_scale))
-    edges, _no_representative = _visible_pieces(
+    edges, rows, _no_representative = _visible_pieces(
         table, np.arange(table.first.size), marks, arr, length_scale
     )
-    for eid, e in enumerate(edges):
-        e.id = eid
-    index = arr.id_to_index
-    rows = [pair_row[index[a], index[b]] for a, b in (e.pair for e in edges)]
     return assemble_graph(generators, vertices, edges, table.take(rows))
 
 
-def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: list[EdgeSegment],
+def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: np.ndarray,
                    table: BisectorTable) -> DiagramGraph:
-    """Diagram graph of ``edges``, ids their positions, and ``table``, row k for edge k.
+    """Diagram graph of ``edges`` (EDGE rows, ids their positions) and
+    ``table``, row k for edge k.
 
-    Derives the aliases, the length scale and the cell structure (adjacency,
-    cell edge lists, boundary components, empty cells); the build and the
-    JSON reader both assemble their graphs here. A cell without edges is
-    empty, except where there is no edge at all: then the kept generator
-    nearest a point away from the centres (the smallest id on a tie, as in
-    ``oracle.rasterize``) owns the plane.
+    Derives the aliases, the length scale and the cell structure; the build
+    and the JSON reader both assemble their graphs here. A cell's boundary
+    components join its edges at shared end vertices, each sorted and in the
+    order of its smallest edge: one ``connected_components`` pass over the
+    (cell, edge) incidences and the (cell, vertex) keys of their ends. A
+    cell without edges is empty, except where there is no edge at all: then
+    the kept generator nearest a point away from the centres (the smallest
+    id on a tie, as in ``oracle.rasterize``) owns the plane.
     """
     kept, aliases = _dedup_generators(list(generators))
     arr = SceneArrays(kept)
-    adjacency = {e.pair for e in edges}
+    n = len(edges)
+    # the (cell, edge) incidences by cell, then edge, and one key per (cell,
+    # vertex) of their ends as further graph nodes; an incidence's row links
+    # it to its keys, and the key rows are empty
+    cell, edge = edges["pair"].T.ravel(), np.tile(np.arange(n), 2)
+    order = np.lexsort((edge, cell))
+    cell, edge = cell[order], edge[order]
+    ends = np.stack([edges["node_a"], edges["node_b"]], axis=1)[edge]
+    count = (ends >= 0).sum(axis=1)
+    inc = np.repeat(np.arange(2 * n), count)
+    rank = np.cumsum(np.diff(cell, prepend=-1) != 0)
+    key = np.unique(rank[inc] * (len(vertices) + 1) + ends[ends >= 0], return_inverse=True)[1]
+    indptr = np.r_[0, np.cumsum(count), np.full(inc.size, inc.size)]
+    links = csr_matrix((np.ones(inc.size), 2 * n + key, indptr), shape=(2 * n + inc.size,) * 2)
+    label = connected_components(links, directed=False)[1][:2 * n]
+    # a component is keyed by its first incidence, which holds its smallest
+    # edge; the cell's later components start after it
+    _, first, comp = np.unique(label, return_index=True, return_inverse=True)
+    first = first[comp]
+    regroup = np.argsort(first, kind="stable")
     cell_edges: dict[int, list[int]] = {g.id: [] for g in generators}
-    for e in edges:
-        cell_edges[e.pair[0]].append(e.id)
-        cell_edges[e.pair[1]].append(e.id)
-    ends = [e.endpoints for e in edges]
-    cell_components = {gid: _boundary_components(eids, ends) for gid, eids in cell_edges.items()}
+    cell_edges.update(_runs(cell, edge))
+    cell_components: dict[int, list[list[int]]] = {g.id: [] for g in generators}
+    cells = cell.tolist()
+    for at, eids in _runs(first[regroup], edge[regroup]):
+        cell_components[cells[at]].append(eids)
     empty = {gid for gid, eids in cell_edges.items() if not eids}
-    if not edges:
+    if not n:
         empty.discard(int(arr.ids[arr.dist(arr.coef[:2].max(axis=1) + arr.scale()).argmin()]))
     return DiagramGraph(
         generators=list(generators),
@@ -680,7 +670,7 @@ def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: l
         edges=edges,
         table=table,
         cell_edges=cell_edges,
-        adjacency=adjacency,
+        adjacency=set(map(tuple, edges["pair"].tolist())),
         cell_components=cell_components,
         empty_cells=frozenset(empty),
         aliases=aliases,
@@ -688,31 +678,8 @@ def assemble_graph(generators: list[Generator], vertices: list[Vertex], edges: l
     )
 
 
-def _boundary_components(edge_ids: list[int], ends: list[tuple]) -> list[list[int]]:
-    """Group a cell's edges into connected components via shared vertices.
-
-    ``ends[e]`` holds the endpoint vertex ids of edge e. Components come in
-    the order of their smallest edge id, each sorted.
-    """
-    by_vertex: dict[int, list[int]] = {}
-    for eid in edge_ids:
-        for vid in ends[eid]:
-            if vid is not None:
-                by_vertex.setdefault(vid, []).append(eid)
-    seen: set[int] = set()
-    groups = []
-    for eid in sorted(edge_ids):
-        if eid in seen:
-            continue
-        seen.add(eid)
-        group, stack = [], [eid]
-        while stack:
-            cur = stack.pop()
-            group.append(cur)
-            for vid in ends[cur]:
-                for other in by_vertex.get(vid, ()):
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-        groups.append(sorted(group))
-    return groups
+def _runs(keys: np.ndarray, values: np.ndarray) -> list[tuple[int, list[int]]]:
+    """(key, values) of each run of equal non-negative ``keys``."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()
+    keys, values = keys.tolist(), values.tolist()
+    return [(keys[lo], values[lo:hi]) for lo, hi in zip(starts, starts[1:] + [len(values)])]

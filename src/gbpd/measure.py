@@ -51,7 +51,7 @@ from scipy.integrate import quad  # noqa: F401
 
 from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_polygons, piece_points
 from .conic import ELLIPSE_CODE, eval_alpha_batch
-from .diagram import DiagramGraph, EdgeSegment
+from .diagram import LOOP, DiagramGraph
 from .errors import InputError, NonFiniteSegmentError, QuadratureError, UnboundedCellError
 from .geometry import hypots
 from .tolerances import DEDUP_REL, QUAD_ABS
@@ -266,22 +266,28 @@ def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
 # -------------------------------------------------------------- edge length
 
 
-def _bounded(graph: DiagramGraph, e: EdgeSegment) -> bool:
-    """True for an edge of finite length. A parabola component with no
-    vertex is labelled a loop, as an ellipse is, but it runs through its
-    singular parameter to infinity."""
-    return e.is_finite() and not (e.is_loop() and graph.table.code[e.id] != ELLIPSE_CODE)
+def _bounded(graph: DiagramGraph, ids) -> np.ndarray:
+    """Mask of the edges ``ids`` of finite length: an ellipse's loop, a curve
+    piece with a vertex at both ends, or a line piece with two finite ends.
+    A parabola component with no vertex is labelled a loop, as an ellipse
+    is, but it runs through its singular parameter to infinity."""
+    e = graph.edges[ids]
+    finite = np.where(e["line"] < 0, (e["node_a"] >= 0) & (e["node_b"] >= 0),
+                      np.isfinite(e["a0"]) & np.isfinite(e["a1"]))
+    return finite | ((e["kind"] == LOOP) & (graph.table.code[ids] == ELLIPSE_CODE))
 
 
-def edge_arc_length(graph: DiagramGraph, e: EdgeSegment) -> float:
-    """Length of one edge segment; finite intervals and closed loops only."""
-    if not _bounded(graph, e):
-        raise NonFiniteSegmentError(f"edge {e.id} runs to infinity; clip it first")
-    if e.is_curve():
+def edge_arc_length(graph: DiagramGraph, edge: int) -> float:
+    """Length of the edge ``edge`` (its row of ``graph.edges``); finite
+    intervals and closed loops only."""
+    if not _bounded(graph, [edge])[0]:
+        raise NonFiniteSegmentError(f"edge {edge} runs to infinity; clip it first")
+    line, a0, a1 = graph.edges[["line", "a0", "a1"]][edge].tolist()
+    if line < 0:
         t = graph.table
-        return float(arc_measures(t.chart[[e.id]], t.u_scale[[e.id]], [e.a0], [e.a1])[1][0])
+        return float(arc_measures(t.chart[[edge]], t.u_scale[[edge]], [a0], [a1])[1][0])
     # line parameters are arc length already
-    return e.a1 - e.a0
+    return a1 - a0
 
 
 # ---------------------------------------------------------------- loop sums
@@ -357,9 +363,9 @@ def _check_bounded(graph: DiagramGraph, cell: int) -> None:
     edge_ids = graph.cell_edges.get(cell, [])
     if not edge_ids:
         raise UnboundedCellError(f"cell {cell} has no boundary at all; clip to a window first")
-    for eid in sorted(edge_ids):
-        if not _bounded(graph, graph.edges[eid]):
-            raise UnboundedCellError(f"cell {cell} is open along edge {eid}")
+    open_ = np.flatnonzero(~_bounded(graph, edge_ids))
+    if open_.size:
+        raise UnboundedCellError(f"cell {cell} is open along edge {edge_ids[open_[0]]}")
 
 
 def _hole_test(graph: DiagramGraph, pieces, runs, outers, holes) -> tuple[list, np.ndarray]:

@@ -11,15 +11,18 @@ The reader rebuilds a full :class:`DiagramGraph`: the generator pairs of the
 edges are classified once, into one bisector table (the construction is
 deterministic and a pair gets the same floats in any batch), and the graph
 keeps one table row per edge, as a built graph does, so a loaded graph
-supports clipping and measurement. An edge's interval is decoded from its
-labels by ``EdgeSegment`` itself, as in the build, so a graph read back from
-its JSON clips and measures bit for bit like the graph that wrote it. The
-cell structure is derived from the edges by ``assemble_graph``, as the build
+supports clipping and measurement. Each edge row's types are checked as it
+is read; its values become the columns of the graph's EDGE record, whose
+labels are decoded in one array pass, the build's own, so a graph read back
+from its JSON clips and measures bit for bit like the graph that wrote it.
+The other edge checks are array passes over the columns. The cell
+structure is derived from the edges by ``assemble_graph``, as the build
 derives it, and a document whose ``adjacency`` or ``cells`` rows differ from
 the rows the writer would emit for that structure raises InputError. So does
 a document without generators or with a generator id given twice, a row
 whose fields have the wrong type or shape, an edge whose labels name no edge
-or whose component and line name no component of its bisector, and a loop
+(a NaN label is a number, not a null, and names none) or whose component
+and line name no component of its bisector, and a loop
 edge with an endpoint or on a component that does not span a full turn (only
 an ellipse's closed loop and a parabola's one arc do). Vertex and edge ids
 must equal their positions, every edge endpoint must name a vertex row, and
@@ -38,7 +41,8 @@ import re
 import numpy as np
 
 from .bisector import bisector_table, make_bisector  # noqa: F401 (for the span tracer)
-from .diagram import DiagramGraph, EdgeSegment, Vertex, assemble_graph
+from .diagram import (EDGE, EDGE_KINDS, LOOP, DiagramGraph, Vertex, assemble_graph,
+                      edge_intervals)
 from .errors import InputError
 from .geometry import Generator, SceneArrays, SymMat2, generator_index
 from .tolerances import VERT_REL
@@ -47,6 +51,7 @@ SCHEMA_KEYS = ("generators", "vertices", "edges", "adjacency", "cells")
 GENERATOR_FIELDS = ("px", "py", "m11", "m12", "m22", "w")
 IMPLICIT_FIELDS = ("a11", "a12", "a22", "b11", "b12", "c")
 EDGE_FIELDS = ("id", "pair", "kind", "t_a", "t_b", "endpoints")
+KIND_CODES = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 
 
 # ------------------------------------------------------------------ writing
@@ -105,21 +110,23 @@ def diagram_to_document(graph: DiagramGraph) -> dict:
         }
         for v in graph.vertices
     ]
-    edges = []
-    for e, implicit in zip(graph.edges, graph.table.implicit.tolist()):
-        edges.append(
-            {
-                "id": int(e.id),
-                "pair": [int(e.pair[0]), int(e.pair[1])],
-                **dict(zip(IMPLICIT_FIELDS, implicit)),
-                "kind": e.kind,
-                "t_a": e.t_a,
-                "t_b": e.t_b,
-                "endpoints": [e.endpoints[0], e.endpoints[1]],
-                "component": int(e.component),
-                "line": e.line_index,
-            }
-        )
+    # the EDGE columns, NaN (null label) and -1 (no vertex, a curve's line) as null
+    edges = [
+        {
+            "id": k,
+            "pair": pair,
+            **dict(zip(IMPLICIT_FIELDS, implicit)),
+            "kind": EDGE_KINDS[kind],
+            "t_a": None if t_a != t_a else t_a,
+            "t_b": None if t_b != t_b else t_b,
+            "endpoints": [None if a < 0 else a, None if b < 0 else b],
+            "component": component,
+            "line": None if line < 0 else line,
+        }
+        for k, (pair, implicit, kind, t_a, t_b, a, b, component, line) in enumerate(zip(
+            graph.edges["pair"].tolist(), graph.table.implicit.tolist(),
+            *(graph.edges[name].tolist() for name in EDGE.names[1:8])))
+    ]
     adjacency, cells = _structure_rows(graph)
     return {
         "generators": gens,
@@ -275,48 +282,73 @@ def document_to_diagram(doc: dict) -> DiagramGraph:
         vertices.append(Vertex(k, pos, frozenset(_ints(gens, where, "gens"))))
     _check_vertex_rows(generators, vertices)
 
-    edges: list[EdgeSegment] = []
+    # each row's types checked as it is read, its values collected as floats
+    # (a null as NaN, the null labels masked apart from NaN numbers)
+    rows, kinds = [], []
     for k, row in enumerate(edge_rows):
         where = f"edges[{k}]"
         eid, pair, kind, t_a, t_b, ends = _fields(row, EDGE_FIELDS, where)
         if _int(eid, where, "id") != k:
             raise InputError(f"{where}: edge id must be its position {k}")
-        pair = tuple(_ints(pair, where, "pair", 2))
+        pair = _ints(pair, where, "pair", 2)
         if pair[0] >= pair[1]:
             raise InputError(f"{where}: pair must hold two generator ids in increasing order")
-        t_a = None if t_a is None else _number(t_a, where)
-        t_b = None if t_b is None else _number(t_b, where)
-        ends = tuple(_ints(ends, where, "endpoints", 2, null=True))
-        component = _int(row.get("component", 0), where, "component")
-        line = _int(row.get("line"), where, "line", null=True)
-        try:
-            edges.append(EdgeSegment(k, pair, kind, t_a, t_b, ends, component, line))
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
-
-    known = {None, *range(len(vertices))}
-    stray = next((e for e in edges if not known.issuperset(e.endpoints)), None)
-    if stray is not None:
-        raise InputError(f"edges[{stray.id}]: endpoints {list(stray.endpoints)} name no vertex row")
-    pairs = sorted({e.pair for e in edges})
-    for i, j in pairs:
-        if i not in index or j not in index:
-            raise InputError(f"edge pair ({i}, {j}) references unknown generators")
-    # each pair classified once; row k of the graph's table is edge k's pair
-    row = {pair: k for k, pair in enumerate(pairs)}
-    table = bisector_table(generators, ([index[i] for i, _ in pairs], [index[j] for _, j in pairs]))
-    table = table.take([row[e.pair] for e in edges])
-    count, lo, hi, _ = (a.tolist() for a in table.components(np.arange(len(edges))))
-    for e, n, lo_e, hi_e, lines in zip(edges, count, lo, hi, table.line_count.tolist()):
-        c = e.component  # a line bisector's components are its lines, a curve's its arcs
-        if not (0 <= c < n and e.line_index == (c if lines else None)):
-            raise InputError(f"edges[{e.id}]: bisector {e.pair} has no component {c} "
-                             f"on line {e.line_index}")
-        # an ellipse's closed loop or a parabola's one arc
-        full_turn = hi_e[c] - lo_e[c] >= 2.0 * math.pi
-        if e.is_loop() and not (e.endpoints == (None, None) and full_turn):
-            raise InputError(f"edges[{e.id}]: a loop needs null endpoints and a component "
-                             "that spans a full turn")
+        a, b = _ints(ends, where, "endpoints", 2, null=True)
+        rows.append((pair[0], pair[1], a, b, _int(row.get("line"), where, "line", null=True),
+                     _int(row.get("component", 0), where, "component"),
+                     math.nan if t_a is None else _number(t_a, where),
+                     math.nan if t_b is None else _number(t_b, where), t_a is None, t_b is None))
+        kinds.append(KIND_CODES.get(kind, -1) if type(kind) is str else -1)
+    try:
+        cols = np.array(rows, dtype=float).reshape(-1, 10)
+    except OverflowError:  # an integer beyond the floats, which names nothing
+        cols = np.array([[min(max(v, -1e308), 1e308) if type(v) is int else v for v in r]
+                         for r in rows], dtype=float).reshape(-1, 10)
+    pair, ends, line, c = cols[:, :2], cols[:, 2:4], cols[:, 4], cols[:, 5]
+    t_a, t_b, kind = cols[:, 6], cols[:, 7], np.array(kinds, dtype=np.int8)
+    # an error names the first row that fails, with the document's values
+    a0, a1 = edge_intervals(kind, t_a, t_b, np.isnan(line), tuple(cols[:, 8:].T == 1.0))
+    bad = np.flatnonzero(~(a0 < a1))
+    if bad.size:
+        row = edge_rows[bad[0]]
+        t_a, t_b = (None if row[key] is None else _number(row[key], "") for key in ("t_a", "t_b"))
+        line = row.get("line")
+        raise InputError(f"edges[{bad[0]}]: kind {row['kind']!r} with t_a {t_a!r}, t_b {t_b!r} "
+                         f"names no {'curve' if line is None else f'line {line}'} edge")
+    stray = np.flatnonzero((~np.isnan(ends) & ~((0 <= ends) & (ends < len(vertices)))).any(axis=1))
+    if stray.size:
+        raise InputError(f"edges[{stray[0]}]: endpoints {edge_rows[stray[0]]['endpoints']} name "
+                         "no vertex row")
+    known = np.isin(pair, list(index)).all(axis=1)
+    if not known.all():
+        bad = np.flatnonzero(~known)
+        i, j = edge_rows[bad[np.lexsort(pair[bad].T[::-1])[0]]]["pair"]
+        raise InputError(f"edge pair ({i}, {j}) references unknown generators")
+    # each pair classified once, in id order (ids are below 2**31); row k of
+    # the graph's table is edge k's pair
+    pair = pair.astype(np.int64)
+    _, first, pair_row = np.unique(pair[:, 0] << 31 | pair[:, 1], return_index=True,
+                                   return_inverse=True)
+    table = bisector_table(generators, tuple([index[g] for g in pair[first, k].tolist()]
+                                             for k in (0, 1))).take(pair_row)
+    count, lo, hi, _ = table.components(np.arange(len(rows)))
+    # a line bisector's components are its lines, a curve's its arcs
+    named = (0 <= c) & (c < count) & np.where(table.line_count > 0, line == c, np.isnan(line))
+    if not named.all():
+        row = edge_rows[int(np.argmin(named))]
+        raise InputError(f"edges[{row['id']}]: bisector {tuple(row['pair'])} has no component "
+                         f"{row.get('component', 0)} on line {row.get('line')}")
+    # a loop is an ellipse's closed loop or a parabola's one arc
+    at = np.arange(c.size), c.astype(np.intp)
+    full_turn = hi[at] - lo[at] >= 2.0 * math.pi
+    bad = np.flatnonzero((kind == LOOP) & ~(np.isnan(ends).all(axis=1) & full_turn))
+    if bad.size:
+        raise InputError(f"edges[{bad[0]}]: a loop needs null endpoints and a component "
+                         "that spans a full turn")
+    edges = np.zeros(len(rows), EDGE)
+    edges["pair"], edges["kind"], edges["component"] = pair, kind, c
+    edges["t_a"], edges["t_b"], edges["a0"], edges["a1"] = t_a, t_b, a0, a1
+    edges["node_a"], edges["node_b"], edges["line"] = np.nan_to_num(cols[:, 2:5], nan=-1.0).T
     graph = assemble_graph(generators, vertices, edges, table)
     for key, rows, derived in zip(SCHEMA_KEYS[3:], structure, _structure_rows(graph)):
         if rows != derived:

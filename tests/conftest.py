@@ -1,12 +1,19 @@
 """Fixtures shared by several test modules."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gbpd import diagram as gdiagram
 from gbpd.cli import PRESETS, random_scene
 from gbpd.diagram import build_diagram
 from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.serialize import diagram_from_json, diagram_to_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from output_digests import aniso_scene  # noqa: E402
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
 QUERY_SIDE = 200
@@ -79,3 +86,42 @@ def reload_query():
         x0, y0 = np.floor(step * (np.array([j % 3, j // 3]) + rng.uniform(0.0, 1.0, 2))).astype(int)
         windows.append(Window(float(x0), float(y0), float(x0 + QUERY_SIDE), float(y0 + QUERY_SIDE)))
     return graph, windows
+
+
+def digest_scenes():
+    """(name, generators) of the 45 scenes whose diagrams
+    scripts/output_digests.py builds and queries, in its order: all of its
+    scenes but the paper's n=148 one, of which it digests the JSON alone."""
+    for seed in range(1010, 1020):
+        for preset in PRESETS:
+            yield f"{preset}-16-{seed}", random_scene(preset, 16, seed, WINDOW)
+    yield "dense-72-42", random_scene("paper-random", 72, 42, WINDOW)
+    yield "reload-64-42", random_scene("paper-weights", 64, 42, WINDOW)
+    for seed in range(1010, 1013):
+        for preset in PRESETS:
+            yield f"{preset}-12-{seed}-shifted", [
+                Generator(g.id, g.p + np.array(SHIFT), g.M, g.w)
+                for g in random_scene(preset, 12, seed, WINDOW)]
+    yield "lattice-4x4", [Generator(4 * i + j, (float(i), float(j)), I, 0.0)
+                          for i in range(4) for j in range(4)]
+    for seed in (3, 17, 29):
+        yield f"aniso-10-{seed}", aniso_scene(seed)
+
+
+@pytest.fixture(scope="session")
+def digest_graphs():
+    """(graphs, labels): per digest scene (name, built graph, graph read back
+    from its JSON), and every call of ``diagram._curve_labels`` the builds
+    made, as (arguments, result)."""
+    labels = []
+    encode = gdiagram._curve_labels
+
+    def recorded(*args):
+        out = encode(*args)
+        labels.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gdiagram, "_curve_labels", recorded)
+        built = [(name, build_diagram(gens)) for name, gens in digest_scenes()]
+    return [(name, g, diagram_from_json(diagram_to_json(g))) for name, g in built], labels

@@ -8,7 +8,7 @@ simple on purpose.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -20,8 +20,8 @@ from gbpd import measure as gmeasure
 from gbpd.clip import flatten_pieces, loop_polygons
 from gbpd.conic import (ConicImplicit, alpha_of_param, eval_alpha_batch, line_points,
                         param_of_alpha, points_at_alphas, wrap_angle)
-from gbpd.diagram import merge_marks, split_at_marks
-from gbpd.errors import NoSolutionError, QuadratureError, SingularParameterError
+from gbpd.diagram import EDGE_KINDS, merge_marks, split_at_marks
+from gbpd.errors import InputError, NoSolutionError, QuadratureError, SingularParameterError
 from gbpd.geometry import _GEN_BLOCK as GEN_BLOCK
 from gbpd.geometry import PointIndex, SceneArrays
 from gbpd.intersect import _DET_REL as DET_REL, _DISC_CLAMP as DISC_CLAMP
@@ -1002,6 +1002,105 @@ def arc_representative_scalar(p, a_lo, a_hi, lo_singular, hi_singular, length_sc
 # array pass.
 
 
+# ------------------------------------------------------------ edge objects
+#
+# The graph's edges as one object each, with the labels encoded and decoded
+# one edge at a time by scalar math calls: the bit-for-bit reference of the
+# EDGE record's array passes.
+
+TWO_PI = 2.0 * math.pi
+
+
+def curve_labels(a0, a1, ends):
+    """(kind, t_a, t_b) of the curve piece on the alpha interval (a0, a1 = a0 + span)."""
+    lo = wrap_angle(a0)
+    hi = lo + (a1 - a0)
+    if hi - lo >= TWO_PI - 1e-15 and ends == (None, None):
+        return "loop", None, None
+    t_a = -math.inf if lo == math.pi else param_of_alpha(lo)
+    return "wrap" if lo < math.pi < hi else "interval", t_a, param_of_alpha(hi)
+
+
+def edge_interval(kind, t_a, t_b, line):
+    """The parameter interval (a0, a1) of an edge with these labels; labels
+    that name no edge raise InputError."""
+    numbers = isinstance(t_a, (int, float)) and isinstance(t_b, (int, float))
+    a0 = a1 = math.nan
+    if line is not None:
+        if kind == "full_line" and t_a is None and t_b is None:
+            a0, a1 = -math.inf, math.inf
+        elif kind == "interval" and numbers:
+            a0, a1 = t_a, t_b
+    elif kind == "loop" and t_a is None and t_b is None:
+        a0, a1 = -math.pi, math.pi
+    elif kind in ("interval", "wrap") and numbers:
+        a0 = -math.pi if t_a == -math.inf else alpha_of_param(t_a)
+        a1 = alpha_of_param(t_b)
+        if kind == "wrap" or a1 < a0:
+            a1 += TWO_PI
+    if not a0 < a1:
+        shape = "curve" if line is None else f"line {line}"
+        raise InputError(f"kind {kind!r} with t_a {t_a!r}, t_b {t_b!r} names no {shape} edge")
+    return a0, a1
+
+
+@dataclass
+class EdgeSegment:
+    """One edge: its labels, endpoints (vertex ids, None for none),
+    component and line (None on a curve), and its interval a0 < a1 decoded
+    from the labels by ``edge_interval``."""
+
+    id: int
+    pair: tuple[int, int]
+    kind: str
+    t_a: float | None
+    t_b: float | None
+    endpoints: tuple[int | None, int | None]
+    component: int
+    line_index: int | None = None
+    a0: float = field(init=False)
+    a1: float = field(init=False)
+
+    def __post_init__(self):
+        self.a0, self.a1 = edge_interval(self.kind, self.t_a, self.t_b, self.line_index)
+
+    def is_curve(self):
+        return self.line_index is None
+
+    def is_loop(self):
+        return self.kind == "loop"
+
+    def is_finite(self):
+        """True for a closed loop or a piece with two finite ends."""
+        if self.is_curve():
+            return self.is_loop() or None not in self.endpoints
+        return math.isfinite(self.a0) and math.isfinite(self.a1)
+
+
+def edge_segments(edges):
+    """EdgeSegments of EDGE rows, row k as edge k: the columns' -1 and NaN
+    read as None, the interval decoded from the labels anew."""
+    def opt(v):
+        return None if v < 0 else v
+
+    return [EdgeSegment(k, tuple(pair), EDGE_KINDS[kind], None if t_a != t_a else t_a,
+                        None if t_b != t_b else t_b, (opt(na), opt(nb)), comp, opt(line))
+            for k, (pair, kind, t_a, t_b, na, nb, comp, line) in enumerate(zip(
+                edges["pair"].tolist(),
+                *(edges[n].tolist() for n in ("kind", "t_a", "t_b", "node_a", "node_b",
+                                              "component", "line"))))]
+
+
+def piece_segment(pair, line, ci, x0, x1, v0, v1):
+    """EdgeSegment of the visible piece (x0, x1) of component ``ci`` of the
+    bisector of ``pair``, a component on line ``line`` or, with None, a curve."""
+    if line is None:
+        return EdgeSegment(-1, pair, *curve_labels(x0, x1, (v0, v1)), (v0, v1), ci)
+    if math.isinf(x0) and math.isinf(x1):
+        return EdgeSegment(-1, pair, "full_line", None, None, (None, None), ci, line)
+    return EdgeSegment(-1, pair, "interval", x0, x1, (v0, v1), ci, line)
+
+
 def boundary_components_union_find(edge_ids, edges):
     """Group a cell's edges into connected components via shared vertices (union-find)."""
     if not edge_ids:
@@ -1323,11 +1422,12 @@ def loop_lists(loops):
 def piece_objects(pieces, edges=None):
     """ClipPieces of PIECE rows, numbered in order; the pairs come from ``edges``."""
     out = []
+    pairs = [] if edges is None else [tuple(pair) for pair in edges["pair"].tolist()]
     for k, (kind, row) in enumerate(zip(piece_kinds(pieces), pieces.tolist())):
         edge, line, a0, a1, na, nb, closed, left, right, p0, p1 = row
         bisector = edge >= 0
         out.append(ClipPiece(
-            k, kind, edges[edge].pair if bisector and edges is not None else None,
+            k, kind, pairs[edge] if bisector and edges is not None else None,
             edge if bisector else None, None if line < 0 else line,
             a0 if bisector else None, a1 if bisector else None,
             None if na < 0 else na, None if nb < 0 else nb, closed,
@@ -1461,12 +1561,11 @@ def clip_to_window_per_edge(graph, window):
             nodes[nd].boundary_s = gclip._boundary_s(window, nodes[nd].pos, side)
         return nd
 
-    curved = [e for e in graph.edges if e.is_curve()]
-    straight = [e for e in graph.edges if not e.is_curve()]
-    crossings = dict(zip((e.id for e in curved),
-                         gclip._curve_crossings(graph, curved, window, snap)))
-    crossings.update(zip((e.id for e in straight),
-                         gclip._line_crossings(graph, straight, window, snap)))
+    edges = edge_segments(graph.edges)
+    curved = [e.id for e in edges if e.is_curve()]
+    straight = [e.id for e in edges if not e.is_curve()]
+    crossings = {**gclip._curve_crossings(graph, np.array(curved, dtype=np.intp), window, snap),
+                 **gclip._line_crossings(graph, np.array(straight, dtype=np.intp), window, snap)}
     candidates = []
 
     def candidate(kind, e, a0, a1, na, nb, closed, test, margin=strict):
@@ -1474,8 +1573,8 @@ def clip_to_window_per_edge(graph, window):
                           None, None, None, None)
         candidates.append((piece, test, margin))
 
-    for e in graph.edges:
-        found = crossings[e.id]
+    for e in edges:
+        found = crossings.get(e.id, [])
         ends = tuple(vertex_node.get(v) if v is not None else None for v in e.endpoints)
         if e.is_curve():
             span = e.a1 - e.a0

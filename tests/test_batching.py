@@ -45,6 +45,7 @@ from gbpd.conic import (
     wrap_angles,
 )
 from gbpd.diagram import (
+    EDGE,
     _curve_representatives,
     _dedup_generators,
     _incidences,
@@ -74,6 +75,7 @@ from oracles import (
     arc_representative_scalar,
     bisector_frame_scalar,
     boundary_components_union_find,
+    edge_segments,
     cluster_sweep,
     full_scan_minimal,
     line_point_scalar,
@@ -756,9 +758,11 @@ def test_batched_polish_handles_many_generator_vertices(turn):
 # -------------------------------------------------------------- visibility
 
 
-def edge_fields(e):
-    return (e.pair, e.kind, bits([e.t_a or 0.0, e.t_b or 0.0]), e.t_a is None, e.t_b is None,
-            e.endpoints, e.component, e.line_index, bits([e.a0, e.a1]))
+def edge_fields(edges):
+    """Each EDGE row's fields, floats as hex (a null label as nan)."""
+    return [(tuple(pair), kind, bits([t_a, t_b]), (na, nb), comp, line, bits([a0, a1]))
+            for pair, kind, t_a, t_b, na, nb, comp, line, a0, a1 in zip(
+                edges["pair"].tolist(), *(edges[name].tolist() for name in EDGE.names[1:]))]
 
 
 @given(scenes())
@@ -772,18 +776,19 @@ def test_cross_bisector_visibility_matches_per_bisector(gens):
     eps = 1e-7 * (1.0 + graph.length_scale)
     marks, _ = _recover_params(graph.vertices, table, pair_row, eps)
     each = [
-        edge_fields(e)
+        fields
         for row, (i, j) in enumerate(zip(table.first.tolist(), table.second.tolist()))
-        for e in visible_segments(table.generators[i], table.generators[j], marks.get(row, {}),
-                                  arr, graph.length_scale)
+        for fields in edge_fields(visible_segments(table.generators[i], table.generators[j],
+                                                   marks.get(row, {}), arr, graph.length_scale))
     ]
-    together, _ = _visible_pieces(table, np.arange(table.first.size), marks, arr,
-                                  graph.length_scale)
-    assert [edge_fields(e) for e in together] == each
-    assert [edge_fields(e) for e in graph.edges] == each
+    together, together_rows, _ = _visible_pieces(table, np.arange(table.first.size), marks, arr,
+                                                 graph.length_scale)
+    assert edge_fields(together) == each
+    assert edge_fields(graph.edges) == each
     # row k of the graph's table is the full table's row of edge k's pair
     rows = np.array([pair_row[arr.id_to_index[i], arr.id_to_index[j]]
-                     for i, j in (e.pair for e in graph.edges)], dtype=np.int64)
+                     for i, j in graph.edges["pair"].tolist()], dtype=np.int64).reshape(-1)
+    assert together_rows.tolist() == rows.tolist()
     mine, full = graph.table.components(np.arange(rows.size)), table.components(rows)
     assert [table_row_fields(graph.table, k, *(a[k] for a in mine)) for k in range(rows.size)] == [
         table_row_fields(table, r, *(a[k] for a in full)) for k, r in enumerate(rows.tolist())]
@@ -821,11 +826,11 @@ def test_tracer_bound_wrappers_match_their_kernels():
     marks, _ = _recover_params(graph.vertices, table, pair_row, eps)
     for k, (i, j) in enumerate(zip(table.first.tolist(), table.second.tolist())):
         one = make_bisector(table.generators[i], table.generators[j])
-        kernel, _ = _visible_pieces(one, np.zeros(1, dtype=np.int64), {0: marks.get(k, {})}, arr,
-                                    arr.scale())
+        kernel, _, _ = _visible_pieces(one, np.zeros(1, dtype=np.int64), {0: marks.get(k, {})},
+                                       arr, arr.scale())
         wrapped = visible_segments(table.generators[i], table.generators[j], marks.get(k, {}),
                                    table.generators)
-        assert [edge_fields(e) for e in wrapped] == [edge_fields(e) for e in kernel]
+        assert edge_fields(wrapped) == edge_fields(kernel)
 
 
 def components_of(b):
@@ -864,9 +869,9 @@ def lopsided_case():
 def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
     gens, b, vparams = lopsided_case()
     segs = visible_segments(*gens, vparams, gens, 1.0)
-    assert [s.component for s in segs] == [0, 0, 1]
+    assert segs["component"].tolist() == [0, 0, 1]
     _, lo, hi, _ = (np.asarray(a).tolist() for a in components_of(b))
-    assert segs[0].a0 == lo[0] and segs[0].endpoints == (None, None)
+    assert segs["a0"][0] == lo[0] and segs[["node_a", "node_b"]][0].tolist() == (-1, -1)
     # a mark exactly at the branch's singular start: recovery puts it on the
     # branch (its in-span test holds at an end), and the split's strict
     # in-span filter drops it, so the branch is the unmarked whole component
@@ -875,9 +880,9 @@ def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
     assert 0.0 <= (alpha_of_param(end) - lo[0]) % (2.0 * math.pi) <= hi[0] - lo[0]
     at_end = {0: [(end, None)]}
     assert _split_component(at_end[0], lo[0], hi[0], False, False) == []
-    plain = [edge_fields(e) for e in visible_segments(*gens, {}, gens, 1.0)]
-    assert [edge_fields(e) for e in visible_segments(*gens, at_end, gens, 1.0)] == plain
-    assert [s[6] for s in plain] == [0, 1]
+    plain = edge_fields(visible_segments(*gens, {}, gens, 1.0))
+    assert edge_fields(visible_segments(*gens, at_end, gens, 1.0)) == plain
+    assert [fields[4] for fields in plain] == [0, 1]
     # one piece, probed at its midpoint
     assert assert_probe_levels_match_scalar(b, at_end, 1.0) == 0
 
@@ -965,7 +970,7 @@ def test_visibility_is_the_same_in_small_point_chunks(monkeypatch):
     graph = build_diagram(gens)
     monkeypatch.setattr(intersect, "_POINT_CHUNK", 7)
     again = build_diagram(gens)
-    assert [edge_fields(e) for e in again.edges] == [edge_fields(e) for e in graph.edges]
+    assert edge_fields(again.edges) == edge_fields(graph.edges)
 
 
 # -------------------------------------------- graph assembly and hole test
@@ -975,8 +980,9 @@ def test_visibility_is_the_same_in_small_point_chunks(monkeypatch):
 @settings(max_examples=15, deadline=None)
 def test_cell_components_match_union_find(gens):
     graph = build_diagram(gens)
+    edges = edge_segments(graph.edges)
     for gid, eids in graph.cell_edges.items():
-        assert graph.cell_components[gid] == boundary_components_union_find(eids, graph.edges)
+        assert graph.cell_components[gid] == boundary_components_union_find(eids, edges)
 
 
 @given(
@@ -1016,7 +1022,7 @@ def test_no_recovery_miss_or_missing_representative_on_benchmark_scenes():
         assert miss.size == sum(math.comb(len(v.gens), 2) for v in graph.vertices)
         assert sum(len(e) for by_comp in marks.values() for e in by_comp.values()) == miss.size
         # every row through the one visibility pass
-        edges, no_rep = _visible_pieces(table, np.arange(table.first.size), marks, arr,
-                                        graph.length_scale)
+        edges, _, no_rep = _visible_pieces(table, np.arange(table.first.size), marks, arr,
+                                           graph.length_scale)
         assert not no_rep.any()
         assert len(edges) == len(graph.edges)

@@ -35,6 +35,7 @@ from oracles import (
     clip_text_objects,
     clip_to_window_per_edge,
     curve_crossings_scalar,
+    edge_segments,
     flatten_piece_scalar,
     line_crossings_scalar,
     measure_cells_per_piece,
@@ -88,25 +89,31 @@ def crossing_bits(found):
 def test_batched_crossings_match_scalar(graphs, name):
     graph, window = graphs[name]
     snap = DEDUP_REL * window.diagonal
-    curved = [e for e in graph.edges if e.is_curve()]
-    straight = [e for e in graph.edges if not e.is_curve()]
-    got_curved = gclip._curve_crossings(graph, curved, window, snap)
-    got_straight = gclip._line_crossings(graph, straight, window, snap)
+    edges = edge_segments(graph.edges)
+    curved = [e for e in edges if e.is_curve()]
+    straight = [e for e in edges if not e.is_curve()]
+    got_curved = gclip._curve_crossings(graph, np.array([e.id for e in curved], dtype=np.intp),
+                                        window, snap)
+    got_straight = gclip._line_crossings(graph, np.array([e.id for e in straight], dtype=np.intp),
+                                         window, snap)
     total = 0
-    for e, found in zip(curved, got_curved):
+    for e in curved:
+        found = got_curved.get(e.id, [])
         ref = curve_crossings_scalar(row_curve(graph.table, e.id), e, window, snap)
         assert crossing_bits((x, *at) for x, at in found) == crossing_bits(ref)
         total += len(ref)
-    for e, found in zip(straight, got_straight):
+    for e in straight:
+        found = got_straight.get(e.id, [])
         line = row_line(graph.table, e.id, e.line_index)
         ref = line_crossings_scalar(line, e.a0, e.a1, window, snap)
         assert crossing_bits((x, *at) for x, at in found) == crossing_bits(ref)
         total += len(ref)
     assert (total == 0) == (name == "no-edge-inside")
     # an edge's crossings do not depend on the other edges of the batch
-    alone = [gclip._curve_crossings(graph, [e], window, snap)[0] for e in curved[::-1]][::-1]
+    alone = [gclip._curve_crossings(graph, np.array([e.id]), window, snap).get(e.id, [])
+             for e in curved[::-1]][::-1]
     assert [crossing_bits((x, *at) for x, at in f) for f in alone] == [
-        crossing_bits((x, *at) for x, at in f) for f in got_curved
+        crossing_bits((x, *at) for x, at in got_curved.get(e.id, [])) for e in curved
     ]
 
 

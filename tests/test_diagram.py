@@ -16,18 +16,32 @@ from gbpd.cli import random_scene as preset_scene
 from gbpd.clip import clip_to_window
 from gbpd.bisector import bisector_implicit, bisector_table, param_of_point
 from gbpd.conic import CLASSES, ConicClass, alpha_of_param, line_points, points_at_alphas
-from gbpd.diagram import build_diagram, visible_segments
+from gbpd.diagram import EDGE_KINDS, build_diagram, visible_segments
 from gbpd.geometry import SceneArrays, Window, dist_g
 from gbpd.measure import measure_cells
 from gbpd.serialize import diagram_to_json
 
-from oracles import radical_center
+from oracles import boundary_components_union_find, curve_labels, edge_segments, radical_center
 
 I = SymMat2.identity()
 
 
 def iso(gid, x, y, w=0.0):
     return Generator(gid, (x, y), I, w)
+
+
+def kinds(edges):
+    return [EDGE_KINDS[k] for k in edges["kind"].tolist()]
+
+
+def pairs(edges):
+    return [tuple(pair) for pair in edges["pair"].tolist()]
+
+
+def degrees(d):
+    """Edge ends at each vertex id."""
+    ends = np.concatenate([d.edges["node_a"], d.edges["node_b"]])
+    return np.bincount(ends[ends >= 0], minlength=len(d.vertices)).tolist()
 
 
 def random_scene(rng, n, aniso=True):
@@ -49,9 +63,8 @@ def test_two_generators_single_full_line():
     d = build_diagram([iso(0, 0, 0), iso(1, 2, 0)])
     assert len(d.vertices) == 0
     assert len(d.edges) == 1
-    e = d.edges[0]
-    assert e.kind == "full_line"
-    assert e.pair == (0, 1)
+    assert kinds(d.edges) == ["full_line"]
+    assert pairs(d.edges) == [(0, 1)]
     assert d.adjacency == {(0, 1)}
     assert d.cell_components[0] == [[0]]
     assert d.cell_components[1] == [[0]]
@@ -64,10 +77,9 @@ def test_concentric_pair_closed_loop_edge():
     g1 = Generator(1, (0, 0), I, 0.0)
     d = build_diagram([g0, g1])
     assert len(d.edges) == 1
-    e = d.edges[0]
-    assert e.kind == "loop"
-    assert CLASSES[d.table.code[e.id]] is ConicClass.ELLIPSE
-    x, y, _, _, singular = points_at_alphas(d.table.chart[[e.id]], d.table.u_scale[[e.id]],
+    assert kinds(d.edges) == ["loop"]
+    assert CLASSES[d.table.code[0]] is ConicClass.ELLIPSE
+    x, y, _, _, singular = points_at_alphas(d.table.chart[[0]], d.table.u_scale[[0]],
                                             np.array([0.7]))
     assert not singular[0]
     assert math.hypot(x[0], y[0]) == pytest.approx(1.0, abs=1e-12)
@@ -82,12 +94,12 @@ def test_one_neighbor_cell():
     d = build_diagram([g0, g1, g2])
     assert d.neighbors(0) == {1}
     assert d.neighbors(1) == {0, 2}
-    loops = [d.edges[i] for i in d.cell_edges[0]]
-    assert len(loops) == 1 and loops[0].kind == "loop"
-    assert d.cell_components[0] == [[loops[0].id]]
+    loops = d.cell_edges[0]
+    assert len(loops) == 1 and kinds(d.edges[loops]) == ["loop"]
+    assert d.cell_components[0] == [loops]
     # the (1, 2) bisector is the full power line x = 50
-    e12 = [e for e in d.edges if e.pair == (1, 2)]
-    assert len(e12) == 1 and e12[0].kind == "full_line"
+    e12 = [k for k, pair in enumerate(pairs(d.edges)) if pair == (1, 2)]
+    assert len(e12) == 1 and kinds(d.edges[e12]) == ["full_line"]
 
 
 def test_equilateral_triangle_rays():
@@ -98,10 +110,10 @@ def test_equilateral_triangle_rays():
     assert v.gens == frozenset({0, 1, 2})
     assert np.allclose(v.pos, [2.0, 2.0 / math.sqrt(3.0)], atol=1e-9)
     assert len(d.edges) == 3
+    assert kinds(d.edges) == ["interval"] * 3
     for e in d.edges:
-        assert e.kind == "interval"
-        assert sorted(x is None for x in e.endpoints) == [False, True]
-        assert math.isinf(e.t_a) or math.isinf(e.t_b)
+        assert sorted(x < 0 for x in (e["node_a"], e["node_b"])) == [False, True]
+        assert math.isinf(e["t_a"]) or math.isinf(e["t_b"])
     assert d.adjacency == {(0, 1), (0, 2), (1, 2)}
     for gid in range(3):
         assert len(d.cell_components[gid]) == 1
@@ -117,8 +129,7 @@ def test_square_grid_degree_four_vertex():
     assert d.adjacency == {(0, 1), (0, 2), (1, 3), (2, 3)}
     assert len(d.edges) == 4
     # vertex degree: four edge ends
-    ends = sum(e.endpoints.count(0) for e in d.edges)
-    assert ends == 4
+    assert degrees(d) == [4]
 
 
 def test_empty_cell_flag():
@@ -149,14 +160,14 @@ def test_hyperbola_branch_visibility():
     assert abs(bisector_implicit(g0, g1).evaluate(apex[0], apex[1])) < 1e-9
 
     def covers(diagram, point):
-        row = next(e.id for e in diagram.edges if e.pair == (0, 1))
-        t = param_of_point(diagram.table, row, point, 1e-6)[0]
+        rows = [k for k, pair in enumerate(pairs(diagram.edges)) if pair == (0, 1)]
+        t = param_of_point(diagram.table, rows[0], point, 1e-6)[0]
         a = alpha_of_param(t)
-        for e in diagram.edges:
-            if e.pair != (0, 1) or not e.is_curve():
+        for e in diagram.edges[rows]:
+            if e["line"] >= 0:
                 continue
-            off = (a - e.a0) % (2 * math.pi)
-            if off <= e.a1 - e.a0:
+            off = (a - e["a0"]) % (2 * math.pi)
+            if off <= e["a1"] - e["a0"]:
                 return True
         return False
 
@@ -179,9 +190,8 @@ def test_weight_shift_invariance():
     for v1, v2 in zip(d1.vertices, d2.vertices):
         assert math.hypot(*(v1.pos - v2.pos)) <= scale
         assert v1.gens == v2.gens
-    assert [(e.pair, e.kind, e.component) for e in d1.edges] == [
-        (e.pair, e.kind, e.component) for e in d2.edges
-    ]
+    assert pairs(d1.edges) == pairs(d2.edges) and kinds(d1.edges) == kinds(d2.edges)
+    assert d1.edges["component"].tolist() == d2.edges["component"].tolist()
 
 
 def test_laguerre_vertices_are_radical_centers():
@@ -210,12 +220,7 @@ def test_vertex_degree_at_least_three():
     gens = random_scene(rng, 14)
     d = build_diagram(gens)
     assert d.vertices
-    degree = {v.id: 0 for v in d.vertices}
-    for e in d.edges:
-        for vid in e.endpoints:
-            if vid is not None:
-                degree[vid] += 1
-    for vid, deg in degree.items():
+    for vid, deg in enumerate(degrees(d)):
         assert deg >= 3, f"vertex {vid} has degree {deg}"
 
 
@@ -225,7 +230,7 @@ def test_edge_midpoints_are_two_nearest():
     d = build_diagram(gens)
     arr = SceneArrays(gens)
     checked = 0
-    for e in d.edges:
+    for e in edge_segments(d.edges):
         rows = [e.id]
         if e.is_curve():
             span = e.a1 - e.a0
@@ -260,10 +265,7 @@ def test_determinism_across_threads_and_runs():
     def snapshot(d):
         return (
             [(v.pos[0], v.pos[1], tuple(sorted(v.gens))) for v in d.vertices],
-            [
-                (e.pair, e.kind, e.t_a, e.t_b, e.endpoints, e.a0, e.a1)
-                for e in d.edges
-            ],
+            d.edges.tobytes(),
             sorted(d.adjacency),
         )
 
@@ -346,11 +348,7 @@ def test_far_ray_representative_keeps_vertex_degree_three():
     window = Window(0.0, 0.0, 400.0, 400.0)
     d = build_diagram(preset_scene("isotropic", 16, 1015, window))
     assert np.abs(d.vertices[0].pos).max() > 1e4
-    degree = {v.id: 0 for v in d.vertices}
-    for e in d.edges:
-        for vid in e.endpoints:
-            if vid is not None:
-                degree[vid] += 1
+    degree = degrees(d)
     assert all(degree[v.id] == 3 for v in d.vertices if len(v.gens) == 3)
     total = sum(m.area for m in measure_cells(clip_to_window(d, window)).values())
     assert abs(total - window.width * window.height) <= 1e-6 * window.width * window.height
@@ -360,12 +358,80 @@ def test_visible_segments_direct_call():
     gens = [iso(0, 0, 0), iso(1, 2, 0)]
     segs = visible_segments(*gens, {0: [(0.0, None)]}, gens)
     assert len(segs) == 2
-    kinds = sorted((s.t_a, s.t_b) for s in segs)
-    assert kinds[0][0] == -math.inf and kinds[1][1] == math.inf
+    labels = sorted(segs[["t_a", "t_b"]].tolist())
+    assert labels[0][0] == -math.inf and labels[1][1] == math.inf
 
 
 def test_single_generator_scene():
     d = build_diagram([iso(0, 5, 5)])
-    assert d.edges == []
+    assert len(d.edges) == 0
     assert d.vertices == []
     assert not d.empty_cells
+
+
+# ------------------------------------------------ the edge record (EDGE rows)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def test_edge_record_matches_reference_objects(digest_graphs):
+    # the array label encode and decode against one scalar call per edge, bit
+    # for bit, on the 45 digest scenes, built and read back from their JSON
+    graphs, labels = digest_graphs
+    assert len(graphs) == 45 and labels
+    for (a0, a1, ended), (kind, t_a, t_b) in labels:
+        ref = [curve_labels(x0, x1, (0, 0) if e else (None, None))
+               for x0, x1, e in zip(a0.tolist(), a1.tolist(), ended.tolist())]
+        assert [EDGE_KINDS[k] for k in kind.tolist()] == [r[0] for r in ref]
+        nulls = [math.nan if v is None else v for r in ref for v in r[1:]]
+        assert hexes(np.column_stack([t_a, t_b]).ravel()) == hexes(nulls)
+    for name, built, read in graphs:
+        assert read.edges.tobytes() == built.edges.tobytes(), name
+        for g in (built, read):
+            objects = edge_segments(g.edges)
+            e = g.edges
+            assert hexes(e["a0"]) == hexes(o.a0 for o in objects), name
+            assert hexes(e["a1"]) == hexes(o.a1 for o in objects), name
+            assert hexes(e["t_a"]) == hexes(math.nan if o.t_a is None else o.t_a for o in objects)
+            assert hexes(e["t_b"]) == hexes(math.nan if o.t_b is None else o.t_b for o in objects)
+
+
+def assert_graph_invariants(g):
+    """The graph's invariants, each one array pass over its EDGE rows."""
+    e = g.edges
+    ends = np.concatenate([e["node_a"], e["node_b"]])
+    pair = np.concatenate([e["pair"], e["pair"]])
+    # a vertex of d generators has d incident edge ends
+    degree = np.array([len(v.gens) for v in g.vertices], dtype=int)
+    assert np.bincount(ends[ends >= 0], minlength=degree.size).tolist() == degree.tolist()
+    # an edge's pair lies in the gens of both its end vertices
+    gens = np.full((degree.size, max(degree, default=0)), -1)
+    for k, v in enumerate(g.vertices):
+        gens[k, :degree[k]] = sorted(v.gens)
+    held = gens[ends[ends >= 0]][:, :, None] == pair[ends >= 0][:, None, :]
+    assert held.any(axis=1).all()
+    # adjacency is the set of pairs; a cell's edges are the rows whose pair
+    # holds it, in increasing order; an empty cell has no edge
+    assert g.adjacency == set(map(tuple, e["pair"].tolist()))
+    ids = np.array([gen.id for gen in g.generators])
+    holds = (e["pair"][None, :, :] == ids[:, None, None]).any(axis=2)
+    assert g.cell_edges == {gid: np.flatnonzero(row).tolist()
+                            for gid, row in zip(ids.tolist(), holds)}
+    assert not holds[np.isin(ids, list(g.empty_cells))].any()
+    return int((degree == 4).sum())
+
+
+def test_graph_invariants_on_digest_scenes(digest_graphs):
+    graphs, _ = digest_graphs
+    four = 0
+    for name, built, read in graphs:
+        for g in (built, read):
+            four += assert_graph_invariants(g)
+            objects = edge_segments(g.edges)
+            assert g.cell_components == {
+                gid: boundary_components_union_find(eids, objects)
+                for gid, eids in g.cell_edges.items()}, name
+    # the lattice's vertices are of degree 4
+    assert four > 0

@@ -60,7 +60,7 @@ def test_polyline_points_lie_on_bisectors():
     assert len(drawn) == len(edges)
     checked = 0
     for edge, pts in zip(edges, drawn):
-        gi, gj = (by_id[gid] for gid in cd.graph.edges[edge].pair)
+        gi, gj = (by_id[gid] for gid in cd.graph.edges["pair"][edge].tolist())
         for pair in pts.split():
             xs, ys = map(float, pair.split(","))
             x = WIN.xmin + xs / s
