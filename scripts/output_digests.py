@@ -22,7 +22,8 @@ n=64 scene read back from its JSON and queried in nine 200x200 windows,
 the presets at n=12, seeds 1010-1012, shifted by (1e5, -1e5), and two
 raster cases: a 4x4 unit lattice at 8 px, whose vertices and edges run
 through pixel centers, and the anisotropic n=10 scenes of seeds 3, 17 and
-29 in a 100x100 window at 400 px, which have cells with holes.
+29 in a 100x100 window at 400 px, which have cells with holes; last, the
+two scenes of CORNER_SCENES at 100 px, whose clips merge window crossings.
 """
 
 import hashlib
@@ -45,6 +46,19 @@ from gbpd.serialize import diagram_from_json, diagram_to_json
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
 SHIFT = np.array([1e5, -1e5])
+# (generators, window) of scenes whose clips find a crossing on both sides
+# of a corner and merge the two: the bisector y = x meets the corners (0, 0)
+# and (4, 4), and the circle of radius 5 about the origin passes through
+# the corner (3, 4)
+CORNER_SCENES = {
+    "line-through-a-corner": (
+        [Generator(0, (1, 0), SymMat2.identity(), 0.0), Generator(1, (0, 1), SymMat2.identity(), 0.0)],
+        Window(0, 0, 4, 4)),
+    "circle-through-a-corner": (
+        [Generator(0, (0, 0), SymMat2.isotropic(2.0), 25.0),
+         Generator(1, (0, 0), SymMat2.identity(), 0.0)],
+        Window(3, -10, 10, 4)),
+}
 
 
 def aniso_scene(seed: int, n: int = 10) -> list[Generator]:
@@ -177,6 +191,8 @@ def main() -> int:
     scene_outputs("lattice-4x4", lattice, Window(-0.25, -0.25, 3.75, 3.75), 8)
     for seed in (3, 17, 29):
         scene_outputs(f"aniso-10-{seed}", aniso_scene(seed), Window(0.0, 0.0, 100.0, 100.0), 400)
+    for name, (gens, window) in CORNER_SCENES.items():
+        scene_outputs(name, gens, window, 100)
     return 0
 
 

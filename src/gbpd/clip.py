@@ -29,11 +29,16 @@ polylines, for the analytic raster, the SVG and the hole test of measure.
 Crossing parameters come from the quadratic x(t) - X u(t) = 0 per window
 side (linear for straight edges), so no marching or sampling is involved.
 The side quadratics of all curved edges are solved in one batch and the
-straight edges' crossings in one array pass. Each candidate piece is made
-once, as a row, and evaluated once: its point and tangent at its
-mid-parameter serve the inside test and the side test. Piece points and
-tangents come from one evaluator (``_piece_rows``), which flattening calls on
-its span arrays; all read an edge's bisector as its table row, by edge id.
+straight edges' crossings in one array pass. The crossings of all edges
+are columns (edge, position, point, side), merged and paired into pieces
+in array passes shared with the build's vertex marks (``diagram.merge_runs``
+and ``diagram.split_runs``; an edge without crossings is its whole
+interval); only the node lookup of the kept crossings goes one by one, as
+the near-point index numbers nodes in call order. Each candidate piece is
+made once and evaluated once: its point and tangent at its mid-parameter
+serve the inside test and the side test. Piece points and tangents come
+from one evaluator (``_piece_rows``), which flattening calls on its span
+arrays; all read an edge's bisector as its table row, by edge id.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .conic import (
     points_at_alphas,
     real_quadratic_roots_batch,
 )
-from .diagram import LOOP, DiagramGraph, merge_marks, split_at_marks
+from .diagram import LOOP, DiagramGraph, merge_runs, split_runs
 from .errors import NoSolutionError, SingularParameterError
 from .geometry import PointIndex, SceneArrays, Window, hypots
 from .tolerances import DEDUP_REL, DEN_REL, PARAM_MERGE
@@ -65,8 +70,6 @@ PIECE = np.dtype([("edge", np.intp), ("line", np.intp), ("a0", float), ("a1", fl
                   ("node_a", np.intp), ("node_b", np.intp), ("closed", bool),
                   ("left", np.intp), ("right", np.intp), ("p0", float, 2), ("p1", float, 2)])
 HALF = np.dtype([("piece", np.intp), ("forward", bool)])
-# a candidate piece: the PIECE columns up to closed, its test parameter and its margin
-_CANDIDATE = np.dtype(PIECE.descr[:7] + [("test", float), ("margin", float)])
 
 
 def _offsets(counts) -> np.ndarray:
@@ -245,15 +248,13 @@ def _sides(window: Window):
 
 
 def _curve_crossings(graph: DiagramGraph, ids: np.ndarray, window: Window, snap: float):
-    """Window crossings of the curved edges ``ids``: a list of (offset from
-    a0, (pos, side)) per edge id that has any.
+    """Window crossings of the curved edges ``ids``, as columns (edge id,
+    offset from a0, point, side).
 
     The four side quadratics x^(t) - X u^(t) (y^ for horizontal sides) of
-    every edge are solved in one batch. An edge's crossings come in
-    candidate order: sides 0-3, roots ascending, then t = inf.
+    every edge are solved in one batch. The crossings come by edge, each
+    edge's in candidate order: sides 0-3, roots ascending, then t = inf.
     """
-    if not ids.size:
-        return {}
     coef = graph.table.chart[ids]
     axis, value, lo, hi, _ = (np.array(col) for col in zip(*_sides(window)))
     # (edge, side, candidate) arrays; a vertical side (axis 0) meets x^, a horizontal one y^
@@ -263,7 +264,8 @@ def _curve_crossings(graph: DiagramGraph, ids: np.ndarray, window: Window, snap:
     ok = np.concatenate([valid, inf_root[..., None]], axis=-1) & ~everywhere[..., None]
     far = np.full(roots.shape[:2] + (1,), math.inf)
     t = np.where(ok, np.concatenate([roots, far], axis=-1), 0.0)
-    x, y, u = (v.reshape(t.shape) for v in homogeneous_at_params(coef, t.reshape(ids.size, -1)))
+    flat = t.reshape(ids.size, t.shape[1] * t.shape[2])
+    x, y, u = (v.reshape(t.shape) for v in homogeneous_at_params(coef, flat))
     ok &= ~(np.abs(u) <= DEN_REL * graph.table.u_scale[ids][:, None, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         px, py = x / u, y / u
@@ -278,44 +280,38 @@ def _curve_crossings(graph: DiagramGraph, ids: np.ndarray, window: Window, snap:
     keep = loop | ((-1e-12 <= off) & (off <= span + 1e-12))
     off = np.where(loop, np.remainder(off, TWO_PI), np.minimum(off, span))
     pos = np.column_stack([px.ravel()[idx], py.ravel()[idx]])
-    out: dict[int, list] = {}
-    for k, eid in zip(np.flatnonzero(keep).tolist(), ids[edge[keep]].tolist()):
-        out.setdefault(eid, []).append((float(off[k]), (pos[k], int(side[k]))))
-    return out
+    return ids[edge[keep]], off[keep], pos[keep], side[keep]
 
 
 def _line_crossings(graph: DiagramGraph, ids: np.ndarray, window: Window, snap: float):
-    """Window crossings of the straight edges ``ids``: a list of (t, (pos,
-    side)) in side order per edge id that has any."""
-    out: dict[int, list] = {}
+    """Window crossings of the straight edges ``ids``, as columns (edge id,
+    line parameter, point, side), by edge and each edge's in side order."""
     edges = graph.edges[ids]
     rows = graph.table.lines[ids, edges["line"]]
     la, lb, lc = rows.T
-    q0 = (-lc * la, -lc * lb)
-    d = (-lb, la)
-    t_lo, t_hi = edges["a0"], edges["a1"]
-    for axis, value, lo, hi, side in _sides(window):
-        dv = d[axis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (value - q0[axis]) / dv
-            pos = line_points(rows, t)
-        other = pos[:, 1 - axis]
-        ok = ~(np.abs(dv) < 1e-15) & (t_lo - 1e-12 <= t) & (t <= t_hi + 1e-12)
-        ok &= (lo - snap <= other) & (other <= hi + snap)
-        for k, eid in zip(np.flatnonzero(ok).tolist(), ids[ok].tolist()):
-            out.setdefault(eid, []).append((float(t[k]), (pos[k], side)))
-    return out
+    axis, value, lo, hi, side = (np.array(col) for col in zip(*_sides(window)))
+    # (edge, side) arrays: the start -c (a, b) and direction (-b, a) along the side's axis
+    q0, dv = np.stack([-lc * la, -lc * lb])[axis].T, np.stack([-lb, la])[axis].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (value - q0) / dv
+        pos = line_points(np.repeat(rows, side.size, axis=0), t.ravel()).reshape(t.shape + (2,))
+    other = pos[:, side, 1 - axis]
+    ok = ~(np.abs(dv) < 1e-15)
+    ok &= (edges["a0"][:, None] - 1e-12 <= t) & (t <= edges["a1"][:, None] + 1e-12)
+    ok &= (lo - snap <= other) & (other <= hi + snap)
+    edge, at = np.nonzero(ok)
+    return ids[edge], t[edge, at], pos[edge, at], side[at]
 
 
 def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     """Cut the diagram against a window and assemble closed cell loops.
 
     The vertices inside the window are found in one ``Window.contains``
-    test. Candidate pieces are rows (edge, line, a0, a1, node a, node b,
-    closed, test parameter, margin): an edge without a window crossing gives
-    at most one, its whole interval (``_whole_edge_rows``, one array pass);
-    only an edge with crossings is cut one by one. The rows are put in edge
-    order and tested in one batch (``_kept_pieces``).
+    test. The crossings of all edges are columns sorted by (edge,
+    position): ``merge_runs`` merges them, each kept one gets its node, and
+    ``split_runs`` cuts every edge at its crossings at once, an edge without
+    any into its whole interval. The candidate pieces come out in edge
+    order, as columns, and are tested in one batch (``_kept_pieces``).
     """
     snap = DEDUP_REL * window.diagonal
     # pieces must be strictly interior: a bisector running along the border
@@ -351,30 +347,29 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
         return nd
 
     edges = graph.edges
-    crossings = {**_curve_crossings(graph, np.flatnonzero(edges["line"] < 0), window, snap),
-                 **_line_crossings(graph, np.flatnonzero(edges["line"] >= 0), window, snap)}
-    cut = np.array(sorted(crossings), dtype=np.intp)
-    rows = _whole_edge_rows(edges, np.setdiff1d(np.arange(len(edges)), cut), vertex_node, snap,
-                            strict, arc_gap)
-    for eid, line, a0, a1, loop, n0, n1 in zip(
-            cut.tolist(), *(edges[name][cut].tolist() for name in ("line", "a0", "a1")),
-            (edges["kind"][cut] == LOOP).tolist(),
-            *(vertex_node[edges[name][cut]].tolist() for name in ("node_a", "node_b"))):
-        found = crossings[eid]
-        if line < 0:
-            marks = [(off, crossing_node(*at)) for off, at in merge_marks(found, arc_gap)]
-            for off0, off1, m0, m1 in split_at_marks(marks, 0.0, a1 - a0, arc_gap, loop, (n0, n1)):
-                lo, hi = a0 + off0, a0 + off1
-                rows.append((eid, -1, lo, hi, m0, m1, False, 0.5 * (lo + hi), strict))
-            continue
-        # line parameters are lengths: crossings merge within the snap radius
-        marks = [(t, crossing_node(*at)) for t, at in merge_marks(found, snap)]
-        for t0, t1, m0, m1 in split_at_marks(marks, a0, a1, snap, False, (n0, n1)):
-            # a kept piece must be finite; infinite tails are outside any
-            # bounded window except for pathological tangencies
-            if not (math.isinf(t0) or math.isinf(t1)):
-                rows.append((eid, line, t0, t1, m0, m1, False, 0.5 * (t0 + t1), strict))
-    rows.sort(key=lambda row: row[0])  # stable: pieces stay in edge order
+    a0, a1, curve, loop = edges["a0"], edges["a1"], edges["line"] < 0, edges["kind"] == LOOP
+    edge, pos, point, side = (np.concatenate(c) for c in zip(
+        _curve_crossings(graph, np.flatnonzero(curve), window, snap),
+        _line_crossings(graph, np.flatnonzero(~curve), window, snap)))
+    order = np.lexsort((pos, edge))
+    edge, pos, point, side = edge[order], pos[order], point[order], side[order]
+    # arc offsets merge within the merge gap, line parameters (lengths) within snap
+    gap = np.where(curve, arc_gap, snap)
+    kept = merge_runs(edge, pos, gap[edge])
+    node = np.array([crossing_node(q, s) for q, s in zip(point[kept], side[kept].tolist())],
+                    dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        cut, x0, x1, n0, n1 = split_runs(
+            edge[kept], pos[kept], node, np.where(curve, 0.0, a0), np.where(curve, a1 - a0, a1),
+            gap, curve & loop, vertex_node[edges["node_a"]], vertex_node[edges["node_b"]])
+        arc = curve[cut]
+        x0, x1 = np.where(arc, a0[cut] + x0, x0), np.where(arc, a0[cut] + x1, x1)
+    # a kept piece must be finite (infinite tails are outside any bounded
+    # window except for pathological tangencies); a loop without crossings
+    # is one closed piece, tested at its mid-parameter 0 with margin 0
+    fin = np.flatnonzero(arc | ~(np.isinf(x0) | np.isinf(x1)))
+    cut, x0, x1, n0, n1 = cut[fin], x0[fin], x1[fin], n0[fin], n1[fin]
+    closed = (loop & (np.bincount(edge[kept], minlength=len(edges)) == 0))[cut]
 
     nodes = np.array(nodes, dtype=NODE)
     # window border pieces between consecutive boundary nodes
@@ -386,7 +381,9 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     s1 = np.append(s0[1:], s0[0] + perimeter)
     keep = ~(s1 - s0 <= 1e-12 * perimeter)
     # the bisector pieces, then the border's rows
-    pieces, mid = _kept_pieces(graph, rows, window, int(keep.sum()))
+    pieces, mid = _kept_pieces(graph, (cut, edges["line"][cut], x0, x1, n0, n1, closed),
+                               0.5 * (x0 + x1), np.where(closed, 0.0, strict), window,
+                               int(keep.sum()))
     _assign_sides(graph, pieces[:len(mid)], mid)
     border = pieces[len(mid):]
     border["edge"] = border["line"] = border["right"] = -1
@@ -410,43 +407,19 @@ def clip_to_window(graph: DiagramGraph, window: Window) -> ClippedDiagram:
     return ClippedDiagram(window, graph, nodes, pieces, _chain([g.id for g in graph.generators], pieces))
 
 
-def _whole_edge_rows(edges: np.ndarray, ids: np.ndarray, vertex_node: np.ndarray, snap: float,
-                     strict: float, arc_gap: float) -> list[tuple]:
-    """Candidate rows of the edges ``ids`` of ``edges``, which have no window
-    crossing, their ends the nodes ``vertex_node`` gives their vertices: at
-    most one per edge, its whole interval. A closed loop (-pi, pi) is
-    tested at a0 + span / 2, exactly its mid-parameter 0, with margin 0; an
-    open arc from a0 + 0 to a0 + span, if longer than the merge gap, and a
-    segment, if finite and longer than snap, at their middle, margin ``strict``."""
-    free = edges[ids]
-    a0, a1, lines, loop = free["a0"], free["a1"], free["line"], free["kind"] == LOOP
-    with np.errstate(invalid="ignore"):
-        span = a1 - a0
-        lo = np.where(lines < 0, a0 + 0.0, a0)
-        hi = np.where(lines < 0, a0 + span, a1)
-        test = np.where(loop, a0 + 0.5 * span, 0.5 * (lo + hi))
-    exists = loop | np.where(lines < 0, span > arc_gap,
-                             (span > snap) & np.isfinite(a0) & np.isfinite(a1))
-    keep = np.flatnonzero(exists)
-    return list(zip(*(c[keep].tolist() for c in (
-        ids, lines, lo, hi, vertex_node[free["node_a"]], vertex_node[free["node_b"]], loop, test,
-        np.where(loop, 0.0, strict)))))
-
-
-def _kept_pieces(graph: DiagramGraph, rows, window: Window,
-                 extra: int) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate rows inside the window, as PIECE rows in order with
-    their end points (``_end_points``) and no sides yet, then ``extra``
-    zeroed rows; and the kept rows' (x, y, vx, vy) at the test parameter. A
-    row is kept when that point is regular and inside the window by its
-    margin: one ``_piece_rows`` and one ``Window.contains`` call for all
-    rows. A kept row's test parameter is its mid-parameter."""
-    cand = np.array(rows, dtype=_CANDIDATE)
-    at, singular = _piece_rows(graph, cand["edge"], cand["line"], cand["test"])
-    keep = np.flatnonzero(~singular & window.contains(at[:, :2], cand["margin"]))
+def _kept_pieces(graph: DiagramGraph, columns: tuple, test: np.ndarray, margin: np.ndarray,
+                 window: Window, extra: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate pieces (``columns``: the PIECE columns up to closed)
+    inside the window, as PIECE rows in order with their end points
+    (``_end_points``) and no sides yet, then ``extra`` zeroed rows; and the
+    kept pieces' (x, y, vx, vy) at ``test``, their mid-parameters. A piece
+    is kept when that point is regular and inside the window by its
+    ``margin``: one ``_piece_rows`` and one ``Window.contains`` call for all."""
+    at, singular = _piece_rows(graph, columns[0], columns[1], test)
+    keep = np.flatnonzero(~singular & window.contains(at[:, :2], margin))
     pieces = np.zeros(keep.size + extra, PIECE)
-    for name in _CANDIDATE.names[:7]:
-        pieces[name][:keep.size] = cand[name][keep]
+    for name, column in zip(PIECE.names, columns):
+        pieces[name][:keep.size] = column[keep]
     _end_points(graph, pieces[:keep.size])
     return pieces, at[keep]
 

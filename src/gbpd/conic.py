@@ -187,13 +187,6 @@ def wrap_angle(alpha: float) -> float:
     return a
 
 
-def alpha_of_param(t: float) -> float:
-    """alpha = 2 atan(t); the infinite parameter maps to pi."""
-    if math.isinf(t):
-        return math.pi
-    return 2.0 * math.atan(t)
-
-
 def param_of_alpha(alpha: float) -> float:
     a = wrap_angle(alpha)
     if a == math.pi:
@@ -272,7 +265,8 @@ def wrap_angles(alpha: np.ndarray) -> np.ndarray:
 
 
 def alphas_of_params(t: np.ndarray) -> np.ndarray:
-    """:func:`alpha_of_param` of each entry of a 1-D array."""
+    """alpha = 2 atan(t) of each entry of a 1-D array, one ``math.atan``
+    call per entry; the infinite parameter maps to pi."""
     alpha = 2.0 * np.array([math.atan(v) for v in t.tolist()], dtype=float)
     return np.where(np.isinf(t), math.pi, alpha)
 

@@ -14,13 +14,15 @@ The construction follows six steps:
 4. Polish all vertices with Newton steps in one array pass over the
    implicit rows of their incident pairs (every pair of a vertex's
    generators, found through the table's pair rows), then recover each
-   vertex's parameters on those rows: one ``params_of_points`` call covers
-   every (vertex, curved bisector) incidence, and one array pass every
-   (vertex, line) pair. The result is a set of vertex marks by table row
-   and component.
-5. Decide visibility in one pass over all table rows. Every component is
-   one whole piece in array form; only a component that keeps a mark
-   inside it is split at its marks (per-component interval bookkeeping).
+   vertex's parameters on those rows, on the same incidences: one
+   ``params_of_points`` call covers every (vertex, curved bisector)
+   incidence, and one array pass every (vertex, line) pair. The result is
+   the vertex marks as columns (table row, component, position, vertex),
+   sorted by row, component and position.
+5. Decide visibility in one pass over all table rows. All components are
+   cut at their marks at once (``merge_runs`` and ``split_runs``, which
+   the clip shares for its window crossings); one without marks is one
+   whole piece.
    A piece is kept when its representative point has the component's
    generator pair as its two nearest (``intersect.two_nearest``: the
    minimality screen of step 2, likely winner first, with the pair's
@@ -69,7 +71,6 @@ from .bisector import (  # noqa: F401
 )
 from .conic import (
     ConicImplicit,
-    alpha_of_param,
     alphas_of_params,
     line_points,
     params_of_alphas,
@@ -139,8 +140,8 @@ def edge_intervals(kind: np.ndarray, t_a: np.ndarray, t_b: np.ndarray, curve: np
 
     ``curve`` masks the edges on curves, the others lie on lines; ``null``
     masks the null t_a and t_b labels (by default the NaN ones). A curve
-    interval spans alpha_of_param(t_a) to alpha_of_param(t_b), lifted by one
-    turn when it wraps through pi; a loop spans (-pi, pi). A line interval
+    interval spans the alphas 2 atan t of t_a and t_b, lifted by one turn
+    when it wraps through pi; a loop spans (-pi, pi). A line interval
     is (t_a, t_b), a full line (-inf, inf).
     """
     null_a, null_b = (np.isnan(t_a), np.isnan(t_b)) if null is None else null
@@ -228,7 +229,8 @@ def _incidences(vertices: list[Vertex], table: BisectorTable,
 def _polish_vertices(
     vertices: list[Vertex],
     table: BisectorTable,
-    pair_row: np.ndarray,
+    row_vertex: np.ndarray,
+    rows: np.ndarray,
     length_scale: float,
 ) -> None:
     """Newton-refine each vertex on its two best-conditioned bisectors.
@@ -236,13 +238,13 @@ def _polish_vertices(
     The eigen route used for pencil intersections leaves a relative error a
     few orders above machine precision; two or three Newton steps on a
     transversal pair of implicit equations close that gap. All vertices are
-    refined at once, on the implicit rows of their incident table rows: the
-    best pair of a vertex is the first pair of its incident bisectors with
-    the largest gradient sine.
+    refined at once, on the implicit rows of their incidences (vertex
+    ``row_vertex[k]`` on table row ``rows[k]``, as ``_incidences`` gives
+    them): the best pair of a vertex is the first pair of its incident
+    bisectors with the largest gradient sine.
     """
     max_step = DEDUP_REL * length_scale
     # one row per (vertex, incident bisector), one combo per pair of such rows
-    row_vertex, rows = _incidences(vertices, table, pair_row)
     starts = np.flatnonzero(np.r_[True, row_vertex[1:] != row_vertex[:-1], True])
     combos = [k for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
               for k in itertools.combinations(range(lo, hi), 2)]
@@ -318,110 +320,78 @@ def _curve_representatives(
     return points, has_rep
 
 
-def merge_marks(marks: list[tuple], gap: float) -> list[tuple]:
-    """Marks (position, payload) sorted by position, each dropped that lies
-    within ``gap`` of the last one kept."""
-    merged: list[tuple] = []
-    for mark in sorted(marks, key=lambda m: m[0]):
-        if merged and mark[0] - merged[-1][0] <= gap:
-            continue
-        merged.append(mark)
-    return merged
+# ------------------------------------------------------ marks and pieces
+#
+# The build cuts each component at its vertex marks, the clip each edge at
+# its window crossings: marks as columns sorted by (group, position), one
+# group per component or edge, merged and split in array passes.
 
 
-def split_at_marks(marks: list[tuple], lo: float, hi: float, gap: float, closed: bool,
-                   ends: tuple = (None, None)) -> list[tuple]:
-    """Pieces (x0, x1, payload0, payload1) between sorted marks (position, payload).
+def merge_runs(group: np.ndarray, pos: np.ndarray, gap) -> np.ndarray:
+    """Keep mask of sorted marks: a group's first mark is kept, a later one
+    dropped when pos - pos[last kept before it] <= gap (one or one per mark).
 
-    ``closed`` pairs the marks circularly on the alpha circle: a last mark
-    within ``gap`` of the first one a turn later is dropped as its
-    duplicate, and the last piece runs on to the first mark plus 2 pi.
-    Otherwise the pieces run from ``lo`` through the marks to ``hi``, with
-    ``ends`` as the payloads of ``lo`` and ``hi``, and pieces no longer than
-    ``gap`` are dropped.
+    Each pass recomputes every mark's last kept predecessor from the last
+    pass's mask; a mark's fate depends only on the marks before it, so the
+    loop ends on the greedy mask, at the first pass that changes nothing.
     """
-    if closed:
-        if len(marks) > 1 and (marks[0][0] + TWO_PI) - marks[-1][0] <= gap:
-            marks = marks[:-1]
-        return [
-            (x0, x1 + TWO_PI if k + 1 == len(marks) else x1, p0, p1)
-            for k, ((x0, p0), (x1, p1)) in enumerate(zip(marks, marks[1:] + marks[:1]))
-        ]
-    bounds = [(lo, ends[0]), *marks, (hi, ends[1])]
-    return [(x0, x1, p0, p1) for (x0, p0), (x1, p1) in zip(bounds, bounds[1:]) if x1 - x0 > gap]
+    first = np.diff(group, prepend=group[:1] - 1) != 0
+    keep = np.ones(pos.size, dtype=bool)
+    while True:
+        prev = np.r_[0, np.maximum.accumulate(np.where(keep, np.arange(pos.size), 0))][:-1]
+        with np.errstate(invalid="ignore"):
+            again = first | ~(pos - pos[prev] <= gap)
+        if (again == keep).all():
+            return keep
+        keep = again
 
 
-def ray_parameter(t0: float, t1: float) -> float:
-    """Line parameter representing the piece (t0, t1): its midpoint, a step
-    of max(1, |t|) in from the finite end t of a ray, or 0 for the whole line.
+def split_runs(group, pos, payload, lo, hi, gap, closed, end_a, end_b) -> tuple:
+    """Pieces (group, x0, x1, payload0, payload1) of each group g < lo.size,
+    in order, cut at its marks (pos, payload; sorted by group, then pos).
 
-    A unit step from a vertex far out changes the distances there by less
-    than the two-nearest slack VERT_REL (1 + |d|), so both halves of the
-    line would pass; the step grows with the ray's start.
+    The other arguments are indexed by group. A group without marks is the
+    one piece (lo, hi). An open group's pieces run from lo (payload end_a)
+    through its marks to hi (payload end_b), those no longer than gap
+    dropped. A closed group pairs its marks circularly on the alpha circle:
+    a last mark within gap of the first one a turn later is its duplicate,
+    and the last piece runs on to the first mark plus 2 pi.
     """
-    if math.isinf(t0) and math.isinf(t1):
-        return 0.0
-    if math.isinf(t0):
-        return t1 - max(1.0, abs(t1))
-    if math.isinf(t1):
-        return t0 + max(1.0, abs(t0))
-    return 0.5 * (t0 + t1)
-
-
-def _split_component(
-    entries: list[tuple[float, int | None]], lo: float, hi: float, closed: bool, line: bool,
-) -> list[tuple]:
-    """Pieces (x0, x1, v0, v1, mid, anchor) of one component between its
-    vertex marks ``entries`` (t, vertex id, in vertex order), or [] when no
-    mark lies inside the component.
-
-    A line component splits at its marks' line parameters, and a piece is
-    probed at its ``ray_parameter``. A curve component (lo, hi) splits in
-    alpha at the marks strictly inside it (any mark, on a closed loop); a
-    piece probes from its alpha midpoint toward anchor: its other end if
-    exactly one end is a singular parameter, else the midpoint.
-    """
-    if line:
-        marks = sorted(entries, key=lambda m: m[0])
-        pieces = split_at_marks(marks, -math.inf, math.inf, PARAM_MERGE, False) if marks else []
-        return [(t0, t1, v0, v1, t, t) for t0, t1, v0, v1 in pieces
-                for t in (ray_parameter(t0, t1),)]
-    span = hi - lo
-    marks = []
-    for t_val, vid in entries:
-        off = (alpha_of_param(t_val) - lo) % TWO_PI
-        if closed or 0.0 < off < span:
-            marks.append((lo + off, vid))
-    if not marks:
-        return []
-    gap = 2.0 * PARAM_MERGE
-    out = []
-    for a0, a1, v0, v1 in split_at_marks(merge_marks(marks, gap), lo, hi, gap, closed):
-        s_lo = not closed and abs(a0 - lo) <= 1e-15
-        s_hi = not closed and abs(a1 - hi) <= 1e-15
-        mid = 0.5 * (a0 + a1)
-        out.append((a0, a1, v0, v1, mid,
-                    a1 if s_lo and not s_hi else a0 if s_hi and not s_lo else mid))
-    return out
+    count = np.bincount(group, minlength=lo.size)
+    first = np.cumsum(count) - count
+    ring, ends = np.flatnonzero(closed & (count > 0)), np.flatnonzero(~closed | (count == 0))
+    f, last = first[ring], first[ring] + count[ring] - 1
+    keep = np.ones(pos.size, dtype=bool)
+    keep[last[(last > f) & ((pos[f] + TWO_PI) - pos[last] <= gap[ring])]] = False
+    bound = np.concatenate([ends, group[keep], ends, ring])
+    x = np.concatenate([lo[ends], pos[keep], hi[ends], pos[f] + TWO_PI])
+    load = np.concatenate([end_a[ends], payload[keep], end_b[ends], payload[f]])
+    order = np.argsort(bound, kind="stable")  # heads, then marks, then tails
+    bound, x, load = bound[order], x[order], load[order]
+    at = np.flatnonzero(bound[1:] == bound[:-1])
+    at = at[closed[bound[at]] | (x[at + 1] - x[at] > gap[bound[at]])]
+    return bound[at], x[at], x[at + 1], load[at], load[at + 1]
 
 
 def _visible_pieces(
     table: BisectorTable,
     rows: np.ndarray,
-    marks: dict[int, dict[int, list[tuple[float, int | None]]]],
+    marks: tuple[np.ndarray, ...],
     arr: SceneArrays,
     length_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visible pieces of the bisectors ``rows`` of ``table``, decided together.
 
-    ``marks[row][c]`` lists the vertex marks (t, vertex id) of component c
-    of a row, in vertex order. Every component is one whole piece, in array
-    form: a line probed at t = 0, a closed curve at alpha 0, an open one at
-    the middle of its alpha span. Only a component that keeps a mark after
-    the in-span filter is split, by ``_split_component``. The curve
-    representatives of all pieces come from one level loop
-    (``_curve_representatives``), the line representatives from one
-    ``line_points`` call, and all are decided by one
+    ``marks`` are the mark columns of ``_recover_params`` on ``rows``. All
+    components are cut at once (``split_runs``), curve marks merged within
+    2 PARAM_MERGE first; one without marks is one whole piece. A curve piece
+    probes from its alpha midpoint toward its other end if exactly that end
+    is a singular parameter. A line piece is probed at its midpoint, a whole
+    line at t = 0, a ray a step of max(1, |t|) in from its finite end t (a
+    unit step from a vertex far out changes the distances there by less than
+    the two-nearest slack VERT_REL (1 + |d|)). The curve representatives of
+    all pieces come from one level loop (``_curve_representatives``), the
+    line ones from one ``line_points`` call, and all are decided by one
     ``intersect.two_nearest`` call. ``arr`` holds every generator of ``table``.
 
     Returns (the visible pieces as EDGE rows, by row, component and start;
@@ -437,31 +407,30 @@ def _visible_pieces(
     ci = np.arange(owner.size) - np.repeat(start, count)
     row, lo, hi, closed = rows[owner], lo[owner, ci], hi[owner, ci], closed[owner]
     line = table.line_count[row] > 0
-    mid = np.zeros(owner.size)
-    arc = ~(line | closed)
-    mid[arc] = 0.5 * (lo[arc] + hi[arc])
-    # split the marked components; marks name rows of ``rows`` only
+    # cut the components at their marks, a mark's group its component
     offset = np.full(table.first.size, -1, dtype=np.int64)
     offset[rows] = start
-    whole = np.ones(owner.size, dtype=bool)
-    split: list[tuple] = []  # (x0, x1, v0, v1, mid, anchor) of _split_component
-    split_comp: list[int] = []
-    for r, by_comp in marks.items():
-        for c, entries in by_comp.items():
-            k = int(offset[r]) + c
-            pieces = _split_component(entries, lo[k].item(), hi[k].item(), bool(closed[k]),
-                                      bool(line[k]))
-            whole[k] = not pieces
-            split += pieces
-            split_comp += [k] * len(pieces)
-    keep = np.flatnonzero(whole)
-    comp = np.concatenate([keep, np.array(split_comp, dtype=np.int64)])
-    cut = np.array([(x0, x1, m, a) for x0, x1, _, _, m, a in split], dtype=float).reshape(-1, 4)
-    x0, x1, probe, anchor = (np.concatenate([whole_form[keep], split_form])
-                             for whole_form, split_form in zip((lo, hi, mid, mid), cut.T))
-    ends = np.array([(-1, -1)] * keep.size + [(-1 if v0 is None else v0, -1 if v1 is None else v1)
-                                              for _, _, v0, v1, _, _ in split],
-                    dtype=np.intp).reshape(-1, 2)
+    m_row, m_comp, m_pos, m_vertex = marks
+    group = offset[m_row] + m_comp
+    kept = merge_runs(group, m_pos, 2.0 * PARAM_MERGE) | line[group]
+    none = np.full(owner.size, -1)
+    pieces = split_runs(group[kept], m_pos[kept], m_vertex[kept], lo, hi,
+                        np.where(line, PARAM_MERGE, 2.0 * PARAM_MERGE), closed, none, none)
+    # a component without marks, or left without a piece, is tested whole
+    lost = np.flatnonzero(np.bincount(pieces[0], minlength=owner.size) == 0)
+    comp, x0, x1, v0, v1 = (np.concatenate(c) for c in zip(
+        pieces, (lost, lo[lost], hi[lost], none[lost], none[lost])))
+    whole = np.bincount(group[kept], minlength=owner.size) == 0
+    whole[lost] = True
+    with np.errstate(invalid="ignore"):
+        # a ray is probed a step of max(1, |t|) in from its finite end t
+        probe = np.where(np.isinf(x0), x1 - np.maximum(1.0, np.abs(x1)),
+                         np.where(np.isinf(x1), x0 + np.maximum(1.0, np.abs(x0)), 0.5 * (x0 + x1)))
+        s_lo = ~closed[comp] & (np.abs(x0 - lo[comp]) <= 1e-15)
+        s_hi = ~closed[comp] & (np.abs(x1 - hi[comp]) <= 1e-15)
+    probe[np.isinf(x0) & np.isinf(x1)] = 0.0
+    anchor = np.where(s_lo & ~s_hi, x1, np.where(s_hi & ~s_lo, x0, probe))
+    ends = np.column_stack([v0, v1]).astype(np.intp)
     row, ci, line = row[comp], ci[comp], line[comp]
 
     points = np.full((comp.size, 2), math.nan)
@@ -470,7 +439,7 @@ def _visible_pieces(
     curve = np.flatnonzero(~line)
     points[curve], has_rep[curve] = _curve_representatives(
         table.chart[row[curve]], table.u_scale[row[curve]], probe[curve], anchor[curve],
-        curve < keep.size, length_scale)
+        whole[comp[curve]], length_scale)
     gen = np.array([arr.id_to_index[g.id] for g in table.generators], dtype=np.int64)
     idx = np.stack([gen[table.first[row]], gen[table.second[row]]], axis=1)
     decided = np.flatnonzero(has_rep)
@@ -507,77 +476,91 @@ def visible_segments(
 
     ``vertex_params`` maps component index -> list of (t, vertex id) with t
     in parameter space (math.inf marks the curve's far point); line
-    components use the line's own linear parameter. Components without
-    entries are tested whole at one representative each. Returns EDGE rows.
-    A batch of one of the build's visibility pass, over a one-row table of
-    the bisector's generator pair; the build does not call it, and it stays
+    components use the line's own linear parameter. Returns EDGE rows. A
+    batch of one of the build's visibility pass, its entries made marks as
+    ``_recover_params`` makes them; the build does not call it, and it stays
     because the benchmark's span tracer patches it by name.
     """
     arr = scene if isinstance(scene, SceneArrays) else SceneArrays(list(scene))
     if length_scale is None:
         length_scale = arr.scale()
-    table = bisector_table([gi, gj])
-    return _visible_pieces(table, np.zeros(1, dtype=np.int64), {0: vertex_params}, arr,
-                           length_scale)[0]
+    table, one = bisector_table([gi, gj]), np.zeros(1, dtype=np.int64)
+    entries = np.array([(c, t, -1 if vid is None else vid) for c, found in vertex_params.items()
+                        for t, vid in found], dtype=[("c", np.intp), ("t", float), ("v", np.intp)])
+    comp, pos, split = entries["c"], entries["t"], np.ones(entries.size, dtype=bool)
+    if not table.line_count[0]:
+        _, lo, hi, closed = table.components(one)
+        _, pos, split = _arc_marks(alphas_of_params(pos), lo[0, comp], hi[0, comp], closed[0])
+    marks = _sorted_marks(np.zeros(comp.size, dtype=np.int64), comp, pos, entries["v"], split)
+    return _visible_pieces(table, one, marks, arr, length_scale)[0]
 
 
 # ------------------------------------------------------------ full pipeline
 
 
+def _arc_marks(alpha, lo, hi, closed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(off, lo + off, split) of alphas on curve components (lo, hi): off
+    from lo round the circle, and whether the mark splits the component (on
+    a closed loop, or strictly inside the span)."""
+    with np.errstate(invalid="ignore"):
+        off = np.remainder(alpha - lo, TWO_PI)
+        return off, lo + off, closed | ((0.0 < off) & (off < hi - lo))
+
+
+def _sorted_marks(row, comp, pos, vertex, split) -> tuple[np.ndarray, ...]:
+    """The columns (row, component, position, vertex) of the marks that
+    split, sorted by row, component and position; ties keep their order."""
+    keep = np.flatnonzero(split)
+    keep = keep[np.lexsort((pos[keep], comp[keep], row[keep]))]
+    return row[keep], comp[keep], pos[keep], vertex[keep]
+
+
 def _recover_params(
     vertices: list[Vertex],
     table: BisectorTable,
-    pair_row: np.ndarray,
+    owner: np.ndarray,
+    rows: np.ndarray,
     eps: float,
-) -> tuple[dict[int, dict[int, list[tuple[float, int | None]]]], np.ndarray]:
-    """Each vertex's parameters on its incident bisectors, by table row and component.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The vertex marks on the incidences (``_incidences``: vertex
+    ``owner[k]`` on table row ``rows[k]``), each vertex's id its index.
 
-    The incidences are the pairs of each vertex's generators
-    (``_incidences``). Curve parameters come from one ``params_of_points``
-    call over every (vertex, curved bisector) incidence; line parameters
-    from one array pass over every (vertex, line) pair. Returns (marks,
-    miss): marks[row][c] lists (t, vertex id) in vertex order, and ``miss``
-    masks the incidences (vertices in order, then their pairs in order) that
-    found no parameter: no point of the curve, or of any line of the
-    bisector, lies within eps of the vertex.
+    Curve parameters come from one ``params_of_points`` call over every
+    (vertex, curved bisector) incidence, each on the first component that
+    holds its alpha (one array pass), at the position of ``_arc_marks``;
+    line parameters, their own positions, from one array pass over every
+    (vertex, line) pair. Returns (the ``_sorted_marks`` columns, ties in
+    incidence, then parameter order; the mask of the incidences that found
+    no parameter: no point of the curve, or of any line of the bisector,
+    lies within eps of the vertex).
     """
-    owner, rows = _incidences(vertices, table, pair_row)
     pos = np.array([v.pos for v in vertices], dtype=float).reshape(-1, 2)[owner]
-    ids = [vertices[vi].id for vi in owner.tolist()]
     count, lo, hi, closed = table.components(rows)
     lines = table.line_count[rows]
-    # a curve's components are its arcs, a line bisector's its lines
+    # a curve's components are its arcs (two at most), a line bisector's its lines
     curves = np.flatnonzero(count > lines)
-    count, lo, hi, closed = (a.tolist() for a in (count, lo, hi, closed))
-    miss = np.ones(rows.size, dtype=bool)
-    marks: dict[int, dict[int, list[tuple[float, int | None]]]] = {}
-
-    def add(k: int, c: int, t_val: float) -> None:
-        marks.setdefault(int(rows[k]), {}).setdefault(c, []).append((t_val, ids[k]))
-        miss[k] = False
-
-    if curves.size:
-        ts, found = params_of_points(table.chart[rows[curves]], table.u_scale[rows[curves]],
-                                     pos[curves], eps)
-        for k, t_row, hit in zip(curves.tolist(), ts.tolist(), found.tolist()):
-            for t_val in (t for t, f in zip(t_row, hit) if f):
-                a = alpha_of_param(t_val)
-                # the first component that holds alpha
-                for c in range(count[k]):
-                    if closed[k] or 0.0 <= (a - lo[k][c]) % TWO_PI <= hi[k][c] - lo[k][c]:
-                        add(k, c, t_val)
-                        break
+    ts, found = params_of_points(table.chart[rows[curves]], table.u_scale[rows[curves]],
+                                 pos[curves], eps)
+    k = curves[np.nonzero(found)[0]]
+    off, at, split = _arc_marks(alphas_of_params(ts[found])[:, None], lo[k], hi[k],
+                                closed[k, None])
+    # a missing second component spans (-inf, inf), which holds no alpha
+    hold = closed[k, None] | ((0.0 <= off) & (off <= hi[k] - lo[k]))
+    got = np.flatnonzero(hold.any(axis=1))
+    c, k = hold.argmax(axis=1)[got], k[got]
     # one entry per (incidence, line)
     lk = np.repeat(np.arange(rows.size), lines)
     lc = np.arange(lk.size) - np.repeat(np.cumsum(lines) - lines, lines)
     la, lb, l0 = table.lines[rows[lk], lc].T
     px, py = pos[lk, 0], pos[lk, 1]
-    on_line = np.abs(la * px + lb * py + l0) <= eps
+    on_line = np.flatnonzero(np.abs(la * px + lb * py + l0) <= eps)
     t_line = (px + l0 * la) * -lb + (py + l0 * lb) * la
-    for k, c, hit, t_val in zip(lk.tolist(), lc.tolist(), on_line.tolist(), t_line.tolist()):
-        if hit:
-            add(k, c, t_val)
-    return marks, miss
+    miss = np.ones(rows.size, dtype=bool)
+    miss[k] = miss[lk[on_line]] = False
+    inc = np.concatenate([k, lk[on_line]])
+    return _sorted_marks(rows[inc], np.concatenate([c, lc[on_line]]),
+                         np.concatenate([at[got, c], t_line[on_line]]), owner[inc],
+                         np.concatenate([split[got, c], np.ones(on_line.size, dtype=bool)])), miss
 
 
 def build_diagram(generators: list[Generator], threads: int = 1) -> DiagramGraph:
@@ -607,12 +590,18 @@ def build_diagram(generators: list[Generator], threads: int = 1) -> DiagramGraph
 
     cand, trip = vertex_candidates(arr, table.implicit, pair_row, threads)
     vertices = _cluster_vertices(kept, cand, trip, length_scale)
-    _polish_vertices(vertices, table, pair_row, length_scale)
-    vertices.sort(key=lambda v: (v.pos[0], v.pos[1]))
+    owner, rows = _incidences(vertices, table, pair_row)
+    _polish_vertices(vertices, table, owner, rows, length_scale)
+    # the vertices in (x, y) order, their incidences regrouped with them
+    order = sorted(range(len(vertices)), key=lambda k: (vertices[k].pos[0], vertices[k].pos[1]))
+    owner = np.argsort(np.array(order, dtype=np.intp))[owner]
+    regroup = np.argsort(owner, kind="stable")
+    owner, rows, vertices = owner[regroup], rows[regroup], [vertices[k] for k in order]
     for vid, v in enumerate(vertices):
         v.id = vid
 
-    marks, _recovery_miss = _recover_params(vertices, table, pair_row, 1e-7 * (1.0 + length_scale))
+    marks, _recovery_miss = _recover_params(vertices, table, owner, rows,
+                                            1e-7 * (1.0 + length_scale))
     edges, rows, _no_representative = _visible_pieces(
         table, np.arange(table.first.size), marks, arr, length_scale
     )

@@ -13,7 +13,7 @@ from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.serialize import diagram_from_json, diagram_to_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from output_digests import aniso_scene  # noqa: E402
+from output_digests import CORNER_SCENES as CORNER_CASES, aniso_scene  # noqa: E402
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
 QUERY_SIDE = 200
@@ -51,6 +51,8 @@ def _case(name):
         # the bisector x = 0 of generators 0 and 1 runs along the window's left or right side
         window = Window(0, -5, 5, 5) if name == "border-tie-left" else Window(-5, -5, 0, 5)
         return [iso(0, -1, 1), iso(1, 1, 1), iso(2, 0, -1)], window
+    if name in CORNER_CASES:
+        return CORNER_CASES[name]
     assert name == "no-edge-inside"
     return [iso(0, 0, 0), iso(1, 100, 0)], Window(-1, -1, 1, 1)
 
@@ -58,8 +60,8 @@ def _case(name):
 CASES = [*PRESETS, *(p + "+shift" for p in PRESETS), "loop-across-border",
          "line-through-corners", "vertex-on-border", "no-edge-inside", "dense"]
 # more windows for the clip against its per-edge reference: a whole ellipse
-# loop inside the window, and a bisector along a window side
-CLIP_CASES = [*CASES, "loop-inside", "border-tie-left", "border-tie-right"]
+# loop inside the window, a bisector along a window side, and the corner cases
+CLIP_CASES = [*CASES, "loop-inside", "border-tie-left", "border-tie-right", *CORNER_CASES]
 
 
 @pytest.fixture(scope="session")
@@ -89,7 +91,7 @@ def reload_query():
 
 
 def digest_scenes():
-    """(name, generators) of the 45 scenes whose diagrams
+    """(name, generators) of the 47 scenes whose diagrams
     scripts/output_digests.py builds and queries, in its order: all of its
     scenes but the paper's n=148 one, of which it digests the JSON alone."""
     for seed in range(1010, 1020):
@@ -106,22 +108,30 @@ def digest_scenes():
                           for i in range(4) for j in range(4)]
     for seed in (3, 17, 29):
         yield f"aniso-10-{seed}", aniso_scene(seed)
+    for name, (gens, _) in CORNER_CASES.items():
+        yield name, gens
 
 
 @pytest.fixture(scope="session")
 def digest_graphs():
-    """(graphs, labels): per digest scene (name, built graph, graph read back
-    from its JSON), and every call of ``diagram._curve_labels`` the builds
-    made, as (arguments, result)."""
-    labels = []
-    encode = gdiagram._curve_labels
+    """(graphs, labels, recoveries): per digest scene (name, built graph,
+    graph read back from its JSON), and every call of
+    ``diagram._curve_labels`` and of ``diagram._recover_params`` the builds
+    made, each as (arguments, result)."""
+    calls = {"_curve_labels": [], "_recover_params": []}
 
-    def recorded(*args):
-        out = encode(*args)
-        labels.append((args, out))
-        return out
+    def recorder(name):
+        run = getattr(gdiagram, name)
+
+        def recorded(*args):
+            out = run(*args)
+            calls[name].append((args, out))
+            return out
+        return recorded
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gdiagram, "_curve_labels", recorded)
+        for name in calls:
+            patch.setattr(gdiagram, name, recorder(name))
         built = [(name, build_diagram(gens)) for name, gens in digest_scenes()]
-    return [(name, g, diagram_from_json(diagram_to_json(g))) for name, g in built], labels
+    return ([(name, g, diagram_from_json(diagram_to_json(g))) for name, g in built],
+            *calls.values())

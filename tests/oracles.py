@@ -18,9 +18,10 @@ from scipy.integrate import quad
 from gbpd import clip as gclip
 from gbpd import measure as gmeasure
 from gbpd.clip import flatten_pieces, loop_polygons
-from gbpd.conic import (ConicImplicit, alpha_of_param, eval_alpha_batch, line_points,
+from gbpd.conic import (ConicImplicit, eval_alpha_batch, line_points,
                         param_of_alpha, points_at_alphas, wrap_angle)
-from gbpd.diagram import EDGE_KINDS, merge_marks, split_at_marks
+from gbpd.bisector import params_of_points
+from gbpd.diagram import EDGE_KINDS, _incidences
 from gbpd.errors import InputError, NoSolutionError, QuadratureError, SingularParameterError
 from gbpd.geometry import _GEN_BLOCK as GEN_BLOCK
 from gbpd.geometry import PointIndex, SceneArrays
@@ -29,6 +30,13 @@ from gbpd.measure import CellMeasure, ComponentMeasure
 from gbpd.oracle import LabelImage, _image_frame
 from gbpd.tolerances import (CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_ABS, RANK_REL,
                              RES_REL, VERT_REL)
+
+
+def alpha_of_param(t):
+    """alpha = 2 atan(t); the infinite parameter maps to pi."""
+    if math.isinf(t):
+        return math.pi
+    return 2.0 * math.atan(t)
 
 
 def grid_conic_intersections(c1, c2, box, n=500, newton_iters=40):
@@ -1101,6 +1109,160 @@ def piece_segment(pair, line, ci, x0, x1, v0, v1):
     return EdgeSegment(-1, pair, "interval", x0, x1, (v0, v1), ci, line)
 
 
+# ------------------------------------------------------------------- marks
+#
+# Vertex marks and window crossings as lists: the parameter recovery into a
+# dict of marks by table row and component, and one merge and one split per
+# component or edge. The bit-for-bit references of the mark columns and of
+# diagram.merge_runs and diagram.split_runs.
+
+
+def merge_marks(marks, gap):
+    """Marks (position, payload) sorted by position, each dropped that lies
+    within ``gap`` of the last one kept."""
+    merged = []
+    for mark in sorted(marks, key=lambda m: m[0]):
+        if merged and mark[0] - merged[-1][0] <= gap:
+            continue
+        merged.append(mark)
+    return merged
+
+
+def split_at_marks(marks, lo, hi, gap, closed, ends=(None, None)):
+    """Pieces (x0, x1, payload0, payload1) between sorted marks (position,
+    payload): circularly on the alpha circle when ``closed`` (a last mark
+    within ``gap`` of the first one a turn later dropped as its duplicate),
+    else from ``lo`` through the marks to ``hi`` with ``ends`` as their
+    payloads, pieces no longer than ``gap`` dropped."""
+    if closed:
+        if len(marks) > 1 and (marks[0][0] + TWO_PI) - marks[-1][0] <= gap:
+            marks = marks[:-1]
+        return [
+            (x0, x1 + TWO_PI if k + 1 == len(marks) else x1, p0, p1)
+            for k, ((x0, p0), (x1, p1)) in enumerate(zip(marks, marks[1:] + marks[:1]))
+        ]
+    bounds = [(lo, ends[0]), *marks, (hi, ends[1])]
+    return [(x0, x1, p0, p1) for (x0, p0), (x1, p1) in zip(bounds, bounds[1:]) if x1 - x0 > gap]
+
+
+def ray_parameter(t0, t1):
+    """Line parameter representing the piece (t0, t1): its midpoint, a step
+    of max(1, |t|) in from the finite end t of a ray, or 0 for the whole line."""
+    if math.isinf(t0) and math.isinf(t1):
+        return 0.0
+    if math.isinf(t0):
+        return t1 - max(1.0, abs(t1))
+    if math.isinf(t1):
+        return t0 + max(1.0, abs(t0))
+    return 0.5 * (t0 + t1)
+
+
+def split_component(entries, lo, hi, closed, line):
+    """Pieces (x0, x1, v0, v1, mid, anchor) of one component between its
+    vertex marks ``entries`` (t, vertex id, in vertex order), or [] when no
+    mark lies inside the component.
+
+    A line component splits at its marks' line parameters, and a piece is
+    probed at its ``ray_parameter``. A curve component (lo, hi) splits in
+    alpha at the marks strictly inside it (any mark, on a closed loop),
+    merged within 2 PARAM_MERGE; a piece probes from its alpha midpoint
+    toward anchor: its other end if exactly one end is a singular
+    parameter, else the midpoint.
+    """
+    if line:
+        marks = sorted(entries, key=lambda m: m[0])
+        pieces = split_at_marks(marks, -math.inf, math.inf, PARAM_MERGE, False) if marks else []
+        return [(t0, t1, v0, v1, t, t) for t0, t1, v0, v1 in pieces
+                for t in (ray_parameter(t0, t1),)]
+    span = hi - lo
+    marks = []
+    for t_val, vid in entries:
+        off = (alpha_of_param(t_val) - lo) % TWO_PI
+        if closed or 0.0 < off < span:
+            marks.append((lo + off, vid))
+    if not marks:
+        return []
+    gap = 2.0 * PARAM_MERGE
+    out = []
+    for a0, a1, v0, v1 in split_at_marks(merge_marks(marks, gap), lo, hi, gap, closed):
+        s_lo = not closed and abs(a0 - lo) <= 1e-15
+        s_hi = not closed and abs(a1 - hi) <= 1e-15
+        mid = 0.5 * (a0 + a1)
+        out.append((a0, a1, v0, v1, mid,
+                    a1 if s_lo and not s_hi else a0 if s_hi and not s_lo else mid))
+    return out
+
+
+def recover_params_dict(vertices, table, pair_row, eps):
+    """Each vertex's parameters on its incident bisectors (the pairs of its
+    generators, ``diagram._incidences``) as (marks, miss): marks[row][c]
+    lists (t, vertex id) in vertex order, each curve parameter on the first
+    component that holds its alpha, and ``miss`` masks the incidences that
+    found no parameter."""
+    owner, rows = _incidences(vertices, table, pair_row)
+    pos = np.array([v.pos for v in vertices], dtype=float).reshape(-1, 2)[owner]
+    ids = [vertices[vi].id for vi in owner.tolist()]
+    count, lo, hi, closed = table.components(rows)
+    lines = table.line_count[rows]
+    curves = np.flatnonzero(count > lines)
+    count, lo, hi, closed = (a.tolist() for a in (count, lo, hi, closed))
+    miss = np.ones(rows.size, dtype=bool)
+    marks = {}
+
+    def add(k, c, t_val):
+        marks.setdefault(int(rows[k]), {}).setdefault(c, []).append((t_val, ids[k]))
+        miss[k] = False
+
+    if curves.size:
+        ts, found = params_of_points(table.chart[rows[curves]], table.u_scale[rows[curves]],
+                                     pos[curves], eps)
+        for k, t_row, hit in zip(curves.tolist(), ts.tolist(), found.tolist()):
+            for t_val in (t for t, f in zip(t_row, hit) if f):
+                a = alpha_of_param(t_val)
+                for c in range(count[k]):
+                    if closed[k] or 0.0 <= (a - lo[k][c]) % TWO_PI <= hi[k][c] - lo[k][c]:
+                        add(k, c, t_val)
+                        break
+    lk = np.repeat(np.arange(rows.size), lines)
+    lc = np.arange(lk.size) - np.repeat(np.cumsum(lines) - lines, lines)
+    la, lb, l0 = table.lines[rows[lk], lc].T
+    px, py = pos[lk, 0], pos[lk, 1]
+    on_line = np.abs(la * px + lb * py + l0) <= eps
+    t_line = (px + l0 * la) * -lb + (py + l0 * lb) * la
+    for k, c, hit, t_val in zip(lk.tolist(), lc.tolist(), on_line.tolist(), t_line.tolist()):
+        if hit:
+            add(k, c, t_val)
+    return marks, miss
+
+
+def mark_list(marks, table):
+    """The dict-form ``marks`` as sorted (row, component, position, vertex
+    id) entries, the marks that split their components only: a curve mark
+    at lo + off, as ``split_component`` places it, a line mark at its t."""
+    out = []
+    for row, by_comp in marks.items():
+        _, lo, hi, closed = (a[0].tolist() for a in table.components(np.array([row])))
+        for c, entries in by_comp.items():
+            for t_val, vid in entries:
+                if table.line_count[row]:
+                    out.append((row, c, t_val, vid))
+                    continue
+                off = (alpha_of_param(t_val) - lo[c]) % TWO_PI
+                if closed or 0.0 < off < hi[c] - lo[c]:
+                    out.append((row, c, lo[c] + off, vid))
+    return sorted(out, key=lambda m: m[:3])
+
+
+def crossing_lists(columns):
+    """Window crossing columns (edge id, position, point, side) as lists
+    of (position, (point, side)) by edge id, in column order."""
+    out = {}
+    for eid, x, point, side in zip(columns[0].tolist(), columns[1].tolist(), columns[2],
+                                   columns[3].tolist()):
+        out.setdefault(eid, []).append((x, (point, side)))
+    return out
+
+
 def boundary_components_union_find(edge_ids, edges):
     """Group a cell's edges into connected components via shared vertices (union-find)."""
     if not edge_ids:
@@ -1564,8 +1726,11 @@ def clip_to_window_per_edge(graph, window):
     edges = edge_segments(graph.edges)
     curved = [e.id for e in edges if e.is_curve()]
     straight = [e.id for e in edges if not e.is_curve()]
-    crossings = {**gclip._curve_crossings(graph, np.array(curved, dtype=np.intp), window, snap),
-                 **gclip._line_crossings(graph, np.array(straight, dtype=np.intp), window, snap)}
+    crossings = {
+        **crossing_lists(gclip._curve_crossings(graph, np.array(curved, dtype=np.intp), window,
+                                                snap)),
+        **crossing_lists(gclip._line_crossings(graph, np.array(straight, dtype=np.intp), window,
+                                               snap))}
     candidates = []
 
     def candidate(kind, e, a0, a1, na, nb, closed, test, margin=strict):

@@ -32,7 +32,6 @@ from gbpd.conic import (
     PARABOLA_CODE,
     ConicClass,
     ConicImplicit,
-    alpha_of_param,
     alphas_of_params,
     conic_matrices,
     homogeneous_at_params,
@@ -51,7 +50,6 @@ from gbpd.diagram import (
     _incidences,
     _polish_vertices,
     _recover_params,
-    _split_component,
     _visible_pieces,
     build_diagram,
     visible_segments,
@@ -72,6 +70,7 @@ from gbpd.tolerances import DEDUP_REL, VERT_REL
 from test_intersect import pencil_scenes
 
 from oracles import (
+    alpha_of_param,
     arc_representative_scalar,
     bisector_frame_scalar,
     boundary_components_union_find,
@@ -79,6 +78,7 @@ from oracles import (
     cluster_sweep,
     full_scan_minimal,
     line_point_scalar,
+    mark_list,
     merge_params_scalar,
     param_of_point_scalar,
     pencil_intersections_point_major,
@@ -86,10 +86,12 @@ from oracles import (
     point_in_polygon_scalar,
     polish_vertices_scalar,
     real_quadratic_roots_scalar,
+    recover_params_dict,
     RowLine,
     row_curve,
     sample_points,
     screened_min_point_major,
+    split_component,
     two_nearest_point,
     velocity_at_alpha_scalar,
 )
@@ -698,6 +700,16 @@ def all_pairs(gens):
     return table, table.pair_rows()
 
 
+def recover_columns(vertices, table, pair_row, eps):
+    """``_recover_params`` of the vertices on the pairs of their generators."""
+    return _recover_params(vertices, table, *_incidences(vertices, table, pair_row), eps)
+
+
+def mark_hexes(columns):
+    """Mark columns (row, component, position, vertex id) as tuples, positions as hex."""
+    return [(int(r), int(c), float(x).hex(), int(v)) for r, c, x, v in zip(*columns)]
+
+
 def incident_implicits(table, pair_row, vertices):
     """The implicit conics of the table rows of every pair of each vertex's
     generators, by generator id pair: the pairs the build polishes on."""
@@ -712,7 +724,7 @@ def assert_polish_matches_scalar(gens, vertices, length_scale):
     polish on the implicit conics of the same pairs, bit for bit."""
     table, pair_row = all_pairs(gens)
     batch, scalar = copy.deepcopy(vertices), copy.deepcopy(vertices)
-    _polish_vertices(batch, table, pair_row, length_scale)
+    _polish_vertices(batch, table, *_incidences(batch, table, pair_row), length_scale)
     polish_vertices_scalar(scalar, incident_implicits(table, pair_row, vertices), length_scale)
     assert [bits(v.pos) for v in batch] == [bits(v.pos) for v in scalar]
 
@@ -768,20 +780,22 @@ def edge_fields(edges):
 @given(scenes())
 @settings(max_examples=25, deadline=None)
 def test_cross_bisector_visibility_matches_per_bisector(gens):
-    # the one pass over every table row against per-pair batches of one,
-    # and against the build
+    # the one pass over every table row, on the mark columns, against
+    # per-pair batches of one on the dict-form marks, and against the build
     graph = build_diagram(gens)
     table, pair_row = all_pairs(gens)
     arr = SceneArrays(table.generators)
     eps = 1e-7 * (1.0 + graph.length_scale)
-    marks, _ = _recover_params(graph.vertices, table, pair_row, eps)
+    marks = recover_params_dict(graph.vertices, table, pair_row, eps)[0]
+    columns, _ = recover_columns(graph.vertices, table, pair_row, eps)
+    assert mark_hexes(columns) == mark_hexes(zip(*mark_list(marks, table)))
     each = [
         fields
         for row, (i, j) in enumerate(zip(table.first.tolist(), table.second.tolist()))
         for fields in edge_fields(visible_segments(table.generators[i], table.generators[j],
                                                    marks.get(row, {}), arr, graph.length_scale))
     ]
-    together, together_rows, _ = _visible_pieces(table, np.arange(table.first.size), marks, arr,
+    together, together_rows, _ = _visible_pieces(table, np.arange(table.first.size), columns, arr,
                                                  graph.length_scale)
     assert edge_fields(together) == each
     assert edge_fields(graph.edges) == each
@@ -822,15 +836,44 @@ def test_tracer_bound_wrappers_match_their_kernels():
         else:
             with pytest.raises(NoSolutionError):
                 param_of_point(table, k, q, eps)
-    # visibility of every pair with its vertex marks, and the default length scale
-    marks, _ = _recover_params(graph.vertices, table, pair_row, eps)
+    # visibility of every pair with its vertex marks, and the default length
+    # scale: the wrapper's dict-form marks against the recovery's columns
+    marks = recover_params_dict(graph.vertices, table, pair_row, eps)[0]
+    columns, _ = recover_columns(graph.vertices, table, pair_row, eps)
     for k, (i, j) in enumerate(zip(table.first.tolist(), table.second.tolist())):
         one = make_bisector(table.generators[i], table.generators[j])
-        kernel, _, _ = _visible_pieces(one, np.zeros(1, dtype=np.int64), {0: marks.get(k, {})},
-                                       arr, arr.scale())
+        mine = columns[0] == k
+        row_marks = (np.zeros(mine.sum(), dtype=np.int64), *(c[mine] for c in columns[1:]))
+        kernel, _, _ = _visible_pieces(one, np.zeros(1, dtype=np.int64), row_marks, arr,
+                                       arr.scale())
         wrapped = visible_segments(table.generators[i], table.generators[j], marks.get(k, {}),
                                    table.generators)
         assert edge_fields(wrapped) == edge_fields(kernel)
+
+
+def test_line_probes_follow_the_ray_rule():
+    # the isotropic preset's bisectors are lines: each split line piece is
+    # probed at the reference split's ray_parameter, a whole line at t = 0
+    gens = random_scene("isotropic", 16, 1010, WINDOW)
+    graph = build_diagram(gens)
+    table, pair_row = all_pairs(gens)
+    marks = recover_params_dict(graph.vertices, table, pair_row,
+                                1e-7 * (1.0 + graph.length_scale))[0]
+    pieces = []  # (t0, t1, probe), by row and component
+    for row in range(table.first.size):
+        for c in range(int(table.line_count[row])):
+            split = split_component(marks.get(row, {}).get(c, []), -math.inf, math.inf, False,
+                                    True)
+            pieces += [(p[0], p[1], p[4]) for p in split] or [(-math.inf, math.inf, 0.0)]
+    # whole lines, rays from both ends, and segments between vertices
+    assert {(math.isinf(p[0]), math.isinf(p[1])) for p in pieces} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    calls = []
+    points = diagram.line_points
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagram, "line_points", lambda rows, t: calls.append(t) or points(rows, t))
+        build_diagram(gens)
+    assert len(calls) == 1 and bits(calls[0]) == bits(p[2] for p in pieces)
 
 
 def components_of(b):
@@ -879,27 +922,47 @@ def test_lopsided_piece_at_a_singular_end_probes_toward_its_vertex():
     end = next(t for t in (-s, s) if alpha_of_param(t) == lo[0])
     assert 0.0 <= (alpha_of_param(end) - lo[0]) % (2.0 * math.pi) <= hi[0] - lo[0]
     at_end = {0: [(end, None)]}
-    assert _split_component(at_end[0], lo[0], hi[0], False, False) == []
+    assert split_component(at_end[0], lo[0], hi[0], False, False) == []
     plain = edge_fields(visible_segments(*gens, {}, gens, 1.0))
     assert edge_fields(visible_segments(*gens, at_end, gens, 1.0)) == plain
     assert [fields[4] for fields in plain] == [0, 1]
     # one piece, probed at its midpoint
-    assert assert_probe_levels_match_scalar(b, at_end, 1.0) == 0
+    assert assert_probe_levels_match_scalar(gens, b, at_end, 1.0) == 0
 
 
-def assert_probe_levels_match_scalar(b, vparams, length_scale):
-    """The level loop's representatives of the pieces of a one-row curve
-    table equal the scalar probe sequence's, bit for bit (a whole
-    component's: its midpoint's, alpha 0 on a closed loop). Returns the
-    number of lopsided pieces (one singular end)."""
+def recorded_probes(gens, vparams, length_scale):
+    """(probe, anchor, whole) of every call of ``diagram._curve_representatives``
+    that ``visible_segments`` of the two generators and ``vparams`` makes."""
+    calls = []
+    represent = diagram._curve_representatives
+
+    def recorded(coef, u_scale, mid, anchor, whole, scale):
+        calls.append((mid, anchor, whole))
+        return represent(coef, u_scale, mid, anchor, whole, scale)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagram, "_curve_representatives", recorded)
+        visible_segments(*gens, vparams, gens, length_scale)
+    return calls
+
+
+def assert_probe_levels_match_scalar(gens, b, vparams, length_scale):
+    """The pieces of a one-row curve table, split at ``vparams`` by
+    ``visible_segments``, are probed as the reference split gives them, and
+    the level loop's representatives equal the scalar probe sequence's, bit
+    for bit (a whole component's: its midpoint's, alpha 0 on a closed
+    loop). Returns the number of lopsided pieces (one singular end)."""
     count, lo, hi, closed = (np.asarray(a).tolist() for a in components_of(b))
-    pieces = []  # (component, x0, x1, mid, anchor, whole)
+    pieces = []  # (component, x0, x1, mid, anchor, whole), by component
     for ci in range(count):
-        split = _split_component(vparams.get(ci, []), lo[ci], hi[ci], closed, False)
+        split = split_component(vparams.get(ci, []), lo[ci], hi[ci], closed, False)
         mid = 0.0 if closed else 0.5 * (lo[ci] + hi[ci])
         pieces += [(ci, p[0], p[1], p[4], p[5], False) for p in split] or [
             (ci, lo[ci], hi[ci], mid, mid, True)]
     _, _, _, mid, anchor, whole = (np.array(col) for col in zip(*pieces))
+    [(probe_got, anchor_got, whole_got)] = recorded_probes(gens, vparams, length_scale)
+    assert bits(probe_got) == bits(mid) and bits(anchor_got) == bits(anchor)
+    assert whole_got.tolist() == whole.tolist()
     points, has_rep = _curve_representatives(
         np.repeat(b.chart, len(pieces), axis=0), np.repeat(b.u_scale, len(pieces)),
         mid, anchor, whole, length_scale,
@@ -924,9 +987,9 @@ def assert_probe_levels_match_scalar(b, vparams, length_scale):
 
 
 def test_probe_levels_match_scalar_on_a_lopsided_piece():
-    _, b, vparams = lopsided_case()
+    gens, b, vparams = lopsided_case()
     # the branch splits into two lopsided pieces; the other branch is whole
-    assert assert_probe_levels_match_scalar(b, vparams, 1.0) == 2
+    assert assert_probe_levels_match_scalar(gens, b, vparams, 1.0) == 2
 
 
 @st.composite
@@ -962,7 +1025,7 @@ def hyperbola_marks(draw):
 def test_probe_levels_match_scalar_near_singular_ends(case):
     gens, b, vparams = case
     # each branch: two lopsided end pieces and the piece between the marks
-    assert assert_probe_levels_match_scalar(b, vparams, SceneArrays(gens).scale()) == 4
+    assert assert_probe_levels_match_scalar(gens, b, vparams, SceneArrays(gens).scale()) == 4
 
 
 def test_visibility_is_the_same_in_small_point_chunks(monkeypatch):
@@ -1016,11 +1079,12 @@ def test_no_recovery_miss_or_missing_representative_on_benchmark_scenes():
         table, pair_row = all_pairs(gens)
         arr = SceneArrays(table.generators)
         eps = 1e-7 * (1.0 + graph.length_scale)
-        marks, miss = _recover_params(graph.vertices, table, pair_row, eps)
+        marks, miss = recover_columns(graph.vertices, table, pair_row, eps)
         assert not miss.any()
-        # one parameter per incidence, one incidence per pair of a vertex's generators
+        # one parameter per incidence, one incidence per pair of a vertex's
+        # generators, and each parameter a mark that splits its component
         assert miss.size == sum(math.comb(len(v.gens), 2) for v in graph.vertices)
-        assert sum(len(e) for by_comp in marks.values() for e in by_comp.values()) == miss.size
+        assert marks[0].size == miss.size
         # every row through the one visibility pass
         edges, _, no_rep = _visible_pieces(table, np.arange(table.first.size), marks, arr,
                                            graph.length_scale)

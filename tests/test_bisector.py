@@ -19,7 +19,6 @@ from gbpd.conic import (
     HYPERBOLA_CODE,
     PARABOLA_CODE,
     ConicClass,
-    alpha_of_param,
     charts_of_triples,
     classify_rows,
     eval_alpha_batch,
@@ -29,7 +28,7 @@ from gbpd.conic import (
 )
 from gbpd.tolerances import DEN_REL
 
-from oracles import sample_points
+from oracles import alpha_of_param, sample_points
 
 CURVE_CODES = (ELLIPSE_CODE, HYPERBOLA_CODE, PARABOLA_CODE)
 

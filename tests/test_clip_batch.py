@@ -23,7 +23,7 @@ from gbpd import clip as gclip
 from gbpd import oracle as goracle
 from gbpd.cli import random_scene
 from gbpd.clip import NODE_KINDS, clip_to_window, flatten_pieces, piece_points
-from gbpd.diagram import build_diagram, merge_marks, ray_parameter, split_at_marks
+from gbpd.diagram import build_diagram, merge_runs, split_runs
 from gbpd.geometry import PointIndex
 from gbpd.measure import measure_cells
 from gbpd.oracle import rasterize_cells
@@ -34,16 +34,20 @@ from oracles import (
     NodeScan,
     clip_text_objects,
     clip_to_window_per_edge,
+    crossing_lists,
     curve_crossings_scalar,
     edge_segments,
     flatten_piece_scalar,
     line_crossings_scalar,
     measure_cells_per_piece,
+    merge_marks,
     piece_kinds,
     piece_objects,
     piece_point_scalar,
+    ray_parameter,
     row_curve,
     row_line,
+    split_at_marks,
 )
 
 # the text form of the clip record that the output digests print
@@ -57,28 +61,128 @@ def bits(values):
     return [float(v).hex() for v in np.ravel(np.asarray(values, dtype=float))]
 
 
+def split_by_runs(groups, gap):
+    """The pieces of each group (marks, lo, hi, closed, ends, merged) by
+    ``merge_runs`` and ``split_runs`` over all groups at once, as
+    ``split_at_marks`` lists them: marks (position, payload) in any order,
+    integer payloads, and ``merged`` False for a group whose marks are only
+    sorted."""
+    count = [len(marks) for marks, *_ in groups]
+    group = np.repeat(np.arange(len(groups)), count)
+    pos = np.array([x for marks, *_ in groups for x, _ in marks], dtype=float)
+    payload = np.array([p for marks, *_ in groups for _, p in marks], dtype=np.intp)
+    order = np.lexsort((pos, group))
+    group, pos, payload = group[order], pos[order], payload[order]
+    lo, hi, closed, end_a, end_b, merged = (np.array(col) for col in zip(*(
+        (lo, hi, closed, *ends, merged) for _, lo, hi, closed, ends, merged in groups)))
+    kept = merge_runs(group, pos, gap) | ~merged[group]
+    out = [[] for _ in groups]
+    for g, *piece in zip(*(c.tolist() for c in split_runs(
+            group[kept], pos[kept], payload[kept], lo, hi, np.full(len(groups), gap), closed,
+            end_a, end_b))):
+        out[g].append(tuple(piece))
+    return out
+
+
+def split_by_lists(groups, gap):
+    """The pieces of each group as above, one ``merge_marks`` (or sort) and
+    one ``split_at_marks`` call per group; a closed group without marks is
+    the one piece (lo, hi)."""
+    return [split_at_marks(merge_marks(marks, gap) if merged else sorted(marks, key=lambda m: m[0]),
+                           lo, hi, gap, closed, ends) if marks or not closed else [(lo, hi, *ends)]
+            for marks, lo, hi, closed, ends, merged in groups]
+
+
+def piece_hexes(groups):
+    return [[(float(x0).hex(), float(x1).hex(), p0, p1) for x0, x1, p0, p1 in g] for g in groups]
+
+
 def test_shared_splitting_rule():
     two_pi = 2.0 * math.pi
     gap = 1e-9
-    marks = merge_marks([(2.0, "c"), (1.0, "a"), (1.0 + 0.5 * gap, "b"), (3.0, "d")], gap)
-    assert marks == [(1.0, "a"), (2.0, "c"), (3.0, "d")]
+    marks = merge_marks([(2.0, 3), (1.0, 1), (1.0 + 0.5 * gap, 2), (3.0, 4)], gap)
+    assert marks == [(1.0, 1), (2.0, 3), (3.0, 4)]
     # open: lo -> marks -> hi with the end payloads; pieces up to gap long drop out
-    assert split_at_marks(marks, 0.0, 3.0 + 0.5 * gap, gap, False, ("lo", "hi")) == [
-        (0.0, 1.0, "lo", "a"), (1.0, 2.0, "a", "c"), (2.0, 3.0, "c", "d"),
+    assert split_at_marks(marks, 0.0, 3.0 + 0.5 * gap, gap, False, (-1, -2)) == [
+        (0.0, 1.0, -1, 1), (1.0, 2.0, 1, 3), (2.0, 3.0, 3, 4),
     ]
     # closed: pairs run circularly, the last one a turn on
     assert split_at_marks(marks, None, None, gap, True) == [
-        (1.0, 2.0, "a", "c"), (2.0, 3.0, "c", "d"), (3.0, 1.0 + two_pi, "d", "a"),
+        (1.0, 2.0, 1, 3), (2.0, 3.0, 3, 4), (3.0, 1.0 + two_pi, 4, 1),
     ]
     # a last mark within gap of the first one a turn later is its duplicate
-    wrapped = marks + [(1.0 + two_pi - 0.5 * gap, "e")]
+    wrapped = marks + [(1.0 + two_pi - 0.5 * gap, 5)]
     closed = split_at_marks(marks, None, None, gap, True)
     assert split_at_marks(wrapped, None, None, gap, True) == closed
-    assert split_at_marks([(0.5, "a")], None, None, gap, True) == [(0.5, 0.5 + two_pi, "a", "a")]
+    assert split_at_marks([(0.5, 1)], None, None, gap, True) == [(0.5, 0.5 + two_pi, 1, 1)]
+    # the same inputs through the array passes, all groups at once
+    shuffled = [(2.0, 3), (1.0, 1), (1.0 + 0.5 * gap, 2), (3.0, 4)]
+    groups = [
+        (shuffled, 0.0, 3.0 + 0.5 * gap, False, (-1, -2), True),
+        (shuffled, math.nan, math.nan, True, (-1, -1), True),
+        (wrapped, math.nan, math.nan, True, (-1, -1), True),
+        ([(0.5, 1)], math.nan, math.nan, True, (-1, -1), True),
+        (shuffled, -math.inf, math.inf, False, (-1, -1), False),
+        # a group without marks is its whole range, an open one if longer than gap
+        ([], 0.0, 1.0, False, (-1, -2), True),
+        ([], 0.0, 0.5 * gap, False, (-1, -2), True),
+        ([], -math.pi, math.pi, True, (-1, -1), True),
+    ]
+    got = split_by_runs(groups, gap)
+    assert got[:4] == [split_at_marks(marks, 0.0, 3.0 + 0.5 * gap, gap, False, (-1, -2)),
+                       closed, closed, [(0.5, 0.5 + two_pi, 1, 1)]]
+    # unmerged: the piece between the marks 0.5 gap apart drops out, and the
+    # second of them starts the next piece
+    assert [p[2:] for p in got[4]] == [(-1, 1), (2, 3), (3, 4), (4, -1)]
+    assert got[5:] == [[(0.0, 1.0, -1, -2)], [], [(-math.pi, math.pi, -1, -1)]]
+    assert piece_hexes(got) == piece_hexes(split_by_lists(groups, gap))
     # the line-ray representative: a step of max(1, |t|) in from a ray's finite end t
     rays = ((-math.inf, math.inf), (-math.inf, 2.0), (2.0, math.inf), (1.0, 2.0),
             (-math.inf, 0.5), (-3.0, math.inf))
     assert [ray_parameter(*t) for t in rays] == [0.0, 0.0, 4.0, 1.5, -0.5, 0.0]
+
+
+# steps between consecutive marks, in gaps: exact duplicates, chains of marks
+# within the gap of the one before (0.3, 0.6), one gap exactly, which rounds
+# either way, and steps clear of the gap
+STEPS = (0.0, 0.3, 0.6, 1.0, 1.5, 1e3)
+# a closed group's extra mark before its first one a turn on, in gaps
+WRAP = (0.0, 0.5, 1.0, 2.0)
+# an open group's ends beyond its outer marks, in gaps (inf: a line ray)
+ENDS = (0.0, 0.5, 1.0, 2.0, 1e3, math.inf)
+
+
+@st.composite
+def mark_groups(draw):
+    """(groups, gap) for ``split_by_runs``: up to five groups of marks."""
+    # a power of two keeps x + gap and x - gap exact here, so pieces and
+    # distances of exactly one gap occur
+    gap = draw(st.sampled_from([1e-9, 2e-9, 1e-3, 2.0**-20]))
+    groups, payload = [], 0
+    for g in range(draw(st.integers(1, 5))):
+        closed = draw(st.booleans())
+        x = [draw(st.floats(-3.0, 3.0))]
+        for step in draw(st.lists(st.sampled_from(STEPS), max_size=6)):
+            x.append(x[-1] + step * gap)
+        if closed and draw(st.booleans()):
+            x.append((x[0] + 2.0 * math.pi) - draw(st.sampled_from(WRAP)) * gap)
+        x = x if draw(st.integers(0, 9)) else []
+        lo, hi = x[0] if x else 0.0, x[-1] if x else 1.0
+        lo, hi = (-math.pi, math.pi) if closed else (
+            lo - draw(st.sampled_from(ENDS)) * gap, hi + draw(st.sampled_from(ENDS)) * gap)
+        marks = [(v, payload + k) for k, v in enumerate(x)]
+        payload += len(x)
+        merged = closed or draw(st.booleans())
+        groups.append((draw(st.permutations(marks)), lo, hi, closed, (-1 - 2 * g, -2 - 2 * g),
+                       merged))
+    return groups, gap
+
+
+@given(mark_groups())
+@settings(max_examples=300, deadline=None)
+def test_merge_and_split_runs_match_the_lists(case):
+    groups, gap = case
+    assert piece_hexes(split_by_runs(groups, gap)) == piece_hexes(split_by_lists(groups, gap))
 
 
 def crossing_bits(found):
@@ -92,10 +196,10 @@ def test_batched_crossings_match_scalar(graphs, name):
     edges = edge_segments(graph.edges)
     curved = [e for e in edges if e.is_curve()]
     straight = [e for e in edges if not e.is_curve()]
-    got_curved = gclip._curve_crossings(graph, np.array([e.id for e in curved], dtype=np.intp),
-                                        window, snap)
-    got_straight = gclip._line_crossings(graph, np.array([e.id for e in straight], dtype=np.intp),
-                                         window, snap)
+    got_curved = crossing_lists(gclip._curve_crossings(
+        graph, np.array([e.id for e in curved], dtype=np.intp), window, snap))
+    got_straight = crossing_lists(gclip._line_crossings(
+        graph, np.array([e.id for e in straight], dtype=np.intp), window, snap))
     total = 0
     for e in curved:
         found = got_curved.get(e.id, [])
@@ -110,8 +214,8 @@ def test_batched_crossings_match_scalar(graphs, name):
         total += len(ref)
     assert (total == 0) == (name == "no-edge-inside")
     # an edge's crossings do not depend on the other edges of the batch
-    alone = [gclip._curve_crossings(graph, np.array([e.id]), window, snap).get(e.id, [])
-             for e in curved[::-1]][::-1]
+    alone = [crossing_lists(gclip._curve_crossings(graph, np.array([e.id]), window, snap)).get(
+        e.id, []) for e in curved[::-1]][::-1]
     assert [crossing_bits((x, *at) for x, at in f) for f in alone] == [
         crossing_bits((x, *at) for x, at in got_curved.get(e.id, [])) for e in curved
     ]
@@ -241,6 +345,21 @@ def test_clip_matches_per_edge_reference(graphs, name):
         assert cd.pieces["closed"][arcs].tolist() == [True]
     if name == "no-edge-inside":
         assert (cd.pieces["edge"] < 0).all()
+
+
+@pytest.mark.parametrize("name, found, kept, rel", [("line-through-a-corner", 4, 2, 0.0),
+                                                    ("circle-through-a-corner", 3, 2, 1.5e-16)])
+def test_crossings_at_a_corner_merge(graphs, name, found, kept, rel, monkeypatch):
+    # a crossing found on both sides of a corner merges into one mark, and
+    # the clipped cells still partition the window
+    graph, window = graphs[name]
+    masks = []
+    merge = gclip.merge_runs
+    monkeypatch.setattr(gclip, "merge_runs", lambda *args: masks.append(merge(*args)) or masks[-1])
+    cd = clip_to_window(graph, window)
+    assert [(mask.size, int(mask.sum())) for mask in masks] == [(found, kept)]
+    area = window.width * window.height
+    assert abs(sum(m.area for m in measure_cells(cd).values()) - area) <= rel * area
 
 
 def test_clip_matches_per_edge_reference_on_reload_queries(reload_query):

@@ -15,13 +15,14 @@ from gbpd import intersect as gintersect
 from gbpd.cli import random_scene as preset_scene
 from gbpd.clip import clip_to_window
 from gbpd.bisector import bisector_implicit, bisector_table, param_of_point
-from gbpd.conic import CLASSES, ConicClass, alpha_of_param, line_points, points_at_alphas
-from gbpd.diagram import EDGE_KINDS, build_diagram, visible_segments
+from gbpd.conic import CLASSES, ConicClass, line_points, points_at_alphas
+from gbpd.diagram import EDGE_KINDS, _incidences, build_diagram, visible_segments
 from gbpd.geometry import SceneArrays, Window, dist_g
 from gbpd.measure import measure_cells
 from gbpd.serialize import diagram_to_json
 
-from oracles import boundary_components_union_find, curve_labels, edge_segments, radical_center
+from oracles import (alpha_of_param, boundary_components_union_find, curve_labels, edge_segments, mark_list,
+                     radical_center, recover_params_dict)
 
 I = SymMat2.identity()
 
@@ -378,9 +379,9 @@ def hexes(values):
 
 def test_edge_record_matches_reference_objects(digest_graphs):
     # the array label encode and decode against one scalar call per edge, bit
-    # for bit, on the 45 digest scenes, built and read back from their JSON
-    graphs, labels = digest_graphs
-    assert len(graphs) == 45 and labels
+    # for bit, on the 47 digest scenes, built and read back from their JSON
+    graphs, labels, _ = digest_graphs
+    assert len(graphs) == 47 and labels
     for (a0, a1, ended), (kind, t_a, t_b) in labels:
         ref = [curve_labels(x0, x1, (0, 0) if e else (None, None))
                for x0, x1, e in zip(a0.tolist(), a1.tolist(), ended.tolist())]
@@ -396,6 +397,27 @@ def test_edge_record_matches_reference_objects(digest_graphs):
             assert hexes(e["a1"]) == hexes(o.a1 for o in objects), name
             assert hexes(e["t_a"]) == hexes(math.nan if o.t_a is None else o.t_a for o in objects)
             assert hexes(e["t_b"]) == hexes(math.nan if o.t_b is None else o.t_b for o in objects)
+
+
+def test_mark_columns_match_the_dict_reference(digest_graphs):
+    # the build's vertex marks, as columns, against the dict-form recovery
+    # flattened, positions as hex, on the 47 digest scenes; the build's
+    # incidences are the polish's, regrouped by the vertex sort
+    graphs, _, recoveries = digest_graphs
+    assert len(recoveries) == len(graphs)
+    count = 0
+    for (name, graph, _), ((vertices, table, owner, rows, eps), (marks, miss)) in zip(
+            graphs, recoveries):
+        assert vertices == graph.vertices, name
+        pair_row = table.pair_rows()
+        assert [a.tolist() for a in (owner, rows)] == [
+            a.tolist() for a in _incidences(vertices, table, pair_row)], name
+        ref, ref_miss = recover_params_dict(vertices, table, pair_row, eps)
+        assert miss.tolist() == ref_miss.tolist(), name
+        assert [(r, c, hexes([x])[0], v) for r, c, x, v in zip(*(a.tolist() for a in marks))] == [
+            (r, c, hexes([x])[0], v) for r, c, x, v in mark_list(ref, table)], name
+        count += marks[0].size
+    assert count > 0
 
 
 def assert_graph_invariants(g):
@@ -424,7 +446,7 @@ def assert_graph_invariants(g):
 
 
 def test_graph_invariants_on_digest_scenes(digest_graphs):
-    graphs, _ = digest_graphs
+    graphs, _, _ = digest_graphs
     four = 0
     for name, built, read in graphs:
         for g in (built, read):
