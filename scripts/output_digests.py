@@ -24,6 +24,10 @@ raster cases: a 4x4 unit lattice at 8 px, whose vertices and edges run
 through pixel centers, and the anisotropic n=10 scenes of seeds 3, 17 and
 29 in a 100x100 window at 400 px, which have cells with holes; last, the
 two scenes of CORNER_SCENES at 100 px, whose clips merge window crossings.
+
+The bytes of the float outputs depend on the SIMD kernels that numpy
+dispatches on this machine, so the script prints numpy's SIMD baseline and
+dispatch targets on stderr, leaving stdout to the digests.
 """
 
 import hashlib
@@ -35,6 +39,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bench import simd_targets
 from gbpd.cli import PRESETS, random_scene
 from gbpd.clip import NODE_KINDS, clip_to_window
 from gbpd.diagram import build_diagram
@@ -161,6 +166,9 @@ def scene_outputs(scene: str, gens, window: Window, res: int) -> None:
 
 
 def main() -> int:
+    baseline, dispatch = simd_targets()
+    print(f"numpy SIMD baseline: {' '.join(baseline)}; dispatch targets on this machine: "
+          f"{' '.join(dispatch) or 'none'}", file=sys.stderr)
     for seed in range(1010, 1020):
         for preset in PRESETS:
             gens = random_scene(preset, 16, seed, WINDOW)

@@ -182,7 +182,7 @@ class Generator:
         if not 0 <= self.id <= _MAX_ID:
             raise InputError(f"generator {self.id}: id must be in 0..{_MAX_ID}")
         object.__setattr__(self, "p", as_point(self.p))
-        if not np.all(np.isfinite(self.p)):
+        if not (math.isfinite(self.p[0]) and math.isfinite(self.p[1])):
             raise InputError(f"generator {self.id}: center is not finite")
         if not (math.isfinite(self.M.m11) and math.isfinite(self.M.m12) and math.isfinite(self.M.m22)):
             raise InputError(f"generator {self.id}: matrix is not finite")

@@ -20,14 +20,17 @@ from gbpd import measure as gmeasure
 from gbpd.clip import flatten_pieces, loop_polygons
 from gbpd.conic import (ConicImplicit, eval_alpha_batch, line_points,
                         param_of_alpha, points_at_alphas, wrap_angle)
-from gbpd.bisector import params_of_points
-from gbpd.diagram import EDGE_KINDS, _incidences
+from gbpd.bisector import bisector_table, params_of_points
+from gbpd.diagram import (EDGE, EDGE_KINDS, LOOP, Vertex, _incidences, assemble_graph,
+                          edge_intervals)
 from gbpd.errors import InputError, NoSolutionError, QuadratureError, SingularParameterError
 from gbpd.geometry import _GEN_BLOCK as GEN_BLOCK
-from gbpd.geometry import PointIndex, SceneArrays
+from gbpd.geometry import Generator, PointIndex, SceneArrays, SymMat2, generator_index
 from gbpd.intersect import _DET_REL as DET_REL, _DISC_CLAMP as DISC_CLAMP
 from gbpd.measure import CellMeasure, ComponentMeasure
 from gbpd.oracle import LabelImage, _image_frame
+from gbpd.serialize import _check_vertex_rows, _structure_rows as structure_rows
+from gbpd.serialize import EDGE_FIELDS, GENERATOR_FIELDS, KIND_CODES, SCHEMA_KEYS
 from gbpd.tolerances import (CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_ABS, RANK_REL,
                              RES_REL, VERT_REL)
 
@@ -1950,3 +1953,149 @@ def raster_cell_stats(img: LabelImage) -> RasterStats:
         axis=1,
     )
     return RasterStats(counts, pts)
+
+
+# ------------------------------------------------------------- JSON reader
+#
+# The diagram JSON reader that checks and collects one row at a time, field
+# by field: the reference of serialize.document_to_diagram's column reads,
+# their errors included. The vertex distance check is serialize's own.
+
+
+def _row_fields(row, keys, where):
+    try:
+        return [row[key] for key in keys]
+    except KeyError as exc:
+        raise InputError(f"{where}: missing field {exc.args[0]!r}") from None
+    except TypeError:
+        raise InputError(f"{where}: a row must be an object") from None
+
+
+def _row_number(v, where):
+    if type(v) is float:
+        return v
+    if type(v) is int:
+        return float(v)
+    if v in ("inf", "-inf"):
+        return float(v)
+    raise InputError(f"{where}: {v!r} where a number belongs")
+
+
+def _row_int(v, where, name, null=False):
+    if type(v) is int or (null and v is None):
+        return v
+    raise InputError(f"{where}: {name} must be an integer{' or null' * null}, not {v!r}")
+
+
+def _row_ints(v, where, name, count=None, null=False):
+    if type(v) is list and count in (None, len(v)) and set(map(type, v)) <= (
+            {int, type(None)} if null else {int}):
+        return v
+    size = "" if count is None else f"{count} "
+    raise InputError(f"{where}: {name} must be an array of {size}integers{' or nulls' * null}, "
+                     f"not {v!r}")
+
+
+def document_to_diagram_by_rows(doc):
+    """The diagram of a parsed document, its generator, vertex and edge rows
+    checked and collected one at a time."""
+    parts = _row_fields(doc, SCHEMA_KEYS, "diagram JSON")
+    for key, rows in zip(SCHEMA_KEYS, parts):
+        if not isinstance(rows, list):
+            raise InputError(f"diagram JSON: {key!r} must be an array")
+    generator_rows, vertex_rows, edge_rows, *structure = parts
+    generators = []
+    for k, row in enumerate(generator_rows):
+        where = f"generators[{k}]"
+        gid, *values = _row_fields(row, ("id", *GENERATOR_FIELDS), where)
+        px, py, m11, m12, m22, w = (_row_number(v, where) for v in values)
+        gid = _row_int(gid, where, "id")
+        try:
+            generators.append(Generator(gid, np.array([px, py]), SymMat2(m11, m12, m22), w))
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
+    if not generators:
+        raise InputError("diagram JSON: a diagram needs at least one generator")
+    index = generator_index(generators)
+
+    vertices = []
+    for k, row in enumerate(vertex_rows):
+        where = f"vertices[{k}]"
+        vid, x, y, gens = _row_fields(row, ("id", "x", "y", "gens"), where)
+        if _row_int(vid, where, "id") != k:
+            raise InputError(f"{where}: vertex id must be its position {k}")
+        pos = np.array([_row_number(x, where), _row_number(y, where)])
+        vertices.append(Vertex(k, pos, frozenset(_row_ints(gens, where, "gens"))))
+    _check_vertex_rows(generators, np.array([v.pos for v in vertices]).reshape(-1, 2),
+                       [v.gens for v in vertices])
+
+    rows, kinds = [], []
+    for k, row in enumerate(edge_rows):
+        where = f"edges[{k}]"
+        eid, pair, kind, t_a, t_b, ends = _row_fields(row, EDGE_FIELDS, where)
+        if _row_int(eid, where, "id") != k:
+            raise InputError(f"{where}: edge id must be its position {k}")
+        pair = _row_ints(pair, where, "pair", 2)
+        if pair[0] >= pair[1]:
+            raise InputError(f"{where}: pair must hold two generator ids in increasing order")
+        a, b = _row_ints(ends, where, "endpoints", 2, null=True)
+        rows.append((pair[0], pair[1], a, b, _row_int(row.get("line"), where, "line", null=True),
+                     _row_int(row.get("component", 0), where, "component"),
+                     math.nan if t_a is None else _row_number(t_a, where),
+                     math.nan if t_b is None else _row_number(t_b, where), t_a is None,
+                     t_b is None))
+        kinds.append(KIND_CODES.get(kind, -1) if type(kind) is str else -1)
+    try:
+        cols = np.array(rows, dtype=float).reshape(-1, 10)
+    except OverflowError:
+        cols = np.array([[min(max(v, -1e308), 1e308) if type(v) is int else v for v in r]
+                         for r in rows], dtype=float).reshape(-1, 10)
+    pair, ends, line, c = cols[:, :2], cols[:, 2:4], cols[:, 4], cols[:, 5]
+    t_a, t_b, kind = cols[:, 6], cols[:, 7], np.array(kinds, dtype=np.int8)
+    a0, a1 = edge_intervals(kind, t_a, t_b, np.isnan(line), tuple(cols[:, 8:].T == 1.0))
+    bad = np.flatnonzero(~(a0 < a1))
+    if bad.size:
+        row = edge_rows[bad[0]]
+        t_a, t_b = (None if row[key] is None else _row_number(row[key], "")
+                    for key in ("t_a", "t_b"))
+        line = row.get("line")
+        raise InputError(f"edges[{bad[0]}]: kind {row['kind']!r} with t_a {t_a!r}, t_b {t_b!r} "
+                         f"names no {'curve' if line is None else f'line {line}'} edge")
+    stray = np.flatnonzero((~np.isnan(ends) & ~((0 <= ends) & (ends < len(vertices)))).any(axis=1))
+    if stray.size:
+        raise InputError(f"edges[{stray[0]}]: endpoints {edge_rows[stray[0]]['endpoints']} name "
+                         "no vertex row")
+    known = np.isin(pair, list(index)).all(axis=1)
+    if not known.all():
+        bad = np.flatnonzero(~known)
+        i, j = edge_rows[bad[np.lexsort(pair[bad].T[::-1])[0]]]["pair"]
+        raise InputError(f"edge pair ({i}, {j}) references unknown generators")
+    pair = pair.astype(np.int64)
+    _, first, pair_row = np.unique(pair[:, 0] << 31 | pair[:, 1], return_index=True,
+                                   return_inverse=True)
+    table = bisector_table(generators, tuple([index[g] for g in pair[first, k].tolist()]
+                                             for k in (0, 1))).take(pair_row)
+    count, lo, hi, _ = table.components(np.arange(len(rows)))
+    named = (0 <= c) & (c < count) & np.where(table.line_count > 0, line == c, np.isnan(line))
+    if not named.all():
+        row = edge_rows[int(np.argmin(named))]
+        raise InputError(f"edges[{row['id']}]: bisector {tuple(row['pair'])} has no component "
+                         f"{row.get('component', 0)} on line {row.get('line')}")
+    at = np.arange(c.size), c.astype(np.intp)
+    full_turn = hi[at] - lo[at] >= 2.0 * math.pi
+    bad = np.flatnonzero((kind == LOOP) & ~(np.isnan(ends).all(axis=1) & full_turn))
+    if bad.size:
+        raise InputError(f"edges[{bad[0]}]: a loop needs null endpoints and a component "
+                         "that spans a full turn")
+    edges = np.zeros(len(rows), EDGE)
+    edges["pair"], edges["kind"], edges["component"] = pair, kind, c
+    edges["t_a"], edges["t_b"], edges["a0"], edges["a1"] = t_a, t_b, a0, a1
+    edges["node_a"], edges["node_b"], edges["line"] = np.nan_to_num(cols[:, 2:5], nan=-1.0).T
+    graph = assemble_graph(generators, vertices, edges, table)
+    for key, rows, derived in zip(SCHEMA_KEYS[3:], structure, structure_rows(graph)):
+        if rows != derived:
+            k = next((k for k, (got, want) in enumerate(zip(rows, derived)) if got != want),
+                     min(len(rows), len(derived)))
+            raise InputError(f"diagram JSON: {key}[{k}] is {rows[k : k + 1]}, "
+                             f"but the edges give {derived[k : k + 1]}")
+    return graph

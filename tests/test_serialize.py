@@ -1,6 +1,7 @@
 """Diagram JSON round-trips."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -15,14 +16,16 @@ from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.measure import cell_area, measure_cells
 from gbpd.oracle import rasterize_cells
 from gbpd.render import render_svg
+from gbpd import serialize
 from gbpd.serialize import (
     diagram_from_json,
     diagram_to_json,
+    document_to_diagram,
     read_diagram,
     write_diagram,
 )
 
-from oracles import edge_segments, loop_lists
+from oracles import document_to_diagram_by_rows, edge_segments, loop_lists
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
 
@@ -315,3 +318,101 @@ def test_nonfinite_vertex_rejected_on_write():
     graph.vertices[0].pos[0] = math.nan
     with pytest.raises(InputError):
         diagram_to_json(graph)
+
+
+def read_outcome(read, doc):
+    """The InputError message of ``read(doc)``, or the JSON of its graph."""
+    try:
+        return diagram_to_json(read(doc))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+# values put into one field at a time: a string, null, a bool, a float
+# where an int belongs, a NaN spelled as a string, arrays of the wrong
+# length and an array that holds a string (a few are numbers where a number
+# belongs, and the document then reads as another diagram, or fails a later
+# check)
+FAULTS = ("a", None, True, 1.5, "nan", [0], [0, 1, 2], [0, "a"])
+TABLE_FIELDS = {
+    "generators": ("id", "px", "py", "m11", "m12", "m22", "w"),
+    "vertices": ("id", "x", "y", "gens"),
+    "edges": ("id", "pair", "kind", "t_a", "t_b", "endpoints", "component", "line"),
+}
+
+
+def faulty_documents(text):
+    """(description, document) of ``text`` with rows of its generator,
+    vertex and edge tables broken: the first, a middle and the last row of
+    each, one field at a time (each of FAULTS, the key missing, an id off
+    its position), the row replaced by an array or a string, and two rows
+    broken at once."""
+    base = json.loads(text)
+    for table, fields in TABLE_FIELDS.items():
+        n = len(base[table])
+        rows = sorted({0, n // 2, n - 1})
+        for k in rows:
+            for field in fields:
+                for value in (*FAULTS, "missing", k + 1):
+                    doc = json.loads(text)
+                    if value == "missing":
+                        doc[table][k].pop(field, None)
+                    else:
+                        doc[table][k][field] = value
+                    yield f"{table}[{k}].{field} = {value!r}", doc
+            for row in (list(base[table][k].values()), "row"):
+                doc = json.loads(text)
+                doc[table][k] = row
+                yield f"{table}[{k}] = {row!r}", doc
+        # two broken rows, the later one in an earlier field (an edge's kind
+        # is checked after the rows, with its labels)
+        checked = [field for field in fields if field != "kind"]
+        for (j, k), (early, late) in itertools.product(
+                itertools.combinations(rows, 2), itertools.combinations(checked, 2)):
+            doc = json.loads(text)
+            doc[table][j][late] = "a"
+            doc[table][k][early] = None
+            yield f"{table}[{j}].{late} and {table}[{k}].{early}", doc
+
+
+def test_column_reader_raises_the_row_reader_errors():
+    # the reader checks its tables by columns and re-checks only the first
+    # row that fails, field by field; the reference checks every row field
+    # by field: the two raise the same InputError on every broken document
+    # (or read the same graph, where the fault is a value that names one),
+    # and the error names the first broken row
+    texts = [diagram_to_json(build_diagram(random_scene("paper-weights", 16, 1010, WINDOW))),
+             diagram_to_json(build_diagram(random_scene("isotropic", 12, 1011, WINDOW)))]
+    raised = 0
+    for text in texts:
+        for what, doc in faulty_documents(text):
+            want = read_outcome(document_to_diagram_by_rows, doc)
+            assert read_outcome(document_to_diagram, doc) == want, what
+            raised += want.startswith("InputError")
+            if " and " in what:
+                first = what.partition(".")[0]
+                assert want.startswith(f"InputError: {first}"), (what, want)
+    assert raised >= 1400  # of 1,464 documents
+
+
+def test_valid_documents_run_no_per_row_helper(monkeypatch):
+    # a valid document is read by columns alone: the per-row and per-field
+    # helpers run only for a row that fails a column check
+    called = []
+    for name in ("_number", "_int", "_ints", "_check_generator_row", "_check_vertex_row",
+                 "_check_edge_row"):
+        monkeypatch.setattr(serialize, name, lambda *args, name=name: called.append(name))
+    for preset in PRESETS:
+        text = diagram_to_json(build_diagram(random_scene(preset, 16, 1012, WINDOW)))
+        assert diagram_to_json(diagram_from_json(text)) == text
+    assert called == []
+
+
+def test_both_readers_read_the_digest_scenes_alike(digest_graphs):
+    # the 47 digest scenes, built, written and read back by both readers
+    graphs, _, _ = digest_graphs
+    for name, built, loaded in graphs:
+        text = diagram_to_json(built)
+        by_rows = document_to_diagram_by_rows(json.loads(text))
+        assert diagram_to_json(by_rows) == diagram_to_json(loaded) == text, name
+        assert by_rows.edges.tobytes() == loaded.edges.tobytes(), name
