@@ -2,8 +2,12 @@
 """Write BENCH_<label>.json: the pipeline's stage times on fixed scenes.
 
 Each scene is the paper-random preset, seed 42, in the 400x400 window, at
-n = 50, 100, 148 and 300 generators. Each is built once with one thread and
-once with one thread per CPU, and the build is timed (s). On each built
+n = 50, 100, 148 and 300 generators. Each is built --repeats times with one
+thread and --repeats times with one thread per CPU. The build and, within
+it, the triple sweep (``vertex_candidates``, timed by a wrapper that this
+script puts on the name ``gbpd.diagram.vertex_candidates``, as the
+benchmark's span tracer does) are recorded as the median and quartiles of
+those runs (s), and the sweep also as microseconds per triple. On the built
 graph the script then times, each as the median of --repeats runs in ms:
 the clip to the window, ``measure_cells`` of the clip, the analytic raster
 at 400x400, ``diagram_to_json`` and ``diagram_from_json``. It records the
@@ -34,6 +38,7 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import gbpd.diagram  # noqa: E402
 from gbpd.cli import random_scene  # noqa: E402
 from gbpd.clip import clip_to_window  # noqa: E402
 from gbpd.diagram import build_diagram  # noqa: E402
@@ -76,6 +81,26 @@ def machine() -> dict:
     }
 
 
+def timed_sweep(times: list):
+    """Wrap ``gbpd.diagram.vertex_candidates`` so that each call appends its
+    duration (s) to ``times``; the build looks the name up at each call."""
+    sweep = gbpd.diagram.vertex_candidates
+
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            times.append(time.perf_counter() - t0)
+
+    gbpd.diagram.vertex_candidates = wrapper
+
+
+def quartiles(values) -> list[float]:
+    """The first quartile, median and third quartile of ``values``."""
+    return np.percentile(values, [25, 50, 75]).tolist()
+
+
 def median_ms(run, repeats: int):
     """(median time of ``repeats`` calls in ms, the last call's result)."""
     times = []
@@ -86,11 +111,18 @@ def median_ms(run, repeats: int):
     return 1e3 * statistics.median(times), out
 
 
-def bench(n: int, threads: int, repeats: int) -> dict:
+def bench(n: int, threads: int, repeats: int, sweep_times: list) -> dict:
+    """One run's record; ``sweep_times`` is the list that ``timed_sweep`` fills."""
     gens = random_scene("paper-random", n, SEED, WINDOW)
-    t0 = time.perf_counter()
-    graph = build_diagram(gens, threads=threads)
-    build_s = time.perf_counter() - t0
+    build, sweep_times[:] = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        graph = build_diagram(gens, threads=threads)
+        build.append(time.perf_counter() - t0)
+    if len(sweep_times) != repeats:
+        raise RuntimeError(f"{repeats} builds ran the triple sweep {len(sweep_times)} times")
+    build_q, sweep_q = quartiles(build), quartiles(sweep_times)
+    triples = math.comb(len(graph.generators) - len(graph.aliases), 3)
     clip_ms, cd = median_ms(lambda: clip_to_window(graph, WINDOW), repeats)
     measure_ms, _ = median_ms(lambda: measure_cells(cd), repeats)
     raster_ms, _ = median_ms(lambda: rasterize_cells(cd, RES, RES), repeats)
@@ -99,10 +131,15 @@ def bench(n: int, threads: int, repeats: int) -> dict:
     return {
         "n": n,
         "threads": threads,
-        "triples": math.comb(len(graph.generators) - len(graph.aliases), 3),
+        "triples": triples,
         "vertices": len(graph.vertices),
         "edges": len(graph.edges),
-        "build_s": round(build_s, 4),
+        "repeats": repeats,
+        "build_s": round(build_q[1], 4),
+        "build_s_quartiles": [round(build_q[0], 4), round(build_q[2], 4)],
+        "sweep_s": round(sweep_q[1], 4),
+        "sweep_s_quartiles": [round(sweep_q[0], 4), round(sweep_q[2], 4)],
+        "sweep_us_per_triple": round(1e6 * sweep_q[1] / max(triples, 1), 4),
         "clip_ms": round(clip_ms, 3),
         "measure_ms": round(measure_ms, 3),
         "raster_ms": round(raster_ms, 3),
@@ -121,12 +158,14 @@ def main() -> int:
     ap.add_argument("--n", type=int, nargs="+", default=list(SIZES), help="scene sizes")
     ap.add_argument("--repeats", type=int, default=5, help="runs per timed stage")
     args = ap.parse_args()
+    sweep_times: list[float] = []
+    timed_sweep(sweep_times)
 
     threads = sorted({1, os.cpu_count() or 1})
     runs = []
     for n in args.n:
         for t in threads:
-            runs.append(bench(n, t, args.repeats))
+            runs.append(bench(n, t, args.repeats, sweep_times))
             print(json.dumps(runs[-1]), flush=True)
     out = Path(args.out or ROOT / f"BENCH_{args.label}.json")
     doc = {"label": args.label, "scene": f"paper-random, seed {SEED}, window 400x400",

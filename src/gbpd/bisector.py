@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conic import (
+    TWO_PI,
     ELLIPSE_CODE,
     HYPERBOLA_CODE,
     PARABOLA_CODE,
@@ -65,8 +66,6 @@ from .conic import (
 from .errors import InputError, NoSolutionError
 from .geometry import Generator, SceneArrays, as_point, row_dot
 from .tolerances import DEN_REL, PARAM_MERGE
-
-TWO_PI = 2.0 * math.pi
 
 
 def _implicit_rows(gi: np.ndarray, gj: np.ndarray) -> np.ndarray:
@@ -221,12 +220,18 @@ def bisector_table(
     swap = ids[first] > ids[second]
     first, second = np.where(swap, second, first), np.where(swap, first, second)
     ci, cj = arr.coef.T[first], arr.coef.T[second]
-    implicit = _implicit_rows(ci, cj)
-    c, h = _pair_frames(ci, cj)
-    # an identity frame keeps the scene implicit as is (p - c would turn -0.0 into +0.0)
-    moved = (h != 1.0) | (c[:, 0] != 0.0) | (c[:, 1] != 0.0)
-    hat = np.where(moved[:, None], _implicit_rows(_rescaled(ci, c, h), _rescaled(cj, c, h)),
-                   implicit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        implicit = _implicit_rows(ci, cj)
+        c, h = _pair_frames(ci, cj)
+        # an identity frame keeps the scene implicit as is (p - c would turn -0.0 into +0.0)
+        moved = (h != 1.0) | (c[:, 0] != 0.0) | (c[:, 1] != 0.0)
+        hat = np.where(moved[:, None], _implicit_rows(_rescaled(ci, c, h), _rescaled(cj, c, h)),
+                       implicit)
+    bad = np.flatnonzero(~np.isfinite(np.concatenate([implicit, hat], axis=1)).all(axis=1))
+    if bad.size:
+        k = bad[0]
+        raise InputError(f"pair {k}: the bisector of generators {ids[first[k]]} and "
+                         f"{ids[second[k]]} has coefficients beyond the floats")
     rows = classify_rows(hat, 2.0, frame=(h, c))
     chart = charts_of_triples(rows.triples)
     u = np.abs(rows.triples[:, 2])
@@ -259,7 +264,7 @@ def _project_params(coef, u_scale, v, t) -> np.ndarray:
     have = np.zeros(rows.size, dtype=bool)  # best_d2 holds a value
     live = np.ones(rows.size, dtype=bool)
     for step in range(4):
-        x, y, dvx, dvy, singular = points_at_alphas(coef, u_scale, alpha)
+        x, y, dvx, dvy, singular, _ = points_at_alphas(coef, u_scale, alpha)
         live &= ~singular
         rx, ry = vx - x, vy - y
         d2 = rx * rx + ry * ry
@@ -343,7 +348,7 @@ def params_of_points(coef, u_scale, points, eps):
         ok = valid & ~(np.abs(u) <= DEN_REL * u_scale[:, None])
         ex, ey = x / u - v[:, 0, None], y / u - v[:, 1, None]
     r, c = np.nonzero(ok)
-    near = np.array([math.hypot(a, b) for a, b in zip(ex[r, c].tolist(), ey[r, c].tolist())])
+    near = np.hypot(ex[r, c], ey[r, c])
     hit = near <= eps[r]
     r, c = r[hit], c[hit]
     ts = np.full((n, 5), math.nan)

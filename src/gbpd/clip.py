@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conic import (
+    TWO_PI,
     ConicImplicit,
     alphas_of_params,
     homogeneous_at_params,
@@ -58,10 +59,9 @@ from .conic import (
 )
 from .diagram import LOOP, DiagramGraph, merge_runs, split_runs
 from .errors import NoSolutionError, SingularParameterError
-from .geometry import PointIndex, SceneArrays, Window, hypots
+from .geometry import PointIndex, SceneArrays, Window
 from .tolerances import DEDUP_REL, DEN_REL, PARAM_MERGE
 
-TWO_PI = 2.0 * math.pi
 _FLATTEN_DEPTH = 14
 
 NODE_KINDS = ("corner", "vertex", "crossing")
@@ -165,8 +165,8 @@ def flatten_pieces(graph: DiagramGraph, pieces: np.ndarray, ftol: float) -> list
         fm = 0.5 * (f0 + f1)
         pm = _regular_rows(graph, rows[arc], row_lines[arc], a0[arc] + fm * span[arc])[:, :2]
         chord = p1 - p0
-        n = hypots(chord[:, 0], chord[:, 1])
-        near = hypots(pm[:, 0] - p0[:, 0], pm[:, 1] - p0[:, 1])
+        n = np.hypot(chord[:, 0], chord[:, 1])
+        near = np.hypot(pm[:, 0] - p0[:, 0], pm[:, 1] - p0[:, 1])
         cross = chord[:, 0] * (pm[:, 1] - p0[:, 1]) - chord[:, 1] * (pm[:, 0] - p0[:, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.abs(cross) / n
@@ -205,7 +205,7 @@ def _piece_rows(graph: DiagramGraph, rows: np.ndarray, lines: np.ndarray,
     table = graph.table
     if arcs.size:
         at = rows[arcs]
-        *xyv, singular[arcs] = points_at_alphas(table.chart[at], table.u_scale[at], param[arcs])
+        *xyv, singular[arcs], _ = points_at_alphas(table.chart[at], table.u_scale[at], param[arcs])
         out[arcs] = np.column_stack(xyv)
     if segments.size:
         coef = table.lines[rows[segments], lines[segments]]

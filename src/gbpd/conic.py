@@ -27,9 +27,9 @@ Conics are classified and represented as arrays only: ``classify_rows``
 gives the class codes, coefficient triples, singular parameters and lines
 of P conics at once (``ConicRows``), and every evaluation (quadratic roots,
 homogeneous points at parameters, points and velocities at alphas, line
-points) is a kernel over rows. The one-value forms of these evaluations,
-which the kernels must equal bit for bit, are test references
-(tests/oracles.py); only the scalar angle maps stay here.
+points) is a kernel over rows of numpy ufuncs. The one-value forms of
+these evaluations, which the kernels must equal bit for bit, are test
+references (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularParameterError
-from .geometry import hypots, sym2_eigh
+from .geometry import sym2_eigh
 from .tolerances import CLASS_REL, DEN_REL, RANK_REL
 
 _HALF_PI = 0.5 * math.pi
+TWO_PI = 2.0 * math.pi
 # a leading coefficient at most this far below the largest one drops the degree
 _ROOT_REL = 1e-13
 
@@ -179,55 +179,11 @@ def _triple_congruences(triples: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.stack([qq[:, 0, 0], qq[:, 0, 1] + qq[:, 1, 0], qq[:, 1, 1]], axis=1)
 
 
-def wrap_angle(alpha: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = math.remainder(alpha, 2.0 * math.pi)
-    if a <= -math.pi:
-        a += 2.0 * math.pi
-    return a
-
-
-def param_of_alpha(alpha: float) -> float:
-    a = wrap_angle(alpha)
-    if a == math.pi:
-        return math.inf
-    return math.tan(0.5 * a)
-
-
 def charts_of_triples(triples: np.ndarray) -> np.ndarray:
     """Chart triples (P, 2, 3, 3) of P conics given by their xq, yq, uq rows (P, 3, 3)."""
     base = np.asarray(triples, dtype=float).reshape(-1, 3, 3)
     # the substitution t = -1/s maps (c2, c1, c0) to (c0, -c1, c2), exact in floats
     return np.stack([base, base[:, :, ::-1] * np.array([1.0, -1.0, 1.0])], axis=1)
-
-
-# eval_alpha_batch stays apart from points_at_alphas, which runs math.tan per
-# entry: on the 15 Gauss-Kronrod nodes of every arc piece that made
-# measure_cells 31% slower (0.224 s to 0.294 s over the 39 benchmark clip
-# windows, 2-vCPU machine) and moved 736 of its 2,224 areas and perimeters,
-# by up to 1.6e-11 relative.
-def eval_alpha_batch(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray):
-    """Points and d/dalpha velocities of many conics at many alphas.
-
-    Row k of ``alpha`` (P, K) is evaluated on conic ``coef[k]`` (P, 2, 3,
-    3, chart triples as ``charts_of_triples`` lays them out) with
-    denominator scale ``u_scale[k]``. Each value is computed elementwise, so
-    it does not depend on the other rows. An alpha on the line at infinity
-    raises SingularParameterError.
-    Returns (x, y, vx, vy, cond), each (P, K). ``cond`` is the condition
-    number of the denominator u^ at s, the sum of its terms' magnitudes
-    over |u^|: where it is large, u^ cancels, and the rounding of its
-    chart rows' values grows by that factor relative to those values.
-    """
-    a = np.remainder(alpha + math.pi, 2.0 * math.pi) - math.pi
-    far = np.abs(a) > _HALF_PI
-    s = np.tan(np.where(far, 0.5 * a - _HALF_PI, 0.5 * a))
-    c = np.where(far[:, :, None, None], coef[:, None, 1], coef[:, None, 0])
-    x, y, u, dx, dy, du = _chart_rows(c, s)
-    if np.any(np.abs(u) <= DEN_REL * u_scale[:, None]):
-        raise SingularParameterError("an alpha of the batch lies on the line at infinity")
-    u_terms = (np.abs(c[..., 2, 0] * s) + np.abs(c[..., 2, 1])) * np.abs(s) + np.abs(c[..., 2, 2])
-    return (*_point_velocity(x, y, u, dx, dy, du, s), u_terms / np.abs(u))
 
 
 def _chart_rows(c: np.ndarray, s: np.ndarray):
@@ -243,37 +199,28 @@ def _point_velocity(x, y, u, dx, dy, du, s):
     return x / u, y / u, (dx * u - x * du) * f, (dy * u - y * du) * f
 
 
-# The kernels below feed values that reach the diagram JSON, so they keep
-# the floats of the one-value forms above and of the scalar chart-triple
-# evaluation (kept as a test reference in tests/oracles.py): math.remainder,
-# math.tan and math.atan run per entry, because np.remainder is a floored
-# modulo and np.tan and np.arctan round differently from math.tan and
-# math.atan on some inputs. The angle maps are the scalar maps per entry;
-# wrap_angles keeps an array path, since every points_at_alphas call runs it.
+# numpy runs its scalar fallback, which rounds tan and arctan differently
+# from its SIMD kernels, on an array of negative stride: the angle maps and
+# the evaluator are never given a reversed view.
 
 
 def wrap_angles(alpha: np.ndarray) -> np.ndarray:
-    """:func:`wrap_angle` of each entry of a 1-D array.
-
-    math.remainder(a, 2 pi) is a itself for |a| <= pi (the quotient rounds
-    to 0, ties to even), so only the other entries go through it.
-    """
-    a = np.array(alpha, dtype=float)
-    out = np.flatnonzero(~(np.abs(a) <= math.pi))
-    a[out] = [math.remainder(v, 2.0 * math.pi) for v in a[out].tolist()]
-    return np.where(a <= -math.pi, a + 2.0 * math.pi, a)
+    """Each entry of ``alpha`` wrapped to (-pi, pi]: exact, as np.fmod is and
+    the one shift by 2 pi that follows, so alpha = +-pi, +-3 pi give pi."""
+    a = np.fmod(alpha, TWO_PI)
+    a = np.where(a > math.pi, a - TWO_PI, a)
+    return np.where(a <= -math.pi, a + TWO_PI, a)
 
 
 def alphas_of_params(t: np.ndarray) -> np.ndarray:
-    """alpha = 2 atan(t) of each entry of a 1-D array, one ``math.atan``
-    call per entry; the infinite parameter maps to pi."""
-    alpha = 2.0 * np.array([math.atan(v) for v in t.tolist()], dtype=float)
-    return np.where(np.isinf(t), math.pi, alpha)
+    """alpha = 2 atan(t) of each entry; the infinite parameter maps to pi."""
+    return np.where(np.isinf(t), math.pi, 2.0 * np.arctan(t))
 
 
 def params_of_alphas(alpha: np.ndarray) -> np.ndarray:
-    """:func:`param_of_alpha` of each entry of a 1-D array."""
-    return np.array([param_of_alpha(v) for v in alpha.tolist()], dtype=float)
+    """t = tan(alpha / 2) of each entry, after wrapping; alpha = pi gives t = inf."""
+    a = wrap_angles(alpha)
+    return np.where(a == math.pi, math.inf, np.tan(0.5 * a))
 
 
 def homogeneous_at_params(coef: np.ndarray, t: np.ndarray):
@@ -293,23 +240,32 @@ def homogeneous_at_params(coef: np.ndarray, t: np.ndarray):
 
 
 def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray):
-    """Points and d/dalpha velocities of N conics at one alpha each.
+    """Points and d/dalpha velocities of N conics at alphas.
 
-    Row k evaluates conic ``coef[k]`` (N, 2, 3, 3, from
-    ``charts_of_triples``) at ``alpha[k]``: chart 0 at s = tan(alpha/2)
-    for |alpha| <= pi/2 after wrapping, chart 1 at s = tan(alpha/2 - pi/2)
-    otherwise. Returns (x, y, vx, vy, singular); ``singular`` marks rows
-    whose denominator is within DEN_REL u_scale of zero, whose values are
-    not to be used.
+    Row k of ``alpha`` ((N,) or (N, K)) is evaluated on conic ``coef[k]``
+    (N, 2, 3, 3, from ``charts_of_triples``) with denominator scale
+    ``u_scale[k]``: after wrapping to (-pi, pi], chart 0 at s = tan(alpha/2)
+    for |alpha| <= pi/2, chart 1 at s = tan(alpha/2 - pi/2) otherwise. Each
+    value is computed elementwise, so it does not depend on the others.
+    Returns (x, y, vx, vy, singular, cond), each shaped as ``alpha``.
+    ``singular`` marks the alphas on the line at infinity (denominator
+    within DEN_REL u_scale of zero), whose values are not to be used.
+    ``cond`` is the condition number of the denominator u^ at s, the sum of
+    its terms' magnitudes over |u^|: where it is large, u^ cancels, and the
+    rounding of its chart rows' values grows by that factor relative to
+    those values.
     """
     a = wrap_angles(alpha)
-    far = ~(np.abs(a) <= _HALF_PI)
-    arg = np.where(far, 0.5 * a - _HALF_PI, 0.5 * a)
-    s = np.array([math.tan(v) for v in arg.tolist()], dtype=float)
-    x, y, u, dx, dy, du = _chart_rows(np.where(far[:, None, None], coef[:, 1], coef[:, 0]), s)
-    singular = np.abs(u) <= DEN_REL * u_scale
+    far = np.abs(a) > _HALF_PI
+    s = np.tan(np.where(far, 0.5 * a - _HALF_PI, 0.5 * a))
+    lead = (len(coef),) + (1,) * (a.ndim - 1)
+    coef = np.reshape(coef, lead[:1] + (2,) + lead[1:] + (3, 3))
+    c = np.where(far[..., None, None], coef[:, 1], coef[:, 0])
+    x, y, u, dx, dy, du = _chart_rows(c, s)
+    singular = np.abs(u) <= DEN_REL * np.reshape(u_scale, lead)
+    u_terms = (np.abs(c[..., 2, 0] * s) + np.abs(c[..., 2, 1])) * np.abs(s) + np.abs(c[..., 2, 2])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (*_point_velocity(x, y, u, dx, dy, du, s), singular)
+        return (*_point_velocity(x, y, u, dx, dy, du, s), singular, u_terms / np.abs(u))
 
 
 # ---------------------------------------------------------- classification
@@ -388,7 +344,7 @@ def _normalized_lines(lines: np.ndarray, usable: np.ndarray):
     normal, so that equal lines compare equal up to roundoff; entries
     outside ``usable`` come back as they are."""
     a, b, c = lines[..., 0], lines[..., 1], lines[..., 2]
-    n = np.where(usable, hypots(a, b), 1.0)
+    n = np.where(usable, np.hypot(a, b), 1.0)
     a, b, c = a / n, b / n, c / n
     flip = usable & ((a < 0.0) | ((a == 0.0) & (b < 0.0)))
     return np.where(flip[..., None], -np.stack([a, b, c], axis=-1), np.stack([a, b, c], axis=-1))
@@ -423,7 +379,7 @@ def _deficient_rows(evals, evecs, scale, length_scale: float):
     lines = np.where(split[:, None, None], np.stack([u + w, u - w], axis=1),
                      np.stack([single, single], axis=1))
     usable = np.stack([split | (rank == 1), split], axis=1)
-    affine = usable & ~(hypots(lines[..., 0], lines[..., 1]) * length_scale
+    affine = usable & ~(np.hypot(lines[..., 0], lines[..., 1]) * length_scale
                         <= DEN_REL * np.abs(lines[..., 2]))
     lines = _normalized_lines(lines, affine)
     # the affine lines first
@@ -454,8 +410,7 @@ def classify_rows(
     (every curve) are parametrized, and the rank-deficient ones (line
     pairs, single lines, nothing, everything) split into lines, as array
     operations; each step is the stacked form of the one-conic computation,
-    with ``math`` functions per entry where numpy rounds differently, so a
-    conic gets the same floats alone or in a batch.
+    so a conic gets the same floats alone or in a batch.
 
     ``frame = (h, c)`` ((P,) scales, (P, 2) centers) says that row k is
     written in the coordinates (x - c_k) / h_k; the returned representations

@@ -70,6 +70,7 @@ from .bisector import (  # noqa: F401
     params_of_points,
 )
 from .conic import (
+    TWO_PI,
     ConicImplicit,
     alphas_of_params,
     line_points,
@@ -78,11 +79,9 @@ from .conic import (
     wrap_angles,
 )
 from .errors import NoSolutionError
-from .geometry import Generator, PointIndex, SceneArrays, generator_index, hypots
+from .geometry import Generator, PointIndex, SceneArrays, generator_index
 from .intersect import pencil_intersections_batch, two_nearest, vertex_candidates  # noqa: F401
 from .tolerances import DEDUP_REL, PARAM_MERGE
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -111,11 +110,11 @@ EDGE = np.dtype([("pair", np.intp, 2), ("kind", np.int8), ("t_a", float), ("t_b"
 #
 # ``_curve_labels`` encodes curve pieces' alpha intervals as labels, and
 # ``edge_intervals`` decodes the labels of any edges, built or read back
-# from JSON, into their parameter intervals; both run the scalar math calls
-# per entry, so the bits do not depend on the batch. "interval" is t_a < t_b
-# (infinities allowed on line rays), "wrap" runs through the t = inf point
-# (t_b <= t_a), "loop" is an entire ellipse or parabola component and
-# "full_line" a whole line. The far point t = inf sits at alpha = pi; an
+# from JSON, into their parameter intervals; both are elementwise, so the
+# bits do not depend on the batch. "interval" is t_a < t_b (infinities
+# allowed on line rays), "wrap" runs through the t = inf point (t_b <=
+# t_a), "loop" is an entire ellipse or parabola component and "full_line"
+# a whole line. The far point t = inf sits at alpha = pi; an
 # interval entering from it is labelled t_a = -inf and decodes to alpha -pi.
 
 
@@ -227,13 +226,14 @@ def _incidences(vertices: list[Vertex], table: BisectorTable,
 
 
 def _polish_vertices(
-    vertices: list[Vertex],
+    vertex_pos: np.ndarray,
     table: BisectorTable,
     row_vertex: np.ndarray,
     rows: np.ndarray,
     length_scale: float,
 ) -> None:
-    """Newton-refine each vertex on its two best-conditioned bisectors.
+    """Newton-refine each vertex position (rows of ``vertex_pos`` (V, 2), in
+    place) on its two best-conditioned bisectors.
 
     The eigen route used for pencil intersections leaves a relative error a
     few orders above machine precision; two or three Newton steps on a
@@ -241,7 +241,8 @@ def _polish_vertices(
     refined at once, on the implicit rows of their incidences (vertex
     ``row_vertex[k]`` on table row ``rows[k]``, as ``_incidences`` gives
     them): the best pair of a vertex is the first pair of its incident
-    bisectors with the largest gradient sine.
+    bisectors with the largest gradient sine. A vertex whose polish ends
+    non-finite or farther than the dedup radius stays where it was.
     """
     max_step = DEDUP_REL * length_scale
     # one row per (vertex, incident bisector), one combo per pair of such rows
@@ -251,10 +252,10 @@ def _polish_vertices(
     if not combos:
         return
     c = table.implicit[rows]
-    pos = np.array([v.pos for v in vertices], dtype=float)[row_vertex]
+    pos = vertex_pos[row_vertex]
     # ConicImplicit with array fields evaluates one conic per entry
     gx, gy = ConicImplicit(*c.T).gradient(pos[:, 0], pos[:, 1])
-    norm = hypots(gx, gy)
+    norm = np.hypot(gx, gy)
     ka, kb = np.array(combos).T
     usable = (norm[ka] != 0.0) & (norm[kb] != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -277,10 +278,8 @@ def _polish_vertices(
             live &= det != 0.0
             x = np.where(live, x + (-f1 * g2y + f2 * g1y) / det, x)
             y = np.where(live, y + (f1 * g2x - f2 * g1x) / det, y)
-    moved = zip(owner[first].tolist(), x.tolist(), y.tolist(), (x - x0).tolist(), (y - y0).tolist())
-    for vi, xv, yv, dx, dy in moved:
-        if math.isfinite(xv) and math.isfinite(yv) and math.hypot(dx, dy) <= max_step:
-            vertices[vi].pos = np.array([xv, yv])
+        ok = np.isfinite(x) & np.isfinite(y) & (np.hypot(x - x0, y - y0) <= max_step)
+    vertex_pos[owner[first[ok]]] = np.column_stack([x, y])[ok]
 
 
 # ------------------------------------------------------ visibility testing
@@ -310,7 +309,7 @@ def _curve_representatives(
             break
         m, a = mid[open_], anchor[open_]
         alpha = np.where(a != m, a + (m - a) * 0.5**level, m)
-        x, y, _, _, singular = points_at_alphas(coef[open_], u_scale[open_], alpha)
+        x, y, _, _, singular, _ = points_at_alphas(coef[open_], u_scale[open_], alpha)
         with np.errstate(invalid="ignore"):
             sane = np.isfinite(x) & np.isfinite(y) & (np.maximum(np.abs(x), np.abs(y)) <= limit)
         ok = ~singular & (whole[open_] | sane)
@@ -591,14 +590,14 @@ def build_diagram(generators: list[Generator], threads: int = 1) -> DiagramGraph
     cand, trip = vertex_candidates(arr, table.implicit, pair_row, threads)
     vertices = _cluster_vertices(kept, cand, trip, length_scale)
     owner, rows = _incidences(vertices, table, pair_row)
-    _polish_vertices(vertices, table, owner, rows, length_scale)
+    pos = np.array([v.pos for v in vertices], dtype=float).reshape(-1, 2)
+    _polish_vertices(pos, table, owner, rows, length_scale)
     # the vertices in (x, y) order, their incidences regrouped with them
-    order = sorted(range(len(vertices)), key=lambda k: (vertices[k].pos[0], vertices[k].pos[1]))
-    owner = np.argsort(np.array(order, dtype=np.intp))[owner]
+    order = np.lexsort((pos[:, 1], pos[:, 0]))
+    owner = np.argsort(order)[owner]
     regroup = np.argsort(owner, kind="stable")
-    owner, rows, vertices = owner[regroup], rows[regroup], [vertices[k] for k in order]
-    for vid, v in enumerate(vertices):
-        v.id = vid
+    owner, rows = owner[regroup], rows[regroup]
+    vertices = [Vertex(vid, pos[k], vertices[k].gens) for vid, k in enumerate(order.tolist())]
 
     marks, _recovery_miss = _recover_params(vertices, table, owner, rows,
                                             1e-7 * (1.0 + length_scale))

@@ -120,17 +120,6 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def hypots(x, y) -> np.ndarray:
-    """``math.hypot`` of each entry pair of two arrays of one shape.
-
-    ``np.hypot`` rounds differently on some inputs, so the scalar function
-    runs per entry.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()), dtype=float,
-                       count=x.size).reshape(x.shape)
-
-
 def sym2_eigh(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form spectral decomposition of N symmetric 2x2 matrices.
 
@@ -138,13 +127,10 @@ def sym2_eigh(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray) -> tuple[np.nda
     are the corresponding unit eigenvectors, shape (N, 2, 2), mirroring
     ``numpy.linalg.eigh``. Uses the trace/determinant formula; for
     (near-)equal eigenvalues the basis is tied to the coordinate axes.
-    ``math.hypot`` is kept per entry because ``np.hypot`` rounds differently.
     """
     m11, m12, m22 = (np.asarray(m, dtype=float) for m in (m11, m12, m22))
     mean = 0.5 * (m11 + m22)
-    half_gap = np.array(
-        [math.hypot(a, b) for a, b in zip((0.5 * (m11 - m22)).tolist(), m12.tolist())]
-    ).reshape(m11.shape)
+    half_gap = np.hypot(0.5 * (m11 - m22), m12)
     lo, hi = mean - half_gap, mean + half_gap
     scale = np.maximum(np.abs(lo), np.abs(hi))
     tie = (half_gap <= _CIRCLE_TIE_REL * scale) | (scale == 0.0)
@@ -152,7 +138,7 @@ def sym2_eigh(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray) -> tuple[np.nda
     cand1 = np.stack([m12, hi - m11], axis=1)
     cand2 = np.stack([hi - m22, m12], axis=1)
     v = np.where((row_dot(cand1, cand1) >= row_dot(cand2, cand2))[:, None], cand1, cand2)
-    norm = np.array([math.hypot(x, y) for x, y in v.tolist()]).reshape(m11.shape)
+    norm = np.hypot(v[:, 0], v[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         v = v / norm[:, None]
     evecs = np.empty((m11.shape[0], 2, 2))

@@ -50,10 +50,10 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401
 
 from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_polygons, piece_points
-from .conic import ELLIPSE_CODE, eval_alpha_batch
+from .conic import ELLIPSE_CODE, points_at_alphas
 from .diagram import LOOP, DiagramGraph
-from .errors import InputError, NonFiniteSegmentError, QuadratureError, UnboundedCellError
-from .geometry import hypots
+from .errors import (InputError, NonFiniteSegmentError, QuadratureError, SingularParameterError,
+                     UnboundedCellError)
 from .tolerances import DEDUP_REL, QUAD_ABS
 
 _HALF_PI = 0.5 * math.pi
@@ -107,6 +107,15 @@ _MAX_DEPTH = 30
 _MAX_PIECES = 200
 
 
+def _arc_points(coef, u_scale, alpha):
+    """``points_at_alphas`` of arcs, which reach no singular parameter: one
+    that does raises SingularParameterError. Returns (x, y, vx, vy, cond)."""
+    x, y, vx, vy, singular, cond = points_at_alphas(coef, u_scale, alpha)
+    if singular.any():
+        raise SingularParameterError("an alpha of the batch lies on the line at infinity")
+    return x, y, vx, vy, cond
+
+
 def _gk15(coef, u_scale, origin, lo, hi) -> np.ndarray:
     """Kronrod values, QUADPACK error estimates and rounding floor of the M
     intervals [lo, hi], as rows (M, 5): area and speed values, their
@@ -115,7 +124,7 @@ def _gk15(coef, u_scale, origin, lo, hi) -> np.ndarray:
     shifted to it (x^ - o_x u^ and y^ - o_y u^).
 
     The shifted chart rows' rounding, over u^, puts eps |o| cond on x and y
-    (cond from ``eval_alpha_batch``), so the area integrand (x y' - y x') / 2
+    (cond from ``points_at_alphas``), so the area integrand (x y' - y x') / 2
     carries eps cond (|o_x y'| + |o_y x'|) / 2 of noise that no halving
     removes. The floor is 50 times its integral, as QUADPACK floors an
     estimate at 50 eps times the integral of |f|.
@@ -128,7 +137,7 @@ def _gk15(coef, u_scale, origin, lo, hi) -> np.ndarray:
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     scale = np.abs(half)
-    x, y, vx, vy, cond = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * _GK_X)
+    x, y, vx, vy, cond = _arc_points(coef, u_scale, center[:, None] + half[:, None] * _GK_X)
     f = np.stack([0.5 * (x * vy - y * vx), np.hypot(vx, vy)])
     shifted = 0.5 * cond * (np.abs(origin[:, 0:1] * vy) + np.abs(origin[:, 1:2] * vx))
     sums = _column_sums(np.stack([shifted, *f, *np.abs(f), *f]), _GK_W7)
@@ -189,7 +198,7 @@ def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
     ends = np.stack([a0, a1], axis=1)
     # the area is integrated about the arc's mid-alpha point m; the shift
     # back to the coordinate origin is m x (end - start) / 2
-    px, py, *_ = eval_alpha_batch(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
+    px, py, *_ = _arc_points(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
     origin = np.stack([px[:, 2], py[:, 2]], axis=1)
     shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
     # chart rows relative to m: x^ - m_x u^ and y^ - m_y u^ give the point
@@ -316,7 +325,7 @@ def _loop_sums(graph: DiagramGraph, pieces: np.ndarray, loops) -> tuple[np.ndarr
     length = np.zeros(len(half))
     arc = (p["edge"] >= 0) & (p["line"] < 0)
     run = ~arc
-    length[run] = hypots(q1[run, 0] - q0[run, 0], q1[run, 1] - q0[run, 1])
+    length[run] = np.hypot(q1[run, 0] - q0[run, 0], q1[run, 1] - q0[run, 1])
     if arc.any():
         ids, inv = np.unique(half["piece"][arc], return_inverse=True)
         one = pieces[ids]

@@ -52,6 +52,8 @@ VERTEX_FIELDS = ("id", "x", "y", "gens")
 IMPLICIT_FIELDS = ("a11", "a12", "a22", "b11", "b12", "c")
 EDGE_FIELDS = ("id", "pair", "kind", "t_a", "t_b", "endpoints")
 KIND_CODES = {kind: code for code, kind in enumerate(EDGE_KINDS)}
+# the least integer that rounds past the largest float
+_INT_LIMIT = 2**1024 - 2**970
 
 
 # ------------------------------------------------------------------ writing
@@ -124,9 +126,16 @@ def _fields(row, keys: tuple[str, ...], where: str) -> list:
 
 def _number(v, where: str) -> float:
     """A document number as a float; "inf" and "-inf" are infinities."""
+    if not _fits(v):
+        raise InputError(f"{where}: an integer beyond the floats where a number belongs")
     if type(v) in (float, int) or v in ("inf", "-inf"):
         return float(v)
     raise InputError(f"{where}: {v!r} where a number belongs")
+
+
+def _fits(v) -> bool:
+    """False for an integer beyond the floats, True for any other value."""
+    return type(v) is not int or -_INT_LIMIT < v < _INT_LIMIT
 
 
 def _int(v, where: str, name: str, null: bool = False):
@@ -213,7 +222,8 @@ def _positions(ids) -> np.ndarray | bool:
 def _numbers(column, null: bool = False) -> np.ndarray | bool:
     """Mask of the document numbers in ``column``, and nulls where ``null`` allows."""
     ok = _kinds(column, {float, int, type(None)} if null else {float, int})
-    return ok is True or ok | np.fromiter(map(("inf", "-inf").__contains__, column), bool)
+    ok = ok is True or ok | np.fromiter(map(("inf", "-inf").__contains__, column), bool)
+    return ok & (int not in map(type, column) or np.fromiter(map(_fits, column), bool, len(column)))
 
 
 def _int_lists(column, count: int | None = None, null: bool = False) -> np.ndarray | bool:
@@ -380,7 +390,7 @@ def diagram_from_json(text: str) -> DiagramGraph:
         # costs a call per integer, so it is set only where such a token is
         neg_zero = re.search(r"-0(?![\d.eE])", text)
         doc = json.loads(text, parse_int=neg_zero and (lambda s: -0.0 if s == "-0" else int(s)))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise InputError(f"diagram JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("diagram JSON: top level must be an object")

@@ -18,8 +18,7 @@ from scipy.integrate import quad
 from gbpd import clip as gclip
 from gbpd import measure as gmeasure
 from gbpd.clip import flatten_pieces, loop_polygons
-from gbpd.conic import (ConicImplicit, eval_alpha_batch, line_points,
-                        param_of_alpha, points_at_alphas, wrap_angle)
+from gbpd.conic import ConicImplicit, line_points, points_at_alphas
 from gbpd.bisector import bisector_table, params_of_points
 from gbpd.diagram import (EDGE, EDGE_KINDS, LOOP, Vertex, _incidences, assemble_graph,
                           edge_intervals)
@@ -35,11 +34,37 @@ from gbpd.tolerances import (CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_AB
                              RES_REL, VERT_REL)
 
 
+# The one-value angle maps. Each applies per item the ufunc that the array
+# kernels of gbpd.conic apply (np.fmod, np.arctan, np.tan), so that the
+# references below can require bit-identical results; the kernels' check
+# against the scalar ``math`` functions is test_conic_angles.py.
+
+TWO_PI = 2.0 * math.pi
+
+
+def wrap_angle(alpha):
+    """Wrap to (-pi, pi]."""
+    a = float(np.fmod(alpha, TWO_PI))
+    if a > math.pi:
+        a -= TWO_PI
+    if a <= -math.pi:
+        a += TWO_PI
+    return a
+
+
 def alpha_of_param(t):
     """alpha = 2 atan(t); the infinite parameter maps to pi."""
     if math.isinf(t):
         return math.pi
-    return 2.0 * math.atan(t)
+    return 2.0 * float(np.arctan(t))
+
+
+def param_of_alpha(alpha):
+    """t = tan(alpha / 2); alpha = pi (after wrapping) maps to t = inf."""
+    a = wrap_angle(alpha)
+    if a == math.pi:
+        return math.inf
+    return float(np.tan(0.5 * a))
 
 
 def grid_conic_intersections(c1, c2, box, n=500, newton_iters=40):
@@ -176,7 +201,7 @@ def radical_center(p1, w1, p2, w2, p3, w3):
 
 def _sym2_eigh_scalar(m11, m12, m22):
     mean = 0.5 * (m11 + m22)
-    half_gap = math.hypot(0.5 * (m11 - m22), m12)
+    half_gap = float(np.hypot(0.5 * (m11 - m22), m12))
     lo, hi = mean - half_gap, mean + half_gap
     scale = max(abs(lo), abs(hi))
     if half_gap <= 1e-12 * scale or scale == 0.0:
@@ -184,7 +209,7 @@ def _sym2_eigh_scalar(m11, m12, m22):
     cand1 = np.array([m12, hi - m11])
     cand2 = np.array([hi - m22, m12])
     v = cand1 if cand1 @ cand1 >= cand2 @ cand2 else cand2
-    v = v / math.hypot(v[0], v[1])
+    v = v / np.hypot(v[0], v[1])
     v_lo = np.array([-v[1], v[0]])
     return np.array([lo, hi]), np.column_stack([v_lo, v])
 
@@ -602,8 +627,8 @@ def polish_vertices_scalar(vertices, implicits, length_scale):
         for pa, pb in itertools.combinations(pairs, 2):
             g1 = implicits[pa].gradient(x0, y0)
             g2 = implicits[pb].gradient(x0, y0)
-            n1 = math.hypot(g1[0], g1[1])
-            n2 = math.hypot(g2[0], g2[1])
+            n1 = float(np.hypot(g1[0], g1[1]))
+            n2 = float(np.hypot(g2[0], g2[1]))
             if n1 == 0.0 or n2 == 0.0:
                 continue
             sine = abs(g1[0] * g2[1] - g1[1] * g2[0]) / (n1 * n2)
@@ -624,7 +649,7 @@ def polish_vertices_scalar(vertices, implicits, length_scale):
                 break
             x += (-f1 * g2[1] + f2 * g1[1]) / det
             y += (f1 * g2[0] - f2 * g1[0]) / det
-        if math.isfinite(x) and math.isfinite(y) and math.hypot(x - x0, y - y0) <= max_step:
+        if math.isfinite(x) and math.isfinite(y) and np.hypot(x - x0, y - y0) <= max_step:
             v.pos = np.array([x, y])
 
 
@@ -679,7 +704,7 @@ def param_of_point_scalar(p, v, eps):
         x, y, u = homogeneous_at_scalar(p, t)
         if abs(u) <= DEN_REL * p.u_scale:
             continue
-        if math.hypot(x / u - v[0], y / u - v[1]) <= eps:
+        if np.hypot(x / u - v[0], y / u - v[1]) <= eps:
             accepted.append(_project_param_scalar(p, v, t))
     if not accepted:
         return None
@@ -827,9 +852,9 @@ def line_point_scalar(line, t):
 
 def _chart_of_alpha(alpha):
     a = wrap_angle(alpha)
-    if abs(a) <= 0.5 * math.pi:
-        return 0, math.tan(0.5 * a)
-    return 1, math.tan(0.5 * a - 0.5 * math.pi)
+    if abs(a) > 0.5 * math.pi:
+        return 1, float(np.tan(0.5 * a - 0.5 * math.pi))
+    return 0, float(np.tan(0.5 * a))
 
 
 def point_at_alpha_scalar(p, alpha):
@@ -954,9 +979,9 @@ def flatten_piece_scalar(graph, piece, ftol):
         fm = 0.5 * (f0 + f1)
         pm = piece_point_scalar(graph, piece, fm)
         chord = p1 - p0
-        n = math.hypot(chord[0], chord[1])
+        n = np.hypot(chord[0], chord[1])
         if n == 0.0:
-            dev = math.hypot(*(pm - p0))
+            dev = np.hypot(*(pm - p0))
         else:
             dev = abs(chord[0] * (pm[1] - p0[1]) - chord[1] * (pm[0] - p0[0])) / n
         if dev <= ftol:
@@ -1016,10 +1041,8 @@ def arc_representative_scalar(p, a_lo, a_hi, lo_singular, hi_singular, length_sc
 # ------------------------------------------------------------ edge objects
 #
 # The graph's edges as one object each, with the labels encoded and decoded
-# one edge at a time by scalar math calls: the bit-for-bit reference of the
-# EDGE record's array passes.
-
-TWO_PI = 2.0 * math.pi
+# one edge at a time by the one-value angle maps: the bit-for-bit reference
+# of the EDGE record's array passes.
 
 
 def curve_labels(a0, a1, ends):
@@ -1440,7 +1463,7 @@ def _gk15_columns(coef, u_scale, origin, lo, hi):
     scale = np.abs(half)
     coef = coef.copy()
     coef[:, :, :2] -= origin[:, None, :, None] * coef[:, :, 2:3]
-    x, y, vx, vy, cond = eval_alpha_batch(coef, u_scale, center[:, None] + half[:, None] * gmeasure._GK_X)
+    x, y, vx, vy, cond = gmeasure._arc_points(coef, u_scale, center[:, None] + half[:, None] * gmeasure._GK_X)
     res = np.empty((lo.size, 2))
     err = np.empty((lo.size, 2))
     eps = np.finfo(float).eps
@@ -1467,7 +1490,7 @@ def arc_measures_rounds(coef, u_scale, a0, a1):
     if n == 0:
         return out[:, 0], out[:, 1]
     ends = np.stack([np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)], axis=1)
-    px, py, *_ = eval_alpha_batch(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
+    px, py, *_ = gmeasure._arc_points(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
     origin = np.stack([px[:, 2], py[:, 2]], axis=1)
     shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
     arc, lo, hi = [], [], []
@@ -1839,7 +1862,7 @@ def loop_terms(pieces, loop, table):
                 length += s
                 continue
         else:
-            a, s = _chord_term(q0, q1), math.hypot(q1[0] - q0[0], q1[1] - q0[1])
+            a, s = _chord_term(q0, q1), np.hypot(q1[0] - q0[0], q1[1] - q0[1])
         if prev is not None:
             area += _chord_term(prev, q0)  # connector from the last piece's end
         else:
@@ -1920,8 +1943,8 @@ def sample_points(table, row, count=64, line_span=100.0):
             continue
         margin = 0.0 if closed else 0.02 * (hi[c] - lo[c])
         alpha = np.linspace(lo[c] + margin, hi[c] - margin, per, endpoint=not closed)
-        x, y, _, _, singular = points_at_alphas(np.repeat(table.chart[rows], per, axis=0),
-                                                np.full(per, table.u_scale[row]), alpha)
+        x, y, _, _, singular, _ = points_at_alphas(np.repeat(table.chart[rows], per, axis=0),
+                                                   np.full(per, table.u_scale[row]), alpha)
         if singular.any():
             raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
         pts.extend(np.column_stack([x, y]))
@@ -1975,7 +1998,11 @@ def _row_number(v, where):
     if type(v) is float:
         return v
     if type(v) is int:
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:
+            raise InputError(f"{where}: an integer beyond the floats where a number "
+                             "belongs") from None
     if v in ("inf", "-inf"):
         return float(v)
     raise InputError(f"{where}: {v!r} where a number belongs")

@@ -36,11 +36,9 @@ from gbpd.conic import (
     conic_matrices,
     homogeneous_at_params,
     line_points,
-    param_of_alpha,
     params_of_alphas,
     points_at_alphas,
     real_quadratic_roots_batch,
-    wrap_angle,
     wrap_angles,
 )
 from gbpd.diagram import (
@@ -80,6 +78,7 @@ from oracles import (
     line_point_scalar,
     mark_list,
     merge_params_scalar,
+    param_of_alpha,
     param_of_point_scalar,
     pencil_intersections_point_major,
     point_at_alpha_scalar,
@@ -94,6 +93,7 @@ from oracles import (
     split_component,
     two_nearest_point,
     velocity_at_alpha_scalar,
+    wrap_angle,
 )
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
@@ -551,7 +551,7 @@ def test_batched_angle_maps_match_scalar():
     s = float(hyp.singular[0])
     probe = np.concatenate([alpha, [alpha_of_param(-s), alpha_of_param(s)]])
     p = row_curve(hyp, 0)
-    x, y, vx, vy, singular = points_at_alphas(
+    x, y, vx, vy, singular, _ = points_at_alphas(
         np.repeat(hyp.chart, probe.size, axis=0), np.full(probe.size, p.u_scale), probe
     )
     assert singular[-2:].all()
@@ -591,8 +591,8 @@ def recovery_probes(table, k, rng):
     count, lo, _, closed = (a[0] for a in table.components(np.array([k])))
     ends = [] if closed else lo[:count].tolist()
     alpha = np.array([a + d for a in ends for d in (1e-2, -1e-2, 1e-3, -1e-3, 1e-4, -1e-4)])
-    x, y, _, _, singular = points_at_alphas(np.repeat(table.chart[[k]], alpha.size, axis=0),
-                                            np.full(alpha.size, table.u_scale[k]), alpha)
+    x, y, _, _, singular, _ = points_at_alphas(np.repeat(table.chart[[k]], alpha.size, axis=0),
+                                               np.full(alpha.size, table.u_scale[k]), alpha)
     pts += list(np.column_stack([x, y])[~singular])
     c = ConicImplicit(*table.implicit[k])
     off = []
@@ -723,10 +723,10 @@ def assert_polish_matches_scalar(gens, vertices, length_scale):
     """The batched polish of ``vertices`` on the table rows equals the scalar
     polish on the implicit conics of the same pairs, bit for bit."""
     table, pair_row = all_pairs(gens)
-    batch, scalar = copy.deepcopy(vertices), copy.deepcopy(vertices)
-    _polish_vertices(batch, table, *_incidences(batch, table, pair_row), length_scale)
+    batch, scalar = np.array([v.pos for v in vertices]), copy.deepcopy(vertices)
+    _polish_vertices(batch, table, *_incidences(vertices, table, pair_row), length_scale)
     polish_vertices_scalar(scalar, incident_implicits(table, pair_row, vertices), length_scale)
-    assert [bits(v.pos) for v in batch] == [bits(v.pos) for v in scalar]
+    assert [bits(p) for p in batch] == [bits(v.pos) for v in scalar]
 
 
 @given(scenes(), st.integers(0, 10_000))
@@ -897,7 +897,7 @@ def lopsided_case():
     limit = 2e6  # length_scale 1
 
     def reach(d):
-        x, y, _, _, singular = points_at_alphas(b.chart, b.u_scale, np.array([lo_alpha + d]))
+        x, y, _, _, singular, _ = points_at_alphas(b.chart, b.u_scale, np.array([lo_alpha + d]))
         assert not singular[0]
         return max(abs(x[0]), abs(y[0]))
 

@@ -21,14 +21,13 @@ from gbpd.conic import (
     ConicClass,
     charts_of_triples,
     classify_rows,
-    eval_alpha_batch,
     homogeneous_at_params,
-    param_of_alpha,
     points_at_alphas,
 )
+from gbpd.measure import arc_measures
 from gbpd.tolerances import DEN_REL
 
-from oracles import alpha_of_param, sample_points
+from oracles import alpha_of_param, param_of_alpha, sample_points
 
 CURVE_CODES = (ELLIPSE_CODE, HYPERBOLA_CODE, PARABOLA_CODE)
 
@@ -247,8 +246,8 @@ def test_eval_at_singular_parameter_raises():
     coef, u_scale = charts_of_triples(rows.triples), np.abs(rows.triples[:, 2]).sum(axis=1)
     alpha = alpha_of_param(-rows.singular[0])
     assert points_at_alphas(coef, u_scale, np.array([alpha]))[4][0]
-    with pytest.raises(SingularParameterError):
-        eval_alpha_batch(coef, u_scale, np.array([[alpha]]))
+    with pytest.raises(SingularParameterError, match="an alpha of the batch lies on the line"):
+        arc_measures(coef, u_scale, [alpha], [alpha + 0.5])
 
 
 def test_eval_random_conics_residual():
@@ -274,7 +273,7 @@ def circle_points_at_alphas(alpha):
     rows = classify_rows([(1.0, 0.0, 1.0, 4.0, 0.0, -4.0)])
     alpha = np.asarray(alpha, dtype=float)
     coef = np.repeat(charts_of_triples(rows.triples), alpha.size, axis=0)
-    x, y, vx, vy, singular = points_at_alphas(coef, np.full(alpha.size, np.abs(
+    x, y, vx, vy, singular, _ = points_at_alphas(coef, np.full(alpha.size, np.abs(
         rows.triples[0, 2]).sum()), alpha)
     assert not singular.any()
     return np.column_stack([x, y]), np.column_stack([vx, vy])
@@ -356,8 +355,8 @@ def branch_midpoints(b):
     count, lo, hi, closed = (a[0] for a in b.components(np.zeros(1, dtype=np.int64)))
     assert count == 2 and not closed
     alpha = 0.5 * (lo + hi)
-    x, y, _, _, singular = points_at_alphas(np.repeat(b.chart, 2, axis=0), np.repeat(b.u_scale, 2),
-                                            alpha)
+    x, y, _, _, singular, _ = points_at_alphas(np.repeat(b.chart, 2, axis=0),
+                                               np.repeat(b.u_scale, 2), alpha)
     assert not singular.any()
     return alpha, np.column_stack([x, y])
 

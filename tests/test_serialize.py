@@ -311,6 +311,35 @@ def test_malformed_documents_raise_input_error():
     with pytest.raises(InputError, match="at least one generator"):
         diagram_from_json('{"generators": [], "vertices": [], "edges": [], "adjacency": [], '
                           '"cells": []}')
+    # a number field holding an integer that no float can hold, in the column
+    # reader and in the row reference
+    doc = json.loads(diagram_to_json(build_diagram(random_scene("isotropic", 12, 1011, WINDOW))))
+    text = json.dumps(doc).replace(f'"px": {json.dumps(doc["generators"][1]["px"])}',
+                                   f'"px": {2**1024}', 1)
+    assert json.loads(text)["generators"][1]["px"] == 2**1024
+    for read in (diagram_from_json, lambda text: document_to_diagram_by_rows(json.loads(text))):
+        with pytest.raises(InputError, match=r"generators\[1\]: an integer beyond the floats"):
+            read(text)
+    # an integer of more digits than Python converts
+    with pytest.raises(InputError, match="digits"):
+        diagram_from_json(text.replace(str(2**1024), "1" * 5000))
+
+
+def test_generators_whose_bisector_terms_overflow_raise_input_error():
+    # a center at the float limit is finite, but its bisectors' coefficients
+    # are not: the reader and the build both name the pair
+    gens = random_scene("isotropic", 12, 1011, WINDOW)
+    doc = json.loads(diagram_to_json(build_diagram(gens)))
+    doc["generators"][1]["px"] = 1.7976931348623157e308
+    with pytest.raises(InputError, match=r"the bisector of generators \d+ and \d+ has "
+                                         r"coefficients beyond the floats"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        diagram_from_json(json.dumps(doc))
+    g = gens[1]
+    gens[1] = Generator(g.id, (1.7976931348623157e308, g.p[1]), g.M, g.w)
+    with pytest.raises(InputError, match=rf"the bisector of generators {gens[0].id} and {g.id} "
+                                         "has coefficients beyond the floats"):
+        build_diagram(gens)
 
 
 def test_nonfinite_vertex_rejected_on_write():
