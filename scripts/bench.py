@@ -10,7 +10,9 @@ benchmark's span tracer does) are recorded as the median and quartiles of
 those runs (s), and the sweep also as microseconds per triple. On the built
 graph the script then times, each as the median of --repeats runs in ms:
 the clip to the window, ``measure_cells`` of the clip, the analytic raster
-at 400x400, ``diagram_to_json`` and ``diagram_from_json``. It records the
+at 400x400, ``diagram_to_json`` and ``diagram_from_json``. It counts the
+Gauss-Kronrod passes of one ``measure_cells`` call (``measure_passes``,
+through a wrapper on ``gbpd.measure._gk15``). It records the
 graph's counts, the JSON's size in bytes and the process's peak RSS after
 the run, and, once, the machine: platform, CPU count, Python, numpy and
 scipy versions, numpy's SIMD baseline and the dispatch targets this machine
@@ -39,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import gbpd.diagram  # noqa: E402
+import gbpd.measure  # noqa: E402
 from gbpd.cli import random_scene  # noqa: E402
 from gbpd.clip import clip_to_window  # noqa: E402
 from gbpd.diagram import build_diagram  # noqa: E402
@@ -96,6 +99,19 @@ def timed_sweep(times: list):
     gbpd.diagram.vertex_candidates = wrapper
 
 
+def counted_passes(passes: list):
+    """Wrap ``gbpd.measure._gk15`` so that each Gauss-Kronrod pass appends
+    its piece count to ``passes``; ``arc_measures`` looks the name up at
+    each pass."""
+    gk15 = gbpd.measure._gk15
+
+    def wrapper(coef, u_scale, origin, lo, hi):
+        passes.append(lo.size)
+        return gk15(coef, u_scale, origin, lo, hi)
+
+    gbpd.measure._gk15 = wrapper
+
+
 def quartiles(values) -> list[float]:
     """The first quartile, median and third quartile of ``values``."""
     return np.percentile(values, [25, 50, 75]).tolist()
@@ -111,8 +127,9 @@ def median_ms(run, repeats: int):
     return 1e3 * statistics.median(times), out
 
 
-def bench(n: int, threads: int, repeats: int, sweep_times: list) -> dict:
-    """One run's record; ``sweep_times`` is the list that ``timed_sweep`` fills."""
+def bench(n: int, threads: int, repeats: int, sweep_times: list, passes: list) -> dict:
+    """One run's record; ``sweep_times`` and ``passes`` are the lists that
+    ``timed_sweep`` and ``counted_passes`` fill."""
     gens = random_scene("paper-random", n, SEED, WINDOW)
     build, sweep_times[:] = [], []
     for _ in range(repeats):
@@ -124,7 +141,10 @@ def bench(n: int, threads: int, repeats: int, sweep_times: list) -> dict:
     build_q, sweep_q = quartiles(build), quartiles(sweep_times)
     triples = math.comb(len(graph.generators) - len(graph.aliases), 3)
     clip_ms, cd = median_ms(lambda: clip_to_window(graph, WINDOW), repeats)
+    passes[:] = []
     measure_ms, _ = median_ms(lambda: measure_cells(cd), repeats)
+    if len(passes) % repeats:
+        raise RuntimeError(f"{repeats} measures made {len(passes)} quadrature passes")
     raster_ms, _ = median_ms(lambda: rasterize_cells(cd, RES, RES), repeats)
     to_json_ms, text = median_ms(lambda: diagram_to_json(graph), repeats)
     from_json_ms, _ = median_ms(lambda: diagram_from_json(text), repeats)
@@ -142,6 +162,7 @@ def bench(n: int, threads: int, repeats: int, sweep_times: list) -> dict:
         "sweep_us_per_triple": round(1e6 * sweep_q[1] / max(triples, 1), 4),
         "clip_ms": round(clip_ms, 3),
         "measure_ms": round(measure_ms, 3),
+        "measure_passes": len(passes) // repeats,
         "raster_ms": round(raster_ms, 3),
         "to_json_ms": round(to_json_ms, 3),
         "from_json_ms": round(from_json_ms, 3),
@@ -160,12 +181,14 @@ def main() -> int:
     args = ap.parse_args()
     sweep_times: list[float] = []
     timed_sweep(sweep_times)
+    passes: list[int] = []
+    counted_passes(passes)
 
     threads = sorted({1, os.cpu_count() or 1})
     runs = []
     for n in args.n:
         for t in threads:
-            runs.append(bench(n, t, args.repeats, sweep_times))
+            runs.append(bench(n, t, args.repeats, sweep_times, passes))
             print(json.dumps(runs[-1]), flush=True)
     out = Path(args.out or ROOT / f"BENCH_{args.label}.json")
     doc = {"label": args.label, "scene": f"paper-random, seed {SEED}, window 400x400",

@@ -276,10 +276,22 @@ def _check_vertex_rows(generators: list[Generator], pos: np.ndarray, gens: list)
     matrix norm: the build's (1 + |d|) slack, widened by a bound on the
     terms of the bisectors d_i - d_j in scene coordinates, so that a scene
     far from the origin reads back.
+
+    First, each generator's distance terms M p and p.M p - w, those of its
+    bisectors' coefficients, must be finite: a generator beyond them would
+    overflow the distances below, and its bisectors could not be built.
     """
     if not gens:
         return
     arr = SceneArrays(generators)
+    px, py = arr.px, arr.py
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = px * (arr.m11 * px + arr.m12 * py) + py * (arr.m12 * px + arr.m22 * py) - arr.w
+    far = np.flatnonzero(~np.isfinite(c))
+    if far.size:
+        k = int(far[0])
+        raise InputError(f"generators[{k}]: the distance of generator {arr.ids[k]} has "
+                         "coefficients beyond the floats")
     count = np.fromiter(map(len, gens), int, len(gens))
     ids = itertools.chain.from_iterable(gens)
     cols = np.fromiter(map(arr.id_to_index.get, ids, itertools.repeat(-1)), int, count.sum())

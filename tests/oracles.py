@@ -1433,20 +1433,23 @@ def rasterize_cells_per_row(cd, width, height):
 # The arc-measure kernel keeps its open pieces as one packed table and takes
 # the node sums of a round in stacked passes. This is the round loop it
 # replaced, which must give the same bits and the same QuadratureError: the
-# arcs cut at their chart breaks one by one, seven filtered and repeated
-# piece arrays, and one column pass per node sum. The caps are read from
-# gbpd.measure when the loop runs, so a test that patches them patches both.
+# arcs cut at the multiples of the cut step one by one, seven filtered and
+# repeated piece arrays, and one column pass per node sum. The caps and the
+# step are read from gbpd.measure when the loop runs, so a test that patches
+# them patches both.
 
 
-def _chart_breaks(a0, a1):
+def _grid_cuts(a0, a1):
+    """The multiples of ``gbpd.measure._CUT_STEP`` strictly inside (a0, a1)."""
+    step = gmeasure._CUT_STEP
     out = []
-    k = math.ceil((a0 - 0.5 * math.pi) / math.pi)
-    c = 0.5 * math.pi + k * math.pi
+    k = math.floor(a0 / step)
+    c = k * step
     while c < a1:
         if c > a0:
             out.append(c)
         k += 1
-        c = 0.5 * math.pi + k * math.pi
+        c = k * step
     return out
 
 
@@ -1495,7 +1498,7 @@ def arc_measures_rounds(coef, u_scale, a0, a1):
     shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
     arc, lo, hi = [], [], []
     for k in range(n):
-        cuts = [ends[k, 0], *_chart_breaks(ends[k, 0], ends[k, 1]), ends[k, 1]]
+        cuts = [ends[k, 0], *_grid_cuts(ends[k, 0], ends[k, 1]), ends[k, 1]]
         arc += [k] * (len(cuts) - 1)
         lo += cuts[:-1]
         hi += cuts[1:]

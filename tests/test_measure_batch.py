@@ -7,7 +7,9 @@ against the per-array round loop it replaced, check that a batch gives
 each arc the same bits as a batch of one, that the whole-
 diagram measure integrates every arc piece once and equals the per-cell
 measure bit for bit, and that an arc missing its error target raises
-QuadratureError.
+QuadratureError. They also check the cut made before the first pass (its
+pieces tile each arc on the step grid, chart breaks among the cuts) and
+count the passes it leaves on the benchmark scenes.
 """
 
 import math
@@ -132,6 +134,12 @@ def reload_scene():
     return clip_to_window(graph, Window(90.0, 100.0, 290.0, 300.0))
 
 
+@pytest.fixture(scope="module")
+def dense_scene():
+    """The dense benchmark scene (paper-random n=72, seed 42), clipped."""
+    return clip_to_window(build_diagram(random_scene("paper-random", 72, 42, WINDOW)), WINDOW)
+
+
 def test_small_batch_measures_without_warning_or_error(small_batch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -181,11 +189,35 @@ def test_each_arc_piece_integrated_once(reload_scene, monkeypatch):
     assert calls[0] == sorted((cd.pieces["a0"][pid], cd.pieces["a1"][pid]) for pid in set(uses))
 
 
-def test_benchmark_pieces_match_round_loop(small_batch, reload_query):
-    dense = clip_to_window(build_diagram(random_scene("paper-random", 72, 42, WINDOW)), WINDOW)
+def test_benchmark_pieces_match_round_loop(small_batch, dense_scene, reload_query):
     graph, windows = reload_query
-    for cd in [*small_batch, dense, *(clip_to_window(graph, w) for w in windows)]:
+    for cd in [*small_batch, dense_scene, *(clip_to_window(graph, w) for w in windows)]:
         assert_matches_round_loop(arc_pieces(cd))
+
+
+def test_benchmark_arcs_meet_target_in_few_passes(small_batch, dense_scene, reload_query,
+                                                  monkeypatch):
+    """Gauss-Kronrod passes per ``arc_measures`` call over the benchmark
+    scenes: with every arc cut on the step grid first, most calls finish in
+    two passes."""
+    graph, windows = reload_query
+    gk15, arc_calls, passes = gmeasure._gk15, gmeasure.arc_measures, []
+
+    def counted_pass(*args):
+        passes[-1] += 1
+        return gk15(*args)
+
+    def counted_call(*args):
+        passes.append(0)
+        return arc_calls(*args)
+
+    monkeypatch.setattr(gmeasure, "_gk15", counted_pass)
+    monkeypatch.setattr(gmeasure, "arc_measures", counted_call)
+    for cd in [*small_batch, dense_scene, *(clip_to_window(graph, w) for w in windows)]:
+        measure_cells(cd)
+    assert len(passes) >= 30  # the isotropic scenes have no arcs
+    assert np.median(passes) <= 2
+    assert max(passes) <= 4
 
 
 @pytest.mark.parametrize("cap", ["_MAX_DEPTH", "_MAX_PIECES"])
@@ -193,10 +225,12 @@ def test_unmet_error_target_raises(small_batch, monkeypatch, cap):
     assert issubclass(QuadratureError, GbpdError)
     assert QuadratureError.exit_code == 10
     monkeypatch.setattr(gmeasure, cap, 0)
+    # small_batch[1] (paper-random, seed 1011) has arcs that miss their
+    # target in the first pass, so each cap stops their first halving
     with pytest.raises(QuadratureError):
-        measure_cells(small_batch[0])
+        measure_cells(small_batch[1])
     # with the message of the round loop it replaced
-    arcs = list(zip(*arc_pieces(small_batch[0])))
+    arcs = list(zip(*arc_pieces(small_batch[1])))
     with pytest.raises(QuadratureError) as got:
         kernel(*arcs)
     with pytest.raises(QuadratureError) as ref:
@@ -347,3 +381,69 @@ def break_arcs(draw):
 @settings(max_examples=100, deadline=None)
 def test_hypothesis_break_arcs_match_round_loop(drawn):
     assert_matches_round_loop(drawn)
+
+
+@st.composite
+def grid_arcs(draw):
+    """(a0, a1) of an arc on a closed curve: a closed loop (-pi, pi), or an
+    arc whose ends are each a multiple of the cut step, a chart break
+    (alpha = pi/2 mod pi) or any alpha in [-2 pi, 2 pi], at most a turn long."""
+    step = gmeasure._CUT_STEP
+
+    def end():
+        kind = draw(st.sampled_from(["grid", "break", "any"]))
+        if kind == "grid":
+            return draw(st.integers(-32, 32)) * step
+        if kind == "break":
+            return 0.5 * math.pi + draw(st.integers(-2, 1)) * math.pi
+        return draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
+
+    if draw(st.integers(0, 5)) == 0:
+        return -math.pi, math.pi
+    a0 = end()
+    a1 = a0 + draw(st.floats(0.0, 2.0 * math.pi, exclude_min=True))
+    if draw(st.booleans()):
+        # end on the first grid point or break past a0 + span
+        if draw(st.booleans()):
+            a1 = math.ceil(a1 / step) * step
+        else:
+            a1 = 0.5 * math.pi + math.ceil((a1 - 0.5 * math.pi) / math.pi) * math.pi
+    return (a0, a1) if a0 < a1 else (a0, a0 + step)
+
+
+@given(grid_arcs())
+@example((-math.pi, math.pi))
+@example((0.0, 3.0 * math.pi / 16))
+@example((0.5 * math.pi, 1.5 * math.pi))
+@example((0.1, 0.1 + 31.5 * math.pi / 16))
+@settings(max_examples=200, deadline=None)
+def test_hypothesis_first_pass_pieces_tile_the_grid(ends):
+    """The pieces of the first Gauss-Kronrod pass, seen through a wrapper on
+    ``_gk15``: they tile [a0, a1] in alpha order, none is longer than the cut
+    step, and every chart break inside the arc is a cut."""
+    a0, a1 = ends
+    step = gmeasure._CUT_STEP
+    curve = fixed_hard_arcs(0.0)[0][0]  # an ellipse: every alpha is on the curve
+    gk15, first = gmeasure._gk15, []
+
+    def recorded(coef, u_scale, origin, lo, hi):
+        if not first:
+            first.append((lo.copy(), hi.copy()))
+        return gk15(coef, u_scale, origin, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gmeasure, "_gk15", recorded)
+        kernel([curve], [a0], [a1])
+    lo, hi = first[0]
+    assert lo[0] == a0 and hi[-1] == a1
+    assert np.array_equal(lo[1:], hi[:-1])
+    assert (lo < hi).all()
+    # each cut is a product k step, rounded once
+    ulps = 4.0 * np.spacing(max(abs(a0), abs(a1)))
+    assert (hi - lo <= step + ulps).all()
+    cuts = lo[1:]
+    k = math.ceil((a0 - 0.5 * math.pi) / math.pi)
+    while (b := 0.5 * math.pi + k * math.pi) < a1 - ulps:
+        if b > a0 + ulps:
+            assert cuts.size and np.abs(cuts - b).min() <= ulps, (b, cuts)
+        k += 1

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,20 +327,26 @@ def test_malformed_documents_raise_input_error():
 
 
 def test_generators_whose_bisector_terms_overflow_raise_input_error():
-    # a center at the float limit is finite, but its bisectors' coefficients
-    # are not: the reader and the build both name the pair
+    # a center at the float limit is finite, but its distance's terms and its
+    # bisectors' coefficients are not: the readers name the generator before
+    # the vertex check would overflow, without a warning, and the build names
+    # the pair
     gens = random_scene("isotropic", 12, 1011, WINDOW)
     doc = json.loads(diagram_to_json(build_diagram(gens)))
     doc["generators"][1]["px"] = 1.7976931348623157e308
-    with pytest.raises(InputError, match=r"the bisector of generators \d+ and \d+ has "
-                                         r"coefficients beyond the floats"), \
-            np.errstate(over="ignore", invalid="ignore"):
-        diagram_from_json(json.dumps(doc))
-    g = gens[1]
-    gens[1] = Generator(g.id, (1.7976931348623157e308, g.p[1]), g.M, g.w)
-    with pytest.raises(InputError, match=rf"the bisector of generators {gens[0].id} and {g.id} "
-                                         "has coefficients beyond the floats"):
-        build_diagram(gens)
+    message = (rf"generators\[1\]: the distance of generator {gens[1].id} has coefficients "
+               "beyond the floats")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=message):
+            diagram_from_json(json.dumps(doc))
+        with pytest.raises(InputError, match=message):
+            document_to_diagram_by_rows(doc)
+        g = gens[1]
+        gens[1] = Generator(g.id, (1.7976931348623157e308, g.p[1]), g.M, g.w)
+        with pytest.raises(InputError, match=rf"the bisector of generators {gens[0].id} and "
+                                             f"{g.id} has coefficients beyond the floats"):
+            build_diagram(gens)
 
 
 def test_nonfinite_vertex_rejected_on_write():
