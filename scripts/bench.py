@@ -23,6 +23,7 @@ has (see ``simd_targets``), and the line count of ``src/``.
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -101,13 +102,14 @@ def timed_sweep(times: list):
 
 def counted_passes(passes: list):
     """Wrap ``gbpd.measure._gk15`` so that each Gauss-Kronrod pass appends
-    its piece count to ``passes``; ``arc_measures`` looks the name up at
-    each pass."""
+    its piece count, the size of its argument ``lo``, to ``passes``;
+    ``arc_measures`` looks the name up at each pass."""
     gk15 = gbpd.measure._gk15
+    bind = inspect.signature(gk15).bind
 
-    def wrapper(coef, u_scale, origin, lo, hi):
-        passes.append(lo.size)
-        return gk15(coef, u_scale, origin, lo, hi)
+    def wrapper(*args, **kwargs):
+        passes.append(bind(*args, **kwargs).arguments["lo"].size)
+        return gk15(*args, **kwargs)
 
     gbpd.measure._gk15 = wrapper
 

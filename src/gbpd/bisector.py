@@ -16,12 +16,11 @@ array operations, classifies all of them with one stacked
 bisector in array form (``conic.classify_rows``). The result is a
 :class:`BisectorTable`, one array row per pair, and it is the only form a
 bisector takes: the diagram build reads it, and a diagram graph keeps the
-rows of its edges (``BisectorTable.take``). Every array step repeats the
-one-pair operation order, with ``math`` functions per entry where numpy
-rounds differently, and steps that go through BLAS or LAPACK use the
-stacked form of the same call, so a pair gets the same floats whatever
-batch it is in. :func:`make_bisector` is a one-row table and
-:func:`bisector_implicit` the implicit conic of one pair.
+rows of its edges (``BisectorTable.take``). Every array step applies
+elementwise numpy ufuncs in the one-pair operation order, and steps that
+go through BLAS or LAPACK use the stacked form of the same call, so a pair
+gets the same floats whatever batch it is in. :func:`make_bisector` is a
+one-row table and :func:`bisector_implicit` the implicit conic of one pair.
 
 A row's connected components are arrays too (``BisectorTable.components``):
 curve components are arcs of the circular alpha domain delimited by
@@ -31,10 +30,9 @@ a component of its own.
 
 :func:`params_of_points` recovers the curve parameters of many (curve,
 point) pairs at once: root solving, the acceptance tests, Gauss-Newton
-projection and duplicate merging all run as array operations, with
-``math`` functions per entry where numpy rounds differently, so every
-parameter is the float the one-point form gives. :func:`param_of_point` is
-a batch of one.
+projection and duplicate merging all run as array operations of
+elementwise ufuncs, so every parameter is the float the one-point form
+gives. :func:`param_of_point` is a batch of one.
 
 Nothing in the package calls :func:`make_bisector` or :func:`param_of_point`
 (nor ``diagram.visible_segments``): the benchmark's span tracer patches them
@@ -264,7 +262,7 @@ def _project_params(coef, u_scale, v, t) -> np.ndarray:
     have = np.zeros(rows.size, dtype=bool)  # best_d2 holds a value
     live = np.ones(rows.size, dtype=bool)
     for step in range(4):
-        x, y, dvx, dvy, singular, _ = points_at_alphas(coef, u_scale, alpha)
+        x, y, dvx, dvy, singular = points_at_alphas(coef, u_scale, alpha)
         live &= ~singular
         rx, ry = vx - x, vy - y
         d2 = rx * rx + ry * ry

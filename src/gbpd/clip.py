@@ -205,7 +205,7 @@ def _piece_rows(graph: DiagramGraph, rows: np.ndarray, lines: np.ndarray,
     table = graph.table
     if arcs.size:
         at = rows[arcs]
-        *xyv, singular[arcs], _ = points_at_alphas(table.chart[at], table.u_scale[at], param[arcs])
+        *xyv, singular[arcs] = points_at_alphas(table.chart[at], table.u_scale[at], param[arcs])
         out[arcs] = np.column_stack(xyv)
     if segments.size:
         coef = table.lines[rows[segments], lines[segments]]

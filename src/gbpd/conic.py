@@ -26,10 +26,10 @@ particular t = inf is never singular.
 Conics are classified and represented as arrays only: ``classify_rows``
 gives the class codes, coefficient triples, singular parameters and lines
 of P conics at once (``ConicRows``), and every evaluation (quadratic roots,
-homogeneous points at parameters, points and velocities at alphas, line
-points) is a kernel over rows of numpy ufuncs. The one-value forms of
-these evaluations, which the kernels must equal bit for bit, are test
-references (tests/oracles.py).
+homogeneous points at parameters, points and velocities at alphas, areas
+of arc pieces, line points) is a kernel over rows of numpy ufuncs. The
+one-value forms of the root and point evaluations, which the kernels must
+equal bit for bit, are test references (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -247,13 +247,9 @@ def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray):
     ``u_scale[k]``: after wrapping to (-pi, pi], chart 0 at s = tan(alpha/2)
     for |alpha| <= pi/2, chart 1 at s = tan(alpha/2 - pi/2) otherwise. Each
     value is computed elementwise, so it does not depend on the others.
-    Returns (x, y, vx, vy, singular, cond), each shaped as ``alpha``.
+    Returns (x, y, vx, vy, singular), each shaped as ``alpha``.
     ``singular`` marks the alphas on the line at infinity (denominator
     within DEN_REL u_scale of zero), whose values are not to be used.
-    ``cond`` is the condition number of the denominator u^ at s, the sum of
-    its terms' magnitudes over |u^|: where it is large, u^ cancels, and the
-    rounding of its chart rows' values grows by that factor relative to
-    those values.
     """
     a = wrap_angles(alpha)
     far = np.abs(a) > _HALF_PI
@@ -263,9 +259,52 @@ def points_at_alphas(coef: np.ndarray, u_scale: np.ndarray, alpha: np.ndarray):
     c = np.where(far[..., None, None], coef[:, 1], coef[:, 0])
     x, y, u, dx, dy, du = _chart_rows(c, s)
     singular = np.abs(u) <= DEN_REL * np.reshape(u_scale, lead)
-    u_terms = (np.abs(c[..., 2, 0] * s) + np.abs(c[..., 2, 1])) * np.abs(s) + np.abs(c[..., 2, 2])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (*_point_velocity(x, y, u, dx, dy, du, s), singular, u_terms / np.abs(u))
+        return (*_point_velocity(x, y, u, dx, dy, du, s), singular)
+
+
+# (-1)^n (2n + 2)/(2n + 3), n = 16 down to 0: the series of `piece_areas`
+# in q = k^2/D^2, whose next term is below eps relative for |q| < 1/10
+_SERIES = [(-1) ** n * (2 * n + 2) / (2 * n + 3) for n in range(16, -1, -1)]
+
+
+def piece_areas(coef: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Contour integrals (1/2) int (x dy - y dx) of N conic pieces, in closed form.
+
+    Piece k runs from alpha ``a0[k]`` to ``a1[k]`` on conic ``coef[k]``
+    (N, 2, 3, 3) within the chart of its mid alpha, s0 <= s1 there, and
+    reaches no singular parameter. It is its chord term (x0 y1 - y0 x1)/2
+    plus the segment between chord and curve, which in the Bezier form of
+    the piece (Farin, "Curves and Surfaces for CAGD", on conics) is
+    det(H0, B, H1) E/2: H0, H1 are the homogeneous ends and B the blossom
+    H(s0, s1), signed so that U0 > 0, and with D = B_u and k^2 = U0 U1 - D^2,
+
+        E = (theta/k - D/(U0 U1))/k^2,
+
+    theta = atan2(k, D) on an ellipse (k^2 > 0) and theta/k =
+    atanh(|k|/D)/|k| on a hyperbola (k^2 < 0, where D > 0). Where D > 0 and
+    |k^2| < D^2/10, parabolas among them, E is the series sum_n (-1)^n
+    (2n + 2)/(2n + 3) (k^2/D^2)^n / D^3. As U = u0 + u2 s^2 has no linear
+    term, k^2 = u0 u2 (s1 - s0)^2, and det(H0, B, H1) = -det(C) (s1 - s0)^3
+    / 2 for the chart rows C, so neither cancels on a short piece.
+    """
+    a = wrap_angles(np.stack([a0, a1, 0.5 * (a0 + a1)]))
+    far = np.abs(a[2]) > _HALF_PI
+    s0, s1 = np.tan(0.5 * a[:2] - np.where(far, _HALF_PI, 0.0))
+    c = np.where(far[:, None, None], coef[:, 1], coef[:, 0])
+    (x0, y0, u0, *_), (x1, y1, u1, *_) = (_chart_rows(c, s) for s in (s0, s1))
+    sign = np.where(u0 < 0.0, -1.0, 1.0)
+    d = sign * (c[:, 2, 0] * (s0 * s1) + c[:, 2, 2])
+    w = s1 - s0
+    k2 = c[:, 2, 0] * c[:, 2, 2] * (w * w)
+    bulge = -0.25 * sign * (c[:, 2] * np.cross(c[:, 0], c[:, 1])).sum(axis=1) * (w * w * w)
+    k = np.sqrt(np.abs(k2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(k2 > 0.0, np.arctan2(k, d), np.arctanh(k / d))
+        closed = (theta / k - d / (u0 * u1)) / k2
+        e = np.where((d > 0.0) & (np.abs(k2) < 0.1 * d * d),
+                     np.polyval(_SERIES, k2 / (d * d)) / (d * d * d), closed)
+    return 0.5 * (x0 / u0 * (y1 / u1) - y0 / u0 * (x1 / u1)) + bulge * e
 
 
 # ---------------------------------------------------------- classification

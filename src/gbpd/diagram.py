@@ -309,7 +309,7 @@ def _curve_representatives(
             break
         m, a = mid[open_], anchor[open_]
         alpha = np.where(a != m, a + (m - a) * 0.5**level, m)
-        x, y, _, _, singular, _ = points_at_alphas(coef[open_], u_scale[open_], alpha)
+        x, y, _, _, singular = points_at_alphas(coef[open_], u_scale[open_], alpha)
         with np.errstate(invalid="ignore"):
             sane = np.isfinite(x) & np.isfinite(y) & (np.maximum(np.abs(x), np.abs(y)) <= limit)
         ok = ~singular & (whole[open_] | sane)

@@ -6,22 +6,19 @@ outer loops contribute positive area and holes negative, and the per-piece
 terms reduce to the familiar vertex shoelace plus curved-bulge corrections.
 Lengths are the integral of the parametric speed.
 
-Every curved piece is integrated once per call, in one batched kernel
+Every curved piece is measured once per call, in one batched kernel
 (`arc_measures`), on the chart rows of its edge in the graph's bisector
-table: all arcs are first cut at every multiple of pi/16 strictly inside
-them (the chart breaks pi/2 + k pi among them), and each round evaluates the
-area and speed integrands of every open piece at the 15 Gauss-Kronrod nodes
-in one array pass. The error of a piece is QUADPACK's embedded
-Kronrod-minus-Gauss estimate, floored at 50 eps times the integral of |f|
-for rounding. An arc is done when the summed estimates of its pieces meet
-max(QUAD_ABS, 1e-12 |I|) for both integrals, or for the area the rounding
-floor of its integrand where that is larger (see `_gk15`); until then its
-pieces with the largest estimates are halved. Most arcs meet the target in
-the first pass; on the benchmark scenes a call takes a median of 2 passes
-and at most 4. An arc that misses the target after 30 halvings of a piece,
-or past 200 pieces, raises QuadratureError instead of returning an
-unconverged value; the halvings are counted from the cut pieces, and the
-cut pieces count toward the 200.
+table. All arcs are first cut at every multiple of pi/16 strictly inside
+them (the chart breaks pi/2 + k pi among them), and the area term of each
+cut piece has a closed form (`conic.piece_areas`). The length, an elliptic
+integral, is adaptive Gauss-Kronrod quadrature of the speed: each round
+evaluates every open piece at the 15 nodes in one array pass, and an arc is
+done when the summed QUADPACK estimates of its pieces meet max(QUAD_ABS,
+1e-12 |I|); until then its pieces with the largest estimates are halved.
+On the benchmark scenes a call takes a median of 2 passes and at most 4. An
+arc that misses the target after 30 halvings of a piece, or past 200 pieces
+(the cut pieces count), raises QuadratureError instead of returning an
+unconverged value.
 
 Every cell is measured from one loop representation, the clip record of
 `clip.py`: PIECE rows, and per cell its loops as runs of directed
@@ -54,7 +51,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401
 
 from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_polygons, piece_points
-from .conic import ELLIPSE_CODE, points_at_alphas
+from .conic import ELLIPSE_CODE, piece_areas, points_at_alphas
 from .diagram import LOOP, DiagramGraph
 from .errors import (InputError, NonFiniteSegmentError, QuadratureError, SingularParameterError,
                      UnboundedCellError)
@@ -101,10 +98,8 @@ _GK_WG0 = 0.417959183673469387755102040816327
 _GK_X = np.array([-x for x in _GK_XP] + [0.0] + list(reversed(_GK_XP)))
 _GK_WK = (*_GK_WKP, _GK_WK0, *reversed(_GK_WKP))
 _GK_WG = (*_GK_WGP, _GK_WG0, *reversed(_GK_WGP))
-# weights of the stacked node sums of `_gk15`: the floor term, then the
-# Kronrod and |f| sums of both integrands, then their Gauss sums
-_GK_W7 = np.array([_GK_WK] * 5 + [_GK_WG] * 2)
-_EPS = np.finfo(float).eps
+# the Kronrod and Gauss weights, as the rows of `_column_sums`
+_GK_W = np.array([_GK_WK, _GK_WG])
 
 # an arc that still misses its error target when one of its pieces has been
 # halved _MAX_DEPTH times, or when it has _MAX_PIECES pieces, raises
@@ -115,106 +110,80 @@ _MAX_PIECES = 200
 
 def _arc_points(coef, u_scale, alpha):
     """``points_at_alphas`` of arcs, which reach no singular parameter: one
-    that does raises SingularParameterError. Returns (x, y, vx, vy, cond)."""
-    x, y, vx, vy, singular, cond = points_at_alphas(coef, u_scale, alpha)
+    that does raises SingularParameterError. Returns (x, y, vx, vy)."""
+    x, y, vx, vy, singular = points_at_alphas(coef, u_scale, alpha)
     if singular.any():
         raise SingularParameterError("an alpha of the batch lies on the line at infinity")
-    return x, y, vx, vy, cond
+    return x, y, vx, vy
 
 
-def _gk15(coef, u_scale, origin, lo, hi) -> np.ndarray:
-    """Kronrod values, QUADPACK error estimates and rounding floor of the M
-    intervals [lo, hi], as rows (M, 5): area and speed values, their
-    estimates, and the floor of the area integral. The area integrand is
-    taken about ``origin`` (M, 2), and ``coef`` holds the chart rows already
-    shifted to it (x^ - o_x u^ and y^ - o_y u^).
+def _gk15(coef, u_scale, lo, hi) -> np.ndarray:
+    """Kronrod values and QUADPACK error estimates of the speed integral
+    over the M intervals [lo, hi], as rows (M, 2).
 
-    The shifted chart rows' rounding, over u^, puts eps |o| cond on x and y
-    (cond from ``points_at_alphas``), so the area integrand (x y' - y x') / 2
-    carries eps cond (|o_x y'| + |o_y x'|) / 2 of noise that no halving
-    removes. The floor is 50 times its integral, as QUADPACK floors an
-    estimate at 50 eps times the integral of |f|.
-
-    The seven node sums that need only the integrands (the floor term, and
-    the Kronrod, |f| and Gauss sums of both integrands) are one
-    ``_column_sums`` pass over a stacked (7, M, 15) array, and the two
-    residual sums that need the Kronrod values a second (2, M, 15) pass.
+    The Kronrod and Gauss sums are one ``_column_sums`` pass, and the
+    residual sum that needs the Kronrod value a second. The speed is not
+    negative, so the Kronrod sum is also QUADPACK's sum of |f|.
     """
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     scale = np.abs(half)
-    x, y, vx, vy, cond = _arc_points(coef, u_scale, center[:, None] + half[:, None] * _GK_X)
-    f = np.stack([0.5 * (x * vy - y * vx), np.hypot(vx, vy)])
-    shifted = 0.5 * cond * (np.abs(origin[:, 0:1] * vy) + np.abs(origin[:, 1:2] * vx))
-    sums = _column_sums(np.stack([shifted, *f, *np.abs(f), *f]), _GK_W7)
-    rnd, resk, resabs, resg = sums[0], sums[1:3], sums[3:5], sums[5:]
-    resasc = _column_sums(np.abs(f - 0.5 * resk[:, :, None]), _GK_W7[1:3]) * scale
-    resabs *= scale
+    _, _, vx, vy = _arc_points(coef, u_scale, center[:, None] + half[:, None] * _GK_X)
+    f = np.hypot(vx, vy)
+    resk, resg = _column_sums(f, _GK_W)
+    resasc = _column_sums(np.abs(f - 0.5 * resk[:, None]), _GK_W[:1])[0] * scale
     e = np.abs(resk - resg) * scale
     nz = (resasc != 0.0) & (e != 0.0)
     e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
-    return np.column_stack([*(resk * half), *np.maximum(e, 50.0 * _EPS * resabs),
-                            50.0 * _EPS * rnd * scale])
+    return np.column_stack([resk * half,
+                            np.maximum(e, 50.0 * np.finfo(float).eps * (resk * scale))])
 
 
 def _column_sums(f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sums (S, M) of the node values f (S, M, 15) with the weights w (S, 15),
+    """Sums (S, M) of the node values f (M, 15) with the weights w (S, 15),
     column by column, so each row's sum is the same whatever the batch."""
-    acc = w[:, 0, None] * f[:, :, 0]
+    acc = w[:, 0, None] * f[:, 0]
     for k in range(1, 15):
-        acc = acc + w[:, k, None] * f[:, :, k]
+        acc = acc + w[:, k, None] * f[:, k]
     return acc
 
 
 def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
-    """Signed areas and lengths of many conic arcs, integrated together.
+    """Signed areas and lengths of many conic arcs, computed together.
 
     Arc k runs from alpha ``a0[k]`` to ``a1[k]`` along the curve with chart
     triples ``coef[k]`` ((N, 2, 3, 3), as a bisector table's ``chart`` rows)
-    and denominator scale ``u_scale[k]``. Its area term is the integral of
-    (x y' - y x')/2. It is integrated about the arc's mid-alpha point m, and
-    shifted back by m x (end - start) / 2. Its length is the integral of the
-    speed. Both integrands are evaluated from chart rows shifted to m, so
-    neither loses digits to cancellation where the arc is far from the
-    origin. An arc is done once the summed error estimates of its pieces
-    meet max(QUAD_ABS, 1e-12 |I|) for both integrals, the area's target
-    raised to the summed rounding floor of its pieces where that is larger
-    (far out, with a chord pointing nearly at the origin, the area about m
-    is below the rounding of its integrand); until then its pieces whose
-    estimate exceeds an equal share of that target (and always its worst
-    piece) are halved. Decisions and sums are per arc, so an arc's result
-    does not depend on the rest of the batch. An arc that would need a
-    piece halved more than _MAX_DEPTH times, or more than _MAX_PIECES
-    pieces, raises QuadratureError.
+    and denominator scale ``u_scale[k]``. Both measures use the chart rows
+    shifted to the arc's mid-alpha point m, so neither loses digits to
+    cancellation far from the origin. The arcs are cut in one array pass at
+    every multiple of _CUT_STEP strictly inside (a0, a1), chart breaks among
+    them. The area term, the integral of (x y' - y x')/2, is the sum of the
+    cut pieces' ``piece_areas`` about m, shifted back by m x (end - start)/2.
 
-    Before the first pass, the arcs are cut in one array pass at every
-    multiple k _CUT_STEP (pi/16) strictly inside (a0, a1), which includes
-    their chart breaks (alpha = pi/2 + k pi); a piece is then at most pi/16
-    long, and most arcs meet their targets in that pass. The depth of a cut
-    piece is 0, and the cut pieces count toward _MAX_PIECES. The open
-    pieces are one float table (lo, hi, two values, two estimates, floor)
-    and one int table (arc, depth), grouped by arc in alpha order. A round
-    evaluates the pieces just made in one pass of the Gauss-Kronrod 7-15
-    rule, sums them per arc, then drops the pieces of finished arcs in one
-    filter and halves the pieces to split in one repeat.
+    The length is integrated in rounds on a float table (lo, hi, value,
+    estimate) and an int table (arc, depth) of the open pieces, grouped by
+    arc in alpha order, starting from the cut pieces at depth 0. A round
+    evaluates the new pieces in one Gauss-Kronrod 7-15 pass; an arc is done
+    once its pieces' summed estimates meet max(QUAD_ABS, 1e-12 |I|), and
+    otherwise its pieces whose estimate exceeds an equal share of that
+    target, and always its worst piece, are halved. Decisions and sums are
+    per arc, so an arc's result does not depend on the batch. An arc that
+    would need a piece halved more than _MAX_DEPTH times, or more than
+    _MAX_PIECES pieces, raises QuadratureError.
     """
     coef, u_scale = np.asarray(coef, dtype=float), np.asarray(u_scale, dtype=float)
     n = u_scale.size
-    out = np.zeros((n, 2))
+    length = np.zeros(n)
     if n == 0:
-        return out[:, 0], out[:, 1]
+        return length, length
     a0, a1 = np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
     ends = np.stack([a0, a1], axis=1)
-    # the area is integrated about the arc's mid-alpha point m; the shift
-    # back to the coordinate origin is m x (end - start) / 2
     px, py, *_ = _arc_points(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
-    origin = np.stack([px[:, 2], py[:, 2]], axis=1)
     shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
     # chart rows relative to m: x^ - m_x u^ and y^ - m_y u^ give the point
     # relative to m directly; subtracting after the division would leave the
     # velocity (dx u - x du) to cancel where x is far larger than x - m_x
     coef = coef.copy()
-    coef[:, :, :2] -= origin[:, None, :, None] * coef[:, :, 2:3]
+    coef[:, :, :2] -= np.stack([px[:, 2], py[:, 2]], axis=1)[:, None, :, None] * coef[:, :, 2:3]
     # try j of arc k is (k0 + j) step, k0 = floor(a0 / step); floor(span /
     # step) + 2 tries reach every multiple of the step before a1
     k0 = np.floor(a0 / _CUT_STEP)
@@ -228,57 +197,50 @@ def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
     start = np.cumsum(per_arc) - per_arc
     arc = np.repeat(np.arange(n), per_arc)
     joint = np.flatnonzero(arc[1:] == arc[:-1])  # pieces that end on a cut
-    table = np.empty((arc.size, 7))  # lo, hi, area, length, area est, length est, floor
+    table = np.empty((arc.size, 4))  # lo, hi, length, estimate
     table[start, 0] = a0
     table[start + per_arc - 1, 1] = a1
     table[joint, 1] = table[joint + 1, 0] = cut[inner]
+    # bincount adds each arc's pieces in array order, which is alpha order
+    area = np.bincount(arc, piece_areas(coef[arc], table[:, 0], table[:, 1]), n) + shift
     ints = np.column_stack([arc, np.zeros_like(arc)])  # arc, depth
-    table[:, 2:] = _gk15(coef[arc], u_scale[arc], origin[arc], table[:, 0], table[:, 1])
+    fresh = np.arange(arc.size)  # the pieces to evaluate
     while True:
+        of = ints[fresh, 0]
+        table[fresh, 2:] = _gk15(coef[of], u_scale[of], table[fresh, 0], table[fresh, 1])
         arc = ints[:, 0]
-        # bincount adds each arc's pieces in array order, which is alpha order
-        sums = np.stack([np.bincount(arc, table[:, j], n) for j in range(2, 7)], axis=1)
-        tot, est = sums[:, :2], sums[:, 2:4]
-        tot[:, 0] += shift
+        tot, est = np.bincount(arc, table[:, 2], n), np.bincount(arc, table[:, 3], n)
         target = np.maximum(QUAD_ABS, 1e-12 * np.abs(tot))
-        # no halving lowers an area estimate below the rounding of its integrand
-        target[:, 0] = np.maximum(target[:, 0], sums[:, 4])
         short = est > target
         live = np.flatnonzero(np.bincount(arc, None, n) > 0)
-        fin = live[~short[live].any(axis=1)]
-        out[fin] = tot[fin]
+        fin = live[~short[live]]
+        length[fin] = tot[fin]
         if fin.size == live.size:
-            return out[:, 0], out[:, 1]
-        keep = short[arc].any(axis=1)
+            return area, length
+        keep = short[arc]
         table, ints = table[keep], ints[keep]
-        arc, depth, err = ints[:, 0], ints[:, 1], table[:, 4:6]
+        arc, depth, err = ints[:, 0], ints[:, 1], table[:, 3]
         count = np.bincount(arc, None, n)
-        # the worst estimates of each arc, over its run of pieces
+        # the worst estimate of each arc, over its run of pieces
         runs = count[count > 0]
-        worst = np.repeat(np.maximum.reduceat(err, np.cumsum(runs) - runs, axis=0), runs, axis=0)
-        share = (target / np.maximum(count, 1)[:, None])[arc]
-        split = (short[arc] & ((err > share) | (err == worst))).any(axis=1)
+        worst = np.repeat(np.maximum.reduceat(err, np.cumsum(runs) - runs), runs)
+        split = (err > (target / np.maximum(count, 1))[arc]) | (err == worst)
         pieces = count + np.bincount(arc, split, n)
         over = split & ((depth >= _MAX_DEPTH) | (pieces[arc] > _MAX_PIECES))
         if over.any():
             k = int(arc[over][0])
             raise QuadratureError(
                 f"arc {k} (alpha {float(ends[k, 0])!r} to {float(ends[k, 1])!r}) misses its error "
-                f"target: estimates {est[k].tolist()}, targets {target[k].tolist()}, "
+                f"target: estimate {float(est[k])!r}, target {float(target[k])!r}, "
                 f"depth {int(depth[arc == k].max())}, {int(pieces[k])} pieces"
             )
         # each split piece becomes its two halves, in place
         rep = np.where(split, 2, 1)
         table, ints = np.repeat(table, rep, axis=0), np.repeat(ints, rep, axis=0)
         first = np.flatnonzero(split) + np.arange(int(split.sum()))
-        mid = 0.5 * (table[first, 0] + table[first, 1])
-        table[first, 1] = mid
-        table[first + 1, 0] = mid
+        table[first, 1] = table[first + 1, 0] = 0.5 * (table[first, 0] + table[first, 1])
         fresh = np.concatenate([first, first + 1])
         ints[fresh, 1] += 1
-        of = ints[fresh, 0]
-        table[fresh, 2:] = _gk15(coef[of], u_scale[of], origin[of], table[fresh, 0],
-                                 table[fresh, 1])
 
 
 # -------------------------------------------------------------- edge length

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from gbpd import clip as gclip
 from gbpd import measure as gmeasure
 from gbpd.clip import flatten_pieces, loop_polygons
-from gbpd.conic import ConicImplicit, line_points, points_at_alphas
+from gbpd.conic import ConicImplicit, line_points, piece_areas, points_at_alphas
 from gbpd.bisector import bisector_table, params_of_points
 from gbpd.diagram import (EDGE, EDGE_KINDS, LOOP, Vertex, _incidences, assemble_graph,
                           edge_intervals)
@@ -736,9 +736,14 @@ def merge_params_scalar(accepted):
 
 
 def _quad_over_arc(f, a0, a1):
-    """scipy quad on [a0, a1], told about the chart breaks alpha = pi/2 mod pi."""
+    """scipy quad on [a0, a1], told about the chart breaks alpha = pi/2 mod pi
+    that are more than 1e-9 of the span from both ends: a break closer than
+    that would leave QUADPACK an interval of a few ulps, where it reports bad
+    integrand behaviour and stops before it converges elsewhere."""
     k = math.ceil((a0 - 0.5 * math.pi) / math.pi)
-    breaks = [c for c in (0.5 * math.pi + (k + i) * math.pi for i in range(8)) if a0 < c < a1]
+    tol = 1e-9 * (a1 - a0)
+    breaks = [c for c in (0.5 * math.pi + (k + i) * math.pi for i in range(8))
+              if a0 + tol < c < a1 - tol]
     val, _ = quad(f, a0, a1, points=breaks or None, limit=200,
                   epsabs=QUAD_ABS, epsrel=1e-12)
     return val
@@ -1460,42 +1465,39 @@ def _node_sum(f, w):
     return acc
 
 
-def _gk15_columns(coef, u_scale, origin, lo, hi):
+def _gk15_columns(coef, u_scale, lo, hi):
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     scale = np.abs(half)
-    coef = coef.copy()
-    coef[:, :, :2] -= origin[:, None, :, None] * coef[:, :, 2:3]
-    x, y, vx, vy, cond = gmeasure._arc_points(coef, u_scale, center[:, None] + half[:, None] * gmeasure._GK_X)
-    res = np.empty((lo.size, 2))
-    err = np.empty((lo.size, 2))
+    _, _, vx, vy = gmeasure._arc_points(coef, u_scale,
+                                        center[:, None] + half[:, None] * gmeasure._GK_X)
     eps = np.finfo(float).eps
     wk, wg = gmeasure._GK_WK, gmeasure._GK_WG
-    shifted = 0.5 * cond * (np.abs(origin[:, 0:1] * vy) + np.abs(origin[:, 1:2] * vx))
-    floor = 50.0 * eps * _node_sum(shifted, wk) * scale
-    for j, f in enumerate((0.5 * (x * vy - y * vx), np.hypot(vx, vy))):
-        resk = _node_sum(f, wk)
-        resabs = _node_sum(np.abs(f), wk) * scale
-        resasc = _node_sum(np.abs(f - 0.5 * resk[:, None]), wk) * scale
-        e = np.abs(resk - _node_sum(f, wg)) * scale
-        nz = (resasc != 0.0) & (e != 0.0)
-        e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
-        res[:, j] = resk * half
-        err[:, j] = np.maximum(e, 50.0 * eps * resabs)
-    return res, err, floor
+    f = np.hypot(vx, vy)
+    resk = _node_sum(f, wk)
+    resabs = _node_sum(np.abs(f), wk) * scale
+    resasc = _node_sum(np.abs(f - 0.5 * resk[:, None]), wk) * scale
+    e = np.abs(resk - _node_sum(f, wg)) * scale
+    nz = (resasc != 0.0) & (e != 0.0)
+    e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
+    return resk * half, np.maximum(e, 50.0 * eps * resabs)
 
 
 def arc_measures_rounds(coef, u_scale, a0, a1):
-    """``gbpd.measure.arc_measures`` as a loop of per-array rounds (reference)."""
+    """``gbpd.measure.arc_measures`` as a loop of per-array rounds (reference):
+    the areas from ``piece_areas`` of the cut pieces, the lengths by rounds
+    of Gauss-Kronrod passes."""
     coef, u_scale = np.asarray(coef, dtype=float), np.asarray(u_scale, dtype=float)
     n = u_scale.size
-    out = np.zeros((n, 2))
+    length = np.zeros(n)
     if n == 0:
-        return out[:, 0], out[:, 1]
+        return length, length
     ends = np.stack([np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)], axis=1)
     px, py, *_ = gmeasure._arc_points(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
-    origin = np.stack([px[:, 2], py[:, 2]], axis=1)
     shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
+    coef = coef.copy()
+    coef[:, :, 0] -= px[:, 2, None, None] * coef[:, :, 2]
+    coef[:, :, 1] -= py[:, 2, None, None] * coef[:, :, 2]
     arc, lo, hi = [], [], []
     for k in range(n):
         cuts = [ends[k, 0], *_grid_cuts(ends[k, 0], ends[k, 1]), ends[k, 1]]
@@ -1503,39 +1505,35 @@ def arc_measures_rounds(coef, u_scale, a0, a1):
         lo += cuts[:-1]
         hi += cuts[1:]
     arc, lo, hi = np.array(arc), np.array(lo), np.array(hi)
+    area = np.bincount(arc, piece_areas(coef[arc], lo, hi), n) + shift
     depth = np.zeros(arc.size, dtype=int)
-    res, err, rnd = _gk15_columns(coef[arc], u_scale[arc], origin[arc], lo, hi)
+    res, err = _gk15_columns(coef[arc], u_scale[arc], lo, hi)
     while True:
-        tot = np.stack([np.bincount(arc, res[:, j], n) for j in (0, 1)], axis=1)
-        tot[:, 0] += shift
-        est = np.stack([np.bincount(arc, err[:, j], n) for j in (0, 1)], axis=1)
+        tot, est = np.bincount(arc, res, n), np.bincount(arc, err, n)
         target = np.maximum(QUAD_ABS, 1e-12 * np.abs(tot))
-        target[:, 0] = np.maximum(target[:, 0], np.bincount(arc, rnd, n))
         short = est > target
         live = np.unique(arc)
-        fin = live[~short[live].any(axis=1)]
-        out[fin] = tot[fin]
+        fin = live[~short[live]]
+        length[fin] = tot[fin]
         if fin.size == live.size:
-            return out[:, 0], out[:, 1]
-        keep = short[arc].any(axis=1)
-        arc, lo, hi, depth, res, err, rnd = (v[keep] for v in (arc, lo, hi, depth, res, err, rnd))
+            return area, length
+        keep = short[arc]
+        arc, lo, hi, depth, res, err = (v[keep] for v in (arc, lo, hi, depth, res, err))
         count = np.bincount(arc, None, n)
-        worst = np.zeros((n, 2))
+        worst = np.zeros(n)
         np.maximum.at(worst, arc, err)
-        share = (target / np.maximum(count, 1)[:, None])[arc]
-        split = (short[arc] & ((err > share) | (err == worst[arc]))).any(axis=1)
+        split = (err > (target / np.maximum(count, 1))[arc]) | (err == worst[arc])
         pieces = count + np.bincount(arc, split, n)
         over = split & ((depth >= gmeasure._MAX_DEPTH) | (pieces[arc] > gmeasure._MAX_PIECES))
         if over.any():
             k = int(arc[over][0])
             raise QuadratureError(
                 f"arc {k} (alpha {float(ends[k, 0])!r} to {float(ends[k, 1])!r}) misses its error "
-                f"target: estimates {est[k].tolist()}, targets {target[k].tolist()}, "
+                f"target: estimate {float(est[k])!r}, target {float(target[k])!r}, "
                 f"depth {int(depth[arc == k].max())}, {int(pieces[k])} pieces"
             )
         rep = np.where(split, 2, 1)
-        arc, lo, hi, depth, res, err, rnd = (np.repeat(v, rep, axis=0)
-                                             for v in (arc, lo, hi, depth, res, err, rnd))
+        arc, lo, hi, depth, res, err = (np.repeat(v, rep) for v in (arc, lo, hi, depth, res, err))
         first = np.repeat(split, rep)
         first[first] = np.tile([True, False], int(split.sum()))
         second = np.roll(first, 1)
@@ -1544,8 +1542,8 @@ def arc_measures_rounds(coef, u_scale, a0, a1):
         lo[second] = mid
         fresh = first | second
         depth[fresh] += 1
-        res[fresh], err[fresh], rnd[fresh] = _gk15_columns(
-            coef[arc[fresh]], u_scale[arc[fresh]], origin[arc[fresh]], lo[fresh], hi[fresh])
+        res[fresh], err[fresh] = _gk15_columns(coef[arc[fresh]], u_scale[arc[fresh]], lo[fresh],
+                                               hi[fresh])
 
 
 # ---------------------------------------------------------- object clip
@@ -1946,8 +1944,8 @@ def sample_points(table, row, count=64, line_span=100.0):
             continue
         margin = 0.0 if closed else 0.02 * (hi[c] - lo[c])
         alpha = np.linspace(lo[c] + margin, hi[c] - margin, per, endpoint=not closed)
-        x, y, _, _, singular, _ = points_at_alphas(np.repeat(table.chart[rows], per, axis=0),
-                                                   np.full(per, table.u_scale[row]), alpha)
+        x, y, _, _, singular = points_at_alphas(np.repeat(table.chart[rows], per, axis=0),
+                                                np.full(per, table.u_scale[row]), alpha)
         if singular.any():
             raise SingularParameterError(f"alpha={alpha[singular][0]} lies on the line at infinity")
         pts.extend(np.column_stack([x, y]))

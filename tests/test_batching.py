@@ -551,7 +551,7 @@ def test_batched_angle_maps_match_scalar():
     s = float(hyp.singular[0])
     probe = np.concatenate([alpha, [alpha_of_param(-s), alpha_of_param(s)]])
     p = row_curve(hyp, 0)
-    x, y, vx, vy, singular, _ = points_at_alphas(
+    x, y, vx, vy, singular = points_at_alphas(
         np.repeat(hyp.chart, probe.size, axis=0), np.full(probe.size, p.u_scale), probe
     )
     assert singular[-2:].all()
@@ -591,8 +591,8 @@ def recovery_probes(table, k, rng):
     count, lo, _, closed = (a[0] for a in table.components(np.array([k])))
     ends = [] if closed else lo[:count].tolist()
     alpha = np.array([a + d for a in ends for d in (1e-2, -1e-2, 1e-3, -1e-3, 1e-4, -1e-4)])
-    x, y, _, _, singular, _ = points_at_alphas(np.repeat(table.chart[[k]], alpha.size, axis=0),
-                                               np.full(alpha.size, table.u_scale[k]), alpha)
+    x, y, _, _, singular = points_at_alphas(np.repeat(table.chart[[k]], alpha.size, axis=0),
+                                            np.full(alpha.size, table.u_scale[k]), alpha)
     pts += list(np.column_stack([x, y])[~singular])
     c = ConicImplicit(*table.implicit[k])
     off = []
@@ -897,7 +897,7 @@ def lopsided_case():
     limit = 2e6  # length_scale 1
 
     def reach(d):
-        x, y, _, _, singular, _ = points_at_alphas(b.chart, b.u_scale, np.array([lo_alpha + d]))
+        x, y, _, _, singular = points_at_alphas(b.chart, b.u_scale, np.array([lo_alpha + d]))
         assert not singular[0]
         return max(abs(x[0]), abs(y[0]))
 

@@ -273,7 +273,7 @@ def circle_points_at_alphas(alpha):
     rows = classify_rows([(1.0, 0.0, 1.0, 4.0, 0.0, -4.0)])
     alpha = np.asarray(alpha, dtype=float)
     coef = np.repeat(charts_of_triples(rows.triples), alpha.size, axis=0)
-    x, y, vx, vy, singular, _ = points_at_alphas(coef, np.full(alpha.size, np.abs(
+    x, y, vx, vy, singular = points_at_alphas(coef, np.full(alpha.size, np.abs(
         rows.triples[0, 2]).sum()), alpha)
     assert not singular.any()
     return np.column_stack([x, y]), np.column_stack([vx, vy])
@@ -355,8 +355,8 @@ def branch_midpoints(b):
     count, lo, hi, closed = (a[0] for a in b.components(np.zeros(1, dtype=np.int64)))
     assert count == 2 and not closed
     alpha = 0.5 * (lo + hi)
-    x, y, _, _, singular, _ = points_at_alphas(np.repeat(b.chart, 2, axis=0),
-                                               np.repeat(b.u_scale, 2), alpha)
+    x, y, _, _, singular = points_at_alphas(np.repeat(b.chart, 2, axis=0),
+                                            np.repeat(b.u_scale, 2), alpha)
     assert not singular.any()
     return alpha, np.column_stack([x, y])
 

@@ -101,8 +101,8 @@ def test_concentric_hole_loops():
     piece = cd.pieces[pid]
     a = piece["a0"] + 0.25 * (piece["a1"] - piece["a0"])
     rows = [piece["edge"]]
-    x, y, vx, vy, singular, _ = points_at_alphas(d.table.chart[rows], d.table.u_scale[rows],
-                                                 np.array([a]))
+    x, y, vx, vy, singular = points_at_alphas(d.table.chart[rows], d.table.u_scale[rows],
+                                              np.array([a]))
     assert not singular[0]
     q, v = (x[0], y[0]), np.array([vx[0], vy[0]])
     if not fwd:

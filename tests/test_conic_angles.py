@@ -46,7 +46,7 @@ def chart_s(alpha):
     rows = np.zeros((3, 3))
     rows[0, 1] = rows[2, 2] = 1.0
     coef = np.broadcast_to(rows, (alpha.size, 2, 3, 3))
-    x, _, _, _, singular, _ = points_at_alphas(coef, np.ones(alpha.size), alpha)
+    x, _, _, _, singular = points_at_alphas(coef, np.ones(alpha.size), alpha)
     x2 = points_at_alphas(coef[:1], np.ones(1), alpha[None])[0][0]
     assert not singular.any()
     assert x.tobytes() == x2.tobytes()

@@ -80,8 +80,8 @@ def test_concentric_pair_closed_loop_edge():
     assert len(d.edges) == 1
     assert kinds(d.edges) == ["loop"]
     assert CLASSES[d.table.code[0]] is ConicClass.ELLIPSE
-    x, y, _, _, singular, _ = points_at_alphas(d.table.chart[[0]], d.table.u_scale[[0]],
-                                               np.array([0.7]))
+    x, y, _, _, singular = points_at_alphas(d.table.chart[[0]], d.table.u_scale[[0]],
+                                            np.array([0.7]))
     assert not singular[0]
     assert math.hypot(x[0], y[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -235,8 +235,8 @@ def test_edge_midpoints_are_two_nearest():
         rows = [e.id]
         if e.is_curve():
             span = e.a1 - e.a0
-            x, y, _, _, singular, _ = points_at_alphas(d.table.chart[rows], d.table.u_scale[rows],
-                                                       np.array([e.a0 + 0.37 * span]))
+            x, y, _, _, singular = points_at_alphas(d.table.chart[rows], d.table.u_scale[rows],
+                                                    np.array([e.a0 + 0.37 * span]))
             q = np.array([x[0], y[0]])
             if singular[0] or not np.all(np.isfinite(q)) or np.abs(q).max() > 1e7:
                 continue

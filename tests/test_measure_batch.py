@@ -1,15 +1,18 @@
 """The batched arc-measure kernel against scalar quadrature and against itself.
 
-`arc_measures` integrates the area term and the length of many conic arcs
-in one Gauss-Kronrod pass per round. These tests check it against the
-scalar `scipy.integrate.quad` reference in `oracles.py` and, bit for bit,
-against the per-array round loop it replaced, check that a batch gives
-each arc the same bits as a batch of one, that the whole-
-diagram measure integrates every arc piece once and equals the per-cell
-measure bit for bit, and that an arc missing its error target raises
-QuadratureError. They also check the cut made before the first pass (its
-pieces tile each arc on the step grid, chart breaks among the cuts) and
-count the passes it leaves on the benchmark scenes.
+`arc_measures` takes the area term of many conic arcs in closed form and
+integrates their lengths in one Gauss-Kronrod pass per round. These tests
+check it against the scalar `scipy.integrate.quad` reference in
+`oracles.py` and, bit for bit, against the per-array round loop it
+replaced, check that a batch gives each arc the same bits as a batch of
+one, that the whole-diagram measure integrates every arc piece once and
+equals the per-cell measure bit for bit, and that an arc missing its error
+target raises QuadratureError. They also check the cut made before the
+first pass (its pieces tile each arc on the step grid, chart breaks among
+the cuts) and count the passes it leaves on the benchmark scenes. Last,
+they check the closed form of `conic.piece_areas` without quadrature, on a
+full ellipse and on parabola pieces, and against quad at the edges of its
+branches.
 """
 
 import math
@@ -21,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbpd import measure as gmeasure
-from gbpd.bisector import make_bisector
+from gbpd.bisector import bisector_implicit, make_bisector
 from gbpd.cli import PRESETS, random_scene
 from gbpd.clip import clip_to_window
 from gbpd.conic import (
@@ -31,6 +34,8 @@ from gbpd.conic import (
     PARABOLA_CODE,
     ConicClass,
     charts_of_triples,
+    piece_areas,
+    points_at_alphas,
 )
 from gbpd.diagram import build_diagram
 from gbpd.errors import GbpdError, QuadratureError
@@ -300,10 +305,19 @@ FAR_RADIAL_ARCS = [
      -0.7997701823809498, -0.7996725541848584),
 ]
 
+# three quarters of an ellipse 1e6 out, ending 1.2e-14 past the chart break
+# pi/2: the quad reference once split there and stopped short of its target
+BREAK_END_ARC = (RowCurve((82496.0936202986, -190.13954682916204, 24065.06639164154),
+                          (82482.74733171608, -6.276454682446506, 24086.828976583507),
+                          (0.08245986302589567, 0.0, 0.02407096595768609),
+                          0.08245986302589567 + 0.02407096595768609),
+                 -math.pi, 1.5707963267949123)
+
 
 @given(st.lists(arcs(), min_size=1, max_size=4))
 @example(FAR_RADIAL_ARCS[:1])
 @example(FAR_RADIAL_ARCS[1:])
+@example([BREAK_END_ARC])
 @settings(max_examples=120, deadline=None)
 def test_hypothesis_arcs_match_quad_and_batch_of_one(drawn):
     drawn = [arc for arc in drawn if arc is not None]
@@ -426,10 +440,10 @@ def test_hypothesis_first_pass_pieces_tile_the_grid(ends):
     curve = fixed_hard_arcs(0.0)[0][0]  # an ellipse: every alpha is on the curve
     gk15, first = gmeasure._gk15, []
 
-    def recorded(coef, u_scale, origin, lo, hi):
+    def recorded(coef, u_scale, lo, hi):
         if not first:
             first.append((lo.copy(), hi.copy()))
-        return gk15(coef, u_scale, origin, lo, hi)
+        return gk15(coef, u_scale, lo, hi)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gmeasure, "_gk15", recorded)
@@ -447,3 +461,84 @@ def test_hypothesis_first_pass_pieces_tile_the_grid(ends):
         if b > a0 + ulps:
             assert cuts.size and np.abs(cuts - b).min() <= ulps, (b, cuts)
         k += 1
+
+
+# ------------------------------------------------------- closed-form areas
+
+
+def test_full_ellipse_loop_area_from_its_implicit_conic():
+    """A full loop of an elliptic bisector encloses -pi det(M3)/det(A)^(3/2)
+    of its implicit conic (normalized to trace(A) > 0), from every start."""
+    g0, g1 = (Generator(0, np.array([0.0, 0.0]), SymMat2(2.0, 0.3, 1.0), 1.0),
+              Generator(1, np.array([3.0, 1.0]), SymMat2(1.0, 0.1, 0.5), 0.0))
+    b = make_bisector(g0, g1)
+    assert b.code[0] == ELLIPSE_CODE
+    m3 = bisector_implicit(g0, g1).matrix3()
+    m3 *= np.sign(np.trace(m3[:2, :2]))
+    enclosed = -math.pi * np.linalg.det(m3) / np.linalg.det(m3[:2, :2]) ** 1.5
+    for a0 in (-math.pi, -0.3, 2.0):
+        area, _ = arc_measures(b.chart, b.u_scale, [a0], [a0 + 2.0 * math.pi])
+        assert abs(abs(area[0]) - enclosed) <= 1e-13 * enclosed, a0
+
+
+def test_parabola_segment_is_two_thirds_of_its_control_triangle():
+    """Archimedes: on a parabolic bisector, a piece's term minus its chord
+    term is 2/3 of the triangle of its ends and the meeting point of their
+    tangents. The chart rows' denominator has a double root, so k^2 = 0 and
+    the series of ``piece_areas`` gives the term."""
+    b = make_bisector(Generator(0, np.array([0.0, 0.0]), SymMat2(2.0, 0.0, 1.0), 0.0),
+                      Generator(1, np.array([1.0, 2.0]), SymMat2(1.0, 0.0, 1.0), 0.5))
+    assert b.code[0] == PARABOLA_CODE
+    a0, a1 = np.array([0.3, -1.2, 2.0, -2.9]), np.array([0.9, -0.4, 2.5, -2.0])
+    terms = piece_areas(np.repeat(b.chart, a0.size, axis=0), a0, a1)
+    x, y, vx, vy, singular = points_at_alphas(np.repeat(b.chart, a0.size, axis=0),
+                                              np.repeat(b.u_scale, a0.size), np.stack([a0, a1], 1))
+    assert not singular.any()
+    cx, cy = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+    # the tangents meet at p0 + lam v0, with lam = (chord x v1)/(v0 x v1)
+    lam = (cx * vy[:, 1] - cy * vx[:, 1]) / (vx[:, 0] * vy[:, 1] - vy[:, 0] * vx[:, 1])
+    triangle = 0.5 * lam * (vx[:, 0] * cy - vy[:, 0] * cx)
+    segment = terms - 0.5 * (x[:, 0] * y[:, 1] - y[:, 0] * x[:, 1])
+    assert np.all(np.abs(segment - 2.0 / 3.0 * triangle) <= 1e-13 * np.abs(triangle))
+
+
+def offset_curve(xq, yq, uq, dx=0.3, dy=-0.2):
+    """The RowCurve of the chart-0 triples xq, yq, uq moved by (dx, dy)."""
+    return RowCurve(tuple(x + dx * u for x, u in zip(xq, uq)),
+                    tuple(y + dy * u for y, u in zip(yq, uq)), uq, sum(map(abs, uq)))
+
+
+def series_ratio(curve, a0, a1):
+    """(D, k^2/D^2) of the chart-0 piece (a0, a1) of ``curve``, whose U has no t term."""
+    s0, s1 = math.tan(0.5 * a0), math.tan(0.5 * a1)
+    u2, _, u0 = curve.uq
+    d = u0 + u2 * s0 * s1
+    return d, u0 * u2 * (s1 - s0) ** 2 / (d * d)
+
+
+def test_closed_form_at_the_branch_edges_matches_quad():
+    """Synthetic chart-0 pieces at the edges of the branches of
+    ``piece_areas``: a circle with u0/u2 = 1e-6 whose piece has D < 0 and
+    |k^2| < D^2/10 (the arctangent, not the series, holds there), and an
+    ellipse and a hyperbola piece with |k^2|/D^2 just below and just above
+    1/10 (series and closed form), against scalar quadrature."""
+    eps = 1e-6
+    circle = offset_curve((1.0, 0.0, -eps), (0.0, 2.0 * math.sqrt(eps), 0.0), (1.0, 0.0, eps))
+    pieces = [(circle, -0.5 * math.pi, 0.5 * math.pi)]
+    d, q = series_ratio(*pieces[0])
+    assert d < 0.0 and abs(q) < 0.1
+    ellipse = offset_curve((-1.0, 0.0, 1.0), (0.0, 2.0, 0.0), (1.0, 0.0, 1.0))
+    hyperbola = offset_curve((1.0, 0.0, 1.0), (0.0, 2.0, 0.0), (-1.0, 0.0, 1.0))
+    for side in (1.0 - 1e-6, 1.0 + 1e-6):
+        # on the unit circle |q| = tan^2 a1, on x^2 - y^2 = 1 sin^2 a1, for (-a1, a1)
+        for curve, a1 in ((ellipse, math.atan(math.sqrt(0.1 * side))),
+                          (hyperbola, math.asin(math.sqrt(0.1 * side)))):
+            d, q = series_ratio(curve, -a1, a1)
+            assert d > 0.0 and (abs(q) < 0.1) == (side < 1.0)
+            pieces.append((curve, -a1, a1))
+    curves, a0, a1 = zip(*pieces)
+    coef = charts_of_triples([(c.xq, c.yq, c.uq) for c in curves])
+    terms = piece_areas(coef, np.array(a0), np.array(a1))
+    for (curve, lo, hi), term in zip(pieces, terms):
+        ref = quad_arc_area(curve, lo, hi)
+        assert abs(term - ref) <= 1e-12 * max(1.0, abs(ref)), (curve, lo, hi, term, ref)
