@@ -11,19 +11,27 @@ those runs (s), and the sweep also as microseconds per triple. On the built
 graph the script then times, each as the median of --repeats runs in ms:
 the clip to the window, ``measure_cells`` of the clip, the analytic raster
 at 400x400, ``diagram_to_json`` and ``diagram_from_json``. It counts the
-Gauss-Kronrod passes of one ``measure_cells`` call (``measure_passes``,
-through a wrapper on ``gbpd.measure._gk15``). It records the
+arcs that one ``measure_cells`` call measures (``measure_arcs``, through a
+wrapper on ``gbpd.measure.arc_measures``). It records the
 graph's counts, the JSON's size in bytes and the process's peak RSS after
 the run, and, once, the machine: platform, CPU count, Python, numpy and
 scipy versions, numpy's SIMD baseline and the dispatch targets this machine
 has (see ``simd_targets``), and the line count of ``src/``.
 
+With --against REV the script compares two trees instead: it checks REV
+out into a temporary ``git worktree``, then runs itself --rounds times on
+each tree, in fresh processes that alternate between the trees (this tree
+first in even rounds, REV first in odd ones). The file holds, per tree and
+per (n, threads) run, the median and quartiles over the rounds of every
+number that one run records. --tree benchmarks the ``src/`` of another
+checkout; --against passes it to the runs of REV.
+
     python scripts/bench.py --label main          # writes BENCH_main.json
     python scripts/bench.py --n 50 --out /tmp/bench.json
+    python scripts/bench.py --n 300 --against HEAD~1 --rounds 5 --out /tmp/cmp.json
 """
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -32,6 +40,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,7 +48,17 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+
+
+def _tree() -> Path:
+    """The checkout whose ``src/`` this run imports: --tree, else this one."""
+    ap = argparse.ArgumentParser(add_help=False)
+    ap.add_argument("--tree", type=Path, default=ROOT)
+    return ap.parse_known_args()[0].tree.resolve()
+
+
+TREE = _tree() if __name__ == "__main__" else ROOT
+sys.path.insert(0, str(TREE / "src"))
 
 import gbpd.diagram  # noqa: E402
 import gbpd.measure  # noqa: E402
@@ -68,7 +87,7 @@ def simd_targets() -> tuple[list[str], list[str]]:
 
 def machine() -> dict:
     baseline, dispatch = simd_targets()
-    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=TREE,
                             capture_output=True, text=True).stdout.strip()
     return {
         "commit": commit or None,
@@ -81,7 +100,7 @@ def machine() -> dict:
         "simd_dispatch": dispatch,
         "npy_disable_cpu_features": os.environ.get("NPY_DISABLE_CPU_FEATURES"),
         "src_lines": sum(len(path.read_text(encoding="utf-8").splitlines())
-                         for path in sorted((ROOT / "src" / "gbpd").glob("*.py"))),
+                         for path in sorted((TREE / "src" / "gbpd").glob("*.py"))),
     }
 
 
@@ -100,18 +119,16 @@ def timed_sweep(times: list):
     gbpd.diagram.vertex_candidates = wrapper
 
 
-def counted_passes(passes: list):
-    """Wrap ``gbpd.measure._gk15`` so that each Gauss-Kronrod pass appends
-    its piece count, the size of its argument ``lo``, to ``passes``;
-    ``arc_measures`` looks the name up at each pass."""
-    gk15 = gbpd.measure._gk15
-    bind = inspect.signature(gk15).bind
+def counted_arcs(arcs: list):
+    """Wrap ``gbpd.measure.arc_measures`` so that each call appends its arc
+    count to ``arcs``; the measure looks the name up at each call."""
+    measures = gbpd.measure.arc_measures
 
-    def wrapper(*args, **kwargs):
-        passes.append(bind(*args, **kwargs).arguments["lo"].size)
-        return gk15(*args, **kwargs)
+    def wrapper(coef, u_scale, a0, a1):
+        arcs.append(len(a0))
+        return measures(coef, u_scale, a0, a1)
 
-    gbpd.measure._gk15 = wrapper
+    gbpd.measure.arc_measures = wrapper
 
 
 def quartiles(values) -> list[float]:
@@ -129,9 +146,9 @@ def median_ms(run, repeats: int):
     return 1e3 * statistics.median(times), out
 
 
-def bench(n: int, threads: int, repeats: int, sweep_times: list, passes: list) -> dict:
-    """One run's record; ``sweep_times`` and ``passes`` are the lists that
-    ``timed_sweep`` and ``counted_passes`` fill."""
+def bench(n: int, threads: int, repeats: int, sweep_times: list, arcs: list) -> dict:
+    """One run's record; ``sweep_times`` and ``arcs`` are the lists that
+    ``timed_sweep`` and ``counted_arcs`` fill."""
     gens = random_scene("paper-random", n, SEED, WINDOW)
     build, sweep_times[:] = [], []
     for _ in range(repeats):
@@ -143,10 +160,8 @@ def bench(n: int, threads: int, repeats: int, sweep_times: list, passes: list) -
     build_q, sweep_q = quartiles(build), quartiles(sweep_times)
     triples = math.comb(len(graph.generators) - len(graph.aliases), 3)
     clip_ms, cd = median_ms(lambda: clip_to_window(graph, WINDOW), repeats)
-    passes[:] = []
+    arcs[:] = []
     measure_ms, _ = median_ms(lambda: measure_cells(cd), repeats)
-    if len(passes) % repeats:
-        raise RuntimeError(f"{repeats} measures made {len(passes)} quadrature passes")
     raster_ms, _ = median_ms(lambda: rasterize_cells(cd, RES, RES), repeats)
     to_json_ms, text = median_ms(lambda: diagram_to_json(graph), repeats)
     from_json_ms, _ = median_ms(lambda: diagram_from_json(text), repeats)
@@ -164,7 +179,7 @@ def bench(n: int, threads: int, repeats: int, sweep_times: list, passes: list) -
         "sweep_us_per_triple": round(1e6 * sweep_q[1] / max(triples, 1), 4),
         "clip_ms": round(clip_ms, 3),
         "measure_ms": round(measure_ms, 3),
-        "measure_passes": len(passes) // repeats,
+        "measure_arcs": sum(arcs) // repeats,
         "raster_ms": round(raster_ms, 3),
         "to_json_ms": round(to_json_ms, 3),
         "from_json_ms": round(from_json_ms, 3),
@@ -174,27 +189,75 @@ def bench(n: int, threads: int, repeats: int, sweep_times: list, passes: list) -
     }
 
 
+def summary(runs: list[list[dict]]) -> list[dict]:
+    """Per (n, threads) run, the median and quartiles over the rounds
+    ``runs`` (one list of run records per round) of each number in them."""
+    out = []
+    for records in zip(*runs):
+        row = {"n": records[0]["n"], "threads": records[0]["threads"], "rounds": len(records)}
+        for key, value in records[0].items():
+            if key not in row and isinstance(value, (int, float)):
+                q = quartiles([r[key] for r in records])
+                row[key] = {"median": q[1], "quartiles": [q[0], q[2]]}
+        out.append(row)
+    return out
+
+
+def against(rev: str, args) -> dict:
+    """Both trees' summaries: REV from a temporary worktree, this tree, in
+    alternating fresh processes of this script."""
+    with tempfile.TemporaryDirectory() as tmp:
+        other = Path(tmp) / "against"
+        subprocess.run(["git", "worktree", "add", "--detach", str(other), rev], cwd=ROOT,
+                       check=True, capture_output=True)
+        trees = {"this": ROOT, rev: other}
+        runs: dict[str, list] = {side: [] for side in trees}
+        try:
+            for k in range(args.rounds):
+                for side in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
+                    out = Path(tmp) / f"round-{k}-{len(runs[side])}-{side == 'this'}.json"
+                    subprocess.run([sys.executable, __file__, "--tree", str(trees[side]), "--n",
+                                    *map(str, args.n), "--repeats", str(args.repeats), "--out",
+                                    str(out)], check=True, stdout=subprocess.DEVNULL)
+                    runs[side].append(json.loads(out.read_text(encoding="utf-8"))["runs"])
+                print(f"round {k + 1} of {args.rounds} done", flush=True)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(other)], cwd=ROOT,
+                           capture_output=True)
+    return {side: summary(rounds) for side, rounds in runs.items()}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", default="local", help="file name label: BENCH_<label>.json")
     ap.add_argument("--out", default=None, help="output path (default BENCH_<label>.json)")
     ap.add_argument("--n", type=int, nargs="+", default=list(SIZES), help="scene sizes")
     ap.add_argument("--repeats", type=int, default=5, help="runs per timed stage")
+    ap.add_argument("--tree", type=Path, default=ROOT, help="checkout whose src/ to benchmark")
+    ap.add_argument("--against", metavar="REV", default=None,
+                    help="compare this tree with git revision REV in alternating processes")
+    ap.add_argument("--rounds", type=int, default=5, help="processes per tree with --against")
     args = ap.parse_args()
+    out = Path(args.out or ROOT / f"BENCH_{args.label}.json")
+    scene = f"paper-random, seed {SEED}, window 400x400"
+    if args.against:
+        doc = {"label": args.label, "scene": scene, "against": args.against,
+               "rounds": args.rounds, "machine": machine(), "trees": against(args.against, args)}
+        out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {out}")
+        return 0
     sweep_times: list[float] = []
     timed_sweep(sweep_times)
-    passes: list[int] = []
-    counted_passes(passes)
+    arcs: list[int] = []
+    counted_arcs(arcs)
 
     threads = sorted({1, os.cpu_count() or 1})
     runs = []
     for n in args.n:
         for t in threads:
-            runs.append(bench(n, t, args.repeats, sweep_times, passes))
+            runs.append(bench(n, t, args.repeats, sweep_times, arcs))
             print(json.dumps(runs[-1]), flush=True)
-    out = Path(args.out or ROOT / f"BENCH_{args.label}.json")
-    doc = {"label": args.label, "scene": f"paper-random, seed {SEED}, window 400x400",
-           "machine": machine(), "runs": runs}
+    doc = {"label": args.label, "scene": scene, "machine": machine(), "runs": runs}
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0

@@ -27,7 +27,7 @@ Conics are classified and represented as arrays only: ``classify_rows``
 gives the class codes, coefficient triples, singular parameters and lines
 of P conics at once (``ConicRows``), and every evaluation (quadratic roots,
 homogeneous points at parameters, points and velocities at alphas, areas
-of arc pieces, line points) is a kernel over rows of numpy ufuncs. The
+and lengths of arcs, line points) is a kernel over rows of numpy ufuncs. The
 one-value forms of the root and point evaluations, which the kernels must
 equal bit for bit, are test references (tests/oracles.py).
 """
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import elliprd, elliprf
 
 from .geometry import sym2_eigh
 from .tolerances import CLASS_REL, DEN_REL, RANK_REL
@@ -231,7 +232,7 @@ def homogeneous_at_params(coef: np.ndarray, t: np.ndarray):
     the leading coefficients.
     """
     inner = np.abs(t) <= 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.where(inner, t, -1.0 / t)
     c = np.where(inner[..., None, None], coef[:, None, 0], coef[:, None, 1])
     x, y, u, _, _, _ = _chart_rows(c, s)
@@ -297,14 +298,115 @@ def piece_areas(coef: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     d = sign * (c[:, 2, 0] * (s0 * s1) + c[:, 2, 2])
     w = s1 - s0
     k2 = c[:, 2, 0] * c[:, 2, 2] * (w * w)
-    bulge = -0.25 * sign * (c[:, 2] * np.cross(c[:, 0], c[:, 1])).sum(axis=1) * (w * w * w)
+    # det(C), its terms in the order of a cross product and a row sum
+    (cx2, cx1, cx0), (cy2, cy1, cy0), (cu2, cu1, cu0) = c.transpose(1, 2, 0)
+    det = (cu2 * (cx1 * cy0 - cx0 * cy1) + cu1 * (cx0 * cy2 - cx2 * cy0)
+           + cu0 * (cx2 * cy1 - cx1 * cy2))
+    bulge = -0.25 * sign * det * (w * w * w)
     k = np.sqrt(np.abs(k2))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         theta = np.where(k2 > 0.0, np.arctan2(k, d), np.arctanh(k / d))
         closed = (theta / k - d / (u0 * u1)) / k2
         e = np.where((d > 0.0) & (np.abs(k2) < 0.1 * d * d),
                      np.polyval(_SERIES, k2 / (d * d)) / (d * d * d), closed)
     return 0.5 * (x0 / u0 * (y1 / u1) - y0 / u0 * (x1 / u1)) + bulge * e
+
+
+def arc_lengths(coef: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Lengths of N conic arcs, in closed form.
+
+    Arc k runs from alpha ``a0[k]`` to ``a1[k]`` (at most a turn) on conic
+    ``coef[k]`` (N, 2, 3, 3); one that reaches a singular parameter measures
+    nan. With U = u0 + u2 t^2 in chart 0 and r = sqrt|u2/u0|, an ellipse is
+    c + P cos th + Q sin th, tan(th/2) = r t, and a hyperbola c + P cosh w +
+    Q sinh w, tanh(w/2) = r t or 1/(r t); c is halfway between the points at
+    t = 0 and t = inf, P is the point at the mid alpha m minus c and Q its
+    velocity per unit th (w). The ends lie at th (w) = 2 atan (2 atanh) of
+    r sin(+-h/4) / (cos(m/2) cos(a/2) +- r^2 sin(m/2) sin(a/2)) from m, h =
+    a1 - a0, so no two angles are subtracted.
+
+    From its minimum at x = 0 the speed is b sqrt(1 + M sin^2 x) on an
+    ellipse and sqrt(p (1 + M tanh^2 x)) cosh x on a hyperbola, M >= 0. Cut
+    at x = k pi/2 (x = 0), folded into [0, pi/2] ([0, inf)), a piece is a
+    difference of incomplete elliptic integrals of parameter -M in phi = x
+    (atan sinh x), which the addition theorem (DLMF 19.11) writes through one
+    angle beta, tan(beta/2) = (s1^2 - s0^2)/((s1 D0 + s0 D1)(c0 + c1)), s =
+    sin phi, c = cos phi, D = sqrt(1 + M s^2), and Carlson's R_F and R_D: its
+    terms have one sign, so no two large values cancel. A parabola is
+    polynomial in chart 1, with a speed k' sqrt(z^2 + k^2) about its vertex
+    z = 0 and an elementary (asinh) length.
+    """
+    n, am, rot = len(a0), 0.5 * (a0 + a1), np.array([[-1.0], [1.0]]) * np.sin(0.25 * (a1 - a0))
+    (x2, _, x0), (y2, _, y0), (u2, _, u0) = coef[:, 0].transpose(1, 2, 0)
+    sign = np.sign(u0 * u2)  # 1 on an ellipse, -1 on a hyperbola, 0 on a parabola
+    ell, t, half = sign > 0.0, np.tan(0.5 * am), 0.5 * np.stack([a0, a1])
+    cm, sm = np.cos(0.5 * am), np.sin(0.5 * am)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the point and velocity at m: chart 0 at t, or chart 1 at -1/t
+        s = np.where(np.abs(t) <= 1.0, t, -1.0 / t)
+        c = coef[np.arange(n), (s != t).view(np.int8)]
+        px, py, vx, vy = _point_velocity(*_chart_rows(c, s), s)
+        r = np.sqrt(np.abs(u2 / u0))
+        num, den = r * rot, cm * np.cos(half) + sign * r * r * sm * np.sin(half)
+        e = np.where(ell, 2.0 * np.arctan2(num, den), 2.0 * np.arctanh(num / den))
+        qx, qy = (vx, vy) * (cm * cm + sign * r * r * sm * sm) / r
+        px, py = px - 0.5 * (x0 / u0 + x2 / u2), py - 0.5 * (y0 / u0 + y2 / u2)
+        g11, g22, g12 = px * px + py * py, qx * qx + qy * qy, px * qx + py * qy
+        det2, d = (px * qy - py * qx) ** 2, 0.5 * (g11 - g22)
+        rr = np.hypot(d, g12)
+        b2 = det2 / (0.5 * (g11 + g22) + rr)
+        # on a hyperbola p and p M are R' - d and R' + d, R' = |P + Q| |P - Q| / 2
+        plus, minus = np.hypot(px + qx, py + qy), np.hypot(px - qx, py - qy)
+        big = 0.5 * plus * minus + np.abs(d)
+        p = np.where(d <= 0.0, big, det2 / big)
+        m = np.where(ell, 2.0 * rr / b2, np.where(d <= 0.0, det2 / big, big) / p)
+        # the vertex from m, log(|P - Q| / |P + Q|) / 2 = -atanh(z), by atanh where z is small
+        z = 4.0 * g12 / (plus + minus) ** 2
+        vmin = np.where(ell, 0.5 * np.arctan2(g12, d),
+                        np.where(np.abs(z) < 0.5, -np.arctanh(z), 0.5 * np.log(minus / plus)))
+    scale, par = np.sqrt(np.where(ell, b2, p)), np.flatnonzero(sign == 0.0)
+    if par.size:
+        # chart 1: X = A s^2 - x1 s + x2 at s = -cot(alpha/2), U = u2
+        ax, ay, u, sp = x0[par], y0[par], u2[par], sm[par]
+        wx, wy = (vx[par], vy[par]) * (2.0 * u * sp * sp)  # dX/ds at m
+        e[:, par], aa2 = rot[:, par] / (sp * np.sin(half[:, par])), 2.0 * (ax * ax + ay * ay)
+        vmin[par], m[par] = -(ax * wx + ay * wy) / aa2, np.abs(ax * wy - ay * wx) / aa2
+        scale[par] = np.sqrt(0.5 * aa2) / np.abs(u)
+    e.sort(axis=0)
+    step = np.where(ell, _HALF_PI, 1.0 + 2.0 * np.abs(e - vmin).max(axis=0))
+    k = np.floor((e - vmin) / step)
+    # an arc through a singular parameter has a non-finite end: one piece, of length nan
+    count = np.nan_to_num(k[1] - k[0], nan=0.0, posinf=0.0, neginf=0.0).astype(np.intp) + 1
+    arc = np.repeat(np.arange(n), count)
+    # grid step kq of each arc, clipped to the arc, and folded
+    kq = k[0, arc] + (np.arange(arc.size) - np.repeat(np.cumsum(count) - count, count))
+    vm, st, mm, on_ell = vmin[arc], step[arc], m[arc], ell[arc]
+    p0, p1 = (np.clip(vm + j * st, e[0, arc], e[1, arc]) for j in (kq, kq + 1.0))
+    w = p1 - p0
+    lo = np.where(np.fmod(kq, 2.0) != 0.0, (kq + 1.0) * st - (p1 - vm), (p0 - vm) - kq * st)
+    hi = lo + w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c0, c1 = (np.where(on_ell, np.cos(x), 1.0 / np.cosh(x)) for x in (lo, hi))
+        s0, s1 = (np.where(on_ell, np.sin(x), np.tanh(x)) for x in (lo, hi))
+        d0, d1 = np.sqrt(1.0 + mm * s0 * s0), np.sqrt(1.0 + mm * s1 * s1)
+        # (s1^2 - s0^2) / (c0 + c1)
+        diff = np.where(on_ell, 2.0 * np.sin(0.5 * w) * np.sin(0.5 * (lo + hi)),
+                        np.sinh(w) * (s0 + s1) * c0 * c1 / (c0 + c1))
+        tau = np.where(diff > 0.0, diff / (s1 * d0 + s0 * d1), 0.0)
+        sb, cb = 2.0 * tau / (1.0 + tau * tau), (1.0 - tau * tau) / (1.0 + tau * tau)
+        x, y = cb * cb, 1.0 + mm * sb * sb
+        jj = mm * (sb * sb * sb * elliprd(x, y, 1.0) / 3.0 + s0 * s1 * sb)
+        # on a hyperbola tan phi D grows by D1 (t1 - t0) + t0 (D1 - D0), t = sinh x
+        grow = 2.0 * np.sinh(0.5 * w) * (np.cosh(0.5 * (lo + hi)) * d1 + np.sinh(lo) * mm
+                                         * (s0 + s1) * np.cosh(0.5 * w) * c0 * c1 / (d0 + d1))
+        piece = np.where(on_ell, sb * elliprf(x, y, 1.0) + jj, grow - jj)
+        on = sign[arc] == 0.0
+        if on.any():
+            k2, lo, hi, w = mm[on] ** 2, lo[on], hi[on], w[on]
+            q0, q1 = np.sqrt(lo * lo + k2), np.sqrt(hi * hi + k2)
+            arg = np.where(w > 0.0, w * (lo + hi) / (hi * q0 + lo * q1), 0.0)
+            piece[on] = w * (q1 + lo * (lo + hi) / (q0 + q1)) + k2 * np.arcsinh(arg)
+    return np.bincount(arc, scale[arc] * piece, n)
 
 
 # ---------------------------------------------------------- classification

@@ -52,7 +52,6 @@ read back from its JSON, so the two carry the same bits (see
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -200,17 +199,39 @@ def _dedup_generators(generators: list[Generator]) -> tuple[list[Generator], dic
 def _cluster_vertices(kept: list[Generator], cand: np.ndarray, trip: np.ndarray,
                       length_scale: float) -> list[Vertex]:
     """Vertices of the candidates (K, 2) of triples ``trip`` (K, 3) into ``kept``, in
-    order: each joins the vertex of least id within the dedup radius, else starts one."""
-    vertices: list[Vertex] = []
-    index = PointIndex(DEDUP_REL * length_scale)
-    for pos, (i, j, k) in zip(cand, trip):
-        found = index.near(pos)
+    order: each joins the vertex of least id within the dedup radius, else starts one.
+
+    The candidates are hashed to the grid cells of a ``PointIndex`` in one pass.
+    One with no other candidate in the 3 x 3 cells around its own can neither
+    join a vertex nor be joined, so it starts one without a lookup; only the
+    others walk the index, in candidate order.
+    """
+    radius = DEDUP_REL * length_scale
+    # cells as PointIndex keys them, (x, y) as one complex key sorted lexicographically
+    cells = np.floor(cand / (2.0 * radius)) @ np.array([1.0, 1j])
+    keys, count = np.unique(cells, return_counts=True)
+    around = cells[:, None] + np.array([dx + 1j * dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    at = np.minimum(np.searchsorted(keys, around), keys.size - 1)
+    walk = np.where(keys[at] == around, count[at], 0).sum(axis=1) > 1
+    ids = np.array([g.id for g in kept], dtype=np.int64)[trip].tolist()
+    vertices, index = [], PointIndex(radius)
+    for pos, members, crowded in zip(cand, ids, walk.tolist()):
+        found = index.near(pos) if crowded else None
         if found is None:
             found = len(vertices)
             vertices.append(Vertex(found, pos, frozenset()))
-            index.add(found, pos)
-        vertices[found].gens |= {kept[i].id, kept[j].id, kept[k].id}
+            if crowded:
+                index.add(found, pos)
+        vertices[found].gens |= set(members)
     return vertices
+
+
+def _pairs(width: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(run, i, j) of every i < j < ``width[run]``, runs in order and each run's
+    pairs in lexicographic order, from the fixed pair table of the widest run."""
+    first, second = np.triu_indices(int(width.max(initial=0)), 1)
+    run, k = np.nonzero(second < width[:, None])
+    return run, first[k], second[k]
 
 
 def _incidences(vertices: list[Vertex], table: BisectorTable,
@@ -218,11 +239,14 @@ def _incidences(vertices: list[Vertex], table: BisectorTable,
     """(vertex index, table row) of every pair of each vertex's generators,
     vertices in order and each vertex's pairs in order; ``pair_row`` is
     ``table.pair_rows()``."""
-    index = {g.id: k for k, g in enumerate(table.generators)}
-    found = np.array([(vi, pair_row[index[a], index[b]]) for vi, v in enumerate(vertices)
-                      for a, b in itertools.combinations(sorted(v.gens), 2)],
-                     dtype=np.int64).reshape(-1, 2)
-    return found[:, 0], found[:, 1]
+    index = generator_index(table.generators)
+    degree = np.array([len(v.gens) for v in vertices], dtype=np.intp)
+    # each vertex's generator indices in id order, padded to the widest vertex
+    gens = np.zeros((degree.size, int(degree.max(initial=0))), dtype=np.intp)
+    gens[np.arange(gens.shape[1]) < degree[:, None]] = [
+        index[g] for v in vertices for g in sorted(v.gens)]
+    vi, a, b = _pairs(degree)
+    return vi.astype(np.int64), pair_row[gens[vi, a], gens[vi, b]].astype(np.int64)
 
 
 def _polish_vertices(
@@ -247,16 +271,15 @@ def _polish_vertices(
     max_step = DEDUP_REL * length_scale
     # one row per (vertex, incident bisector), one combo per pair of such rows
     starts = np.flatnonzero(np.r_[True, row_vertex[1:] != row_vertex[:-1], True])
-    combos = [k for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
-              for k in itertools.combinations(range(lo, hi), 2)]
-    if not combos:
+    run, i, j = _pairs(np.diff(starts))
+    if not run.size:
         return
+    ka, kb = starts[run] + i, starts[run] + j
     c = table.implicit[rows]
     pos = vertex_pos[row_vertex]
     # ConicImplicit with array fields evaluates one conic per entry
     gx, gy = ConicImplicit(*c.T).gradient(pos[:, 0], pos[:, 1])
     norm = np.hypot(gx, gy)
-    ka, kb = np.array(combos).T
     usable = (norm[ka] != 0.0) & (norm[kb] != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         sine = np.abs(gx[ka] * gy[kb] - gy[ka] * gx[kb]) / (norm[ka] * norm[kb])

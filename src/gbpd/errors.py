@@ -56,6 +56,6 @@ class DimensionMismatchError(GbpdError):
 
 
 class QuadratureError(GbpdError):
-    """An arc integral misses its error target at the subdivision limit."""
+    """An integral missed its error target; kept for its exit code, as no measure raises it."""
 
     exit_code = 10

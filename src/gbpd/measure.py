@@ -8,17 +8,9 @@ Lengths are the integral of the parametric speed.
 
 Every curved piece is measured once per call, in one batched kernel
 (`arc_measures`), on the chart rows of its edge in the graph's bisector
-table. All arcs are first cut at every multiple of pi/16 strictly inside
-them (the chart breaks pi/2 + k pi among them), and the area term of each
-cut piece has a closed form (`conic.piece_areas`). The length, an elliptic
-integral, is adaptive Gauss-Kronrod quadrature of the speed: each round
-evaluates every open piece at the 15 nodes in one array pass, and an arc is
-done when the summed QUADPACK estimates of its pieces meet max(QUAD_ABS,
-1e-12 |I|); until then its pieces with the largest estimates are halved.
-On the benchmark scenes a call takes a median of 2 passes and at most 4. An
-arc that misses the target after 30 halvings of a piece, or past 200 pieces
-(the cut pieces count), raises QuadratureError instead of returning an
-unconverged value.
+table, and both measures are closed forms: the area term of each piece of
+the arc between chart breaks (`conic.piece_areas`) and the length, an
+incomplete elliptic integral (`conic.arc_lengths`). Nothing iterates.
 
 Every cell is measured from one loop representation, the clip record of
 `clip.py`: PIECE rows, and per cell its loops as runs of directed
@@ -33,7 +25,7 @@ radius; hole loops are not flattened.
 
 `cell_area` and `measure_cells` are one path (`_measure`): the loops of
 the cells asked for, the sums of all of them in one array pass
-(`_loop_sums`, every arc on them integrated in one call of the batched
+(`_loop_sums`, every arc on them measured in one call of the batched
 kernel), then one function per cell with loops (`_cell_measure`) that
 groups its loops into components and adds them up. A cell with no loop
 measures zero and costs no call.
@@ -51,15 +43,10 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401
 
 from .clip import ClippedDiagram, bounded_cell_pieces, flatten_pieces, loop_polygons, piece_points
-from .conic import ELLIPSE_CODE, piece_areas, points_at_alphas
+from .conic import ELLIPSE_CODE, arc_lengths, piece_areas, points_at_alphas
 from .diagram import LOOP, DiagramGraph
-from .errors import (InputError, NonFiniteSegmentError, QuadratureError, SingularParameterError,
-                     UnboundedCellError)
-from .tolerances import DEDUP_REL, QUAD_ABS
-
-# every arc is cut at each multiple of this step strictly inside it before
-# the first pass; the chart breaks pi/2 + k pi are among those multiples
-_CUT_STEP = math.pi / 16
+from .errors import InputError, NonFiniteSegmentError, SingularParameterError, UnboundedCellError
+from .tolerances import DEDUP_REL
 
 
 @dataclass(frozen=True)
@@ -78,73 +65,7 @@ class CellMeasure:
     components: tuple[ComponentMeasure, ...]
 
 
-# ------------------------------------------------------------- quadrature
-
-# Gauss-Kronrod 7-15 pair of QUADPACK's qk15 on [-1, 1]: 15 Kronrod nodes
-# and weights, and the Gauss weights of the 7 nodes the two rules share
-# (zero at the other 8).
-_GK_XP = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-          0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-          0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-          0.207784955007898467600689403773245)
-_GK_WKP = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-           0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-           0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-           0.204432940075298892414161999234649)
-_GK_WK0 = 0.209482141084727828012999174891714
-_GK_WGP = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-           0.0, 0.381830050505118944950369775488975, 0.0)
-_GK_WG0 = 0.417959183673469387755102040816327
-_GK_X = np.array([-x for x in _GK_XP] + [0.0] + list(reversed(_GK_XP)))
-_GK_WK = (*_GK_WKP, _GK_WK0, *reversed(_GK_WKP))
-_GK_WG = (*_GK_WGP, _GK_WG0, *reversed(_GK_WGP))
-# the Kronrod and Gauss weights, as the rows of `_column_sums`
-_GK_W = np.array([_GK_WK, _GK_WG])
-
-# an arc that still misses its error target when one of its pieces has been
-# halved _MAX_DEPTH times, or when it has _MAX_PIECES pieces, raises
-# QuadratureError (200 is the subinterval limit the scalar quad calls had)
-_MAX_DEPTH = 30
-_MAX_PIECES = 200
-
-
-def _arc_points(coef, u_scale, alpha):
-    """``points_at_alphas`` of arcs, which reach no singular parameter: one
-    that does raises SingularParameterError. Returns (x, y, vx, vy)."""
-    x, y, vx, vy, singular = points_at_alphas(coef, u_scale, alpha)
-    if singular.any():
-        raise SingularParameterError("an alpha of the batch lies on the line at infinity")
-    return x, y, vx, vy
-
-
-def _gk15(coef, u_scale, lo, hi) -> np.ndarray:
-    """Kronrod values and QUADPACK error estimates of the speed integral
-    over the M intervals [lo, hi], as rows (M, 2).
-
-    The Kronrod and Gauss sums are one ``_column_sums`` pass, and the
-    residual sum that needs the Kronrod value a second. The speed is not
-    negative, so the Kronrod sum is also QUADPACK's sum of |f|.
-    """
-    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    scale = np.abs(half)
-    _, _, vx, vy = _arc_points(coef, u_scale, center[:, None] + half[:, None] * _GK_X)
-    f = np.hypot(vx, vy)
-    resk, resg = _column_sums(f, _GK_W)
-    resasc = _column_sums(np.abs(f - 0.5 * resk[:, None]), _GK_W[:1])[0] * scale
-    e = np.abs(resk - resg) * scale
-    nz = (resasc != 0.0) & (e != 0.0)
-    e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
-    return np.column_stack([resk * half,
-                            np.maximum(e, 50.0 * np.finfo(float).eps * (resk * scale))])
-
-
-def _column_sums(f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sums (S, M) of the node values f (M, 15) with the weights w (S, 15),
-    column by column, so each row's sum is the same whatever the batch."""
-    acc = w[:, 0, None] * f[:, 0]
-    for k in range(1, 15):
-        acc = acc + w[:, k, None] * f[:, k]
-    return acc
+# ------------------------------------------------------------- arcs
 
 
 def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
@@ -152,95 +73,50 @@ def arc_measures(coef, u_scale, a0, a1) -> tuple[np.ndarray, np.ndarray]:
 
     Arc k runs from alpha ``a0[k]`` to ``a1[k]`` along the curve with chart
     triples ``coef[k]`` ((N, 2, 3, 3), as a bisector table's ``chart`` rows)
-    and denominator scale ``u_scale[k]``. Both measures use the chart rows
-    shifted to the arc's mid-alpha point m, so neither loses digits to
-    cancellation far from the origin. The arcs are cut in one array pass at
-    every multiple of _CUT_STEP strictly inside (a0, a1), chart breaks among
-    them. The area term, the integral of (x y' - y x')/2, is the sum of the
-    cut pieces' ``piece_areas`` about m, shifted back by m x (end - start)/2.
-
-    The length is integrated in rounds on a float table (lo, hi, value,
-    estimate) and an int table (arc, depth) of the open pieces, grouped by
-    arc in alpha order, starting from the cut pieces at depth 0. A round
-    evaluates the new pieces in one Gauss-Kronrod 7-15 pass; an arc is done
-    once its pieces' summed estimates meet max(QUAD_ABS, 1e-12 |I|), and
-    otherwise its pieces whose estimate exceeds an equal share of that
-    target, and always its worst piece, are halved. Decisions and sums are
-    per arc, so an arc's result does not depend on the batch. An arc that
-    would need a piece halved more than _MAX_DEPTH times, or more than
-    _MAX_PIECES pieces, raises QuadratureError.
+    and denominator scale ``u_scale[k]``; an arc that reaches the line at
+    infinity raises SingularParameterError. Both measures use the chart rows
+    shifted to the arc's mid-alpha point m, so neither loses digits far from
+    the origin: the area term, the integral of (x y' - y x')/2, is the sum of
+    ``piece_areas`` about m over the arc cut at the chart breaks pi/2 + k pi,
+    shifted back by m x (end - start)/2, and the length is ``arc_lengths``.
+    Every value is computed per arc, whatever the batch.
     """
     coef, u_scale = np.asarray(coef, dtype=float), np.asarray(u_scale, dtype=float)
     n = u_scale.size
-    length = np.zeros(n)
     if n == 0:
-        return length, length
+        return np.zeros(0), np.zeros(0)
     a0, a1 = np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
     ends = np.stack([a0, a1], axis=1)
-    px, py, *_ = _arc_points(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
+    px, py, _, _, singular = points_at_alphas(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
+    if singular.any():
+        raise SingularParameterError("an alpha of the batch lies on the line at infinity")
     shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
     # chart rows relative to m: x^ - m_x u^ and y^ - m_y u^ give the point
     # relative to m directly; subtracting after the division would leave the
     # velocity (dx u - x du) to cancel where x is far larger than x - m_x
     coef = coef.copy()
     coef[:, :, :2] -= np.stack([px[:, 2], py[:, 2]], axis=1)[:, None, :, None] * coef[:, :, 2:3]
-    # try j of arc k is (k0 + j) step, k0 = floor(a0 / step); floor(span /
-    # step) + 2 tries reach every multiple of the step before a1
-    k0 = np.floor(a0 / _CUT_STEP)
-    tries = np.maximum(np.floor((a1 - a0) / _CUT_STEP) + 2, 0).astype(np.intp)
+    # break j of arc k is pi/2 + (k0 + j) pi; floor(span / pi) + 2 tries
+    # reach every break before a1
+    k0 = np.floor((a0 - 0.5 * math.pi) / math.pi)
+    tries = np.maximum(np.floor((a1 - a0) / math.pi) + 2, 0).astype(np.intp)
     of = np.repeat(np.arange(n), tries)
     j = np.arange(of.size) - np.repeat(np.cumsum(tries) - tries, tries)
-    cut = (k0[of] + j) * _CUT_STEP
+    cut = 0.5 * math.pi + (k0[of] + j) * math.pi
     inner = (cut > a0[of]) & (cut < a1[of])
-    # arc k's pieces run from a0 through its cuts to a1
+    # arc k's pieces run from a0 through its breaks to a1
     per_arc = np.bincount(of[inner], None, n) + 1
     start = np.cumsum(per_arc) - per_arc
     arc = np.repeat(np.arange(n), per_arc)
-    joint = np.flatnonzero(arc[1:] == arc[:-1])  # pieces that end on a cut
-    table = np.empty((arc.size, 4))  # lo, hi, length, estimate
-    table[start, 0] = a0
-    table[start + per_arc - 1, 1] = a1
-    table[joint, 1] = table[joint + 1, 0] = cut[inner]
+    joint = np.flatnonzero(arc[1:] == arc[:-1])  # pieces that end on a break
+    lo, hi = np.empty(arc.size), np.empty(arc.size)
+    lo[start], hi[start + per_arc - 1] = a0, a1
+    hi[joint] = lo[joint + 1] = cut[inner]
     # bincount adds each arc's pieces in array order, which is alpha order
-    area = np.bincount(arc, piece_areas(coef[arc], table[:, 0], table[:, 1]), n) + shift
-    ints = np.column_stack([arc, np.zeros_like(arc)])  # arc, depth
-    fresh = np.arange(arc.size)  # the pieces to evaluate
-    while True:
-        of = ints[fresh, 0]
-        table[fresh, 2:] = _gk15(coef[of], u_scale[of], table[fresh, 0], table[fresh, 1])
-        arc = ints[:, 0]
-        tot, est = np.bincount(arc, table[:, 2], n), np.bincount(arc, table[:, 3], n)
-        target = np.maximum(QUAD_ABS, 1e-12 * np.abs(tot))
-        short = est > target
-        live = np.flatnonzero(np.bincount(arc, None, n) > 0)
-        fin = live[~short[live]]
-        length[fin] = tot[fin]
-        if fin.size == live.size:
-            return area, length
-        keep = short[arc]
-        table, ints = table[keep], ints[keep]
-        arc, depth, err = ints[:, 0], ints[:, 1], table[:, 3]
-        count = np.bincount(arc, None, n)
-        # the worst estimate of each arc, over its run of pieces
-        runs = count[count > 0]
-        worst = np.repeat(np.maximum.reduceat(err, np.cumsum(runs) - runs), runs)
-        split = (err > (target / np.maximum(count, 1))[arc]) | (err == worst)
-        pieces = count + np.bincount(arc, split, n)
-        over = split & ((depth >= _MAX_DEPTH) | (pieces[arc] > _MAX_PIECES))
-        if over.any():
-            k = int(arc[over][0])
-            raise QuadratureError(
-                f"arc {k} (alpha {float(ends[k, 0])!r} to {float(ends[k, 1])!r}) misses its error "
-                f"target: estimate {float(est[k])!r}, target {float(target[k])!r}, "
-                f"depth {int(depth[arc == k].max())}, {int(pieces[k])} pieces"
-            )
-        # each split piece becomes its two halves, in place
-        rep = np.where(split, 2, 1)
-        table, ints = np.repeat(table, rep, axis=0), np.repeat(ints, rep, axis=0)
-        first = np.flatnonzero(split) + np.arange(int(split.sum()))
-        table[first, 1] = table[first + 1, 0] = 0.5 * (table[first, 0] + table[first, 1])
-        fresh = np.concatenate([first, first + 1])
-        ints[fresh, 1] += 1
+    area, length = np.bincount(arc, piece_areas(coef[arc], lo, hi), n) + shift, arc_lengths(coef, a0, a1)
+    if not np.isfinite(length).all():
+        raise SingularParameterError("an arc of the batch crosses the line at infinity")
+    return area, length
 
 
 # -------------------------------------------------------------- edge length
@@ -278,7 +154,7 @@ def _loop_sums(graph: DiagramGraph, pieces: np.ndarray, loops) -> tuple[np.ndarr
     the PIECE rows ``pieces``).
 
     A half-piece's area term is the contour integral along it: an arc's
-    from ``arc_measures`` (each arc integrated once, in one call), a straight
+    from ``arc_measures`` (each arc measured once, in one call), a straight
     run's from q0 to q1 the shoelace term (x0 y1 - y0 x1) / 2. Adjacent
     pieces' ends agree only to vertex-recovery precision, so a connector
     chord joins each piece's end to the next one's start: an exactly closed
@@ -398,7 +274,7 @@ def _cell_measure(graph: DiagramGraph, cell: int, pieces, runs, area, length,
 
 def _measure(g: DiagramGraph | ClippedDiagram, cells) -> dict[int, CellMeasure]:
     """CellMeasure of each cell id in ``cells``, keyed by id; every arc on
-    their loops is integrated once, although it borders two cells. A cell
+    their loops is measured once, although it borders two cells. A cell
     with no loop has no area."""
     graph = g.graph if isinstance(g, ClippedDiagram) else g
     stray = [cell for cell in cells if cell not in graph.cell_edges]

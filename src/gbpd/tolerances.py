@@ -22,8 +22,6 @@ chosen for double precision at window scales around 1e3.
   snaps window crossings within DEDUP_REL times the window diagonal.
 - PARAM_MERGE: conic parameters within PARAM_MERGE (1 + |t| + |t'|) merge,
   and angles alpha within 10 PARAM_MERGE; twice it is the smallest arc gap.
-- QUAD_ABS: absolute error target of the arc-length and area quadratures,
-  which aim at max(QUAD_ABS, 1e-12 |integral|).
 - CLASS_REL: ratio of the two eigenvalues of the denominator form u^ below
   which a real conic counts as a parabola.
 """
@@ -34,5 +32,4 @@ DEN_REL = 1e-12
 VERT_REL = 1e-8
 DEDUP_REL = 1e-6
 PARAM_MERGE = 1e-9
-QUAD_ABS = 1e-10
 CLASS_REL = 1e-9

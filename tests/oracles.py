@@ -18,11 +18,11 @@ from scipy.integrate import quad
 from gbpd import clip as gclip
 from gbpd import measure as gmeasure
 from gbpd.clip import flatten_pieces, loop_polygons
-from gbpd.conic import ConicImplicit, line_points, piece_areas, points_at_alphas
+from gbpd.conic import ConicImplicit, line_points, points_at_alphas
 from gbpd.bisector import bisector_table, params_of_points
 from gbpd.diagram import (EDGE, EDGE_KINDS, LOOP, Vertex, _incidences, assemble_graph,
                           edge_intervals)
-from gbpd.errors import InputError, NoSolutionError, QuadratureError, SingularParameterError
+from gbpd.errors import InputError, NoSolutionError, SingularParameterError
 from gbpd.geometry import _GEN_BLOCK as GEN_BLOCK
 from gbpd.geometry import Generator, PointIndex, SceneArrays, SymMat2, generator_index
 from gbpd.intersect import _DET_REL as DET_REL, _DISC_CLAMP as DISC_CLAMP
@@ -30,8 +30,8 @@ from gbpd.measure import CellMeasure, ComponentMeasure
 from gbpd.oracle import LabelImage, _image_frame
 from gbpd.serialize import _check_vertex_rows, _structure_rows as structure_rows
 from gbpd.serialize import EDGE_FIELDS, GENERATOR_FIELDS, KIND_CODES, SCHEMA_KEYS
-from gbpd.tolerances import (CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, QUAD_ABS, RANK_REL,
-                             RES_REL, VERT_REL)
+from gbpd.tolerances import (CLASS_REL, DEDUP_REL, DEN_REL, PARAM_MERGE, RANK_REL, RES_REL,
+                             VERT_REL)
 
 
 # The one-value angle maps. Each applies per item the ufunc that the array
@@ -585,6 +585,32 @@ def two_nearest_point(point, idx_i, idx_j, arr):
     return max(di, dj) <= d3 + VERT_REL * (1.0 + abs(d3))
 
 
+def cluster_walk(kept, cand, trip, length_scale):
+    """``diagram._cluster_vertices`` as one walk of a ``PointIndex`` over
+    every candidate in order (reference, bit for bit): each joins the vertex
+    of least id within the dedup radius, else starts one."""
+    vertices = []
+    index = PointIndex(DEDUP_REL * length_scale)
+    for pos, (i, j, k) in zip(cand, trip):
+        found = index.near(pos)
+        if found is None:
+            found = len(vertices)
+            vertices.append(Vertex(found, pos, frozenset()))
+            index.add(found, pos)
+        vertices[found].gens |= {kept[i].id, kept[j].id, kept[k].id}
+    return vertices
+
+
+def incidence_combinations(vertices, table, pair_row):
+    """``diagram._incidences`` by ``itertools.combinations`` of each vertex's
+    sorted generator ids (reference): (vertex index, table row) arrays."""
+    index = {g.id: k for k, g in enumerate(table.generators)}
+    found = np.array([(vi, pair_row[index[a], index[b]]) for vi, v in enumerate(vertices)
+                      for a, b in itertools.combinations(sorted(v.gens), 2)],
+                     dtype=np.int64).reshape(-1, 2)
+    return found[:, 0], found[:, 1]
+
+
 def cluster_sweep(cand, trip, ids, radius):
     """Vertex clusters (position, generator ids) of the candidates (K, 2) of
     triples ``trip`` (K, 3) (indices into ``ids``) by an open-cluster sweep,
@@ -744,8 +770,7 @@ def _quad_over_arc(f, a0, a1):
     tol = 1e-9 * (a1 - a0)
     breaks = [c for c in (0.5 * math.pi + (k + i) * math.pi for i in range(8))
               if a0 + tol < c < a1 - tol]
-    val, _ = quad(f, a0, a1, points=breaks or None, limit=200,
-                  epsabs=QUAD_ABS, epsrel=1e-12)
+    val, _ = quad(f, a0, a1, points=breaks or None, limit=200, epsabs=1e-10, epsrel=1e-12)
     return val
 
 
@@ -757,6 +782,44 @@ def quad_arc_length(param, a0, a1):
         return math.hypot(v[0], v[1])
 
     return _quad_over_arc(speed, a0, a1)
+
+
+# 20-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+
+
+def _speeds(rows, alpha):
+    """|d(x, y)/d alpha| at each alpha of the curve with chart-0 triples
+    ``rows`` (3, 3): chart 0 at t = tan(alpha/2) where |t| <= 1, else the
+    t -> -1/t chart, as numpy arrays."""
+    t = np.tan(0.5 * alpha)
+    inner = np.abs(t) <= 1.0
+    with np.errstate(divide="ignore"):
+        s = np.where(inner, t, -1.0 / t)[:, None]
+    c = np.where(inner[:, None, None], rows, rows[:, ::-1] * np.array([1.0, -1.0, 1.0]))
+    val = (c[..., 0] * s + c[..., 1]) * s + c[..., 2]
+    der = 2.0 * c[..., 0] * s + c[..., 1]
+    v = (der[:, :2] * val[:, 2:] - val[:, :2] * der[:, 2:]) * (0.5 * (1.0 + s * s)) / val[:, 2:] ** 2
+    return np.hypot(v[:, 0], v[:, 1])
+
+
+def fine_arc_length(param, a0, a1):
+    """Arc length by composite 20-point Gauss-Legendre quadrature of the
+    speed (reference, for bounds near 1e-13): the chart rows are shifted to
+    the arc's mid point, [a0, a1] is cut into 2^k equal pieces, and k grows
+    until two levels agree to 1e-14."""
+    rows = np.array([param.xq, param.yq, param.uq])
+    rows[:2] -= point_at_alpha_scalar(param, 0.5 * (a0 + a1))[:, None] * rows[2]
+    prev = math.nan
+    for level in range(14):
+        edges = np.linspace(a0, a1, 2**level + 1)
+        half = 0.5 * np.diff(edges)
+        nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _GL_X
+        total = float(_speeds(rows, nodes.ravel()).reshape(nodes.shape) @ _GL_W @ half)
+        if abs(total - prev) <= 1e-14 * abs(total):
+            break
+        prev = total
+    return total
 
 
 def quad_arc_area(param, a0, a1):
@@ -1431,119 +1494,6 @@ def rasterize_cells_per_row(cd, width, height):
         k = bounds[iy] + np.searchsorted(xc[bounds[iy]:bounds[iy + 1]], xs)
         labels[iy] = np.where(k > bounds[iy], east[k - 1], -1)
     return LabelImage(width, height, origin, px, labels, ids)
-
-
-# ------------------------------------------------- quadrature rounds
-#
-# The arc-measure kernel keeps its open pieces as one packed table and takes
-# the node sums of a round in stacked passes. This is the round loop it
-# replaced, which must give the same bits and the same QuadratureError: the
-# arcs cut at the multiples of the cut step one by one, seven filtered and
-# repeated piece arrays, and one column pass per node sum. The caps and the
-# step are read from gbpd.measure when the loop runs, so a test that patches
-# them patches both.
-
-
-def _grid_cuts(a0, a1):
-    """The multiples of ``gbpd.measure._CUT_STEP`` strictly inside (a0, a1)."""
-    step = gmeasure._CUT_STEP
-    out = []
-    k = math.floor(a0 / step)
-    c = k * step
-    while c < a1:
-        if c > a0:
-            out.append(c)
-        k += 1
-        c = k * step
-    return out
-
-
-def _node_sum(f, w):
-    acc = w[0] * f[:, 0]
-    for k in range(1, 15):
-        acc = acc + w[k] * f[:, k]
-    return acc
-
-
-def _gk15_columns(coef, u_scale, lo, hi):
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    scale = np.abs(half)
-    _, _, vx, vy = gmeasure._arc_points(coef, u_scale,
-                                        center[:, None] + half[:, None] * gmeasure._GK_X)
-    eps = np.finfo(float).eps
-    wk, wg = gmeasure._GK_WK, gmeasure._GK_WG
-    f = np.hypot(vx, vy)
-    resk = _node_sum(f, wk)
-    resabs = _node_sum(np.abs(f), wk) * scale
-    resasc = _node_sum(np.abs(f - 0.5 * resk[:, None]), wk) * scale
-    e = np.abs(resk - _node_sum(f, wg)) * scale
-    nz = (resasc != 0.0) & (e != 0.0)
-    e[nz] = resasc[nz] * np.minimum(1.0, (200.0 * e[nz] / resasc[nz]) ** 1.5)
-    return resk * half, np.maximum(e, 50.0 * eps * resabs)
-
-
-def arc_measures_rounds(coef, u_scale, a0, a1):
-    """``gbpd.measure.arc_measures`` as a loop of per-array rounds (reference):
-    the areas from ``piece_areas`` of the cut pieces, the lengths by rounds
-    of Gauss-Kronrod passes."""
-    coef, u_scale = np.asarray(coef, dtype=float), np.asarray(u_scale, dtype=float)
-    n = u_scale.size
-    length = np.zeros(n)
-    if n == 0:
-        return length, length
-    ends = np.stack([np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)], axis=1)
-    px, py, *_ = gmeasure._arc_points(coef, u_scale, np.column_stack([ends, ends.mean(axis=1)]))
-    shift = 0.5 * (px[:, 2] * (py[:, 1] - py[:, 0]) - py[:, 2] * (px[:, 1] - px[:, 0]))
-    coef = coef.copy()
-    coef[:, :, 0] -= px[:, 2, None, None] * coef[:, :, 2]
-    coef[:, :, 1] -= py[:, 2, None, None] * coef[:, :, 2]
-    arc, lo, hi = [], [], []
-    for k in range(n):
-        cuts = [ends[k, 0], *_grid_cuts(ends[k, 0], ends[k, 1]), ends[k, 1]]
-        arc += [k] * (len(cuts) - 1)
-        lo += cuts[:-1]
-        hi += cuts[1:]
-    arc, lo, hi = np.array(arc), np.array(lo), np.array(hi)
-    area = np.bincount(arc, piece_areas(coef[arc], lo, hi), n) + shift
-    depth = np.zeros(arc.size, dtype=int)
-    res, err = _gk15_columns(coef[arc], u_scale[arc], lo, hi)
-    while True:
-        tot, est = np.bincount(arc, res, n), np.bincount(arc, err, n)
-        target = np.maximum(QUAD_ABS, 1e-12 * np.abs(tot))
-        short = est > target
-        live = np.unique(arc)
-        fin = live[~short[live]]
-        length[fin] = tot[fin]
-        if fin.size == live.size:
-            return area, length
-        keep = short[arc]
-        arc, lo, hi, depth, res, err = (v[keep] for v in (arc, lo, hi, depth, res, err))
-        count = np.bincount(arc, None, n)
-        worst = np.zeros(n)
-        np.maximum.at(worst, arc, err)
-        split = (err > (target / np.maximum(count, 1))[arc]) | (err == worst[arc])
-        pieces = count + np.bincount(arc, split, n)
-        over = split & ((depth >= gmeasure._MAX_DEPTH) | (pieces[arc] > gmeasure._MAX_PIECES))
-        if over.any():
-            k = int(arc[over][0])
-            raise QuadratureError(
-                f"arc {k} (alpha {float(ends[k, 0])!r} to {float(ends[k, 1])!r}) misses its error "
-                f"target: estimate {float(est[k])!r}, target {float(target[k])!r}, "
-                f"depth {int(depth[arc == k].max())}, {int(pieces[k])} pieces"
-            )
-        rep = np.where(split, 2, 1)
-        arc, lo, hi, depth, res, err = (np.repeat(v, rep) for v in (arc, lo, hi, depth, res, err))
-        first = np.repeat(split, rep)
-        first[first] = np.tile([True, False], int(split.sum()))
-        second = np.roll(first, 1)
-        mid = 0.5 * (lo[first] + hi[first])
-        hi[first] = mid
-        lo[second] = mid
-        fresh = first | second
-        depth[fresh] += 1
-        res[fresh], err[fresh] = _gk15_columns(coef[arc[fresh]], u_scale[arc[fresh]], lo[fresh],
-                                               hi[fresh])
 
 
 # ---------------------------------------------------------- object clip

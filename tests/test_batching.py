@@ -74,6 +74,7 @@ from oracles import (
     boundary_components_union_find,
     edge_segments,
     cluster_sweep,
+    cluster_walk,
     full_scan_minimal,
     line_point_scalar,
     mark_list,
@@ -368,6 +369,41 @@ def test_vertex_clusters_match_the_open_cluster_sweep(scene, monkeypatch):
         assert (len(cand), sorted(len(m) for _, m in got)) == (7, [3, 3, 3, 4])
     else:
         assert len(got) == len(cand)
+
+
+@pytest.mark.parametrize("scene", ["merging", "lattice", "small-batch"])
+def test_vertex_clusters_match_the_index_walk(scene, monkeypatch):
+    # candidates hashed alone start their vertices without a lookup, the
+    # others walk the index: the vertices are those of one walk over every
+    # candidate, ids, positions and generators. The cocircular centres merge
+    # 7 candidates into 4 vertices, the 4 x 4 lattice merges 36 candidates
+    # into its 9 inner grid points, and no small-batch candidate merges
+    if scene == "merging":
+        centres = [(0, 0), (4, 0), (4, 4), (0, 4), (9, 1), (-3, 6)]
+        scenes = [[Generator(k, c, SymMat2.identity(), 0.0) for k, c in enumerate(centres)]]
+    elif scene == "lattice":
+        scenes = [[Generator(k, (10.0 * (k % 4), 10.0 * (k // 4)), SymMat2.identity(), 0.0)
+                   for k in range(16)]]
+    else:
+        scenes = [random_scene(preset, 16, seed, WINDOW)
+                  for preset in ("paper-random", "paper-weights", "isotropic")
+                  for seed in range(1010, 1020)]
+    cluster, seen = diagram._cluster_vertices, []
+
+    def compared(kept, cand, trip, length_scale):
+        out = cluster(kept, cand, trip, length_scale)
+        want = cluster_walk(kept, cand, trip, length_scale)
+        assert [(v.id, bits(v.pos), sorted(v.gens)) for v in out] == [
+            (v.id, bits(v.pos), sorted(v.gens)) for v in want]
+        seen.append(len(cand) - len(out))
+        return out
+
+    monkeypatch.setattr(diagram, "_cluster_vertices", compared)
+    for gens in scenes:
+        build_diagram(gens)
+    assert len(seen) == len(scenes)
+    merged = {"merging": 3, "lattice": 27, "small-batch": 0}[scene]
+    assert sum(seen) == merged
 
 
 @given(st.integers(1, 9), st.integers(1, 3), st.data())

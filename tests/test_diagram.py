@@ -21,8 +21,8 @@ from gbpd.geometry import SceneArrays, Window, dist_g
 from gbpd.measure import measure_cells
 from gbpd.serialize import diagram_to_json
 
-from oracles import (alpha_of_param, boundary_components_union_find, curve_labels, edge_segments, mark_list,
-                     radical_center, recover_params_dict)
+from oracles import (alpha_of_param, boundary_components_union_find, curve_labels, edge_segments,
+                     incidence_combinations, mark_list, radical_center, recover_params_dict)
 
 I = SymMat2.identity()
 
@@ -412,6 +412,8 @@ def test_mark_columns_match_the_dict_reference(digest_graphs):
         pair_row = table.pair_rows()
         assert [a.tolist() for a in (owner, rows)] == [
             a.tolist() for a in _incidences(vertices, table, pair_row)], name
+        assert [a.tolist() for a in (owner, rows)] == [
+            a.tolist() for a in incidence_combinations(vertices, table, pair_row)], name
         ref, ref_miss = recover_params_dict(vertices, table, pair_row, eps)
         assert miss.tolist() == ref_miss.tolist(), name
         assert [(r, c, hexes([x])[0], v) for r, c, x, v in zip(*(a.tolist() for a in marks))] == [

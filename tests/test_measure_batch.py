@@ -1,17 +1,20 @@
-"""The batched arc-measure kernel against scalar quadrature and against itself.
+"""The batched arc-measure kernel against quadrature, closed forms and itself.
 
-`arc_measures` takes the area term of many conic arcs in closed form and
-integrates their lengths in one Gauss-Kronrod pass per round. These tests
-check it against the scalar `scipy.integrate.quad` reference in
-`oracles.py` and, bit for bit, against the per-array round loop it
-replaced, check that a batch gives each arc the same bits as a batch of
-one, that the whole-diagram measure integrates every arc piece once and
-equals the per-cell measure bit for bit, and that an arc missing its error
-target raises QuadratureError. They also check the cut made before the
-first pass (its pieces tile each arc on the step grid, chart breaks among
-the cuts) and count the passes it leaves on the benchmark scenes. Last,
-they check the closed form of `conic.piece_areas` without quadrature, on a
-full ellipse and on parabola pieces, and against quad at the edges of its
+`arc_measures` takes the area term of many conic arcs in closed form
+(`conic.piece_areas`, on pieces cut at the chart breaks) and their lengths
+in closed form (`conic.arc_lengths`, incomplete elliptic integrals). These
+tests check it against the scalar `scipy.integrate.quad` reference in
+`oracles.py`, the lengths of the benchmark arcs against a fine Gauss-Legendre
+reference within 1e-13, check that a batch gives each arc the same bits as a
+batch of one, that the whole-diagram measure integrates every arc piece once
+and equals the per-cell measure bit for bit, and that the area pieces tile
+each arc with the chart breaks as their cuts. Lengths are checked on curves
+with known closed forms that share no code with the kernel (ellipse
+perimeters through `scipy.special.ellipe`, circle arcs, parabola arcs), on
+hyperbola branches through alpha = pi, on near-parabolic curves on both
+sides of CLASS_REL and on ellipses of semi-axis ratio up to 1e4. Last, they
+check the closed form of `conic.piece_areas` without quadrature, on a full
+ellipse and on parabola pieces, and against quad at the edges of its
 branches.
 """
 
@@ -22,6 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ellipe
+
+import gbpd
 
 from gbpd import measure as gmeasure
 from gbpd.bisector import bisector_implicit, make_bisector
@@ -34,6 +40,7 @@ from gbpd.conic import (
     PARABOLA_CODE,
     ConicClass,
     charts_of_triples,
+    classify_rows,
     piece_areas,
     points_at_alphas,
 )
@@ -42,7 +49,9 @@ from gbpd.errors import GbpdError, QuadratureError
 from gbpd.geometry import Generator, SymMat2, Window
 from gbpd.measure import arc_measures, cell_area, measure_cells
 
-from oracles import (RowCurve, arc_measures_rounds, point_at_alpha_scalar, quad_arc_area,
+from gbpd.tolerances import CLASS_REL
+
+from oracles import (RowCurve, fine_arc_length, point_at_alpha_scalar, quad_arc_area,
                      quad_arc_length, row_curve)
 
 WINDOW = Window(0.0, 0.0, 400.0, 400.0)
@@ -65,11 +74,10 @@ def arc_pieces(cd):
             for e, a0, a1 in zip(arcs["edge"].tolist(), arcs["a0"].tolist(), arcs["a1"].tolist())]
 
 
-def kernel(curves, a0, a1, measures=arc_measures):
-    """``arc_measures`` (or ``measures``, a function of its arguments) of the
-    arcs along ``curves`` (RowCurves) from ``a0`` to ``a1``."""
+def kernel(curves, a0, a1):
+    """``arc_measures`` of the arcs along ``curves`` (RowCurves) from ``a0`` to ``a1``."""
     triples = [(c.xq, c.yq, c.uq) for c in curves]
-    return measures(charts_of_triples(triples), [c.u_scale for c in curves], a0, a1)
+    return arc_measures(charts_of_triples(triples), [c.u_scale for c in curves], a0, a1)
 
 
 def assert_matches_quad(arcs, rounding=False):
@@ -99,12 +107,15 @@ def assert_matches_quad(arcs, rounding=False):
             assert abs(length - ref_length) <= 1e-9 * max(1.0, abs(ref_length)), (a0, a1)
 
 
-def assert_matches_round_loop(arcs):
-    """Kernel against the per-array round loop it replaced, bit for bit."""
+def assert_lengths_match_fine(arcs, rel=1e-13):
+    """Kernel lengths against the fine Gauss-Legendre reference, per arc,
+    within ``rel`` relative."""
     if not arcs:
         return
-    got, ref = kernel(*zip(*arcs)), kernel(*zip(*arcs), measures=arc_measures_rounds)
-    assert [bits(v) for v in got] == [bits(v) for v in ref]
+    _, lengths = kernel(*zip(*arcs))
+    for (param, a0, a1), length in zip(arcs, lengths):
+        ref = fine_arc_length(param, a0, a1)
+        assert abs(length - ref) <= rel * ref, (param, a0, a1, length, ref)
 
 
 def assert_batch_is_batch_of_one(arcs):
@@ -194,53 +205,18 @@ def test_each_arc_piece_integrated_once(reload_scene, monkeypatch):
     assert calls[0] == sorted((cd.pieces["a0"][pid], cd.pieces["a1"][pid]) for pid in set(uses))
 
 
-def test_benchmark_pieces_match_round_loop(small_batch, dense_scene, reload_query):
+def test_benchmark_lengths_match_fine_quadrature(small_batch, dense_scene, reload_query):
     graph, windows = reload_query
     for cd in [*small_batch, dense_scene, *(clip_to_window(graph, w) for w in windows)]:
-        assert_matches_round_loop(arc_pieces(cd))
+        assert_lengths_match_fine(arc_pieces(cd))
 
 
-def test_benchmark_arcs_meet_target_in_few_passes(small_batch, dense_scene, reload_query,
-                                                  monkeypatch):
-    """Gauss-Kronrod passes per ``arc_measures`` call over the benchmark
-    scenes: with every arc cut on the step grid first, most calls finish in
-    two passes."""
-    graph, windows = reload_query
-    gk15, arc_calls, passes = gmeasure._gk15, gmeasure.arc_measures, []
-
-    def counted_pass(*args):
-        passes[-1] += 1
-        return gk15(*args)
-
-    def counted_call(*args):
-        passes.append(0)
-        return arc_calls(*args)
-
-    monkeypatch.setattr(gmeasure, "_gk15", counted_pass)
-    monkeypatch.setattr(gmeasure, "arc_measures", counted_call)
-    for cd in [*small_batch, dense_scene, *(clip_to_window(graph, w) for w in windows)]:
-        measure_cells(cd)
-    assert len(passes) >= 30  # the isotropic scenes have no arcs
-    assert np.median(passes) <= 2
-    assert max(passes) <= 4
-
-
-@pytest.mark.parametrize("cap", ["_MAX_DEPTH", "_MAX_PIECES"])
-def test_unmet_error_target_raises(small_batch, monkeypatch, cap):
+def test_quadrature_error_keeps_its_exit_code():
+    # no measure raises it since the lengths are in closed form; the class
+    # stays exported, with its exit code
+    assert gbpd.QuadratureError is QuadratureError
     assert issubclass(QuadratureError, GbpdError)
     assert QuadratureError.exit_code == 10
-    monkeypatch.setattr(gmeasure, cap, 0)
-    # small_batch[1] (paper-random, seed 1011) has arcs that miss their
-    # target in the first pass, so each cap stops their first halving
-    with pytest.raises(QuadratureError):
-        measure_cells(small_batch[1])
-    # with the message of the round loop it replaced
-    arcs = list(zip(*arc_pieces(small_batch[1])))
-    with pytest.raises(QuadratureError) as got:
-        kernel(*arcs)
-    with pytest.raises(QuadratureError) as ref:
-        kernel(*arcs, measures=arc_measures_rounds)
-    assert str(got.value) == str(ref.value)
 
 
 # ------------------------------------------------------- hypothesis arcs
@@ -290,7 +266,7 @@ def arcs(draw):
 
 # arcs 7.5e4 and 1.3e5 from the origin whose chords point nearly at it, near
 # a singular parameter: the area integrand about the arc's mid point is
-# rounding noise there, which no halving lowers, and the kernel once raised
+# rounding noise there, and an adaptive length quadrature once raised
 # QuadratureError on both
 FAR_RADIAL_ARCS = [
     (RowCurve((32.455192975470375, -28.162800436874797, -18.01987956294702),
@@ -354,7 +330,7 @@ def test_fixed_hard_arcs_match_quad_and_batch_of_one(shift):
     arcs = fixed_hard_arcs(shift)
     assert_matches_quad(arcs, rounding=True)
     assert_batch_is_batch_of_one(arcs)
-    assert_matches_round_loop(arcs)
+    assert_lengths_match_fine(arcs)
 
 
 @st.composite
@@ -393,16 +369,17 @@ def break_arcs(draw):
 
 @given(st.lists(break_arcs(), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
-def test_hypothesis_break_arcs_match_round_loop(drawn):
-    assert_matches_round_loop(drawn)
+def test_hypothesis_break_arcs_match_fine_quadrature(drawn):
+    assert_lengths_match_fine(drawn)
+    assert_matches_quad(drawn, rounding=True)
 
 
 @st.composite
-def grid_arcs(draw):
+def turn_arcs(draw):
     """(a0, a1) of an arc on a closed curve: a closed loop (-pi, pi), or an
-    arc whose ends are each a multiple of the cut step, a chart break
-    (alpha = pi/2 mod pi) or any alpha in [-2 pi, 2 pi], at most a turn long."""
-    step = gmeasure._CUT_STEP
+    arc whose ends are each a multiple of pi/16, a chart break (alpha = pi/2
+    mod pi) or any alpha in [-2 pi, 2 pi], at most a turn long."""
+    step = math.pi / 16
 
     def end():
         kind = draw(st.sampled_from(["grid", "break", "any"]))
@@ -425,42 +402,36 @@ def grid_arcs(draw):
     return (a0, a1) if a0 < a1 else (a0, a0 + step)
 
 
-@given(grid_arcs())
+@given(turn_arcs())
 @example((-math.pi, math.pi))
 @example((0.0, 3.0 * math.pi / 16))
 @example((0.5 * math.pi, 1.5 * math.pi))
 @example((0.1, 0.1 + 31.5 * math.pi / 16))
 @settings(max_examples=200, deadline=None)
-def test_hypothesis_first_pass_pieces_tile_the_grid(ends):
-    """The pieces of the first Gauss-Kronrod pass, seen through a wrapper on
-    ``_gk15``: they tile [a0, a1] in alpha order, none is longer than the cut
-    step, and every chart break inside the arc is a cut."""
+def test_hypothesis_area_pieces_tile_at_chart_breaks(ends):
+    """The pieces whose area terms ``arc_measures`` sums, seen through a
+    wrapper on ``piece_areas``: they tile [a0, a1] in alpha order, and their
+    cuts are exactly the chart breaks inside the arc, so no piece crosses one."""
     a0, a1 = ends
-    step = gmeasure._CUT_STEP
     curve = fixed_hard_arcs(0.0)[0][0]  # an ellipse: every alpha is on the curve
-    gk15, first = gmeasure._gk15, []
+    areas, seen = gmeasure.piece_areas, []
 
-    def recorded(coef, u_scale, lo, hi):
-        if not first:
-            first.append((lo.copy(), hi.copy()))
-        return gk15(coef, u_scale, lo, hi)
+    def recorded(coef, lo, hi):
+        seen.append((lo.copy(), hi.copy()))
+        return areas(coef, lo, hi)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gmeasure, "_gk15", recorded)
+        patch.setattr(gmeasure, "piece_areas", recorded)
         kernel([curve], [a0], [a1])
-    lo, hi = first[0]
+    (lo, hi), = seen
     assert lo[0] == a0 and hi[-1] == a1
     assert np.array_equal(lo[1:], hi[:-1])
     assert (lo < hi).all()
-    # each cut is a product k step, rounded once
-    ulps = 4.0 * np.spacing(max(abs(a0), abs(a1)))
-    assert (hi - lo <= step + ulps).all()
-    cuts = lo[1:]
     k = math.ceil((a0 - 0.5 * math.pi) / math.pi)
-    while (b := 0.5 * math.pi + k * math.pi) < a1 - ulps:
-        if b > a0 + ulps:
-            assert cuts.size and np.abs(cuts - b).min() <= ulps, (b, cuts)
-        k += 1
+    breaks = [b for b in (0.5 * math.pi + (k + i) * math.pi for i in range(4)) if a0 < b < a1]
+    ulps = 4.0 * np.spacing(max(abs(a0), abs(a1)))
+    assert lo.size == len(breaks) + 1
+    assert np.all(np.abs(lo[1:] - np.array(breaks)) <= ulps), (breaks, lo)
 
 
 # ------------------------------------------------------- closed-form areas
@@ -542,3 +513,135 @@ def test_closed_form_at_the_branch_edges_matches_quad():
     for (curve, lo, hi), term in zip(pieces, terms):
         ref = quad_arc_area(curve, lo, hi)
         assert abs(term - ref) <= 1e-12 * max(1.0, abs(ref)), (curve, lo, hi, term, ref)
+
+
+# ------------------------------------------------------- closed-form lengths
+
+
+def placed_curve(xq, yq, uq, turn=0.7, dx=3.0, dy=-2.0):
+    """The RowCurve of the chart-0 triples xq, yq, uq turned by ``turn`` and
+    moved by (dx, dy)."""
+    c, s = math.cos(turn), math.sin(turn)
+    x = tuple(c * a - s * b + dx * u for a, b, u in zip(xq, yq, uq))
+    y = tuple(s * a + c * b + dy * u for a, b, u in zip(xq, yq, uq))
+    return RowCurve(x, y, tuple(uq), sum(map(abs, uq)))
+
+
+def ellipse_curve(a, b, r=1.0, **place):
+    """(a cos th, b sin th) with tan(th/2) = r t, placed."""
+    return placed_curve((-a * r * r, 0.0, a), (0.0, 2.0 * b * r, 0.0), (r * r, 0.0, 1.0), **place)
+
+
+def assert_relative(got, want, rel=1e-13):
+    assert abs(got - want) <= rel * abs(want), (got, want, (got - want) / want)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.5, 10.0, 1e2, 1e3, 1e4])
+def test_full_ellipse_perimeter_is_4a_E(ratio):
+    """A full loop of an ellipse with semi-axes a >= b measures 4 a E(1 -
+    b^2/a^2), from any start, whichever axis the parameter starts on."""
+    for a, b in ((2.0, 2.0 / ratio), (2.0 / ratio, 2.0)):
+        want = 4.0 * max(a, b) * ellipe(1.0 - (min(a, b) / max(a, b)) ** 2)
+        for r, turn in ((1.0, 0.0), (0.3, 0.7), (4.0, 2.9)):
+            curve = ellipse_curve(a, b, r, turn=turn)
+            for a0 in (-math.pi, -0.3, 2.0):
+                _, (got,) = kernel([curve], [a0], [a0 + 2.0 * math.pi])
+                assert_relative(got, want)
+
+
+def test_circle_arc_is_radius_times_angle():
+    """With r = 1 the parameter angle th is alpha, so an arc of a circle of
+    radius R measures R (a1 - a0), for spans from 1e-8 to nearly a turn."""
+    radius = 0.75
+    curve = ellipse_curve(radius, radius, turn=1.1, dx=40.0, dy=-25.0)
+    arcs = [(curve, a0, a0 + span) for a0 in (-3.0, -1.5707963267948966, 0.2, 2.5)
+            for span in (1e-8, 1e-5, 0.01, 0.7, 2.0, 4.5, 2.0 * math.pi - 1e-3)]
+    _, lengths = kernel(*zip(*arcs))
+    for (_, a0, a1), got in zip(arcs, lengths):
+        assert_relative(got, radius * (a1 - a0))
+
+
+def test_parabola_arc_from_its_elementary_formula():
+    """y = x^2 / 2 as x = s, s = -cot(alpha/2), placed and scaled by 3: the
+    arc from s0 to s1 measures 3 [s q + asinh s]/2 between its ends, q =
+    sqrt(1 + s^2), through the vertex or on either side of it."""
+    scale = 3.0
+    curve = placed_curve((0.0, -scale, 0.0), (0.0, 0.0, 0.5 * scale), (1.0, 0.0, 0.0), dx=5.0, dy=1.0)
+    assert curve.uq[2] == 0.0
+
+    def primitive(s):
+        return 0.5 * scale * (s * math.hypot(1.0, s) + math.asinh(s))
+
+    ends = [(-2.0, -0.5), (-0.7, 0.4), (0.05, 0.1), (1.0, 3.0), (-3.0, 2.5), (-0.02, 0.03)]
+    arcs = [(curve, 2.0 * math.atan2(1.0, -s0), 2.0 * math.atan2(1.0, -s1)) for s0, s1 in ends]
+    _, lengths = kernel(*zip(*arcs))
+    for (s0, s1), got in zip(ends, lengths):
+        assert_relative(got, primitive(s1) - primitive(s0))
+
+
+def hyperbola_curve(a, b, r, **place):
+    """(a cosh w, b sinh w) with tanh(w/2) = r t on the branch t = 0 is on
+    (|r t| < 1) and (-a cosh w, -b sinh w), tanh(w/2) = 1/(r t), on the
+    branch through t = inf, placed; its singular parameters are +-1/r."""
+    return placed_curve((a * r * r, 0.0, a), (0.0, 2.0 * b * r, 0.0), (-r * r, 0.0, 1.0), **place)
+
+
+def test_hyperbola_arcs_match_fine_quadrature():
+    """Arcs of both branches within 1e-13 of the fine reference: on the
+    branch through t = inf across alpha = pi, spans from 1e-8 up to 0.9 of
+    the branch, which is nearly a turn of alpha for r = 1e3; and on the branch through t = 0 across its
+    vertex."""
+    arcs = []
+    for a, b, r in ((1.0, 1.0, 1.5), (0.5, 3.0, 1.0 / math.tan(0.25)), (2.0, 0.2, 1e3)):
+        curve = hyperbola_curve(a, b, r, turn=0.4, dx=-7.0, dy=2.0)
+        edge = 2.0 * math.atan(1.0 / r)  # the singular alphas are +-edge
+        for span in (1e-8, 1e-4, 0.1, 0.9):
+            width = 2.0 * math.pi - 2.0 * edge
+            for mid in (math.pi, math.pi + 0.3 * (0.5 * width) * (1.0 - span)):
+                arcs.append((curve, mid - 0.5 * span * width, mid + 0.5 * span * width))
+            arcs.append((curve, -0.5 * span * 2.0 * edge, 0.4 * span * 2.0 * edge))
+    assert max(a1 - a0 for _, a0, a1 in arcs) > 0.85 * 2.0 * math.pi
+    assert_lengths_match_fine(arcs)
+
+
+def test_near_parabolic_curves_on_both_sides_of_class_rel():
+    """x^2 + e y^2 - y = 0 is a parabola for e = 0 and an ellipse (e > 0) or
+    a hyperbola (e < 0) of eccentricity near 1 otherwise. For |e| on either
+    side of where the classification switches to parabola (the eigenvalue
+    ratio of its denominator form against CLASS_REL), arcs near the vertex
+    match the fine reference within 1e-13 and quad within its bound."""
+    codes, arcs = set(), []
+    for e in (f * CLASS_REL for f in (3.0, 1.0, 0.3, 0.1, -0.1, -0.3, -1.0, -3.0)):
+        rows = classify_rows([(1.0, 0.0, e, 0.0, -1.0, 0.0)])
+        codes.add(int(rows.code[0]))
+        assert rows.code[0] in CURVE_CODES
+        triples = rows.triples[0]
+        curve = RowCurve(*(tuple(q) for q in triples.tolist()), float(np.abs(triples[2]).sum()))
+        # alphas of the points (-1, 1), (0, 0) and (2, 4), and the arcs between
+        # them that stay near the vertex, as a grid of alphas finds them
+        grid = np.linspace(-math.pi, math.pi, 4001)[1:]
+        pts = np.array([point_at_alpha_scalar(curve, a) if abs(a) > 1e-3 else (np.inf, np.inf)
+                        for a in grid])
+        near = np.hypot(*pts.T) < 10.0
+        a_left, a_vertex, a_right = (grid[np.argmin(np.hypot(*(pts - q).T))]
+                                     for q in ((-1.0, 1.0), (0.0, 0.0), (2.0, 4.0)))
+        for lo, hi in ((a_left, a_right), (a_vertex, a_right), (a_left, a_vertex)):
+            lo, hi = sorted((lo, hi))
+            if not near[(grid >= lo) & (grid <= hi)].all():
+                lo, hi = hi, lo + 2.0 * math.pi
+            arcs.append((curve, lo, hi))
+    assert codes == set(CURVE_CODES)  # both sides of the switch, on either sign of e
+    assert_lengths_match_fine(arcs)
+    assert_matches_quad(arcs)
+
+
+def test_thin_ellipse_arcs_match_fine_quadrature():
+    """Arcs of ellipses with semi-axis ratios 1e2 and 1e4 at their vertices
+    and along their flat sides, within 1e-13 of the fine reference."""
+    arcs = []
+    for ratio in (1e2, 1e4):
+        curve = ellipse_curve(1.0, 1.0 / ratio, r=0.8, turn=0.3)
+        for a0, span in ((-1e-3, 2e-3), (-0.5 / ratio, 0.7 / ratio), (0.1, 1e-6), (0.4, 1.0),
+                         (math.pi - 0.2, 0.5), (-2.0, 3.0), (1.0, 5.5)):
+            arcs.append((curve, a0, a0 + span))
+    assert_lengths_match_fine(arcs)
