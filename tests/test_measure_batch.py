@@ -211,12 +211,22 @@ def test_benchmark_lengths_match_fine_quadrature(small_batch, dense_scene, reloa
         assert_lengths_match_fine(arc_pieces(cd))
 
 
-def test_quadrature_error_keeps_its_exit_code():
-    # no measure raises it since the lengths are in closed form; the class
-    # stays exported, with its exit code
+@pytest.mark.parametrize("cap", ["_MAX_DEPTH", "_MAX_PIECES"])
+def test_former_cap_at_zero_changes_nothing(small_batch, monkeypatch, cap):
+    # small_batch[1] (paper-random, seed 1011) has the arcs that missed their
+    # target in the first quadrature pass, so either subdivision cap set to
+    # zero made them raise QuadratureError. The lengths are closed forms now:
+    # the caps are gone, a module global of either name is read by nothing,
+    # and the class stays exported, with its exit code.
     assert gbpd.QuadratureError is QuadratureError
     assert issubclass(QuadratureError, GbpdError)
     assert QuadratureError.exit_code == 10
+    assert not hasattr(gmeasure, cap)
+    before = measure_cells(small_batch[1])
+    monkeypatch.setattr(gmeasure, cap, 0, raising=False)
+    after = measure_cells(small_batch[1])
+    assert {g: bits((m.area, m.perimeter)) for g, m in after.items()} == {
+        g: bits((m.area, m.perimeter)) for g, m in before.items()}
 
 
 # ------------------------------------------------------- hypothesis arcs
